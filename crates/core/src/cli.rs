@@ -139,7 +139,7 @@ impl DebugCli {
                 let values = args[2..].iter().map(|a| parse_value(a)).collect();
                 let pid = world
                     .try_spawn(node, proc, values)
-                    .map_err(|e| DebugError::Source(e.to_string()))?;
+                    .map_err(DebugError::Source)?;
                 Ok(format!("started p{} on node{node}", pid.0))
             }
             "wait" => {
@@ -755,6 +755,17 @@ console 0",
             cli.exec(&mut w, "print x").starts_with("error:"),
             "no focus yet"
         );
+        // A spawn that cannot happen is an error, not a panic, and leaves
+        // no journal entry behind to poison replay.
+        let err = cli.exec(&mut w, "run 7 main");
+        assert!(
+            err.starts_with("error:") && err.contains("no node 7"),
+            "{err}"
+        );
+        assert!(cli
+            .exec(&mut w, "run 0 nosuch")
+            .contains("no procedure named `nosuch`"));
+        assert!(w.journal().is_empty(), "{:?}", w.journal());
         cli.exec(&mut w, "connect");
         assert!(cli.exec(&mut w, "break 0:999").contains("no code at line"));
     }

@@ -541,6 +541,7 @@ impl WorldBuilder {
             outcall_pending: Vec::new(),
             index_dirty: true,
             reference_pump: false,
+            driving: false,
             empty_program,
             tsdb: self
                 .tsdb
@@ -623,6 +624,9 @@ pub struct World {
     index_dirty: bool,
     /// Forces the full-scan reference pump (twin-testing knob).
     reference_pump: bool,
+    /// Re-entrancy guard of [`World::drive`]: true while a journalled
+    /// driver call is on the stack.
+    driving: bool,
     /// Shared empty program; placeholder bodies for nodes lent to the
     /// worker pool borrow it instead of allocating.
     empty_program: Arc<Program>,
@@ -981,15 +985,17 @@ impl World {
     /// Forces the next `count` packets from `src` to `dst` to be lost
     /// in flight — the recorded form of fault injection.
     pub fn inject_drop(&mut self, src: u32, dst: u32, count: u32) {
-        self.journal.push(Stimulus::DropNext { src, dst, count });
-        self.net.drop_next(NodeId(src), NodeId(dst), count);
+        self.drive(Stimulus::DropNext { src, dst, count }, |w| {
+            w.net.drop_next(NodeId(src), NodeId(dst), count);
+        });
     }
 
     /// Marks a station's network interface up or down (a down interface
     /// NACKs on the ring, drops silently on Ethernet) — recorded.
     pub fn set_node_up(&mut self, node: u32, up: bool) {
-        self.journal.push(Stimulus::SetNodeUp { node, up });
-        self.net.set_up(NodeId(node), up);
+        self.drive(Stimulus::SetNodeUp { node, up }, |w| {
+            w.net.set_up(NodeId(node), up);
+        });
     }
 
     /// Forces the bridge link between segments `a` and `b` down or back
@@ -997,8 +1003,9 @@ impl World {
     /// [`pilgrim_ring::PartitionWindow`]s in the network config still
     /// apply on top of the forced state.
     pub fn set_link_up(&mut self, a: u32, b: u32, up: bool) {
-        self.journal.push(Stimulus::SetLinkUp { a, b, up });
-        self.net.set_link_up(a, b, up);
+        self.drive(Stimulus::SetLinkUp { a, b, up }, |w| {
+            w.net.set_link_up(a, b, up);
+        });
     }
 
     /// Records a Rust-side setup step in the recipe so replay can
@@ -1023,31 +1030,42 @@ impl World {
     ///
     /// # Panics
     ///
-    /// Panics if the node has no such procedure (program bugs in examples
-    /// should fail loudly).
+    /// Panics if there is no such node or the node has no such procedure
+    /// (program bugs in examples should fail loudly).
     pub fn spawn(&mut self, i: u32, entry: &str, args: Vec<Value>) -> Pid {
         self.try_spawn(i, entry, args)
-            .expect("entry procedure exists")
+            .expect("node and entry procedure exist")
     }
 
-    /// Spawns a process running `entry` on node `i`, surfacing unknown
-    /// procedures as an error (the REPL's spawn path).
+    /// Spawns a process running `entry` on node `i`, surfacing a missing
+    /// node or procedure as an error (the REPL's spawn path). Only spawns
+    /// that happen are recorded, so a mistyped one cannot poison replay.
     ///
     /// # Errors
     ///
-    /// [`UnknownProc`] when the node's program has no such procedure.
-    pub fn try_spawn(&mut self, i: u32, entry: &str, args: Vec<Value>) -> Result<Pid, UnknownProc> {
-        self.journal.push(Stimulus::Spawn {
+    /// A description of the missing node or procedure.
+    pub fn try_spawn(&mut self, i: u32, entry: &str, args: Vec<Value>) -> Result<Pid, String> {
+        let node = self
+            .nodes
+            .get(i as usize)
+            .ok_or_else(|| format!("no node {i} in a world of {} stations", self.nodes.len()))?;
+        let proc = node
+            .program()
+            .proc_by_name(entry)
+            .ok_or_else(|| UnknownProc(entry.to_string()).to_string())?;
+        let stimulus = Stimulus::Spawn {
             node: i,
             entry: entry.to_string(),
             args: args.clone(),
-        });
-        let r = self.nodes[i as usize].spawn(entry, args, SpawnOpts::default());
-        // The spawn made the node runnable (and left a `ProcCreated`
-        // outcall pending) — tell the activity index without forcing a
-        // full rebuild, so mass spawns stay O(1) each.
-        self.refresh_station(i as usize);
-        r
+        };
+        Ok(self.drive(stimulus, |w| {
+            let pid = w.nodes[i as usize].spawn_proc(proc, args, SpawnOpts::default());
+            // The spawn made the node runnable (and left a `ProcCreated`
+            // outcall pending) — tell the activity index without forcing a
+            // full rebuild, so mass spawns stay O(1) each.
+            w.refresh_station(i as usize);
+            pid
+        }))
     }
 
     /// Console lines printed on node `i`.
@@ -1061,89 +1079,94 @@ impl World {
 
     /// Advances the world to `limit`.
     pub fn run_until(&mut self, limit: SimTime) {
-        self.journal.push(Stimulus::RunUntil {
+        let stimulus = Stimulus::RunUntil {
             until_us: limit.as_micros(),
-        });
-        self.run_until_inner(limit);
-    }
-
-    fn run_until_inner(&mut self, limit: SimTime) {
-        while self.now < limit {
-            self.pump_step(limit);
-            if self.take_watch_halt() {
-                break;
+        };
+        self.drive(stimulus, |w| {
+            while w.now < limit {
+                w.pump_step(limit);
+                if w.take_watch_halt() {
+                    break;
+                }
             }
-        }
-        self.settle_clocks();
+        });
     }
 
     /// Advances the world by `d`.
     pub fn run_for(&mut self, d: SimDuration) {
-        self.journal.push(Stimulus::RunFor {
+        let stimulus = Stimulus::RunFor {
             dur_us: d.as_micros(),
-        });
-        let t = self.now + d;
-        self.run_until_inner(t);
+        };
+        self.drive(stimulus, |w| w.run_until(w.now + d));
     }
 
     /// Runs until nothing is runnable, no packet is in flight and no
     /// protocol timer is pending — or until `limit`.
     pub fn run_until_idle(&mut self, limit: SimTime) {
-        self.journal.push(Stimulus::RunUntilIdle {
+        let stimulus = Stimulus::RunUntilIdle {
             limit_us: limit.as_micros(),
+        };
+        self.drive(stimulus, |w| {
+            while w.now < limit {
+                w.pump_step(limit);
+                if w.take_watch_halt() {
+                    break;
+                }
+                // The activity index already knows whether anything is
+                // pending — O(1) instead of the full node + endpoint
+                // rescan the reference pump needs.
+                let idle = if w.reference_pump {
+                    w.nodes.iter_mut().all(|n| n.next_activity().is_none())
+                        && w.net.next_delivery_at().is_none()
+                        && w.endpoints.iter_mut().all(|e| e.next_timer().is_none())
+                } else {
+                    w.active_nodes == 0 && w.net.next_delivery_at().is_none() && w.active_eps == 0
+                };
+                if idle {
+                    break;
+                }
+            }
         });
-        self.run_until_idle_inner(limit);
     }
 
-    fn run_until_idle_inner(&mut self, limit: SimTime) {
-        while self.now < limit {
-            self.pump_step(limit);
-            if self.take_watch_halt() {
-                break;
-            }
-            // Under the quiescence-aware pump the activity index already
-            // knows whether anything is pending — O(1) instead of the
-            // full node + endpoint rescan the reference pump needs.
-            let idle = if self.skip_pump() {
-                self.active_nodes == 0
-                    && self.net.next_delivery_at().is_none()
-                    && self.active_eps == 0
-            } else {
-                self.nodes.iter_mut().all(|n| n.next_activity().is_none())
-                    && self.net.next_delivery_at().is_none()
-                    && self.endpoints.iter_mut().all(|e| e.next_timer().is_none())
-            };
-            if idle {
-                break;
-            }
+    /// The one funnel every journalled driver entry goes through. Only
+    /// the outermost call records its stimulus — a composite such as
+    /// [`World::break_at_line`] calls [`World::debug_request`] directly
+    /// without double-journalling — and, if its body pumped, settles the
+    /// skipped nodes' clocks once on the way out. [`World::apply`]
+    /// dispatches to the same public methods, so the live API and replay
+    /// share this path by construction.
+    fn drive<R>(&mut self, stimulus: Stimulus, body: impl FnOnce(&mut World) -> R) -> R {
+        if self.driving {
+            return body(self);
         }
-        self.settle_clocks();
+        self.driving = true;
+        self.journal.push(stimulus);
+        let before = self.sync_points;
+        let r = body(self);
+        if self.sync_points != before {
+            self.settle_clocks();
+        }
+        self.driving = false;
+        r
     }
 
     /// One pump iteration: pick the next event time, advance every node
     /// with pending work to it, deliver packets, fire protocol timers.
     fn pump_step(&mut self, limit: SimTime) {
-        if self.skip_pump() {
-            self.pump_step_skip(limit);
-        } else {
+        if self.reference_pump {
             self.pump_step_reference(limit);
+        } else {
+            self.pump_step_skip(limit);
         }
     }
 
-    /// True when the quiescence-aware pump drives this world. The E4
-    /// ablation (`freeze_timeouts_on_halt = false`) keeps burning the
-    /// timeouts of debugger-halted processes, whose deadlines are then
-    /// invisible to `next_activity` — only the full scan advances them —
-    /// so that mode stays on the reference pump.
-    fn skip_pump(&self) -> bool {
-        !self.reference_pump && self.recipe.node_cfg.freeze_timeouts_on_halt
-    }
-
-    /// Routes every pump iteration through the full-scan reference loop.
-    /// An execution knob like [`World::set_step_threads`], deliberately
-    /// not journalled: both pumps must produce byte-identical artifacts
-    /// (the pump twin gate enforces exactly that), so the choice is not
-    /// part of the world's identity.
+    /// Routes every pump iteration through the full-scan reference loop —
+    /// the oracle `tests/pump_gate.rs` compares the production pump
+    /// against. Deliberately not journalled: both pumps must produce
+    /// byte-identical artifacts, so the choice is not part of the world's
+    /// identity. Test hook.
+    #[doc(hidden)]
     pub fn set_reference_pump(&mut self, on: bool) {
         self.settle_clocks();
         self.reference_pump = on;
@@ -1152,9 +1175,9 @@ impl World {
 
     /// The pre-index pump: scan every station for its next event time,
     /// advance every node, fire every endpoint's timers. O(total
-    /// stations) per window — kept verbatim as the semantic reference the
-    /// quiescence-aware pump is gated against, and as the only correct
-    /// pump for the E4 ablation (see [`World::skip_pump`]).
+    /// stations) per window — kept as the semantic reference the
+    /// quiescence-aware pump is gated against, reachable only through
+    /// [`World::set_reference_pump`].
     fn pump_step_reference(&mut self, limit: SimTime) {
         let mut next = self.now + self.window;
         for n in &mut self.nodes {
@@ -1178,16 +1201,8 @@ impl World {
         }
         let next = next.min(limit);
 
-        if self.pool.is_some() && self.nodes.len() > 1 {
-            self.step_nodes_parallel(next);
-        } else {
-            for i in 0..self.nodes.len() {
-                let outcalls = self.nodes[i].advance_to(next);
-                for oc in outcalls {
-                    self.route_outcall(i, oc);
-                }
-            }
-        }
+        let all: Vec<usize> = (0..self.nodes.len()).collect();
+        self.step_nodes(&all, next);
 
         let (deliveries, _) = self.net.poll(next);
         for d in deliveries {
@@ -1217,8 +1232,8 @@ impl World {
     /// (an idle `advance_to` produces no events, a timer-less
     /// `on_timers` fires nothing). Skipped nodes keep stale clocks;
     /// they are caught up before anything observes them (delivery
-    /// routing, timer dispatch, or [`World::settle_clocks`] at the end
-    /// of every public run loop).
+    /// routing, timer dispatch, or [`World::settle_clocks`] on the way
+    /// out of [`World::drive`]).
     fn pump_step_skip(&mut self, limit: SimTime) {
         if self.index_dirty {
             self.rebuild_index();
@@ -1291,16 +1306,7 @@ impl World {
         due_eps.sort_unstable();
         due_eps.dedup();
 
-        if self.pool.is_some() && to_step.len() > 1 {
-            self.step_nodes_parallel_subset(&to_step, next);
-        } else {
-            for &i in &to_step {
-                let outcalls = self.nodes[i].advance_to(next);
-                for oc in outcalls {
-                    self.route_outcall(i, oc);
-                }
-            }
-        }
+        self.step_nodes(&to_step, next);
         let mut touched = to_step;
 
         let (deliveries, _) = self.net.poll(next);
@@ -1396,11 +1402,12 @@ impl World {
     }
 
     /// Brings every skipped-quiescent node's clock up to the world clock.
-    /// Runs at the end of every public pump loop, so external observers —
-    /// semantics digests read `Node::clock`, reports read scheduler state
-    /// — see exactly what the full-scan pump would have produced.
+    /// [`World::drive`] runs it after every driver call that pumped, so
+    /// external observers — semantics digests read `Node::clock`, reports
+    /// read scheduler state — see exactly what the full-scan pump would
+    /// have produced.
     fn settle_clocks(&mut self) {
-        if !self.skip_pump() {
+        if self.reference_pump {
             return; // the reference pump never lets a clock lag
         }
         let now = self.now;
@@ -1414,7 +1421,7 @@ impl World {
     /// the quiescence-aware pump rests on. Test hook; O(stations).
     #[doc(hidden)]
     pub fn debug_validate_index(&mut self) {
-        if !self.skip_pump() || self.index_dirty {
+        if self.reference_pump || self.index_dirty {
             return;
         }
         let mut active_nodes = 0;
@@ -1455,40 +1462,37 @@ impl World {
         assert_eq!(self.active_eps, active_eps, "active endpoint count drifted");
     }
 
-    /// The parallel twin of the serial stepping loop inside
-    /// [`pump_step`](World::pump_step): nodes step to the window end on
-    /// the worker pool with trace output diverted into per-node buffers,
-    /// then the main thread merges buffers and routes outcalls in
-    /// canonical node order. Nodes cannot observe each other while
-    /// stepping — every cross-node interaction is mediated by the world
-    /// at the sync barrier (network poll, timer dispatch, outcall
-    /// routing) — so the serialized merge reproduces the serial loop's
-    /// event sequence exactly: [node i's step events][node i's routing
-    /// effects] for i in node order.
-    fn step_nodes_parallel(&mut self, next: SimTime) {
-        for n in &mut self.nodes {
-            n.begin_trace_buffer();
+    /// Steps the stations in `to_step` (ascending) to the window end and
+    /// routes their outcalls — serially, or on the worker pool when there
+    /// is one and more than one station has work.
+    fn step_nodes(&mut self, to_step: &[usize], next: SimTime) {
+        if self.pool.is_some() && to_step.len() > 1 {
+            self.step_nodes_parallel_subset(to_step, next);
+            return;
         }
-        let pool = self.pool.as_ref().expect("parallel stepping needs a pool");
-        let (nodes, mut outcalls) = pool.step(std::mem::take(&mut self.nodes), next);
-        self.nodes = nodes;
-        for (i, ocs) in outcalls.iter_mut().enumerate() {
-            for ev in self.nodes[i].take_trace_buffer() {
-                self.tracer.push_event(ev);
-            }
-            for oc in ocs.drain(..) {
+        for &i in to_step {
+            let outcalls = self.nodes[i].advance_to(next);
+            for oc in outcalls {
                 self.route_outcall(i, oc);
             }
         }
     }
 
-    /// The quiescence-aware twin of [`step_nodes_parallel`]: only the
-    /// active subset travels to the pool. Extracted nodes leave a hollow
-    /// placeholder behind (sharing the world's interned empty program, so
-    /// the swap allocates no program) and return to their slots before
-    /// any routing, preserving the canonical ascending merge order.
+    /// The parallel twin of the serial loop in [`World::step_nodes`]:
+    /// the nodes in `to_step` step to the window end on the worker pool
+    /// with trace output diverted into per-node buffers, then the main
+    /// thread merges buffers and routes outcalls in canonical node order.
+    /// Nodes cannot observe each other while stepping — every cross-node
+    /// interaction is mediated by the world at the sync barrier (network
+    /// poll, timer dispatch, outcall routing) — so the serialized merge
+    /// reproduces the serial loop's event sequence exactly: [node i's
+    /// step events][node i's routing effects] for i in node order.
     ///
-    /// [`step_nodes_parallel`]: World::step_nodes_parallel
+    /// Only the active subset travels to the pool. Extracted nodes leave
+    /// a hollow placeholder behind (sharing the world's interned empty
+    /// program, so the swap allocates no program) and return to their
+    /// slots before any routing, preserving the canonical ascending merge
+    /// order.
     fn step_nodes_parallel_subset(&mut self, to_step: &[usize], next: SimTime) {
         for &i in to_step {
             self.nodes[i].begin_trace_buffer();
@@ -1605,27 +1609,26 @@ impl World {
     pub fn arm_watch(&mut self, expr: &str) -> Result<u64, String> {
         let watch = Watchpoint::parse(expr)?;
         // Journal the canonical form so replay re-parses exactly what ran.
-        self.journal.push(Stimulus::ArmWatch { expr: watch.expr() });
-        Ok(self.arm_watch_inner(watch))
-    }
-
-    fn arm_watch_inner(&mut self, watch: Watchpoint) -> u64 {
-        let id = self.next_watch_id;
-        self.next_watch_id += 1;
-        self.watches.push(WatchState {
-            id,
-            watch,
-            trip: None,
-        });
-        id
+        let stimulus = Stimulus::ArmWatch { expr: watch.expr() };
+        Ok(self.drive(stimulus, |w| {
+            let id = w.next_watch_id;
+            w.next_watch_id += 1;
+            w.watches.push(WatchState {
+                id,
+                watch,
+                trip: None,
+            });
+            id
+        }))
     }
 
     /// Disarms watchpoint `id`; false when no such watch. Recorded.
     pub fn clear_watch(&mut self, id: u64) -> bool {
-        self.journal.push(Stimulus::ClearWatch { id });
-        let before = self.watches.len();
-        self.watches.retain(|w| w.id != id);
-        self.watches.len() != before
+        self.drive(Stimulus::ClearWatch { id }, |w| {
+            let before = w.watches.len();
+            w.watches.retain(|watch| watch.id != id);
+            w.watches.len() != before
+        })
     }
 
     /// Every armed watchpoint: `(id, canonical expression, trip)`.
@@ -1742,78 +1745,71 @@ impl World {
     /// [`DebugError::Refused`] when some agent already belongs to another
     /// session and `force` is false.
     pub fn debug_connect(&mut self, nodes: &[u32], force: bool) -> Result<SessionId, DebugError> {
-        self.journal.push(Stimulus::Connect {
+        let stimulus = Stimulus::Connect {
             nodes: nodes.to_vec(),
             force,
-        });
-        self.debug_connect_inner(nodes, force)
-    }
-
-    fn debug_connect_inner(&mut self, nodes: &[u32], force: bool) -> Result<SessionId, DebugError> {
-        let r = self.debug_connect_pump(nodes, force);
-        self.settle_clocks();
-        r
-    }
-
-    fn debug_connect_pump(&mut self, nodes: &[u32], force: bool) -> Result<SessionId, DebugError> {
-        let dbg = self.debugger.as_mut().ok_or(DebugError::NoDebugger)?;
-        let session = dbg.fresh_session();
-        let cohort: Vec<NodeId> = nodes.iter().map(|n| NodeId(*n)).collect();
-        dbg.begin_connect(session, cohort.clone());
-        let station = dbg.station();
-        for dst in &cohort {
-            let msg = DebugMsg::Connect {
-                session,
-                force,
-                debugger: station,
-                cohort: cohort.clone(),
-            };
-            self.net.send_debug(self.now, station, *dst, msg);
-        }
-        let deadline = self.now + SimDuration::from_secs(5);
-        while self.now < deadline {
-            self.pump_step(deadline);
-            let d = self.debugger.as_ref().expect("debugger exists");
-            if d.connect_refusals() > 0 {
-                self.debugger.as_mut().expect("debugger exists").abandon();
-                return Err(DebugError::Refused);
+        };
+        self.drive(stimulus, |w| {
+            let dbg = w.debugger.as_mut().ok_or(DebugError::NoDebugger)?;
+            let session = dbg.fresh_session();
+            let cohort: Vec<NodeId> = nodes.iter().map(|n| NodeId(*n)).collect();
+            dbg.begin_connect(session, cohort.clone());
+            let station = dbg.station();
+            for dst in &cohort {
+                let msg = DebugMsg::Connect {
+                    session,
+                    force,
+                    debugger: station,
+                    cohort: cohort.clone(),
+                };
+                w.net.send_debug(w.now, station, *dst, msg);
             }
-            if d.connect_acks() == nodes.len() {
-                return Ok(session);
+            let deadline = w.now + SimDuration::from_secs(5);
+            while w.now < deadline {
+                w.pump_step(deadline);
+                let d = w.debugger.as_ref().expect("debugger exists");
+                if d.connect_refusals() > 0 {
+                    w.debugger.as_mut().expect("debugger exists").abandon();
+                    return Err(DebugError::Refused);
+                }
+                if d.connect_acks() == nodes.len() {
+                    return Ok(session);
+                }
             }
-        }
-        Err(DebugError::Timeout)
+            Err(DebugError::Timeout)
+        })
     }
 
     /// Ends the session: agents clear breakpoints, resume halted
     /// processes, and reset their logical clocks to real time (§5.2 warns
     /// the effects of continuing "may be unpredictable").
     pub fn debug_disconnect(&mut self) -> Result<(), DebugError> {
-        self.journal.push(Stimulus::Disconnect);
-        let dbg = self.debugger.as_mut().ok_or(DebugError::NoDebugger)?;
-        let Some(session) = dbg.session() else {
-            return Ok(());
-        };
-        let cohort = dbg.cohort().to_vec();
-        let station = dbg.station();
-        dbg.abandon();
-        for dst in cohort {
-            self.net
-                .send_debug(self.now, station, dst, DebugMsg::Disconnect { session });
-        }
-        let t = self.now + SimDuration::from_millis(20);
-        self.run_until_inner(t);
-        Ok(())
+        self.drive(Stimulus::Disconnect, |w| {
+            let dbg = w.debugger.as_mut().ok_or(DebugError::NoDebugger)?;
+            let Some(session) = dbg.session() else {
+                return Ok(());
+            };
+            let cohort = dbg.cohort().to_vec();
+            let station = dbg.station();
+            dbg.abandon();
+            for dst in cohort {
+                w.net
+                    .send_debug(w.now, station, dst, DebugMsg::Disconnect { session });
+            }
+            w.run_for(SimDuration::from_millis(20));
+            Ok(())
+        })
     }
 
     /// Drops the session client-side without telling the agents —
     /// simulates a crashed debugger. Only a forcible reconnect gets the
     /// agents back (§3).
     pub fn debug_abandon(&mut self) {
-        self.journal.push(Stimulus::Abandon);
-        if let Some(d) = self.debugger.as_mut() {
-            d.abandon();
-        }
+        self.drive(Stimulus::Abandon, |w| {
+            if let Some(d) = w.debugger.as_mut() {
+                d.abandon();
+            }
+        });
     }
 
     /// Sends one logical request to the agent on `node` and pumps the
@@ -1828,142 +1824,116 @@ impl World {
         node: u32,
         req: AgentRequest,
     ) -> Result<AgentReply, DebugError> {
-        self.journal.push(Stimulus::Request {
+        let stimulus = Stimulus::Request {
             node,
             req: req.clone(),
-        });
-        self.debug_request_inner(node, req)
-    }
-
-    fn debug_request_inner(
-        &mut self,
-        node: u32,
-        req: AgentRequest,
-    ) -> Result<AgentReply, DebugError> {
-        let r = self.debug_request_pump(node, req);
-        self.settle_clocks();
-        r
-    }
-
-    fn debug_request_pump(
-        &mut self,
-        node: u32,
-        req: AgentRequest,
-    ) -> Result<AgentReply, DebugError> {
-        let dbg = self.debugger.as_mut().ok_or(DebugError::NoDebugger)?;
-        let session = dbg.session().ok_or(DebugError::NotConnected)?;
-        let seq = dbg.next_seq();
-        let station = dbg.station();
-        self.net.send_debug(
-            self.now,
-            station,
-            NodeId(node),
-            DebugMsg::Request { session, seq, req },
-        );
-        let deadline = self.now + SimDuration::from_secs(30);
-        while self.now < deadline {
-            self.pump_step(deadline);
-            if let Some(reply) = self
-                .debugger
-                .as_mut()
-                .expect("debugger exists")
-                .take_reply(seq)
-            {
-                return match reply {
-                    AgentReply::Error(e) => Err(DebugError::Agent(e)),
-                    ok => Ok(ok),
-                };
+        };
+        self.drive(stimulus, |w| {
+            let dbg = w.debugger.as_mut().ok_or(DebugError::NoDebugger)?;
+            let session = dbg.session().ok_or(DebugError::NotConnected)?;
+            let seq = dbg.next_seq();
+            let station = dbg.station();
+            w.net.send_debug(
+                w.now,
+                station,
+                NodeId(node),
+                DebugMsg::Request { session, seq, req },
+            );
+            let deadline = w.now + SimDuration::from_secs(30);
+            while w.now < deadline {
+                w.pump_step(deadline);
+                if let Some(reply) = w
+                    .debugger
+                    .as_mut()
+                    .expect("debugger exists")
+                    .take_reply(seq)
+                {
+                    return match reply {
+                        AgentReply::Error(e) => Err(DebugError::Agent(e)),
+                        ok => Ok(ok),
+                    };
+                }
             }
-        }
-        Err(DebugError::Timeout)
+            Err(DebugError::Timeout)
+        })
     }
 
     /// Drains pending debugger events (breakpoint hits, faults).
     pub fn debug_events(&mut self) -> Vec<DebugEvent> {
-        self.journal.push(Stimulus::DrainEvents);
-        self.debugger
-            .as_mut()
-            .map(Debugger::take_events)
-            .unwrap_or_default()
+        self.drive(Stimulus::DrainEvents, |w| {
+            w.debugger
+                .as_mut()
+                .map(Debugger::take_events)
+                .unwrap_or_default()
+        })
     }
 
     /// Pumps the simulation until a debugger event arrives (or `timeout`).
     pub fn wait_for_stop(&mut self, timeout: SimDuration) -> Result<DebugEvent, DebugError> {
-        self.journal.push(Stimulus::WaitForStop {
+        let stimulus = Stimulus::WaitForStop {
             timeout_us: timeout.as_micros(),
-        });
-        self.wait_for_stop_inner(timeout)
-    }
-
-    fn wait_for_stop_inner(&mut self, timeout: SimDuration) -> Result<DebugEvent, DebugError> {
-        let r = self.wait_for_stop_pump(timeout);
-        self.settle_clocks();
-        r
-    }
-
-    fn wait_for_stop_pump(&mut self, timeout: SimDuration) -> Result<DebugEvent, DebugError> {
-        let deadline = self.now + timeout;
-        loop {
-            if let Some(ev) = self
-                .debugger
-                .as_mut()
-                .ok_or(DebugError::NoDebugger)?
-                .take_events()
-                .into_iter()
-                .next()
-            {
-                return Ok(ev);
+        };
+        self.drive(stimulus, |w| {
+            let deadline = w.now + timeout;
+            loop {
+                if let Some(ev) = w
+                    .debugger
+                    .as_mut()
+                    .ok_or(DebugError::NoDebugger)?
+                    .take_events()
+                    .into_iter()
+                    .next()
+                {
+                    return Ok(ev);
+                }
+                if w.now >= deadline {
+                    return Err(DebugError::Timeout);
+                }
+                w.pump_step(deadline);
             }
-            if self.now >= deadline {
-                return Err(DebugError::Timeout);
-            }
-            self.pump_step(deadline);
-        }
+        })
     }
 
     /// Plants a breakpoint at the first executable address of `line` on
     /// `node`.
     pub fn break_at_line(&mut self, node: u32, line: u32) -> Result<u16, DebugError> {
-        self.journal.push(Stimulus::BreakAtLine { node, line });
-        self.break_at_line_inner(node, line)
-    }
-
-    fn break_at_line_inner(&mut self, node: u32, line: u32) -> Result<u16, DebugError> {
-        let addr = self
-            .debugger
-            .as_ref()
-            .ok_or(DebugError::NoDebugger)?
-            .addr_for_line(NodeId(node), line)
-            .ok_or_else(|| DebugError::Source(format!("no code at line {line}")))?;
-        self.set_breakpoint_addr(node, addr, Some(line))
+        self.drive(Stimulus::BreakAtLine { node, line }, |w| {
+            let addr = w
+                .debugger
+                .as_ref()
+                .ok_or(DebugError::NoDebugger)?
+                .addr_for_line(NodeId(node), line)
+                .ok_or_else(|| DebugError::Source(format!("no code at line {line}")))?;
+            w.set_breakpoint_addr(node, addr, Some(line))
+        })
     }
 
     /// Plants a breakpoint at the entry of procedure `name` on `node`.
     pub fn break_at_proc(&mut self, node: u32, name: &str) -> Result<u16, DebugError> {
-        self.journal.push(Stimulus::BreakAtProc {
+        let stimulus = Stimulus::BreakAtProc {
             node,
             name: name.to_string(),
-        });
-        self.break_at_proc_inner(node, name)
+        };
+        self.drive(stimulus, |w| {
+            let addr = w
+                .debugger
+                .as_ref()
+                .ok_or(DebugError::NoDebugger)?
+                .addr_for_proc(NodeId(node), name)
+                .ok_or_else(|| DebugError::Source(format!("no procedure `{name}`")))?;
+            w.set_breakpoint_addr(node, addr, None)
+        })
     }
 
-    fn break_at_proc_inner(&mut self, node: u32, name: &str) -> Result<u16, DebugError> {
-        let addr = self
-            .debugger
-            .as_ref()
-            .ok_or(DebugError::NoDebugger)?
-            .addr_for_proc(NodeId(node), name)
-            .ok_or_else(|| DebugError::Source(format!("no procedure `{name}`")))?;
-        self.set_breakpoint_addr(node, addr, None)
-    }
-
+    /// The shared tail of the `break_at_*` composites; always runs inside
+    /// their funnel entry, so its request is not journalled separately.
     fn set_breakpoint_addr(
         &mut self,
         node: u32,
         addr: pilgrim_cclu::CodeAddr,
         line: Option<u32>,
     ) -> Result<u16, DebugError> {
-        let reply = self.debug_request_inner(
+        let reply = self.debug_request(
             node,
             AgentRequest::SetBreakpoint {
                 proc_id: addr.proc.0,
@@ -1988,121 +1958,104 @@ impl World {
 
     /// Clears a breakpoint by agent slot.
     pub fn clear_breakpoint(&mut self, node: u32, bp: u16) -> Result<(), DebugError> {
-        self.journal.push(Stimulus::ClearBreakpoint { node, bp });
-        self.clear_breakpoint_inner(node, bp)
-    }
-
-    fn clear_breakpoint_inner(&mut self, node: u32, bp: u16) -> Result<(), DebugError> {
-        self.debug_request_inner(node, AgentRequest::ClearBreakpoint { bp })?;
-        if let Some(d) = self.debugger.as_mut() {
-            d.forget_breakpoint(NodeId(node), bp);
-        }
-        Ok(())
+        self.drive(Stimulus::ClearBreakpoint { node, bp }, |w| {
+            w.debug_request(node, AgentRequest::ClearBreakpoint { bp })?;
+            if let Some(d) = w.debugger.as_mut() {
+                d.forget_breakpoint(NodeId(node), bp);
+            }
+            Ok(())
+        })
     }
 
     /// Halts the whole cohort by asking `origin`'s agent to halt and
     /// broadcast (§5.2).
     pub fn debug_halt_all(&mut self, origin: u32) -> Result<usize, DebugError> {
-        self.journal.push(Stimulus::HaltAll { origin });
-        self.debug_halt_all_inner(origin)
-    }
-
-    fn debug_halt_all_inner(&mut self, origin: u32) -> Result<usize, DebugError> {
-        let begin = self.now;
-        let reply = self.debug_request_inner(origin, AgentRequest::HaltAll)?;
-        if let Some(d) = self.debugger.as_mut() {
-            d.log().borrow_mut().begin_halt(begin);
-        }
-        match reply {
-            AgentReply::Halted(n) => Ok(n),
-            other => Err(DebugError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+        self.drive(Stimulus::HaltAll { origin }, |w| {
+            let begin = w.now;
+            let reply = w.debug_request(origin, AgentRequest::HaltAll)?;
+            if let Some(d) = w.debugger.as_mut() {
+                d.log().borrow_mut().begin_halt(begin);
+            }
+            match reply {
+                AgentReply::Halted(n) => Ok(n),
+                other => Err(DebugError::Protocol(format!("unexpected reply {other:?}"))),
+            }
+        })
     }
 
     /// Resumes every cohort node. Each agent folds its own measured halt
     /// duration into its node's logical-clock delta; the debugger closes
     /// its breakpoint-log entry with the longest reported duration.
     pub fn debug_resume_all(&mut self) -> Result<(), DebugError> {
-        self.journal.push(Stimulus::ResumeAll);
-        self.debug_resume_all_inner()
-    }
-
-    fn debug_resume_all_inner(&mut self) -> Result<(), DebugError> {
-        let r = self.debug_resume_all_pump();
-        self.settle_clocks();
-        r
-    }
-
-    fn debug_resume_all_pump(&mut self) -> Result<(), DebugError> {
-        let cohort: Vec<u32> = self
-            .debugger
-            .as_ref()
-            .ok_or(DebugError::NoDebugger)?
-            .cohort()
-            .iter()
-            .map(|n| n.0)
-            .collect();
-        // Send every resume request back-to-back (they serialize on the
-        // ring at ~3.5 ms apart, mirroring the halt broadcast) and only
-        // then collect the replies — otherwise each node's halt would be
-        // lengthened by the previous node's reply round trip and the
-        // logical clocks would drift apart.
-        let station = self.debugger.as_ref().expect("debugger exists").station();
-        let session = self
-            .debugger
-            .as_ref()
-            .and_then(Debugger::session)
-            .ok_or(DebugError::NotConnected)?;
-        let mut seqs = Vec::new();
-        for n in &cohort {
-            let seq = self.debugger.as_mut().expect("debugger exists").next_seq();
-            self.net.send_debug(
-                self.now,
-                station,
-                NodeId(*n),
-                DebugMsg::Request {
-                    session,
-                    seq,
-                    req: AgentRequest::ResumeAll,
-                },
-            );
-            seqs.push(seq);
-        }
-        let deadline = self.now + SimDuration::from_secs(30);
-        let mut max_halt = SimDuration::ZERO;
-        while !seqs.is_empty() {
-            if self.now >= deadline {
-                return Err(DebugError::Timeout);
+        self.drive(Stimulus::ResumeAll, |w| {
+            let cohort: Vec<u32> = w
+                .debugger
+                .as_ref()
+                .ok_or(DebugError::NoDebugger)?
+                .cohort()
+                .iter()
+                .map(|n| n.0)
+                .collect();
+            // Send every resume request back-to-back (they serialize on the
+            // ring at ~3.5 ms apart, mirroring the halt broadcast) and only
+            // then collect the replies — otherwise each node's halt would be
+            // lengthened by the previous node's reply round trip and the
+            // logical clocks would drift apart.
+            let station = w.debugger.as_ref().expect("debugger exists").station();
+            let session = w
+                .debugger
+                .as_ref()
+                .and_then(Debugger::session)
+                .ok_or(DebugError::NotConnected)?;
+            let mut seqs = Vec::new();
+            for n in &cohort {
+                let seq = w.debugger.as_mut().expect("debugger exists").next_seq();
+                w.net.send_debug(
+                    w.now,
+                    station,
+                    NodeId(*n),
+                    DebugMsg::Request {
+                        session,
+                        seq,
+                        req: AgentRequest::ResumeAll,
+                    },
+                );
+                seqs.push(seq);
             }
-            self.pump_step(deadline);
-            seqs.retain(|seq| {
-                match self
-                    .debugger
-                    .as_mut()
-                    .expect("debugger exists")
-                    .take_reply(*seq)
-                {
-                    Some(AgentReply::Resumed { halted_for_us }) => {
-                        max_halt = max_halt.max(SimDuration::from_micros(halted_for_us));
-                        false
-                    }
-                    Some(_) => false,
-                    None => true,
+            let deadline = w.now + SimDuration::from_secs(30);
+            let mut max_halt = SimDuration::ZERO;
+            while !seqs.is_empty() {
+                if w.now >= deadline {
+                    return Err(DebugError::Timeout);
                 }
-            });
-        }
-        if let Some(d) = self.debugger.as_mut() {
-            let log = d.log();
-            let mut log = log.borrow_mut();
-            if log.is_halted() {
-                let start = log.records().last().map(|r| r.end).unwrap_or(SimTime::ZERO);
-                let _ = start;
-                // Close the open interruption with the agents' measured
-                // duration.
-                log.end_halt_after(max_halt);
+                w.pump_step(deadline);
+                seqs.retain(|seq| {
+                    match w
+                        .debugger
+                        .as_mut()
+                        .expect("debugger exists")
+                        .take_reply(*seq)
+                    {
+                        Some(AgentReply::Resumed { halted_for_us }) => {
+                            max_halt = max_halt.max(SimDuration::from_micros(halted_for_us));
+                            false
+                        }
+                        Some(_) => false,
+                        None => true,
+                    }
+                });
             }
-        }
-        Ok(())
+            if let Some(d) = w.debugger.as_mut() {
+                let log = d.log();
+                let mut log = log.borrow_mut();
+                if log.is_halted() {
+                    // Close the open interruption with the agents' measured
+                    // duration.
+                    log.end_halt_after(max_halt);
+                }
+            }
+            Ok(())
+        })
     }
 
     /// Lists processes on a node.
@@ -2338,58 +2291,46 @@ impl World {
         server_node: u32,
         call_id: u64,
     ) -> Result<MaybeDiagnosis, DebugError> {
-        self.journal.push(Stimulus::Diagnose {
+        let stimulus = Stimulus::Diagnose {
             node: server_node,
             call_id,
-        });
-        self.diagnose_maybe_failure_inner(server_node, call_id)
-    }
-
-    fn diagnose_maybe_failure_inner(
-        &mut self,
-        server_node: u32,
-        call_id: u64,
-    ) -> Result<MaybeDiagnosis, DebugError> {
-        match self.debug_request_inner(server_node, AgentRequest::ServerKnowledge { call_id })? {
-            AgentReply::Knowledge(k) => {
-                let diagnosis = match k {
-                    KnowledgeView::NeverSeen => MaybeDiagnosis::LostCall,
-                    KnowledgeView::Executing => MaybeDiagnosis::StillExecuting,
-                    KnowledgeView::Replied(true) => MaybeDiagnosis::LostReply,
-                    KnowledgeView::Replied(false) => MaybeDiagnosis::RemoteFailed,
-                };
-                // The two §4.1 verdicts get their own event kinds, linked
-                // to the failed call's span so a post-mortem timeline ends
-                // with the diagnosis.
-                let kind = match diagnosis {
-                    MaybeDiagnosis::LostCall => Some(EventKind::MaybeLostCall { call_id }),
-                    MaybeDiagnosis::LostReply => Some(EventKind::MaybeLostReply { call_id }),
-                    _ => None,
-                };
-                if let Some(kind) = kind {
-                    if self.tracer.wants(TraceCategory::Rpc) {
-                        let span = self.span_of_call(call_id);
-                        self.tracer.emit(
-                            self.now,
-                            TraceCategory::Rpc,
-                            Some(server_node),
-                            span,
-                            kind,
-                        );
-                    }
-                    // A confirmed packet loss is exactly what the flight
-                    // recorder exists for: dump the recent past now,
-                    // while the ring still holds the lost call's wake.
-                    let reason = match diagnosis {
-                        MaybeDiagnosis::LostCall => "maybe-lost-call",
-                        _ => "maybe-lost-reply",
-                    };
-                    self.snap_blackbox(&format!("{reason} call#{call_id}"));
+        };
+        self.drive(stimulus, |w| {
+            let reply = w.debug_request(server_node, AgentRequest::ServerKnowledge { call_id })?;
+            let AgentReply::Knowledge(k) = reply else {
+                return Err(DebugError::Protocol(format!("unexpected reply {reply:?}")));
+            };
+            let diagnosis = match k {
+                KnowledgeView::NeverSeen => MaybeDiagnosis::LostCall,
+                KnowledgeView::Executing => MaybeDiagnosis::StillExecuting,
+                KnowledgeView::Replied(true) => MaybeDiagnosis::LostReply,
+                KnowledgeView::Replied(false) => MaybeDiagnosis::RemoteFailed,
+            };
+            // The two §4.1 verdicts get their own event kinds, linked to
+            // the failed call's span so a post-mortem timeline ends with
+            // the diagnosis.
+            let kind = match diagnosis {
+                MaybeDiagnosis::LostCall => Some(EventKind::MaybeLostCall { call_id }),
+                MaybeDiagnosis::LostReply => Some(EventKind::MaybeLostReply { call_id }),
+                _ => None,
+            };
+            if let Some(kind) = kind {
+                if w.tracer.wants(TraceCategory::Rpc) {
+                    let span = w.span_of_call(call_id);
+                    w.tracer
+                        .emit(w.now, TraceCategory::Rpc, Some(server_node), span, kind);
                 }
-                Ok(diagnosis)
+                // A confirmed packet loss is exactly what the flight
+                // recorder exists for: dump the recent past now, while the
+                // ring still holds the lost call's wake.
+                let reason = match diagnosis {
+                    MaybeDiagnosis::LostCall => "maybe-lost-call",
+                    _ => "maybe-lost-reply",
+                };
+                w.snap_blackbox(&format!("{reason} call#{call_id}"));
             }
-            other => Err(DebugError::Protocol(format!("unexpected reply {other:?}"))),
-        }
+            Ok(diagnosis)
+        })
     }
 
     // ------------------------------------------------------------------
@@ -2433,13 +2374,12 @@ impl World {
     ///
     /// # Errors
     ///
-    /// Only stimuli that cannot be applied at all fail: a spawn of a
-    /// procedure the rebuilt program does not have.
+    /// Only stimuli that cannot be applied at all fail: a spawn onto a
+    /// node, or of a procedure, the rebuilt world does not have.
     pub fn apply(&mut self, s: &Stimulus) -> Result<(), String> {
         match s {
             Stimulus::Spawn { node, entry, args } => {
-                self.try_spawn(*node, entry, args.clone())
-                    .map_err(|e| e.to_string())?;
+                self.try_spawn(*node, entry, args.clone())?;
             }
             Stimulus::RunUntil { until_us } => self.run_until(SimTime::from_micros(*until_us)),
             Stimulus::RunFor { dur_us } => self.run_for(SimDuration::from_micros(*dur_us)),

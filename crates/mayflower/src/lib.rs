@@ -517,6 +517,43 @@ mod tests {
         assert_eq!(console_text(&n), vec!["woke"]);
     }
 
+    /// The E4 ablation's side of the same rule: when halts do not freeze
+    /// timeouts, a halted sleeper's deadline stays visible to the activity
+    /// index and fires at exactly that time — not at whatever later
+    /// instant the node next happens to be stepped.
+    #[test]
+    fn unfrozen_halted_sleeper_surfaces_and_fires_on_time() {
+        let program = compile("main = proc ()\n sleep(100)\n print(\"woke\")\nend").unwrap();
+        let cfg = NodeConfig {
+            freeze_timeouts_on_halt: false,
+            seed: 23,
+            ..Default::default()
+        };
+        let mut n = Node::new(0, program, cfg, Tracer::new());
+        let pid = n.spawn("main", vec![], SpawnOpts::default()).unwrap();
+        n.advance_to(SimTime::from_millis(10));
+        let deadline = n.next_activity().expect("sleeper arms a deadline");
+        n.halt_all();
+        assert_eq!(
+            n.next_activity(),
+            Some(deadline),
+            "an unfrozen timeout keeps burning through the halt"
+        );
+        let tick = SimDuration::from_micros(1);
+        n.advance_to(deadline - tick);
+        assert!(matches!(
+            n.process(pid).unwrap().state,
+            RunState::Sleeping { .. }
+        ));
+        n.advance_to(deadline + tick);
+        assert!(n.process(pid).unwrap().state.is_runnable());
+        assert_eq!(n.next_activity(), None, "woken but still halted");
+        assert!(console_text(&n).is_empty());
+        n.resume_all();
+        run_until_quiet(&mut n, SimTime::from_secs(1));
+        assert_eq!(console_text(&n), vec!["woke"]);
+    }
+
     /// A halt/resume at one instant re-pushes an identical deadline onto
     /// the lazy timer heap (a duplicate live entry). Expiry must
     /// deduplicate: the sleeper wakes exactly once.

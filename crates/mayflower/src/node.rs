@@ -425,10 +425,14 @@ impl Node {
     }
 
     /// Classifies heap entry `(t, pid)`: `Some(was_sem)` while it is still
-    /// the live deadline of an unhalted process, `None` when stale.
+    /// a live deadline, `None` when stale. This is the one timer
+    /// eligibility rule: a halted process's entry is stale only when halts
+    /// freeze timeouts (§5.2) — `resume_one` re-arms it from the frozen
+    /// remainder. In the E4 ablation a halted waiter's deadline stays
+    /// live, so the activity index sees it and it fires on time.
     fn timer_entry_kind(&self, t: SimTime, pid: Pid) -> Option<bool> {
         let p = self.proc_at(pid)?;
-        if p.halted.is_some() {
+        if p.halted.is_some() && self.config.freeze_timeouts_on_halt {
             return None;
         }
         match &p.state {
@@ -1225,26 +1229,8 @@ impl Node {
         self.next_deadline()
     }
 
-    /// The earliest live timer deadline among unhalted processes.
+    /// The earliest live timer deadline.
     fn next_deadline(&mut self) -> Option<SimTime> {
-        if !self.config.freeze_timeouts_on_halt {
-            // E4 ablation: halted waiters still time out, so the expiry
-            // eligibility set differs from this query's (halted processes
-            // never contribute here). Keep the reference scan for this
-            // rarely-used mode rather than double-book the heap.
-            return self
-                .procs
-                .iter()
-                .filter(|p| p.halted.is_none())
-                .filter_map(|p| match &p.state {
-                    RunState::Sleeping { until } => Some(*until),
-                    RunState::SemWait {
-                        deadline: Some(d), ..
-                    } => Some(*d),
-                    _ => None,
-                })
-                .min();
-        }
         while let Some(&Reverse((t, pid))) = self.timers.peek() {
             if self.timer_entry_kind(t, pid).is_some() {
                 return Some(t);
@@ -1266,19 +1252,6 @@ impl Node {
             _ => return,
         }
         let clock = self.clock;
-        if !self.config.freeze_timeouts_on_halt {
-            self.expire_timers_scan();
-            // The scan fired every due deadline (halted waiters included
-            // in this mode), so entries at or before the clock are all
-            // stale now.
-            while let Some(&Reverse((t, _))) = self.timers.peek() {
-                if t > clock {
-                    break;
-                }
-                self.timers.pop();
-            }
-            return;
-        }
         let mut due: Vec<(Pid, bool)> = Vec::new();
         while let Some(&Reverse((t, pid))) = self.timers.peek() {
             if t > clock {
@@ -1305,37 +1278,6 @@ impl Node {
                 }
                 // A timed-out semaphore wait delivers `false` (§6's Figure
                 // 3/4 algorithms hang off this result).
-                self.wake(pid, vec![Value::Bool(false)]);
-            } else {
-                self.wake(pid, vec![]);
-            }
-        }
-    }
-
-    /// Reference timer expiry for the `!freeze_timeouts_on_halt` ablation:
-    /// a full process-table scan with that mode's wider eligibility.
-    fn expire_timers_scan(&mut self) {
-        let clock = self.clock;
-        let due: Vec<(Pid, bool)> = self
-            .procs
-            .iter()
-            .filter_map(|p| match &p.state {
-                RunState::Sleeping { until } if *until <= clock => Some((p.pid, false)),
-                RunState::SemWait {
-                    deadline: Some(d), ..
-                } if *d <= clock => Some((p.pid, true)),
-                _ => None,
-            })
-            .collect();
-        for (pid, was_sem) in due {
-            if was_sem {
-                if let Some(RunState::SemWait { sem, .. }) =
-                    self.proc_at(pid).map(|p| p.state.clone())
-                {
-                    if let Some(s) = self.sems.get_mut(sem as usize) {
-                        s.remove_waiter(pid);
-                    }
-                }
                 self.wake(pid, vec![Value::Bool(false)]);
             } else {
                 self.wake(pid, vec![]);

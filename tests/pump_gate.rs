@@ -5,7 +5,8 @@
 //! it is invisible: every observable artifact — the JSONL trace, folded
 //! flame stacks, the metrics inventory, the record/replay artifact, and
 //! watch trips with their sync indices — must be byte-identical to the
-//! full-scan reference pump (`World::set_reference_pump`). These tests
+//! full-scan reference pump (`World::set_reference_pump`), in both
+//! settings of `NodeConfig::freeze_timeouts_on_halt`. These tests
 //! pin exactly that, across fixed rich scenarios and random seed ×
 //! topology × thread-count property cases, and assert the index
 //! invariants (`World::debug_validate_index`) across the mutation paths
@@ -35,6 +36,14 @@ const SERVER: &str = "\
 ping = proc (x: int) returns (int)
  print(\"serve \" || int$unparse(x) || \" on \" || int$unparse(my_node()))
  return (x * 2)
+end";
+
+/// A sleeper whose deadline falls inside the gates' debugger halts: the
+/// halted waiter whose timer the `freeze_timeouts_on_halt` rule governs.
+const NAP: &str = "\
+nap = proc ()
+ sleep(12)
+ print(\"napped\")
 end";
 
 /// The everything-on scenario from the parallel gate, parameterised over
@@ -170,8 +179,9 @@ fn index_stays_valid_through_debug_churn() {
 }
 
 /// The E4 ablation (`freeze_timeouts_on_halt = false`) burns halted
-/// processes' timeouts, which only the full scan advances — the world
-/// must quietly route it to the reference pump and still behave.
+/// processes' timeouts. The activity index must see those deadlines —
+/// a napper's 12 ms sleep expires mid-halt here — so the production
+/// pump drives this mode too, byte-identical to the reference scan.
 #[test]
 fn unfrozen_timeout_mode_matches_reference() {
     let scenario = |reference: bool| {
@@ -181,7 +191,7 @@ fn unfrozen_timeout_mode_matches_reference() {
         };
         let mut w = World::builder()
             .nodes(2)
-            .program(FANOUT_MAIN)
+            .program(&format!("{FANOUT_MAIN}\n\n{NAP}"))
             .program_for(1, SERVER)
             .node_config(cfg)
             .seed(0xe4)
@@ -190,11 +200,16 @@ fn unfrozen_timeout_mode_matches_reference() {
         w.set_reference_pump(reference);
         w.debug_connect(&[0, 1], false).unwrap();
         w.spawn(0, "main", vec![Value::Int(2)]);
+        w.spawn(0, "nap", vec![]);
         w.run_for(SimDuration::from_millis(3));
         let _ = w.debug_halt_all(0);
+        w.debug_validate_index();
         w.run_for(SimDuration::from_millis(10));
+        w.debug_validate_index();
         let _ = w.debug_resume_all();
+        w.debug_validate_index();
         w.run_until_idle(SimTime::from_secs(30));
+        assert!(w.console(0).contains(&"napped".to_string()));
         w
     };
     let implicit = capture(&scenario(false));
@@ -208,7 +223,8 @@ fn unfrozen_timeout_mode_matches_reference() {
 // ---------------------------------------------------------------------
 
 /// One random scenario: topology size, master seed, work amount, worker
-/// thread count, packet loss, and whether a debugger halts mid-run.
+/// thread count, packet loss, whether a debugger halts mid-run, and
+/// whether that halt freezes timeouts (false = the E4 ablation).
 #[derive(Debug, Clone)]
 struct Scenario {
     nodes: i64,
@@ -217,13 +233,14 @@ struct Scenario {
     threads: i64,
     lossy: bool,
     with_debug: bool,
+    freeze: bool,
 }
 
 struct ScenarioGen;
 
 /// The zipped tuple shape [`ScenarioGen`] assembles before mapping into a
 /// [`Scenario`].
-type RawScenario = ((i64, u64), (i64, (i64, (i64, i64))));
+type RawScenario = ((i64, u64), (i64, (i64, (i64, (i64, i64)))));
 
 impl Gen for ScenarioGen {
     type Value = Scenario;
@@ -234,18 +251,23 @@ impl Gen for ScenarioGen {
         let threads = int_range(1, 4).generate(rng);
         let lossy = int_range(0, 1).generate(rng);
         let debug = int_range(0, 1).generate(rng);
+        let freeze = int_range(0, 1).generate(rng);
         let pair = zip_cases(
             zip_cases(nodes, seed),
-            zip_cases(iters, zip_cases(threads, zip_cases(lossy, debug))),
+            zip_cases(
+                iters,
+                zip_cases(threads, zip_cases(lossy, zip_cases(debug, freeze))),
+            ),
         );
         pair.map(std::rc::Rc::new(
-            |((n, s), (i, (t, (l, d)))): &RawScenario| Scenario {
+            |((n, s), (i, (t, (l, (d, f))))): &RawScenario| Scenario {
                 nodes: *n,
                 seed: *s,
                 iters: *i,
                 threads: *t,
                 lossy: *l == 1,
                 with_debug: *d == 1,
+                freeze: *f == 1,
             },
         ))
     }
@@ -269,11 +291,16 @@ main = proc (n: int)
  r: int := call ping(n) at 1
  print(int$unparse(r))
 end";
+    let main = if sc.nodes >= 2 { remote_main } else { local };
     let mut b = World::builder()
         .nodes(sc.nodes as u32)
         .seed(sc.seed)
         .step_threads(sc.threads as usize)
-        .program(if sc.nodes >= 2 { remote_main } else { local });
+        .node_config(NodeConfig {
+            freeze_timeouts_on_halt: sc.freeze,
+            ..NodeConfig::default()
+        })
+        .program(&format!("{main}\n\n{NAP}"));
     if sc.nodes >= 2 {
         b = b.program_for(1, SERVER);
     }
@@ -290,6 +317,7 @@ end";
         let _ = w.debug_connect(&all, false);
     }
     w.spawn(0, "main", vec![Value::Int(sc.iters)]);
+    w.spawn(0, "nap", vec![]);
     if sc.with_debug {
         w.run_for(SimDuration::from_millis(3));
         let _ = w.debug_halt_all(0);

@@ -155,6 +155,29 @@ fn truncated_trace_is_reported_as_early_end() {
     assert!(d.expected.is_none() && d.actual.is_some());
 }
 
+/// A spawn that did not happen (mistyped procedure or node at the REPL)
+/// is not part of the session: the artifact must still replay.
+#[test]
+fn failed_spawn_does_not_poison_replay() {
+    let mut w = World::builder()
+        .nodes(2)
+        .program(NODE0)
+        .program_for(1, NODE1)
+        .seed(42)
+        .build()
+        .expect("scenario builds");
+    assert!(w.try_spawn(0, "nosuch", vec![]).is_err());
+    assert!(w.try_spawn(9, "main", vec![]).is_err());
+    w.spawn(0, "main", vec![]);
+    w.run_until_idle(SimTime::from_secs(30));
+    assert_eq!(w.console(0), vec!["got 42".to_string()]);
+
+    let artifact = Artifact::parse(&w.record().render()).expect("rendered artifact parses");
+    let report = replay(&artifact).expect("replay runs despite the failed spawns");
+    assert!(report.divergence.is_none());
+    assert!(report.byte_identical);
+}
+
 // ---------------------------------------------------------------------
 // Cross-mode replay: thread count is not part of a world's identity, so
 // recordings must replay byte-identically across stepping modes.
