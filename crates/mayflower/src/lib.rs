@@ -600,4 +600,166 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert!(out[0].starts_with("late 500"), "{out:?}");
     }
+
+    // ------------------------------------------------------------------
+    // Burst stepping: the scheduler events a burst must not run past.
+    // `profile_vm` keeps the scheduler in the loop on every instruction,
+    // so a profiled twin given the same calls is the single-step oracle.
+    // ------------------------------------------------------------------
+
+    fn burst_and_oracle(source: &str) -> [Node; 2] {
+        [false, true].map(|profile_vm| {
+            let cfg = NodeConfig {
+                profile_vm,
+                ..Default::default()
+            };
+            Node::new(0, compile(source).unwrap(), cfg, Tracer::new())
+        })
+    }
+
+    const SPIN: &str = "main = proc ()\n t: int := 0\n while t < 100000 do\n t := t + 1\n end\n\
+                        print(t)\nend";
+
+    #[test]
+    fn sleeper_due_mid_slice_wakes_at_its_deadline_and_queue_position() {
+        // The sleeper's 3 ms deadline falls inside b's first 10 ms slice.
+        // Woken there, it queues behind c ([b, c, sleeper]) and prints when
+        // c's slice ends; woken only when b's burst is over, after the
+        // rotation, it would queue behind b too and print a slice later.
+        let nodes = burst_and_oracle(
+            "sleeper = proc ()\n sleep(3)\n print(\"woke\")\nend\n\
+             spin = proc (tag: string)\n t: int := 0\n while t < 6000 do\n t := t + 1\n end\n\
+             print(tag)\nend\n\
+             main = proc ()\n fork sleeper()\n fork spin(\"b\")\n fork spin(\"c\")\nend",
+        );
+        let consoles = nodes.map(|mut n| {
+            n.spawn("main", vec![], SpawnOpts::default()).unwrap();
+            n.advance_to(SimTime::from_secs(1));
+            n.console().to_vec()
+        });
+        let [burst, oracle] = &consoles;
+        assert_eq!(burst, oracle, "timestamps included");
+        let (woke_at, first) = &burst[0];
+        assert_eq!(first, "woke", "{burst:?}");
+        let slice = NodeConfig::default().time_slice;
+        let two_slices = SimTime::ZERO + slice * 2;
+        assert!(
+            (two_slices..two_slices + SimDuration::from_millis(1)).contains(woke_at),
+            "the sleeper ran after b's and c's first slices, at {woke_at}"
+        );
+    }
+
+    #[test]
+    fn trap_inside_a_burst_stops_with_the_pc_unadvanced() {
+        let traps = burst_and_oracle(SPIN).map(|mut n| {
+            let addr = n.program().addr_for_line(6).unwrap();
+            n.program_mut().replace_op(addr, pilgrim_cclu::Op::Trap(3));
+            let pid = n.spawn("main", vec![], SpawnOpts::default()).unwrap();
+            // One window: the hot loop runs as 10 ms bursts up to the trap.
+            let outcalls = n.advance_to(SimTime::from_secs(60));
+            let traps: Vec<_> = outcalls
+                .iter()
+                .filter_map(|o| match o {
+                    Outcall::Trap { pid, bp, addr, at } => Some((*pid, *bp, *addr, *at)),
+                    _ => None,
+                })
+                .collect();
+            let [(p, 3, a, at)] = traps[..] else {
+                panic!("exactly one trap, got {outcalls:?}");
+            };
+            assert_eq!((p, a), (pid, addr));
+            assert_eq!(n.process(pid).unwrap().addr(), Some(addr), "pc unadvanced");
+            assert!(console_text(&n).is_empty(), "the trapped print did not run");
+            (at, n.steps_total())
+        });
+        assert_eq!(
+            traps[0], traps[1],
+            "(trap clock, instructions) vs single-stepping"
+        );
+        assert!(traps[0].1 > 100_000, "the loop ran to completion first");
+    }
+
+    const ALLOC_LOOP: &str = "main = proc ()\n for i: int := 1 to 1000 do\n\
+                              xs: array[int] := array$new()\n append(xs, i)\n end\nend";
+
+    #[test]
+    fn pending_halt_lands_on_the_instruction_that_leaves_the_allocator() {
+        let mut n = node_with(ALLOC_LOOP, 24);
+        let pid = n.spawn("main", vec![], SpawnOpts::default()).unwrap();
+        while !n.process(pid).unwrap().in_allocator() {
+            assert!(n.step_one(pid));
+        }
+        assert!(n.halt_one(pid));
+        assert!(n.process(pid).unwrap().halt_pending);
+        // The scheduler's own path, with a whole slice of horizon ahead:
+        // the halt (§5.5) still applies after exactly one instruction.
+        let steps = n.steps_total();
+        n.advance_to(n.clock() + SimDuration::from_secs(1));
+        assert_eq!(n.steps_total(), steps + 1);
+        let p = n.process(pid).unwrap();
+        assert!(!p.in_allocator() && !p.halt_pending);
+        let since = p.halted.as_ref().expect("halt applied").since;
+        // Clock at the halt, from a second node single-stepped throughout.
+        let mut twin = node_with(ALLOC_LOOP, 24);
+        let twin_pid = twin.spawn("main", vec![], SpawnOpts::default()).unwrap();
+        for _ in 0..=steps {
+            twin.step_one(twin_pid);
+        }
+        assert_eq!(since, twin.clock());
+    }
+
+    #[test]
+    fn trace_once_under_advance_to_executes_exactly_one_instruction() {
+        let stops = burst_and_oracle(SPIN).map(|mut n| {
+            let pid = n.spawn("main", vec![], SpawnOpts::default()).unwrap();
+            n.advance_to(SimTime::from_millis(1));
+            n.process_mut(pid).unwrap().vm_mut().unwrap().trace_once = true;
+            let steps = n.steps_total();
+            let outcalls = n.advance_to(SimTime::from_secs(1));
+            assert_eq!(n.steps_total(), steps + 1);
+            let [Outcall::TraceStop { pid: p, at }] = outcalls[..] else {
+                panic!("exactly one TraceStop, got {outcalls:?}");
+            };
+            assert_eq!(p, pid);
+            assert!(matches!(
+                n.process(pid).unwrap().state,
+                RunState::TraceStopped
+            ));
+            at
+        });
+        assert_eq!(stops[0], stops[1], "TraceStop clock vs single-stepping");
+        assert!(stops[0] < SimTime::from_millis(1) + SimDuration::from_micros(100));
+    }
+
+    /// Program-supplied timeouts near `u64::MAX` µs used to overflow the
+    /// millisecond conversion: a debug build panicked, a release build
+    /// wrapped to a ~1 ms sleep. They saturate to "never" instead.
+    #[test]
+    fn huge_program_supplied_timeouts_park_forever() {
+        let mut n = node_with(
+            "waiter = proc ()\n s: sem := sem$create(0)\n\
+             ok: bool := sem$wait(s, 18446744073709553)\n print(\"wait over\")\nend\n\
+             main = proc ()\n fork waiter()\n sleep(18446744073709553)\n print(\"woke\")\nend",
+            25,
+        );
+        let main = n.spawn("main", vec![], SpawnOpts::default()).unwrap();
+        let hour = SimTime::ZERO + SimDuration::from_hours(1);
+        n.advance_to(hour);
+        assert_eq!(n.clock(), hour);
+        assert!(console_text(&n).is_empty());
+        assert!(matches!(
+            n.process(main).unwrap().state,
+            RunState::Sleeping { .. }
+        ));
+        let waiter = n.pids()[1];
+        assert!(matches!(
+            n.process(waiter).unwrap().state,
+            RunState::SemWait { .. }
+        ));
+        assert!(
+            n.next_activity().is_none_or(|t| t > hour),
+            "a parked sleeper is not due: {:?}",
+            n.next_activity()
+        );
+    }
 }

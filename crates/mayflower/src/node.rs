@@ -41,8 +41,9 @@ pub struct NodeConfig {
     /// the experiment-E4 ablation in which halted waiters still time out.
     pub freeze_timeouts_on_halt: bool,
     /// Accumulate per-procedure instruction and cost counters while
-    /// stepping ([`Node::vm_profile`]). Off by default: the profiling
-    /// hook sits on the per-instruction hot path.
+    /// stepping ([`Node::vm_profile`]). Off by default: the books are
+    /// kept per instruction, so a profiled node consults its scheduler
+    /// per instruction too and takes no bursts ([`Node::advance_to`]).
     pub profile_vm: bool,
 }
 
@@ -287,7 +288,10 @@ pub struct Node {
     /// and discarded lazily, so deadline queries cost O(log timers)
     /// amortised instead of a process-table scan.
     timers: BinaryHeap<Reverse<(SimTime, Pid)>>,
-    /// Total step_process invocations — one add per instruction, read at
+    /// `expire_timers`' list of due `(pid, was_sem)` entries, kept between
+    /// firings for its allocation; always empty outside that function.
+    due_scratch: Vec<(Pid, bool)>,
+    /// Total instructions stepped — one add per instruction, read at
     /// sync points by the world's metrics instead of a hot-path counter.
     steps_total: u64,
     /// Per-procedure `(instructions, cost_us)` accumulation, indexed by
@@ -393,6 +397,7 @@ impl Node {
             slice_used: SimDuration::ZERO,
             halt_marker: None,
             timers: BinaryHeap::new(),
+            due_scratch: Vec::new(),
             steps_total: 0,
             vm_profile: Vec::new(),
             call_tree: CallTree::new(),
@@ -578,10 +583,11 @@ impl Node {
     /// `current time − time of breakpoint + previous delta`, so the
     /// logical clock stands still at the breakpoint instant.
     pub fn logical_now(&self) -> SimTime {
-        match self.halt_marker {
-            Some(marker) => marker - self.delta,
-            None => self.clock - self.delta,
-        }
+        Self::logical_at(self.halt_marker, self.clock, self.delta)
+    }
+
+    fn logical_at(halt_marker: Option<SimTime>, clock: SimTime, delta: SimDuration) -> SimTime {
+        halt_marker.unwrap_or(clock) - delta
     }
 
     /// Marks the whole node halted by the debugger at `at` — the start of
@@ -1252,7 +1258,7 @@ impl Node {
             _ => return,
         }
         let clock = self.clock;
-        let mut due: Vec<(Pid, bool)> = Vec::new();
+        let mut due = std::mem::take(&mut self.due_scratch);
         while let Some(&Reverse((t, pid))) = self.timers.peek() {
             if t > clock {
                 break;
@@ -1267,7 +1273,7 @@ impl Node {
         // identical deadline can leave duplicate live entries).
         due.sort_unstable_by_key(|&(pid, _)| pid);
         due.dedup_by_key(|&mut (pid, _)| pid);
-        for (pid, was_sem) in due {
+        for (pid, was_sem) in due.drain(..) {
             if was_sem {
                 if let Some(RunState::SemWait { sem, .. }) =
                     self.proc_at(pid).map(|p| p.state.clone())
@@ -1283,6 +1289,7 @@ impl Node {
                 self.wake(pid, vec![]);
             }
         }
+        self.due_scratch = due;
     }
 
     fn pick_next(&mut self) -> Option<Pid> {
@@ -1314,6 +1321,12 @@ impl Node {
     /// The node may overshoot `t` by at most one instruction, which is far
     /// below the network's minimum latency — the conservative-window
     /// property the world relies on for causality.
+    ///
+    /// The scheduler is consulted once per *burst*, not once per
+    /// instruction: each turn of the loop computes the horizon — the
+    /// earliest instant at which `expire_timers`, `pick_next` or `rotate`
+    /// could answer differently — and [`step_process`](Node::step_process)
+    /// runs the picked process up to it.
     pub fn advance_to(&mut self, t: SimTime) -> Vec<Outcall> {
         loop {
             if self.clock >= t {
@@ -1332,7 +1345,15 @@ impl Node {
                     }
                 }
             };
-            self.step_process(pid);
+            // The heap minimum is a conservative bound on the next timer
+            // (stale entries are only ever early), and nothing inside a
+            // burst can push an earlier one.
+            let slice_end = self.clock + (self.config.time_slice - self.slice_used);
+            let horizon = match self.timers.peek() {
+                Some(&Reverse((due, _))) => t.min(slice_end).min(due),
+                None => t.min(slice_end),
+            };
+            self.step_process(pid, horizon);
             if self.slice_used >= self.config.time_slice {
                 self.rotate();
             }
@@ -1378,11 +1399,26 @@ impl Node {
         if p.state.is_dead() {
             return false;
         }
-        self.step_process(pid);
+        // A horizon of "now" is already reached: one instruction.
+        self.step_process(pid, self.clock);
         true
     }
 
-    fn step_process(&mut self, pid: Pid) {
+    /// Steps `pid` — the only caller of the VM — for one instruction, and
+    /// then for as many more as end before `horizon` while no scheduler
+    /// decision can have changed (a *burst*).
+    ///
+    /// Inside a burst only `clock`, `slice_used`, `steps_total` and the
+    /// context's two clocks move, one instruction at a time, so every
+    /// system call sees the clock it would under single stepping. A burst
+    /// ends with the first instruction that is not a plain `Ran`, that
+    /// leaves work for the epilogue below (a block, a fork, a wake-up),
+    /// or that reaches `horizon`; that instruction is committed by the
+    /// epilogue like any single step. A process in trace mode or with a
+    /// halt pending is stepped once, since its epilogue acts on every
+    /// instruction, and so is every process under `profile_vm`, whose
+    /// books are kept per instruction.
+    fn step_process(&mut self, pid: Pid, horizon: SimTime) {
         // The process is stepped in place: the proc borrow and the borrows
         // handed to the system-call context are disjoint fields of `self`,
         // so no remove/re-insert round trip is needed per instruction.
@@ -1439,28 +1475,33 @@ impl Node {
             block: None,
         };
 
-        let outcome = match &mut proc.body {
-            ProcBody::Vm(vm) => {
-                let mut env = ExecEnv {
-                    heap: &mut self.heap,
-                    program: &self.program,
-                    globals: &mut self.globals,
-                    sys: &mut ctx,
-                };
+        let burst = !was_trace && !proc.halt_pending && !self.config.profile_vm;
+        let outcome = loop {
+            let mut env = ExecEnv {
+                heap: &mut self.heap,
+                program: &self.program,
+                globals: &mut self.globals,
+                sys: &mut ctx,
+            };
+            let outcome = match &mut proc.body {
                 // (VM processes receive resume values through pending_push,
                 // set at wake time.)
-                pilgrim_cclu::step(vm, &mut env)
+                ProcBody::Vm(vm) => pilgrim_cclu::step(vm, &mut env),
+                ProcBody::Native { body, resume } => body.step(std::mem::take(resume), &mut env),
+            };
+            let StepOutcome::Ran { cost } = outcome else {
+                break outcome;
+            };
+            let d = SimDuration::from_micros(cost);
+            let quiet = ctx.block.is_none() && ctx.spawns.is_empty() && ctx.wakes.is_empty();
+            if !(burst && quiet && self.clock + d < horizon) {
+                break outcome;
             }
-            ProcBody::Native { body, resume } => {
-                let resume = std::mem::take(resume);
-                let mut env = ExecEnv {
-                    heap: &mut self.heap,
-                    program: &self.program,
-                    globals: &mut self.globals,
-                    sys: &mut ctx,
-                };
-                body.step(resume, &mut env)
-            }
+            self.clock += d;
+            self.slice_used += d;
+            self.steps_total += 1;
+            ctx.now = self.clock;
+            ctx.logical_now = Self::logical_at(self.halt_marker, self.clock, self.delta);
         };
 
         let block = ctx.block.take();
@@ -1598,7 +1639,7 @@ impl Node {
             Self::apply_halt(proc, clock, freeze);
         }
 
-        let parent_span = self.procs.get(Self::slot(pid)).and_then(|p| p.span);
+        let parent_span = proc.span;
         for (new_pid, proc_id, args) in spawns {
             let name = self.proc_name(proc_id);
             let halted = self.halt_marker.map(|_| HaltInfo {

@@ -44,14 +44,16 @@ impl SimTime {
         SimTime(micros)
     }
 
-    /// Creates an instant `millis` milliseconds after the epoch.
+    /// Creates an instant `millis` milliseconds after the epoch
+    /// (saturating at [`SimTime::MAX`], like every constructor and
+    /// operator here: callers pass program-supplied values).
     pub const fn from_millis(millis: u64) -> SimTime {
-        SimTime(millis * 1_000)
+        SimTime(millis.saturating_mul(1_000))
     }
 
     /// Creates an instant `secs` seconds after the epoch.
     pub const fn from_secs(secs: u64) -> SimTime {
-        SimTime(secs * 1_000_000)
+        SimTime(secs.saturating_mul(1_000_000))
     }
 
     /// Microseconds since the epoch.
@@ -101,24 +103,25 @@ impl SimDuration {
         SimDuration(micros)
     }
 
-    /// Creates a duration of `millis` milliseconds.
+    /// Creates a duration of `millis` milliseconds (saturating at
+    /// [`SimDuration::FOREVER`], as do the coarser units below).
     pub const fn from_millis(millis: u64) -> SimDuration {
-        SimDuration(millis * 1_000)
+        SimDuration(millis.saturating_mul(1_000))
     }
 
     /// Creates a duration of `secs` seconds.
     pub const fn from_secs(secs: u64) -> SimDuration {
-        SimDuration(secs * 1_000_000)
+        SimDuration(secs.saturating_mul(1_000_000))
     }
 
     /// Creates a duration of `mins` minutes.
     pub const fn from_mins(mins: u64) -> SimDuration {
-        SimDuration(mins * 60_000_000)
+        SimDuration(mins.saturating_mul(60_000_000))
     }
 
     /// Creates a duration of `hours` hours.
     pub const fn from_hours(hours: u64) -> SimDuration {
-        SimDuration(hours * 3_600_000_000)
+        SimDuration(hours.saturating_mul(3_600_000_000))
     }
 
     /// Length in microseconds.
@@ -314,6 +317,28 @@ mod tests {
     fn forever_never_advances_time_past_max() {
         let t = SimTime::from_secs(5) + SimDuration::FOREVER;
         assert_eq!(t, SimTime::MAX);
+    }
+
+    #[test]
+    fn unit_constructors_saturate_at_the_boundary() {
+        // The last exact value, then the first that overflows u64 µs.
+        let ms = u64::MAX / 1_000;
+        assert_eq!(SimDuration::from_millis(ms).as_micros(), ms * 1_000);
+        assert_eq!(SimDuration::from_millis(ms + 1), SimDuration::FOREVER);
+        assert_eq!(SimTime::from_millis(ms).as_micros(), ms * 1_000);
+        assert_eq!(SimTime::from_millis(ms + 1), SimTime::MAX);
+        let s = u64::MAX / 1_000_000;
+        assert_eq!(SimDuration::from_secs(s).as_micros(), s * 1_000_000);
+        assert_eq!(SimDuration::from_secs(s + 1), SimDuration::FOREVER);
+        assert_eq!(SimTime::from_secs(s).as_micros(), s * 1_000_000);
+        assert_eq!(SimTime::from_secs(s + 1), SimTime::MAX);
+        assert_eq!(SimDuration::from_mins(u64::MAX), SimDuration::FOREVER);
+        assert_eq!(SimDuration::from_hours(u64::MAX), SimDuration::FOREVER);
+        // The issue's reproducer: a program-supplied `sleep` argument.
+        assert_eq!(
+            SimTime::from_micros(394) + SimDuration::from_millis(18_446_744_073_709_553),
+            SimTime::MAX
+        );
     }
 
     #[test]

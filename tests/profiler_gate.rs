@@ -9,7 +9,10 @@
 //! at the same instant on every run.
 
 use pilgrim::replay::{replay, Artifact};
-use pilgrim::{DebugEvent, NodeConfig, SimDuration, SimTime, Value, World};
+use pilgrim::{DebugEvent, NodeConfig, Pid, SimDuration, SimTime, SpawnOpts, Value, World};
+use pilgrim_mayflower::Node;
+use pilgrim_sim::check::{check_n, choice, ensure_eq, int_range, vecs, zip};
+use pilgrim_sim::Tracer;
 
 const NODE0: &str = "\
 ping = proc (x: int) returns (int)
@@ -110,6 +113,253 @@ fn profiling_does_not_perturb_the_trace() {
     let plain = lock_scenario(false).trace_jsonl();
     let profiled = lock_scenario(true).trace_jsonl();
     assert_eq!(plain, profiled, "profiling changed observable behaviour");
+}
+
+// ---------------------------------------------------------------------
+// Burst stepping ≡ single stepping
+// ---------------------------------------------------------------------
+
+/// The worker kinds a generated node world forks: CPU-bound recursion,
+/// loops that read and print the clock, sleeps, timed semaphore waits and
+/// signals, a contended mutex, forks and the two-phase allocator — every
+/// way an instruction can or cannot end a burst.
+const WORKERS: &str = "\
+own shared: int := 0
+
+fib = proc (n: int) returns (int)
+ if n < 2 then
+  return (n)
+ end
+ return (fib(n - 1) + fib(n - 2))
+end
+
+fibber = proc (n: int) returns (int)
+ return (fib(n))
+end
+
+ticker = proc (rounds: int) returns (int)
+ acc: int := 0
+ for i: int := 1 to rounds do
+  t: int := 0
+  while t < 40 do
+   t := t + 1
+  end
+  print(\"tick \" || int$unparse(now()))
+  acc := acc + now()
+ end
+ return (acc)
+end
+
+sleeper = proc (ms: int) returns (int)
+ sleep(ms)
+ print(\"woke \" || int$unparse(now()))
+ return (now())
+end
+
+waiter = proc (s: sem, ms: int) returns (int)
+ ok: bool := sem$wait(s, ms)
+ if ok then
+  print(\"signalled\")
+  return (1)
+ end
+ print(\"timed out\")
+ return (0)
+end
+
+signaller = proc (s: sem, spins: int) returns (int)
+ t: int := 0
+ while t < spins do
+  t := t + 1
+ end
+ sem$signal(s)
+ return (spins)
+end
+
+locker = proc (m: mutex, rounds: int) returns (int)
+ for i: int := 1 to rounds do
+  mutex$lock(m)
+  c: int := shared
+  t: int := 0
+  while t < 25 do
+   t := t + 1
+  end
+  shared := c + 1
+  mutex$unlock(m)
+ end
+ return (shared)
+end
+
+forker = proc (n: int) returns (int)
+ for i: int := 1 to n do
+  fork fibber(i + 3)
+ end
+ return (n)
+end
+
+relay = proc (s: sem, n: int) returns (int)
+ sem$signal(s)
+ fork fibber(n)
+ sem$signal(s)
+ return (n)
+end
+
+builder = proc (n: int) returns (int)
+ xs: array[int] := array$new()
+ for i: int := 1 to n do
+  append(xs, i)
+  ys: array[int] := array$new()
+  append(ys, i)
+ end
+ return (len(xs))
+end
+";
+
+/// `WORKERS` plus a `main` that forks one worker per `(kind, p)` pair,
+/// between a waiter that is parked by then and the relay that wakes it
+/// and forks in the same slice (the one place queue order depends on a
+/// wake-up being applied before the instructions after it).
+fn node_world_source(workers: &[(i64, i64)]) -> String {
+    let mut main = String::from(
+        "main = proc ()\n s: sem := sem$create(0)\n m: mutex := mutex$create()\n fork waiter(s, 0 - 1)\n",
+    );
+    for &(kind, p) in workers {
+        let call = match kind {
+            0 => format!("fibber({})", 3 + p % 10),
+            1 => format!("ticker({p})"),
+            2 => format!("sleeper({p})"),
+            // -1 waits forever, 0 polls, the rest time out or are signalled.
+            3 => format!("waiter(s, {})", p - 2),
+            4 => format!("signaller(s, {})", p * 30),
+            5 => format!("locker(m, {p})"),
+            6 => format!("forker({})", p % 5),
+            _ => format!("builder({})", p * 3),
+        };
+        main.push_str(&format!(" fork {call}\n"));
+    }
+    main.push_str(" fork relay(s, 9)\nend\n");
+    format!("{WORKERS}\n{main}")
+}
+
+/// Everything a node run can show: the trace, the console with its
+/// timestamps, the instruction count, the clocks and each exit value.
+struct NodeRun {
+    /// The clock each `advance_to` returned at. The last is the final
+    /// clock; the rest compare between runs with the same windows only.
+    window_clocks: Vec<SimTime>,
+    trace: String,
+    console: Vec<(SimTime, String)>,
+    steps: u64,
+    exits: Vec<(Pid, Option<Vec<Value>>)>,
+}
+
+/// Runs `source` on a bare node to `limit`, one `advance_to` per `window`.
+fn node_run(
+    source: &str,
+    time_slice: SimDuration,
+    profile_vm: bool,
+    window: SimDuration,
+) -> NodeRun {
+    let limit = SimTime::from_millis(120);
+    let tracer = Tracer::new();
+    let config = NodeConfig {
+        time_slice,
+        profile_vm,
+        ..Default::default()
+    };
+    let program = pilgrim::compile(source).expect("generated program compiles");
+    let mut node = Node::new(0, program, config, tracer.clone());
+    node.spawn("main", vec![], SpawnOpts::default())
+        .expect("main exists");
+    let mut t = SimTime::ZERO;
+    let mut window_clocks = Vec::new();
+    while t < limit {
+        t = (t + window).min(limit);
+        // Outcalls are dropped: a bare node has nobody to deliver them to.
+        node.advance_to(t);
+        window_clocks.push(node.clock());
+    }
+    NodeRun {
+        window_clocks,
+        trace: tracer.to_jsonl(),
+        console: node.console().to_vec(),
+        steps: node.steps_total(),
+        exits: node
+            .pids()
+            .into_iter()
+            .map(|pid| (pid, node.exit_values(pid).map(<[Value]>::to_vec)))
+            .collect(),
+    }
+}
+
+/// Field-by-field equality, cheapest and most telling first, so a failure
+/// names what moved and not two whole traces.
+fn ensure_same_run(burst: &NodeRun, other: &NodeRun, other_name: &str) -> Result<(), String> {
+    let field = |name: &str, r: Result<(), String>| {
+        r.map_err(|e| format!("{name}, burst against {other_name}: {e}"))
+    };
+    field("steps_total", ensure_eq(burst.steps, other.steps))?;
+    field(
+        "final clock",
+        ensure_eq(burst.window_clocks.last(), other.window_clocks.last()),
+    )?;
+    field("console", ensure_eq(&burst.console, &other.console))?;
+    field("exit values", ensure_eq(&burst.exits, &other.exits))?;
+    let first_diff = burst
+        .trace
+        .lines()
+        .zip(other.trace.lines())
+        .find(|(a, b)| a != b);
+    field("trace line", ensure_eq(first_diff, None))?;
+    field(
+        "trace length",
+        ensure_eq(burst.trace.len(), other.trace.len()),
+    )
+}
+
+#[test]
+fn burst_stepping_equals_single_stepping() {
+    // `profile_vm` keeps the scheduler in the loop on every instruction,
+    // so a profiled run is the single-step oracle for the bursts an
+    // unprofiled `advance_to` takes; 1 µs windows force one-instruction
+    // bursts through the burst path itself. The slices put a rotation
+    // after every instruction (0, 1 µs), every few (50 µs) or every few
+    // thousand (default); the windows end mid-slice.
+    let slices = vec![
+        NodeConfig::default().time_slice,
+        SimDuration::from_micros(50),
+        SimDuration::from_micros(1),
+        SimDuration::ZERO,
+    ];
+    let windows = vec![
+        SimDuration::from_micros(3_500),
+        SimDuration::from_micros(333),
+        SimDuration::from_micros(37),
+    ];
+    let worlds = zip(
+        vecs(zip(int_range(0, 8), int_range(1, 13)), 6),
+        zip(choice(slices), choice(windows)),
+    );
+    check_n(
+        "burst_stepping_equals_single_stepping",
+        64,
+        &worlds,
+        |(workers, (slice, window))| {
+            let source = node_world_source(workers);
+            let burst = node_run(&source, *slice, false, *window);
+            let oracle = node_run(&source, *slice, true, *window);
+            ensure_same_run(&burst, &oracle, "profiled")?;
+            // No window is overshot by more than the one instruction the
+            // oracle overshoots it by.
+            let overshot = (burst.window_clocks.iter())
+                .zip(&oracle.window_clocks)
+                .position(|(a, b)| a != b)
+                .map(|i| (i, burst.window_clocks[i], oracle.window_clocks[i]));
+            ensure_eq(overshot, None)
+                .map_err(|e| format!("(window, clock, oracle's clock): {e}"))?;
+            let single = node_run(&source, *slice, false, SimDuration::from_micros(1));
+            ensure_same_run(&burst, &single, "1 us windows")
+        },
+    );
 }
 
 #[test]
