@@ -170,6 +170,9 @@ mod tests {
     fn parse_rejects_foreign_documents() {
         assert!(BlackboxSnapshot::parse("{\"format\": \"pilgrim-replay\"}").is_err());
         assert!(BlackboxSnapshot::parse("not json").is_err());
+        // Runaway nesting is refused by the JSON layer, not the stack.
+        let deep = BlackboxSnapshot::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(deep.contains("nesting deeper than"), "{deep}");
         let wrong_version = sample()
             .render()
             .replace("\"version\": 1", "\"version\": 99");

@@ -39,7 +39,7 @@ use pilgrim_cclu::Value;
 use pilgrim_mayflower::NodeConfig;
 use pilgrim_ring::NetworkConfig;
 use pilgrim_rpc::{RpcConfig, WireValue};
-use pilgrim_sim::{first_divergence, Divergence, Json, SimDuration, TraceEvent};
+use pilgrim_sim::{first_divergence, quote_into, Divergence, Json, SimDuration, TraceEvent};
 
 use crate::agent::AgentConfig;
 use crate::proto::AgentRequest;
@@ -911,7 +911,11 @@ impl Artifact {
     /// Renders the artifact as one self-describing JSON document
     /// (trailing newline included).
     pub fn render(&self) -> String {
-        let doc = Json::obj(vec![
+        // The four small sections go through the `Json` writer; the trace
+        // and the profile are the bulk of the document and are escaped
+        // straight into the output instead of being cloned into a tree
+        // first. Byte for byte the six-key object `Json::write` renders.
+        let head = Json::obj(vec![
             ("format", Json::Str(FORMAT.to_string())),
             ("version", Json::Int(VERSION as i128)),
             ("recipe", self.recipe.to_json()),
@@ -919,18 +923,21 @@ impl Artifact {
                 "stimuli",
                 Json::Array(self.stimuli.iter().map(Stimulus::to_json).collect()),
             ),
-            ("trace", Json::Str(self.trace.clone())),
-            (
-                "profile",
-                match &self.profile {
-                    Some(p) => Json::Str(p.clone()),
-                    None => Json::Null,
-                },
-            ),
         ]);
-        let mut out = String::new();
-        doc.write(&mut out);
-        out.push('\n');
+        // Escaping grows a trace by about an eighth (its quotes and
+        // newlines); reserve a quarter so the buffer is sized once.
+        let bulk = self.trace.len() + self.profile.as_ref().map_or(0, String::len);
+        let mut out = String::with_capacity(bulk + bulk / 4 + 4096);
+        head.write(&mut out);
+        out.pop(); // reopen the object: drop the `}`
+        out.push_str(", \"trace\": ");
+        quote_into(&self.trace, &mut out);
+        out.push_str(", \"profile\": ");
+        match &self.profile {
+            Some(p) => quote_into(p, &mut out),
+            None => out.push_str("null"),
+        }
+        out.push_str("}\n");
         out
     }
 
@@ -940,7 +947,7 @@ impl Artifact {
     ///
     /// Malformed JSON, wrong format tag or version, or bad sections.
     pub fn parse(text: &str) -> Result<Artifact, ReplayError> {
-        let doc = Json::parse(text).map_err(|e| ReplayError::Format(e.to_string()))?;
+        let mut doc = Json::parse(text).map_err(|e| ReplayError::Format(e.to_string()))?;
         let format = doc.get("format").and_then(Json::as_str).unwrap_or("");
         if format != FORMAT {
             return Err(ReplayError::Format(format!(
@@ -966,16 +973,17 @@ impl Artifact {
         {
             stimuli.push(Stimulus::from_json(s).map_err(ReplayError::Format)?);
         }
-        let trace = doc
-            .get("trace")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ReplayError::Format("missing `trace`".to_string()))?
-            .to_string();
         // Absent in artifacts recorded before profiling existed; optional.
         let profile = doc
             .get("profile")
             .and_then(Json::as_str)
             .map(str::to_string);
+        // Last, because it guts the document: the trace is most of an
+        // artifact's bytes, so it is moved out rather than copied.
+        let trace = match doc.get_mut("trace") {
+            Some(Json::Str(s)) => std::mem::take(s),
+            _ => return Err(ReplayError::Format("missing `trace`".to_string())),
+        };
         Ok(Artifact {
             recipe,
             stimuli,
@@ -1099,14 +1107,24 @@ pub fn replay_with_setup(
         world.apply(s).map_err(ReplayError::Stimulus)?;
     }
     let fresh = world.trace_jsonl();
-    let recorded = TraceEvent::parse_jsonl(&artifact.trace)
-        .map_err(|e| ReplayError::Format(format!("recorded trace: {e}")))?;
-    let fresh_events = TraceEvent::parse_jsonl(&fresh)
-        .map_err(|e| ReplayError::Format(format!("fresh trace: {e}")))?;
+    // Verification is bytes first. Equal bytes parse to equal events, so
+    // there is nothing for the structural differ to explain and neither
+    // trace is parsed; the recorded trace then holds exactly one line per
+    // event the replayed tracer retains.
+    let byte_identical = fresh == artifact.trace;
+    let (divergence, recorded_events) = if byte_identical {
+        (None, world.tracer().len())
+    } else {
+        let recorded = TraceEvent::parse_jsonl(&artifact.trace)
+            .map_err(|e| ReplayError::Format(format!("recorded trace: {e}")))?;
+        let fresh_events = TraceEvent::parse_jsonl(&fresh)
+            .map_err(|e| ReplayError::Format(format!("fresh trace: {e}")))?;
+        (first_divergence(&recorded, &fresh_events), recorded.len())
+    };
     Ok(ReplayReport {
-        divergence: first_divergence(&recorded, &fresh_events),
-        recorded_events: recorded.len(),
-        byte_identical: fresh == artifact.trace,
+        divergence,
+        recorded_events,
+        byte_identical,
         profile_identical: artifact
             .profile
             .as_ref()
@@ -1290,5 +1308,124 @@ mod tests {
             Artifact::parse("not json"),
             Err(ReplayError::Format(_))
         ));
+    }
+
+    /// A small recorded run, profiled or not, whose trace and profile are
+    /// then overwritten with text that exercises every escape class.
+    fn hostile_artifact(profile: bool) -> Artifact {
+        let mut w = World::builder()
+            .program("main = proc (s: string)\n print(s)\n end")
+            .seed(7)
+            .node_config(NodeConfig {
+                profile_vm: profile,
+                ..NodeConfig::default()
+            })
+            .build()
+            .expect("builds");
+        w.spawn(0, "main", vec![Value::Str("arg \"q\"".into())]);
+        w.run_until_idle(pilgrim_sim::SimTime::from_secs(1));
+        let mut artifact = w.record();
+        assert_eq!(artifact.profile.is_some(), profile);
+        let hostile = "\"quoted\" back\\slash\ttab \u{1}\u{1f} λ\"→\\😀\n";
+        artifact.trace.push_str(hostile);
+        if let Some(p) = &mut artifact.profile {
+            p.push_str(hostile);
+        }
+        artifact
+    }
+
+    /// The artifact as the six-key document `render` used to build as a
+    /// `Json` tree (cloning the trace into it) before it streamed.
+    fn document(a: &Artifact) -> Vec<(String, Json)> {
+        let Json::Object(pairs) = Json::obj(vec![
+            ("format", Json::Str(FORMAT.to_string())),
+            ("version", Json::Int(VERSION as i128)),
+            ("recipe", a.recipe.to_json()),
+            (
+                "stimuli",
+                Json::Array(a.stimuli.iter().map(Stimulus::to_json).collect()),
+            ),
+            ("trace", Json::Str(a.trace.clone())),
+            (
+                "profile",
+                match &a.profile {
+                    Some(p) => Json::Str(p.clone()),
+                    None => Json::Null,
+                },
+            ),
+        ]) else {
+            unreachable!("obj builds an object")
+        };
+        pairs
+    }
+
+    fn render_document(pairs: Vec<(String, Json)>) -> String {
+        let mut out = String::new();
+        Json::Object(pairs).write(&mut out);
+        out.push('\n');
+        out
+    }
+
+    #[test]
+    fn streamed_render_matches_the_json_document() {
+        for profile in [false, true] {
+            let a = hostile_artifact(profile);
+            let text = a.render();
+            assert_eq!(text, render_document(document(&a)));
+            let back = Artifact::parse(&text).expect("parses");
+            assert_eq!(back.trace, a.trace);
+            assert_eq!(back.profile, a.profile);
+            assert_eq!(back.render(), text);
+        }
+    }
+
+    /// `Artifact::parse` moves the trace out of the parsed document; what
+    /// it accepts and which `trace` key wins must not have moved with it.
+    #[test]
+    fn trace_key_handling_is_unchanged_by_moving_it_out() {
+        let a = hostile_artifact(false);
+        let missing_trace =
+            |pairs: Vec<(String, Json)>| match Artifact::parse(&render_document(pairs)) {
+                Err(ReplayError::Format(e)) => assert_eq!(e, "missing `trace`"),
+                other => panic!("expected a format error, got {other:?}"),
+            };
+        let at = |pairs: &[(String, Json)]| pairs.iter().position(|(k, _)| k == "trace").unwrap();
+
+        let mut pairs = document(&a);
+        pairs.remove(at(&pairs));
+        missing_trace(pairs);
+
+        for not_a_string in [Json::Int(5), Json::Null, Json::Array(vec![])] {
+            let mut pairs = document(&a);
+            let i = at(&pairs);
+            pairs[i].1 = not_a_string;
+            // A later, well-formed duplicate does not rescue it: lookup
+            // is first-key-wins.
+            pairs.push(("trace".to_string(), Json::Str("later".into())));
+            missing_trace(pairs);
+        }
+
+        let mut pairs = document(&a);
+        pairs.push(("trace".to_string(), Json::Str("later".into())));
+        let first_wins = Artifact::parse(&render_document(pairs)).expect("parses");
+        assert_eq!(first_wins.trace, a.trace);
+        assert_eq!(first_wins.render(), a.render());
+    }
+
+    #[test]
+    fn runaway_nesting_in_an_artifact_is_an_error() {
+        for unit in ["[", "{\"a\":"] {
+            let bare = unit.repeat(100_000);
+            let in_recipe =
+                format!("{{\"format\": \"{FORMAT}\", \"version\": {VERSION}, \"recipe\": {bare}");
+            for text in [bare.as_str(), in_recipe.as_str()] {
+                match Artifact::parse(text) {
+                    Err(ReplayError::Format(e)) => {
+                        assert!(e.contains("nesting deeper than"), "{e}")
+                    }
+                    other => panic!("expected a format error, got {other:?}"),
+                }
+            }
+        }
     }
 }

@@ -47,6 +47,15 @@ impl Json {
         }
     }
 
+    /// [`get`](Json::get), but mutable — for moving a large member out of
+    /// a parsed document instead of cloning it.
+    pub fn get_mut(&mut self, key: &str) -> Option<&mut Json> {
+        match self {
+            Json::Object(pairs) => pairs.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
     /// The integer payload, if this is an integer in `i64` range.
     pub fn as_i64(&self) -> Option<i64> {
         match self {
@@ -120,11 +129,7 @@ impl Json {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => {
-                out.push('"');
-                escape_into(s, out);
-                out.push('"');
-            }
+            Json::Str(s) => quote_into(s, out),
             Json::Array(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -141,9 +146,8 @@ impl Json {
                     if i > 0 {
                         out.push_str(", ");
                     }
-                    out.push('"');
-                    escape_into(k, out);
-                    out.push_str("\": ");
+                    quote_into(k, out);
+                    out.push_str(": ");
                     v.write(out);
                 }
                 out.push('}');
@@ -159,13 +163,14 @@ impl Json {
     /// A human-readable description with a byte offset.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
-            bytes: text.as_bytes(),
+            text,
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing characters after the document"));
         }
         Ok(v)
@@ -182,20 +187,41 @@ impl fmt::Display for Json {
 
 /// Escapes `s` into `out` per JSON string rules: quotes, backslashes, the
 /// named control escapes, and `\u00XX` for the remaining control bytes.
+///
+/// Every byte that needs escaping is ASCII, so the scan runs over bytes
+/// and the unescaped runs between them are copied whole.
 pub fn escape_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let named = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        match named {
+            Some(esc) => out.push_str(esc),
+            None => {
+                out.push_str("\\u00");
+                out.push(HEX[(b >> 4) as usize] as char);
+                out.push(HEX[(b & 0xf) as usize] as char);
             }
-            c => out.push(c),
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
+}
+
+/// Appends `s` as a JSON string literal: quoted and escaped.
+pub fn quote_into(s: &str, out: &mut String) {
+    out.push('"');
+    escape_into(s, out);
+    out.push('"');
 }
 
 /// A parse failure: what went wrong and the byte offset where.
@@ -215,9 +241,20 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so an unbounded `[[[[…` from a user-supplied
+/// file would overflow the stack; the formats this crate reads nest
+/// fewer than ten deep.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
-    bytes: &'a [u8],
+    /// The document. It is scanned as bytes, but structure is only ever
+    /// recognised at ASCII bytes, so `pos` sits on a char boundary
+    /// whenever a slice of it is taken.
+    text: &'a str,
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -229,7 +266,7 @@ impl Parser<'_> {
     }
 
     fn skip_ws(&mut self) {
-        while let Some(b) = self.bytes.get(self.pos) {
+        while let Some(b) = self.text.as_bytes().get(self.pos) {
             match b {
                 b' ' | b'\t' | b'\n' | b'\r' => self.pos += 1,
                 _ => break,
@@ -238,7 +275,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -251,7 +288,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -265,11 +302,25 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Parser::array),
+            Some(b'{') => self.nested(Parser::object),
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one container one level deeper, refusing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -329,17 +380,17 @@ impl Parser<'_> {
         loop {
             let start = self.pos;
             // Fast path: a run of plain bytes.
-            while let Some(&b) = self.bytes.get(self.pos) {
+            while let Some(&b) = self.text.as_bytes().get(self.pos) {
                 if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
             }
-            if self.pos > start {
-                let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                out.push_str(chunk);
-            }
+            // The run starts after a quote or an escape and ends before an
+            // ASCII byte, so it is whole characters of `text`: no second
+            // pass to validate it.
+            let run = self.text.get(start..self.pos);
+            out.push_str(run.ok_or_else(|| self.err("invalid UTF-8 in string"))?);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -393,11 +444,14 @@ impl Parser<'_> {
     }
 
     fn hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
+        if self.pos + 4 > self.text.len() {
             return Err(self.err("truncated \\u escape"));
         }
-        let chunk = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-            .map_err(|_| self.err("invalid \\u escape"))?;
+        // `get`, not indexing: the four bytes may stop inside a character.
+        let chunk = self
+            .text
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("invalid \\u escape"))?;
         let v = u32::from_str_radix(chunk, 16).map_err(|_| self.err("invalid \\u escape"))?;
         self.pos += 4;
         Ok(v)
@@ -419,8 +473,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.text[start..self.pos]; // ASCII by the loop above
         if is_float {
             text.parse::<f64>()
                 .map(Json::Float)
@@ -517,6 +570,9 @@ mod tests {
             "{\"a\": 1,}",
             "\"\\u12\"",
             "\"\\ud800x\"",
+            // A `\u` whose four bytes end inside a character.
+            "\"\\u123é\"",
+            "\"\\u12é\"",
         ] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
@@ -528,6 +584,82 @@ mod tests {
         assert_eq!(
             v.get("a").and_then(Json::as_array).map(<[Json]>::len),
             Some(2)
+        );
+    }
+
+    #[test]
+    fn runaway_nesting_is_an_error_not_a_stack_overflow() {
+        // At PR 13 each of these killed the process (SIGABRT, stack
+        // overflow) instead of returning.
+        for unit in ["[", "{\"a\":"] {
+            let err = Json::parse(&unit.repeat(100_000)).unwrap_err();
+            assert!(err.message.contains("nesting deeper than 128"), "{err}");
+            assert_eq!(
+                err.offset,
+                MAX_DEPTH * unit.len(),
+                "offset of the refused level"
+            );
+        }
+    }
+
+    #[test]
+    fn nesting_exactly_at_the_cap_parses() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let mut v = &Json::parse(&nest(MAX_DEPTH)).expect("the cap itself is legal");
+        let mut levels = 0;
+        while let Some(inner) = v.as_array() {
+            levels += 1;
+            match inner.first() {
+                Some(next) => v = next,
+                None => break,
+            }
+        }
+        assert_eq!(levels, MAX_DEPTH);
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
+        // Depth counts open containers, not containers seen: siblings
+        // at the cap are fine.
+        let wide = "[".repeat(MAX_DEPTH - 1) + "[], {}, [1]" + &"]".repeat(MAX_DEPTH - 1);
+        assert!(Json::parse(&wide).is_ok());
+    }
+
+    /// The char-by-char escaper this module shipped before it copied
+    /// unescaped runs whole; kept as the oracle.
+    fn escape_reference(s: &str, out: &mut String) {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+    }
+
+    #[test]
+    fn run_copying_escape_matches_the_char_by_char_reference() {
+        use crate::check::{check, ensure_eq, string_of};
+        // Every escape class, neighbours that must pass through (DEL,
+        // `/`), and multi-byte characters to sit next to them.
+        let alphabet = "ab/\"\\\n\r\t\u{0}\u{1}\u{8}\u{c}\u{1f}\u{7f}é λ→😀";
+        check(
+            "escape_into == reference",
+            &string_of(alphabet, 24),
+            |s: &String| {
+                let (mut fast, mut slow) = (String::from("seed"), String::from("seed"));
+                escape_into(s, &mut fast);
+                escape_reference(s, &mut slow);
+                ensure_eq(&fast, &slow)?;
+                let quoted = format!("\"{}\"", &fast[4..]);
+                ensure_eq(
+                    Json::parse(&quoted).map_err(|e| e.to_string())?,
+                    Json::Str(s.clone()),
+                )
+            },
         );
     }
 }

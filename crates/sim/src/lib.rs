@@ -54,7 +54,7 @@ mod workload;
 
 pub use causal::{CausalGraph, SpanProfile};
 pub use event::{EventId, EventQueue};
-pub use json::{escape_into, Json, JsonError};
+pub use json::{escape_into, quote_into, Json, JsonError};
 pub use metrics::{bucket_quantile, render_bucket_bound, Counter, Gauge, Histogram, Metrics};
 pub use profile::{
     CallEdge, CallNodeId, CallTree, CmpOp, LedgerBucket, LedgerClock, TimeLedger, Watchpoint,

@@ -177,6 +177,19 @@ impl Histogram {
         self.sum().checked_div(self.count()).unwrap_or(0)
     }
 
+    /// Inclusive upper bounds of the finite buckets, ascending (fixed at
+    /// registration; the overflow bucket has no entry).
+    pub fn bounds(&self) -> &[u64] {
+        &self.inner.bounds
+    }
+
+    /// Runs `f` over the live per-bucket counts — one per finite bucket,
+    /// then the overflow bucket — without copying them. `f` must not
+    /// observe into this histogram (the counts are borrowed).
+    pub fn with_counts<R>(&self, f: impl FnOnce(&[u64]) -> R) -> R {
+        f(&self.inner.counts.borrow())
+    }
+
     /// `(upper_bound, count)` per finite bucket, then
     /// `(u64::MAX, overflow_count)`.
     pub fn buckets(&self) -> Vec<(u64, u64)> {

@@ -16,12 +16,12 @@
 //! call-identifier tables generalized.
 
 use std::collections::{HashSet, VecDeque};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::json::{escape_into, Json};
+use crate::json::{escape_into, quote_into, Json};
 use crate::time::{SimDuration, SimTime};
 
 /// Category of a trace event, used for filtering.
@@ -67,11 +67,10 @@ impl TraceCategory {
             _ => return None,
         })
     }
-}
 
-impl fmt::Display for TraceCategory {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The lower-case name used by the display form and the JSONL export.
+    pub const fn as_str(self) -> &'static str {
+        match self {
             TraceCategory::Sched => "sched",
             TraceCategory::Net => "net",
             TraceCategory::Rpc => "rpc",
@@ -79,8 +78,13 @@ impl fmt::Display for TraceCategory {
             TraceCategory::Clock => "clock",
             TraceCategory::Vm => "vm",
             TraceCategory::Service => "service",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for TraceCategory {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -300,6 +304,31 @@ pub enum EventKind {
     },
 }
 
+/// One payload field's value, borrowed from its variant.
+#[derive(Clone, Copy)]
+enum Field<'a> {
+    Uint(u64),
+    Int(i64),
+    Bool(bool),
+    Str(&'a str),
+}
+
+/// Appends `v`'s display form to `out`.
+fn push_display(out: &mut String, v: impl fmt::Display) {
+    // Writing into a `String` cannot fail.
+    let _ = write!(out, "{v}");
+}
+
+/// A formatter sink that JSON-escapes everything written through it.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_into(s, self.0);
+        Ok(())
+    }
+}
+
 impl EventKind {
     /// Stable variant name, used by the JSONL export.
     pub fn name(&self) -> &'static str {
@@ -335,19 +364,27 @@ impl EventKind {
     /// the old string byte-for-byte (the semantics-lock snapshot depends
     /// on `ClockAdjusted`, `Print`, and `Faulted` staying stable).
     pub fn render(&self) -> String {
+        let mut out = String::new();
+        let _ = self.render_into(&mut out);
+        out
+    }
+
+    /// [`render`](EventKind::render) into any formatter sink, so the
+    /// JSONL writer can stream the message without a temporary.
+    fn render_into(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            EventKind::Message(s) => s.clone(),
+            EventKind::Message(s) => out.write_str(s),
             EventKind::PacketSent { src, dst, bytes } => {
-                format!("sent {bytes}B {src}->{dst}")
+                write!(out, "sent {bytes}B {src}->{dst}")
             }
             EventKind::PacketDelivered { src, dst, bytes } => {
-                format!("delivered {bytes}B {src}->{dst}")
+                write!(out, "delivered {bytes}B {src}->{dst}")
             }
             EventKind::PacketLost { src, dst, bytes } => {
-                format!("lost {bytes}B {src}->{dst}")
+                write!(out, "lost {bytes}B {src}->{dst}")
             }
             EventKind::PacketNacked { src, dst, bytes } => {
-                format!("nacked {bytes}B {src}->{dst}")
+                write!(out, "nacked {bytes}B {src}->{dst}")
             }
             EventKind::CallStarted {
                 call_id,
@@ -358,15 +395,19 @@ impl EventKind {
                 parent_span,
             } => {
                 if *parent_span == 0 {
-                    format!("call {call_id} {proc}({args}) -> node{dst} [{protocol}]")
+                    write!(
+                        out,
+                        "call {call_id} {proc}({args}) -> node{dst} [{protocol}]"
+                    )
                 } else {
-                    format!(
+                    write!(
+                        out,
                         "call {call_id} {proc}({args}) -> node{dst} [{protocol}] parent s{parent_span}"
                     )
                 }
             }
             EventKind::CallRetransmitted { call_id, attempt } => {
-                format!("retransmit call {call_id} attempt {attempt}")
+                write!(out, "retransmit call {call_id} attempt {attempt}")
             }
             EventKind::CallCompleted {
                 call_id,
@@ -374,73 +415,81 @@ impl EventKind {
                 outcome,
             } => {
                 if *ok {
-                    format!("call {call_id} completed: {outcome}")
+                    write!(out, "call {call_id} completed: {outcome}")
                 } else {
-                    format!("call {call_id} failed: {outcome}")
+                    write!(out, "call {call_id} failed: {outcome}")
                 }
             }
             EventKind::CallTimedOut { call_id } => {
-                format!("call {call_id} timed out")
+                write!(out, "call {call_id} timed out")
             }
             EventKind::ServerDispatched { call_id, proc } => {
-                format!("dispatch call {call_id} {proc}")
+                write!(out, "dispatch call {call_id} {proc}")
             }
             EventKind::ReplySent { call_id, cached } => {
                 if *cached {
-                    format!("reply call {call_id} (cached)")
+                    write!(out, "reply call {call_id} (cached)")
                 } else {
-                    format!("reply call {call_id}")
+                    write!(out, "reply call {call_id}")
                 }
             }
             EventKind::MaybeLostCall { call_id } => {
-                format!("maybe call {call_id} failed: request lost (server never heard of it)")
+                write!(
+                    out,
+                    "maybe call {call_id} failed: request lost (server never heard of it)"
+                )
             }
             EventKind::MaybeLostReply { call_id } => {
-                format!("maybe call {call_id} failed: reply lost (server executed it)")
+                write!(
+                    out,
+                    "maybe call {call_id} failed: reply lost (server executed it)"
+                )
             }
             EventKind::ProcessSpawned { pid, proc } => {
-                format!("spawned p{pid} {proc}")
+                write!(out, "spawned p{pid} {proc}")
             }
-            EventKind::ProcessExited { pid } => format!("p{pid} exited"),
+            EventKind::ProcessExited { pid } => write!(out, "p{pid} exited"),
             EventKind::ProcessesHalted { count } => {
-                format!("halted {count} processes")
+                write!(out, "halted {count} processes")
             }
             EventKind::ProcessesResumed { count } => {
-                format!("resumed {count} processes")
+                write!(out, "resumed {count} processes")
             }
             EventKind::ClockAdjusted { delta, now } => {
-                format!("delta += {delta}, now {now}")
+                write!(out, "delta += {delta}, now {now}")
             }
-            EventKind::Print { pid, text } => format!("p{pid}: {text}"),
+            EventKind::Print { pid, text } => write!(out, "p{pid}: {text}"),
             EventKind::Faulted { pid, fault } => {
-                format!("p{pid} faulted: {fault}")
+                write!(out, "p{pid} faulted: {fault}")
             }
-            EventKind::BreakpointHalt => "breakpoint: local processes halted".to_string(),
+            EventKind::BreakpointHalt => out.write_str("breakpoint: local processes halted"),
             EventKind::HaltBroadcast { origin } => {
-                format!("halted by broadcast from node{origin}")
+                write!(out, "halted by broadcast from node{origin}")
             }
             EventKind::WatchTripped { expr, value } => {
-                format!("watch tripped: {expr} (observed {value})")
+                write!(out, "watch tripped: {expr} (observed {value})")
             }
         }
     }
 
-    /// The variant's fields as a JSON object — the machine-readable half
-    /// of the JSONL export, and what [`EventKind::from_data`] reverses.
-    pub fn data(&self) -> Json {
-        let u = |v: u64| Json::Int(v as i128);
-        let n = |v: u32| Json::Int(v as i128);
-        let s = |v: &str| Json::Str(v.to_string());
+    /// Visits the variant's fields as `(name, value)` in their export
+    /// order. This is the one per-variant field list: [`data`] builds its
+    /// object from it, the JSONL writer streams it, and
+    /// [`from_data`](EventKind::from_data) reverses it.
+    ///
+    /// [`data`]: EventKind::data
+    fn for_each_field<'a>(&'a self, mut f: impl FnMut(&'static str, Field<'a>)) {
+        use Field::{Bool, Int, Str, Uint};
         match self {
-            EventKind::Message(text) => Json::obj(vec![("text", s(text))]),
+            EventKind::Message(text) => f("text", Str(text)),
             EventKind::PacketSent { src, dst, bytes }
             | EventKind::PacketDelivered { src, dst, bytes }
             | EventKind::PacketLost { src, dst, bytes }
-            | EventKind::PacketNacked { src, dst, bytes } => Json::obj(vec![
-                ("src", n(*src)),
-                ("dst", n(*dst)),
-                ("bytes", n(*bytes)),
-            ]),
+            | EventKind::PacketNacked { src, dst, bytes } => {
+                f("src", Uint(*src as u64));
+                f("dst", Uint(*dst as u64));
+                f("bytes", Uint(*bytes as u64));
+            }
             EventKind::CallStarted {
                 call_id,
                 proc,
@@ -448,58 +497,105 @@ impl EventKind {
                 dst,
                 protocol,
                 parent_span,
-            } => Json::obj(vec![
-                ("call_id", u(*call_id)),
-                ("proc", s(proc)),
-                ("args", n(*args)),
-                ("dst", n(*dst)),
-                ("protocol", s(protocol)),
-                ("parent_span", u(*parent_span)),
-            ]),
+            } => {
+                f("call_id", Uint(*call_id));
+                f("proc", Str(proc));
+                f("args", Uint(*args as u64));
+                f("dst", Uint(*dst as u64));
+                f("protocol", Str(protocol));
+                f("parent_span", Uint(*parent_span));
+            }
             EventKind::CallRetransmitted { call_id, attempt } => {
-                Json::obj(vec![("call_id", u(*call_id)), ("attempt", n(*attempt))])
+                f("call_id", Uint(*call_id));
+                f("attempt", Uint(*attempt as u64));
             }
             EventKind::CallCompleted {
                 call_id,
                 ok,
                 outcome,
-            } => Json::obj(vec![
-                ("call_id", u(*call_id)),
-                ("ok", Json::Bool(*ok)),
-                ("outcome", s(outcome)),
-            ]),
+            } => {
+                f("call_id", Uint(*call_id));
+                f("ok", Bool(*ok));
+                f("outcome", Str(outcome));
+            }
             EventKind::CallTimedOut { call_id }
             | EventKind::MaybeLostCall { call_id }
-            | EventKind::MaybeLostReply { call_id } => Json::obj(vec![("call_id", u(*call_id))]),
+            | EventKind::MaybeLostReply { call_id } => f("call_id", Uint(*call_id)),
             EventKind::ServerDispatched { call_id, proc } => {
-                Json::obj(vec![("call_id", u(*call_id)), ("proc", s(proc))])
+                f("call_id", Uint(*call_id));
+                f("proc", Str(proc));
             }
-            EventKind::ReplySent { call_id, cached } => Json::obj(vec![
-                ("call_id", u(*call_id)),
-                ("cached", Json::Bool(*cached)),
-            ]),
+            EventKind::ReplySent { call_id, cached } => {
+                f("call_id", Uint(*call_id));
+                f("cached", Bool(*cached));
+            }
             EventKind::ProcessSpawned { pid, proc } => {
-                Json::obj(vec![("pid", u(*pid)), ("proc", s(proc))])
+                f("pid", Uint(*pid));
+                f("proc", Str(proc));
             }
-            EventKind::ProcessExited { pid } => Json::obj(vec![("pid", u(*pid))]),
+            EventKind::ProcessExited { pid } => f("pid", Uint(*pid)),
             EventKind::ProcessesHalted { count } | EventKind::ProcessesResumed { count } => {
-                Json::obj(vec![("count", u(*count))])
+                f("count", Uint(*count));
             }
-            EventKind::ClockAdjusted { delta, now } => Json::obj(vec![
-                ("delta_us", u(delta.as_micros())),
-                ("now_us", u(now.as_micros())),
-            ]),
-            EventKind::Print { pid, text } => Json::obj(vec![("pid", u(*pid)), ("text", s(text))]),
+            EventKind::ClockAdjusted { delta, now } => {
+                f("delta_us", Uint(delta.as_micros()));
+                f("now_us", Uint(now.as_micros()));
+            }
+            EventKind::Print { pid, text } => {
+                f("pid", Uint(*pid));
+                f("text", Str(text));
+            }
             EventKind::Faulted { pid, fault } => {
-                Json::obj(vec![("pid", u(*pid)), ("fault", s(fault))])
+                f("pid", Uint(*pid));
+                f("fault", Str(fault));
             }
-            EventKind::BreakpointHalt => Json::obj(vec![]),
-            EventKind::HaltBroadcast { origin } => Json::obj(vec![("origin", n(*origin))]),
-            EventKind::WatchTripped { expr, value } => Json::obj(vec![
-                ("expr", s(expr)),
-                ("value", Json::Int(*value as i128)),
-            ]),
+            EventKind::BreakpointHalt => {}
+            EventKind::HaltBroadcast { origin } => f("origin", Uint(*origin as u64)),
+            EventKind::WatchTripped { expr, value } => {
+                f("expr", Str(expr));
+                f("value", Int(*value));
+            }
         }
+    }
+
+    /// The variant's fields as a JSON object — the machine-readable half
+    /// of the JSONL export, and what [`EventKind::from_data`] reverses.
+    pub fn data(&self) -> Json {
+        let mut pairs = Vec::new();
+        self.for_each_field(|name, v| {
+            let v = match v {
+                Field::Uint(n) => Json::Int(n as i128),
+                Field::Int(n) => Json::Int(n as i128),
+                Field::Bool(b) => Json::Bool(b),
+                Field::Str(s) => Json::Str(s.to_string()),
+            };
+            pairs.push((name.to_string(), v));
+        });
+        Json::Object(pairs)
+    }
+
+    /// [`data`](EventKind::data) rendered straight into `out`, byte for
+    /// byte what `data().write(out)` produces, without building the tree.
+    fn write_data(&self, out: &mut String) {
+        out.push('{');
+        let mut first = true;
+        self.for_each_field(|name, v| {
+            if !first {
+                out.push_str(", ");
+            }
+            first = false;
+            // Field names are identifiers: nothing in them to escape.
+            out.push('"');
+            out.push_str(name);
+            out.push_str("\": ");
+            match v {
+                Field::Uint(n) => push_display(out, n),
+                Field::Int(n) => push_display(out, n),
+                Field::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+                Field::Str(s) => quote_into(s, out),
+            }
+        });
+        out.push('}');
     }
 
     /// Rebuilds the typed payload from a variant name and its
@@ -644,29 +740,36 @@ impl TraceEvent {
 
     /// One JSON object (no trailing newline) for the JSONL trace dump.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(96);
+        let mut out = String::with_capacity(JSONL_LINE_BYTES);
+        self.write_json(&mut out);
+        out
+    }
+
+    /// Appends [`to_json`](TraceEvent::to_json)'s object to `out`. Numbers,
+    /// the rendered message and the payload fields stream into the
+    /// caller's buffer; nothing is built on the side.
+    pub fn write_json(&self, out: &mut String) {
         out.push_str("{\"time_us\": ");
-        out.push_str(&self.time.as_micros().to_string());
+        push_display(out, self.time.as_micros());
         out.push_str(", \"category\": \"");
-        out.push_str(&self.category.to_string());
+        out.push_str(self.category.as_str());
         out.push_str("\", \"node\": ");
         match self.node {
-            Some(n) => out.push_str(&n.to_string()),
+            Some(n) => push_display(out, n),
             None => out.push_str("null"),
         }
         out.push_str(", \"span\": ");
         match self.span {
-            Some(s) => out.push_str(&s.0.to_string()),
+            Some(s) => push_display(out, s.0),
             None => out.push_str("null"),
         }
         out.push_str(", \"kind\": \"");
         out.push_str(self.kind.name());
         out.push_str("\", \"message\": \"");
-        escape_into(&self.message(), &mut out);
+        let _ = self.kind.render_into(&mut Escaped(out));
         out.push_str("\", \"data\": ");
-        self.kind.data().write(&mut out);
+        self.kind.write_data(out);
         out.push('}');
-        out
     }
 
     /// Parses one JSONL line back into a typed event — the inverse of
@@ -995,6 +1098,23 @@ struct TracerInner {
     /// sample rate is set; holds kept spans only, so its size is the
     /// kept fraction of all spans, not the span count.
     kept: HashSet<u64>,
+}
+
+/// Buffer reserved per event when rendering JSONL. A line of a loaded
+/// run averages 220–270 bytes; a guess below the average makes the
+/// buffer double its way past twice the trace (and copy it each time), so
+/// the guess sits just above it.
+const JSONL_LINE_BYTES: usize = 288;
+
+/// `events` as JSON Lines: one [`TraceEvent::write_json`] object per
+/// line, newline-terminated.
+fn jsonl(events: &VecDeque<TraceEvent>) -> String {
+    let mut out = String::with_capacity(events.len() * JSONL_LINE_BYTES);
+    for ev in events {
+        ev.write_json(&mut out);
+        out.push('\n');
+    }
+    out
 }
 
 /// Default flight-recorder ring size: enough to hold the last few
@@ -1402,13 +1522,7 @@ impl Tracer {
     /// The whole retained trace as JSON Lines — one object per event,
     /// newline-terminated, suitable for external tooling.
     pub fn to_jsonl(&self) -> String {
-        let inner = self.shared.inner.lock().unwrap();
-        let mut out = String::with_capacity(inner.events.len() * 96);
-        for ev in &inner.events {
-            out.push_str(&ev.to_json());
-            out.push('\n');
-        }
-        out
+        jsonl(&self.shared.inner.lock().unwrap().events)
     }
 
     /// Discards all recorded events.
@@ -1451,13 +1565,7 @@ impl Tracer {
     /// The flight-recorder ring as JSON Lines, oldest first — same
     /// encoding as [`to_jsonl`](Tracer::to_jsonl).
     pub fn blackbox_jsonl(&self) -> String {
-        let inner = self.shared.inner.lock().unwrap();
-        let mut out = String::with_capacity(inner.blackbox.len() * 96);
-        for ev in &inner.blackbox {
-            out.push_str(&ev.to_json());
-            out.push('\n');
-        }
-        out
+        jsonl(&self.shared.inner.lock().unwrap().blackbox)
     }
 }
 
@@ -1856,8 +1964,15 @@ mod tests {
     /// (quotes, backslashes, control chars, non-ASCII) where a string
     /// field exists.
     fn all_event_kinds() -> Vec<EventKind> {
+        event_kinds_with("say \"hi\"\n\t\\ \u{1} λ")
+    }
+
+    /// One exemplar of every [`EventKind`] variant, every string field
+    /// set to `s`.
+    fn event_kinds_with(s: &str) -> Vec<EventKind> {
+        let s = || s.to_string();
         vec![
-            EventKind::Message("say \"hi\"\n\t\\ \u{1} λ".to_string()),
+            EventKind::Message(s()),
             EventKind::PacketSent {
                 src: 0,
                 dst: 1,
@@ -1880,10 +1995,10 @@ mod tests {
             },
             EventKind::CallStarted {
                 call_id: (7u64 << 40) | 1,
-                proc: "weird\\proc\"name\"\u{7}".to_string(),
+                proc: s(),
                 args: 2,
                 dst: 1,
-                protocol: "exactly-once".to_string(),
+                protocol: s(),
                 parent_span: 0,
             },
             EventKind::CallRetransmitted {
@@ -1893,12 +2008,12 @@ mod tests {
             EventKind::CallCompleted {
                 call_id: u64::MAX,
                 ok: false,
-                outcome: "timeout\nafter 5 attempts".to_string(),
+                outcome: s(),
             },
             EventKind::CallTimedOut { call_id: 11 },
             EventKind::ServerDispatched {
                 call_id: 12,
-                proc: "pi\tng".to_string(),
+                proc: s(),
             },
             EventKind::ReplySent {
                 call_id: 13,
@@ -1906,10 +2021,7 @@ mod tests {
             },
             EventKind::MaybeLostCall { call_id: 14 },
             EventKind::MaybeLostReply { call_id: 15 },
-            EventKind::ProcessSpawned {
-                pid: 16,
-                proc: "main".to_string(),
-            },
+            EventKind::ProcessSpawned { pid: 16, proc: s() },
             EventKind::ProcessExited { pid: 17 },
             EventKind::ProcessesHalted { count: 18 },
             EventKind::ProcessesResumed { count: 19 },
@@ -1917,21 +2029,108 @@ mod tests {
                 delta: SimDuration::from_micros(20),
                 now: SimDuration::from_micros(21),
             },
-            EventKind::Print {
-                pid: 22,
-                text: "x = \"1\"\r\n".to_string(),
-            },
+            EventKind::Print { pid: 22, text: s() },
             EventKind::Faulted {
                 pid: 23,
-                fault: "stack\\overflow\u{0}".to_string(),
+                fault: s(),
             },
             EventKind::BreakpointHalt,
             EventKind::HaltBroadcast { origin: 24 },
             EventKind::WatchTripped {
-                expr: "rpc.failed > 0".to_string(),
+                expr: s(),
                 value: -25,
             },
         ]
+    }
+
+    /// `to_json` as it was assembled before `write_json` streamed it: a
+    /// temporary per number, the message rendered then escaped, the
+    /// payload built as a `Json` tree then written. Kept as the oracle.
+    fn to_json_reference(ev: &TraceEvent) -> String {
+        let mut out = String::new();
+        out.push_str("{\"time_us\": ");
+        out.push_str(&ev.time.as_micros().to_string());
+        out.push_str(", \"category\": \"");
+        out.push_str(&ev.category.to_string());
+        out.push_str("\", \"node\": ");
+        match ev.node {
+            Some(n) => out.push_str(&n.to_string()),
+            None => out.push_str("null"),
+        }
+        out.push_str(", \"span\": ");
+        match ev.span {
+            Some(s) => out.push_str(&s.0.to_string()),
+            None => out.push_str("null"),
+        }
+        out.push_str(", \"kind\": \"");
+        out.push_str(ev.kind.name());
+        out.push_str("\", \"message\": \"");
+        escape_into(&ev.message(), &mut out);
+        out.push_str("\", \"data\": ");
+        ev.kind.data().write(&mut out);
+        out.push('}');
+        out
+    }
+
+    #[test]
+    fn streamed_json_matches_the_tree_built_reference() {
+        let categories = [
+            TraceCategory::Sched,
+            TraceCategory::Net,
+            TraceCategory::Rpc,
+            TraceCategory::Debug,
+            TraceCategory::Clock,
+            TraceCategory::Vm,
+            TraceCategory::Service,
+        ];
+        for hostile in [
+            "",
+            "plain",
+            "\"",
+            "\\",
+            "\\\"\\",
+            "\u{1}",
+            "tab\there\nnewline\rreturn",
+            "λ\"→\\😀\u{1f}é\u{0}",
+            "\u{7f}/\u{8}\u{c}",
+        ] {
+            let kinds = event_kinds_with(hostile);
+            let names: HashSet<&str> = kinds.iter().map(EventKind::name).collect();
+            assert_eq!(names.len(), 23, "one exemplar per variant");
+            for (i, kind) in kinds.into_iter().enumerate() {
+                let ev = TraceEvent {
+                    time: SimTime::from_micros(if i == 0 { u64::MAX } else { i as u64 * 17 }),
+                    category: categories[i % categories.len()],
+                    node: (i % 3 != 0).then_some(if i == 1 { u32::MAX } else { i as u32 }),
+                    span: (i % 2 == 1).then_some(SpanId(u64::MAX - i as u64)),
+                    kind,
+                };
+                let line = ev.to_json();
+                assert_eq!(line, to_json_reference(&ev), "{ev:?}");
+                assert_eq!(TraceEvent::parse_json(&line).as_ref(), Ok(&ev));
+                // `write_json` appends; it does not own the buffer.
+                let mut buf = String::from("kept\n");
+                ev.write_json(&mut buf);
+                assert_eq!(buf, format!("kept\n{line}"));
+            }
+        }
+    }
+
+    #[test]
+    fn runaway_nesting_in_a_trace_line_is_an_error() {
+        let deep = |unit: &str| {
+            format!(
+                "{{\"time_us\": 1, \"category\": \"vm\", \"node\": null, \"span\": null, \
+                 \"kind\": \"BreakpointHalt\", \"message\": \"\", \"data\": {}",
+                unit.repeat(100_000)
+            )
+        };
+        for unit in ["[", "{\"a\":"] {
+            let err = TraceEvent::parse_json(&deep(unit)).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+            let err = TraceEvent::parse_jsonl(&format!("\n{}\n", deep(unit))).unwrap_err();
+            assert!(err.starts_with("line 2: nesting deeper than"), "{err}");
+        }
     }
 
     #[test]

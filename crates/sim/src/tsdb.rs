@@ -71,8 +71,10 @@ struct HistSeries {
 /// A bounded, delta-encoded store of metric samples over simulated time.
 ///
 /// Series are discovered from the registry at each sample and identified
-/// by registration index (the registry is append-only, so index `i`
-/// names the same instrument for the life of the world). A series
+/// by name. They are *addressed* by registration index — the registry is
+/// append-only, so the instrument at position `k` owns the series at
+/// position `k` — and a single name compare verifies the position before
+/// it is trusted (a mismatch falls back to a search by name). A series
 /// registered after sampling began simply has a shorter ring; rings are
 /// tail-aligned to the shared sample-time ring.
 #[derive(Debug)]
@@ -153,19 +155,17 @@ impl SeriesStore {
         self.times.push_back(now.as_micros());
         let retained = self.times.len();
 
+        let mut k = 0;
         metrics.for_each_counter(|name, c| {
-            let i = self
-                .counters
-                .iter()
-                .position(|s| s.name == name)
-                .unwrap_or_else(|| {
-                    self.counters.push(CounterSeries {
-                        name: name.to_string(),
-                        last: 0,
-                        deltas: VecDeque::new(),
-                    });
-                    self.counters.len() - 1
+            let i = locate(&self.counters, k, name, |s| &s.name).unwrap_or_else(|| {
+                self.counters.push(CounterSeries {
+                    name: name.to_string(),
+                    last: 0,
+                    deltas: VecDeque::new(),
                 });
+                self.counters.len() - 1
+            });
+            k += 1;
             let s = &mut self.counters[i];
             let cur = c.get();
             s.deltas.push_back(cur.wrapping_sub(s.last));
@@ -174,55 +174,57 @@ impl SeriesStore {
                 s.deltas.pop_front();
             }
         });
+        let mut k = 0;
         metrics.for_each_gauge(|name, g| {
-            let i = self
-                .gauges
-                .iter()
-                .position(|s| s.name == name)
-                .unwrap_or_else(|| {
-                    self.gauges.push(GaugeSeries {
-                        name: name.to_string(),
-                        values: VecDeque::new(),
-                    });
-                    self.gauges.len() - 1
+            let i = locate(&self.gauges, k, name, |s| &s.name).unwrap_or_else(|| {
+                self.gauges.push(GaugeSeries {
+                    name: name.to_string(),
+                    values: VecDeque::new(),
                 });
+                self.gauges.len() - 1
+            });
+            k += 1;
             let s = &mut self.gauges[i];
             s.values.push_back(g.get());
             while s.values.len() > retained {
                 s.values.pop_front();
             }
         });
+        let mut k = 0;
         metrics.for_each_histogram(|name, h| {
-            let buckets = h.buckets();
-            let i = self
-                .hists
-                .iter()
-                .position(|s| s.name == name)
-                .unwrap_or_else(|| {
-                    self.hists.push(HistSeries {
-                        name: name.to_string(),
-                        bounds: buckets.iter().map(|&(b, _)| b).collect(),
-                        last_counts: vec![0; buckets.len()],
-                        last_count: 0,
-                        last_sum: 0,
-                        windows: VecDeque::new(),
-                    });
-                    self.hists.len() - 1
+            let i = locate(&self.hists, k, name, |s| &s.name).unwrap_or_else(|| {
+                let bounds: Vec<u64> = h.bounds().iter().copied().chain([u64::MAX]).collect();
+                self.hists.push(HistSeries {
+                    name: name.to_string(),
+                    last_counts: vec![0; bounds.len()],
+                    bounds,
+                    last_count: 0,
+                    last_sum: 0,
+                    windows: VecDeque::new(),
                 });
+                self.hists.len() - 1
+            });
+            k += 1;
             let s = &mut self.hists[i];
-            let deltas: Vec<u64> = buckets
-                .iter()
-                .zip(s.last_counts.iter())
-                .map(|(&(_, n), &prev)| n.wrapping_sub(prev))
-                .collect();
+            // Deltas come straight from the live counts; the window's own
+            // bucket vector is the only allocation.
+            let buckets = h.with_counts(|counts| {
+                let deltas = counts
+                    .iter()
+                    .zip(s.last_counts.iter())
+                    .map(|(&n, &prev)| n.wrapping_sub(prev))
+                    .collect();
+                s.last_counts.clear();
+                s.last_counts.extend_from_slice(counts);
+                deltas
+            });
             let count = h.count();
             let sum = h.sum();
             s.windows.push_back(HistWindow {
                 count: count.wrapping_sub(s.last_count),
                 sum: sum.wrapping_sub(s.last_sum),
-                buckets: deltas,
+                buckets,
             });
-            s.last_counts = buckets.iter().map(|&(_, n)| n).collect();
             s.last_count = count;
             s.last_sum = sum;
             while s.windows.len() > retained {
@@ -485,6 +487,18 @@ impl SeriesStore {
     }
 }
 
+/// Index of the series named `name` among `series`. The registry is
+/// append-only and visited in registration order, so the series sits at
+/// the instrument's own position `k` unless this store is being fed from
+/// a registry other than the one it grew up with; one name compare tells,
+/// and the by-name search is the fallback. Identity stays the name.
+fn locate<S>(series: &[S], k: usize, name: &str, name_of: impl Fn(&S) -> &str) -> Option<usize> {
+    match series.get(k) {
+        Some(s) if name_of(s) == name => Some(k),
+        _ => series.iter().position(|s| name_of(s) == name),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -661,5 +675,199 @@ mod tests {
         assert_eq!(lines.len(), 2, "one header + one row: {out}");
         // The late series' first window left edge is the prior sample.
         assert_eq!(lines[1], "[100..200us] delta 5 rate 50000/s");
+    }
+
+    /// `SeriesStore::on_sync` as it was before series were addressed by
+    /// position: every series found by a scan of name compares, histogram
+    /// deltas rebuilt from `buckets()`. Kept verbatim as the oracle.
+    fn on_sync_by_name(store: &mut SeriesStore, now: SimTime, metrics: &Metrics) {
+        store.ticks += 1;
+        if !store.ticks.is_multiple_of(store.interval) {
+            return;
+        }
+        store.taken += 1;
+        if store.times.len() == store.budget {
+            if let Some(t) = store.times.pop_front() {
+                store.evicted_before = t;
+            }
+        }
+        store.times.push_back(now.as_micros());
+        let retained = store.times.len();
+
+        metrics.for_each_counter(|name, c| {
+            let i = store
+                .counters
+                .iter()
+                .position(|s| s.name == name)
+                .unwrap_or_else(|| {
+                    store.counters.push(CounterSeries {
+                        name: name.to_string(),
+                        last: 0,
+                        deltas: VecDeque::new(),
+                    });
+                    store.counters.len() - 1
+                });
+            let s = &mut store.counters[i];
+            let cur = c.get();
+            s.deltas.push_back(cur.wrapping_sub(s.last));
+            s.last = cur;
+            while s.deltas.len() > retained {
+                s.deltas.pop_front();
+            }
+        });
+        metrics.for_each_gauge(|name, g| {
+            let i = store
+                .gauges
+                .iter()
+                .position(|s| s.name == name)
+                .unwrap_or_else(|| {
+                    store.gauges.push(GaugeSeries {
+                        name: name.to_string(),
+                        values: VecDeque::new(),
+                    });
+                    store.gauges.len() - 1
+                });
+            let s = &mut store.gauges[i];
+            s.values.push_back(g.get());
+            while s.values.len() > retained {
+                s.values.pop_front();
+            }
+        });
+        metrics.for_each_histogram(|name, h| {
+            let buckets = h.buckets();
+            let i = store
+                .hists
+                .iter()
+                .position(|s| s.name == name)
+                .unwrap_or_else(|| {
+                    store.hists.push(HistSeries {
+                        name: name.to_string(),
+                        bounds: buckets.iter().map(|&(b, _)| b).collect(),
+                        last_counts: vec![0; buckets.len()],
+                        last_count: 0,
+                        last_sum: 0,
+                        windows: VecDeque::new(),
+                    });
+                    store.hists.len() - 1
+                });
+            let s = &mut store.hists[i];
+            let deltas: Vec<u64> = buckets
+                .iter()
+                .zip(s.last_counts.iter())
+                .map(|(&(_, n), &prev)| n.wrapping_sub(prev))
+                .collect();
+            let count = h.count();
+            let sum = h.sum();
+            s.windows.push_back(HistWindow {
+                count: count.wrapping_sub(s.last_count),
+                sum: sum.wrapping_sub(s.last_sum),
+                buckets: deltas,
+            });
+            s.last_counts = buckets.iter().map(|&(_, n)| n).collect();
+            s.last_count = count;
+            s.last_sum = sum;
+            while s.windows.len() > retained {
+                s.windows.pop_front();
+            }
+        });
+    }
+
+    /// Everything a caller can read out of a store, as one string.
+    fn everything(store: &SeriesStore, names: &[String]) -> String {
+        let mut out = store.summary();
+        for w in 1..=3 {
+            out.push_str(&store.render_all(w));
+            for n in names {
+                out.push_str(&format!(
+                    "{n}/{w}: {:?} {:?}\n",
+                    store.counter_windows(n, w),
+                    store.hist_windows(n, w)
+                ));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn positional_sampling_matches_the_by_name_reference() {
+        use crate::check::{check, ensure_eq, int_range, vecs, zip};
+        const POOL: i64 = 3;
+        let names: Vec<String> = ["c", "g", "h"]
+            .iter()
+            .flat_map(|k| (0..POOL).map(move |i| format!("{k}{i}")))
+            .collect();
+        // ((interval, budget), [(kind, (instrument, value))]): kinds 0–2
+        // touch a counter / gauge / histogram, registering it on first
+        // touch (so series appear mid-run, in script order); 3–5 are a
+        // sync point. Small budgets make the rings evict.
+        let script = zip(
+            zip(int_range(1, 5), int_range(1, 9)),
+            vecs(
+                zip(int_range(0, 6), zip(int_range(0, POOL), int_range(0, 40))),
+                60,
+            ),
+        );
+        check("positional sample == by-name sample", &script, |case| {
+            let ((interval, budget), ops) = case;
+            let (interval, budget) = (*interval as u64, *budget as usize);
+            let live = Metrics::new();
+            // A second registry holding the same names in the opposite
+            // order (and histograms with fewer buckets): position `k`
+            // there names a different series, so a store that moves over
+            // to it must fall back to the name. Its values never trail
+            // the live ones, so the deltas across the move stay positive.
+            let other = Metrics::new();
+            for i in (0..POOL).rev() {
+                other.histogram(&format!("h{i}"), &[10]);
+                other.gauge(&format!("g{i}"));
+                other.counter(&format!("c{i}"));
+            }
+            // (store under test, oracle) pairs: two stores of different
+            // shape over the live registry, one that changes registry
+            // half way through.
+            let pair = |i, b| (SeriesStore::new(i, b), SeriesStore::new(i, b));
+            let mut first = pair(interval, budget);
+            let mut second = pair(interval % 4 + 1, budget + 3);
+            let mut mixed = pair(1, budget);
+            let half = ops.iter().filter(|(kind, _)| *kind > 2).count() / 2;
+            let mut now = 0;
+            let mut syncs = 0;
+            for &(kind, (i, v)) in ops {
+                match kind {
+                    0 => {
+                        live.counter(&format!("c{i}")).add(v as u64);
+                        other.counter(&format!("c{i}")).add(3 * v as u64 + 1);
+                    }
+                    1 => {
+                        live.gauge(&format!("g{i}")).set(v - 20);
+                        other.gauge(&format!("g{i}")).set(20 - v);
+                    }
+                    2 => {
+                        live.histogram(&format!("h{i}"), &[10, 100])
+                            .observe(7 * v as u64);
+                        other
+                            .histogram(&format!("h{i}"), &[10])
+                            .observe(7 * v as u64);
+                    }
+                    _ => {
+                        now += 100 + v as u64;
+                        syncs += 1;
+                        let at = SimTime::from_micros(now);
+                        for (store, oracle) in [&mut first, &mut second] {
+                            store.on_sync(at, &live);
+                            on_sync_by_name(oracle, at, &live);
+                        }
+                        let fed = if syncs > half { &other } else { &live };
+                        mixed.0.on_sync(at, fed);
+                        on_sync_by_name(&mut mixed.1, at, fed);
+                    }
+                }
+            }
+            for (store, oracle) in [&first, &second, &mixed] {
+                ensure_eq(everything(store, &names), everything(oracle, &names))?;
+                ensure_eq(store.samples_taken(), oracle.samples_taken())?;
+            }
+            Ok(())
+        });
     }
 }

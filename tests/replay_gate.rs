@@ -9,9 +9,11 @@
 //! fail. A property test repeats the round trip over random seeds,
 //! topologies, and stimulus mixes.
 
-use pilgrim::replay::{replay, replay_with_threads, Artifact};
-use pilgrim::{twin_threads, DebugEvent, NodeConfig, SimDuration, SimTime, Value, World};
-use pilgrim_sim::check::{check_n, ensure, int_range, u64_range, zip_cases, Case, Gen};
+use pilgrim::replay::{replay, replay_with_threads, Artifact, ReplayError, ReplayReport};
+use pilgrim::{
+    twin_threads, DebugEvent, NodeConfig, SimDuration, SimTime, TraceEvent, Value, World,
+};
+use pilgrim_sim::check::{check_n, ensure, ensure_eq, int_range, u64_range, zip_cases, Case, Gen};
 use pilgrim_sim::DetRng;
 
 const NODE0: &str = "\
@@ -67,6 +69,26 @@ fn lock_scenario_with(threads: usize, profile: bool) -> World {
     w
 }
 
+/// Replay verifies bytes first and parses nothing when they agree, so
+/// `recorded_events` comes from the replayed tracer. Parsing the recorded
+/// trace — what the structure-first verifier did — must give the same
+/// count, and no divergence.
+fn assert_clean(report: &ReplayReport, artifact: &Artifact) {
+    assert!(
+        report.divergence.is_none(),
+        "clean replay diverged:\n{}",
+        report.divergence.as_ref().unwrap().report()
+    );
+    assert!(
+        report.byte_identical,
+        "traces equal event-wise but not byte-for-byte"
+    );
+    assert_eq!(
+        report.recorded_events,
+        TraceEvent::parse_jsonl(&artifact.trace).unwrap().len()
+    );
+}
+
 #[test]
 fn semantics_lock_scenario_replays_byte_identically() {
     let world = lock_scenario();
@@ -75,15 +97,7 @@ fn semantics_lock_scenario_replays_byte_identically() {
 
     let artifact = Artifact::parse(&text).expect("rendered artifact parses");
     let report = replay(&artifact).expect("replay runs");
-    assert!(
-        report.divergence.is_none(),
-        "clean replay diverged:\n{}",
-        report.divergence.unwrap().report()
-    );
-    assert!(
-        report.byte_identical,
-        "traces equal event-wise but not byte-for-byte"
-    );
+    assert_clean(&report, &artifact);
     assert!(report.recorded_events > 0, "scenario produced no trace");
 }
 
@@ -155,6 +169,42 @@ fn truncated_trace_is_reported_as_early_end() {
     assert!(d.expected.is_none() && d.actual.is_some());
 }
 
+/// A recorded trace that says the same thing in different bytes: only
+/// the structural differ can tell that nothing diverged.
+#[test]
+fn whitespace_only_difference_is_not_a_divergence() {
+    let artifact = lock_scenario().record();
+    let mut respaced = artifact.clone();
+    respaced.trace = artifact.trace.replace("\"time_us\": ", "\"time_us\":   ");
+    assert_ne!(respaced.trace, artifact.trace);
+
+    let report = replay(&respaced).expect("replay runs");
+    assert!(report.divergence.is_none());
+    assert!(!report.byte_identical);
+    assert_eq!(
+        report.recorded_events,
+        TraceEvent::parse_jsonl(&artifact.trace).unwrap().len()
+    );
+}
+
+/// A recorded trace with a line that is not an event is a format error
+/// naming the line, not a divergence.
+#[test]
+fn unparsable_recorded_line_is_a_format_error() {
+    let artifact = lock_scenario().record();
+    let mut lines: Vec<&str> = artifact.trace.lines().collect();
+    lines[4] = "{\"time_us\": oops}";
+    let mut corrupted = artifact.clone();
+    corrupted.trace = lines.join("\n") + "\n";
+
+    match replay(&corrupted) {
+        Err(ReplayError::Format(e)) => {
+            assert!(e.starts_with("recorded trace: line 5: "), "{e}")
+        }
+        other => panic!("expected a format error, got {other:?}"),
+    }
+}
+
 /// A spawn that did not happen (mistyped procedure or node at the REPL)
 /// is not part of the session: the artifact must still replay.
 #[test]
@@ -174,8 +224,7 @@ fn failed_spawn_does_not_poison_replay() {
 
     let artifact = Artifact::parse(&w.record().render()).expect("rendered artifact parses");
     let report = replay(&artifact).expect("replay runs despite the failed spawns");
-    assert!(report.divergence.is_none());
-    assert!(report.byte_identical);
+    assert_clean(&report, &artifact);
 }
 
 // ---------------------------------------------------------------------
@@ -194,12 +243,7 @@ fn parallel_recording_replays_serially() {
 
     let artifact = Artifact::parse(&text).expect("rendered artifact parses");
     let report = replay(&artifact).expect("replay runs");
-    assert!(
-        report.divergence.is_none(),
-        "parallel recording diverged under serial replay:\n{}",
-        report.divergence.unwrap().report()
-    );
-    assert!(report.byte_identical);
+    assert_clean(&report, &artifact);
     assert_eq!(
         report.profile_identical,
         Some(true),
@@ -214,15 +258,7 @@ fn serial_recording_replays_in_parallel() {
     let artifact = lock_scenario_with(1, true).record();
     for threads in twin_threads() {
         let report = replay_with_threads(&artifact, threads).expect("replay runs");
-        assert!(
-            report.divergence.is_none(),
-            "serial recording diverged at {threads} threads:\n{}",
-            report.divergence.unwrap().report()
-        );
-        assert!(
-            report.byte_identical,
-            "not byte-identical at {threads} threads"
-        );
+        assert_clean(&report, &artifact);
         assert_eq!(report.profile_identical, Some(true));
         assert_eq!(report.world.step_threads(), threads);
     }
@@ -317,7 +353,9 @@ fn prop_record_replay_is_byte_identical() {
             if let Some(d) = report.divergence {
                 return Err(format!("diverged:\n{}", d.report()));
             }
-            ensure(report.byte_identical, "trace not byte-identical")
+            ensure(report.byte_identical, "trace not byte-identical")?;
+            let recorded = TraceEvent::parse_jsonl(&artifact.trace)?;
+            ensure_eq(report.recorded_events, recorded.len())
         },
     );
 }
