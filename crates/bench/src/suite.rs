@@ -377,7 +377,7 @@ pub fn flight_recorder_on(cfg: &Config) -> BenchResult {
     })
 }
 
-/// A thousand null RPCs with the full-resolution time-series store armed:
+/// A thousand null RPCs with the time-series store at full resolution:
 /// the per-sync-point sampling sweep over the metrics registry plus the
 /// ring eviction, amortized over a real RPC workload.
 pub fn tsdb_sampling_1k_rpcs(cfg: &Config) -> BenchResult {
@@ -386,7 +386,7 @@ pub fn tsdb_sampling_1k_rpcs(cfg: &Config) -> BenchResult {
             .nodes(2)
             .program(NULL_RPC_PROGRAM)
             .debugger(false)
-            .tsdb(true)
+            .coarse_window(1, 4096)
             .build()
             .unwrap();
         w.spawn(0, "main", vec![Value::Int(1_000)]);

@@ -11,7 +11,9 @@
 //! ```text
 //! pilgrim-prof <artifact.json>   print the recording's folded-stack
 //!                                profile (re-runs it with profiling on
-//!                                when the artifact has no embedded one)
+//!                                when the artifact has no embedded one;
+//!                                exit 2 when the recording needs service
+//!                                installers this binary does not link)
 //! pilgrim-prof --selftest        prove the profiler end-to-end: format,
 //!                                recursion folding, determinism, replay
 //!                                reproduction, and a tripping watchpoint
@@ -21,7 +23,7 @@
 
 use std::process::ExitCode;
 
-use pilgrim::replay::{replay, Artifact};
+use pilgrim::replay::{replay, rerun, Artifact};
 use pilgrim::{SimTime, World};
 
 fn main() -> ExitCode {
@@ -60,23 +62,20 @@ fn profile_file(path: &str) -> ExitCode {
     }
     // The recording ran unprofiled. Profiling is invisible to program
     // semantics, so force it on and re-drive the same journal: the
-    // deterministic re-run *is* the original run, now instrumented.
+    // deterministic re-run *is* the original run, now instrumented. This
+    // binary links no service installers, so a recording that needs
+    // Rust-side setup is refused rather than re-run without its servers.
     artifact.recipe.node_cfg.profile_vm = true;
-    let mut world = match artifact.recipe.build_world() {
-        Ok(w) => w,
-        Err(e) => {
-            eprintln!("pilgrim-prof: recipe no longer builds: {e}");
-            return ExitCode::from(2);
+    match rerun(&artifact, 1, None) {
+        Ok(world) => {
+            print!("{}", world.folded_stacks());
+            ExitCode::SUCCESS
         }
-    };
-    for s in &artifact.stimuli {
-        if let Err(e) = world.apply(s) {
-            eprintln!("pilgrim-prof: cannot re-apply journal: {e}");
-            return ExitCode::from(2);
+        Err(e) => {
+            eprintln!("pilgrim-prof: cannot re-run {path}: {e}");
+            ExitCode::from(2)
         }
     }
-    print!("{}", world.folded_stacks());
-    ExitCode::SUCCESS
 }
 
 /// A profiled scenario with recursion and a cross-node RPC: fib(8) on

@@ -47,16 +47,19 @@ fn main() -> ExitCode {
 /// Decodes the trace carried by either artifact format.
 fn load_events(path: &str) -> Result<Vec<TraceEvent>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if let Ok(artifact) = Artifact::parse(&text) {
-        return TraceEvent::parse_jsonl(&artifact.trace)
-            .map_err(|e| format!("{path}: recorded trace: {e}"));
-    }
+    let not_artifact = match Artifact::parse(&text) {
+        Ok(artifact) => {
+            return TraceEvent::parse_jsonl(&artifact.trace)
+                .map_err(|e| format!("{path}: recorded trace: {e}"))
+        }
+        Err(e) => e,
+    };
     match BlackboxSnapshot::parse(&text) {
         Ok(snap) => snap
             .decode_events()
             .map_err(|e| format!("{path}: blackbox events: {e}")),
         Err(e) => Err(format!(
-            "{path} is neither a replay artifact nor a blackbox dump: {e}"
+            "{path} is neither a replay artifact ({not_artifact}) nor a blackbox dump ({e})"
         )),
     }
 }
@@ -204,7 +207,7 @@ end";
         .program_for(3, SERVER)
         .network(net)
         .seed(0x1055)
-        .tsdb(true)
+        .coarse_window(1, 4096)
         .build()
         .expect("scenario builds");
     w.spawn(0, "main", vec![Value::Int(4)]);
@@ -220,8 +223,8 @@ fn selftest() -> ExitCode {
     println!("== pilgrim-trace selftest ==");
 
     let world = trace_scenario();
-    let events = world.tracer().events();
-    let graph = CausalGraph::from_events(&events);
+    let events = world.tracer().len();
+    let graph = world.causal_graph();
     if graph.spans().is_empty() {
         eprintln!("selftest FAILED: no spans reconstructed from the trace");
         return ExitCode::FAILURE;
@@ -243,7 +246,7 @@ fn selftest() -> ExitCode {
     );
 
     let again = trace_scenario();
-    let graph2 = CausalGraph::from_events(&again.tracer().events());
+    let graph2 = again.causal_graph();
     if graph2.render_critical() != critical || graph2.render_slowest(5) != slowest {
         eprintln!("selftest FAILED: two identical runs analyzed differently");
         return ExitCode::FAILURE;
@@ -271,11 +274,10 @@ fn selftest() -> ExitCode {
     let _ = std::fs::remove_file(&blackbox_path);
     match (from_replay, from_blackbox) {
         (Ok(replayed), Ok(boxed)) => {
-            if replayed.len() != events.len() {
+            if replayed.len() != events {
                 eprintln!(
-                    "selftest FAILED: replay artifact lost events ({} != {})",
-                    replayed.len(),
-                    events.len()
+                    "selftest FAILED: replay artifact lost events ({} != {events})",
+                    replayed.len()
                 );
                 return ExitCode::FAILURE;
             }

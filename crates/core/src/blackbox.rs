@@ -6,8 +6,8 @@
 //! has usually already happened by the time anyone attaches a debugger.
 //! The flight recorder closes that gap: a fixed-budget ring of recent
 //! trace events runs inside the [`Tracer`] even with full tracing off,
-//! and a coarse always-on time-series store keeps the last few metric
-//! windows. When a watchpoint trips, a `maybe` call is diagnosed as
+//! and the always-on time-series store (coarse by default) keeps the
+//! last few metric windows. When a watchpoint trips, a `maybe` call is diagnosed as
 //! lost, or the operator asks for one, the world freezes both rings into
 //! a [`BlackboxSnapshot`] — rendered with the same `pilgrim_sim::json`
 //! machinery as replay artifacts, so the `pilgrim-trace` binary can load
@@ -23,7 +23,7 @@ pub const FORMAT: &str = "pilgrim-blackbox";
 pub const VERSION: u32 = 1;
 
 /// A frozen flight-recorder snapshot: why and when it was taken, the
-/// metrics inventory at that instant, the retained coarse time-series
+/// metrics inventory at that instant, the retained time-series
 /// windows, and the recent-event ring as JSONL.
 #[derive(Debug, Clone)]
 pub struct BlackboxSnapshot {
@@ -36,9 +36,10 @@ pub struct BlackboxSnapshot {
     pub sync_index: u64,
     /// The raw metrics inventory (`Metrics::report`) at the snapshot.
     pub metrics: String,
-    /// The coarse always-on store's window summary at the snapshot.
+    /// The time-series store's window summary at the snapshot — the same
+    /// text `World::tsdb_summary` returns.
     pub windows: String,
-    /// Every coarse series rendered window by window
+    /// Every retained series rendered sample by sample
     /// (`SeriesStore::render_all`), so offline tooling can answer "what
     /// did net.bridge_lost do over the last few windows" from the dump
     /// alone.

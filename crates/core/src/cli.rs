@@ -431,7 +431,7 @@ impl DebugCli {
                     .ok_or_else(|| usage("record <path>"))?;
                 let artifact = world.record();
                 let stimuli = artifact.stimuli.len();
-                let events = world.tracer().events().len();
+                let events = world.tracer().len();
                 std::fs::write(path, artifact.render())
                     .map_err(|e| DebugError::Source(format!("cannot write {path}: {e}")))?;
                 Ok(format!(
@@ -788,7 +788,7 @@ console 0",
         let mut w = World::builder()
             .nodes(1)
             .program(PROGRAM)
-            .tsdb(true)
+            .coarse_window(1, 4096)
             .build()
             .unwrap();
         let mut cli = DebugCli::new();

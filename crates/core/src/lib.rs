@@ -79,7 +79,7 @@ pub use proto::{
     ProcView, RpcCallView, RpcFrameView, SessionId, StateView,
 };
 pub use replay::{
-    replay_with_setup, replay_with_threads, Artifact, Recipe, ReplayError, ReplayReport,
+    replay_with_setup, replay_with_threads, rerun, Artifact, Recipe, ReplayError, ReplayReport,
     SetupInstaller, Stimulus,
 };
 pub use timebase::{BreakpointLog, HaltRecord};

@@ -39,11 +39,13 @@ use pilgrim_cclu::Value;
 use pilgrim_mayflower::NodeConfig;
 use pilgrim_ring::NetworkConfig;
 use pilgrim_rpc::{RpcConfig, WireValue};
-use pilgrim_sim::{first_divergence, quote_into, Divergence, Json, SimDuration, TraceEvent};
+use pilgrim_sim::{
+    first_divergence, quote_into, Divergence, Json, SimDuration, TraceEvent, BLACKBOX_CAPACITY,
+};
 
 use crate::agent::AgentConfig;
 use crate::proto::AgentRequest;
-use crate::world::{BuildError, World};
+use crate::world::{BuildError, World, WorldBuilder};
 
 /// Artifact format tag, checked on load.
 pub const FORMAT: &str = "pilgrim-replay";
@@ -52,7 +54,8 @@ pub const VERSION: u32 = 1;
 
 /// Everything [`crate::WorldBuilder`] needs to rebuild a world
 /// bit-for-bit: topology, seeds, configs, programs, and the lockstep
-/// window. Captured automatically by `build()`.
+/// window. The builder's setters write it directly, so this struct (with
+/// its `Default` and JSON) is where a recipe-carried input is declared.
 #[derive(Debug, Clone)]
 pub struct Recipe {
     /// Number of user nodes.
@@ -64,7 +67,7 @@ pub struct Recipe {
     pub window: SimDuration,
     /// The shared program source, if one was set.
     pub default_source: Option<String>,
-    /// Per-node program overrides, sorted by node.
+    /// Per-node program overrides, sorted by node, one entry per node.
     pub per_node_source: Vec<(u32, String)>,
     /// Network model configuration.
     pub net: NetworkConfig,
@@ -78,30 +81,76 @@ pub struct Recipe {
     pub with_debugger: bool,
     /// Whether agents are linked into the nodes.
     pub with_agents: bool,
-    /// Whether the full-resolution time-series store is armed. Part of
-    /// the recipe so a replayed world samples identically and `tsdb`
-    /// queries reproduce byte-for-byte.
-    pub tsdb: bool,
     /// Head-based span sampling rate (0 or 1 = off). Recipe-carried so a
     /// replay keeps exactly the spans the live run kept.
     pub trace_sample: u32,
     /// Flight-recorder ring budget in events.
     pub blackbox_capacity: usize,
-    /// Coarse always-on store: sync points per sample.
+    /// The time-series store's cadence: sync points per sample. In the
+    /// recipe so a replayed world's `tsdb` output is byte-identical.
     pub coarse_interval: u64,
-    /// Coarse always-on store: samples retained per series.
+    /// The time-series store's ring budget: samples retained per series.
     pub coarse_budget: usize,
     /// Rust-side setup steps that ran against the built world before the
     /// first stimulus — native service installs (nameserver, aotman),
     /// trace filters, and the like. These cannot be journalled as
     /// stimuli (they register native handler closures), so the recipe
-    /// records `(kind, params)` markers and [`replay_with_setup`] asks
-    /// its caller to re-perform them. A plain [`replay`] of a
+    /// records `(kind, params)` markers and [`rerun`] asks its caller's
+    /// installer to re-perform them. A plain [`replay`] of a
     /// setup-bearing artifact fails with a message naming the kinds.
     pub setup: Vec<(String, Json)>,
 }
 
+/// Default sampling cadence of the always-on time-series store.
+const TSDB_COARSE_INTERVAL: u64 = 64;
+/// Default ring budget of the always-on time-series store — small enough
+/// that the dormant-path cost stays inside the `node/step_storm` 3% gate.
+const TSDB_COARSE_BUDGET: usize = 64;
+/// Store shape of a recording whose `"tsdb": true` armed the former
+/// full-resolution store: every sync point, 4096 samples per series.
+const LEGACY_TSDB_SHAPE: (u64, usize) = (1, 4096);
+/// Most user nodes a recipe read from a file may ask for: a world costs
+/// kilobytes per station before anything runs.
+const MAX_NODES: u64 = 1 << 20;
+
+impl Default for Recipe {
+    /// What [`World::builder`] starts from: one node with no program, the
+    /// debugger and agents attached, every sampling knob at its default.
+    fn default() -> Recipe {
+        Recipe {
+            nodes: 1,
+            seed: 0,
+            window: SimDuration::from_millis(1),
+            default_source: None,
+            per_node_source: Vec::new(),
+            net: NetworkConfig::default(),
+            rpc: RpcConfig::default(),
+            node_cfg: NodeConfig::default(),
+            agent_cfg: AgentConfig::default(),
+            with_debugger: true,
+            with_agents: true,
+            trace_sample: 0,
+            blackbox_capacity: BLACKBOX_CAPACITY,
+            coarse_interval: TSDB_COARSE_INTERVAL,
+            coarse_budget: TSDB_COARSE_BUDGET,
+            setup: Vec::new(),
+        }
+    }
+}
+
 impl Recipe {
+    /// Sets node `node`'s program override, keeping the list sorted by
+    /// node with one entry each: the last write for a node wins.
+    pub(crate) fn set_program_for(&mut self, node: u32, source: &str) {
+        match self
+            .per_node_source
+            .binary_search_by_key(&node, |(n, _)| *n)
+        {
+            Ok(at) => self.per_node_source[at].1 = source.to_string(),
+            Err(at) => self.per_node_source.insert(at, (node, source.to_string())),
+        }
+    }
+
     /// The recipe as a JSON object.
     pub fn to_json(&self) -> Json {
         Json::obj(vec![
@@ -135,7 +184,6 @@ impl Recipe {
             ("agent", self.agent_cfg.to_json()),
             ("debugger", Json::Bool(self.with_debugger)),
             ("agents", Json::Bool(self.with_agents)),
-            ("tsdb", Json::Bool(self.tsdb)),
             ("trace_sample", Json::Int(self.trace_sample as i128)),
             (
                 "blackbox_capacity",
@@ -160,112 +208,102 @@ impl Recipe {
         ])
     }
 
-    /// Rebuilds a recipe from [`to_json`](Recipe::to_json) output.
+    /// Rebuilds a recipe from [`to_json`](Recipe::to_json) output. The
+    /// text is outside input, so counts are bounded here, before
+    /// anything allocates for them.
     ///
     /// # Errors
     ///
-    /// Missing or mistyped fields.
+    /// Missing, mistyped or out-of-range fields.
     pub fn from_json(v: &Json) -> Result<Recipe, String> {
-        let u32_field = |field: &str| -> Result<u32, String> {
-            v.get(field)
-                .and_then(Json::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or_else(|| format!("recipe: missing `{field}`"))
+        let missing = |field: &str| format!("recipe: missing `{field}`");
+        let part = |field: &str| v.get(field).ok_or_else(|| missing(field));
+        let uint = |field: &str| v.get(field).and_then(Json::as_u64);
+        let flag = |field: &str| v.get(field).and_then(Json::as_bool);
+
+        let nodes = uint("nodes").ok_or_else(|| missing("nodes"))?;
+        if !(1..=MAX_NODES).contains(&nodes) {
+            return Err(format!(
+                "recipe: `nodes` is {nodes}, outside 1..={MAX_NODES}"
+            ));
+        }
+        let mut recipe = Recipe {
+            nodes: nodes as u32,
+            seed: uint("seed").ok_or_else(|| missing("seed"))?,
+            window: uint("window_us")
+                .map(SimDuration::from_micros)
+                .ok_or_else(|| missing("window_us"))?,
+            default_source: match v.get("default_program") {
+                None | Some(Json::Null) => None,
+                Some(s) => Some(
+                    s.as_str()
+                        .ok_or("recipe: non-string `default_program`")?
+                        .to_string(),
+                ),
+            },
+            net: NetworkConfig::from_json(part("net")?)?,
+            rpc: RpcConfig::from_json(part("rpc")?)?,
+            node_cfg: NodeConfig::from_json(part("node_cfg")?)?,
+            agent_cfg: AgentConfig::from_json(part("agent")?)?,
+            with_debugger: flag("debugger").ok_or_else(|| missing("debugger"))?,
+            with_agents: flag("agents").ok_or_else(|| missing("agents"))?,
+            ..Recipe::default()
         };
-        let default_source = match v.get("default_program") {
-            None | Some(Json::Null) => None,
-            Some(s) => Some(
-                s.as_str()
-                    .ok_or("recipe: non-string `default_program`")?
-                    .to_string(),
-            ),
-        };
-        let mut per_node_source = Vec::new();
-        for p in v
-            .get("programs")
-            .and_then(Json::as_array)
-            .ok_or("recipe: missing `programs`")?
+        // The observability knobs (and setup markers) are absent in
+        // artifacts recorded before they existed; those worlds ran at the
+        // then-hard-coded values, which are still the defaults.
+        if let Some(n) = uint("trace_sample").and_then(|n| u32::try_from(n).ok()) {
+            recipe.trace_sample = n;
+        }
+        if let Some(n) = uint("blackbox_capacity") {
+            recipe.blackbox_capacity = n as usize;
+        }
+        if let Some(n) = uint("coarse_interval") {
+            recipe.coarse_interval = n;
+        }
+        if let Some(n) = uint("coarse_budget") {
+            recipe.coarse_budget = n as usize;
+        }
+        // Recordings made while `"tsdb": true` armed a second store have
+        // no other way to say "full resolution": the key wins over the
+        // coarse shape written beside it, because the armed store was the
+        // one that answered every `tsdb` query of that run.
+        if flag("tsdb") == Some(true) {
+            (recipe.coarse_interval, recipe.coarse_budget) = LEGACY_TSDB_SHAPE;
+        }
+        for p in part("programs")?
+            .as_array()
+            .ok_or_else(|| missing("programs"))?
         {
             let node = p
                 .get("node")
                 .and_then(Json::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
                 .ok_or("recipe: program entry missing `node`")?;
+            if node >= nodes {
+                return Err(format!(
+                    "recipe: program entry for node {node} in a world of {nodes} nodes"
+                ));
+            }
             let source = p
                 .get("source")
                 .and_then(Json::as_str)
                 .ok_or("recipe: program entry missing `source`")?;
-            per_node_source.push((node, source.to_string()));
+            recipe.set_program_for(node as u32, source);
         }
-        Ok(Recipe {
-            nodes: u32_field("nodes")?,
-            seed: v
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or("recipe: missing `seed`")?,
-            window: v
-                .get("window_us")
-                .and_then(Json::as_u64)
-                .map(SimDuration::from_micros)
-                .ok_or("recipe: missing `window_us`")?,
-            default_source,
-            per_node_source,
-            net: NetworkConfig::from_json(v.get("net").ok_or("recipe: missing `net`")?)?,
-            rpc: RpcConfig::from_json(v.get("rpc").ok_or("recipe: missing `rpc`")?)?,
-            node_cfg: NodeConfig::from_json(
-                v.get("node_cfg").ok_or("recipe: missing `node_cfg`")?,
-            )?,
-            agent_cfg: AgentConfig::from_json(v.get("agent").ok_or("recipe: missing `agent`")?)?,
-            with_debugger: v
-                .get("debugger")
-                .and_then(Json::as_bool)
-                .ok_or("recipe: missing `debugger`")?,
-            with_agents: v
-                .get("agents")
-                .and_then(Json::as_bool)
-                .ok_or("recipe: missing `agents`")?,
-            // Absent in artifacts recorded before the time-series store
-            // existed; those worlds ran without it.
-            tsdb: v.get("tsdb").and_then(Json::as_bool).unwrap_or(false),
-            // The four observability knobs below are absent in artifacts
-            // recorded before they became tunable; those worlds ran at
-            // the then-hard-coded defaults.
-            trace_sample: v
-                .get("trace_sample")
-                .and_then(Json::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .unwrap_or(0),
-            blackbox_capacity: v
-                .get("blackbox_capacity")
-                .and_then(Json::as_u64)
-                .map(|n| n as usize)
-                .unwrap_or(pilgrim_sim::BLACKBOX_CAPACITY),
-            coarse_interval: v
-                .get("coarse_interval")
-                .and_then(Json::as_u64)
-                .unwrap_or(crate::world::TSDB_COARSE_INTERVAL),
-            coarse_budget: v
-                .get("coarse_budget")
-                .and_then(Json::as_u64)
-                .map(|n| n as usize)
-                .unwrap_or(crate::world::TSDB_COARSE_BUDGET),
-            // Absent in artifacts recorded before setup markers existed.
-            setup: match v.get("setup").and_then(Json::as_array) {
-                None => Vec::new(),
-                Some(entries) => {
-                    let mut setup = Vec::new();
-                    for e in entries {
-                        let kind = e
-                            .get("kind")
-                            .and_then(Json::as_str)
-                            .ok_or("recipe: setup entry missing `kind`")?;
-                        let params = e.get("params").cloned().unwrap_or(Json::Null);
-                        setup.push((kind.to_string(), params));
-                    }
-                    setup
-                }
-            },
-        })
+        for e in v
+            .get("setup")
+            .and_then(Json::as_array)
+            .into_iter()
+            .flatten()
+        {
+            let kind = e
+                .get("kind")
+                .and_then(Json::as_str)
+                .ok_or("recipe: setup entry missing `kind`")?;
+            let params = e.get("params").cloned().unwrap_or(Json::Null);
+            recipe.setup.push((kind.to_string(), params));
+        }
+        Ok(recipe)
     }
 
     /// Builds a fresh world from the recipe.
@@ -274,27 +312,7 @@ impl Recipe {
     ///
     /// Program compilation failures and empty topologies.
     pub fn build_world(&self) -> Result<World, BuildError> {
-        let mut b = World::builder()
-            .nodes(self.nodes)
-            .seed(self.seed)
-            .lockstep_window(self.window)
-            .network(self.net.clone())
-            .rpc(self.rpc.clone())
-            .node_config(self.node_cfg.clone())
-            .agent(self.agent_cfg.clone())
-            .debugger(self.with_debugger)
-            .agents(self.with_agents)
-            .tsdb(self.tsdb)
-            .trace_sample(self.trace_sample)
-            .blackbox_capacity(self.blackbox_capacity)
-            .coarse_window(self.coarse_interval, self.coarse_budget);
-        if let Some(src) = &self.default_source {
-            b = b.program(src);
-        }
-        for (node, src) in &self.per_node_source {
-            b = b.program_for(*node, src);
-        }
-        b.build()
+        WorldBuilder::from(self.clone()).build()
     }
 }
 
@@ -1060,33 +1078,62 @@ pub fn replay_with_threads(
     artifact: &Artifact,
     threads: usize,
 ) -> Result<ReplayReport, ReplayError> {
-    if !artifact.recipe.setup.is_empty() {
-        let kinds: Vec<&str> = artifact
-            .recipe
-            .setup
-            .iter()
-            .map(|(k, _)| k.as_str())
-            .collect();
+    verify(artifact, rerun(artifact, threads, None)?)
+}
+
+/// The kind of callback [`rerun`] uses to re-perform a recipe's
+/// Rust-side setup steps against the freshly built world.
+pub type SetupInstaller<'a> = dyn FnMut(&mut World, &str, &Json) -> Result<(), String> + 'a;
+
+/// Rebuilds the world `artifact` names and drives it through the recorded
+/// journal: build from the recipe, step on `threads` workers, re-perform
+/// the recipe's Rust-side [`Recipe::setup`] steps, apply every stimulus.
+/// The one way a recording is re-run — replay verifies the world this
+/// returns, `pilgrim-prof` reads its profile.
+///
+/// `installer` is called once per recorded `(kind, params)` entry, in
+/// order, after the build and before the first stimulus; it must
+/// re-create exactly what the recording run did. Without one, an
+/// artifact that needs setup is refused by name: re-driving its journal
+/// against a world with no handlers would be a different run.
+///
+/// # Errors
+///
+/// [`ReplayError::Format`] for a setup-bearing artifact and no installer;
+/// [`ReplayError::Build`] when the recipe no longer builds;
+/// [`ReplayError::Stimulus`] when the installer rejects a setup entry or
+/// a journal entry cannot be applied (e.g. an opaque spawn argument).
+pub fn rerun(
+    artifact: &Artifact,
+    threads: usize,
+    installer: Option<&mut SetupInstaller<'_>>,
+) -> Result<World, ReplayError> {
+    let setup = &artifact.recipe.setup;
+    if installer.is_none() && !setup.is_empty() {
+        let kinds: Vec<&str> = setup.iter().map(|(k, _)| k.as_str()).collect();
         return Err(ReplayError::Format(format!(
             "artifact needs Rust-side setup ({}); replay it with \
              `replay_with_setup` and an installer that knows these kinds",
             kinds.join(", ")
         )));
     }
-    replay_with_setup(artifact, threads, &mut |_, kind, _| {
-        Err(format!("unexpected setup kind `{kind}`"))
-    })
+    let mut world = artifact.recipe.build_world().map_err(ReplayError::Build)?;
+    world.set_step_threads(threads);
+    if let Some(install) = installer {
+        for (kind, params) in setup {
+            install(&mut world, kind, params)
+                .map_err(|e| ReplayError::Stimulus(format!("setup `{kind}`: {e}")))?;
+        }
+    }
+    for s in &artifact.stimuli {
+        world.apply(s).map_err(ReplayError::Stimulus)?;
+    }
+    Ok(world)
 }
 
-/// The kind of callback [`replay_with_setup`] uses to re-perform a
-/// recipe's Rust-side setup steps against the freshly built world.
-pub type SetupInstaller<'a> = dyn FnMut(&mut World, &str, &Json) -> Result<(), String> + 'a;
-
 /// [`replay_with_threads`] for artifacts whose recipe carries Rust-side
-/// [`Recipe::setup`] steps (native service handlers, trace filters). The
-/// `installer` is called once per recorded `(kind, params)` entry, in
-/// order, right after the world is built and before any stimulus is
-/// applied — it must re-create exactly what the recording run did.
+/// [`Recipe::setup`] steps, re-performed through `installer` (see
+/// [`rerun`]).
 ///
 /// # Errors
 ///
@@ -1097,15 +1144,11 @@ pub fn replay_with_setup(
     threads: usize,
     installer: &mut SetupInstaller<'_>,
 ) -> Result<ReplayReport, ReplayError> {
-    let mut world = artifact.recipe.build_world().map_err(ReplayError::Build)?;
-    world.set_step_threads(threads);
-    for (kind, params) in &artifact.recipe.setup {
-        installer(&mut world, kind, params)
-            .map_err(|e| ReplayError::Stimulus(format!("setup `{kind}`: {e}")))?;
-    }
-    for s in &artifact.stimuli {
-        world.apply(s).map_err(ReplayError::Stimulus)?;
-    }
+    verify(artifact, rerun(artifact, threads, Some(installer))?)
+}
+
+/// Diffs a re-run world's trace (and profile) against the recording.
+fn verify(artifact: &Artifact, world: World) -> Result<ReplayReport, ReplayError> {
     let fresh = world.trace_jsonl();
     // Verification is bytes first. Equal bytes parse to equal events, so
     // there is nothing for the structural differ to explain and neither

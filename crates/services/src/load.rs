@@ -350,6 +350,16 @@ fn counter(world: &World, name: &str) -> u64 {
     world.metrics().counter_value(name).unwrap_or(0)
 }
 
+/// The figures both reports lead with: completed RPCs, throughput over
+/// `window_us` in milli-ops/s, and the p50/p90/p99 latency buckets.
+fn headline(world: &World, window_us: u64) -> (u64, u64, [u64; 3]) {
+    let completed = counter(world, "rpc.completed");
+    let hist = world.metrics().histogram_named("rpc.latency_us");
+    let q = |p: f64| -> u64 { hist.as_ref().and_then(|h| h.quantile(p)).unwrap_or(0) };
+    let throughput_mrps = completed.saturating_mul(1_000_000_000) / window_us;
+    (completed, throughput_mrps, [q(0.50), q(0.90), q(0.99)])
+}
+
 /// Renders the deterministic report and evaluates the scenario's gate
 /// floors. Throughput is measured over the offered window `[0,
 /// last_arrival]` — the open-loop definition — in milli-ops/sec so the
@@ -360,13 +370,9 @@ fn render_report(
     last_at: SimTime,
     drained: bool,
 ) -> (String, Vec<String>) {
-    let completed = counter(world, "rpc.completed");
     let failed = counter(world, "rpc.failed");
     let window_us = last_at.as_micros().max(1);
-    let throughput_mrps = completed.saturating_mul(1_000_000_000) / window_us;
-    let hist = world.metrics().histogram_named("rpc.latency_us");
-    let q = |p: f64| -> u64 { hist.as_ref().and_then(|h| h.quantile(p)).unwrap_or(0) };
-    let (p50, p90, p99) = (q(0.50), q(0.90), q(0.99));
+    let (completed, throughput_mrps, [p50, p90, p99]) = headline(world, window_us);
 
     let mut gate_failures = Vec::new();
     if let Some(floor) = sc.min_rps {
@@ -444,6 +450,25 @@ fn render_report(
     (out, gate_failures)
 }
 
+/// One `| window | <what> | util% |` table over a busy-time counter's
+/// retained windows; `sharers` is how many transmitters the busy time is
+/// spread over (the stations of a segment, 1 for a bridge link).
+fn push_busy_table(md: &mut String, what: &str, series: Vec<(u64, u64, u64)>, sharers: u64) {
+    if series.is_empty() {
+        md.push_str("no windows retained\n\n");
+        return;
+    }
+    md.push_str(&format!("| window | {what} | util% |\n|---|---:|---:|\n"));
+    for (start, end, delta) in series {
+        let span_us = end.saturating_sub(start).max(1);
+        md.push_str(&format!(
+            "| [{start}..{end}us] | {delta} | {} |\n",
+            delta.saturating_mul(100) / span_us / sharers
+        ));
+    }
+    md.push('\n');
+}
+
 /// Renders the structured run report: one self-contained markdown
 /// artifact with an embedded machine-readable JSON summary, per-window
 /// throughput and latency series from the time-series store, per-link
@@ -463,10 +488,7 @@ pub fn render_run_report(sc: &Scenario, out: &LoadOutcome, top_k: usize) -> Stri
 
     // The machine summary repeats the headline figures as JSON so CI can
     // gate on them without re-parsing the flat text.
-    let completed = counter(world, "rpc.completed");
-    let throughput_mrps = completed.saturating_mul(1_000_000_000) / out.offered_window_us;
-    let hist = world.metrics().histogram_named("rpc.latency_us");
-    let q = |p: f64| -> u64 { hist.as_ref().and_then(|h| h.quantile(p)).unwrap_or(0) };
+    let (completed, throughput_mrps, [p50, p90, p99]) = headline(world, out.offered_window_us);
     let run_us = world.now().as_micros().max(1);
     let links = world.bridge_links();
     let link_summaries: Vec<Json> = links
@@ -494,9 +516,9 @@ pub fn render_run_report(sc: &Scenario, out: &LoadOutcome, top_k: usize) -> Stri
         ("completed", Json::Int(completed as i128)),
         ("failed", Json::Int(counter(world, "rpc.failed") as i128)),
         ("throughput_mrps", Json::Int(throughput_mrps as i128)),
-        ("p50_us", Json::Int(q(0.50) as i128)),
-        ("p90_us", Json::Int(q(0.90) as i128)),
-        ("p99_us", Json::Int(q(0.99) as i128)),
+        ("p50_us", Json::Int(p50 as i128)),
+        ("p90_us", Json::Int(p90 as i128)),
+        ("p99_us", Json::Int(p99 as i128)),
         ("drained", Json::Bool(out.drained)),
         ("gate_pass", Json::Bool(out.gate_failures.is_empty())),
         (
@@ -561,19 +583,7 @@ pub fn render_run_report(sc: &Scenario, out: &LoadOutcome, top_k: usize) -> Stri
                 busy.saturating_mul(100) / run_us,
             ));
             let series = world.tsdb_counter_windows(&format!("net.link{a}-{b}.busy_us"), window);
-            if series.is_empty() {
-                md.push_str("no windows retained\n\n");
-            } else {
-                md.push_str("| window | busy_us | util% |\n|---|---:|---:|\n");
-                for (start, end, delta) in series {
-                    let span_us = end.saturating_sub(start).max(1);
-                    md.push_str(&format!(
-                        "| [{start}..{end}us] | {delta} | {} |\n",
-                        delta.saturating_mul(100) / span_us
-                    ));
-                }
-                md.push('\n');
-            }
+            push_busy_table(&mut md, "busy_us", series, 1);
         }
     }
 
@@ -599,26 +609,15 @@ pub fn render_run_report(sc: &Scenario, out: &LoadOutcome, top_k: usize) -> Stri
                 busy.saturating_mul(100) / run_us / stations,
             ));
             let series = world.tsdb_counter_windows(&format!("net.seg{seg}.tx_busy_us"), window);
-            if series.is_empty() {
-                md.push_str("no windows retained\n\n");
-            } else {
-                md.push_str("| window | tx_busy_us | util% |\n|---|---:|---:|\n");
-                for (start, end, delta) in series {
-                    let span_us = end.saturating_sub(start).max(1);
-                    md.push_str(&format!(
-                        "| [{start}..{end}us] | {delta} | {} |\n",
-                        delta.saturating_mul(100) / span_us / stations
-                    ));
-                }
-                md.push('\n');
-            }
+            push_busy_table(&mut md, "tx_busy_us", series, stations);
         }
     }
 
+    let graph = world.causal_graph();
     md.push_str(&format!("## slowest spans (top {top_k})\n\n```\n"));
-    md.push_str(&world.slowest_report(top_k));
+    md.push_str(&graph.render_slowest(top_k));
     md.push_str("```\n\n## critical path\n\n```\n");
-    md.push_str(&world.critical_path_report());
+    md.push_str(&graph.render_critical());
     md.push_str("```\n");
     md
 }

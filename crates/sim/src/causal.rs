@@ -120,9 +120,18 @@ impl CausalGraph {
     /// without a span stamp are ignored; spans without a `CallStarted`
     /// (evicted from a bounded ring, say) are dropped.
     pub fn from_events(events: &[TraceEvent]) -> CausalGraph {
+        CausalGraph::from_events_with(|sink| events.iter().for_each(sink))
+    }
+
+    /// [`from_events`](CausalGraph::from_events) for events that live
+    /// behind a visitor rather than in a slice: `walk` hands every event,
+    /// in order, to the sink it is given. A tracer's ring is read in
+    /// place this way (`|sink| tracer.for_each(sink)`) instead of being
+    /// cloned into a `Vec` first.
+    pub fn from_events_with(walk: impl FnOnce(&mut dyn FnMut(&TraceEvent))) -> CausalGraph {
         let mut acc: HashMap<u64, Accum> = HashMap::new();
-        for ev in events {
-            let Some(span) = ev.span else { continue };
+        walk(&mut |ev: &TraceEvent| {
+            let Some(span) = ev.span else { return };
             let a = acc.entry(span.0).or_default();
             a.events += 1;
             a.last_seen = ev.time;
@@ -219,7 +228,7 @@ impl CausalGraph {
                 }
                 _ => {}
             }
-        }
+        });
 
         let mut spans: Vec<SpanProfile> = acc
             .into_values()

@@ -5,9 +5,10 @@
 //! divergence-free through the services setup installer, and the driver's
 //! `set_link_up` journals like any other stimulus.
 
-use pilgrim::{twin_run, Artifact, SimTime, Stimulus};
+use pilgrim::{rerun, twin_run, Artifact, ReplayError, SimTime, Stimulus};
 use pilgrim_services::{
-    replay_load_artifact, run_scenario, run_scenario_threads, Scenario, FS_NODE, NS_NODE,
+    replay_load_artifact, run_scenario, run_scenario_threads, setup_installer, Scenario, FS_NODE,
+    NS_NODE,
 };
 
 /// A small partitioned star scenario, heavy enough to cross bridges and
@@ -98,6 +99,35 @@ fn recorded_load_artifact_replays_byte_identically() {
         );
         assert!(report.byte_identical, "at {threads} threads");
     }
+}
+
+/// `rerun` is the build → setup → apply step every tool that re-drives a
+/// recording shares. Without an installer a load recording is refused by
+/// the setup kinds it names (re-driving it against a world with no
+/// servers would be a different run); with the services installer the
+/// world it returns is the recorded run, recipe and journal included.
+#[test]
+fn rerun_needs_the_installer_and_reproduces_the_run_with_it() {
+    let out = run_scenario(&scenario()).expect("runs");
+    let rendered = out.world.record().render();
+    let artifact = Artifact::parse(&rendered).expect("parses back");
+
+    let err = rerun(&artifact, 1, None).expect_err("no installer, no re-run");
+    assert!(matches!(err, ReplayError::Format(_)), "{err:?}");
+    let text = err.to_string();
+    assert!(
+        text.contains("nameserver, aotman, ns-register, ns-register, trace-filter"),
+        "the refusal must name the setup kinds: {text}"
+    );
+
+    let mut installer = setup_installer();
+    let world = rerun(&artifact, 1, Some(&mut installer)).expect("re-runs");
+    assert_eq!(world.trace_jsonl(), artifact.trace);
+    assert_eq!(
+        world.record().render(),
+        rendered,
+        "the re-run world re-records the artifact it was rebuilt from"
+    );
 }
 
 #[test]

@@ -110,6 +110,82 @@ fn replayed_world_rerecords_the_same_artifact() {
     assert_eq!(report.world.record().render(), original);
 }
 
+/// One literal replacement in a rendered artifact, which must hit.
+fn rewrite(text: &str, from: &str, to: &str) -> String {
+    assert_eq!(text.matches(from).count(), 1, "`{from}` not found once");
+    text.replacen(from, to, 1)
+}
+
+/// Recordings made while the world had two series stores say `"tsdb":
+/// true` for "full resolution", and the oldest carry no `coarse_*` keys
+/// at all. Both must keep parsing and replaying, and the one store must
+/// take the shape the recorded run answered `tsdb` queries at.
+#[test]
+fn legacy_tsdb_recipes_replay_at_the_shape_they_ran_at() {
+    const SHAPE: &str = "\"coarse_interval\": 64, \"coarse_budget\": 64, ";
+    const SAMPLE: &str = "\"trace_sample\": 0, ";
+    let fresh = lock_scenario().record().render();
+    let armed = rewrite(&fresh, SAMPLE, "\"tsdb\": true, \"trace_sample\": 0, ");
+    let armed_shapeless = rewrite(&armed, SHAPE, "");
+    let shapeless = rewrite(&fresh, SHAPE, "");
+    let unarmed = rewrite(&fresh, SAMPLE, "\"tsdb\": false, \"trace_sample\": 0, ");
+
+    for (text, shape, summary) in [
+        (
+            &armed_shapeless,
+            (1, 4096),
+            "interval 1 sync points, budget 4096",
+        ),
+        (&armed, (1, 4096), "interval 1 sync points, budget 4096"),
+        (&shapeless, (64, 64), "interval 64 sync points, budget 64"),
+        (&unarmed, (64, 64), "interval 64 sync points, budget 64"),
+    ] {
+        let artifact = Artifact::parse(text).expect("legacy recipe parses");
+        let recipe = &artifact.recipe;
+        assert_eq!((recipe.coarse_interval, recipe.coarse_budget), shape);
+        let report = replay(&artifact).expect("legacy recipe replays");
+        assert_clean(&report, &artifact);
+        let got = report.world.tsdb_summary();
+        assert!(got.contains(summary), "want `{summary}` in:\n{got}");
+        // What is written back is the current form: shape, no `tsdb` key.
+        assert!(!report.world.record().render().contains("\"tsdb\""));
+    }
+}
+
+/// A recipe is outside input. A node count the builder would try to
+/// allocate for, or a program for a node the world will not have, is a
+/// one-line format error from the parser — never an abort inside
+/// `WorldBuilder::build`.
+#[test]
+fn out_of_range_recipes_are_format_errors() {
+    let fresh = lock_scenario().record().render();
+    let format_error = |text: &str| match Artifact::parse(text) {
+        Err(ReplayError::Format(e)) => {
+            assert_eq!(e.lines().count(), 1, "{e}");
+            e
+        }
+        other => panic!("expected a format error, got {other:?}"),
+    };
+    for nodes in ["0", "1048577", "4000000000"] {
+        let e = format_error(&rewrite(
+            &fresh,
+            "\"nodes\": 2,",
+            &format!("\"nodes\": {nodes},"),
+        ));
+        assert!(e.contains("`nodes`") && e.contains(nodes), "{e}");
+    }
+    let e = format_error(&rewrite(
+        &fresh,
+        "{\"node\": 1, \"source\"",
+        "{\"node\": 2, \"source\"",
+    ));
+    assert!(e.contains("node 2") && e.contains("2 nodes"), "{e}");
+    // The largest admissible count parses (building it is the caller's
+    // choice); the lock scenario's own node 1 entry is then in range.
+    let big = rewrite(&fresh, "\"nodes\": 2,", "\"nodes\": 1048576,");
+    assert_eq!(Artifact::parse(&big).expect("parses").recipe.nodes, 1 << 20);
+}
+
 #[test]
 fn mutated_trace_is_reported_with_index_kind_and_field() {
     let artifact = lock_scenario().record();

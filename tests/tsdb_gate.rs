@@ -33,9 +33,10 @@ ping = proc (x: int) returns (int)
  return (x * 2)
 end";
 
-/// RPC fan-out over a lossy network with the full-resolution store armed:
-/// retransmissions move the counters and the latency histogram, so every
-/// series family gets sampled history to compare.
+/// RPC fan-out over a lossy network with the time-series store at full
+/// resolution (a sample per sync point): retransmissions move the counters
+/// and the latency histogram, so every series family gets sampled history
+/// to compare.
 fn tsdb_scenario(threads: usize) -> World {
     let net = NetworkConfig {
         p_silent_loss: 0.08,
@@ -49,7 +50,7 @@ fn tsdb_scenario(threads: usize) -> World {
         .program_for(3, SERVER)
         .network(net)
         .seed(0x1055)
-        .tsdb(true)
+        .coarse_window(1, 4096)
         .step_threads(threads)
         .build()
         .expect("tsdb scenario builds");
@@ -101,9 +102,13 @@ fn twin_gate_tsdb_and_causal_outputs() {
 fn replayed_world_renders_identical_tsdb_output() {
     let live = tsdb_scenario(1);
     let artifact = live.record();
-    assert!(
-        artifact.recipe.tsdb,
-        "the recipe must carry the tsdb knob or replays sample nothing"
+    assert_eq!(
+        (
+            artifact.recipe.coarse_interval,
+            artifact.recipe.coarse_budget
+        ),
+        (1, 4096),
+        "the recipe must carry the store's shape or replays sample differently"
     );
     let report = replay(&artifact).expect("replay succeeds");
     assert!(
@@ -149,14 +154,32 @@ fn flight_recorder_captures_with_tracing_off() {
     let events = snap.decode_events().expect("ring decodes");
     assert!(!events.is_empty());
     // The dump is self-describing: it round-trips through its renderer
-    // and the coarse always-on store contributed metric windows.
+    // and the always-on store contributed metric windows.
     let text = snap.render();
     let back = BlackboxSnapshot::parse(&text).expect("parses");
     assert_eq!(back.render(), text);
     assert!(
         snap.windows.contains("samples retained"),
-        "coarse store summary missing:\n{}",
+        "store summary missing:\n{}",
         snap.windows
+    );
+}
+
+/// There is one store: what a blackbox dump carries is what `tsdb`
+/// queries answer from, at whatever shape the world was built with.
+#[test]
+fn blackbox_windows_are_the_tsdb_summary() {
+    let full = tsdb_scenario(1);
+    let snap = full.blackbox_snapshot("gate");
+    assert_eq!(snap.windows, full.tsdb_summary());
+    assert!(
+        snap.windows.contains("interval 1 sync points, budget 4096"),
+        "{}",
+        snap.windows
+    );
+    assert!(
+        snap.series.contains(&full.tsdb_report("net.sent", 1)),
+        "the dump's series must be the store's own render"
     );
 }
 
@@ -189,7 +212,7 @@ fn tsdb_scenario_unrun() -> World {
         .program_for(3, SERVER)
         .network(net)
         .seed(0x1055)
-        .tsdb(true)
+        .coarse_window(1, 4096)
         .build()
         .expect("tsdb scenario builds")
 }
