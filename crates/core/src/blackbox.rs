@@ -10,12 +10,14 @@
 //! last few metric windows. When a watchpoint trips, a `maybe` call is diagnosed as
 //! lost, or the operator asks for one, the world freezes both rings into
 //! a [`BlackboxSnapshot`] — rendered with the same `pilgrim_sim::json`
-//! machinery as replay artifacts, so the `pilgrim-trace` binary can load
-//! either format.
+//! machinery as replay artifacts, so [`crate::open`] loads either format
+//! for `pilgrim trace`.
 //!
 //! [`Tracer`]: pilgrim_sim::Tracer
 
 use pilgrim_sim::{Json, SimTime, TraceEvent};
+
+use crate::saved::Saved;
 
 /// Blackbox format tag, checked on load.
 pub const FORMAT: &str = "pilgrim-blackbox";
@@ -74,19 +76,15 @@ impl BlackboxSnapshot {
     ///
     /// # Errors
     ///
-    /// Malformed JSON, wrong format tag or version, or missing sections.
+    /// Everything [`Saved::parse`] rejects, and a well-formed document of
+    /// the other kind (a replay recording).
     pub fn parse(text: &str) -> Result<BlackboxSnapshot, String> {
-        let doc = Json::parse(text).map_err(|e| e.to_string())?;
-        let format = doc.get("format").and_then(Json::as_str).unwrap_or("");
-        if format != FORMAT {
-            return Err(format!("not a {FORMAT} artifact (format tag `{format}`)"));
-        }
-        let version = doc.get("version").and_then(Json::as_u64).unwrap_or(0);
-        if version != VERSION as u64 {
-            return Err(format!(
-                "unsupported blackbox version {version} (expected {VERSION})"
-            ));
-        }
+        Saved::parse(text).and_then(Saved::dump)
+    }
+
+    /// The sections of a parsed document whose `format` tag and version
+    /// [`Saved::parse`] has already checked.
+    pub(crate) fn from_doc(doc: &Json) -> Result<BlackboxSnapshot, String> {
         let s = |field: &str| -> Result<String, String> {
             doc.get(field)
                 .and_then(Json::as_str)

@@ -443,9 +443,10 @@ impl DebugCli {
                     .first()
                     .copied()
                     .ok_or_else(|| usage("replay <path>"))?;
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| DebugError::Source(format!("cannot read {path}: {e}")))?;
-                let report = crate::replay::replay_artifact(&text)
+                let artifact = crate::saved::open(path)
+                    .and_then(|saved| saved.recording().map_err(|e| format!("{path}: {e}")))
+                    .map_err(DebugError::Source)?;
+                let report = crate::replay::replay(&artifact)
                     .map_err(|e| DebugError::Source(e.to_string()))?;
                 Ok(match report.divergence {
                     None => format!(
@@ -825,8 +826,7 @@ console 0",
         let path = path.to_str().unwrap().to_string();
         let saved = cli.exec(&mut w, &format!("blackbox dump {path}"));
         assert!(saved.contains("dumped to"), "{saved}");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(crate::blackbox::BlackboxSnapshot::parse(&text).is_ok());
+        assert!(crate::saved::open(&path).and_then(|s| s.dump()).is_ok());
         let _ = std::fs::remove_file(&path);
     }
 

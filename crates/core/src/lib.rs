@@ -66,6 +66,7 @@ mod debugger;
 mod pool;
 pub mod proto;
 pub mod replay;
+pub mod saved;
 mod timebase;
 pub mod twin;
 mod world;
@@ -79,9 +80,9 @@ pub use proto::{
     ProcView, RpcCallView, RpcFrameView, SessionId, StateView,
 };
 pub use replay::{
-    replay_with_setup, replay_with_threads, rerun, Artifact, Recipe, ReplayError, ReplayReport,
-    SetupInstaller, Stimulus,
+    replay_with, rerun, Artifact, Recipe, ReplayError, ReplayReport, SetupInstaller, Stimulus,
 };
+pub use saved::{open, Saved};
 pub use timebase::{BreakpointLog, HaltRecord};
 pub use twin::{capture, twin_run, twin_threads, TwinArtifacts, TWIN_THREADS};
 pub use world::{

@@ -45,6 +45,7 @@ use pilgrim_sim::{
 
 use crate::agent::AgentConfig;
 use crate::proto::AgentRequest;
+use crate::saved::Saved;
 use crate::world::{BuildError, World, WorldBuilder};
 
 /// Artifact format tag, checked on load.
@@ -963,34 +964,25 @@ impl Artifact {
     ///
     /// # Errors
     ///
-    /// Malformed JSON, wrong format tag or version, or bad sections.
+    /// Everything [`Saved::parse`] rejects, and a well-formed document of
+    /// the other kind (a blackbox dump).
     pub fn parse(text: &str) -> Result<Artifact, ReplayError> {
-        let mut doc = Json::parse(text).map_err(|e| ReplayError::Format(e.to_string()))?;
-        let format = doc.get("format").and_then(Json::as_str).unwrap_or("");
-        if format != FORMAT {
-            return Err(ReplayError::Format(format!(
-                "not a {FORMAT} artifact (format tag `{format}`)"
-            )));
-        }
-        let version = doc.get("version").and_then(Json::as_u64).unwrap_or(0);
-        if version != VERSION as u64 {
-            return Err(ReplayError::Format(format!(
-                "unsupported artifact version {version} (expected {VERSION})"
-            )));
-        }
-        let recipe = Recipe::from_json(
-            doc.get("recipe")
-                .ok_or_else(|| ReplayError::Format("missing `recipe`".to_string()))?,
-        )
-        .map_err(ReplayError::Format)?;
-        let mut stimuli = Vec::new();
-        for s in doc
+        Saved::parse(text)
+            .and_then(Saved::recording)
+            .map_err(ReplayError::Format)
+    }
+
+    /// The sections of a parsed document whose `format` tag and version
+    /// [`Saved::parse`] has already checked.
+    pub(crate) fn from_doc(mut doc: Json) -> Result<Artifact, String> {
+        let recipe = Recipe::from_json(doc.get("recipe").ok_or("missing `recipe`")?)?;
+        let stimuli = doc
             .get("stimuli")
             .and_then(Json::as_array)
-            .ok_or_else(|| ReplayError::Format("missing `stimuli`".to_string()))?
-        {
-            stimuli.push(Stimulus::from_json(s).map_err(ReplayError::Format)?);
-        }
+            .ok_or("missing `stimuli`")?
+            .iter()
+            .map(Stimulus::from_json)
+            .collect::<Result<_, _>>()?;
         // Absent in artifacts recorded before profiling existed; optional.
         let profile = doc
             .get("profile")
@@ -1000,7 +992,7 @@ impl Artifact {
         // artifact's bytes, so it is moved out rather than copied.
         let trace = match doc.get_mut("trace") {
             Some(Json::Str(s)) => std::mem::take(s),
-            _ => return Err(ReplayError::Format("missing `trace`".to_string())),
+            _ => return Err("missing `trace`".to_string()),
         };
         Ok(Artifact {
             recipe,
@@ -1062,10 +1054,12 @@ pub struct ReplayReport {
 /// [`ReplayError::Stimulus`] when a journal entry cannot be applied
 /// (e.g. a spawn argument that was recorded as opaque).
 pub fn replay(artifact: &Artifact) -> Result<ReplayReport, ReplayError> {
-    replay_with_threads(artifact, 1)
+    replay_with(artifact, 1, None)
 }
 
-/// [`replay`], but stepping the rebuilt world on `threads` worker threads.
+/// [`replay`] with the two things a caller may add: `threads` worker
+/// threads stepping the rebuilt world, and an `installer` re-performing
+/// the recipe's Rust-side [`Recipe::setup`] steps (see [`rerun`]).
 ///
 /// Thread count is an execution knob, not part of the recorded recipe, so
 /// a run recorded serially must replay byte-identically in parallel and
@@ -1073,12 +1067,14 @@ pub fn replay(artifact: &Artifact) -> Result<ReplayReport, ReplayError> {
 ///
 /// # Errors
 ///
-/// Exactly those of [`replay`].
-pub fn replay_with_threads(
+/// Those of [`replay`], plus [`ReplayError::Stimulus`] when the
+/// installer rejects a setup entry.
+pub fn replay_with(
     artifact: &Artifact,
     threads: usize,
+    installer: Option<&mut SetupInstaller<'_>>,
 ) -> Result<ReplayReport, ReplayError> {
-    verify(artifact, rerun(artifact, threads, None)?)
+    verify(artifact, rerun(artifact, threads, installer)?)
 }
 
 /// The kind of callback [`rerun`] uses to re-perform a recipe's
@@ -1089,7 +1085,7 @@ pub type SetupInstaller<'a> = dyn FnMut(&mut World, &str, &Json) -> Result<(), S
 /// journal: build from the recipe, step on `threads` workers, re-perform
 /// the recipe's Rust-side [`Recipe::setup`] steps, apply every stimulus.
 /// The one way a recording is re-run — replay verifies the world this
-/// returns, `pilgrim-prof` reads its profile.
+/// returns, `pilgrim prof` reads its profile.
 ///
 /// `installer` is called once per recorded `(kind, params)` entry, in
 /// order, after the build and before the first stimulus; it must
@@ -1113,7 +1109,7 @@ pub fn rerun(
         let kinds: Vec<&str> = setup.iter().map(|(k, _)| k.as_str()).collect();
         return Err(ReplayError::Format(format!(
             "artifact needs Rust-side setup ({}); replay it with \
-             `replay_with_setup` and an installer that knows these kinds",
+             `replay_with` and an installer that knows these kinds",
             kinds.join(", ")
         )));
     }
@@ -1129,22 +1125,6 @@ pub fn rerun(
         world.apply(s).map_err(ReplayError::Stimulus)?;
     }
     Ok(world)
-}
-
-/// [`replay_with_threads`] for artifacts whose recipe carries Rust-side
-/// [`Recipe::setup`] steps, re-performed through `installer` (see
-/// [`rerun`]).
-///
-/// # Errors
-///
-/// Those of [`replay`], plus [`ReplayError::Stimulus`] when the
-/// installer rejects a setup entry.
-pub fn replay_with_setup(
-    artifact: &Artifact,
-    threads: usize,
-    installer: &mut SetupInstaller<'_>,
-) -> Result<ReplayReport, ReplayError> {
-    verify(artifact, rerun(artifact, threads, Some(installer))?)
 }
 
 /// Diffs a re-run world's trace (and profile) against the recording.
@@ -1174,15 +1154,6 @@ fn verify(artifact: &Artifact, world: World) -> Result<ReplayReport, ReplayError
             .map(|p| *p == world.folded_stacks()),
         world,
     })
-}
-
-/// Convenience: parse + [`replay`] in one call.
-///
-/// # Errors
-///
-/// Everything [`Artifact::parse`] and [`replay`] can return.
-pub fn replay_artifact(text: &str) -> Result<ReplayReport, ReplayError> {
-    replay(&Artifact::parse(text)?)
 }
 
 #[cfg(test)]

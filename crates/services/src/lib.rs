@@ -16,6 +16,10 @@
 //!   debugger-unaware: it holds no client timeouts);
 //! * [`TimeoutStrategy`] with [`Watcher`] — the Figure 3 and Figure 4
 //!   timeout-extension algorithms as reusable machinery.
+//!
+//! It is also where the `pilgrim` command lives ([`tool`]): the one crate
+//! that links both the debugging core and the native service installers
+//! a recorded load run needs to be re-run.
 
 #![warn(missing_docs)]
 
@@ -26,6 +30,7 @@ mod nameserver;
 mod resource;
 mod scenario;
 mod strategy;
+pub mod tool;
 
 pub use aotman::{AotConfig, AotMan, TuidRecord};
 pub use fileserver::{CLIENT_EXTERNS, FILE_SERVER_SOURCE};

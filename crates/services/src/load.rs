@@ -1,4 +1,4 @@
-//! The `pilgrim-load` harness: drives a [`Scenario`]'s open-loop
+//! The `pilgrim load` harness: drives a [`Scenario`]'s open-loop
 //! workload against the full services stack (nameserver + fileserver +
 //! AOT manager) on a bridged multi-segment world, and reads throughput
 //! and latency percentiles back out of the metrics registry.
@@ -9,12 +9,12 @@
 //! the replay recipe), and every stimulus goes through the recorded
 //! driver API. Running the same scenario twice produces byte-identical
 //! reports, and the recorded artifact replays divergence-free through
-//! [`pilgrim::replay_with_setup`] with [`setup_installer`] re-creating
+//! [`pilgrim::replay_with`] with [`setup_installer`] re-creating
 //! the native service handlers.
 
 use pilgrim::{
-    replay_with_setup, Artifact, LinkModel, NetworkConfig, NodeId, ReplayError, SimDuration,
-    SimTime, TraceCategory, Value, World,
+    replay_with, Artifact, LinkModel, NetworkConfig, NodeId, ReplayError, SimDuration, SimTime,
+    TraceCategory, Value, World,
 };
 use pilgrim_sim::{render_bucket_bound, DetRng, Json, OpenLoop};
 
@@ -142,7 +142,7 @@ fn install_one(
 }
 
 /// The setup installer for replaying recorded load artifacts: pass it to
-/// [`pilgrim::replay_with_setup`] and it re-creates the native services
+/// [`pilgrim::replay_with`] and it re-creates the native services
 /// exactly as [`run_scenario`] originally installed them.
 pub fn setup_installer() -> impl FnMut(&mut World, &str, &Json) -> Result<(), String> {
     let mut ns: Option<NameServer> = None;
@@ -150,17 +150,16 @@ pub fn setup_installer() -> impl FnMut(&mut World, &str, &Json) -> Result<(), St
 }
 
 /// Replays a recorded load artifact (convenience wrapper wiring
-/// [`setup_installer`] into [`pilgrim::replay_with_setup`]).
+/// [`setup_installer`] into [`pilgrim::replay_with`]).
 ///
 /// # Errors
 ///
-/// Those of [`pilgrim::replay_with_setup`].
+/// Those of [`pilgrim::replay_with`].
 pub fn replay_load_artifact(
     artifact: &Artifact,
     threads: usize,
 ) -> Result<pilgrim::ReplayReport, ReplayError> {
-    let mut installer = setup_installer();
-    replay_with_setup(artifact, threads, &mut installer)
+    replay_with(artifact, threads, Some(&mut setup_installer()))
 }
 
 /// The result of one load run.
@@ -752,6 +751,6 @@ report_window = 2
         assert!(report.byte_identical);
         // Plain replay must refuse, pointing at the setup entries.
         let err = pilgrim::replay::replay(&artifact).expect_err("plain replay refuses");
-        assert!(err.to_string().contains("replay_with_setup"), "{err}");
+        assert!(err.to_string().contains("`replay_with`"), "{err}");
     }
 }

@@ -1,4 +1,4 @@
-//! Hand-rolled parser for `pilgrim-load` scenario files.
+//! Hand-rolled parser for `pilgrim load` scenario files.
 //!
 //! Scenarios are a flat, TOML-ish `key = value` format — hand-rolled so
 //! the workspace stays dependency-free. Example:

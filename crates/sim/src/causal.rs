@@ -68,7 +68,7 @@ impl SpanProfile {
         self.end.as_micros().saturating_sub(self.start.as_micros())
     }
 
-    /// One-line rendering used by the REPL and `pilgrim-trace`.
+    /// One-line rendering used by the REPL and `pilgrim trace`.
     pub fn render(&self) -> String {
         let node = match self.node {
             Some(n) => n.to_string(),

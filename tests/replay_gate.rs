@@ -9,7 +9,7 @@
 //! fail. A property test repeats the round trip over random seeds,
 //! topologies, and stimulus mixes.
 
-use pilgrim::replay::{replay, replay_with_threads, Artifact, ReplayError, ReplayReport};
+use pilgrim::replay::{replay, replay_with, Artifact, ReplayError, ReplayReport};
 use pilgrim::{
     twin_threads, DebugEvent, NodeConfig, SimDuration, SimTime, TraceEvent, Value, World,
 };
@@ -333,7 +333,7 @@ fn parallel_recording_replays_serially() {
 fn serial_recording_replays_in_parallel() {
     let artifact = lock_scenario_with(1, true).record();
     for threads in twin_threads() {
-        let report = replay_with_threads(&artifact, threads).expect("replay runs");
+        let report = replay_with(&artifact, threads, None).expect("replay runs");
         assert_clean(&report, &artifact);
         assert_eq!(report.profile_identical, Some(true));
         assert_eq!(report.world.step_threads(), threads);

@@ -1,0 +1,256 @@
+//! The `pilgrim` command's contract, driven in-process through
+//! `pilgrim_services::tool::run`: exit status 0 ok · 1 divergence, gate
+//! failure or selftest failure · 2 usage error, unreadable or malformed
+//! input with exactly one line on stderr — for every subcommand, and for
+//! the recorded load artifacts that no front-end could re-run before the
+//! tool linked the services installers.
+
+use std::path::PathBuf;
+
+use pilgrim::{rerun, Artifact};
+use pilgrim_services::setup_installer;
+use pilgrim_services::tool::{check_format, run};
+
+/// A small bridged load scenario with a gate it passes.
+const SCENARIO: &str = r#"
+name = "tool-gate"
+seed = 7
+topology = "ring-of-rings"
+segments = 2
+client_nodes = 4
+clients = 16
+arrivals = 40
+rate = 200
+trace = "rpc"
+min_rps = 1
+"#;
+
+/// Runs one command line; returns (status, stdout, stderr).
+fn pilgrim(args: &[&str]) -> (u8, String, String) {
+    let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+    let (mut out, mut err) = (Vec::new(), Vec::new());
+    let status = run(&args, &mut out, &mut err);
+    let text = |bytes| String::from_utf8(bytes).expect("the tool writes UTF-8");
+    (status, text(out), text(err))
+}
+
+/// A scratch directory of this test's own (tests run in parallel).
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(test: &str) -> Scratch {
+        let dir =
+            std::env::temp_dir().join(format!("pilgrim-tool-gate-{}-{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("scratch dir");
+        Scratch(dir)
+    }
+
+    fn path(&self, name: &str) -> String {
+        self.0.join(name).to_str().expect("UTF-8 path").to_string()
+    }
+
+    fn write(&self, name: &str, text: &str) -> String {
+        let path = self.path(name);
+        std::fs::write(&path, text).expect("scratch write");
+        path
+    }
+
+    /// Runs [`SCENARIO`] through `pilgrim load --record`; returns the
+    /// artifact's path and text.
+    fn recorded_load(&self) -> (String, String) {
+        let scenario = self.write("scenario.toml", SCENARIO);
+        let art = self.path("art.json");
+        let (status, out, err) = pilgrim(&["load", &scenario, "--record", &art, "--verify-replay"]);
+        assert_eq!(status, 0, "{out}{err}");
+        assert!(out.contains("gate                  PASS"), "{out}");
+        assert!(out.contains("replay: byte-identical"), "{out}");
+        let text = std::fs::read_to_string(&art).expect("artifact written");
+        (art, text)
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[test]
+fn bad_input_is_status_2_with_one_stderr_line_and_no_stdout() {
+    let dir = Scratch::new("bad-input");
+    let (art, text) = dir.recorded_load();
+    let dump = rerun(
+        &Artifact::parse(&text).expect("parses"),
+        1,
+        Some(&mut setup_installer()),
+    )
+    .expect("re-runs")
+    .blackbox_snapshot("test")
+    .render();
+    let huge = text.replacen("\"nodes\": 7", "\"nodes\": 4000000000", 1);
+    assert_ne!(huge, text, "the artifact's node count was not rewritten");
+
+    let inputs = [
+        (dir.path("missing.json"), "cannot read"),
+        (dir.write("garbage.json", "not json"), "not JSON"),
+        (
+            dir.write("foreign.json", "{\"format\": \"weird\", \"version\": 1}"),
+            "unknown format tag `weird` (expected `pilgrim-replay` or `pilgrim-blackbox`)",
+        ),
+        (
+            dir.write("deep.json", &"[".repeat(100_000)),
+            "nesting deeper than",
+        ),
+        (dir.write("huge.json", &huge), "`nodes` is 4000000000"),
+    ];
+    let dump = dir.write("dump.json", &dump);
+    let mut rows: Vec<(Vec<&str>, &str)> = Vec::new();
+    for (path, needle) in &inputs {
+        for cmd in ["replay", "prof", "trace"] {
+            rows.push((vec![cmd, path], needle));
+        }
+    }
+    rows.push((vec!["replay", &dump], "recording is required"));
+    rows.push((vec!["prof", &dump], "recording is required"));
+    rows.push((vec!["trace", &art, "--tsdb"], "dump is required"));
+    for (args, needle) in rows {
+        let (status, out, err) = pilgrim(&args);
+        assert_eq!(status, 2, "{args:?}: {out}{err}");
+        assert_eq!(out, "", "{args:?} wrote to stdout");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+        assert!(
+            err.starts_with("pilgrim: ") && err.contains(needle),
+            "{args:?}: {err}"
+        );
+    }
+    // The dump is fine where a dump will do.
+    let (status, out, err) = pilgrim(&["trace", &dump]);
+    assert_eq!((status, err.as_str()), (0, ""), "{out}");
+}
+
+#[test]
+fn recorded_load_artifact_replays_profiles_and_traces_from_disk() {
+    let dir = Scratch::new("load-artifact");
+    let (art, text) = dir.recorded_load();
+
+    let (status, out, err) = pilgrim(&["replay", &art]);
+    assert_eq!((status, err.as_str()), (0, ""), "{out}");
+    assert!(
+        out.contains("replayed identically (byte-for-byte)"),
+        "{out}"
+    );
+
+    let (status, folded, err) = pilgrim(&["prof", &art]);
+    assert_eq!((status, err.as_str()), (0, ""), "{folded}");
+    check_format(&folded).expect("folded stacks");
+    // What it printed is the profile of the recorded run, not of some
+    // other run: the instrumented re-run reproduces the recorded trace.
+    let mut artifact = Artifact::parse(&text).expect("parses");
+    artifact.recipe.node_cfg.profile_vm = true;
+    let world = rerun(&artifact, 1, Some(&mut setup_installer())).expect("re-runs");
+    assert_eq!(world.trace_jsonl(), artifact.trace);
+    assert_eq!(world.folded_stacks(), folded);
+
+    let (status, out, err) = pilgrim(&["trace", &art]);
+    assert_eq!((status, err.as_str()), (0, ""), "{out}");
+    assert!(out.contains(" spans\ncritical path:\n"), "{out}");
+    assert!(out.contains("\nslowest 5 of "), "{out}");
+    let (status, out, _) = pilgrim(&["trace", &art, "--slow", "2"]);
+    assert!(status == 0 && out.contains("\nslowest 2 of "), "{out}");
+}
+
+#[test]
+fn mutated_trace_line_is_status_1_pinned_to_that_event() {
+    let dir = Scratch::new("mutated");
+    let (_, text) = dir.recorded_load();
+    let mut artifact = Artifact::parse(&text).expect("parses");
+    let mut lines: Vec<String> = artifact.trace.lines().map(str::to_string).collect();
+    let victim = lines.len() / 2;
+    lines[victim] = lines[victim].replacen("\"time_us\": ", "\"time_us\": 9", 1);
+    artifact.trace = lines.join("\n") + "\n";
+    let mutated = dir.write("mutated.json", &artifact.render());
+
+    let (status, out, err) = pilgrim(&["replay", &mutated]);
+    assert_eq!(status, 1, "{out}{err}");
+    assert!(!out.contains("OK:"), "{out}");
+    assert!(err.starts_with("DIVERGENCE after "), "{err}");
+    assert!(
+        err.contains(&format!("trace divergence at event {victim}:")),
+        "{err}"
+    );
+}
+
+#[test]
+fn a_failing_gate_is_status_1_and_no_option_waives_it() {
+    let dir = Scratch::new("gate");
+    let failing = dir.write(
+        "failing.toml",
+        &SCENARIO.replace("min_rps = 1", "min_rps = 1000000"),
+    );
+    let dump = dir.path("blackbox.json");
+    let (status, out, err) = pilgrim(&["load", &failing, "--blackbox", &dump]);
+    assert_eq!(status, 1, "{out}{err}");
+    assert!(out.contains("gate                  FAIL"), "{out}");
+    assert!(err.contains("pilgrim load: gate: "), "{err}");
+    let (status, _, err) = pilgrim(&["trace", &dump, "--tsdb"]);
+    assert_eq!(
+        (status, err.as_str()),
+        (0, ""),
+        "the gate failure dumped the flight recorder"
+    );
+
+    let (status, out, err) = pilgrim(&["load", &failing, "--no-gate"]);
+    assert_eq!((status, out.as_str()), (2, ""), "{err}");
+    assert_eq!(err, "pilgrim: unknown argument `--no-gate`\n");
+}
+
+#[test]
+fn usage_errors_are_status_2_and_help_is_status_0_on_stdout() {
+    for help in [vec!["--help"], vec!["-h"], vec!["trace", "--help"]] {
+        let (status, out, err) = pilgrim(&help);
+        assert_eq!((status, err.as_str()), (0, ""), "{help:?}");
+        assert!(out.starts_with("usage: pilgrim <command>\n"), "{out}");
+        for cmd in ["replay", "prof", "trace", "load", "selftest"] {
+            assert!(
+                out.contains(&format!("\n  {cmd} ")),
+                "usage omits {cmd}:\n{out}"
+            );
+        }
+    }
+
+    let dir = Scratch::new("usage");
+    let (art, _) = dir.recorded_load();
+    let usage_errors: [&[&str]; 10] = [
+        &[],
+        &["frobnicate"],
+        &["--selftest"],
+        &["replay"],
+        &["replay", "--selftest"],
+        &["prof", &art, &art],
+        &["trace", &art, "--slow", "0"],
+        &["trace", &art, "--slow"],
+        &["trace", &art, "--span", "x"],
+        &["load", "--threads", "0"],
+    ];
+    for args in usage_errors {
+        let (status, out, err) = pilgrim(args);
+        assert_eq!((status, out.as_str()), (2, ""), "{args:?}: {err}");
+        assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+    }
+
+    // A span the trace does not hold is a failed lookup, not a success.
+    let (status, out, err) = pilgrim(&["trace", &art, "--span", "4000000000"]);
+    assert_eq!(status, 1, "{out}{err}");
+    assert_eq!(err, "path: no span 4000000000 in trace\n");
+}
+
+#[test]
+fn selftest_runs_four_sections_and_says_ok_once() {
+    let (status, out, err) = pilgrim(&["selftest"]);
+    assert_eq!((status, err.as_str()), (0, ""), "{out}");
+    for section in ["replay", "prof", "trace", "load"] {
+        assert!(out.contains(&format!("== {section} ==\n")), "{out}");
+    }
+    assert_eq!(out.matches("selftest OK").count(), 1, "{out}");
+    assert!(out.ends_with("selftest OK\n"), "{out}");
+}
