@@ -139,7 +139,7 @@ pub fn event_queue_1k(cfg: &Config) -> BenchResult {
 
 /// Event queue under heavy cancellation: 2k events scheduled, every other
 /// one cancelled before draining — exercises the lazy-skip path and the
-/// single-map id bookkeeping.
+/// id-window bookkeeping.
 pub fn event_queue_cancel_heavy(cfg: &Config) -> BenchResult {
     runner::run_with("sim/event_queue_cancel_heavy", cfg, || {
         let mut q = EventQueue::new();

@@ -327,6 +327,10 @@ impl Agent {
 
     fn on_proc_exited(&mut self, node: &mut Node, pid: Pid, at: SimTime, net: &mut dyn DebugNet) {
         self.registry.remove(&pid.0);
+        // Invokes are rare; skip hashing the pid when none is outstanding.
+        if self.pending_invokes.is_empty() {
+            return;
+        }
         let Some(pending) = self.pending_invokes.remove(&pid) else {
             return;
         };

@@ -382,28 +382,148 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn rpc_surfaces_as_outcall_and_resumes() {
-        let mut n = node_with(
-            "sq = proc (x: int) returns (int)\n return (x * x)\nend\n\
-             main = proc ()\n r: int := call sq(6) at 1\n print(r)\nend",
-            15,
-        );
-        n.spawn("main", vec![], SpawnOpts::default()).unwrap();
-        let outcalls = n.advance_to(SimTime::from_millis(5));
-        let (token, req) = outcalls
+    const RPC_SOURCE: &str = "sq = proc (x: int) returns (int)\n return (x * x)\nend\n\
+         idle = proc ()\nend\n\
+         nap = proc ()\n sleep(10000)\nend\n\
+         main = proc ()\n r: int := call sq(6) at 1\n print(r)\nend";
+
+    /// Spawns `main` and runs it into its remote call; returns the caller
+    /// and the call's token.
+    fn blocked_caller(n: &mut Node) -> (Pid, u64) {
+        let pid = n.spawn("main", vec![], SpawnOpts::default()).unwrap();
+        let outcalls = n.advance_to(n.clock() + SimDuration::from_millis(5));
+        let token = outcalls
             .iter()
             .find_map(|o| match o {
-                Outcall::Rpc { token, req, .. } => Some((*token, req)),
+                Outcall::Rpc { pid: p, token, .. } if *p == pid => Some(*token),
                 _ => None,
             })
             .expect("rpc outcall");
+        assert_eq!(n.process(pid).unwrap().state, RunState::RpcWait { token });
+        (pid, token)
+    }
+
+    #[test]
+    fn rpc_surfaces_as_outcall_and_resumes() {
+        let mut n = node_with(RPC_SOURCE, 15);
+        let pid = n.spawn("main", vec![], SpawnOpts::default()).unwrap();
+        let outcalls = n.advance_to(SimTime::from_millis(5));
+        let (caller, token, req) = outcalls
+            .iter()
+            .find_map(|o| match o {
+                Outcall::Rpc {
+                    pid, token, req, ..
+                } => Some((*pid, *token, req)),
+                _ => None,
+            })
+            .expect("rpc outcall");
+        assert_eq!(caller, pid);
         assert_eq!(&*req.proc_name, "sq");
         assert_eq!(req.node, 1);
         assert_eq!(req.args, vec![Value::Int(6)]);
         // The world (here: the test) completes the call.
-        n.resume_rpc(token, vec![Value::Int(36)]);
+        n.resume_rpc(caller, token, vec![Value::Int(36)]);
         run_until_quiet(&mut n, SimTime::from_secs(1));
+        assert_eq!(console_text(&n), vec!["36"]);
+    }
+
+    /// Completion wakes or faults exactly the process blocked on exactly
+    /// that token; every other address is a no-op, for both entry points.
+    #[test]
+    fn misaddressed_rpc_completion_is_a_noop() {
+        let fault = || pilgrim_cclu::Fault {
+            kind: pilgrim_cclu::FaultKind::RemoteCall,
+            message: "node 1 is down".into(),
+        };
+        let mut n = node_with(RPC_SOURCE, 15);
+        let exited = n.spawn("idle", vec![], SpawnOpts::default()).unwrap();
+        let sleeper = n.spawn("nap", vec![], SpawnOpts::default()).unwrap();
+        // A first call, completed, so that its token is stale.
+        let (first, stale) = blocked_caller(&mut n);
+        n.resume_rpc(first, stale, vec![Value::Int(1)]);
+        n.advance_to(n.clock() + SimDuration::from_millis(5));
+        assert_eq!(n.process(first).unwrap().state, RunState::Exited);
+        assert_eq!(n.process(exited).unwrap().state, RunState::Exited);
+        let (waiter, live) = blocked_caller(&mut n);
+        let (other, other_live) = blocked_caller(&mut n);
+        let out_of_range = Pid(n.pids().len() as u64 + 1);
+        let states = |n: &Node| -> Vec<RunState> {
+            let state = |p: &Pid| n.process(*p).unwrap().state.clone();
+            n.pids().iter().map(state).collect()
+        };
+        let before = states(&n);
+        let misaddressed = [
+            (waiter, stale),
+            (waiter, other_live),
+            (waiter, live + 1000),
+            (other, live),
+            (sleeper, live),
+            (exited, live),
+            (first, stale),
+            (first, live),
+            (Pid(0), live),
+            (out_of_range, live),
+            (Pid(u64::MAX), live),
+        ];
+        for (pid, token) in misaddressed {
+            n.resume_rpc(pid, token, vec![Value::Int(7)]);
+            n.fail_rpc(pid, token, fault());
+        }
+        assert_eq!(before, states(&n), "no process may change state");
+        let outcalls = n.advance_to(n.clock() + SimDuration::from_millis(5));
+        assert!(outcalls.is_empty(), "{outcalls:?}");
+        assert_eq!(console_text(&n), vec!["1"], "nothing was resumed");
+
+        // The right addresses still work, each for its own caller.
+        n.fail_rpc(other, other_live, fault());
+        assert!(matches!(
+            n.process(other).unwrap().state,
+            RunState::Faulted(_)
+        ));
+        n.resume_rpc(waiter, live, vec![Value::Int(36)]);
+        let outcalls = n.advance_to(n.clock() + SimDuration::from_millis(5));
+        assert!(outcalls
+            .iter()
+            .any(|o| matches!(o, Outcall::Fault { pid, .. } if *pid == other)));
+        assert_eq!(console_text(&n), vec!["1", "36"]);
+    }
+
+    #[test]
+    fn halted_rpc_waiter_is_resumed_with_its_values_and_stays_halted() {
+        let mut n = node_with(RPC_SOURCE, 15);
+        let (pid, token) = blocked_caller(&mut n);
+        assert_eq!(n.halt_all(), 1);
+        n.resume_rpc(pid, token, vec![Value::Int(36)]);
+        let info = n.process_info(pid).unwrap();
+        assert_eq!(info.state, RunState::Runnable);
+        assert!(info.halted);
+        n.advance_to(n.clock() + SimDuration::from_millis(500));
+        assert!(console_text(&n).is_empty(), "halted: it must not run");
+        n.resume_all();
+        run_until_quiet(&mut n, SimTime::from_secs(2));
+        assert_eq!(console_text(&n), vec!["36"]);
+    }
+
+    /// The arena never shrinks; completion must not care how many dead
+    /// processes sit in it.
+    #[test]
+    fn late_waiter_resumes_on_a_node_full_of_exited_processes() {
+        let mut n = node_with(RPC_SOURCE, 15);
+        for _ in 0..10_000 {
+            n.spawn("idle", vec![], SpawnOpts::default()).unwrap();
+        }
+        run_until_quiet(&mut n, SimTime::from_secs(60));
+        let dead = n
+            .pids()
+            .iter()
+            .filter(|p| n.process(**p).unwrap().state == RunState::Exited)
+            .count();
+        assert_eq!(dead, 10_000);
+        let (pid, token) = blocked_caller(&mut n);
+        assert_eq!(pid, Pid(10_001));
+        n.resume_rpc(pid, token, vec![Value::Int(36)]);
+        let limit = n.clock() + SimDuration::from_secs(1);
+        run_until_quiet(&mut n, limit);
         assert_eq!(console_text(&n), vec!["36"]);
     }
 

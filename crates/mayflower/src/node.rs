@@ -847,21 +847,21 @@ impl Node {
         }
     }
 
-    /// Resumes a process blocked on an RPC (token from [`Outcall::Rpc`]),
-    /// handing it the call results.
-    pub fn resume_rpc(&mut self, token: u64, values: Vec<Value>) {
-        let pid = self.pid_waiting_on(token);
-        if let Some(pid) = pid {
+    /// Resumes `pid` if it is blocked on RPC `token` (both from
+    /// [`Outcall::Rpc`]), handing it the call results. Any other pid or
+    /// token — stale, exited, never issued — is a no-op.
+    pub fn resume_rpc(&mut self, pid: Pid, token: u64, values: Vec<Value>) {
+        if self.waits_on(pid, token) {
             self.wake(pid, values);
         }
     }
 
-    /// Terminates a process blocked on an RPC with a fault — the fate of an
-    /// exactly-once call whose destination node has failed.
-    pub fn fail_rpc(&mut self, token: u64, fault: Fault) {
-        let Some(pid) = self.pid_waiting_on(token) else {
+    /// Terminates `pid` with a fault if it is blocked on RPC `token` — the
+    /// fate of an exactly-once call whose destination node has failed.
+    pub fn fail_rpc(&mut self, pid: Pid, token: u64, fault: Fault) {
+        if !self.waits_on(pid, token) {
             return;
-        };
+        }
         if self.config.profile_vm {
             self.settle_track(pid);
             if let Some(t) = self.tracks.get_mut(Self::slot(pid)) {
@@ -875,12 +875,11 @@ impl Node {
         }
     }
 
-    /// The process blocked on RPC token `token`, if any.
-    pub fn pid_waiting_on(&self, token: u64) -> Option<Pid> {
-        self.procs.iter().find_map(|p| match p.state {
-            RunState::RpcWait { token: t } if t == token => Some(p.pid),
-            _ => None,
-        })
+    /// Is `pid` blocked on exactly RPC `token`? Tokens are unique per node,
+    /// so one slot read replaces a search of the process table.
+    #[inline]
+    fn waits_on(&self, pid: Pid, token: u64) -> bool {
+        matches!(self.proc_at(pid), Some(p) if p.state == RunState::RpcWait { token })
     }
 
     fn wake(&mut self, pid: Pid, values: Vec<Value>) {

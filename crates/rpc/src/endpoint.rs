@@ -540,7 +540,7 @@ impl RpcEndpoint {
         &mut self,
         now: SimTime,
         node: &mut Node,
-        _pid: Pid,
+        pid: Pid,
         token: u64,
         req: &RpcRequest,
         reason: String,
@@ -551,6 +551,7 @@ impl RpcEndpoint {
         }
         match req.protocol {
             RpcProtocol::ExactlyOnce => node.fail_rpc(
+                pid,
                 token,
                 Fault {
                     kind: FaultKind::RemoteCall,
@@ -569,7 +570,7 @@ impl RpcEndpoint {
                     values.push(unmarshal(node.heap_mut(), &w));
                 }
                 let _ = now;
-                node.resume_rpc(token, values);
+                node.resume_rpc(pid, token, values);
             }
         }
     }
@@ -1056,6 +1057,10 @@ impl RpcEndpoint {
         pid: Pid,
         net: &mut dyn RpcNet,
     ) -> bool {
+        // Most exits belong to no call; skip hashing the pid for them.
+        if self.server_by_pid.is_empty() {
+            return false;
+        }
         let Some(call_id) = self.server_by_pid.remove(&pid) else {
             return false;
         };
@@ -1085,6 +1090,10 @@ impl RpcEndpoint {
         fault: &Fault,
         net: &mut dyn RpcNet,
     ) -> bool {
+        // As for exits: no server process, nothing to look up.
+        if self.server_by_pid.is_empty() {
+            return false;
+        }
         let Some(call_id) = self.server_by_pid.remove(&pid) else {
             return false;
         };
@@ -1147,7 +1156,7 @@ impl RpcEndpoint {
                 for w in &results {
                     values.push(unmarshal(node.heap_mut(), w));
                 }
-                node.resume_rpc(call.token, values);
+                node.resume_rpc(call.pid, call.token, values);
             }
             Completion::MaybeFail(reason) => {
                 self.stats.failed += 1;
@@ -1178,7 +1187,7 @@ impl RpcEndpoint {
                     let w = default_for(t);
                     values.push(unmarshal(node.heap_mut(), &w));
                 }
-                node.resume_rpc(call.token, values);
+                node.resume_rpc(call.pid, call.token, values);
             }
             Completion::Hard(reason) => {
                 self.stats.failed += 1;
@@ -1205,6 +1214,7 @@ impl RpcEndpoint {
                     );
                 }
                 node.fail_rpc(
+                    call.pid,
                     call.token,
                     Fault {
                         kind: FaultKind::RemoteCall,

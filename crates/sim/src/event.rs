@@ -5,7 +5,7 @@
 //! whole-simulation runs bit-for-bit reproducible.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::time::SimTime;
 
@@ -13,11 +13,11 @@ use crate::time::SimTime;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(u64);
 
+/// A heap entry. `seq` is both the FIFO tie-breaker and the event's id.
 #[derive(Debug)]
 struct Scheduled<E> {
     time: SimTime,
     seq: u64,
-    id: EventId,
     payload: E,
 }
 
@@ -38,13 +38,15 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// The fate of a scheduled-but-undelivered id. Ids absent from the state
-/// map were delivered (or already reaped after cancellation), so stale-id
-/// cancels stay harmless in every interleaving.
+/// The fate of an id inside the window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum IdState {
+    /// In the heap, to be delivered.
     Pending,
+    /// In the heap, to be dropped when it reaches the head.
     Cancelled,
+    /// No longer in the heap: delivered, or reaped after cancellation.
+    Gone,
 }
 
 /// A future-event list keyed by simulated time.
@@ -62,11 +64,14 @@ enum IdState {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Scheduled<E>>>,
-    next_seq: u64,
-    /// One entry per id still in the heap — a single map probe settles both
-    /// "is this cancellable?" and "should the head be skipped?".
-    states: std::collections::HashMap<EventId, IdState>,
-    /// Number of `Pending` entries in `states`, maintained incrementally so
+    /// The id `window[0]` describes. Every id below it is `Gone`.
+    base: u64,
+    /// Ids are issued densely, so the fate of ids `base .. base + len` is a
+    /// sliding window indexed by `id - base`; the next id to issue is
+    /// `base + len`. The front is trimmed as ids leave the heap, so the
+    /// window spans from the oldest id still in the heap to the newest.
+    window: VecDeque<IdState>,
+    /// Number of `Pending` slots in `window`, maintained incrementally so
     /// `len` is O(1).
     live: usize,
 }
@@ -82,8 +87,8 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            next_seq: 0,
-            states: std::collections::HashMap::new(),
+            base: 0,
+            window: VecDeque::new(),
             live: 0,
         }
     }
@@ -91,17 +96,11 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` for delivery at `time` and returns a handle that
     /// can later be passed to [`EventQueue::cancel`].
     pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
-        let id = EventId(self.next_seq);
-        self.heap.push(Reverse(Scheduled {
-            time,
-            seq: self.next_seq,
-            id,
-            payload,
-        }));
-        self.next_seq += 1;
-        self.states.insert(id, IdState::Pending);
+        let seq = self.base + self.window.len() as u64;
+        self.heap.push(Reverse(Scheduled { time, seq, payload }));
+        self.window.push_back(IdState::Pending);
         self.live += 1;
-        id
+        EventId(seq)
     }
 
     /// Cancels a previously scheduled event.
@@ -110,7 +109,11 @@ impl<E> EventQueue<E> {
     /// unknown and already-delivered ids are harmless no-ops. Cancellation
     /// is lazy: the slot is skipped when it reaches the head.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        match self.states.get_mut(&id) {
+        let slot =
+            id.0.checked_sub(self.base)
+                .and_then(|i| usize::try_from(i).ok())
+                .and_then(|i| self.window.get_mut(i));
+        match slot {
             Some(s @ IdState::Pending) => {
                 *s = IdState::Cancelled;
                 self.live -= 1;
@@ -129,16 +132,13 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest pending event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         self.skip_cancelled();
-        let Reverse(s) = self.heap.pop()?;
-        self.states.remove(&s.id);
-        self.live -= 1;
-        Some((s.time, s.payload))
+        self.pop_head()
     }
 
     /// Removes and returns the earliest event if it is due at or before `now`.
     pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, E)> {
         if self.next_time()? <= now {
-            self.pop()
+            self.pop_head()
         } else {
             None
         }
@@ -154,14 +154,34 @@ impl<E> EventQueue<E> {
         self.live == 0
     }
 
+    /// Delivers the heap's head, which the caller has made sure is pending
+    /// (by [`Self::skip_cancelled`]).
+    fn pop_head(&mut self) -> Option<(SimTime, E)> {
+        let Reverse(s) = self.heap.pop()?;
+        self.retire(s.seq);
+        self.live -= 1;
+        Some((s.time, s.payload))
+    }
+
     fn skip_cancelled(&mut self) {
         while let Some(Reverse(s)) = self.heap.peek() {
-            if self.states.get(&s.id) == Some(&IdState::Cancelled) {
-                self.states.remove(&s.id);
-                self.heap.pop();
-            } else {
+            // Every id in the heap is inside the window.
+            if self.window[(s.seq - self.base) as usize] != IdState::Cancelled {
                 break;
             }
+            let seq = s.seq;
+            self.heap.pop();
+            self.retire(seq);
+        }
+    }
+
+    /// Marks `seq`, just removed from the heap, `Gone` and slides the
+    /// window's front past every leading `Gone` slot.
+    fn retire(&mut self, seq: u64) {
+        self.window[(seq - self.base) as usize] = IdState::Gone;
+        while self.window.front() == Some(&IdState::Gone) {
+            self.window.pop_front();
+            self.base += 1;
         }
     }
 }
@@ -169,6 +189,7 @@ impl<E> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{check, ensure, ensure_eq, int_range, vecs, zip};
     use crate::time::SimDuration;
 
     fn t(ms: u64) -> SimTime {
@@ -300,5 +321,118 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, 2);
         assert_eq!(q.pop().unwrap().1, 3);
         assert!(q.is_empty());
+    }
+
+    /// The queue under test beside the obvious model of it: pending
+    /// `(time, id)` pairs kept in delivery order, from which a cancel
+    /// removes its entry at once. Each step runs on both and compares.
+    #[derive(Default)]
+    struct Modelled {
+        q: EventQueue<u64>,
+        pending: Vec<(SimTime, u64)>,
+        issued: u64,
+        cancelled: Vec<u64>,
+        delivered: Vec<u64>,
+    }
+
+    impl Modelled {
+        fn schedule(&mut self, ms: u64) -> Result<(), String> {
+            let (at, id) = (t(ms), self.issued);
+            ensure_eq(self.q.schedule(at, id), EventId(id))?;
+            let pos = self.pending.partition_point(|&(time, _)| time <= at);
+            self.pending.insert(pos, (at, id));
+            self.issued += 1;
+            Ok(())
+        }
+
+        fn cancel(&mut self, id: u64) -> Result<(), String> {
+            let pos = self.pending.iter().position(|&(_, p)| p == id);
+            ensure_eq(self.q.cancel(EventId(id)), pos.is_some())?;
+            if let Some(pos) = pos {
+                self.pending.remove(pos);
+                self.cancelled.push(id);
+            }
+            Ok(())
+        }
+
+        /// `pop_due(now)`, or `pop()` when `now` is `None`; true when an
+        /// event was delivered.
+        fn pop(&mut self, now: Option<SimTime>) -> Result<bool, String> {
+            let got = match now {
+                Some(now) => self.q.pop_due(now),
+                None => self.q.pop(),
+            };
+            let want = match self.pending.first() {
+                Some(&(at, _)) if now.is_none_or(|now| at <= now) => Some(self.pending.remove(0)),
+                _ => None,
+            };
+            ensure_eq(got, want)?;
+            self.delivered.extend(want.map(|(_, id)| id));
+            Ok(want.is_some())
+        }
+    }
+
+    /// Random `schedule` / `cancel` / `pop` / `pop_due` / `next_time`
+    /// scripts against a sorted-`Vec` model. Cancels aim at pending,
+    /// cancelled, delivered, not-yet-issued and far-off ids; two events
+    /// scheduled first and due last pin the window's front while bursts of
+    /// up to a thousand later ids come and go behind them. A window whose
+    /// `base` and front drift apart, or a cancel that takes a `Gone` slot
+    /// for a pending one, returns a different answer here.
+    #[test]
+    fn queue_matches_a_sorted_vec_model() {
+        const LAST: u64 = 10_000;
+        let ops = vecs(
+            zip(int_range(0, 9), zip(int_range(0, 100), int_range(0, 25))),
+            60,
+        );
+        check("event queue == sorted vec", &ops, |ops| {
+            let mut m = Modelled::default();
+            m.schedule(LAST)?;
+            m.schedule(LAST)?;
+            for &(op, (a, b)) in ops {
+                let (a, b) = (a as u64, b as u64);
+                match op {
+                    0 | 1 => m.schedule(b)?,
+                    2 => m.schedule(LAST + b)?,
+                    3 | 4 => {
+                        let pick = |ids: &[u64]| ids.get(b as usize % ids.len().max(1)).copied();
+                        let live: Vec<u64> = m.pending.iter().map(|&(_, id)| id).collect();
+                        let target = match a % 5 {
+                            0 => pick(&live),
+                            1 => pick(&m.cancelled),
+                            2 => pick(&m.delivered),
+                            3 => Some(m.issued + b),
+                            _ => Some(u64::MAX - b),
+                        };
+                        m.cancel(target.unwrap_or(m.issued))?;
+                    }
+                    5 => drop(m.pop(None)?),
+                    6 => drop(m.pop(Some(t(b)))?),
+                    7 => ensure_eq(m.q.next_time(), m.pending.first().map(|&(at, _)| at))?,
+                    _ => {
+                        // A burst: many short-lived ids retire behind
+                        // whatever older ids are still pending.
+                        for i in 0..a * 10 {
+                            m.schedule(b + i % 3)?;
+                        }
+                        while m.pop(Some(t(b + 1)))? {}
+                    }
+                }
+                ensure_eq(m.q.len(), m.pending.len())?;
+                ensure_eq(m.q.is_empty(), m.pending.is_empty())?;
+                ensure_eq(m.q.base + m.q.window.len() as u64, m.issued)?;
+            }
+            while m.pop(None)? {}
+            ensure_eq(m.q.next_time(), None)?;
+            for id in 0..m.issued {
+                ensure(
+                    !m.q.cancel(EventId(id)),
+                    format!("retired id {id} cancelled"),
+                )?;
+            }
+            // Everything has left the heap, so nothing holds the window.
+            ensure_eq((m.q.base, m.q.window.len()), (m.issued, 0))
+        });
     }
 }

@@ -7,8 +7,8 @@
 
 use pilgrim::{rerun, twin_run, Artifact, ReplayError, SimTime, Stimulus};
 use pilgrim_services::{
-    replay_load_artifact, run_scenario, run_scenario_threads, setup_installer, Scenario, FS_NODE,
-    NS_NODE,
+    render_run_report, replay_load_artifact, run_scenario, run_scenario_threads, setup_installer,
+    Scenario, FS_NODE, NS_NODE,
 };
 
 /// A small partitioned star scenario, heavy enough to cross bridges and
@@ -227,4 +227,31 @@ fn servers_share_the_hub_segment() {
     };
     assert_eq!(net_seg(NS_NODE), net_seg(FS_NODE));
     assert_eq!(net_seg(NS_NODE), 0, "servers live in the hub");
+}
+
+#[test]
+fn long_soak_renders_the_same_run_report_twice() {
+    // Four times the committed soak: every node carries thousands of
+    // exited server and client processes by the end, and the file server's
+    // nested calls complete late in that history. The counts are those of
+    // the table-scanning `resume_rpc` this run was first recorded with: a
+    // completion that reaches any process but the caller moves them.
+    let text = include_str!("../scenarios/soak_100k.toml");
+    let text = text.replace("arrivals = 20000", "arrivals = 80000");
+    let sc = Scenario::parse(&text).expect("soak scenario parses");
+    assert_eq!(sc.arrivals, 80_000);
+    let report = || {
+        let out = run_scenario(&sc).expect("runs");
+        assert!(out.gate_failures.is_empty(), "{:?}", out.gate_failures);
+        for line in [
+            "rpc.started           159804",
+            "rpc.completed         159475",
+            "rpc.failed            329",
+            "drained               true",
+        ] {
+            assert!(out.report.contains(line), "{line}\n{}", out.report);
+        }
+        render_run_report(&sc, &out, 5)
+    };
+    assert_eq!(report(), report());
 }
