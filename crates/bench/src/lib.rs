@@ -7,10 +7,6 @@
 
 #![warn(missing_docs)]
 
-pub mod compare;
-pub mod runner;
-pub mod suite;
-
 use std::fmt::Display;
 
 /// A printable experiment table.

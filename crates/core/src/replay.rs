@@ -105,7 +105,8 @@ pub struct Recipe {
 /// Default sampling cadence of the always-on time-series store.
 const TSDB_COARSE_INTERVAL: u64 = 64;
 /// Default ring budget of the always-on time-series store — small enough
-/// that the dormant-path cost stays inside the `node/step_storm` 3% gate.
+/// that a world nobody queries pays next to nothing for it
+/// (`sim.tsdb.ns_per_sample` in `benchmark/` prices one sample).
 const TSDB_COARSE_BUDGET: usize = 64;
 /// Store shape of a recording whose `"tsdb": true` armed the former
 /// full-resolution store: every sync point, 4096 samples per series.
@@ -140,6 +141,12 @@ impl Default for Recipe {
 }
 
 impl Recipe {
+    /// Stations on the world's network: the user nodes, then the
+    /// debugger's when one is attached.
+    pub(crate) fn stations(&self) -> u32 {
+        self.nodes + u32::from(self.with_debugger)
+    }
+
     /// Sets node `node`'s program override, keeping the list sorted by
     /// node with one entry each: the last write for a node wins.
     pub(crate) fn set_program_for(&mut self, node: u32, source: &str) {
@@ -693,6 +700,25 @@ fn request_from_json(v: &Json) -> Result<AgentRequest, String> {
 }
 
 impl Stimulus {
+    /// The station ids the driver call hands to the network, which
+    /// indexes and asserts on them. `DropNext` is absent: its pair only
+    /// keys a map, and the live call accepts any, so a recording may
+    /// hold one the world does not have.
+    fn stations(&self) -> &[u32] {
+        match self {
+            Stimulus::Connect { nodes, .. } => nodes,
+            Stimulus::Spawn { node, .. }
+            | Stimulus::Request { node, .. }
+            | Stimulus::BreakAtLine { node, .. }
+            | Stimulus::BreakAtProc { node, .. }
+            | Stimulus::ClearBreakpoint { node, .. }
+            | Stimulus::HaltAll { origin: node }
+            | Stimulus::Diagnose { node, .. }
+            | Stimulus::SetNodeUp { node, .. } => std::slice::from_ref(node),
+            _ => &[],
+        }
+    }
+
     /// The stimulus as a tagged JSON object.
     pub fn to_json(&self) -> Json {
         let op = |name: &str| ("op", Json::Str(name.to_string()));
@@ -976,13 +1002,25 @@ impl Artifact {
     /// [`Saved::parse`] has already checked.
     pub(crate) fn from_doc(mut doc: Json) -> Result<Artifact, String> {
         let recipe = Recipe::from_json(doc.get("recipe").ok_or("missing `recipe`")?)?;
-        let stimuli = doc
+        let stimuli: Vec<Stimulus> = doc
             .get("stimuli")
             .and_then(Json::as_array)
             .ok_or("missing `stimuli`")?
             .iter()
             .map(Stimulus::from_json)
             .collect::<Result<_, _>>()?;
+        // A journal is outside input too: a station its own recipe does
+        // not have is refused here, before a re-run can index with it.
+        let stations = recipe.stations();
+        if let Some(n) = stimuli
+            .iter()
+            .flat_map(Stimulus::stations)
+            .find(|n| **n >= stations)
+        {
+            return Err(format!(
+                "stimuli: no node {n} in a world of {stations} stations"
+            ));
+        }
         // Absent in artifacts recorded before profiling existed; optional.
         let profile = doc
             .get("profile")

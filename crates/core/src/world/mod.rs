@@ -336,7 +336,7 @@ impl WorldBuilder {
             programs.push(program);
         }
 
-        let stations = recipe.nodes + u32::from(recipe.with_debugger);
+        let stations = recipe.stations();
         let mut netcfg = recipe.net.clone();
         netcfg.seed ^= recipe.seed;
         let mut net: Network<Wire> = Network::new(netcfg, stations);

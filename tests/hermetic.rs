@@ -108,8 +108,8 @@ fn every_dependency_is_a_workspace_path_dependency() {
 #[test]
 fn banned_registry_crates_never_reappear() {
     // The three crates this workspace used to pull from the registry; the
-    // replacements live in-repo (pilgrim_sim::{DetRng, check},
-    // pilgrim_bench::runner). Mentioning any of them as a dependency key
+    // replacements live in-repo (pilgrim_sim::{DetRng, check} and the
+    // `benchmark/` package). Mentioning any of them as a dependency key
     // is an instant failure, even with a path.
     for manifest in workspace_manifests() {
         for dep in dependency_entries(&manifest) {

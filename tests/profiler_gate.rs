@@ -503,6 +503,9 @@ fn cleared_watches_do_not_trip_and_runs_complete() {
         .unwrap();
     let id = w.arm_watch("rpc.failed > 0").unwrap();
     assert!(w.clear_watch(id));
+    // One left armed below its threshold is evaluated at every sync point
+    // and is as silent.
+    w.arm_watch("rpc.failed > 1000000").unwrap();
     w.inject_drop(0, 1, 1);
     w.spawn(0, "main", vec![Value::Int(10)]);
     w.run_until_idle(SimTime::from_secs(120));

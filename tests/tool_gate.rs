@@ -90,7 +90,7 @@ fn bad_input_is_status_2_with_one_stderr_line_and_no_stdout() {
     let huge = text.replacen("\"nodes\": 7", "\"nodes\": 4000000000", 1);
     assert_ne!(huge, text, "the artifact's node count was not rewritten");
 
-    let inputs = [
+    let mut inputs = vec![
         (dir.path("missing.json"), "cannot read"),
         (dir.write("garbage.json", "not json"), "not JSON"),
         (
@@ -103,6 +103,27 @@ fn bad_input_is_status_2_with_one_stderr_line_and_no_stdout() {
         ),
         (dir.write("huge.json", &huge), "`nodes` is 4000000000"),
     ];
+    // A journal naming a station its recipe does not have: 7 nodes and
+    // the debugger's station make the ids 0..=7. Each of these used to
+    // reach an index or an assert inside the network.
+    let hostile_ops = [
+        r#"{"op": "set_node_up", "node": 8, "up": false}"#,
+        r#"{"op": "connect", "nodes": [0, 4000000000], "force": true}"#,
+        r#"{"op": "request", "node": 4000000000, "req": {"type": "Ping"}}"#,
+        r#"{"op": "diagnose", "node": 4000000000, "call_id": 1}"#,
+        r#"{"op": "halt_all", "origin": 4000000000}"#,
+    ];
+    let journal_starting = |name: &str, op: &str| {
+        let doc = text.replacen("\"stimuli\": [", &format!("\"stimuli\": [{op}, "), 1);
+        assert_ne!(doc, text, "the journal was not rewritten");
+        dir.write(name, &doc)
+    };
+    for (i, op) in hostile_ops.iter().enumerate() {
+        inputs.push((
+            journal_starting(&format!("hostile{i}.json"), op),
+            "in a world of 8 stations",
+        ));
+    }
     let dump = dir.write("dump.json", &dump);
     let mut rows: Vec<(Vec<&str>, &str)> = Vec::new();
     for (path, needle) in &inputs {
@@ -125,6 +146,13 @@ fn bad_input_is_status_2_with_one_stderr_line_and_no_stdout() {
     }
     // The dump is fine where a dump will do.
     let (status, out, err) = pilgrim(&["trace", &dump]);
+    assert_eq!((status, err.as_str()), (0, ""), "{out}");
+    // So is the debugger's own station: the live call accepts it.
+    let station7 = journal_starting(
+        "station7.json",
+        r#"{"op": "set_node_up", "node": 7, "up": false}"#,
+    );
+    let (status, out, err) = pilgrim(&["replay", &station7]);
     assert_eq!((status, err.as_str()), (0, ""), "{out}");
 }
 

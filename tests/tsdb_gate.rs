@@ -163,6 +163,20 @@ fn flight_recorder_captures_with_tracing_off() {
         "store summary missing:\n{}",
         snap.windows
     );
+
+    // With the recorder's own mask cleared too, nothing is captured and
+    // the program still runs to the same end.
+    let mut dark = tsdb_scenario_unrun();
+    dark.tracer().set_filter(&[]);
+    dark.tracer().set_blackbox_filter(&[]);
+    dark.spawn(0, "main", vec![Value::Int(4)]);
+    dark.run_until_idle(SimTime::from_secs(60));
+    assert_eq!(dark.tracer().blackbox_len(), 0);
+    assert_eq!(dark.now(), w.now());
+    assert_eq!(
+        dark.endpoint(0).stats().completed,
+        w.endpoint(0).stats().completed
+    );
 }
 
 /// There is one store: what a blackbox dump carries is what `tsdb`
