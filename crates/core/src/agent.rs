@@ -25,7 +25,6 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
-use std::sync::Arc;
 
 use pilgrim_cclu::{CodeAddr, Fault, FrameKind, Op, ProcId, Signature, Type, Value};
 use pilgrim_mayflower::{Node, Outcall, Pid, ProcBody, RunState, SpawnOpts};
@@ -172,7 +171,6 @@ pub struct Agent {
     breakpoints: Vec<Option<Breakpoint>>,
     halt_since: Option<SimTime>,
     pending_invokes: HashMap<Pid, PendingInvoke>,
-    registry: HashMap<u64, Arc<str>>,
     stats: AgentStats,
     tracer: Tracer,
 }
@@ -198,7 +196,6 @@ impl Agent {
             breakpoints: Vec::new(),
             halt_since: None,
             pending_invokes: HashMap::new(),
-            registry: HashMap::new(),
             stats: AgentStats::default(),
             tracer,
         }
@@ -243,11 +240,6 @@ impl Agent {
             }
             Outcall::Fault { pid, fault, at } => {
                 self.on_fault(node, endpoint, *pid, fault, *at, net);
-            }
-            Outcall::ProcCreated { pid, name } => {
-                // §5.4: hooks in process creation call the agent so it
-                // knows of the existence of every process.
-                self.registry.insert(pid.0, name.clone());
             }
             Outcall::ProcExited { pid, at } => {
                 self.on_proc_exited(node, *pid, *at, net);
@@ -326,7 +318,6 @@ impl Agent {
     }
 
     fn on_proc_exited(&mut self, node: &mut Node, pid: Pid, at: SimTime, net: &mut dyn DebugNet) {
-        self.registry.remove(&pid.0);
         // Invokes are rare; skip hashing the pid when none is outstanding.
         if self.pending_invokes.is_empty() {
             return;

@@ -188,7 +188,8 @@ pub enum AgentRequest {
     /// Resume the node (and broadcast); each agent folds its halt
     /// duration into its logical-clock delta.
     ResumeAll,
-    /// Enumerate processes (§5.4 hooks keep the agent's registry).
+    /// Enumerate processes (answered from the supervisor's process
+    /// table, which the §5.4 creation and deletion hooks maintain).
     ListProcesses,
     /// One process's supervisor state.
     ProcessState {

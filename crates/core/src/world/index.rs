@@ -8,26 +8,48 @@ use std::collections::BinaryHeap;
 
 use pilgrim_sim::SimTime;
 
-/// Cached next-event time per station plus a lazy min-heap over them.
+/// `pos` value of a station that is not in the runnable list.
+const UNLISTED: u32 = u32::MAX;
+
+/// Cached next-event time per station, held in one of two containers
+/// chosen by the writer from what the station is doing:
 ///
-/// * [`set`](Self::set) is the only writer; the cache is exact as long as
-///   it is called whenever a station's next-event time may have moved.
-///   The heap is never repaired: a superseded entry stops matching the
-///   cache and is shed when it surfaces.
-/// * [`drain_due`](Self::drain_due) pops a station's live entry but keeps
-///   its cached time, so the station is out of the heap until it is `set`
-///   again. The pump refreshes every station it touched before the window
-///   ends, restoring "every cached time has a heap entry" — what
-///   [`validate`](Self::validate) asserts between windows.
-/// * Two `set`s of one time leave two live entries, so `drain_due` can
-///   name a station twice; callers sort and dedup.
+/// * a **parked** station ([`set`](Self::set)) waits for a future event —
+///   a timer deadline. There are many of them and they rarely change, so
+///   they sit in a lazy min-heap that is never repaired: a superseded
+///   entry stops matching the cache and is shed when it surfaces.
+/// * a **runnable** station ([`set_runnable`](Self::set_runnable)) has
+///   work at its own clock and is re-keyed at every sync point it steps
+///   in. There are few of them and they always change, so they sit in a
+///   dense unordered list where a re-key is one store and
+///   [`live_min`](Self::live_min) / [`drain_due`](Self::drain_due) scan.
+///
+/// The choice moves cost only; every query answers as if there were one
+/// container. The rest of the contract:
+///
+/// * `set` / `set_runnable` are the only writers; the cache is exact as
+///   long as one is called whenever a station's next-event time may have
+///   moved.
+/// * [`drain_due`](Self::drain_due) takes a station out of its container
+///   but keeps its cached time, so the station is in neither until it is
+///   written again. The pump refreshes every station it touched before
+///   the window ends, restoring "every cached time is in a container" —
+///   what [`validate`](Self::validate) asserts between windows.
+/// * Two parked `set`s of one time leave two live heap entries (and a
+///   station that turns runnable at the time it was parked for leaves
+///   one beside its list slot), so `drain_due` can name a station twice;
+///   callers sort and dedup.
 #[derive(Debug, Default)]
 pub(super) struct ActivityIndex {
     /// Cached next-event time per station. `None` = quiescent.
     next: Vec<Option<SimTime>>,
-    /// Lazy min-heap over `(time, station)`. An entry is live iff it
-    /// matches `next` when it reaches the top.
+    /// Lazy min-heap over the parked stations' `(time, station)`. An entry
+    /// is live iff it matches `next` when it reaches the top.
     heap: BinaryHeap<Reverse<(SimTime, usize)>>,
+    /// The runnable stations, unordered; their times are in `next`.
+    runnable: Vec<usize>,
+    /// Station → its slot in `runnable`, or [`UNLISTED`].
+    pos: Vec<u32>,
     /// Stations with `next[i].is_some()` — O(1) idleness.
     active: usize,
     /// The pump's per-window station list, parked here between windows
@@ -38,21 +60,48 @@ pub(super) struct ActivityIndex {
 impl ActivityIndex {
     /// Forgets everything; `stations` stations, all quiescent.
     pub(super) fn reset(&mut self, stations: usize) {
+        assert!(stations < UNLISTED as usize, "too many stations to index");
         self.next.clear();
         self.next.resize(stations, None);
         self.heap.clear();
+        self.runnable.clear();
+        self.pos.clear();
+        self.pos.resize(stations, UNLISTED);
         self.active = 0;
     }
 
-    /// Records station `i`'s next-event time (`None` = quiescent).
+    /// Records parked station `i`'s next-event time (`None` = quiescent).
     pub(super) fn set(&mut self, i: usize, t: Option<SimTime>) {
-        if self.next[i].is_some() {
-            self.active -= 1;
-        }
-        self.next[i] = t;
+        self.unlist(i);
+        self.cache(i, t);
         if let Some(t) = t {
-            self.active += 1;
             self.heap.push(Reverse((t, i)));
+        }
+    }
+
+    /// Records that station `i` has work now, at its own clock `t`.
+    pub(super) fn set_runnable(&mut self, i: usize, t: SimTime) {
+        self.cache(i, Some(t));
+        if self.pos[i] == UNLISTED {
+            self.pos[i] = self.runnable.len() as u32;
+            self.runnable.push(i);
+        }
+    }
+
+    fn cache(&mut self, i: usize, t: Option<SimTime>) {
+        self.active -= usize::from(self.next[i].is_some());
+        self.active += usize::from(t.is_some());
+        self.next[i] = t;
+    }
+
+    /// Takes station `i` out of the runnable list, if it is in it.
+    fn unlist(&mut self, i: usize) {
+        let at = std::mem::replace(&mut self.pos[i], UNLISTED);
+        if at != UNLISTED {
+            self.runnable.swap_remove(at as usize);
+            if let Some(&moved) = self.runnable.get(at as usize) {
+                self.pos[moved] = at;
+            }
         }
     }
 
@@ -67,13 +116,15 @@ impl ActivityIndex {
         None
     }
 
-    /// Earliest cached time still in the heap.
+    /// Earliest cached time still in a container.
     pub(super) fn live_min(&mut self) -> Option<SimTime> {
-        self.peek_live().map(|(t, _)| t)
+        let parked = self.peek_live().map(|(t, _)| t);
+        let runnable = self.runnable.iter().filter_map(|&i| self.next[i]).min();
+        parked.into_iter().chain(runnable).min()
     }
 
-    /// Pops every live entry at or before `upto` and appends its station
-    /// to `out` (unsorted, possibly repeated).
+    /// Takes every station due at or before `upto` out of its container
+    /// and appends it to `out` (unsorted, possibly repeated).
     pub(super) fn drain_due(&mut self, upto: SimTime, out: &mut Vec<usize>) {
         while let Some((t, i)) = self.peek_live() {
             if t > upto {
@@ -81,6 +132,15 @@ impl ActivityIndex {
             }
             self.heap.pop();
             out.push(i);
+        }
+        let mut at = 0;
+        while let Some(&i) = self.runnable.get(at) {
+            if self.next[i].is_some_and(|t| t <= upto) {
+                self.unlist(i); // swaps the last station into `at`
+                out.push(i);
+            } else {
+                at += 1;
+            }
         }
     }
 
@@ -102,19 +162,31 @@ impl ActivityIndex {
     }
 
     /// Asserts the cache equals `fresh` (every station queried anew, in
-    /// order), every cached time has a heap entry, and the count matches.
+    /// order), every cached time is in the heap or the runnable list, the
+    /// list and its positions agree, and the count matches.
     pub(super) fn validate(&self, what: &str, fresh: impl Iterator<Item = Option<SimTime>>) {
-        let mut active = 0;
+        let (mut active, mut listed) = (0, 0);
         for (i, t) in fresh.enumerate() {
             assert_eq!(self.next[i], t, "{what} {i}: cached time out of sync");
+            let at = self.pos[i];
+            if at != UNLISTED {
+                listed += 1;
+                assert_eq!(
+                    self.runnable.get(at as usize),
+                    Some(&i),
+                    "{what} {i}: runnable list and positions disagree"
+                );
+                assert!(t.is_some(), "{what} {i}: quiescent but listed runnable");
+            }
             if let Some(t) = t {
                 active += 1;
                 assert!(
-                    self.heap.iter().any(|&Reverse(e)| e == (t, i)),
-                    "{what} {i}: live entry missing from heap"
+                    at != UNLISTED || self.heap.iter().any(|&Reverse(e)| e == (t, i)),
+                    "{what} {i}: live entry missing from heap and runnable list"
                 );
             }
         }
+        assert_eq!(self.runnable.len(), listed, "stray runnable {what}");
         assert_eq!(self.active, active, "active {what} count drifted");
     }
 }
@@ -128,6 +200,10 @@ mod tests {
 
     fn at(us: u64) -> Option<SimTime> {
         Some(SimTime::from_micros(us))
+    }
+
+    fn us(us: u64) -> SimTime {
+        SimTime::from_micros(us)
     }
 
     fn drained(ix: &mut ActivityIndex, upto: u64) -> Vec<usize> {
@@ -198,6 +274,72 @@ mod tests {
         assert_eq!(ix.active(), 1);
     }
 
+    /// The runnable list answers the same queries as the heap: inclusive
+    /// drain, later stations left in place, out until written again.
+    #[test]
+    fn runnable_stations_drain_like_parked_ones() {
+        let mut ix = ActivityIndex::default();
+        ix.reset(5);
+        for (i, t) in [30, 10, 20, 40].into_iter().enumerate() {
+            ix.set_runnable(i, us(t));
+        }
+        ix.set(4, at(15));
+        assert_eq!(ix.live_min(), at(10));
+        assert_eq!(drained(&mut ix, 20), vec![1, 2, 4]);
+        assert_eq!(ix.live_min(), at(30));
+        assert_eq!(ix.active(), 5, "draining does not touch the cache");
+        ix.set_runnable(1, us(10));
+        assert_eq!(ix.live_min(), at(10));
+        ix.set(2, None);
+        ix.set(4, at(60));
+        ix.validate(
+            "station",
+            [at(30), at(10), None, at(40), at(60)].into_iter(),
+        );
+    }
+
+    /// A re-key of a listed station is a store: one list slot, the new
+    /// time, and none of the old ones reported.
+    #[test]
+    fn runnable_rekey_supersedes_in_place() {
+        let mut ix = ActivityIndex::default();
+        ix.reset(2);
+        ix.set_runnable(0, us(5));
+        ix.set_runnable(0, us(9));
+        ix.set_runnable(1, us(7));
+        assert_eq!(ix.runnable, vec![0, 1]);
+        assert!(ix.heap.is_empty());
+        assert_eq!(ix.active(), 2);
+        assert_eq!(drained(&mut ix, 6), Vec::<usize>::new());
+        assert_eq!(ix.live_min(), at(7));
+        let mut out = Vec::new();
+        ix.drain_due(us(9), &mut out);
+        out.sort_unstable();
+        assert_eq!(out, vec![0, 1], "each named once");
+    }
+
+    /// A station that changes container at one time value is still found
+    /// by every query, whichever way it moved, and drains out of both.
+    #[test]
+    fn a_station_changes_container_at_the_same_time_value() {
+        let mut ix = ActivityIndex::default();
+        ix.reset(2);
+        ix.set(0, at(8));
+        ix.set_runnable(0, us(8));
+        ix.set_runnable(1, us(8));
+        ix.set(1, at(8)); // station 1 has left the list
+        assert_eq!(ix.runnable, vec![0]);
+        assert_eq!(ix.active(), 2);
+        ix.validate("station", [at(8), at(8)].into_iter());
+        assert_eq!(drained(&mut ix, 8), vec![0, 1]);
+        assert_eq!(ix.live_min(), None, "both out of both containers");
+        // Runnable → quiescent while drained: nothing left to take out.
+        ix.set(0, None);
+        ix.set(1, None);
+        assert_eq!(ix.active(), 0);
+        ix.validate("station", [None, None].into_iter());
+    }
+
     #[test]
     fn scratch_comes_back_empty_with_its_allocation() {
         let mut ix = ActivityIndex::default();
@@ -211,11 +353,11 @@ mod tests {
     }
 
     #[test]
-    fn reset_forgets_cache_and_heap() {
+    fn reset_forgets_cache_heap_and_list() {
         let mut ix = ActivityIndex::default();
         ix.reset(2);
         ix.set(0, at(1));
-        ix.set(1, at(2));
+        ix.set_runnable(1, us(2));
         ix.reset(3);
         assert_eq!(ix.active(), 0);
         assert_eq!(ix.live_min(), None);
@@ -241,18 +383,30 @@ mod tests {
         ix.validate("station", [at(9)].into_iter());
     }
 
-    /// Random `set` / `live_min` / `drain_due` scripts against the
-    /// obvious model: a `Vec<Option<SimTime>>` scanned in full. Times
-    /// come from a small range so stations collide, re-arm to earlier and
-    /// later times and go quiescent with entries still in the heap; a
-    /// `live_min` or `drain_due` that trusted the heap top without the
-    /// stale-entry check reports those superseded times and fails here.
+    #[test]
+    #[should_panic(expected = "live entry missing from heap and runnable list")]
+    fn validate_catches_a_drained_but_unrefreshed_runnable_station() {
+        let mut ix = ActivityIndex::default();
+        ix.reset(1);
+        ix.set_runnable(0, us(9));
+        drained(&mut ix, 9);
+        ix.validate("station", [at(9)].into_iter());
+    }
+
+    /// Random `set` / `set_runnable` / `live_min` / `drain_due` scripts
+    /// against the obvious model: a `Vec<Option<SimTime>>` scanned in
+    /// full. Times come from a small range so stations collide, re-arm to
+    /// earlier and later times, go quiescent with entries still in the
+    /// heap and change container — at a new time, at the same time, while
+    /// drained, while still listed. A `live_min` or `drain_due` that
+    /// trusted the heap top without the stale-entry check, or a swap-remove
+    /// that forgot to re-home the station it moved, fails here.
     #[test]
     fn index_matches_a_full_scan_model() {
         const STATIONS: i64 = 6;
         let ops = vecs(
             zip(
-                int_range(0, 3),
+                int_range(0, 5),
                 zip(int_range(0, STATIONS - 1), int_range(0, 24)),
             ),
             80,
@@ -261,16 +415,38 @@ mod tests {
             let mut ix = ActivityIndex::default();
             ix.reset(STATIONS as usize);
             let mut model: Vec<Option<SimTime>> = vec![None; STATIONS as usize];
+            // Which container the script last put each station in.
+            let mut listed = vec![false; STATIONS as usize];
             for &(op, (station, v)) in ops {
                 let (station, t) = (station as usize, SimTime::from_micros(v as u64));
                 match op {
                     0 => {
-                        // Arm, or go quiescent on a multiple of five.
+                        // Park, or go quiescent on a multiple of five —
+                        // whatever the station was before.
                         let t = (v % 5 != 0).then_some(t);
                         ix.set(station, t);
                         model[station] = t;
+                        listed[station] = false;
                     }
-                    1 => ensure_eq(ix.live_min(), model.iter().flatten().min().copied())?,
+                    1 => {
+                        // Become runnable, or re-key if already listed
+                        // (drained or not).
+                        ix.set_runnable(station, t);
+                        model[station] = Some(t);
+                        listed[station] = true;
+                    }
+                    2 => {
+                        // Change container at the same time value.
+                        if let Some(same) = model[station] {
+                            if listed[station] {
+                                ix.set(station, Some(same));
+                            } else {
+                                ix.set_runnable(station, same);
+                            }
+                            listed[station] = !listed[station];
+                        }
+                    }
+                    3 => ensure_eq(ix.live_min(), model.iter().flatten().min().copied())?,
                     _ => {
                         let want: Vec<usize> = (0..model.len())
                             .filter(|&i| model[i].is_some_and(|m| m <= t))
@@ -278,15 +454,32 @@ mod tests {
                         ensure_eq(drained(&mut ix, v as u64), want.clone())?;
                         // The pump's half of the contract: every drained
                         // station is refreshed before the next query —
-                        // here to a later time, or to quiescence.
+                        // runnable again at a later clock, parked at a
+                        // later deadline, or quiescent.
                         for i in want {
-                            let again = (i % 2 == 0).then(|| t + SimDuration::from_micros(3));
-                            ix.set(i, again);
-                            model[i] = again;
+                            let later = t + SimDuration::from_micros(3);
+                            match (i + v as usize) % 3 {
+                                0 => {
+                                    ix.set_runnable(i, later);
+                                    model[i] = Some(later);
+                                    listed[i] = true;
+                                }
+                                1 => {
+                                    ix.set(i, Some(later));
+                                    model[i] = Some(later);
+                                    listed[i] = false;
+                                }
+                                _ => {
+                                    ix.set(i, None);
+                                    model[i] = None;
+                                    listed[i] = false;
+                                }
+                            }
                         }
                     }
                 }
                 ensure_eq(ix.active(), model.iter().flatten().count())?;
+                ensure_eq(ix.runnable.len(), listed.iter().filter(|&&l| l).count())?;
                 ix.validate("station", model.iter().copied());
             }
             Ok(())

@@ -26,7 +26,7 @@ mod reference;
 use std::sync::Arc;
 
 use pilgrim_cclu::{compile, CompileError, Program};
-use pilgrim_mayflower::{Node, NodeConfig};
+use pilgrim_mayflower::{Node, NodeConfig, Outcall};
 use pilgrim_ring::{Medium, Network, NetworkConfig, NodeId, TxClass, TxStatus};
 use pilgrim_rpc::{RpcConfig, RpcEndpoint, RpcNet, RpcPacket};
 use pilgrim_sim::{Metrics, SeriesStore, SimDuration, SimTime, Tracer, BLACKBOX_CAPACITY};
@@ -402,6 +402,7 @@ impl WorldBuilder {
             ep_index: ActivityIndex::default(),
             index_dirty: true,
             pool: (step_threads > 1).then(|| StepPool::new(step_threads)),
+            outcall_buf: Vec::new(),
             empty_program,
             reference_pump: false,
             series: SeriesStore::new(recipe.coarse_interval, recipe.coarse_budget),
@@ -453,6 +454,9 @@ pub struct World {
     index_dirty: bool,
     /// Worker threads for parallel node stepping; `None` steps serially.
     pool: Option<StepPool>,
+    /// The serial stepping loop's outcall buffer: lent to each node for
+    /// its `advance_into`, drained by the router, empty between windows.
+    outcall_buf: Vec<Outcall>,
     /// Shared empty program; placeholder bodies for nodes lent to the
     /// worker pool borrow it instead of allocating.
     empty_program: Arc<Program>,

@@ -28,7 +28,7 @@ impl World {
     /// in ascending index order, so the event sequence — and therefore
     /// every trace byte — matches the reference pump, which also visits
     /// stations in ascending order and emits nothing for quiescent ones
-    /// (an idle `advance_to` produces no events, a timer-less
+    /// (an idle `advance_into` produces no events, a timer-less
     /// `on_timers` fires nothing). Skipped nodes keep stale clocks;
     /// they are caught up before anything observes them (delivery
     /// routing, timer dispatch, or [`World::settle_clocks`] on the way
@@ -148,7 +148,14 @@ impl World {
         if self.index_dirty {
             return; // the next pump rebuilds everything anyway
         }
-        self.node_index.set(i, self.nodes[i].next_activity());
+        // A node whose next activity is its own clock is schedulable now
+        // and will be re-keyed every window it steps in: it goes in the
+        // index's runnable list. Anything else waits on a timer: parked.
+        let node = &mut self.nodes[i];
+        match node.next_activity() {
+            Some(t) if t == node.clock() => self.node_index.set_runnable(i, t),
+            t => self.node_index.set(i, t),
+        }
         self.ep_index.set(i, self.endpoints[i].next_timer());
         if self.nodes[i].has_pending_outcalls() && !self.outcall_flag[i] {
             self.outcall_flag[i] = true;
@@ -201,12 +208,16 @@ impl World {
             self.step_nodes_parallel_subset(to_step, next);
             return;
         }
+        // One buffer serves every node of every window, so once it has
+        // grown the serial path allocates nothing per call.
+        let mut outcalls = std::mem::take(&mut self.outcall_buf);
         for &i in to_step {
-            let outcalls = self.nodes[i].advance_to(next);
-            for oc in outcalls {
+            self.nodes[i].advance_into(next, &mut outcalls);
+            for oc in outcalls.drain(..) {
                 self.route_outcall(i, oc);
             }
         }
+        self.outcall_buf = outcalls;
     }
 
     /// The parallel twin of the serial loop in [`World::step_nodes`]:
@@ -259,8 +270,10 @@ impl World {
     fn route_outcall(&mut self, i: usize, oc: Outcall) {
         // The RPC runtime sees call, exit and fault outcalls first; the
         // node's agent then hears about everything a debugger could ask
-        // after — except prints, and except the fault of a server process,
-        // which the runtime has already turned into a failed call.
+        // after — except prints and process creation (the supervisor's
+        // process table already answers `ListProcesses`), and except the
+        // fault of a server process, which the runtime has already turned
+        // into a failed call.
         let tell_agent = match &oc {
             Outcall::Rpc {
                 pid,
@@ -294,8 +307,8 @@ impl World {
                 fault,
                 &mut AsRpcNet(&mut self.net),
             ),
-            Outcall::Trap { .. } | Outcall::TraceStop { .. } | Outcall::ProcCreated { .. } => true,
-            Outcall::Print { .. } => false,
+            Outcall::Trap { .. } | Outcall::TraceStop { .. } => true,
+            Outcall::ProcCreated { .. } | Outcall::Print { .. } => false,
         };
         if tell_agent {
             if let Some(agent) = self.agents[i].as_mut() {

@@ -62,7 +62,7 @@ mod tests {
         let mut t = node.clock();
         while t < limit {
             t = (t + SimDuration::from_millis(1)).min(limit);
-            out.extend(node.advance_to(t));
+            node.advance_into(t, &mut out);
             if node.next_activity().is_none() {
                 break;
             }

@@ -5,7 +5,7 @@
 //! node-global variables, the process table, semaphores and monitor locks,
 //! and the node's clock with its logical-time *delta* (§5.2).
 //!
-//! The node is driven externally: the world calls [`Node::advance_to`] with
+//! The node is driven externally: the world calls [`Node::advance_into`] with
 //! a time bound, the node time-slices its runnable processes up to that
 //! bound, and everything the node cannot resolve locally — RPC sends, trap
 //! hits, faults, process lifecycle — is reported back as [`Outcall`]s for
@@ -43,7 +43,7 @@ pub struct NodeConfig {
     /// Accumulate per-procedure instruction and cost counters while
     /// stepping ([`Node::vm_profile`]). Off by default: the books are
     /// kept per instruction, so a profiled node consults its scheduler
-    /// per instruction too and takes no bursts ([`Node::advance_to`]).
+    /// per instruction too and takes no bursts ([`Node::advance_into`]).
     pub profile_vm: bool,
 }
 
@@ -146,8 +146,8 @@ pub enum Outcall {
         /// When the fault occurred (node real time).
         at: SimTime,
     },
-    /// A process came into existence (the §5.4 creation hook the agent
-    /// uses to track every process).
+    /// A process came into existence (the §5.4 creation hook; the process
+    /// table it maintains is the node's own, which is what the agent reads).
     ProcCreated {
         /// New process.
         pid: Pid,
@@ -291,6 +291,12 @@ pub struct Node {
     /// `expire_timers`' list of due `(pid, was_sem)` entries, kept between
     /// firings for its allocation; always empty outside that function.
     due_scratch: Vec<(Pid, bool)>,
+    /// `step_process`' lists of the forks and wake-ups its system calls
+    /// asked for, kept between steps for their allocations (grown by use:
+    /// a node that never forks never allocates one); always empty outside
+    /// that function.
+    spawn_scratch: Vec<(Pid, ProcId, Vec<Value>)>,
+    wake_scratch: Vec<(Pid, Vec<Value>)>,
     /// Total instructions stepped — one add per instruction, read at
     /// sync points by the world's metrics instead of a hot-path counter.
     steps_total: u64,
@@ -398,6 +404,8 @@ impl Node {
             halt_marker: None,
             timers: BinaryHeap::new(),
             due_scratch: Vec::new(),
+            spawn_scratch: Vec::new(),
+            wake_scratch: Vec::new(),
             steps_total: 0,
             vm_profile: Vec::new(),
             call_tree: CallTree::new(),
@@ -751,7 +759,7 @@ impl Node {
                 None,
                 EventKind::ProcessSpawned {
                     pid: pid.0,
-                    proc: name.to_string(),
+                    proc: name.clone(),
                 },
             );
         }
@@ -1314,8 +1322,8 @@ impl Node {
     }
 
     /// Runs the node's processes forward until `t` (or until nothing can
-    /// run and no timer is due before `t`), returning the accumulated
-    /// outcalls.
+    /// run and no timer is due before `t`), appending the accumulated
+    /// outcalls — those queued since the last call first — to `out`.
     ///
     /// The node may overshoot `t` by at most one instruction, which is far
     /// below the network's minimum latency — the conservative-window
@@ -1326,7 +1334,13 @@ impl Node {
     /// earliest instant at which `expire_timers`, `pick_next` or `rotate`
     /// could answer differently — and [`step_process`](Node::step_process)
     /// runs the picked process up to it.
-    pub fn advance_to(&mut self, t: SimTime) -> Vec<Outcall> {
+    pub fn advance_into(&mut self, t: SimTime, out: &mut Vec<Outcall>) {
+        // Step straight into the caller's buffer: it stands in for
+        // `self.outcalls` for the duration of the call, so a caller that
+        // reuses one buffer pays for its growth once, and this node keeps
+        // only the small allocation of its between-window list.
+        out.append(&mut self.outcalls);
+        std::mem::swap(&mut self.outcalls, out);
         loop {
             if self.clock >= t {
                 break;
@@ -1357,21 +1371,29 @@ impl Node {
                 self.rotate();
             }
         }
-        std::mem::take(&mut self.outcalls)
+        std::mem::swap(&mut self.outcalls, out);
     }
 
-    /// Are outcalls queued that [`advance_to`](Node::advance_to) has not
-    /// yet returned? Deliveries and debugger actions between windows can
-    /// queue outcalls on an otherwise idle node; the world must still
-    /// drive such a node through `advance_to` so they reach the upper
-    /// layers.
+    /// [`advance_into`](Node::advance_into) for callers that want an
+    /// owned list: worker threads, tests.
+    pub fn advance_to(&mut self, t: SimTime) -> Vec<Outcall> {
+        let mut out = Vec::new();
+        self.advance_into(t, &mut out);
+        out
+    }
+
+    /// Are outcalls queued that [`advance_into`](Node::advance_into) has
+    /// not yet handed over? Deliveries and debugger actions between
+    /// windows can queue outcalls on an otherwise idle node; the world
+    /// must still drive such a node through `advance_into` so they reach
+    /// the upper layers.
     pub fn has_pending_outcalls(&self) -> bool {
         !self.outcalls.is_empty()
     }
 
     /// Advances the clock of a *provably quiescent* node: nothing is
     /// schedulable and no timer is due at or before `t`, so this is
-    /// exactly what [`advance_to`](Node::advance_to) would compute — the
+    /// exactly what [`advance_into`](Node::advance_into) would compute — the
     /// (entirely non-schedulable) run queue drained and the clock jumped
     /// — minus the window-by-window scans. The world's activity index
     /// uses it to catch a skipped node up before routing work to it.
@@ -1469,8 +1491,8 @@ impl Node {
             outcalls: &mut self.outcalls,
             next_pid: &mut self.next_pid,
             next_token: &mut self.next_token,
-            spawns: Vec::new(),
-            wakes: Vec::new(),
+            spawns: std::mem::take(&mut self.spawn_scratch),
+            wakes: std::mem::take(&mut self.wake_scratch),
             block: None,
         };
 
@@ -1504,8 +1526,8 @@ impl Node {
         };
 
         let block = ctx.block.take();
-        let spawns = std::mem::take(&mut ctx.spawns);
-        let wakes = std::mem::take(&mut ctx.wakes);
+        let mut spawns = std::mem::take(&mut ctx.spawns);
+        let mut wakes = std::mem::take(&mut ctx.wakes);
         drop(ctx);
 
         if let Some((proc_id, cursor)) = profiled {
@@ -1639,7 +1661,7 @@ impl Node {
         }
 
         let parent_span = proc.span;
-        for (new_pid, proc_id, args) in spawns {
+        for (new_pid, proc_id, args) in spawns.drain(..) {
             let name = self.proc_name(proc_id);
             let halted = self.halt_marker.map(|_| HaltInfo {
                 since: self.clock,
@@ -1673,16 +1695,18 @@ impl Node {
                     parent_span,
                     EventKind::ProcessSpawned {
                         pid: new_pid.0,
-                        proc: name.to_string(),
+                        proc: name.clone(),
                     },
                 );
             }
             self.outcalls
                 .push(Outcall::ProcCreated { pid: new_pid, name });
         }
-        for (wpid, values) in wakes {
+        for (wpid, values) in wakes.drain(..) {
             self.wake(wpid, values);
         }
+        self.spawn_scratch = spawns;
+        self.wake_scratch = wakes;
     }
 }
 

@@ -242,8 +242,8 @@ pub enum EventKind {
     ProcessSpawned {
         /// New process id.
         pid: u64,
-        /// Root procedure name.
-        proc: String,
+        /// Root procedure name (shared with the process record).
+        proc: Arc<str>,
     },
     /// A process left the runnable set for good.
     ProcessExited {
@@ -684,7 +684,7 @@ impl EventKind {
             },
             "ProcessSpawned" => EventKind::ProcessSpawned {
                 pid: u("pid")?,
-                proc: s("proc")?,
+                proc: s("proc")?.into(),
             },
             "ProcessExited" => EventKind::ProcessExited { pid: u("pid")? },
             "ProcessesHalted" => EventKind::ProcessesHalted { count: u("count")? },
@@ -2021,7 +2021,10 @@ mod tests {
             },
             EventKind::MaybeLostCall { call_id: 14 },
             EventKind::MaybeLostReply { call_id: 15 },
-            EventKind::ProcessSpawned { pid: 16, proc: s() },
+            EventKind::ProcessSpawned {
+                pid: 16,
+                proc: s().into(),
+            },
             EventKind::ProcessExited { pid: 17 },
             EventKind::ProcessesHalted { count: 18 },
             EventKind::ProcessesResumed { count: 19 },

@@ -98,6 +98,83 @@ fn pump_twin_rich_scenario() {
     }
 }
 
+/// `sparse-250k`'s shape in small: every node forks a crowd of workers
+/// that sleep a node-staggered time and exit.
+const SPARSE: &str = "\
+worker = proc (k: int) returns (int)
+ sleep(k)
+ return (k)
+end
+main = proc (n: int)
+ d: int := 5 + my_node() * 3
+ for i: int := 1 to n do
+  fork worker(d)
+ end
+end";
+
+/// Runs [`SPARSE`] on twelve nodes in 2 ms slices, checking the index
+/// between slices: first every station is runnable at once (the index's
+/// runnable list, re-keyed every window), then every station is parked
+/// on thirty timers (its heap), then they wake node by node.
+fn sparse_scenario(threads: usize, reference_pump: bool) -> World {
+    const NODES: u32 = 12;
+    let mut w = World::builder()
+        .nodes(NODES)
+        .program(SPARSE)
+        .debugger(false)
+        .seed(0x5ba45e)
+        .step_threads(threads)
+        .build()
+        .expect("sparse scenario builds");
+    w.set_reference_pump(reference_pump);
+    for node in 0..NODES {
+        w.spawn(node, "main", vec![Value::Int(30)]);
+    }
+    let mut seen = (false, false);
+    for _ in 0..30 {
+        w.run_for(SimDuration::from_millis(2));
+        w.debug_validate_index();
+        let runnable = (0..NODES)
+            .filter(|&n| w.node(n).state_counts().0 > 0)
+            .count();
+        seen.0 |= runnable == NODES as usize;
+        seen.1 |= runnable == 0;
+    }
+    assert_eq!(
+        seen,
+        (true, true),
+        "slices must catch all stations runnable and all stations parked"
+    );
+    w.run_until_idle(SimTime::from_secs(5));
+    w.debug_validate_index();
+    for node in 0..NODES {
+        assert_eq!(w.node(node).pids().len(), 31, "node {node} forked 30");
+        assert_eq!(
+            w.node(node).state_counts(),
+            (0, 0, 0),
+            "node {node} drained"
+        );
+    }
+    w
+}
+
+/// Many simultaneously runnable stations, then many parked ones: the two
+/// containers of the activity index, byte-identical to the full scan,
+/// serially and on the worker pool.
+#[test]
+fn pump_twin_sparse_scenario() {
+    for threads in [1, 4] {
+        let skip = capture(&sparse_scenario(threads, false));
+        let reference = capture(&sparse_scenario(threads, true));
+        assert_eq!(
+            skip.trace, reference.trace,
+            "trace diverged at {threads} threads"
+        );
+        assert_eq!(skip.metrics, reference.metrics);
+        assert_eq!(skip.artifact, reference.artifact);
+    }
+}
+
 /// A spawn onto a node with nothing else to do leaves a `ProcCreated`
 /// outcall behind; the skip pump must still step that node next window so
 /// the agent sees the birth — and the process must actually run.
