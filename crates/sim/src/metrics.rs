@@ -345,6 +345,21 @@ impl Metrics {
         out
     }
 
+    /// How many counters, gauges and histograms are registered. The
+    /// registry is append-only, so a holder of handles (the time-series
+    /// store) that remembers these knows exactly which instruments it has
+    /// not met: those at positions from its remembered count onwards.
+    pub fn instrument_counts(&self) -> [usize; 3] {
+        let r = self.registry.borrow();
+        [r.counters.len(), r.gauges.len(), r.histograms.len()]
+    }
+
+    /// Whether `other` is a clone of this registry (the same instruments,
+    /// not merely the same names).
+    pub fn same_registry(&self, other: &Metrics) -> bool {
+        Rc::ptr_eq(&self.registry, &other.registry)
+    }
+
     /// Visits every counter in registration order (deterministic: the
     /// same build path registers instruments in the same order). `f` must
     /// not register new instruments — the registry borrow is held.

@@ -3,13 +3,18 @@
 //! A [`SeriesStore`] is sampled at lockstep sync points (the world calls
 //! [`SeriesStore::on_sync`] from the pump tail, the one place serial and
 //! parallel runs agree on by construction). Every `interval` sync points
-//! it snapshots each registered instrument into a bounded ring:
-//! counters as deltas against the previous sample, gauges as values,
-//! histograms as per-window `(count, sum, bucket)` deltas. All math is
-//! integer-only and the rings hold only what was sampled, so rendering a
-//! query is byte-identical across serial runs, parallel runs, and
-//! replays — the determinism gate in `tests/tsdb_gate.rs` holds the
-//! store to that.
+//! it reads each registered instrument through a handle it keeps and
+//! writes one row per instrument kind into a bounded ring: counters as
+//! deltas against the previous sample, gauges as values, histograms as
+//! per-window `(count, sum, bucket…)` deltas. All math is integer-only
+//! and the rings hold only what was sampled, so rendering a query is
+//! byte-identical across serial runs, parallel runs, and replays — the
+//! determinism gate in `tests/tsdb_gate.rs` holds the store to that.
+//!
+//! A sample costs what it stores: one load, one subtract and one store
+//! per column. Once the rings are full it allocates nothing and compares
+//! no names (`tests/alloc_gate.rs` pins the first, the benchmark's
+//! `sim.tsdb.ns_per_sample` prices both).
 //!
 //! # Examples
 //!
@@ -26,57 +31,108 @@
 //! assert!(out.contains("delta 5"));
 //! ```
 
-use std::collections::VecDeque;
+use std::fmt::Write as _;
+use std::ops::Range;
 
-use crate::metrics::{bucket_quantile, render_bucket_bound, Metrics};
+use crate::metrics::{bucket_quantile, render_bucket_bound, Counter, Gauge, Histogram, Metrics};
 use crate::time::SimTime;
 
-/// One counter's ring of per-sample deltas.
+/// One instrument kind's samples, row-major: row `p` holds one cell per
+/// column of the kind. Every ring of a store has the same number of rows
+/// in the same physical order (`SeriesStore::times` names them), so the
+/// store keeps one length and one head for all of them.
+#[derive(Debug, Default)]
+struct Ring {
+    /// Cells per row.
+    width: usize,
+    cells: Vec<u64>,
+}
+
+impl Ring {
+    fn row(&self, p: usize) -> &[u64] {
+        &self.cells[p * self.width..(p + 1) * self.width]
+    }
+
+    fn row_mut(&mut self, p: usize) -> &mut [u64] {
+        &mut self.cells[p * self.width..(p + 1) * self.width]
+    }
+
+    /// Appends one row. The ring grows by use — never to `budget` ahead
+    /// of it, which a scenario may set far beyond what its run fills.
+    fn push_row(&mut self) {
+        self.cells.resize(self.cells.len() + self.width, 0);
+    }
+
+    /// Re-strides the `rows` rows in place to `extra` more cells each.
+    /// What the new cells hold is never read: a column's reads start at
+    /// the sample it was born at, and a sample writes its whole row.
+    #[cold]
+    fn widen(&mut self, rows: usize, extra: usize) {
+        let (old, new) = (self.width, self.width + extra);
+        self.cells.resize(rows * new, 0);
+        for p in (0..rows).rev() {
+            self.cells.copy_within(p * old..(p + 1) * old, p * new);
+        }
+        self.width = new;
+    }
+}
+
+/// A counter column: cell = increase since the previous sample.
 #[derive(Debug)]
-struct CounterSeries {
+struct CounterCol {
     name: String,
+    handle: Counter,
     /// Cumulative value at the previous sample (delta base).
     last: u64,
-    deltas: VecDeque<u64>,
+    /// Samples the store had taken before this column's first.
+    born: u64,
 }
 
-/// One gauge's ring of sampled values.
+/// A gauge column: cell = the sampled value, as its bits.
 #[derive(Debug)]
-struct GaugeSeries {
+struct GaugeCol {
     name: String,
-    values: VecDeque<i64>,
+    handle: Gauge,
+    born: u64,
 }
 
-/// A histogram's activity between two consecutive samples.
-#[derive(Debug, Clone)]
-struct HistWindow {
-    count: u64,
-    sum: u64,
-    /// Per-bucket observation deltas, finite buckets then overflow.
-    buckets: Vec<u64>,
-}
-
-/// One histogram's ring of per-sample windows.
+/// A histogram's columns: `count, sum`, then one cell per bucket, all
+/// increases since the previous sample.
 #[derive(Debug)]
-struct HistSeries {
+struct HistCol {
     name: String,
-    /// Inclusive upper bounds of the finite buckets (fixed for life).
+    handle: Histogram,
+    /// Inclusive upper bounds of the buckets, the overflow bucket's
+    /// `u64::MAX` last (fixed for life, also across a re-bind).
     bounds: Vec<u64>,
-    last_counts: Vec<u64>,
-    last_count: u64,
-    last_sum: u64,
-    windows: VecDeque<HistWindow>,
+    /// Position of the `count` cell in a histogram row.
+    at: usize,
+    /// Cumulative `count, sum, buckets…` at the previous sample.
+    last: Vec<u64>,
+    born: u64,
+}
+
+/// Writes `cur`'s increase over `prev` and moves the base up to it.
+#[inline]
+fn delta(cell: &mut u64, prev: &mut u64, cur: u64) {
+    *cell = cur.wrapping_sub(*prev);
+    *prev = cur;
 }
 
 /// A bounded, delta-encoded store of metric samples over simulated time.
 ///
-/// Series are discovered from the registry at each sample and identified
-/// by name. They are *addressed* by registration index — the registry is
-/// append-only, so the instrument at position `k` owns the series at
-/// position `k` — and a single name compare verifies the position before
-/// it is trusted (a mismatch falls back to a search by name). A series
-/// registered after sampling began simply has a shorter ring; rings are
-/// tail-aligned to the shared sample-time ring.
+/// A series' identity is its metric name; its address is a handle. The
+/// store keeps a clone of every instrument's handle, in the order it met
+/// them, and a sample is one pass over those handles. The registry is
+/// append-only, so instruments the store has not met are found by count:
+/// only when [`Metrics::instrument_counts`] has moved does the store walk
+/// the new tail by name. A series registered after sampling began is
+/// shorter than the rest and tail-aligned to the shared sample times.
+///
+/// A store fed a registry other than the one its handles came from
+/// re-binds every series by name to that registry's instruments (a
+/// series the new registry lacks keeps its old handle; a histogram
+/// re-bound to one with fewer buckets reads zero in the missing ones).
 #[derive(Debug)]
 pub struct SeriesStore {
     /// Sync points per sample; 1 = sample every sync point.
@@ -87,14 +143,25 @@ pub struct SeriesStore {
     ticks: u64,
     /// Total samples taken (retained or evicted).
     taken: u64,
-    /// Sample times (µs), oldest first.
-    times: VecDeque<u64>,
+    /// Sample times (µs), one per retained row, in the rings' physical
+    /// order.
+    times: Vec<u64>,
+    /// Physical position of the oldest retained row: 0 while the rings
+    /// grow, then the row the next sample overwrites.
+    head: usize,
     /// Time (µs) of the most recently evicted sample — the left edge of
     /// the oldest retained window.
     evicted_before: u64,
-    counters: Vec<CounterSeries>,
-    gauges: Vec<GaugeSeries>,
-    hists: Vec<HistSeries>,
+    /// The registry the handles were cloned from.
+    bound: Option<Metrics>,
+    /// Its [`Metrics::instrument_counts`] when they were.
+    seen: [usize; 3],
+    counters: Vec<CounterCol>,
+    counter_ring: Ring,
+    gauges: Vec<GaugeCol>,
+    gauge_ring: Ring,
+    hists: Vec<HistCol>,
+    hist_ring: Ring,
 }
 
 impl SeriesStore {
@@ -106,11 +173,17 @@ impl SeriesStore {
             budget: budget.max(1),
             ticks: 0,
             taken: 0,
-            times: VecDeque::new(),
+            times: Vec::new(),
+            head: 0,
             evicted_before: 0,
+            bound: None,
+            seen: [0; 3],
             counters: Vec::new(),
+            counter_ring: Ring::default(),
             gauges: Vec::new(),
+            gauge_ring: Ring::default(),
             hists: Vec::new(),
+            hist_ring: Ring::default(),
         }
     }
 
@@ -145,254 +218,348 @@ impl SeriesStore {
     }
 
     /// Takes a sample unconditionally.
+    // Out of line: the pump's window tail inlines `on_sync` — a counter
+    // and a modulo — and every committed scenario but the benchmark's
+    // `observe` gets past that check once per 32–64 sync points, so this
+    // body has no business in `end_window`. It costs `observe` one call
+    // per sample. (No measured difference decides this: EXPERIMENTS.md M7
+    // built it inlined, plain and out of line, and the builds differed by
+    // less than one source does between two build directories.)
+    #[inline(never)]
     pub fn sample(&mut self, now: SimTime, metrics: &Metrics) {
-        self.taken += 1;
-        if self.times.len() == self.budget {
-            if let Some(t) = self.times.pop_front() {
-                self.evicted_before = t;
-            }
+        let known = self
+            .bound
+            .as_ref()
+            .is_some_and(|bound| bound.same_registry(metrics));
+        if !known || metrics.instrument_counts() != self.seen {
+            self.adopt(metrics, known);
         }
-        self.times.push_back(now.as_micros());
-        let retained = self.times.len();
 
-        let mut k = 0;
-        metrics.for_each_counter(|name, c| {
-            let i = locate(&self.counters, k, name, |s| &s.name).unwrap_or_else(|| {
-                self.counters.push(CounterSeries {
-                    name: name.to_string(),
-                    last: 0,
-                    deltas: VecDeque::new(),
-                });
-                self.counters.len() - 1
-            });
-            k += 1;
-            let s = &mut self.counters[i];
-            let cur = c.get();
-            s.deltas.push_back(cur.wrapping_sub(s.last));
-            s.last = cur;
-            while s.deltas.len() > retained {
-                s.deltas.pop_front();
-            }
-        });
-        let mut k = 0;
-        metrics.for_each_gauge(|name, g| {
-            let i = locate(&self.gauges, k, name, |s| &s.name).unwrap_or_else(|| {
-                self.gauges.push(GaugeSeries {
-                    name: name.to_string(),
-                    values: VecDeque::new(),
-                });
-                self.gauges.len() - 1
-            });
-            k += 1;
-            let s = &mut self.gauges[i];
-            s.values.push_back(g.get());
-            while s.values.len() > retained {
-                s.values.pop_front();
-            }
-        });
-        let mut k = 0;
-        metrics.for_each_histogram(|name, h| {
-            let i = locate(&self.hists, k, name, |s| &s.name).unwrap_or_else(|| {
-                let bounds: Vec<u64> = h.bounds().iter().copied().chain([u64::MAX]).collect();
-                self.hists.push(HistSeries {
-                    name: name.to_string(),
-                    last_counts: vec![0; bounds.len()],
-                    bounds,
-                    last_count: 0,
-                    last_sum: 0,
-                    windows: VecDeque::new(),
-                });
-                self.hists.len() - 1
-            });
-            k += 1;
-            let s = &mut self.hists[i];
-            // Deltas come straight from the live counts; the window's own
-            // bucket vector is the only allocation.
-            let buckets = h.with_counts(|counts| {
-                let deltas = counts
-                    .iter()
-                    .zip(s.last_counts.iter())
-                    .map(|(&n, &prev)| n.wrapping_sub(prev))
-                    .collect();
-                s.last_counts.clear();
-                s.last_counts.extend_from_slice(counts);
-                deltas
-            });
-            let count = h.count();
-            let sum = h.sum();
-            s.windows.push_back(HistWindow {
-                count: count.wrapping_sub(s.last_count),
-                sum: sum.wrapping_sub(s.last_sum),
-                buckets,
-            });
-            s.last_count = count;
-            s.last_sum = sum;
-            while s.windows.len() > retained {
-                s.windows.pop_front();
-            }
-        });
-    }
-
-    /// The left time edge (µs) of the sample at retained index `idx` for
-    /// a series whose ring holds `len` samples.
-    fn window_start(&self, len: usize, idx: usize) -> u64 {
-        // The series' samples are the last `len` entries of `times`.
-        let offset = self.times.len() - len;
-        if offset + idx == 0 {
-            self.evicted_before
+        let rows = self.times.len();
+        let p = if rows < self.budget {
+            self.times.push(0);
+            self.counter_ring.push_row();
+            self.gauge_ring.push_row();
+            self.hist_ring.push_row();
+            rows
         } else {
-            self.times[offset + idx - 1]
+            let p = self.head;
+            self.evicted_before = self.times[p];
+            self.head = if p + 1 == rows { 0 } else { p + 1 };
+            p
+        };
+        self.times[p] = now.as_micros();
+        self.taken += 1;
+
+        let row = self.counter_ring.row_mut(p);
+        for (cell, c) in row.iter_mut().zip(&mut self.counters) {
+            delta(cell, &mut c.last, c.handle.get());
+        }
+        let row = self.gauge_ring.row_mut(p);
+        for (cell, g) in row.iter_mut().zip(&self.gauges) {
+            *cell = g.handle.get() as u64;
+        }
+        let row = self.hist_ring.row_mut(p);
+        for h in &mut self.hists {
+            let cells = &mut row[h.at..h.at + h.last.len()];
+            delta(&mut cells[0], &mut h.last[0], h.handle.count());
+            delta(&mut cells[1], &mut h.last[1], h.handle.sum());
+            h.handle.with_counts(|counts| {
+                let buckets = cells[2..].iter_mut().zip(&mut h.last[2..]);
+                for (j, (cell, prev)) in buckets.enumerate() {
+                    match counts.get(j) {
+                        Some(&n) => delta(cell, prev, n),
+                        None => *cell = 0,
+                    }
+                }
+            });
         }
     }
 
-    fn window_end(&self, len: usize, idx: usize) -> u64 {
-        self.times[self.times.len() - len + idx]
+    /// Binds the instruments of `metrics` this store holds no handle to:
+    /// the registry's tail past `seen` when the store `known`s it, every
+    /// instrument when it does not. Each is looked up by name — found, its
+    /// column takes the new handle and keeps its history and delta base;
+    /// not found, it becomes a new column born at the coming sample — and
+    /// each ring is re-strided once for the columns it gained. A handful
+    /// of calls per run, all early.
+    #[cold]
+    fn adopt(&mut self, metrics: &Metrics, known: bool) {
+        let from = if known { self.seen } else { [0; 3] };
+        let rows = self.times.len();
+        let born = self.taken;
+
+        let (mut k, mut extra) = (0, 0);
+        metrics.for_each_counter(|name, handle| {
+            k += 1;
+            if k <= from[0] {
+                return;
+            }
+            let handle = handle.clone();
+            match self.counters.iter_mut().find(|c| c.name == name) {
+                Some(c) => c.handle = handle,
+                None => {
+                    self.counters.push(CounterCol {
+                        name: name.to_string(),
+                        handle,
+                        last: 0,
+                        born,
+                    });
+                    extra += 1;
+                }
+            }
+        });
+        self.counter_ring.widen(rows, extra);
+
+        let (mut k, mut extra) = (0, 0);
+        metrics.for_each_gauge(|name, handle| {
+            k += 1;
+            if k <= from[1] {
+                return;
+            }
+            let handle = handle.clone();
+            match self.gauges.iter_mut().find(|g| g.name == name) {
+                Some(g) => g.handle = handle,
+                None => {
+                    self.gauges.push(GaugeCol {
+                        name: name.to_string(),
+                        handle,
+                        born,
+                    });
+                    extra += 1;
+                }
+            }
+        });
+        self.gauge_ring.widen(rows, extra);
+
+        let (mut k, mut extra) = (0, 0);
+        metrics.for_each_histogram(|name, handle| {
+            k += 1;
+            if k <= from[2] {
+                return;
+            }
+            let handle = handle.clone();
+            match self.hists.iter_mut().find(|h| h.name == name) {
+                Some(h) => h.handle = handle,
+                None => {
+                    let bounds: Vec<u64> =
+                        handle.bounds().iter().copied().chain([u64::MAX]).collect();
+                    let cells = 2 + bounds.len();
+                    self.hists.push(HistCol {
+                        name: name.to_string(),
+                        handle,
+                        bounds,
+                        at: self.hist_ring.width + extra,
+                        last: vec![0; cells],
+                        born,
+                    });
+                    extra += cells;
+                }
+            }
+        });
+        self.hist_ring.widen(rows, extra);
+
+        self.seen = metrics.instrument_counts();
+        if !known {
+            self.bound = Some(metrics.clone());
+        }
+    }
+
+    /// Samples retained of a series born at sample `born`.
+    fn len_of(&self, born: u64) -> usize {
+        (self.taken - born).min(self.times.len() as u64) as usize
+    }
+
+    /// Physical row of the `g`-th oldest retained sample.
+    fn phys(&self, g: usize) -> usize {
+        let p = self.head + g;
+        if p >= self.times.len() {
+            p - self.times.len()
+        } else {
+            p
+        }
+    }
+
+    /// Column `col` of `ring` over the retained samples `span` (counted
+    /// from the oldest), oldest first.
+    fn cells<'a>(
+        &'a self,
+        ring: &'a Ring,
+        col: usize,
+        span: Range<usize>,
+    ) -> impl Iterator<Item = u64> + 'a {
+        span.map(move |g| ring.row(self.phys(g))[col])
+    }
+
+    /// The rows a series `len` samples long renders as, `window` samples
+    /// per row: `(start_us, end_us, samples)`, the samples counted from
+    /// the oldest retained one. The series' samples are the newest `len`;
+    /// a row's left edge is the sample before its first — for the oldest
+    /// retained sample, the one evicted last.
+    fn windows(
+        &self,
+        len: usize,
+        window: usize,
+    ) -> impl Iterator<Item = (u64, u64, Range<usize>)> + '_ {
+        let rows = self.times.len();
+        let window = window.clamp(1, len.max(1));
+        (rows - len..rows).step_by(window).map(move |lo| {
+            let hi = (lo + window).min(rows);
+            let start = match lo {
+                0 => self.evicted_before,
+                _ => self.times[self.phys(lo - 1)],
+            };
+            (start, self.times[self.phys(hi - 1)], lo..hi)
+        })
+    }
+
+    /// `(start_us, end_us, delta)` per rendered row of counter `col`.
+    fn counter_rows(
+        &self,
+        col: usize,
+        window: usize,
+    ) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        self.windows(self.len_of(self.counters[col].born), window)
+            .map(move |(start, end, span)| {
+                (start, end, self.cells(&self.counter_ring, col, span).sum())
+            })
+    }
+
+    /// Calls `row(start_us, end_us, count, sum, buckets)` per rendered
+    /// row of histogram `i`, the window's bucket deltas merged into
+    /// `(upper_bound, count)` pairs.
+    fn hist_rows(
+        &self,
+        i: usize,
+        window: usize,
+        mut row: impl FnMut(u64, u64, u64, u64, &[(u64, u64)]),
+    ) {
+        let h = &self.hists[i];
+        let mut buckets: Vec<(u64, u64)> = h.bounds.iter().map(|&b| (b, 0)).collect();
+        for (start, end, span) in self.windows(self.len_of(h.born), window) {
+            let (mut count, mut sum) = (0u64, 0u64);
+            buckets.iter_mut().for_each(|b| b.1 = 0);
+            for g in span {
+                let cells = &self.hist_ring.row(self.phys(g))[h.at..h.at + h.last.len()];
+                count += cells[0];
+                sum += cells[1];
+                for (acc, &d) in buckets.iter_mut().zip(&cells[2..]) {
+                    acc.1 += d;
+                }
+            }
+            row(start, end, count, sum, &buckets);
+        }
     }
 
     /// Renders the series named `metric`, aggregating `window` samples
     /// per row (oldest first). Unknown metrics render a one-line notice
     /// rather than erroring, so REPL typos stay cheap.
     pub fn render(&self, metric: &str, window: usize) -> String {
-        let window = window.max(1);
-        if let Some(s) = self.counters.iter().find(|s| s.name == metric) {
-            return self.render_counter(s, window);
+        let mut out = String::new();
+        if let Some(col) = self.counters.iter().position(|s| s.name == metric) {
+            self.render_counter(&mut out, col, window);
+        } else if let Some(col) = self.gauges.iter().position(|s| s.name == metric) {
+            self.render_gauge(&mut out, col, window);
+        } else if let Some(i) = self.hists.iter().position(|s| s.name == metric) {
+            self.render_hist(&mut out, i, window);
+        } else {
+            let _ = writeln!(out, "tsdb: no series named {metric}");
         }
-        if let Some(s) = self.gauges.iter().find(|s| s.name == metric) {
-            return self.render_gauge(s, window);
-        }
-        if let Some(s) = self.hists.iter().find(|s| s.name == metric) {
-            return self.render_hist(s, window);
-        }
-        format!("tsdb: no series named {metric}\n")
+        out
     }
 
-    fn render_counter(&self, s: &CounterSeries, window: usize) -> String {
-        let len = s.deltas.len();
-        let mut out = format!(
-            "tsdb counter {}: {} samples (interval {} sync points)\n",
-            s.name, len, self.interval
+    /// The first line of a rendered series.
+    fn header(&self, out: &mut String, kind: &str, name: &str, len: usize) {
+        let _ = writeln!(
+            out,
+            "tsdb {kind} {name}: {len} samples (interval {} sync points)",
+            self.interval
         );
-        let mut idx = 0;
-        while idx < len {
-            let hi = (idx + window).min(len);
-            let delta: u64 = s.deltas.range(idx..hi).sum();
-            let start = self.window_start(len, idx);
-            let end = self.window_end(len, hi - 1);
+    }
+
+    fn render_counter(&self, out: &mut String, col: usize, window: usize) {
+        let s = &self.counters[col];
+        self.header(out, "counter", &s.name, self.len_of(s.born));
+        for (start, end, delta) in self.counter_rows(col, window) {
             let dur = end.saturating_sub(start);
             let rate = delta
                 .saturating_mul(1_000_000)
                 .checked_div(dur)
                 .unwrap_or(0);
-            out.push_str(&format!("[{start}..{end}us] delta {delta} rate {rate}/s\n"));
-            idx = hi;
+            let _ = writeln!(out, "[{start}..{end}us] delta {delta} rate {rate}/s");
         }
-        out
     }
 
-    fn render_gauge(&self, s: &GaugeSeries, window: usize) -> String {
-        let len = s.values.len();
-        let mut out = format!(
-            "tsdb gauge {}: {} samples (interval {} sync points)\n",
-            s.name, len, self.interval
-        );
-        let mut idx = 0;
-        while idx < len {
-            let hi = (idx + window).min(len);
-            let vals = s.values.range(idx..hi);
+    fn render_gauge(&self, out: &mut String, col: usize, window: usize) {
+        let s = &self.gauges[col];
+        let len = self.len_of(s.born);
+        self.header(out, "gauge", &s.name, len);
+        for (start, end, span) in self.windows(len, window) {
             let mut min = i64::MAX;
             let mut max = i64::MIN;
             let mut sum = 0i128;
-            let mut n = 0i128;
-            for &v in vals {
+            let n = span.len() as i128;
+            for v in self.cells(&self.gauge_ring, col, span) {
+                let v = v as i64;
                 min = min.min(v);
                 max = max.max(v);
                 sum += v as i128;
-                n += 1;
             }
             let mean = (sum / n) as i64;
-            let start = self.window_start(len, idx);
-            let end = self.window_end(len, hi - 1);
-            out.push_str(&format!(
-                "[{start}..{end}us] min {min} mean {mean} max {max}\n"
-            ));
-            idx = hi;
+            let _ = writeln!(out, "[{start}..{end}us] min {min} mean {mean} max {max}");
         }
-        out
     }
 
-    fn render_hist(&self, s: &HistSeries, window: usize) -> String {
-        let len = s.windows.len();
-        let mut out = format!(
-            "tsdb histogram {}: {} samples (interval {} sync points)\n",
-            s.name, len, self.interval
-        );
-        let mut idx = 0;
-        while idx < len {
-            let hi = (idx + window).min(len);
-            let mut count = 0u64;
-            let mut sum = 0u64;
-            let mut buckets: Vec<u64> = vec![0; s.bounds.len()];
-            for w in s.windows.range(idx..hi) {
-                count += w.count;
-                sum += w.sum;
-                for (acc, &d) in buckets.iter_mut().zip(w.buckets.iter()) {
-                    *acc += d;
-                }
-            }
-            let pairs: Vec<(u64, u64)> = s
-                .bounds
-                .iter()
-                .copied()
-                .zip(buckets.iter().copied())
-                .collect();
+    fn render_hist(&self, out: &mut String, i: usize, window: usize) {
+        let s = &self.hists[i];
+        self.header(out, "histogram", &s.name, self.len_of(s.born));
+        self.hist_rows(i, window, |start, end, count, sum, buckets| {
             let mean = sum.checked_div(count).unwrap_or(0);
-            let p50 = render_bucket_bound(bucket_quantile(&pairs, 0.5));
-            let p90 = render_bucket_bound(bucket_quantile(&pairs, 0.9));
-            let p99 = render_bucket_bound(bucket_quantile(&pairs, 0.99));
-            let start = self.window_start(len, idx);
-            let end = self.window_end(len, hi - 1);
-            out.push_str(&format!(
-                "[{start}..{end}us] count {count} mean {mean} p50 {p50} p90 {p90} p99 {p99}\n"
-            ));
-            idx = hi;
-        }
-        out
+            let p50 = render_bucket_bound(bucket_quantile(buckets, 0.5));
+            let p90 = render_bucket_bound(bucket_quantile(buckets, 0.9));
+            let p99 = render_bucket_bound(bucket_quantile(buckets, 0.99));
+            let _ = writeln!(
+                out,
+                "[{start}..{end}us] count {count} mean {mean} p50 {p50} p90 {p90} p99 {p99}"
+            );
+        });
     }
 
     /// One line per series: totals over the retained window. The world's
     /// `observability_report()` embeds this.
     pub fn summary(&self) -> String {
+        let rows = self.times.len();
         let mut out = format!(
             "tsdb: {} samples retained ({} taken), interval {} sync points, budget {}\n",
-            self.times.len(),
-            self.taken,
-            self.interval,
-            self.budget
+            rows, self.taken, self.interval, self.budget
         );
-        for s in &self.counters {
-            let total: u64 = s.deltas.iter().sum();
-            out.push_str(&format!(
-                "tsdb counter {}: {} samples, windowed total {total}\n",
-                s.name,
-                s.deltas.len()
-            ));
+        for (col, s) in self.counters.iter().enumerate() {
+            let len = self.len_of(s.born);
+            let total: u64 = self.cells(&self.counter_ring, col, rows - len..rows).sum();
+            let _ = writeln!(
+                out,
+                "tsdb counter {}: {len} samples, windowed total {total}",
+                s.name
+            );
         }
-        for s in &self.gauges {
-            if let (Some(&first), Some(&last)) = (s.values.front(), s.values.back()) {
-                out.push_str(&format!(
-                    "tsdb gauge {}: {} samples, first {first} last {last}\n",
-                    s.name,
-                    s.values.len()
-                ));
-            }
+        for (col, s) in self.gauges.iter().enumerate() {
+            let len = self.len_of(s.born);
+            let first = self.gauge_ring.row(self.phys(rows - len))[col] as i64;
+            let last = self.gauge_ring.row(self.phys(rows - 1))[col] as i64;
+            let _ = writeln!(
+                out,
+                "tsdb gauge {}: {len} samples, first {first} last {last}",
+                s.name
+            );
         }
         for s in &self.hists {
-            let total: u64 = s.windows.iter().map(|w| w.count).sum();
-            out.push_str(&format!(
-                "tsdb histogram {}: {} samples, windowed count {total}\n",
-                s.name,
-                s.windows.len()
-            ));
+            let len = self.len_of(s.born);
+            let total: u64 = self.cells(&self.hist_ring, s.at, rows - len..rows).sum();
+            let _ = writeln!(
+                out,
+                "tsdb histogram {}: {len} samples, windowed count {total}",
+                s.name
+            );
         }
         out
     }
@@ -404,8 +571,14 @@ impl SeriesStore {
     /// [`series_names`]: SeriesStore::series_names
     pub fn render_all(&self, window: usize) -> String {
         let mut out = String::new();
-        for name in self.series_names() {
-            out.push_str(&self.render(&name, window));
+        for col in 0..self.counters.len() {
+            self.render_counter(&mut out, col, window);
+        }
+        for col in 0..self.gauges.len() {
+            self.render_gauge(&mut out, col, window);
+        }
+        for i in 0..self.hists.len() {
+            self.render_hist(&mut out, i, window);
         }
         out
     }
@@ -415,24 +588,10 @@ impl SeriesStore {
     /// exactly as [`render`](SeriesStore::render) does. Empty when the
     /// metric is unknown or not a counter.
     pub fn counter_windows(&self, metric: &str, window: usize) -> Vec<(u64, u64, u64)> {
-        let window = window.max(1);
-        let Some(s) = self.counters.iter().find(|s| s.name == metric) else {
-            return Vec::new();
-        };
-        let len = s.deltas.len();
-        let mut rows = Vec::new();
-        let mut idx = 0;
-        while idx < len {
-            let hi = (idx + window).min(len);
-            let delta: u64 = s.deltas.range(idx..hi).sum();
-            rows.push((
-                self.window_start(len, idx),
-                self.window_end(len, hi - 1),
-                delta,
-            ));
-            idx = hi;
+        match self.counters.iter().position(|s| s.name == metric) {
+            Some(col) => self.counter_rows(col, window).collect(),
+            None => Vec::new(),
         }
-        rows
     }
 
     /// The windowed rows of a histogram series as data: `(start_us,
@@ -441,36 +600,11 @@ impl SeriesStore {
     /// observations in the window). Empty when the metric is unknown or
     /// not a histogram.
     pub fn hist_windows(&self, metric: &str, window: usize) -> Vec<(u64, u64, u64, Option<u64>)> {
-        let window = window.max(1);
-        let Some(s) = self.hists.iter().find(|s| s.name == metric) else {
-            return Vec::new();
-        };
-        let len = s.windows.len();
         let mut rows = Vec::new();
-        let mut idx = 0;
-        while idx < len {
-            let hi = (idx + window).min(len);
-            let mut count = 0u64;
-            let mut buckets: Vec<u64> = vec![0; s.bounds.len()];
-            for w in s.windows.range(idx..hi) {
-                count += w.count;
-                for (acc, &d) in buckets.iter_mut().zip(w.buckets.iter()) {
-                    *acc += d;
-                }
-            }
-            let pairs: Vec<(u64, u64)> = s
-                .bounds
-                .iter()
-                .copied()
-                .zip(buckets.iter().copied())
-                .collect();
-            rows.push((
-                self.window_start(len, idx),
-                self.window_end(len, hi - 1),
-                count,
-                bucket_quantile(&pairs, 0.99),
-            ));
-            idx = hi;
+        if let Some(i) = self.hists.iter().position(|s| s.name == metric) {
+            self.hist_rows(i, window, |start, end, count, _, buckets| {
+                rows.push((start, end, count, bucket_quantile(buckets, 0.99)));
+            });
         }
         rows
     }
@@ -484,18 +618,6 @@ impl SeriesStore {
             .chain(self.gauges.iter().map(|s| s.name.clone()))
             .chain(self.hists.iter().map(|s| s.name.clone()))
             .collect()
-    }
-}
-
-/// Index of the series named `name` among `series`. The registry is
-/// append-only and visited in registration order, so the series sits at
-/// the instrument's own position `k` unless this store is being fed from
-/// a registry other than the one it grew up with; one name compare tells,
-/// and the by-name search is the fallback. Identity stays the name.
-fn locate<S>(series: &[S], k: usize, name: &str, name_of: impl Fn(&S) -> &str) -> Option<usize> {
-    match series.get(k) {
-        Some(s) if name_of(s) == name => Some(k),
-        _ => series.iter().position(|s| name_of(s) == name),
     }
 }
 
@@ -677,120 +799,282 @@ mod tests {
         assert_eq!(lines[1], "[100..200us] delta 5 rate 50000/s");
     }
 
-    /// `SeriesStore::on_sync` as it was before series were addressed by
-    /// position: every series found by a scan of name compares, histogram
-    /// deltas rebuilt from `buckets()`. Kept verbatim as the oracle.
-    fn on_sync_by_name(store: &mut SeriesStore, now: SimTime, metrics: &Metrics) {
-        store.ticks += 1;
-        if !store.ticks.is_multiple_of(store.interval) {
-            return;
-        }
-        store.taken += 1;
-        if store.times.len() == store.budget {
-            if let Some(t) = store.times.pop_front() {
-                store.evicted_before = t;
-            }
-        }
-        store.times.push_back(now.as_micros());
-        let retained = store.times.len();
-
-        metrics.for_each_counter(|name, c| {
-            let i = store
-                .counters
-                .iter()
-                .position(|s| s.name == name)
-                .unwrap_or_else(|| {
-                    store.counters.push(CounterSeries {
-                        name: name.to_string(),
-                        last: 0,
-                        deltas: VecDeque::new(),
-                    });
-                    store.counters.len() - 1
-                });
-            let s = &mut store.counters[i];
-            let cur = c.get();
-            s.deltas.push_back(cur.wrapping_sub(s.last));
-            s.last = cur;
-            while s.deltas.len() > retained {
-                s.deltas.pop_front();
-            }
-        });
-        metrics.for_each_gauge(|name, g| {
-            let i = store
-                .gauges
-                .iter()
-                .position(|s| s.name == name)
-                .unwrap_or_else(|| {
-                    store.gauges.push(GaugeSeries {
-                        name: name.to_string(),
-                        values: VecDeque::new(),
-                    });
-                    store.gauges.len() - 1
-                });
-            let s = &mut store.gauges[i];
-            s.values.push_back(g.get());
-            while s.values.len() > retained {
-                s.values.pop_front();
-            }
-        });
-        metrics.for_each_histogram(|name, h| {
-            let buckets = h.buckets();
-            let i = store
-                .hists
-                .iter()
-                .position(|s| s.name == name)
-                .unwrap_or_else(|| {
-                    store.hists.push(HistSeries {
-                        name: name.to_string(),
-                        bounds: buckets.iter().map(|&(b, _)| b).collect(),
-                        last_counts: vec![0; buckets.len()],
-                        last_count: 0,
-                        last_sum: 0,
-                        windows: VecDeque::new(),
-                    });
-                    store.hists.len() - 1
-                });
-            let s = &mut store.hists[i];
-            let deltas: Vec<u64> = buckets
-                .iter()
-                .zip(s.last_counts.iter())
-                .map(|(&(_, n), &prev)| n.wrapping_sub(prev))
-                .collect();
-            let count = h.count();
-            let sum = h.sum();
-            s.windows.push_back(HistWindow {
-                count: count.wrapping_sub(s.last_count),
-                sum: sum.wrapping_sub(s.last_sum),
-                buckets: deltas,
-            });
-            s.last_counts = buckets.iter().map(|&(_, n)| n).collect();
-            s.last_count = count;
-            s.last_sum = sum;
-            while s.windows.len() > retained {
-                s.windows.pop_front();
-            }
-        });
+    /// One series of the [`Model`].
+    struct ModelSeries {
+        name: String,
+        /// Histogram bucket bounds (overflow last), fixed at first sight.
+        bounds: Vec<u64>,
+        /// Cumulative readings at the previous sample: `[value]` for a
+        /// counter, `[count, sum, buckets…]` for a histogram.
+        last: Vec<u64>,
+        /// Number of the first sample this series is in.
+        born: usize,
+        /// Every sample since, never evicted: `[delta]`, `[value]` or
+        /// `[count, sum, buckets…]`.
+        samples: Vec<Vec<u64>>,
     }
 
-    /// Everything a caller can read out of a store, as one string.
-    fn everything(store: &SeriesStore, names: &[String]) -> String {
-        let mut out = store.summary();
-        for w in 1..=3 {
-            out.push_str(&store.render_all(w));
-            for n in names {
-                out.push_str(&format!(
-                    "{n}/{w}: {:?} {:?}\n",
-                    store.counter_windows(n, w),
-                    store.hist_windows(n, w)
-                ));
+    /// The oracle: what a store renders, from a representation that
+    /// shares nothing with the row rings. Series are found by name at
+    /// every sample (as the store did before it kept handles, histogram
+    /// deltas rebuilt from `buckets()`), every sample of every series is
+    /// kept forever under its sample number, and the budget is applied on
+    /// read: the retained samples are the numbers `taken - budget..`.
+    struct Model {
+        interval: u64,
+        budget: usize,
+        ticks: u64,
+        /// Time of every sample ever taken.
+        times: Vec<u64>,
+        /// Counters, gauges, histograms, each in order of first sight.
+        series: [Vec<ModelSeries>; 3],
+    }
+
+    impl Model {
+        fn new(interval: u64, budget: usize) -> Model {
+            Model {
+                interval,
+                budget,
+                ticks: 0,
+                times: Vec::new(),
+                series: [Vec::new(), Vec::new(), Vec::new()],
             }
         }
-        out
+
+        fn series<'a>(
+            all: &'a mut Vec<ModelSeries>,
+            name: &str,
+            born: usize,
+            bounds: Vec<u64>,
+        ) -> &'a mut ModelSeries {
+            let i = all.iter().position(|s| s.name == name).unwrap_or_else(|| {
+                all.push(ModelSeries {
+                    name: name.to_string(),
+                    last: vec![0; 2 + bounds.len()],
+                    bounds,
+                    born,
+                    samples: Vec::new(),
+                });
+                all.len() - 1
+            });
+            &mut all[i]
+        }
+
+        fn on_sync(&mut self, now: SimTime, metrics: &Metrics) {
+            self.ticks += 1;
+            if !self.ticks.is_multiple_of(self.interval) {
+                return;
+            }
+            let n = self.times.len();
+            self.times.push(now.as_micros());
+            let [counters, gauges, hists] = &mut self.series;
+            metrics.for_each_counter(|name, c| {
+                let s = Model::series(counters, name, n, Vec::new());
+                s.samples.push(vec![c.get().wrapping_sub(s.last[0])]);
+                s.last[0] = c.get();
+            });
+            metrics.for_each_gauge(|name, g| {
+                let s = Model::series(gauges, name, n, Vec::new());
+                s.samples.push(vec![g.get() as u64]);
+            });
+            metrics.for_each_histogram(|name, h| {
+                let buckets = h.buckets();
+                let bounds = buckets.iter().map(|&(b, _)| b).collect();
+                let s = Model::series(hists, name, n, bounds);
+                let mut sample = vec![
+                    h.count().wrapping_sub(s.last[0]),
+                    h.sum().wrapping_sub(s.last[1]),
+                ];
+                // A series that met a histogram with fewer buckets than
+                // its own has no reading for the rest: no delta.
+                sample.extend(
+                    buckets
+                        .iter()
+                        .zip(&s.last[2..])
+                        .map(|(&(_, n), &prev)| n.wrapping_sub(prev)),
+                );
+                s.last = [h.count(), h.sum()]
+                    .into_iter()
+                    .chain(buckets.iter().map(|&(_, n)| n))
+                    .collect();
+                s.samples.push(sample);
+            });
+        }
+
+        /// A series' retained samples and the number of the first.
+        fn retained<'a>(&self, s: &'a ModelSeries) -> (usize, &'a [Vec<u64>]) {
+            let oldest = self.times.len().saturating_sub(self.budget);
+            let skip = oldest.saturating_sub(s.born);
+            (s.born + skip, &s.samples[skip..])
+        }
+
+        /// `(start_us, end_us, samples)` per rendered row.
+        fn rows<'a>(&self, s: &'a ModelSeries, window: usize) -> Vec<(u64, u64, &'a [Vec<u64>])> {
+            let (first, kept) = self.retained(s);
+            kept.chunks(window)
+                .enumerate()
+                .map(|(i, chunk)| {
+                    let k = first + i * window;
+                    let start = if k == 0 { 0 } else { self.times[k - 1] };
+                    (start, self.times[k + chunk.len() - 1], chunk)
+                })
+                .collect()
+        }
+
+        /// Column `j` of `chunk`, summed.
+        fn total(chunk: &[Vec<u64>], j: usize) -> u64 {
+            chunk.iter().filter_map(|sample| sample.get(j)).sum()
+        }
+
+        fn buckets(s: &ModelSeries, chunk: &[Vec<u64>]) -> Vec<(u64, u64)> {
+            let merged = |j| Model::total(chunk, 2 + j);
+            s.bounds
+                .iter()
+                .enumerate()
+                .map(|(j, &b)| (b, merged(j)))
+                .collect()
+        }
+
+        fn counter_windows(&self, name: &str, window: usize) -> Vec<(u64, u64, u64)> {
+            let found = self.series[0].iter().find(|s| s.name == name);
+            found.map_or(Vec::new(), |s| {
+                self.rows(s, window)
+                    .into_iter()
+                    .map(|(start, end, chunk)| (start, end, Model::total(chunk, 0)))
+                    .collect()
+            })
+        }
+
+        fn hist_windows(&self, name: &str, window: usize) -> Vec<(u64, u64, u64, Option<u64>)> {
+            let found = self.series[2].iter().find(|s| s.name == name);
+            found.map_or(Vec::new(), |s| {
+                self.rows(s, window)
+                    .into_iter()
+                    .map(|(start, end, chunk)| {
+                        let p99 = bucket_quantile(&Model::buckets(s, chunk), 0.99);
+                        (start, end, Model::total(chunk, 0), p99)
+                    })
+                    .collect()
+            })
+        }
+
+        fn render_all(&self, window: usize) -> String {
+            let mut out = String::new();
+            let header = |kind: &str, s: &ModelSeries| {
+                format!(
+                    "tsdb {kind} {}: {} samples (interval {} sync points)\n",
+                    s.name,
+                    self.retained(s).1.len(),
+                    self.interval
+                )
+            };
+            for s in &self.series[0] {
+                out += &header("counter", s);
+                for (start, end, chunk) in self.rows(s, window) {
+                    let delta = Model::total(chunk, 0);
+                    let rate = match end - start {
+                        0 => 0,
+                        dur => delta * 1_000_000 / dur,
+                    };
+                    out += &format!("[{start}..{end}us] delta {delta} rate {rate}/s\n");
+                }
+            }
+            for s in &self.series[1] {
+                out += &header("gauge", s);
+                for (start, end, chunk) in self.rows(s, window) {
+                    let values = || chunk.iter().map(|sample| sample[0] as i64);
+                    let (min, max) = (values().min().unwrap(), values().max().unwrap());
+                    let mean = values().sum::<i64>() / chunk.len() as i64;
+                    out += &format!("[{start}..{end}us] min {min} mean {mean} max {max}\n");
+                }
+            }
+            for s in &self.series[2] {
+                out += &header("histogram", s);
+                for (start, end, chunk) in self.rows(s, window) {
+                    let count = Model::total(chunk, 0);
+                    let mean = Model::total(chunk, 1).checked_div(count).unwrap_or(0);
+                    let buckets = Model::buckets(s, chunk);
+                    let [p50, p90, p99] =
+                        [0.5, 0.9, 0.99].map(|q| render_bucket_bound(bucket_quantile(&buckets, q)));
+                    out += &format!(
+                        "[{start}..{end}us] count {count} mean {mean} p50 {p50} p90 {p90} p99 {p99}\n"
+                    );
+                }
+            }
+            out
+        }
+
+        fn summary(&self) -> String {
+            let taken = self.times.len();
+            let mut out = format!(
+                "tsdb: {} samples retained ({taken} taken), interval {} sync points, budget {}\n",
+                taken.min(self.budget),
+                self.interval,
+                self.budget
+            );
+            for (k, kind) in ["counter", "gauge", "histogram"].iter().enumerate() {
+                for s in &self.series[k] {
+                    let kept = self.retained(s).1;
+                    out += &format!("tsdb {kind} {}: {} samples, ", s.name, kept.len());
+                    out += &match k {
+                        0 => format!("windowed total {}\n", Model::total(kept, 0)),
+                        1 => {
+                            let at = |i: usize| kept[i][0] as i64;
+                            format!("first {} last {}\n", at(0), at(kept.len() - 1))
+                        }
+                        _ => format!("windowed count {}\n", Model::total(kept, 0)),
+                    };
+                }
+            }
+            out
+        }
+    }
+
+    /// Everything a caller can read out of a store (or the model of
+    /// one), as one string.
+    macro_rules! everything {
+        ($store:expr, $names:expr) => {{
+            let mut out = $store.summary();
+            for w in 1..=3 {
+                out.push_str(&$store.render_all(w));
+                for n in $names {
+                    out.push_str(&format!(
+                        "{n}/{w}: {:?} {:?}\n",
+                        $store.counter_windows(n, w),
+                        $store.hist_windows(n, w)
+                    ));
+                }
+            }
+            out
+        }};
+    }
+
+    /// A store and its model, fed the same samples.
+    struct Pair(SeriesStore, Model);
+
+    impl Pair {
+        fn new(interval: u64, budget: usize) -> Pair {
+            Pair(
+                SeriesStore::new(interval, budget),
+                Model::new(interval, budget),
+            )
+        }
+
+        fn on_sync(&mut self, now: SimTime, metrics: &Metrics) {
+            self.0.on_sync(now, metrics);
+            self.1.on_sync(now, metrics);
+        }
+
+        fn agree(&self, names: &[String]) -> Result<(), String> {
+            use crate::check::ensure_eq;
+            ensure_eq(everything!(self.0, names), everything!(self.1, names))?;
+            ensure_eq(self.0.samples_taken(), self.1.times.len() as u64)
+        }
     }
 
     #[test]
     fn positional_sampling_matches_the_by_name_reference() {
-        use crate::check::{check, ensure_eq, int_range, vecs, zip};
+        use crate::check::{check, int_range, vecs, zip};
         const POOL: i64 = 3;
         let names: Vec<String> = ["c", "g", "h"]
             .iter()
@@ -798,8 +1082,9 @@ mod tests {
             .collect();
         // ((interval, budget), [(kind, (instrument, value))]): kinds 0–2
         // touch a counter / gauge / histogram, registering it on first
-        // touch (so series appear mid-run, in script order); 3–5 are a
-        // sync point. Small budgets make the rings evict.
+        // touch (so series appear mid-run, in script order — with these
+        // budgets usually into a ring that has already wrapped); 3–5 are
+        // a sync point. Small budgets make the rings evict.
         let script = zip(
             zip(int_range(1, 5), int_range(1, 9)),
             vecs(
@@ -807,28 +1092,26 @@ mod tests {
                 60,
             ),
         );
-        check("positional sample == by-name sample", &script, |case| {
+        check("handle sample == by-name model", &script, |case| {
             let ((interval, budget), ops) = case;
             let (interval, budget) = (*interval as u64, *budget as usize);
             let live = Metrics::new();
             // A second registry holding the same names in the opposite
-            // order (and histograms with fewer buckets): position `k`
-            // there names a different series, so a store that moves over
-            // to it must fall back to the name. Its values never trail
-            // the live ones, so the deltas across the move stay positive.
+            // order (and histograms with fewer buckets): a store that
+            // moves over to it must notice and re-bind by name. Its
+            // values never trail the live ones, so the deltas across the
+            // move stay positive.
             let other = Metrics::new();
             for i in (0..POOL).rev() {
                 other.histogram(&format!("h{i}"), &[10]);
                 other.gauge(&format!("g{i}"));
                 other.counter(&format!("c{i}"));
             }
-            // (store under test, oracle) pairs: two stores of different
-            // shape over the live registry, one that changes registry
-            // half way through.
-            let pair = |i, b| (SeriesStore::new(i, b), SeriesStore::new(i, b));
-            let mut first = pair(interval, budget);
-            let mut second = pair(interval % 4 + 1, budget + 3);
-            let mut mixed = pair(1, budget);
+            // Two stores of different shape over the live registry, one
+            // that changes registry half way through.
+            let mut first = Pair::new(interval, budget);
+            let mut second = Pair::new(interval % 4 + 1, budget + 3);
+            let mut mixed = Pair::new(1, budget);
             let half = ops.iter().filter(|(kind, _)| *kind > 2).count() / 2;
             let mut now = 0;
             let mut syncs = 0;
@@ -853,21 +1136,77 @@ mod tests {
                         now += 100 + v as u64;
                         syncs += 1;
                         let at = SimTime::from_micros(now);
-                        for (store, oracle) in [&mut first, &mut second] {
-                            store.on_sync(at, &live);
-                            on_sync_by_name(oracle, at, &live);
-                        }
-                        let fed = if syncs > half { &other } else { &live };
-                        mixed.0.on_sync(at, fed);
-                        on_sync_by_name(&mut mixed.1, at, fed);
+                        first.on_sync(at, &live);
+                        second.on_sync(at, &live);
+                        mixed.on_sync(at, if syncs > half { &other } else { &live });
                     }
                 }
             }
-            for (store, oracle) in [&first, &second, &mixed] {
-                ensure_eq(everything(store, &names), everything(oracle, &names))?;
-                ensure_eq(store.samples_taken(), oracle.samples_taken())?;
-            }
-            Ok(())
+            first.agree(&names)?;
+            second.agree(&names)?;
+            mixed.agree(&names)
         });
+    }
+
+    /// The cases the row layout can get wrong, pinned rather than left to
+    /// the generator: instruments of every kind registered while the ring
+    /// is wrapped (`head != 0`) and so re-strided mid-history, a
+    /// histogram born after eviction began, and a ring one row long —
+    /// checked against the model after every sample.
+    #[test]
+    fn registrations_into_a_wrapped_ring_match_the_model() {
+        let names: Vec<String> = ["c0", "c1", "g0", "h0", "h1"].map(String::from).to_vec();
+        for budget in [1, 2, 3, 5] {
+            let m = Metrics::new();
+            let mut pair = Pair::new(1, budget);
+            let c0 = m.counter("c0");
+            let mut now = 0;
+            let mut sync = |pair: &mut Pair, m: &Metrics| {
+                now += 150;
+                pair.on_sync(at(now), m);
+                pair.agree(&names)
+                    .unwrap_or_else(|e| panic!("budget {budget}, t={now}: {e}"));
+            };
+            for i in 0..budget as u64 + 2 {
+                c0.add(i + 1);
+                sync(&mut pair, &m);
+            }
+            assert_eq!(pair.0.head, 2 % budget, "wrapped before the registrations");
+            let (c1, g0) = (m.counter("c1"), m.gauge("g0"));
+            let h0 = m.histogram("h0", &[10, 100]);
+            for i in 0..budget as u64 + 2 {
+                c0.inc();
+                c1.add(3 * i);
+                g0.set(4 - i as i64);
+                h0.observe(9 * i);
+                sync(&mut pair, &m);
+                if i == 1 {
+                    // A second re-stride of the histogram ring, again
+                    // into a wrapped one.
+                    m.histogram("h1", &[5]).observe(7);
+                }
+            }
+            assert_eq!(pair.0.samples(), budget);
+        }
+    }
+
+    /// `budget` bounds the ring; it is not its size. A store told to keep
+    /// everything allocates for what it has sampled.
+    #[test]
+    fn an_unbounded_budget_allocates_by_use() {
+        let names = vec!["c".to_string(), "h".to_string()];
+        let m = Metrics::new();
+        let c = m.counter("c");
+        let h = m.histogram("h", &[10]);
+        let mut pair = Pair::new(1, usize::MAX);
+        for i in 1..=5u64 {
+            c.add(i);
+            h.observe(4 * i);
+            pair.on_sync(at(i * 100), &m);
+        }
+        assert_eq!(pair.0.samples(), 5);
+        assert!(pair.0.counter_ring.cells.capacity() < 64);
+        assert!(pair.0.hist_ring.cells.capacity() < 64 * 4);
+        pair.agree(&names).unwrap();
     }
 }

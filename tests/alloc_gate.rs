@@ -10,7 +10,8 @@
 //!
 //! * a window in which nodes only execute plain instructions allocates
 //!   nothing at all — not in the pump, not in the node scheduler, not in
-//!   the VM — once the world's buffers have grown;
+//!   the VM, not in the time-series sample that ends it — once the
+//!   world's buffers have grown;
 //! * a fork → sleep → exit process lifecycle costs a small, fixed number
 //!   of allocations, none of them in a per-process table kept for a
 //!   debugger that is not there.
@@ -72,16 +73,15 @@ fn allocations(f: impl FnOnce()) -> u64 {
 /// A world shaped like the benchmark's `compute` / `sparse-250k` units:
 /// no debugger station, agents linked in but dormant, trace filter empty
 /// (the flight recorder keeps its default categories). The time-series
-/// store is the one documented allocator on the sync-point path — a
-/// bucket vector per histogram per sample, priced by the benchmark's
-/// `sim.tsdb.ns_per_sample` — so its sampling interval is pushed past
-/// the end of these runs: what is left is the pump and the nodes.
+/// store samples at every sync point into a 64-row ring, so after the
+/// warm-up the ring is full and every measured window includes a sample
+/// that overwrites a row.
 fn world(nodes: u32, source: &str) -> World {
     let w = World::builder()
         .nodes(nodes)
         .program(source)
         .debugger(false)
-        .coarse_window(1 << 32, 64)
+        .coarse_window(1, 64)
         .seed(0xa110c)
         .build()
         .expect("gate world builds");
