@@ -67,7 +67,7 @@ fn main() {
                 f.proc_name,
                 f.line.map(|l| l.to_string()).unwrap_or_else(|| "?".into())
             ),
-            f.kind.clone(),
+            f.kind.to_string(),
             f.rpc
                 .as_ref()
                 .map(|r| {

@@ -254,12 +254,19 @@ pub enum RpcProtocol {
     Maybe,
 }
 
+impl RpcProtocol {
+    /// The protocol's name as source and debugger output spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            RpcProtocol::ExactlyOnce => "exactly-once",
+            RpcProtocol::Maybe => "maybe",
+        }
+    }
+}
+
 impl std::fmt::Display for RpcProtocol {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RpcProtocol::ExactlyOnce => f.write_str("exactly-once"),
-            RpcProtocol::Maybe => f.write_str("maybe"),
-        }
+        f.write_str(self.name())
     }
 }
 

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use pilgrim_cclu::{CodeAddr, Fault, FrameKind, Op, ProcId, Signature, Type, Value};
-use pilgrim_mayflower::{Node, Outcall, Pid, ProcBody, RunState, SpawnOpts};
+use pilgrim_mayflower::{Node, Outcall, Pid, ProcBody, Process, RunState, SpawnOpts};
 use pilgrim_ring::{Medium, NodeId, TxStatus};
 use pilgrim_rpc::{marshal, unmarshal, HandlerCtx, NativeHandler, RpcEndpoint};
 use pilgrim_sim::{EventKind, Json, SimDuration, SimTime, TraceCategory, Tracer};
@@ -622,7 +622,7 @@ impl Agent {
                 if let Some(session) = session {
                     self.halt_locally_and_broadcast(node, now, net, session);
                 }
-                AgentReply::Halted(node.pids().len())
+                AgentReply::Halted(node.processes().len())
             }
             AgentRequest::ResumeAll => {
                 let halted_for = self.resume_node(node, now);
@@ -630,14 +630,20 @@ impl Agent {
                     halted_for_us: halted_for.as_micros(),
                 }
             }
-            AgentRequest::ListProcesses => AgentReply::Processes(
-                node.pids()
-                    .into_iter()
-                    .filter_map(|pid| self.proc_view(node, pid))
-                    .collect(),
-            ),
-            AgentRequest::ProcessState { pid } => match self.proc_view(node, Pid(pid)) {
-                Some(v) => AgentReply::Process(v),
+            // Dead records are listed too: the table keeps them for
+            // post-mortem examination, and the reply's simulated size (32
+            // bytes a record) is part of every delivery time.
+            AgentRequest::ListProcesses => {
+                let now = node.clock();
+                AgentReply::Processes(
+                    node.processes()
+                        .iter()
+                        .map(|p| Self::proc_view(p, now))
+                        .collect(),
+                )
+            }
+            AgentRequest::ProcessState { pid } => match node.process(Pid(pid)) {
+                Some(p) => AgentReply::Process(Self::proc_view(p, node.clock())),
                 None => AgentReply::Error(format!("no process p{pid}")),
             },
             AgentRequest::ReadStack { pid } => match self.read_stack(node, endpoint, Pid(pid)) {
@@ -793,9 +799,9 @@ impl Agent {
             AgentRequest::RpcStatus { pid } => {
                 AgentReply::Rpc(endpoint.call_for_process(Pid(pid)).map(|c| RpcCallView {
                     call_id: c.call_id,
-                    proc: c.proc.to_string(),
-                    protocol: c.protocol.to_string(),
-                    state: c.state.to_string(),
+                    proc: c.proc,
+                    protocol: c.protocol.name(),
+                    state: c.state,
                     retries: c.retries,
                     dst: c.dst,
                 }))
@@ -881,11 +887,11 @@ impl Agent {
             .ok_or_else(|| format!("no local slot {slot}"))
     }
 
-    fn proc_view(&self, node: &Node, pid: Pid) -> Option<ProcView> {
-        let info = node.process_info(pid)?;
-        let p = node.process(pid)?;
-        let now = node.clock();
-        let state = match &info.state {
+    /// One row of a process listing, built straight from the supervisor's
+    /// record: the name is shared, not copied, so a row allocates only for
+    /// a fault message.
+    fn proc_view(p: &Process, now: SimTime) -> ProcView {
+        let state = match &p.state {
             RunState::Runnable => StateView::Runnable,
             RunState::Sleeping { until } => StateView::Sleeping {
                 remaining_ms: until.saturating_since(now).as_millis() as i64,
@@ -903,17 +909,16 @@ impl Agent {
             },
             RunState::Exited => StateView::Exited,
         };
-        let _ = p;
-        Some(ProcView {
-            pid: pid.0,
-            name: info.name,
+        ProcView {
+            pid: p.pid.0,
+            name: p.name.clone(),
             state,
-            halted: info.halted,
-            no_halt: info.no_halt,
-            priority: info.priority,
-            frames: info.frames as u32,
-            addr: info.addr.map(|a| (a.proc.0, a.pc)),
-        })
+            halted: p.halted.is_some(),
+            no_halt: p.no_halt,
+            priority: p.priority,
+            frames: p.vm().map_or(0, |vm| vm.frames.len()) as u32,
+            addr: p.addr().map(|a| (a.proc.0, a.pc)),
+        }
     }
 
     fn read_stack(
@@ -940,9 +945,9 @@ impl Agent {
                 };
                 RpcFrameView {
                     call_id: info.call_id,
-                    remote_proc: info.remote_proc.to_string(),
-                    protocol: info.protocol.to_string(),
-                    state: info.state.get().to_string(),
+                    remote_proc: info.remote_proc.clone(),
+                    protocol: info.protocol.name(),
+                    state: info.state.get(),
                     retries: info.retries.get(),
                     peer,
                 }
@@ -952,7 +957,7 @@ impl Agent {
                 proc_id: f.proc.0,
                 pc: f.pc,
                 well_formed: f.well_formed,
-                kind: kind.to_string(),
+                kind,
                 rpc,
             });
         }

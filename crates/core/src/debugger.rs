@@ -73,7 +73,10 @@ pub struct Debugger {
     next_session: u64,
     cohort: Vec<NodeId>,
     next_seq: u64,
-    replies: HashMap<u64, AgentReply>,
+    /// Replies that arrived and are not yet collected, keyed by `seq`.
+    /// Never more than a cohort's worth outstanding, so a scan beats a
+    /// hash probe per awaited `seq` per sync point.
+    replies: Vec<(u64, AgentReply)>,
     connect_acks: HashSet<NodeId>,
     connect_refusals: HashSet<NodeId>,
     events: VecDeque<DebugEvent>,
@@ -102,7 +105,7 @@ impl Debugger {
             next_session: 0,
             cohort: Vec::new(),
             next_seq: 1,
-            replies: HashMap::new(),
+            replies: Vec::new(),
             connect_acks: HashSet::new(),
             connect_refusals: HashSet::new(),
             events: VecDeque::new(),
@@ -197,7 +200,13 @@ impl Debugger {
 
     /// Takes the reply for `seq` if it has arrived.
     pub fn take_reply(&mut self, seq: u64) -> Option<AgentReply> {
-        self.replies.remove(&seq)
+        let i = self.replies.iter().position(|(s, _)| *s == seq)?;
+        Some(self.replies.swap_remove(i).1)
+    }
+
+    /// Takes the oldest pending event, leaving later ones queued.
+    pub fn take_event(&mut self) -> Option<DebugEvent> {
+        self.events.pop_front()
     }
 
     /// Drains pending events.
@@ -284,7 +293,7 @@ impl Debugger {
                 seq,
                 reply,
             } if self.session == Some(session) => {
-                self.replies.insert(seq, reply);
+                self.replies.push((seq, reply));
             }
             DebugMsg::Event { session, event } => {
                 if self.session != Some(session) {

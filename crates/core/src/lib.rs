@@ -92,7 +92,7 @@ pub use world::{
 
 // Re-export the pieces users need to drive a world without naming every
 // subcrate.
-pub use pilgrim_cclu::{compile, CompileError, Program, Value};
+pub use pilgrim_cclu::{compile, CompileError, Program, RpcCallState, Value};
 pub use pilgrim_mayflower::{NodeConfig, Pid, RunState, SpawnOpts};
 pub use pilgrim_ring::{LinkModel, Medium, NetworkConfig, NodeId, PartitionWindow, Topology};
 pub use pilgrim_rpc::{RpcConfig, WireValue};

@@ -15,6 +15,9 @@
 //!   source-to-object tables;
 //! * halt/resume broadcasts travel agent-to-agent (§5.2).
 
+use std::sync::Arc;
+
+use pilgrim_cclu::RpcCallState;
 use pilgrim_ring::NodeId;
 use pilgrim_rpc::WireValue;
 use pilgrim_sim::{SimDuration, SimTime};
@@ -373,8 +376,8 @@ pub enum StateView {
 pub struct ProcView {
     /// Process id.
     pub pid: u64,
-    /// Name.
-    pub name: String,
+    /// Name, sharing the allocation the node's process table interns.
+    pub name: Arc<str>,
     /// State.
     pub state: StateView,
     /// Halted by the debugger?
@@ -395,12 +398,12 @@ pub struct ProcView {
 pub struct RpcFrameView {
     /// Call identifier.
     pub call_id: u64,
-    /// Remote procedure name.
-    pub remote_proc: String,
+    /// Remote procedure name, shared with the information block.
+    pub remote_proc: Arc<str>,
     /// Protocol name ("exactly-once" / "maybe").
-    pub protocol: String,
-    /// Protocol state rendered as text.
-    pub state: String,
+    pub protocol: &'static str,
+    /// Protocol state; its `Display` is the text shown to the user.
+    pub state: RpcCallState,
     /// Retransmissions so far.
     pub retries: u32,
     /// The other node: callee for a client stub, caller for a server root.
@@ -419,7 +422,7 @@ pub struct FrameSummary {
     /// Has the frame's entry sequence completed (§5.5)?
     pub well_formed: bool,
     /// Frame role: "normal", "rpc-stub", "server-root", "agent-invoke".
-    pub kind: String,
+    pub kind: &'static str,
     /// RPC information block contents, when present.
     pub rpc: Option<RpcFrameView>,
 }
@@ -440,12 +443,12 @@ pub enum KnowledgeView {
 pub struct RpcCallView {
     /// Call identifier.
     pub call_id: u64,
-    /// Remote procedure.
-    pub proc: String,
+    /// Remote procedure, shared with the client call table.
+    pub proc: Arc<str>,
     /// Protocol name.
-    pub protocol: String,
-    /// Protocol state as text.
-    pub state: String,
+    pub protocol: &'static str,
+    /// Protocol state; its `Display` is the text shown to the user.
+    pub state: RpcCallState,
     /// Retransmissions.
     pub retries: u32,
     /// Destination node.

@@ -65,7 +65,7 @@ pub struct BacktraceFrame {
     /// Source line.
     pub line: Option<u32>,
     /// Frame role ("normal", "rpc-stub", "server-root", "agent-invoke").
-    pub kind: String,
+    pub kind: &'static str,
     /// Entry sequence complete (§5.5)?
     pub well_formed: bool,
     /// RPC information block, if the frame has one.
@@ -203,7 +203,7 @@ impl World {
         self.drive(stimulus, |w| {
             let seq = w.send_request(node, req)?;
             let mut reply = None;
-            w.await_replies(vec![seq], |r| reply = Some(r))?;
+            w.await_replies(&[seq], |r| reply = Some(r))?;
             match reply.expect("the awaited reply arrived") {
                 AgentReply::Error(e) => Err(DebugError::Agent(e)),
                 ok => Ok(ok),
@@ -228,17 +228,25 @@ impl World {
     /// seconds have passed.
     fn await_replies(
         &mut self,
-        mut seqs: Vec<u64>,
+        seqs: &[u64],
         mut on_reply: impl FnMut(AgentReply),
     ) -> Result<(), DebugError> {
         let deadline = self.now + SimDuration::from_secs(30);
-        while !seqs.is_empty() {
+        let mut outstanding = seqs.len();
+        while outstanding > 0 {
             if self.now >= deadline {
                 return Err(DebugError::Timeout);
             }
             self.pump_step(deadline);
             let dbg = self.debugger.as_mut().expect("a debugger sent these");
-            seqs.retain(|seq| dbg.take_reply(*seq).map(&mut on_reply).is_none());
+            // A reply is taken at most once, so re-probing an answered
+            // `seq` finds nothing and the count stays exact.
+            for seq in seqs {
+                if let Some(reply) = dbg.take_reply(*seq) {
+                    on_reply(reply);
+                    outstanding -= 1;
+                }
+            }
         }
         Ok(())
     }
@@ -261,14 +269,10 @@ impl World {
         self.drive(stimulus, |w| {
             let deadline = w.now + timeout;
             loop {
-                if let Some(ev) = w
-                    .debugger
-                    .as_mut()
-                    .ok_or(DebugError::NoDebugger)?
-                    .take_events()
-                    .into_iter()
-                    .next()
-                {
+                // One event per call: a second node that trapped in the
+                // same window stays queued for the next wait.
+                let dbg = w.debugger.as_mut().ok_or(DebugError::NoDebugger)?;
+                if let Some(ev) = dbg.take_event() {
                     return Ok(ev);
                 }
                 if w.now >= deadline {
@@ -386,7 +390,7 @@ impl World {
                 seqs.push(w.send_request(n, AgentRequest::ResumeAll)?);
             }
             let mut max_halt = SimDuration::ZERO;
-            w.await_replies(seqs, |reply| {
+            w.await_replies(&seqs, |reply| {
                 if let AgentReply::Resumed { halted_for_us } = reply {
                     max_halt = max_halt.max(SimDuration::from_micros(halted_for_us));
                 }
@@ -415,7 +419,7 @@ impl World {
     /// A single-process source-level backtrace.
     pub fn backtrace(&mut self, node: u32, pid: u64) -> Result<Vec<BacktraceFrame>, DebugError> {
         let frames = self.read_stack(node, pid)?;
-        Ok(self.map_frames(node, pid, &frames))
+        Ok(self.map_frames(node, pid, frames))
     }
 
     fn read_stack(&mut self, node: u32, pid: u64) -> Result<Vec<FrameSummary>, DebugError> {
@@ -425,10 +429,10 @@ impl World {
         }
     }
 
-    fn map_frames(&self, node: u32, pid: u64, frames: &[FrameSummary]) -> Vec<BacktraceFrame> {
+    fn map_frames(&self, node: u32, pid: u64, frames: Vec<FrameSummary>) -> Vec<BacktraceFrame> {
         let dbg = self.debugger.as_ref();
         frames
-            .iter()
+            .into_iter()
             .map(|f| {
                 let (proc_name, line) = match dbg {
                     Some(d) => d.source_position(NodeId(node), f.proc_id, f.pc),
@@ -440,9 +444,9 @@ impl World {
                     index: f.index,
                     proc_name,
                     line,
-                    kind: f.kind.clone(),
+                    kind: f.kind,
                     well_formed: f.well_formed,
-                    rpc: f.rpc.clone(),
+                    rpc: f.rpc,
                 }
             })
             .collect()
@@ -481,7 +485,6 @@ impl World {
         let mut out = Vec::new();
         for _ in 0..16 {
             let frames = self.read_stack(cur_node, cur_pid)?;
-            let mapped = self.map_frames(cur_node, cur_pid, &frames);
             let hop = frames.last().and_then(|top| {
                 if top.kind == "rpc-stub" {
                     top.rpc
@@ -491,7 +494,7 @@ impl World {
                     None
                 }
             });
-            out.extend(mapped);
+            out.extend(self.map_frames(cur_node, cur_pid, frames));
             let Some((dst, call_id)) = hop else { break };
             match self.debug_request(dst.0, AgentRequest::ServingProcess { call_id })? {
                 AgentReply::Serving(Some(server_pid)) => {

@@ -3,8 +3,8 @@
 //! describes, cited by section.
 
 use pilgrim::{
-    AgentRequest, DebugError, DebugEvent, MaybeDiagnosis, SimDuration, StateView, Value, WireValue,
-    World,
+    AgentReply, AgentRequest, DebugError, DebugEvent, DebugMsg, MaybeDiagnosis, RunState,
+    SessionId, SimDuration, StateView, Value, WireValue, World,
 };
 
 fn run_quiet(world: &mut World, secs: u64) {
@@ -118,9 +118,33 @@ fn breakpoint_fires_and_reports_source_position() {
     }
     // The whole node halted (§5.2).
     let procs = w.debug_processes(0).unwrap();
-    let main = procs.iter().find(|p| p.name == "main").unwrap();
+    let main = procs.iter().find(|p| &*p.name == "main").unwrap();
     assert!(main.halted, "other processes are halted while stopped");
     let _ = pid;
+}
+
+/// §5: a distributed breakpoint. Both nodes trap inside one 3.5 ms
+/// window, so both hits reach the debugger before the first wait returns;
+/// the second wait must still find the second hit.
+#[test]
+fn two_nodes_trapping_in_one_window_are_two_stops() {
+    let src = "f = proc ()\n x: int := 1\n print(x)\nend";
+    let mut w = World::builder().nodes(2).program(src).build().unwrap();
+    w.debug_connect(&[0, 1], false).unwrap();
+    w.break_at_proc(0, "f").unwrap();
+    w.break_at_proc(1, "f").unwrap();
+    w.spawn(0, "f", vec![]);
+    w.spawn(1, "f", vec![]);
+    let mut nodes = Vec::new();
+    for _ in 0..2 {
+        match w.wait_for_stop(SimDuration::from_secs(1)) {
+            Ok(DebugEvent::BreakpointHit { node, .. }) => nodes.push(node.0),
+            other => panic!("expected a breakpoint hit, got {other:?}"),
+        }
+    }
+    nodes.sort_unstable();
+    assert_eq!(nodes, [0, 1], "one stop per trapping node");
+    assert!(w.debug_events().is_empty(), "and nothing left over");
 }
 
 #[test]
@@ -323,7 +347,7 @@ fn cross_node_backtrace_walks_the_call_chain() {
         .find(|f| f.kind == "rpc-stub" && f.node == 0)
         .expect("stub frame");
     let rpc = stub.rpc.as_ref().unwrap();
-    assert_eq!(rpc.remote_proc, "middle");
+    assert_eq!(&*rpc.remote_proc, "middle");
     assert_eq!(rpc.protocol, "exactly-once");
     // Server-root frames mark the remote ends.
     assert!(bt.iter().any(|f| f.kind == "server-root" && f.node == 1));
@@ -347,7 +371,7 @@ fn rpc_status_shows_in_progress_call_state() {
     let client = w.spawn(0, "main", vec![]).0;
     w.run_for(SimDuration::from_millis(45));
     let call = w.rpc_status(0, client).unwrap().expect("call in progress");
-    assert_eq!(call.proc, "middle");
+    assert_eq!(&*call.proc, "middle");
     assert_eq!(call.dst.0, 1);
     assert_eq!(call.retries, 0);
     run_quiet(&mut w, 3);
@@ -525,12 +549,104 @@ end";
     w.run_for(SimDuration::from_millis(50));
     // The bystander on the *other* node was halted too (§5.2).
     let procs = w.debug_processes(1).unwrap();
-    let by = procs.iter().find(|p| p.name == "bystander").unwrap();
+    let by = procs.iter().find(|p| &*p.name == "bystander").unwrap();
     assert!(by.halted);
     // Post-mortem examination of the faulted process (§5.4).
     let procs0 = w.debug_processes(0).unwrap();
-    let dead = procs0.iter().find(|p| p.name == "main").unwrap();
+    let dead = procs0.iter().find(|p| &*p.name == "main").unwrap();
     assert!(matches!(dead.state, StateView::Faulted { .. }));
+}
+
+/// §5.4: a process listing is the supervisor's table, row for row. The
+/// oracle is `Node::process_info`, the paper's query primitive, read
+/// straight off the node while it is still halted.
+#[test]
+fn process_listing_matches_the_supervisor_primitive_row_for_row() {
+    let src = "\
+point = record[x: int, y: int]
+print_point = proc (p: point) returns (string)
+ return (int$unparse(p.x))
+end
+quick = proc ()
+end
+napper = proc ()
+ sleep(60000)
+end
+spinner = proc ()
+ i: int := 0
+ while i >= 0 do
+  i := i + 1
+ end
+end
+trapme = proc ()
+ p: point := point${x: 3, y: 4}
+ print(p)
+end";
+    let mut w = World::builder().nodes(1).program(src).build().unwrap();
+    w.debug_connect(&[0], false).unwrap();
+    for name in ["quick", "napper", "spinner"] {
+        w.spawn(0, name, vec![]);
+    }
+    w.run_for(SimDuration::from_millis(20));
+    w.break_at_line(0, 18).unwrap();
+    w.spawn(0, "trapme", vec![]);
+    let DebugEvent::BreakpointHit { pid, .. } = w.wait_for_stop(SimDuration::from_secs(2)).unwrap()
+    else {
+        panic!("expected breakpoint")
+    };
+    // The print operation runs as a no-halt agent process and then dies,
+    // leaving a dead no-halt record in the table.
+    assert_eq!(w.inspect(0, pid, "p").unwrap(), "3");
+
+    let before = w.node(0).clock();
+    let rows = w.debug_processes(0).unwrap();
+    let after = w.node(0).clock();
+    let node = w.node(0);
+    let pids = node.pids();
+    assert_eq!(rows.len(), pids.len(), "dead records are listed too");
+    let (mut dead, mut trapped, mut sleeping, mut halted, mut no_halt) = (0, 0, 0, 0, 0);
+    for (row, pid) in rows.iter().zip(pids) {
+        let info = node.process_info(pid).unwrap();
+        assert_eq!(row.pid, info.pid.0);
+        assert_eq!(row.name, info.name);
+        assert_eq!(row.halted, info.halted, "{row:?}");
+        assert_eq!(row.no_halt, info.no_halt, "{row:?}");
+        assert_eq!(row.priority, info.priority);
+        assert_eq!(row.frames as usize, info.frames);
+        assert_eq!(row.addr, info.addr.map(|a| (a.proc.0, a.pc)));
+        match (&row.state, &info.state) {
+            (StateView::Runnable, RunState::Runnable) => {}
+            (StateView::Exited, RunState::Exited) => dead += 1,
+            (StateView::Trapped { bp }, RunState::Trapped { bp: b }) => {
+                assert_eq!(bp, b);
+                trapped += 1;
+            }
+            (StateView::Sleeping { remaining_ms }, RunState::Sleeping { until }) => {
+                // Measured on the node's clock when the agent answered,
+                // which lies between sending and receiving.
+                let lo = until.saturating_since(after).as_millis() as i64;
+                let hi = until.saturating_since(before).as_millis() as i64;
+                assert!((lo..=hi).contains(remaining_ms), "{remaining_ms}");
+                sleeping += 1;
+            }
+            other => panic!("row and record disagree: {other:?}"),
+        }
+        halted += usize::from(row.halted);
+        no_halt += usize::from(row.no_halt);
+    }
+    assert!(
+        dead >= 2 && trapped == 1 && sleeping == 1 && halted >= 2 && no_halt >= 1,
+        "the table holds every kind of record: {rows:?}"
+    );
+
+    // The simulated size is per record, so every delivery time is too.
+    let records = rows.len();
+    let reply = DebugMsg::Reply {
+        session: SessionId(1),
+        seq: 1,
+        reply: AgentReply::Processes(rows),
+    };
+    assert_eq!(reply.wire_bytes(), 24 + 8 + 32 * records);
 }
 
 // ---------------------------------------------------------------------

@@ -293,7 +293,7 @@ mod tests {
         n.advance_to(SimTime::from_millis(50));
         let info = n.process_info(main).unwrap();
         assert!(matches!(info.state, RunState::Sleeping { .. }));
-        assert_eq!(info.name, "main");
+        assert_eq!(&*info.name, "main");
         assert!(info.frames > 0);
         let pids = n.pids();
         assert_eq!(pids.len(), 2);

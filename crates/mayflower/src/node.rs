@@ -777,6 +777,13 @@ impl Node {
         self.proc_at_mut(pid)
     }
 
+    /// Every process record in creation order, dead ones included (they
+    /// are retained for post-mortem examination). Borrowed, so a listing
+    /// is one pass with no per-record copy.
+    pub fn processes(&self) -> &[Process] {
+        &self.procs
+    }
+
     /// All process ids, in creation order.
     pub fn pids(&self) -> Vec<Pid> {
         self.procs.iter().map(|p| p.pid).collect()
@@ -787,7 +794,7 @@ impl Node {
     pub fn process_info(&self, pid: Pid) -> Option<ProcessInfo> {
         self.proc_at(pid).map(|p| ProcessInfo {
             pid,
-            name: p.name.to_string(),
+            name: p.name.clone(),
             state: p.state.clone(),
             halted: p.halted.is_some(),
             no_halt: p.no_halt,

@@ -228,8 +228,8 @@ impl Process {
 pub struct ProcessInfo {
     /// Identifier.
     pub pid: Pid,
-    /// Name.
-    pub name: String,
+    /// Name, sharing the process table's interned allocation.
+    pub name: Arc<str>,
     /// Supervisor state.
     pub state: RunState,
     /// Whether the debugger has halted it.

@@ -136,7 +136,7 @@ fn arena_never_reuses_pids_and_retains_every_record() {
                 ensure_eq(rec.pid, pid)?;
                 match mirror.get_mut(&pid.0) {
                     Some(m) => {
-                        ensure_eq(info.name.as_str(), m.name.as_str())?;
+                        ensure_eq(&*info.name, m.name.as_str())?;
                         if m.dead {
                             ensure(
                                 info.state.is_dead(),
@@ -149,7 +149,7 @@ fn arena_never_reuses_pids_and_retains_every_record() {
                         mirror.insert(
                             pid.0,
                             Remembered {
-                                name: info.name.clone(),
+                                name: info.name.to_string(),
                                 dead: info.state.is_dead(),
                             },
                         );

@@ -712,6 +712,27 @@ impl<P> Network<P> {
         class: TxClass,
         span: Option<SpanId>,
     ) -> TxStatus {
+        match self.transmit(now, src, dst, payload, bytes, class, span) {
+            Ok(status) => status,
+            Err(_) => TxStatus::Nack,
+        }
+    }
+
+    /// One transmission attempt. A ring NACK is the only outcome in which
+    /// the packet never left the sender, so it is the only one that hands
+    /// the payload back (`Err`) — a retransmitting caller moves it into the
+    /// next attempt instead of keeping a copy per attempt.
+    #[allow(clippy::too_many_arguments)]
+    fn transmit(
+        &mut self,
+        now: SimTime,
+        src: NodeId,
+        dst: NodeId,
+        payload: P,
+        bytes: usize,
+        class: TxClass,
+        span: Option<SpanId>,
+    ) -> Result<TxStatus, P> {
         assert!((src.0 as usize) < self.stations.len(), "unknown src {src}");
         assert!((dst.0 as usize) < self.stations.len(), "unknown dst {dst}");
         let sseg = self.seg_of[src.0 as usize];
@@ -772,7 +793,7 @@ impl<P> Network<P> {
                         m.bridge_lost.inc();
                     }
                     self.lose_silently(now, src, dst, bytes as u32, span, traced);
-                    return TxStatus::Queued { deliver_at: arrive };
+                    return Ok(TxStatus::Queued { deliver_at: arrive });
                 }
             };
             let dst_refused =
@@ -782,9 +803,9 @@ impl<P> Network<P> {
                 || self.rng.chance(self.config.p_silent_loss)
             {
                 self.lose_silently(now, src, dst, bytes as u32, span, traced);
-                return TxStatus::Queued {
+                return Ok(TxStatus::Queued {
                     deliver_at: far_arrive,
-                };
+                });
             }
             self.queue.schedule(
                 far_arrive,
@@ -797,9 +818,9 @@ impl<P> Network<P> {
                     payload,
                 },
             );
-            return TxStatus::Queued {
+            return Ok(TxStatus::Queued {
                 deliver_at: far_arrive,
-            };
+            });
         }
 
         let interface_lost =
@@ -825,18 +846,18 @@ impl<P> Network<P> {
                             },
                         );
                     }
-                    return TxStatus::Nack;
+                    return Err(payload);
                 }
                 Medium::Ethernet => {
                     // No NACK on Ethernet: the sender believes it was sent.
                     self.lose_silently(now, src, dst, bytes as u32, span, traced);
-                    return TxStatus::Queued { deliver_at: arrive };
+                    return Ok(TxStatus::Queued { deliver_at: arrive });
                 }
             }
         }
         if self.take_forced_drop(src, dst) || self.rng.chance(self.config.p_silent_loss) {
             self.lose_silently(now, src, dst, bytes as u32, span, traced);
-            return TxStatus::Queued { deliver_at: arrive };
+            return Ok(TxStatus::Queued { deliver_at: arrive });
         }
         self.queue.schedule(
             arrive,
@@ -849,7 +870,36 @@ impl<P> Network<P> {
                 payload,
             },
         );
-        TxStatus::Queued { deliver_at: arrive }
+        Ok(TxStatus::Queued { deliver_at: arrive })
+    }
+
+    /// Reliable unicast on the ring: retransmits on NACK until the
+    /// destination interface accepts, or `max_attempts` is exhausted (e.g.
+    /// the node has crashed). This is exactly the halt-broadcast protocol's
+    /// negative-acknowledgement scheme (§5.2). The payload moves through
+    /// the attempts; it is never copied.
+    ///
+    /// Returns `(status, attempts)`.
+    pub fn send_with_retransmit(
+        &mut self,
+        now: SimTime,
+        src: NodeId,
+        dst: NodeId,
+        mut payload: P,
+        bytes: usize,
+        max_attempts: u32,
+    ) -> (TxStatus, u32) {
+        let mut attempts = 0;
+        loop {
+            attempts += 1;
+            // Each attempt starts when the transmitter frees up. Reliable
+            // sends are control traffic (the halt protocol, §5.2).
+            match self.transmit(now, src, dst, payload, bytes, TxClass::Control, None) {
+                Ok(status) => return (status, attempts),
+                Err(returned) if attempts < max_attempts => payload = returned,
+                Err(_) => return (TxStatus::Nack, attempts),
+            }
+        }
     }
 
     fn lose_silently(
@@ -1015,35 +1065,6 @@ impl<P: Clone> Network<P> {
         }
         Some(arrive)
     }
-
-    /// Reliable unicast on the ring: retransmits on NACK until the
-    /// destination interface accepts, or `max_attempts` is exhausted (e.g.
-    /// the node has crashed). This is exactly the halt-broadcast protocol's
-    /// negative-acknowledgement scheme (§5.2).
-    ///
-    /// Returns `(status, attempts)`.
-    pub fn send_with_retransmit(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        payload: P,
-        bytes: usize,
-        max_attempts: u32,
-    ) -> (TxStatus, u32) {
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            // Each attempt starts when the transmitter frees up. Reliable
-            // sends are control traffic (the halt protocol, §5.2).
-            let status = self.send_class(now, src, dst, payload.clone(), bytes, TxClass::Control);
-            match status {
-                TxStatus::Queued { .. } => return (status, attempts),
-                TxStatus::Nack if attempts < max_attempts => continue,
-                TxStatus::Nack => return (TxStatus::Nack, attempts),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1194,6 +1215,86 @@ mod tests {
         let (st, attempts) = n.send_with_retransmit(SimTime::ZERO, NodeId(0), NodeId(3), 0, 32, 5);
         assert_eq!(st, TxStatus::Nack);
         assert_eq!(attempts, 5);
+        assert_eq!(n.stats().nacked, 5);
+    }
+
+    /// Deliberately not `Clone`: a retransmitting send that compiles with
+    /// this payload cannot be copying it per attempt.
+    #[derive(Debug, PartialEq)]
+    struct Parcel(u32);
+
+    #[test]
+    fn retransmit_moves_a_payload_that_is_not_clone() {
+        let mut n: Network<Parcel> = Network::new(
+            NetworkConfig {
+                p_interface_loss: 0.5,
+                seed: 42,
+                ..Default::default()
+            },
+            4,
+        );
+        let mut retried = false;
+        for i in 0..20 {
+            let (st, attempts) =
+                n.send_with_retransmit(SimTime::ZERO, NodeId(0), NodeId(1), Parcel(i), 32, 100);
+            assert!(matches!(st, TxStatus::Queued { .. }));
+            retried |= attempts > 1;
+        }
+        assert!(retried, "loss model must have forced retransmissions");
+        let (due, _) = n.poll(SimTime::from_secs(10));
+        let got: Vec<u32> = due.iter().map(|d| d.payload.0).collect();
+        assert_eq!(got, (0..20).collect::<Vec<_>>());
+    }
+
+    /// The loop `send_with_retransmit` replaced: a fresh copy per attempt.
+    fn copy_per_attempt(
+        n: &mut Network<u32>,
+        now: SimTime,
+        dst: NodeId,
+        payload: u32,
+        max_attempts: u32,
+    ) -> (TxStatus, u32) {
+        let mut attempts = 0;
+        loop {
+            attempts += 1;
+            let status = n.send_class(now, NodeId(0), dst, payload, 32, TxClass::Control);
+            match status {
+                TxStatus::Queued { .. } => return (status, attempts),
+                TxStatus::Nack if attempts < max_attempts => continue,
+                TxStatus::Nack => return (TxStatus::Nack, attempts),
+            }
+        }
+    }
+
+    #[test]
+    fn moving_retransmit_draws_the_rng_like_the_copying_loop() {
+        let cfg = NetworkConfig {
+            p_interface_loss: 0.4,
+            p_silent_loss: 0.1,
+            seed: 7,
+            ..Default::default()
+        };
+        let (mut moved, mut copied) = (net(cfg.clone()), net(cfg));
+        for i in 0..200u32 {
+            let now = SimTime::from_millis(u64::from(i) * 5);
+            let dst = NodeId(1 + i % 3);
+            // A budget of 2 makes some sends give up, so both exits are compared.
+            let max = 2 + i % 4;
+            assert_eq!(
+                moved.send_with_retransmit(now, NodeId(0), dst, i, 32, max),
+                copy_per_attempt(&mut copied, now, dst, i, max),
+                "send {i}"
+            );
+        }
+        assert_eq!(moved.stats(), copied.stats());
+        assert!(moved.stats().nacked > 0 && moved.stats().silently_lost > 0);
+        let (a, _) = moved.poll(SimTime::from_secs(60));
+        let (b, _) = copied.poll(SimTime::from_secs(60));
+        let key = |d: &Delivery<u32>| (d.at, d.dst, d.payload);
+        assert_eq!(
+            a.iter().map(key).collect::<Vec<_>>(),
+            b.iter().map(key).collect::<Vec<_>>()
+        );
     }
 
     #[test]

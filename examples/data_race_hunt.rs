@@ -84,7 +84,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Each worker's private copy `c` — the smoking gun if they are equal.
     let workers: Vec<u64> = procs
         .iter()
-        .filter(|p| p.name == "worker")
+        .filter(|p| &*p.name == "worker")
         .map(|p| p.pid)
         .collect();
     for w in &workers {

@@ -6,7 +6,8 @@
 //! time cannot be gated on a shared runner; allocator calls can, exactly.
 //! This binary installs its own counting `#[global_allocator]` (an
 //! integration test is its own binary, so nothing else is affected) and
-//! pins two properties of a debugger-less world with dormant agents:
+//! pins two properties of a debugger-less world with dormant agents, and
+//! one of a world with the debugger *on*:
 //!
 //! * a window in which nodes only execute plain instructions allocates
 //!   nothing at all — not in the pump, not in the node scheduler, not in
@@ -14,7 +15,13 @@
 //!   world's buffers have grown;
 //! * a fork → sleep → exit process lifecycle costs a small, fixed number
 //!   of allocations, none of them in a per-process table kept for a
-//!   debugger that is not there.
+//!   debugger that is not there;
+//! * with a session connected, a debugger request costs what it returns:
+//!   a process listing makes the same number of allocator calls whether
+//!   the node holds a dozen records or several hundred (dead ones are
+//!   kept for post-mortem examination and still listed), and a whole
+//!   break → backtrace → inspect → halt → list → step → resume cycle
+//!   stays under a fixed ceiling.
 //!
 //! Counts are per thread (tests run on parallel threads; a world stepped
 //! with `step_threads = 1` allocates only on the thread that drives it).
@@ -23,6 +30,11 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use pilgrim::{SimDuration, SimTime, Value, World};
+
+/// Ceiling for one debugging cycle over a three-node chain: 196 measured,
+/// plus slack for hash-map growth landing inside the measured cycle. The
+/// parent of the change that added this gate read 369.
+const CYCLE_CEILING: u64 = 260;
 
 thread_local! {
     /// Allocator calls made by this thread. Const-initialised and without
@@ -70,17 +82,19 @@ fn allocations(f: impl FnOnce()) -> u64 {
     CALLS.with(Cell::get) - before
 }
 
-/// A world shaped like the benchmark's `compute` / `sparse-250k` units:
-/// no debugger station, agents linked in but dormant, trace filter empty
-/// (the flight recorder keeps its default categories). The time-series
+/// A world shaped like the benchmark's units: without `debugger`, no
+/// debugger station and agents linked in but dormant (`compute`,
+/// `sparse-250k`); with it, a station to connect from (`debug-session`).
+/// Trace filter empty (the flight recorder keeps its default categories).
+/// The time-series
 /// store samples at every sync point into a 64-row ring, so after the
 /// warm-up the ring is full and every measured window includes a sample
 /// that overwrites a row.
-fn world(nodes: u32, source: &str) -> World {
+fn world(nodes: u32, source: &str, debugger: bool) -> World {
     let w = World::builder()
         .nodes(nodes)
         .program(source)
-        .debugger(false)
+        .debugger(debugger)
         .coarse_window(1, 64)
         .seed(0xa110c)
         .build()
@@ -102,7 +116,7 @@ end";
 /// outcall buffer), further windows must not touch the allocator.
 #[test]
 fn plain_instruction_windows_allocate_nothing() {
-    let mut w = world(4, SPIN);
+    let mut w = world(4, SPIN, false);
     for node in 0..4 {
         w.spawn(node, "main", vec![Value::Int(10_000_000)]);
     }
@@ -144,7 +158,7 @@ end";
 fn a_process_lifecycle_costs_at_most_six_allocations() {
     const NODES: u32 = 8;
     const WORKERS: i64 = 2_000;
-    let mut w = world(NODES, LIFECYCLE);
+    let mut w = world(NODES, LIFECYCLE, false);
     let calls = allocations(|| {
         for node in 0..NODES {
             w.spawn(node, "main", vec![Value::Int(WORKERS)]);
@@ -164,4 +178,86 @@ fn a_process_lifecycle_costs_at_most_six_allocations() {
         per_process <= 6.0,
         "{per_process:.2} allocations per fork → sleep → exit lifecycle"
     );
+}
+
+/// The benchmark's `debug-session` program: a three-tier call chain, so
+/// nodes 1 and 2 gain one dead server record per call.
+const CHAIN: &str = "\
+storage = proc (key: int) returns (int)
+ return (key * 10)
+end
+middle = proc (key: int) returns (int)
+ cached: int := call storage(key) at 2
+ return (cached + 1)
+end
+client = proc (n: int)
+ for i: int := 1 to n do
+  answer: int := call middle(i) at 1
+ end
+end";
+
+/// A connected debugger world whose node 1 has served `calls` RPCs.
+fn served(calls: i64) -> World {
+    let mut w = world(3, CHAIN, true);
+    w.debug_connect(&[0, 1, 2], false).expect("connects");
+    w.spawn(0, "client", vec![Value::Int(calls)]);
+    w.run_until_idle(SimTime::from_secs(600));
+    assert_eq!(
+        w.node(1).processes().len() as i64,
+        calls,
+        "one record per call"
+    );
+    w
+}
+
+/// Allocator calls of one `ListProcesses` round trip to node 1, after a
+/// first one has let the reply path's buffers grow.
+fn listing_cost(w: &mut World) -> (u64, usize) {
+    w.debug_processes(1).expect("lists");
+    let mut rows = 0;
+    let calls = allocations(|| rows = w.debug_processes(1).expect("lists").len());
+    (calls, rows)
+}
+
+#[test]
+fn a_process_listing_does_not_pay_per_dead_process() {
+    let (few, few_rows) = listing_cost(&mut served(8));
+    let (many, many_rows) = listing_cost(&mut served(512));
+    assert_eq!((few_rows, many_rows), (8, 512), "dead records are listed");
+    println!("{few} allocations to list 8 records, {many} to list 512");
+    assert_eq!(
+        few, many,
+        "a listing of 512 records costs {many} allocations, one of 8 costs {few}"
+    );
+
+    // One whole debugging cycle over the live chain, as `debug-session`
+    // runs it.
+    let mut w = world(3, CHAIN, true);
+    w.debug_connect(&[0, 1, 2], false).expect("connects");
+    w.spawn(0, "client", vec![Value::Int(64)]);
+    let cycle = |w: &mut World| {
+        let bp = w.break_at_proc(2, "storage").expect("plants");
+        let stop = w.wait_for_stop(SimDuration::from_secs(5)).expect("stops");
+        let pilgrim::DebugEvent::BreakpointHit { node, pid, .. } = stop else {
+            panic!("expected a breakpoint hit, got {stop:?}");
+        };
+        let chain = w.distributed_backtrace(node.0, pid).expect("backtrace");
+        assert_eq!(chain.last().map(|f| f.proc_name.as_str()), Some("storage"));
+        w.inspect(node.0, pid, "key").expect("inspects");
+        w.debug_halt_all(node.0).expect("halts");
+        for n in 0..3 {
+            w.debug_processes(n).expect("lists");
+        }
+        w.step_over(node.0, pid).expect("steps");
+        w.clear_breakpoint(node.0, bp).expect("clears");
+        w.continue_process(node.0, pid).expect("continues");
+        w.debug_resume_all().expect("resumes");
+        w.run_for(SimDuration::from_millis(30));
+    };
+    for _ in 0..4 {
+        cycle(&mut w);
+    }
+    let calls = allocations(|| cycle(&mut w));
+    println!("{calls} allocations for one debugging cycle");
+    assert!(calls <= CYCLE_CEILING, "{calls} allocations for one cycle");
 }
