@@ -714,7 +714,7 @@ impl Agent {
                                 printer,
                                 vec![v.clone()],
                                 SpawnOpts {
-                                    name: Some(format!("agent:print_{type_name}")),
+                                    name: Some(format!("agent:print_{type_name}").into()),
                                     no_halt: true,
                                     redirect_output: true,
                                     ..Default::default()
@@ -751,7 +751,7 @@ impl Agent {
                     proc_id,
                     values,
                     SpawnOpts {
-                        name: Some(format!("agent:{proc}")),
+                        name: Some(format!("agent:{proc}").into()),
                         no_halt: true,
                         redirect_output: true,
                         ..Default::default()

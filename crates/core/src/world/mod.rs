@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use pilgrim_cclu::{compile, CompileError, Program};
 use pilgrim_mayflower::{Node, NodeConfig, Outcall};
-use pilgrim_ring::{Medium, Network, NetworkConfig, NodeId, TxClass, TxStatus};
+use pilgrim_ring::{Delivery, Medium, Network, NetworkConfig, NodeId, TxClass, TxStatus};
 use pilgrim_rpc::{RpcConfig, RpcEndpoint, RpcNet, RpcPacket};
 use pilgrim_sim::{Metrics, SeriesStore, SimDuration, SimTime, Tracer, BLACKBOX_CAPACITY};
 
@@ -403,6 +403,7 @@ impl WorldBuilder {
             index_dirty: true,
             pool: (step_threads > 1).then(|| StepPool::new(step_threads)),
             outcall_buf: Vec::new(),
+            delivery_buf: Vec::new(),
             empty_program,
             reference_pump: false,
             series: SeriesStore::new(recipe.coarse_interval, recipe.coarse_budget),
@@ -457,6 +458,9 @@ pub struct World {
     /// The serial stepping loop's outcall buffer: lent to each node for
     /// its `advance_into`, drained by the router, empty between windows.
     outcall_buf: Vec<Outcall>,
+    /// Its twin for the network: the pump's `poll_into` target, drained
+    /// by the delivery router, empty between windows.
+    delivery_buf: Vec<Delivery<Wire>>,
     /// Shared empty program; placeholder bodies for nodes lent to the
     /// worker pool borrow it instead of allocating.
     empty_program: Arc<Program>,

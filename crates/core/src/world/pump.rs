@@ -74,8 +74,10 @@ impl World {
         self.step_nodes(&to_step, next);
         let mut touched = to_step;
 
-        let (deliveries, _) = self.net.poll(next);
-        for d in deliveries {
+        // Lent like `outcall_buf`: routing a delivery may send, never poll.
+        let mut deliveries = std::mem::take(&mut self.delivery_buf);
+        self.net.poll_into(next, &mut deliveries);
+        for d in deliveries.drain(..) {
             let i = d.dst.0 as usize;
             // The reference pump advanced every node before routing; a
             // skipped destination must observe the same clock.
@@ -83,6 +85,7 @@ impl World {
             touched.push(i);
             self.route_delivery(d.at, d.src, d.dst, d.payload);
         }
+        self.delivery_buf = deliveries;
 
         for &i in &due_eps {
             self.nodes[i].catch_up_clock(next);

@@ -175,7 +175,11 @@ pub enum Outcall {
 #[derive(Debug, Clone, Default)]
 pub struct SpawnOpts {
     /// Name override (defaults to the entry procedure / native name).
-    pub name: Option<String>,
+    /// The process record shares this allocation, so a caller that spawns
+    /// many processes under one name — the RPC runtime's `rpc:<proc>`
+    /// server processes — interns it once and clones the handle, as
+    /// processes spawned without an override share their procedure's name.
+    pub name: Option<Arc<str>>,
     /// Set the paper's "must not be halted" supervisor bit (§5.2).
     pub no_halt: bool,
     /// Scheduling priority (informational).
@@ -682,20 +686,14 @@ impl Node {
     }
 
     /// Spawns a process running procedure `id`.
-    pub fn spawn_proc(&mut self, id: ProcId, args: Vec<Value>, opts: SpawnOpts) -> Pid {
-        let name: Arc<str> = match opts.name.as_deref() {
-            Some(n) => Arc::from(n),
-            None => self.proc_name(id),
-        };
+    pub fn spawn_proc(&mut self, id: ProcId, args: Vec<Value>, mut opts: SpawnOpts) -> Pid {
+        let name = opts.name.take().unwrap_or_else(|| self.proc_name(id));
         self.insert_process(ProcBody::Vm(VmProcess::spawn(id, args)), name, opts)
     }
 
     /// Spawns a native (Rust state machine) process.
-    pub fn spawn_native(&mut self, body: Box<dyn NativeProcess>, opts: SpawnOpts) -> Pid {
-        let name: Arc<str> = match opts.name.as_deref() {
-            Some(n) => Arc::from(n),
-            None => Arc::from(body.name()),
-        };
+    pub fn spawn_native(&mut self, body: Box<dyn NativeProcess>, mut opts: SpawnOpts) -> Pid {
+        let name = opts.name.take().unwrap_or_else(|| Arc::from(body.name()));
         self.insert_process(
             ProcBody::Native {
                 body,

@@ -940,6 +940,13 @@ impl<P> Network<P> {
     /// the updated statistics. Deliveries come out in arrival order.
     pub fn poll(&mut self, now: SimTime) -> (Vec<Delivery<P>>, NetStats) {
         let mut out = Vec::new();
+        self.poll_into(now, &mut out);
+        (out, self.stats)
+    }
+
+    /// [`poll`](Self::poll) appending to a buffer the caller owns, so a
+    /// pump that polls every window allocates nothing once it has grown.
+    pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<Delivery<P>>) {
         let traced = self.wants_net();
         while let Some((_, d)) = self.queue.pop_due(now) {
             let dseg = self.seg_of[d.dst.0 as usize];
@@ -966,7 +973,6 @@ impl<P> Network<P> {
             }
             out.push(d);
         }
-        (out, self.stats)
     }
 }
 

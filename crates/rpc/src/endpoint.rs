@@ -22,23 +22,29 @@
 //! rejected packet-monitor design (§4.2) can be switched on as an ablation
 //! ([`RpcConfig::monitor`], E2).
 
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use pilgrim_cclu::{
-    Fault, FaultKind, FrameKind, RpcCallState, RpcInfoBlock, RpcProtocol, RpcRequest, Signature,
-    SyncCell, Type, Value,
+    Fault, FaultKind, FrameKind, ProcId, RpcCallState, RpcInfoBlock, RpcProtocol, RpcRequest,
+    Signature, SyncCell, Type, Value,
 };
 use pilgrim_mayflower::{Node, Pid, SpawnOpts};
 use pilgrim_ring::NodeId;
 use pilgrim_sim::{
-    Counter, EventKind, EventQueue, Histogram, Metrics, SimDuration, SimTime, SpanId,
+    Counter, EventKind, EventQueue, Histogram, IdWindow, Metrics, SimDuration, SimTime, SpanId,
     TraceCategory, Tracer,
 };
 
 use crate::marshal::{default_for, marshal, unmarshal, wire_matches_type, WireValue};
 use crate::monitor::PacketMonitor;
-use crate::packet::{make_call_id, CallId, RecentCalls, RpcConfig, RpcPacket};
+use crate::packet::{
+    call_id_counter, call_id_node, make_call_id, CallId, RecentCalls, RpcConfig, RpcPacket,
+};
+use crate::seen::SeenCalls;
+
+#[cfg(test)]
+mod model;
 
 /// The network interface the endpoint sends packets through. Implemented
 /// by the world, which wraps the ring.
@@ -180,16 +186,28 @@ struct ClientCall {
 
 #[derive(Debug)]
 struct ServerCall {
-    pid: Pid,
+    call_id: CallId,
     caller: NodeId,
     info: Option<Arc<RpcInfoBlock>>,
     /// Span propagated from the caller's packet header.
     span: Option<SpanId>,
 }
 
-#[derive(Debug, Default)]
-struct ServerSeen {
-    reply: Option<(RpcPacket, usize)>,
+/// What a call packet's procedure name resolved to when it arrived.
+#[derive(Debug, Clone, Copy)]
+enum Callee {
+    /// Slot in [`RpcEndpoint::handlers`].
+    Native(usize),
+    /// A procedure of the node's program.
+    Proc(ProcId),
+}
+
+/// A registered native handler. The body leaves its slot while it runs,
+/// so a call arriving re-entrantly finds no such procedure.
+struct Handler {
+    name: String,
+    sig: Signature,
+    body: Option<Box<dyn NativeHandler>>,
 }
 
 #[derive(Debug)]
@@ -198,6 +216,7 @@ enum Timer {
         src: NodeId,
         call_id: CallId,
         proc: Arc<str>,
+        callee: Callee,
         args: Vec<WireValue>,
         protocol: RpcProtocol,
         span: Option<SpanId>,
@@ -221,15 +240,23 @@ enum Completion {
 pub struct RpcEndpoint {
     node_id: NodeId,
     config: RpcConfig,
-    counter: u64,
-    client: HashMap<CallId, ClientCall>,
-    by_pid: HashMap<Pid, CallId>,
+    /// The client table: outstanding calls by the counter half of their
+    /// id. This node mints the counters densely (`next_id` is the next
+    /// one) and calls retire roughly in order.
+    client: IdWindow<ClientCall>,
     client_recent: RecentCalls,
-    server_exec: HashMap<CallId, ServerCall>,
-    server_by_pid: HashMap<Pid, CallId>,
-    seen: HashMap<CallId, ServerSeen>,
+    /// The server table: calls executing now, by the pid of the server
+    /// process. Pids are issued increasing and server processes retire
+    /// roughly in order.
+    serving: IdWindow<ServerCall>,
+    seen: SeenCalls,
     server_recent: RecentCalls,
-    handlers: HashMap<String, Box<dyn NativeHandler>>,
+    /// Append-only, so a slot index stays valid while a dispatch is
+    /// pending; a node registers a handful.
+    handlers: Vec<Handler>,
+    /// `rpc:<proc>` per procedure of the node's program, so every server
+    /// process of a procedure shares one name allocation.
+    server_names: Vec<Option<Arc<str>>>,
     timers: EventQueue<Timer>,
     monitor: PacketMonitor,
     stats: RpcStats,
@@ -242,7 +269,7 @@ impl std::fmt::Debug for RpcEndpoint {
         f.debug_struct("RpcEndpoint")
             .field("node", &self.node_id)
             .field("outstanding", &self.client.len())
-            .field("serving", &self.server_exec.len())
+            .field("serving", &self.serving.len())
             .finish()
     }
 }
@@ -253,15 +280,13 @@ impl RpcEndpoint {
         RpcEndpoint {
             node_id,
             config,
-            counter: 0,
-            client: HashMap::new(),
-            by_pid: HashMap::new(),
+            client: IdWindow::starting_at(1),
             client_recent: RecentCalls::new(),
-            server_exec: HashMap::new(),
-            server_by_pid: HashMap::new(),
-            seen: HashMap::new(),
+            serving: IdWindow::new(),
+            seen: SeenCalls::default(),
             server_recent: RecentCalls::new(),
-            handlers: HashMap::new(),
+            handlers: Vec::new(),
+            server_names: Vec::new(),
             timers: EventQueue::new(),
             monitor: PacketMonitor::new(),
             stats: RpcStats::default(),
@@ -308,7 +333,35 @@ impl RpcEndpoint {
     /// Registers a native handler under `name` (services, agent support
     /// procedures).
     pub fn register_handler(&mut self, name: &str, handler: Box<dyn NativeHandler>) {
-        self.handlers.insert(name.to_string(), handler);
+        let sig = handler.signature();
+        match self.handlers.iter_mut().find(|h| h.name == name) {
+            Some(h) => (h.sig, h.body) = (sig, Some(handler)),
+            None => self.handlers.push(Handler {
+                name: name.to_string(),
+                sig,
+                body: Some(handler),
+            }),
+        }
+    }
+
+    /// The client table slot of `call_id` — if this node minted it. Reply
+    /// packets carry ids from the wire; one minted elsewhere (misrouted,
+    /// hostile) must not alias a local call with the same counter.
+    fn own_counter(&self, call_id: CallId) -> Option<u64> {
+        (call_id_node(call_id) == self.node_id).then(|| call_id_counter(call_id))
+    }
+
+    fn client_call(&self, call_id: CallId) -> Option<&ClientCall> {
+        self.client.get(self.own_counter(call_id)?)
+    }
+
+    /// The server table entry for `call_id`. A debugger query over the
+    /// handful of calls executing now, so it scans.
+    fn serving_call(&self, call_id: CallId) -> Option<(Pid, &ServerCall)> {
+        self.serving
+            .iter()
+            .find(|(_, s)| s.call_id == call_id)
+            .map(|(pid, s)| (Pid(pid), s))
     }
 
     /// The earliest pending protocol timer.
@@ -319,10 +372,11 @@ impl RpcEndpoint {
     /// Debug view of the call a client process is blocked in, if any —
     /// what the paper's client table + information block provide.
     pub fn call_for_process(&self, pid: Pid) -> Option<CallDebug> {
-        let id = self.by_pid.get(&pid)?;
-        let c = self.client.get(id)?;
+        // A process has at most one call outstanding, and this is a
+        // debugger query: scan the outstanding calls.
+        let (counter, c) = self.client.iter().find(|(_, c)| c.pid == pid)?;
         Some(CallDebug {
-            call_id: *id,
+            call_id: make_call_id(self.node_id, counter),
             proc: c.proc.clone(),
             protocol: c.protocol,
             state: c
@@ -342,32 +396,34 @@ impl RpcEndpoint {
     /// The server process handling `call_id`, if this node is serving it —
     /// the paper's server table, used for cross-node backtraces.
     pub fn serving_process(&self, call_id: CallId) -> Option<Pid> {
-        self.server_exec.get(&call_id).map(|s| s.pid)
+        self.serving_call(call_id).map(|(pid, _)| pid)
     }
 
     /// The node that issued `call_id`, if this node is serving it
     /// (cross-node backtraces walk upwards through this).
     pub fn caller_of(&self, call_id: CallId) -> Option<NodeId> {
-        self.server_exec.get(&call_id).map(|s| s.caller)
+        self.serving_call(call_id).map(|(_, s)| s.caller)
     }
 
     /// The client process with `call_id` outstanding, if any (reverse
     /// lookup of the client table).
     pub fn client_process(&self, call_id: CallId) -> Option<Pid> {
-        self.client.get(&call_id).map(|c| c.pid)
+        self.client_call(call_id).map(|c| c.pid)
     }
 
     /// What this node knows about `call_id` as a server (maybe-protocol
     /// failure diagnosis, §4.1).
     pub fn server_knowledge(&self, call_id: CallId) -> ServerKnowledge {
-        if self.server_exec.contains_key(&call_id) {
+        if self.serving_call(call_id).is_some() {
             return ServerKnowledge::Executing;
         }
-        match self.seen.get(&call_id) {
-            Some(s) if s.reply.is_some() => {
-                ServerKnowledge::Replied(self.server_recent.outcome(call_id).unwrap_or(true))
+        // The cached reply is kept for good and says which it was; the
+        // ten-slot buffer forgets.
+        match self.seen.get(call_id) {
+            Some(Some((reply, _))) => {
+                ServerKnowledge::Replied(matches!(reply, RpcPacket::Reply { .. }))
             }
-            Some(_) => ServerKnowledge::Executing,
+            Some(None) => ServerKnowledge::Executing,
             None => ServerKnowledge::NeverSeen,
         }
     }
@@ -433,8 +489,7 @@ impl RpcEndpoint {
             .map(|s| s.returns.clone())
             .unwrap_or_default();
 
-        self.counter += 1;
-        let call_id = make_call_id(self.node_id, self.counter);
+        let call_id = make_call_id(self.node_id, self.client.next_id());
         // The span is born with the call. If the calling process is itself
         // serving an RPC, its inherited span becomes this call's parent —
         // the link that chains nested cross-node calls into one tree.
@@ -480,10 +535,10 @@ impl RpcEndpoint {
                 Some(span),
                 EventKind::CallStarted {
                     call_id,
-                    proc: req.proc_name.to_string(),
+                    proc: req.proc_name.clone(),
                     args: req.args.len() as u32,
                     dst: dst.0,
-                    protocol: req.protocol.to_string(),
+                    protocol: Cow::Borrowed(req.protocol.name()),
                     parent_span: SpanId::to_wire(parent_span),
                 },
             );
@@ -512,25 +567,21 @@ impl RpcEndpoint {
                 );
             }
         }
-        self.client.insert(
-            call_id,
-            ClientCall {
-                pid,
-                token,
-                proc: req.proc_name.clone(),
-                protocol: req.protocol,
-                ret_types,
-                attempts: 1,
-                info,
-                done: false,
-                dst,
-                pkt,
-                bytes,
-                started: now,
-                span,
-            },
-        );
-        self.by_pid.insert(pid, call_id);
+        self.client.push(ClientCall {
+            pid,
+            token,
+            proc: req.proc_name.clone(),
+            protocol: req.protocol,
+            ret_types,
+            attempts: 1,
+            info,
+            done: false,
+            dst,
+            pkt,
+            bytes,
+            started: now,
+            span,
+        });
         // Profiler hook: attribute the caller's blocked-on-RPC time to
         // this call's causal span (no-op unless the node profiles).
         node.note_rpc_span(pid, span);
@@ -559,17 +610,13 @@ impl RpcEndpoint {
                 },
             ),
             RpcProtocol::Maybe => {
-                let mut values = vec![Value::Bool(false)];
                 let rets = node
                     .program()
                     .signature_of(&req.proc_name)
                     .map(|s| s.returns.clone())
                     .unwrap_or_default();
-                for t in &rets {
-                    let w = default_for(t);
-                    values.push(unmarshal(node.heap_mut(), &w));
-                }
                 let _ = now;
+                let values = maybe_failure(node, &rets);
                 node.resume_rpc(pid, token, values);
             }
         }
@@ -598,71 +645,70 @@ impl RpcEndpoint {
                 attempt: _,
                 span,
             } => {
-                // Exactly-once duplicate suppression and reply cache.
-                if protocol == RpcProtocol::ExactlyOnce {
-                    if let Some(seen) = self.seen.get(&call_id) {
-                        if let Some((reply, bytes)) = &seen.reply {
-                            let (reply, bytes) = (reply.clone(), *bytes);
-                            if self.tracer.wants(TraceCategory::Rpc) {
-                                self.tracer.emit(
-                                    now,
-                                    TraceCategory::Rpc,
-                                    Some(self.node_id.0),
-                                    reply.span(),
-                                    EventKind::ReplySent {
-                                        call_id,
-                                        cached: true,
-                                    },
-                                );
-                            }
-                            net.send_rpc(
-                                now + self.config.server_send,
-                                self.node_id,
-                                src,
-                                reply,
-                                bytes,
+                // Exactly-once duplicate suppression and reply cache: the
+                // one find-or-insert that also records a new call.
+                let (seen, known) = self.seen.find_or_insert(call_id);
+                if known && protocol == RpcProtocol::ExactlyOnce {
+                    if let Some((reply, bytes)) = seen {
+                        let (reply, bytes) = (reply.clone(), *bytes);
+                        if self.tracer.wants(TraceCategory::Rpc) {
+                            self.tracer.emit(
+                                now,
+                                TraceCategory::Rpc,
+                                Some(self.node_id.0),
+                                reply.span(),
+                                EventKind::ReplySent {
+                                    call_id,
+                                    cached: true,
+                                },
                             );
                         }
-                        return; // executing or re-replied; drop duplicate
+                        net.send_rpc(
+                            now + self.config.server_send,
+                            self.node_id,
+                            src,
+                            reply,
+                            bytes,
+                        );
                     }
+                    return; // executing or re-replied; drop duplicate
                 }
+                // A maybe call is never suppressed: it executes again.
+                *seen = None;
                 // Fully type-checked dispatch: resolve the target signature
                 // and validate the decoded arguments against it.
-                let sig: Option<Signature> = if let Some(h) = self.handlers.get(&*proc) {
-                    Some(h.signature())
-                } else {
-                    node.program()
+                let program = node.program();
+                let native = self
+                    .handlers
+                    .iter()
+                    .position(|h| h.body.is_some() && *h.name == *proc);
+                let callee = match native {
+                    Some(slot) => Some((Callee::Native(slot), &self.handlers[slot].sig)),
+                    None => program
                         .proc_by_name(&proc)
-                        .map(|id| node.program().proc(id).debug.sig.clone())
+                        .map(|id| (Callee::Proc(id), &program.proc(id).debug.sig)),
                 };
-                let Some(sig) = sig else {
-                    self.reply_failure(
-                        now,
-                        src,
-                        call_id,
-                        SpanId::from_wire(span),
-                        format!("unknown remote procedure `{proc}`"),
-                        net,
-                    );
-                    return;
+                let accepted = match callee {
+                    None => Err(format!("unknown remote procedure `{proc}`")),
+                    Some((_, sig))
+                        if sig.params.len() != args.len()
+                            || !args
+                                .iter()
+                                .zip(sig.params.iter())
+                                .all(|(a, t)| wire_matches_type(a, t, &program.records)) =>
+                    {
+                        Err(format!("arguments do not match `{proc}` signature {sig}"))
+                    }
+                    Some((callee, _)) => Ok(callee),
                 };
-                if sig.params.len() != args.len()
-                    || !args
-                        .iter()
-                        .zip(sig.params.iter())
-                        .all(|(a, t)| wire_matches_type(a, t, &node.program().records))
-                {
-                    self.reply_failure(
-                        now,
-                        src,
-                        call_id,
-                        SpanId::from_wire(span),
-                        format!("arguments do not match `{proc}` signature {sig}"),
-                        net,
-                    );
-                    return;
-                }
-                self.seen.insert(call_id, ServerSeen { reply: None });
+                let span = SpanId::from_wire(span);
+                let callee = match accepted {
+                    Ok(callee) => callee,
+                    Err(reason) => {
+                        self.reply_failure(now, src, call_id, span, reason, net);
+                        return;
+                    }
+                };
                 let mut delay = self.config.server_recv;
                 if self.config.debug_support {
                     delay += self.config.debug_server;
@@ -673,9 +719,10 @@ impl RpcEndpoint {
                         src,
                         call_id,
                         proc,
+                        callee,
                         args,
                         protocol,
-                        span: SpanId::from_wire(span),
+                        span,
                     },
                 );
             }
@@ -691,7 +738,7 @@ impl RpcEndpoint {
                 reason,
                 span: _,
             } => {
-                let kind = match self.client.get(&call_id).map(|c| c.protocol) {
+                let kind = match self.client_call(call_id).map(|c| c.protocol) {
                     Some(RpcProtocol::Maybe) => Completion::MaybeFail(reason),
                     _ => Completion::Hard(reason),
                 };
@@ -701,7 +748,10 @@ impl RpcEndpoint {
     }
 
     fn client_reply(&mut self, now: SimTime, call_id: CallId, kind: Completion) {
-        let Some(call) = self.client.get_mut(&call_id) else {
+        let Some(call) = self
+            .own_counter(call_id)
+            .and_then(|counter| self.client.get_mut(counter))
+        else {
             return;
         };
         if call.done {
@@ -739,8 +789,10 @@ impl RpcEndpoint {
             self.monitor.observe(&pkt);
             now += self.config.monitor_per_packet;
         }
-        self.server_recent.record(call_id, false);
-        self.seen.entry(call_id).or_default().reply = Some((pkt.clone(), bytes));
+        if self.config.debug_support {
+            self.server_recent.record(call_id, false);
+        }
+        *self.seen.find_or_insert(call_id).0 = Some((pkt.clone(), bytes));
         if self.tracer.wants(TraceCategory::Rpc) {
             self.tracer.emit(
                 now,
@@ -764,11 +816,14 @@ impl RpcEndpoint {
                     src,
                     call_id,
                     proc,
+                    callee,
                     args,
                     protocol,
                     span,
                 } => {
-                    self.dispatch(at, node, src, call_id, &proc, args, protocol, span, net);
+                    self.dispatch(
+                        at, node, src, call_id, proc, callee, args, protocol, span, net,
+                    );
                 }
                 Timer::Retry(call_id) => {
                     // §5.2's frozen timeouts extend to the RPC runtime: a
@@ -790,7 +845,7 @@ impl RpcEndpoint {
                         );
                         continue;
                     }
-                    let done = self.client.get(&call_id).map(|c| c.done).unwrap_or(true);
+                    let done = self.client_call(call_id).is_none_or(|c| c.done);
                     if !done {
                         self.deliver(at, node, call_id, Completion::MaybeFail("no reply".into()));
                     }
@@ -807,7 +862,8 @@ impl RpcEndpoint {
         node: &mut Node,
         src: NodeId,
         call_id: CallId,
-        proc: &Arc<str>,
+        proc: Arc<str>,
+        callee: Callee,
         args: Vec<WireValue>,
         protocol: RpcProtocol,
         span: Option<SpanId>,
@@ -825,55 +881,56 @@ impl RpcEndpoint {
                 span,
                 EventKind::ServerDispatched {
                     call_id,
-                    proc: proc.to_string(),
+                    proc: proc.clone(),
                 },
             );
         }
-        // Native handler: runs to completion at dispatch time.
-        if let Some(mut handler) = self.handlers.remove(&**proc) {
-            let values: Vec<Value> = args.iter().map(|w| unmarshal(node.heap_mut(), w)).collect();
-            let mut ctx = HandlerCtx {
-                node,
-                caller: src,
-                call_id,
-                now,
-            };
-            let result = handler.handle(&mut ctx, values);
-            self.handlers.insert(proc.to_string(), handler);
-            match result {
-                Ok(rets) => {
-                    let wire: Result<Vec<WireValue>, _> =
-                        rets.iter().map(|v| marshal(node.heap(), v)).collect();
-                    match wire {
-                        Ok(results) => self.send_reply(now, src, call_id, results, span, net),
-                        Err(e) => self.reply_failure(now, src, call_id, span, e.to_string(), net),
+        let proc_id = match callee {
+            Callee::Proc(id) => id,
+            // Native handler: runs to completion at dispatch time, out of
+            // its slot and back in — no lookup, no key.
+            Callee::Native(slot) => {
+                let Some(mut handler) = self.handlers[slot].body.take() else {
+                    let reason = format!("unknown procedure `{proc}`");
+                    self.reply_failure(now, src, call_id, span, reason, net);
+                    return;
+                };
+                let values: Vec<Value> =
+                    args.iter().map(|w| unmarshal(node.heap_mut(), w)).collect();
+                let mut ctx = HandlerCtx {
+                    node,
+                    caller: src,
+                    call_id,
+                    now,
+                };
+                let result = handler.handle(&mut ctx, values);
+                self.handlers[slot].body = Some(handler);
+                match result {
+                    Ok(rets) => {
+                        let wire: Result<Vec<WireValue>, _> =
+                            rets.iter().map(|v| marshal(node.heap(), v)).collect();
+                        match wire {
+                            Ok(results) => self.send_reply(now, src, call_id, results, span, net),
+                            Err(e) => {
+                                self.reply_failure(now, src, call_id, span, e.to_string(), net)
+                            }
+                        }
                     }
+                    Err(reason) => self.reply_failure(now, src, call_id, span, reason, net),
                 }
-                Err(reason) => self.reply_failure(now, src, call_id, span, reason, net),
+                return;
             }
-            return;
-        }
+        };
 
         // CCLU procedure: unmarshal the arguments into the server heap and
         // spawn a server process to execute the call (the paper's "server
         // process handling the call").
-        let Some(proc_id) = node.program().proc_by_name(proc) else {
-            self.reply_failure(
-                now,
-                src,
-                call_id,
-                span,
-                format!("unknown procedure `{proc}`"),
-                net,
-            );
-            return;
-        };
         let values: Vec<Value> = args.iter().map(|w| unmarshal(node.heap_mut(), w)).collect();
         let pid = node.spawn_proc(
             proc_id,
             values,
             SpawnOpts {
-                name: Some(format!("rpc:{proc}")),
+                name: Some(self.server_name(proc_id, &proc)),
                 ..Default::default()
             },
         );
@@ -888,7 +945,7 @@ impl RpcEndpoint {
         let info = if self.config.debug_support {
             let info = Arc::new(RpcInfoBlock {
                 process: pid.0,
-                remote_proc: proc.clone(),
+                remote_proc: proc,
                 call_id,
                 protocol,
                 state: SyncCell::new(RpcCallState::ServerExecuting),
@@ -906,23 +963,39 @@ impl RpcEndpoint {
         } else {
             None
         };
-        self.server_exec.insert(
-            call_id,
+        self.serving.insert(
+            pid.0,
             ServerCall {
-                pid,
+                call_id,
                 caller: src,
                 info,
                 span,
             },
         );
-        self.server_by_pid.insert(pid, call_id);
+    }
+
+    /// The interned `rpc:<proc>` name server processes of `id` run under.
+    /// The cached name is checked against `proc`, so a node whose program
+    /// was swapped under the endpoint cannot be handed a stale one.
+    fn server_name(&mut self, id: ProcId, proc: &str) -> Arc<str> {
+        let i = usize::from(id.0);
+        if self.server_names.len() <= i {
+            self.server_names.resize(i + 1, None);
+        }
+        match &self.server_names[i] {
+            Some(name) if name[4..] == *proc => name.clone(),
+            _ => {
+                let name: Arc<str> = format!("rpc:{proc}").into();
+                self.server_names[i] = Some(name.clone());
+                name
+            }
+        }
     }
 
     /// Is the calling process of `call_id` currently halted (or
     /// halt-pending) under the debugger?
     fn client_halted(&self, node: &Node, call_id: CallId) -> bool {
-        self.client
-            .get(&call_id)
+        self.client_call(call_id)
             .filter(|c| !c.done)
             .and_then(|c| node.process(c.pid))
             .map(|p| p.halted.is_some() || p.halt_pending)
@@ -930,7 +1003,10 @@ impl RpcEndpoint {
     }
 
     fn retry(&mut self, now: SimTime, node: &mut Node, call_id: CallId, net: &mut dyn RpcNet) {
-        let Some(call) = self.client.get_mut(&call_id) else {
+        let Some(call) = self
+            .own_counter(call_id)
+            .and_then(|counter| self.client.get_mut(counter))
+        else {
             return;
         };
         if call.done {
@@ -1026,12 +1102,7 @@ impl RpcEndpoint {
             self.server_recent.record(call_id, true);
         }
         // Cache for exactly-once duplicate calls.
-        self.seen.insert(
-            call_id,
-            ServerSeen {
-                reply: Some((pkt.clone(), bytes)),
-            },
-        );
+        *self.seen.find_or_insert(call_id).0 = Some((pkt.clone(), bytes));
         if self.tracer.wants(TraceCategory::Rpc) {
             self.tracer.emit(
                 now,
@@ -1057,14 +1128,7 @@ impl RpcEndpoint {
         pid: Pid,
         net: &mut dyn RpcNet,
     ) -> bool {
-        // Most exits belong to no call; skip hashing the pid for them.
-        if self.server_by_pid.is_empty() {
-            return false;
-        }
-        let Some(call_id) = self.server_by_pid.remove(&pid) else {
-            return false;
-        };
-        let Some(call) = self.server_exec.remove(&call_id) else {
+        let Some(call) = self.serving.remove(pid.0) else {
             return false;
         };
         if let Some(i) = &call.info {
@@ -1076,7 +1140,7 @@ impl RpcEndpoint {
             .iter()
             .filter_map(|v| marshal(node.heap(), v).ok())
             .collect();
-        self.send_reply(now, call.caller, call_id, results, call.span, net);
+        self.send_reply(now, call.caller, call.call_id, results, call.span, net);
         true
     }
 
@@ -1090,14 +1154,7 @@ impl RpcEndpoint {
         fault: &Fault,
         net: &mut dyn RpcNet,
     ) -> bool {
-        // As for exits: no server process, nothing to look up.
-        if self.server_by_pid.is_empty() {
-            return false;
-        }
-        let Some(call_id) = self.server_by_pid.remove(&pid) else {
-            return false;
-        };
-        let Some(call) = self.server_exec.remove(&call_id) else {
+        let Some(call) = self.serving.remove(pid.0) else {
             return false;
         };
         if let Some(i) = &call.info {
@@ -1107,7 +1164,7 @@ impl RpcEndpoint {
         self.reply_failure(
             now,
             call.caller,
-            call_id,
+            call.call_id,
             call.span,
             format!("remote fault: {fault}"),
             net,
@@ -1116,10 +1173,12 @@ impl RpcEndpoint {
     }
 
     fn deliver(&mut self, now: SimTime, node: &mut Node, call_id: CallId, kind: Completion) {
-        let Some(call) = self.client.remove(&call_id) else {
+        let Some(call) = self
+            .own_counter(call_id)
+            .and_then(|counter| self.client.remove(counter))
+        else {
             return;
         };
-        self.by_pid.remove(&call.pid);
         pop_stub_frame(node, call.pid);
         match kind {
             Completion::Success(results) => {
@@ -1139,7 +1198,7 @@ impl RpcEndpoint {
                         EventKind::CallCompleted {
                             call_id,
                             ok: true,
-                            outcome: "ok".to_string(),
+                            outcome: Cow::Borrowed("ok"),
                         },
                     );
                 }
@@ -1178,15 +1237,11 @@ impl RpcEndpoint {
                         EventKind::CallCompleted {
                             call_id,
                             ok: false,
-                            outcome: format!("maybe: {reason}"),
+                            outcome: format!("maybe: {reason}").into(),
                         },
                     );
                 }
-                let mut values = vec![Value::Bool(false)];
-                for t in &call.ret_types {
-                    let w = default_for(t);
-                    values.push(unmarshal(node.heap_mut(), &w));
-                }
+                let values = maybe_failure(node, &call.ret_types);
                 node.resume_rpc(call.pid, call.token, values);
             }
             Completion::Hard(reason) => {
@@ -1209,7 +1264,7 @@ impl RpcEndpoint {
                         EventKind::CallCompleted {
                             call_id,
                             ok: false,
-                            outcome: reason.clone(),
+                            outcome: reason.clone().into(),
                         },
                     );
                 }
@@ -1224,6 +1279,16 @@ impl RpcEndpoint {
             }
         }
     }
+}
+
+/// What a failed `maybe` call hands its caller: `false`, then a default
+/// value for each declared result.
+fn maybe_failure(node: &mut Node, ret_types: &[Type]) -> Vec<Value> {
+    let mut values = vec![Value::Bool(false)];
+    for t in ret_types {
+        values.push(unmarshal(node.heap_mut(), &default_for(t)));
+    }
+    values
 }
 
 /// Pushes the client-side RPC stub frame (Figure 1, left): the top of the

@@ -26,6 +26,7 @@ mod endpoint;
 pub mod marshal;
 mod monitor;
 mod packet;
+mod seen;
 
 pub use endpoint::{
     CallDebug, HandlerCtx, NativeHandler, RpcEndpoint, RpcNet, RpcStats, ServerKnowledge,
@@ -33,7 +34,8 @@ pub use endpoint::{
 pub use marshal::{default_for, marshal, unmarshal, wire_matches_type, MarshalError, WireValue};
 pub use monitor::{MonitorState, PacketMonitor};
 pub use packet::{
-    call_id_node, make_call_id, CallId, RecentCalls, RpcConfig, RpcPacket, RECENT_SLOTS,
+    call_id_counter, call_id_node, make_call_id, CallId, RecentCalls, RpcConfig, RpcPacket,
+    RECENT_SLOTS,
 };
 
 use pilgrim_ring::{Network, NodeId};
@@ -382,6 +384,78 @@ end";
             ServerKnowledge::Replied(true),
             "a lost reply is distinguishable at the server"
         );
+    }
+
+    #[test]
+    fn server_remembers_a_failure_after_ten_later_calls() {
+        let src = "\
+extern nothere = proc () returns (int)
+ping = proc (n: int) returns (int)
+ return (n)
+end
+main = proc ()
+ ok: bool := true
+ r: int := 0
+ ok, r := maybecall nothere() at 1
+ for i: int := 1 to 11 do
+  r := call ping(i) at 1
+ end
+ print(\"done\")
+end";
+        let mut c = Cluster::new(src, 2);
+        c.nodes[0]
+            .spawn("main", vec![], SpawnOpts::default())
+            .unwrap();
+        c.run_until(SimTime::from_secs(2));
+        assert_eq!(c.console(0), vec!["done"]);
+        let failed_id = make_call_id(NodeId(0), 1);
+        let served = c.endpoints[1].recent_served_calls();
+        assert_eq!(served.len(), RECENT_SLOTS);
+        assert!(
+            served.iter().all(|(id, ok)| *id != failed_id && *ok),
+            "the ten-slot buffer has forgotten the failed call: {served:?}"
+        );
+        // The reply cache has not: a debugger asking after the failed
+        // maybe call must hear `RemoteFailed`, not a lost reply.
+        assert_eq!(
+            c.endpoints[1].server_knowledge(failed_id),
+            ServerKnowledge::Replied(false)
+        );
+        assert_eq!(
+            c.endpoints[1].server_knowledge(make_call_id(NodeId(0), 2)),
+            ServerKnowledge::Replied(true)
+        );
+    }
+
+    #[test]
+    fn debug_support_off_keeps_no_recent_buffer_on_either_side() {
+        // One refused call, one served: neither may touch the §4.3 cyclic
+        // buffers when the debugging support is compiled out (E1's arm).
+        let src = "\
+extern nothere = proc () returns (int)
+ping = proc (n: int) returns (int)
+ return (n)
+end
+main = proc ()
+ ok: bool := true
+ r: int := 0
+ ok, r := maybecall nothere() at 1
+ r := call ping(1) at 1
+ print(\"done\")
+end";
+        let cfg = RpcConfig {
+            debug_support: false,
+            ..Default::default()
+        };
+        let mut c = Cluster::with_configs(src, 2, cfg, NetworkConfig::default());
+        c.nodes[0]
+            .spawn("main", vec![], SpawnOpts::default())
+            .unwrap();
+        c.run_until(SimTime::from_secs(1));
+        assert_eq!(c.console(0), vec!["done"]);
+        assert_eq!(c.endpoints[1].stats().served, 1);
+        assert!(c.endpoints[1].recent_served_calls().is_empty());
+        assert!(c.endpoints[0].recent_client_calls().is_empty());
     }
 
     #[test]

@@ -16,12 +16,17 @@ pub type CallId = u64;
 
 /// Builds a network-unique call id.
 pub fn make_call_id(node: NodeId, counter: u64) -> CallId {
-    (u64::from(node.0) << 40) | (counter & 0xff_ffff_ffff)
+    (u64::from(node.0) << 40) | call_id_counter(counter)
 }
 
 /// The node a call id was minted on.
 pub fn call_id_node(id: CallId) -> NodeId {
     NodeId((id >> 40) as u32)
+}
+
+/// The per-node counter half of a call id.
+pub fn call_id_counter(id: CallId) -> u64 {
+    id & 0xff_ffff_ffff
 }
 
 /// An RPC packet on the wire.
@@ -293,6 +298,7 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(call_id_node(a), NodeId(1));
         assert_eq!(call_id_node(b), NodeId(2));
+        assert_eq!((call_id_counter(a), call_id_counter(b)), (7, 7));
     }
 
     #[test]

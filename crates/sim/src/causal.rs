@@ -147,7 +147,7 @@ impl CausalGraph {
                         span: span.0,
                         parent: *parent_span,
                         node: ev.node,
-                        proc: proc.clone(),
+                        proc: proc.to_string(),
                         dst: *dst,
                         call_id: *call_id,
                         start: ev.time,
@@ -215,7 +215,7 @@ impl CausalGraph {
                         p.outcome = if *ok {
                             "ok".to_string()
                         } else {
-                            outcome.clone()
+                            outcome.to_string()
                         };
                     }
                 }
@@ -396,10 +396,10 @@ mod tests {
             Some(node),
             EventKind::CallStarted {
                 call_id: span * 100,
-                proc: "ping".to_string(),
+                proc: "ping".into(),
                 args: 1,
                 dst,
-                protocol: "exactly-once".to_string(),
+                protocol: "exactly-once".into(),
                 parent_span: parent,
             },
         )
@@ -439,7 +439,7 @@ mod tests {
             EventKind::CallCompleted {
                 call_id: span * 100,
                 ok: true,
-                outcome: "ok".to_string(),
+                outcome: "ok".into(),
             },
         )
     }
@@ -457,7 +457,7 @@ mod tests {
                 Some(1),
                 EventKind::ServerDispatched {
                     call_id: 700,
-                    proc: "ping".to_string(),
+                    proc: "ping".into(),
                 },
             ),
             ev(

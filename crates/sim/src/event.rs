@@ -5,9 +5,10 @@
 //! whole-simulation runs bit-for-bit reproducible.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
+use crate::window::IdWindow;
 
 /// Identifies a scheduled event so it can be cancelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -38,17 +39,6 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
-/// The fate of an id inside the window.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IdState {
-    /// In the heap, to be delivered.
-    Pending,
-    /// In the heap, to be dropped when it reaches the head.
-    Cancelled,
-    /// No longer in the heap: delivered, or reaped after cancellation.
-    Gone,
-}
-
 /// A future-event list keyed by simulated time.
 ///
 /// # Examples
@@ -64,15 +54,12 @@ enum IdState {
 #[derive(Debug)]
 pub struct EventQueue<E> {
     heap: BinaryHeap<Reverse<Scheduled<E>>>,
-    /// The id `window[0]` describes. Every id below it is `Gone`.
-    base: u64,
-    /// Ids are issued densely, so the fate of ids `base .. base + len` is a
-    /// sliding window indexed by `id - base`; the next id to issue is
-    /// `base + len`. The front is trimmed as ids leave the heap, so the
+    /// One slot per id still in the heap, `true` once cancelled (to be
+    /// dropped when it reaches the head). Ids are issued densely, so the
     /// window spans from the oldest id still in the heap to the newest.
-    window: VecDeque<IdState>,
-    /// Number of `Pending` slots in `window`, maintained incrementally so
-    /// `len` is O(1).
+    ids: IdWindow<bool>,
+    /// Number of ids not cancelled, maintained incrementally so `len` is
+    /// O(1).
     live: usize,
 }
 
@@ -87,8 +74,7 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heap: BinaryHeap::new(),
-            base: 0,
-            window: VecDeque::new(),
+            ids: IdWindow::new(),
             live: 0,
         }
     }
@@ -96,9 +82,8 @@ impl<E> EventQueue<E> {
     /// Schedules `payload` for delivery at `time` and returns a handle that
     /// can later be passed to [`EventQueue::cancel`].
     pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
-        let seq = self.base + self.window.len() as u64;
+        let seq = self.ids.push(false);
         self.heap.push(Reverse(Scheduled { time, seq, payload }));
-        self.window.push_back(IdState::Pending);
         self.live += 1;
         EventId(seq)
     }
@@ -109,13 +94,9 @@ impl<E> EventQueue<E> {
     /// unknown and already-delivered ids are harmless no-ops. Cancellation
     /// is lazy: the slot is skipped when it reaches the head.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        let slot =
-            id.0.checked_sub(self.base)
-                .and_then(|i| usize::try_from(i).ok())
-                .and_then(|i| self.window.get_mut(i));
-        match slot {
-            Some(s @ IdState::Pending) => {
-                *s = IdState::Cancelled;
+        match self.ids.get_mut(id.0) {
+            Some(cancelled @ false) => {
+                *cancelled = true;
                 self.live -= 1;
                 true
             }
@@ -158,7 +139,7 @@ impl<E> EventQueue<E> {
     /// (by [`Self::skip_cancelled`]).
     fn pop_head(&mut self) -> Option<(SimTime, E)> {
         let Reverse(s) = self.heap.pop()?;
-        self.retire(s.seq);
+        self.ids.remove(s.seq);
         self.live -= 1;
         Some((s.time, s.payload))
     }
@@ -166,22 +147,12 @@ impl<E> EventQueue<E> {
     fn skip_cancelled(&mut self) {
         while let Some(Reverse(s)) = self.heap.peek() {
             // Every id in the heap is inside the window.
-            if self.window[(s.seq - self.base) as usize] != IdState::Cancelled {
+            if self.ids.get(s.seq) != Some(&true) {
                 break;
             }
             let seq = s.seq;
             self.heap.pop();
-            self.retire(seq);
-        }
-    }
-
-    /// Marks `seq`, just removed from the heap, `Gone` and slides the
-    /// window's front past every leading `Gone` slot.
-    fn retire(&mut self, seq: u64) {
-        self.window[(seq - self.base) as usize] = IdState::Gone;
-        while self.window.front() == Some(&IdState::Gone) {
-            self.window.pop_front();
-            self.base += 1;
+            self.ids.remove(seq);
         }
     }
 }
@@ -377,7 +348,7 @@ mod tests {
     /// cancelled, delivered, not-yet-issued and far-off ids; two events
     /// scheduled first and due last pin the window's front while bursts of
     /// up to a thousand later ids come and go behind them. A window whose
-    /// `base` and front drift apart, or a cancel that takes a `Gone` slot
+    /// `base` and front drift apart, or a cancel that takes a retired slot
     /// for a pending one, returns a different answer here.
     #[test]
     fn queue_matches_a_sorted_vec_model() {
@@ -421,7 +392,7 @@ mod tests {
                 }
                 ensure_eq(m.q.len(), m.pending.len())?;
                 ensure_eq(m.q.is_empty(), m.pending.is_empty())?;
-                ensure_eq(m.q.base + m.q.window.len() as u64, m.issued)?;
+                ensure_eq(m.q.ids.next_id(), m.issued)?;
             }
             while m.pop(None)? {}
             ensure_eq(m.q.next_time(), None)?;
@@ -432,7 +403,7 @@ mod tests {
                 )?;
             }
             // Everything has left the heap, so nothing holds the window.
-            ensure_eq((m.q.base, m.q.window.len()), (m.issued, 0))
+            ensure_eq((m.q.ids.next_id(), m.q.ids.span()), (m.issued, 0))
         });
     }
 }

@@ -11,6 +11,8 @@
 //! * [`SimTime`] / [`SimDuration`] — microsecond-resolution virtual time;
 //! * [`EventQueue`] — a future-event list with FIFO tie-breaking, so
 //!   identical seeds give identical runs;
+//! * [`IdWindow`] — the hash-free table both it and the RPC call tables
+//!   keep densely issued ids in;
 //! * [`DetRng`] — seeded, forkable randomness for loss models and jitter;
 //! * [`Tracer`] — structured, span-linked event recording that tests
 //!   assert against (typed [`EventKind`] payloads, lazy rendering);
@@ -50,6 +52,7 @@ mod rng;
 mod time;
 mod trace;
 mod tsdb;
+mod window;
 mod workload;
 
 pub use causal::{CausalGraph, SpanProfile};
@@ -66,4 +69,5 @@ pub use trace::{
     TraceEvent, Tracer, BLACKBOX_CAPACITY,
 };
 pub use tsdb::SeriesStore;
+pub use window::IdWindow;
 pub use workload::{Arrival, OpMix, OpenLoop};

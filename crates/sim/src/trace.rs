@@ -15,6 +15,7 @@
 //! of one call from the trace alone, the paper's client/server
 //! call-identifier tables generalized.
 
+use std::borrow::Cow;
 use std::collections::{HashSet, VecDeque};
 use std::fmt::{self, Write as _};
 use std::io::Write;
@@ -175,14 +176,15 @@ pub enum EventKind {
     CallStarted {
         /// Call identifier (`node << 40 | counter`).
         call_id: u64,
-        /// Remote procedure name.
-        proc: String,
+        /// Remote procedure name (shared with the request and the packet).
+        proc: Arc<str>,
         /// Argument count.
         args: u32,
         /// Destination node.
         dst: u32,
-        /// Protocol rendering (`exactly-once` / `maybe`).
-        protocol: String,
+        /// Protocol rendering (`exactly-once` / `maybe`): borrowed from
+        /// the protocol's name when emitted, owned when parsed back.
+        protocol: Cow<'static, str>,
         /// Span of the enclosing call when this one was issued from a
         /// server process (`0` = root call) — the child-span link that
         /// chains nested cross-node calls into one tree.
@@ -201,8 +203,9 @@ pub enum EventKind {
         call_id: u64,
         /// `true` when results were delivered to the caller.
         ok: bool,
-        /// Short outcome description (`ok`, or the failure reason).
-        outcome: String,
+        /// Short outcome description: `ok` (borrowed), or the failure
+        /// reason.
+        outcome: Cow<'static, str>,
     },
     /// The call exhausted its retry/deadline budget.
     CallTimedOut {
@@ -213,8 +216,8 @@ pub enum EventKind {
     ServerDispatched {
         /// Call identifier.
         call_id: u64,
-        /// Procedure being executed.
-        proc: String,
+        /// Procedure being executed (shared with the call packet).
+        proc: Arc<str>,
     },
     /// The server transmitted a reply (fresh or replayed from the
     /// duplicate-suppression cache).
@@ -650,10 +653,10 @@ impl EventKind {
             },
             "CallStarted" => EventKind::CallStarted {
                 call_id: u("call_id")?,
-                proc: s("proc")?,
+                proc: s("proc")?.into(),
                 args: n("args")?,
                 dst: n("dst")?,
-                protocol: s("protocol")?,
+                protocol: s("protocol")?.into(),
                 parent_span: u("parent_span")?,
             },
             "CallRetransmitted" => EventKind::CallRetransmitted {
@@ -663,14 +666,14 @@ impl EventKind {
             "CallCompleted" => EventKind::CallCompleted {
                 call_id: u("call_id")?,
                 ok: b("ok")?,
-                outcome: s("outcome")?,
+                outcome: s("outcome")?.into(),
             },
             "CallTimedOut" => EventKind::CallTimedOut {
                 call_id: u("call_id")?,
             },
             "ServerDispatched" => EventKind::ServerDispatched {
                 call_id: u("call_id")?,
-                proc: s("proc")?,
+                proc: s("proc")?.into(),
             },
             "ReplySent" => EventKind::ReplySent {
                 call_id: u("call_id")?,
@@ -1995,10 +1998,10 @@ mod tests {
             },
             EventKind::CallStarted {
                 call_id: (7u64 << 40) | 1,
-                proc: s(),
+                proc: s().into(),
                 args: 2,
                 dst: 1,
-                protocol: s(),
+                protocol: s().into(),
                 parent_span: 0,
             },
             EventKind::CallRetransmitted {
@@ -2008,12 +2011,12 @@ mod tests {
             EventKind::CallCompleted {
                 call_id: u64::MAX,
                 ok: false,
-                outcome: s(),
+                outcome: s().into(),
             },
             EventKind::CallTimedOut { call_id: 11 },
             EventKind::ServerDispatched {
                 call_id: 12,
-                proc: s(),
+                proc: s().into(),
             },
             EventKind::ReplySent {
                 call_id: 13,
@@ -2115,6 +2118,80 @@ mod tests {
                 let mut buf = String::from("kept\n");
                 ev.write_json(&mut buf);
                 assert_eq!(buf, format!("kept\n{line}"));
+            }
+        }
+    }
+
+    /// The RPC events as the endpoint builds them — a borrowed protocol
+    /// name and outcome, one `Arc<str>` shared by both ends of the call —
+    /// write the bytes an owned `String` always wrote, and parse back
+    /// `==` although the parsed side owns its text.
+    #[test]
+    fn rpc_events_render_the_same_borrowed_shared_or_owned() {
+        for (name, escaped) in [("ping", "ping"), ("a\"b", "a\\\"b"), ("λ→é😀", "λ→é😀")]
+        {
+            let shared: Arc<str> = name.into();
+            let built = [
+                EventKind::CallStarted {
+                    call_id: (3 << 40) | 9,
+                    proc: shared.clone(),
+                    args: 1,
+                    dst: 2,
+                    protocol: Cow::Borrowed("exactly-once"),
+                    parent_span: 0,
+                },
+                EventKind::ServerDispatched {
+                    call_id: (3 << 40) | 9,
+                    proc: shared.clone(),
+                },
+                EventKind::CallCompleted {
+                    call_id: (3 << 40) | 9,
+                    ok: true,
+                    outcome: Cow::Borrowed("ok"),
+                },
+                EventKind::CallCompleted {
+                    call_id: (3 << 40) | 9,
+                    ok: false,
+                    outcome: format!("maybe: {name}").into(),
+                },
+            ];
+            let want = [
+                format!(
+                    "\"kind\": \"CallStarted\", \"message\": \"call 3298534883337 \
+                     {escaped}(1) -> node2 [exactly-once]\", \"data\": {{\"call_id\": \
+                     3298534883337, \"proc\": \"{escaped}\", \"args\": 1, \"dst\": 2, \
+                     \"protocol\": \"exactly-once\", \"parent_span\": 0}}}}"
+                ),
+                format!(
+                    "\"kind\": \"ServerDispatched\", \"message\": \"dispatch call \
+                     3298534883337 {escaped}\", \"data\": {{\"call_id\": 3298534883337, \
+                     \"proc\": \"{escaped}\"}}}}"
+                ),
+                "\"kind\": \"CallCompleted\", \"message\": \"call 3298534883337 \
+                 completed: ok\", \"data\": {\"call_id\": 3298534883337, \"ok\": true, \
+                 \"outcome\": \"ok\"}}"
+                    .to_string(),
+                format!(
+                    "\"kind\": \"CallCompleted\", \"message\": \"call 3298534883337 \
+                     failed: maybe: {escaped}\", \"data\": {{\"call_id\": 3298534883337, \
+                     \"ok\": false, \"outcome\": \"maybe: {escaped}\"}}}}"
+                ),
+            ];
+            for (kind, want) in built.into_iter().zip(want) {
+                let ev = TraceEvent {
+                    time: SimTime::from_micros(5),
+                    category: TraceCategory::Rpc,
+                    node: Some(3),
+                    span: Some(SpanId(4)),
+                    kind,
+                };
+                let line = ev.to_json();
+                let head = "{\"time_us\": 5, \"category\": \"rpc\", \"node\": 3, \"span\": 4, ";
+                assert_eq!(line, format!("{head}{want}"));
+                assert_eq!(line, to_json_reference(&ev));
+                let back = TraceEvent::parse_json(&line).expect("parses");
+                assert_eq!(back, ev, "owned text equals borrowed and shared text");
+                assert_eq!(back.to_json(), line);
             }
         }
     }
