@@ -18,6 +18,8 @@
 //! breakpoint #0 hit on node1 p1 in price at line 2
 //! ```
 
+use std::fmt::Write as _;
+
 use pilgrim_rpc::WireValue;
 use pilgrim_sim::{SimDuration, SpanId};
 
@@ -411,16 +413,22 @@ impl DebugCli {
                     }
                     other => {
                         let k: usize = other.and_then(|a| a.parse().ok()).unwrap_or(10);
-                        let evs = world.tracer().events();
-                        let tail = &evs[evs.len().saturating_sub(k)..];
-                        if tail.is_empty() {
+                        // Walk the ring in place and format only the tail:
+                        // the ring may hold a million events to show ten of.
+                        let tracer = world.tracer();
+                        let skip = tracer.len().saturating_sub(k);
+                        let (mut out, mut seen) = (String::new(), 0);
+                        tracer.for_each(|e| {
+                            if seen >= skip {
+                                let sep = if seen > skip { "\n" } else { "" };
+                                let _ = write!(out, "{sep}{e}");
+                            }
+                            seen += 1;
+                        });
+                        if out.is_empty() {
                             return Ok("trace is empty".into());
                         }
-                        Ok(tail
-                            .iter()
-                            .map(|e| e.to_string())
-                            .collect::<Vec<_>>()
-                            .join("\n"))
+                        Ok(out)
                     }
                 }
             }
@@ -828,6 +836,18 @@ console 0",
         assert!(saved.contains("dumped to"), "{saved}");
         assert!(crate::saved::open(&path).and_then(|s| s.dump()).is_ok());
         let _ = std::fs::remove_file(&path);
+
+        // A budget of 0 is held as 1, and the status line says so.
+        let mut w = World::builder()
+            .nodes(1)
+            .program(PROGRAM)
+            .blackbox_capacity(0)
+            .build()
+            .unwrap();
+        cli.exec(&mut w, "run 0 main");
+        cli.exec(&mut w, "wait 2000");
+        let status = cli.exec(&mut w, "blackbox");
+        assert!(status.contains("1 events in ring (budget 1)"), "{status}");
     }
 
     #[test]
@@ -840,7 +860,13 @@ console 0",
         assert!(stats.contains("counter net.sent"), "{stats}");
         assert!(stats.contains("gauge sched.node0.steps"), "{stats}");
         let trace = cli.exec(&mut w, "trace 3");
-        assert!(!trace.starts_with("error:"), "{trace}");
+        let events = w.tracer().events();
+        let tail: Vec<String> = events[events.len() - 3..]
+            .iter()
+            .map(ToString::to_string)
+            .collect();
+        assert_eq!(trace, tail.join("\n"));
+        assert_eq!(cli.exec(&mut w, "trace 0"), "trace is empty");
         assert!(cli
             .exec(&mut w, "trace span 999999")
             .contains("no events for span"),);

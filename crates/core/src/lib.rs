@@ -97,6 +97,6 @@ pub use pilgrim_mayflower::{NodeConfig, Pid, RunState, SpawnOpts};
 pub use pilgrim_ring::{LinkModel, Medium, NetworkConfig, NodeId, PartitionWindow, Topology};
 pub use pilgrim_rpc::{RpcConfig, WireValue};
 pub use pilgrim_sim::{
-    CausalGraph, Counter, EchoBuffer, EventKind, Gauge, Histogram, Metrics, SeriesStore,
-    SimDuration, SimTime, SpanId, SpanProfile, TraceCategory, TraceEvent, Tracer,
+    CausalGraph, Counter, EventKind, Gauge, Histogram, Metrics, SeriesStore, SimDuration, SimTime,
+    SpanId, SpanProfile, TraceCategory, TraceEvent, Tracer,
 };

@@ -1337,8 +1337,8 @@ impl Node {
     /// The scheduler is consulted once per *burst*, not once per
     /// instruction: each turn of the loop computes the horizon — the
     /// earliest instant at which `expire_timers`, `pick_next` or `rotate`
-    /// could answer differently — and [`step_process`](Node::step_process)
-    /// runs the picked process up to it.
+    /// could answer differently — and `step_process` runs the picked
+    /// process up to it.
     pub fn advance_into(&mut self, t: SimTime, out: &mut Vec<Outcall>) {
         // Step straight into the caller's buffer: it stands in for
         // `self.outcalls` for the duration of the call, so a caller that

@@ -28,7 +28,7 @@
 use std::fmt::Debug;
 use std::rc::Rc;
 
-use crate::rng::DetRng;
+use crate::rng::{splitmix64, DetRng};
 
 // ---------------------------------------------------------------------
 // Cases: a value plus its lazily-computed simplifications.
@@ -490,15 +490,7 @@ fn name_seed(name: &str) -> u64 {
 /// Derives the seed of case `i` of a property.
 fn case_seed(base: u64, i: u32) -> u64 {
     let mut s = base ^ (u64::from(i).wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    splitmix_once(&mut s)
-}
-
-fn splitmix_once(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    splitmix64(&mut s)
 }
 
 const MAX_SHRINK_STEPS: u32 = 1_000;

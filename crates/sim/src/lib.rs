@@ -65,8 +65,8 @@ pub use profile::{
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    first_divergence, Divergence, EchoBuffer, EventKind, FieldDiff, SpanId, TraceCategory,
-    TraceEvent, Tracer, BLACKBOX_CAPACITY,
+    first_divergence, Divergence, EventKind, FieldDiff, SpanId, TraceCategory, TraceEvent, Tracer,
+    BLACKBOX_CAPACITY,
 };
 pub use tsdb::SeriesStore;
 pub use window::IdWindow;

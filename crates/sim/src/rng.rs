@@ -13,10 +13,11 @@
 
 /// SplitMix64: expands a 64-bit seed into well-distributed state words.
 ///
-/// Used only for seeding; it is a fine generator on its own but its 64-bit
-/// state is too small for the simulation's fork-heavy usage.
+/// Used for seeding here, and as a one-round mixer by span sampling and
+/// the property harness's case seeds; it is a fine generator on its own
+/// but its 64-bit state is too small for the simulation's fork-heavy usage.
 #[inline]
-fn splitmix64(state: &mut u64) -> u64 {
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -7,7 +7,7 @@
 //! This binary installs its own counting `#[global_allocator]` (an
 //! integration test is its own binary, so nothing else is affected) and
 //! pins three properties of a debugger-less world with dormant agents,
-//! and one of a world with the debugger *on*:
+//! one of a world with the debugger *on*, and one of the REPL:
 //!
 //! * a window in which nodes only execute plain instructions allocates
 //!   nothing at all — not in the pump, not in the node scheduler, not in
@@ -27,7 +27,9 @@
 //!   the node holds a dozen records or several hundred (dead ones are
 //!   kept for post-mortem examination and still listed), and a whole
 //!   break → backtrace → inspect → halt → list → step → resume cycle
-//!   stays under a fixed ceiling.
+//!   stays under a fixed ceiling;
+//! * the REPL's `trace 10` costs what it prints: it formats the tail of
+//!   the trace ring in place, however many events the ring retains.
 //!
 //! Counts are per thread (tests run on parallel threads; a world stepped
 //! with `step_threads = 1` allocates only on the thread that drives it).
@@ -35,7 +37,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pilgrim::{SimDuration, SimTime, Value, World};
+use pilgrim::{DebugCli, SimDuration, SimTime, Value, World};
 use pilgrim_cclu::Signature;
 use pilgrim_rpc::{HandlerCtx, NativeHandler};
 
@@ -348,4 +350,34 @@ fn a_process_listing_does_not_pay_per_dead_process() {
     let calls = allocations(|| cycle(&mut w));
     println!("{calls} allocations for one debugging cycle");
     assert!(calls <= CYCLE_CEILING, "{calls} allocations for one cycle");
+}
+
+/// Analytics in bounded memory, starting with the smallest command: with
+/// tens of thousands of events retained, showing the last ten must not
+/// copy the ring. `Print` events own their text, so a copy is at least
+/// one allocator call per retained event.
+#[test]
+fn trace_tail_does_not_pay_per_retained_event() {
+    const CHATTER: &str = "\
+main = proc (n: int)
+ for i: int := 1 to n do
+  print(i)
+ end
+end";
+    let mut w = world(1, CHATTER, false);
+    w.tracer().set_filter(&[pilgrim::TraceCategory::Vm]);
+    w.spawn(0, "main", vec![Value::Int(24_000)]);
+    w.run_until_idle(SimTime::from_secs(600));
+    let retained = w.tracer().len();
+    assert!(retained >= 20_000, "only {retained} events retained");
+    let mut cli = DebugCli::new();
+    let mut shown = String::new();
+    let calls = allocations(|| shown = cli.exec(&mut w, "trace 10"));
+    assert!(shown.ends_with("] p1: 24000"), "{shown}");
+    assert_eq!(shown.lines().count(), 10, "{shown}");
+    println!("{calls} allocations to show 10 of {retained} events");
+    assert!(
+        calls <= 64,
+        "{calls} allocations to show 10 of {retained} events"
+    );
 }
