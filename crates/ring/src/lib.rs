@@ -39,7 +39,7 @@
 
 #![warn(missing_docs)]
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 use pilgrim_sim::{
@@ -267,15 +267,24 @@ pub struct NetStats {
     /// The subset of `silently_lost` dropped crossing a bridge link — a
     /// partition cut or a per-hop loss draw.
     pub bridge_lost: u64,
-    /// Broadcasts transmitted (Ethernet only).
-    pub broadcasts: u64,
     /// Total payload bytes handed to the transmitter.
     pub bytes_sent: u64,
 }
 
+/// One outcome for the network's ledger ([`Network::record`]), one per
+/// [`NetStats`] counter; `Sent` carries the bytes handed over.
+#[derive(Debug, Clone, Copy)]
+enum Outcome {
+    Sent(u64),
+    Nacked,
+    Lost,
+    BridgeLost,
+    Delivered,
+}
+
 /// Per-bridge-link telemetry handles. `busy_us` accumulates serialization
 /// time (utilization = its window delta over the window length),
-/// `queue_us` accumulates time packets waited behind `link_free_at`,
+/// `queue_us` accumulates time packets waited behind the link's `free_at`,
 /// `backlog_us` is the instantaneous serialization backlog a packet saw
 /// when it reached the link, and `lost` splits the aggregate
 /// `net.bridge_lost` per link.
@@ -304,6 +313,7 @@ struct SegMeters {
 
 /// Metrics handles the network bumps directly; registered once by
 /// [`Network::attach_metrics`] so the hot path never does a name lookup.
+/// Each link's handles live in its [`Link`] entry.
 #[derive(Debug, Clone)]
 struct NetMeters {
     sent: Counter,
@@ -312,44 +322,39 @@ struct NetMeters {
     silently_lost: Counter,
     bridge_lost: Counter,
     bytes_sent: Counter,
-    /// One meter set per bridge link, in [`Topology::all_links`] order.
-    /// Empty on flat topologies, so single-segment worlds register
-    /// exactly the metrics they always did.
-    links: Vec<((u32, u32), LinkMeters)>,
     /// One meter set per segment; empty on flat topologies.
     segs: Vec<SegMeters>,
 }
 
 impl NetMeters {
-    fn new(metrics: &Metrics, topology: Topology) -> NetMeters {
-        // Aggregates register first so their position in the registry is
-        // identical whether or not the topology is bridged.
-        let sent = metrics.counter("net.sent");
-        let delivered = metrics.counter("net.delivered");
-        let nacked = metrics.counter("net.nacked");
-        let silently_lost = metrics.counter("net.silently_lost");
-        let bridge_lost = metrics.counter("net.bridge_lost");
-        let bytes_sent = metrics.counter("net.bytes_sent");
-        let segs = topology.segments();
-        let (links, seg_meters) = if segs > 1 {
-            let links = topology
-                .all_links()
-                .into_iter()
-                .map(|(a, b)| {
-                    let name = |field: &str| format!("net.link{a}-{b}.{field}");
-                    (
-                        (a, b),
-                        LinkMeters {
-                            bytes: metrics.counter(&name("bytes")),
-                            busy_us: metrics.counter(&name("busy_us")),
-                            queue_us: metrics.counter(&name("queue_us")),
-                            lost: metrics.counter(&name("lost")),
-                            backlog_us: metrics.gauge(&name("backlog_us")),
-                        },
-                    )
-                })
-                .collect();
-            let seg_meters = (0..segs)
+    /// Registers the six aggregates, then every link's meters in table
+    /// order, then every segment's — the order tsdb columns, summaries
+    /// and blackbox dumps follow. A flat topology has no links and
+    /// registers no segment meters, so a single-segment world registers
+    /// the six aggregates alone.
+    fn new(metrics: &Metrics, links: &mut [Link], segs: u32) -> NetMeters {
+        let mut meters = NetMeters {
+            sent: metrics.counter("net.sent"),
+            delivered: metrics.counter("net.delivered"),
+            nacked: metrics.counter("net.nacked"),
+            silently_lost: metrics.counter("net.silently_lost"),
+            bridge_lost: metrics.counter("net.bridge_lost"),
+            bytes_sent: metrics.counter("net.bytes_sent"),
+            segs: Vec::new(),
+        };
+        for link in links {
+            let (a, b) = link.key;
+            let name = |field: &str| format!("net.link{a}-{b}.{field}");
+            link.meters = Some(LinkMeters {
+                bytes: metrics.counter(&name("bytes")),
+                busy_us: metrics.counter(&name("busy_us")),
+                queue_us: metrics.counter(&name("queue_us")),
+                lost: metrics.counter(&name("lost")),
+                backlog_us: metrics.gauge(&name("backlog_us")),
+            });
+        }
+        if segs > 1 {
+            meters.segs = (0..segs)
                 .map(|s| SegMeters {
                     sent: metrics.counter(&format!("net.seg{s}.sent")),
                     delivered: metrics.counter(&format!("net.seg{s}.delivered")),
@@ -357,31 +362,23 @@ impl NetMeters {
                     tx_busy_us: metrics.counter(&format!("net.seg{s}.tx_busy_us")),
                 })
                 .collect();
-            (links, seg_meters)
-        } else {
-            (Vec::new(), Vec::new())
-        };
-        NetMeters {
-            sent,
-            delivered,
-            nacked,
-            silently_lost,
-            bridge_lost,
-            bytes_sent,
-            links,
-            segs: seg_meters,
         }
+        meters
     }
+}
 
-    /// The meter set for a normalized link key; a short linear scan (the
-    /// largest committed topology has four links).
-    fn link(&self, key: (u32, u32)) -> Option<&LinkMeters> {
-        self.links.iter().find(|(k, _)| *k == key).map(|(_, m)| m)
-    }
-
-    fn seg(&self, seg: u32) -> Option<&SegMeters> {
-        self.segs.get(seg as usize)
-    }
+/// One bridge link: everything the network keeps about it. The table
+/// holds one per [`Topology::all_links`] entry, in that order.
+#[derive(Debug, Default)]
+struct Link {
+    /// The normalized `(lo, hi)` segment pair.
+    key: (u32, u32),
+    /// Store-and-forward serialization: when the link frees up.
+    free_at: SimTime,
+    /// Forced down by the driver ([`Network::set_link_up`]), on top of
+    /// the scheduled partition windows.
+    forced_down: bool,
+    meters: Option<LinkMeters>,
 }
 
 /// Which transmitter a packet uses. Basic-block data and tiny
@@ -392,22 +389,16 @@ impl NetMeters {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TxClass {
     /// Ordinary basic-block data (RPC packets).
-    Data,
+    Data = 0,
     /// Small control messages (debugger–agent traffic, halt broadcast).
-    Control,
+    Control = 1,
 }
 
 #[derive(Debug, Clone, Copy)]
 struct Station {
     up: bool,
+    /// When each [`TxClass`]'s transmitter frees up, indexed by class.
     tx_free_at: [SimTime; 2],
-}
-
-fn class_index(class: TxClass) -> usize {
-    match class {
-        TxClass::Data => 0,
-        TxClass::Control => 1,
-    }
 }
 
 /// The simulated network, generic over the payload type carried in packets.
@@ -418,24 +409,23 @@ pub struct Network<P> {
     queue: EventQueue<Delivery<P>>,
     rng: DetRng,
     forced_drops: HashMap<(NodeId, NodeId), u32>,
+    /// The world total. Stored rather than folded over `per_station`
+    /// because [`poll`](Network::poll) returns it on every call.
     stats: NetStats,
     /// Per-station counters: sends/NACKs/losses attributed to the source
     /// station, deliveries to the destination. Indexed by `NodeId`.
+    /// Segment totals are folds over these.
     per_station: Vec<NetStats>,
-    /// Per-segment counters, same attribution rules, indexed by segment.
-    seg_stats: Vec<NetStats>,
     /// Segment of each station, from the topology's contiguous blocks.
     seg_of: Vec<u32>,
-    /// Bridge-hop paths between every segment pair, precomputed so the
-    /// cross-segment send path never allocates: `paths[a * segs + b]`.
-    paths: Vec<Vec<(u32, u32)>>,
-    /// Segment count (1 = flat, no bridge machinery on the send path).
+    /// Bridge-hop paths between every segment pair, as indices into
+    /// `links`, precomputed so the cross-segment send path never
+    /// allocates: `paths[a * segs + b]`.
+    paths: Vec<Vec<usize>>,
+    /// Segment count (1 = flat: every path is empty, no link is touched).
     segs: u32,
-    /// Store-and-forward serialization: when each bridge link frees up.
-    link_free_at: HashMap<(u32, u32), SimTime>,
-    /// Links forced down by the driver ([`Network::set_link_up`]), on top
-    /// of the scheduled partition windows.
-    forced_link_down: HashSet<(u32, u32)>,
+    /// Every bridge link, in [`Topology::all_links`] order.
+    links: Vec<Link>,
     tracer: Option<Tracer>,
     meters: Option<NetMeters>,
 }
@@ -448,9 +438,23 @@ impl<P> Network<P> {
         let seg_of: Vec<u32> = (0..nodes)
             .map(|i| config.topology.segment_of(i, nodes))
             .collect();
-        let paths: Vec<Vec<(u32, u32)>> = (0..segs)
+        let links: Vec<Link> = config
+            .topology
+            .all_links()
+            .into_iter()
+            .map(|key| Link {
+                key,
+                ..Link::default()
+            })
+            .collect();
+        let paths: Vec<Vec<usize>> = (0..segs)
             .flat_map(|a| (0..segs).map(move |b| (a, b)))
-            .map(|(a, b)| config.topology.path_links(a, b))
+            .map(|(a, b)| {
+                let hops = config.topology.path_links(a, b).into_iter();
+                hops.map(|key| links.iter().position(|l| l.key == key))
+                    .collect::<Option<_>>()
+                    .expect("every path link is a bridge of the topology")
+            })
             .collect();
         Network {
             config,
@@ -466,78 +470,68 @@ impl<P> Network<P> {
             forced_drops: HashMap::new(),
             stats: NetStats::default(),
             per_station: vec![NetStats::default(); nodes as usize],
-            seg_stats: vec![NetStats::default(); segs as usize],
             seg_of,
             paths,
             segs,
-            link_free_at: HashMap::new(),
-            forced_link_down: HashSet::new(),
+            links,
             tracer: None,
             meters: None,
         }
     }
 
-    /// The segment a station belongs to.
-    pub fn segment_of(&self, node: NodeId) -> u32 {
-        self.seg_of[node.0 as usize]
-    }
-
-    /// Is the bridge link between segments `a` and `b` passable at `at`?
-    /// False while a scheduled [`PartitionWindow`] covers `at` or the
-    /// driver has forced the link down.
-    pub fn link_up(&self, a: u32, b: u32, at: SimTime) -> bool {
-        let key = link_key(a, b);
-        !self.forced_link_down.contains(&key)
-            && !self.config.partitions.iter().any(|w| w.cuts(key, at))
-    }
-
     /// Forces the bridge link between segments `a` and `b` down (or back
-    /// up). Scheduled partition windows still apply on top.
+    /// up). Scheduled partition windows still apply on top. A pair that
+    /// is no bridge of the topology is accepted and changes nothing, so a
+    /// recording that journals one still replays.
     pub fn set_link_up(&mut self, a: u32, b: u32, up: bool) {
         let key = link_key(a, b);
-        if up {
-            self.forced_link_down.remove(&key);
-        } else {
-            self.forced_link_down.insert(key);
+        if let Some(link) = self.links.iter_mut().find(|l| l.key == key) {
+            link.forced_down = !up;
         }
     }
 
-    /// Walks the bridge hops from segment `sseg` to `dseg`, starting the
-    /// first hop at `depart`. Returns the far-side arrival time, or
-    /// `None` when a partition cut or a per-hop loss draw ate the packet.
-    /// Draw order per hop is fixed (loss, then jitter) and later hops are
-    /// skipped after a loss, so the RNG stream is a pure function of the
-    /// config and the send sequence.
+    /// Walks the bridge hops from `src`'s segment to `dst`'s (none when
+    /// they share one), starting the first hop at `depart`. Returns the
+    /// far-side arrival time, or `None` when a partition cut (scheduled,
+    /// or forced by the driver) or a per-hop loss draw ate the packet — a
+    /// loss counted against the link and, as a bridge loss, against
+    /// `src`. Draw order per hop is fixed (loss, then jitter) and later
+    /// hops are skipped after a loss, so the RNG stream is a pure function
+    /// of the config and the send sequence.
     fn bridge_leg(
         &mut self,
-        sseg: u32,
-        dseg: u32,
+        src: NodeId,
+        dst: NodeId,
         depart: SimTime,
         bytes: usize,
     ) -> Option<SimTime> {
         let mut t = depart;
+        let (sseg, dseg) = (self.seg_of[src.0 as usize], self.seg_of[dst.0 as usize]);
         let path = (sseg * self.segs + dseg) as usize;
         for i in 0..self.paths[path].len() {
-            let link = self.paths[path][i];
-            if !self.link_up(link.0, link.1, t) || self.rng.chance(self.config.link.p_loss) {
-                if let Some(lm) = self.meters.as_ref().and_then(|m| m.link(link)) {
+            let hop = self.paths[path][i];
+            let link = &self.links[hop];
+            let cut =
+                link.forced_down || self.config.partitions.iter().any(|w| w.cuts(link.key, t));
+            if cut || self.rng.chance(self.config.link.p_loss) {
+                if let Some(lm) = &link.meters {
                     lm.lost.inc();
                 }
+                self.record(src, Outcome::BridgeLost);
                 return None;
             }
             let occupy = self.config.link.per_byte * bytes as u64;
             let jitter = self.config.link.jitter.as_micros();
             let jitter = SimDuration::from_micros(self.rng.below(jitter + 1));
-            let free = self.link_free_at.entry(link).or_insert(SimTime::ZERO);
-            let start = t.max(*free);
-            *free = start + occupy;
-            let freed = *free;
-            if let Some(lm) = self.meters.as_ref().and_then(|m| m.link(link)) {
+            let link = &mut self.links[hop];
+            let start = t.max(link.free_at);
+            link.free_at = start + occupy;
+            if let Some(lm) = &link.meters {
                 lm.bytes.add(bytes as u64);
                 lm.busy_us.add(occupy.as_micros());
                 lm.queue_us.add((start - t).as_micros());
                 // Serialization backlog this packet saw, including itself.
-                lm.backlog_us.set((freed - t).as_micros() as i64);
+                lm.backlog_us.set((link.free_at - t).as_micros() as i64);
             }
             t = start + occupy + self.config.link.latency + jitter;
         }
@@ -552,13 +546,16 @@ impl<P> Network<P> {
 
     /// Registers this network's counters in `metrics` and starts bumping
     /// them (`net.sent`, `net.delivered`, `net.nacked`,
-    /// `net.silently_lost`, `net.bytes_sent`). Bridged topologies also
-    /// register per-link telemetry (`net.link{a}-{b}.bytes` / `.busy_us`
-    /// / `.queue_us` / `.lost` / `.backlog_us`) and per-segment traffic
-    /// (`net.seg{s}.sent` / `.delivered` / `.bytes`); flat worlds
-    /// register nothing extra, so their reports stay byte-identical.
+    /// `net.silently_lost`, `net.bridge_lost`, `net.bytes_sent`). Bridged
+    /// topologies also register, per link in
+    /// [`bridge_links`](Network::bridge_links) order, the counters
+    /// `net.link{a}-{b}.bytes` / `.busy_us` / `.queue_us` / `.lost` and
+    /// the gauge `net.link{a}-{b}.backlog_us`, then per segment
+    /// `net.seg{s}.sent` / `.delivered` / `.bytes` / `.tx_busy_us`; flat
+    /// worlds register nothing extra, so their reports stay
+    /// byte-identical.
     pub fn attach_metrics(&mut self, metrics: &Metrics) {
-        self.meters = Some(NetMeters::new(metrics, self.config.topology));
+        self.meters = Some(NetMeters::new(metrics, &mut self.links, self.segs));
     }
 
     /// The active configuration.
@@ -579,6 +576,10 @@ impl<P> Network<P> {
     /// One station's counters: sends, NACKs, and silent losses are
     /// attributed to the *source* station, deliveries to the
     /// *destination*.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a station on this network.
     pub fn station_stats(&self, node: NodeId) -> NetStats {
         self.per_station[node.0 as usize]
     }
@@ -589,19 +590,31 @@ impl<P> Network<P> {
     }
 
     /// One segment's counters, same attribution rules as
-    /// [`station_stats`](Network::station_stats).
+    /// [`station_stats`](Network::station_stats): the sum of its
+    /// stations' entries.
     ///
     /// # Panics
     ///
     /// Panics if `seg` is not a segment of this topology.
     pub fn segment_stats(&self, seg: u32) -> NetStats {
-        self.seg_stats[seg as usize]
+        assert!(seg < self.segs, "no segment {seg} of {}", self.segs);
+        let stations = self.per_station.iter().zip(&self.seg_of);
+        stations
+            .filter(|(_, s)| **s == seg)
+            .fold(NetStats::default(), |t, (s, _)| NetStats {
+                sent: t.sent + s.sent,
+                delivered: t.delivered + s.delivered,
+                nacked: t.nacked + s.nacked,
+                silently_lost: t.silently_lost + s.silently_lost,
+                bridge_lost: t.bridge_lost + s.bridge_lost,
+                bytes_sent: t.bytes_sent + s.bytes_sent,
+            })
     }
 
     /// Every bridge link of the topology, in telemetry registration
     /// order. Empty for flat topologies.
     pub fn bridge_links(&self) -> Vec<(u32, u32)> {
-        self.config.topology.all_links()
+        self.links.iter().map(|l| l.key).collect()
     }
 
     /// How many stations live in one segment — the denominator that
@@ -613,11 +626,19 @@ impl<P> Network<P> {
 
     /// Marks a node's interface up or down (a crashed node refuses
     /// packets, which senders on the ring observe as NACKs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a station on this network.
     pub fn set_up(&mut self, node: NodeId, up: bool) {
         self.stations[node.0 as usize].up = up;
     }
 
     /// Is the node's interface up?
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is not a station on this network.
     pub fn is_up(&self, node: NodeId) -> bool {
         self.stations[node.0 as usize].up
     }
@@ -625,8 +646,11 @@ impl<P> Network<P> {
     /// Forces the next `count` packets from `src` to `dst` to be lost
     /// silently (after interface acceptance). Deterministic fault
     /// injection for the lost-call / lost-reply experiments (§4.1).
+    /// Any pair and any count are accepted — a recording may journal
+    /// either — and counts on one pair add up, saturating at `u32::MAX`.
     pub fn drop_next(&mut self, src: NodeId, dst: NodeId, count: u32) {
-        *self.forced_drops.entry((src, dst)).or_insert(0) += count;
+        let pending = self.forced_drops.entry((src, dst)).or_insert(0);
+        *pending = pending.saturating_add(count);
     }
 
     fn take_forced_drop(&mut self, src: NodeId, dst: NodeId) -> bool {
@@ -662,23 +686,6 @@ impl<P> Network<P> {
         self.send_spanned(now, src, dst, payload, bytes, TxClass::Data, None)
     }
 
-    /// [`Network::send`] on a chosen transmitter class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` or `dst` is not a station on this network.
-    pub fn send_class(
-        &mut self,
-        now: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        payload: P,
-        bytes: usize,
-        class: TxClass,
-    ) -> TxStatus {
-        self.send_spanned(now, src, dst, payload, bytes, class, None)
-    }
-
     /// One packet-level trace event; the `wants` check happened already.
     #[cold]
     fn trace_packet(&self, time: SimTime, node: u32, span: Option<SpanId>, kind: EventKind) {
@@ -693,10 +700,11 @@ impl<P> Network<P> {
             .is_some_and(|t| t.wants(TraceCategory::Net))
     }
 
-    /// [`Network::send_class`] carrying a causal span: the span rides the
-    /// packet to the receiver (via [`Delivery::span`]) and stamps every
-    /// packet-level trace event, so one RPC call's wire activity — across
-    /// nodes, including retransmissions — shares one span.
+    /// [`Network::send`] on a chosen transmitter class, carrying a causal
+    /// span: the span rides the packet to the receiver (via
+    /// [`Delivery::span`]) and stamps every packet-level trace event, so
+    /// one RPC call's wire activity — across nodes, including
+    /// retransmissions — shares one span.
     ///
     /// # Panics
     ///
@@ -735,21 +743,7 @@ impl<P> Network<P> {
     ) -> Result<TxStatus, P> {
         assert!((src.0 as usize) < self.stations.len(), "unknown src {src}");
         assert!((dst.0 as usize) < self.stations.len(), "unknown dst {dst}");
-        let sseg = self.seg_of[src.0 as usize];
-        self.stats.sent += 1;
-        self.stats.bytes_sent += bytes as u64;
-        self.per_station[src.0 as usize].sent += 1;
-        self.per_station[src.0 as usize].bytes_sent += bytes as u64;
-        self.seg_stats[sseg as usize].sent += 1;
-        self.seg_stats[sseg as usize].bytes_sent += bytes as u64;
-        if let Some(m) = &self.meters {
-            m.sent.inc();
-            m.bytes_sent.add(bytes as u64);
-            if let Some(s) = m.seg(sseg) {
-                s.sent.inc();
-                s.bytes.add(bytes as u64);
-            }
-        }
+        let arrive = self.occupy_transmitter(now, src, bytes, class);
         let traced = self.wants_net();
         if traced {
             self.trace_packet(
@@ -763,114 +757,75 @@ impl<P> Network<P> {
                 },
             );
         }
-        let ci = class_index(class);
-        let start = now.max(self.stations[src.0 as usize].tx_free_at[ci]);
-        let latency = self.config.latency(bytes);
-        let arrive = start + latency;
-        // The class's transmitter is occupied for the whole transmission.
-        self.stations[src.0 as usize].tx_free_at[ci] = arrive;
-        if let Some(m) = &self.meters {
-            if let Some(s) = m.seg(sseg) {
-                s.tx_busy_us.add(latency.as_micros());
-            }
-        }
-
-        // Cross-segment: the local ring hardware can only vouch for the
-        // leg it carries, so nothing beyond the first bridge ever NACKs —
-        // a partition cut, a bridge loss, or a refusal by the remote
+        let Some(at) = self.bridge_leg(src, dst, arrive, bytes) else {
+            self.lose_silently(now, src, dst, bytes as u32, span, traced);
+            return Ok(TxStatus::Queued { deliver_at: arrive });
+        };
+        let refused =
+            !self.stations[dst.0 as usize].up || self.rng.chance(self.config.p_interface_loss);
+        // Only the ring NACKs, and only on the sender's own segment: the
+        // local hardware can vouch for no leg but the one it carries, so a
+        // partition cut, a bridge loss, or a refusal by a remote
         // destination interface all look like silent loss to the sender
         // (this is why `maybe`-protocol traffic degrades under partition
         // while exactly-once retries until its attempt budget runs out).
-        let dseg = self.seg_of[dst.0 as usize];
-        if sseg != dseg {
-            let far_arrive = match self.bridge_leg(sseg, dseg, arrive, bytes) {
-                Some(t) => t,
-                None => {
-                    self.stats.bridge_lost += 1;
-                    self.per_station[src.0 as usize].bridge_lost += 1;
-                    self.seg_stats[sseg as usize].bridge_lost += 1;
-                    if let Some(m) = &self.meters {
-                        m.bridge_lost.inc();
-                    }
-                    self.lose_silently(now, src, dst, bytes as u32, span, traced);
-                    return Ok(TxStatus::Queued { deliver_at: arrive });
-                }
-            };
-            let dst_refused =
-                !self.stations[dst.0 as usize].up || self.rng.chance(self.config.p_interface_loss);
-            if dst_refused
-                || self.take_forced_drop(src, dst)
-                || self.rng.chance(self.config.p_silent_loss)
-            {
-                self.lose_silently(now, src, dst, bytes as u32, span, traced);
-                return Ok(TxStatus::Queued {
-                    deliver_at: far_arrive,
-                });
+        let local = self.seg_of[src.0 as usize] == self.seg_of[dst.0 as usize];
+        if refused && local && self.config.medium == Medium::CambridgeRing {
+            self.record(src, Outcome::Nacked);
+            if traced {
+                self.trace_packet(
+                    now,
+                    src.0,
+                    span,
+                    EventKind::PacketNacked {
+                        src: src.0,
+                        dst: dst.0,
+                        bytes: bytes as u32,
+                    },
+                );
             }
+            return Err(payload);
+        }
+        if refused || self.take_forced_drop(src, dst) || self.rng.chance(self.config.p_silent_loss)
+        {
+            self.lose_silently(now, src, dst, bytes as u32, span, traced);
+        } else {
             self.queue.schedule(
-                far_arrive,
+                at,
                 Delivery {
                     src,
                     dst,
-                    at: far_arrive,
+                    at,
                     span,
                     bytes: bytes as u32,
                     payload,
                 },
             );
-            return Ok(TxStatus::Queued {
-                deliver_at: far_arrive,
-            });
         }
+        Ok(TxStatus::Queued { deliver_at: at })
+    }
 
-        let interface_lost =
-            !self.stations[dst.0 as usize].up || self.rng.chance(self.config.p_interface_loss);
-        if interface_lost {
-            match self.config.medium {
-                Medium::CambridgeRing => {
-                    self.stats.nacked += 1;
-                    self.per_station[src.0 as usize].nacked += 1;
-                    self.seg_stats[sseg as usize].nacked += 1;
-                    if let Some(m) = &self.meters {
-                        m.nacked.inc();
-                    }
-                    if traced {
-                        self.trace_packet(
-                            now,
-                            src.0,
-                            span,
-                            EventKind::PacketNacked {
-                                src: src.0,
-                                dst: dst.0,
-                                bytes: bytes as u32,
-                            },
-                        );
-                    }
-                    return Err(payload);
-                }
-                Medium::Ethernet => {
-                    // No NACK on Ethernet: the sender believes it was sent.
-                    self.lose_silently(now, src, dst, bytes as u32, span, traced);
-                    return Ok(TxStatus::Queued { deliver_at: arrive });
-                }
-            }
+    /// The sender's side of every transmission, unicast or broadcast:
+    /// count the send, then hold `src`'s `class` transmitter for the
+    /// whole transmission (charged to its segment's `tx_busy_us`).
+    /// Returns when the packet reaches the end of the sender's segment.
+    fn occupy_transmitter(
+        &mut self,
+        now: SimTime,
+        src: NodeId,
+        bytes: usize,
+        class: TxClass,
+    ) -> SimTime {
+        self.record(src, Outcome::Sent(bytes as u64));
+        let latency = self.config.latency(bytes);
+        let free_at = &mut self.stations[src.0 as usize].tx_free_at[class as usize];
+        let arrive = now.max(*free_at) + latency;
+        *free_at = arrive;
+        let sseg = self.seg_of[src.0 as usize] as usize;
+        if let Some(s) = self.meters.as_ref().and_then(|m| m.segs.get(sseg)) {
+            s.tx_busy_us.add(latency.as_micros());
         }
-        if self.take_forced_drop(src, dst) || self.rng.chance(self.config.p_silent_loss) {
-            self.lose_silently(now, src, dst, bytes as u32, span, traced);
-            return Ok(TxStatus::Queued { deliver_at: arrive });
-        }
-        self.queue.schedule(
-            arrive,
-            Delivery {
-                src,
-                dst,
-                at: arrive,
-                span,
-                bytes: bytes as u32,
-                payload,
-            },
-        );
-        Ok(TxStatus::Queued { deliver_at: arrive })
+        arrive
     }
 
     /// Reliable unicast on the ring: retransmits on NACK until the
@@ -911,12 +866,7 @@ impl<P> Network<P> {
         span: Option<SpanId>,
         traced: bool,
     ) {
-        self.stats.silently_lost += 1;
-        self.per_station[src.0 as usize].silently_lost += 1;
-        self.seg_stats[self.seg_of[src.0 as usize] as usize].silently_lost += 1;
-        if let Some(m) = &self.meters {
-            m.silently_lost.inc();
-        }
+        self.record(src, Outcome::Lost);
         if traced {
             self.trace_packet(
                 now,
@@ -928,6 +878,50 @@ impl<P> Network<P> {
                     bytes,
                 },
             );
+        }
+    }
+
+    /// The one place a network count is written: the world total and
+    /// `station`'s entry (the source's for every outcome but a delivery,
+    /// which is the destination's), then the matching registry meters —
+    /// `net.*`, and `net.seg{s}.*` for sends and deliveries on bridged
+    /// topologies.
+    fn record(&mut self, station: NodeId, outcome: Outcome) {
+        let i = station.0 as usize;
+        for s in [&mut self.stats, &mut self.per_station[i]] {
+            match outcome {
+                Outcome::Sent(bytes) => {
+                    s.sent += 1;
+                    s.bytes_sent += bytes;
+                }
+                Outcome::Nacked => s.nacked += 1,
+                Outcome::Lost => s.silently_lost += 1,
+                Outcome::BridgeLost => s.bridge_lost += 1,
+                Outcome::Delivered => s.delivered += 1,
+            }
+        }
+        let Some(m) = &self.meters else {
+            return;
+        };
+        let seg = m.segs.get(self.seg_of[i] as usize);
+        match outcome {
+            Outcome::Sent(bytes) => {
+                m.sent.inc();
+                m.bytes_sent.add(bytes);
+                if let Some(s) = seg {
+                    s.sent.inc();
+                    s.bytes.add(bytes);
+                }
+            }
+            Outcome::Nacked => m.nacked.inc(),
+            Outcome::Lost => m.silently_lost.inc(),
+            Outcome::BridgeLost => m.bridge_lost.inc(),
+            Outcome::Delivered => {
+                m.delivered.inc();
+                if let Some(s) = seg {
+                    s.delivered.inc();
+                }
+            }
         }
     }
 
@@ -949,16 +943,7 @@ impl<P> Network<P> {
     pub fn poll_into(&mut self, now: SimTime, out: &mut Vec<Delivery<P>>) {
         let traced = self.wants_net();
         while let Some((_, d)) = self.queue.pop_due(now) {
-            let dseg = self.seg_of[d.dst.0 as usize];
-            self.stats.delivered += 1;
-            self.per_station[d.dst.0 as usize].delivered += 1;
-            self.seg_stats[dseg as usize].delivered += 1;
-            if let Some(m) = &self.meters {
-                m.delivered.inc();
-                if let Some(s) = m.seg(dseg) {
-                    s.delivered.inc();
-                }
-            }
+            self.record(d.dst, Outcome::Delivered);
             if traced {
                 self.trace_packet(
                     d.at,
@@ -995,35 +980,8 @@ impl<P: Clone> Network<P> {
         if self.config.medium != Medium::Ethernet {
             return None;
         }
-        let sseg = self.seg_of[src.0 as usize];
-        self.stats.sent += 1;
-        self.stats.broadcasts += 1;
-        self.stats.bytes_sent += bytes as u64;
-        self.per_station[src.0 as usize].sent += 1;
-        self.per_station[src.0 as usize].broadcasts += 1;
-        self.per_station[src.0 as usize].bytes_sent += bytes as u64;
-        self.seg_stats[sseg as usize].sent += 1;
-        self.seg_stats[sseg as usize].broadcasts += 1;
-        self.seg_stats[sseg as usize].bytes_sent += bytes as u64;
-        if let Some(m) = &self.meters {
-            m.sent.inc();
-            m.bytes_sent.add(bytes as u64);
-            if let Some(s) = m.seg(sseg) {
-                s.sent.inc();
-                s.bytes.add(bytes as u64);
-            }
-        }
+        let arrive = self.occupy_transmitter(now, src, bytes, TxClass::Control);
         let traced = self.wants_net();
-        let ci = class_index(TxClass::Control);
-        let start = now.max(self.stations[src.0 as usize].tx_free_at[ci]);
-        let latency = self.config.latency(bytes);
-        let arrive = start + latency;
-        self.stations[src.0 as usize].tx_free_at[ci] = arrive;
-        if let Some(m) = &self.meters {
-            if let Some(s) = m.seg(sseg) {
-                s.tx_busy_us.add(latency.as_micros());
-            }
-        }
         for i in 0..self.stations.len() {
             let dst = NodeId(i as u32);
             if dst == src || !self.stations[i].up {
@@ -1032,24 +990,12 @@ impl<P: Clone> Network<P> {
             // A broadcast only floods the sender's own segment natively;
             // bridges re-emit it hop by hop, so remote receivers see it
             // later (or not at all if a bridge hop loses it).
-            let dseg = self.seg_of[i];
-            let at = if dseg == sseg {
-                arrive
-            } else {
-                match self.bridge_leg(sseg, dseg, arrive, bytes) {
-                    Some(t) => t,
-                    None => {
-                        self.stats.bridge_lost += 1;
-                        self.per_station[src.0 as usize].bridge_lost += 1;
-                        self.seg_stats[sseg as usize].bridge_lost += 1;
-                        if let Some(m) = &self.meters {
-                            m.bridge_lost.inc();
-                        }
-                        self.lose_silently(now, src, dst, bytes as u32, None, traced);
-                        continue;
-                    }
-                }
+            let Some(at) = self.bridge_leg(src, dst, arrive, bytes) else {
+                self.lose_silently(now, src, dst, bytes as u32, None, traced);
+                continue;
             };
+            // Draw order differs from unicast's (interface, silent, then
+            // forced), and the recorded digests pin it.
             let lost = self.rng.chance(self.config.p_interface_loss)
                 || self.rng.chance(self.config.p_silent_loss)
                 || self.take_forced_drop(src, dst);
@@ -1263,7 +1209,7 @@ mod tests {
         let mut attempts = 0;
         loop {
             attempts += 1;
-            let status = n.send_class(now, NodeId(0), dst, payload, 32, TxClass::Control);
+            let status = n.send_spanned(now, NodeId(0), dst, payload, 32, TxClass::Control, None);
             match status {
                 TxStatus::Queued { .. } => return (status, attempts),
                 TxStatus::Nack if attempts < max_attempts => continue,
@@ -1592,8 +1538,7 @@ mod tests {
     #[test]
     fn stations_map_to_contiguous_segments() {
         let n = two_segments(LinkModel::default(), Vec::new());
-        let segs: Vec<u32> = (0..4).map(|i| n.segment_of(NodeId(i))).collect();
-        assert_eq!(segs, vec![0, 0, 1, 1]);
+        assert_eq!(n.seg_of, vec![0, 0, 1, 1]);
     }
 
     #[test]
@@ -1675,13 +1620,13 @@ mod tests {
     }
 
     #[test]
-    fn driver_forced_link_down_behaves_like_partition() {
+    fn link_forced_down_by_the_driver_behaves_like_partition() {
         let mut n = two_segments(LinkModel::default(), Vec::new());
         n.set_link_up(0, 1, false);
-        assert!(!n.link_up(0, 1, SimTime::ZERO));
+        assert!(n.links[0].forced_down);
         n.send(SimTime::ZERO, NodeId(0), NodeId(2), 1, 32);
         n.set_link_up(0, 1, true);
-        assert!(n.link_up(0, 1, SimTime::ZERO));
+        assert!(!n.links[0].forced_down);
         n.send(SimTime::from_millis(10), NodeId(0), NodeId(2), 2, 32);
         let (due, stats) = n.poll(SimTime::from_secs(1));
         assert_eq!(due.len(), 1);
@@ -1772,7 +1717,7 @@ mod tests {
         let (due, _) = n.poll(SimTime::from_secs(1));
         assert_eq!(due.len(), 3);
         for d in &due {
-            if n.segment_of(d.dst) == 0 {
+            if n.seg_of[d.dst.0 as usize] == 0 {
                 assert_eq!(d.at, local_at);
             } else {
                 assert!(d.at > local_at, "remote receivers hear it later");
