@@ -311,7 +311,7 @@ impl World {
                 &mut AsRpcNet(&mut self.net),
             ),
             Outcall::Trap { .. } | Outcall::TraceStop { .. } => true,
-            Outcall::ProcCreated { .. } | Outcall::Print { .. } => false,
+            Outcall::ProcCreated { .. } => false,
         };
         if tell_agent {
             if let Some(agent) = self.agents[i].as_mut() {

@@ -32,13 +32,12 @@ pub use node::{Node, NodeConfig, Outcall, SpawnOpts, UnknownProc};
 pub use process::{
     HaltInfo, MutexId, NativeProcess, Pid, ProcBody, Process, ProcessInfo, RunState, SemId,
 };
-pub use sync::{MonitorLock, Semaphore};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use pilgrim_cclu::{compile, Value};
-    use pilgrim_sim::{SimDuration, SimTime, Tracer};
+    use pilgrim_sim::{EventKind, SimDuration, SimTime, SpanId, TraceCategory, Tracer};
 
     fn node_with(source: &str, seed: u64) -> Node {
         let program = compile(source).expect("test program compiles");
@@ -345,6 +344,11 @@ mod tests {
                 },
             )
             .unwrap();
+        assert_eq!(
+            n.redirected_output(pid),
+            Some(""),
+            "redirected, not yet printed"
+        );
         run_until_quiet(&mut n, SimTime::from_secs(1));
         assert!(console_text(&n).is_empty());
         assert_eq!(n.redirected_output(pid), Some("to buffer\nsecond"));
@@ -559,6 +563,70 @@ mod tests {
         assert!(n.release_stopped(pid));
         run_until_quiet(&mut n, SimTime::from_secs(1));
         assert_eq!(console_text(&n), vec!["2"]);
+    }
+
+    /// `step_one` runs a runnable process only: a sleeper stepped in place
+    /// would move its pc past the sleep while its timer still stood.
+    #[test]
+    fn step_one_leaves_a_parked_process_parked() {
+        let mut n = node_with("main = proc ()\n sleep(100)\n print(\"x\")\nend", 26);
+        let pid = n.spawn("main", vec![], SpawnOpts::default()).unwrap();
+        n.advance_to(SimTime::from_millis(1));
+        assert!(matches!(
+            n.process(pid).unwrap().state,
+            RunState::Sleeping { .. }
+        ));
+        let addr = n.process(pid).unwrap().addr();
+        assert!(!n.step_one(pid));
+        assert_eq!(n.process(pid).unwrap().addr(), addr, "pc unmoved");
+        run_until_quiet(&mut n, SimTime::from_secs(1));
+        assert_eq!(console_text(&n), vec!["x"]);
+    }
+
+    /// Both callers of the one process constructor on a node the debugger
+    /// has halted: a spawn is halted at birth unless it has the no-halt
+    /// bit, and a fork by a running no-halt process is halted at birth and
+    /// joins its parent's span, in the record and in `ProcessSpawned`.
+    #[test]
+    fn processes_born_on_a_halted_node_are_halted_at_birth() {
+        let program = compile(
+            "worker = proc ()\n sleep(10)\nend\n\
+             main = proc ()\n fork worker()\n sleep(10)\nend",
+        )
+        .unwrap();
+        let tracer = Tracer::new();
+        let mut n = Node::new(0, program, NodeConfig::default(), tracer.clone());
+        n.mark_halted(SimTime::ZERO);
+        let plain = n.spawn("worker", vec![], SpawnOpts::default()).unwrap();
+        let no_halt = SpawnOpts {
+            no_halt: true,
+            ..Default::default()
+        };
+        let parent = n.spawn("main", vec![], no_halt).unwrap();
+        assert!(n.process(plain).unwrap().halted.is_some());
+        assert!(n.process(parent).unwrap().halted.is_none());
+        let span = SpanId(77);
+        n.process_mut(parent).unwrap().span = Some(span);
+        n.advance_to(SimTime::from_millis(1));
+
+        let child = Pid(3);
+        let rec = n.process(child).expect("main forked");
+        assert_eq!(&*rec.name, "worker");
+        assert!(rec.halted.is_some(), "halted at birth");
+        assert!(!rec.no_halt);
+        assert_eq!((rec.priority, rec.span), (1, Some(span)));
+        let spawned: Vec<_> = tracer
+            .events_in(TraceCategory::Sched)
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::ProcessSpawned { pid, .. } => Some((pid, e.span)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            spawned,
+            vec![(plain.0, None), (parent.0, None), (child.0, Some(span))]
+        );
     }
 
     #[test]

@@ -1,0 +1,260 @@
+//! The process arena: slot-addressed records, the one constructor every
+//! spawn and fork goes through, wake-ups, and RPC completion.
+
+use std::sync::Arc;
+
+use pilgrim_cclu::{Fault, ProcId, Value, VmProcess};
+use pilgrim_sim::{EventKind, SpanId, TraceCategory};
+
+use super::{Node, Outcall, ProcTrack};
+use crate::process::{HaltInfo, NativeProcess, Pid, ProcBody, Process, RunState, SemId};
+use crate::sync::Semaphore;
+
+/// Options for creating a process.
+#[derive(Debug, Clone, Default)]
+pub struct SpawnOpts {
+    /// Name override (defaults to the entry procedure / native name).
+    /// The process record shares this allocation, so a caller that spawns
+    /// many processes under one name — the RPC runtime's `rpc:<proc>`
+    /// server processes — interns it once and clones the handle, as
+    /// processes spawned without an override share their procedure's name.
+    pub name: Option<Arc<str>>,
+    /// Set the paper's "must not be halted" supervisor bit (§5.2).
+    pub no_halt: bool,
+    /// Scheduling priority (informational).
+    pub priority: u8,
+    /// Capture the process's `print` output into a per-process buffer
+    /// instead of the console — the agent's output-redirection stream (§3).
+    pub redirect_output: bool,
+}
+
+/// Error from [`Node::spawn`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnknownProc(pub String);
+
+impl std::fmt::Display for UnknownProc {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "no procedure named `{}` in the node's program", self.0)
+    }
+}
+impl std::error::Error for UnknownProc {}
+
+impl Node {
+    /// The arena slot for `pid`. `Pid(0)` wraps to `usize::MAX`, which no
+    /// slot can reach, so out-of-range pids simply miss.
+    #[inline]
+    pub(super) fn slot(pid: Pid) -> usize {
+        pid.0.wrapping_sub(1) as usize
+    }
+
+    /// Spawns a process running the named procedure.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`UnknownProc`] when the program has no such procedure.
+    pub fn spawn(
+        &mut self,
+        entry: &str,
+        args: Vec<Value>,
+        opts: SpawnOpts,
+    ) -> Result<Pid, UnknownProc> {
+        let id = self
+            .program
+            .proc_by_name(entry)
+            .ok_or_else(|| UnknownProc(entry.to_string()))?;
+        Ok(self.spawn_proc(id, args, opts))
+    }
+
+    /// Spawns a process running procedure `id`.
+    pub fn spawn_proc(&mut self, id: ProcId, args: Vec<Value>, mut opts: SpawnOpts) -> Pid {
+        let name = opts.name.take().unwrap_or_else(|| self.proc_name(id));
+        self.spawn_body(ProcBody::Vm(VmProcess::spawn(id, args)), name, opts)
+    }
+
+    /// Spawns a native (Rust state machine) process.
+    pub fn spawn_native(&mut self, body: Box<dyn NativeProcess>, mut opts: SpawnOpts) -> Pid {
+        let name = opts.name.take().unwrap_or_else(|| Arc::from(body.name()));
+        let body = ProcBody::Native {
+            body,
+            resume: Vec::new(),
+        };
+        self.spawn_body(body, name, opts)
+    }
+
+    fn spawn_body(&mut self, body: ProcBody, name: Arc<str>, opts: SpawnOpts) -> Pid {
+        let pid = Pid(self.next_pid);
+        self.next_pid += 1;
+        self.add_process(pid, name, body, opts, None);
+        pid
+    }
+
+    /// The interned name of procedure `id` — one shared allocation per
+    /// procedure, reused by every process spawned from it.
+    pub(super) fn proc_name(&self, id: ProcId) -> Arc<str> {
+        self.program.proc(id).debug.name.clone()
+    }
+
+    /// The one process constructor: every spawn and every fork is born
+    /// here, queued, traced and announced to the creation hook (§5.4).
+    /// `pid` must be the next slot; `opts.name` is ignored (the caller
+    /// resolved `name`); `span` is the causal activity it joins.
+    pub(super) fn add_process(
+        &mut self,
+        pid: Pid,
+        name: Arc<str>,
+        body: ProcBody,
+        opts: SpawnOpts,
+        span: Option<SpanId>,
+    ) {
+        debug_assert_eq!(Self::slot(pid), self.procs.len());
+        // A process born while the node is halted by the debugger (e.g. a
+        // server process for an RPC that arrived mid-halt) is halted at
+        // birth: "the processes on the node" are halted, all of them.
+        let halted = (self.halt_marker.is_some() && !opts.no_halt).then_some(HaltInfo {
+            since: self.clock,
+            frozen_remaining: None,
+        });
+        if self.config.profile_vm {
+            self.tracks.push(ProcTrack::new(self.clock));
+        }
+        self.procs.push(Process {
+            pid,
+            name: name.clone(),
+            body,
+            state: RunState::Runnable,
+            halted,
+            halt_pending: false,
+            no_halt: opts.no_halt,
+            priority: opts.priority,
+            print_redirect: opts.redirect_output,
+            queued: true,
+            span,
+        });
+        self.run_queue.push_back(pid);
+        if self.sink.wants(TraceCategory::Sched) {
+            self.sink.emit(
+                self.clock,
+                TraceCategory::Sched,
+                Some(self.id),
+                span,
+                EventKind::ProcessSpawned {
+                    pid: pid.0,
+                    proc: name.clone(),
+                },
+            );
+        }
+        self.outcalls.push(Outcall::ProcCreated { pid, name });
+    }
+
+    /// Direct access to a process record.
+    #[inline]
+    pub fn process(&self, pid: Pid) -> Option<&Process> {
+        self.procs.get(Self::slot(pid))
+    }
+
+    /// Mutable access to a process record (agent memory access path).
+    #[inline]
+    pub fn process_mut(&mut self, pid: Pid) -> Option<&mut Process> {
+        self.procs.get_mut(Self::slot(pid))
+    }
+
+    /// Every process record in creation order, dead ones included (they
+    /// are retained for post-mortem examination). Borrowed, so a listing
+    /// is one pass with no per-record copy.
+    pub fn processes(&self) -> &[Process] {
+        &self.procs
+    }
+
+    /// All process ids, in creation order.
+    pub fn pids(&self) -> Vec<Pid> {
+        self.procs.iter().map(|p| p.pid).collect()
+    }
+
+    /// The redirected output captured for `pid`, when it was spawned with
+    /// [`SpawnOpts::redirect_output`] (empty until it prints).
+    pub fn redirected_output(&self, pid: Pid) -> Option<&str> {
+        let p = self.process(pid)?;
+        p.print_redirect
+            .then(|| self.buffers.get(&pid).map_or("", String::as_str))
+    }
+
+    /// A finished process's return values.
+    pub fn exit_values(&self, pid: Pid) -> Option<&[Value]> {
+        let p = self.process(pid)?;
+        match &p.body {
+            ProcBody::Vm(vm) if p.state == RunState::Exited => Some(&vm.exit_values),
+            _ => None,
+        }
+    }
+
+    /// Creates a semaphore from outside a process (used by native services
+    /// during setup).
+    pub fn make_sem(&mut self, count: i64) -> SemId {
+        self.sems.push(Semaphore::new(count));
+        (self.sems.len() - 1) as SemId
+    }
+
+    /// Signals a semaphore from outside a process (e.g. an RPC runtime
+    /// handing work to a server process).
+    pub fn signal_sem(&mut self, sem: SemId) {
+        if let Some(w) = self.sems.get_mut(sem as usize).and_then(Semaphore::signal) {
+            self.wake(w, vec![Value::Bool(true)]);
+        }
+    }
+
+    /// Resumes `pid` if it is blocked on RPC `token` (both from
+    /// [`Outcall::Rpc`]), handing it the call results. Any other pid or
+    /// token — stale, exited, never issued — is a no-op.
+    pub fn resume_rpc(&mut self, pid: Pid, token: u64, values: Vec<Value>) {
+        if self.waits_on(pid, token) {
+            self.wake(pid, values);
+        }
+    }
+
+    /// Terminates `pid` with a fault if it is blocked on RPC `token` — the
+    /// fate of an exactly-once call whose destination node has failed.
+    pub fn fail_rpc(&mut self, pid: Pid, token: u64, fault: Fault) {
+        if !self.waits_on(pid, token) {
+            return;
+        }
+        self.settle_wait(pid);
+        self.procs[Self::slot(pid)].state = RunState::Faulted(Box::new(fault.clone()));
+        let at = self.clock;
+        self.outcalls.push(Outcall::Fault { pid, fault, at });
+    }
+
+    /// Is `pid` blocked on exactly RPC `token`? Tokens are unique per node,
+    /// so one slot read replaces a search of the process table.
+    #[inline]
+    fn waits_on(&self, pid: Pid, token: u64) -> bool {
+        matches!(self.process(pid), Some(p) if p.state == RunState::RpcWait { token })
+    }
+
+    /// Makes a waiting `pid` runnable, handing it `values` as the result of
+    /// the call it blocked in. A dead process stays dead.
+    pub(super) fn wake(&mut self, pid: Pid, values: Vec<Value>) {
+        self.settle_wait(pid);
+        let Some(p) = self.process_mut(pid) else {
+            return;
+        };
+        if p.state.is_dead() {
+            return;
+        }
+        p.state = RunState::Runnable;
+        match &mut p.body {
+            ProcBody::Vm(vm) => vm.pending_push.extend(values),
+            ProcBody::Native { resume, .. } => resume.extend(values),
+        }
+        self.ensure_queued(pid);
+    }
+
+    pub(super) fn ensure_queued(&mut self, pid: Pid) {
+        let Some(p) = self.process_mut(pid) else {
+            return;
+        };
+        if !p.queued {
+            p.queued = true;
+            self.run_queue.push_back(pid);
+        }
+    }
+}

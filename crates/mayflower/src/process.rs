@@ -91,6 +91,26 @@ impl RunState {
     pub fn is_dead(&self) -> bool {
         matches!(self, RunState::Faulted(_) | RunState::Exited)
     }
+
+    /// The timeout this state waits out, if any: a sleep's wake-up time or
+    /// a timed semaphore wait's deadline. The timer heap, the halt freeze
+    /// and the resume re-arm all read the deadline here and nowhere else.
+    pub(crate) fn deadline(&self) -> Option<SimTime> {
+        match self {
+            RunState::Sleeping { until } => Some(*until),
+            RunState::SemWait { deadline, .. } => *deadline,
+            _ => None,
+        }
+    }
+
+    /// [`deadline`](RunState::deadline), for rewriting it.
+    pub(crate) fn deadline_mut(&mut self) -> Option<&mut SimTime> {
+        match self {
+            RunState::Sleeping { until } => Some(until),
+            RunState::SemWait { deadline, .. } => deadline.as_mut(),
+            _ => None,
+        }
+    }
 }
 
 /// The debug-halt overlay (§5.2): a halted process remembers when it was
@@ -176,9 +196,9 @@ pub struct Process {
     pub no_halt: bool,
     /// Scheduling priority (informational; exposed via the §5.4 primitive).
     pub priority: u8,
-    /// Redirect console output into a buffer (agent-invoked print
-    /// operations, §3); the buffer is keyed by this token.
-    pub print_redirect: Option<u64>,
+    /// Redirect console output into a per-process buffer (agent-invoked
+    /// print operations, §3).
+    pub print_redirect: bool,
     /// True while the pid sits in the node's run queue. The scheduler keeps
     /// this in sync so re-queueing a woken process is O(1) instead of a
     /// linear membership scan of the queue.
@@ -193,6 +213,12 @@ impl Process {
     /// True when the scheduler may run this process right now.
     pub fn schedulable(&self) -> bool {
         self.state.is_runnable() && self.halted.is_none()
+    }
+
+    /// True while the debugger holds the process: halted, or with a halt
+    /// pending on its way out of the allocator (§5.5).
+    pub fn is_halted(&self) -> bool {
+        self.halted.is_some() || self.halt_pending
     }
 
     /// The VM body, if this is a VM process.
@@ -277,7 +303,7 @@ mod tests {
             halt_pending: false,
             no_halt: false,
             priority: 1,
-            print_redirect: None,
+            print_redirect: false,
             queued: false,
             span: None,
         };

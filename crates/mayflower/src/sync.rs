@@ -12,26 +12,36 @@ use crate::process::Pid;
 
 /// A counting semaphore with a FIFO wait queue.
 #[derive(Debug, Default, Clone)]
-pub struct Semaphore {
+pub(crate) struct Semaphore {
     /// Current count.
-    pub count: i64,
+    pub(crate) count: i64,
     /// Processes blocked in P, oldest first. (Their timeout deadlines live
     /// in the process records so the supervisor can freeze them.)
-    pub waiters: VecDeque<Pid>,
+    pub(crate) waiters: VecDeque<Pid>,
 }
 
 impl Semaphore {
     /// A semaphore with an initial count.
-    pub fn new(count: i64) -> Semaphore {
+    pub(crate) fn new(count: i64) -> Semaphore {
         Semaphore {
             count,
             waiters: VecDeque::new(),
         }
     }
 
-    /// Removes `pid` from the wait queue (used when a timed-out waiter is
-    /// woken by the timer rather than by a signal).
-    pub fn remove_waiter(&mut self, pid: Pid) -> bool {
+    /// V: hands the signal to the oldest waiter, returned for the caller
+    /// to wake, or banks it in the count when nobody waits.
+    pub(crate) fn signal(&mut self) -> Option<Pid> {
+        let waiter = self.waiters.pop_front();
+        if waiter.is_none() {
+            self.count += 1;
+        }
+        waiter
+    }
+
+    /// Removes `pid` from the wait queue (used when a waiter is woken by
+    /// its timeout or the debugger rather than by a signal).
+    pub(crate) fn remove_waiter(&mut self, pid: Pid) -> bool {
         if let Some(i) = self.waiters.iter().position(|p| *p == pid) {
             self.waiters.remove(i);
             true
@@ -44,23 +54,11 @@ impl Semaphore {
 /// A monitor lock (the language's `mutex` cluster, used to build monitors
 /// and critical regions).
 #[derive(Debug, Default, Clone)]
-pub struct MonitorLock {
+pub(crate) struct MonitorLock {
     /// Current owner, if held.
-    pub owner: Option<Pid>,
+    pub(crate) owner: Option<Pid>,
     /// Processes blocked waiting to acquire, oldest first.
-    pub waiters: VecDeque<Pid>,
-}
-
-impl MonitorLock {
-    /// An unheld lock.
-    pub fn new() -> MonitorLock {
-        MonitorLock::default()
-    }
-
-    /// True when some process holds the lock.
-    pub fn is_held(&self) -> bool {
-        self.owner.is_some()
-    }
+    pub(crate) waiters: VecDeque<Pid>,
 }
 
 #[cfg(test)]
@@ -75,13 +73,5 @@ mod tests {
         assert!(s.remove_waiter(Pid(1)));
         assert!(!s.remove_waiter(Pid(1)));
         assert_eq!(s.waiters.front(), Some(&Pid(2)));
-    }
-
-    #[test]
-    fn lock_held_state() {
-        let mut l = MonitorLock::new();
-        assert!(!l.is_held());
-        l.owner = Some(Pid(3));
-        assert!(l.is_held());
     }
 }

@@ -998,7 +998,7 @@ impl RpcEndpoint {
         self.client_call(call_id)
             .filter(|c| !c.done)
             .and_then(|c| node.process(c.pid))
-            .map(|p| p.halted.is_some() || p.halt_pending)
+            .map(|p| p.is_halted())
             .unwrap_or(false)
     }
 

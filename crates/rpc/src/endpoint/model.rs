@@ -540,7 +540,7 @@ impl ModelEndpoint {
             .get(&call_id)
             .filter(|c| !c.done)
             .and_then(|c| node.process(c.pid))
-            .map(|p| p.halted.is_some() || p.halt_pending)
+            .map(|p| p.is_halted())
             .unwrap_or(false)
     }
 
