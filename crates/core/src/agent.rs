@@ -622,7 +622,7 @@ impl Agent {
                 if let Some(session) = session {
                     self.halt_locally_and_broadcast(node, now, net, session);
                 }
-                AgentReply::Halted(node.processes().len())
+                AgentReply::Halted(node.process_count())
             }
             AgentRequest::ResumeAll => {
                 let halted_for = self.resume_node(node, now);
@@ -635,12 +635,9 @@ impl Agent {
             // bytes a record) is part of every delivery time.
             AgentRequest::ListProcesses => {
                 let now = node.clock();
-                AgentReply::Processes(
-                    node.processes()
-                        .iter()
-                        .map(|p| Self::proc_view(p, now))
-                        .collect(),
-                )
+                let mut rows = Vec::with_capacity(node.process_count());
+                rows.extend(node.processes().map(|p| Self::proc_view(p, now)));
+                AgentReply::Processes(rows)
             }
             AgentRequest::ProcessState { pid } => match node.process(Pid(pid)) {
                 Some(p) => AgentReply::Process(Self::proc_view(p, node.clock())),

@@ -386,6 +386,58 @@ mod tests {
         ));
     }
 
+    /// A dead record keeps what a post-mortem reads and nothing else. Each
+    /// process makes a nested call first, so its retired-frame pool holds
+    /// a frame when it dies.
+    #[test]
+    fn a_dead_record_keeps_what_a_post_mortem_reads() {
+        let mut n = node_with(
+            "inc = proc (x: int) returns (int)\n return (x + 1)\nend\n\
+             sq = proc (x: int) returns (int)\n return (x * x)\nend\n\
+             done = proc (a: int) returns (int)\n b: int := inc(a)\n return (b * 2)\nend\n\
+             crash = proc (a: int)\n b: int := inc(a)\n c: int := b / 0\nend\n\
+             remote = proc (a: int)\n b: int := inc(a)\n r: int := call sq(b) at 1\nend",
+            27,
+        );
+        let [done, crash, remote] = ["done", "crash", "remote"].map(|entry| {
+            n.spawn(entry, vec![Value::Int(20)], SpawnOpts::default())
+                .unwrap()
+        });
+        let outcalls = n.advance_to(SimTime::from_millis(50));
+        let token = outcalls
+            .iter()
+            .find_map(|o| match o {
+                Outcall::Rpc { pid, token, .. } if *pid == remote => Some(*token),
+                _ => None,
+            })
+            .expect("rpc outcall");
+        n.fail_rpc(
+            remote,
+            token,
+            pilgrim_cclu::Fault {
+                kind: pilgrim_cclu::FaultKind::RemoteCall,
+                message: "node 1 is down".into(),
+            },
+        );
+        let vm = |pid| n.process(pid).unwrap().vm().unwrap();
+
+        assert_eq!(n.process(done).unwrap().state, RunState::Exited);
+        assert_eq!(n.exit_values(done), Some(&[Value::Int(42)][..]));
+        let body = vm(done);
+        assert_eq!(body.frames.capacity(), 0, "the stack is freed");
+        assert_eq!(body.frame_pool.capacity(), 0, "the frame pool is freed");
+        assert_eq!(body.pending_push.capacity(), 0);
+
+        for pid in [crash, remote] {
+            let info = n.process_info(pid).unwrap();
+            assert!(matches!(info.state, RunState::Faulted(_)), "{info:?}");
+            assert_eq!(info.frames, 1, "{pid}: the backtrace is kept");
+            assert_eq!(info.addr, n.process(pid).unwrap().addr());
+            assert!(info.addr.is_some(), "{pid}");
+            assert_eq!(vm(pid).frame_pool.capacity(), 0, "{pid}: the pool is freed");
+        }
+    }
+
     const RPC_SOURCE: &str = "sq = proc (x: int) returns (int)\n return (x * x)\nend\n\
          idle = proc ()\nend\n\
          nap = proc ()\n sleep(10000)\nend\n\

@@ -1,5 +1,6 @@
 //! The process arena: slot-addressed records, the one constructor every
-//! spawn and fork goes through, wake-ups, and RPC completion.
+//! spawn and fork goes through, the one writer of a dead state, wake-ups,
+//! and RPC completion.
 
 use std::sync::Arc;
 
@@ -9,6 +10,82 @@ use pilgrim_sim::{EventKind, SpanId, TraceCategory};
 use super::{Node, Outcall, ProcTrack};
 use crate::process::{HaltInfo, NativeProcess, Pid, ProcBody, Process, RunState, SemId};
 use crate::sync::Semaphore;
+
+/// Records per chunk of the process table.
+const CHUNK: usize = 256;
+
+/// The process table in chunks of `CHUNK` records: slot `s` lives in
+/// chunk `s / CHUNK` at `s % CHUNK`.
+///
+/// The first chunk is `head`, a `Vec` that grows by doubling up to exactly
+/// `CHUNK` records, so a table that never passes it is the one `Vec` it
+/// always was, allocation for allocation. Every later chunk is allocated
+/// at `CHUNK` records. No chunk is reallocated once full, so a record is
+/// not copied again after its chunk fills, and the table's unused capacity
+/// is at most one partial chunk — where one `Vec` of every record ever
+/// made would carry up to half its length in doubling slack.
+#[derive(Default)]
+pub(super) struct Slots {
+    head: Vec<Process>,
+    tail: Vec<Vec<Process>>,
+}
+
+impl Slots {
+    /// How many records the table holds.
+    pub(super) fn len(&self) -> usize {
+        let tail = self
+            .tail
+            .last()
+            .map_or(0, |last| (self.tail.len() - 1) * CHUNK + last.len());
+        self.head.len() + tail
+    }
+
+    #[inline]
+    pub(super) fn get(&self, slot: usize) -> Option<&Process> {
+        match slot.checked_sub(CHUNK) {
+            None => self.head.get(slot),
+            Some(s) => self.tail.get(s / CHUNK)?.get(s % CHUNK),
+        }
+    }
+
+    #[inline]
+    pub(super) fn get_mut(&mut self, slot: usize) -> Option<&mut Process> {
+        match slot.checked_sub(CHUNK) {
+            None => self.head.get_mut(slot),
+            Some(s) => self.tail.get_mut(s / CHUNK)?.get_mut(s % CHUNK),
+        }
+    }
+
+    /// Appends a record at slot [`len`](Slots::len).
+    fn push(&mut self, p: Process) {
+        let head = &mut self.head;
+        if head.len() < CHUNK {
+            if head.len() == head.capacity() {
+                head.reserve_exact(head.len().max(4).min(CHUNK - head.len()));
+            }
+            head.push(p);
+            return;
+        }
+        match self.tail.last_mut() {
+            Some(chunk) if chunk.len() < CHUNK => chunk.push(p),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(p);
+                self.tail.push(chunk);
+            }
+        }
+    }
+
+    /// The chunks in slot order.
+    pub(super) fn chunks(&self) -> impl Iterator<Item = &[Process]> {
+        std::iter::once(self.head.as_slice()).chain(self.tail.iter().map(Vec::as_slice))
+    }
+
+    /// Every record in slot order.
+    pub(super) fn iter(&self) -> impl Iterator<Item = &Process> {
+        self.chunks().flatten()
+    }
+}
 
 /// Options for creating a process.
 #[derive(Debug, Clone, Default)]
@@ -146,6 +223,26 @@ impl Node {
         self.outcalls.push(Outcall::ProcCreated { pid, name });
     }
 
+    /// The one writer of a dead state: `fault` is `None` for a process
+    /// that ran to completion. A dead record keeps what a post-mortem
+    /// reads and frees the rest of its VM body: an exited one keeps its
+    /// exit values, and its (already empty) stack, retired-frame pool and
+    /// pending pushes are freed; a faulted one keeps its stack, which is
+    /// its backtrace, and frees the pool. A native body is kept whole.
+    pub(super) fn bury(p: &mut Process, fault: Option<Box<Fault>>) {
+        if let ProcBody::Vm(vm) = &mut p.body {
+            vm.frame_pool = Vec::new();
+            if fault.is_none() {
+                vm.frames = Vec::new();
+                vm.pending_push = Vec::new();
+            }
+        }
+        p.state = match fault {
+            Some(fault) => RunState::Faulted(fault),
+            None => RunState::Exited,
+        };
+    }
+
     /// Direct access to a process record.
     #[inline]
     pub fn process(&self, pid: Pid) -> Option<&Process> {
@@ -159,15 +256,22 @@ impl Node {
     }
 
     /// Every process record in creation order, dead ones included (they
-    /// are retained for post-mortem examination). Borrowed, so a listing
-    /// is one pass with no per-record copy.
-    pub fn processes(&self) -> &[Process] {
-        &self.procs
+    /// are retained for post-mortem examination, reduced to what it reads).
+    /// Borrowed, so a listing is one pass with no per-record copy; size its
+    /// buffer with [`process_count`](Node::process_count).
+    pub fn processes(&self) -> impl Iterator<Item = &Process> {
+        self.procs.iter()
+    }
+
+    /// How many process records the node holds, dead ones included: the
+    /// length of [`processes`](Node::processes) and of [`pids`](Node::pids).
+    pub fn process_count(&self) -> usize {
+        self.procs.len()
     }
 
     /// All process ids, in creation order.
     pub fn pids(&self) -> Vec<Pid> {
-        self.procs.iter().map(|p| p.pid).collect()
+        (1..=self.procs.len() as u64).map(Pid).collect()
     }
 
     /// The redirected output captured for `pid`, when it was spawned with
@@ -218,7 +322,8 @@ impl Node {
             return;
         }
         self.settle_wait(pid);
-        self.procs[Self::slot(pid)].state = RunState::Faulted(Box::new(fault.clone()));
+        let p = self.process_mut(pid).expect("waits_on read the record");
+        Self::bury(p, Some(Box::new(fault.clone())));
         let at = self.clock;
         self.outcalls.push(Outcall::Fault { pid, fault, at });
     }

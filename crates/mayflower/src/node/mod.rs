@@ -13,8 +13,9 @@
 //!
 //! The node is cut along its seams, one `impl Node` block per file:
 //!
-//! * `arena.rs` — the slot-addressed process table, the one constructor
-//!   every spawn and fork goes through, wake-ups and RPC completion;
+//! * `arena.rs` — the chunked, slot-addressed process table, the one
+//!   constructor every spawn and fork goes through, the one writer of a
+//!   dead state, wake-ups and RPC completion;
 //! * `supervisor.rs` — the debugger's primitives: halt and resume with
 //!   frozen timeouts (§5.2), the state query and state transfer (§5.4);
 //! * `timers.rs` — the lazy deadline heap and its one eligibility rule;
@@ -32,7 +33,7 @@ use pilgrim_sim::{
     Tracer,
 };
 
-use crate::process::{Pid, Process};
+use crate::process::Pid;
 use crate::sync::{MonitorLock, Semaphore};
 
 mod arena;
@@ -42,6 +43,7 @@ mod supervisor;
 mod syscall;
 mod timers;
 
+use arena::Slots;
 pub use arena::{SpawnOpts, UnknownProc};
 use profile::ProcTrack;
 
@@ -248,8 +250,10 @@ pub struct Node {
     /// Slot-addressed process arena. Pids are handed out sequentially from
     /// 1 and a record is never removed (dead processes are retained for
     /// post-mortem examination), so process `pid` lives at slot
-    /// `pid.0 - 1` and every lookup is a direct index.
-    procs: Vec<Process>,
+    /// `pid.0 - 1` and every lookup is a direct index. A dead record holds
+    /// only what a post-mortem reads ([`Node::bury`]), and the table grows
+    /// in fixed chunks, so it carries no doubling slack ([`Slots`]).
+    procs: Slots,
     run_queue: VecDeque<Pid>,
     sems: Vec<Semaphore>,
     locks: Vec<MonitorLock>,
@@ -346,7 +350,7 @@ impl Node {
             program,
             heap,
             globals,
-            procs: Vec::new(),
+            procs: Slots::default(),
             run_queue: VecDeque::new(),
             sems,
             locks: Vec::new(),

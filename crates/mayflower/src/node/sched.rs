@@ -324,7 +324,7 @@ impl Node {
                 });
             }
             StepOutcome::Exited { .. } => {
-                proc.state = RunState::Exited;
+                Self::bury(proc, None);
                 if self.sink.wants(TraceCategory::Sched) {
                     self.sink.emit(
                         self.clock,
@@ -352,7 +352,7 @@ impl Node {
                         },
                     );
                 }
-                proc.state = RunState::Faulted(fault.clone());
+                Self::bury(proc, Some(fault.clone()));
                 self.outcalls.push(Outcall::Fault {
                     pid,
                     fault: *fault,

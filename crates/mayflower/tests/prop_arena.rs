@@ -1,20 +1,30 @@
 //! Property tests for the slot-addressed process arena.
 //!
-//! The scheduler stores processes in a `Vec` indexed by `pid - 1` instead
-//! of a `HashMap<Pid, Process>`. These properties drive a node through
-//! random operation sequences while maintaining a naive `HashMap`-keyed
-//! mirror of the supervisor's observable per-process state, and assert
-//! the arena never diverges from the mirror: pids are allocated
-//! monotonically and never reused, records are retained forever (dead
-//! processes stay queryable for post-mortem examination), and
-//! `step_one`/`advance_to` leave both views observing identical states.
+//! The scheduler stores processes in fixed-size chunks indexed by
+//! `pid - 1` instead of a `HashMap<Pid, Process>`. These properties drive
+//! a node through random operation sequences — bulk spawns among them, so
+//! the table crosses several chunk seams — while maintaining a naive
+//! `HashMap`-keyed mirror of the supervisor's observable per-process
+//! state, and assert the arena never diverges from the mirror: pids are
+//! allocated monotonically and never reused, records are retained forever
+//! (dead processes stay queryable for post-mortem examination, with their
+//! exit values), and `step_one`/`advance_to` leave both views observing
+//! identical states.
 
+use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use pilgrim_cclu::{compile, Program, Value};
 use pilgrim_mayflower::{Node, NodeConfig, Pid, SpawnOpts};
 use pilgrim_sim::check::{check_n, ensure, ensure_eq, int_range, vecs, zip};
 use pilgrim_sim::{SimDuration, Tracer};
+
+/// Records per chunk of the node's process table.
+const CHUNK: usize = 256;
+
+/// Processes one bulk-spawn op adds.
+const BULK: usize = 200;
 
 const PROGRAM: &str = "\
 worker = proc (n: int) returns (int)
@@ -45,12 +55,12 @@ fn fresh_node(program: &Program) -> Node {
 
 /// Picks an existing pid from `k` (pids are dense starting at 1).
 fn pid_for(node: &Node, k: i64) -> Pid {
-    let n = node.pids().len() as u64;
+    let n = node.process_count() as u64;
     Pid(k as u64 % n + 1)
 }
 
-/// Applies one `(op, k)` pair to a node. Returns the pid spawned by the
-/// op, if it was a spawn.
+/// Applies one `(op, k)` pair to a node. Returns the (first) pid spawned
+/// by the op, if it was a spawn.
 fn apply(node: &mut Node, op: i64, k: i64) -> Option<Pid> {
     match op {
         0 => Some(
@@ -74,9 +84,23 @@ fn apply(node: &mut Node, op: i64, k: i64) -> Option<Pid> {
             node.halt_one(pid_for(node, k));
             None
         }
-        _ => {
+        5 => {
             node.resume_one(pid_for(node, k));
             None
+        }
+        _ => {
+            // Each record named for itself, so a slot that aliased another
+            // would show up as a name the mirror does not remember.
+            let first = Pid(node.process_count() as u64 + 1);
+            for i in 0..BULK as u64 {
+                let opts = SpawnOpts {
+                    name: Some(Arc::from(format!("bulk{}", first.0 + i))),
+                    ..SpawnOpts::default()
+                };
+                node.spawn("worker", vec![Value::Int(k % 4 + 1)], opts)
+                    .expect("worker exists");
+            }
+            Some(first)
         }
     }
 }
@@ -86,12 +110,15 @@ fn apply(node: &mut Node, op: i64, k: i64) -> Option<Pid> {
 struct Remembered {
     name: String,
     dead: bool,
+    /// The exit values, once the process has exited.
+    exit: Option<Vec<Value>>,
 }
 
 #[test]
 fn arena_never_reuses_pids_and_retains_every_record() {
     let program = program();
-    let ops = vecs(zip(int_range(0, 6), int_range(0, 64)), 40);
+    let ops = vecs(zip(int_range(0, 7), int_range(0, 64)), 40);
+    let largest = Cell::new(0);
     check_n("arena_no_pid_reuse", 60, &ops, |seq| {
         let mut node = fresh_node(&program);
         let mut mirror: HashMap<u64, Remembered> = HashMap::new();
@@ -120,6 +147,11 @@ fn arena_never_reuses_pids_and_retains_every_record() {
                 format!("process table shrank: {} < {observed_max}", pids.len()),
             )?;
             observed_max = pids.len() as u64;
+            largest.set(largest.get().max(pids.len()));
+            // The records, walked in slot order, are the pids in order.
+            let walked: Vec<Pid> = node.processes().map(|p| p.pid).collect();
+            ensure_eq(&walked, &pids)?;
+            ensure_eq(node.process_count(), pids.len())?;
 
             // Update the mirror and check the arena agrees with what the
             // naive map remembers.
@@ -134,6 +166,7 @@ fn arena_never_reuses_pids_and_retains_every_record() {
                     .process(pid)
                     .ok_or_else(|| format!("{pid} has no record"))?;
                 ensure_eq(rec.pid, pid)?;
+                let exit = node.exit_values(pid).map(<[Value]>::to_vec);
                 match mirror.get_mut(&pid.0) {
                     Some(m) => {
                         ensure_eq(&*info.name, m.name.as_str())?;
@@ -143,7 +176,11 @@ fn arena_never_reuses_pids_and_retains_every_record() {
                                 format!("{pid} came back from the dead: {:?}", info.state),
                             )?;
                         }
+                        if m.exit.is_some() {
+                            ensure_eq(&exit, &m.exit)?;
+                        }
                         m.dead = info.state.is_dead();
+                        m.exit = exit;
                     }
                     None => {
                         mirror.insert(
@@ -151,6 +188,7 @@ fn arena_never_reuses_pids_and_retains_every_record() {
                             Remembered {
                                 name: info.name.to_string(),
                                 dead: info.state.is_dead(),
+                                exit,
                             },
                         );
                     }
@@ -167,6 +205,11 @@ fn arena_never_reuses_pids_and_retains_every_record() {
         }
         Ok(())
     });
+    assert!(
+        largest.get() > 2 * CHUNK,
+        "no sequence crossed two chunk seams: at most {} records",
+        largest.get()
+    );
 }
 
 #[test]
@@ -176,7 +219,7 @@ fn step_one_and_advance_to_match_a_twin_run() {
     // step — the arena introduces no hidden scheduling state beyond what
     // the naive keyed view exposes.
     let program = program();
-    let ops = vecs(zip(int_range(0, 6), int_range(0, 64)), 30);
+    let ops = vecs(zip(int_range(0, 7), int_range(0, 64)), 30);
     check_n("arena_twin_runs_agree", 40, &ops, |seq| {
         let mut a = fresh_node(&program);
         let mut b = fresh_node(&program);

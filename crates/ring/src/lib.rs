@@ -522,7 +522,9 @@ impl<P> Network<P> {
             }
             let occupy = self.config.link.per_byte * bytes as u64;
             let jitter = self.config.link.jitter.as_micros();
-            let jitter = SimDuration::from_micros(self.rng.below(jitter + 1));
+            // Saturating: a configured jitter of `u64::MAX` µs draws from
+            // `[0, u64::MAX)` instead of overflowing into `below(0)`.
+            let jitter = SimDuration::from_micros(self.rng.below(jitter.saturating_add(1)));
             let link = &mut self.links[hop];
             let start = t.max(link.free_at);
             link.free_at = start + occupy;

@@ -41,7 +41,7 @@ use crate::monitor::PacketMonitor;
 use crate::packet::{
     call_id_counter, call_id_node, make_call_id, CallId, RecentCalls, RpcConfig, RpcPacket,
 };
-use crate::seen::SeenCalls;
+use crate::seen::{CachedReply, Outcome, SeenCalls};
 
 #[cfg(test)]
 mod model;
@@ -420,8 +420,8 @@ impl RpcEndpoint {
         // The cached reply is kept for good and says which it was; the
         // ten-slot buffer forgets.
         match self.seen.get(call_id) {
-            Some(Some((reply, _))) => {
-                ServerKnowledge::Replied(matches!(reply, RpcPacket::Reply { .. }))
+            Some(Some(reply)) => {
+                ServerKnowledge::Replied(matches!(reply.outcome, Outcome::Replied(_)))
             }
             Some(None) => ServerKnowledge::Executing,
             None => ServerKnowledge::NeverSeen,
@@ -649,8 +649,9 @@ impl RpcEndpoint {
                 // one find-or-insert that also records a new call.
                 let (seen, known) = self.seen.find_or_insert(call_id);
                 if known && protocol == RpcProtocol::ExactlyOnce {
-                    if let Some((reply, bytes)) = seen {
-                        let (reply, bytes) = (reply.clone(), *bytes);
+                    if let Some(cached) = seen {
+                        let reply = cached.packet(call_id);
+                        let bytes = reply.wire_bytes(self.config.header_bytes);
                         if self.tracer.wants(TraceCategory::Rpc) {
                             self.tracer.emit(
                                 now,
@@ -778,10 +779,14 @@ impl RpcEndpoint {
         reason: String,
         net: &mut dyn RpcNet,
     ) {
+        let cached = CachedReply {
+            span: SpanId::to_wire(span),
+            outcome: Outcome::Failed(reason.as_str().into()),
+        };
         let pkt = RpcPacket::ReplyFailure {
             call_id,
             reason,
-            span: SpanId::to_wire(span),
+            span: cached.span,
         };
         let bytes = pkt.wire_bytes(self.config.header_bytes);
         let mut now = now;
@@ -792,7 +797,7 @@ impl RpcEndpoint {
         if self.config.debug_support {
             self.server_recent.record(call_id, false);
         }
-        *self.seen.find_or_insert(call_id).0 = Some((pkt.clone(), bytes));
+        *self.seen.find_or_insert(call_id).0 = Some(cached);
         if self.tracer.wants(TraceCategory::Rpc) {
             self.tracer.emit(
                 now,
@@ -1087,10 +1092,15 @@ impl RpcEndpoint {
         span: Option<SpanId>,
         net: &mut dyn RpcNet,
     ) {
+        // Cached for exactly-once duplicate calls.
+        let cached = CachedReply {
+            span: SpanId::to_wire(span),
+            outcome: Outcome::Replied(results.as_slice().into()),
+        };
         let pkt = RpcPacket::Reply {
             call_id,
             results,
-            span: SpanId::to_wire(span),
+            span: cached.span,
         };
         let bytes = pkt.wire_bytes(self.config.header_bytes);
         let mut now = now;
@@ -1101,8 +1111,7 @@ impl RpcEndpoint {
         if self.config.debug_support {
             self.server_recent.record(call_id, true);
         }
-        // Cache for exactly-once duplicate calls.
-        *self.seen.find_or_insert(call_id).0 = Some((pkt.clone(), bytes));
+        *self.seen.find_or_insert(call_id).0 = Some(cached);
         if self.tracer.wants(TraceCategory::Rpc) {
             self.tracer.emit(
                 now,

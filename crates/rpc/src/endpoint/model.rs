@@ -1060,7 +1060,7 @@ impl<E: Endpoint> Side<E> {
     fn observe(&mut self, ids: &[CallId]) -> String {
         let mut out = String::new();
         for i in 0..2 {
-            let pids = self.nodes[i].processes().len() as u64;
+            let pids = self.nodes[i].process_count() as u64;
             out.push_str(&self.eps[i].observe(pids, ids));
             out.push_str(&format!("{:?}\n", self.nodes[i].console()));
         }

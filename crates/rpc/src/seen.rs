@@ -12,6 +12,7 @@
 
 use std::cmp::Ordering;
 
+use crate::marshal::WireValue;
 use crate::packet::{call_id_counter, call_id_node, CallId, RpcPacket};
 
 /// A vector of `(key, value)` kept sorted by key.
@@ -60,15 +61,52 @@ impl<T: Default> SortedLog<T> {
     }
 }
 
-/// A reply as it was sent — the packet and its wire size — kept so a
-/// retransmitted call is answered without executing twice.
-pub(crate) type CachedReply = (RpcPacket, usize);
+/// How a served call ended, as its reply said.
+#[derive(Debug, PartialEq)]
+pub(crate) enum Outcome {
+    /// The marshalled results of a [`RpcPacket::Reply`].
+    Replied(Box<[WireValue]>),
+    /// The reason of a [`RpcPacket::ReplyFailure`].
+    Failed(Box<str>),
+}
+
+/// What a reply said, kept so a retransmitted call is answered without
+/// executing twice. The call id is the cache key and the wire size is a
+/// function of the packet, so the reply is rebuilt from these two fields
+/// rather than stored.
+#[derive(Debug, PartialEq)]
+pub(crate) struct CachedReply {
+    /// The causal span header the reply carried.
+    pub(crate) span: u64,
+    /// What the reply carried besides its header.
+    pub(crate) outcome: Outcome,
+}
+
+impl CachedReply {
+    /// The reply packet to `call_id` that this entry was cached from.
+    pub(crate) fn packet(&self, call_id: CallId) -> RpcPacket {
+        let span = self.span;
+        match &self.outcome {
+            Outcome::Replied(results) => RpcPacket::Reply {
+                call_id,
+                span,
+                results: results.to_vec(),
+            },
+            Outcome::Failed(reason) => RpcPacket::ReplyFailure {
+                call_id,
+                span,
+                reason: reason.to_string(),
+            },
+        }
+    }
+}
 
 /// Every call this node has accepted, keyed by call id. The value is
-/// `None` while the call executes and the reply once one has been sent.
-/// Entries are never dropped: a client halted under the debugger re-arms
-/// its retry timer without consuming an attempt (§5.2), so no bound on a
-/// retransmission's lateness follows from the retry ladder.
+/// `None` while the call executes and the reply's outcome once one has
+/// been sent. Entries are never dropped: a client halted under the
+/// debugger re-arms its retry timer without consuming an attempt (§5.2),
+/// so no bound on a retransmission's lateness follows from the retry
+/// ladder.
 #[derive(Debug, Default)]
 pub(crate) struct SeenCalls(SortedLog<SortedLog<Option<CachedReply>>>);
 
@@ -123,21 +161,20 @@ mod tests {
     #[test]
     fn callers_are_kept_apart_and_an_unheard_of_node_allocates_nothing_large() {
         let mut seen = SeenCalls::default();
-        let reply = |id| RpcPacket::Reply {
-            call_id: id,
-            span: 0,
-            results: vec![],
+        let reply = |id| CachedReply {
+            span: id,
+            outcome: Outcome::Replied(Box::new([])),
         };
         // Interleaved callers, counters arriving out of order per caller.
         for (node, counter) in [(3, 1), (0, 7), (3, 3), (9, 1), (0, 2), (3, 2)] {
             let id = make_call_id(NodeId(node), counter);
             let (entry, existed) = seen.find_or_insert(id);
             assert!(!existed && entry.is_none());
-            *entry = Some((reply(id), 32));
+            *entry = Some(reply(id));
         }
         for (node, counter) in [(0, 2), (0, 7), (3, 1), (3, 2), (3, 3), (9, 1)] {
             let id = make_call_id(NodeId(node), counter);
-            assert_eq!(seen.get(id), Some(&Some((reply(id), 32))));
+            assert_eq!(seen.get(id), Some(&Some(reply(id))));
             assert!(seen.find_or_insert(id).1);
         }
         // Same counter, another node; and a node id no station has.
@@ -146,5 +183,38 @@ mod tests {
         assert_eq!(seen.get(hostile), None);
         assert!(!seen.find_or_insert(hostile).1);
         assert_eq!(seen.0 .0.len(), 4, "one log per caller heard from");
+    }
+
+    #[test]
+    fn a_cached_outcome_rebuilds_the_reply_it_was_cached_from() {
+        let id = make_call_id(NodeId(4), 9);
+        let results = vec![WireValue::Int(3), WireValue::Str("ok".into())];
+        let sent = [
+            RpcPacket::Reply {
+                call_id: id,
+                span: 17,
+                results: results.clone(),
+            },
+            RpcPacket::ReplyFailure {
+                call_id: id,
+                span: 0,
+                reason: "remote fault".into(),
+            },
+        ];
+        let cached = [
+            CachedReply {
+                span: 17,
+                outcome: Outcome::Replied(results.into()),
+            },
+            CachedReply {
+                span: 0,
+                outcome: Outcome::Failed("remote fault".into()),
+            },
+        ];
+        for (sent, cached) in sent.iter().zip(&cached) {
+            assert_eq!(&cached.packet(id), sent);
+        }
+        // A log entry is the counter, the span and a boxed outcome.
+        assert!(std::mem::size_of::<(u64, Option<CachedReply>)>() <= 40);
     }
 }

@@ -6,7 +6,7 @@
 //! time cannot be gated on a shared runner; allocator calls can, exactly.
 //! This binary installs its own counting `#[global_allocator]` (an
 //! integration test is its own binary, so nothing else is affected) and
-//! pins three properties of a debugger-less world with dormant agents,
+//! pins four properties of a debugger-less world with dormant agents,
 //! one of a world with the debugger *on*, and one of the REPL:
 //!
 //! * a window in which nodes only execute plain instructions allocates
@@ -16,6 +16,9 @@
 //! * a fork → sleep → exit process lifecycle costs a small, fixed number
 //!   of allocations, none of them in a per-process table kept for a
 //!   debugger that is not there;
+//! * a finished process keeps its record and nothing else allocated: its
+//!   VM stack and frame pool are freed, and the process table carries no
+//!   doubling slack (this one counts live bytes, not calls);
 //! * a null exactly-once RPC — call tables, information blocks, a server
 //!   process, two packets, five timers, ten flight-recorder events —
 //!   costs a small, fixed number of allocations that does not grow with
@@ -31,8 +34,9 @@
 //! * the REPL's `trace 10` costs what it prints: it formats the tail of
 //!   the trace ring in place, however many events the ring retains.
 //!
-//! Counts are per thread (tests run on parallel threads; a world stepped
-//! with `step_threads = 1` allocates only on the thread that drives it).
+//! Counts and live bytes are per thread (tests run on parallel threads; a
+//! world stepped with `step_threads = 1` allocates only on the thread that
+//! drives it).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -52,33 +56,41 @@ thread_local! {
     /// Allocator calls made by this thread. Const-initialised and without
     /// a destructor, so touching it never allocates.
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated minus the bytes it has freed.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
 
-fn count() {
+fn count(grown: i64) {
     CALLS.with(|c| c.set(c.get() + 1));
+    live(grown);
+}
+
+fn live(grown: i64) {
+    LIVE.with(|l| l.set(l.get() + grown));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged; the only side effect is a thread-local counter bump.
+// unchanged; the only side effects are thread-local counter updates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        live(-(layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -92,6 +104,14 @@ fn allocations(f: impl FnOnce()) -> u64 {
     let before = CALLS.with(Cell::get);
     f();
     CALLS.with(Cell::get) - before
+}
+
+/// Bytes this thread allocates while `f` runs and has not freed when it
+/// returns.
+fn retained(f: impl FnOnce()) -> i64 {
+    let before = LIVE.with(Cell::get);
+    f();
+    LIVE.with(Cell::get) - before
 }
 
 /// A world shaped like the benchmark's units: without `debugger`, no
@@ -189,6 +209,50 @@ fn a_process_lifecycle_costs_at_most_six_allocations() {
     assert!(
         per_process <= 6.0,
         "{per_process:.2} allocations per fork → sleep → exit lifecycle"
+    );
+}
+
+const NESTED: &str = "\
+inc = proc (k: int) returns (int)
+ return (k + 1)
+end
+worker = proc (k: int) returns (int)
+ j: int := inc(k)
+ return (j)
+end
+main = proc (n: int)
+ for i: int := 1 to n do
+  fork worker(i)
+ end
+end";
+
+/// A finished process keeps its record and nothing else: not its VM
+/// stack, not its pool of retired frames, not a share of a table grown by
+/// doubling. Each worker makes one nested call, so it dies with a frame in
+/// its pool. After a first batch has grown the world's buffers (run
+/// queue, outcall lists, trace ring), what a batch of 1 032 workers leaves
+/// allocated, less what a batch of 8 leaves, per extra worker: a record,
+/// its exit value and its share of the table's one partial chunk.
+#[test]
+fn a_finished_process_keeps_only_its_record() {
+    let mut w = world(1, NESTED, false);
+    let mut batch = |workers: i64| {
+        retained(|| {
+            w.spawn(0, "main", vec![Value::Int(workers)]);
+            w.run_until_idle(SimTime::from_secs(60));
+        })
+    };
+    batch(1_032);
+    let few = batch(8);
+    let many = batch(1_032);
+    assert!(w.now() < SimTime::from_secs(60), "the workers must drain");
+    assert_eq!(w.node(0).state_counts(), (0, 0, 0));
+    assert_eq!(w.node(0).process_count(), 3 + 2 * 1_032 + 8);
+    let per_process = (many - few) as f64 / 1_024.0;
+    println!("{few} bytes kept by 8 workers, {many} by 1 032: {per_process:.0} per extra worker");
+    assert!(
+        per_process <= 256.0,
+        "a finished process keeps {per_process:.0} bytes"
     );
 }
 
@@ -293,7 +357,7 @@ fn served(calls: i64) -> World {
     w.spawn(0, "client", vec![Value::Int(calls)]);
     w.run_until_idle(SimTime::from_secs(600));
     assert_eq!(
-        w.node(1).processes().len() as i64,
+        w.node(1).process_count() as i64,
         calls,
         "one record per call"
     );

@@ -246,6 +246,28 @@ fn a_failing_gate_is_status_1_and_no_option_waives_it() {
     assert_eq!(err, "pilgrim: unknown argument `--no-gate`\n");
 }
 
+/// A bridge jitter of `u64::MAX` µs, from a scenario or from a recording's
+/// recipe, reaches the network's jitter draw, which used to overflow
+/// (`below(jitter + 1)`): a panic, status 101. The draw saturates, so the
+/// load cannot drain and fails its gate, and the re-run cannot match the
+/// recording and diverges: status 1 both.
+#[test]
+fn a_maximal_bridge_jitter_is_status_1_not_a_panic() {
+    let dir = Scratch::new("jitter");
+    let max = u64::MAX;
+    let scenario = dir.write("jitter.toml", &format!("{SCENARIO}link_jitter = {max}us\n"));
+    let (status, out, err) = pilgrim(&["load", &scenario]);
+    assert_eq!(status, 1, "{out}{err}");
+    assert!(out.contains("gate                  FAIL"), "{out}");
+
+    let (_, text) = dir.recorded_load();
+    let hostile = text.replacen("\"jitter_us\": 0", &format!("\"jitter_us\": {max}"), 1);
+    assert_ne!(hostile, text, "the recipe's jitter was not rewritten");
+    let (status, out, err) = pilgrim(&["replay", &dir.write("jitter.json", &hostile)]);
+    assert_eq!(status, 1, "{out}{err}");
+    assert!(err.starts_with("DIVERGENCE after "), "{err}");
+}
+
 #[test]
 fn usage_errors_are_status_2_and_help_is_status_0_on_stdout() {
     for help in [vec!["--help"], vec!["-h"], vec!["trace", "--help"]] {
