@@ -155,17 +155,19 @@ pub enum FrameKind {
     AgentInvoke,
 }
 
-/// One activation record.
+/// One activation record. It owns no heap memory: its locals are a window
+/// of its process's value stack (see [`VmProcess::exit_values`]).
 #[derive(Debug)]
 pub struct Frame {
     /// Which procedure is executing (meaningless for `RpcStub` frames).
     pub proc: ProcId,
     /// Program counter within the procedure.
     pub pc: u32,
-    /// Local variable slots.
-    pub locals: Vec<Value>,
-    /// Operand stack.
-    pub stack: Vec<Value>,
+    /// Where the frame's locals start in the value stack.
+    pub base: u32,
+    /// How many locals the frame has: its arguments until [`Op::Enter`]
+    /// runs, the procedure's slot count after.
+    pub nlocals: u32,
     /// False until the procedure's entry sequence ([`Op::Enter`]) has
     /// executed — the §5.5 "highest well formed frame" marker.
     pub well_formed: bool,
@@ -177,13 +179,16 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// A fresh activation of `proc` with arguments in the first slots.
-    pub fn activation(proc: ProcId, args: Vec<Value>) -> Frame {
+    /// A fresh activation of `proc` whose `nargs` arguments are the values
+    /// at `base..` of the value stack.
+    fn activation(proc: ProcId, base: usize, nargs: usize) -> Frame {
         Frame {
             proc,
             pc: 0,
-            locals: args,
-            stack: Vec::new(),
+            // A value stack holds far fewer than 2^32 values: each frame
+            // adds at most 65 535 locals and a bounded operand depth.
+            base: base as u32,
+            nlocals: nargs as u32,
             well_formed: false,
             kind: FrameKind::Normal,
             rpc_info: None,
@@ -196,6 +201,12 @@ impl Frame {
             proc: self.proc,
             pc: self.pc,
         }
+    }
+
+    /// One past the frame's last local: its operand stack (the running
+    /// frame's) or its callee's arguments start here.
+    fn floor(&self) -> usize {
+        self.base as usize + self.nlocals as usize
     }
 }
 
@@ -215,8 +226,8 @@ pub struct RpcRequest {
 }
 
 /// Reply from a system call: either immediate values to push, or an
-/// instruction to block the process (the supervisor resumes it later by
-/// filling [`VmProcess::pending_push`]).
+/// instruction to block the process (the supervisor resumes it later
+/// through [`VmProcess::resume`]).
 #[derive(Debug)]
 pub enum SysReply {
     /// Continue immediately with these values pushed.
@@ -310,32 +321,73 @@ pub struct ExecEnv<'a> {
 /// supervisor.
 #[derive(Debug, Default)]
 pub struct VmProcess {
-    /// Call stack; last element is the running frame.
+    /// Call stack; last element is the running frame. Popping a frame
+    /// keeps the capacity, so calls and returns do not allocate.
     pub frames: Vec<Frame>,
-    /// Values the runtime wants pushed before the next instruction
-    /// (results of a blocking system call or RPC).
-    pub pending_push: Vec<Value>,
+    /// The value stack, one per process: each frame's locals at
+    /// `base .. base + nlocals`, and above the running frame's locals its
+    /// operand stack. A call leaves its arguments in place as the callee's
+    /// first locals; a return moves the results down to the callee's base.
+    /// Once the root frame returns, it holds the process's results and
+    /// nothing else, which is the only time a reader outside the VM looks
+    /// at it directly — hence the name. Read a frame's locals through
+    /// [`locals`](VmProcess::locals).
+    pub exit_values: Vec<Value>,
     /// True while the process is inside the heap-allocator critical region
     /// (§5.5); the supervisor must let it exit before halting it.
     pub in_allocator: bool,
-    /// Retired activation frames kept for reuse so the call/return hot
-    /// path does not allocate: a recycled frame keeps its `locals`/`stack`
-    /// capacity. Never observable — frames are fully reinitialised before
-    /// going back on [`frames`](VmProcess::frames).
-    pub frame_pool: Vec<Frame>,
     /// Set by the agent to execute exactly one instruction in "trace mode"
     /// when stepping a process over a breakpoint (§5.5).
     pub trace_once: bool,
-    /// Values returned by the root frame when the process exits.
-    pub exit_values: Vec<Value>,
 }
 
 impl VmProcess {
     /// Creates a process that will run `proc` with `args`.
     pub fn spawn(proc: ProcId, args: Vec<Value>) -> VmProcess {
         VmProcess {
-            frames: vec![Frame::activation(proc, args)],
+            frames: vec![Frame::activation(proc, 0, args.len())],
+            exit_values: args,
             ..Default::default()
+        }
+    }
+
+    /// Hands a blocked process the results of the call it blocked in: they
+    /// go onto the running frame's operand stack, where the instruction
+    /// would have pushed them had it not blocked.
+    pub fn resume(&mut self, values: Vec<Value>) {
+        self.exit_values.extend(values);
+    }
+
+    /// The locals of frame `frame` (0 = the root): its arguments alone
+    /// until it has run [`Op::Enter`].
+    pub fn locals(&self, frame: usize) -> Option<&[Value]> {
+        let f = self.frames.get(frame)?;
+        self.exit_values.get(f.base as usize..f.floor())
+    }
+
+    /// [`locals`](VmProcess::locals), for writing.
+    pub fn locals_mut(&mut self, frame: usize) -> Option<&mut [Value]> {
+        let f = self.frames.get(frame)?;
+        self.exit_values.get_mut(f.base as usize..f.floor())
+    }
+
+    /// Pushes the client-side RPC stub frame (Figure 1, left) over the
+    /// running frame, with the information block in its known position.
+    /// It has no locals and runs nothing; the runtime pops it with
+    /// [`pop_stub`](VmProcess::pop_stub) before resuming the caller.
+    pub fn push_stub(&mut self, info: Arc<RpcInfoBlock>) {
+        let proc = self.top().map_or(ProcId(0), |f| f.proc);
+        let mut stub = Frame::activation(proc, self.exit_values.len(), 0);
+        stub.kind = FrameKind::RpcStub;
+        stub.well_formed = true;
+        stub.rpc_info = Some(info);
+        self.frames.push(stub);
+    }
+
+    /// Pops the top frame if it is an RPC stub.
+    pub fn pop_stub(&mut self) {
+        if self.top().is_some_and(|f| f.kind == FrameKind::RpcStub) {
+            self.frames.pop();
         }
     }
 
@@ -392,6 +444,30 @@ fn range_fault(addr: CodeAddr) -> StepOutcome {
     fault(FaultKind::Internal, format!("pc out of range at {addr}"), 0)
 }
 
+/// The fault for an instruction that wants more operands than the running
+/// frame's operand stack holds.
+fn underflow(cost: u64) -> StepOutcome {
+    fault(FaultKind::Internal, "operand stack underflow", cost)
+}
+
+/// Pops the running frame's top operand; `None` when its operand stack —
+/// everything above `floor` — is empty, so a pop never takes a local.
+#[inline(always)]
+fn pop_operand(values: &mut Vec<Value>, floor: usize) -> Option<Value> {
+    if values.len() > floor {
+        values.pop()
+    } else {
+        None
+    }
+}
+
+/// Where the running frame's top `n` operands start; `None` when its
+/// operand stack holds fewer.
+#[inline(always)]
+fn operands_at(values: &[Value], floor: usize, n: usize) -> Option<usize> {
+    values.len().checked_sub(n).filter(|&at| at >= floor)
+}
+
 /// Executes one instruction of `p`.
 ///
 /// The caller (the supervisor) is responsible for only stepping processes
@@ -405,19 +481,13 @@ fn range_fault(addr: CodeAddr) -> StepOutcome {
 /// metadata comes from the [`ProcCode::costs`](crate::ProcCode) side table
 /// instead of matching on the op.
 pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
-    // Deliver results of a completed blocking operation.
-    if !p.pending_push.is_empty() {
-        let vals = std::mem::take(&mut p.pending_push);
-        if let Some(f) = p.frames.last_mut() {
-            f.stack.extend(vals);
-        }
-    }
-
     let program = env.program;
     let depth = p.frames.len();
     let Some(frame) = p.frames.last_mut() else {
         return fault(FaultKind::Internal, "process has no frames", 0);
     };
+    let values = &mut p.exit_values;
+    let floor = frame.floor();
     let addr = frame.addr();
     let pc = addr.pc as usize;
     let (op, meta) = match program.procs.get(addr.proc.0 as usize) {
@@ -445,9 +515,9 @@ pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
 
     macro_rules! pop {
         () => {
-            match frame.stack.pop() {
+            match pop_operand(values, floor) {
                 Some(v) => v,
-                None => return fault(FaultKind::Internal, "operand stack underflow", cost),
+                None => return underflow(cost),
             }
         };
     }
@@ -469,7 +539,7 @@ pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
     }
     macro_rules! push {
         ($v:expr) => {
-            frame.stack.push($v)
+            values.push($v)
         };
     }
     macro_rules! advance {
@@ -500,14 +570,15 @@ pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
             }
             advance!();
         }
+        // The verifier keeps every slot below the procedure's `nlocals`.
         Op::LoadLocal(slot) => {
-            let v = frame.locals[*slot as usize].clone();
+            let v = values[frame.base as usize + usize::from(*slot)].clone();
             push!(v);
             advance!();
         }
         Op::StoreLocal(slot) => {
             let v = pop!();
-            frame.locals[*slot as usize] = v;
+            values[frame.base as usize + usize::from(*slot)] = v;
             advance!();
         }
         Op::LoadGlobal(slot) => {
@@ -595,44 +666,33 @@ pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
             if depth >= MAX_FRAMES {
                 return fault(FaultKind::StackOverflow, "call stack exhausted", cost);
             }
-            let at = frame.stack.len() - *nargs as usize;
-            frame.pc += 1; // return continues after the call
-            let callee = match p.frame_pool.pop() {
-                Some(mut f) => {
-                    f.proc = *proc;
-                    f.pc = 0;
-                    f.locals.extend(frame.stack.drain(at..));
-                    f.well_formed = false;
-                    f.kind = FrameKind::Normal;
-                    f.rpc_info = None;
-                    f
-                }
-                None => Frame::activation(*proc, frame.stack.split_off(at)),
+            let Some(at) = operands_at(values, floor, usize::from(*nargs)) else {
+                return underflow(cost);
             };
+            frame.pc += 1; // return continues after the call
+            let callee = Frame::activation(*proc, at, usize::from(*nargs));
+            // The arguments stay where they are, as the callee's first locals.
             p.frames.push(callee);
         }
         Op::Enter { nlocals } => {
-            frame.locals.resize(*nlocals as usize, Value::Null);
+            // Runs first in a fresh frame, whose operand stack is empty.
+            values.resize(frame.base as usize + usize::from(*nlocals), Value::Null);
+            frame.nlocals = u32::from(*nlocals);
             frame.well_formed = true;
             frame.pc += 1;
         }
         Op::Ret { nvals } => {
-            let at = frame.stack.len() - *nvals as usize;
-            let mut returning = p.frames.pop().expect("frame checked above");
-            match p.frames.last_mut() {
-                Some(caller) => {
-                    caller.stack.extend(returning.stack.drain(at..));
-                    returning.locals.clear();
-                    returning.stack.clear();
-                    returning.rpc_info = None;
-                    if p.frame_pool.len() < MAX_FRAMES {
-                        p.frame_pool.push(returning);
-                    }
-                }
-                None => {
-                    p.exit_values = returning.stack.split_off(at);
-                    return StepOutcome::Exited { cost };
-                }
+            let Some(at) = operands_at(values, floor, usize::from(*nvals)) else {
+                return underflow(cost);
+            };
+            // The results move down over the frame's locals and leftovers.
+            values.drain(frame.base as usize..at);
+            p.frames.pop();
+            if p.frames.is_empty() {
+                // The process is done: it keeps its results and nothing else.
+                values.shrink_to_fit();
+                p.frames = Vec::new();
+                return StepOutcome::Exited { cost };
             }
         }
         // Everything else is comparatively rare (heap traffic, strings,
@@ -651,12 +711,14 @@ pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
 fn step_cold(op: &Op, p: &mut VmProcess, env: &mut ExecEnv<'_>, cost: u64) -> StepOutcome {
     let program = env.program;
     let frame = p.frames.last_mut().expect("step checked the frame");
+    let values = &mut p.exit_values;
+    let floor = frame.floor();
 
     macro_rules! pop {
         () => {
-            match frame.stack.pop() {
+            match pop_operand(values, floor) {
                 Some(v) => v,
-                None => return fault(FaultKind::Internal, "operand stack underflow", cost),
+                None => return underflow(cost),
             }
         };
     }
@@ -670,7 +732,15 @@ fn step_cold(op: &Op, p: &mut VmProcess, env: &mut ExecEnv<'_>, cost: u64) -> St
     }
     macro_rules! push {
         ($v:expr) => {
-            frame.stack.push($v)
+            values.push($v)
+        };
+    }
+    macro_rules! take {
+        ($n:expr) => {
+            match operands_at(values, floor, $n) {
+                Some(at) => values.drain(at..).collect::<Vec<_>>(),
+                None => return underflow(cost),
+            }
         };
     }
     macro_rules! advance {
@@ -682,9 +752,7 @@ fn step_cold(op: &Op, p: &mut VmProcess, env: &mut ExecEnv<'_>, cost: u64) -> St
         ($r:expr) => {
             match $r {
                 SysReply::Val(vals) => {
-                    for v in vals {
-                        push!(v);
-                    }
+                    values.extend(vals);
                     advance!();
                     StepOutcome::Ran { cost }
                 }
@@ -788,8 +856,7 @@ fn step_cold(op: &Op, p: &mut VmProcess, env: &mut ExecEnv<'_>, cost: u64) -> St
             advance!();
         }
         Op::NewRecord { type_id, nfields } => {
-            let at = frame.stack.len() - *nfields as usize;
-            let fields = frame.stack.split_off(at);
+            let fields = take!(usize::from(*nfields));
             let type_name = program.records[*type_id as usize].name.clone();
             let r = env.heap.alloc(HeapObject::Record { type_name, fields });
             push!(Value::Ref(r));
@@ -860,8 +927,7 @@ fn step_cold(op: &Op, p: &mut VmProcess, env: &mut ExecEnv<'_>, cost: u64) -> St
             advance!();
         }
         Op::Fork { proc, nargs } => {
-            let at = frame.stack.len() - *nargs as usize;
-            let args = frame.stack.split_off(at);
+            let args = take!(usize::from(*nargs));
             let pid = env.sys.fork(*proc, args);
             push!(Value::Int(pid));
             advance!();
@@ -872,14 +938,13 @@ fn step_cold(op: &Op, p: &mut VmProcess, env: &mut ExecEnv<'_>, cost: u64) -> St
             nrets,
             protocol,
         } => {
-            let node = match frame.stack.pop() {
+            let node = match pop_operand(values, floor) {
                 Some(Value::Int(n)) => n,
                 other => {
                     return fault(FaultKind::Internal, format!("bad rpc node {other:?}"), cost)
                 }
             };
-            let at = frame.stack.len() - *nargs as usize;
-            let args = frame.stack.split_off(at);
+            let args = take!(usize::from(*nargs));
             let proc_name = program.rpc_names[*name_idx as usize].clone();
             advance!();
             let reply = env.sys.rpc(RpcRequest {
@@ -891,9 +956,7 @@ fn step_cold(op: &Op, p: &mut VmProcess, env: &mut ExecEnv<'_>, cost: u64) -> St
             });
             return match reply {
                 SysReply::Val(vals) => {
-                    for v in vals {
-                        push!(v);
-                    }
+                    values.extend(vals);
                     StepOutcome::Ran { cost }
                 }
                 SysReply::Block => StepOutcome::Blocked { cost },
@@ -1047,7 +1110,9 @@ fn raise_signal(p: &mut VmProcess, env: &ExecEnv<'_>, idx: u16, cost: u64) -> St
                         .max_by_key(|h| h.from_pc)
                 });
             if let Some(h) = handler {
-                frame.stack.clear();
+                // The handler keeps its frame's locals and starts on an
+                // empty operand stack; every frame above it is gone.
+                p.exit_values.truncate(frame.floor());
                 frame.pc = h.handler_pc;
                 return StepOutcome::Ran { cost };
             }
@@ -1055,6 +1120,7 @@ fn raise_signal(p: &mut VmProcess, env: &ExecEnv<'_>, idx: u16, cost: u64) -> St
         p.frames.pop();
         top = false;
     }
+    p.exit_values.clear();
     fault(
         FaultKind::UncaughtSignal,
         format!("uncaught signal `{name}`"),
@@ -1136,7 +1202,6 @@ mod tests {
         prints: Vec<String>,
         exit_values: Vec<Value>,
         fault: Option<Fault>,
-        #[allow(dead_code)]
         steps: u64,
         cost: u64,
     }
@@ -1197,6 +1262,15 @@ mod tests {
                 StepOutcome::Trapped { .. } => panic!("unexpected trap"),
             }
         }
+    }
+
+    /// A parked process keeps its frames, so a frame is priced: `proc`
+    /// (2), `pc`, `base` and `nlocals` (4 each), `well_formed` and `kind`
+    /// (1 each) and `rpc_info` (8, through `Arc`'s null niche). It owns no
+    /// heap memory.
+    #[test]
+    fn a_frame_fits_in_24_bytes() {
+        assert!(std::mem::size_of::<Frame>() <= 24);
     }
 
     #[test]
@@ -1302,6 +1376,100 @@ mod tests {
             vec![],
         );
         assert_eq!(f.fault.unwrap().kind, FaultKind::StackOverflow);
+        // The call that would make frame 513 faults: main's three
+        // instructions, five per `r` frame, and the faulting call, as
+        // when every frame owned its own locals and operand stack.
+        assert_eq!((f.steps, f.cost), (2_558, 12_284));
+    }
+
+    /// Steps `p` until the top frame is about to run `op`.
+    fn step_to(p: &mut VmProcess, env: &mut ExecEnv<'_>, op: fn(&Op) -> bool) {
+        for _ in 0..1_000 {
+            let at = p.addr().expect("a running frame");
+            if op(&env.program.proc(at.proc).code[at.pc as usize]) {
+                return;
+            }
+            match step(p, env) {
+                StepOutcome::Ran { .. } => {}
+                other => panic!("{other:?} before the op"),
+            }
+        }
+        panic!("the op never came up");
+    }
+
+    /// An operand pop on an empty operand stack faults, as it did when
+    /// each frame had its own: it never takes the local just below.
+    #[test]
+    fn operand_underflow_faults_without_reading_a_local() {
+        let mut program = compile("main = proc (a: int, b: int)\n x: int := a + b\nend").unwrap();
+        let main = program.proc_by_name("main").unwrap();
+        // Drop both operand pushes: `Add` finds `a` and `b` only as locals.
+        for pc in 0..program.proc(main).code.len() as u32 {
+            let addr = CodeAddr { proc: main, pc };
+            if matches!(program.proc(main).code[pc as usize], Op::LoadLocal(_)) {
+                program.replace_op(addr, Op::Nop);
+            }
+        }
+        let mut heap = Heap::new();
+        let mut sys = TestSys::default();
+        let mut env = ExecEnv {
+            heap: &mut heap,
+            program: &program,
+            globals: &mut [],
+            sys: &mut sys,
+        };
+        let mut p = VmProcess::spawn(main, vec![Value::Int(3), Value::Int(4)]);
+        step_to(&mut p, &mut env, |op| matches!(op, Op::Add));
+        let StepOutcome::Faulted { fault, cost } = step(&mut p, &mut env) else {
+            panic!("underflow must fault");
+        };
+        assert_eq!(
+            (fault.kind, fault.message.as_str(), cost),
+            (FaultKind::Internal, "operand stack underflow", 2)
+        );
+        assert_eq!(
+            p.locals(0).unwrap(),
+            [Value::Int(3), Value::Int(4), Value::Null]
+        );
+    }
+
+    /// A signal caught two frames up unwinds both frames above the
+    /// handler's: the handler frame keeps its locals and starts on an
+    /// empty operand stack (`b` was on it, waiting for `middle`'s result).
+    #[test]
+    fn a_caught_signal_keeps_the_handler_frames_locals() {
+        let program = compile(
+            "deep = proc (z: int) returns (int) signals (boom)\n signal boom\nend\n\
+             middle = proc (y: int) returns (int)\n return (deep(y))\nend\n\
+             main = proc (a: int)\n b: int := a * 2\n c: int := b + middle(a)\n\
+             except when boom:\n print(b)\n end\nend",
+        )
+        .unwrap();
+        let mut heap = Heap::new();
+        let mut sys = TestSys::default();
+        let mut env = ExecEnv {
+            heap: &mut heap,
+            program: &program,
+            globals: &mut [],
+            sys: &mut sys,
+        };
+        let main = program.proc_by_name("main").unwrap();
+        let mut p = VmProcess::spawn(main, vec![Value::Int(5)]);
+        step_to(&mut p, &mut env, |op| matches!(op, Op::Signal(_)));
+        assert_eq!(p.frames.len(), 3);
+        assert!(matches!(step(&mut p, &mut env), StepOutcome::Ran { .. }));
+        assert_eq!(p.frames.len(), 1);
+        let locals = [Value::Int(5), Value::Int(10), Value::Null];
+        assert_eq!(p.locals(0).unwrap(), locals);
+        assert_eq!(p.exit_values, locals, "no operand is left above them");
+        loop {
+            match step(&mut p, &mut env) {
+                StepOutcome::Exited { .. } => break,
+                StepOutcome::Ran { .. } => {}
+                other => panic!("{other:?}"),
+            }
+        }
+        assert_eq!(sys.prints, vec!["10"]);
     }
 
     #[test]

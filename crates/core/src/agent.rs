@@ -665,9 +665,8 @@ impl Agent {
                 let v = unmarshal(node.heap_mut(), &value);
                 match node.process_mut(Pid(pid)).and_then(|p| p.vm_mut()) {
                     Some(vm) => match vm
-                        .frames
-                        .get_mut(frame as usize)
-                        .and_then(|f| f.locals.get_mut(slot as usize))
+                        .locals_mut(frame as usize)
+                        .and_then(|locals| locals.get_mut(slot as usize))
                     {
                         Some(slot_ref) => {
                             *slot_ref = v;
@@ -874,11 +873,8 @@ impl Agent {
             .process(pid)
             .ok_or_else(|| format!("no process {pid}"))?;
         let vm = p.vm().ok_or("not a VM process")?;
-        let f = vm
-            .frames
-            .get(frame as usize)
-            .ok_or_else(|| format!("no frame {frame}"))?;
-        f.locals
+        vm.locals(frame as usize)
+            .ok_or_else(|| format!("no frame {frame}"))?
             .get(slot as usize)
             .cloned()
             .ok_or_else(|| format!("no local slot {slot}"))

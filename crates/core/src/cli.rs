@@ -158,7 +158,7 @@ impl DebugCli {
                         trip.value,
                         trip.at,
                         match trip.span {
-                            Some(s) => format!(", span s{}", s.0),
+                            Some(s) => format!(", span {s}"),
                             None => String::new(),
                         }
                     ));
@@ -388,7 +388,9 @@ impl DebugCli {
                 match args.first().copied() {
                     Some("span") => {
                         let id: u64 = parse(args.get(1).copied().unwrap_or(""), "span id")?;
-                        let evs = world.tracer().events_for_span(SpanId(id));
+                        // Span 0 is never issued: it has no events.
+                        let evs = SpanId::from_wire(id)
+                            .map_or_else(Vec::new, |s| world.tracer().events_for_span(s));
                         if evs.is_empty() {
                             return Ok(format!("no events for span s{id}"));
                         }

@@ -136,7 +136,7 @@ impl World {
             }
             for (pid, name, span, ledger) in n.time_ledgers() {
                 let span = match span {
-                    Some(s) => format!(" span{}", s.0),
+                    Some(s) => format!(" span{}", s.get()),
                     None => String::new(),
                 };
                 out.push_str(&format!(
@@ -147,7 +147,7 @@ impl World {
             for (span, wait) in n.rpc_span_waits() {
                 out.push_str(&format!(
                     "spanwait node{id} span{}: {}us blocked-on-rpc\n",
-                    span.0,
+                    span.get(),
                     wait.as_micros()
                 ));
             }

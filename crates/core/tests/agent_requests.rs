@@ -107,6 +107,110 @@ fn raw_variable_and_global_access() {
         .is_err());
 }
 
+/// `ReadVar` / `WriteVar` address a frame's locals by frame index and
+/// slot, wherever the VM keeps them. Trapped on `leaf`'s entry
+/// instruction, the stack is three deep and its top frame has not run
+/// `Enter`: only its two arguments are locals yet.
+#[test]
+fn variables_of_every_frame_read_and_write_by_slot() {
+    let src = "\
+leaf = proc (x: int, y: int) returns (int)
+ z: int := x + y
+ return (z)
+end
+mid = proc (a: int) returns (int)
+ m: int := a * 3
+ r: int := leaf(m, a)
+ return (r)
+end
+top = proc (n: int)
+ t: int := n + 1
+ v: int := mid(t)
+ print(v)
+end";
+    let mut w = World::builder().nodes(1).program(src).build().unwrap();
+    w.debug_connect(&[0], false).unwrap();
+    let leaf = w.node(0).program().proc_by_name("leaf").unwrap();
+    let set = AgentRequest::SetBreakpoint {
+        proc_id: leaf.0,
+        pc: 0,
+    };
+    let Ok(AgentReply::BreakpointSet { bp }) = w.debug_request(0, set) else {
+        panic!("the entry trap is planted")
+    };
+    let pid = w.spawn(0, "top", vec![pilgrim::Value::Int(4)]).0;
+    let DebugEvent::BreakpointHit { .. } = w.wait_for_stop(SimDuration::from_secs(2)).unwrap()
+    else {
+        panic!("expected the entry trap")
+    };
+    let reply = |w: &mut World, req| match w.debug_request(0, req) {
+        Ok(AgentReply::Value(v)) => format!("{v:?}"),
+        Ok(other) => format!("{other:?}"),
+        Err(e) => format!("error: {e}"),
+    };
+    let read = |w: &mut World, frame, slot| reply(w, AgentRequest::ReadVar { pid, frame, slot });
+    let write = |w: &mut World, frame, slot, v| {
+        let value = WireValue::Int(v);
+        reply(
+            w,
+            AgentRequest::WriteVar {
+                pid,
+                frame,
+                slot,
+                value,
+            },
+        )
+    };
+
+    // top: n = 4, t = 5, v not assigned yet.
+    let frame0: Vec<String> = (0..4).map(|slot| read(&mut w, 0, slot)).collect();
+    assert_eq!(
+        frame0,
+        [
+            "Int(4)",
+            "Int(5)",
+            "Null",
+            "error: agent error: no local slot 3"
+        ]
+    );
+    // mid: a = 5, m = 15, r not assigned yet.
+    assert_eq!(read(&mut w, 1, 1), "Int(15)");
+    assert_eq!(read(&mut w, 1, 2), "Null");
+    // leaf before `Enter`: its arguments, and no slot for `z` yet.
+    let frame2: Vec<String> = (0..3).map(|slot| read(&mut w, 2, slot)).collect();
+    assert_eq!(
+        frame2,
+        ["Int(15)", "Int(5)", "error: agent error: no local slot 2"]
+    );
+    assert_eq!(read(&mut w, 3, 0), "error: agent error: no frame 3");
+
+    // Writes land in the slot they name and nowhere else.
+    assert_eq!(write(&mut w, 0, 1, 50), "Ok");
+    assert_eq!(read(&mut w, 0, 1), "Int(50)");
+    assert_eq!(read(&mut w, 0, 0), "Int(4)");
+    assert_eq!(write(&mut w, 2, 0, 100), "Ok");
+    assert_eq!(
+        write(&mut w, 2, 2, 0),
+        "error: agent error: no such frame/slot"
+    );
+    assert_eq!(
+        write(&mut w, 3, 0, 0),
+        "error: agent error: no such frame/slot"
+    );
+    assert_eq!(read(&mut w, 1, 1), "Int(15)", "mid's `m` is not leaf's `x`");
+
+    // `Enter` keeps the written argument and makes room for `z`, which
+    // `leaf` then computes from it: 100 + 5.
+    w.step_over(0, pid).unwrap();
+    assert_eq!(read(&mut w, 2, 0), "Int(100)");
+    assert_eq!(read(&mut w, 2, 2), "Null");
+    w.clear_breakpoint(0, bp).unwrap();
+    w.continue_process(0, pid).unwrap();
+    w.debug_resume_all().unwrap();
+    w.run_until_idle(w.now() + SimDuration::from_secs(5));
+    assert_eq!(w.console(0), vec!["105"]);
+}
+
 #[test]
 fn halt_and_resume_a_single_process() {
     let mut w = world();

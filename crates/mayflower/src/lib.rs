@@ -387,8 +387,8 @@ mod tests {
     }
 
     /// A dead record keeps what a post-mortem reads and nothing else. Each
-    /// process makes a nested call first, so its retired-frame pool holds
-    /// a frame when it dies.
+    /// process makes a nested call first, so its stacks have grown past
+    /// one frame and past its root's locals when it dies.
     #[test]
     fn a_dead_record_keeps_what_a_post_mortem_reads() {
         let mut n = node_with(
@@ -424,9 +424,12 @@ mod tests {
         assert_eq!(n.process(done).unwrap().state, RunState::Exited);
         assert_eq!(n.exit_values(done), Some(&[Value::Int(42)][..]));
         let body = vm(done);
-        assert_eq!(body.frames.capacity(), 0, "the stack is freed");
-        assert_eq!(body.frame_pool.capacity(), 0, "the frame pool is freed");
-        assert_eq!(body.pending_push.capacity(), 0);
+        assert_eq!(body.frames.capacity(), 0, "the call stack is freed");
+        assert_eq!(
+            body.exit_values.capacity(),
+            1,
+            "the value stack shrinks to the exit values"
+        );
 
         for pid in [crash, remote] {
             let info = n.process_info(pid).unwrap();
@@ -434,7 +437,9 @@ mod tests {
             assert_eq!(info.frames, 1, "{pid}: the backtrace is kept");
             assert_eq!(info.addr, n.process(pid).unwrap().addr());
             assert!(info.addr.is_some(), "{pid}");
-            assert_eq!(vm(pid).frame_pool.capacity(), 0, "{pid}: the pool is freed");
+            // `a`, `b` and the slot the fault left unassigned.
+            let kept = vm(pid).locals(0).expect("the root frame's locals");
+            assert_eq!(kept, [Value::Int(20), Value::Int(21), Value::Null], "{pid}");
         }
     }
 
@@ -657,7 +662,7 @@ mod tests {
         let parent = n.spawn("main", vec![], no_halt).unwrap();
         assert!(n.process(plain).unwrap().halted.is_some());
         assert!(n.process(parent).unwrap().halted.is_none());
-        let span = SpanId(77);
+        let span = SpanId::from_wire(77).expect("nonzero");
         n.process_mut(parent).unwrap().span = Some(span);
         n.advance_to(SimTime::from_millis(1));
 
@@ -938,14 +943,14 @@ mod tests {
         assert_eq!(n.steps_total(), steps + 1);
         let p = n.process(pid).unwrap();
         assert!(!p.in_allocator() && !p.halt_pending);
-        let since = p.halted.as_ref().expect("halt applied").since;
-        // Clock at the halt, from a second node single-stepped throughout.
+        assert!(p.halted.is_some(), "halt applied");
+        // Where the halt landed, from a second node single-stepped throughout.
         let mut twin = node_with(ALLOC_LOOP, 24);
         let twin_pid = twin.spawn("main", vec![], SpawnOpts::default()).unwrap();
         for _ in 0..=steps {
             twin.step_one(twin_pid);
         }
-        assert_eq!(since, twin.clock());
+        assert_eq!(p.addr(), twin.process(twin_pid).unwrap().addr());
     }
 
     #[test]

@@ -188,7 +188,6 @@ impl Node {
         // server process for an RPC that arrived mid-halt) is halted at
         // birth: "the processes on the node" are halted, all of them.
         let halted = (self.halt_marker.is_some() && !opts.no_halt).then_some(HaltInfo {
-            since: self.clock,
             frozen_remaining: None,
         });
         if self.config.profile_vm {
@@ -225,18 +224,10 @@ impl Node {
 
     /// The one writer of a dead state: `fault` is `None` for a process
     /// that ran to completion. A dead record keeps what a post-mortem
-    /// reads and frees the rest of its VM body: an exited one keeps its
-    /// exit values, and its (already empty) stack, retired-frame pool and
-    /// pending pushes are freed; a faulted one keeps its stack, which is
-    /// its backtrace, and frees the pool. A native body is kept whole.
+    /// reads: the VM leaves an exited body holding its exit values alone,
+    /// and a faulted one keeps its frames and values, which are its
+    /// backtrace and its locals. A native body is kept whole.
     pub(super) fn bury(p: &mut Process, fault: Option<Box<Fault>>) {
-        if let ProcBody::Vm(vm) = &mut p.body {
-            vm.frame_pool = Vec::new();
-            if fault.is_none() {
-                vm.frames = Vec::new();
-                vm.pending_push = Vec::new();
-            }
-        }
         p.state = match fault {
             Some(fault) => RunState::Faulted(fault),
             None => RunState::Exited,
@@ -347,7 +338,7 @@ impl Node {
         }
         p.state = RunState::Runnable;
         match &mut p.body {
-            ProcBody::Vm(vm) => vm.pending_push.extend(values),
+            ProcBody::Vm(vm) => vm.resume(values),
             ProcBody::Native { resume, .. } => resume.extend(values),
         }
         self.ensure_queued(pid);

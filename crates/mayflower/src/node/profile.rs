@@ -208,7 +208,7 @@ impl Node {
                 add_span_wait(&mut out, span, d);
             }
         }
-        out.sort_by_key(|(s, _)| s.0);
+        out.sort_by_key(|(s, _)| *s);
         out
     }
 

@@ -235,8 +235,8 @@ impl Node {
                 sys: &mut ctx,
             };
             let outcome = match &mut proc.body {
-                // (VM processes receive resume values through pending_push,
-                // set at wake time.)
+                // (A VM process's resume values are already on its value
+                // stack, pushed at wake time.)
                 ProcBody::Vm(vm) => pilgrim_cclu::step(vm, &mut env),
                 ProcBody::Native { body, resume } => body.step(std::mem::take(resume), &mut env),
             };

@@ -78,10 +78,7 @@ impl Node {
             Some(d) if freeze_timeouts => Some(d.saturating_since(clock)),
             _ => None,
         };
-        p.halted = Some(HaltInfo {
-            since: clock,
-            frozen_remaining,
-        });
+        p.halted = Some(HaltInfo { frozen_remaining });
         p.halt_pending = false;
     }
 

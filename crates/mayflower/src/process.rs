@@ -113,13 +113,11 @@ impl RunState {
     }
 }
 
-/// The debug-halt overlay (§5.2): a halted process remembers when it was
-/// halted and, if it was waiting with a timeout, how much of the timeout
-/// remained — the supervisor "freezes" timeouts of halted processes.
+/// The debug-halt overlay (§5.2): a halted process that was waiting with a
+/// timeout remembers how much of it remained — the supervisor "freezes"
+/// timeouts of halted processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HaltInfo {
-    /// When the halt took effect (real time).
-    pub since: SimTime,
     /// Remaining timeout at the moment of halting, for `SemWait`/`Sleeping`
     /// states; re-applied relative to the resume time.
     pub frozen_remaining: Option<SimDuration>,
@@ -151,9 +149,9 @@ pub enum ProcBody {
     /// A Concurrent CLU VM process.
     Vm(VmProcess),
     /// A native state machine, plus the values to hand it when it next
-    /// runs (results of the blocking operation that woke it). VM processes
-    /// carry their resume values inside the VM's pending-push stack, so
-    /// the buffer lives only on the variant that needs it.
+    /// runs (results of the blocking operation that woke it). A VM process
+    /// takes its resume values straight onto its value stack, so the
+    /// buffer lives only on the variant that needs it.
     Native {
         /// The state machine.
         body: Box<dyn NativeProcess>,
@@ -292,6 +290,25 @@ mod tests {
         .is_dead());
     }
 
+    /// Every process a node ever made keeps its record, and `sparse-250k`
+    /// parks a quarter of a million at once, so the record is priced
+    /// field by field.
+    #[test]
+    fn a_process_record_fits_in_136_bytes() {
+        use std::mem::size_of;
+        // Two `Vec` headers and two flags, or a boxed native body and its
+        // resume buffer.
+        assert!(size_of::<ProcBody>() <= 56, "body");
+        // The frozen remainder alone.
+        assert!(size_of::<Option<HaltInfo>>() <= 16, "halted");
+        // `SpanId`'s zero niche: no tag word.
+        assert_eq!(size_of::<Option<SpanId>>(), 8, "span");
+        assert!(size_of::<RunState>() <= 24, "state");
+        // Body, state, halted and span above, plus `name` (16), `pid` (8)
+        // and five one-byte flags padded to 8.
+        assert!(size_of::<Process>() <= 136, "record");
+    }
+
     #[test]
     fn schedulable_requires_runnable_and_unhalted() {
         let mut p = Process {
@@ -309,7 +326,6 @@ mod tests {
         };
         assert!(p.schedulable());
         p.halted = Some(HaltInfo {
-            since: SimTime::ZERO,
             frozen_remaining: None,
         });
         assert!(!p.schedulable());

@@ -1425,9 +1425,9 @@ mod tests {
             0,
             32,
             TxClass::Data,
-            Some(SpanId(9)),
+            SpanId::from_wire(9),
         );
-        let events = tracer.events_for_span(SpanId(9));
+        let events = tracer.events_for_span(SpanId::from_wire(9).expect("nonzero"));
         let kinds: Vec<&str> = events.iter().map(|e| e.kind.name()).collect();
         assert_eq!(kinds, vec!["PacketSent", "PacketNacked"]);
     }

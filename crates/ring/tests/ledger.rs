@@ -15,7 +15,7 @@ use pilgrim_ring::{
     Topology, TxClass, TxStatus,
 };
 use pilgrim_sim::check::{check, choice, ensure_eq, u64_range, zip};
-use pilgrim_sim::{DetRng, Metrics, SimDuration, SimTime, Tracer};
+use pilgrim_sim::{DetRng, Metrics, SimDuration, SimTime, SpanId, Tracer};
 
 const STATIONS: u32 = 20;
 
@@ -48,7 +48,7 @@ impl Fnv {
         self.u64(u64::from(d.src.0));
         self.u64(u64::from(d.dst.0));
         self.u64(d.at.as_micros());
-        self.u64(d.span.map_or(u64::MAX, |s| s.0));
+        self.u64(d.span.map_or(u64::MAX, SpanId::get));
         self.u64(u64::from(d.bytes));
         self.u64(d.payload);
     }

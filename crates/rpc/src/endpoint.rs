@@ -523,7 +523,7 @@ impl RpcEndpoint {
             args,
             protocol: req.protocol,
             attempt: 0,
-            span: span.0,
+            span: span.get(),
         };
         let bytes = pkt.wire_bytes(self.config.header_bytes);
 
@@ -1304,34 +1304,14 @@ fn maybe_failure(node: &mut Node, ret_types: &[Type]) -> Vec<Value> {
 /// client process's stack while the call is outstanding, with the
 /// information block in a known position.
 fn push_stub_frame(node: &mut Node, pid: Pid, info: Arc<RpcInfoBlock>) {
-    if let Some(p) = node.process_mut(pid) {
-        if let Some(vm) = p.vm_mut() {
-            let proc = vm
-                .frames
-                .last()
-                .map(|f| f.proc)
-                .unwrap_or(pilgrim_cclu::ProcId(0));
-            let mut frame = pilgrim_cclu::Frame::activation(proc, Vec::new());
-            frame.kind = FrameKind::RpcStub;
-            frame.well_formed = true;
-            frame.rpc_info = Some(info);
-            vm.frames.push(frame);
-        }
+    if let Some(vm) = node.process_mut(pid).and_then(|p| p.vm_mut()) {
+        vm.push_stub(info);
     }
 }
 
 /// Removes the stub frame on call completion.
 fn pop_stub_frame(node: &mut Node, pid: Pid) {
-    if let Some(p) = node.process_mut(pid) {
-        if let Some(vm) = p.vm_mut() {
-            if vm
-                .frames
-                .last()
-                .map(|f| f.kind == FrameKind::RpcStub)
-                .unwrap_or(false)
-            {
-                vm.frames.pop();
-            }
-        }
+    if let Some(vm) = node.process_mut(pid).and_then(|p| p.vm_mut()) {
+        vm.pop_stub();
     }
 }

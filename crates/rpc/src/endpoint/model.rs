@@ -204,7 +204,7 @@ impl ModelEndpoint {
             args,
             protocol: req.protocol,
             attempt: 0,
-            span: span.0,
+            span: span.get(),
         };
         let bytes = pkt.wire_bytes(self.config.header_bytes);
         let send_at = now + delay;

@@ -366,13 +366,13 @@ mod tests {
     fn span_header_round_trips() {
         let call = RpcPacket::Call {
             call_id: 1,
-            span: SpanId::to_wire(Some(SpanId(5))),
+            span: 5,
             proc: "square".into(),
             args: vec![],
             protocol: RpcProtocol::Maybe,
             attempt: 0,
         };
-        assert_eq!(call.span(), Some(SpanId(5)));
+        assert_eq!(call.span(), SpanId::from_wire(5));
         let bare = RpcPacket::ReplyFailure {
             call_id: 1,
             span: 0,

@@ -132,7 +132,7 @@ impl CausalGraph {
         let mut acc: HashMap<u64, Accum> = HashMap::new();
         walk(&mut |ev: &TraceEvent| {
             let Some(span) = ev.span else { return };
-            let a = acc.entry(span.0).or_default();
+            let a = acc.entry(span.get()).or_default();
             a.events += 1;
             a.last_seen = ev.time;
             match &ev.kind {
@@ -144,7 +144,7 @@ impl CausalGraph {
                     ..
                 } => {
                     a.profile = Some(SpanProfile {
-                        span: span.0,
+                        span: span.get(),
                         parent: *parent_span,
                         node: ev.node,
                         proc: proc.to_string(),
@@ -384,7 +384,7 @@ mod tests {
             time: SimTime::from_micros(us),
             category: TraceCategory::Rpc,
             node,
-            span: Some(SpanId(span)),
+            span: SpanId::from_wire(span),
             kind,
         }
     }

@@ -297,7 +297,7 @@ impl TraceEvent {
         }
         out.push_str(", \"span\": ");
         match self.span {
-            Some(s) => push_display(out, s.0),
+            Some(s) => push_display(out, s.get()),
             None => out.push_str("null"),
         }
         out.push_str(", \"kind\": \"");
@@ -400,7 +400,7 @@ mod tests {
             SimTime::from_millis(2),
             TraceCategory::Net,
             None,
-            Some(SpanId(5)),
+            SpanId::from_wire(5),
             EventKind::PacketSent {
                 src: 0,
                 dst: 1,
@@ -440,7 +440,7 @@ mod tests {
         }
         out.push_str(", \"span\": ");
         match ev.span {
-            Some(s) => out.push_str(&s.0.to_string()),
+            Some(s) => out.push_str(&s.get().to_string()),
             None => out.push_str("null"),
         }
         out.push_str(", \"kind\": \"");
@@ -483,7 +483,7 @@ mod tests {
                     time: SimTime::from_micros(if i == 0 { u64::MAX } else { i as u64 * 17 }),
                     category: categories[i % categories.len()],
                     node: (i % 3 != 0).then_some(if i == 1 { u32::MAX } else { i as u32 }),
-                    span: (i % 2 == 1).then_some(SpanId(u64::MAX - i as u64)),
+                    span: SpanId::from_wire(if i % 2 == 1 { u64::MAX - i as u64 } else { 0 }),
                     kind,
                 };
                 let line = ev.to_json();
@@ -557,7 +557,7 @@ mod tests {
                     time: SimTime::from_micros(5),
                     category: TraceCategory::Rpc,
                     node: Some(3),
-                    span: Some(SpanId(4)),
+                    span: SpanId::from_wire(4),
                     kind,
                 };
                 let line = ev.to_json();
@@ -596,7 +596,7 @@ mod tests {
             time: SimTime::from_micros(i as u64 * 17),
             category: TraceCategory::Rpc,
             node: (!i.is_multiple_of(3)).then_some(i as u32),
-            span: (i % 2 == 1).then_some(SpanId(i as u64)),
+            span: SpanId::from_wire(if i % 2 == 1 { i as u64 } else { 0 }),
             kind: all_event_kinds().swap_remove(i),
         }
     }

@@ -76,7 +76,7 @@ impl Divergence {
 }
 
 fn span_str(span: Option<SpanId>) -> String {
-    opt_str(span.map(|s| s.0))
+    opt_str(span.map(SpanId::get))
 }
 
 /// Compares two traces event-by-event and returns the first divergence,
@@ -183,7 +183,7 @@ mod tests {
                 time: SimTime::from_micros(i as u64),
                 category: TraceCategory::Debug,
                 node: Some(0),
-                span: Some(SpanId(i as u64 + 1)),
+                span: SpanId::from_wire(i as u64 + 1),
                 kind,
             })
             .collect();

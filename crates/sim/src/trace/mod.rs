@@ -27,6 +27,7 @@ mod kind;
 mod tracer;
 
 use std::fmt;
+use std::num::NonZeroU64;
 
 use crate::time::SimTime;
 
@@ -99,19 +100,28 @@ impl fmt::Display for TraceCategory {
 /// Identifier linking every event produced on behalf of one causal
 /// activity (one RPC call, including retransmissions and its server-side
 /// execution on another node). Allocated by [`Tracer::next_span`]; `0` is
-/// never issued, so it can serve as a wire sentinel for "no span".
+/// never issued, so it serves as the wire sentinel for "no span" and as
+/// the niche that makes an `Option<SpanId>` eight bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SpanId(pub u64);
+pub struct SpanId(NonZeroU64);
 
 impl SpanId {
     /// Decodes the wire form, where `0` means "no span".
-    pub fn from_wire(raw: u64) -> Option<SpanId> {
-        (raw != 0).then_some(SpanId(raw))
+    pub const fn from_wire(raw: u64) -> Option<SpanId> {
+        match NonZeroU64::new(raw) {
+            Some(id) => Some(SpanId(id)),
+            None => None,
+        }
     }
 
     /// Encodes an optional span for a packet header (`0` = none).
     pub fn to_wire(span: Option<SpanId>) -> u64 {
-        span.map_or(0, |s| s.0)
+        span.map_or(0, SpanId::get)
+    }
+
+    /// The id as a number (never `0`).
+    pub const fn get(self) -> u64 {
+        self.0.get()
     }
 }
 
@@ -164,8 +174,17 @@ mod tests {
     fn span_wire_round_trip() {
         assert_eq!(SpanId::to_wire(None), 0);
         assert_eq!(SpanId::from_wire(0), None);
-        assert_eq!(SpanId::from_wire(7), Some(SpanId(7)));
-        assert_eq!(SpanId::to_wire(Some(SpanId(7))), 7);
+        let seven = SpanId::from_wire(7).expect("nonzero");
+        assert_eq!(seven.get(), 7);
+        assert_eq!(SpanId::to_wire(Some(seven)), 7);
+    }
+
+    /// The zero niche is what the packed process record, every trace
+    /// event and every packet header pay for an optional span: the id
+    /// alone, no tag word.
+    #[test]
+    fn an_optional_span_is_the_id_alone() {
+        assert_eq!(std::mem::size_of::<Option<SpanId>>(), 8);
     }
 
     #[test]
@@ -186,7 +205,7 @@ mod tests {
             time: SimTime::from_millis(1),
             category: TraceCategory::Rpc,
             node: Some(0),
-            span: Some(SpanId(9)),
+            span: SpanId::from_wire(9),
             kind: EventKind::Message("x".into()),
         };
         assert_eq!(ev.to_string(), "[T+1.000ms rpc n0] x");

@@ -222,7 +222,7 @@ impl Tracer {
         let rate = self.shared.sample_rate.load(Ordering::Relaxed);
         if rate > 1 {
             let keep = match parent {
-                Some(p) => self.shared.inner.lock().unwrap().kept.contains(&p.0),
+                Some(p) => self.shared.inner.lock().unwrap().kept.contains(&p.get()),
                 None => {
                     let mut state = self.shared.sample_seed.load(Ordering::Relaxed) ^ id;
                     splitmix64(&mut state).is_multiple_of(rate as u64)
@@ -232,7 +232,7 @@ impl Tracer {
                 self.shared.inner.lock().unwrap().kept.insert(id);
             }
         }
-        SpanId(id)
+        SpanId::from_wire(id).expect("span ids count up from 1")
     }
 
     /// Arms head-based span sampling: keep 1-in-`rate` root spans (and
@@ -287,7 +287,7 @@ impl Tracer {
             // Head-based sampling: a span that lost the keep draw leaves
             // no trace in either ring.
             let rate = self.shared.sample_rate.load(Ordering::Relaxed);
-            if rate > 1 && !inner.kept.contains(&s.0) {
+            if rate > 1 && !inner.kept.contains(&s.get()) {
                 return;
             }
         }
@@ -501,7 +501,7 @@ mod tests {
                 TraceCategory::Rpc,
                 Some(0),
                 Some(span),
-                EventKind::Message(format!("s{}", span.0)),
+                EventKind::Message(format!("{span}")),
             );
         };
         let run = || {
@@ -617,8 +617,8 @@ mod tests {
         let a = t.next_span();
         let b = t2.next_span();
         assert_ne!(a, b, "span ids unique across clones");
-        assert_eq!(a, SpanId(1));
-        assert_eq!(b, SpanId(2));
+        assert_eq!(a.get(), 1);
+        assert_eq!(b.get(), 2);
     }
 
     #[test]

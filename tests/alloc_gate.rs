@@ -16,9 +16,10 @@
 //! * a fork → sleep → exit process lifecycle costs a small, fixed number
 //!   of allocations, none of them in a per-process table kept for a
 //!   debugger that is not there;
-//! * a finished process keeps its record and nothing else allocated: its
-//!   VM stack and frame pool are freed, and the process table carries no
-//!   doubling slack (this one counts live bytes, not calls);
+//! * a parked process keeps its record, one frame and one value stack
+//!   allocated, and a finished process its record and exit values alone:
+//!   its call stack is freed, and the process table carries no doubling
+//!   slack (these two count live bytes, not calls);
 //! * a null exactly-once RPC — call tables, information blocks, a server
 //!   process, two packets, five timers, ten flight-recorder events —
 //!   costs a small, fixed number of allocations that does not grow with
@@ -51,6 +52,14 @@ use pilgrim_rpc::{HandlerCtx, NativeHandler};
 /// inside the measured cycle. The parent of the change that added this
 /// gate read 369.
 const CYCLE_CEILING: u64 = 140;
+
+/// Ceiling for the live bytes of one parked sleeper: 256 measured — a
+/// 136-byte record, a 24-byte frame and a value stack of four 24-byte
+/// values (the first operand push grows it from the one argument) — plus
+/// slack for the table's chunk granularity. The parent of the change that
+/// added this gate read 384: a 200-byte record, a 64-byte frame and
+/// separate locals and operand buffers.
+const PARKED_CEILING: f64 = 272.0;
 
 thread_local! {
     /// Allocator calls made by this thread. Const-initialised and without
@@ -226,13 +235,53 @@ main = proc (n: int)
  end
 end";
 
+const SLEEPERS: &str = "\
+sleeper = proc (k: int) returns (int)
+ sleep(k)
+ return (k)
+end
+main = proc (n: int)
+ for i: int := 1 to n do
+  fork sleeper(3600000)
+ end
+end";
+
+/// A parked process costs its live state: `sparse-250k` in small, where
+/// a quarter of a million sleepers wait at once. What a batch of 1 032
+/// sleepers parked for an hour keeps allocated, less what a batch of 8
+/// keeps, per extra sleeper: its record, one frame, a value stack holding
+/// one local and its share of the table's partial chunk. A first batch of
+/// 3 000 has grown the world's buffers, the timer heap's past the 4 040
+/// entries it holds at the end, so no buffer growth is counted.
+#[test]
+fn a_parked_process_costs_its_live_state() {
+    let mut w = world(1, SLEEPERS, false);
+    let mut batch = |sleepers: i64| {
+        retained(|| {
+            w.spawn(0, "main", vec![Value::Int(sleepers)]);
+            w.run_for(SimDuration::from_secs(1));
+        })
+    };
+    batch(3_000);
+    let few = batch(8);
+    let many = batch(1_032);
+    let (runnable, parked, _) = w.node(0).state_counts();
+    assert_eq!((runnable, parked), (0, 3_000 + 8 + 1_032), "all parked");
+    let per_process = (many - few) as f64 / 1_024.0;
+    println!("{few} bytes kept by 8 sleepers, {many} by 1 032: {per_process:.0} per extra sleeper");
+    assert!(
+        per_process <= PARKED_CEILING,
+        "a parked process keeps {per_process:.0} bytes"
+    );
+}
+
 /// A finished process keeps its record and nothing else: not its VM
-/// stack, not its pool of retired frames, not a share of a table grown by
-/// doubling. Each worker makes one nested call, so it dies with a frame in
-/// its pool. After a first batch has grown the world's buffers (run
-/// queue, outcall lists, trace ring), what a batch of 1 032 workers leaves
-/// allocated, less what a batch of 8 leaves, per extra worker: a record,
-/// its exit value and its share of the table's one partial chunk.
+/// stack, not a share of a table grown by doubling. Each worker makes
+/// one nested call, so its stacks have grown when it dies. After a first
+/// batch has grown the world's buffers (run queue, outcall lists, trace
+/// ring), what a batch of 1 032 workers leaves allocated, less what a
+/// batch of 8 leaves, per extra worker: a record, its exit value and its
+/// share of the table's one partial chunk.
 #[test]
 fn a_finished_process_keeps_only_its_record() {
     let mut w = world(1, NESTED, false);
@@ -250,8 +299,9 @@ fn a_finished_process_keeps_only_its_record() {
     assert_eq!(w.node(0).process_count(), 3 + 2 * 1_032 + 8);
     let per_process = (many - few) as f64 / 1_024.0;
     println!("{few} bytes kept by 8 workers, {many} by 1 032: {per_process:.0} per extra worker");
+    // 160 measured: a 136-byte record and one 24-byte exit value.
     assert!(
-        per_process <= 256.0,
+        per_process <= 176.0,
         "a finished process keeps {per_process:.0} bytes"
     );
 }
