@@ -1021,13 +1021,14 @@ impl Artifact {
                 "stimuli: no node {n} in a world of {stations} stations"
             ));
         }
-        // Absent in artifacts recorded before profiling existed; optional.
-        let profile = doc
-            .get("profile")
-            .and_then(Json::as_str)
-            .map(str::to_string);
-        // Last, because it guts the document: the trace is most of an
-        // artifact's bytes, so it is moved out rather than copied.
+        // Last, because they gut the document: the trace and the profile
+        // are most of an artifact's bytes, so they are moved out rather
+        // than copied. The profile is absent in artifacts recorded before
+        // profiling existed; optional.
+        let profile = match doc.get_mut("profile") {
+            Some(Json::Str(s)) => Some(std::mem::take(s)),
+            _ => None,
+        };
         let trace = match doc.get_mut("trace") {
             Some(Json::Str(s)) => std::mem::take(s),
             _ => return Err("missing `trace`".to_string()),
@@ -1167,18 +1168,34 @@ pub fn rerun(
 
 /// Diffs a re-run world's trace (and profile) against the recording.
 fn verify(artifact: &Artifact, world: World) -> Result<ReplayReport, ReplayError> {
-    let fresh = world.trace_jsonl();
-    // Verification is bytes first. Equal bytes parse to equal events, so
-    // there is nothing for the structural differ to explain and neither
-    // trace is parsed; the recorded trace then holds exactly one line per
-    // event the replayed tracer retains.
-    let byte_identical = fresh == artifact.trace;
+    // Verification is bytes first, and streamed: each replayed event is
+    // rendered into one reused line and matched against the recording
+    // where the last match ended, so no second copy of the trace is
+    // made. Equal bytes parse to equal events, so there is nothing for
+    // the structural differ to explain and neither trace is parsed; the
+    // recorded trace then holds exactly one line per event the replayed
+    // tracer retains.
+    let mut rest = artifact.trace.as_str();
+    let mut matched = true;
+    let mut line = String::new();
+    world.tracer().for_each(|ev| {
+        if matched {
+            line.clear();
+            ev.write_json(&mut line);
+            line.push('\n');
+            match rest.strip_prefix(line.as_str()) {
+                Some(after) => rest = after,
+                None => matched = false,
+            }
+        }
+    });
+    let byte_identical = matched && rest.is_empty();
     let (divergence, recorded_events) = if byte_identical {
         (None, world.tracer().len())
     } else {
         let recorded = TraceEvent::parse_jsonl(&artifact.trace)
             .map_err(|e| ReplayError::Format(format!("recorded trace: {e}")))?;
-        let fresh_events = TraceEvent::parse_jsonl(&fresh)
+        let fresh_events = TraceEvent::parse_jsonl(&world.trace_jsonl())
             .map_err(|e| ReplayError::Format(format!("fresh trace: {e}")))?;
         (first_divergence(&recorded, &fresh_events), recorded.len())
     };

@@ -8,7 +8,7 @@
 //! "not JSON", "unknown format tag" and "bad section" are worded here and
 //! nowhere else.
 
-use pilgrim_sim::{Json, TraceEvent};
+use pilgrim_sim::{CausalGraph, Json, TraceEvent};
 
 use crate::blackbox::{self, BlackboxSnapshot};
 use crate::replay::{self, Artifact};
@@ -101,21 +101,25 @@ impl Saved {
         }
     }
 
-    /// The trace events either document carries: a recording's full
-    /// trace, or a dump's retained event ring.
+    /// The causal graph of the trace either document carries — a
+    /// recording's full trace, or a dump's retained event ring — and how
+    /// many events that trace holds. The trace is parsed one line at a
+    /// time into the fold, so no event list is built beside the text.
     ///
     /// # Errors
     ///
     /// A malformed event line.
-    pub fn events(&self) -> Result<Vec<TraceEvent>, String> {
-        match self {
-            Saved::Recording(artifact) => {
-                TraceEvent::parse_jsonl(&artifact.trace).map_err(|e| format!("recorded trace: {e}"))
-            }
-            Saved::Dump(snap) => snap
-                .decode_events()
-                .map_err(|e| format!("blackbox events: {e}")),
-        }
+    pub fn causal_graph(&self) -> Result<(usize, CausalGraph), String> {
+        let (jsonl, section) = match self {
+            Saved::Recording(artifact) => (&artifact.trace, "recorded trace"),
+            Saved::Dump(snap) => (&snap.events, "blackbox events"),
+        };
+        let mut events = Ok(0);
+        let graph = CausalGraph::from_events_with(|sink| {
+            events = TraceEvent::visit_jsonl(jsonl, |ev| sink(&ev));
+        });
+        let events = events.map_err(|e| format!("{section}: {e}"))?;
+        Ok((events, graph))
     }
 }
 
@@ -148,7 +152,7 @@ mod tests {
             events: String::new(),
         };
         let saved = Saved::parse(&dump.render()).expect("parses");
-        assert_eq!(saved.events().expect("decodes").len(), 0);
+        assert_eq!(saved.causal_graph().expect("decodes").0, 0);
         let e = saved.recording().unwrap_err();
         assert!(e.contains("recording is required"), "{e}");
         let e = Artifact::parse(&dump.render()).unwrap_err().to_string();

@@ -16,7 +16,7 @@
 use std::io::Write;
 use std::time::Instant;
 
-use pilgrim::{open, rerun, Artifact, CausalGraph};
+use pilgrim::{open, rerun, Artifact};
 
 use crate::{
     outcome_from_world, render_run_report, replay_load_artifact, run_scenario_threads,
@@ -189,14 +189,8 @@ fn trace(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Status {
         write!(out, "{}", render_tsdb(&snap.series, metric))?;
         return Ok(0);
     }
-    let events = saved.events().map_err(|e| format!("{path}: {e}"))?;
-    let graph = CausalGraph::from_events(&events);
-    writeln!(
-        out,
-        "{} events, {} spans",
-        events.len(),
-        graph.spans().len()
-    )?;
+    let (events, graph) = saved.causal_graph().map_err(|e| format!("{path}: {e}"))?;
+    writeln!(out, "{events} events, {} spans", graph.spans().len())?;
     match span {
         Some(id) if graph.profile(id).is_none() => {
             write!(err, "{}", graph.render_path(id))?;

@@ -9,9 +9,7 @@ use std::io::Write;
 use std::time::Instant;
 
 use pilgrim::replay::{replay, Artifact};
-use pilgrim::{
-    open, CausalGraph, DebugEvent, NetworkConfig, NodeConfig, SimDuration, SimTime, Value, World,
-};
+use pilgrim::{open, DebugEvent, NetworkConfig, NodeConfig, SimDuration, SimTime, Value, World};
 
 use super::{Bad, Status, TOP_K};
 use crate::{render_run_report, replay_load_artifact, run_scenario_threads, Scenario};
@@ -382,27 +380,25 @@ fn trace_section(out: &mut dyn Write) -> Result<(), Bad> {
     let via_disk = |name: &str, text: String| -> Result<_, String> {
         let path = std::env::temp_dir().join(name);
         std::fs::write(&path, text).map_err(|e| format!("cannot write scratch {name}: {e}"))?;
-        let loaded = open(&path.to_string_lossy()).and_then(|saved| saved.events());
+        let loaded = open(&path.to_string_lossy()).and_then(|saved| saved.causal_graph());
         let _ = std::fs::remove_file(&path);
         loaded.map_err(|e| format!("artifact loading: {e}"))
     };
-    let replayed = via_disk("pilgrim-selftest-recording.json", world.record().render())?;
-    let boxed = via_disk("pilgrim-selftest-blackbox.json", snap.render())?;
+    let (replayed, recorded) =
+        via_disk("pilgrim-selftest-recording.json", world.record().render())?;
+    let (boxed, _) = via_disk("pilgrim-selftest-blackbox.json", snap.render())?;
     require!(
-        replayed.len() == events,
-        "replay artifact lost events ({} != {events})",
-        replayed.len()
+        replayed == events,
+        "replay artifact lost events ({replayed} != {events})"
     );
-    require!(!boxed.is_empty(), "blackbox ring was empty");
+    require!(boxed > 0, "blackbox ring was empty");
     require!(
-        CausalGraph::from_events(&replayed).render_critical() == critical,
+        recorded.render_critical() == critical,
         "analysis of the recording diverged from live"
     );
     writeln!(
         out,
-        "artifacts: replay ({} events) and blackbox ({} events) both load",
-        replayed.len(),
-        boxed.len()
+        "artifacts: replay ({replayed} events) and blackbox ({boxed} events) both load"
     )?;
     require!(
         snap.series.starts_with("tsdb "),

@@ -3,7 +3,7 @@
 //! Every RPC call carries a causal span id through all of its trace
 //! events (client, wire, server — including retransmissions), and nested
 //! calls record their parent's span in `CallStarted::parent_span`.
-//! [`CausalGraph`] rebuilds that tree from a flat event slice and
+//! [`CausalGraph`] rebuilds that tree in one pass over the events and
 //! attributes each span's simulated time to four segments:
 //!
 //! * **queue** — call issued until the first request packet hit the wire
@@ -19,7 +19,7 @@
 //! traces, so every rendering here is byte-identical across serial runs,
 //! parallel runs, and replays.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 use crate::time::SimTime;
 use crate::trace::{EventKind, TraceEvent};
@@ -63,6 +63,29 @@ pub struct SpanProfile {
 }
 
 impl SpanProfile {
+    /// A profile with nothing attributed: span 0, which no span has, until
+    /// its `CallStarted` fills it in.
+    fn empty() -> SpanProfile {
+        SpanProfile {
+            span: 0,
+            parent: 0,
+            node: None,
+            proc: String::new(),
+            dst: 0,
+            call_id: 0,
+            start: SimTime::ZERO,
+            end: SimTime::ZERO,
+            queue_us: 0,
+            net_us: 0,
+            server_us: 0,
+            wait_us: 0,
+            retransmits: 0,
+            completed: false,
+            outcome: String::new(),
+            events: 0,
+        }
+    }
+
     /// Total simulated time from call start to terminal event (µs).
     pub fn total_us(&self) -> u64 {
         self.end.as_micros().saturating_sub(self.start.as_micros())
@@ -95,24 +118,167 @@ impl SpanProfile {
 /// attribution.
 #[derive(Debug, Default)]
 pub struct CausalGraph {
-    /// Profiles sorted by span id.
+    /// Profiles sorted by span id, so a lookup is a binary search.
     spans: Vec<SpanProfile>,
-    /// span id → index into `spans`.
-    index: HashMap<u64, usize>,
     /// parent span id → child span ids (ascending).
     children: HashMap<u64, Vec<u64>>,
 }
 
-/// Per-span accumulation state while scanning the trace.
-#[derive(Debug, Default)]
-struct Accum {
-    profile: Option<SpanProfile>,
-    /// Unmatched `PacketSent` times keyed by (src, dst), FIFO.
-    in_flight: HashMap<(u32, u32), Vec<u64>>,
-    /// Pending `ServerDispatched` time.
-    dispatched_at: Option<u64>,
-    last_seen: SimTime,
-    events: usize,
+/// The state of one pass over a trace. What outlives the pass is
+/// `spans`; the rest is what the pass still waits for, and it shrinks as
+/// packets and replies match.
+#[derive(Default)]
+struct Fold {
+    /// One profile per span, in order of the span's first event. A span
+    /// whose `CallStarted` never arrives (evicted from a bounded ring,
+    /// say) keeps an empty profile that [`Fold::finish`] drops.
+    spans: Vec<SpanProfile>,
+    /// span id → its slot.
+    slots: HashMap<u64, Slot>,
+    /// Send times of packets neither delivered nor lost yet, oldest
+    /// first, per (span, src, dst). An entry goes when its queue empties.
+    in_flight: HashMap<(u64, u32, u32), VecDeque<u64>>,
+    /// span id → when its server call was dispatched, until it replies.
+    dispatched: HashMap<u64, u64>,
+}
+
+/// Where a span's profile sits in [`Fold::spans`].
+struct Slot {
+    at: usize,
+    /// A packet was sent for the span: its `queue` segment is closed
+    /// (only the first send ends it, even one before `CallStarted`).
+    sent: bool,
+}
+
+/// The oldest (`pop_front`) or newest (`pop_back`) send time in flight
+/// on `key`, dropping the entry once it is empty.
+fn retire(
+    in_flight: &mut HashMap<(u64, u32, u32), VecDeque<u64>>,
+    key: (u64, u32, u32),
+    pop: fn(&mut VecDeque<u64>) -> Option<u64>,
+) -> Option<u64> {
+    let queue = in_flight.get_mut(&key)?;
+    let sent = pop(queue);
+    if queue.is_empty() {
+        in_flight.remove(&key);
+    }
+    sent
+}
+
+impl Fold {
+    fn add(&mut self, ev: &TraceEvent) {
+        let Some(span) = ev.span else { return };
+        let span = span.get();
+        let Fold {
+            spans,
+            slots,
+            in_flight,
+            dispatched,
+        } = self;
+        let slot = slots.entry(span).or_insert_with(|| {
+            spans.push(SpanProfile::empty());
+            Slot {
+                at: spans.len() - 1,
+                sent: false,
+            }
+        });
+        // Before its `CallStarted` a span's profile is empty, and what is
+        // attributed to it then is overwritten when that event arrives;
+        // only the event count, the `sent` mark and the side tables
+        // carry over (as they do into a repeated `CallStarted`).
+        let p = &mut spans[slot.at];
+        p.events += 1;
+        let now = ev.time.as_micros();
+        match &ev.kind {
+            EventKind::CallStarted {
+                call_id,
+                proc,
+                dst,
+                parent_span,
+                ..
+            } => {
+                *p = SpanProfile {
+                    span,
+                    parent: *parent_span,
+                    node: ev.node,
+                    proc: proc.to_string(),
+                    dst: *dst,
+                    call_id: *call_id,
+                    start: ev.time,
+                    outcome: "open".to_string(),
+                    events: p.events,
+                    ..SpanProfile::empty()
+                };
+            }
+            EventKind::PacketSent { src, dst, .. } => {
+                if !slot.sent {
+                    p.queue_us = now.saturating_sub(p.start.as_micros());
+                    slot.sent = true;
+                }
+                in_flight
+                    .entry((span, *src, *dst))
+                    .or_default()
+                    .push_back(now);
+            }
+            EventKind::PacketDelivered { src, dst, .. } => {
+                if let Some(sent) = retire(in_flight, (span, *src, *dst), VecDeque::pop_front) {
+                    p.net_us += now.saturating_sub(sent);
+                }
+            }
+            // Loss is decided at send time, so a lost/nacked packet's
+            // event trails its own `PacketSent` — retire that send so
+            // FIFO matching pairs the delivery with the surviving copy
+            // and lost time lands in `wait`, not `net`.
+            EventKind::PacketLost { src, dst, .. } | EventKind::PacketNacked { src, dst, .. } => {
+                retire(in_flight, (span, *src, *dst), VecDeque::pop_back);
+            }
+            EventKind::CallRetransmitted { .. } => p.retransmits += 1,
+            EventKind::ServerDispatched { .. } => {
+                dispatched.insert(span, now);
+            }
+            EventKind::ReplySent { .. } => {
+                if let Some(d) = dispatched.remove(&span) {
+                    p.server_us += now.saturating_sub(d);
+                }
+            }
+            EventKind::CallCompleted { ok, outcome, .. } => {
+                p.end = ev.time;
+                p.completed = true;
+                p.outcome = if *ok {
+                    "ok".to_string()
+                } else {
+                    outcome.to_string()
+                };
+            }
+            EventKind::CallTimedOut { .. } => {
+                p.end = ev.time;
+                p.completed = true;
+                p.outcome = "timeout".to_string();
+            }
+            _ => {}
+        }
+        // An open span ends at the last event seen for it.
+        if !p.completed {
+            p.end = ev.time;
+        }
+    }
+
+    fn finish(self) -> CausalGraph {
+        let mut spans = self.spans;
+        spans.retain(|p| p.span != 0);
+        for p in &mut spans {
+            let attributed = p.queue_us + p.net_us + p.server_us;
+            p.wait_us = p.total_us().saturating_sub(attributed);
+        }
+        spans.sort_unstable_by_key(|p| p.span);
+        spans.shrink_to_fit();
+        // In span order, so each child list comes out ascending.
+        let mut children: HashMap<u64, Vec<u64>> = HashMap::new();
+        for p in &spans {
+            children.entry(p.parent).or_default().push(p.span);
+        }
+        CausalGraph { spans, children }
+    }
 }
 
 impl CausalGraph {
@@ -129,138 +295,9 @@ impl CausalGraph {
     /// place this way (`|sink| tracer.for_each(sink)`) instead of being
     /// cloned into a `Vec` first.
     pub fn from_events_with(walk: impl FnOnce(&mut dyn FnMut(&TraceEvent))) -> CausalGraph {
-        let mut acc: HashMap<u64, Accum> = HashMap::new();
-        walk(&mut |ev: &TraceEvent| {
-            let Some(span) = ev.span else { return };
-            let a = acc.entry(span.get()).or_default();
-            a.events += 1;
-            a.last_seen = ev.time;
-            match &ev.kind {
-                EventKind::CallStarted {
-                    call_id,
-                    proc,
-                    dst,
-                    parent_span,
-                    ..
-                } => {
-                    a.profile = Some(SpanProfile {
-                        span: span.get(),
-                        parent: *parent_span,
-                        node: ev.node,
-                        proc: proc.to_string(),
-                        dst: *dst,
-                        call_id: *call_id,
-                        start: ev.time,
-                        end: ev.time,
-                        queue_us: 0,
-                        net_us: 0,
-                        server_us: 0,
-                        wait_us: 0,
-                        retransmits: 0,
-                        completed: false,
-                        outcome: "open".to_string(),
-                        events: 0,
-                    });
-                }
-                EventKind::PacketSent { src, dst, .. } => {
-                    if let Some(p) = &mut a.profile {
-                        if p.queue_us == 0 && a.in_flight.is_empty() && p.net_us == 0 {
-                            p.queue_us = ev.time.as_micros().saturating_sub(p.start.as_micros());
-                        }
-                    }
-                    a.in_flight
-                        .entry((*src, *dst))
-                        .or_default()
-                        .push(ev.time.as_micros());
-                }
-                EventKind::PacketDelivered { src, dst, .. } => {
-                    if let Some(q) = a.in_flight.get_mut(&(*src, *dst)) {
-                        if !q.is_empty() {
-                            let sent = q.remove(0);
-                            if let Some(p) = &mut a.profile {
-                                p.net_us += ev.time.as_micros().saturating_sub(sent);
-                            }
-                        }
-                    }
-                }
-                // Loss is decided at send time, so a lost/nacked packet's
-                // event trails its own `PacketSent` — retire that send so
-                // FIFO matching pairs the delivery with the surviving copy
-                // and lost time lands in `wait`, not `net`.
-                EventKind::PacketLost { src, dst, .. }
-                | EventKind::PacketNacked { src, dst, .. } => {
-                    if let Some(q) = a.in_flight.get_mut(&(*src, *dst)) {
-                        q.pop();
-                    }
-                }
-                EventKind::CallRetransmitted { .. } => {
-                    if let Some(p) = &mut a.profile {
-                        p.retransmits += 1;
-                    }
-                }
-                EventKind::ServerDispatched { .. } => {
-                    a.dispatched_at = Some(ev.time.as_micros());
-                }
-                EventKind::ReplySent { .. } => {
-                    if let Some(d) = a.dispatched_at.take() {
-                        if let Some(p) = &mut a.profile {
-                            p.server_us += ev.time.as_micros().saturating_sub(d);
-                        }
-                    }
-                }
-                EventKind::CallCompleted { ok, outcome, .. } => {
-                    if let Some(p) = &mut a.profile {
-                        p.end = ev.time;
-                        p.completed = true;
-                        p.outcome = if *ok {
-                            "ok".to_string()
-                        } else {
-                            outcome.to_string()
-                        };
-                    }
-                }
-                EventKind::CallTimedOut { .. } => {
-                    if let Some(p) = &mut a.profile {
-                        p.end = ev.time;
-                        p.completed = true;
-                        p.outcome = "timeout".to_string();
-                    }
-                }
-                _ => {}
-            }
-        });
-
-        let mut spans: Vec<SpanProfile> = acc
-            .into_values()
-            .filter_map(|a| {
-                let events = a.events;
-                let last = a.last_seen;
-                a.profile.map(|mut p| {
-                    if !p.completed {
-                        p.end = last;
-                    }
-                    p.events = events;
-                    let attributed = p.queue_us + p.net_us + p.server_us;
-                    p.wait_us = p.total_us().saturating_sub(attributed);
-                    p
-                })
-            })
-            .collect();
-        spans.sort_by_key(|p| p.span);
-        let index: HashMap<u64, usize> =
-            spans.iter().enumerate().map(|(i, p)| (p.span, i)).collect();
-        let mut children: HashMap<u64, Vec<u64>> = HashMap::new();
-        for p in &spans {
-            children.entry(p.parent).or_default().push(p.span);
-        }
-        for kids in children.values_mut() {
-            kids.sort_unstable();
-        }
-        CausalGraph {
-            spans,
-            index,
-            children,
-        }
+        let mut fold = Fold::default();
+        walk(&mut |ev: &TraceEvent| fold.add(ev));
+        fold.finish()
     }
 
     /// Every reconstructed span, ascending by span id.
@@ -270,7 +307,8 @@ impl CausalGraph {
 
     /// The profile of one span, if present.
     pub fn profile(&self, span: u64) -> Option<&SpanProfile> {
-        self.index.get(&span).map(|&i| &self.spans[i])
+        let at = self.spans.binary_search_by_key(&span, |p| p.span);
+        at.ok().map(|i| &self.spans[i])
     }
 
     /// Child spans of `span` (calls issued while serving it), ascending.
@@ -282,7 +320,7 @@ impl CausalGraph {
     pub fn roots(&self) -> Vec<u64> {
         self.spans
             .iter()
-            .filter(|p| p.parent == 0 || !self.index.contains_key(&p.parent))
+            .filter(|p| p.parent == 0 || self.profile(p.parent).is_none())
             .map(|p| p.span)
             .collect()
     }
@@ -301,7 +339,7 @@ impl CausalGraph {
     pub fn path_from(&self, span: u64) -> Vec<u64> {
         let mut chain = Vec::new();
         let mut cur = span;
-        while self.index.contains_key(&cur) {
+        while self.profile(cur).is_some() {
             chain.push(cur);
             let next = self.children(cur).iter().copied().max_by(|a, b| {
                 let ta = self.profile(*a).map_or(0, SpanProfile::total_us);
@@ -376,7 +414,11 @@ impl CausalGraph {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::collections::{BTreeMap, HashSet};
+
     use super::*;
+    use crate::check::{boolean, check_n, ensure_eq, int_range, map, vecs, zip, Gen};
     use crate::trace::{SpanId, TraceCategory};
 
     fn ev(us: u64, span: u64, node: Option<u32>, kind: EventKind) -> TraceEvent {
@@ -603,5 +645,312 @@ mod tests {
         let g = CausalGraph::from_events(&events);
         assert!(g.profile(8).is_none());
         assert!(g.spans().is_empty());
+    }
+
+    /// The fold this module shipped before it streamed into its output:
+    /// a map of per-span accumulators, each with its own map of packets
+    /// in flight, turned into profiles, an index and a child map at the
+    /// end. Kept as the oracle.
+    struct Accumulated {
+        spans: Vec<SpanProfile>,
+        index: HashMap<u64, usize>,
+        children: HashMap<u64, Vec<u64>>,
+    }
+
+    #[derive(Default)]
+    struct Accum {
+        profile: Option<SpanProfile>,
+        in_flight: HashMap<(u32, u32), Vec<u64>>,
+        dispatched_at: Option<u64>,
+        last_seen: SimTime,
+        events: usize,
+    }
+
+    fn accumulated(events: &[TraceEvent]) -> Accumulated {
+        let mut acc: HashMap<u64, Accum> = HashMap::new();
+        for ev in events {
+            let Some(span) = ev.span else { continue };
+            let a = acc.entry(span.get()).or_default();
+            a.events += 1;
+            a.last_seen = ev.time;
+            match &ev.kind {
+                EventKind::CallStarted {
+                    call_id,
+                    proc,
+                    dst,
+                    parent_span,
+                    ..
+                } => {
+                    a.profile = Some(SpanProfile {
+                        span: span.get(),
+                        parent: *parent_span,
+                        node: ev.node,
+                        proc: proc.to_string(),
+                        dst: *dst,
+                        call_id: *call_id,
+                        start: ev.time,
+                        end: ev.time,
+                        queue_us: 0,
+                        net_us: 0,
+                        server_us: 0,
+                        wait_us: 0,
+                        retransmits: 0,
+                        completed: false,
+                        outcome: "open".to_string(),
+                        events: 0,
+                    });
+                }
+                EventKind::PacketSent { src, dst, .. } => {
+                    if let Some(p) = &mut a.profile {
+                        if p.queue_us == 0 && a.in_flight.is_empty() && p.net_us == 0 {
+                            p.queue_us = ev.time.as_micros().saturating_sub(p.start.as_micros());
+                        }
+                    }
+                    a.in_flight
+                        .entry((*src, *dst))
+                        .or_default()
+                        .push(ev.time.as_micros());
+                }
+                EventKind::PacketDelivered { src, dst, .. } => {
+                    if let Some(q) = a.in_flight.get_mut(&(*src, *dst)) {
+                        if !q.is_empty() {
+                            let sent = q.remove(0);
+                            if let Some(p) = &mut a.profile {
+                                p.net_us += ev.time.as_micros().saturating_sub(sent);
+                            }
+                        }
+                    }
+                }
+                EventKind::PacketLost { src, dst, .. }
+                | EventKind::PacketNacked { src, dst, .. } => {
+                    if let Some(q) = a.in_flight.get_mut(&(*src, *dst)) {
+                        q.pop();
+                    }
+                }
+                EventKind::CallRetransmitted { .. } => {
+                    if let Some(p) = &mut a.profile {
+                        p.retransmits += 1;
+                    }
+                }
+                EventKind::ServerDispatched { .. } => {
+                    a.dispatched_at = Some(ev.time.as_micros());
+                }
+                EventKind::ReplySent { .. } => {
+                    if let Some(d) = a.dispatched_at.take() {
+                        if let Some(p) = &mut a.profile {
+                            p.server_us += ev.time.as_micros().saturating_sub(d);
+                        }
+                    }
+                }
+                EventKind::CallCompleted { ok, outcome, .. } => {
+                    if let Some(p) = &mut a.profile {
+                        p.end = ev.time;
+                        p.completed = true;
+                        p.outcome = if *ok {
+                            "ok".to_string()
+                        } else {
+                            outcome.to_string()
+                        };
+                    }
+                }
+                EventKind::CallTimedOut { .. } => {
+                    if let Some(p) = &mut a.profile {
+                        p.end = ev.time;
+                        p.completed = true;
+                        p.outcome = "timeout".to_string();
+                    }
+                }
+                _ => {}
+            }
+        }
+        let mut spans: Vec<SpanProfile> = acc
+            .into_values()
+            .filter_map(|a| {
+                let events = a.events;
+                let last = a.last_seen;
+                a.profile.map(|mut p| {
+                    if !p.completed {
+                        p.end = last;
+                    }
+                    p.events = events;
+                    let attributed = p.queue_us + p.net_us + p.server_us;
+                    p.wait_us = p.total_us().saturating_sub(attributed);
+                    p
+                })
+            })
+            .collect();
+        spans.sort_by_key(|p| p.span);
+        let index = spans.iter().enumerate().map(|(i, p)| (p.span, i)).collect();
+        let mut children: HashMap<u64, Vec<u64>> = HashMap::new();
+        for p in &spans {
+            children.entry(p.parent).or_default().push(p.span);
+        }
+        for kids in children.values_mut() {
+            kids.sort_unstable();
+        }
+        Accumulated {
+            spans,
+            index,
+            children,
+        }
+    }
+
+    /// One generated event: (kind, span) and ((src, dst), (time step,
+    /// flag)). Span 0 is an event with no span.
+    type Raw = ((i64, i64), ((i64, i64), (i64, bool)));
+
+    fn event_of(time: u64, &((kind, span), ((src, dst), (_, flag))): &Raw) -> TraceEvent {
+        let (span, src, dst) = (span as u64, src as u32, dst as u32);
+        let call_id = span * 100;
+        let kind = match kind {
+            0 => EventKind::CallStarted {
+                call_id,
+                proc: format!("p{src}").into(),
+                args: 0,
+                dst,
+                protocol: "exactly-once".into(),
+                parent_span: u64::from(src + dst) % 5,
+            },
+            1 => EventKind::PacketSent {
+                src,
+                dst,
+                bytes: 64,
+            },
+            2 | 3 => EventKind::PacketDelivered {
+                src,
+                dst,
+                bytes: 64,
+            },
+            4 => EventKind::PacketLost {
+                src,
+                dst,
+                bytes: 64,
+            },
+            5 => EventKind::PacketNacked {
+                src,
+                dst,
+                bytes: 64,
+            },
+            6 => EventKind::CallRetransmitted {
+                call_id,
+                attempt: 1,
+            },
+            7 => EventKind::ServerDispatched {
+                call_id,
+                proc: "p".into(),
+            },
+            8 => EventKind::ReplySent {
+                call_id,
+                cached: flag,
+            },
+            9 => EventKind::CallCompleted {
+                call_id,
+                ok: flag,
+                outcome: if flag { "ok" } else { "failed: gone" }.into(),
+            },
+            10 => EventKind::CallTimedOut { call_id },
+            _ => EventKind::ProcessExited { pid: span },
+        };
+        ev(time, span, Some(src), kind)
+    }
+
+    /// Event streams over four spans and three stations, time-ordered,
+    /// with every kind the fold reads and one it does not.
+    fn streams() -> impl Gen<Value = Vec<TraceEvent>> {
+        let one = zip(
+            zip(int_range(0, 12), int_range(0, 5)),
+            zip(
+                zip(int_range(0, 3), int_range(0, 3)),
+                zip(int_range(0, 40), boolean()),
+            ),
+        );
+        map(vecs(one, 48), |raws: &Vec<Raw>| {
+            let mut time = 0;
+            raws.iter()
+                .map(|raw| {
+                    time += raw.1 .1 .0 as u64;
+                    event_of(time, raw)
+                })
+                .collect()
+        })
+    }
+
+    /// Which of the shapes the oracle property must meet a stream shows.
+    fn shapes(events: &[TraceEvent]) -> Vec<&'static str> {
+        let mut started = HashSet::new();
+        let mut closed = HashSet::new();
+        let mut out = Vec::new();
+        for e in events {
+            let Some(span) = e.span else {
+                out.push("no span");
+                continue;
+            };
+            match e.kind {
+                EventKind::CallStarted { .. } if !started.insert(span) => {
+                    out.push("repeated CallStarted")
+                }
+                EventKind::CallStarted { .. } => {}
+                _ if !started.contains(&span) => out.push("before CallStarted"),
+                EventKind::PacketLost { .. } => out.push("loss"),
+                EventKind::PacketNacked { .. } => out.push("NACK"),
+                EventKind::PacketDelivered { .. } if closed.contains(&span) => {
+                    out.push("delivery after completion")
+                }
+                EventKind::CallCompleted { .. } | EventKind::CallTimedOut { .. } => {
+                    closed.insert(span);
+                }
+                _ => {}
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn the_streamed_fold_matches_the_accumulator_fold() {
+        let seen = RefCell::new(HashSet::new());
+        check_n(
+            "streamed causal fold == accumulator fold",
+            300,
+            &streams(),
+            |events: &Vec<TraceEvent>| {
+                seen.borrow_mut().extend(shapes(events));
+                let got = CausalGraph::from_events(events);
+                let want = accumulated(events);
+                ensure_eq(format!("{:?}", got.spans()), format!("{:?}", want.spans))?;
+                let ordered = |m: &HashMap<u64, Vec<u64>>| {
+                    m.iter()
+                        .map(|(k, v)| (*k, v.clone()))
+                        .collect::<BTreeMap<_, _>>()
+                };
+                ensure_eq(ordered(&got.children), ordered(&want.children))?;
+                let roots: Vec<u64> = want
+                    .spans
+                    .iter()
+                    .filter(|p| p.parent == 0 || !want.index.contains_key(&p.parent))
+                    .map(|p| p.span)
+                    .collect();
+                ensure_eq(got.roots(), roots)?;
+                let want = CausalGraph {
+                    spans: want.spans,
+                    children: want.children,
+                };
+                ensure_eq(got.render_critical(), want.render_critical())?;
+                for k in [1, 3, 10] {
+                    ensure_eq(got.render_slowest(k), want.render_slowest(k))?;
+                }
+                Ok(())
+            },
+        );
+        let seen = seen.into_inner();
+        for shape in [
+            "repeated CallStarted",
+            "before CallStarted",
+            "loss",
+            "NACK",
+            "delivery after completion",
+            "no span",
+        ] {
+            assert!(seen.contains(shape), "no stream had a {shape} event");
+        }
     }
 }

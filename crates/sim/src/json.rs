@@ -247,6 +247,11 @@ impl std::error::Error for JsonError {}
 /// fewer than ten deep.
 pub const MAX_DEPTH: usize = 128;
 
+/// The most bytes one character takes in UTF-8, and so the most one
+/// escape decodes to: the spare room [`Parser::string`] keeps after a run
+/// for the escape that may follow it.
+const CHAR_ROOM: usize = 4;
+
 struct Parser<'a> {
     /// The document. It is scanned as bytes, but structure is only ever
     /// recognised at ASCII bytes, so `pos` sits on a char boundary
@@ -390,10 +395,27 @@ impl Parser<'_> {
             // ASCII byte, so it is whole characters of `text`: no second
             // pass to validate it.
             let run = self.text.get(start..self.pos);
-            out.push_str(run.ok_or_else(|| self.err("invalid UTF-8 in string"))?);
+            let run = run.ok_or_else(|| self.err("invalid UTF-8 in string"))?;
+            // Room for the run and for the one character an escape after
+            // it decodes to. Capacity doubles, but never past what the rest
+            // of the document could decode to: no escape decodes longer
+            // than it is written, so a string cannot outgrow the bytes left.
+            let need = run.len() + CHAR_ROOM;
+            if out.capacity() - out.len() < need {
+                let bound = out.len() + (self.text.len() - start);
+                let want = (out.capacity() * 2).max(out.len() + need).min(bound);
+                out.reserve_exact(want - out.len());
+            }
+            out.push_str(run);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
+                    // Doubling overshoots; a parsed string is kept (a
+                    // recording's trace for as long as the recording), so
+                    // one that grew is returned at its length.
+                    if out.capacity() - out.len() > CHAR_ROOM {
+                        out.shrink_to_fit();
+                    }
                     return Ok(out);
                 }
                 Some(b'\\') => {
@@ -659,6 +681,51 @@ mod tests {
                     Json::parse(&quoted).map_err(|e| e.to_string())?,
                     Json::Str(s.clone()),
                 )
+            },
+        );
+    }
+
+    /// A parsed string is the literal it came from, held at no more than
+    /// that literal's length however much document follows it, and no
+    /// strict prefix of the literal parses.
+    #[test]
+    fn a_parsed_string_round_trips_at_its_length() {
+        use crate::check::{check, ensure, ensure_eq, string_of};
+        // Runs broken by escapes of every width, so the buffer grows by
+        // more than one doubling and overshoots before the closing quote.
+        let alphabet = "abcdefgh\"\\\n\u{1}é😀";
+        check(
+            "parsed string round-trips at its length",
+            &string_of(alphabet, 64),
+            |s: &String| {
+                let mut literal = String::new();
+                quote_into(s, &mut literal);
+                let raw = literal.len() - 2;
+                let tail = format!("\"{}\"", "z".repeat(4 * raw + 64));
+                for doc in [literal.clone(), format!("[{literal}, {tail}]")] {
+                    let parsed = Json::parse(&doc).map_err(|e| e.to_string())?;
+                    let got = match &parsed {
+                        Json::Array(items) => &items[0],
+                        one => one,
+                    };
+                    let Json::Str(got) = got else {
+                        return Err(format!("not a string: {got:?}"));
+                    };
+                    let mut again = String::new();
+                    quote_into(got, &mut again);
+                    ensure_eq(&again, &literal)?;
+                    ensure(
+                        got.capacity() <= raw + 4,
+                        format!("capacity {} for {raw} raw bytes", got.capacity()),
+                    )?;
+                }
+                for cut in (0..literal.len()).filter(|&c| literal.is_char_boundary(c)) {
+                    ensure(
+                        Json::parse(&literal[..cut]).is_err(),
+                        format!("prefix {:?} parsed", &literal[..cut]),
+                    )?;
+                }
+                Ok(())
             },
         );
     }

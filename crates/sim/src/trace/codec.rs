@@ -366,13 +366,28 @@ impl TraceEvent {
     /// The first bad line, prefixed with its 1-based line number.
     pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, String> {
         let mut events = Vec::new();
+        TraceEvent::visit_jsonl(text, |ev| events.push(ev))?;
+        Ok(events)
+    }
+
+    /// [`parse_jsonl`](TraceEvent::parse_jsonl) one line at a time: each
+    /// event goes to `sink` as it is parsed, so only the current one is
+    /// held. Returns how many there were.
+    ///
+    /// # Errors
+    ///
+    /// The first bad line, prefixed with its 1-based line number; the
+    /// events before it have been handed over.
+    pub fn visit_jsonl(text: &str, mut sink: impl FnMut(TraceEvent)) -> Result<usize, String> {
+        let mut count = 0;
         for (i, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
             }
-            events.push(TraceEvent::parse_json(line).map_err(|e| format!("line {}: {e}", i + 1))?);
+            sink(TraceEvent::parse_json(line).map_err(|e| format!("line {}: {e}", i + 1))?);
+            count += 1;
         }
-        Ok(events)
+        Ok(count)
     }
 }
 

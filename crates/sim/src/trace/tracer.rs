@@ -50,13 +50,16 @@ impl Ring {
     }
 
     /// The ring as JSON Lines: one [`TraceEvent::write_json`] object per
-    /// line, newline-terminated, oldest first.
+    /// line, newline-terminated, oldest first. Written into a buffer sized
+    /// for the longest lines, then returned at its exact length: a
+    /// recording keeps this string for as long as it lives.
     fn jsonl(&self) -> String {
         let mut out = String::with_capacity(self.events.len() * JSONL_LINE_BYTES);
         for ev in &self.events {
             ev.write_json(&mut out);
             out.push('\n');
         }
+        out.shrink_to_fit();
         out
     }
 }

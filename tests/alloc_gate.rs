@@ -33,7 +33,10 @@
 //!   break → backtrace → inspect → halt → list → step → resume cycle
 //!   stays under a fixed ceiling;
 //! * the REPL's `trace 10` costs what it prints: it formats the tail of
-//!   the trace ring in place, however many events the ring retains.
+//!   the trace ring in place, however many events the ring retains;
+//! * a recording holds its trace at its exact length, and replaying it
+//!   holds no second copy of that trace on the way (this one counts the
+//!   live bytes' high-water mark).
 //!
 //! Counts and live bytes are per thread (tests run on parallel threads; a
 //! world stepped with `step_threads = 1` allocates only on the thread that
@@ -67,6 +70,8 @@ thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
     /// Bytes this thread has allocated minus the bytes it has freed.
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The highest `LIVE` has been since [`high_water`] last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 struct Counting;
@@ -77,7 +82,11 @@ fn count(grown: i64) {
 }
 
 fn live(grown: i64) {
-    LIVE.with(|l| l.set(l.get() + grown));
+    let now = LIVE.with(|l| {
+        l.set(l.get() + grown);
+        l.get()
+    });
+    PEAK.with(|p| p.set(p.get().max(now)));
 }
 
 // SAFETY: every method forwards to `System` with the caller's arguments
@@ -121,6 +130,14 @@ fn retained(f: impl FnOnce()) -> i64 {
     let before = LIVE.with(Cell::get);
     f();
     LIVE.with(Cell::get) - before
+}
+
+/// How far above its level at the end this thread's live bytes rose
+/// while `f` ran: what `f` held only on the way.
+fn high_water(f: impl FnOnce()) -> i64 {
+    PEAK.with(|p| p.set(LIVE.with(Cell::get)));
+    f();
+    PEAK.with(Cell::get) - LIVE.with(Cell::get)
 }
 
 /// A world shaped like the benchmark's units: without `debugger`, no
@@ -493,5 +510,48 @@ end";
     assert!(
         calls <= 64,
         "{calls} allocations to show 10 of {retained} events"
+    );
+}
+
+/// Analytics against the artifact costs about one artifact: a recording
+/// holds its trace at its exact length, and replaying it compares the
+/// replayed trace line by line instead of rendering a second copy to
+/// compare whole. What replay holds only on the way — above what it keeps,
+/// the replayed world — must stay under a quarter of the trace.
+#[test]
+fn replay_holds_no_second_copy_of_the_trace() {
+    let mut w = World::builder()
+        .nodes(3)
+        .program(CHAIN)
+        .seed(0xa110c)
+        .build()
+        .expect("gate world builds");
+    w.spawn(0, "client", vec![Value::Int(300)]);
+    w.run_until_idle(SimTime::from_secs(600));
+    let artifact = w.record();
+    drop(w);
+    assert!(
+        artifact.trace.len() > 100_000,
+        "{} trace bytes",
+        artifact.trace.len()
+    );
+    assert_eq!(
+        artifact.trace.capacity(),
+        artifact.trace.len(),
+        "the recorded trace carries slack"
+    );
+    let mut report = None;
+    let transient =
+        high_water(|| report = Some(pilgrim::replay::replay(&artifact).expect("replays")));
+    let report = report.expect("replayed");
+    assert!(report.byte_identical && report.divergence.is_none());
+    println!(
+        "replay held {transient} bytes on the way for a {}-byte trace",
+        artifact.trace.len()
+    );
+    assert!(
+        transient < artifact.trace.len() as i64 / 4,
+        "replay held {transient} bytes on the way for a {}-byte trace",
+        artifact.trace.len()
     );
 }

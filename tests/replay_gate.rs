@@ -263,6 +263,75 @@ fn whitespace_only_difference_is_not_a_divergence() {
     );
 }
 
+/// The byte check walks the recording one replayed line at a time, so
+/// its edges are where a streamed compare can go wrong: past the last
+/// replayed line, inside the last newline, and in the last line's bytes.
+#[test]
+fn the_streamed_byte_check_holds_at_the_trace_end() {
+    let artifact = lock_scenario().record();
+    let fresh_events = TraceEvent::parse_jsonl(&artifact.trace).unwrap().len();
+    let replayed = |trace: String| {
+        let mut edited = artifact.clone();
+        edited.trace = trace;
+        replay(&edited).expect("replay runs")
+    };
+
+    // One line more than the replay produces.
+    let last = artifact.trace.lines().last().expect("a non-empty trace");
+    let report = replayed(format!("{}{last}\n", artifact.trace));
+    assert!(!report.byte_identical, "an extra trailing line matched");
+    let d = report.divergence.expect("the extra line is a divergence");
+    assert_eq!(d.index, fresh_events);
+    assert!(d.expected.is_some() && d.actual.is_none());
+
+    // Every line, but the final newline missing: the same events in
+    // other bytes.
+    let unterminated = artifact
+        .trace
+        .strip_suffix('\n')
+        .expect("newline-terminated");
+    let report = replayed(unterminated.to_string());
+    assert!(!report.byte_identical, "a missing final newline matched");
+    assert!(report.divergence.is_none());
+    assert_eq!(report.recorded_events, fresh_events);
+
+    // One byte of the last line: a digit of its time.
+    let at = artifact.trace.len() - last.len() - 1 + "{\"time_us\": ".len();
+    let mut bytes = artifact.trace.clone().into_bytes();
+    bytes[at] = if bytes[at] == b'9' {
+        b'8'
+    } else {
+        bytes[at] + 1
+    };
+    let report = replayed(String::from_utf8(bytes).expect("still UTF-8"));
+    assert!(!report.byte_identical, "a changed last line matched");
+    let d = report.divergence.expect("the changed byte is a divergence");
+    assert_eq!(d.index, fresh_events - 1);
+    assert!(
+        d.fields.iter().any(|f| f.field == "time_us"),
+        "{:?}",
+        d.fields
+    );
+}
+
+/// A world that never ran records an empty trace, and its replay is an
+/// empty trace too: byte-identical, with nothing to compare.
+#[test]
+fn an_empty_trace_replays_byte_identically() {
+    let w = World::builder()
+        .nodes(2)
+        .program(NODE0)
+        .program_for(1, NODE1)
+        .seed(42)
+        .build()
+        .expect("scenario builds");
+    let artifact = w.record();
+    assert_eq!(artifact.trace, "");
+    let report = replay(&artifact).expect("replay runs");
+    assert_clean(&report, &artifact);
+    assert_eq!(report.recorded_events, 0);
+}
+
 /// A recorded trace with a line that is not an event is a format error
 /// naming the line, not a divergence.
 #[test]
