@@ -33,8 +33,8 @@ use pilgrim_rpc::{marshal, unmarshal, HandlerCtx, NativeHandler, RpcEndpoint};
 use pilgrim_sim::{EventKind, Json, SimDuration, SimTime, TraceCategory, Tracer};
 
 use crate::proto::{
-    AgentEvent, AgentReply, AgentRequest, DebugMsg, FrameSummary, ProcView, RpcCallView,
-    RpcFrameView, SessionId, StateView,
+    AgentEvent, AgentReply, AgentRequest, DebugMsg, FrameSummary, Invocation, ProcView,
+    RpcCallView, RpcFrameView, SessionId, StateView,
 };
 
 /// Network access for agents (and the debugger). Implemented by the world
@@ -730,7 +730,8 @@ impl Agent {
                 }
                 AgentReply::Printed(pilgrim_cclu::format_value(node.heap(), &v))
             }
-            AgentRequest::Invoke { proc, args } => {
+            AgentRequest::Invoke(call) => {
+                let Invocation { proc, args } = *call;
                 let Some(proc_id) = node.program().proc_by_name(&proc) else {
                     return Some(AgentReply::Error(format!("no procedure `{proc}`")));
                 };

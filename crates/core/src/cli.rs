@@ -24,7 +24,7 @@ use pilgrim_rpc::WireValue;
 use pilgrim_sim::{SimDuration, SpanId};
 
 use crate::debugger::DebugEvent;
-use crate::proto::{AgentReply, AgentRequest, StateView};
+use crate::proto::{AgentReply, AgentRequest, Invocation, StateView};
 use crate::world::{DebugError, World};
 
 /// A scriptable debugger command interpreter.
@@ -308,10 +308,10 @@ impl DebugCli {
                 let values: Vec<WireValue> = args[2..].iter().map(|a| parse_wire(a)).collect();
                 match world.debug_request(
                     node,
-                    AgentRequest::Invoke {
+                    AgentRequest::Invoke(Box::new(Invocation {
                         proc: proc.to_string(),
                         args: values,
-                    },
+                    })),
                 )? {
                     AgentReply::Invoked { results, output } => {
                         let rendered: Vec<String> =

@@ -76,8 +76,8 @@ pub use blackbox::BlackboxSnapshot;
 pub use cli::DebugCli;
 pub use debugger::{BreakpointInfo, DebugEvent, Debugger};
 pub use proto::{
-    AgentEvent, AgentReply, AgentRequest, ConvertedTime, DebugMsg, FrameSummary, KnowledgeView,
-    ProcView, RpcCallView, RpcFrameView, SessionId, StateView,
+    AgentEvent, AgentReply, AgentRequest, ConvertedTime, DebugMsg, FrameSummary, Invocation,
+    KnowledgeView, ProcView, RpcCallView, RpcFrameView, SessionId, StateView,
 };
 pub use replay::{
     replay_with, rerun, Artifact, Recipe, ReplayError, ReplayReport, SetupInstaller, Stimulus,
@@ -97,6 +97,6 @@ pub use pilgrim_mayflower::{NodeConfig, Pid, RunState, SpawnOpts};
 pub use pilgrim_ring::{LinkModel, Medium, NetworkConfig, NodeId, PartitionWindow, Topology};
 pub use pilgrim_rpc::{RpcConfig, WireValue};
 pub use pilgrim_sim::{
-    CausalGraph, Counter, EventKind, Gauge, Histogram, Metrics, SeriesStore, SimDuration, SimTime,
-    SpanId, SpanProfile, TraceCategory, TraceEvent, Tracer,
+    CausalGraph, Chunked, Counter, EventKind, Gauge, Histogram, Metrics, SeriesStore, SimDuration,
+    SimTime, SpanId, SpanProfile, TraceCategory, TraceEvent, Tracer,
 };

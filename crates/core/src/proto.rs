@@ -167,6 +167,9 @@ impl AgentEvent {
 }
 
 /// A single logical request to an agent.
+///
+/// Every request is journalled, so the three that carry values box them
+/// and a request is 24 bytes; the rest are a few integers.
 #[derive(Debug, Clone)]
 pub enum AgentRequest {
     /// Liveness check.
@@ -222,7 +225,7 @@ pub enum AgentRequest {
         /// Local slot.
         slot: u16,
         /// New value (marshalled).
-        value: WireValue,
+        value: Box<WireValue>,
     },
     /// Read a node-global (`own`) variable.
     ReadGlobal {
@@ -234,7 +237,7 @@ pub enum AgentRequest {
         /// Global slot.
         slot: u16,
         /// New value.
-        value: WireValue,
+        value: Box<WireValue>,
     },
     /// Render a variable using the program's print operations (§3): for
     /// user record types with a `print_<type>` procedure the agent invokes
@@ -249,12 +252,7 @@ pub enum AgentRequest {
     },
     /// Invoke a procedure in the user program and return its results and
     /// redirected output (§3).
-    Invoke {
-        /// Procedure name.
-        proc: String,
-        /// Arguments.
-        args: Vec<WireValue>,
-    },
+    Invoke(Box<Invocation>),
     /// Step a process over the breakpoint it is stopped at (§5.5: restore
     /// the instruction, execute one instruction in trace mode while other
     /// processes are halted, re-plant the trap).
@@ -323,12 +321,21 @@ impl AgentRequest {
             AgentRequest::WriteVar { value, .. } | AgentRequest::WriteGlobal { value, .. } => {
                 16 + value.wire_bytes()
             }
-            AgentRequest::Invoke { proc, args } => {
-                8 + proc.len() + args.iter().map(WireValue::wire_bytes).sum::<usize>()
+            AgentRequest::Invoke(call) => {
+                8 + call.proc.len() + call.args.iter().map(WireValue::wire_bytes).sum::<usize>()
             }
             _ => 16,
         }
     }
+}
+
+/// What an [`AgentRequest::Invoke`] runs.
+#[derive(Debug, Clone)]
+pub struct Invocation {
+    /// Procedure name.
+    pub proc: String,
+    /// Arguments.
+    pub args: Vec<WireValue>,
 }
 
 /// A process's supervisor state, in wire form.
@@ -551,10 +558,10 @@ mod tests {
         let big = DebugMsg::Request {
             session: SessionId(1),
             seq: 2,
-            req: AgentRequest::Invoke {
+            req: AgentRequest::Invoke(Box::new(Invocation {
                 proc: "print_point".into(),
                 args: vec![WireValue::Str("a long string value here".into())],
-            },
+            })),
         };
         assert!(big.wire_bytes() > small.wire_bytes());
         let halt = DebugMsg::HaltBroadcast {

@@ -34,6 +34,7 @@
 //! ```
 
 use std::fmt;
+use std::sync::Arc;
 
 use pilgrim_cclu::Value;
 use pilgrim_mayflower::NodeConfig;
@@ -44,7 +45,7 @@ use pilgrim_sim::{
 };
 
 use crate::agent::AgentConfig;
-use crate::proto::AgentRequest;
+use crate::proto::{AgentRequest, Invocation};
 use crate::saved::Saved;
 use crate::world::{BuildError, World, WorldBuilder};
 
@@ -328,6 +329,10 @@ impl Recipe {
 /// arguments. Determinism makes the journal self-sufficient: replaying
 /// the same stimuli against the same recipe reproduces every pid, call
 /// id, and packet of the original run.
+///
+/// A world journals one per public driving call for as long as it lives, so a
+/// stimulus is 40 bytes: what varies in length is boxed, and a spawn's
+/// entry shares the name the node's program interns.
 #[derive(Debug, Clone)]
 pub enum Stimulus {
     /// [`World::spawn`] / [`World::try_spawn`].
@@ -335,9 +340,9 @@ pub enum Stimulus {
         /// Target node.
         node: u32,
         /// Entry procedure.
-        entry: String,
+        entry: Arc<str>,
         /// Arguments.
-        args: Vec<Value>,
+        args: Box<[Value]>,
     },
     /// [`World::run_until`].
     RunUntil {
@@ -357,7 +362,7 @@ pub enum Stimulus {
     /// [`World::debug_connect`].
     Connect {
         /// Session cohort.
-        nodes: Vec<u32>,
+        nodes: Box<[u32]>,
         /// Forcible connection.
         force: bool,
     },
@@ -393,7 +398,7 @@ pub enum Stimulus {
         /// Target node.
         node: u32,
         /// Procedure name.
-        name: String,
+        name: Arc<str>,
     },
     /// [`World::clear_breakpoint`].
     ClearBreakpoint {
@@ -562,12 +567,12 @@ fn request_to_json(req: &AgentRequest) -> Json {
             ("frame", u(*frame as u64)),
             ("slot", u(*slot as u64)),
         ]),
-        AgentRequest::Invoke { proc, args } => Json::obj(vec![
+        AgentRequest::Invoke(call) => Json::obj(vec![
             t("Invoke"),
-            ("proc", Json::Str(proc.clone())),
+            ("proc", Json::Str(call.proc.clone())),
             (
                 "args",
-                Json::Array(args.iter().map(WireValue::to_json).collect()),
+                Json::Array(call.args.iter().map(WireValue::to_json).collect()),
             ),
         ]),
         AgentRequest::StepOver { pid } => Json::obj(vec![t("StepOver"), ("pid", u(*pid))]),
@@ -619,11 +624,12 @@ fn request_from_json(v: &Json) -> Result<AgentRequest, String> {
             u32::try_from(n).map_err(|_| format!("request {ty}: `{field}` out of range"))
         })
     };
-    let wire = |field: &str| -> Result<WireValue, String> {
+    let wire = |field: &str| -> Result<Box<WireValue>, String> {
         WireValue::from_json(
             v.get(field)
                 .ok_or_else(|| format!("request {ty}: missing `{field}`"))?,
         )
+        .map(Box::new)
     };
     Ok(match ty {
         "Ping" => AgentRequest::Ping,
@@ -661,7 +667,7 @@ fn request_from_json(v: &Json) -> Result<AgentRequest, String> {
             frame: u32f("frame")?,
             slot: u16f("slot")?,
         },
-        "Invoke" => AgentRequest::Invoke {
+        "Invoke" => AgentRequest::Invoke(Box::new(Invocation {
             proc: v
                 .get("proc")
                 .and_then(Json::as_str)
@@ -674,7 +680,7 @@ fn request_from_json(v: &Json) -> Result<AgentRequest, String> {
                 .iter()
                 .map(WireValue::from_json)
                 .collect::<Result<_, _>>()?,
-        },
+        })),
         "StepOver" => AgentRequest::StepOver { pid: u("pid")? },
         "ContinueProcess" => AgentRequest::ContinueProcess { pid: u("pid")? },
         "ForceRunnable" => AgentRequest::ForceRunnable { pid: u("pid")? },
@@ -727,7 +733,7 @@ impl Stimulus {
             Stimulus::Spawn { node, entry, args } => Json::obj(vec![
                 op("spawn"),
                 ("node", u(*node as u64)),
-                ("entry", Json::Str(entry.clone())),
+                ("entry", Json::Str(entry.to_string())),
                 (
                     "args",
                     Json::Array(args.iter().map(value_to_json).collect()),
@@ -767,7 +773,7 @@ impl Stimulus {
             Stimulus::BreakAtProc { node, name } => Json::obj(vec![
                 op("break_at_proc"),
                 ("node", u(*node as u64)),
-                ("name", Json::Str(name.clone())),
+                ("name", Json::Str(name.to_string())),
             ]),
             Stimulus::ClearBreakpoint { node, bp } => Json::obj(vec![
                 op("clear_breakpoint"),
@@ -839,7 +845,7 @@ impl Stimulus {
                     .get("entry")
                     .and_then(Json::as_str)
                     .ok_or("stimulus spawn: missing `entry`")?
-                    .to_string(),
+                    .into(),
                 args: v
                     .get("args")
                     .and_then(Json::as_array)
@@ -891,7 +897,7 @@ impl Stimulus {
                     .get("name")
                     .and_then(Json::as_str)
                     .ok_or("stimulus break_at_proc: missing `name`")?
-                    .to_string(),
+                    .into(),
             },
             "clear_breakpoint" => Stimulus::ClearBreakpoint {
                 node: n32("node")?,
@@ -1215,6 +1221,15 @@ fn verify(artifact: &Artifact, world: World) -> Result<ReplayReport, ReplayError
 mod tests {
     use super::*;
 
+    /// A world keeps one stimulus per public driving call for its whole life, so
+    /// the entry is pinned: boxed arguments, a shared entry name, and a
+    /// request whose value-carrying variants box their payload.
+    #[test]
+    fn a_journal_entry_fits_in_40_bytes() {
+        assert!(std::mem::size_of::<Stimulus>() <= 40);
+        assert!(std::mem::size_of::<AgentRequest>() <= 24);
+    }
+
     #[test]
     fn stimuli_round_trip_through_json() {
         let all = vec![
@@ -1226,7 +1241,8 @@ mod tests {
                     Value::Int(-7),
                     Value::Bool(true),
                     Value::Str("hi \"there\"\n".into()),
-                ],
+                ]
+                .into(),
             },
             Stimulus::RunUntil { until_us: u64::MAX },
             Stimulus::RunFor { dur_us: 1 },
@@ -1234,7 +1250,7 @@ mod tests {
                 limit_us: 30_000_000,
             },
             Stimulus::Connect {
-                nodes: vec![0, 1, 2],
+                nodes: vec![0, 1, 2].into(),
                 force: true,
             },
             Stimulus::Disconnect,
@@ -1245,10 +1261,10 @@ mod tests {
                     pid: 3,
                     frame: 1,
                     slot: 2,
-                    value: WireValue::Record {
+                    value: Box::new(WireValue::Record {
                         type_name: "pt".into(),
                         fields: vec![WireValue::Int(1), WireValue::Array(vec![])],
-                    },
+                    }),
                 },
             },
             Stimulus::DrainEvents,
@@ -1315,22 +1331,22 @@ mod tests {
                 pid: 9,
                 frame: 10,
                 slot: 11,
-                value: WireValue::Str("x".into()),
+                value: Box::new(WireValue::Str("x".into())),
             },
             AgentRequest::ReadGlobal { slot: 12 },
             AgentRequest::WriteGlobal {
                 slot: 13,
-                value: WireValue::Null,
+                value: Box::new(WireValue::Null),
             },
             AgentRequest::PrintVar {
                 pid: 14,
                 frame: 15,
                 slot: 16,
             },
-            AgentRequest::Invoke {
+            AgentRequest::Invoke(Box::new(Invocation {
                 proc: "p".into(),
                 args: vec![WireValue::Bool(false)],
-            },
+            })),
             AgentRequest::StepOver { pid: 17 },
             AgentRequest::ContinueProcess { pid: 18 },
             AgentRequest::ForceRunnable { pid: 19 },

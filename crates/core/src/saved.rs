@@ -158,4 +158,169 @@ mod tests {
         let e = Artifact::parse(&dump.render()).unwrap_err().to_string();
         assert!(e.contains("recording is required"), "{e}");
     }
+
+    /// A small recording whose journal holds every stimulus shape with a
+    /// payload: spawns carrying each value kind a journal can hold,
+    /// `RunUntil`, `Connect`, `BreakAtProc` and a `WriteVar` request with
+    /// a nested value. Its trace is cut to three lines, which the loader
+    /// takes as a string: the property is about the sections around it.
+    fn small_recording() -> String {
+        use crate::proto::AgentRequest;
+        use crate::world::World;
+        use pilgrim_cclu::Value;
+        use pilgrim_rpc::WireValue;
+        use pilgrim_sim::SimTime;
+
+        let mut w = World::builder()
+            .nodes(2)
+            .program("work = proc (a: null, n: int, b: bool, s: string)\n print(s)\n end")
+            .seed(11)
+            .build()
+            .expect("builds");
+        w.debug_connect(&[0, 1], false).expect("connects");
+        w.break_at_proc(1, "work").expect("plants");
+        w.spawn(
+            0,
+            "work",
+            vec![
+                Value::Null,
+                Value::Int(i64::MIN),
+                Value::Bool(true),
+                Value::Str("q\"λ".into()),
+            ],
+        );
+        w.spawn(
+            1,
+            "work",
+            vec![
+                Value::Null,
+                Value::Int(7),
+                Value::Bool(false),
+                Value::Str("".into()),
+            ],
+        );
+        w.run_until(SimTime::from_millis(40));
+        let value = WireValue::Record {
+            type_name: "pt".into(),
+            fields: vec![
+                WireValue::Int(-1),
+                WireValue::Array(vec![WireValue::Str("s".into())]),
+            ],
+        };
+        let write = AgentRequest::WriteVar {
+            pid: 1,
+            frame: 0,
+            slot: 1,
+            value: Box::new(value),
+        };
+        let _ = w.debug_request(0, write);
+        w.run_until(SimTime::from_millis(80));
+        let mut artifact = w.record();
+        let cut = artifact
+            .trace
+            .match_indices('\n')
+            .nth(2)
+            .map_or(0, |(at, _)| at + 1);
+        artifact.trace.truncate(cut);
+        artifact.render()
+    }
+
+    /// A recording is outside input: every strict prefix of one, and every
+    /// seeded mutation of its document — an integer made huge, negative
+    /// or fractional, a string emptied or swapped for a number, an array
+    /// swapped with an object, a key dropped — loads as `Ok` or `Err` and
+    /// never panics.
+    #[test]
+    fn hostile_recordings_are_errors_not_panics() {
+        use pilgrim_sim::check::{check_n, int_range, zip};
+
+        let text = small_recording();
+        let Ok(Saved::Recording(artifact)) = Saved::parse(&text) else {
+            panic!("the recording loads");
+        };
+        let ops: Vec<String> = artifact
+            .stimuli
+            .iter()
+            .filter_map(|s| {
+                s.to_json()
+                    .get("op")
+                    .and_then(Json::as_str)
+                    .map(str::to_string)
+            })
+            .collect();
+        for op in ["spawn", "run_until", "connect", "break_at_proc", "request"] {
+            assert!(ops.iter().any(|o| o == op), "no `{op}` in {ops:?}");
+        }
+        assert!(text.contains("\"WriteVar\""));
+
+        for cut in (0..text.len()).filter(|&cut| text.is_char_boundary(cut)) {
+            let _ = Saved::parse(&text[..cut]);
+        }
+
+        let doc = Json::parse(&text).expect("parses");
+        let mut paths = Vec::new();
+        collect_paths(&doc, &mut Vec::new(), &mut paths);
+        let gen = zip(
+            int_range(0, paths.len() as i64),
+            zip(int_range(0, 6), int_range(0, 64)),
+        );
+        check_n("hostile recordings", 2_000, &gen, |&(at, (op, pick))| {
+            let mut doc = doc.clone();
+            let node = paths[at as usize]
+                .iter()
+                .fold(&mut doc, |node, &i| match node {
+                    Json::Array(items) => &mut items[i],
+                    Json::Object(pairs) => &mut pairs[i].1,
+                    _ => unreachable!("paths descend through containers"),
+                });
+            mutate(node, op as usize, pick as usize);
+            let mut text = String::new();
+            doc.write(&mut text);
+            let _ = Saved::parse(&text);
+            Ok(())
+        });
+    }
+
+    /// Every value's path below `doc`, as child indices.
+    fn collect_paths(doc: &Json, path: &mut Vec<usize>, out: &mut Vec<Vec<usize>>) {
+        out.push(path.clone());
+        let children: Vec<&Json> = match doc {
+            Json::Array(items) => items.iter().collect(),
+            Json::Object(pairs) => pairs.iter().map(|(_, v)| v).collect(),
+            _ => Vec::new(),
+        };
+        for (i, child) in children.into_iter().enumerate() {
+            path.push(i);
+            collect_paths(child, path, out);
+            path.pop();
+        }
+    }
+
+    fn mutate(node: &mut Json, op: usize, pick: usize) {
+        *node = match std::mem::replace(node, Json::Null) {
+            Json::Int(_) | Json::Float(_) => [
+                Json::Int(u64::MAX as i128 + 1),
+                Json::Int(i128::MAX),
+                Json::Int(u32::MAX as i128 + 1),
+                Json::Int(-1),
+                Json::Int(i64::MIN as i128 - 1),
+                Json::Float(0.5),
+            ][op]
+                .clone(),
+            Json::Str(_) => [Json::Str(String::new()), Json::Int(7), Json::Int(-7)][op % 3].clone(),
+            Json::Array(items) => Json::Object(
+                items
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, v)| (i.to_string(), v))
+                    .collect(),
+            ),
+            Json::Object(mut pairs) if op.is_multiple_of(2) && !pairs.is_empty() => {
+                pairs.remove(pick % pairs.len());
+                Json::Object(pairs)
+            }
+            Json::Object(pairs) => Json::Array(pairs.into_iter().map(|(_, v)| v).collect()),
+            Json::Bool(_) | Json::Null => Json::Int(pick as i128),
+        };
+    }
 }

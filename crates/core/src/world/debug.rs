@@ -118,7 +118,7 @@ impl World {
     /// session and `force` is false.
     pub fn debug_connect(&mut self, nodes: &[u32], force: bool) -> Result<SessionId, DebugError> {
         let stimulus = Stimulus::Connect {
-            nodes: nodes.to_vec(),
+            nodes: nodes.into(),
             force,
         };
         self.drive(stimulus, |w| {
@@ -301,7 +301,7 @@ impl World {
     pub fn break_at_proc(&mut self, node: u32, name: &str) -> Result<u16, DebugError> {
         let stimulus = Stimulus::BreakAtProc {
             node,
-            name: name.to_string(),
+            name: name.into(),
         };
         self.drive(stimulus, |w| {
             let addr = w
@@ -553,7 +553,7 @@ impl World {
                     pid,
                     frame,
                     slot,
-                    value,
+                    value: Box::new(value),
                 },
             )?;
             return Ok(());
@@ -564,7 +564,13 @@ impl World {
                 .program(NodeId(node))
                 .ok_or_else(|| DebugError::Source("no program loaded".into()))?;
             Debugger::check_assignment(&ty, &value, program).map_err(DebugError::Source)?;
-            self.debug_request(node, AgentRequest::WriteGlobal { slot, value })?;
+            self.debug_request(
+                node,
+                AgentRequest::WriteGlobal {
+                    slot,
+                    value: Box::new(value),
+                },
+            )?;
             return Ok(());
         }
         Err(DebugError::Source(format!("no variable `{name}` in scope")))

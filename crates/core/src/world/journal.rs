@@ -5,7 +5,7 @@
 use pilgrim_cclu::Value;
 use pilgrim_mayflower::{Pid, SpawnOpts, UnknownProc};
 use pilgrim_ring::NodeId;
-use pilgrim_sim::{Json, SimDuration, SimTime};
+use pilgrim_sim::{Chunked, Json, SimDuration, SimTime};
 
 use super::World;
 use crate::replay::{Artifact, Recipe, Stimulus};
@@ -18,7 +18,7 @@ impl World {
 
     /// The stimulus journal: every public driving call made so far, in
     /// order, with concrete arguments.
-    pub fn journal(&self) -> &[Stimulus] {
+    pub fn journal(&self) -> &Chunked<Stimulus> {
         &self.journal
     }
 
@@ -26,9 +26,11 @@ impl World {
     /// so far into a self-describing replay artifact. Render it with
     /// [`Artifact::render`]; reproduce it with [`crate::replay::replay`].
     pub fn record(&self) -> Artifact {
+        let mut stimuli = Vec::with_capacity(self.journal.len());
+        stimuli.extend(self.journal.iter().cloned());
         Artifact {
             recipe: self.recipe.clone(),
-            stimuli: self.journal.clone(),
+            stimuli,
             trace: self.trace_jsonl(),
             profile: self
                 .recipe
@@ -91,14 +93,14 @@ impl World {
             .nodes
             .get(i as usize)
             .ok_or_else(|| format!("no node {i} in a world of {} stations", self.nodes.len()))?;
-        let proc = node
-            .program()
+        let program = node.program();
+        let proc = program
             .proc_by_name(entry)
             .ok_or_else(|| UnknownProc(entry.to_string()).to_string())?;
         let stimulus = Stimulus::Spawn {
             node: i,
-            entry: entry.to_string(),
-            args: args.clone(),
+            entry: program.proc(proc).debug.name.clone(),
+            args: args.as_slice().into(),
         };
         Ok(self.drive(stimulus, |w| {
             let pid = w.nodes[i as usize].spawn_proc(proc, args, SpawnOpts::default());
@@ -187,7 +189,7 @@ impl World {
     pub fn apply(&mut self, s: &Stimulus) -> Result<(), String> {
         match s {
             Stimulus::Spawn { node, entry, args } => {
-                self.try_spawn(*node, entry, args.clone())?;
+                self.try_spawn(*node, entry, args.to_vec())?;
             }
             Stimulus::RunUntil { until_us } => self.run_until(SimTime::from_micros(*until_us)),
             Stimulus::RunFor { dur_us } => self.run_for(SimDuration::from_micros(*dur_us)),

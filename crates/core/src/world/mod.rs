@@ -29,7 +29,7 @@ use pilgrim_cclu::{compile, CompileError, Program};
 use pilgrim_mayflower::{Node, NodeConfig, Outcall};
 use pilgrim_ring::{Delivery, Medium, Network, NetworkConfig, NodeId, TxClass, TxStatus};
 use pilgrim_rpc::{RpcConfig, RpcEndpoint, RpcNet, RpcPacket};
-use pilgrim_sim::{Metrics, SeriesStore, SimDuration, SimTime, Tracer, BLACKBOX_CAPACITY};
+use pilgrim_sim::{Chunked, Metrics, SeriesStore, SimDuration, SimTime, Tracer, BLACKBOX_CAPACITY};
 
 use crate::agent::{Agent, AgentConfig, DebugNet};
 use crate::debugger::Debugger;
@@ -408,7 +408,7 @@ impl WorldBuilder {
             reference_pump: false,
             series: SeriesStore::new(recipe.coarse_interval, recipe.coarse_budget),
             recipe,
-            journal: Vec::new(),
+            journal: Chunked::default(),
             driving: false,
             tracer,
             metrics,
@@ -469,7 +469,7 @@ pub struct World {
 
     // -- Journal: rides alongside; replaying it *is* the restore. -------
     recipe: Recipe,
-    journal: Vec<Stimulus>,
+    journal: Chunked<Stimulus>,
     /// Re-entrancy guard of `World::drive`: true while a journalled
     /// driver call is on the stack.
     driving: bool,

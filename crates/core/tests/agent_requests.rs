@@ -75,7 +75,7 @@ fn raw_variable_and_global_access() {
         0,
         AgentRequest::WriteGlobal {
             slot: 1,
-            value: WireValue::Str("patched".into()),
+            value: Box::new(WireValue::Str("patched".into())),
         },
     )
     .unwrap();
@@ -157,7 +157,7 @@ end";
                 pid,
                 frame,
                 slot,
-                value,
+                value: Box::new(value),
             },
         )
     };

@@ -285,10 +285,10 @@ fn invoke_returns_results_and_redirected_output() {
     let reply = w
         .debug_request(
             0,
-            AgentRequest::Invoke {
+            AgentRequest::Invoke(Box::new(pilgrim::Invocation {
                 proc: "describe".into(),
                 args: vec![WireValue::Int(9)],
-            },
+            })),
         )
         .unwrap();
     match reply {

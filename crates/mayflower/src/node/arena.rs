@@ -11,82 +11,6 @@ use super::{Node, Outcall, ProcTrack};
 use crate::process::{HaltInfo, NativeProcess, Pid, ProcBody, Process, RunState, SemId};
 use crate::sync::Semaphore;
 
-/// Records per chunk of the process table.
-const CHUNK: usize = 256;
-
-/// The process table in chunks of `CHUNK` records: slot `s` lives in
-/// chunk `s / CHUNK` at `s % CHUNK`.
-///
-/// The first chunk is `head`, a `Vec` that grows by doubling up to exactly
-/// `CHUNK` records, so a table that never passes it is the one `Vec` it
-/// always was, allocation for allocation. Every later chunk is allocated
-/// at `CHUNK` records. No chunk is reallocated once full, so a record is
-/// not copied again after its chunk fills, and the table's unused capacity
-/// is at most one partial chunk — where one `Vec` of every record ever
-/// made would carry up to half its length in doubling slack.
-#[derive(Default)]
-pub(super) struct Slots {
-    head: Vec<Process>,
-    tail: Vec<Vec<Process>>,
-}
-
-impl Slots {
-    /// How many records the table holds.
-    pub(super) fn len(&self) -> usize {
-        let tail = self
-            .tail
-            .last()
-            .map_or(0, |last| (self.tail.len() - 1) * CHUNK + last.len());
-        self.head.len() + tail
-    }
-
-    #[inline]
-    pub(super) fn get(&self, slot: usize) -> Option<&Process> {
-        match slot.checked_sub(CHUNK) {
-            None => self.head.get(slot),
-            Some(s) => self.tail.get(s / CHUNK)?.get(s % CHUNK),
-        }
-    }
-
-    #[inline]
-    pub(super) fn get_mut(&mut self, slot: usize) -> Option<&mut Process> {
-        match slot.checked_sub(CHUNK) {
-            None => self.head.get_mut(slot),
-            Some(s) => self.tail.get_mut(s / CHUNK)?.get_mut(s % CHUNK),
-        }
-    }
-
-    /// Appends a record at slot [`len`](Slots::len).
-    fn push(&mut self, p: Process) {
-        let head = &mut self.head;
-        if head.len() < CHUNK {
-            if head.len() == head.capacity() {
-                head.reserve_exact(head.len().max(4).min(CHUNK - head.len()));
-            }
-            head.push(p);
-            return;
-        }
-        match self.tail.last_mut() {
-            Some(chunk) if chunk.len() < CHUNK => chunk.push(p),
-            _ => {
-                let mut chunk = Vec::with_capacity(CHUNK);
-                chunk.push(p);
-                self.tail.push(chunk);
-            }
-        }
-    }
-
-    /// The chunks in slot order.
-    pub(super) fn chunks(&self) -> impl Iterator<Item = &[Process]> {
-        std::iter::once(self.head.as_slice()).chain(self.tail.iter().map(Vec::as_slice))
-    }
-
-    /// Every record in slot order.
-    pub(super) fn iter(&self) -> impl Iterator<Item = &Process> {
-        self.chunks().flatten()
-    }
-}
-
 /// Options for creating a process.
 #[derive(Debug, Clone, Default)]
 pub struct SpawnOpts {

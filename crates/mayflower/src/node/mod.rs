@@ -29,11 +29,11 @@ use std::sync::Arc;
 
 use pilgrim_cclu::{CodeAddr, Fault, Heap, ProcId, Program, RpcRequest, Value};
 use pilgrim_sim::{
-    CallTree, DetRng, EventKind, Json, SimDuration, SimTime, SpanId, TraceCategory, TraceEvent,
-    Tracer,
+    CallTree, Chunked, DetRng, EventKind, Json, SimDuration, SimTime, SpanId, TraceCategory,
+    TraceEvent, Tracer,
 };
 
-use crate::process::Pid;
+use crate::process::{Pid, Process};
 use crate::sync::{MonitorLock, Semaphore};
 
 mod arena;
@@ -43,7 +43,6 @@ mod supervisor;
 mod syscall;
 mod timers;
 
-use arena::Slots;
 pub use arena::{SpawnOpts, UnknownProc};
 use profile::ProcTrack;
 
@@ -252,8 +251,8 @@ pub struct Node {
     /// post-mortem examination), so process `pid` lives at slot
     /// `pid.0 - 1` and every lookup is a direct index. A dead record holds
     /// only what a post-mortem reads ([`Node::bury`]), and the table grows
-    /// in fixed chunks, so it carries no doubling slack ([`Slots`]).
-    procs: Slots,
+    /// in fixed chunks, so it carries no doubling slack ([`Chunked`]).
+    procs: Chunked<Process>,
     run_queue: VecDeque<Pid>,
     sems: Vec<Semaphore>,
     locks: Vec<MonitorLock>,
@@ -350,7 +349,7 @@ impl Node {
             program,
             heap,
             globals,
-            procs: Slots::default(),
+            procs: Chunked::default(),
             run_queue: VecDeque::new(),
             sems,
             locks: Vec::new(),

@@ -41,7 +41,7 @@ use crate::monitor::PacketMonitor;
 use crate::packet::{
     call_id_counter, call_id_node, make_call_id, CallId, RecentCalls, RpcConfig, RpcPacket,
 };
-use crate::seen::{CachedReply, Outcome, SeenCalls};
+use crate::seen::{Outcome, SeenCalls};
 
 #[cfg(test)]
 mod model;
@@ -169,19 +169,30 @@ struct RpcMeters {
 struct ClientCall {
     pid: Pid,
     token: u64,
-    proc: Arc<str>,
-    protocol: RpcProtocol,
     ret_types: Vec<Type>,
     attempts: u32,
     info: Option<Arc<RpcInfoBlock>>,
     done: bool,
     dst: NodeId,
+    /// The call packet, retransmitted as is but for its attempt ordinal.
     pkt: RpcPacket,
     bytes: usize,
     started: SimTime,
     /// The call's causal span, born at `start_call` and carried by every
     /// packet of the call (including retransmissions).
     span: SpanId,
+}
+
+impl ClientCall {
+    /// The remote procedure and the protocol, as the call packet says.
+    fn header(&self) -> (&Arc<str>, RpcProtocol) {
+        match &self.pkt {
+            RpcPacket::Call { proc, protocol, .. } => (proc, *protocol),
+            RpcPacket::Reply { .. } | RpcPacket::ReplyFailure { .. } => {
+                unreachable!("a client call keeps the call packet it sent")
+            }
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -375,10 +386,11 @@ impl RpcEndpoint {
         // A process has at most one call outstanding, and this is a
         // debugger query: scan the outstanding calls.
         let (counter, c) = self.client.iter().find(|(_, c)| c.pid == pid)?;
+        let (proc, protocol) = c.header();
         Some(CallDebug {
             call_id: make_call_id(self.node_id, counter),
-            proc: c.proc.clone(),
-            protocol: c.protocol,
+            proc: proc.clone(),
+            protocol,
             state: c
                 .info
                 .as_ref()
@@ -420,9 +432,7 @@ impl RpcEndpoint {
         // The cached reply is kept for good and says which it was; the
         // ten-slot buffer forgets.
         match self.seen.get(call_id) {
-            Some(Some(reply)) => {
-                ServerKnowledge::Replied(matches!(reply.outcome, Outcome::Replied(_)))
-            }
+            Some(Some(reply)) => ServerKnowledge::Replied(reply.replied()),
             Some(None) => ServerKnowledge::Executing,
             None => ServerKnowledge::NeverSeen,
         }
@@ -570,8 +580,6 @@ impl RpcEndpoint {
         self.client.push(ClientCall {
             pid,
             token,
-            proc: req.proc_name.clone(),
-            protocol: req.protocol,
             ret_types,
             attempts: 1,
             info,
@@ -647,9 +655,9 @@ impl RpcEndpoint {
             } => {
                 // Exactly-once duplicate suppression and reply cache: the
                 // one find-or-insert that also records a new call.
-                let (seen, known) = self.seen.find_or_insert(call_id);
+                let (cached, known) = self.seen.find_or_insert(call_id);
                 if known && protocol == RpcProtocol::ExactlyOnce {
-                    if let Some(cached) = seen {
+                    if let Some(cached) = cached {
                         let reply = cached.packet(call_id);
                         let bytes = reply.wire_bytes(self.config.header_bytes);
                         if self.tracer.wants(TraceCategory::Rpc) {
@@ -675,7 +683,9 @@ impl RpcEndpoint {
                     return; // executing or re-replied; drop duplicate
                 }
                 // A maybe call is never suppressed: it executes again.
-                *seen = None;
+                if known {
+                    self.seen.restart(call_id);
+                }
                 // Fully type-checked dispatch: resolve the target signature
                 // and validate the decoded arguments against it.
                 let program = node.program();
@@ -739,7 +749,7 @@ impl RpcEndpoint {
                 reason,
                 span: _,
             } => {
-                let kind = match self.client_call(call_id).map(|c| c.protocol) {
+                let kind = match self.client_call(call_id).map(|c| c.header().1) {
                     Some(RpcProtocol::Maybe) => Completion::MaybeFail(reason),
                     _ => Completion::Hard(reason),
                 };
@@ -779,14 +789,13 @@ impl RpcEndpoint {
         reason: String,
         net: &mut dyn RpcNet,
     ) {
-        let cached = CachedReply {
-            span: SpanId::to_wire(span),
-            outcome: Outcome::Failed(reason.as_str().into()),
-        };
+        let wire_span = SpanId::to_wire(span);
+        self.seen
+            .record(call_id, wire_span, Outcome::Failed(&reason));
         let pkt = RpcPacket::ReplyFailure {
             call_id,
             reason,
-            span: cached.span,
+            span: wire_span,
         };
         let bytes = pkt.wire_bytes(self.config.header_bytes);
         let mut now = now;
@@ -797,7 +806,6 @@ impl RpcEndpoint {
         if self.config.debug_support {
             self.server_recent.record(call_id, false);
         }
-        *self.seen.find_or_insert(call_id).0 = Some(cached);
         if self.tracer.wants(TraceCategory::Rpc) {
             self.tracer.emit(
                 now,
@@ -1044,26 +1052,13 @@ impl RpcEndpoint {
             i.retries.set(i.retries.get() + 1);
             i.state.set(RpcCallState::Retransmitting(i.retries.get()));
         }
-        let pkt = match &call.pkt {
-            RpcPacket::Call {
-                call_id,
-                proc,
-                args,
-                protocol,
-                span,
-                ..
-            } => RpcPacket::Call {
-                call_id: *call_id,
-                proc: proc.clone(),
-                args: args.clone(),
-                protocol: *protocol,
-                attempt: call.attempts - 1,
-                // A retransmission is the same causal activity: the span
-                // header crosses the wire unchanged.
-                span: *span,
-            },
-            other => other.clone(),
-        };
+        // A retransmission is the same causal activity: everything but
+        // the attempt ordinal, the span header included, crosses the wire
+        // unchanged.
+        let mut pkt = call.pkt.clone();
+        if let RpcPacket::Call { attempt, .. } = &mut pkt {
+            *attempt = call.attempts - 1;
+        }
         let (dst, bytes) = (call.dst, call.bytes);
         let (span, attempt) = (call.span, call.attempts - 1);
         if self.tracer.wants(TraceCategory::Rpc) {
@@ -1093,14 +1088,13 @@ impl RpcEndpoint {
         net: &mut dyn RpcNet,
     ) {
         // Cached for exactly-once duplicate calls.
-        let cached = CachedReply {
-            span: SpanId::to_wire(span),
-            outcome: Outcome::Replied(results.as_slice().into()),
-        };
+        let wire_span = SpanId::to_wire(span);
+        self.seen
+            .record(call_id, wire_span, Outcome::Replied(&results));
         let pkt = RpcPacket::Reply {
             call_id,
             results,
-            span: cached.span,
+            span: wire_span,
         };
         let bytes = pkt.wire_bytes(self.config.header_bytes);
         let mut now = now;
@@ -1111,7 +1105,6 @@ impl RpcEndpoint {
         if self.config.debug_support {
             self.server_recent.record(call_id, true);
         }
-        *self.seen.find_or_insert(call_id).0 = Some(cached);
         if self.tracer.wants(TraceCategory::Rpc) {
             self.tracer.emit(
                 now,
@@ -1218,7 +1211,7 @@ impl RpcEndpoint {
                     self.client_recent.record(call_id, true);
                 }
                 let mut values = Vec::with_capacity(results.len() + 1);
-                if call.protocol == RpcProtocol::Maybe {
+                if call.header().1 == RpcProtocol::Maybe {
                     values.push(Value::Bool(true));
                 }
                 for w in &results {

@@ -96,10 +96,11 @@ impl ModelEndpoint {
     fn call_for_process(&self, pid: Pid) -> Option<CallDebug> {
         let id = self.by_pid.get(&pid)?;
         let c = self.client.get(id)?;
+        let (proc, protocol) = c.header();
         Some(CallDebug {
             call_id: *id,
-            proc: c.proc.clone(),
-            protocol: c.protocol,
+            proc: proc.clone(),
+            protocol,
             state: c
                 .info
                 .as_ref()
@@ -225,8 +226,6 @@ impl ModelEndpoint {
             ClientCall {
                 pid,
                 token,
-                proc: req.proc_name.clone(),
-                protocol: req.protocol,
                 ret_types,
                 attempts: 1,
                 info,
@@ -343,7 +342,7 @@ impl ModelEndpoint {
             RpcPacket::ReplyFailure {
                 call_id, reason, ..
             } => {
-                let kind = match self.client.get(&call_id).map(|c| c.protocol) {
+                let kind = match self.client.get(&call_id).map(|c| c.header().1) {
                     Some(RpcProtocol::Maybe) => Completion::MaybeFail(reason),
                     _ => Completion::Hard(reason),
                 };
@@ -648,7 +647,7 @@ impl ModelEndpoint {
         match kind {
             Completion::Success(results) => {
                 let mut values = Vec::with_capacity(results.len() + 1);
-                if call.protocol == RpcProtocol::Maybe {
+                if call.header().1 == RpcProtocol::Maybe {
                     values.push(Value::Bool(true));
                 }
                 for w in &results {

@@ -13,6 +13,14 @@ use std::sync::Arc;
 use pilgrim_cclu::{Heap, HeapObject, RecordType, Type, Value};
 use pilgrim_sim::Json;
 
+/// Tag bytes of [`WireValue::encode_into`].
+const TAG_NULL: u8 = 0;
+const TAG_INT: u8 = 1;
+const TAG_BOOL: u8 = 2;
+const TAG_STR: u8 = 3;
+const TAG_RECORD: u8 = 4;
+const TAG_ARRAY: u8 = 5;
+
 /// A value in wire form: self-contained, heap-independent.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireValue {
@@ -61,6 +69,88 @@ impl WireValue {
             }
             WireValue::Array(items) => 4 + items.iter().map(WireValue::wire_bytes).sum::<usize>(),
         }
+    }
+
+    /// Appends the value's byte form to `out`: one tag byte, then the
+    /// payload — a little-endian `i64`, a `bool` byte, or a little-endian
+    /// `u32` length followed by the string's bytes or the elements. A
+    /// record is its name as a string, then its fields as an array. The
+    /// reply cache keeps results in this form ([`decode`](Self::decode)).
+    ///
+    /// # Panics
+    ///
+    /// A string or a container longer than `u32::MAX`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let len = |n: usize, out: &mut Vec<u8>| {
+            let n = u32::try_from(n).expect("a wire value's lengths fit in a u32");
+            out.extend_from_slice(&n.to_le_bytes());
+        };
+        match self {
+            WireValue::Null => out.push(TAG_NULL),
+            WireValue::Int(i) => {
+                out.push(TAG_INT);
+                out.extend_from_slice(&i.to_le_bytes());
+            }
+            WireValue::Bool(b) => out.extend_from_slice(&[TAG_BOOL, u8::from(*b)]),
+            WireValue::Str(s) => {
+                out.push(TAG_STR);
+                len(s.len(), out);
+                out.extend_from_slice(s.as_bytes());
+            }
+            WireValue::Record { type_name, fields } => {
+                out.push(TAG_RECORD);
+                len(type_name.len(), out);
+                out.extend_from_slice(type_name.as_bytes());
+                len(fields.len(), out);
+                fields.iter().for_each(|f| f.encode_into(out));
+            }
+            WireValue::Array(items) => {
+                out.push(TAG_ARRAY);
+                len(items.len(), out);
+                items.iter().for_each(|i| i.encode_into(out));
+            }
+        }
+    }
+
+    /// Reads one value's [`encode_into`](Self::encode_into) form off the
+    /// front of `bytes`, advancing past it. `None` when the bytes are not
+    /// such a form; the reply cache only decodes what it encoded.
+    pub fn decode(bytes: &mut &[u8]) -> Option<WireValue> {
+        fn take<'a>(bytes: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+            let (head, rest) = bytes.split_at_checked(n)?;
+            *bytes = rest;
+            Some(head)
+        }
+        fn len(bytes: &mut &[u8]) -> Option<usize> {
+            let n = u32::from_le_bytes(take(bytes, 4)?.try_into().ok()?);
+            Some(n as usize)
+        }
+        fn text(bytes: &mut &[u8]) -> Option<Arc<str>> {
+            let n = len(bytes)?;
+            std::str::from_utf8(take(bytes, n)?).ok().map(Arc::from)
+        }
+        fn values(bytes: &mut &[u8]) -> Option<Vec<WireValue>> {
+            let n = len(bytes)?;
+            // Every element is at least its tag byte, so a count the bytes
+            // cannot hold is refused before it sizes anything.
+            let mut out = Vec::with_capacity(n.min(bytes.len()));
+            for _ in 0..n {
+                out.push(WireValue::decode(bytes)?);
+            }
+            Some(out)
+        }
+        Some(match take(bytes, 1)?[0] {
+            TAG_NULL => WireValue::Null,
+            TAG_INT => WireValue::Int(i64::from_le_bytes(take(bytes, 8)?.try_into().ok()?)),
+            TAG_BOOL => WireValue::Bool(take(bytes, 1)?[0] != 0),
+            TAG_STR => WireValue::Str(text(bytes)?),
+            TAG_RECORD => WireValue::Record {
+                type_name: text(bytes)?,
+                fields: values(bytes)?,
+            },
+            TAG_ARRAY => WireValue::Array(values(bytes)?),
+            _ => return None,
+        })
     }
 
     /// The value as tagged JSON for the replay journal. Wire values are
@@ -442,6 +532,63 @@ mod tests {
             let w2 = WireValue::from_json(&parsed)?;
             ensure_eq(w.clone(), w2)
         });
+    }
+
+    /// `decode` reads back exactly what `encode_into` wrote, value after
+    /// value from one buffer, and refuses every strict prefix of a value.
+    fn byte_form_roundtrip(w: &WireValue) -> Result<(), String> {
+        let mut bytes = Vec::new();
+        w.encode_into(&mut bytes);
+        let one = bytes.len();
+        w.encode_into(&mut bytes);
+        WireValue::Null.encode_into(&mut bytes);
+        let mut rest = bytes.as_slice();
+        for want in [w, w, &WireValue::Null] {
+            ensure_eq(WireValue::decode(&mut rest).as_ref(), Some(want))?;
+        }
+        ensure(rest.is_empty(), format!("{} bytes left over", rest.len()))?;
+        for cut in 0..one {
+            let mut prefix = &bytes[..cut];
+            ensure_eq(WireValue::decode(&mut prefix), None)?;
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn prop_byte_form_roundtrip() {
+        let edges = [
+            WireValue::Int(i64::MIN),
+            WireValue::Int(i64::MAX),
+            WireValue::Int(-1),
+            WireValue::Str("".into()),
+            WireValue::Str("λ→😀".into()),
+            WireValue::Array(vec![]),
+            WireValue::Record {
+                type_name: "".into(),
+                fields: vec![],
+            },
+            WireValue::Record {
+                type_name: "r".into(),
+                fields: vec![WireValue::Array(vec![WireValue::Str("".into())])],
+            },
+        ];
+        for w in &edges {
+            byte_form_roundtrip(w).unwrap_or_else(|e| panic!("{w:?}: {e}"));
+        }
+        check_n(
+            "marshal_prop_byte_form_roundtrip",
+            256,
+            &WireGen,
+            byte_form_roundtrip,
+        );
+        // Bytes the encoder never writes are refused, not guessed at.
+        for hostile in [
+            &[9u8][..],
+            &[TAG_ARRAY, 0xff, 0xff, 0xff, 0xff],
+            &[TAG_STR, 1, 0, 0, 0, 0xff],
+        ] {
+            assert_eq!(WireValue::decode(&mut &hostile[..]), None, "{hostile:?}");
+        }
     }
 
     /// Encoded size is positive and grows monotonically with nesting.

@@ -9,6 +9,12 @@
 //! follows finds it near the tail, and only retransmissions and
 //! jitter-reordered packets reach the binary search. The callers are
 //! themselves a log sorted by node id — the same structure one level up.
+//!
+//! Entries are never dropped, so they are kept at the size of what they
+//! say. A caller's log holds 24-byte entries — the counter, the reply's
+//! span header and where its outcome lies — and the outcomes sit back to
+//! back in one byte arena per caller: a tag byte, then the results in the
+//! byte form of [`WireValue::encode_into`] or the failure reason's UTF-8.
 
 use std::cmp::Ordering;
 
@@ -61,68 +67,175 @@ impl<T: Default> SortedLog<T> {
     }
 }
 
-/// How a served call ended, as its reply said.
-#[derive(Debug, PartialEq)]
-pub(crate) enum Outcome {
-    /// The marshalled results of a [`RpcPacket::Reply`].
-    Replied(Box<[WireValue]>),
-    /// The reason of a [`RpcPacket::ReplyFailure`].
-    Failed(Box<str>),
+/// Tag byte of an outcome whose reply carried results.
+const REPLIED: u8 = 0;
+/// Tag byte of an outcome whose reply carried a failure reason.
+const FAILED: u8 = 1;
+/// [`Slot::len`] of a call that is still executing.
+const EXECUTING: u32 = u32::MAX;
+
+/// A call as its caller's log keeps it: the span header its reply carried
+/// and where the reply's outcome lies in the caller's arena — `len` bytes
+/// from `at`, or `len == EXECUTING` while no reply has been sent.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    span: u64,
+    at: u32,
+    len: u32,
 }
 
-/// What a reply said, kept so a retransmitted call is answered without
-/// executing twice. The call id is the cache key and the wire size is a
-/// function of the packet, so the reply is rebuilt from these two fields
-/// rather than stored.
-#[derive(Debug, PartialEq)]
-pub(crate) struct CachedReply {
-    /// The causal span header the reply carried.
-    pub(crate) span: u64,
-    /// What the reply carried besides its header.
-    pub(crate) outcome: Outcome,
-}
-
-impl CachedReply {
-    /// The reply packet to `call_id` that this entry was cached from.
-    pub(crate) fn packet(&self, call_id: CallId) -> RpcPacket {
-        let span = self.span;
-        match &self.outcome {
-            Outcome::Replied(results) => RpcPacket::Reply {
-                call_id,
-                span,
-                results: results.to_vec(),
-            },
-            Outcome::Failed(reason) => RpcPacket::ReplyFailure {
-                call_id,
-                span,
-                reason: reason.to_string(),
-            },
+impl Default for Slot {
+    fn default() -> Slot {
+        Slot {
+            span: 0,
+            at: 0,
+            len: EXECUTING,
         }
     }
 }
 
-/// Every call this node has accepted, keyed by call id. The value is
-/// `None` while the call executes and the reply's outcome once one has
-/// been sent. Entries are never dropped: a client halted under the
-/// debugger re-arms its retry timer without consuming an attempt (§5.2),
-/// so no bound on a retransmission's lateness follows from the retry
-/// ladder.
+/// One caller's calls, and the bytes of their outcomes.
 #[derive(Debug, Default)]
-pub(crate) struct SeenCalls(SortedLog<SortedLog<Option<CachedReply>>>);
+struct CallerLog {
+    calls: SortedLog<Slot>,
+    arena: Vec<u8>,
+}
+
+impl CallerLog {
+    fn reply(&self, slot: Slot) -> Option<CachedReply<'_>> {
+        (slot.len != EXECUTING).then(|| {
+            let at = slot.at as usize;
+            CachedReply {
+                span: slot.span,
+                bytes: &self.arena[at..at + slot.len as usize],
+            }
+        })
+    }
+}
+
+/// How a served call ended, as its reply said.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Outcome<'a> {
+    /// The marshalled results of a [`RpcPacket::Reply`].
+    Replied(&'a [WireValue]),
+    /// The reason of a [`RpcPacket::ReplyFailure`].
+    Failed(&'a str),
+}
+
+/// What a reply said, kept so a retransmitted call is answered without
+/// executing twice: the span header it carried and its outcome's bytes.
+/// The call id is the cache key and the wire size is a function of the
+/// packet, so the reply is rebuilt from these rather than stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CachedReply<'a> {
+    span: u64,
+    bytes: &'a [u8],
+}
+
+impl CachedReply<'_> {
+    /// Whether the reply carried results rather than a failure.
+    pub(crate) fn replied(&self) -> bool {
+        self.bytes.first() == Some(&REPLIED)
+    }
+
+    /// The reply packet to `call_id` that this entry was cached from.
+    pub(crate) fn packet(&self, call_id: CallId) -> RpcPacket {
+        let span = self.span;
+        let (tag, mut rest) = self
+            .bytes
+            .split_first()
+            .expect("an outcome opens with its tag");
+        if *tag == REPLIED {
+            let mut results = Vec::new();
+            while !rest.is_empty() {
+                let value = WireValue::decode(&mut rest);
+                results.push(value.expect("the cache decodes what it encoded"));
+            }
+            RpcPacket::Reply {
+                call_id,
+                span,
+                results,
+            }
+        } else {
+            RpcPacket::ReplyFailure {
+                call_id,
+                span,
+                reason: String::from_utf8_lossy(rest).into_owned(),
+            }
+        }
+    }
+}
+
+/// Every call this node has accepted, keyed by call id: executing, or
+/// answered with the outcome its reply carried. Entries are never
+/// dropped: a client halted under the debugger re-arms its retry timer
+/// without consuming an attempt (§5.2), so no bound on a retransmission's
+/// lateness follows from the retry ladder.
+#[derive(Debug, Default)]
+pub(crate) struct SeenCalls(SortedLog<CallerLog>);
 
 impl SeenCalls {
-    /// The record of `id`, created (as executing) when this is the first
-    /// the server hears of it, and whether it already existed.
-    pub(crate) fn find_or_insert(&mut self, id: CallId) -> (&mut Option<CachedReply>, bool) {
-        let (caller, _) = self.0.find_or_insert(u64::from(call_id_node(id).0));
-        caller.find_or_insert(call_id_counter(id))
+    /// The log of `id`'s caller, created empty when this is the first the
+    /// server hears from it.
+    fn caller(&mut self, id: CallId) -> &mut CallerLog {
+        self.0.find_or_insert(u64::from(call_id_node(id).0)).0
+    }
+
+    /// The record of `id` — its cached reply, `None` while it executes —
+    /// created (as executing) when this is the first the server hears of
+    /// it, and whether it already existed.
+    pub(crate) fn find_or_insert(&mut self, id: CallId) -> (Option<CachedReply<'_>>, bool) {
+        let caller = self.caller(id);
+        let (slot, known) = caller.calls.find_or_insert(call_id_counter(id));
+        let slot = *slot;
+        (caller.reply(slot), known)
     }
 
     /// The record of `id`, if the server has heard of it.
-    pub(crate) fn get(&self, id: CallId) -> Option<&Option<CachedReply>> {
-        self.0
-            .get(u64::from(call_id_node(id).0))?
-            .get(call_id_counter(id))
+    pub(crate) fn get(&self, id: CallId) -> Option<Option<CachedReply<'_>>> {
+        let caller = self.0.get(u64::from(call_id_node(id).0))?;
+        Some(caller.reply(*caller.calls.get(call_id_counter(id))?))
+    }
+
+    /// Marks `id` as executing again: a duplicate `maybe` call is never
+    /// suppressed. The bytes of an earlier outcome stay in the arena,
+    /// unreferenced, so what a node orphans is bounded by the duplicates
+    /// it re-executed.
+    pub(crate) fn restart(&mut self, id: CallId) {
+        let caller = self.caller(id);
+        *caller.calls.find_or_insert(call_id_counter(id)).0 = Slot::default();
+    }
+
+    /// Caches the outcome of the reply sent to `id`, appending its bytes
+    /// to the caller's arena.
+    ///
+    /// # Panics
+    ///
+    /// One caller's outcomes passing 4 GiB.
+    pub(crate) fn record(&mut self, id: CallId, span: u64, outcome: Outcome<'_>) {
+        let caller = self.caller(id);
+        let arena = &mut caller.arena;
+        let at = arena.len();
+        match outcome {
+            Outcome::Replied(results) => {
+                arena.push(REPLIED);
+                results.iter().for_each(|r| r.encode_into(arena));
+            }
+            Outcome::Failed(reason) => {
+                arena.push(FAILED);
+                arena.extend_from_slice(reason.as_bytes());
+            }
+        }
+        let end = u32::try_from(arena.len())
+            .ok()
+            .filter(|&end| end != EXECUTING)
+            .expect("one caller's cached replies fit in 4 GiB");
+        let at = at as u32;
+        *caller.calls.find_or_insert(call_id_counter(id)).0 = Slot {
+            span,
+            at,
+            len: end - at,
+        };
     }
 }
 
@@ -131,6 +244,8 @@ mod tests {
     use super::*;
     use crate::packet::make_call_id;
     use pilgrim_ring::NodeId;
+    use pilgrim_sim::check::{check, ensure_eq, int_range, u64_range, vecs, zip};
+    use pilgrim_sim::DetRng;
 
     #[test]
     fn insertion_below_the_tail_lands_in_order_and_a_duplicate_finds_the_same_entry() {
@@ -161,20 +276,17 @@ mod tests {
     #[test]
     fn callers_are_kept_apart_and_an_unheard_of_node_allocates_nothing_large() {
         let mut seen = SeenCalls::default();
-        let reply = |id| CachedReply {
-            span: id,
-            outcome: Outcome::Replied(Box::new([])),
-        };
         // Interleaved callers, counters arriving out of order per caller.
         for (node, counter) in [(3, 1), (0, 7), (3, 3), (9, 1), (0, 2), (3, 2)] {
             let id = make_call_id(NodeId(node), counter);
             let (entry, existed) = seen.find_or_insert(id);
             assert!(!existed && entry.is_none());
-            *entry = Some(reply(id));
+            seen.record(id, id, Outcome::Replied(&[]));
         }
         for (node, counter) in [(0, 2), (0, 7), (3, 1), (3, 2), (3, 3), (9, 1)] {
             let id = make_call_id(NodeId(node), counter);
-            assert_eq!(seen.get(id), Some(&Some(reply(id))));
+            let reply = seen.get(id).flatten().expect("replied");
+            assert_eq!((reply.span, reply.bytes), (id, &[REPLIED][..]));
             assert!(seen.find_or_insert(id).1);
         }
         // Same counter, another node; and a node id no station has.
@@ -201,20 +313,176 @@ mod tests {
                 reason: "remote fault".into(),
             },
         ];
-        let cached = [
-            CachedReply {
-                span: 17,
-                outcome: Outcome::Replied(results.into()),
-            },
-            CachedReply {
-                span: 0,
-                outcome: Outcome::Failed("remote fault".into()),
-            },
-        ];
-        for (sent, cached) in sent.iter().zip(&cached) {
+        let outcomes = [Outcome::Replied(&results), Outcome::Failed("remote fault")];
+        for (sent, outcome) in sent.iter().zip(outcomes) {
+            let mut seen = SeenCalls::default();
+            seen.record(id, sent.span().map_or(0, |s| s.get()), outcome);
+            let cached = seen.get(id).flatten().expect("recorded");
             assert_eq!(&cached.packet(id), sent);
+            assert_eq!(cached.replied(), matches!(outcome, Outcome::Replied(_)));
         }
-        // A log entry is the counter, the span and a boxed outcome.
-        assert!(std::mem::size_of::<(u64, Option<CachedReply>)>() <= 40);
+        // A log entry is the counter, the span and where the outcome lies.
+        assert_eq!(std::mem::size_of::<(u64, Slot)>(), 24);
+    }
+
+    /// The reply cache as it was before it kept bytes: each entry boxes a
+    /// copy of its outcome, `None` while the call executes.
+    #[derive(Debug, Default)]
+    struct Oracle(SortedLog<SortedLog<Option<OracleReply>>>);
+
+    #[derive(Debug)]
+    struct OracleReply {
+        span: u64,
+        outcome: OracleOutcome,
+    }
+
+    #[derive(Debug)]
+    enum OracleOutcome {
+        Replied(Box<[WireValue]>),
+        Failed(Box<str>),
+    }
+
+    impl OracleReply {
+        fn packet(&self, call_id: CallId) -> RpcPacket {
+            let span = self.span;
+            match &self.outcome {
+                OracleOutcome::Replied(results) => RpcPacket::Reply {
+                    call_id,
+                    span,
+                    results: results.to_vec(),
+                },
+                OracleOutcome::Failed(reason) => RpcPacket::ReplyFailure {
+                    call_id,
+                    span,
+                    reason: reason.to_string(),
+                },
+            }
+        }
+    }
+
+    impl Oracle {
+        fn find_or_insert(&mut self, id: CallId) -> (&mut Option<OracleReply>, bool) {
+            let (caller, _) = self.0.find_or_insert(u64::from(call_id_node(id).0));
+            caller.find_or_insert(call_id_counter(id))
+        }
+
+        fn get(&self, id: CallId) -> Option<&Option<OracleReply>> {
+            self.0
+                .get(u64::from(call_id_node(id).0))?
+                .get(call_id_counter(id))
+        }
+    }
+
+    /// A string of `n` characters, some of them multi-byte.
+    fn text(rng: &mut DetRng) -> String {
+        let n = [0, 1, 7, 300][rng.below(4) as usize];
+        (0..n).map(|i| if i % 5 == 4 { 'λ' } else { 'a' }).collect()
+    }
+
+    /// An arbitrary results value, nested up to `depth` levels.
+    fn value(rng: &mut DetRng, depth: u32) -> WireValue {
+        let composite = |rng: &mut DetRng| -> Vec<WireValue> {
+            (0..rng.below(4)).map(|_| value(rng, depth - 1)).collect()
+        };
+        match rng.below(if depth == 0 { 4 } else { 6 }) {
+            0 => WireValue::Null,
+            1 => WireValue::Int(match rng.below(4) {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                2 => -1,
+                _ => rng.next_u64() as i64,
+            }),
+            2 => WireValue::Bool(rng.below(2) == 1),
+            3 => WireValue::Str(text(rng).into()),
+            4 => WireValue::Array(composite(rng)),
+            _ => WireValue::Record {
+                type_name: text(rng).into(),
+                fields: composite(rng),
+            },
+        }
+    }
+
+    /// Callers, among them node ids no ring has.
+    const NODES: [u32; 5] = [0, 1, 3, 0x7f_ffff, 0xff_ffff];
+
+    /// Random streams of the four things the endpoint does to the cache —
+    /// find-or-insert a call, restart a `maybe` call, record a reply (empty,
+    /// nested, long-stringed) or a failure — over interleaved callers and
+    /// out-of-order, duplicated and hostile counters, on the byte log and on
+    /// the boxed oracle. After every step, every id met so far (and some
+    /// never met) must read the same, down to the rebuilt packet.
+    #[test]
+    fn the_byte_log_matches_the_boxed_reply_oracle() {
+        let ops = vecs(
+            zip(
+                zip(int_range(0, 6), int_range(0, NODES.len() as i64)),
+                zip(int_range(0, 44), u64_range(0, u64::MAX)),
+            ),
+            120,
+        );
+        check("seen byte log == boxed reply oracle", &ops, |ops| {
+            let mut seen = SeenCalls::default();
+            let mut oracle = Oracle::default();
+            let mut ids = vec![make_call_id(NodeId(2), 1)];
+            let read = |r: Option<CachedReply<'_>>, id| r.map(|r| r.packet(id));
+            let read_oracle = |r: &Option<OracleReply>, id| r.as_ref().map(|r| r.packet(id));
+            for &((op, node), (counter, seed)) in ops {
+                let counter = match counter {
+                    40 => 0,
+                    41 => 0xff_ffff_ffff,
+                    42 => 0xff_ffff_fffe,
+                    43 => 1 << 32,
+                    small => 1_000 - small as u64 * 7,
+                };
+                let id = make_call_id(NodeId(NODES[node as usize]), counter);
+                if !ids.contains(&id) {
+                    ids.push(id);
+                }
+                let mut rng = DetRng::seed(seed);
+                let span = rng.next_u64();
+                match op {
+                    0 => {
+                        let (got, known) = seen.find_or_insert(id);
+                        let got = (read(got, id), known);
+                        let (want, existed) = oracle.find_or_insert(id);
+                        ensure_eq(got, (read_oracle(want, id), existed))?;
+                    }
+                    1 => {
+                        seen.restart(id);
+                        *oracle.find_or_insert(id).0 = None;
+                    }
+                    2 | 3 => {
+                        let results: Vec<WireValue> = (0..rng.below(4) * (op - 2) as u64)
+                            .map(|_| value(&mut rng, 3))
+                            .collect();
+                        seen.record(id, span, Outcome::Replied(&results));
+                        *oracle.find_or_insert(id).0 = Some(OracleReply {
+                            span,
+                            outcome: OracleOutcome::Replied(results.into()),
+                        });
+                    }
+                    4 => {
+                        let reason = text(&mut rng);
+                        seen.record(id, span, Outcome::Failed(&reason));
+                        *oracle.find_or_insert(id).0 = Some(OracleReply {
+                            span,
+                            outcome: OracleOutcome::Failed(reason.into()),
+                        });
+                    }
+                    _ => {}
+                }
+                for &id in ids.iter().chain(&[make_call_id(NodeId(1), 0xff_ffff_fffd)]) {
+                    let got = seen.get(id).map(|r| read(r, id));
+                    ensure_eq(got, oracle.get(id).map(|r| read_oracle(r, id)))?;
+                    let replied = seen.get(id).flatten().map(|r| r.replied());
+                    let want = oracle.get(id).and_then(Option::as_ref);
+                    ensure_eq(
+                        replied,
+                        want.map(|r| matches!(r.outcome, OracleOutcome::Replied(_))),
+                    )?;
+                }
+            }
+            Ok(())
+        });
     }
 }

@@ -13,6 +13,8 @@
 //!   identical seeds give identical runs;
 //! * [`IdWindow`] — the hash-free table both it and the RPC call tables
 //!   keep densely issued ids in;
+//! * [`Chunked`] — the append-only store of records kept for a world's
+//!   life (process tables, the stimulus journal), with no doubling slack;
 //! * [`DetRng`] — seeded, forkable randomness for loss models and jitter;
 //! * [`Tracer`] — structured, span-linked event recording that tests
 //!   assert against (typed [`EventKind`] payloads, lazy rendering);
@@ -44,6 +46,7 @@
 
 mod causal;
 pub mod check;
+mod chunked;
 mod event;
 pub mod json;
 mod metrics;
@@ -56,6 +59,7 @@ mod window;
 mod workload;
 
 pub use causal::{CausalGraph, SpanProfile};
+pub use chunked::Chunked;
 pub use event::{EventId, EventQueue};
 pub use json::{escape_into, quote_into, Json, JsonError};
 pub use metrics::{bucket_quantile, render_bucket_bound, Counter, Gauge, Histogram, Metrics};

@@ -26,6 +26,9 @@
 //!   the calls already served, and one served by a native handler costs
 //!   less still (no server process, and no `String` key to find the
 //!   handler by);
+//! * what a run keeps for the life of the world is kept at its size: a
+//!   served call leaves a 24-byte reply-cache entry and its outcome's
+//!   bytes, and a driving call one 40-byte journal entry (live bytes);
 //! * with a session connected, a debugger request costs what it returns:
 //!   a process listing makes the same number of allocator calls whether
 //!   the node holds a dozen records or several hundred (dead ones are
@@ -399,6 +402,66 @@ fn a_null_rpc_costs_at_most_five_allocations() {
         "{handled:.2} allocations per handled call: no server process, no key for the handler"
     );
     assert!((handled_late - handled).abs() <= 0.2);
+}
+
+/// What one served exactly-once call leaves in the server's reply cache:
+/// a 24-byte entry in its caller's log and the bytes of its outcome (an
+/// empty reply is its tag byte alone). The calls go to a native handler,
+/// so no server process record is kept beside them, and the client loops
+/// in one process. A first batch of 1 024 calls fills the caller's log
+/// and arena to exactly their capacity, so the measured batch of 1 024
+/// doubles each once, and the client's record is spread over 1 024 calls.
+#[test]
+fn a_served_call_keeps_an_entry_and_its_outcome_bytes() {
+    let mut w = world(2, NULL_RPCS, false);
+    w.endpoint_mut(1).register_handler("native", Box::new(Null));
+    let mut batch = |calls: i64| {
+        retained(|| {
+            w.spawn(0, "main_native", vec![Value::Int(calls)]);
+            w.run_until_idle(SimTime::from_secs(600));
+        })
+    };
+    batch(1_024);
+    let kept = batch(1_024);
+    let stats = w.endpoint(1).stats();
+    assert_eq!((stats.served, stats.retransmits), (2_048, 0));
+    let per_call = kept as f64 / 1_024.0;
+    println!("{kept} bytes kept by 1 024 served calls: {per_call:.1} per call");
+    // 25.0 measured; a 40-byte entry beside a boxed copy of the results
+    // read 40.0.
+    assert!(per_call <= 28.0, "a served call keeps {per_call:.1} bytes");
+}
+
+/// What a `spawn` + `run_until` pair leaves in the stimulus journal: two
+/// 40-byte entries in chunks allocated whole, and no copy of the entry
+/// procedure's name. After 256 pairs the journal holds two full chunks
+/// and the process table one, so 512 more pairs allocate exactly four
+/// journal chunks and two table chunks; the table's are subtracted.
+#[test]
+fn a_spawn_and_a_run_keep_two_forty_byte_journal_entries() {
+    let mut w = world(1, "main = proc ()\nend", false);
+    let mut at = SimTime::ZERO;
+    let mut pairs = |w: &mut World, n: u32| {
+        retained(|| {
+            for _ in 0..n {
+                w.spawn(0, "main", vec![]);
+                at += SimDuration::from_millis(1);
+                w.run_until(at);
+            }
+        })
+    };
+    pairs(&mut w, 256);
+    let kept = pairs(&mut w, 512);
+    assert_eq!((w.journal().len(), w.node(0).process_count()), (1_536, 768));
+    let records = 512 * std::mem::size_of::<pilgrim_mayflower::Process>() as i64;
+    let per_pair = (kept - records) as f64 / 512.0;
+    println!("{kept} bytes kept by 512 pairs, {records} of them process records: {per_pair:.1} per pair in the journal");
+    // 80.4 measured; 64-byte entries in a doubling `Vec` and a `String`
+    // per spawn read 196.2.
+    assert!(
+        per_pair <= 88.0,
+        "a spawn + run_until pair keeps {per_pair:.1} bytes"
+    );
 }
 
 /// The benchmark's `debug-session` program: a three-tier call chain, so
