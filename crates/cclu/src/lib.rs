@@ -68,8 +68,8 @@ pub use value::{
 };
 pub use verify::{verify, VerifyError};
 pub use vm::{
-    step, ExecEnv, Fault, FaultKind, Frame, FrameKind, RpcCallState, RpcInfoBlock, RpcRequest,
-    StepOutcome, SyncCell, SysReply, Syscalls, VmProcess, MAX_FRAMES,
+    step, CellWord, ExecEnv, Fault, FaultKind, Frame, FrameKind, RpcCallState, RpcInfoBlock,
+    RpcRequest, StepOutcome, SyncCell, SysReply, Syscalls, VmProcess, MAX_FRAMES,
 };
 
 /// A compile-time error (lexical, syntactic, or type error) with the source

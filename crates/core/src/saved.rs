@@ -225,15 +225,10 @@ mod tests {
         artifact.render()
     }
 
-    /// A recording is outside input: every strict prefix of one, and every
-    /// seeded mutation of its document — an integer made huge, negative
-    /// or fractional, a string emptied or swapped for a number, an array
-    /// swapped with an object, a key dropped — loads as `Ok` or `Err` and
-    /// never panics.
+    /// A recording is outside input: see
+    /// [`loads_or_errs_when_cut_or_mutated`].
     #[test]
     fn hostile_recordings_are_errors_not_panics() {
-        use pilgrim_sim::check::{check_n, int_range, zip};
-
         let text = small_recording();
         let Ok(Saved::Recording(artifact)) = Saved::parse(&text) else {
             panic!("the recording loads");
@@ -253,18 +248,70 @@ mod tests {
         }
         assert!(text.contains("\"WriteVar\""));
 
+        loads_or_errs_when_cut_or_mutated(&text, "hostile recordings");
+    }
+
+    /// A small dump whose event ring holds RPC, debug and service events
+    /// as well as scheduling and network ones.
+    fn small_dump() -> String {
+        use crate::world::World;
+        use pilgrim_sim::{EventKind, SimTime, TraceCategory};
+
+        let mut w = World::builder()
+            .nodes(3)
+            .program(
+                "ping = proc ()\n print(\"pong\")\nend\nmain = proc ()\n call ping() at 1\nend",
+            )
+            .seed(13)
+            .build()
+            .expect("builds");
+        w.debug_connect(&[0, 1, 2], false).expect("connects");
+        w.break_at_proc(1, "ping").expect("plants");
+        w.spawn(0, "main", Vec::new());
+        w.run_until(SimTime::from_millis(60));
+        let note = EventKind::Message("lease renewed".into());
+        w.tracer()
+            .emit(w.now(), TraceCategory::Service, Some(2), None, note);
+        w.blackbox_snapshot("manual").render()
+    }
+
+    /// A flight-recorder dump is outside input too: the recording's
+    /// property, on a dump.
+    #[test]
+    fn hostile_dumps_are_errors_not_panics() {
+        let text = small_dump();
+        let Ok(Saved::Dump(snap)) = Saved::parse(&text) else {
+            panic!("the dump loads");
+        };
+        for category in ["rpc", "debug", "service"] {
+            let tag = format!("\"category\": \"{category}\"");
+            assert!(
+                snap.events.contains(&tag),
+                "no {category} event in the dump"
+            );
+        }
+        loads_or_errs_when_cut_or_mutated(&text, "hostile dumps");
+    }
+
+    /// Every strict prefix of `text`, and 2 000 seeded mutations of its
+    /// document — an integer made huge, negative or fractional, a string
+    /// emptied or swapped for a number, an array swapped with an object,
+    /// a key dropped — load as `Ok` or `Err` and never panic.
+    fn loads_or_errs_when_cut_or_mutated(text: &str, name: &str) {
+        use pilgrim_sim::check::{check_n, int_range, zip};
+
         for cut in (0..text.len()).filter(|&cut| text.is_char_boundary(cut)) {
             let _ = Saved::parse(&text[..cut]);
         }
 
-        let doc = Json::parse(&text).expect("parses");
+        let doc = Json::parse(text).expect("parses");
         let mut paths = Vec::new();
         collect_paths(&doc, &mut Vec::new(), &mut paths);
         let gen = zip(
             int_range(0, paths.len() as i64),
             zip(int_range(0, 6), int_range(0, 64)),
         );
-        check_n("hostile recordings", 2_000, &gen, |&(at, (op, pick))| {
+        check_n(name, 2_000, &gen, |&(at, (op, pick))| {
             let mut doc = doc.clone();
             let node = paths[at as usize]
                 .iter()

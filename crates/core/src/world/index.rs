@@ -3,12 +3,11 @@
 //! endpoint. The world holds two: one over `Node::next_activity`, one
 //! over `RpcEndpoint::next_timer`.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 
 use pilgrim_sim::SimTime;
 
-/// `pos` value of a station that is not in the runnable list.
+/// `pos` / `slot` value of a station that is not in that container.
 const UNLISTED: u32 = u32::MAX;
 
 /// Cached next-event time per station, held in one of two containers
@@ -16,8 +15,9 @@ const UNLISTED: u32 = u32::MAX;
 ///
 /// * a **parked** station ([`set`](Self::set)) waits for a future event —
 ///   a timer deadline. There are many of them and they rarely change, so
-///   they sit in a lazy min-heap that is never repaired: a superseded
-///   entry stops matching the cache and is shed when it surfaces.
+///   they sit in an indexed min-heap with one entry per station: a re-key
+///   sifts that entry in place, a station going quiescent or runnable
+///   takes it out.
 /// * a **runnable** station ([`set_runnable`](Self::set_runnable)) has
 ///   work at its own clock and is re-keyed at every sync point it steps
 ///   in. There are few of them and they always change, so they sit in a
@@ -33,19 +33,18 @@ const UNLISTED: u32 = u32::MAX;
 /// * [`drain_due`](Self::drain_due) takes a station out of its container
 ///   but keeps its cached time, so the station is in neither until it is
 ///   written again. The pump refreshes every station it touched before
-///   the window ends, restoring "every cached time is in a container" —
-///   what [`validate`](Self::validate) asserts between windows.
-/// * Two parked `set`s of one time leave two live heap entries (and a
-///   station that turns runnable at the time it was parked for leaves
-///   one beside its list slot), so `drain_due` can name a station twice;
-///   callers sort and dedup.
+///   the window ends, restoring "every cached time is in exactly one
+///   container, once" — what [`validate`](Self::validate) asserts
+///   between windows.
 #[derive(Debug, Default)]
 pub(super) struct ActivityIndex {
     /// Cached next-event time per station. `None` = quiescent.
     next: Vec<Option<SimTime>>,
-    /// Lazy min-heap over the parked stations' `(time, station)`. An entry
-    /// is live iff it matches `next` when it reaches the top.
-    heap: BinaryHeap<Reverse<(SimTime, usize)>>,
+    /// Min-heap over the parked stations' `(time, station)`, the key held
+    /// inline so a sift compares without reading `next`.
+    heap: Vec<(SimTime, u32)>,
+    /// Station → its position in `heap`, or [`UNLISTED`].
+    slot: Vec<u32>,
     /// The runnable stations, unordered; their times are in `next`.
     runnable: Vec<usize>,
     /// Station → its slot in `runnable`, or [`UNLISTED`].
@@ -64,6 +63,8 @@ impl ActivityIndex {
         self.next.clear();
         self.next.resize(stations, None);
         self.heap.clear();
+        self.slot.clear();
+        self.slot.resize(stations, UNLISTED);
         self.runnable.clear();
         self.pos.clear();
         self.pos.resize(stations, UNLISTED);
@@ -72,15 +73,32 @@ impl ActivityIndex {
 
     /// Records parked station `i`'s next-event time (`None` = quiescent).
     pub(super) fn set(&mut self, i: usize, t: Option<SimTime>) {
+        // Already parked at `t`, or quiescent in neither container: the
+        // common refresh of a station whose deadline did not move.
+        let parked = self.slot[i] != UNLISTED;
+        if self.next[i] == t && self.pos[i] == UNLISTED && parked == t.is_some() {
+            return;
+        }
         self.unlist(i);
         self.cache(i, t);
-        if let Some(t) = t {
-            self.heap.push(Reverse((t, i)));
+        match (t, self.slot[i]) {
+            (Some(t), UNLISTED) => {
+                self.heap.push((t, i as u32));
+                self.sift_up(self.heap.len() - 1);
+            }
+            (Some(t), at) => {
+                let at = at as usize;
+                let old = self.heap[at];
+                self.heap[at].0 = t;
+                self.resift(at, old);
+            }
+            (None, _) => self.unpark(i),
         }
     }
 
     /// Records that station `i` has work now, at its own clock `t`.
     pub(super) fn set_runnable(&mut self, i: usize, t: SimTime) {
+        self.unpark(i);
         self.cache(i, Some(t));
         if self.pos[i] == UNLISTED {
             self.pos[i] = self.runnable.len() as u32;
@@ -96,42 +114,101 @@ impl ActivityIndex {
 
     /// Takes station `i` out of the runnable list, if it is in it.
     fn unlist(&mut self, i: usize) {
-        let at = std::mem::replace(&mut self.pos[i], UNLISTED);
-        if at != UNLISTED {
-            self.runnable.swap_remove(at as usize);
-            if let Some(&moved) = self.runnable.get(at as usize) {
-                self.pos[moved] = at;
-            }
+        let at = self.pos[i];
+        if at == UNLISTED {
+            return;
+        }
+        self.pos[i] = UNLISTED;
+        self.runnable.swap_remove(at as usize);
+        if let Some(&moved) = self.runnable.get(at as usize) {
+            self.pos[moved] = at;
         }
     }
 
-    /// The live heap top, shedding stale entries above it.
-    fn peek_live(&mut self) -> Option<(SimTime, usize)> {
-        while let Some(&Reverse((t, i))) = self.heap.peek() {
-            if self.next[i] == Some(t) {
-                return Some((t, i));
-            }
-            self.heap.pop();
+    /// Takes station `i` out of the parked heap, if it is in it: the last
+    /// entry fills its place and sifts whichever way it must.
+    fn unpark(&mut self, i: usize) {
+        let at = self.slot[i];
+        if at == UNLISTED {
+            return;
         }
-        None
+        self.slot[i] = UNLISTED;
+        let last = self.heap.pop().expect("a parked station has an entry");
+        let at = at as usize;
+        if at < self.heap.len() {
+            let gone = std::mem::replace(&mut self.heap[at], last);
+            self.slot[last.1 as usize] = at as u32;
+            self.resift(at, gone);
+        }
+    }
+
+    /// Restores heap order after the entry at `at` replaced `old`.
+    fn resift(&mut self, at: usize, old: (SimTime, u32)) {
+        match self.heap[at].cmp(&old) {
+            Ordering::Less => self.sift_up(at),
+            Ordering::Greater => self.sift_down(at),
+            Ordering::Equal => {}
+        }
+    }
+
+    /// Puts `entry` at heap position `at` and records where it is.
+    fn place(&mut self, at: usize, entry: (SimTime, u32)) {
+        self.heap[at] = entry;
+        self.slot[entry.1 as usize] = at as u32;
+    }
+
+    fn sift_up(&mut self, mut at: usize) {
+        let entry = self.heap[at];
+        while at > 0 {
+            let parent = (at - 1) / 2;
+            if self.heap[parent] <= entry {
+                break;
+            }
+            self.place(at, self.heap[parent]);
+            at = parent;
+        }
+        self.place(at, entry);
+    }
+
+    fn sift_down(&mut self, mut at: usize) {
+        let entry = self.heap[at];
+        let len = self.heap.len();
+        loop {
+            let left = 2 * at + 1;
+            if left >= len {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < len && self.heap[right] < self.heap[left] {
+                right
+            } else {
+                left
+            };
+            if entry <= self.heap[child] {
+                break;
+            }
+            self.place(at, self.heap[child]);
+            at = child;
+        }
+        self.place(at, entry);
     }
 
     /// Earliest cached time still in a container.
-    pub(super) fn live_min(&mut self) -> Option<SimTime> {
-        let parked = self.peek_live().map(|(t, _)| t);
+    pub(super) fn live_min(&self) -> Option<SimTime> {
+        let parked = self.heap.first().map(|&(t, _)| t);
         let runnable = self.runnable.iter().filter_map(|&i| self.next[i]).min();
         parked.into_iter().chain(runnable).min()
     }
 
     /// Takes every station due at or before `upto` out of its container
-    /// and appends it to `out` (unsorted, possibly repeated).
+    /// and appends it to `out`, unsorted, each station once.
     pub(super) fn drain_due(&mut self, upto: SimTime, out: &mut Vec<usize>) {
-        while let Some((t, i)) = self.peek_live() {
+        while let Some(&(t, i)) = self.heap.first() {
             if t > upto {
                 break;
             }
-            self.heap.pop();
-            out.push(i);
+            self.unpark(i as usize);
+            out.push(i as usize);
         }
         let mut at = 0;
         while let Some(&i) = self.runnable.get(at) {
@@ -162,10 +239,12 @@ impl ActivityIndex {
     }
 
     /// Asserts the cache equals `fresh` (every station queried anew, in
-    /// order), every cached time is in the heap or the runnable list, the
-    /// list and its positions agree, and the count matches.
+    /// order); every cached time is in exactly one container — the
+    /// runnable list, or the heap under that time, once; the list, the
+    /// heap and their position tables agree; the heap is ordered; and the
+    /// count matches.
     pub(super) fn validate(&self, what: &str, fresh: impl Iterator<Item = Option<SimTime>>) {
-        let (mut active, mut listed) = (0, 0);
+        let (mut active, mut listed, mut parked) = (0, 0, 0);
         for (i, t) in fresh.enumerate() {
             assert_eq!(self.next[i], t, "{what} {i}: cached time out of sync");
             let at = self.pos[i];
@@ -177,16 +256,37 @@ impl ActivityIndex {
                     "{what} {i}: runnable list and positions disagree"
                 );
                 assert!(t.is_some(), "{what} {i}: quiescent but listed runnable");
+                assert_eq!(
+                    self.slot[i], UNLISTED,
+                    "{what} {i}: runnable station in the parked heap"
+                );
+            }
+            let slot = self.slot[i];
+            if slot != UNLISTED {
+                parked += 1;
+                assert_eq!(
+                    self.heap.get(slot as usize).map(|&(_, s)| s as usize),
+                    Some(i),
+                    "{what} {i}: parked heap and positions disagree"
+                );
+                assert!(t.is_some(), "{what} {i}: quiescent but parked");
             }
             if let Some(t) = t {
                 active += 1;
                 assert!(
-                    at != UNLISTED || self.heap.iter().any(|&Reverse(e)| e == (t, i)),
+                    at != UNLISTED || self.heap.get(slot as usize) == Some(&(t, i as u32)),
                     "{what} {i}: live entry missing from heap and runnable list"
                 );
             }
         }
         assert_eq!(self.runnable.len(), listed, "stray runnable {what}");
+        assert_eq!(self.heap.len(), parked, "stray parked {what}");
+        for c in 1..self.heap.len() {
+            assert!(
+                self.heap[(c - 1) / 2] <= self.heap[c],
+                "{what} heap out of order at {c}"
+            );
+        }
         assert_eq!(self.active, active, "active {what} count drifted");
     }
 }
@@ -206,11 +306,15 @@ mod tests {
         SimTime::from_micros(us)
     }
 
+    /// What `drain_due(upto)` names, sorted; each station at most once.
     fn drained(ix: &mut ActivityIndex, upto: u64) -> Vec<usize> {
         let mut out = ix.take_scratch();
         ix.drain_due(SimTime::from_micros(upto), &mut out);
         out.sort_unstable();
-        out.dedup();
+        assert!(
+            out.windows(2).all(|w| w[0] != w[1]),
+            "a station named twice: {out:?}"
+        );
         out
     }
 
@@ -225,13 +329,14 @@ mod tests {
     }
 
     #[test]
-    fn superseded_entries_are_shed_not_reported() {
+    fn a_rekey_moves_the_one_entry_and_quiescence_removes_it() {
         let mut ix = ActivityIndex::default();
         ix.reset(2);
         ix.set(0, at(5));
-        ix.set(0, at(50)); // the (5, 0) entry is now stale
+        ix.set(0, at(50)); // re-keyed in place, no stale (5, 0) left
         ix.set(1, at(20));
-        ix.set(1, None); // and so is (20, 1)
+        ix.set(1, None); // (20, 1) leaves the heap
+        assert_eq!(ix.heap, vec![(us(50), 0)]);
         assert_eq!(ix.active(), 1);
         assert_eq!(ix.live_min(), at(50));
         assert!(drained(&mut ix, 49).is_empty());
@@ -263,15 +368,46 @@ mod tests {
     }
 
     #[test]
-    fn repeated_set_of_one_time_reports_the_station_twice() {
+    fn repeated_set_of_one_time_reports_the_station_once() {
         let mut ix = ActivityIndex::default();
-        ix.reset(1);
+        ix.reset(2);
         ix.set(0, at(3));
         ix.set(0, at(3));
+        ix.set(1, at(3));
+        ix.set_runnable(1, us(3)); // leaves the heap for the list
+        assert_eq!(ix.heap, vec![(us(3), 0)]);
         let mut out = Vec::new();
         ix.drain_due(SimTime::from_micros(3), &mut out);
-        assert_eq!(out, vec![0, 0], "callers dedup");
-        assert_eq!(ix.active(), 1);
+        assert_eq!(out, vec![0, 1]);
+        assert_eq!(ix.active(), 2);
+    }
+
+    /// Re-keys up and down, removals from the middle and from the end
+    /// keep the heap ordered and its position table exact.
+    #[test]
+    fn the_parked_heap_re_keys_in_place() {
+        let mut ix = ActivityIndex::default();
+        ix.reset(8);
+        let mut model = [None; 8];
+        for (i, t) in [70, 10, 60, 20, 50, 30, 40, 80].into_iter().enumerate() {
+            ix.set(i, at(t));
+            model[i] = at(t);
+        }
+        for (i, t) in [
+            (0, Some(5)),
+            (1, Some(90)),
+            (4, None),
+            (7, None),
+            (3, Some(25)),
+        ] {
+            ix.set(i, t.and_then(at));
+            model[i] = t.and_then(at);
+            ix.validate("station", model.iter().copied());
+        }
+        assert_eq!(ix.heap.len(), 6);
+        assert_eq!(ix.live_min(), at(5));
+        assert_eq!(drained(&mut ix, 40), vec![0, 3, 5, 6]);
+        assert_eq!(ix.live_min(), at(60));
     }
 
     /// The runnable list answers the same queries as the heap: inclusive
@@ -396,11 +532,12 @@ mod tests {
     /// Random `set` / `set_runnable` / `live_min` / `drain_due` scripts
     /// against the obvious model: a `Vec<Option<SimTime>>` scanned in
     /// full. Times come from a small range so stations collide, re-arm to
-    /// earlier and later times, go quiescent with entries still in the
-    /// heap and change container — at a new time, at the same time, while
-    /// drained, while still listed. A `live_min` or `drain_due` that
-    /// trusted the heap top without the stale-entry check, or a swap-remove
-    /// that forgot to re-home the station it moved, fails here.
+    /// earlier and later times, go quiescent from the heap and change
+    /// container — at a new time, at the same time, while drained, while
+    /// still listed. A sift that forgot to re-home an entry it moved, a
+    /// station left in the heap when it turned runnable, or a swap-remove
+    /// that forgot to re-home the station it moved, fails here; `drained`
+    /// fails on a station named twice.
     #[test]
     fn index_matches_a_full_scan_model() {
         const STATIONS: i64 = 6;
@@ -480,6 +617,8 @@ mod tests {
                 }
                 ensure_eq(ix.active(), model.iter().flatten().count())?;
                 ensure_eq(ix.runnable.len(), listed.iter().filter(|&&l| l).count())?;
+                let parked = (0..model.len()).filter(|&i| model[i].is_some() && !listed[i]);
+                ensure_eq(ix.heap.len(), parked.count())?;
                 ix.validate("station", model.iter().copied());
             }
             Ok(())

@@ -169,12 +169,15 @@ impl Scenario {
     /// # Errors
     ///
     /// Syntax errors, unknown or duplicate keys, and out-of-range values
-    /// — all with the offending line number.
+    /// — all with the offending line number. A check that spans keys names
+    /// the line of the key it found wanting.
     pub fn parse(text: &str) -> Result<Scenario, String> {
         let mut sc = Scenario::default();
         let mut segments: Option<u32> = None;
         let mut topology_kind: Option<String> = None;
-        let mut seen: Vec<String> = Vec::new();
+        // Every key but `partition`, with the line that set it.
+        let mut seen: Vec<(String, usize)> = Vec::new();
+        let mut partition_lines: Vec<usize> = Vec::new();
 
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
@@ -190,11 +193,13 @@ impl Scenario {
             if key.is_empty() {
                 return Err(format!("line {lineno}: empty key"));
             }
-            if key != "partition" {
-                if seen.iter().any(|k| k == key) {
+            if key == "partition" {
+                partition_lines.push(lineno);
+            } else {
+                if seen.iter().any(|(k, _)| k == key) {
                     return Err(format!("line {lineno}: duplicate key `{key}`"));
                 }
-                seen.push(key.to_string());
+                seen.push((key.to_string(), lineno));
             }
             match key {
                 "name" => sc.name = unquote(value, lineno)?,
@@ -238,7 +243,21 @@ impl Scenario {
                         ));
                     }
                 }
-                "mix" => sc.mix = parse_mix(&unquote(value, lineno)?, lineno)?,
+                "mix" => {
+                    sc.mix = parse_mix(&unquote(value, lineno)?, lineno)?;
+                    if sc.mix.is_empty() {
+                        return Err(format!(
+                            "line {lineno}: mix: at least one operation needs a positive weight"
+                        ));
+                    }
+                    for (op, _) in sc.mix.entries() {
+                        if !matches!(op.as_str(), "lookup" | "read" | "write" | "auth") {
+                            return Err(format!(
+                                "line {lineno}: mix: unknown operation `{op}` (lookup|read|write|auth)"
+                            ));
+                        }
+                    }
+                }
                 "loss" => {
                     sc.loss = percent(&unquote(value, lineno)?, lineno)?;
                     if !(0.0..=1.0).contains(&sc.loss) {
@@ -300,43 +319,41 @@ impl Scenario {
             }
         }
 
+        let line_of = |key: &str| seen.iter().find(|(k, _)| k == key).map_or(0, |&(_, l)| l);
+        let needs_segments = |kind: &str| {
+            let line = line_of("topology");
+            segments.ok_or_else(|| format!("line {line}: topology `{kind}` needs `segments`"))
+        };
         sc.topology = match topology_kind.as_deref() {
             None | Some("flat") => Topology::Flat,
             Some("ring-of-rings") => Topology::RingOfRings {
-                segments: segments.ok_or("topology `ring-of-rings` needs `segments`")?,
+                segments: needs_segments("ring-of-rings")?,
             },
             Some("star") => Topology::Star {
-                arms: segments.ok_or("topology `star` needs `segments`")?,
+                arms: needs_segments("star")?,
             },
             Some(other) => {
                 return Err(format!(
-                    "unknown topology `{other}` (flat|ring-of-rings|star)"
+                    "line {}: unknown topology `{other}` (flat|ring-of-rings|star)",
+                    line_of("topology")
                 ))
             }
         };
         let segs = sc.topology.segments();
-        for w in &sc.partitions {
+        for (w, line) in sc.partitions.iter().zip(partition_lines) {
             if w.a >= segs || w.b >= segs {
                 return Err(format!(
-                    "partition link {}:{} names a segment outside 0..{segs}",
+                    "line {line}: partition link {}:{} names a segment outside 0..{segs}",
                     w.a, w.b
                 ));
             }
         }
         if (sc.coarse_interval == 0) != (sc.coarse_budget == 0) {
-            return Err(
-                "`coarse_interval` and `coarse_budget` must be set together (or neither)".into(),
-            );
-        }
-        if sc.mix.is_empty() {
-            return Err("mix: at least one operation needs a positive weight".into());
-        }
-        for (op, _) in sc.mix.entries() {
-            if !matches!(op.as_str(), "lookup" | "read" | "write" | "auth") {
-                return Err(format!(
-                    "mix: unknown operation `{op}` (lookup|read|write|auth)"
-                ));
-            }
+            let set = ["coarse_interval", "coarse_budget"].map(line_of);
+            return Err(format!(
+                "line {}: `coarse_interval` and `coarse_budget` must be set together (or neither)",
+                set[0].max(set[1])
+            ));
         }
         Ok(sc)
     }
@@ -593,6 +610,51 @@ blackbox_events = 1024
         assert_eq!(sc.report_window, 1);
         assert_eq!(sc.coarse_interval, 0);
         assert_eq!(sc.blackbox_events, 0);
+    }
+
+    /// `Ok`, or an error that names a line of `text`.
+    fn ok_or_line_numbered(text: &str, what: &str) {
+        let Err(e) = Scenario::parse(text) else {
+            return;
+        };
+        let line = e
+            .strip_prefix("line ")
+            .and_then(|rest| rest.split_once(':'))
+            .and_then(|(n, _)| n.parse::<usize>().ok());
+        assert!(
+            line.is_some_and(|n| (1..=text.lines().count()).contains(&n)),
+            "{what}: error {e:?} names no line of the input"
+        );
+    }
+
+    /// Every committed scenario, cut short at every byte and with each of
+    /// its lines deleted in turn, parses or fails on a named line — and
+    /// never panics.
+    #[test]
+    fn truncated_and_gapped_scenarios_fail_on_a_line() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+        let mut files = 0;
+        for entry in std::fs::read_dir(dir).expect("scenarios/ is readable") {
+            let path = entry.expect("a directory entry").path();
+            if path.extension().is_none_or(|e| e != "toml") {
+                continue;
+            }
+            let text = std::fs::read_to_string(&path).expect("a committed scenario");
+            Scenario::parse(&text).expect("a committed scenario parses");
+            files += 1;
+            for cut in (0..text.len()).filter(|&cut| text.is_char_boundary(cut)) {
+                ok_or_line_numbered(&text[..cut], &format!("{path:?} cut at byte {cut}"));
+            }
+            let lines: Vec<&str> = text.lines().collect();
+            for gone in 0..lines.len() {
+                let kept: Vec<&str> = (0..lines.len())
+                    .filter(|&i| i != gone)
+                    .map(|i| lines[i])
+                    .collect();
+                ok_or_line_numbered(&kept.join("\n"), &format!("{path:?} without line {gone}"));
+            }
+        }
+        assert!(files >= 3, "found {files} scenarios");
     }
 
     #[test]

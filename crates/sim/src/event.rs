@@ -14,32 +14,36 @@ use crate::window::IdWindow;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventId(u64);
 
-/// A heap entry. `seq` is both the FIFO tie-breaker and the event's id.
-#[derive(Debug)]
-struct Scheduled<E> {
-    time: SimTime,
-    seq: u64,
-    payload: E,
+/// A heap entry: the delivery order alone, 16 bytes whatever the payload.
+/// The time is the high half and the sequence number — both the FIFO
+/// tie-breaker and the event's id — the low, so one integer comparison
+/// orders two entries by `(time, seq)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key(u128);
+
+impl Key {
+    fn new(time: SimTime, seq: u64) -> Key {
+        Key(u128::from(time.as_micros()) << 64 | u128::from(seq))
+    }
+
+    fn time(self) -> SimTime {
+        SimTime::from_micros((self.0 >> 64) as u64)
+    }
+
+    fn seq(self) -> u64 {
+        self.0 as u64
+    }
 }
 
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
+/// What [`EventQueue::ids`] holds for an id whose payload was cancelled.
+const CANCELLED: u32 = u32::MAX;
 
 /// A future-event list keyed by simulated time.
+///
+/// The heap orders keys only; payloads sit in a slab beside it, so a sift
+/// moves 16 bytes, and a delivered or cancelled payload leaves the slab at
+/// once — a far-future event pins a key and an id slot, never payload
+/// memory.
 ///
 /// # Examples
 ///
@@ -53,14 +57,19 @@ impl<E> Ord for Scheduled<E> {
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<Scheduled<E>>>,
-    /// One slot per id still in the heap, `true` once cancelled (to be
-    /// dropped when it reaches the head). Ids are issued densely, so the
-    /// window spans from the oldest id still in the heap to the newest.
-    ids: IdWindow<bool>,
-    /// Number of ids not cancelled, maintained incrementally so `len` is
-    /// O(1).
-    live: usize,
+    heap: BinaryHeap<Reverse<Key>>,
+    /// One slot per id still in the heap: its payload's slab slot, or
+    /// [`CANCELLED`] (the key is dropped when it reaches the head). Ids
+    /// are issued densely, so the window spans from the oldest id still
+    /// in the heap to the newest.
+    ids: IdWindow<u32>,
+    /// The pending payloads; `None` is a free slot.
+    slab: Vec<Option<E>>,
+    /// The free slots of `slab`, reused before it grows.
+    free: Vec<u32>,
+    /// Keys in the heap whose id is [`CANCELLED`]: while there are none,
+    /// the head needs no look-up to be known pending.
+    stale: usize,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -75,29 +84,48 @@ impl<E> EventQueue<E> {
         EventQueue {
             heap: BinaryHeap::new(),
             ids: IdWindow::new(),
-            live: 0,
+            slab: Vec::new(),
+            free: Vec::new(),
+            stale: 0,
         }
     }
 
     /// Schedules `payload` for delivery at `time` and returns a handle that
     /// can later be passed to [`EventQueue::cancel`].
     pub fn schedule(&mut self, time: SimTime, payload: E) -> EventId {
-        let seq = self.ids.push(false);
-        self.heap.push(Reverse(Scheduled { time, seq, payload }));
-        self.live += 1;
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                match &mut self.slab[slot as usize] {
+                    free @ None => *free = Some(payload),
+                    Some(_) => unreachable!("a free slot is empty"),
+                }
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len())
+                    .ok()
+                    .filter(|&s| s != CANCELLED)
+                    .expect("too many pending events");
+                self.slab.push(Some(payload));
+                slot
+            }
+        };
+        let seq = self.ids.push(slot);
+        self.heap.push(Reverse(Key::new(time, seq)));
         EventId(seq)
     }
 
-    /// Cancels a previously scheduled event.
+    /// Cancels a previously scheduled event, dropping its payload now.
     ///
     /// Returns `true` if the event had not yet been delivered or cancelled;
-    /// unknown and already-delivered ids are harmless no-ops. Cancellation
-    /// is lazy: the slot is skipped when it reaches the head.
+    /// unknown and already-delivered ids are harmless no-ops. The key is
+    /// shed lazily, when it reaches the head.
     pub fn cancel(&mut self, id: EventId) -> bool {
         match self.ids.get_mut(id.0) {
-            Some(cancelled @ false) => {
-                *cancelled = true;
-                self.live -= 1;
+            Some(slot) if *slot != CANCELLED => {
+                let slot = std::mem::replace(slot, CANCELLED);
+                self.release(slot);
+                self.stale += 1;
                 true
             }
             _ => false,
@@ -107,7 +135,7 @@ impl<E> EventQueue<E> {
     /// The delivery time of the earliest pending event.
     pub fn next_time(&mut self) -> Option<SimTime> {
         self.skip_cancelled();
-        self.heap.peek().map(|Reverse(s)| s.time)
+        self.heap.peek().map(|Reverse(k)| k.time())
     }
 
     /// Removes and returns the earliest pending event.
@@ -125,34 +153,44 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Number of pending (non-cancelled) events.
+    /// Number of pending (non-cancelled) events: the slab's occupied slots.
     pub fn len(&self) -> usize {
-        self.live
+        self.slab.len() - self.free.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
+    }
+
+    /// Empties slab slot `slot` and returns what it held.
+    fn release(&mut self, slot: u32) -> E {
+        self.free.push(slot);
+        self.slab[slot as usize]
+            .take()
+            .expect("a live id names an occupied slot")
     }
 
     /// Delivers the heap's head, which the caller has made sure is pending
     /// (by [`Self::skip_cancelled`]).
     fn pop_head(&mut self) -> Option<(SimTime, E)> {
-        let Reverse(s) = self.heap.pop()?;
-        self.ids.remove(s.seq);
-        self.live -= 1;
-        Some((s.time, s.payload))
+        let Reverse(k) = self.heap.pop()?;
+        let slot = self.ids.remove(k.seq()).expect("every key's id is held");
+        Some((k.time(), self.release(slot)))
     }
 
     fn skip_cancelled(&mut self) {
-        while let Some(Reverse(s)) = self.heap.peek() {
+        while self.stale > 0 {
+            let Some(&Reverse(k)) = self.heap.peek() else {
+                break;
+            };
             // Every id in the heap is inside the window.
-            if self.ids.get(s.seq) != Some(&true) {
+            if self.ids.get(k.seq()) != Some(&CANCELLED) {
                 break;
             }
-            let seq = s.seq;
             self.heap.pop();
-            self.ids.remove(seq);
+            self.ids.remove(k.seq());
+            self.stale -= 1;
         }
     }
 }
@@ -392,6 +430,12 @@ mod tests {
                 }
                 ensure_eq(m.q.len(), m.pending.len())?;
                 ensure_eq(m.q.is_empty(), m.pending.is_empty())?;
+                ensure_eq(m.q.slab.iter().flatten().count(), m.q.len())?;
+                let stale =
+                    m.q.heap
+                        .iter()
+                        .filter(|Reverse(k)| m.q.ids.get(k.seq()) == Some(&CANCELLED));
+                ensure_eq(stale.count(), m.q.stale)?;
                 ensure_eq(m.q.ids.next_id(), m.issued)?;
             }
             while m.pop(None)? {}
@@ -403,7 +447,60 @@ mod tests {
                 )?;
             }
             // Everything has left the heap, so nothing holds the window.
-            ensure_eq((m.q.ids.next_id(), m.q.ids.span()), (m.issued, 0))
+            ensure_eq((m.q.ids.next_id(), m.q.ids.span()), (m.issued, 0))?;
+            ensure_eq((m.q.free.len(), m.q.stale), (m.q.slab.len(), 0))
         });
+    }
+
+    /// A payload that counts its own drops.
+    struct Counted<'a>(&'a std::cell::Cell<usize>);
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    /// A cancelled payload is dropped by `cancel` itself, not when its key
+    /// surfaces: here the far-future key behind it is never popped.
+    #[test]
+    fn a_cancelled_payload_is_dropped_at_cancel() {
+        let drops = std::cell::Cell::new(0);
+        let mut q = EventQueue::new();
+        let far = q.schedule(t(1_000_000), Counted(&drops));
+        let near = q.schedule(t(1), Counted(&drops));
+        assert!(q.cancel(far));
+        assert_eq!(drops.get(), 1, "dropped while its key is still queued");
+        assert_eq!((q.len(), q.slab.iter().flatten().count()), (1, 1));
+        assert!(!q.cancel(far));
+        assert_eq!(drops.get(), 1, "a second cancel drops nothing");
+        // The freed slot is reused before the slab grows.
+        q.schedule(t(2), Counted(&drops));
+        assert_eq!(q.slab.len(), 2);
+        drop(q.pop());
+        assert_eq!(drops.get(), 2, "a delivered payload goes to the caller");
+        assert!(!q.cancel(near), "already delivered");
+        assert_eq!(q.len(), 1);
+        drop(q);
+        assert_eq!(drops.get(), 3, "the rest go with the queue");
+    }
+
+    /// The heap moves keys, never payloads, and a key orders like the
+    /// `(time, seq)` pair it packs.
+    #[test]
+    fn a_heap_entry_is_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<Reverse<Key>>(), 16);
+        let pairs = [
+            (0, 0),
+            (0, u64::MAX),
+            (1, 0),
+            (u64::MAX, 0),
+            (u64::MAX, u64::MAX),
+        ];
+        for (a, b) in pairs.iter().flat_map(|a| pairs.iter().map(move |b| (a, b))) {
+            let key = |&(us, seq): &(u64, u64)| Key::new(SimTime::from_micros(us), seq);
+            assert_eq!(key(a).cmp(&key(b)), a.cmp(b), "{a:?} vs {b:?}");
+            assert_eq!((key(a).time().as_micros(), key(a).seq()), *a);
+        }
     }
 }
