@@ -21,10 +21,11 @@
 //! The compiler emits bytecode *plus the debug tables the paper's modified
 //! compiler emitted* (§5.5): line tables, variable-location tables with
 //! live ranges, and entry-sequence boundaries for top-of-stack
-//! interpretation. The VM executes one instruction per call, supports trap
-//! opcodes planted over real instructions (breakpoints) and a trace-mode
-//! flag (single step), and reports per-instruction simulated costs so the
-//! supervisor can keep time.
+//! interpretation. The VM executes one instruction per [`step`] call, or a
+//! burst of plain instructions under a simulated-time budget per [`run`]
+//! call; it supports trap opcodes planted over real instructions
+//! (breakpoints) and a trace-mode flag (single step), and reports
+//! simulated costs so the supervisor can keep time.
 //!
 //! # Examples
 //!
@@ -68,8 +69,8 @@ pub use value::{
 };
 pub use verify::{verify, VerifyError};
 pub use vm::{
-    step, CellWord, ExecEnv, Fault, FaultKind, Frame, FrameKind, RpcCallState, RpcInfoBlock,
-    RpcRequest, StepOutcome, SyncCell, SysReply, Syscalls, VmProcess, MAX_FRAMES,
+    run, step, Burst, CellWord, ExecEnv, Fault, FaultKind, Frame, FrameKind, RpcCallState,
+    RpcInfoBlock, RpcRequest, StepOutcome, SyncCell, SysReply, Syscalls, VmProcess, MAX_FRAMES,
 };
 
 /// A compile-time error (lexical, syntactic, or type error) with the source

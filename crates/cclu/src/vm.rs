@@ -2,10 +2,14 @@
 //!
 //! One [`VmProcess`] is a light-weight Concurrent CLU process: a call stack
 //! of [`Frame`]s executing shared per-node code against a shared per-node
-//! heap. The VM is deliberately *passive* — it executes exactly one
-//! instruction per [`step`] call and reports the simulated cost — so the
-//! Mayflower supervisor retains complete control over scheduling, time, and
-//! halting, which is where all the paper's interesting behaviour lives.
+//! heap. The VM is deliberately *passive* — it runs only as far as the
+//! supervisor lets it and reports the simulated cost — so the Mayflower
+//! supervisor retains complete control over scheduling, time, and halting,
+//! which is where all the paper's interesting behaviour lives. It has two
+//! entry points over one dispatch body: [`step`] executes exactly one
+//! instruction, and [`run`] executes a *burst* of plain instructions under
+//! a simulated-time budget, stopping before anything the supervisor must
+//! see (a system call, an allocation, the end of the budget).
 //!
 //! Faithful details:
 //!
@@ -23,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::ast::RpcProtocol;
-use crate::bytecode::{CodeAddr, Op, ProcId, Program};
+use crate::bytecode::{CodeAddr, Op, OpCost, ProcId, Program};
 use crate::value::{format_value, Heap, HeapObject, Value};
 
 /// Maximum call-stack depth before a process faults.
@@ -365,6 +369,19 @@ pub enum StepOutcome {
     },
 }
 
+/// What one [`run`] burst did.
+#[derive(Debug)]
+pub struct Burst {
+    /// Instructions executed to a plain `Ran`.
+    pub ran: u64,
+    /// Their summed simulated cost in microseconds, always below the budget.
+    pub spent: u64,
+    /// The trap, root return or fault that ended the burst, its cost not
+    /// in `spent`; `None` when the burst stopped *before* an instruction it
+    /// may not run, which the caller then [`step`]s.
+    pub end: Option<StepOutcome>,
+}
+
 /// Everything a step needs besides the process itself: the node's shared
 /// heap, code, globals, and supervisor services.
 pub struct ExecEnv<'a> {
@@ -498,13 +515,6 @@ fn type_fault(expected: &str, found: &Value, cost: u64) -> StepOutcome {
     )
 }
 
-/// Out-of-line constructor for the pc-out-of-range fault.
-#[cold]
-#[inline(never)]
-fn range_fault(addr: CodeAddr) -> StepOutcome {
-    fault(FaultKind::Internal, format!("pc out of range at {addr}"), 0)
-}
-
 /// The fault for an instruction that wants more operands than the running
 /// frame's operand stack holds.
 fn underflow(cost: u64) -> StepOutcome {
@@ -529,6 +539,26 @@ fn operands_at(values: &[Value], floor: usize, n: usize) -> Option<usize> {
     values.len().checked_sub(n).filter(|&at| at >= floor)
 }
 
+/// The instruction at `p`'s pc and its cost-table entry; `None` when `p`
+/// has no frame or its pc is out of range.
+#[inline(always)]
+fn fetch<'a>(p: &VmProcess, program: &'a Program) -> Option<(&'a Op, OpCost)> {
+    let frame = p.frames.last()?;
+    let code = program.procs.get(frame.proc.0 as usize)?;
+    let pc = frame.pc as usize;
+    Some((code.code.get(pc)?, *code.costs.get(pc)?))
+}
+
+/// The fault for a [`fetch`] that found nothing.
+#[cold]
+#[inline(never)]
+fn fetch_fault(p: &VmProcess) -> StepOutcome {
+    match p.addr() {
+        Some(addr) => fault(FaultKind::Internal, format!("pc out of range at {addr}"), 0),
+        None => fault(FaultKind::Internal, "process has no frames", 0),
+    }
+}
+
 /// Executes one instruction of `p`.
 ///
 /// The caller (the supervisor) is responsible for only stepping processes
@@ -538,24 +568,14 @@ fn operands_at(values: &[Value], floor: usize, n: usize) -> Option<usize> {
 /// The dispatch is zero-clone: the instruction executes as a borrowed
 /// [`&Op`](Op) out of the program (copying `env.program`, a shared
 /// reference, keeps the op borrow independent of `env`'s mutable fields),
-/// the top frame is borrowed `&mut` exactly once, and cost/allocation
-/// metadata comes from the [`ProcCode::costs`](crate::ProcCode) side table
-/// instead of matching on the op.
+/// and cost/allocation metadata comes from the
+/// [`ProcCode::costs`](crate::ProcCode) side table instead of matching on
+/// the op. The hot instructions execute in the dispatch body [`run`]
+/// shares, so no instruction's semantics exist twice.
 pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
     let program = env.program;
-    let depth = p.frames.len();
-    let Some(frame) = p.frames.last_mut() else {
-        return fault(FaultKind::Internal, "process has no frames", 0);
-    };
-    let values = &mut p.exit_values;
-    let floor = frame.floor();
-    let addr = frame.addr();
-    let pc = addr.pc as usize;
-    let (op, meta) = match program.procs.get(addr.proc.0 as usize) {
-        Some(code) if pc < code.code.len() && pc < code.costs.len() => {
-            (&code.code[pc], code.costs[pc])
-        }
-        _ => return range_fault(addr),
+    let Some((op, meta)) = fetch(p, program) else {
+        return fetch_fault(p);
     };
 
     // Two-phase allocation: the first visit marks the process inside the
@@ -573,12 +593,86 @@ pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
     } else {
         u64::from(meta.cost)
     };
+    match dispatch_hot(op, cost, p, env.globals) {
+        Hot::Ran => StepOutcome::Ran { cost },
+        Hot::End(end) => end,
+        Hot::Cold => step_cold(op, p, env, cost),
+    }
+}
+
+/// Executes `p`'s instructions back to back while each is hot and ends
+/// strictly inside `budget_us` simulated microseconds: `spent + cost <
+/// budget_us`, the cost read from the cost table before dispatch.
+///
+/// The burst stops *before* the first instruction that breaks that rule —
+/// a system call or other cold instruction, an allocating one (every one
+/// is cold, so a burst never enters the allocator critical region), or
+/// one that would reach the budget — with its pc and value stack
+/// untouched, so the caller can [`step`] it with the clock advanced by
+/// `spent`. A trap, a root return or a fault that a hot instruction
+/// produces ends the burst as [`Burst::end`]. A budget of 0, or one no
+/// larger than the first instruction's cost, executes nothing.
+///
+/// `#[inline]` lets the supervisor's burst loop absorb the call: a burst
+/// of a few instructions (an RPC stub's, a sleeper's) pays the call and
+/// the returned `Burst` once per burst.
+#[inline]
+pub fn run(p: &mut VmProcess, env: &mut ExecEnv<'_>, budget_us: u64) -> Burst {
+    let program = env.program;
+    let mut burst = Burst {
+        ran: 0,
+        spent: 0,
+        end: None,
+    };
+    while let Some((op, meta)) = fetch(p, program) {
+        let cost = u64::from(meta.cost);
+        // `spent < budget_us` holds throughout, so the difference is exact.
+        if cost >= budget_us - burst.spent {
+            break;
+        }
+        match dispatch_hot(op, cost, p, env.globals) {
+            Hot::Ran => {
+                burst.ran += 1;
+                burst.spent += cost;
+            }
+            Hot::End(end) => {
+                burst.end = Some(end);
+                break;
+            }
+            Hot::Cold => break,
+        }
+    }
+    burst
+}
+
+/// What the hot half of the dispatch made of one instruction.
+enum Hot {
+    /// Executed to a plain `Ran`; the pc has moved on.
+    Ran,
+    /// Ended the process's run: a trap (pc unadvanced), a root return or a
+    /// fault.
+    End(StepOutcome),
+    /// Not a hot instruction; nothing was touched.
+    Cold,
+}
+
+/// The dispatch body [`step`] and [`run`] share: executes `op`, priced at
+/// `cost`, when it is one of the statically hot instructions, and leaves
+/// everything else to [`step_cold`].
+#[inline(always)]
+fn dispatch_hot(op: &Op, cost: u64, p: &mut VmProcess, globals: &mut [Value]) -> Hot {
+    let depth = p.frames.len();
+    let Some(frame) = p.frames.last_mut() else {
+        return Hot::Cold;
+    };
+    let values = &mut p.exit_values;
+    let floor = frame.floor();
 
     macro_rules! pop {
         () => {
             match pop_operand(values, floor) {
                 Some(v) => v,
-                None => return underflow(cost),
+                None => return Hot::End(underflow(cost)),
             }
         };
     }
@@ -586,7 +680,7 @@ pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
         () => {
             match pop!() {
                 Value::Int(v) => v,
-                other => return type_fault("int", &other, cost),
+                other => return Hot::End(type_fault("int", &other, cost)),
             }
         };
     }
@@ -594,7 +688,7 @@ pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
         () => {
             match pop!() {
                 Value::Bool(v) => v,
-                other => return type_fault("bool", &other, cost),
+                other => return Hot::End(type_fault("bool", &other, cost)),
             }
         };
     }
@@ -609,7 +703,7 @@ pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
         };
     }
     match op {
-        Op::Trap(bp) => return StepOutcome::Trapped { bp: *bp },
+        Op::Trap(bp) => return Hot::End(StepOutcome::Trapped { bp: *bp }),
         Op::Nop => {
             advance!();
         }
@@ -643,13 +737,13 @@ pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
             advance!();
         }
         Op::LoadGlobal(slot) => {
-            let v = env.globals[*slot as usize].clone();
+            let v = globals[*slot as usize].clone();
             push!(v);
             advance!();
         }
         Op::StoreGlobal(slot) => {
             let v = pop!();
-            env.globals[*slot as usize] = v;
+            globals[*slot as usize] = v;
             advance!();
         }
         Op::Add => {
@@ -694,7 +788,10 @@ pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
                 (Value::Int(x), Value::Int(y)) => x == y,
                 (Value::Bool(x), Value::Bool(y)) => x == y,
                 (Value::Str(x), Value::Str(y)) => x == y,
-                _ => return fault(FaultKind::Internal, format!("compare of {a} and {b}"), cost),
+                _ => {
+                    let why = format!("compare of {a} and {b}");
+                    return Hot::End(fault(FaultKind::Internal, why, cost));
+                }
             };
             push!(Value::Bool(if matches!(op, Op::CmpEq) { eq } else { !eq }));
             advance!();
@@ -725,10 +822,14 @@ pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
         }
         Op::Call { proc, nargs } => {
             if depth >= MAX_FRAMES {
-                return fault(FaultKind::StackOverflow, "call stack exhausted", cost);
+                return Hot::End(fault(
+                    FaultKind::StackOverflow,
+                    "call stack exhausted",
+                    cost,
+                ));
             }
             let Some(at) = operands_at(values, floor, usize::from(*nargs)) else {
-                return underflow(cost);
+                return Hot::End(underflow(cost));
             };
             frame.pc += 1; // return continues after the call
             let callee = Frame::activation(*proc, at, usize::from(*nargs));
@@ -744,7 +845,7 @@ pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
         }
         Op::Ret { nvals } => {
             let Some(at) = operands_at(values, floor, usize::from(*nvals)) else {
-                return underflow(cost);
+                return Hot::End(underflow(cost));
             };
             // The results move down over the frame's locals and leftovers.
             values.drain(frame.base as usize..at);
@@ -753,15 +854,15 @@ pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
                 // The process is done: it keeps its results and nothing else.
                 values.shrink_to_fit();
                 p.frames = Vec::new();
-                return StepOutcome::Exited { cost };
+                return Hot::End(StepOutcome::Exited { cost });
             }
         }
         // Everything else is comparatively rare (heap traffic, strings,
         // syscalls): it lives in a separate non-inlined handler so the hot
         // dispatch loop above stays small enough to be cache-resident.
-        _ => return step_cold(op, p, env, cost),
+        _ => return Hot::Cold,
     }
-    StepOutcome::Ran { cost }
+    Hot::Ran
 }
 
 /// The cold half of [`step`]: heap-touching, string-building, and
@@ -1472,15 +1573,20 @@ mod tests {
         assert_eq!((f.steps, f.cost), (2_558, 12_284));
     }
 
-    /// Steps `p` until the top frame is about to run `op`.
-    fn step_to(p: &mut VmProcess, env: &mut ExecEnv<'_>, op: fn(&Op) -> bool) {
+    /// Steps `p` until the top frame is about to run `op`; returns how many
+    /// instructions that took and what they cost.
+    fn step_to(p: &mut VmProcess, env: &mut ExecEnv<'_>, op: fn(&Op) -> bool) -> (u64, u64) {
+        let (mut ran, mut spent) = (0, 0);
         for _ in 0..1_000 {
             let at = p.addr().expect("a running frame");
             if op(&env.program.proc(at.proc).code[at.pc as usize]) {
-                return;
+                return (ran, spent);
             }
             match step(p, env) {
-                StepOutcome::Ran { .. } => {}
+                StepOutcome::Ran { cost } => {
+                    ran += 1;
+                    spent += cost;
+                }
                 other => panic!("{other:?} before the op"),
             }
         }
@@ -1757,5 +1863,270 @@ mod tests {
             vec![Value::Int(21), Value::Str("go".into())],
         );
         assert_eq!(f.prints, vec!["go", "42"]);
+    }
+
+    // ------------------------------------------------------------------
+    // `run`: a burst under a budget, with `step` as its oracle.
+    // ------------------------------------------------------------------
+
+    /// What a burst may move: each frame's address, the value stack and
+    /// the allocator flag.
+    fn vm_state(p: &VmProcess) -> (Vec<CodeAddr>, Vec<Value>, bool) {
+        let addrs = p.frames.iter().map(Frame::addr).collect();
+        (addrs, p.exit_values.clone(), p.in_allocator)
+    }
+
+    /// Steps `p` until an instruction does not return a plain `Ran`: how
+    /// many did, their summed cost, and the one that did not.
+    fn step_out(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> (u64, u64, StepOutcome) {
+        let (mut ran, mut spent) = (0, 0);
+        loop {
+            match step(p, env) {
+                StepOutcome::Ran { cost } => {
+                    ran += 1;
+                    spent += cost;
+                }
+                end => return (ran, spent, end),
+            }
+        }
+    }
+
+    /// A run that ended before anything it may not run: `(ran, spent)`.
+    fn stopped(b: Burst) -> (u64, u64) {
+        assert!(b.end.is_none(), "{:?}", b.end);
+        (b.ran, b.spent)
+    }
+
+    /// The `compute` workload's worker: 21 703 instructions, all hot.
+    const FIB_WORKER: &str = "\
+fib = proc (n: int) returns (int)
+ if n < 2 then
+  return (n)
+ end
+ return (fib(n - 1) + fib(n - 2))
+end
+worker = proc (n: int) returns (int)
+ return (fib(n))
+end";
+
+    #[test]
+    fn a_run_whose_budget_the_first_instruction_reaches_executes_nothing() {
+        let program = compile(FIB_WORKER).unwrap();
+        let worker = program.proc_by_name("worker").unwrap();
+        let first = u64::from(program.proc(worker).costs[0].cost);
+        let mut heap = Heap::new();
+        let mut sys = TestSys::default();
+        let mut env = ExecEnv {
+            heap: &mut heap,
+            program: &program,
+            globals: &mut [],
+            sys: &mut sys,
+        };
+        let mut p = VmProcess::spawn(worker, vec![Value::Int(15)]);
+        let spawned = vm_state(&p);
+        for budget in [0, 1, first - 1, first] {
+            assert_eq!(
+                stopped(super::run(&mut p, &mut env, budget)),
+                (0, 0),
+                "{budget}"
+            );
+            assert_eq!(vm_state(&p), spawned, "budget {budget}");
+        }
+        // One microsecond more runs the first instruction, not the second.
+        assert_eq!(stopped(super::run(&mut p, &mut env, first + 1)), (1, first));
+    }
+
+    /// The benchmark's `cclu.vm.instr` is 21 703 for `worker(15)`: one
+    /// unbounded run executes all but the root return, which ends it.
+    #[test]
+    fn an_unbounded_run_of_fib_15_matches_a_step_loop() {
+        let program = compile(FIB_WORKER).unwrap();
+        let worker = program.proc_by_name("worker").unwrap();
+        let mut heap = Heap::new();
+        let mut sys = TestSys::default();
+        let mut env = ExecEnv {
+            heap: &mut heap,
+            program: &program,
+            globals: &mut [],
+            sys: &mut sys,
+        };
+        let mut stepped = VmProcess::spawn(worker, vec![Value::Int(15)]);
+        let (steps, step_cost, step_end) = step_out(&mut stepped, &mut env);
+        let StepOutcome::Exited { cost: exit_cost } = step_end else {
+            panic!("{step_end:?}");
+        };
+        let mut p = VmProcess::spawn(worker, vec![Value::Int(15)]);
+        let b = super::run(&mut p, &mut env, u64::MAX);
+        let Some(StepOutcome::Exited { cost }) = b.end else {
+            panic!("{:?}", b.end);
+        };
+        assert_eq!(b.ran + 1, 21_703);
+        assert_eq!((b.ran, b.spent, cost), (steps, step_cost, exit_cost));
+        assert_eq!(p.exit_values, [Value::Int(610)]);
+        assert_eq!(stepped.exit_values, p.exit_values);
+        assert!(p.frames.is_empty());
+    }
+
+    /// A root return is run when it ends strictly inside the budget, and
+    /// left for `step` when it would reach it.
+    #[test]
+    fn a_root_return_ends_a_run_as_exited() {
+        let program = compile("main = proc (a: int) returns (int)\n return (a * 3)\nend").unwrap();
+        let main = program.proc_by_name("main").unwrap();
+        let mut heap = Heap::new();
+        let mut sys = TestSys::default();
+        let mut env = ExecEnv {
+            heap: &mut heap,
+            program: &program,
+            globals: &mut [],
+            sys: &mut sys,
+        };
+        let mut twin = VmProcess::spawn(main, vec![Value::Int(7)]);
+        let (steps, before_ret) = step_to(&mut twin, &mut env, |op| matches!(op, Op::Ret { .. }));
+        let ret_cost = u64::from(crate::bytecode::op_cost(&Op::Ret { nvals: 1 }).cost);
+
+        let mut p = VmProcess::spawn(main, vec![Value::Int(7)]);
+        let b = super::run(&mut p, &mut env, before_ret + ret_cost);
+        assert_eq!(stopped(b), (steps, before_ret), "the return would reach it");
+        assert_eq!(vm_state(&p), vm_state(&twin));
+
+        let mut p = VmProcess::spawn(main, vec![Value::Int(7)]);
+        let b = super::run(&mut p, &mut env, before_ret + ret_cost + 1);
+        assert!(matches!(b.end, Some(StepOutcome::Exited { cost }) if cost == ret_cost));
+        assert_eq!(
+            (b.ran, b.spent),
+            (steps, before_ret),
+            "its cost is not in `spent`"
+        );
+        assert_eq!(p.exit_values, [Value::Int(21)]);
+    }
+
+    /// `run` stays out of the allocator critical region because the hot
+    /// dispatch leaves every allocating instruction to `step_cold`.
+    #[test]
+    fn every_allocating_instruction_is_cold() {
+        let new_record = Op::NewRecord {
+            type_id: 0,
+            nfields: 0,
+        };
+        for op in [
+            new_record,
+            Op::NewArray,
+            Op::Append,
+            Op::Concat,
+            Op::Unparse,
+        ] {
+            assert!(crate::bytecode::op_cost(&op).allocates, "{op:?}");
+            let mut p = VmProcess::spawn(ProcId(0), vec![]);
+            let hot = dispatch_hot(&op, 10, &mut p, &mut []);
+            assert!(matches!(hot, Hot::Cold), "{op:?}");
+        }
+    }
+
+    #[test]
+    fn a_run_stops_before_a_cold_and_before_an_allocating_instruction() {
+        let program = compile(
+            "main = proc ()\n t: int := 0\n while t < 30 do\n t := t + 1\n end\n\
+             x: int := now()\n xs: array[int] := array$new()\n print(x)\nend",
+        )
+        .unwrap();
+        let main = program.proc_by_name("main").unwrap();
+        let mut heap = Heap::new();
+        let mut sys = TestSys::default();
+        let mut env = ExecEnv {
+            heap: &mut heap,
+            program: &program,
+            globals: &mut [],
+            sys: &mut sys,
+        };
+        let mut p = VmProcess::spawn(main, vec![]);
+        let mut twin = VmProcess::spawn(main, vec![]);
+
+        // Up to the system call, which is cold.
+        let to_now = step_to(&mut twin, &mut env, |op| matches!(op, Op::Now));
+        assert_eq!(stopped(super::run(&mut p, &mut env, u64::MAX)), to_now);
+        assert_eq!(vm_state(&p), vm_state(&twin));
+        assert_eq!(stopped(super::run(&mut p, &mut env, u64::MAX)), (0, 0));
+        assert_eq!(vm_state(&p), vm_state(&twin), "pc and stack untouched");
+        assert!(matches!(step(&mut p, &mut env), StepOutcome::Ran { .. }));
+        assert!(matches!(step(&mut twin, &mut env), StepOutcome::Ran { .. }));
+
+        // Up to the allocation, which the run does not enter.
+        let to_new = step_to(&mut twin, &mut env, |op| matches!(op, Op::NewArray));
+        assert_eq!(stopped(super::run(&mut p, &mut env, u64::MAX)), to_new);
+        assert_eq!(vm_state(&p), vm_state(&twin));
+        assert!(!p.in_allocator);
+        // Inside the allocator critical region, too, it runs nothing.
+        assert!(matches!(step(&mut p, &mut env), StepOutcome::Ran { .. }));
+        assert!(p.in_allocator);
+        let inside = vm_state(&p);
+        assert_eq!(stopped(super::run(&mut p, &mut env, u64::MAX)), (0, 0));
+        assert_eq!(vm_state(&p), inside);
+    }
+
+    #[test]
+    fn a_trap_ends_a_run_with_the_pc_unadvanced_and_its_cost_outside() {
+        let mut program = compile(
+            "main = proc () returns (int)\n t: int := 0\n while t < 50 do\n t := t + 1\n\
+             if t = 40 then\n t := t + 100\n end\n end\n return (t)\nend",
+        )
+        .unwrap();
+        let addr = program.addr_for_line(6).unwrap();
+        program.replace_op(addr, Op::Trap(4));
+        let main = program.proc_by_name("main").unwrap();
+        let mut heap = Heap::new();
+        let mut sys = TestSys::default();
+        let mut env = ExecEnv {
+            heap: &mut heap,
+            program: &program,
+            globals: &mut [],
+            sys: &mut sys,
+        };
+        let mut twin = VmProcess::spawn(main, vec![]);
+        let to_trap = step_to(&mut twin, &mut env, |op| matches!(op, Op::Trap(_)));
+        assert!(
+            to_trap.0 > 300,
+            "the trap follows a hot prefix: {to_trap:?}"
+        );
+
+        let mut p = VmProcess::spawn(main, vec![]);
+        // The second run traps again at once, for nothing: nothing moved.
+        for expected in [to_trap, (0, 0)] {
+            let b = super::run(&mut p, &mut env, u64::MAX);
+            assert!(
+                matches!(b.end, Some(StepOutcome::Trapped { bp: 4 })),
+                "{b:?}"
+            );
+            assert_eq!((b.ran, b.spent), expected);
+            assert_eq!(p.addr(), Some(addr));
+            assert_eq!(vm_state(&p), vm_state(&twin));
+        }
+    }
+
+    /// A fault a hot instruction raises ends the run, at the instruction
+    /// and cost single stepping faults at.
+    #[test]
+    fn a_stack_overflow_ends_a_run_as_faulted() {
+        let program = compile(
+            "r = proc (n: int) returns (int)\n return (r(n + 1))\nend\n\
+             main = proc ()\n x: int := r(0)\nend",
+        )
+        .unwrap();
+        let main = program.proc_by_name("main").unwrap();
+        let mut heap = Heap::new();
+        let mut sys = TestSys::default();
+        let mut env = ExecEnv {
+            heap: &mut heap,
+            program: &program,
+            globals: &mut [],
+            sys: &mut sys,
+        };
+        let b = super::run(&mut VmProcess::spawn(main, vec![]), &mut env, u64::MAX);
+        let Some(StepOutcome::Faulted { fault, cost }) = b.end else {
+            panic!("{:?}", b.end);
+        };
+        assert_eq!(fault.kind, FaultKind::StackOverflow);
+        // `stack_overflow_faults`: 2 558 steps costing 12 284 µs in all.
+        assert_eq!((b.ran + 1, b.spent + cost), (2_558, 12_284));
     }
 }

@@ -976,6 +976,54 @@ mod tests {
         assert!(stops[0] < SimTime::from_millis(1) + SimDuration::from_micros(100));
     }
 
+    /// `step_one` in the middle of a hot loop, where a burst would run
+    /// thousands of instructions, runs exactly one.
+    #[test]
+    fn step_one_in_a_hot_loop_runs_one_instruction() {
+        let mut n = node_with(SPIN, 27);
+        let pid = n.spawn("main", vec![], SpawnOpts::default()).unwrap();
+        n.advance_to(SimTime::from_millis(1));
+        let op_at = |n: &Node| {
+            let addr = n.process(pid).unwrap().addr().unwrap();
+            (addr, n.program().op_at(addr).unwrap().clone())
+        };
+        // Single-step to the loop's `t + 1`, whose successor is pc + 1.
+        for _ in 0..20 {
+            let (addr, op) = op_at(&n);
+            let (steps, clock) = (n.steps_total(), n.clock());
+            assert!(n.step_one(pid));
+            assert_eq!(n.steps_total(), steps + 1, "at {addr}");
+            if op == pilgrim_cclu::Op::Add {
+                let (next, _) = op_at(&n);
+                assert_eq!(next.pc, addr.pc + 1);
+                assert_eq!(n.clock(), clock + SimDuration::from_micros(2));
+                return;
+            }
+        }
+        panic!("no `Add` in twenty instructions of the loop");
+    }
+
+    /// Windows that end at every offset of the loop's 2 µs instructions:
+    /// each is overshot by less than one instruction, at the clock the
+    /// single-step oracle reads.
+    #[test]
+    fn advance_into_overshoots_by_at_most_one_instruction() {
+        let clocks = burst_and_oracle(SPIN).map(|mut n| {
+            n.spawn("main", vec![], SpawnOpts::default()).unwrap();
+            let mut t = SimTime::ZERO;
+            let mut clocks = Vec::new();
+            for k in 1..400 {
+                t += SimDuration::from_micros(k % 7 + k % 3 * 1_000);
+                n.advance_to(t);
+                assert!(t <= n.clock() && n.clock() < t + SimDuration::from_micros(2));
+                clocks.push(n.clock());
+            }
+            assert!(console_text(&n).is_empty(), "still in the loop");
+            clocks
+        });
+        assert_eq!(clocks[0], clocks[1], "window clocks vs single-stepping");
+    }
+
     /// Program-supplied timeouts near `u64::MAX` µs used to overflow the
     /// millisecond conversion: a debug build panicked, a release build
     /// wrapped to a ~1 ms sleep. They saturate to "never" instead.

@@ -158,16 +158,21 @@ impl Node {
     /// then for as many more as end before `horizon` while no scheduler
     /// decision can have changed (a *burst*).
     ///
-    /// Inside a burst only `clock`, `slice_used`, `steps_total` and the
-    /// context's two clocks move, one instruction at a time, so every
-    /// system call sees the clock it would under single stepping. A burst
-    /// ends with the first instruction that is not a plain `Ran`, that
-    /// leaves work for the epilogue below (a block, a fork, a wake-up),
-    /// or that reaches `horizon`; that instruction is committed by the
-    /// epilogue like any single step. A process in trace mode or with a
-    /// halt pending is stepped once, since its epilogue acts on every
-    /// instruction, and so is every process under `profile_vm`, whose
-    /// books are kept per instruction.
+    /// Each turn of the burst loop lets the VM's own dispatch loop
+    /// ([`pilgrim_cclu::run`]) execute the plain instructions that end
+    /// before `horizon`, commits what they cost to `clock`, `slice_used`,
+    /// `steps_total` and the context's two clocks at once, and then
+    /// [`step`](pilgrim_cclu::step)s the one instruction `run` stopped at
+    /// (a system call, an allocation, one that would reach `horizon`).
+    /// Inside a burst only those fields move, so every system call, which
+    /// only `step` executes, sees the clock it would under single stepping.
+    /// A burst ends with the first instruction that is not a plain `Ran`,
+    /// that leaves work for the epilogue below (a block, a fork, a
+    /// wake-up), or that reaches `horizon`; that instruction is committed
+    /// by the epilogue like any single step. A process in trace mode or
+    /// with a halt pending is stepped once, since its epilogue acts on
+    /// every instruction, and so is every process under `profile_vm`,
+    /// whose books are kept per instruction.
     fn step_process(&mut self, pid: Pid, horizon: SimTime) {
         // The process is stepped in place: the proc borrow and the borrows
         // handed to the system-call context are disjoint fields of `self`,
@@ -228,6 +233,27 @@ impl Node {
 
         let burst = !was_trace && !proc.halt_pending && !self.config.profile_vm;
         let outcome = loop {
+            if let (true, ProcBody::Vm(vm)) = (burst, &mut proc.body) {
+                let mut env = ExecEnv {
+                    heap: &mut self.heap,
+                    program: &self.program,
+                    globals: &mut self.globals,
+                    sys: &mut ctx,
+                };
+                let budget = horizon.saturating_since(self.clock).as_micros();
+                let run = pilgrim_cclu::run(vm, &mut env, budget);
+                if run.ran > 0 {
+                    let d = SimDuration::from_micros(run.spent);
+                    self.clock += d;
+                    self.slice_used += d;
+                    self.steps_total += run.ran;
+                    ctx.now = self.clock;
+                    ctx.logical_now = Self::logical_at(self.halt_marker, self.clock, self.delta);
+                }
+                if let Some(end) = run.end {
+                    break end;
+                }
+            }
             let mut env = ExecEnv {
                 heap: &mut self.heap,
                 program: &self.program,

@@ -121,10 +121,13 @@ fn profiling_does_not_perturb_the_trace() {
 
 /// The worker kinds a generated node world forks: CPU-bound recursion,
 /// loops that read and print the clock, sleeps, timed semaphore waits and
-/// signals, a contended mutex, forks and the two-phase allocator — every
-/// way an instruction can or cannot end a burst.
+/// signals, a contended mutex, forks, the two-phase allocator, system
+/// calls and an `own` variable inside hot loops, faults after a hot prefix
+/// and a breakpoint inside a hot loop — every way an instruction can or
+/// cannot end a burst.
 const WORKERS: &str = "\
 own shared: int := 0
+own tally: int := 0
 
 fib = proc (n: int) returns (int)
  if n < 2 then
@@ -212,7 +215,61 @@ builder = proc (n: int) returns (int)
  end
  return (len(xs))
 end
+
+clocker = proc (rounds: int) returns (int)
+ acc: int := 0
+ for i: int := 1 to rounds do
+  t: int := 0
+  while t < 15 do
+   t := t + 1
+  end
+  acc := acc + now() * 3 + random(1000)
+ end
+ return (acc)
+end
+
+tallier = proc (rounds: int) returns (int)
+ for i: int := 1 to rounds do
+  tally := tally + i
+  t: int := 0
+  while t < 10 do
+   t := t + 1
+  end
+ end
+ return (tally)
+end
+
+runaway = proc (n: int) returns (int)
+ return (runaway(n + 1))
+end
+
+divider = proc (spins: int) returns (int)
+ t: int := 0
+ while t < spins do
+  t := t + 1
+ end
+ return (spins / (t - spins))
+end
+
+trapper = proc (spins: int) returns (int)
+ t: int := 0
+ hit: int := 0
+ while t < spins do
+  t := t + 1
+  if t = spins then
+   hit := t
+  end
+ end
+ return (hit)
+end
 ";
+
+/// The line of `WORKERS` (1-based) where [`node_run`] plants a breakpoint,
+/// inside `trapper`'s loop.
+fn trap_line() -> u32 {
+    let at = WORKERS.lines().position(|l| l == "   hit := t");
+    at.expect("trapper's marked line") as u32 + 1
+}
 
 /// `WORKERS` plus a `main` that forks one worker per `(kind, p)` pair,
 /// between a waiter that is parked by then and the relay that wakes it
@@ -232,7 +289,14 @@ fn node_world_source(workers: &[(i64, i64)]) -> String {
             4 => format!("signaller(s, {})", p * 30),
             5 => format!("locker(m, {p})"),
             6 => format!("forker({})", p % 5),
-            _ => format!("builder({})", p * 3),
+            7 => format!("builder({})", p * 3),
+            8 => format!("clocker({})", p * 4),
+            9 => format!("tallier({})", p * 50),
+            // Runaway recursion overflows the stack; the division faults
+            // after a hot prefix.
+            10 if p % 2 == 0 => format!("runaway({p})"),
+            10 => format!("divider({})", p * 40),
+            _ => format!("trapper({})", p * 25),
         };
         main.push_str(&format!(" fork {call}\n"));
     }
@@ -241,7 +305,8 @@ fn node_world_source(workers: &[(i64, i64)]) -> String {
 }
 
 /// Everything a node run can show: the trace, the console with its
-/// timestamps, the instruction count, the clocks and each exit value.
+/// timestamps, the instruction count, the clocks, each exit value and
+/// every outcall (a trap's address and clock, a fault's, an exit's).
 struct NodeRun {
     /// The clock each `advance_to` returned at. The last is the final
     /// clock; the rest compare between runs with the same windows only.
@@ -250,9 +315,11 @@ struct NodeRun {
     console: Vec<(SimTime, String)>,
     steps: u64,
     exits: Vec<(Pid, Option<Vec<Value>>)>,
+    outcalls: Vec<String>,
 }
 
-/// Runs `source` on a bare node to `limit`, one `advance_to` per `window`.
+/// Runs `source` on a bare node to `limit`, one `advance_to` per `window`,
+/// with a breakpoint planted at [`trap_line`].
 fn node_run(
     source: &str,
     time_slice: SimDuration,
@@ -266,16 +333,23 @@ fn node_run(
         profile_vm,
         ..Default::default()
     };
-    let program = pilgrim::compile(source).expect("generated program compiles");
+    let mut program = pilgrim::compile(source).expect("generated program compiles");
+    let trap_at = program
+        .addr_for_line(trap_line())
+        .expect("code on the line");
+    program.replace_op(trap_at, pilgrim_cclu::Op::Trap(7));
     let mut node = Node::new(0, program, config, tracer.clone());
     node.spawn("main", vec![], SpawnOpts::default())
         .expect("main exists");
     let mut t = SimTime::ZERO;
     let mut window_clocks = Vec::new();
+    let mut outcalls = Vec::new();
     while t < limit {
         t = (t + window).min(limit);
-        // Outcalls are dropped: a bare node has nobody to deliver them to.
-        node.advance_to(t);
+        // Outcalls are only recorded: a bare node has nobody to deliver
+        // them to.
+        let out = node.advance_to(t);
+        outcalls.extend(out.iter().map(|o| format!("{o:?}")));
         window_clocks.push(node.clock());
     }
     NodeRun {
@@ -288,6 +362,7 @@ fn node_run(
             .into_iter()
             .map(|pid| (pid, node.exit_values(pid).map(<[Value]>::to_vec)))
             .collect(),
+        outcalls,
     }
 }
 
@@ -304,6 +379,14 @@ fn ensure_same_run(burst: &NodeRun, other: &NodeRun, other_name: &str) -> Result
     )?;
     field("console", ensure_eq(&burst.console, &other.console))?;
     field("exit values", ensure_eq(&burst.exits, &other.exits))?;
+    let first_diff = (burst.outcalls.iter())
+        .zip(&other.outcalls)
+        .find(|(a, b)| a != b);
+    field("outcall", ensure_eq(first_diff, None))?;
+    field(
+        "outcall count",
+        ensure_eq(burst.outcalls.len(), other.outcalls.len()),
+    )?;
     let first_diff = burst
         .trace
         .lines()
@@ -336,7 +419,7 @@ fn burst_stepping_equals_single_stepping() {
         SimDuration::from_micros(37),
     ];
     let worlds = zip(
-        vecs(zip(int_range(0, 8), int_range(1, 13)), 6),
+        vecs(zip(int_range(0, 12), int_range(1, 13)), 6),
         zip(choice(slices), choice(windows)),
     );
     check_n(
