@@ -334,6 +334,12 @@ pub struct ProcCode {
     /// [`ProcCode::new`] and mutate code only through
     /// [`Program::replace_op`] to keep the tables in sync.
     pub costs: Vec<OpCost>,
+    /// The deepest operand stack any path through the code reaches, from
+    /// the verifier's stack-discipline walk, which the compiler runs once
+    /// per procedure. [`Op::Enter`] reserves the frame's locals plus this
+    /// many values. A hint, never a limit: [`ProcCode::new`] sets it to 0,
+    /// and a frame that outgrows it grows its stack as any push does.
+    pub peak_operands: u32,
     /// Signal-handler regions, innermost regions having larger `from_pc`.
     pub handlers: Vec<HandlerEntry>,
     /// Debug tables.
@@ -347,6 +353,7 @@ impl ProcCode {
         ProcCode {
             code,
             costs,
+            peak_operands: 0,
             handlers,
             debug,
         }

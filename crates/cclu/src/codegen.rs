@@ -388,7 +388,7 @@ impl Compiler {
         for (i, p) in module.procs.iter().enumerate() {
             procs.push(self.compile_proc(p, ProcId(i as u16))?);
         }
-        Ok(Program {
+        let mut program = Program {
             source: self.source,
             procs,
             globals: self.globals,
@@ -396,7 +396,15 @@ impl Compiler {
             rpc_names: self.rpc_names,
             externs: self.extern_sigs.into_iter().collect(),
             signal_names: self.signal_names,
-        })
+        };
+        // The walk reads callees' signatures, so it runs once every
+        // procedure is in place. Compiled code always passes it; were it
+        // not to, a hint of 0 only means the stack grows on demand.
+        for i in 0..program.procs.len() {
+            let peak = crate::verify::operand_peak(&program, ProcId(i as u16)).unwrap_or(0);
+            program.procs[i].peak_operands = peak;
+        }
+        Ok(program)
     }
 
     fn compile_proc(&mut self, p: &ast::ProcDef, _id: ProcId) -> Result<ProcCode, CompileError> {

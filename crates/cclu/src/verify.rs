@@ -11,7 +11,8 @@
 //!   local count covers the parameters and every local slot referenced;
 //! * operand-stack depth is consistent along all control-flow paths
 //!   (abstract interpretation with a worklist), never underflows, and is
-//!   zero at handler entries;
+//!   zero at handler entries — the same walk gives the compiler each
+//!   procedure's peak operand depth;
 //! * line tables are sorted and variable live ranges lie within the code.
 
 use crate::bytecode::{Op, ProcId, Program};
@@ -211,7 +212,25 @@ fn verify_proc(program: &Program, id: ProcId) -> Result<(), VerifyError> {
         }
     }
 
-    // Stack-discipline walk.
+    operand_peak(program, id).map(|_| ())
+}
+
+/// The stack-discipline walk: abstract interpretation of `id`'s operand
+/// depth along every control-flow path, from pc 0 and from every handler
+/// entry, each at depth 0. Returns the deepest operand stack any path
+/// reaches (pops happen before pushes, so no instruction goes deeper than
+/// the depth it leaves), which the compiler keeps as
+/// [`ProcCode::peak_operands`](crate::ProcCode::peak_operands). Expects
+/// [`verify`]'s structural checks to hold: jump and handler targets in
+/// range.
+pub(crate) fn operand_peak(program: &Program, id: ProcId) -> Result<u32, VerifyError> {
+    let code = &program.procs[id.0 as usize];
+    let len = code.code.len() as u32;
+    let err = |pc: Option<u32>, m: String| VerifyError {
+        proc: id.0,
+        pc,
+        message: m,
+    };
     let mut depth_at: Vec<Option<i32>> = vec![None; len as usize];
     let mut work: Vec<(u32, i32)> = vec![(0, 0)];
     for h in &code.handlers {
@@ -247,7 +266,9 @@ fn verify_proc(program: &Program, id: ProcId) -> Result<(), VerifyError> {
     for h in &code.handlers {
         depth_at[h.handler_pc as usize] = Some(0);
     }
+    let mut peak = 0;
     while let Some((pc, depth)) = work.pop() {
+        peak = peak.max(depth);
         let op = &code.code[pc as usize];
         match op {
             Op::Jump(t) => merge(*t, depth, &mut depth_at, &mut work)?,
@@ -285,7 +306,7 @@ fn verify_proc(program: &Program, id: ProcId) -> Result<(), VerifyError> {
             }
         }
     }
-    Ok(())
+    Ok(peak as u32)
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::ast::RpcProtocol;
-use crate::bytecode::{CodeAddr, Op, OpCost, ProcId, Program};
+use crate::bytecode::{CodeAddr, Op, OpCost, ProcCode, ProcId, Program};
 use crate::value::{format_value, Heap, HeapObject, Value};
 
 /// Maximum call-stack depth before a process faults.
@@ -410,6 +410,11 @@ pub struct VmProcess {
     /// nothing else, which is the only time a reader outside the VM looks
     /// at it directly — hence the name. Read a frame's locals through
     /// [`locals`](VmProcess::locals).
+    ///
+    /// Sized by need: [`Op::Enter`] reserves the frame's locals plus its
+    /// procedure's [`peak_operands`](crate::ProcCode::peak_operands),
+    /// exactly for the root frame (a parked process holds no slack) and by
+    /// doubling for a nested one (deep recursion copies linearly).
     pub exit_values: Vec<Value>,
     /// True while the process is inside the heap-allocator critical region
     /// (§5.5); the supervisor must let it exit before halting it.
@@ -539,14 +544,29 @@ fn operands_at(values: &[Value], floor: usize, n: usize) -> Option<usize> {
     values.len().checked_sub(n).filter(|&at| at >= floor)
 }
 
-/// The instruction at `p`'s pc and its cost-table entry; `None` when `p`
-/// has no frame or its pc is out of range.
+/// The running frame's procedure, the instruction at its pc and its
+/// cost-table entry; `None` when `p` has no frame or its pc is out of
+/// range.
 #[inline(always)]
-fn fetch<'a>(p: &VmProcess, program: &'a Program) -> Option<(&'a Op, OpCost)> {
+fn fetch<'a>(p: &VmProcess, program: &'a Program) -> Option<(&'a ProcCode, &'a Op, OpCost)> {
     let frame = p.frames.last()?;
     let code = program.procs.get(frame.proc.0 as usize)?;
     let pc = frame.pc as usize;
-    Some((code.code.get(pc)?, *code.costs.get(pc)?))
+    Some((code, code.code.get(pc)?, *code.costs.get(pc)?))
+}
+
+/// Makes room for `need` values on a value stack: exactly that for a root
+/// frame, by doubling for a nested one. Out of line: a call finds its
+/// room already there but for the first time it reaches a depth.
+#[cold]
+#[inline(never)]
+fn grow_stack(values: &mut Vec<Value>, need: usize, root: bool) {
+    let more = need - values.len();
+    if root {
+        values.reserve_exact(more);
+    } else {
+        values.reserve(more);
+    }
 }
 
 /// The fault for a [`fetch`] that found nothing.
@@ -574,7 +594,7 @@ fn fetch_fault(p: &VmProcess) -> StepOutcome {
 /// shares, so no instruction's semantics exist twice.
 pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
     let program = env.program;
-    let Some((op, meta)) = fetch(p, program) else {
+    let Some((code, op, meta)) = fetch(p, program) else {
         return fetch_fault(p);
     };
 
@@ -593,7 +613,7 @@ pub fn step(p: &mut VmProcess, env: &mut ExecEnv<'_>) -> StepOutcome {
     } else {
         u64::from(meta.cost)
     };
-    match dispatch_hot(op, cost, p, env.globals) {
+    match dispatch_hot(op, cost, p, code, env.globals) {
         Hot::Ran => StepOutcome::Ran { cost },
         Hot::End(end) => end,
         Hot::Cold => step_cold(op, p, env, cost),
@@ -624,13 +644,13 @@ pub fn run(p: &mut VmProcess, env: &mut ExecEnv<'_>, budget_us: u64) -> Burst {
         spent: 0,
         end: None,
     };
-    while let Some((op, meta)) = fetch(p, program) {
+    while let Some((code, op, meta)) = fetch(p, program) {
         let cost = u64::from(meta.cost);
         // `spent < budget_us` holds throughout, so the difference is exact.
         if cost >= budget_us - burst.spent {
             break;
         }
-        match dispatch_hot(op, cost, p, env.globals) {
+        match dispatch_hot(op, cost, p, code, env.globals) {
             Hot::Ran => {
                 burst.ran += 1;
                 burst.spent += cost;
@@ -658,9 +678,16 @@ enum Hot {
 
 /// The dispatch body [`step`] and [`run`] share: executes `op`, priced at
 /// `cost`, when it is one of the statically hot instructions, and leaves
-/// everything else to [`step_cold`].
+/// everything else to [`step_cold`]. `code` is the running frame's
+/// procedure, which [`fetch`] read `op` from.
 #[inline(always)]
-fn dispatch_hot(op: &Op, cost: u64, p: &mut VmProcess, globals: &mut [Value]) -> Hot {
+fn dispatch_hot(
+    op: &Op,
+    cost: u64,
+    p: &mut VmProcess,
+    code: &ProcCode,
+    globals: &mut [Value],
+) -> Hot {
     let depth = p.frames.len();
     let Some(frame) = p.frames.last_mut() else {
         return Hot::Cold;
@@ -838,7 +865,15 @@ fn dispatch_hot(op: &Op, cost: u64, p: &mut VmProcess, globals: &mut [Value]) ->
         }
         Op::Enter { nlocals } => {
             // Runs first in a fresh frame, whose operand stack is empty.
-            values.resize(frame.base as usize + usize::from(*nlocals), Value::Null);
+            // Room for the locals and the procedure's peak operand depth
+            // (see `VmProcess::exit_values`); the peak is a hint, and a
+            // push past it grows the stack as any push does.
+            let top = frame.base as usize + usize::from(*nlocals);
+            let need = top + code.peak_operands as usize;
+            if need > values.capacity() {
+                grow_stack(values, need, depth == 1);
+            }
+            values.resize(top, Value::Null);
             frame.nlocals = u32::from(*nlocals);
             frame.well_formed = true;
             frame.pc += 1;
@@ -2005,6 +2040,7 @@ end";
     /// dispatch leaves every allocating instruction to `step_cold`.
     #[test]
     fn every_allocating_instruction_is_cold() {
+        let empty = compile("main = proc ()\nend").unwrap();
         let new_record = Op::NewRecord {
             type_id: 0,
             nfields: 0,
@@ -2018,7 +2054,7 @@ end";
         ] {
             assert!(crate::bytecode::op_cost(&op).allocates, "{op:?}");
             let mut p = VmProcess::spawn(ProcId(0), vec![]);
-            let hot = dispatch_hot(&op, 10, &mut p, &mut []);
+            let hot = dispatch_hot(&op, 10, &mut p, &empty.procs[0], &mut []);
             assert!(matches!(hot, Hot::Cold), "{op:?}");
         }
     }
@@ -2128,5 +2164,112 @@ end";
         assert_eq!(fault.kind, FaultKind::StackOverflow);
         // `stack_overflow_faults`: 2 558 steps costing 12 284 µs in all.
         assert_eq!((b.ran + 1, b.spent + cost), (2_558, 12_284));
+    }
+
+    // ------------------------------------------------------------------
+    // `Enter`: a value stack sized by its procedure's need.
+    // ------------------------------------------------------------------
+
+    /// The value stack's allocation: where it lives and how many values fit.
+    fn stack_block(p: &VmProcess) -> (*const Value, usize) {
+        (p.exit_values.as_ptr(), p.exit_values.capacity())
+    }
+
+    /// `sparse-250k`'s worker needs its one local and one operand: `Enter`
+    /// allocates exactly two values, and nothing reallocates them before
+    /// the root `Ret` keeps the result alone.
+    #[test]
+    fn a_root_frame_is_allocated_at_its_need_once() {
+        let program =
+            compile("worker = proc (k: int) returns (int)\n sleep(k)\n return (k)\nend").unwrap();
+        let worker = program.proc_by_name("worker").unwrap();
+        assert_eq!(program.proc(worker).peak_operands, 1);
+        let mut heap = Heap::new();
+        let mut sys = TestSys::default();
+        let mut env = ExecEnv {
+            heap: &mut heap,
+            program: &program,
+            globals: &mut [],
+            sys: &mut sys,
+        };
+        let mut p = VmProcess::spawn(worker, vec![Value::Int(60)]);
+        assert!(matches!(step(&mut p, &mut env), StepOutcome::Ran { .. }));
+        let block = stack_block(&p);
+        assert_eq!(block.1, 2, "one local and one operand");
+        step_to(&mut p, &mut env, |op| matches!(op, Op::Ret { .. }));
+        assert_eq!(stack_block(&p), block, "reallocated before the return");
+        assert!(matches!(step(&mut p, &mut env), StepOutcome::Exited { .. }));
+        assert_eq!(p.exit_values, [Value::Int(60)]);
+    }
+
+    /// A nested frame's stack grows by doubling, so a recursion 500 frames
+    /// deep, whose stack reaches more than 2 000 values, reallocates a
+    /// logarithmic number of times: reserving each frame's exact need would
+    /// reallocate once per frame, quadratic in the copying.
+    #[test]
+    fn a_deep_recursion_reallocates_logarithmically() {
+        let program = compile(
+            "down = proc (n: int) returns (int)\n a: int := n\n b: int := n\n c: int := n\n\
+             if n < 1 then\n return (0)\n end\n return (down(n - 1) + a + b + c)\nend",
+        )
+        .unwrap();
+        let down = program.proc_by_name("down").unwrap();
+        let mut heap = Heap::new();
+        let mut sys = TestSys::default();
+        let mut env = ExecEnv {
+            heap: &mut heap,
+            program: &program,
+            globals: &mut [],
+            sys: &mut sys,
+        };
+        let mut p = VmProcess::spawn(down, vec![Value::Int(500)]);
+        let (mut reallocs, mut deepest) = (0u32, 0usize);
+        let mut block = stack_block(&p);
+        loop {
+            match step(&mut p, &mut env) {
+                StepOutcome::Ran { .. } => {}
+                StepOutcome::Exited { .. } => break,
+                other => panic!("{other:?}"),
+            }
+            deepest = deepest.max(p.exit_values.len());
+            if p.frames.len() > 1 && stack_block(&p) != block {
+                reallocs += 1;
+            }
+            block = stack_block(&p);
+        }
+        assert_eq!(p.exit_values, [Value::Int(3 * 500 * 501 / 2)]);
+        assert!(deepest > 2_000, "{deepest} values");
+        let log2 = usize::BITS - deepest.leading_zeros();
+        assert!(
+            reallocs <= log2,
+            "{reallocs} reallocations for {deepest} values"
+        );
+    }
+
+    /// A procedure built by hand has a hint of 0: its stack grows on demand
+    /// and it runs to the same result as the compiled one.
+    #[test]
+    fn a_hand_built_procedure_with_no_hint_runs() {
+        let compiled =
+            compile("f = proc (x: int) returns (int)\n return (x * 2 + 1)\nend").unwrap();
+        let f = &compiled.procs[0];
+        assert_eq!(f.peak_operands, 2);
+        let mut program = compiled.clone();
+        program.procs[0] = ProcCode::new(f.code.clone(), f.handlers.clone(), f.debug.clone());
+        assert_eq!(program.procs[0].peak_operands, 0);
+        for program in [&compiled, &program] {
+            let mut heap = Heap::new();
+            let mut sys = TestSys::default();
+            let mut env = ExecEnv {
+                heap: &mut heap,
+                program,
+                globals: &mut [],
+                sys: &mut sys,
+            };
+            let mut p = VmProcess::spawn(ProcId(0), vec![Value::Int(20)]);
+            let (ran, _, end) = step_out(&mut p, &mut env);
+            assert!(matches!(end, StepOutcome::Exited { .. }), "{end:?}");
+            assert_eq!((ran, p.exit_values.as_slice()), (6, &[Value::Int(41)][..]));
+        }
     }
 }

@@ -3,7 +3,7 @@
 //! and the resulting bytecode must pass the verifier. The raw-bytes fuzz
 //! tests additionally pin down "never panic" for arbitrary input.
 
-use pilgrim_cclu::{compile, verify};
+use pilgrim_cclu::{compile, verify, Value};
 use pilgrim_sim::check::{byte, check_n, ensure, ensure_eq, vecs};
 
 /// A deterministic, byte-driven generator of well-typed programs.
@@ -220,95 +220,135 @@ fn compile_never_panics_on_noise() {
     );
 }
 
+/// A supervisor for one process: nothing blocks, a timed wait times out
+/// at once, and a generated program's rare remote call gets zeroes.
+struct Sys;
+impl pilgrim_cclu::Syscalls for Sys {
+    fn now_ms(&mut self) -> i64 {
+        0
+    }
+    fn pid(&mut self) -> i64 {
+        1
+    }
+    fn node_id(&mut self) -> i64 {
+        0
+    }
+    fn random(&mut self, bound: i64) -> i64 {
+        bound - 1
+    }
+    fn print(&mut self, _text: &str) {}
+    fn sem_create(&mut self, _count: i64) -> u32 {
+        0
+    }
+    fn sem_wait(&mut self, _s: u32, _t: i64) -> pilgrim_cclu::SysReply {
+        pilgrim_cclu::SysReply::Val(vec![Value::Bool(false)])
+    }
+    fn sem_signal(&mut self, _s: u32) {}
+    fn mutex_create(&mut self) -> u32 {
+        0
+    }
+    fn mutex_lock(&mut self, _m: u32) -> pilgrim_cclu::SysReply {
+        pilgrim_cclu::SysReply::Val(vec![])
+    }
+    fn mutex_unlock(&mut self, _m: u32) {}
+    fn fork(&mut self, _p: pilgrim_cclu::ProcId, _a: Vec<Value>) -> i64 {
+        2
+    }
+    fn sleep(&mut self, _ms: i64) -> pilgrim_cclu::SysReply {
+        pilgrim_cclu::SysReply::Val(vec![])
+    }
+    fn rpc(&mut self, req: pilgrim_cclu::RpcRequest) -> pilgrim_cclu::SysReply {
+        // Generated programs only issue local calls; be safe anyway.
+        let n = usize::from(req.nrets);
+        pilgrim_cclu::SysReply::Val(vec![Value::Int(0); n])
+    }
+}
+
+/// Compiles a generated program and single-steps `p0(3, 4)` to its end or
+/// its two-millionth step, calling `each` after every step; whether it
+/// ended.
+fn run_generated(
+    src: &str,
+    mut each: impl FnMut(&pilgrim_cclu::Program, &pilgrim_cclu::VmProcess) -> Result<(), String>,
+) -> Result<bool, String> {
+    use pilgrim_cclu::{ExecEnv, Heap, HeapObject, StepOutcome, VmProcess};
+
+    let program = compile(src).unwrap();
+    let entry = program.proc_by_name("p0").unwrap();
+    let mut heap = Heap::new();
+    let mut globals: Vec<Value> = program
+        .globals
+        .iter()
+        .map(|g| match &g.init {
+            pilgrim_cclu::GlobalInit::Literal(v) => v.clone(),
+            pilgrim_cclu::GlobalInit::EmptyArray => {
+                Value::Ref(heap.alloc(HeapObject::Array(Vec::new())))
+            }
+            pilgrim_cclu::GlobalInit::Semaphore(_) => Value::Sem(0),
+        })
+        .collect();
+    let mut sys = Sys;
+    let mut proc = VmProcess::spawn(entry, vec![Value::Int(3), Value::Int(4)]);
+    for _ in 0..2_000_000u32 {
+        let mut env = ExecEnv {
+            heap: &mut heap,
+            program: &program,
+            globals: &mut globals,
+            sys: &mut sys,
+        };
+        let outcome = pilgrim_cclu::step(&mut proc, &mut env);
+        each(&program, &proc)?;
+        match outcome {
+            StepOutcome::Exited { .. } | StepOutcome::Faulted { .. } => return Ok(true),
+            StepOutcome::Trapped { .. } => panic!("no traps planted"),
+            _ => {}
+        }
+    }
+    Ok(false)
+}
+
 /// Generated programs execute to completion or fault cleanly — the VM
 /// never panics or wedges on any well-typed program. (Unbounded
 /// recursion is possible and must surface as a StackOverflow fault.)
 #[test]
 fn generated_programs_run_without_vm_panics() {
-    use pilgrim_cclu::{ExecEnv, Heap, HeapObject, StepOutcome, Value, VmProcess};
-
-    struct Sys;
-    impl pilgrim_cclu::Syscalls for Sys {
-        fn now_ms(&mut self) -> i64 {
-            0
-        }
-        fn pid(&mut self) -> i64 {
-            1
-        }
-        fn node_id(&mut self) -> i64 {
-            0
-        }
-        fn random(&mut self, bound: i64) -> i64 {
-            bound - 1
-        }
-        fn print(&mut self, _text: &str) {}
-        fn sem_create(&mut self, _count: i64) -> u32 {
-            0
-        }
-        fn sem_wait(&mut self, _s: u32, _t: i64) -> pilgrim_cclu::SysReply {
-            pilgrim_cclu::SysReply::Val(vec![Value::Bool(false)])
-        }
-        fn sem_signal(&mut self, _s: u32) {}
-        fn mutex_create(&mut self) -> u32 {
-            0
-        }
-        fn mutex_lock(&mut self, _m: u32) -> pilgrim_cclu::SysReply {
-            pilgrim_cclu::SysReply::Val(vec![])
-        }
-        fn mutex_unlock(&mut self, _m: u32) {}
-        fn fork(&mut self, _p: pilgrim_cclu::ProcId, _a: Vec<Value>) -> i64 {
-            2
-        }
-        fn sleep(&mut self, _ms: i64) -> pilgrim_cclu::SysReply {
-            pilgrim_cclu::SysReply::Val(vec![])
-        }
-        fn rpc(&mut self, req: pilgrim_cclu::RpcRequest) -> pilgrim_cclu::SysReply {
-            // Generated programs only issue local calls; be safe anyway.
-            let n = usize::from(req.nrets);
-            pilgrim_cclu::SysReply::Val(vec![Value::Int(0); n])
-        }
-    }
-
     check_n(
         "generated_programs_run_without_vm_panics",
         CASES,
         &driver(160),
         |data| {
             let src = Gen::new(data).program();
-            let program = compile(&src).unwrap();
-            let entry = program.proc_by_name("p0").unwrap();
-            let mut heap = Heap::new();
-            let mut globals: Vec<Value> = program
-                .globals
-                .iter()
-                .map(|g| match &g.init {
-                    pilgrim_cclu::GlobalInit::Literal(v) => v.clone(),
-                    pilgrim_cclu::GlobalInit::EmptyArray => {
-                        Value::Ref(heap.alloc(HeapObject::Array(Vec::new())))
-                    }
-                    pilgrim_cclu::GlobalInit::Semaphore(_) => Value::Sem(0),
-                })
-                .collect();
-            let mut sys = Sys;
-            let mut proc = VmProcess::spawn(entry, vec![Value::Int(3), Value::Int(4)]);
-            let mut done = false;
-            for _ in 0..2_000_000u32 {
-                let mut env = ExecEnv {
-                    heap: &mut heap,
-                    program: &program,
-                    globals: &mut globals,
-                    sys: &mut sys,
-                };
-                match pilgrim_cclu::step(&mut proc, &mut env) {
-                    StepOutcome::Exited { .. } | StepOutcome::Faulted { .. } => {
-                        done = true;
-                        break;
-                    }
-                    StepOutcome::Trapped { .. } => panic!("no traps planted"),
-                    _ => {}
-                }
-            }
+            let done = run_generated(&src, |_, _| Ok(()))?;
             ensure(done, format!("program wedged:\n{src}"))
+        },
+    );
+}
+
+/// The compiler's peak operand depth is exact enough to size a stack
+/// by: after every step of every generated program, the running frame
+/// holds no more operands above its locals than its procedure's
+/// `peak_operands`. A frame below it holds what it held when it made
+/// the call, less the arguments, so no frame ever outgrows its peak.
+#[test]
+fn no_frame_outgrows_its_procedures_peak() {
+    check_n(
+        "no_frame_outgrows_its_procedures_peak",
+        CASES,
+        &driver(160),
+        |data| {
+            let src = Gen::new(data).program();
+            run_generated(&src, |program, p| {
+                let Some(top) = p.top() else {
+                    return Ok(());
+                };
+                let operands = p.exit_values.len() - (top.base + top.nlocals) as usize;
+                let peak = program.proc(top.proc).peak_operands as usize;
+                ensure(
+                    operands <= peak,
+                    format!("{operands} operands in a frame of peak {peak}:\n{src}"),
+                )
+            })
+            .map(drop)
         },
     );
 }

@@ -636,11 +636,14 @@ impl Agent {
             AgentRequest::ListProcesses => {
                 let now = node.clock();
                 let mut rows = Vec::with_capacity(node.process_count());
-                rows.extend(node.processes().map(|p| Self::proc_view(p, now)));
+                rows.extend(
+                    node.processes()
+                        .map(|(pid, p)| Self::proc_view(pid, p, now)),
+                );
                 AgentReply::Processes(rows)
             }
             AgentRequest::ProcessState { pid } => match node.process(Pid(pid)) {
-                Some(p) => AgentReply::Process(Self::proc_view(p, node.clock())),
+                Some(p) => AgentReply::Process(Self::proc_view(Pid(pid), p, node.clock())),
                 None => AgentReply::Error(format!("no process p{pid}")),
             },
             AgentRequest::ReadStack { pid } => match self.read_stack(node, endpoint, Pid(pid)) {
@@ -884,15 +887,19 @@ impl Agent {
     /// One row of a process listing, built straight from the supervisor's
     /// record: the name is shared, not copied, so a row allocates only for
     /// a fault message.
-    fn proc_view(p: &Process, now: SimTime) -> ProcView {
+    fn proc_view(pid: Pid, p: &Process, now: SimTime) -> ProcView {
         let state = match &p.state {
             RunState::Runnable => StateView::Runnable,
             RunState::Sleeping { until } => StateView::Sleeping {
                 remaining_ms: until.saturating_since(now).as_millis() as i64,
             },
-            RunState::SemWait { sem, deadline } => StateView::SemWait {
+            RunState::SemWait { sem } => StateView::SemWait {
                 sem: *sem,
-                remaining_ms: deadline.map(|d| d.saturating_since(now).as_millis() as i64),
+                remaining_ms: None,
+            },
+            RunState::SemWaitTimed { sem, deadline } => StateView::SemWait {
+                sem: *sem,
+                remaining_ms: Some(deadline.saturating_since(now).as_millis() as i64),
             },
             RunState::MutexWait { mutex } => StateView::MutexWait { mutex: *mutex },
             RunState::RpcWait { .. } => StateView::RpcWait,
@@ -904,10 +911,10 @@ impl Agent {
             RunState::Exited => StateView::Exited,
         };
         ProcView {
-            pid: p.pid.0,
+            pid: pid.0,
             name: p.name.clone(),
             state,
-            halted: p.halted.is_some(),
+            halted: p.halted,
             no_halt: p.no_halt,
             priority: p.priority,
             frames: p.vm().map_or(0, |vm| vm.frames.len()) as u32,

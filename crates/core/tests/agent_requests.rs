@@ -260,6 +260,45 @@ fn force_runnable_releases_a_forever_wait() {
     );
 }
 
+/// A timed semaphore wait reports what is left of its timeout and an
+/// untimed one reports none, before, during and after a halt, with the
+/// same figures as when both were one state with an optional deadline.
+/// Halting freezes the remainder but does not rewrite the deadline until
+/// the resume, so the listing counts it down through the halt.
+#[test]
+fn a_semaphore_waits_remaining_time_is_listed_timed_or_not() {
+    let mut w = World::builder()
+        .nodes(1)
+        .program(
+            "timed = proc ()\n s: sem := sem$create(0)\n ok: bool := sem$wait(s, 200)\nend\n\
+             untimed = proc ()\n s: sem := sem$create(0)\n ok: bool := sem$wait(s, 0 - 1)\nend",
+        )
+        .build()
+        .unwrap();
+    w.debug_connect(&[0], false).unwrap();
+    let timed = w.spawn(0, "timed", vec![]).0;
+    let untimed = w.spawn(0, "untimed", vec![]).0;
+    let listed = |w: &mut World| {
+        let procs = w.debug_processes(0).unwrap();
+        let remaining = |pid| match procs.iter().find(|p| p.pid == pid).unwrap().state {
+            StateView::SemWait { remaining_ms, .. } => remaining_ms,
+            ref other => panic!("{other:?}"),
+        };
+        (remaining(timed), remaining(untimed))
+    };
+    w.run_for(SimDuration::from_millis(50));
+    let before = listed(&mut w);
+    w.debug_request(0, AgentRequest::HaltAll).unwrap();
+    w.run_for(SimDuration::from_millis(100));
+    let halted = listed(&mut w);
+    w.debug_request(0, AgentRequest::ResumeAll).unwrap();
+    let resumed = listed(&mut w);
+    assert_eq!(
+        [before, halted, resumed],
+        [(Some(146), None), (Some(31), None), (Some(131), None)]
+    );
+}
+
 #[test]
 fn console_reads_with_offsets() {
     let mut w = world();

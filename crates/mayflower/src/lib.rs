@@ -220,7 +220,7 @@ mod tests {
         let halted = n.halt_all();
         // Only the forked child is halted; main is exempt.
         assert_eq!(halted, 1);
-        assert!(n.process(main).unwrap().halted.is_none());
+        assert!(!n.process(main).unwrap().halted);
     }
 
     #[test]
@@ -247,11 +247,11 @@ mod tests {
         assert_eq!(n.halt_all(), 1);
         let p = n.process(pid).unwrap();
         assert!(p.halt_pending, "halt must be deferred, not applied");
-        assert!(p.halted.is_none());
+        assert!(!p.halted);
         // One more step exits the allocator and the halt lands.
         n.step_one(pid);
         let p = n.process(pid).unwrap();
-        assert!(p.halted.is_some(), "halt applies on allocator exit");
+        assert!(p.halted, "halt applies on allocator exit");
         assert!(!p.in_allocator());
     }
 
@@ -299,8 +299,7 @@ mod tests {
         let waiter = pids[1];
         let winfo = n.process_info(waiter).unwrap();
         match winfo.state {
-            RunState::SemWait { sem, deadline } => {
-                assert_eq!(deadline, None);
+            RunState::SemWait { sem } => {
                 let (count, waiters) = n.sem_state(sem).unwrap();
                 assert_eq!(count, 0);
                 assert_eq!(waiters, vec![waiter]);
@@ -660,8 +659,8 @@ mod tests {
             ..Default::default()
         };
         let parent = n.spawn("main", vec![], no_halt).unwrap();
-        assert!(n.process(plain).unwrap().halted.is_some());
-        assert!(n.process(parent).unwrap().halted.is_none());
+        assert!(n.process(plain).unwrap().halted);
+        assert!(!n.process(parent).unwrap().halted);
         let span = SpanId::from_wire(77).expect("nonzero");
         n.process_mut(parent).unwrap().span = Some(span);
         n.advance_to(SimTime::from_millis(1));
@@ -669,7 +668,7 @@ mod tests {
         let child = Pid(3);
         let rec = n.process(child).expect("main forked");
         assert_eq!(&*rec.name, "worker");
-        assert!(rec.halted.is_some(), "halted at birth");
+        assert!(rec.halted, "halted at birth");
         assert!(!rec.no_halt);
         assert_eq!((rec.priority, rec.span), (1, Some(span)));
         let spawned: Vec<_> = tracer
@@ -943,7 +942,7 @@ mod tests {
         assert_eq!(n.steps_total(), steps + 1);
         let p = n.process(pid).unwrap();
         assert!(!p.in_allocator() && !p.halt_pending);
-        assert!(p.halted.is_some(), "halt applied");
+        assert!(p.halted, "halt applied");
         // Where the halt landed, from a second node single-stepped throughout.
         let mut twin = node_with(ALLOC_LOOP, 24);
         let twin_pid = twin.spawn("main", vec![], SpawnOpts::default()).unwrap();
@@ -1047,7 +1046,7 @@ mod tests {
         let waiter = n.pids()[1];
         assert!(matches!(
             n.process(waiter).unwrap().state,
-            RunState::SemWait { .. }
+            RunState::SemWaitTimed { .. }
         ));
         assert!(
             n.next_activity().is_none_or(|t| t > hour),

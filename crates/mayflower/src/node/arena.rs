@@ -48,6 +48,13 @@ impl Node {
         pid.0.wrapping_sub(1) as usize
     }
 
+    /// The pid of arena slot `slot`, the inverse of [`slot`](Node::slot):
+    /// a record's pid is its place, not a field.
+    #[inline]
+    pub(super) fn pid_at(slot: usize) -> Pid {
+        Pid(slot as u64 + 1)
+    }
+
     /// Spawns a process running the named procedure.
     ///
     /// # Errors
@@ -111,14 +118,17 @@ impl Node {
         // A process born while the node is halted by the debugger (e.g. a
         // server process for an RPC that arrived mid-halt) is halted at
         // birth: "the processes on the node" are halted, all of them.
-        let halted = (self.halt_marker.is_some() && !opts.no_halt).then_some(HaltInfo {
-            frozen_remaining: None,
-        });
+        let halted = self.halt_marker.is_some() && !opts.no_halt;
+        if halted {
+            let unfrozen = HaltInfo {
+                frozen_remaining: None,
+            };
+            self.halts.insert(pid, unfrozen);
+        }
         if self.config.profile_vm {
             self.tracks.push(ProcTrack::new(self.clock));
         }
         self.procs.push(Process {
-            pid,
             name: name.clone(),
             body,
             state: RunState::Runnable,
@@ -170,12 +180,16 @@ impl Node {
         self.procs.get_mut(Self::slot(pid))
     }
 
-    /// Every process record in creation order, dead ones included (they
-    /// are retained for post-mortem examination, reduced to what it reads).
-    /// Borrowed, so a listing is one pass with no per-record copy; size its
-    /// buffer with [`process_count`](Node::process_count).
-    pub fn processes(&self) -> impl Iterator<Item = &Process> {
-        self.procs.iter()
+    /// Every process record with its pid, in creation order, dead ones
+    /// included (they are retained for post-mortem examination, reduced to
+    /// what it reads). Borrowed, so a listing is one pass with no
+    /// per-record copy; size its buffer with
+    /// [`process_count`](Node::process_count).
+    pub fn processes(&self) -> impl Iterator<Item = (Pid, &Process)> {
+        self.procs
+            .iter()
+            .enumerate()
+            .map(|(slot, p)| (Self::pid_at(slot), p))
     }
 
     /// How many process records the node holds, dead ones included: the
@@ -186,7 +200,7 @@ impl Node {
 
     /// All process ids, in creation order.
     pub fn pids(&self) -> Vec<Pid> {
-        (1..=self.procs.len() as u64).map(Pid).collect()
+        (0..self.procs.len()).map(Self::pid_at).collect()
     }
 
     /// The redirected output captured for `pid`, when it was spawned with

@@ -33,7 +33,7 @@ use pilgrim_sim::{
     TraceEvent, Tracer,
 };
 
-use crate::process::{Pid, Process};
+use crate::process::{HaltInfo, Pid, Process};
 use crate::sync::{MonitorLock, Semaphore};
 
 mod arena;
@@ -267,6 +267,12 @@ pub struct Node {
     outcalls: Vec<Outcall>,
     slice_used: SimDuration,
     halt_marker: Option<SimTime>,
+    /// The processes under the debug-halt overlay — halted, or with a halt
+    /// pending on their way out of the allocator — each with its frozen
+    /// timeout (§5.2). A pid is here exactly while its record
+    /// [`is_halted`](Process::is_halted), so "is anything halted?" is a
+    /// length check, and a record pays nothing for a halt it is not in.
+    halts: HashMap<Pid, HaltInfo>,
     /// Pending timer deadlines as a lazy min-heap of `(deadline, pid)`.
     /// Entries are pushed when a process blocks with a deadline (and when
     /// a frozen timeout is re-armed on resume) and validated against the
@@ -362,6 +368,7 @@ impl Node {
             outcalls: Vec::new(),
             slice_used: SimDuration::ZERO,
             halt_marker: None,
+            halts: HashMap::new(),
             timers: BinaryHeap::new(),
             due_scratch: Vec::new(),
             spawn_scratch: Vec::new(),

@@ -55,7 +55,9 @@ impl Node {
         match &p.state {
             RunState::Runnable => Some(LedgerBucket::Runnable),
             RunState::Sleeping { .. } => Some(LedgerBucket::Sleeping),
-            RunState::SemWait { .. } | RunState::MutexWait { .. } => Some(LedgerBucket::BlockedSem),
+            RunState::SemWait { .. }
+            | RunState::SemWaitTimed { .. }
+            | RunState::MutexWait { .. } => Some(LedgerBucket::BlockedSem),
             RunState::RpcWait { .. } => Some(LedgerBucket::BlockedRpc),
             RunState::Trapped { .. } | RunState::TraceStopped => Some(LedgerBucket::Stopped),
             RunState::Faulted(_) | RunState::Exited => None,
@@ -180,7 +182,8 @@ impl Node {
         self.procs
             .iter()
             .zip(self.tracks.iter())
-            .map(|(p, t)| {
+            .enumerate()
+            .map(|(slot, (p, t))| {
                 let mut ledger = t.ledger;
                 let d = self.clock.saturating_since(t.since);
                 if d > SimDuration::ZERO {
@@ -188,7 +191,7 @@ impl Node {
                         ledger.add(bucket, d);
                     }
                 }
-                (p.pid, p.name.to_string(), p.span, ledger)
+                (Self::pid_at(slot), p.name.to_string(), p.span, ledger)
             })
             .collect()
     }

@@ -402,7 +402,8 @@ impl Node {
         if proc.halt_pending && !proc.in_allocator() {
             let freeze = self.config.freeze_timeouts_on_halt;
             let clock = self.clock;
-            Self::apply_halt(proc, clock, freeze);
+            let info = Self::apply_halt(proc, clock, freeze);
+            self.halts.insert(pid, info);
         }
 
         // A forked worker belongs to the same causal activity as its

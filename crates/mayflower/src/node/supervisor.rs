@@ -35,8 +35,8 @@ impl Node {
         f: fn(&mut Node, Pid) -> bool,
         event: fn(u64) -> EventKind,
     ) -> usize {
-        let n = (1..=self.procs.len() as u64)
-            .filter(|&i| f(self, Pid(i)))
+        let n = (0..self.procs.len())
+            .filter(|&slot| f(self, Self::pid_at(slot)))
             .count();
         if self.sink.wants(TraceCategory::Debug) {
             self.sink.emit(
@@ -57,29 +57,35 @@ impl Node {
         self.settle_track(pid);
         let clock = self.clock;
         let freeze = self.config.freeze_timeouts_on_halt;
-        let Some(p) = self.process_mut(pid) else {
+        let Some(p) = self.procs.get_mut(Self::slot(pid)) else {
             return false;
         };
-        if p.no_halt || p.state.is_dead() || p.halted.is_some() {
+        if p.no_halt || p.state.is_dead() || p.halted {
             return false;
         }
-        if p.in_allocator() {
+        let info = if p.in_allocator() {
             p.halt_pending = true;
-            return true;
-        }
-        Self::apply_halt(p, clock, freeze);
+            HaltInfo {
+                frozen_remaining: None,
+            }
+        } else {
+            Self::apply_halt(p, clock, freeze)
+        };
+        self.halts.insert(pid, info);
         true
     }
 
-    /// Puts `p` under the halt overlay at `clock`, freezing what is left
-    /// of its timeout when `freeze_timeouts` is set (§5.2).
-    pub(super) fn apply_halt(p: &mut Process, clock: SimTime, freeze_timeouts: bool) {
+    /// Puts `p` under the halt overlay at `clock`, returning its halt-table
+    /// entry: what is left of its timeout when `freeze_timeouts` is set
+    /// (§5.2).
+    pub(super) fn apply_halt(p: &mut Process, clock: SimTime, freeze_timeouts: bool) -> HaltInfo {
         let frozen_remaining = match p.state.deadline() {
             Some(d) if freeze_timeouts => Some(d.saturating_since(clock)),
             _ => None,
         };
-        p.halted = Some(HaltInfo { frozen_remaining });
+        p.halted = true;
         p.halt_pending = false;
+        HaltInfo { frozen_remaining }
     }
 
     /// Resumes a single halted process.
@@ -89,10 +95,14 @@ impl Node {
         let Some(p) = self.procs.get_mut(Self::slot(pid)) else {
             return false;
         };
+        // A pending halt is cancelled and leaves the table too, but only
+        // a halted process counts as resumed.
         p.halt_pending = false;
-        let Some(info) = p.halted.take() else {
+        let info = self.halts.remove(&pid);
+        if !std::mem::take(&mut p.halted) {
             return false;
-        };
+        }
+        let info = info.expect("a halted process is in the halt table");
         if let Some(rem) = info.frozen_remaining {
             if let Some(d) = p.state.deadline_mut() {
                 *d = clock + rem;
@@ -107,7 +117,7 @@ impl Node {
 
     /// True when any process is currently halted (or halt-pending).
     pub fn any_halted(&self) -> bool {
-        self.procs.iter().any(Process::is_halted)
+        !self.halts.is_empty()
     }
 
     /// `(runnable, blocked, halted)` process counts right now: runnable =
@@ -142,7 +152,7 @@ impl Node {
             pid,
             name: p.name.clone(),
             state: p.state.clone(),
-            halted: p.halted.is_some(),
+            halted: p.halted,
             no_halt: p.no_halt,
             priority: p.priority,
             addr: p.addr(),
@@ -190,7 +200,9 @@ impl Node {
         };
         match p.state {
             RunState::Runnable => true,
-            RunState::Sleeping { .. } | RunState::SemWait { .. } => {
+            RunState::Sleeping { .. }
+            | RunState::SemWait { .. }
+            | RunState::SemWaitTimed { .. } => {
                 self.end_wait(pid);
                 true
             }

@@ -89,12 +89,12 @@ impl Syscalls for SysCtx<'_> {
             return SysReply::Val(vec![Value::Bool(false)]);
         }
         s.waiters.push_back(self.pid);
-        let deadline = if timeout_ms < 0 {
-            None
+        self.block = Some(if timeout_ms < 0 {
+            RunState::SemWait { sem }
         } else {
-            Some(self.now + SimDuration::from_millis(timeout_ms as u64))
-        };
-        self.block = Some(RunState::SemWait { sem, deadline });
+            let deadline = self.now + SimDuration::from_millis(timeout_ms as u64);
+            RunState::SemWaitTimed { sem, deadline }
+        });
         SysReply::Block
     }
 

@@ -18,8 +18,7 @@ impl Node {
     /// live, so the activity index sees it and it fires on time.
     fn timer_live(&self, t: SimTime, pid: Pid) -> bool {
         self.process(pid).is_some_and(|p| {
-            p.state.deadline() == Some(t)
-                && !(p.halted.is_some() && self.config.freeze_timeouts_on_halt)
+            p.state.deadline() == Some(t) && !(p.halted && self.config.freeze_timeouts_on_halt)
         })
     }
 
@@ -73,7 +72,7 @@ impl Node {
     /// off this result); a sleeper just wakes.
     pub(super) fn end_wait(&mut self, pid: Pid) {
         let values = match self.process(pid).map(|p| &p.state) {
-            Some(&RunState::SemWait { sem, .. }) => {
+            Some(&(RunState::SemWait { sem } | RunState::SemWaitTimed { sem, .. })) => {
                 if let Some(s) = self.sems.get_mut(sem as usize) {
                     s.remove_waiter(pid);
                 }
@@ -82,5 +81,115 @@ impl Node {
             _ => vec![],
         };
         self.wake(pid, values);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cmp::Reverse;
+    use std::sync::Arc;
+
+    use pilgrim_cclu::compile;
+    use pilgrim_sim::{SimDuration, SimTime, Tracer};
+
+    use crate::{Node, NodeConfig, Pid, RunState, SpawnOpts};
+
+    /// One timed and one untimed waiter on the same semaphore.
+    const WAITERS: &str = "\
+timed = proc (s: sem)
+ ok: bool := sem$wait(s, 200)
+ print(\"timed\")
+end
+untimed = proc (s: sem)
+ ok: bool := sem$wait(s, 0 - 1)
+ print(\"untimed\")
+end
+main = proc ()
+ s: sem := sem$create(0)
+ fork timed(s)
+ fork untimed(s)
+end";
+
+    /// The pids on the timer heap, stale entries included.
+    fn armed(n: &Node) -> Vec<Pid> {
+        n.timers.iter().map(|&Reverse((_, pid))| pid).collect()
+    }
+
+    /// Splitting the semaphore wait in two keeps every deadline rule: a
+    /// halt from 50 to 550 ms freezes the timed waiter's remainder and the
+    /// resume re-arms it, so it fires 500 ms late; with timeouts unfrozen
+    /// (the E4 ablation) it fires at its own deadline, halted. Either way
+    /// the untimed waiter never enters the timer heap. The instants it
+    /// fires and prints at are the ones the single semaphore-wait state,
+    /// with an `Option` deadline, produced.
+    #[test]
+    fn a_timed_and_an_untimed_waiter_keep_their_deadline_rules() {
+        let program = Arc::new(compile(WAITERS).unwrap());
+        let (halt, resume) = (SimTime::from_millis(50), SimTime::from_millis(550));
+        for (freeze, fires_at_us, prints_at_us) in
+            [(true, 700_166, 700_170), (false, 200_166, 550_004)]
+        {
+            let cfg = NodeConfig {
+                freeze_timeouts_on_halt: freeze,
+                ..Default::default()
+            };
+            let mut n = Node::new(0, program.clone(), cfg, Tracer::new());
+            n.spawn("main", vec![], SpawnOpts::default()).unwrap();
+            let (timed, untimed) = (Pid(2), Pid(3));
+            n.advance_to(halt);
+            let RunState::SemWaitTimed { deadline, .. } = n.process(timed).unwrap().state else {
+                panic!("{:?}", n.process(timed).unwrap().state);
+            };
+            assert!(matches!(
+                n.process(untimed).unwrap().state,
+                RunState::SemWait { .. }
+            ));
+            assert_eq!(armed(&n), [timed]);
+
+            assert_eq!(n.halt_all(), 2);
+            let expect = if freeze {
+                assert_eq!(n.next_activity(), None, "a frozen timeout is not due");
+                n.advance_to(resume);
+                n.resume_all();
+                resume + (deadline - halt)
+            } else {
+                assert_eq!(
+                    n.next_activity(),
+                    Some(deadline),
+                    "it burns through the halt"
+                );
+                deadline
+            };
+            assert_eq!(expect, SimTime::from_micros(fires_at_us), "freeze {freeze}");
+            assert_eq!(n.next_activity(), Some(expect));
+            assert!(!armed(&n).contains(&untimed));
+
+            n.advance_to(expect);
+            assert!(matches!(
+                n.process(timed).unwrap().state,
+                RunState::SemWaitTimed { .. }
+            ));
+            n.advance_to(expect + SimDuration::from_micros(1));
+            assert!(!matches!(
+                n.process(timed).unwrap().state,
+                RunState::SemWaitTimed { .. }
+            ));
+            if !freeze {
+                n.advance_to(resume);
+                n.resume_all();
+            }
+            n.advance_to(resume + SimDuration::from_secs(1));
+            let console: Vec<_> = n
+                .console()
+                .iter()
+                .map(|(t, s)| (t.as_micros(), s.as_str()))
+                .collect();
+            assert_eq!(console, [(prints_at_us, "timed")]);
+            assert!(matches!(
+                n.process(untimed).unwrap().state,
+                RunState::SemWait { .. }
+            ));
+            assert!(!armed(&n).contains(&untimed));
+        }
     }
 }

@@ -42,12 +42,18 @@ pub enum RunState {
         /// Wake-up time (real time).
         until: SimTime,
     },
-    /// Blocked on a semaphore.
+    /// Blocked on a semaphore, waiting forever.
     SemWait {
         /// Which semaphore.
         sem: SemId,
-        /// Timeout deadline in real time, or `None` to wait forever.
-        deadline: Option<SimTime>,
+    },
+    /// Blocked on a semaphore until a timeout. A variant of its own, so
+    /// that an untimed wait pays no deadline and the state stays 16 bytes.
+    SemWaitTimed {
+        /// Which semaphore.
+        sem: SemId,
+        /// Timeout deadline in real time.
+        deadline: SimTime,
     },
     /// Blocked acquiring a monitor lock.
     MutexWait {
@@ -98,7 +104,7 @@ impl RunState {
     pub(crate) fn deadline(&self) -> Option<SimTime> {
         match self {
             RunState::Sleeping { until } => Some(*until),
-            RunState::SemWait { deadline, .. } => *deadline,
+            RunState::SemWaitTimed { deadline, .. } => Some(*deadline),
             _ => None,
         }
     }
@@ -107,7 +113,7 @@ impl RunState {
     pub(crate) fn deadline_mut(&mut self) -> Option<&mut SimTime> {
         match self {
             RunState::Sleeping { until } => Some(until),
-            RunState::SemWait { deadline, .. } => deadline.as_mut(),
+            RunState::SemWaitTimed { deadline, .. } => Some(deadline),
             _ => None,
         }
     }
@@ -115,7 +121,9 @@ impl RunState {
 
 /// The debug-halt overlay (§5.2): a halted process that was waiting with a
 /// timeout remembers how much of it remained — the supervisor "freezes"
-/// timeouts of halted processes.
+/// timeouts of halted processes. Kept in the node's table of halted
+/// processes, not in the record: a process is halted for a moment of its
+/// life, and the record is kept for all of it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HaltInfo {
     /// Remaining timeout at the moment of halting, for `SemWait`/`Sleeping`
@@ -169,11 +177,11 @@ impl fmt::Debug for ProcBody {
     }
 }
 
-/// A supervisor process record.
+/// A supervisor process record. It does not hold its pid: the record in
+/// slot `i` of its node's process table is pid `i + 1`, so whoever reads a
+/// record by pid, or walks the table, has the pid beside it.
 #[derive(Debug)]
 pub struct Process {
-    /// Identifier.
-    pub pid: Pid,
     /// Human-readable name (entry procedure or native name). Interned:
     /// every process spawned from the same `proc` shares one allocation
     /// with the program's debug info.
@@ -182,8 +190,9 @@ pub struct Process {
     pub body: ProcBody,
     /// Scheduler state.
     pub state: RunState,
-    /// Debug-halt overlay; `Some` while halted by the debugger.
-    pub halted: Option<HaltInfo>,
+    /// True while halted by the debugger. Its frozen timeout, a
+    /// [`HaltInfo`], is in the node's table of halted processes.
+    pub halted: bool,
     /// When set, a halt was requested while the process was inside the
     /// heap-allocator critical region; it is applied as soon as the
     /// process leaves the allocator (§5.5).
@@ -210,13 +219,13 @@ pub struct Process {
 impl Process {
     /// True when the scheduler may run this process right now.
     pub fn schedulable(&self) -> bool {
-        self.state.is_runnable() && self.halted.is_none()
+        self.state.is_runnable() && !self.halted
     }
 
     /// True while the debugger holds the process: halted, or with a halt
     /// pending on its way out of the allocator (§5.5).
     pub fn is_halted(&self) -> bool {
-        self.halted.is_some() || self.halt_pending
+        self.halted || self.halt_pending
     }
 
     /// The VM body, if this is a VM process.
@@ -292,31 +301,30 @@ mod tests {
 
     /// Every process a node ever made keeps its record, and `sparse-250k`
     /// parks a quarter of a million at once, so the record is priced
-    /// field by field.
+    /// field by field: body (56) + state (16) + name (16) + span (8) +
+    /// six one-byte flags padded to 8 = 104 bytes. No pid: the record's
+    /// slot is its pid. No frozen timeout: the node's halt table keeps it.
     #[test]
-    fn a_process_record_fits_in_136_bytes() {
+    fn a_process_record_fits_in_104_bytes() {
         use std::mem::size_of;
         // Two `Vec` headers and two flags, or a boxed native body and its
         // resume buffer.
         assert!(size_of::<ProcBody>() <= 56, "body");
-        // The frozen remainder alone.
-        assert!(size_of::<Option<HaltInfo>>() <= 16, "halted");
+        // A tag, a semaphore and a deadline: a timed semaphore wait is a
+        // variant of its own, so no state carries an `Option<SimTime>`.
+        assert!(size_of::<RunState>() <= 16, "state");
         // `SpanId`'s zero niche: no tag word.
         assert_eq!(size_of::<Option<SpanId>>(), 8, "span");
-        assert!(size_of::<RunState>() <= 24, "state");
-        // Body, state, halted and span above, plus `name` (16), `pid` (8)
-        // and five one-byte flags padded to 8.
-        assert!(size_of::<Process>() <= 136, "record");
+        assert!(size_of::<Process>() <= 104, "record");
     }
 
     #[test]
     fn schedulable_requires_runnable_and_unhalted() {
         let mut p = Process {
-            pid: Pid(1),
             name: "t".into(),
             body: ProcBody::Vm(VmProcess::default()),
             state: RunState::Runnable,
-            halted: None,
+            halted: false,
             halt_pending: false,
             no_halt: false,
             priority: 1,
@@ -325,11 +333,9 @@ mod tests {
             span: None,
         };
         assert!(p.schedulable());
-        p.halted = Some(HaltInfo {
-            frozen_remaining: None,
-        });
+        p.halted = true;
         assert!(!p.schedulable());
-        p.halted = None;
+        p.halted = false;
         p.state = RunState::Sleeping {
             until: SimTime::ZERO,
         };

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pilgrim_cclu::{compile, Program, Value};
-use pilgrim_mayflower::{Node, NodeConfig, Pid, SpawnOpts};
+use pilgrim_mayflower::{Node, NodeConfig, Pid, Process, SpawnOpts};
 use pilgrim_sim::check::{check_n, ensure, ensure_eq, int_range, vecs, zip};
 use pilgrim_sim::{SimDuration, Tracer};
 
@@ -149,13 +149,16 @@ fn arena_never_reuses_pids_and_retains_every_record() {
             observed_max = pids.len() as u64;
             largest.set(largest.get().max(pids.len()));
             // The records, walked in slot order, are the pids in order.
-            let walked: Vec<Pid> = node.processes().map(|p| p.pid).collect();
-            ensure_eq(&walked, &pids)?;
+            let walked: Vec<(Pid, &Process)> = node.processes().collect();
+            let walked_pids: Vec<Pid> = walked.iter().map(|&(pid, _)| pid).collect();
+            ensure_eq(&walked_pids, &pids)?;
+            // The node's halt table holds exactly the halted records.
+            ensure_eq(node.any_halted(), walked.iter().any(|(_, p)| p.is_halted()))?;
             ensure_eq(node.process_count(), pids.len())?;
 
             // Update the mirror and check the arena agrees with what the
             // naive map remembers.
-            for pid in pids {
+            for (pid, &(_, walked_rec)) in pids.into_iter().zip(&walked) {
                 let info = match node.process_info(pid) {
                     Some(info) => info,
                     None => return Err(format!("{pid} vanished from the arena")),
@@ -165,7 +168,10 @@ fn arena_never_reuses_pids_and_retains_every_record() {
                 let rec = node
                     .process(pid)
                     .ok_or_else(|| format!("{pid} has no record"))?;
-                ensure_eq(rec.pid, pid)?;
+                ensure(
+                    std::ptr::eq(rec, walked_rec),
+                    format!("{pid} reads another record than the walk pairs it with"),
+                )?;
                 let exit = node.exit_values(pid).map(<[Value]>::to_vec);
                 match mirror.get_mut(&pid.0) {
                     Some(m) => {
