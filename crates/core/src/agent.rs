@@ -30,6 +30,7 @@ use pilgrim_cclu::{CodeAddr, Fault, FrameKind, Op, ProcId, Signature, Type, Valu
 use pilgrim_mayflower::{Node, Outcall, Pid, ProcBody, Process, RunState, SpawnOpts};
 use pilgrim_ring::{Medium, NodeId, TxStatus};
 use pilgrim_rpc::{marshal, unmarshal, HandlerCtx, NativeHandler, RpcEndpoint};
+use pilgrim_sim::json::Fields;
 use pilgrim_sim::{EventKind, Json, SimDuration, SimTime, TraceCategory, Tracer};
 
 use crate::proto::{
@@ -100,21 +101,11 @@ impl AgentConfig {
     ///
     /// Missing or mistyped fields.
     pub fn from_json(v: &Json) -> Result<AgentConfig, String> {
+        let f = Fields::new(v, &"agent config");
         Ok(AgentConfig {
-            request_cost: v
-                .get("request_cost_us")
-                .and_then(Json::as_u64)
-                .map(SimDuration::from_micros)
-                .ok_or("agent config: missing `request_cost_us`")?,
-            halt_retransmit: v
-                .get("halt_retransmit")
-                .and_then(Json::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or("agent config: missing `halt_retransmit`")?,
-            broadcast_halt: v
-                .get("broadcast_halt")
-                .and_then(Json::as_bool)
-                .ok_or("agent config: missing `broadcast_halt`")?,
+            request_cost: SimDuration::from_micros(f.uint("request_cost_us")?),
+            halt_retransmit: f.uint("halt_retransmit")?,
+            broadcast_halt: f.bool("broadcast_halt")?,
         })
     }
 }

@@ -15,6 +15,7 @@
 //!
 //! [`Tracer`]: pilgrim_sim::Tracer
 
+use pilgrim_sim::json::Fields;
 use pilgrim_sim::{Json, SimTime, TraceEvent};
 
 use crate::saved::Saved;
@@ -85,33 +86,17 @@ impl BlackboxSnapshot {
     /// The sections of a parsed document whose `format` tag and version
     /// [`Saved::parse`] has already checked.
     pub(crate) fn from_doc(doc: &Json) -> Result<BlackboxSnapshot, String> {
-        let s = |field: &str| -> Result<String, String> {
-            doc.get(field)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("blackbox: missing `{field}`"))
-        };
+        let f = Fields::new(doc, &"blackbox");
         Ok(BlackboxSnapshot {
-            reason: s("reason")?,
-            at: doc
-                .get("at_us")
-                .and_then(Json::as_u64)
-                .map(SimTime::from_micros)
-                .ok_or("blackbox: missing `at_us`")?,
-            sync_index: doc
-                .get("sync_index")
-                .and_then(Json::as_u64)
-                .ok_or("blackbox: missing `sync_index`")?,
-            metrics: s("metrics")?,
-            windows: s("windows")?,
+            reason: f.str("reason")?.to_string(),
+            at: SimTime::from_micros(f.uint("at_us")?),
+            sync_index: f.uint("sync_index")?,
+            metrics: f.str("metrics")?.to_string(),
+            windows: f.str("windows")?.to_string(),
             // Absent in dumps written before per-window series rode
             // along; still version 1, tolerantly defaulted.
-            series: doc
-                .get("series")
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .unwrap_or_default(),
-            events: s("events")?,
+            series: f.opt_str("series")?.unwrap_or_default().to_string(),
+            events: f.str("events")?.to_string(),
         })
     }
 

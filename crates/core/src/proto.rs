@@ -20,7 +20,8 @@ use std::sync::Arc;
 use pilgrim_cclu::RpcCallState;
 use pilgrim_ring::NodeId;
 use pilgrim_rpc::WireValue;
-use pilgrim_sim::{SimDuration, SimTime};
+use pilgrim_sim::json::Fields;
+use pilgrim_sim::{Json, SimDuration, SimTime};
 
 /// A debugging-session identifier. The paper calls for "a unique but
 /// guessable number" — uniqueness for correctness, with authentication
@@ -327,6 +328,188 @@ impl AgentRequest {
             _ => 16,
         }
     }
+
+    /// The request as a `type`-tagged JSON object for the replay journal.
+    pub fn to_json(&self) -> Json {
+        let t = |name: &str| ("type", Json::Str(name.to_string()));
+        let u = |v: u64| Json::Int(v as i128);
+        match self {
+            AgentRequest::Ping => Json::obj(vec![t("Ping")]),
+            AgentRequest::SetBreakpoint { proc_id, pc } => Json::obj(vec![
+                t("SetBreakpoint"),
+                ("proc_id", u(*proc_id as u64)),
+                ("pc", u(*pc as u64)),
+            ]),
+            AgentRequest::ClearBreakpoint { bp } => {
+                Json::obj(vec![t("ClearBreakpoint"), ("bp", u(*bp as u64))])
+            }
+            AgentRequest::ListBreakpoints => Json::obj(vec![t("ListBreakpoints")]),
+            AgentRequest::HaltAll => Json::obj(vec![t("HaltAll")]),
+            AgentRequest::ResumeAll => Json::obj(vec![t("ResumeAll")]),
+            AgentRequest::ListProcesses => Json::obj(vec![t("ListProcesses")]),
+            AgentRequest::ProcessState { pid } => {
+                Json::obj(vec![t("ProcessState"), ("pid", u(*pid))])
+            }
+            AgentRequest::ReadStack { pid } => Json::obj(vec![t("ReadStack"), ("pid", u(*pid))]),
+            AgentRequest::ReadVar { pid, frame, slot } => Json::obj(vec![
+                t("ReadVar"),
+                ("pid", u(*pid)),
+                ("frame", u(*frame as u64)),
+                ("slot", u(*slot as u64)),
+            ]),
+            AgentRequest::WriteVar {
+                pid,
+                frame,
+                slot,
+                value,
+            } => Json::obj(vec![
+                t("WriteVar"),
+                ("pid", u(*pid)),
+                ("frame", u(*frame as u64)),
+                ("slot", u(*slot as u64)),
+                ("value", value.to_json()),
+            ]),
+            AgentRequest::ReadGlobal { slot } => {
+                Json::obj(vec![t("ReadGlobal"), ("slot", u(*slot as u64))])
+            }
+            AgentRequest::WriteGlobal { slot, value } => Json::obj(vec![
+                t("WriteGlobal"),
+                ("slot", u(*slot as u64)),
+                ("value", value.to_json()),
+            ]),
+            AgentRequest::PrintVar { pid, frame, slot } => Json::obj(vec![
+                t("PrintVar"),
+                ("pid", u(*pid)),
+                ("frame", u(*frame as u64)),
+                ("slot", u(*slot as u64)),
+            ]),
+            AgentRequest::Invoke(call) => Json::obj(vec![
+                t("Invoke"),
+                ("proc", Json::Str(call.proc.clone())),
+                (
+                    "args",
+                    Json::Array(call.args.iter().map(WireValue::to_json).collect()),
+                ),
+            ]),
+            AgentRequest::StepOver { pid } => Json::obj(vec![t("StepOver"), ("pid", u(*pid))]),
+            AgentRequest::ContinueProcess { pid } => {
+                Json::obj(vec![t("ContinueProcess"), ("pid", u(*pid))])
+            }
+            AgentRequest::ForceRunnable { pid } => {
+                Json::obj(vec![t("ForceRunnable"), ("pid", u(*pid))])
+            }
+            AgentRequest::HaltProcess { pid } => {
+                Json::obj(vec![t("HaltProcess"), ("pid", u(*pid))])
+            }
+            AgentRequest::ResumeProcess { pid } => {
+                Json::obj(vec![t("ResumeProcess"), ("pid", u(*pid))])
+            }
+            AgentRequest::RpcStatus { pid } => Json::obj(vec![t("RpcStatus"), ("pid", u(*pid))]),
+            AgentRequest::RecentCalls => Json::obj(vec![t("RecentCalls")]),
+            AgentRequest::RecentServed => Json::obj(vec![t("RecentServed")]),
+            AgentRequest::ServingProcess { call_id } => {
+                Json::obj(vec![t("ServingProcess"), ("call_id", u(*call_id))])
+            }
+            AgentRequest::ServerKnowledge { call_id } => {
+                Json::obj(vec![t("ServerKnowledge"), ("call_id", u(*call_id))])
+            }
+            AgentRequest::ClientProcess { call_id } => {
+                Json::obj(vec![t("ClientProcess"), ("call_id", u(*call_id))])
+            }
+            AgentRequest::ReadConsole { from } => {
+                Json::obj(vec![t("ReadConsole"), ("from", u(*from as u64))])
+            }
+        }
+    }
+
+    /// Rebuilds a request from [`to_json`](AgentRequest::to_json) output.
+    ///
+    /// # Errors
+    ///
+    /// Unknown types and missing, mistyped or out-of-range fields.
+    pub fn from_json(v: &Json) -> Result<AgentRequest, String> {
+        let ty = Fields::new(v, &"request").str("type")?;
+        let what = format_args!("request {ty}");
+        let f = Fields::new(v, &what);
+        Ok(match ty {
+            "Ping" => AgentRequest::Ping,
+            "SetBreakpoint" => AgentRequest::SetBreakpoint {
+                proc_id: f.uint("proc_id")?,
+                pc: f.uint("pc")?,
+            },
+            "ClearBreakpoint" => AgentRequest::ClearBreakpoint { bp: f.uint("bp")? },
+            "ListBreakpoints" => AgentRequest::ListBreakpoints,
+            "HaltAll" => AgentRequest::HaltAll,
+            "ResumeAll" => AgentRequest::ResumeAll,
+            "ListProcesses" => AgentRequest::ListProcesses,
+            "ProcessState" => AgentRequest::ProcessState {
+                pid: f.uint("pid")?,
+            },
+            "ReadStack" => AgentRequest::ReadStack {
+                pid: f.uint("pid")?,
+            },
+            "ReadVar" => AgentRequest::ReadVar {
+                pid: f.uint("pid")?,
+                frame: f.uint("frame")?,
+                slot: f.uint("slot")?,
+            },
+            "WriteVar" => AgentRequest::WriteVar {
+                pid: f.uint("pid")?,
+                frame: f.uint("frame")?,
+                slot: f.uint("slot")?,
+                value: Box::new(WireValue::from_json(f.get("value")?)?),
+            },
+            "ReadGlobal" => AgentRequest::ReadGlobal {
+                slot: f.uint("slot")?,
+            },
+            "WriteGlobal" => AgentRequest::WriteGlobal {
+                slot: f.uint("slot")?,
+                value: Box::new(WireValue::from_json(f.get("value")?)?),
+            },
+            "PrintVar" => AgentRequest::PrintVar {
+                pid: f.uint("pid")?,
+                frame: f.uint("frame")?,
+                slot: f.uint("slot")?,
+            },
+            "Invoke" => AgentRequest::Invoke(Box::new(Invocation {
+                proc: f.str("proc")?.to_string(),
+                args: f.list("args", WireValue::from_json)?,
+            })),
+            "StepOver" => AgentRequest::StepOver {
+                pid: f.uint("pid")?,
+            },
+            "ContinueProcess" => AgentRequest::ContinueProcess {
+                pid: f.uint("pid")?,
+            },
+            "ForceRunnable" => AgentRequest::ForceRunnable {
+                pid: f.uint("pid")?,
+            },
+            "HaltProcess" => AgentRequest::HaltProcess {
+                pid: f.uint("pid")?,
+            },
+            "ResumeProcess" => AgentRequest::ResumeProcess {
+                pid: f.uint("pid")?,
+            },
+            "RpcStatus" => AgentRequest::RpcStatus {
+                pid: f.uint("pid")?,
+            },
+            "RecentCalls" => AgentRequest::RecentCalls,
+            "RecentServed" => AgentRequest::RecentServed,
+            "ServingProcess" => AgentRequest::ServingProcess {
+                call_id: f.uint("call_id")?,
+            },
+            "ServerKnowledge" => AgentRequest::ServerKnowledge {
+                call_id: f.uint("call_id")?,
+            },
+            "ClientProcess" => AgentRequest::ClientProcess {
+                call_id: f.uint("call_id")?,
+            },
+            "ReadConsole" => AgentRequest::ReadConsole {
+                from: f.uint("from")?,
+            },
+            other => return Err(format!("request: unknown type `{other}`")),
+        })
+    }
 }
 
 /// What an [`AgentRequest::Invoke`] runs.
@@ -545,7 +728,7 @@ pub struct ConvertedTime {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     #[test]
@@ -572,6 +755,74 @@ mod tests {
             halt.wire_bytes() <= 32,
             "halt messages fit in a small basic block"
         );
+    }
+
+    /// One request of each type, every integer at its field's width.
+    pub(crate) fn every_agent_request() -> Vec<AgentRequest> {
+        vec![
+            AgentRequest::Ping,
+            AgentRequest::SetBreakpoint {
+                proc_id: u16::MAX,
+                pc: u32::MAX,
+            },
+            AgentRequest::ClearBreakpoint { bp: u16::MAX },
+            AgentRequest::ListBreakpoints,
+            AgentRequest::HaltAll,
+            AgentRequest::ResumeAll,
+            AgentRequest::ListProcesses,
+            AgentRequest::ProcessState { pid: u64::MAX },
+            AgentRequest::ReadStack { pid: 5 },
+            AgentRequest::ReadVar {
+                pid: 6,
+                frame: u32::MAX,
+                slot: u16::MAX,
+            },
+            AgentRequest::WriteVar {
+                pid: u64::MAX,
+                frame: u32::MAX,
+                slot: u16::MAX,
+                value: Box::new(WireValue::Str("x".into())),
+            },
+            AgentRequest::ReadGlobal { slot: u16::MAX },
+            AgentRequest::WriteGlobal {
+                slot: 13,
+                value: Box::new(WireValue::Null),
+            },
+            AgentRequest::PrintVar {
+                pid: 14,
+                frame: u32::MAX,
+                slot: u16::MAX,
+            },
+            AgentRequest::Invoke(Box::new(Invocation {
+                proc: "p".into(),
+                args: vec![WireValue::Bool(false), WireValue::Int(i64::MIN)],
+            })),
+            AgentRequest::StepOver { pid: 17 },
+            AgentRequest::ContinueProcess { pid: 18 },
+            AgentRequest::ForceRunnable { pid: 19 },
+            AgentRequest::HaltProcess { pid: 20 },
+            AgentRequest::ResumeProcess { pid: 21 },
+            AgentRequest::RpcStatus { pid: 22 },
+            AgentRequest::RecentCalls,
+            AgentRequest::RecentServed,
+            AgentRequest::ServingProcess { call_id: u64::MAX },
+            AgentRequest::ServerKnowledge { call_id: 24 },
+            AgentRequest::ClientProcess { call_id: 25 },
+            AgentRequest::ReadConsole { from: u32::MAX },
+        ]
+    }
+
+    #[test]
+    fn every_agent_request_round_trips() {
+        for req in &every_agent_request() {
+            let mut rendered = String::new();
+            req.to_json().write(&mut rendered);
+            let parsed = Json::parse(&rendered).expect("valid JSON");
+            let back = AgentRequest::from_json(&parsed).expect("decodes");
+            let mut rendered2 = String::new();
+            back.to_json().write(&mut rendered2);
+            assert_eq!(rendered, rendered2, "request did not round-trip: {req:?}");
+        }
     }
 
     #[test]

@@ -249,6 +249,62 @@ mod tests {
         assert!(text.contains("\"WriteVar\""));
 
         loads_or_errs_when_cut_or_mutated(&text, "hostile recordings");
+
+        // The same recording with one stimulus of every op and one request
+        // of every type appended to its journal, so the mutations reach
+        // every decoder arm.
+        let mut every = *artifact;
+        every.stimuli.extend(crate::replay::every_stimulus());
+        every.stimuli.extend(
+            crate::proto::tests::every_agent_request()
+                .into_iter()
+                .map(|req| crate::Stimulus::Request { node: 1, req }),
+        );
+        let text = every.render();
+        assert!(Saved::parse(&text).is_ok(), "the longer journal loads");
+        loads_or_errs_when_cut_or_mutated(&text, "hostile recordings, every op");
+    }
+
+    /// The keys older recordings lack load as their defaults when absent
+    /// and are refused by name when present with the wrong type: a
+    /// mistyped key never stands for its default.
+    #[test]
+    fn a_mistyped_optional_key_is_refused_by_name() {
+        let doc = Json::parse(&small_recording()).expect("parses");
+        let keys = [
+            ("setup", false),
+            ("trace_sample", false),
+            ("blackbox_capacity", false),
+            ("coarse_interval", false),
+            ("coarse_budget", false),
+            ("tsdb", false),
+            ("partitions", true),
+        ];
+        for (key, in_net) in keys {
+            for mistyped in [true, false] {
+                let mut doc = doc.clone();
+                let mut section = doc.get_mut("recipe").expect("has a recipe");
+                if in_net {
+                    section = section.get_mut("net").expect("has a network config");
+                }
+                let Json::Object(pairs) = section else {
+                    panic!("`{key}`'s section is an object")
+                };
+                pairs.retain(|(k, _)| k != key);
+                if mistyped {
+                    pairs.push((key.to_string(), Json::Str("oops".into())));
+                }
+                let mut text = String::new();
+                doc.write(&mut text);
+                match Saved::parse(&text) {
+                    Err(e) if mistyped => {
+                        assert!(e.ends_with(&format!("`{key}` out of range")), "{e}")
+                    }
+                    Ok(_) if !mistyped => {}
+                    other => panic!("`{key}` mistyped: {mistyped}: {other:?}"),
+                }
+            }
+        }
     }
 
     /// A small dump whose event ring holds RPC, debug and service events

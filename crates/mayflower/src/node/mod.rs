@@ -28,6 +28,7 @@ use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 use pilgrim_cclu::{CodeAddr, Fault, Heap, ProcId, Program, RpcRequest, Value};
+use pilgrim_sim::json::Fields;
 use pilgrim_sim::{
     CallTree, Chunked, DetRng, EventKind, Json, SimDuration, SimTime, SpanId, TraceCategory,
     TraceEvent, Tracer,
@@ -98,24 +99,12 @@ impl NodeConfig {
     ///
     /// Missing or mistyped fields.
     pub fn from_json(v: &Json) -> Result<NodeConfig, String> {
+        let f = Fields::new(v, &"node config");
         Ok(NodeConfig {
-            time_slice: v
-                .get("time_slice_us")
-                .and_then(Json::as_u64)
-                .map(SimDuration::from_micros)
-                .ok_or("node config: missing `time_slice_us`")?,
-            seed: v
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or("node config: missing `seed`")?,
-            freeze_timeouts_on_halt: v
-                .get("freeze_timeouts_on_halt")
-                .and_then(Json::as_bool)
-                .ok_or("node config: missing `freeze_timeouts_on_halt`")?,
-            profile_vm: v
-                .get("profile_vm")
-                .and_then(Json::as_bool)
-                .ok_or("node config: missing `profile_vm`")?,
+            time_slice: SimDuration::from_micros(f.uint("time_slice_us")?),
+            seed: f.uint("seed")?,
+            freeze_timeouts_on_halt: f.bool("freeze_timeouts_on_halt")?,
+            profile_vm: f.bool("profile_vm")?,
         })
     }
 }

@@ -42,6 +42,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use pilgrim_sim::json::Fields;
 use pilgrim_sim::{
     Counter, DetRng, EventKind, EventQueue, Gauge, Json, Metrics, SimDuration, SimTime, SpanId,
     TraceCategory, Tracer,
@@ -172,50 +173,28 @@ impl NetworkConfig {
     ///
     /// Missing or mistyped fields.
     pub fn from_json(v: &Json) -> Result<NetworkConfig, String> {
-        let us = |field: &str| -> Result<SimDuration, String> {
-            v.get(field)
-                .and_then(Json::as_u64)
-                .map(SimDuration::from_micros)
-                .ok_or_else(|| format!("network config: missing `{field}`"))
-        };
+        let f = Fields::new(v, &"network config");
         Ok(NetworkConfig {
-            base_latency: us("base_latency_us")?,
-            per_byte: us("per_byte_us")?,
-            p_interface_loss: v
-                .get("p_interface_loss")
-                .and_then(Json::as_f64)
-                .ok_or("network config: missing `p_interface_loss`")?,
-            p_silent_loss: v
-                .get("p_silent_loss")
-                .and_then(Json::as_f64)
-                .ok_or("network config: missing `p_silent_loss`")?,
-            medium: v
-                .get("medium")
-                .and_then(Json::as_str)
-                .and_then(Medium::parse)
-                .ok_or("network config: missing or unknown `medium`")?,
-            seed: v
-                .get("seed")
-                .and_then(Json::as_u64)
-                .ok_or("network config: missing `seed`")?,
+            base_latency: SimDuration::from_micros(f.uint("base_latency_us")?),
+            per_byte: SimDuration::from_micros(f.uint("per_byte_us")?),
+            p_interface_loss: f.float("p_interface_loss")?,
+            p_silent_loss: f.float("p_silent_loss")?,
+            medium: Medium::parse(f.str("medium")?).ok_or_else(|| f.out_of_range("medium"))?,
+            seed: f.uint("seed")?,
             // The three topology fields are absent in artifacts recorded
             // before multi-segment networks existed; those worlds ran on
             // one flat segment with no bridges.
-            topology: match v.get("topology") {
+            topology: match f.opt_get("topology") {
                 Some(t) => Topology::from_json(t)?,
                 None => Topology::Flat,
             },
-            link: match v.get("link") {
+            link: match f.opt_get("link") {
                 Some(l) => LinkModel::from_json(l)?,
                 None => LinkModel::default(),
             },
-            partitions: match v.get("partitions").and_then(Json::as_array) {
-                Some(ws) => ws
-                    .iter()
-                    .map(PartitionWindow::from_json)
-                    .collect::<Result<_, _>>()?,
-                None => Vec::new(),
-            },
+            partitions: f
+                .opt_list("partitions", PartitionWindow::from_json)?
+                .unwrap_or_default(),
         })
     }
 }
@@ -1522,6 +1501,18 @@ mod tests {
         assert_eq!(back.topology, Topology::Flat);
         assert_eq!(back.link, LinkModel::default());
         assert!(back.partitions.is_empty());
+
+        // Absent is the legacy default; present but mistyped is refused
+        // by name, never read as "no partitions".
+        let Json::Object(mut pairs) = old.to_json() else {
+            unreachable!("config renders an object")
+        };
+        let at = pairs.iter().position(|(k, _)| k == "partitions").unwrap();
+        pairs[at].1 = Json::Str("oops".into());
+        assert_eq!(
+            NetworkConfig::from_json(&Json::Object(pairs)).unwrap_err(),
+            "network config: `partitions` out of range"
+        );
     }
 
     /// Two segments of two stations each over the default ring config.

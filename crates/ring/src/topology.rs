@@ -22,6 +22,7 @@
 //! packet whose path crosses the cut is lost silently (a sender's ring
 //! hardware can only see its own segment, so no NACK crosses a bridge).
 
+use pilgrim_sim::json::Fields;
 use pilgrim_sim::{Json, SimDuration, SimTime};
 
 /// How the station space is carved into bridged segments.
@@ -153,25 +154,14 @@ impl Topology {
     ///
     /// Unknown kinds and missing fields.
     pub fn from_json(v: &Json) -> Result<Topology, String> {
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("topology: missing `kind`")?;
-        Ok(match kind {
+        let f = Fields::new(v, &"topology");
+        Ok(match f.str("kind")? {
             "flat" => Topology::Flat,
             "ring-of-rings" => Topology::RingOfRings {
-                segments: v
-                    .get("segments")
-                    .and_then(Json::as_u64)
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or("topology: missing `segments`")?,
+                segments: f.uint("segments")?,
             },
             "star" => Topology::Star {
-                arms: v
-                    .get("arms")
-                    .and_then(Json::as_u64)
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or("topology: missing `arms`")?,
+                arms: f.uint("arms")?,
             },
             other => return Err(format!("topology: unknown kind `{other}`")),
         })
@@ -229,20 +219,12 @@ impl LinkModel {
     ///
     /// Missing or mistyped fields.
     pub fn from_json(v: &Json) -> Result<LinkModel, String> {
-        let us = |field: &str| -> Result<SimDuration, String> {
-            v.get(field)
-                .and_then(Json::as_u64)
-                .map(SimDuration::from_micros)
-                .ok_or_else(|| format!("link model: missing `{field}`"))
-        };
+        let f = Fields::new(v, &"link model");
         Ok(LinkModel {
-            latency: us("latency_us")?,
-            jitter: us("jitter_us")?,
-            per_byte: us("per_byte_us")?,
-            p_loss: v
-                .get("p_loss")
-                .and_then(Json::as_f64)
-                .ok_or("link model: missing `p_loss`")?,
+            latency: SimDuration::from_micros(f.uint("latency_us")?),
+            jitter: SimDuration::from_micros(f.uint("jitter_us")?),
+            per_byte: SimDuration::from_micros(f.uint("per_byte_us")?),
+            p_loss: f.float("p_loss")?,
         })
     }
 }
@@ -285,16 +267,12 @@ impl PartitionWindow {
     ///
     /// Missing or mistyped fields.
     pub fn from_json(v: &Json) -> Result<PartitionWindow, String> {
-        let u = |field: &str| -> Result<u64, String> {
-            v.get(field)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("partition window: missing `{field}`"))
-        };
+        let f = Fields::new(v, &"partition window");
         Ok(PartitionWindow {
-            from: SimTime::from_micros(u("from_us")?),
-            to: SimTime::from_micros(u("to_us")?),
-            a: u32::try_from(u("a")?).map_err(|_| "partition window: `a` out of range")?,
-            b: u32::try_from(u("b")?).map_err(|_| "partition window: `b` out of range")?,
+            from: SimTime::from_micros(f.uint("from_us")?),
+            to: SimTime::from_micros(f.uint("to_us")?),
+            a: f.uint("a")?,
+            b: f.uint("b")?,
         })
     }
 }

@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use pilgrim_cclu::{Heap, HeapObject, RecordType, Type, Value};
+use pilgrim_sim::json::Fields;
 use pilgrim_sim::Json;
 
 /// Tag bytes of [`WireValue::encode_into`].
@@ -194,50 +195,17 @@ impl WireValue {
     ///
     /// Unknown kinds and missing or mistyped fields.
     pub fn from_json(v: &Json) -> Result<WireValue, String> {
-        let kind = v
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("wire value: missing `kind`")?;
-        Ok(match kind {
+        let f = Fields::new(v, &"wire value");
+        Ok(match f.str("kind")? {
             "null" => WireValue::Null,
-            "int" => WireValue::Int(
-                v.get("value")
-                    .and_then(Json::as_i64)
-                    .ok_or("wire value: missing int `value`")?,
-            ),
-            "bool" => WireValue::Bool(
-                v.get("value")
-                    .and_then(Json::as_bool)
-                    .ok_or("wire value: missing bool `value`")?,
-            ),
-            "str" => WireValue::Str(
-                v.get("value")
-                    .and_then(Json::as_str)
-                    .ok_or("wire value: missing str `value`")?
-                    .into(),
-            ),
+            "int" => WireValue::Int(f.int("value")?),
+            "bool" => WireValue::Bool(f.bool("value")?),
+            "str" => WireValue::Str(f.str("value")?.into()),
             "record" => WireValue::Record {
-                type_name: v
-                    .get("type")
-                    .and_then(Json::as_str)
-                    .ok_or("wire value: missing record `type`")?
-                    .into(),
-                fields: v
-                    .get("fields")
-                    .and_then(Json::as_array)
-                    .ok_or("wire value: missing record `fields`")?
-                    .iter()
-                    .map(WireValue::from_json)
-                    .collect::<Result<_, _>>()?,
+                type_name: f.str("type")?.into(),
+                fields: f.list("fields", WireValue::from_json)?,
             },
-            "array" => WireValue::Array(
-                v.get("items")
-                    .and_then(Json::as_array)
-                    .ok_or("wire value: missing array `items`")?
-                    .iter()
-                    .map(WireValue::from_json)
-                    .collect::<Result<_, _>>()?,
-            ),
+            "array" => WireValue::Array(f.list("items", WireValue::from_json)?),
             other => return Err(format!("wire value: unknown kind `{other}`")),
         })
     }

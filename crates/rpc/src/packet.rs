@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use pilgrim_cclu::RpcProtocol;
 use pilgrim_ring::NodeId;
+use pilgrim_sim::json::Fields;
 use pilgrim_sim::{Json, SimDuration, SpanId};
 
 use crate::marshal::WireValue;
@@ -198,40 +199,22 @@ impl RpcConfig {
     ///
     /// Missing or mistyped fields.
     pub fn from_json(v: &Json) -> Result<RpcConfig, String> {
-        let us = |field: &str| -> Result<SimDuration, String> {
-            v.get(field)
-                .and_then(Json::as_u64)
-                .map(SimDuration::from_micros)
-                .ok_or_else(|| format!("rpc config: missing `{field}`"))
-        };
-        let b = |field: &str| -> Result<bool, String> {
-            v.get(field)
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("rpc config: missing `{field}`"))
-        };
+        let f = Fields::new(v, &"rpc config");
         Ok(RpcConfig {
-            client_send: us("client_send_us")?,
-            server_recv: us("server_recv_us")?,
-            server_send: us("server_send_us")?,
-            client_recv: us("client_recv_us")?,
-            debug_client_call: us("debug_client_call_us")?,
-            debug_client_done: us("debug_client_done_us")?,
-            debug_server: us("debug_server_us")?,
-            debug_support: b("debug_support")?,
-            monitor: b("monitor")?,
-            monitor_per_packet: us("monitor_per_packet_us")?,
-            retry_interval: us("retry_interval_us")?,
-            max_attempts: v
-                .get("max_attempts")
-                .and_then(Json::as_u64)
-                .and_then(|n| u32::try_from(n).ok())
-                .ok_or("rpc config: missing `max_attempts`")?,
-            maybe_timeout: us("maybe_timeout_us")?,
-            header_bytes: v
-                .get("header_bytes")
-                .and_then(Json::as_u64)
-                .map(|n| n as usize)
-                .ok_or("rpc config: missing `header_bytes`")?,
+            client_send: SimDuration::from_micros(f.uint("client_send_us")?),
+            server_recv: SimDuration::from_micros(f.uint("server_recv_us")?),
+            server_send: SimDuration::from_micros(f.uint("server_send_us")?),
+            client_recv: SimDuration::from_micros(f.uint("client_recv_us")?),
+            debug_client_call: SimDuration::from_micros(f.uint("debug_client_call_us")?),
+            debug_client_done: SimDuration::from_micros(f.uint("debug_client_done_us")?),
+            debug_server: SimDuration::from_micros(f.uint("debug_server_us")?),
+            debug_support: f.bool("debug_support")?,
+            monitor: f.bool("monitor")?,
+            monitor_per_packet: SimDuration::from_micros(f.uint("monitor_per_packet_us")?),
+            retry_interval: SimDuration::from_micros(f.uint("retry_interval_us")?),
+            max_attempts: f.uint("max_attempts")?,
+            maybe_timeout: SimDuration::from_micros(f.uint("maybe_timeout_us")?),
+            header_bytes: f.uint("header_bytes")?,
         })
     }
 }

@@ -16,6 +16,7 @@ use pilgrim::{
     replay_with, Artifact, LinkModel, NetworkConfig, NodeId, ReplayError, SimDuration, SimTime,
     TraceCategory, Value, World,
 };
+use pilgrim_sim::json::Fields;
 use pilgrim_sim::{render_bucket_bound, DetRng, Json, OpenLoop};
 
 use crate::aotman::{AotConfig, AotMan};
@@ -87,26 +88,18 @@ fn install_one(
     params: &Json,
     ns: &mut Option<NameServer>,
 ) -> Result<(), String> {
-    let node = |p: &Json| -> Result<u32, String> {
-        p.get("node")
-            .and_then(Json::as_u64)
-            .and_then(|n| u32::try_from(n).ok())
-            .ok_or_else(|| format!("setup `{kind}`: missing `node`"))
-    };
+    let what = format_args!("setup `{kind}`");
+    let f = Fields::new(params, &what);
     match kind {
         "nameserver" => {
-            *ns = Some(NameServer::install(world, node(params)?));
+            *ns = Some(NameServer::install(world, f.uint("node")?));
             Ok(())
         }
         "aotman" => {
-            let lifetime = params
-                .get("lifetime_us")
-                .and_then(Json::as_u64)
-                .map(SimDuration::from_micros)
-                .ok_or("setup `aotman`: missing `lifetime_us`")?;
+            let lifetime = SimDuration::from_micros(f.uint("lifetime_us")?);
             AotMan::install(
                 world,
-                node(params)?,
+                f.uint("node")?,
                 AotConfig {
                     lifetime,
                     ..Default::default()
@@ -115,22 +108,15 @@ fn install_one(
             Ok(())
         }
         "ns-register" => {
-            let name = params
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("setup `ns-register`: missing `name`")?;
-            let target = NodeId(node(params)?);
+            let name = f.str("name")?;
+            let target = NodeId(f.uint("node")?);
             ns.as_ref()
                 .ok_or("setup `ns-register` before `nameserver`")?
                 .register(name, target);
             Ok(())
         }
         "trace-filter" => {
-            let level = params
-                .get("level")
-                .and_then(Json::as_str)
-                .ok_or("setup `trace-filter`: missing `level`")?;
-            match TraceLevel::parse(level)? {
+            match TraceLevel::parse(f.str("level")?)? {
                 TraceLevel::Full => {}
                 TraceLevel::Rpc => world.tracer().set_filter(&[TraceCategory::Rpc]),
                 TraceLevel::Off => world.tracer().set_filter(&[]),

@@ -185,6 +185,145 @@ impl fmt::Display for Json {
     }
 }
 
+/// A JSON object read as named fields: the one reader every decoder of
+/// the formats this workspace writes goes through.
+///
+/// A recording is outside input, so each getter checks its value and
+/// names the key it refuses, in one wording: ``"{what}: missing `key`"``
+/// when the key is absent, ``"{what}: `key` out of range"`` when it is
+/// present with the wrong type or a number the target type cannot hold.
+/// The `opt_*` getters read keys that older artifacts lack: absent is
+/// `None`, and present but wrong is still an error, so a mistyped key can
+/// never stand for its default. `what` is formatted only on the error
+/// path; a read that succeeds allocates nothing.
+///
+/// A value that is not an object has no fields, so every required key of
+/// it is missing.
+#[derive(Clone, Copy)]
+pub struct Fields<'a> {
+    pairs: &'a [(String, Json)],
+    what: &'a dyn fmt::Display,
+}
+
+impl<'a> Fields<'a> {
+    /// Reads `v`'s members; errors begin with `what`.
+    pub fn new(v: &'a Json, what: &'a dyn fmt::Display) -> Fields<'a> {
+        Fields {
+            pairs: v.as_object().unwrap_or(&[]),
+            what,
+        }
+    }
+
+    /// The error for a present `key` whose value this reader refuses —
+    /// also the wording for a decoder's own check on a well-typed value.
+    pub fn out_of_range(&self, key: &str) -> String {
+        format!("{}: `{key}` out of range", self.what)
+    }
+
+    fn missing(&self, key: &str) -> String {
+        format!("{}: missing `{key}`", self.what)
+    }
+
+    /// `key`'s value, if present; the first of duplicate keys wins.
+    pub fn opt_get(&self, key: &str) -> Option<&'a Json> {
+        self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    /// `key`'s value, of any type.
+    pub fn get(&self, key: &str) -> Result<&'a Json, String> {
+        self.opt_get(key).ok_or_else(|| self.missing(key))
+    }
+
+    /// An optional key through `read`, whose `None` means out of range.
+    fn opt<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        self.opt_get(key)
+            .map(|v| read(v).ok_or_else(|| self.out_of_range(key)))
+            .transpose()
+    }
+
+    fn req<T>(&self, key: &str, read: impl FnOnce(&'a Json) -> Option<T>) -> Result<T, String> {
+        self.opt(key, read)?.ok_or_else(|| self.missing(key))
+    }
+
+    /// A non-negative integer narrowed to `T` (`u16`, `u32`, `usize`, …).
+    pub fn uint<T: TryFrom<u64>>(&self, key: &str) -> Result<T, String> {
+        self.req(key, uint_of)
+    }
+
+    /// [`uint`](Fields::uint) for a key older artifacts lack.
+    pub fn opt_uint<T: TryFrom<u64>>(&self, key: &str) -> Result<Option<T>, String> {
+        self.opt(key, uint_of)
+    }
+
+    /// A signed integer in `i64` range.
+    pub fn int(&self, key: &str) -> Result<i64, String> {
+        self.req(key, Json::as_i64)
+    }
+
+    /// A number, integers converting.
+    pub fn float(&self, key: &str) -> Result<f64, String> {
+        self.req(key, Json::as_f64)
+    }
+
+    /// A boolean.
+    pub fn bool(&self, key: &str) -> Result<bool, String> {
+        self.req(key, Json::as_bool)
+    }
+
+    /// [`bool`](Fields::bool) for a key older artifacts lack.
+    pub fn opt_bool(&self, key: &str) -> Result<Option<bool>, String> {
+        self.opt(key, Json::as_bool)
+    }
+
+    /// A string, borrowed from the document.
+    pub fn str(&self, key: &str) -> Result<&'a str, String> {
+        self.req(key, Json::as_str)
+    }
+
+    /// [`str`](Fields::str) for a key older artifacts lack.
+    pub fn opt_str(&self, key: &str) -> Result<Option<&'a str>, String> {
+        self.opt(key, Json::as_str)
+    }
+
+    /// An array, each element decoded by `f`, collected into `C`.
+    pub fn list<T, C: FromIterator<T>>(
+        &self,
+        key: &str,
+        f: impl FnMut(&'a Json) -> Result<T, String>,
+    ) -> Result<C, String> {
+        self.req(key, Json::as_array)?.iter().map(f).collect()
+    }
+
+    /// [`list`](Fields::list) for a key older artifacts lack.
+    pub fn opt_list<T, C: FromIterator<T>>(
+        &self,
+        key: &str,
+        f: impl FnMut(&'a Json) -> Result<T, String>,
+    ) -> Result<Option<C>, String> {
+        self.opt(key, Json::as_array)?
+            .map(|items| items.iter().map(f).collect())
+            .transpose()
+    }
+}
+
+impl fmt::Debug for Fields<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Fields")
+            .field("what", &format_args!("{}", self.what))
+            .field("pairs", &self.pairs)
+            .finish()
+    }
+}
+
+/// A non-negative integer that fits `T`.
+fn uint_of<T: TryFrom<u64>>(v: &Json) -> Option<T> {
+    v.as_u64().and_then(|n| T::try_from(n).ok())
+}
+
 /// Escapes `s` into `out` per JSON string rules: quotes, backslashes, the
 /// named control escapes, and `\u00XX` for the remaining control bytes.
 ///
@@ -571,6 +710,95 @@ mod tests {
         assert_eq!(v.get("f").and_then(Json::as_f64), Some(1.5));
         assert_eq!(v.get("missing"), None);
         assert_eq!(Json::Null.get("n"), None);
+    }
+
+    /// `Fields`' contract: an absent key is missing, a present one of the
+    /// wrong type or width is out of range, each integer width accepts its
+    /// `MAX` and refuses `MAX + 1`, and an `opt_*` getter tells absent
+    /// (`None`) from present but wrong (an error).
+    #[test]
+    fn fields_name_the_key_they_refuse() {
+        let at_max = |max: u64| Json::Int(max as i128);
+        let past = |max: u64| Json::Int(max as i128 + 1);
+        let doc = Json::obj(vec![
+            ("u16", at_max(u16::MAX.into())),
+            ("u16+1", past(u16::MAX.into())),
+            ("u32", at_max(u32::MAX.into())),
+            ("u32+1", past(u32::MAX.into())),
+            ("usize", at_max(usize::MAX as u64)),
+            ("usize+1", past(usize::MAX as u64)),
+            ("neg", Json::Int(-1)),
+            ("s", Json::Str("x".into())),
+            ("b", Json::Bool(true)),
+            ("f", Json::Float(0.5)),
+            ("l", Json::Array(vec![Json::Int(1), Json::Int(2)])),
+            ("n", Json::Null),
+        ]);
+        let n = 7;
+        let what = format_args!("thing {n}");
+        let f = Fields::new(&doc, &what);
+        let missing = |key: &str| format!("thing 7: missing `{key}`");
+        let out = |key: &str| format!("thing 7: `{key}` out of range");
+
+        assert_eq!(f.uint::<u16>("u16"), Ok(u16::MAX));
+        assert_eq!(f.uint::<u16>("u16+1"), Err(out("u16+1")));
+        assert_eq!(f.uint::<u32>("u32"), Ok(u32::MAX));
+        assert_eq!(f.uint::<u32>("u32+1"), Err(out("u32+1")));
+        assert_eq!(f.uint::<usize>("usize"), Ok(usize::MAX));
+        assert_eq!(f.uint::<usize>("usize+1"), Err(out("usize+1")));
+        assert_eq!(f.uint::<u64>("neg"), Err(out("neg")));
+        assert_eq!(f.int("neg"), Ok(-1));
+        assert_eq!(f.float("f"), Ok(0.5));
+        assert_eq!(f.float("u16"), Ok(65535.0));
+        assert_eq!(f.str("s"), Ok("x"));
+        assert_eq!(f.bool("b"), Ok(true));
+        assert_eq!(f.get("n"), Ok(&Json::Null));
+        assert_eq!(
+            f.list("l", |v| Ok(v.clone())),
+            Ok(vec![Json::Int(1), Json::Int(2)])
+        );
+
+        // Every typed getter: absent is missing, `null` (a type none of
+        // them reads) is out of range.
+        type Read = fn(&Fields) -> Result<(), String>;
+        let getters: [Read; 6] = [
+            |f| f.uint::<u64>("absent").map(drop),
+            |f| f.int("absent").map(drop),
+            |f| f.float("absent").map(drop),
+            |f| f.bool("absent").map(drop),
+            |f| f.str("absent").map(drop),
+            |f| f.list::<_, Vec<_>>("absent", |_| Ok(())).map(drop),
+        ];
+        let null = Json::obj(vec![("absent", Json::Null)]);
+        for (i, read) in getters.iter().enumerate() {
+            assert_eq!(read(&f), Err(missing("absent")), "getter {i}");
+            let present = Fields::new(&null, &what);
+            assert_eq!(read(&present), Err(out("absent")), "getter {i}");
+        }
+        assert_eq!(f.get("absent"), Err("thing 7: missing `absent`".into()));
+        // A document that is not an object has no fields.
+        assert_eq!(
+            Fields::new(&Json::Int(3), &"t").get("k"),
+            Err("t: missing `k`".into())
+        );
+
+        // `opt_*`: absent is `None`, present but wrong is refused by name.
+        assert_eq!(f.opt_uint::<u32>("absent"), Ok(None));
+        assert_eq!(f.opt_uint::<u32>("u32"), Ok(Some(u32::MAX)));
+        assert_eq!(f.opt_uint::<u32>("u32+1"), Err(out("u32+1")));
+        assert_eq!(f.opt_uint::<u32>("s"), Err(out("s")));
+        assert_eq!(f.opt_bool("absent"), Ok(None));
+        assert_eq!(f.opt_bool("b"), Ok(Some(true)));
+        assert_eq!(f.opt_bool("n"), Err(out("n")));
+        assert_eq!(f.opt_str("absent"), Ok(None));
+        assert_eq!(f.opt_str("s"), Ok(Some("x")));
+        assert_eq!(f.opt_str("b"), Err(out("b")));
+        let ints = |v: &Json| v.as_u64().ok_or_else(|| f.out_of_range("l"));
+        assert_eq!(f.opt_list::<_, Vec<_>>("absent", ints), Ok(None));
+        assert_eq!(f.opt_list("l", ints), Ok(Some(vec![1, 2])));
+        assert_eq!(f.opt_list::<_, Vec<_>>("s", ints), Err(out("s")));
+        assert_eq!(f.opt_get("absent"), None);
+        assert_eq!(f.opt_get("n"), Some(&Json::Null));
     }
 
     #[test]

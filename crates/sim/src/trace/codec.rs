@@ -5,7 +5,7 @@
 use std::fmt::{self, Write as _};
 
 use super::{EventKind, SpanId, TraceCategory, TraceEvent};
-use crate::json::{escape_into, quote_into, Json};
+use crate::json::{escape_into, quote_into, Fields, Json};
 use crate::time::{SimDuration, SimTime};
 
 /// Buffer reserved per event when rendering JSONL. A line of a loaded
@@ -173,31 +173,11 @@ impl EventKind {
     ///
     /// Unknown variant names and missing or mistyped fields.
     pub fn from_data(name: &str, data: &Json) -> Result<EventKind, String> {
-        let u = |field: &str| -> Result<u64, String> {
-            data.get(field)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("{name}: missing or non-integer `{field}`"))
-        };
-        let n = |field: &str| -> Result<u32, String> {
-            u(field).and_then(|v| {
-                u32::try_from(v).map_err(|_| format!("{name}: `{field}` out of u32 range"))
-            })
-        };
-        let s = |field: &str| -> Result<String, String> {
-            data.get(field)
-                .and_then(Json::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("{name}: missing or non-string `{field}`"))
-        };
-        let b = |field: &str| -> Result<bool, String> {
-            data.get(field)
-                .and_then(Json::as_bool)
-                .ok_or_else(|| format!("{name}: missing or non-boolean `{field}`"))
-        };
+        let f = Fields::new(data, &name);
         Ok(match name {
-            "Message" => EventKind::Message(s("text")?),
+            "Message" => EventKind::Message(f.str("text")?.to_string()),
             "PacketSent" | "PacketDelivered" | "PacketLost" | "PacketNacked" => {
-                let (src, dst, bytes) = (n("src")?, n("dst")?, n("bytes")?);
+                let (src, dst, bytes) = (f.uint("src")?, f.uint("dst")?, f.uint("bytes")?);
                 match name {
                     "PacketSent" => EventKind::PacketSent { src, dst, bytes },
                     "PacketDelivered" => EventKind::PacketDelivered { src, dst, bytes },
@@ -206,68 +186,71 @@ impl EventKind {
                 }
             }
             "CallStarted" => EventKind::CallStarted {
-                call_id: u("call_id")?,
-                proc: s("proc")?.into(),
-                args: n("args")?,
-                dst: n("dst")?,
-                protocol: s("protocol")?.into(),
-                parent_span: u("parent_span")?,
+                call_id: f.uint("call_id")?,
+                proc: f.str("proc")?.into(),
+                args: f.uint("args")?,
+                dst: f.uint("dst")?,
+                protocol: f.str("protocol")?.to_string().into(),
+                parent_span: f.uint("parent_span")?,
             },
             "CallRetransmitted" => EventKind::CallRetransmitted {
-                call_id: u("call_id")?,
-                attempt: n("attempt")?,
+                call_id: f.uint("call_id")?,
+                attempt: f.uint("attempt")?,
             },
             "CallCompleted" => EventKind::CallCompleted {
-                call_id: u("call_id")?,
-                ok: b("ok")?,
-                outcome: s("outcome")?.into(),
+                call_id: f.uint("call_id")?,
+                ok: f.bool("ok")?,
+                outcome: f.str("outcome")?.to_string().into(),
             },
             "CallTimedOut" => EventKind::CallTimedOut {
-                call_id: u("call_id")?,
+                call_id: f.uint("call_id")?,
             },
             "ServerDispatched" => EventKind::ServerDispatched {
-                call_id: u("call_id")?,
-                proc: s("proc")?.into(),
+                call_id: f.uint("call_id")?,
+                proc: f.str("proc")?.into(),
             },
             "ReplySent" => EventKind::ReplySent {
-                call_id: u("call_id")?,
-                cached: b("cached")?,
+                call_id: f.uint("call_id")?,
+                cached: f.bool("cached")?,
             },
             "MaybeLostCall" => EventKind::MaybeLostCall {
-                call_id: u("call_id")?,
+                call_id: f.uint("call_id")?,
             },
             "MaybeLostReply" => EventKind::MaybeLostReply {
-                call_id: u("call_id")?,
+                call_id: f.uint("call_id")?,
             },
             "ProcessSpawned" => EventKind::ProcessSpawned {
-                pid: u("pid")?,
-                proc: s("proc")?.into(),
+                pid: f.uint("pid")?,
+                proc: f.str("proc")?.into(),
             },
-            "ProcessExited" => EventKind::ProcessExited { pid: u("pid")? },
-            "ProcessesHalted" => EventKind::ProcessesHalted { count: u("count")? },
-            "ProcessesResumed" => EventKind::ProcessesResumed { count: u("count")? },
+            "ProcessExited" => EventKind::ProcessExited {
+                pid: f.uint("pid")?,
+            },
+            "ProcessesHalted" => EventKind::ProcessesHalted {
+                count: f.uint("count")?,
+            },
+            "ProcessesResumed" => EventKind::ProcessesResumed {
+                count: f.uint("count")?,
+            },
             "ClockAdjusted" => EventKind::ClockAdjusted {
-                delta: SimDuration::from_micros(u("delta_us")?),
-                now: SimDuration::from_micros(u("now_us")?),
+                delta: SimDuration::from_micros(f.uint("delta_us")?),
+                now: SimDuration::from_micros(f.uint("now_us")?),
             },
             "Print" => EventKind::Print {
-                pid: u("pid")?,
-                text: s("text")?,
+                pid: f.uint("pid")?,
+                text: f.str("text")?.to_string(),
             },
             "Faulted" => EventKind::Faulted {
-                pid: u("pid")?,
-                fault: s("fault")?,
+                pid: f.uint("pid")?,
+                fault: f.str("fault")?.to_string(),
             },
             "BreakpointHalt" => EventKind::BreakpointHalt,
             "HaltBroadcast" => EventKind::HaltBroadcast {
-                origin: n("origin")?,
+                origin: f.uint("origin")?,
             },
             "WatchTripped" => EventKind::WatchTripped {
-                expr: s("expr")?,
-                value: data
-                    .get("value")
-                    .and_then(Json::as_i64)
-                    .ok_or_else(|| format!("{name}: missing or non-integer `value`"))?,
+                expr: f.str("expr")?.to_string(),
+                value: f.int("value")?,
             },
             other => return Err(format!("unknown event kind `{other}`")),
         })
@@ -317,39 +300,24 @@ impl TraceEvent {
     /// Malformed JSON, unknown categories or kinds, and missing fields.
     pub fn parse_json(line: &str) -> Result<TraceEvent, String> {
         let doc = Json::parse(line).map_err(|e| e.to_string())?;
-        let time_us = doc
-            .get("time_us")
-            .and_then(Json::as_u64)
-            .ok_or("missing or non-integer `time_us`")?;
-        let category = doc
-            .get("category")
-            .and_then(Json::as_str)
-            .ok_or("missing `category`")
-            .and_then(|c| TraceCategory::parse(c).ok_or("unknown `category`"))?;
-        let node = match doc.get("node") {
+        let f = Fields::new(&doc, &"event");
+        let time_us = f.uint("time_us")?;
+        let category =
+            TraceCategory::parse(f.str("category")?).ok_or_else(|| f.out_of_range("category"))?;
+        // `null` is how the export writes "none" for both.
+        let node = match f.opt_get("node") {
             None | Some(Json::Null) => None,
-            Some(v) => Some(
-                v.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or("non-integer `node`")?,
-            ),
+            Some(_) => Some(f.uint("node")?),
         };
-        let span = match doc.get("span") {
+        let span = match f.opt_get("span") {
             None | Some(Json::Null) => None,
             // 0 is the wire sentinel for "no span"; the tracer never
             // writes it, so a line carrying it is not one of ours.
-            Some(v) => Some(
-                v.as_u64()
-                    .and_then(SpanId::from_wire)
-                    .ok_or("zero or non-integer `span`")?,
-            ),
+            Some(_) => {
+                Some(SpanId::from_wire(f.uint("span")?).ok_or_else(|| f.out_of_range("span"))?)
+            }
         };
-        let kind_name = doc
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("missing `kind`")?;
-        let data = doc.get("data").ok_or("missing `data`")?;
-        let kind = EventKind::from_data(kind_name, data)?;
+        let kind = EventKind::from_data(f.str("kind")?, f.get("data")?)?;
         Ok(TraceEvent {
             time: SimTime::from_micros(time_us),
             category,
@@ -630,7 +598,7 @@ mod tests {
         for (text, want) in [
             (
                 "{\"time_us\": 1}\n".to_string(),
-                "line 1: missing `category`",
+                "line 1: event: missing `category`",
             ),
             (format!("{good}\nnot json\n"), "line 2: "),
             (
@@ -639,7 +607,7 @@ mod tests {
             ),
             (
                 good.replace("\"span\": null", "\"span\": 0"),
-                "line 1: zero or non-integer `span`",
+                "line 1: event: `span` out of range",
             ),
             (deep("["), "line 2: nesting deeper than"),
             (deep("{\"a\":"), "line 2: nesting deeper than"),

@@ -89,6 +89,13 @@ fn bad_input_is_status_2_with_one_stderr_line_and_no_stdout() {
     .render();
     let huge = text.replacen("\"nodes\": 7", "\"nodes\": 4000000000", 1);
     assert_ne!(huge, text, "the artifact's node count was not rewritten");
+    // A mistyped `setup` once read as "no setup": a re-run without the
+    // servers, reported as a divergence at event 0.
+    let mistyped_setup = text.replacen("\"setup\": [", "\"setup\": \"oops\", \"was\": [", 1);
+    assert_ne!(
+        mistyped_setup, text,
+        "the artifact's setup was not rewritten"
+    );
 
     let mut inputs = vec![
         (dir.path("missing.json"), "cannot read"),
@@ -102,6 +109,10 @@ fn bad_input_is_status_2_with_one_stderr_line_and_no_stdout() {
             "nesting deeper than",
         ),
         (dir.write("huge.json", &huge), "`nodes` is 4000000000"),
+        (
+            dir.write("setup.json", &mistyped_setup),
+            "recipe: `setup` out of range",
+        ),
     ];
     // A journal naming a station its recipe does not have: 7 nodes and
     // the debugger's station make the ids 0..=7. Each of these used to
