@@ -307,6 +307,11 @@ pub trait Syscalls {
     /// The node's *logical* time in milliseconds (§5.2: the delta has
     /// already been subtracted).
     fn now_ms(&mut self) -> i64;
+    /// The same clock in microseconds, for native processes that stamp
+    /// what they record; programs see only [`now_ms`](Syscalls::now_ms).
+    fn now_us(&mut self) -> i64 {
+        self.now_ms() * 1_000
+    }
     /// The running process's identifier.
     fn pid(&mut self) -> i64;
     /// This node's identifier.

@@ -27,9 +27,9 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use pilgrim_cclu::{CodeAddr, Fault, FrameKind, Op, ProcId, Signature, Type, Value};
-use pilgrim_mayflower::{Node, Outcall, Pid, ProcBody, Process, RunState, SpawnOpts};
+use pilgrim_mayflower::{Node, Outcall, Pid, Process, RunState, SpawnOpts};
 use pilgrim_ring::{Medium, NodeId, TxStatus};
-use pilgrim_rpc::{marshal, unmarshal, HandlerCtx, NativeHandler, RpcEndpoint};
+use pilgrim_rpc::{marshal, unmarshal, HandlerCtx, RpcEndpoint};
 use pilgrim_sim::json::Fields;
 use pilgrim_sim::{EventKind, Json, SimDuration, SimTime, TraceCategory, Tracer};
 
@@ -207,14 +207,31 @@ impl Agent {
         self.shared.borrow().session
     }
 
-    /// The `get_debuggee_status` support procedure (§6.1), to be
-    /// registered as an RPC handler on this node. Shares state with the
-    /// agent, so servers always see the current connection status and the
-    /// node's logical clock.
-    pub fn status_handler(&self) -> Box<dyn NativeHandler> {
-        Box::new(StatusHandler {
-            shared: self.shared.clone(),
-        })
+    /// Registers the `get_debuggee_status` support procedure (§6.1) on
+    /// this node's endpoint: "The first result is the network address of
+    /// the debugger to which this node is connected. A special value
+    /// signifies that the node is not currently under control of a
+    /// debugger. The second result is the value of the node's logical
+    /// clock." The body shares state with the agent, so servers always see
+    /// the current connection status.
+    pub fn register_status(&self, endpoint: &mut RpcEndpoint) {
+        let shared = self.shared.clone();
+        let sig = Signature {
+            params: vec![],
+            returns: vec![Type::Int, Type::Int],
+        };
+        endpoint.register_handler(
+            "get_debuggee_status",
+            sig,
+            Box::new(move |ctx: &mut HandlerCtx<'_>, _| {
+                let debugger = shared
+                    .borrow()
+                    .debugger
+                    .map_or(NOT_DEBUGGED, |n| i64::from(n.0));
+                let logical_ms = ctx.node.logical_now().as_millis() as i64;
+                Ok(vec![Value::Int(debugger), Value::Int(logical_ms)])
+            }),
+        );
     }
 
     /// Processes a supervisor outcall the world routed to this agent.
@@ -957,45 +974,6 @@ impl Agent {
     }
 }
 
-/// The `get_debuggee_status` RPC handler (§6.1): "The first result is the
-/// network address of the debugger to which this node is connected. A
-/// special value signifies that the node is not currently under control of
-/// a debugger. The second result is the value of the node's logical
-/// clock."
-struct StatusHandler {
-    shared: Rc<RefCell<AgentShared>>,
-}
-
-impl NativeHandler for StatusHandler {
-    fn signature(&self) -> Signature {
-        Signature {
-            params: vec![],
-            returns: vec![Type::Int, Type::Int],
-        }
-    }
-
-    fn handle(
-        &mut self,
-        ctx: &mut HandlerCtx<'_>,
-        _args: Vec<Value>,
-    ) -> Result<Vec<Value>, String> {
-        let debugger = self
-            .shared
-            .borrow()
-            .debugger
-            .map(|n| i64::from(n.0))
-            .unwrap_or(NOT_DEBUGGED);
-        let logical_ms = ctx.node.logical_now().as_millis() as i64;
-        Ok(vec![Value::Int(debugger), Value::Int(logical_ms)])
-    }
-}
-
 /// The "special value" returned by `get_debuggee_status` when no debugger
 /// is connected.
 pub const NOT_DEBUGGED: i64 = -1;
-
-/// Extra private process body check used by [`Agent`] diagnostics.
-#[allow(dead_code)]
-fn is_vm(p: &ProcBody) -> bool {
-    matches!(p, ProcBody::Vm(_))
-}

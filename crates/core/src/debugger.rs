@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use pilgrim_cclu::{CodeAddr, Program, Signature, Type, Value};
 use pilgrim_ring::NodeId;
-use pilgrim_rpc::{HandlerCtx, NativeHandler};
+use pilgrim_rpc::{HandlerCtx, RpcEndpoint};
 use pilgrim_sim::{SimTime, TraceCategory, Tracer};
 
 use crate::proto::{AgentEvent, AgentReply, DebugMsg, SessionId};
@@ -148,12 +148,25 @@ impl Debugger {
         self.log.clone()
     }
 
-    /// Builds the `convert_debuggee_time` RPC handler (§6.1), to be
-    /// registered on the debugger's own node.
-    pub fn convert_time_handler(&self) -> Box<dyn NativeHandler> {
-        Box::new(ConvertTimeHandler {
-            log: self.log.clone(),
-        })
+    /// Registers the `convert_debuggee_time` procedure (§6.1) on the
+    /// debugger's own node: `proc (date) returns (date)` with dates as
+    /// millisecond integers, answered from the breakpoint log.
+    pub fn register_convert_time(&self, endpoint: &mut RpcEndpoint) {
+        let log = self.log.clone();
+        let sig = Signature {
+            params: vec![Type::Int],
+            returns: vec![Type::Int],
+        };
+        endpoint.register_handler(
+            "convert_debuggee_time",
+            sig,
+            Box::new(move |_: &mut HandlerCtx<'_>, args: Vec<Value>| {
+                let real_ms = args[0].as_int().ok_or("date must be an int")?;
+                let real = SimTime::from_millis(real_ms.max(0) as u64);
+                let converted = log.borrow().convert_debuggee_time(real);
+                Ok(vec![Value::Int(converted.logical.as_millis() as i64)])
+            }),
+        );
     }
 
     /// Generates the next session identifier — "a unique but guessable
@@ -384,33 +397,6 @@ impl Debugger {
             proc: id,
             pc: entry_end,
         })
-    }
-}
-
-/// The `convert_debuggee_time` RPC handler (§6.1), registered on the
-/// debugger's node. Signature: `proc (date) returns (date)` with dates as
-/// millisecond integers.
-struct ConvertTimeHandler {
-    log: Rc<RefCell<BreakpointLog>>,
-}
-
-impl NativeHandler for ConvertTimeHandler {
-    fn signature(&self) -> Signature {
-        Signature {
-            params: vec![Type::Int],
-            returns: vec![Type::Int],
-        }
-    }
-
-    fn handle(
-        &mut self,
-        _ctx: &mut HandlerCtx<'_>,
-        args: Vec<Value>,
-    ) -> Result<Vec<Value>, String> {
-        let real_ms = args[0].as_int().ok_or("date must be an int")?;
-        let real = SimTime::from_millis(real_ms.max(0) as u64);
-        let converted = self.log.borrow().convert_debuggee_time(real);
-        Ok(vec![Value::Int(converted.logical.as_millis() as i64)])
     }
 }
 

@@ -360,8 +360,7 @@ impl WorldBuilder {
             let is_user = i < recipe.nodes;
             if is_user && recipe.with_agents {
                 let agent = Agent::new(NodeId(i), recipe.agent_cfg.clone(), tracer.clone());
-                endpoints[i as usize]
-                    .register_handler("get_debuggee_status", agent.status_handler());
+                agent.register_status(&mut endpoints[i as usize]);
                 agents.push(Some(agent));
             } else {
                 agents.push(None);
@@ -374,8 +373,7 @@ impl WorldBuilder {
             for (i, p) in programs.iter().enumerate() {
                 d.load_program(NodeId(i as u32), p.clone());
             }
-            endpoints[station.0 as usize]
-                .register_handler("convert_debuggee_time", d.convert_time_handler());
+            d.register_convert_time(&mut endpoints[station.0 as usize]);
             Some(d)
         } else {
             None
@@ -577,11 +575,6 @@ impl World {
     /// The debugger proper, when attached.
     pub fn debugger(&self) -> Option<&Debugger> {
         self.debugger.as_ref()
-    }
-
-    /// Mutable debugger access.
-    pub fn debugger_mut(&mut self) -> Option<&mut Debugger> {
-        self.debugger.as_mut()
     }
 
     /// Console lines printed on node `i`.

@@ -4,7 +4,9 @@
 //! RPC waits.
 
 use pilgrim_cclu::{Frame, ProcId};
-use pilgrim_sim::{CallNodeId, CallTree, LedgerBucket, SimDuration, SimTime, SpanId, TimeLedger};
+use pilgrim_sim::{
+    CallNodeId, CallTree, LedgerBucket, LedgerClock, SimDuration, SimTime, SpanId, TimeLedger,
+};
 
 use super::Node;
 use crate::process::{Pid, Process, RunState};
@@ -15,7 +17,7 @@ use crate::process::{Pid, Process, RunState};
 pub(super) struct ProcTrack {
     pub(super) ledger: TimeLedger,
     /// When the process entered its current scheduler state.
-    pub(super) since: SimTime,
+    pub(super) since: LedgerClock,
     /// Call-tree node for the stack observed at the last profiled step.
     cursor: Option<CallNodeId>,
     /// Stack depth observed at the last profiled step.
@@ -28,7 +30,7 @@ impl ProcTrack {
     pub(super) fn new(now: SimTime) -> ProcTrack {
         ProcTrack {
             ledger: TimeLedger::default(),
-            since: now,
+            since: LedgerClock::new(now),
             cursor: None,
             depth: 0,
             rpc_span: None,
@@ -73,8 +75,7 @@ impl Node {
         let (Some(p), Some(track)) = (self.procs.get(slot), self.tracks.get_mut(slot)) else {
             return;
         };
-        let d = self.clock.saturating_since(track.since);
-        track.since = self.clock;
+        let d = track.since.settle(self.clock);
         if d == SimDuration::ZERO {
             return;
         }
@@ -185,7 +186,7 @@ impl Node {
             .enumerate()
             .map(|(slot, (p, t))| {
                 let mut ledger = t.ledger;
-                let d = self.clock.saturating_since(t.since);
+                let d = t.since.open(self.clock);
                 if d > SimDuration::ZERO {
                     if let Some(bucket) = Self::bucket_of(p) {
                         ledger.add(bucket, d);
@@ -206,7 +207,7 @@ impl Node {
             if Self::bucket_of(p) != Some(LedgerBucket::BlockedRpc) {
                 continue;
             }
-            let d = self.clock.saturating_since(t.since);
+            let d = t.since.open(self.clock);
             if d > SimDuration::ZERO {
                 add_span_wait(&mut out, span, d);
             }

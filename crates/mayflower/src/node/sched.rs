@@ -392,8 +392,7 @@ impl Node {
             // pre-step settle — is VM-executing time, charged regardless
             // of which state the instruction left the process in.
             if let Some(track) = self.tracks.get_mut(Self::slot(pid)) {
-                track.ledger.executing += self.clock.saturating_since(track.since);
-                track.since = self.clock;
+                track.ledger.executing += track.since.settle(self.clock);
             }
         }
 

@@ -37,6 +37,10 @@ impl Syscalls for SysCtx<'_> {
         (self.logical_now.as_micros() / 1_000) as i64
     }
 
+    fn now_us(&mut self) -> i64 {
+        self.logical_now.as_micros() as i64
+    }
+
     fn pid(&mut self) -> i64 {
         self.pid.0 as i64
     }

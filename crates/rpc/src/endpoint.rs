@@ -56,21 +56,14 @@ pub trait RpcNet {
     fn node_count(&self) -> u32;
 }
 
-/// A native (Rust) RPC handler — how simulated Cambridge services and the
-/// Pilgrim agent export procedures callable from any node.
-pub trait NativeHandler {
-    /// The procedure's type-checked signature.
-    fn signature(&self) -> Signature;
-    /// Executes the call. Values live in the serving node's heap.
-    ///
-    /// # Errors
-    ///
-    /// A returned `Err` becomes an RPC failure at the caller (a fault for
-    /// exactly-once, `ok = false` for maybe).
-    fn handle(&mut self, ctx: &mut HandlerCtx<'_>, args: Vec<Value>) -> Result<Vec<Value>, String>;
-}
+/// The body of a native (Rust) RPC procedure — how simulated Cambridge
+/// services and the Pilgrim agent export procedures callable from any
+/// node. It executes the call with values in the serving node's heap; a
+/// returned `Err` becomes an RPC failure at the caller (a fault for
+/// exactly-once, `ok = false` for maybe).
+pub type NativeBody = Box<dyn FnMut(&mut HandlerCtx<'_>, Vec<Value>) -> Result<Vec<Value>, String>>;
 
-/// Context passed to a [`NativeHandler`].
+/// Context passed to a [`NativeBody`].
 pub struct HandlerCtx<'a> {
     /// The serving node.
     pub node: &'a mut Node,
@@ -218,7 +211,7 @@ enum Callee {
 struct Handler {
     name: String,
     sig: Signature,
-    body: Option<Box<dyn NativeHandler>>,
+    body: Option<NativeBody>,
 }
 
 #[derive(Debug)]
@@ -341,16 +334,16 @@ impl RpcEndpoint {
         });
     }
 
-    /// Registers a native handler under `name` (services, agent support
-    /// procedures).
-    pub fn register_handler(&mut self, name: &str, handler: Box<dyn NativeHandler>) {
-        let sig = handler.signature();
+    /// Registers a native procedure `name` with signature `sig` (services,
+    /// agent support procedures). A second body under a taken name
+    /// replaces the first.
+    pub fn register_handler(&mut self, name: &str, sig: Signature, body: NativeBody) {
         match self.handlers.iter_mut().find(|h| h.name == name) {
-            Some(h) => (h.sig, h.body) = (sig, Some(handler)),
+            Some(h) => (h.sig, h.body) = (sig, Some(body)),
             None => self.handlers.push(Handler {
                 name: name.to_string(),
                 sig,
-                body: Some(handler),
+                body: Some(body),
             }),
         }
     }
@@ -471,14 +464,7 @@ impl RpcEndpoint {
         }
         // Destination validation.
         if req.node < 0 || req.node >= i64::from(net.node_count()) {
-            self.fail_now(
-                now,
-                node,
-                pid,
-                token,
-                req,
-                format!("no such node {}", req.node),
-            );
+            self.fail_now(node, pid, token, req, format!("no such node {}", req.node));
             return;
         }
         let dst = NodeId(req.node as u32);
@@ -488,7 +474,7 @@ impl RpcEndpoint {
             match marshal(node.heap(), a) {
                 Ok(w) => args.push(w),
                 Err(e) => {
-                    self.fail_now(now, node, pid, token, req, e.to_string());
+                    self.fail_now(node, pid, token, req, e.to_string());
                     return;
                 }
             }
@@ -597,7 +583,6 @@ impl RpcEndpoint {
 
     fn fail_now(
         &mut self,
-        now: SimTime,
         node: &mut Node,
         pid: Pid,
         token: u64,
@@ -623,7 +608,6 @@ impl RpcEndpoint {
                     .signature_of(&req.proc_name)
                     .map(|s| s.returns.clone())
                     .unwrap_or_default();
-                let _ = now;
                 let values = maybe_failure(node, &rets);
                 node.resume_rpc(pid, token, values);
             }
@@ -903,7 +887,7 @@ impl RpcEndpoint {
             // Native handler: runs to completion at dispatch time, out of
             // its slot and back in — no lookup, no key.
             Callee::Native(slot) => {
-                let Some(mut handler) = self.handlers[slot].body.take() else {
+                let Some(mut body) = self.handlers[slot].body.take() else {
                     let reason = format!("unknown procedure `{proc}`");
                     self.reply_failure(now, src, call_id, span, reason, net);
                     return;
@@ -916,8 +900,8 @@ impl RpcEndpoint {
                     call_id,
                     now,
                 };
-                let result = handler.handle(&mut ctx, values);
-                self.handlers[slot].body = Some(handler);
+                let result = body(&mut ctx, values);
+                self.handlers[slot].body = Some(body);
                 match result {
                     Ok(rets) => {
                         let wire: Result<Vec<WireValue>, _> =

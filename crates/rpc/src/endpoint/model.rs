@@ -55,7 +55,7 @@ struct ModelEndpoint {
     server_by_pid: HashMap<Pid, CallId>,
     seen: HashMap<CallId, Option<(RpcPacket, usize)>>,
     server_recent: RecentCalls,
-    handlers: HashMap<String, Box<dyn NativeHandler>>,
+    handlers: HashMap<String, (Signature, NativeBody)>,
     timers: EventQueue<ModelTimer>,
     stats: RpcStats,
     tracer: Tracer,
@@ -85,8 +85,8 @@ impl ModelEndpoint {
         self.stats
     }
 
-    fn register_handler(&mut self, name: &str, handler: Box<dyn NativeHandler>) {
-        self.handlers.insert(name.to_string(), handler);
+    fn register_handler(&mut self, name: &str, sig: Signature, body: NativeBody) {
+        self.handlers.insert(name.to_string(), (sig, body));
     }
 
     fn next_timer(&mut self) -> Option<SimTime> {
@@ -296,8 +296,8 @@ impl ModelEndpoint {
                         return;
                     }
                 }
-                let sig: Option<Signature> = if let Some(h) = self.handlers.get(&*proc) {
-                    Some(h.signature())
+                let sig: Option<Signature> = if let Some((sig, _)) = self.handlers.get(&*proc) {
+                    Some(sig.clone())
                 } else {
                     node.program()
                         .proc_by_name(&proc)
@@ -464,7 +464,7 @@ impl ModelEndpoint {
         net: &mut dyn RpcNet,
     ) {
         self.stats.served += 1;
-        if let Some(mut handler) = self.handlers.remove(&**proc) {
+        if let Some((sig, mut body)) = self.handlers.remove(&**proc) {
             let values: Vec<Value> = args.iter().map(|w| unmarshal(node.heap_mut(), w)).collect();
             let mut ctx = HandlerCtx {
                 node,
@@ -472,8 +472,8 @@ impl ModelEndpoint {
                 call_id,
                 now,
             };
-            let result = handler.handle(&mut ctx, values);
-            self.handlers.insert(proc.to_string(), handler);
+            let result = body(&mut ctx, values);
+            self.handlers.insert(proc.to_string(), (sig, body));
             let wire = result.and_then(|rets| {
                 rets.iter()
                     .map(|v| marshal(node.heap(), v).map_err(|e| e.to_string()))
@@ -674,7 +674,7 @@ impl ModelEndpoint {
 /// What the harness needs of an endpoint, so one script drives both kinds.
 trait Endpoint: Sized {
     fn create(node: NodeId, config: RpcConfig, tracer: Tracer) -> Self;
-    fn register(&mut self, name: &str, handler: Box<dyn NativeHandler>);
+    fn register(&mut self, name: &str, sig: Signature, body: NativeBody);
     fn start(
         &mut self,
         at: SimTime,
@@ -705,8 +705,8 @@ macro_rules! impl_endpoint {
             fn create(node: NodeId, config: RpcConfig, tracer: Tracer) -> Self {
                 <$ty>::new(node, config, tracer)
             }
-            fn register(&mut self, name: &str, handler: Box<dyn NativeHandler>) {
-                self.register_handler(name, handler)
+            fn register(&mut self, name: &str, sig: Signature, body: NativeBody) {
+                self.register_handler(name, sig, body)
             }
             fn start(
                 &mut self,
@@ -901,22 +901,18 @@ const CLIENTS: [&str; 17] = [
 ];
 
 /// `double` answers, `refuse` errors: the two ends of a native handler.
-struct Native(bool);
-
-impl NativeHandler for Native {
-    fn signature(&self) -> Signature {
-        Signature {
-            params: vec![Type::Int],
-            returns: vec![Type::Int],
-        }
-    }
-
-    fn handle(&mut self, _: &mut HandlerCtx<'_>, args: Vec<Value>) -> Result<Vec<Value>, String> {
-        match (self.0, args[0].as_int()) {
+fn native(answers: bool) -> (Signature, NativeBody) {
+    let sig = Signature {
+        params: vec![Type::Int],
+        returns: vec![Type::Int],
+    };
+    let body: NativeBody = Box::new(move |_: &mut HandlerCtx<'_>, args: Vec<Value>| {
+        match (answers, args[0].as_int()) {
             (true, Some(n)) => Ok(vec![Value::Int(n * 2)]),
             _ => Err("refused".to_string()),
         }
-    }
+    });
+    (sig, body)
 }
 
 /// Two nodes, their endpoints and the wire between them.
@@ -943,8 +939,10 @@ impl<E: Endpoint> Side<E> {
         let eps = (0..2)
             .map(|i| {
                 let mut e = E::create(NodeId(i), RpcConfig::default(), tracer.clone());
-                e.register("double", Box::new(Native(true)));
-                e.register("refuse", Box::new(Native(false)));
+                for (name, answers) in [("double", true), ("refuse", false)] {
+                    let (sig, body) = native(answers);
+                    e.register(name, sig, body);
+                }
                 e
             })
             .collect();

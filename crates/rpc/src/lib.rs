@@ -29,7 +29,7 @@ mod packet;
 mod seen;
 
 pub use endpoint::{
-    CallDebug, HandlerCtx, NativeHandler, RpcEndpoint, RpcNet, RpcStats, ServerKnowledge,
+    CallDebug, HandlerCtx, NativeBody, RpcEndpoint, RpcNet, RpcStats, ServerKnowledge,
 };
 pub use marshal::{default_for, marshal, unmarshal, wire_matches_type, MarshalError, WireValue};
 pub use monitor::{MonitorState, PacketMonitor};
@@ -629,25 +629,25 @@ end";
         assert!(recent.iter().all(|(_, ok)| *ok));
     }
 
+    /// `n -> n * by` as a native procedure body.
+    fn times(by: i64) -> NativeBody {
+        Box::new(
+            move |_: &mut HandlerCtx<'_>, args: Vec<pilgrim_cclu::Value>| {
+                let n = args[0].as_int().ok_or("bad arg")?;
+                Ok(vec![pilgrim_cclu::Value::Int(n * by)])
+            },
+        )
+    }
+
+    fn int_to_int() -> pilgrim_cclu::Signature {
+        pilgrim_cclu::Signature {
+            params: vec![pilgrim_cclu::Type::Int],
+            returns: vec![pilgrim_cclu::Type::Int],
+        }
+    }
+
     #[test]
     fn native_handler_serves_calls() {
-        struct Doubler;
-        impl NativeHandler for Doubler {
-            fn signature(&self) -> pilgrim_cclu::Signature {
-                pilgrim_cclu::Signature {
-                    params: vec![pilgrim_cclu::Type::Int],
-                    returns: vec![pilgrim_cclu::Type::Int],
-                }
-            }
-            fn handle(
-                &mut self,
-                _ctx: &mut HandlerCtx<'_>,
-                args: Vec<pilgrim_cclu::Value>,
-            ) -> Result<Vec<pilgrim_cclu::Value>, String> {
-                let n = args[0].as_int().ok_or("bad arg")?;
-                Ok(vec![pilgrim_cclu::Value::Int(n * 2)])
-            }
-        }
         let src = "\
 extern double = proc (n: int) returns (int)
 main = proc ()
@@ -655,12 +655,64 @@ main = proc ()
  print(r)
 end";
         let mut c = Cluster::new(src, 2);
-        c.endpoints[1].register_handler("double", Box::new(Doubler));
+        c.endpoints[1].register_handler("double", int_to_int(), times(3));
+        // A second body under a taken name replaces the first.
+        c.endpoints[1].register_handler("double", int_to_int(), times(2));
         c.nodes[0]
             .spawn("main", vec![], SpawnOpts::default())
             .unwrap();
         c.run_until(SimTime::from_millis(200));
         assert_eq!(c.console(0), vec!["42"]);
+        assert_eq!(c.endpoints[1].stats().served, 1);
+    }
+
+    #[test]
+    fn a_native_error_fails_the_call_under_both_protocols() {
+        let src = "\
+extern refuse = proc (n: int) returns (int)
+eo = proc ()
+ r: int := call refuse(1) at 1
+ print(r)
+end
+mb = proc ()
+ ok: bool := true
+ r: int := 0
+ ok, r := maybecall refuse(1) at 1
+ if ok then
+  print(\"ok\")
+ else
+  print(\"failed\")
+ end
+end";
+        let mut c = Cluster::new(src, 2);
+        c.endpoints[1].register_handler(
+            "refuse",
+            int_to_int(),
+            Box::new(|_: &mut HandlerCtx<'_>, _| Err("refused by the service".to_string())),
+        );
+        let eo = c.nodes[0]
+            .spawn("eo", vec![], SpawnOpts::default())
+            .unwrap();
+        c.nodes[0]
+            .spawn("mb", vec![], SpawnOpts::default())
+            .unwrap();
+        c.run_until(SimTime::from_millis(400));
+        // Maybe: the call fails, and the caller carries on.
+        assert_eq!(c.console(0), vec!["failed"]);
+        // Exactly-once: the caller faults with the body's reason.
+        match &c.nodes[0].process(eo).unwrap().state {
+            RunState::Faulted(f) => {
+                assert_eq!(f.kind, pilgrim_cclu::FaultKind::RemoteCall);
+                assert_eq!(f.message, "refused by the service");
+            }
+            other => panic!("expected fault, got {other:?}"),
+        }
+        assert_eq!(c.endpoints[0].stats().failed, 2);
+        assert_eq!(c.endpoints[1].recent_served_calls().len(), 2);
+        assert!(c.endpoints[1]
+            .recent_served_calls()
+            .iter()
+            .all(|(_, ok)| !ok));
     }
 
     #[test]

@@ -20,13 +20,14 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use pilgrim::World;
-use pilgrim_cclu::{Signature, Type, Value};
-use pilgrim_mayflower::{SemId, SpawnOpts};
+use pilgrim_cclu::{Type, Value};
+use pilgrim_mayflower::SemId;
 use pilgrim_ring::NodeId;
-use pilgrim_rpc::{HandlerCtx, NativeHandler};
+use pilgrim_rpc::HandlerCtx;
 use pilgrim_sim::{SimDuration, SimTime};
 
 use crate::strategy::{GrantHooks, StrategyEvent, StrategyStats, TimeoutStrategy, Watcher};
+use crate::{sig, signal};
 
 /// AOTMan configuration.
 #[derive(Debug, Clone)]
@@ -85,28 +86,71 @@ impl AotMan {
     /// Installs AOTMan on `node` of `world`, registering its RPC handlers.
     pub fn install(world: &mut World, node: u32, config: AotConfig) -> AotMan {
         let state = Arc::new(Mutex::new(AotState::default()));
-        let svc = AotMan {
-            state: state.clone(),
-            config: config.clone(),
-            node,
-        };
-        world.endpoint_mut(node).register_handler(
+        let ep = world.endpoint_mut(node);
+        let (s, cfg) = (state.clone(), config.clone());
+        ep.register_handler(
             "aot_issue",
-            Box::new(IssueHandler {
-                state: state.clone(),
-                config: config.clone(),
+            sig(&[], &[Type::Int, Type::Int]),
+            Box::new(move |ctx: &mut HandlerCtx<'_>, _| {
+                let sem = ctx.node.make_sem(0);
+                let tuid = {
+                    let mut st = s.lock().unwrap();
+                    st.next_tuid += 1;
+                    let id = st.next_tuid;
+                    let record = TuidRecord {
+                        client: ctx.caller,
+                        valid: true,
+                        sem,
+                        refreshes: 0,
+                        issued_at: ctx.now,
+                        revoked_at: None,
+                    };
+                    st.tuids.insert(id, record);
+                    id
+                };
+                let hooks = TuidHooks {
+                    state: s.clone(),
+                    tuid,
+                };
+                let name = format!("aot:watch#{tuid}");
+                let (life, tol) = (cfg.lifetime, cfg.clock_tolerance);
+                Watcher::spawn(ctx, hooks, name, sem, life, tol, cfg.strategy);
+                Ok(vec![
+                    Value::Int(tuid as i64),
+                    Value::Int(life.as_millis() as i64),
+                ])
             }),
         );
-        world.endpoint_mut(node).register_handler(
+        let s = state.clone();
+        ep.register_handler(
             "aot_refresh",
-            Box::new(RefreshHandler {
-                state: state.clone(),
+            sig(&[Type::Int], &[Type::Bool]),
+            Box::new(move |ctx: &mut HandlerCtx<'_>, args: Vec<Value>| {
+                let id = args[0].as_int().ok_or("tuid must be int")? as u64;
+                let sem = match s.lock().unwrap().tuids.get_mut(&id) {
+                    Some(t) if t.valid => {
+                        t.refreshes += 1;
+                        Some(t.sem)
+                    }
+                    _ => None,
+                };
+                signal(ctx, sem)
             }),
         );
-        world
-            .endpoint_mut(node)
-            .register_handler("aot_check", Box::new(CheckHandler { state }));
-        svc
+        let s = state.clone();
+        ep.register_handler(
+            "aot_check",
+            sig(&[Type::Int], &[Type::Bool]),
+            Box::new(move |_: &mut HandlerCtx<'_>, args: Vec<Value>| {
+                let id = args[0].as_int().ok_or("tuid must be int")? as u64;
+                Ok(vec![Value::Bool(s.lock().unwrap().valid(id))])
+            }),
+        );
+        AotMan {
+            state,
+            config,
+            node,
+        }
     }
 
     /// The node the service runs on.
@@ -131,13 +175,7 @@ impl AotMan {
 
     /// Is `id` still valid?
     pub fn is_valid(&self, id: u64) -> bool {
-        self.state
-            .lock()
-            .unwrap()
-            .tuids
-            .get(&id)
-            .map(|t| t.valid)
-            .unwrap_or(false)
+        self.tuid(id).is_some_and(|t| t.valid)
     }
 
     /// Ids of all TUIDs ever issued.
@@ -148,162 +186,29 @@ impl AotMan {
     }
 }
 
+impl AotState {
+    fn valid(&self, id: u64) -> bool {
+        self.tuids.get(&id).is_some_and(|t| t.valid)
+    }
+}
+
 /// Hook adapter: the watcher revokes one TUID.
 struct TuidHooks {
     state: Arc<Mutex<AotState>>,
     tuid: u64,
-    revoked_at: SimTime,
 }
 
 impl GrantHooks for TuidHooks {
-    fn revoke(&mut self) {
-        let mut s = self.state.lock().unwrap();
-        if let Some(t) = s.tuids.get_mut(&self.tuid) {
+    fn revoke(&mut self, at: SimTime) {
+        if let Some(t) = self.state.lock().unwrap().tuids.get_mut(&self.tuid) {
             t.valid = false;
-            t.revoked_at = Some(self.revoked_at);
+            t.revoked_at = Some(at);
         }
     }
     fn active(&self) -> bool {
-        self.state
-            .lock()
-            .unwrap()
-            .tuids
-            .get(&self.tuid)
-            .map(|t| t.valid)
-            .unwrap_or(false)
+        self.state.lock().unwrap().valid(self.tuid)
     }
     fn record(&mut self, ev: StrategyEvent) {
         self.state.lock().unwrap().stats.apply(ev);
-    }
-}
-
-struct IssueHandler {
-    state: Arc<Mutex<AotState>>,
-    config: AotConfig,
-}
-
-impl NativeHandler for IssueHandler {
-    fn signature(&self) -> Signature {
-        Signature {
-            params: vec![],
-            returns: vec![Type::Int, Type::Int],
-        }
-    }
-
-    fn handle(
-        &mut self,
-        ctx: &mut HandlerCtx<'_>,
-        _args: Vec<Value>,
-    ) -> Result<Vec<Value>, String> {
-        let sem = ctx.node.make_sem(0);
-        let tuid = {
-            let mut s = self.state.lock().unwrap();
-            s.next_tuid += 1;
-            let id = s.next_tuid;
-            s.tuids.insert(
-                id,
-                TuidRecord {
-                    client: ctx.caller,
-                    valid: true,
-                    sem,
-                    refreshes: 0,
-                    issued_at: ctx.now,
-                    revoked_at: None,
-                },
-            );
-            id
-        };
-        let hooks = Arc::new(Mutex::new(TuidHooks {
-            state: self.state.clone(),
-            tuid,
-            revoked_at: ctx.now,
-        }));
-        // Keep the revocation timestamp fresh: GrantHooks::revoke records
-        // `revoked_at` captured at issue; good enough for ordering, the
-        // precise expiry instant is in the watcher trace.
-        let watcher = Watcher::new(
-            hooks,
-            format!("aot:watch#{tuid}"),
-            sem,
-            i64::from(ctx.caller.0),
-            self.config.lifetime.as_millis() as i64,
-            self.config.clock_tolerance.as_millis() as i64,
-            self.config.strategy,
-        );
-        ctx.node.spawn_native(
-            Box::new(watcher),
-            SpawnOpts {
-                no_halt: true,
-                ..Default::default()
-            },
-        );
-        Ok(vec![
-            Value::Int(tuid as i64),
-            Value::Int(self.config.lifetime.as_millis() as i64),
-        ])
-    }
-}
-
-struct RefreshHandler {
-    state: Arc<Mutex<AotState>>,
-}
-
-impl NativeHandler for RefreshHandler {
-    fn signature(&self) -> Signature {
-        Signature {
-            params: vec![Type::Int],
-            returns: vec![Type::Bool],
-        }
-    }
-
-    fn handle(&mut self, ctx: &mut HandlerCtx<'_>, args: Vec<Value>) -> Result<Vec<Value>, String> {
-        let id = args[0].as_int().ok_or("tuid must be int")? as u64;
-        let sem = {
-            let mut s = self.state.lock().unwrap();
-            match s.tuids.get_mut(&id) {
-                Some(t) if t.valid => {
-                    t.refreshes += 1;
-                    Some(t.sem)
-                }
-                _ => None,
-            }
-        };
-        match sem {
-            Some(sem) => {
-                ctx.node.signal_sem(sem);
-                Ok(vec![Value::Bool(true)])
-            }
-            None => Ok(vec![Value::Bool(false)]),
-        }
-    }
-}
-
-struct CheckHandler {
-    state: Arc<Mutex<AotState>>,
-}
-
-impl NativeHandler for CheckHandler {
-    fn signature(&self) -> Signature {
-        Signature {
-            params: vec![Type::Int],
-            returns: vec![Type::Bool],
-        }
-    }
-
-    fn handle(
-        &mut self,
-        _ctx: &mut HandlerCtx<'_>,
-        args: Vec<Value>,
-    ) -> Result<Vec<Value>, String> {
-        let id = args[0].as_int().ok_or("tuid must be int")? as u64;
-        let valid = self
-            .state
-            .lock()
-            .unwrap()
-            .tuids
-            .get(&id)
-            .map(|t| t.valid)
-            .unwrap_or(false);
-        Ok(vec![Value::Bool(valid)])
     }
 }

@@ -44,6 +44,27 @@ pub use resource::{ResourceManager, RmConfig, RmEvent};
 pub use scenario::{Scenario, TraceLevel};
 pub use strategy::{GrantHooks, StrategyEvent, StrategyStats, TimeoutStrategy, Watcher};
 
+use pilgrim_cclu::{Signature, Type, Value};
+use pilgrim_mayflower::SemId;
+use pilgrim_rpc::HandlerCtx;
+
+/// A native procedure's signature.
+fn sig(params: &[Type], returns: &[Type]) -> Signature {
+    Signature {
+        params: params.to_vec(),
+        returns: returns.to_vec(),
+    }
+}
+
+/// A refresh procedure's answer: signals the grant's watcher, if the
+/// grant was found, and says whether it was.
+fn signal(ctx: &mut HandlerCtx<'_>, sem: Option<SemId>) -> Result<Vec<Value>, String> {
+    if let Some(sem) = sem {
+        ctx.node.signal_sem(sem);
+    }
+    Ok(vec![Value::Bool(sem.is_some())])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,6 +305,67 @@ end";
             .events()
             .iter()
             .any(|(_, e)| matches!(e, RmEvent::Expired { resource: 0, .. })));
+    }
+
+    #[test]
+    fn a_revocation_is_stamped_when_it_happens() {
+        // A naive TUID that is never refreshed is revoked a lifetime after
+        // it was issued, not at its issue.
+        let src = "\
+extern aot_issue = proc () returns (int, int)
+main = proc (svc: int)
+ t: int := 0
+ life: int := 0
+ t, life := call aot_issue() at svc
+end";
+        let mut w = World::builder().nodes(2).program(src).build().unwrap();
+        let lifetime = SimDuration::from_secs(2);
+        let aot = AotMan::install(
+            &mut w,
+            1,
+            AotConfig {
+                lifetime,
+                strategy: TimeoutStrategy::Naive,
+                ..Default::default()
+            },
+        );
+        w.spawn(0, "main", vec![Value::Int(1)]);
+        w.run_until_idle(SimTime::from_secs(10));
+        let tuid = aot.tuid(aot.issued()[0]).unwrap();
+        let revoked = tuid.revoked_at.expect("an unrefreshed TUID is revoked");
+        assert!(
+            revoked >= tuid.issued_at + lifetime,
+            "issued at {}, revoked at {revoked}",
+            tuid.issued_at
+        );
+
+        // A lease that expires is logged when it expires, after a denial
+        // that came between its grant and its expiry.
+        let mut w = World::builder()
+            .nodes(2)
+            .program(RM_CLIENT)
+            .build()
+            .unwrap();
+        let rm = ResourceManager::install(
+            &mut w,
+            1,
+            RmConfig {
+                lease: SimDuration::from_secs(2),
+                strategy: TimeoutStrategy::Naive,
+                ..Default::default()
+            },
+        );
+        w.spawn(0, "hold", vec![Value::Int(1), Value::Int(0), Value::Int(0)]);
+        w.run_for(SimDuration::from_secs(1));
+        w.spawn(0, "grab", vec![Value::Int(1)]);
+        w.run_until_idle(SimTime::from_secs(10));
+        assert_eq!(w.console(0), vec!["granted 0", "denied"]);
+        let events = rm.events();
+        assert!(matches!(events.last(), Some((_, RmEvent::Expired { .. }))));
+        assert!(
+            events.windows(2).all(|p| p[0].0 <= p[1].0),
+            "events out of order: {events:?}"
+        );
     }
 
     #[test]

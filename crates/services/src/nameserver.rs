@@ -13,13 +13,16 @@
 //! timeouts, so it needs none of the §6 machinery — a useful contrast with
 //! AOTMan and the Resource Manager in the examples.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use pilgrim::World;
-use pilgrim_cclu::{Signature, Type, Value};
+use pilgrim_cclu::{Type, Value};
 use pilgrim_ring::NodeId;
-use pilgrim_rpc::{HandlerCtx, NativeHandler};
+use pilgrim_rpc::HandlerCtx;
+
+use crate::sig;
 
 /// Extern declarations a client program needs to talk to the name server.
 pub const NAME_SERVER_EXTERNS: &str = "\
@@ -35,37 +38,62 @@ struct NsState {
     lookups: u64,
 }
 
-/// The name server service.
+/// The name server service. Its state is reached only by its handlers and
+/// this handle, never by a watcher process, so it is not locked.
 #[derive(Debug, Clone)]
 pub struct NameServer {
-    state: Arc<Mutex<NsState>>,
+    state: Rc<RefCell<NsState>>,
     node: u32,
 }
 
 impl NameServer {
     /// Installs the name server on `node` of `world`.
     pub fn install(world: &mut World, node: u32) -> NameServer {
-        let state = Arc::new(Mutex::new(NsState::default()));
-        let svc = NameServer {
-            state: state.clone(),
-            node,
-        };
-        world.endpoint_mut(node).register_handler(
+        let state = Rc::new(RefCell::new(NsState::default()));
+        let ep = world.endpoint_mut(node);
+        let s = state.clone();
+        ep.register_handler(
             "ns_register",
-            Box::new(RegisterHandler {
-                state: state.clone(),
+            sig(&[Type::Str, Type::Int], &[Type::Bool]),
+            Box::new(move |_: &mut HandlerCtx<'_>, args: Vec<Value>| {
+                let name = args[0].as_str().ok_or("name must be a string")?;
+                let node = args[1].as_int().ok_or("node must be an int")?;
+                let mut s = s.borrow_mut();
+                let fresh = !s.names.contains_key(name);
+                if fresh {
+                    s.names.insert(name.to_string(), node);
+                    s.registrations += 1;
+                }
+                Ok(vec![Value::Bool(fresh)])
             }),
         );
-        world.endpoint_mut(node).register_handler(
+        let s = state.clone();
+        ep.register_handler(
             "ns_lookup",
-            Box::new(LookupHandler {
-                state: state.clone(),
+            sig(&[Type::Str], &[Type::Bool, Type::Int]),
+            Box::new(move |_: &mut HandlerCtx<'_>, args: Vec<Value>| {
+                let name = args[0].as_str().ok_or("name must be a string")?;
+                let mut s = s.borrow_mut();
+                s.lookups += 1;
+                let node = s.names.get(name).copied();
+                Ok(vec![
+                    Value::Bool(node.is_some()),
+                    Value::Int(node.unwrap_or(-1)),
+                ])
             }),
         );
-        world
-            .endpoint_mut(node)
-            .register_handler("ns_unregister", Box::new(UnregisterHandler { state }));
-        svc
+        let s = state.clone();
+        ep.register_handler(
+            "ns_unregister",
+            sig(&[Type::Str], &[Type::Bool]),
+            Box::new(move |_: &mut HandlerCtx<'_>, args: Vec<Value>| {
+                let name = args[0].as_str().ok_or("name must be a string")?;
+                Ok(vec![Value::Bool(
+                    s.borrow_mut().names.remove(name).is_some(),
+                )])
+            }),
+        );
+        NameServer { state, node }
     }
 
     /// The node the service runs on.
@@ -75,101 +103,21 @@ impl NameServer {
 
     /// Rust-side lookup (for tests and harnesses).
     pub fn resolve(&self, name: &str) -> Option<NodeId> {
-        self.state
-            .lock()
-            .unwrap()
-            .names
-            .get(name)
-            .map(|n| NodeId(*n as u32))
+        let s = self.state.borrow();
+        s.names.get(name).map(|n| NodeId(*n as u32))
     }
 
     /// Rust-side registration (service bootstrap).
     pub fn register(&self, name: &str, node: NodeId) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = self.state.borrow_mut();
         s.names.insert(name.to_string(), i64::from(node.0));
         s.registrations += 1;
     }
 
     /// Counters: `(registrations, lookups)`.
     pub fn stats(&self) -> (u64, u64) {
-        let s = self.state.lock().unwrap();
+        let s = self.state.borrow();
         (s.registrations, s.lookups)
-    }
-}
-
-struct RegisterHandler {
-    state: Arc<Mutex<NsState>>,
-}
-
-impl NativeHandler for RegisterHandler {
-    fn signature(&self) -> Signature {
-        Signature {
-            params: vec![Type::Str, Type::Int],
-            returns: vec![Type::Bool],
-        }
-    }
-    fn handle(
-        &mut self,
-        _ctx: &mut HandlerCtx<'_>,
-        args: Vec<Value>,
-    ) -> Result<Vec<Value>, String> {
-        let name = args[0].as_str().ok_or("name must be a string")?.to_string();
-        let node = args[1].as_int().ok_or("node must be an int")?;
-        let mut s = self.state.lock().unwrap();
-        let fresh = !s.names.contains_key(&name);
-        if fresh {
-            s.names.insert(name, node);
-            s.registrations += 1;
-        }
-        Ok(vec![Value::Bool(fresh)])
-    }
-}
-
-struct LookupHandler {
-    state: Arc<Mutex<NsState>>,
-}
-
-impl NativeHandler for LookupHandler {
-    fn signature(&self) -> Signature {
-        Signature {
-            params: vec![Type::Str],
-            returns: vec![Type::Bool, Type::Int],
-        }
-    }
-    fn handle(
-        &mut self,
-        _ctx: &mut HandlerCtx<'_>,
-        args: Vec<Value>,
-    ) -> Result<Vec<Value>, String> {
-        let name = args[0].as_str().ok_or("name must be a string")?;
-        let mut s = self.state.lock().unwrap();
-        s.lookups += 1;
-        match s.names.get(name) {
-            Some(node) => Ok(vec![Value::Bool(true), Value::Int(*node)]),
-            None => Ok(vec![Value::Bool(false), Value::Int(-1)]),
-        }
-    }
-}
-
-struct UnregisterHandler {
-    state: Arc<Mutex<NsState>>,
-}
-
-impl NativeHandler for UnregisterHandler {
-    fn signature(&self) -> Signature {
-        Signature {
-            params: vec![Type::Str],
-            returns: vec![Type::Bool],
-        }
-    }
-    fn handle(
-        &mut self,
-        _ctx: &mut HandlerCtx<'_>,
-        args: Vec<Value>,
-    ) -> Result<Vec<Value>, String> {
-        let name = args[0].as_str().ok_or("name must be a string")?;
-        let removed = self.state.lock().unwrap().names.remove(name).is_some();
-        Ok(vec![Value::Bool(removed)])
     }
 }
 

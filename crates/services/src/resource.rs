@@ -17,13 +17,14 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 use pilgrim::World;
-use pilgrim_cclu::{Signature, Type, Value};
-use pilgrim_mayflower::{SemId, SpawnOpts};
+use pilgrim_cclu::{Type, Value};
+use pilgrim_mayflower::SemId;
 use pilgrim_ring::NodeId;
-use pilgrim_rpc::{HandlerCtx, NativeHandler};
+use pilgrim_rpc::HandlerCtx;
 use pilgrim_sim::{SimDuration, SimTime};
 
 use crate::strategy::{GrantHooks, StrategyEvent, StrategyStats, TimeoutStrategy, Watcher};
+use crate::{sig, signal};
 
 /// Resource Manager configuration.
 #[derive(Debug, Clone)]
@@ -128,28 +129,104 @@ impl ResourceManager {
             free: (0..config.resources).rev().collect(),
             ..Default::default()
         }));
-        let svc = ResourceManager {
-            state: state.clone(),
-            config: config.clone(),
-            node,
-        };
-        world.endpoint_mut(node).register_handler(
+        let ep = world.endpoint_mut(node);
+        let (s, cfg) = (state.clone(), config.clone());
+        ep.register_handler(
             "rm_request",
-            Box::new(RequestHandler {
-                state: state.clone(),
-                config: config.clone(),
+            sig(&[], &[Type::Int]),
+            Box::new(move |ctx: &mut HandlerCtx<'_>, _| {
+                let to = ctx.caller;
+                let mut st = s.lock().unwrap();
+                // Epoch = a unique stamp per grant; use the event count.
+                let epoch = st.events.len() as u64 + 1;
+                let resource = match st.free.pop() {
+                    Some(resource) => resource,
+                    None => {
+                        // Contention (§6.2): preempt a debug-extended
+                        // allocation held by somebody else.
+                        let victim = st
+                            .allocations
+                            .iter()
+                            .find(|(_, a)| {
+                                cfg.reclaim_on_contention && a.extended && a.holder != to
+                            })
+                            .map(|(r, a)| (*r, a.holder, a.sem));
+                        let Some((resource, from, sem)) = victim else {
+                            st.events.push((ctx.now, RmEvent::Denied { to }));
+                            return Ok(vec![Value::Int(-1)]);
+                        };
+                        st.allocations.remove(&resource);
+                        let ev = RmEvent::ReclaimedForContention { resource, from, to };
+                        st.events.push((ctx.now, ev));
+                        // Wake the old watcher so it notices the allocation
+                        // is gone and exits.
+                        ctx.node.signal_sem(sem);
+                        resource
+                    }
+                };
+                let sem = ctx.node.make_sem(0);
+                let alloc = Allocation {
+                    holder: to,
+                    sem,
+                    extended: false,
+                    epoch,
+                };
+                st.allocations.insert(resource, alloc);
+                st.events.push((ctx.now, RmEvent::Granted { resource, to }));
+                drop(st);
+                let hooks = AllocHooks {
+                    state: s.clone(),
+                    resource,
+                    epoch,
+                };
+                let name = format!("rm:watch#{resource}");
+                let (lease, tol) = (cfg.lease, cfg.clock_tolerance);
+                Watcher::spawn(ctx, hooks, name, sem, lease, tol, cfg.strategy);
+                Ok(vec![Value::Int(i64::from(resource))])
             }),
         );
-        world.endpoint_mut(node).register_handler(
+        let s = state.clone();
+        ep.register_handler(
             "rm_renew",
-            Box::new(RenewHandler {
-                state: state.clone(),
+            sig(&[Type::Int], &[Type::Bool]),
+            Box::new(move |ctx: &mut HandlerCtx<'_>, args: Vec<Value>| {
+                let r = args[0].as_int().ok_or("resource must be int")? as u32;
+                let sem = match s.lock().unwrap().allocations.get_mut(&r) {
+                    Some(a) if a.holder == ctx.caller => {
+                        a.extended = false;
+                        Some(a.sem)
+                    }
+                    _ => None,
+                };
+                signal(ctx, sem)
             }),
         );
-        world
-            .endpoint_mut(node)
-            .register_handler("rm_release", Box::new(ReleaseHandler { state }));
-        svc
+        let s = state.clone();
+        ep.register_handler(
+            "rm_release",
+            sig(&[Type::Int], &[Type::Bool]),
+            Box::new(move |ctx: &mut HandlerCtx<'_>, args: Vec<Value>| {
+                let r = args[0].as_int().ok_or("resource must be int")? as u32;
+                let mut st = s.lock().unwrap();
+                let sem = match st.allocations.get(&r) {
+                    Some(a) if a.holder == ctx.caller => a.sem,
+                    _ => return signal(ctx, None),
+                };
+                st.allocations.remove(&r);
+                st.free.push(r);
+                let ev = RmEvent::Released {
+                    resource: r,
+                    from: ctx.caller,
+                };
+                st.events.push((ctx.now, ev));
+                signal(ctx, Some(sem))
+            }),
+        );
+        ResourceManager {
+            state,
+            config,
+            node,
+        }
     }
 
     /// The node the service runs on.
@@ -174,12 +251,8 @@ impl ResourceManager {
 
     /// Current holder of `resource`.
     pub fn holder(&self, resource: u32) -> Option<NodeId> {
-        self.state
-            .lock()
-            .unwrap()
-            .allocations
-            .get(&resource)
-            .map(|a| a.holder)
+        let s = self.state.lock().unwrap();
+        s.allocations.get(&resource).map(|a| a.holder)
     }
 
     /// Number of unallocated resources.
@@ -192,37 +265,30 @@ struct AllocHooks {
     state: Arc<Mutex<RmState>>,
     resource: u32,
     epoch: u64,
-    at_hint: SimTime,
+}
+
+impl AllocHooks {
+    /// This grant's allocation, unless the resource has since been
+    /// reallocated (a stale watcher).
+    fn mine<'s>(&self, s: &'s mut RmState) -> Option<&'s mut Allocation> {
+        let a = s.allocations.get_mut(&self.resource)?;
+        (a.epoch == self.epoch).then_some(a)
+    }
 }
 
 impl GrantHooks for AllocHooks {
-    fn revoke(&mut self) {
+    fn revoke(&mut self, at: SimTime) {
         let mut s = self.state.lock().unwrap();
-        let Some(a) = s.allocations.get(&self.resource) else {
+        let Some(from) = self.mine(&mut s).map(|a| a.holder) else {
             return;
         };
-        if a.epoch != self.epoch {
-            return; // resource was reallocated; stale watcher
-        }
-        let from = a.holder;
         s.allocations.remove(&self.resource);
         s.free.push(self.resource);
-        s.events.push((
-            self.at_hint,
-            RmEvent::Expired {
-                resource: self.resource,
-                from,
-            },
-        ));
+        let resource = self.resource;
+        s.events.push((at, RmEvent::Expired { resource, from }));
     }
     fn active(&self) -> bool {
-        self.state
-            .lock()
-            .unwrap()
-            .allocations
-            .get(&self.resource)
-            .map(|a| a.epoch == self.epoch)
-            .unwrap_or(false)
+        self.mine(&mut self.state.lock().unwrap()).is_some()
     }
     fn record(&mut self, ev: StrategyEvent) {
         let mut s = self.state.lock().unwrap();
@@ -230,197 +296,9 @@ impl GrantHooks for AllocHooks {
         // The contention policy keys off "this allocation has been
         // extended for a debugged holder".
         if ev == StrategyEvent::Extension {
-            if let Some(a) = s.allocations.get_mut(&self.resource) {
-                if a.epoch == self.epoch {
-                    a.extended = true;
-                }
+            if let Some(a) = self.mine(&mut s) {
+                a.extended = true;
             }
-        }
-    }
-}
-
-struct RequestHandler {
-    state: Arc<Mutex<RmState>>,
-    config: RmConfig,
-}
-
-impl RequestHandler {
-    fn grant(&self, ctx: &mut HandlerCtx<'_>, resource: u32, epoch: u64) -> Vec<Value> {
-        let sem = ctx.node.make_sem(0);
-        {
-            let mut s = self.state.lock().unwrap();
-            s.allocations.insert(
-                resource,
-                Allocation {
-                    holder: ctx.caller,
-                    sem,
-                    extended: false,
-                    epoch,
-                },
-            );
-            s.events.push((
-                ctx.now,
-                RmEvent::Granted {
-                    resource,
-                    to: ctx.caller,
-                },
-            ));
-        }
-        let hooks = Arc::new(Mutex::new(AllocHooks {
-            state: self.state.clone(),
-            resource,
-            epoch,
-            at_hint: ctx.now,
-        }));
-        let watcher = Watcher::new(
-            hooks,
-            format!("rm:watch#{resource}"),
-            sem,
-            i64::from(ctx.caller.0),
-            self.config.lease.as_millis() as i64,
-            self.config.clock_tolerance.as_millis() as i64,
-            self.config.strategy,
-        );
-        ctx.node.spawn_native(
-            Box::new(watcher),
-            SpawnOpts {
-                no_halt: true,
-                ..Default::default()
-            },
-        );
-        vec![Value::Int(i64::from(resource))]
-    }
-}
-
-impl NativeHandler for RequestHandler {
-    fn signature(&self) -> Signature {
-        Signature {
-            params: vec![],
-            returns: vec![Type::Int],
-        }
-    }
-
-    fn handle(
-        &mut self,
-        ctx: &mut HandlerCtx<'_>,
-        _args: Vec<Value>,
-    ) -> Result<Vec<Value>, String> {
-        // Epoch = a unique stamp per grant; use the event count.
-        let (free, epoch) = {
-            let s = self.state.lock().unwrap();
-            (s.free.last().copied(), s.events.len() as u64 + 1)
-        };
-        if let Some(resource) = free {
-            self.state.lock().unwrap().free.pop();
-            return Ok(self.grant(ctx, resource, epoch));
-        }
-        // Contention (§6.2): preempt a debug-extended allocation held by
-        // somebody else.
-        if self.config.reclaim_on_contention {
-            let victim = {
-                let s = self.state.lock().unwrap();
-                s.allocations
-                    .iter()
-                    .find(|(_, a)| a.extended && a.holder != ctx.caller)
-                    .map(|(r, a)| (*r, a.holder, a.sem))
-            };
-            if let Some((resource, from, sem)) = victim {
-                {
-                    let mut s = self.state.lock().unwrap();
-                    s.allocations.remove(&resource);
-                    s.events.push((
-                        ctx.now,
-                        RmEvent::ReclaimedForContention {
-                            resource,
-                            from,
-                            to: ctx.caller,
-                        },
-                    ));
-                }
-                // Wake the old watcher so it notices the allocation is
-                // gone and exits.
-                ctx.node.signal_sem(sem);
-                return Ok(self.grant(ctx, resource, epoch));
-            }
-        }
-        self.state
-            .lock()
-            .unwrap()
-            .events
-            .push((ctx.now, RmEvent::Denied { to: ctx.caller }));
-        Ok(vec![Value::Int(-1)])
-    }
-}
-
-struct RenewHandler {
-    state: Arc<Mutex<RmState>>,
-}
-
-impl NativeHandler for RenewHandler {
-    fn signature(&self) -> Signature {
-        Signature {
-            params: vec![Type::Int],
-            returns: vec![Type::Bool],
-        }
-    }
-
-    fn handle(&mut self, ctx: &mut HandlerCtx<'_>, args: Vec<Value>) -> Result<Vec<Value>, String> {
-        let r = args[0].as_int().ok_or("resource must be int")? as u32;
-        let sem = {
-            let mut s = self.state.lock().unwrap();
-            match s.allocations.get_mut(&r) {
-                Some(a) if a.holder == ctx.caller => {
-                    a.extended = false;
-                    Some(a.sem)
-                }
-                _ => None,
-            }
-        };
-        match sem {
-            Some(sem) => {
-                ctx.node.signal_sem(sem);
-                Ok(vec![Value::Bool(true)])
-            }
-            None => Ok(vec![Value::Bool(false)]),
-        }
-    }
-}
-
-struct ReleaseHandler {
-    state: Arc<Mutex<RmState>>,
-}
-
-impl NativeHandler for ReleaseHandler {
-    fn signature(&self) -> Signature {
-        Signature {
-            params: vec![Type::Int],
-            returns: vec![Type::Bool],
-        }
-    }
-
-    fn handle(&mut self, ctx: &mut HandlerCtx<'_>, args: Vec<Value>) -> Result<Vec<Value>, String> {
-        let r = args[0].as_int().ok_or("resource must be int")? as u32;
-        let freed = {
-            let mut s = self.state.lock().unwrap();
-            match s.allocations.get(&r) {
-                Some(a) if a.holder == ctx.caller => {
-                    let sem = a.sem;
-                    let from = a.holder;
-                    s.allocations.remove(&r);
-                    s.free.push(r);
-                    s.events
-                        .push((ctx.now, RmEvent::Released { resource: r, from }));
-                    Some(sem)
-                }
-                _ => None,
-            }
-        };
-        match freed {
-            Some(sem) => {
-                ctx.node.signal_sem(sem);
-                Ok(vec![Value::Bool(true)])
-            }
-            None => Ok(vec![Value::Bool(false)]),
         }
     }
 }

@@ -7,10 +7,10 @@
 //! deadline — unless the client is being debugged, in which case the
 //! strategy decides how to extend, exactly per the paper's pseudocode.
 
-use std::sync::{Arc, Mutex};
-
 use pilgrim_cclu::{ExecEnv, RpcProtocol, RpcRequest, StepOutcome, SysReply, Value};
-use pilgrim_mayflower::{NativeProcess, SemId};
+use pilgrim_mayflower::{NativeProcess, SemId, SpawnOpts};
+use pilgrim_rpc::HandlerCtx;
+use pilgrim_sim::{SimDuration, SimTime};
 
 /// How a server treats a client's timeout while the client may be under a
 /// debugger (§6.2).
@@ -86,10 +86,12 @@ impl StrategyStats {
     }
 }
 
-/// What the service does when the watcher decides the grant's fate.
-pub trait GrantHooks: Send {
-    /// Called when the grant is revoked (timeout genuinely expired).
-    fn revoke(&mut self);
+/// What the service does when the watcher decides the grant's fate. The
+/// watcher owns its hooks; they reach the service's state themselves.
+pub trait GrantHooks: Send + 'static {
+    /// Called when the grant is revoked (timeout genuinely expired) at
+    /// `at`, the watcher's clock.
+    fn revoke(&mut self, at: SimTime);
     /// Is the grant still wanted? (Released grants stop their watcher.)
     fn active(&self) -> bool;
     /// Accounting sink for strategy events.
@@ -99,7 +101,7 @@ pub trait GrantHooks: Send {
 /// A grant watcher: the Figure 3 / Figure 4 loops as a schedulable native
 /// process.
 pub struct Watcher<H: GrantHooks> {
-    hooks: Arc<Mutex<H>>,
+    hooks: H,
     name: String,
     sem: SemId,
     client_node: i64,
@@ -135,37 +137,44 @@ enum Next {
 }
 
 impl<H: GrantHooks> Watcher<H> {
-    /// Creates a watcher guarding one grant.
+    /// Spawns a watcher guarding one grant to `ctx.caller`, as a process
+    /// on the serving node that debug halts pass over.
     ///
     /// `sem` must be signalled by the service's refresh handler;
-    /// `timeout_ms` is the grant lifetime; `tolerance_ms` is the paper's
+    /// `timeout` is the grant lifetime; `tolerance` is the paper's
     /// `clock_tolerance`.
-    pub fn new(
-        hooks: Arc<Mutex<H>>,
-        name: impl Into<String>,
+    pub fn spawn(
+        ctx: &mut HandlerCtx<'_>,
+        hooks: H,
+        name: String,
         sem: SemId,
-        client_node: i64,
-        timeout_ms: i64,
-        tolerance_ms: i64,
+        timeout: SimDuration,
+        tolerance: SimDuration,
         strategy: TimeoutStrategy,
-    ) -> Watcher<H> {
-        Watcher {
+    ) {
+        let timeout_ms = timeout.as_millis() as i64;
+        let watcher = Watcher {
             hooks,
-            name: name.into(),
+            name,
             sem,
-            client_node,
+            client_node: i64::from(ctx.caller.0),
             timeout_ms,
-            tolerance_ms,
+            tolerance_ms: tolerance.as_millis() as i64,
             strategy,
             phase: Phase::Init,
             client_start: 0,
             client_now: 0,
             next_wait_ms: timeout_ms,
-        }
+        };
+        let opts = SpawnOpts {
+            no_halt: true,
+            ..Default::default()
+        };
+        ctx.node.spawn_native(Box::new(watcher), opts);
     }
 
     fn rpc_status(&mut self, env: &mut ExecEnv<'_>) -> SysReply {
-        self.hooks.lock().unwrap().record(StrategyEvent::StatusCall);
+        self.hooks.record(StrategyEvent::StatusCall);
         env.sys.rpc(RpcRequest {
             proc_name: "get_debuggee_status".into(),
             args: vec![],
@@ -176,10 +185,7 @@ impl<H: GrantHooks> Watcher<H> {
     }
 
     fn rpc_convert(&mut self, env: &mut ExecEnv<'_>, debugger: i64, date: i64) -> SysReply {
-        self.hooks
-            .lock()
-            .unwrap()
-            .record(StrategyEvent::ConvertCall);
+        self.hooks.record(StrategyEvent::ConvertCall);
         env.sys.rpc(RpcRequest {
             proc_name: "convert_debuggee_time".into(),
             args: vec![Value::Int(date)],
@@ -198,15 +204,15 @@ impl<H: GrantHooks> Watcher<H> {
         (ok, dbg, t)
     }
 
-    fn revoke(&mut self) -> Next {
-        let mut h = self.hooks.lock().unwrap();
-        h.record(StrategyEvent::Revocation);
-        h.revoke();
+    fn revoke(&mut self, env: &mut ExecEnv<'_>) -> Next {
+        self.hooks.record(StrategyEvent::Revocation);
+        self.hooks
+            .revoke(SimTime::from_micros(env.sys.now_us() as u64));
         Next::Exit
     }
 
     fn extend(&mut self, wait_ms: i64) -> Next {
-        self.hooks.lock().unwrap().record(StrategyEvent::Extension);
+        self.hooks.record(StrategyEvent::Extension);
         self.start_wait(wait_ms)
     }
 
@@ -217,7 +223,7 @@ impl<H: GrantHooks> Watcher<H> {
     }
 
     fn advance(&mut self, resume: Vec<Value>, env: &mut ExecEnv<'_>) -> Next {
-        if !self.hooks.lock().unwrap().active() {
+        if !self.hooks.active() {
             return Next::Exit;
         }
         match self.phase {
@@ -252,13 +258,13 @@ impl<H: GrantHooks> Watcher<H> {
                 let signalled = matches!(resume.first(), Some(Value::Bool(true)));
                 if signalled {
                     // Refresh: a whole new timeout episode.
-                    self.hooks.lock().unwrap().record(StrategyEvent::Refresh);
+                    self.hooks.record(StrategyEvent::Refresh);
                     self.phase = Phase::Init;
                     Next::Continue(vec![])
                 } else {
                     // Timed out.
                     match self.strategy {
-                        TimeoutStrategy::Naive => self.revoke(),
+                        TimeoutStrategy::Naive => self.revoke(env),
                         _ => {
                             self.phase = Phase::AwaitExpiryStatus;
                             match self.rpc_status(env) {
@@ -274,17 +280,17 @@ impl<H: GrantHooks> Watcher<H> {
                 let real_now = now_ms(env);
                 if !ok {
                     // Client unreachable: treat as expired.
-                    return self.revoke();
+                    return self.revoke(env);
                 }
                 match self.strategy {
-                    TimeoutStrategy::Naive => self.revoke(),
+                    TimeoutStrategy::Naive => self.revoke(env),
                     TimeoutStrategy::IgnoreWhileDebugged => {
                         if dbg >= 0 {
                             // Extend indefinitely: restart the full
                             // timeout while the debugger stays attached.
                             self.extend(self.timeout_ms)
                         } else {
-                            self.revoke()
+                            self.revoke(env)
                         }
                     }
                     TimeoutStrategy::StatusOnly => {
@@ -297,10 +303,10 @@ impl<H: GrantHooks> Watcher<H> {
                                 self.client_start = client_now;
                                 self.extend(time_left)
                             } else {
-                                self.revoke()
+                                self.revoke(env)
                             }
                         } else {
-                            self.revoke()
+                            self.revoke(env)
                         }
                     }
                     TimeoutStrategy::StatusAndConvert => {
@@ -314,7 +320,7 @@ impl<H: GrantHooks> Watcher<H> {
                                 SysReply::Val(v) => Next::Continue(v),
                             }
                         } else {
-                            self.revoke()
+                            self.revoke(env)
                         }
                     }
                 }
@@ -323,13 +329,13 @@ impl<H: GrantHooks> Watcher<H> {
                 let ok = matches!(resume.first(), Some(Value::Bool(true)));
                 let client_start = resume.get(1).and_then(Value::as_int).unwrap_or(0);
                 if !ok {
-                    return self.revoke();
+                    return self.revoke(env);
                 }
                 let time_left = self.timeout_ms - (self.client_now - client_start);
                 if time_left > self.tolerance_ms {
                     self.extend(time_left)
                 } else {
-                    self.revoke()
+                    self.revoke(env)
                 }
             }
         }
@@ -384,7 +390,7 @@ mod tests {
     fn parse_status_handles_short_replies() {
         struct H(StrategyStats);
         impl GrantHooks for H {
-            fn revoke(&mut self) {}
+            fn revoke(&mut self, _: SimTime) {}
             fn active(&self) -> bool {
                 true
             }

@@ -304,10 +304,15 @@ impl LedgerClock {
         Self { since: now }
     }
 
+    /// The length of the open interval at `now`, leaving it open.
+    pub fn open(&self, now: SimTime) -> SimDuration {
+        now.saturating_since(self.since)
+    }
+
     /// Closes the open interval at `now`, returning its length, and
     /// reopens it at `now`.
     pub fn settle(&mut self, now: SimTime) -> SimDuration {
-        let d = now.saturating_since(self.since);
+        let d = self.open(now);
         self.since = now;
         d
     }
@@ -566,6 +571,10 @@ mod tests {
     #[test]
     fn ledger_clock_settles_intervals() {
         let mut c = LedgerClock::new(SimTime::from_micros(100));
+        assert_eq!(
+            c.open(SimTime::from_micros(120)),
+            SimDuration::from_micros(20)
+        );
         assert_eq!(
             c.settle(SimTime::from_micros(130)),
             SimDuration::from_micros(30)

@@ -50,7 +50,7 @@ use std::cell::Cell;
 
 use pilgrim::{DebugCli, SimDuration, SimTime, Value, World};
 use pilgrim_cclu::Signature;
-use pilgrim_rpc::{HandlerCtx, NativeHandler};
+use pilgrim_rpc::HandlerCtx;
 
 /// Ceiling for one debugging cycle over a three-node chain: 100 measured
 /// (196 before the pump lent `Network::poll_into` its buffer and the RPC
@@ -346,26 +346,24 @@ main_native = proc (n: int)
  end
 end";
 
-struct Null;
-
-impl NativeHandler for Null {
-    fn signature(&self) -> Signature {
-        Signature {
-            params: vec![],
-            returns: vec![],
-        }
-    }
-
-    fn handle(&mut self, _: &mut HandlerCtx<'_>, _: Vec<Value>) -> Result<Vec<Value>, String> {
-        Ok(Vec::new())
-    }
+/// Registers `native`, a procedure that does nothing, on node 1.
+fn register_null(w: &mut World) {
+    let sig = Signature {
+        params: vec![],
+        returns: vec![],
+    };
+    w.endpoint_mut(1).register_handler(
+        "native",
+        sig,
+        Box::new(|_: &mut HandlerCtx<'_>, _| Ok(Vec::new())),
+    );
 }
 
 /// Allocator calls per completed call over calls 1 001–2 000 and over
 /// calls 9 001–10 000 of one client looping on `main`.
 fn null_rpc_cost(main: &str) -> (f64, f64) {
     let mut w = world(2, NULL_RPCS, false);
-    w.endpoint_mut(1).register_handler("native", Box::new(Null));
+    register_null(&mut w);
     w.spawn(0, main, vec![Value::Int(10_500)]);
     let completed = |w: &World| w.endpoint(0).stats().completed;
     // Runs until `calls` have completed, in steps of about ten calls.
@@ -417,7 +415,7 @@ fn a_null_rpc_costs_at_most_five_allocations() {
 #[test]
 fn a_served_call_keeps_an_entry_and_its_outcome_bytes() {
     let mut w = world(2, NULL_RPCS, false);
-    w.endpoint_mut(1).register_handler("native", Box::new(Null));
+    register_null(&mut w);
     let mut batch = |calls: i64| {
         retained(|| {
             w.spawn(0, "main_native", vec![Value::Int(calls)]);
