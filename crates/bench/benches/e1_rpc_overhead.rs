@@ -65,7 +65,7 @@ fn measure(debug_support: bool, entry: &str, args: Vec<Value>) -> u64 {
 fn int_array(w: &mut World, n: i64) -> Value {
     use pilgrim_cclu::{HeapObject, Value as V};
     let items: Vec<V> = (0..n).map(V::Int).collect();
-    V::Ref(w.node_mut(0).heap_mut().alloc(HeapObject::Array(items)))
+    V::Ref(w.unrecorded_node(0, |n| n.heap_mut().alloc(HeapObject::Array(items))))
 }
 
 fn main() {

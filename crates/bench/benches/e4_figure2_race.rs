@@ -173,13 +173,7 @@ end";
         }
         // Q starts waiting immediately on node 1; the sender fires its RPC
         // at t = 100 ms; the breakpoint lands 1 ms later.
-        w.node_mut(1)
-            .spawn(
-                "q_process",
-                vec![Value::Int(q_timeout_ms)],
-                Default::default(),
-            )
-            .unwrap();
+        w.spawn(1, "q_process", vec![Value::Int(q_timeout_ms)]);
         w.spawn(0, "sender", vec![Value::Int(100)]);
         w.spawn(0, "p_process", vec![Value::Int(101)]);
         if debugged {

@@ -8,7 +8,7 @@
 //! * classification of a failed `maybe` call as *lost call* vs *lost
 //!   reply* by interrogating the server.
 
-use pilgrim::{MaybeDiagnosis, NodeId, SimDuration, SimTime, World};
+use pilgrim::{MaybeDiagnosis, SimDuration, SimTime, World};
 use pilgrim_bench::{verdict, Table};
 
 const THREE_TIER: &str = "\
@@ -106,9 +106,9 @@ fn main() {
             .expect("world");
         w.debug_connect(&[0, 1], false).expect("connect");
         if drop_call {
-            w.net_mut().drop_next(NodeId(0), NodeId(1), 1);
+            w.inject_drop(0, 1, 1);
         } else {
-            w.net_mut().drop_next(NodeId(1), NodeId(0), 1);
+            w.inject_drop(1, 0, 1);
         }
         w.spawn(0, "main", vec![]);
         w.run_for(SimDuration::from_millis(300));

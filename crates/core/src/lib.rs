@@ -86,8 +86,8 @@ pub use saved::{open, Saved};
 pub use timebase::{BreakpointLog, HaltRecord};
 pub use twin::{capture, twin_run, twin_threads, TwinArtifacts, TWIN_THREADS};
 pub use world::{
-    render_wire, BacktraceFrame, BuildError, DebugError, MaybeDiagnosis, WatchTrip, Wire, World,
-    WorldBuilder,
+    render_wire, BacktraceFrame, BuildError, DebugError, MaybeDiagnosis, Setup, WatchTrip, Wire,
+    World, WorldBuilder,
 };
 
 // Re-export the pieces users need to drive a world without naming every
@@ -97,6 +97,6 @@ pub use pilgrim_mayflower::{NodeConfig, Pid, RunState, SpawnOpts};
 pub use pilgrim_ring::{LinkModel, Medium, NetworkConfig, NodeId, PartitionWindow, Topology};
 pub use pilgrim_rpc::{RpcConfig, WireValue};
 pub use pilgrim_sim::{
-    CausalGraph, Chunked, Counter, EventKind, Gauge, Histogram, Metrics, SeriesStore, SimDuration,
-    SimTime, SpanId, SpanProfile, TraceCategory, TraceEvent, Tracer,
+    CausalGraph, Chunked, Counter, EventKind, Gauge, Histogram, Json, Metrics, SeriesStore,
+    SimDuration, SimTime, SpanId, SpanProfile, TraceCategory, TraceEvent, Tracer,
 };

@@ -42,7 +42,7 @@ use std::fmt;
 
 use pilgrim_sim::{first_divergence, Divergence, Json, TraceEvent};
 
-use crate::world::{BuildError, World};
+use crate::world::{BuildError, World, WorldBuilder};
 
 mod artifact;
 mod recipe;
@@ -130,30 +130,48 @@ pub fn replay_with(
 /// Rust-side setup steps against the freshly built world.
 pub type SetupInstaller<'a> = dyn FnMut(&mut World, &str, &Json) -> Result<(), String> + 'a;
 
+/// The setup kind [`World::unrecorded_node`] notes: a world touched
+/// where replay cannot follow.
+pub const UNRECORDED: &str = "unrecorded";
+
 /// Rebuilds the world `artifact` names and drives it through the recorded
 /// journal: build from the recipe, step on `threads` workers, re-perform
 /// the recipe's Rust-side [`Recipe::setup`] steps, apply every stimulus.
 /// The one way a recording is re-run — replay verifies the world this
 /// returns, `pilgrim prof` reads its profile.
 ///
-/// `installer` is called once per recorded `(kind, params)` entry, in
-/// order, after the build and before the first stimulus; it must
-/// re-create exactly what the recording run did. Without one, an
-/// artifact that needs setup is refused by name: re-driving its journal
-/// against a world with no handlers would be a different run.
+/// A recording whose world went through [`World::unrecorded_node`] is
+/// refused by name before anything is built. Otherwise the world is built
+/// with no setup, and `installer` is called once per recorded `(kind,
+/// params)` entry, in order, before the first stimulus. It re-performs
+/// each step through [`World::install`], which notes it again; the
+/// re-noted list must equal the recorded one, so an installer that drifts
+/// from the recording is refused naming the first entry that differs.
+/// Without an installer, an artifact that needs setup is refused by name:
+/// re-driving its journal against a world with no handlers would be a
+/// different run.
 ///
 /// # Errors
 ///
-/// [`ReplayError::Format`] for a setup-bearing artifact and no installer;
+/// [`ReplayError::Format`] for a hatch-touched artifact, or a
+/// setup-bearing one and no installer;
 /// [`ReplayError::Build`] when the recipe no longer builds;
-/// [`ReplayError::Stimulus`] when the installer rejects a setup entry or
-/// a journal entry cannot be applied (e.g. an opaque spawn argument).
+/// [`ReplayError::Stimulus`] when the installer rejects or drifts from a
+/// setup entry, or a journal entry cannot be applied (e.g. an opaque
+/// spawn argument).
 pub fn rerun(
     artifact: &Artifact,
     threads: usize,
     installer: Option<&mut SetupInstaller<'_>>,
 ) -> Result<World, ReplayError> {
     let setup = &artifact.recipe.setup;
+    if let Some((_, params)) = setup.iter().find(|(k, _)| k == UNRECORDED) {
+        return Err(ReplayError::Format(format!(
+            "the recorded world was changed through `unrecorded_node` on node {}, \
+             which replay cannot redo",
+            params.get("node").unwrap_or(params)
+        )));
+    }
     if installer.is_none() && !setup.is_empty() {
         let kinds: Vec<&str> = setup.iter().map(|(k, _)| k.as_str()).collect();
         return Err(ReplayError::Format(format!(
@@ -162,7 +180,13 @@ pub fn rerun(
             kinds.join(", ")
         )));
     }
-    let mut world = artifact.recipe.build_world().map_err(ReplayError::Build)?;
+    let bare = Recipe {
+        setup: Vec::new(),
+        ..artifact.recipe.clone()
+    };
+    let mut world = WorldBuilder::from(bare)
+        .build()
+        .map_err(ReplayError::Build)?;
     world.set_step_threads(threads);
     if let Some(install) = installer {
         for (kind, params) in setup {
@@ -170,10 +194,28 @@ pub fn rerun(
                 .map_err(|e| ReplayError::Stimulus(format!("setup `{kind}`: {e}")))?;
         }
     }
+    check_setup(setup, &world.recipe().setup).map_err(ReplayError::Stimulus)?;
     for s in &artifact.stimuli {
         world.apply(s).map_err(ReplayError::Stimulus)?;
     }
     Ok(world)
+}
+
+/// The recorded setup list against the one the installer re-noted: the
+/// first entry that differs, by index and kind, or `Ok`.
+fn check_setup(recorded: &[(String, Json)], renoted: &[(String, Json)]) -> Result<(), String> {
+    let show = |entry: Option<&(String, Json)>| match entry {
+        Some((kind, params)) => format!("`{kind}` {params}"),
+        None => "nothing".to_string(),
+    };
+    match (0..recorded.len().max(renoted.len())).find(|&i| recorded.get(i) != renoted.get(i)) {
+        None => Ok(()),
+        Some(i) => Err(format!(
+            "setup entry {i}: the recording has {}, the installer did {}",
+            show(recorded.get(i)),
+            show(renoted.get(i))
+        )),
+    }
 }
 
 /// Diffs a re-run world's trace (and profile) against the recording.

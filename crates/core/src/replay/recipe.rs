@@ -48,14 +48,16 @@ pub struct Recipe {
     pub coarse_interval: u64,
     /// The time-series store's ring budget: samples retained per series.
     pub coarse_budget: usize,
-    /// Rust-side setup steps that ran against the built world before the
-    /// first stimulus — native service installs (nameserver, aotman),
-    /// trace filters, and the like. These cannot be journalled as
-    /// stimuli (they register native handler closures), so the recipe
-    /// records `(kind, params)` markers and [`rerun`](super::rerun) asks
-    /// its caller's installer to re-perform them. A plain
-    /// [`replay`](super::replay) of a setup-bearing artifact fails with a
-    /// message naming the kinds.
+    /// Rust-side setup steps taken against the built world — native
+    /// service installs (nameserver, aotman), name registrations, trace
+    /// filters, and the like — each noted by [`World::install`]. These
+    /// cannot be journalled as stimuli (they register native handler
+    /// closures), so the recipe records `(kind, params)` markers and
+    /// [`rerun`](super::rerun) asks its caller's installer to re-perform
+    /// them. A plain [`replay`](super::replay) of a setup-bearing artifact
+    /// fails with a message naming the kinds; an
+    /// [`UNRECORDED`](super::UNRECORDED) entry, noted by
+    /// [`World::unrecorded_node`], is refused by every replay.
     pub setup: Vec<(String, Json)>,
 }
 
@@ -100,7 +102,7 @@ impl Default for Recipe {
 impl Recipe {
     /// Stations on the world's network: the user nodes, then the
     /// debugger's when one is attached.
-    pub(crate) fn stations(&self) -> u32 {
+    pub fn stations(&self) -> u32 {
         self.nodes + u32::from(self.with_debugger)
     }
 

@@ -1,14 +1,42 @@
 //! The stimulus journal: the one funnel every recorded driver call goes
-//! through, the simulation's own driver calls (spawn, run, fault
-//! injection), and `record` / `apply` — the two ends of a replay.
+//! through, the one setup funnel ([`World::install`]) and the one marked
+//! hatch ([`World::unrecorded_node`]) beside it, the simulation's own
+//! driver calls (spawn, run, fault injection), and `record` / `apply` —
+//! the two ends of a replay.
 
 use pilgrim_cclu::Value;
-use pilgrim_mayflower::{Pid, SpawnOpts, UnknownProc};
+use pilgrim_mayflower::{Node, Pid, SpawnOpts, UnknownProc};
 use pilgrim_ring::NodeId;
-use pilgrim_sim::{Chunked, Json, SimDuration, SimTime};
+use pilgrim_rpc::RpcEndpoint;
+use pilgrim_sim::{Chunked, Json, SimDuration, SimTime, Tracer};
 
 use super::World;
-use crate::replay::{Artifact, Recipe, Stimulus};
+use crate::replay::{Artifact, Recipe, Stimulus, UNRECORDED};
+
+/// What [`World::install`] lends its body. Every station whose endpoint
+/// it hands out has its index entries refreshed when the body returns.
+pub struct Setup<'w> {
+    world: &'w mut World,
+    touched: Vec<usize>,
+}
+
+impl Setup<'_> {
+    /// Station `i`'s RPC endpoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a station.
+    pub fn endpoint(&mut self, i: u32) -> &mut RpcEndpoint {
+        let ep = &mut self.world.endpoints[i as usize];
+        self.touched.push(i as usize);
+        ep
+    }
+
+    /// The world's tracer.
+    pub fn tracer(&self) -> &Tracer {
+        &self.world.tracer
+    }
+}
 
 impl World {
     /// The reproduction recipe this world was built from.
@@ -40,12 +68,48 @@ impl World {
         }
     }
 
-    /// Records a Rust-side setup step in the recipe so replay can
-    /// re-perform it. Service installers (nameserver, aotman) call this
-    /// with enough parameters to rebuild their native handlers; see
-    /// [`crate::replay::rerun`].
-    pub fn note_setup(&mut self, kind: &str, params: Json) {
+    /// The one setup funnel: notes `(kind, params)` in the recipe's
+    /// [`Recipe::setup`] and lends `body` what a Rust-side installer
+    /// needs — the stations' RPC endpoints, to register native procedures
+    /// on, and the tracer. `params` must be enough for a replay installer
+    /// to redo `body`: [`crate::replay::rerun`] builds the world without
+    /// the recorded setup, lets its installer re-note each entry through
+    /// here, and refuses the run if the two lists differ.
+    pub fn install<R>(
+        &mut self,
+        kind: &str,
+        params: Json,
+        body: impl FnOnce(&mut Setup<'_>) -> R,
+    ) -> R {
         self.recipe.setup.push((kind.to_string(), params));
+        let mut setup = Setup {
+            world: self,
+            touched: Vec::new(),
+        };
+        let r = body(&mut setup);
+        for i in std::mem::take(&mut setup.touched) {
+            self.refresh_station(i);
+        }
+        r
+    }
+
+    /// Raw access to station `i`'s node, for what no journalled call can
+    /// do (opaque heap arguments, supervisor pokes in gates). Replay
+    /// cannot redo a closure, so the world is marked: the recipe gains an
+    /// `("unrecorded", {"node": i})` setup entry, and
+    /// [`crate::replay::rerun`] refuses the recording by name instead of
+    /// diverging at some later event. Station `i`'s index entries are
+    /// refreshed when `body` returns, as after a spawn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a station.
+    pub fn unrecorded_node<R>(&mut self, i: u32, body: impl FnOnce(&mut Node) -> R) -> R {
+        let r = body(&mut self.nodes[i as usize]);
+        let params = Json::obj(vec![("node", Json::Int(i.into()))]);
+        self.recipe.setup.push((UNRECORDED.to_string(), params));
+        self.refresh_station(i as usize);
+        r
     }
 
     /// The one funnel every journalled driver entry goes through. Only

@@ -38,6 +38,7 @@ use crate::proto::DebugMsg;
 use crate::replay::{Recipe, Stimulus};
 
 pub use debug::{render_wire, BacktraceFrame, DebugError, MaybeDiagnosis};
+pub use journal::Setup;
 pub use observe::WatchTrip;
 
 use index::ActivityIndex;
@@ -379,7 +380,7 @@ impl WorldBuilder {
             None
         };
 
-        Ok(World {
+        let mut world = World {
             nodes,
             endpoints,
             agents,
@@ -398,7 +399,6 @@ impl WorldBuilder {
             window: recipe.window.max(recipe.net.base_latency),
             node_index: ActivityIndex::default(),
             ep_index: ActivityIndex::default(),
-            index_dirty: true,
             pool: (step_threads > 1).then(|| StepPool::new(step_threads)),
             outcall_buf: Vec::new(),
             delivery_buf: Vec::new(),
@@ -414,7 +414,9 @@ impl WorldBuilder {
             next_watch_id: 1,
             watch_halt: false,
             blackbox_last: None,
-        })
+        };
+        world.rebuild_index();
+        Ok(world)
     }
 }
 
@@ -448,9 +450,6 @@ pub struct World {
     /// Its twin over `RpcEndpoint::next_timer`; owns the per-window list
     /// of endpoints with due timers.
     ep_index: ActivityIndex,
-    /// Set by unindexed mutation paths (`node_mut`, `endpoint_mut`);
-    /// the next pump rebuilds the index from scratch.
-    index_dirty: bool,
     /// Worker threads for parallel node stepping; `None` steps serially.
     pool: Option<StepPool>,
     /// The serial stepping loop's outcall buffer: lent to each node for
@@ -539,37 +538,15 @@ impl World {
         &self.nodes[i as usize]
     }
 
-    /// Mutable node access (service setup, direct inspection in tests).
-    /// Invalidates the pump's activity index — the caller may change the
-    /// node's schedule arbitrarily — so the next pump rebuilds it.
-    pub fn node_mut(&mut self, i: u32) -> &mut Node {
-        self.index_dirty = true;
-        &mut self.nodes[i as usize]
-    }
-
-    /// Immutable RPC endpoint access.
+    /// Immutable RPC endpoint access. Mutable access is lent only by
+    /// [`World::install`], which records what it was lent for.
     pub fn endpoint(&self, i: u32) -> &RpcEndpoint {
         &self.endpoints[i as usize]
-    }
-
-    /// Mutable RPC endpoint access (handler registration). Invalidates
-    /// the pump's activity index, like [`World::node_mut`].
-    pub fn endpoint_mut(&mut self, i: u32) -> &mut RpcEndpoint {
-        self.index_dirty = true;
-        &mut self.endpoints[i as usize]
     }
 
     /// The agent on node `i`, if one is linked in.
     pub fn agent(&self, i: u32) -> Option<&Agent> {
         self.agents.get(i as usize).and_then(Option::as_ref)
-    }
-
-    /// Mutable network access. This is an *unrecorded* escape hatch:
-    /// mutations made through it are invisible to the replay journal.
-    /// Scenario drivers should prefer [`World::inject_drop`] and
-    /// [`World::set_node_up`], which record themselves.
-    pub fn net_mut(&mut self) -> &mut Network<Wire> {
-        &mut self.net
     }
 
     /// The debugger proper, when attached.
@@ -666,7 +643,7 @@ mod tests {
             .coarse_window(8, 32)
             .build()
             .expect("builds");
-        w.note_setup("marker", pilgrim_sim::Json::Null);
+        w.install("marker", pilgrim_sim::Json::Null, |_| ());
         let rebuilt = w.recipe().build_world().expect("rebuilds");
         assert_eq!(recipe_text(&rebuilt), recipe_text(&w));
         assert_eq!(rebuilt.step_threads(), 1);

@@ -34,9 +34,6 @@ impl World {
     /// routing, timer dispatch, or [`World::settle_clocks`] on the way
     /// out of `World::drive`).
     fn pump_step_skip(&mut self, limit: SimTime) {
-        if self.index_dirty {
-            self.rebuild_index();
-        }
         let now = self.now;
         // The two station lists live in the indexes between windows, so a
         // sync point allocates nothing once they have grown.
@@ -129,15 +126,15 @@ impl World {
             && self.ep_index.active() == 0
     }
 
-    /// Rebuilds the activity index from scratch: first pump after build,
-    /// and after any unindexed mutation flagged `index_dirty`.
-    fn rebuild_index(&mut self) {
+    /// Rebuilds the activity index from scratch: at build, and when
+    /// [`World::set_reference_pump`] hands the world back to this pump.
+    /// Everything else keeps it exact one station at a time.
+    pub(super) fn rebuild_index(&mut self) {
         let n = self.nodes.len();
         self.node_index.reset(n);
         self.ep_index.reset(n);
         self.outcall_flag = vec![false; n];
         self.outcall_pending.clear();
-        self.index_dirty = false;
         for i in 0..n {
             self.refresh_station(i);
         }
@@ -148,9 +145,6 @@ impl World {
     /// `next_timer` shed their own stale entries — so a skipped station's
     /// cached time is always its true next event time.
     pub(super) fn refresh_station(&mut self, i: usize) {
-        if self.index_dirty {
-            return; // the next pump rebuilds everything anyway
-        }
         // A node whose next activity is its own clock is schedulable now
         // and will be re-keyed every window it steps in: it goes in the
         // index's runnable list. Anything else waits on a timer: parked.
@@ -186,7 +180,7 @@ impl World {
     /// the quiescence-aware pump rests on. Test hook; O(stations).
     #[doc(hidden)]
     pub fn debug_validate_index(&mut self) {
-        if self.reference_pump || self.index_dirty {
+        if self.reference_pump {
             return;
         }
         let nodes = self.nodes.iter_mut().map(Node::next_activity);

@@ -17,7 +17,7 @@ impl World {
     pub fn set_reference_pump(&mut self, on: bool) {
         self.settle_clocks();
         self.reference_pump = on;
-        self.index_dirty = true;
+        self.rebuild_index();
     }
 
     /// The pre-index pump: scan every station for its next event time,

@@ -399,8 +399,7 @@ end";
     // Case 1: lost call.
     let mut w = World::builder().nodes(2).program(src).build().unwrap();
     w.debug_connect(&[0, 1], false).unwrap();
-    w.net_mut()
-        .drop_next(pilgrim::NodeId(0), pilgrim::NodeId(1), 1);
+    w.inject_drop(0, 1, 1);
     w.spawn(0, "main", vec![]);
     w.run_for(SimDuration::from_millis(200));
     assert_eq!(w.console(0), vec!["failed"]);
@@ -415,8 +414,7 @@ end";
     // Case 2: lost reply.
     let mut w = World::builder().nodes(2).program(src).build().unwrap();
     w.debug_connect(&[0, 1], false).unwrap();
-    w.net_mut()
-        .drop_next(pilgrim::NodeId(1), pilgrim::NodeId(0), 1);
+    w.inject_drop(1, 0, 1);
     w.spawn(0, "main", vec![]);
     w.run_for(SimDuration::from_millis(200));
     assert_eq!(w.console(0), vec!["failed"]);

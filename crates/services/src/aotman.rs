@@ -23,11 +23,12 @@ use pilgrim::World;
 use pilgrim_cclu::{Type, Value};
 use pilgrim_mayflower::SemId;
 use pilgrim_ring::NodeId;
-use pilgrim_rpc::HandlerCtx;
-use pilgrim_sim::{SimDuration, SimTime};
+use pilgrim_rpc::{HandlerCtx, RpcEndpoint};
+use pilgrim_sim::json::Fields;
+use pilgrim_sim::{Json, SimDuration, SimTime};
 
 use crate::strategy::{GrantHooks, StrategyEvent, StrategyStats, TimeoutStrategy, Watcher};
-use crate::{sig, signal};
+use crate::{opt_strategy, sig, signal, us};
 
 /// AOTMan configuration.
 #[derive(Debug, Clone)]
@@ -47,6 +48,38 @@ impl Default for AotConfig {
             clock_tolerance: SimDuration::from_millis(100),
             strategy: TimeoutStrategy::StatusAndConvert,
         }
+    }
+}
+
+impl AotConfig {
+    /// The `aotman` setup entry: `node` first, then the lifetime, then
+    /// only the keys that differ from the default.
+    fn params(&self, node: u32) -> Json {
+        let d = AotConfig::default();
+        let mut pairs = vec![
+            ("node", Json::Int(node.into())),
+            ("lifetime_us", us(self.lifetime)),
+        ];
+        if self.clock_tolerance != d.clock_tolerance {
+            pairs.push(("clock_tolerance_us", us(self.clock_tolerance)));
+        }
+        if self.strategy != d.strategy {
+            pairs.push(("strategy", Json::Str(self.strategy.name().into())));
+        }
+        Json::obj(pairs)
+    }
+
+    /// The inverse of [`params`](AotConfig::params), absent keys read as
+    /// their defaults.
+    pub(crate) fn from_params(f: &Fields<'_>) -> Result<AotConfig, String> {
+        let d = AotConfig::default();
+        Ok(AotConfig {
+            lifetime: SimDuration::from_micros(f.uint("lifetime_us")?),
+            clock_tolerance: f
+                .opt_uint("clock_tolerance_us")?
+                .map_or(d.clock_tolerance, SimDuration::from_micros),
+            strategy: opt_strategy(f)?.unwrap_or(d.strategy),
+        })
     }
 }
 
@@ -83,10 +116,21 @@ pub struct AotMan {
 }
 
 impl AotMan {
-    /// Installs AOTMan on `node` of `world`, registering its RPC handlers.
+    /// Installs AOTMan on `node` of `world`, registering its RPC handlers
+    /// and noting an `aotman` setup entry.
     pub fn install(world: &mut World, node: u32, config: AotConfig) -> AotMan {
         let state = Arc::new(Mutex::new(AotState::default()));
-        let ep = world.endpoint_mut(node);
+        world.install("aotman", config.params(node), |setup| {
+            AotMan::handlers(setup.endpoint(node), &state, &config);
+        });
+        AotMan {
+            state,
+            config,
+            node,
+        }
+    }
+
+    fn handlers(ep: &mut RpcEndpoint, state: &Arc<Mutex<AotState>>, config: &AotConfig) {
         let (s, cfg) = (state.clone(), config.clone());
         ep.register_handler(
             "aot_issue",
@@ -146,11 +190,6 @@ impl AotMan {
                 Ok(vec![Value::Bool(s.lock().unwrap().valid(id))])
             }),
         );
-        AotMan {
-            state,
-            config,
-            node,
-        }
     }
 
     /// The node the service runs on.

@@ -47,6 +47,8 @@ pub use strategy::{GrantHooks, StrategyEvent, StrategyStats, TimeoutStrategy, Wa
 use pilgrim_cclu::{Signature, Type, Value};
 use pilgrim_mayflower::SemId;
 use pilgrim_rpc::HandlerCtx;
+use pilgrim_sim::json::Fields;
+use pilgrim_sim::{Json, SimDuration};
 
 /// A native procedure's signature.
 fn sig(params: &[Type], returns: &[Type]) -> Signature {
@@ -63,6 +65,18 @@ fn signal(ctx: &mut HandlerCtx<'_>, sem: Option<SemId>) -> Result<Vec<Value>, St
         ctx.node.signal_sem(sem);
     }
     Ok(vec![Value::Bool(sem.is_some())])
+}
+
+/// A duration in a setup entry: whole microseconds.
+fn us(d: SimDuration) -> Json {
+    Json::Int(d.as_micros().into())
+}
+
+/// A setup entry's optional `strategy` key.
+fn opt_strategy(f: &Fields<'_>) -> Result<Option<TimeoutStrategy>, String> {
+    f.opt_str("strategy")?
+        .map(TimeoutStrategy::parse)
+        .transpose()
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 
 use pilgrim::{
     replay_with, Artifact, LinkModel, NetworkConfig, NodeId, ReplayError, SimDuration, SimTime,
-    TraceCategory, Value, World,
+    Value, World,
 };
 use pilgrim_sim::json::Fields;
 use pilgrim_sim::{render_bucket_bound, DetRng, Json, OpenLoop};
@@ -22,6 +22,7 @@ use pilgrim_sim::{render_bucket_bound, DetRng, Json, OpenLoop};
 use crate::aotman::{AotConfig, AotMan};
 use crate::fileserver::{CLIENT_EXTERNS, FILE_SERVER_SOURCE};
 use crate::nameserver::{NameServer, NAME_SERVER_EXTERNS};
+use crate::resource::{ResourceManager, RmConfig};
 use crate::scenario::{Scenario, TraceLevel};
 
 /// Station index of the name server.
@@ -78,10 +79,11 @@ end
     )
 }
 
-/// Performs one recorded setup step against a world: install a service,
-/// bootstrap a name registration, or narrow the trace filter. Shared
-/// between the live run and replay so both sides do exactly the same
-/// thing; `ns` carries the name server instance between entries.
+/// Redoes one recorded setup step against a world through the typed
+/// installer that noted it: install a service, bootstrap a name
+/// registration, or narrow the trace filter. Each installer notes its
+/// entry again, so [`pilgrim::rerun`] can check the re-noted list against
+/// the recording; `ns` carries the name server instance between entries.
 fn install_one(
     world: &mut World,
     kind: &str,
@@ -90,41 +92,40 @@ fn install_one(
 ) -> Result<(), String> {
     let what = format_args!("setup `{kind}`");
     let f = Fields::new(params, &what);
+    // The station a service goes on indexes the world's endpoints.
+    let station = || {
+        let node = f.uint("node")?;
+        let stations = world.recipe().stations();
+        if node < stations {
+            Ok(node)
+        } else {
+            Err(format!("no node {node} in a world of {stations} stations"))
+        }
+    };
     match kind {
         "nameserver" => {
-            *ns = Some(NameServer::install(world, f.uint("node")?));
-            Ok(())
+            let node = station()?;
+            *ns = Some(NameServer::install(world, node));
         }
         "aotman" => {
-            let lifetime = SimDuration::from_micros(f.uint("lifetime_us")?);
-            AotMan::install(
-                world,
-                f.uint("node")?,
-                AotConfig {
-                    lifetime,
-                    ..Default::default()
-                },
-            );
-            Ok(())
+            let node = station()?;
+            AotMan::install(world, node, AotConfig::from_params(&f)?);
+        }
+        "resource-manager" => {
+            let node = station()?;
+            ResourceManager::install(world, node, RmConfig::from_params(&f)?);
         }
         "ns-register" => {
             let name = f.str("name")?;
             let target = NodeId(f.uint("node")?);
             ns.as_ref()
                 .ok_or("setup `ns-register` before `nameserver`")?
-                .register(name, target);
-            Ok(())
+                .register(world, name, target);
         }
-        "trace-filter" => {
-            match TraceLevel::parse(f.str("level")?)? {
-                TraceLevel::Full => {}
-                TraceLevel::Rpc => world.tracer().set_filter(&[TraceCategory::Rpc]),
-                TraceLevel::Off => world.tracer().set_filter(&[]),
-            }
-            Ok(())
-        }
-        other => Err(format!("unknown setup kind `{other}`")),
+        "trace-filter" => TraceLevel::parse(f.str("level")?)?.apply(world),
+        other => return Err(format!("unknown setup kind `{other}`")),
     }
+    Ok(())
 }
 
 /// The setup installer for replaying recorded load artifacts: pass it to
@@ -199,47 +200,16 @@ pub fn build_load_world(sc: &Scenario) -> Result<World, String> {
     }
     let mut world = builder.build().map_err(|e| format!("load world: {e}"))?;
 
-    // Install services through the same path replay will use, recording
-    // each step in the recipe.
-    let mut ns: Option<NameServer> = None;
-    let steps = [
-        (
-            "nameserver",
-            Json::obj(vec![("node", Json::Int(NS_NODE as i128))]),
-        ),
-        (
-            "aotman",
-            Json::obj(vec![
-                ("node", Json::Int(AOT_NODE as i128)),
-                (
-                    "lifetime_us",
-                    Json::Int(sc.aot_lifetime.as_micros() as i128),
-                ),
-            ]),
-        ),
-        (
-            "ns-register",
-            Json::obj(vec![
-                ("name", Json::Str("fileserver".into())),
-                ("node", Json::Int(FS_NODE as i128)),
-            ]),
-        ),
-        (
-            "ns-register",
-            Json::obj(vec![
-                ("name", Json::Str("aotman".into())),
-                ("node", Json::Int(AOT_NODE as i128)),
-            ]),
-        ),
-        (
-            "trace-filter",
-            Json::obj(vec![("level", Json::Str(sc.trace.name().into()))]),
-        ),
-    ];
-    for (kind, params) in steps {
-        world.note_setup(kind, params.clone());
-        install_one(&mut world, kind, &params, &mut ns)?;
-    }
+    // Each installer notes its own setup entry, the ones replay redoes.
+    let ns = NameServer::install(&mut world, NS_NODE);
+    let aot = AotConfig {
+        lifetime: sc.aot_lifetime,
+        ..Default::default()
+    };
+    AotMan::install(&mut world, AOT_NODE, aot);
+    ns.register(&mut world, "fileserver", NodeId(FS_NODE));
+    ns.register(&mut world, "aotman", NodeId(AOT_NODE));
+    sc.trace.apply(&mut world);
     Ok(world)
 }
 
@@ -626,6 +596,60 @@ trace = "rpc"
 "#,
         )
         .expect("parses")
+    }
+
+    /// Every kind `install_one` decodes is re-noted as the same entry,
+    /// for defaulted and for non-default settings: an encoder and its
+    /// decoder that disagree would make a faithful replay look drifted.
+    #[test]
+    fn every_setup_entry_is_renoted_as_recorded() {
+        use crate::strategy::TimeoutStrategy::*;
+        let world = || World::builder().nodes(3).build().expect("builds");
+        let mut live = world();
+        let ns = NameServer::install(&mut live, 0);
+        ns.register(&mut live, "fs", NodeId(1));
+        for strategy in [Naive, IgnoreWhileDebugged, StatusOnly, StatusAndConvert] {
+            let aot = AotConfig {
+                clock_tolerance: SimDuration::from_millis(7),
+                strategy,
+                ..Default::default()
+            };
+            AotMan::install(&mut live, 1, aot);
+            let rm = RmConfig {
+                resources: 3,
+                lease: SimDuration::from_secs(5),
+                clock_tolerance: SimDuration::from_millis(9),
+                strategy,
+                reclaim_on_contention: false,
+            };
+            ResourceManager::install(&mut live, 2, rm);
+        }
+        AotMan::install(&mut live, 1, AotConfig::default());
+        ResourceManager::install(&mut live, 2, RmConfig::default());
+        TraceLevel::Off.apply(&mut live);
+        let recorded = &live.recipe().setup;
+        assert_eq!(recorded.len(), 13);
+
+        let mut replayed = world();
+        let mut install = setup_installer();
+        for (kind, params) in recorded {
+            install(&mut replayed, kind, params).expect("installs");
+        }
+        assert_eq!(&replayed.recipe().setup, recorded);
+
+        // A station read from a recording is checked before it indexes.
+        let far = Json::obj(vec![("node", Json::Int(4)), ("lifetime_us", Json::Int(1))]);
+        let err = install(&mut replayed, "aotman", &far).expect_err("node 4 of 4 stations");
+        assert_eq!(err, "no node 4 in a world of 4 stations");
+        // A pool size read from a recording allocates nothing up front.
+        let pool = Json::obj(vec![
+            ("node", Json::Int(2)),
+            ("resources", Json::Int(4_000_000_000)),
+        ]);
+        install(&mut replayed, "resource-manager", &pool).expect("installs");
+        let params = |i: usize| recorded[i].1.to_string();
+        assert_eq!(params(10), r#"{"node": 1, "lifetime_us": 120000000}"#);
+        assert_eq!(params(11), r#"{"node": 2}"#);
     }
 
     #[test]

@@ -20,7 +20,8 @@ use std::rc::Rc;
 use pilgrim::World;
 use pilgrim_cclu::{Type, Value};
 use pilgrim_ring::NodeId;
-use pilgrim_rpc::HandlerCtx;
+use pilgrim_rpc::{HandlerCtx, RpcEndpoint};
+use pilgrim_sim::Json;
 
 use crate::sig;
 
@@ -47,10 +48,18 @@ pub struct NameServer {
 }
 
 impl NameServer {
-    /// Installs the name server on `node` of `world`.
+    /// Installs the name server on `node` of `world`, noting a
+    /// `nameserver` setup entry.
     pub fn install(world: &mut World, node: u32) -> NameServer {
         let state = Rc::new(RefCell::new(NsState::default()));
-        let ep = world.endpoint_mut(node);
+        let params = Json::obj(vec![("node", Json::Int(node.into()))]);
+        world.install("nameserver", params, |setup| {
+            NameServer::handlers(setup.endpoint(node), &state);
+        });
+        NameServer { state, node }
+    }
+
+    fn handlers(ep: &mut RpcEndpoint, state: &Rc<RefCell<NsState>>) {
         let s = state.clone();
         ep.register_handler(
             "ns_register",
@@ -93,7 +102,6 @@ impl NameServer {
                 )])
             }),
         );
-        NameServer { state, node }
     }
 
     /// The node the service runs on.
@@ -107,11 +115,19 @@ impl NameServer {
         s.names.get(name).map(|n| NodeId(*n as u32))
     }
 
-    /// Rust-side registration (service bootstrap).
-    pub fn register(&self, name: &str, node: NodeId) {
-        let mut s = self.state.borrow_mut();
-        s.names.insert(name.to_string(), i64::from(node.0));
-        s.registrations += 1;
+    /// Rust-side registration (service bootstrap), noted as an
+    /// `ns-register` setup entry of `world`, the world the server is
+    /// installed in.
+    pub fn register(&self, world: &mut World, name: &str, node: NodeId) {
+        let params = Json::obj(vec![
+            ("name", Json::Str(name.into())),
+            ("node", Json::Int(node.0.into())),
+        ]);
+        world.install("ns-register", params, |_| {
+            let mut s = self.state.borrow_mut();
+            s.names.insert(name.to_string(), i64::from(node.0));
+            s.registrations += 1;
+        });
     }
 
     /// Counters: `(registrations, lookups)`.
@@ -179,7 +195,7 @@ end"
             .build()
             .unwrap();
         let ns = NameServer::install(&mut w, 1);
-        ns.register("aotman", NodeId(3));
+        ns.register(&mut w, "aotman", NodeId(3));
         assert_eq!(ns.resolve("aotman"), Some(NodeId(3)));
         w.spawn(0, "main", vec![V::Int(1)]);
         w.run_until_idle(SimTime::from_secs(10));

@@ -14,17 +14,19 @@
 //! * `rm_release(resource) returns (ok)` — give it back.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
 use pilgrim::World;
 use pilgrim_cclu::{Type, Value};
 use pilgrim_mayflower::SemId;
 use pilgrim_ring::NodeId;
-use pilgrim_rpc::HandlerCtx;
-use pilgrim_sim::{SimDuration, SimTime};
+use pilgrim_rpc::{HandlerCtx, RpcEndpoint};
+use pilgrim_sim::json::Fields;
+use pilgrim_sim::{Json, SimDuration, SimTime};
 
 use crate::strategy::{GrantHooks, StrategyEvent, StrategyStats, TimeoutStrategy, Watcher};
-use crate::{sig, signal};
+use crate::{opt_strategy, sig, signal, us};
 
 /// Resource Manager configuration.
 #[derive(Debug, Clone)]
@@ -51,6 +53,51 @@ impl Default for RmConfig {
             strategy: TimeoutStrategy::StatusAndConvert,
             reclaim_on_contention: true,
         }
+    }
+}
+
+impl RmConfig {
+    /// The `resource-manager` setup entry: `node` first, then only the
+    /// keys that differ from the default.
+    fn params(&self, node: u32) -> Json {
+        let d = RmConfig::default();
+        let mut pairs = vec![("node", Json::Int(node.into()))];
+        if self.resources != d.resources {
+            pairs.push(("resources", Json::Int(self.resources.into())));
+        }
+        if self.lease != d.lease {
+            pairs.push(("lease_us", us(self.lease)));
+        }
+        if self.clock_tolerance != d.clock_tolerance {
+            pairs.push(("clock_tolerance_us", us(self.clock_tolerance)));
+        }
+        if self.strategy != d.strategy {
+            pairs.push(("strategy", Json::Str(self.strategy.name().into())));
+        }
+        if self.reclaim_on_contention != d.reclaim_on_contention {
+            let reclaim = Json::Bool(self.reclaim_on_contention);
+            pairs.push(("reclaim_on_contention", reclaim));
+        }
+        Json::obj(pairs)
+    }
+
+    /// The inverse of [`params`](RmConfig::params), absent keys read as
+    /// their defaults.
+    pub(crate) fn from_params(f: &Fields<'_>) -> Result<RmConfig, String> {
+        let d = RmConfig::default();
+        let dur = |key: &str, default: SimDuration| {
+            f.opt_uint(key)
+                .map(|v| v.map_or(default, SimDuration::from_micros))
+        };
+        Ok(RmConfig {
+            resources: f.opt_uint("resources")?.unwrap_or(d.resources),
+            lease: dur("lease_us", d.lease)?,
+            clock_tolerance: dur("clock_tolerance_us", d.clock_tolerance)?,
+            strategy: opt_strategy(f)?.unwrap_or(d.strategy),
+            reclaim_on_contention: f
+                .opt_bool("reclaim_on_contention")?
+                .unwrap_or(d.reclaim_on_contention),
+        })
     }
 }
 
@@ -109,7 +156,11 @@ struct Allocation {
 #[derive(Debug, Default)]
 struct RmState {
     allocations: HashMap<u32, Allocation>,
+    /// Released resources, reused last-in first-out before `fresh`.
     free: Vec<u32>,
+    /// Resources never granted yet, handed out in ascending order. A
+    /// range, so a pool size read from a recording allocates nothing.
+    fresh: Range<u32>,
     events: Vec<(SimTime, RmEvent)>,
     stats: StrategyStats,
 }
@@ -123,13 +174,24 @@ pub struct ResourceManager {
 }
 
 impl ResourceManager {
-    /// Installs the manager on `node` of `world`.
+    /// Installs the manager on `node` of `world`, noting a
+    /// `resource-manager` setup entry.
     pub fn install(world: &mut World, node: u32, config: RmConfig) -> ResourceManager {
         let state = Arc::new(Mutex::new(RmState {
-            free: (0..config.resources).rev().collect(),
+            fresh: 0..config.resources,
             ..Default::default()
         }));
-        let ep = world.endpoint_mut(node);
+        world.install("resource-manager", config.params(node), |setup| {
+            ResourceManager::handlers(setup.endpoint(node), &state, &config);
+        });
+        ResourceManager {
+            state,
+            config,
+            node,
+        }
+    }
+
+    fn handlers(ep: &mut RpcEndpoint, state: &Arc<Mutex<RmState>>, config: &RmConfig) {
         let (s, cfg) = (state.clone(), config.clone());
         ep.register_handler(
             "rm_request",
@@ -139,7 +201,7 @@ impl ResourceManager {
                 let mut st = s.lock().unwrap();
                 // Epoch = a unique stamp per grant; use the event count.
                 let epoch = st.events.len() as u64 + 1;
-                let resource = match st.free.pop() {
+                let resource = match st.free.pop().or_else(|| st.fresh.next()) {
                     Some(resource) => resource,
                     None => {
                         // Contention (§6.2): preempt a debug-extended
@@ -222,11 +284,6 @@ impl ResourceManager {
                 signal(ctx, Some(sem))
             }),
         );
-        ResourceManager {
-            state,
-            config,
-            node,
-        }
     }
 
     /// The node the service runs on.
@@ -257,7 +314,8 @@ impl ResourceManager {
 
     /// Number of unallocated resources.
     pub fn free_count(&self) -> usize {
-        self.state.lock().unwrap().free.len()
+        let s = self.state.lock().unwrap();
+        s.free.len() + s.fresh.len()
     }
 }
 

@@ -33,8 +33,8 @@
 //! values are hard errors: a scenario that gates CI must not silently
 //! drift when a key is misspelled.
 
-use pilgrim::{PartitionWindow, SimDuration, SimTime, Topology};
-use pilgrim_sim::OpMix;
+use pilgrim::{PartitionWindow, SimDuration, SimTime, Topology, TraceCategory, World};
+use pilgrim_sim::{Json, OpMix};
 
 /// How much tracing a load run records. Full traces of 100k-op runs are
 /// large; the RPC-only and off levels keep soak artifacts manageable.
@@ -71,6 +71,17 @@ impl TraceLevel {
             "off" => Ok(TraceLevel::Off),
             other => Err(format!("trace: unknown level `{other}` (full|rpc|off)")),
         }
+    }
+
+    /// Narrows `world`'s tracer to this level, noting a `trace-filter`
+    /// setup entry so a replay narrows its tracer the same way.
+    pub fn apply(self, world: &mut World) {
+        let params = Json::obj(vec![("level", Json::Str(self.name().into()))]);
+        world.install("trace-filter", params, |setup| match self {
+            TraceLevel::Full => {}
+            TraceLevel::Rpc => setup.tracer().set_filter(&[TraceCategory::Rpc]),
+            TraceLevel::Off => setup.tracer().set_filter(&[]),
+        });
     }
 }
 

@@ -31,6 +31,31 @@ pub enum TimeoutStrategy {
     StatusAndConvert,
 }
 
+impl TimeoutStrategy {
+    /// Stable wire name (recorded in a service's setup entry).
+    pub fn name(self) -> &'static str {
+        match self {
+            TimeoutStrategy::Naive => "naive",
+            TimeoutStrategy::IgnoreWhileDebugged => "ignore-while-debugged",
+            TimeoutStrategy::StatusOnly => "status-only",
+            TimeoutStrategy::StatusAndConvert => "status-and-convert",
+        }
+    }
+
+    /// The inverse of [`name`](TimeoutStrategy::name).
+    ///
+    /// # Errors
+    ///
+    /// Unknown names.
+    pub fn parse(s: &str) -> Result<TimeoutStrategy, String> {
+        use TimeoutStrategy::*;
+        [Naive, IgnoreWhileDebugged, StatusOnly, StatusAndConvert]
+            .into_iter()
+            .find(|t| t.name() == s)
+            .ok_or_else(|| format!("unknown timeout strategy `{s}`"))
+    }
+}
+
 impl std::fmt::Display for TimeoutStrategy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {

@@ -11,7 +11,7 @@
 //! Run with: `cargo run --example rpc_postmortem`
 
 use pilgrim::{
-    DebugCli, EventKind, MaybeDiagnosis, NetworkConfig, NodeId, SimDuration, SimTime, Value, World,
+    DebugCli, EventKind, MaybeDiagnosis, NetworkConfig, SimDuration, SimTime, Value, World,
 };
 
 const PROGRAM: &str = "\
@@ -37,10 +37,10 @@ fn scenario(drop_call: bool) -> Result<(), Box<dyn std::error::Error>> {
 
     if drop_call {
         println!("-- injecting: the CALL packet will be lost --");
-        world.net_mut().drop_next(NodeId(0), NodeId(1), 1);
+        world.inject_drop(0, 1, 1);
     } else {
         println!("-- injecting: the REPLY packet will be lost --");
-        world.net_mut().drop_next(NodeId(1), NodeId(0), 1);
+        world.inject_drop(1, 0, 1);
     }
 
     world.spawn(0, "main", vec![]);

@@ -48,7 +48,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pilgrim::{DebugCli, SimDuration, SimTime, Value, World};
+use pilgrim::{DebugCli, Json, SimDuration, SimTime, Value, World};
 use pilgrim_cclu::Signature;
 use pilgrim_rpc::HandlerCtx;
 
@@ -352,11 +352,13 @@ fn register_null(w: &mut World) {
         params: vec![],
         returns: vec![],
     };
-    w.endpoint_mut(1).register_handler(
-        "native",
-        sig,
-        Box::new(|_: &mut HandlerCtx<'_>, _| Ok(Vec::new())),
-    );
+    w.install("native", Json::Null, |setup| {
+        setup.endpoint(1).register_handler(
+            "native",
+            sig,
+            Box::new(|_: &mut HandlerCtx<'_>, _| Ok(Vec::new())),
+        );
+    });
 }
 
 /// Allocator calls per completed call over calls 1 001–2 000 and over

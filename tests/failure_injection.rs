@@ -3,8 +3,8 @@
 //! layer.
 
 use pilgrim::{
-    AgentRequest, DebugError, DebugEvent, EventKind, MaybeDiagnosis, NetworkConfig, NodeId,
-    RpcConfig, RunState, SimDuration, SimTime, Value, World,
+    AgentRequest, DebugError, DebugEvent, EventKind, MaybeDiagnosis, NetworkConfig, RpcConfig,
+    RunState, SimDuration, SimTime, Value, World,
 };
 
 const PINGER: &str = "\
@@ -106,7 +106,7 @@ main = proc ()
 end";
     let mut w = World::builder().nodes(2).program(src).build().unwrap();
     w.debug_connect(&[0], false).unwrap();
-    w.net_mut().set_up(NodeId(1), false); // node 1 has crashed
+    w.set_node_up(1, false); // node 1 has crashed
     w.spawn(0, "main", vec![]);
     // The agent reports the resulting fault like any execution error.
     let ev = w.wait_for_stop(SimDuration::from_secs(10)).unwrap();
@@ -238,7 +238,7 @@ end";
 fn requests_to_a_crashed_node_time_out_at_the_debugger() {
     let mut w = World::builder().nodes(2).program(PINGER).build().unwrap();
     w.debug_connect(&[0, 1], false).unwrap();
-    w.net_mut().set_up(NodeId(1), false);
+    w.set_node_up(1, false);
     let before = w.now();
     match w.debug_request(1, AgentRequest::Ping) {
         Err(DebugError::Timeout) => {}
@@ -266,7 +266,7 @@ end";
     // Lose the first call packet: the exactly-once protocol retransmits,
     // and the retransmission must carry the original span — one causal
     // activity, not a new one.
-    w.net_mut().drop_next(NodeId(0), NodeId(1), 1);
+    w.inject_drop(0, 1, 1);
     w.spawn(0, "main", vec![]);
     w.run_until_idle(SimTime::from_secs(30));
     assert_eq!(w.console(0), vec!["7"]);
@@ -314,9 +314,9 @@ end";
         let mut w = World::builder().nodes(2).program(src).build().unwrap();
         w.debug_connect(&[0, 1], false).unwrap();
         if drop_call {
-            w.net_mut().drop_next(NodeId(0), NodeId(1), 1);
+            w.inject_drop(0, 1, 1);
         } else {
-            w.net_mut().drop_next(NodeId(1), NodeId(0), 1);
+            w.inject_drop(1, 0, 1);
         }
         w.spawn(0, "main", vec![]);
         w.run_for(SimDuration::from_millis(300));

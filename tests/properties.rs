@@ -288,7 +288,7 @@ end";
             let arr = {
                 use pilgrim_cclu::{HeapObject, Value as V};
                 let items: Vec<V> = xs.iter().map(|v| V::Int(*v)).collect();
-                V::Ref(w.node_mut(0).heap_mut().alloc(HeapObject::Array(items)))
+                V::Ref(w.unrecorded_node(0, |n| n.heap_mut().alloc(HeapObject::Array(items))))
             };
             w.spawn(0, "main", vec![arr]);
             w.run_until_idle(SimTime::from_secs(60));

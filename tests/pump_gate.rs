@@ -242,13 +242,18 @@ fn index_stays_valid_through_debug_churn() {
     w.debug_validate_index();
     let _ = w.debug_resume_all();
     w.debug_validate_index();
-    // Unindexed churn: halt a process behind the world's back, pump, and
-    // demand the rebuilt index agrees with reality again.
-    w.node_mut(0).halt_all();
+    // Unjournalled churn: halt a process behind the debugger's back
+    // through the marked hatch, pump, and demand the index it refreshed
+    // agrees with reality again.
+    w.unrecorded_node(0, |n| n.halt_all());
+    w.debug_validate_index();
     w.run_for(SimDuration::from_millis(2));
     w.debug_validate_index();
-    w.node_mut(0).resume_all();
-    w.node_mut(0).force_runnable(Pid(1));
+    w.unrecorded_node(0, |n| {
+        n.resume_all();
+        n.force_runnable(Pid(1));
+    });
+    w.debug_validate_index();
     w.run_for(SimDuration::from_millis(2));
     w.debug_validate_index();
     w.run_until_idle(SimTime::from_secs(30));

@@ -11,10 +11,17 @@
 
 use pilgrim::replay::{replay, replay_with, Artifact, ReplayError, ReplayReport};
 use pilgrim::{
-    twin_threads, DebugEvent, NodeConfig, SimDuration, SimTime, TraceEvent, Value, World,
+    twin_threads, DebugEvent, Json, MaybeDiagnosis, NodeConfig, NodeId, SimDuration, SimTime,
+    TraceEvent, Value, World,
+};
+use pilgrim_services::{
+    replay_load_artifact, setup_installer, AotConfig, AotMan, NameServer, ResourceManager,
+    RmConfig, TimeoutStrategy,
 };
 use pilgrim_sim::check::{check_n, ensure, ensure_eq, int_range, u64_range, zip_cases, Case, Gen};
 use pilgrim_sim::DetRng;
+
+mod common;
 
 const NODE0: &str = "\
 ping = proc (x: int) returns (int)
@@ -503,4 +510,231 @@ fn prop_record_replay_is_byte_identical() {
             ensure_eq(report.recorded_events, recorded.len())
         },
     );
+}
+
+// ---------------------------------------------------------------------
+// The setup funnel: every change a world takes from outside is journalled,
+// noted in the recipe and redone by an installer, or marked so that
+// replay refuses it by name.
+// ---------------------------------------------------------------------
+
+/// The kinds of a world's recorded setup entries, in order.
+fn setup_kinds(w: &World) -> Vec<&str> {
+    w.recipe().setup.iter().map(|(k, _)| k.as_str()).collect()
+}
+
+/// One recorded setup entry as it appears in the artifact.
+fn setup_entry(w: &World, i: usize) -> String {
+    let (kind, params) = &w.recipe().setup[i];
+    let mut text = format!("{kind} ");
+    params.write(&mut text);
+    text
+}
+
+/// A world changed through the node hatch records (trace and profile
+/// tools still read it), but no replay redoes a closure: both the plain
+/// and the installer-driven replay refuse it naming the hatch and the
+/// node, instead of reporting a divergence some events later.
+#[test]
+fn a_world_touched_through_the_node_hatch_is_refused_by_name() {
+    let mut w = World::builder()
+        .nodes(2)
+        .program(NODE0)
+        .program_for(1, NODE1)
+        .seed(42)
+        .build()
+        .expect("scenario builds");
+    w.spawn(0, "main", vec![]);
+    w.run_for(SimDuration::from_millis(2));
+    w.unrecorded_node(0, |n| n.halt_all());
+    w.run_for(SimDuration::from_millis(20));
+    w.unrecorded_node(0, |n| n.resume_all());
+    w.run_until_idle(SimTime::from_secs(30));
+    assert_eq!(w.console(0), vec!["got 42".to_string()]);
+    assert_eq!(setup_kinds(&w), ["unrecorded", "unrecorded"]);
+    assert_eq!(setup_entry(&w, 0), r#"unrecorded {"node": 0}"#);
+
+    let artifact = Artifact::parse(&w.record().render()).expect("rendered artifact parses");
+    for err in [
+        replay(&artifact).expect_err("a plain replay refuses the hatch"),
+        replay_load_artifact(&artifact, 1).expect_err("so does one with an installer"),
+    ] {
+        assert!(matches!(err, ReplayError::Format(_)), "{err:?}");
+        let text = err.to_string();
+        assert!(
+            text.contains("`unrecorded_node` on node 0"),
+            "the refusal must name the hatch and the node: {text}"
+        );
+    }
+}
+
+/// A service installed straight into a hand-built world notes its own
+/// setup entry, so the recording replays through the services installer
+/// and a plain replay refuses it by the service's name.
+#[test]
+fn directly_installed_services_replay() {
+    let (mut w, aot) = common::build_app();
+    w.spawn(0, "main", vec![]);
+    w.run_until_idle(SimTime::from_secs(30));
+    assert_eq!(aot.stats().refreshes, 3);
+    assert_eq!(
+        setup_entry(&w, 0),
+        r#"aotman {"node": 3, "lifetime_us": 3000000}"#
+    );
+    assert_eq!(setup_kinds(&w), ["aotman"]);
+    let artifact = Artifact::parse(&w.record().render()).expect("rendered artifact parses");
+    let report = replay_load_artifact(&artifact, 1).expect("replays with the installer");
+    assert_clean(&report, &artifact);
+    let err = replay(&artifact).expect_err("no installer, no replay");
+    assert!(err.to_string().contains("(aotman)"), "{err}");
+
+    // A Resource Manager with non-default settings round-trips them all.
+    let client = "\
+extern rm_request = proc () returns (int)
+extern rm_release = proc (r: int) returns (bool)
+main = proc ()
+ r: int := call rm_request() at 1
+ print(int$unparse(r))
+ again: int := call rm_request() at 1
+ print(int$unparse(again))
+ ok: bool := call rm_release(r) at 1
+end";
+    let mut w = World::builder()
+        .nodes(2)
+        .program(client)
+        .seed(9)
+        .build()
+        .expect("builds");
+    let rm = ResourceManager::install(
+        &mut w,
+        1,
+        RmConfig {
+            lease: SimDuration::from_secs(2),
+            strategy: TimeoutStrategy::IgnoreWhileDebugged,
+            reclaim_on_contention: false,
+            ..Default::default()
+        },
+    );
+    w.spawn(0, "main", vec![]);
+    w.run_until_idle(SimTime::from_secs(30));
+    assert_eq!(w.console(0), vec!["0", "-1"]);
+    assert_eq!(rm.free_count(), 1);
+    assert_eq!(
+        setup_entry(&w, 0),
+        r#"resource-manager {"node": 1, "lease_us": 2000000, "strategy": "ignore-while-debugged", "reclaim_on_contention": false}"#
+    );
+    let artifact = Artifact::parse(&w.record().render()).expect("rendered artifact parses");
+    let report = replay_load_artifact(&artifact, 1).expect("replays with the installer");
+    assert_clean(&report, &artifact);
+    assert_eq!(report.world.recipe().setup, w.recipe().setup);
+}
+
+/// An installer must redo exactly what the recording did. One that skips
+/// a name registration, or installs AOTMan with another lifetime, is
+/// refused naming the entry it drifted on, before any stimulus runs.
+#[test]
+fn an_installer_that_drifts_from_the_recording_is_refused() {
+    let mut w = World::builder()
+        .nodes(3)
+        .program(NODE0)
+        .program_for(1, NODE1)
+        .seed(42)
+        .build()
+        .expect("scenario builds");
+    let ns = NameServer::install(&mut w, 2);
+    ns.register(&mut w, "pinger", NodeId(1));
+    let aot = AotConfig {
+        lifetime: SimDuration::from_secs(3),
+        ..Default::default()
+    };
+    AotMan::install(&mut w, 2, aot);
+    w.spawn(0, "main", vec![]);
+    w.run_until_idle(SimTime::from_secs(30));
+    assert_eq!(setup_kinds(&w), ["nameserver", "ns-register", "aotman"]);
+    let artifact = Artifact::parse(&w.record().render()).expect("rendered artifact parses");
+    assert_clean(
+        &replay_load_artifact(&artifact, 1).expect("the faithful installer replays"),
+        &artifact,
+    );
+
+    let mut faithful = setup_installer();
+    let mut skips_registration = |w: &mut World, kind: &str, params: &Json| match kind {
+        "ns-register" => Ok(()),
+        _ => faithful(w, kind, params),
+    };
+    let err = replay_with(&artifact, 1, Some(&mut skips_registration))
+        .expect_err("a skipped registration is refused");
+    assert!(matches!(err, ReplayError::Stimulus(_)), "{err:?}");
+    let text = err.to_string();
+    assert!(
+        text.contains("setup entry 1: the recording has `ns-register`"),
+        "the refusal must name the entry: {text}"
+    );
+
+    let mut faithful = setup_installer();
+    let mut shortens_lifetime = |w: &mut World, kind: &str, params: &Json| match kind {
+        "aotman" => {
+            let aot = AotConfig {
+                lifetime: SimDuration::from_secs(1),
+                ..Default::default()
+            };
+            AotMan::install(w, 2, aot);
+            Ok(())
+        }
+        _ => faithful(w, kind, params),
+    };
+    let err = replay_with(&artifact, 1, Some(&mut shortens_lifetime))
+        .expect_err("another lifetime is refused");
+    let text = err.to_string();
+    assert!(
+        text.contains(
+            r#"setup entry 2: the recording has `aotman` {"node": 2, "lifetime_us": 3000000}, the installer did `aotman` {"node": 2, "lifetime_us": 1000000}"#
+        ),
+        "the refusal must name both entries: {text}"
+    );
+}
+
+/// The post-mortem example's two faults, a lost call and a lost reply,
+/// go through the journalled `inject_drop`, so each run replays
+/// byte-identically with the diagnosis it reached.
+#[test]
+fn a_lost_call_and_a_lost_reply_replay() {
+    let program = "\
+account_update = proc (amount: int) returns (int)
+ return (amount + 1)
+end
+
+main = proc ()
+ ok: bool := true
+ r: int := 0
+ ok, r := maybecall account_update(100) at 1
+ if ~ok then
+  print(\"update FAILED\")
+ end
+ sleep(600000)
+end";
+    for (src, dst, expected) in [
+        (0, 1, MaybeDiagnosis::LostCall),
+        (1, 0, MaybeDiagnosis::LostReply),
+    ] {
+        let mut w = World::builder()
+            .nodes(2)
+            .program(program)
+            .build()
+            .expect("builds");
+        w.debug_connect(&[0, 1], false).expect("connects");
+        w.inject_drop(src, dst, 1);
+        w.spawn(0, "main", vec![]);
+        w.run_for(SimDuration::from_millis(300));
+        assert_eq!(w.console(0), vec!["update FAILED".to_string()]);
+        let (call_id, _) = *w.recent_calls(0).expect("recent").last().expect("one call");
+        assert_eq!(
+            w.diagnose_maybe_failure(1, call_id).expect("diagnoses"),
+            expected
+        );
+        assert!(w.recipe().setup.is_empty());
+
+        let artifact = Artifact::parse(&w.record().render()).expect("rendered artifact parses");
+        assert_clean(&replay(&artifact).expect("replays"), &artifact);
+    }
 }
