@@ -505,10 +505,15 @@ impl DebugCli {
                         None => snap.render().trim_end().to_string(),
                     });
                 }
+                let t = world.tracer();
                 let mut out = format!(
-                    "flight recorder: {} events in ring (budget {})",
-                    world.tracer().blackbox_len(),
-                    world.tracer().blackbox_capacity(),
+                    "flight recorder: {} events in ring (budget {}), {} evicted; \
+                     trace: {} events, {} evicted",
+                    t.blackbox_len(),
+                    t.blackbox_capacity(),
+                    t.blackbox_evicted(),
+                    t.len(),
+                    t.evicted(),
                 );
                 match world.blackbox_last() {
                     Some(last) => {
@@ -695,6 +700,7 @@ commands:
 mod tests {
     use super::*;
     use crate::world::World;
+    use pilgrim_sim::TraceCategory;
 
     const PROGRAM: &str = "\
 bump = proc (a: int, b: int) returns (int)
@@ -850,6 +856,21 @@ console 0",
         cli.exec(&mut w, "wait 2000");
         let status = cli.exec(&mut w, "blackbox");
         assert!(status.contains("1 events in ring (budget 1)"), "{status}");
+        // Every event the flight recorder took but the newest was evicted,
+        // and the main trace, far from its budget, dropped none.
+        let t = w.tracer();
+        let boxed = t
+            .events()
+            .iter()
+            .filter(|e| e.category != TraceCategory::Vm)
+            .count();
+        assert!(boxed > 1, "the one-slot ring overflowed");
+        let line = format!(
+            "flight recorder: 1 events in ring (budget 1), {} evicted; trace: {} events, 0 evicted",
+            boxed - 1,
+            t.len()
+        );
+        assert_eq!(status.lines().next(), Some(line.as_str()));
     }
 
     #[test]

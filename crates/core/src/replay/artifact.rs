@@ -79,7 +79,7 @@ impl Artifact {
     /// [`Saved::parse`] has already checked.
     pub(crate) fn from_doc(mut doc: Json) -> Result<Artifact, String> {
         let f = Fields::new(&doc, &"recording");
-        let recipe = Recipe::from_json(f.get("recipe")?)?;
+        let recipe = Recipe::from_json(f.object("recipe")?)?;
         let stimuli: Vec<Stimulus> = f.list("stimuli", Stimulus::from_json)?;
         // A journal is outside input too: a station its own recipe does
         // not have is refused here, before a re-run can index with it.

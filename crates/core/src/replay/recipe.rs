@@ -202,10 +202,10 @@ impl Recipe {
                 None | Some(Json::Null) => None,
                 Some(_) => Some(f.str("default_program")?.to_string()),
             },
-            net: NetworkConfig::from_json(f.get("net")?)?,
-            rpc: RpcConfig::from_json(f.get("rpc")?)?,
-            node_cfg: NodeConfig::from_json(f.get("node_cfg")?)?,
-            agent_cfg: AgentConfig::from_json(f.get("agent")?)?,
+            net: NetworkConfig::from_json(f.object("net")?)?,
+            rpc: RpcConfig::from_json(f.object("rpc")?)?,
+            node_cfg: NodeConfig::from_json(f.object("node_cfg")?)?,
+            agent_cfg: AgentConfig::from_json(f.object("agent")?)?,
             with_debugger: f.bool("debugger")?,
             with_agents: f.bool("agents")?,
             trace_sample: f.opt_uint("trace_sample")?.unwrap_or(legacy.trace_sample),

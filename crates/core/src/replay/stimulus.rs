@@ -321,7 +321,7 @@ impl Stimulus {
             "abandon" => Stimulus::Abandon,
             "request" => Stimulus::Request {
                 node: f.uint("node")?,
-                req: AgentRequest::from_json(f.get("req")?)?,
+                req: AgentRequest::from_json(f.object("req")?)?,
             },
             "drain_events" => Stimulus::DrainEvents,
             "wait_for_stop" => Stimulus::WaitForStop {

@@ -279,6 +279,8 @@ mod tests {
             ("coarse_budget", false),
             ("tsdb", false),
             ("partitions", true),
+            ("link", true),
+            ("topology", true),
         ];
         for (key, in_net) in keys {
             for mistyped in [true, false] {

@@ -184,11 +184,11 @@ impl NetworkConfig {
             // The three topology fields are absent in artifacts recorded
             // before multi-segment networks existed; those worlds ran on
             // one flat segment with no bridges.
-            topology: match f.opt_get("topology") {
+            topology: match f.opt_object("topology")? {
                 Some(t) => Topology::from_json(t)?,
                 None => Topology::Flat,
             },
-            link: match f.opt_get("link") {
+            link: match f.opt_object("link")? {
                 Some(l) => LinkModel::from_json(l)?,
                 None => LinkModel::default(),
             },
@@ -1504,15 +1504,17 @@ mod tests {
 
         // Absent is the legacy default; present but mistyped is refused
         // by name, never read as "no partitions".
-        let Json::Object(mut pairs) = old.to_json() else {
-            unreachable!("config renders an object")
-        };
-        let at = pairs.iter().position(|(k, _)| k == "partitions").unwrap();
-        pairs[at].1 = Json::Str("oops".into());
-        assert_eq!(
-            NetworkConfig::from_json(&Json::Object(pairs)).unwrap_err(),
-            "network config: `partitions` out of range"
-        );
+        // A nested section that is not an object is refused by its own
+        // key, not by the first field its decoder looks for.
+        for key in ["partitions", "link", "topology"] {
+            let mut mistyped = old.to_json();
+            *mistyped.get_mut(key).expect("the config renders every key") =
+                Json::Str("oops".into());
+            assert_eq!(
+                NetworkConfig::from_json(&mistyped).unwrap_err(),
+                format!("network config: `{key}` out of range")
+            );
+        }
     }
 
     /// Two segments of two stations each over the default ring config.

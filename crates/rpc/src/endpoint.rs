@@ -32,14 +32,14 @@ use pilgrim_cclu::{
 use pilgrim_mayflower::{Node, Pid, SpawnOpts};
 use pilgrim_ring::NodeId;
 use pilgrim_sim::{
-    Counter, EventKind, EventQueue, Histogram, IdWindow, Metrics, SimDuration, SimTime, SpanId,
-    TraceCategory, Tracer,
+    Counter, EventKind, EventQueue, Histogram, IdWindow, Metrics, Ring, SimDuration, SimTime,
+    SpanId, TraceCategory, Tracer,
 };
 
 use crate::marshal::{default_for, marshal, unmarshal, wire_matches_type, WireValue};
 use crate::monitor::PacketMonitor;
 use crate::packet::{
-    call_id_counter, call_id_node, make_call_id, CallId, RecentCalls, RpcConfig, RpcPacket,
+    call_id_counter, call_id_node, make_call_id, CallId, RpcConfig, RpcPacket, RECENT_SLOTS,
 };
 use crate::seen::{Outcome, SeenCalls};
 
@@ -248,13 +248,14 @@ pub struct RpcEndpoint {
     /// id. This node mints the counters densely (`next_id` is the next
     /// one) and calls retire roughly in order.
     client: IdWindow<ClientCall>,
-    client_recent: RecentCalls,
+    /// The §4.3 ten-slot buffers of recent outcomes: `(call, succeeded)`.
+    client_recent: Ring<(CallId, bool)>,
     /// The server table: calls executing now, by the pid of the server
     /// process. Pids are issued increasing and server processes retire
     /// roughly in order.
     serving: IdWindow<ServerCall>,
     seen: SeenCalls,
-    server_recent: RecentCalls,
+    server_recent: Ring<(CallId, bool)>,
     /// Append-only, so a slot index stays valid while a dispatch is
     /// pending; a node registers a handful.
     handlers: Vec<Handler>,
@@ -285,10 +286,10 @@ impl RpcEndpoint {
             node_id,
             config,
             client: IdWindow::starting_at(1),
-            client_recent: RecentCalls::new(),
+            client_recent: Ring::new(RECENT_SLOTS),
             serving: IdWindow::new(),
             seen: SeenCalls::default(),
-            server_recent: RecentCalls::new(),
+            server_recent: Ring::new(RECENT_SLOTS),
             handlers: Vec::new(),
             server_names: Vec::new(),
             timers: EventQueue::new(),
@@ -433,12 +434,12 @@ impl RpcEndpoint {
 
     /// Client-side recent-call outcomes (ten-slot cyclic buffer, §4.3).
     pub fn recent_client_calls(&self) -> Vec<(CallId, bool)> {
-        self.client_recent.entries()
+        self.client_recent.iter().copied().collect()
     }
 
     /// Server-side recent-call outcomes.
     pub fn recent_served_calls(&self) -> Vec<(CallId, bool)> {
-        self.server_recent.entries()
+        self.server_recent.iter().copied().collect()
     }
 
     /// The packet monitor's reconstruction (only meaningful when the E2
@@ -788,7 +789,7 @@ impl RpcEndpoint {
             now += self.config.monitor_per_packet;
         }
         if self.config.debug_support {
-            self.server_recent.record(call_id, false);
+            self.server_recent.push((call_id, false));
         }
         if self.tracer.wants(TraceCategory::Rpc) {
             self.tracer.emit(
@@ -1087,7 +1088,7 @@ impl RpcEndpoint {
             now += self.config.monitor_per_packet;
         }
         if self.config.debug_support {
-            self.server_recent.record(call_id, true);
+            self.server_recent.push((call_id, true));
         }
         if self.tracer.wants(TraceCategory::Rpc) {
             self.tracer.emit(
@@ -1192,7 +1193,7 @@ impl RpcEndpoint {
                     i.state.set(RpcCallState::Succeeded);
                 }
                 if self.config.debug_support {
-                    self.client_recent.record(call_id, true);
+                    self.client_recent.push((call_id, true));
                 }
                 let mut values = Vec::with_capacity(results.len() + 1);
                 if call.header().1 == RpcProtocol::Maybe {
@@ -1212,7 +1213,7 @@ impl RpcEndpoint {
                     i.state.set(RpcCallState::Failed);
                 }
                 if self.config.debug_support {
-                    self.client_recent.record(call_id, false);
+                    self.client_recent.push((call_id, false));
                 }
                 if self.tracer.wants(TraceCategory::Rpc) {
                     self.tracer.emit(
@@ -1239,7 +1240,7 @@ impl RpcEndpoint {
                     i.state.set(RpcCallState::Failed);
                 }
                 if self.config.debug_support {
-                    self.client_recent.record(call_id, false);
+                    self.client_recent.push((call_id, false));
                 }
                 if self.tracer.wants(TraceCategory::Rpc) {
                     self.tracer.emit(

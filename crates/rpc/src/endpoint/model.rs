@@ -50,11 +50,11 @@ struct ModelEndpoint {
     counter: u64,
     client: HashMap<CallId, ClientCall>,
     by_pid: HashMap<Pid, CallId>,
-    client_recent: RecentCalls,
+    client_recent: Ring<(CallId, bool)>,
     server_exec: HashMap<CallId, ModelServerCall>,
     server_by_pid: HashMap<Pid, CallId>,
     seen: HashMap<CallId, Option<(RpcPacket, usize)>>,
-    server_recent: RecentCalls,
+    server_recent: Ring<(CallId, bool)>,
     handlers: HashMap<String, (Signature, NativeBody)>,
     timers: EventQueue<ModelTimer>,
     stats: RpcStats,
@@ -69,11 +69,11 @@ impl ModelEndpoint {
             counter: 0,
             client: HashMap::new(),
             by_pid: HashMap::new(),
-            client_recent: RecentCalls::new(),
+            client_recent: Ring::new(RECENT_SLOTS),
             server_exec: HashMap::new(),
             server_by_pid: HashMap::new(),
             seen: HashMap::new(),
-            server_recent: RecentCalls::new(),
+            server_recent: Ring::new(RECENT_SLOTS),
             handlers: HashMap::new(),
             timers: EventQueue::new(),
             stats: RpcStats::default(),
@@ -141,11 +141,11 @@ impl ModelEndpoint {
     }
 
     fn recent_client_calls(&self) -> Vec<(CallId, bool)> {
-        self.client_recent.entries()
+        self.client_recent.iter().copied().collect()
     }
 
     fn recent_served_calls(&self) -> Vec<(CallId, bool)> {
-        self.server_recent.entries()
+        self.server_recent.iter().copied().collect()
     }
 
     fn start_call(
@@ -386,7 +386,7 @@ impl ModelEndpoint {
         };
         let bytes = pkt.wire_bytes(self.config.header_bytes);
         if self.config.debug_support {
-            self.server_recent.record(call_id, false);
+            self.server_recent.push((call_id, false));
         }
         self.seen.insert(call_id, Some((pkt.clone(), bytes)));
         net.send_rpc(now + self.config.server_send, self.node_id, dst, pkt, bytes);
@@ -408,7 +408,7 @@ impl ModelEndpoint {
         };
         let bytes = pkt.wire_bytes(self.config.header_bytes);
         if self.config.debug_support {
-            self.server_recent.record(call_id, true);
+            self.server_recent.push((call_id, true));
         }
         self.seen.insert(call_id, Some((pkt.clone(), bytes)));
         net.send_rpc(now + self.config.server_send, self.node_id, dst, pkt, bytes);
@@ -642,7 +642,7 @@ impl ModelEndpoint {
             });
         }
         if self.config.debug_support {
-            self.client_recent.record(call_id, ok);
+            self.client_recent.push((call_id, ok));
         }
         match kind {
             Completion::Success(results) => {

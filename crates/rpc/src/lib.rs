@@ -34,8 +34,7 @@ pub use endpoint::{
 pub use marshal::{default_for, marshal, unmarshal, wire_matches_type, MarshalError, WireValue};
 pub use monitor::{MonitorState, PacketMonitor};
 pub use packet::{
-    call_id_counter, call_id_node, make_call_id, CallId, RecentCalls, RpcConfig, RpcPacket,
-    RECENT_SLOTS,
+    call_id_counter, call_id_node, make_call_id, CallId, RpcConfig, RpcPacket, RECENT_SLOTS,
 };
 
 use pilgrim_ring::{Network, NodeId};

@@ -219,56 +219,10 @@ impl RpcConfig {
     }
 }
 
-/// The ten-slot cyclic buffer describing the outcomes of the ten most
-/// recent RPCs: "The only information maintained is the call identifier
-/// and whether the call failed or succeeded" (§4.3).
-#[derive(Debug, Clone, Default)]
-pub struct RecentCalls {
-    slots: Vec<(CallId, bool)>,
-    next: usize,
-}
-
-/// Number of slots in [`RecentCalls`] — ten, per the paper.
+/// Slots in the ten-slot cyclic buffers describing the outcomes of an
+/// endpoint's ten most recent RPCs: "The only information maintained is
+/// the call identifier and whether the call failed or succeeded" (§4.3).
 pub const RECENT_SLOTS: usize = 10;
-
-impl RecentCalls {
-    /// An empty buffer.
-    pub fn new() -> RecentCalls {
-        RecentCalls::default()
-    }
-
-    /// Records the outcome of a call.
-    pub fn record(&mut self, call_id: CallId, succeeded: bool) {
-        if self.slots.len() < RECENT_SLOTS {
-            self.slots.push((call_id, succeeded));
-            self.next = self.slots.len() % RECENT_SLOTS;
-        } else {
-            self.slots[self.next] = (call_id, succeeded);
-            self.next = (self.next + 1) % RECENT_SLOTS;
-        }
-    }
-
-    /// The recorded outcome for `call_id`, if it is still in the buffer.
-    pub fn outcome(&self, call_id: CallId) -> Option<bool> {
-        self.slots
-            .iter()
-            .find(|(id, _)| *id == call_id)
-            .map(|(_, ok)| *ok)
-    }
-
-    /// All slots, oldest first.
-    pub fn entries(&self) -> Vec<(CallId, bool)> {
-        if self.slots.len() < RECENT_SLOTS {
-            self.slots.clone()
-        } else {
-            let mut out = Vec::with_capacity(RECENT_SLOTS);
-            for i in 0..RECENT_SLOTS {
-                out.push(self.slots[(self.next + i) % RECENT_SLOTS]);
-            }
-            out
-        }
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -282,22 +236,6 @@ mod tests {
         assert_eq!(call_id_node(a), NodeId(1));
         assert_eq!(call_id_node(b), NodeId(2));
         assert_eq!((call_id_counter(a), call_id_counter(b)), (7, 7));
-    }
-
-    #[test]
-    fn recent_buffer_holds_exactly_ten() {
-        let mut r = RecentCalls::new();
-        for i in 0..15u64 {
-            r.record(i, i % 2 == 0);
-        }
-        let e = r.entries();
-        assert_eq!(e.len(), RECENT_SLOTS);
-        // The five oldest (0..5) have been overwritten.
-        assert_eq!(e[0].0, 5);
-        assert_eq!(e[9].0, 14);
-        assert_eq!(r.outcome(3), None, "evicted");
-        assert_eq!(r.outcome(14), Some(true));
-        assert_eq!(r.outcome(13), Some(false));
     }
 
     #[test]

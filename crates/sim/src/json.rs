@@ -289,6 +289,17 @@ impl<'a> Fields<'a> {
         self.opt(key, Json::as_str)
     }
 
+    /// A nested object, for its own decoder: a value of another type is
+    /// refused here by `key`, not by the first field the decoder lacks.
+    pub fn object(&self, key: &str) -> Result<&'a Json, String> {
+        self.req(key, |v| v.as_object().map(|_| v))
+    }
+
+    /// [`object`](Fields::object) for a key older artifacts lack.
+    pub fn opt_object(&self, key: &str) -> Result<Option<&'a Json>, String> {
+        self.opt(key, |v| v.as_object().map(|_| v))
+    }
+
     /// An array, each element decoded by `f`, collected into `C`.
     pub fn list<T, C: FromIterator<T>>(
         &self,
@@ -761,13 +772,14 @@ mod tests {
         // Every typed getter: absent is missing, `null` (a type none of
         // them reads) is out of range.
         type Read = fn(&Fields) -> Result<(), String>;
-        let getters: [Read; 6] = [
+        let getters: [Read; 7] = [
             |f| f.uint::<u64>("absent").map(drop),
             |f| f.int("absent").map(drop),
             |f| f.float("absent").map(drop),
             |f| f.bool("absent").map(drop),
             |f| f.str("absent").map(drop),
             |f| f.list::<_, Vec<_>>("absent", |_| Ok(())).map(drop),
+            |f| f.object("absent").map(drop),
         ];
         let null = Json::obj(vec![("absent", Json::Null)]);
         for (i, read) in getters.iter().enumerate() {
@@ -799,6 +811,13 @@ mod tests {
         assert_eq!(f.opt_list::<_, Vec<_>>("s", ints), Err(out("s")));
         assert_eq!(f.opt_get("absent"), None);
         assert_eq!(f.opt_get("n"), Some(&Json::Null));
+        let nested = Json::obj(vec![("o", doc.clone()), ("s", Json::Str("x".into()))]);
+        let g = Fields::new(&nested, &what);
+        assert_eq!(g.object("o"), Ok(&doc));
+        assert_eq!(g.object("s"), Err(out("s")));
+        assert_eq!(g.opt_object("o"), Ok(Some(&doc)));
+        assert_eq!(g.opt_object("absent"), Ok(None));
+        assert_eq!(g.opt_object("s"), Err(out("s")));
     }
 
     #[test]

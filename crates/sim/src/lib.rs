@@ -15,6 +15,8 @@
 //!   keep densely issued ids in;
 //! * [`Chunked`] — the append-only store of records kept for a world's
 //!   life (process tables, the stimulus journal), with no doubling slack;
+//! * [`Ring`] — the one bounded FIFO (trace rings, time-series rows, recent
+//!   RPC outcomes), which counts what it evicts;
 //! * [`DetRng`] — seeded, forkable randomness for loss models and jitter;
 //! * [`Tracer`] — structured, span-linked event recording that tests
 //!   assert against (typed [`EventKind`] payloads, lazy rendering);
@@ -51,6 +53,7 @@ mod event;
 pub mod json;
 mod metrics;
 mod profile;
+mod ring;
 mod rng;
 mod time;
 mod trace;
@@ -66,6 +69,7 @@ pub use metrics::{bucket_quantile, render_bucket_bound, Counter, Gauge, Histogra
 pub use profile::{
     CallEdge, CallNodeId, CallTree, CmpOp, LedgerBucket, LedgerClock, TimeLedger, Watchpoint,
 };
+pub use ring::Ring;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{

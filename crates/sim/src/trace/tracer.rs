@@ -1,79 +1,44 @@
 //! The recorder: a shared [`Tracer`] with its two category masks, head
 //! sampling of spans, and the two bounded rings events are admitted to.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::HashSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use super::codec::JSONL_LINE_BYTES;
 use super::{EventKind, SpanId, TraceCategory, TraceEvent};
+use crate::ring::Ring;
 use crate::rng::splitmix64;
 use crate::time::SimTime;
 
-/// A bounded FIFO of events: appending to a full ring evicts the oldest.
-/// Both of the tracer's stores are one of these.
-struct Ring {
-    events: VecDeque<TraceEvent>,
-    /// At least 1 — clamped once, when set — so the ring always retains
-    /// the event it was last given and reports the budget it enforces.
-    capacity: usize,
-}
-
-impl Ring {
-    fn new(capacity: usize) -> Ring {
-        let mut ring = Ring {
-            events: VecDeque::new(),
-            capacity: 1,
-        };
-        ring.set_capacity(capacity);
-        ring
+/// A ring as JSON Lines: one [`TraceEvent::write_json`] object per line,
+/// newline-terminated, oldest first. Written into a buffer sized for the
+/// longest lines, then returned at its exact length: a recording keeps
+/// this string for as long as it lives.
+fn jsonl(ring: &Ring<TraceEvent>) -> String {
+    let mut out = String::with_capacity(ring.len() * JSONL_LINE_BYTES);
+    for ev in ring.iter() {
+        ev.write_json(&mut out);
+        out.push('\n');
     }
-
-    /// Resizes the ring, discarding oldest events first if it shrinks.
-    fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        while self.events.len() > self.capacity {
-            self.events.pop_front();
-        }
-    }
-
-    fn push(&mut self, ev: TraceEvent) {
-        if self.events.len() >= self.capacity {
-            self.events.pop_front();
-        }
-        self.events.push_back(ev);
-    }
-
-    fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// The ring as JSON Lines: one [`TraceEvent::write_json`] object per
-    /// line, newline-terminated, oldest first. Written into a buffer sized
-    /// for the longest lines, then returned at its exact length: a
-    /// recording keeps this string for as long as it lives.
-    fn jsonl(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * JSONL_LINE_BYTES);
-        for ev in &self.events {
-            ev.write_json(&mut out);
-            out.push('\n');
-        }
-        out.shrink_to_fit();
-        out
-    }
+    out.shrink_to_fit();
+    out
 }
 
 struct TracerInner {
-    main: Ring,
+    main: Ring<TraceEvent>,
     /// The flight recorder: a small, always-on tail of recent events,
     /// retained even when the main trace is filtered off.
-    blackbox: Ring,
+    blackbox: Ring<TraceEvent>,
     /// Span ids admitted by head-based sampling. Only consulted while a
     /// sample rate is set; holds kept spans only, so its size is the
     /// kept fraction of all spans, not the span count.
     kept: HashSet<u64>,
 }
+
+/// Main trace ring size: a million events, oldest discarded first.
+const TRACE_CAPACITY: usize = 1_000_000;
 
 /// Default flight-recorder ring size: enough to hold the last few
 /// lockstep windows of a busy world without rivalling the main trace.
@@ -123,7 +88,7 @@ impl fmt::Debug for Tracer {
             .field("mask", &((masks & 0xff) as u8))
             .field("blackbox_mask", &((masks >> BLACKBOX_SHIFT) as u8))
             .field("blackbox", &inner.blackbox.len())
-            .field("capacity", &inner.main.capacity)
+            .field("capacity", &inner.main.capacity())
             .finish()
     }
 }
@@ -135,19 +100,13 @@ impl Default for Tracer {
 }
 
 impl Tracer {
-    /// Creates a tracer that records every category, bounded to a large
-    /// default capacity (1 million events, oldest discarded first).
-    pub fn new() -> Tracer {
-        Tracer::with_capacity(1_000_000)
-    }
-
-    /// Creates a tracer bounded to `capacity` events (at least one); when
-    /// full, the oldest event is discarded (in O(1): the buffer is a ring).
+    /// Creates a tracer that records every category into a ring of a
+    /// million events, oldest discarded first.
     ///
     /// The flight recorder starts armed for every category except `vm`
     /// (per-instruction events would churn the small ring and tax the
     /// interpreter hot path for nothing a post-mortem needs).
-    pub fn with_capacity(capacity: usize) -> Tracer {
+    pub fn new() -> Tracer {
         let blackbox_mask = TraceCategory::ALL & !TraceCategory::Vm.bit();
         Tracer {
             shared: Arc::new(Shared {
@@ -158,7 +117,7 @@ impl Tracer {
                 sample_rate: AtomicU32::new(0),
                 sample_seed: AtomicU64::new(0),
                 inner: Mutex::new(TracerInner {
-                    main: Ring::new(capacity),
+                    main: Ring::new(TRACE_CAPACITY),
                     blackbox: Ring::new(BLACKBOX_CAPACITY),
                     kept: HashSet::new(),
                 }),
@@ -339,22 +298,20 @@ impl Tracer {
     /// internal visitor rather than an `Iterator` (which would have to
     /// either clone, as [`events`](Tracer::events) does, or leak a lock
     /// guard). `f` must not call back into this tracer.
-    pub fn for_each(&self, mut f: impl FnMut(&TraceEvent)) {
-        for ev in &self.shared.inner.lock().unwrap().main.events {
-            f(ev);
-        }
+    pub fn for_each(&self, f: impl FnMut(&TraceEvent)) {
+        self.shared.inner.lock().unwrap().main.iter().for_each(f);
     }
 
     /// A snapshot of every recorded event, in order.
     pub fn events(&self) -> Vec<TraceEvent> {
         let inner = self.shared.inner.lock().unwrap();
-        inner.main.events.iter().cloned().collect()
+        inner.main.iter().cloned().collect()
     }
 
     /// A snapshot of the events in one category.
     pub fn events_in(&self, category: TraceCategory) -> Vec<TraceEvent> {
         let inner = self.shared.inner.lock().unwrap();
-        let wanted = inner.main.events.iter().filter(|e| e.category == category);
+        let wanted = inner.main.iter().filter(|e| e.category == category);
         wanted.cloned().collect()
     }
 
@@ -362,19 +319,19 @@ impl Tracer {
     /// order: the cross-node timeline of one causal activity.
     pub fn events_for_span(&self, span: SpanId) -> Vec<TraceEvent> {
         let inner = self.shared.inner.lock().unwrap();
-        let wanted = inner.main.events.iter().filter(|e| e.span == Some(span));
+        let wanted = inner.main.iter().filter(|e| e.span == Some(span));
         wanted.cloned().collect()
     }
 
     /// The whole retained trace as JSON Lines — one object per event,
     /// newline-terminated, suitable for external tooling.
     pub fn to_jsonl(&self) -> String {
-        self.shared.inner.lock().unwrap().main.jsonl()
+        jsonl(&self.shared.inner.lock().unwrap().main)
     }
 
-    /// Discards all recorded events.
-    pub fn clear(&self) {
-        self.shared.inner.lock().unwrap().main.events.clear();
+    /// Events the main trace has dropped to stay within its budget.
+    pub fn evicted(&self) -> u64 {
+        self.shared.inner.lock().unwrap().main.evicted()
     }
 
     /// Number of events currently held by the flight recorder.
@@ -384,7 +341,13 @@ impl Tracer {
 
     /// The flight-recorder ring budget, as enforced: at least 1.
     pub fn blackbox_capacity(&self) -> usize {
-        self.shared.inner.lock().unwrap().blackbox.capacity
+        self.shared.inner.lock().unwrap().blackbox.capacity()
+    }
+
+    /// Events the flight recorder has dropped: overwritten by newer ones
+    /// or cut by a smaller budget.
+    pub fn blackbox_evicted(&self) -> u64 {
+        self.shared.inner.lock().unwrap().blackbox.evicted()
     }
 
     /// Resizes the flight-recorder ring (oldest events discarded first
@@ -401,7 +364,7 @@ impl Tracer {
     /// The flight-recorder ring as JSON Lines, oldest first — same
     /// encoding as [`to_jsonl`](Tracer::to_jsonl).
     pub fn blackbox_jsonl(&self) -> String {
-        self.shared.inner.lock().unwrap().blackbox.jsonl()
+        jsonl(&self.shared.inner.lock().unwrap().blackbox)
     }
 }
 
@@ -554,48 +517,19 @@ mod tests {
             );
         }
         assert_eq!(boxed(&t), ["e4", "e5", "e6"], "oldest evicted first");
+        assert_eq!(t.blackbox_evicted(), 4);
         // The main ring kept everything — the two rings are independent.
-        assert_eq!(t.events().len(), 7);
-        // Shrinking discards from the front.
+        assert_eq!((t.events().len(), t.evicted()), (7, 0));
+        // Shrinking discards from the front, and counts it.
         t.set_blackbox_capacity(1);
         assert_eq!(boxed(&t), ["e6"]);
-    }
-
-    /// A budget of 0 is held — and reported — as 1, on either ring: the
-    /// getter says what the ring does.
-    #[test]
-    fn a_ring_enforces_the_capacity_it_reports() {
-        let ev = |i: u64| TraceEvent {
-            time: SimTime::from_millis(i),
-            category: TraceCategory::Net,
-            node: None,
-            span: None,
-            kind: EventKind::ProcessExited { pid: i },
-        };
-        for (asked, held) in [(0, 1), (1, 1), (2, 2)] {
-            let mut ring = Ring::new(asked);
-            assert_eq!(ring.capacity, held);
-            for i in 0..5 {
-                ring.push(ev(i));
-                assert_eq!(ring.len(), held.min(i as usize + 1));
-            }
-            assert_eq!(ring.events.back(), Some(&ev(4)), "the newest survives");
-        }
-        let mut ring = Ring::new(8);
-        (0..6).for_each(|i| ring.push(ev(i)));
-        ring.set_capacity(2);
-        assert_eq!(ring.events, [ev(4), ev(5)], "shrinking evicts oldest first");
-        ring.set_capacity(0);
-        assert_eq!((ring.capacity, ring.events.len()), (1, 1));
-
-        // Through the tracer: both rings, and the getter the REPL prints.
-        let t = Tracer::with_capacity(0);
+        assert_eq!(t.blackbox_evicted(), 6);
+        // A budget of 0 is held, and reported, as 1.
         t.set_blackbox_capacity(0);
         assert_eq!(t.blackbox_capacity(), 1);
-        t.record(SimTime::ZERO, TraceCategory::Net, None, "a");
         t.record(SimTime::ZERO, TraceCategory::Net, None, "b");
-        assert_eq!(messages(&t), ["b"]);
         assert_eq!(boxed(&t), ["b"]);
+        assert_eq!(t.blackbox_evicted(), 7);
     }
 
     #[test]
@@ -625,37 +559,8 @@ mod tests {
     }
 
     #[test]
-    fn clear_discards() {
-        let t = Tracer::new();
-        t.record(SimTime::ZERO, TraceCategory::Vm, None, "x");
-        t.clear();
-        assert!(t.events().is_empty());
-    }
-
-    #[test]
-    fn eviction_drops_oldest_first() {
-        let t = Tracer::with_capacity(3);
-        for i in 0..7 {
-            t.record(
-                SimTime::from_millis(i),
-                TraceCategory::Vm,
-                None,
-                format!("e{i}"),
-            );
-        }
-        assert_eq!(
-            messages(&t),
-            ["e4", "e5", "e6"],
-            "oldest events evicted first"
-        );
-        // Recording continues to rotate the window.
-        t.record(SimTime::from_millis(7), TraceCategory::Vm, None, "e7");
-        assert_eq!(messages(&t), ["e5", "e6", "e7"]);
-    }
-
-    #[test]
     fn len_and_for_each_track_the_ring_without_cloning() {
-        let t = Tracer::with_capacity(3);
+        let t = Tracer::new();
         assert!(t.is_empty());
         assert_eq!(t.len(), 0);
         for i in 0..5 {
@@ -666,15 +571,13 @@ mod tests {
                 format!("e{i}"),
             );
         }
-        assert_eq!(t.len(), 3, "capacity bounds retained events");
+        assert_eq!(t.len(), 5);
         assert!(!t.is_empty());
         assert_eq!(
             messages(&t),
-            ["e2", "e3", "e4"],
-            "visits survivors in order"
+            ["e0", "e1", "e2", "e3", "e4"],
+            "visits events in order"
         );
-        t.clear();
-        assert!(t.is_empty());
     }
 
     #[test]

@@ -35,20 +35,21 @@ use std::fmt::Write as _;
 use std::ops::Range;
 
 use crate::metrics::{bucket_quantile, render_bucket_bound, Counter, Gauge, Histogram, Metrics};
+use crate::ring::Ring;
 use crate::time::SimTime;
 
 /// One instrument kind's samples, row-major: row `p` holds one cell per
-/// column of the kind. Every ring of a store has the same number of rows
-/// in the same physical order (`SeriesStore::times` names them), so the
-/// store keeps one length and one head for all of them.
+/// column of the kind. Every grid of a store has a row per sample time in
+/// `SeriesStore::times`, in that ring's physical order, so the `g`-th
+/// oldest sample is row `times.slot(g)` of each.
 #[derive(Debug, Default)]
-struct Ring {
+struct Grid {
     /// Cells per row.
     width: usize,
     cells: Vec<u64>,
 }
 
-impl Ring {
+impl Grid {
     fn row(&self, p: usize) -> &[u64] {
         &self.cells[p * self.width..(p + 1) * self.width]
     }
@@ -57,8 +58,7 @@ impl Ring {
         &mut self.cells[p * self.width..(p + 1) * self.width]
     }
 
-    /// Appends one row. The ring grows by use — never to `budget` ahead
-    /// of it, which a scenario may set far beyond what its run fills.
+    /// Appends one row, as `times` grows: by use, never to the budget.
     fn push_row(&mut self) {
         self.cells.resize(self.cells.len() + self.width, 0);
     }
@@ -137,18 +137,11 @@ fn delta(cell: &mut u64, prev: &mut u64, cur: u64) {
 pub struct SeriesStore {
     /// Sync points per sample; 1 = sample every sync point.
     interval: u64,
-    /// Samples retained per series.
-    budget: usize,
     /// Sync points observed so far.
     ticks: u64,
-    /// Total samples taken (retained or evicted).
-    taken: u64,
-    /// Sample times (µs), one per retained row, in the rings' physical
-    /// order.
-    times: Vec<u64>,
-    /// Physical position of the oldest retained row: 0 while the rings
-    /// grow, then the row the next sample overwrites.
-    head: usize,
+    /// Sample times (µs), one per retained row; its capacity is the
+    /// budget, its slots are the grids' rows.
+    times: Ring<u64>,
     /// Time (µs) of the most recently evicted sample — the left edge of
     /// the oldest retained window.
     evicted_before: u64,
@@ -157,11 +150,11 @@ pub struct SeriesStore {
     /// Its [`Metrics::instrument_counts`] when they were.
     seen: [usize; 3],
     counters: Vec<CounterCol>,
-    counter_ring: Ring,
+    counter_grid: Grid,
     gauges: Vec<GaugeCol>,
-    gauge_ring: Ring,
+    gauge_grid: Grid,
     hists: Vec<HistCol>,
-    hist_ring: Ring,
+    hist_grid: Grid,
 }
 
 impl SeriesStore {
@@ -170,20 +163,17 @@ impl SeriesStore {
     pub fn new(interval: u64, budget: usize) -> SeriesStore {
         SeriesStore {
             interval: interval.max(1),
-            budget: budget.max(1),
             ticks: 0,
-            taken: 0,
-            times: Vec::new(),
-            head: 0,
+            times: Ring::new(budget),
             evicted_before: 0,
             bound: None,
             seen: [0; 3],
             counters: Vec::new(),
-            counter_ring: Ring::default(),
+            counter_grid: Grid::default(),
             gauges: Vec::new(),
-            gauge_ring: Ring::default(),
+            gauge_grid: Grid::default(),
             hists: Vec::new(),
-            hist_ring: Ring::default(),
+            hist_grid: Grid::default(),
         }
     }
 
@@ -194,7 +184,7 @@ impl SeriesStore {
 
     /// Samples retained per series.
     pub fn budget(&self) -> usize {
-        self.budget
+        self.times.capacity()
     }
 
     /// Number of currently retained samples.
@@ -204,7 +194,7 @@ impl SeriesStore {
 
     /// Total samples ever taken, including evicted ones.
     pub fn samples_taken(&self) -> u64 {
-        self.taken
+        self.times.len() as u64 + self.times.evicted()
     }
 
     /// Called once per lockstep sync point; takes a sample every
@@ -235,31 +225,25 @@ impl SeriesStore {
             self.adopt(metrics, known);
         }
 
-        let rows = self.times.len();
-        let p = if rows < self.budget {
-            self.times.push(0);
-            self.counter_ring.push_row();
-            self.gauge_ring.push_row();
-            self.hist_ring.push_row();
-            rows
-        } else {
-            let p = self.head;
-            self.evicted_before = self.times[p];
-            self.head = if p + 1 == rows { 0 } else { p + 1 };
-            p
-        };
-        self.times[p] = now.as_micros();
-        self.taken += 1;
+        match self.times.push(now.as_micros()) {
+            Some(evicted) => self.evicted_before = evicted,
+            None => {
+                self.counter_grid.push_row();
+                self.gauge_grid.push_row();
+                self.hist_grid.push_row();
+            }
+        }
+        let p = self.times.slot(self.times.len() - 1);
 
-        let row = self.counter_ring.row_mut(p);
+        let row = self.counter_grid.row_mut(p);
         for (cell, c) in row.iter_mut().zip(&mut self.counters) {
             delta(cell, &mut c.last, c.handle.get());
         }
-        let row = self.gauge_ring.row_mut(p);
+        let row = self.gauge_grid.row_mut(p);
         for (cell, g) in row.iter_mut().zip(&self.gauges) {
             *cell = g.handle.get() as u64;
         }
-        let row = self.hist_ring.row_mut(p);
+        let row = self.hist_grid.row_mut(p);
         for h in &mut self.hists {
             let cells = &mut row[h.at..h.at + h.last.len()];
             delta(&mut cells[0], &mut h.last[0], h.handle.count());
@@ -281,13 +265,13 @@ impl SeriesStore {
     /// instrument when it does not. Each is looked up by name — found, its
     /// column takes the new handle and keeps its history and delta base;
     /// not found, it becomes a new column born at the coming sample — and
-    /// each ring is re-strided once for the columns it gained. A handful
+    /// each grid is re-strided once for the columns it gained. A handful
     /// of calls per run, all early.
     #[cold]
     fn adopt(&mut self, metrics: &Metrics, known: bool) {
         let from = if known { self.seen } else { [0; 3] };
         let rows = self.times.len();
-        let born = self.taken;
+        let born = self.samples_taken();
 
         let (mut k, mut extra) = (0, 0);
         metrics.for_each_counter(|name, handle| {
@@ -309,7 +293,7 @@ impl SeriesStore {
                 }
             }
         });
-        self.counter_ring.widen(rows, extra);
+        self.counter_grid.widen(rows, extra);
 
         let (mut k, mut extra) = (0, 0);
         metrics.for_each_gauge(|name, handle| {
@@ -330,7 +314,7 @@ impl SeriesStore {
                 }
             }
         });
-        self.gauge_ring.widen(rows, extra);
+        self.gauge_grid.widen(rows, extra);
 
         let (mut k, mut extra) = (0, 0);
         metrics.for_each_histogram(|name, handle| {
@@ -349,7 +333,7 @@ impl SeriesStore {
                         name: name.to_string(),
                         handle,
                         bounds,
-                        at: self.hist_ring.width + extra,
+                        at: self.hist_grid.width + extra,
                         last: vec![0; cells],
                         born,
                     });
@@ -357,7 +341,7 @@ impl SeriesStore {
                 }
             }
         });
-        self.hist_ring.widen(rows, extra);
+        self.hist_grid.widen(rows, extra);
 
         self.seen = metrics.instrument_counts();
         if !known {
@@ -367,28 +351,18 @@ impl SeriesStore {
 
     /// Samples retained of a series born at sample `born`.
     fn len_of(&self, born: u64) -> usize {
-        (self.taken - born).min(self.times.len() as u64) as usize
+        (self.samples_taken() - born).min(self.times.len() as u64) as usize
     }
 
-    /// Physical row of the `g`-th oldest retained sample.
-    fn phys(&self, g: usize) -> usize {
-        let p = self.head + g;
-        if p >= self.times.len() {
-            p - self.times.len()
-        } else {
-            p
-        }
-    }
-
-    /// Column `col` of `ring` over the retained samples `span` (counted
+    /// Column `col` of `grid` over the retained samples `span` (counted
     /// from the oldest), oldest first.
     fn cells<'a>(
         &'a self,
-        ring: &'a Ring,
+        grid: &'a Grid,
         col: usize,
         span: Range<usize>,
     ) -> impl Iterator<Item = u64> + 'a {
-        span.map(move |g| ring.row(self.phys(g))[col])
+        span.map(move |g| grid.row(self.times.slot(g))[col])
     }
 
     /// The rows a series `len` samples long renders as, `window` samples
@@ -407,9 +381,9 @@ impl SeriesStore {
             let hi = (lo + window).min(rows);
             let start = match lo {
                 0 => self.evicted_before,
-                _ => self.times[self.phys(lo - 1)],
+                _ => self.times[lo - 1],
             };
-            (start, self.times[self.phys(hi - 1)], lo..hi)
+            (start, self.times[hi - 1], lo..hi)
         })
     }
 
@@ -421,7 +395,7 @@ impl SeriesStore {
     ) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
         self.windows(self.len_of(self.counters[col].born), window)
             .map(move |(start, end, span)| {
-                (start, end, self.cells(&self.counter_ring, col, span).sum())
+                (start, end, self.cells(&self.counter_grid, col, span).sum())
             })
     }
 
@@ -440,7 +414,7 @@ impl SeriesStore {
             let (mut count, mut sum) = (0u64, 0u64);
             buckets.iter_mut().for_each(|b| b.1 = 0);
             for g in span {
-                let cells = &self.hist_ring.row(self.phys(g))[h.at..h.at + h.last.len()];
+                let cells = &self.hist_grid.row(self.times.slot(g))[h.at..h.at + h.last.len()];
                 count += cells[0];
                 sum += cells[1];
                 for (acc, &d) in buckets.iter_mut().zip(&cells[2..]) {
@@ -499,7 +473,7 @@ impl SeriesStore {
             let mut max = i64::MIN;
             let mut sum = 0i128;
             let n = span.len() as i128;
-            for v in self.cells(&self.gauge_ring, col, span) {
+            for v in self.cells(&self.gauge_grid, col, span) {
                 let v = v as i64;
                 min = min.min(v);
                 max = max.max(v);
@@ -531,11 +505,14 @@ impl SeriesStore {
         let rows = self.times.len();
         let mut out = format!(
             "tsdb: {} samples retained ({} taken), interval {} sync points, budget {}\n",
-            rows, self.taken, self.interval, self.budget
+            rows,
+            self.samples_taken(),
+            self.interval,
+            self.budget()
         );
         for (col, s) in self.counters.iter().enumerate() {
             let len = self.len_of(s.born);
-            let total: u64 = self.cells(&self.counter_ring, col, rows - len..rows).sum();
+            let total: u64 = self.cells(&self.counter_grid, col, rows - len..rows).sum();
             let _ = writeln!(
                 out,
                 "tsdb counter {}: {len} samples, windowed total {total}",
@@ -544,8 +521,8 @@ impl SeriesStore {
         }
         for (col, s) in self.gauges.iter().enumerate() {
             let len = self.len_of(s.born);
-            let first = self.gauge_ring.row(self.phys(rows - len))[col] as i64;
-            let last = self.gauge_ring.row(self.phys(rows - 1))[col] as i64;
+            let first = self.gauge_grid.row(self.times.slot(rows - len))[col] as i64;
+            let last = self.gauge_grid.row(self.times.slot(rows - 1))[col] as i64;
             let _ = writeln!(
                 out,
                 "tsdb gauge {}: {len} samples, first {first} last {last}",
@@ -554,7 +531,7 @@ impl SeriesStore {
         }
         for s in &self.hists {
             let len = self.len_of(s.born);
-            let total: u64 = self.cells(&self.hist_ring, s.at, rows - len..rows).sum();
+            let total: u64 = self.cells(&self.hist_grid, s.at, rows - len..rows).sum();
             let _ = writeln!(
                 out,
                 "tsdb histogram {}: {len} samples, windowed count {total}",
@@ -1171,7 +1148,11 @@ mod tests {
                 c0.add(i + 1);
                 sync(&mut pair, &m);
             }
-            assert_eq!(pair.0.head, 2 % budget, "wrapped before the registrations");
+            assert_eq!(
+                pair.0.times.slot(0),
+                2 % budget,
+                "wrapped before the registrations"
+            );
             let (c1, g0) = (m.counter("c1"), m.gauge("g0"));
             let h0 = m.histogram("h0", &[10, 100]);
             for i in 0..budget as u64 + 2 {
@@ -1205,8 +1186,8 @@ mod tests {
             pair.on_sync(at(i * 100), &m);
         }
         assert_eq!(pair.0.samples(), 5);
-        assert!(pair.0.counter_ring.cells.capacity() < 64);
-        assert!(pair.0.hist_ring.cells.capacity() < 64 * 4);
+        assert!(pair.0.counter_grid.cells.capacity() < 64);
+        assert!(pair.0.hist_grid.cells.capacity() < 64 * 4);
         pair.agree(&names).unwrap();
     }
 }
