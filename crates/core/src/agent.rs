@@ -646,12 +646,12 @@ impl Agent {
                 let mut rows = Vec::with_capacity(node.process_count());
                 rows.extend(
                     node.processes()
-                        .map(|(pid, p)| Self::proc_view(pid, p, now)),
+                        .map(|(pid, p)| Self::proc_view(node, pid, p, now)),
                 );
                 AgentReply::Processes(rows)
             }
             AgentRequest::ProcessState { pid } => match node.process(Pid(pid)) {
-                Some(p) => AgentReply::Process(Self::proc_view(Pid(pid), p, node.clock())),
+                Some(p) => AgentReply::Process(Self::proc_view(node, Pid(pid), p, node.clock())),
                 None => AgentReply::Error(format!("no process p{pid}")),
             },
             AgentRequest::ReadStack { pid } => match self.read_stack(node, endpoint, Pid(pid)) {
@@ -717,16 +717,14 @@ impl Agent {
                     {
                         let type_name = type_name.clone();
                         if let Some(printer) = node.program().print_op_for(&type_name) {
-                            let invoke_pid = node.spawn_proc(
-                                printer,
-                                vec![v.clone()],
-                                SpawnOpts {
-                                    name: Some(format!("agent:print_{type_name}").into()),
-                                    no_halt: true,
-                                    redirect_output: true,
-                                    ..Default::default()
-                                },
-                            );
+                            // `print_<type>`'s name: `agent:print_<type>`.
+                            let opts = SpawnOpts {
+                                name: Some(node.intern_prefixed("agent:", printer)),
+                                no_halt: true,
+                                redirect_output: true,
+                                ..Default::default()
+                            };
+                            let invoke_pid = node.spawn_proc(printer, vec![v.clone()], opts);
                             self.pending_invokes.insert(
                                 invoke_pid,
                                 PendingInvoke {
@@ -755,16 +753,13 @@ impl Agent {
                         sig.params.len()
                     )));
                 }
-                let invoke_pid = node.spawn_proc(
-                    proc_id,
-                    values,
-                    SpawnOpts {
-                        name: Some(format!("agent:{proc}").into()),
-                        no_halt: true,
-                        redirect_output: true,
-                        ..Default::default()
-                    },
-                );
+                let opts = SpawnOpts {
+                    name: Some(node.intern_prefixed("agent:", proc_id)),
+                    no_halt: true,
+                    redirect_output: true,
+                    ..Default::default()
+                };
+                let invoke_pid = node.spawn_proc(proc_id, values, opts);
                 self.pending_invokes.insert(
                     invoke_pid,
                     PendingInvoke {
@@ -895,7 +890,7 @@ impl Agent {
     /// One row of a process listing, built straight from the supervisor's
     /// record: the name is shared, not copied, so a row allocates only for
     /// a fault message.
-    fn proc_view(pid: Pid, p: &Process, now: SimTime) -> ProcView {
+    fn proc_view(node: &Node, pid: Pid, p: &Process, now: SimTime) -> ProcView {
         let state = match &p.state {
             RunState::Runnable => StateView::Runnable,
             RunState::Sleeping { until } => StateView::Sleeping {
@@ -920,10 +915,10 @@ impl Agent {
         };
         ProcView {
             pid: pid.0,
-            name: p.name.clone(),
+            name: node.name(p.name).clone(),
             state,
-            halted: p.halted,
-            no_halt: p.no_halt,
+            halted: p.halted(),
+            no_halt: p.no_halt(),
             priority: p.priority,
             frames: p.vm().map_or(0, |vm| vm.frames.len()) as u32,
             addr: p.addr().map(|a| (a.proc.0, a.pc)),

@@ -30,7 +30,7 @@ mod sync;
 
 pub use node::{Node, NodeConfig, Outcall, SpawnOpts, UnknownProc};
 pub use process::{
-    HaltInfo, MutexId, NativeProcess, Pid, ProcBody, Process, ProcessInfo, RunState, SemId,
+    HaltInfo, MutexId, NameId, NativeProcess, Pid, ProcBody, Process, ProcessInfo, RunState, SemId,
 };
 
 #[cfg(test)]
@@ -220,7 +220,7 @@ mod tests {
         let halted = n.halt_all();
         // Only the forked child is halted; main is exempt.
         assert_eq!(halted, 1);
-        assert!(!n.process(main).unwrap().halted);
+        assert!(!n.process(main).unwrap().halted());
     }
 
     #[test]
@@ -246,12 +246,12 @@ mod tests {
         assert!(found, "process must be observable inside the allocator");
         assert_eq!(n.halt_all(), 1);
         let p = n.process(pid).unwrap();
-        assert!(p.halt_pending, "halt must be deferred, not applied");
-        assert!(!p.halted);
+        assert!(p.halt_pending(), "halt must be deferred, not applied");
+        assert!(!p.halted());
         // One more step exits the allocator and the halt lands.
         n.step_one(pid);
         let p = n.process(pid).unwrap();
-        assert!(p.halted, "halt applies on allocator exit");
+        assert!(p.halted(), "halt applies on allocator exit");
         assert!(!p.in_allocator());
     }
 
@@ -659,17 +659,17 @@ mod tests {
             ..Default::default()
         };
         let parent = n.spawn("main", vec![], no_halt).unwrap();
-        assert!(n.process(plain).unwrap().halted);
-        assert!(!n.process(parent).unwrap().halted);
+        assert!(n.process(plain).unwrap().halted());
+        assert!(!n.process(parent).unwrap().halted());
         let span = SpanId::from_wire(77).expect("nonzero");
         n.process_mut(parent).unwrap().span = Some(span);
         n.advance_to(SimTime::from_millis(1));
 
         let child = Pid(3);
         let rec = n.process(child).expect("main forked");
-        assert_eq!(&*rec.name, "worker");
-        assert!(rec.halted, "halted at birth");
-        assert!(!rec.no_halt);
+        assert_eq!(&**n.name(rec.name), "worker");
+        assert!(rec.halted(), "halted at birth");
+        assert!(!rec.no_halt());
         assert_eq!((rec.priority, rec.span), (1, Some(span)));
         let spawned: Vec<_> = tracer
             .events_in(TraceCategory::Sched)
@@ -934,15 +934,15 @@ mod tests {
             assert!(n.step_one(pid));
         }
         assert!(n.halt_one(pid));
-        assert!(n.process(pid).unwrap().halt_pending);
+        assert!(n.process(pid).unwrap().halt_pending());
         // The scheduler's own path, with a whole slice of horizon ahead:
         // the halt (§5.5) still applies after exactly one instruction.
         let steps = n.steps_total();
         n.advance_to(n.clock() + SimDuration::from_secs(1));
         assert_eq!(n.steps_total(), steps + 1);
         let p = n.process(pid).unwrap();
-        assert!(!p.in_allocator() && !p.halt_pending);
-        assert!(p.halted, "halt applied");
+        assert!(!p.in_allocator() && !p.halt_pending());
+        assert!(p.halted(), "halt applied");
         // Where the halt landed, from a second node single-stepped throughout.
         let mut twin = node_with(ALLOC_LOOP, 24);
         let twin_pid = twin.spawn("main", vec![], SpawnOpts::default()).unwrap();

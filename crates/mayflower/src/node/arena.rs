@@ -1,25 +1,26 @@
 //! The process arena: slot-addressed records, the one constructor every
 //! spawn and fork goes through, the one writer of a dead state, wake-ups,
-//! and RPC completion.
+//! RPC completion, and the names the records point into.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use pilgrim_cclu::{Fault, ProcId, Value, VmProcess};
 use pilgrim_sim::{EventKind, SpanId, TraceCategory};
 
 use super::{Node, Outcall, ProcTrack};
-use crate::process::{HaltInfo, NativeProcess, Pid, ProcBody, Process, RunState, SemId};
+use crate::process::{
+    Flag, Flags, HaltInfo, NameArm, NameId, NativeProcess, Pid, ProcBody, Process, RunState, SemId,
+};
 use crate::sync::Semaphore;
 
 /// Options for creating a process.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SpawnOpts {
-    /// Name override (defaults to the entry procedure / native name).
-    /// The process record shares this allocation, so a caller that spawns
-    /// many processes under one name — the RPC runtime's `rpc:<proc>`
-    /// server processes — interns it once and clones the handle, as
-    /// processes spawned without an override share their procedure's name.
-    pub name: Option<Arc<str>>,
+    /// Name override, minted by [`Node::intern_name`] on the node that
+    /// spawns (defaults to the entry procedure's or the native body's
+    /// name).
+    pub name: Option<NameId>,
     /// Set the paper's "must not be halted" supervisor bit (§5.2).
     pub no_halt: bool,
     /// Scheduling priority (informational).
@@ -39,6 +40,43 @@ impl std::fmt::Display for UnknownProc {
     }
 }
 impl std::error::Error for UnknownProc {}
+
+/// The node's table of override names: the names a process runs under
+/// that are not its procedure's own (`rpc:<proc>`, `agent:<proc>`, a
+/// native body's). Append-only and deduplicated, so a slot stays valid
+/// for the node's life and one name costs one entry however many
+/// processes bear it. A procedure's own name is never copied in: its
+/// [`NameId`] reads the program. Empty, and unallocated, until an
+/// override is used.
+#[derive(Default)]
+pub(super) struct Names {
+    table: Vec<Arc<str>>,
+    /// The slots of the names interned by text ([`Node::intern_name`]).
+    by_text: HashMap<Arc<str>, u32>,
+    /// The slots of the names derived from a procedure
+    /// ([`Node::intern_prefixed`]), by procedure and prefix, so a spawn
+    /// under one does no string work. Searched in order: a node serves
+    /// and invokes a handful of procedures. Not in `by_text`, so a node
+    /// that only serves calls never builds the map.
+    derived: Vec<(ProcId, &'static str, u32)>,
+}
+
+impl Names {
+    /// The slot holding `text`, in either index.
+    fn find(&self, text: &str) -> Option<u32> {
+        if let Some(&slot) = self.by_text.get(text) {
+            return Some(slot);
+        }
+        let mut derived = self.derived.iter().map(|e| e.2);
+        derived.find(|&slot| *self.table[slot as usize] == *text)
+    }
+
+    /// Appends `text` to the table, returning its slot.
+    fn push(&mut self, text: &str) -> u32 {
+        self.table.push(Arc::from(text));
+        (self.table.len() - 1) as u32
+    }
+}
 
 impl Node {
     /// The arena slot for `pid`. `Pid(0)` wraps to `usize::MAX`, which no
@@ -74,14 +112,17 @@ impl Node {
     }
 
     /// Spawns a process running procedure `id`.
-    pub fn spawn_proc(&mut self, id: ProcId, args: Vec<Value>, mut opts: SpawnOpts) -> Pid {
-        let name = opts.name.take().unwrap_or_else(|| self.proc_name(id));
+    pub fn spawn_proc(&mut self, id: ProcId, args: Vec<Value>, opts: SpawnOpts) -> Pid {
+        let name = opts.name.unwrap_or(NameId::of_proc(id));
         self.spawn_body(ProcBody::Vm(VmProcess::spawn(id, args)), name, opts)
     }
 
     /// Spawns a native (Rust state machine) process.
-    pub fn spawn_native(&mut self, body: Box<dyn NativeProcess>, mut opts: SpawnOpts) -> Pid {
-        let name = opts.name.take().unwrap_or_else(|| Arc::from(body.name()));
+    pub fn spawn_native(&mut self, body: Box<dyn NativeProcess>, opts: SpawnOpts) -> Pid {
+        let name = match opts.name {
+            Some(name) => name,
+            None => self.intern_name(body.name()),
+        };
         let body = ProcBody::Native {
             body,
             resume: Vec::new(),
@@ -89,17 +130,70 @@ impl Node {
         self.spawn_body(body, name, opts)
     }
 
-    fn spawn_body(&mut self, body: ProcBody, name: Arc<str>, opts: SpawnOpts) -> Pid {
+    fn spawn_body(&mut self, body: ProcBody, name: NameId, opts: SpawnOpts) -> Pid {
         let pid = Pid(self.next_pid);
         self.next_pid += 1;
         self.add_process(pid, name, body, opts, None);
         pid
     }
 
-    /// The interned name of procedure `id` — one shared allocation per
-    /// procedure, reused by every process spawned from it.
-    pub(super) fn proc_name(&self, id: ProcId) -> Arc<str> {
-        self.program.proc(id).debug.name.clone()
+    /// The id of `name` as an override name on this node, for
+    /// [`SpawnOpts::name`]: the slot it already has, or a new one. Ids
+    /// are stable for the node's life.
+    pub fn intern_name(&mut self, name: &str) -> NameId {
+        let slot = match self.names.find(name) {
+            Some(slot) => slot,
+            None => {
+                let slot = self.names.push(name);
+                let text = self.names.table[slot as usize].clone();
+                self.names.by_text.insert(text, slot);
+                slot
+            }
+        };
+        NameId::of_slot(slot)
+    }
+
+    /// [`intern_name`](Node::intern_name) of `prefix` followed by
+    /// procedure `id`'s name, built and looked up once per prefix and
+    /// procedure: the RPC runtime's `rpc:<proc>` server processes and the
+    /// agent's `agent:<proc>` invocations spawn under it with no string
+    /// work. The cache holds because nothing renames a procedure:
+    /// breakpoint patches ([`program_mut`](Node::program_mut)) rewrite
+    /// code only.
+    pub fn intern_prefixed(&mut self, prefix: &'static str, id: ProcId) -> NameId {
+        let names = &mut self.names;
+        let slot = match names.derived.iter().find(|e| e.0 == id && e.1 == prefix) {
+            Some(&(_, _, slot)) => slot,
+            None => {
+                let text = [prefix, &self.program.proc(id).debug.name].concat();
+                let slot = match names.find(&text) {
+                    Some(slot) => slot,
+                    None => names.push(&text),
+                };
+                names.derived.push((id, prefix, slot));
+                slot
+            }
+        };
+        NameId::of_slot(slot)
+    }
+
+    /// The text of `name`: a procedure's debug name in the node's current
+    /// program, or an override slot's. Shared, not copied, so a reader
+    /// that keeps it — a listing row, a trace event — clones a handle.
+    ///
+    /// # Panics
+    ///
+    /// On an id another node minted that names no slot or procedure here.
+    pub fn name(&self, name: NameId) -> &Arc<str> {
+        match name.arm() {
+            NameArm::Proc(id) => &self.program.proc(id).debug.name,
+            NameArm::Slot(slot) => &self.names.table[slot],
+        }
+    }
+
+    /// The override names interned so far, in slot order.
+    pub fn override_names(&self) -> &[Arc<str>] {
+        &self.names.table
     }
 
     /// The one process constructor: every spawn and every fork is born
@@ -109,7 +203,7 @@ impl Node {
     pub(super) fn add_process(
         &mut self,
         pid: Pid,
-        name: Arc<str>,
+        name: NameId,
         body: ProcBody,
         opts: SpawnOpts,
         span: Option<SpanId>,
@@ -128,32 +222,31 @@ impl Node {
         if self.config.profile_vm {
             self.tracks.push(ProcTrack::new(self.clock));
         }
+        let mut flags = Flags::default();
+        flags.set(Flag::Halted, halted);
+        flags.set(Flag::NoHalt, opts.no_halt);
+        flags.set(Flag::PrintRedirect, opts.redirect_output);
+        flags.set(Flag::Queued, true);
         self.procs.push(Process {
-            name: name.clone(),
+            name,
             body,
             state: RunState::Runnable,
-            halted,
-            halt_pending: false,
-            no_halt: opts.no_halt,
             priority: opts.priority,
-            print_redirect: opts.redirect_output,
-            queued: true,
+            flags,
             span,
         });
         self.run_queue.push_back(pid);
         if self.sink.wants(TraceCategory::Sched) {
+            let proc = self.name(name).clone();
             self.sink.emit(
                 self.clock,
                 TraceCategory::Sched,
                 Some(self.id),
                 span,
-                EventKind::ProcessSpawned {
-                    pid: pid.0,
-                    proc: name.clone(),
-                },
+                EventKind::ProcessSpawned { pid: pid.0, proc },
             );
         }
-        self.outcalls.push(Outcall::ProcCreated { pid, name });
+        self.outcalls.push(Outcall::ProcCreated { pid });
     }
 
     /// The one writer of a dead state: `fault` is `None` for a process
@@ -207,7 +300,7 @@ impl Node {
     /// [`SpawnOpts::redirect_output`] (empty until it prints).
     pub fn redirected_output(&self, pid: Pid) -> Option<&str> {
         let p = self.process(pid)?;
-        p.print_redirect
+        p.print_redirect()
             .then(|| self.buffers.get(&pid).map_or("", String::as_str))
     }
 
@@ -286,8 +379,8 @@ impl Node {
         let Some(p) = self.process_mut(pid) else {
             return;
         };
-        if !p.queued {
-            p.queued = true;
+        if !p.queued() {
+            p.flags.set(Flag::Queued, true);
             self.run_queue.push_back(pid);
         }
     }

@@ -15,7 +15,7 @@
 //!
 //! * `arena.rs` — the chunked, slot-addressed process table, the one
 //!   constructor every spawn and fork goes through, the one writer of a
-//!   dead state, wake-ups and RPC completion;
+//!   dead state, wake-ups, RPC completion and the override-name table;
 //! * `supervisor.rs` — the debugger's primitives: halt and resume with
 //!   frozen timeouts (§5.2), the state query and state transfer (§5.4);
 //! * `timers.rs` — the lazy deadline heap and its one eligibility rule;
@@ -44,6 +44,7 @@ mod supervisor;
 mod syscall;
 mod timers;
 
+use arena::Names;
 pub use arena::{SpawnOpts, UnknownProc};
 use profile::ProcTrack;
 
@@ -157,9 +158,6 @@ pub enum Outcall {
     ProcCreated {
         /// New process.
         pid: Pid,
-        /// Its name (shared with the process record and the program's
-        /// debug info).
-        name: Arc<str>,
     },
     /// A process ran to completion (§5.4 deletion hook).
     ProcExited {
@@ -242,6 +240,9 @@ pub struct Node {
     /// only what a post-mortem reads ([`Node::bury`]), and the table grows
     /// in fixed chunks, so it carries no doubling slack ([`Chunked`]).
     procs: Chunked<Process>,
+    /// The override names records point into; a record named for its
+    /// procedure points into `program` instead.
+    names: Names,
     run_queue: VecDeque<Pid>,
     sems: Vec<Semaphore>,
     locks: Vec<MonitorLock>,
@@ -345,6 +346,7 @@ impl Node {
             heap,
             globals,
             procs: Chunked::default(),
+            names: Names::default(),
             run_queue: VecDeque::new(),
             sems,
             locks: Vec::new(),
@@ -461,7 +463,11 @@ impl Node {
     /// Mutable program access — the agent's breakpoint-planting path.
     /// The program is shared across nodes running the same source, so the
     /// first mutation copy-on-writes this node's private copy: planting a
-    /// breakpoint on one node never perturbs the others.
+    /// breakpoint on one node never perturbs the others. A patch rewrites
+    /// code, never a procedure's name: records named for their procedure
+    /// ([`NameId`](crate::NameId)) read the name through this program, and
+    /// [`intern_prefixed`](Node::intern_prefixed) caches names built from
+    /// it.
     pub fn program_mut(&mut self) -> &mut Program {
         Arc::make_mut(&mut self.program)
     }

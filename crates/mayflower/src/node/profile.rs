@@ -192,7 +192,8 @@ impl Node {
                         ledger.add(bucket, d);
                     }
                 }
-                (Self::pid_at(slot), p.name.to_string(), p.span, ledger)
+                let name = self.name(p.name).to_string();
+                (Self::pid_at(slot), name, p.span, ledger)
             })
             .collect()
     }

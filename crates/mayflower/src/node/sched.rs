@@ -8,7 +8,7 @@ use pilgrim_sim::{EventKind, SimDuration, SimTime, TraceCategory};
 
 use super::syscall::SysCtx;
 use super::{Node, Outcall, SpawnOpts};
-use crate::process::{Pid, ProcBody, RunState};
+use crate::process::{Flag, NameId, Pid, ProcBody, RunState};
 
 impl Node {
     /// When this node next needs CPU: now if anything is schedulable, the
@@ -38,7 +38,7 @@ impl Node {
             }
             self.run_queue.pop_front();
             if let Some(p) = self.process_mut(pid) {
-                p.queued = false;
+                p.flags.set(Flag::Queued, false);
             }
             self.slice_used = SimDuration::ZERO;
         }
@@ -220,7 +220,7 @@ impl Node {
             console: &mut self.console,
             sink: &mut self.sink,
             capture: proc
-                .print_redirect
+                .print_redirect()
                 .then(|| self.buffers.entry(pid).or_default()),
             span: proc.span,
             outcalls: &mut self.outcalls,
@@ -231,7 +231,7 @@ impl Node {
             block: None,
         };
 
-        let burst = !was_trace && !proc.halt_pending && !self.config.profile_vm;
+        let burst = !was_trace && !proc.halt_pending() && !self.config.profile_vm;
         let outcome = loop {
             if let (true, ProcBody::Vm(vm)) = (burst, &mut proc.body) {
                 let mut env = ExecEnv {
@@ -398,7 +398,7 @@ impl Node {
 
         // Deferred halt: a halt arrived while the process was inside the
         // allocator; apply it the moment the allocator is exited (§5.5).
-        if proc.halt_pending && !proc.in_allocator() {
+        if proc.halt_pending() && !proc.in_allocator() {
             let freeze = self.config.freeze_timeouts_on_halt;
             let clock = self.clock;
             let info = Self::apply_halt(proc, clock, freeze);
@@ -409,7 +409,7 @@ impl Node {
         // parent (e.g. a server process forking helpers).
         let parent_span = proc.span;
         for (new_pid, proc_id, args) in spawns.drain(..) {
-            let name = self.proc_name(proc_id);
+            let name = NameId::of_proc(proc_id);
             let body = ProcBody::Vm(VmProcess::spawn(proc_id, args));
             let opts = SpawnOpts {
                 priority: 1,

@@ -8,7 +8,7 @@ use std::cmp::Reverse;
 use pilgrim_sim::{EventKind, SimTime, TraceCategory};
 
 use super::Node;
-use crate::process::{HaltInfo, Pid, Process, ProcessInfo, RunState, SemId};
+use crate::process::{Flag, HaltInfo, Pid, Process, ProcessInfo, RunState, SemId};
 
 impl Node {
     /// The paper's halt primitive: places every halt-able process on the
@@ -60,11 +60,11 @@ impl Node {
         let Some(p) = self.procs.get_mut(Self::slot(pid)) else {
             return false;
         };
-        if p.no_halt || p.state.is_dead() || p.halted {
+        if p.no_halt() || p.state.is_dead() || p.halted() {
             return false;
         }
         let info = if p.in_allocator() {
-            p.halt_pending = true;
+            p.flags.set(Flag::HaltPending, true);
             HaltInfo {
                 frozen_remaining: None,
             }
@@ -83,8 +83,8 @@ impl Node {
             Some(d) if freeze_timeouts => Some(d.saturating_since(clock)),
             _ => None,
         };
-        p.halted = true;
-        p.halt_pending = false;
+        p.flags.set(Flag::Halted, true);
+        p.flags.set(Flag::HaltPending, false);
         HaltInfo { frozen_remaining }
     }
 
@@ -97,11 +97,12 @@ impl Node {
         };
         // A pending halt is cancelled and leaves the table too, but only
         // a halted process counts as resumed.
-        p.halt_pending = false;
+        p.flags.set(Flag::HaltPending, false);
         let info = self.halts.remove(&pid);
-        if !std::mem::take(&mut p.halted) {
+        if !p.halted() {
             return false;
         }
+        p.flags.set(Flag::Halted, false);
         let info = info.expect("a halted process is in the halt table");
         if let Some(rem) = info.frozen_remaining {
             if let Some(d) = p.state.deadline_mut() {
@@ -150,10 +151,10 @@ impl Node {
     pub fn process_info(&self, pid: Pid) -> Option<ProcessInfo> {
         self.process(pid).map(|p| ProcessInfo {
             pid,
-            name: p.name.clone(),
+            name: self.name(p.name).clone(),
             state: p.state.clone(),
-            halted: p.halted,
-            no_halt: p.no_halt,
+            halted: p.halted(),
+            no_halt: p.no_halt(),
             priority: p.priority,
             addr: p.addr(),
             frames: p.vm().map(|vm| vm.frames.len()).unwrap_or(0),
@@ -163,7 +164,7 @@ impl Node {
     /// Sets a process's no-halt bit (§5.2).
     pub fn set_no_halt(&mut self, pid: Pid, no_halt: bool) {
         if let Some(p) = self.process_mut(pid) {
-            p.no_halt = no_halt;
+            p.flags.set(Flag::NoHalt, no_halt);
         }
     }
 

@@ -18,7 +18,7 @@ impl Node {
     /// live, so the activity index sees it and it fires on time.
     fn timer_live(&self, t: SimTime, pid: Pid) -> bool {
         self.process(pid).is_some_and(|p| {
-            p.state.deadline() == Some(t) && !(p.halted && self.config.freeze_timeouts_on_halt)
+            p.state.deadline() == Some(t) && !(p.halted() && self.config.freeze_timeouts_on_halt)
         })
     }
 

@@ -8,9 +8,10 @@
 //! (§5.4).
 
 use std::fmt;
+use std::num::NonZeroU32;
 use std::sync::Arc;
 
-use pilgrim_cclu::{CodeAddr, ExecEnv, Fault, StepOutcome, VmProcess};
+use pilgrim_cclu::{CodeAddr, ExecEnv, Fault, ProcId, StepOutcome, VmProcess};
 use pilgrim_sim::{SimDuration, SimTime, SpanId};
 
 /// A process identifier, unique per node for the lifetime of the node.
@@ -20,6 +21,60 @@ pub struct Pid(pub u64);
 impl fmt::Display for Pid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "p{}", self.0)
+    }
+}
+
+/// What a process is called, in four bytes: a procedure of its node's
+/// program, whose name is that procedure's debug name, or a slot of the
+/// node's table of override names ([`Node::intern_name`]). Every process
+/// spawned from one procedure, or under one override, carries the same
+/// id, so a name is stored once per node however many processes bear it.
+/// An id means something only on the node that minted it; read it with
+/// [`Node::name`].
+///
+/// The encoding is offset by one, so zero is never an id and
+/// `Option<NameId>` is four bytes too.
+///
+/// [`Node::intern_name`]: crate::Node::intern_name
+/// [`Node::name`]: crate::Node::name
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NameId(NonZeroU32);
+
+/// The two arms a [`NameId`] encodes.
+pub(crate) enum NameArm {
+    /// Procedure `id`'s own name, read through the node's current program.
+    Proc(ProcId),
+    /// A slot of the node's override table.
+    Slot(usize),
+}
+
+impl NameId {
+    /// Set on an override slot, clear on a procedure.
+    const SLOT: u32 = 1 << 31;
+
+    /// Procedure `id`'s own name.
+    pub(crate) fn of_proc(id: ProcId) -> NameId {
+        NameId::encode(u32::from(id.0))
+    }
+
+    /// Slot `slot` of the node's override table; `slot` is below 2³¹,
+    /// which a table of 16-byte handles cannot reach.
+    pub(crate) fn of_slot(slot: u32) -> NameId {
+        NameId::encode(Self::SLOT | slot)
+    }
+
+    fn encode(v: u32) -> NameId {
+        NameId(NonZeroU32::MIN.saturating_add(v))
+    }
+
+    /// Which arm this id is, decoded.
+    pub(crate) fn arm(self) -> NameArm {
+        let v = self.0.get() - 1;
+        if v & Self::SLOT == 0 {
+            NameArm::Proc(ProcId(v as u16))
+        } else {
+            NameArm::Slot((v & !Self::SLOT) as usize)
+        }
     }
 }
 
@@ -152,6 +207,48 @@ pub trait NativeProcess: Send {
     }
 }
 
+/// One bit of a process record's [`Flags`].
+#[derive(Debug, Clone, Copy)]
+#[repr(u8)]
+pub(crate) enum Flag {
+    /// Halted by the debugger. Its frozen timeout, a [`HaltInfo`], is in
+    /// the node's table of halted processes.
+    Halted = 1,
+    /// A halt was requested while the process was inside the
+    /// heap-allocator critical region; it is applied as soon as the
+    /// process leaves the allocator (§5.5).
+    HaltPending = 2,
+    /// The paper's supervisor bit: "specifying whether or not the process
+    /// it describes should be halted" upon debugging (§5.2). Agent and
+    /// runtime-support processes set this.
+    NoHalt = 4,
+    /// Console output goes to a per-process buffer (agent-invoked print
+    /// operations, §3).
+    PrintRedirect = 8,
+    /// The pid sits in the node's run queue. The scheduler keeps this in
+    /// sync so re-queueing a woken process is O(1) instead of a linear
+    /// membership scan of the queue.
+    Queued = 16,
+}
+
+/// A process record's one-bit states, packed into one byte.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Flags(u8);
+
+impl Flags {
+    pub(crate) fn has(self, flag: Flag) -> bool {
+        self.0 & flag as u8 != 0
+    }
+
+    pub(crate) fn set(&mut self, flag: Flag, on: bool) {
+        if on {
+            self.0 |= flag as u8;
+        } else {
+            self.0 &= !(flag as u8);
+        }
+    }
+}
+
 /// The body of a process.
 pub enum ProcBody {
     /// A Concurrent CLU VM process.
@@ -182,34 +279,18 @@ impl fmt::Debug for ProcBody {
 /// record by pid, or walks the table, has the pid beside it.
 #[derive(Debug)]
 pub struct Process {
-    /// Human-readable name (entry procedure or native name). Interned:
-    /// every process spawned from the same `proc` shares one allocation
-    /// with the program's debug info.
-    pub name: Arc<str>,
+    /// Human-readable name (entry procedure, override or native name), as
+    /// an index the node resolves ([`Node::name`](crate::Node::name)).
+    pub name: NameId,
     /// The executable body.
     pub body: ProcBody,
     /// Scheduler state.
     pub state: RunState,
-    /// True while halted by the debugger. Its frozen timeout, a
-    /// [`HaltInfo`], is in the node's table of halted processes.
-    pub halted: bool,
-    /// When set, a halt was requested while the process was inside the
-    /// heap-allocator critical region; it is applied as soon as the
-    /// process leaves the allocator (§5.5).
-    pub halt_pending: bool,
-    /// The paper's supervisor bit: "specifying whether or not the process
-    /// it describes should be halted" upon debugging (§5.2). Agent and
-    /// runtime-support processes set this.
-    pub no_halt: bool,
     /// Scheduling priority (informational; exposed via the §5.4 primitive).
     pub priority: u8,
-    /// Redirect console output into a per-process buffer (agent-invoked
-    /// print operations, §3).
-    pub print_redirect: bool,
-    /// True while the pid sits in the node's run queue. The scheduler keeps
-    /// this in sync so re-queueing a woken process is O(1) instead of a
-    /// linear membership scan of the queue.
-    pub queued: bool,
+    /// The halt overlay, the no-halt bit, output redirection and run-queue
+    /// membership, one bit each; read through the accessors below.
+    pub(crate) flags: Flags,
     /// Causal span this process executes under: set on server processes
     /// spawned to run an RPC call, so nested calls they issue link back
     /// to the originating call's span.
@@ -219,13 +300,41 @@ pub struct Process {
 impl Process {
     /// True when the scheduler may run this process right now.
     pub fn schedulable(&self) -> bool {
-        self.state.is_runnable() && !self.halted
+        self.state.is_runnable() && !self.halted()
     }
 
     /// True while the debugger holds the process: halted, or with a halt
     /// pending on its way out of the allocator (§5.5).
     pub fn is_halted(&self) -> bool {
-        self.halted || self.halt_pending
+        self.halted() || self.halt_pending()
+    }
+
+    /// True while halted by the debugger. Its frozen timeout, a
+    /// [`HaltInfo`], is in the node's table of halted processes.
+    pub fn halted(&self) -> bool {
+        self.flags.has(Flag::Halted)
+    }
+
+    /// True while a halt waits for the process to leave the allocator
+    /// (§5.5).
+    pub fn halt_pending(&self) -> bool {
+        self.flags.has(Flag::HaltPending)
+    }
+
+    /// The paper's "must not be halted" supervisor bit (§5.2).
+    pub fn no_halt(&self) -> bool {
+        self.flags.has(Flag::NoHalt)
+    }
+
+    /// True when the process's console output goes to its own buffer
+    /// (§3).
+    pub fn print_redirect(&self) -> bool {
+        self.flags.has(Flag::PrintRedirect)
+    }
+
+    /// True while the pid sits in the node's run queue.
+    pub fn queued(&self) -> bool {
+        self.flags.has(Flag::Queued)
     }
 
     /// The VM body, if this is a VM process.
@@ -301,11 +410,12 @@ mod tests {
 
     /// Every process a node ever made keeps its record, and `sparse-250k`
     /// parks a quarter of a million at once, so the record is priced
-    /// field by field: body (56) + state (16) + name (16) + span (8) +
-    /// six one-byte flags padded to 8 = 104 bytes. No pid: the record's
-    /// slot is its pid. No frozen timeout: the node's halt table keeps it.
+    /// field by field: body (56) + state (16) + span (8) + name (4) +
+    /// priority (1) + five flags in one byte = 86, padded to 88 bytes. No
+    /// pid: the record's slot is its pid. No frozen timeout: the node's
+    /// halt table keeps it. No name string: the node resolves the id.
     #[test]
-    fn a_process_record_fits_in_104_bytes() {
+    fn a_process_record_fits_in_88_bytes() {
         use std::mem::size_of;
         // Two `Vec` headers and two flags, or a boxed native body and its
         // resume buffer.
@@ -315,27 +425,64 @@ mod tests {
         assert!(size_of::<RunState>() <= 16, "state");
         // `SpanId`'s zero niche: no tag word.
         assert_eq!(size_of::<Option<SpanId>>(), 8, "span");
-        assert!(size_of::<Process>() <= 104, "record");
+        assert_eq!(size_of::<Process>(), 88, "record");
+    }
+
+    /// A name is four bytes, and its offset encoding leaves zero free, so
+    /// `SpawnOpts::name` pays no tag word for being optional.
+    #[test]
+    fn a_name_id_is_four_bytes_optional_or_not() {
+        use std::mem::size_of;
+        assert_eq!(size_of::<NameId>(), 4);
+        assert_eq!(size_of::<Option<NameId>>(), 4);
+        assert_eq!(size_of::<Flags>(), 1);
+    }
+
+    /// The two arms round-trip at their ends, and never collide.
+    #[test]
+    fn a_name_id_round_trips_both_arms() {
+        for id in [0, 1, u16::MAX] {
+            match NameId::of_proc(ProcId(id)).arm() {
+                NameArm::Proc(p) => assert_eq!(p, ProcId(id)),
+                NameArm::Slot(_) => panic!("procedure {id} read as a slot"),
+            }
+        }
+        for slot in [0, 1, 65_536, (1 << 31) - 2] {
+            match NameId::of_slot(slot).arm() {
+                NameArm::Slot(s) => assert_eq!(s, slot as usize),
+                NameArm::Proc(_) => panic!("slot {slot} read as a procedure"),
+            }
+        }
+        assert_ne!(NameId::of_proc(ProcId(0)), NameId::of_slot(0));
+    }
+
+    #[test]
+    fn flags_set_and_clear_one_bit_each() {
+        let mut f = Flags::default();
+        f.set(Flag::Halted, true);
+        f.set(Flag::Queued, true);
+        assert!(f.has(Flag::Halted) && f.has(Flag::Queued));
+        assert!(!f.has(Flag::NoHalt) && !f.has(Flag::HaltPending));
+        f.set(Flag::Halted, false);
+        assert!(!f.has(Flag::Halted) && f.has(Flag::Queued));
+        f.set(Flag::Queued, false);
+        assert_eq!(f, Flags::default());
     }
 
     #[test]
     fn schedulable_requires_runnable_and_unhalted() {
         let mut p = Process {
-            name: "t".into(),
+            name: NameId::of_proc(ProcId(0)),
             body: ProcBody::Vm(VmProcess::default()),
             state: RunState::Runnable,
-            halted: false,
-            halt_pending: false,
-            no_halt: false,
             priority: 1,
-            print_redirect: false,
-            queued: false,
+            flags: Flags::default(),
             span: None,
         };
         assert!(p.schedulable());
-        p.halted = true;
+        p.flags.set(Flag::Halted, true);
         assert!(!p.schedulable());
-        p.halted = false;
+        p.flags.set(Flag::Halted, false);
         p.state = RunState::Sleeping {
             until: SimTime::ZERO,
         };

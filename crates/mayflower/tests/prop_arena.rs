@@ -13,7 +13,6 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use pilgrim_cclu::{compile, Program, Value};
 use pilgrim_mayflower::{Node, NodeConfig, Pid, Process, SpawnOpts};
@@ -94,7 +93,7 @@ fn apply(node: &mut Node, op: i64, k: i64) -> Option<Pid> {
             let first = Pid(node.process_count() as u64 + 1);
             for i in 0..BULK as u64 {
                 let opts = SpawnOpts {
-                    name: Some(Arc::from(format!("bulk{}", first.0 + i))),
+                    name: Some(node.intern_name(&format!("bulk{}", first.0 + i))),
                     ..SpawnOpts::default()
                 };
                 node.spawn("worker", vec![Value::Int(k % 4 + 1)], opts)

@@ -259,9 +259,6 @@ pub struct RpcEndpoint {
     /// Append-only, so a slot index stays valid while a dispatch is
     /// pending; a node registers a handful.
     handlers: Vec<Handler>,
-    /// `rpc:<proc>` per procedure of the node's program, so every server
-    /// process of a procedure shares one name allocation.
-    server_names: Vec<Option<Arc<str>>>,
     timers: EventQueue<Timer>,
     monitor: PacketMonitor,
     stats: RpcStats,
@@ -291,7 +288,6 @@ impl RpcEndpoint {
             seen: SeenCalls::default(),
             server_recent: Ring::new(RECENT_SLOTS),
             handlers: Vec::new(),
-            server_names: Vec::new(),
             timers: EventQueue::new(),
             monitor: PacketMonitor::new(),
             stats: RpcStats::default(),
@@ -924,14 +920,11 @@ impl RpcEndpoint {
         // spawn a server process to execute the call (the paper's "server
         // process handling the call").
         let values: Vec<Value> = args.iter().map(|w| unmarshal(node.heap_mut(), w)).collect();
-        let pid = node.spawn_proc(
-            proc_id,
-            values,
-            SpawnOpts {
-                name: Some(self.server_name(proc_id, &proc)),
-                ..Default::default()
-            },
-        );
+        let opts = SpawnOpts {
+            name: Some(node.intern_prefixed("rpc:", proc_id)),
+            ..Default::default()
+        };
+        let pid = node.spawn_proc(proc_id, values, opts);
         // The server process inherits the call's span: its prints, faults,
         // and any onward calls it issues stay linked to the same causal
         // timeline (onward calls record it as their parent span).
@@ -970,24 +963,6 @@ impl RpcEndpoint {
                 span,
             },
         );
-    }
-
-    /// The interned `rpc:<proc>` name server processes of `id` run under.
-    /// The cached name is checked against `proc`, so a node whose program
-    /// was swapped under the endpoint cannot be handed a stale one.
-    fn server_name(&mut self, id: ProcId, proc: &str) -> Arc<str> {
-        let i = usize::from(id.0);
-        if self.server_names.len() <= i {
-            self.server_names.resize(i + 1, None);
-        }
-        match &self.server_names[i] {
-            Some(name) if name[4..] == *proc => name.clone(),
-            _ => {
-                let name: Arc<str> = format!("rpc:{proc}").into();
-                self.server_names[i] = Some(name.clone());
-                name
-            }
-        }
     }
 
     /// Is the calling process of `call_id` currently halted (or

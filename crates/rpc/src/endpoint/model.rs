@@ -491,14 +491,11 @@ impl ModelEndpoint {
             return;
         };
         let values: Vec<Value> = args.iter().map(|w| unmarshal(node.heap_mut(), w)).collect();
-        let pid = node.spawn_proc(
-            proc_id,
-            values,
-            SpawnOpts {
-                name: Some(format!("rpc:{proc}").into()),
-                ..Default::default()
-            },
-        );
+        let opts = SpawnOpts {
+            name: Some(node.intern_name(&format!("rpc:{proc}"))),
+            ..Default::default()
+        };
+        let pid = node.spawn_proc(proc_id, values, opts);
         if let Some(p) = node.process_mut(pid) {
             p.span = span;
         }

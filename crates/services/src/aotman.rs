@@ -158,7 +158,7 @@ impl AotMan {
                 };
                 let name = format!("aot:watch#{tuid}");
                 let (life, tol) = (cfg.lifetime, cfg.clock_tolerance);
-                Watcher::spawn(ctx, hooks, name, sem, life, tol, cfg.strategy);
+                Watcher::spawn(ctx, hooks, &name, sem, life, tol, cfg.strategy);
                 Ok(vec![
                     Value::Int(tuid as i64),
                     Value::Int(life.as_millis() as i64),

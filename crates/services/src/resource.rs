@@ -243,7 +243,7 @@ impl ResourceManager {
                 };
                 let name = format!("rm:watch#{resource}");
                 let (lease, tol) = (cfg.lease, cfg.clock_tolerance);
-                Watcher::spawn(ctx, hooks, name, sem, lease, tol, cfg.strategy);
+                Watcher::spawn(ctx, hooks, &name, sem, lease, tol, cfg.strategy);
                 Ok(vec![Value::Int(i64::from(resource))])
             }),
         );

@@ -127,7 +127,6 @@ pub trait GrantHooks: Send + 'static {
 /// process.
 pub struct Watcher<H: GrantHooks> {
     hooks: H,
-    name: String,
     sem: SemId,
     client_node: i64,
     timeout_ms: i64,
@@ -165,13 +164,14 @@ impl<H: GrantHooks> Watcher<H> {
     /// Spawns a watcher guarding one grant to `ctx.caller`, as a process
     /// on the serving node that debug halts pass over.
     ///
-    /// `sem` must be signalled by the service's refresh handler;
-    /// `timeout` is the grant lifetime; `tolerance` is the paper's
-    /// `clock_tolerance`.
+    /// `name` is what the debugger lists it as, kept once in the node's
+    /// name table; `sem` must be signalled by the service's refresh
+    /// handler; `timeout` is the grant lifetime; `tolerance` is the
+    /// paper's `clock_tolerance`.
     pub fn spawn(
         ctx: &mut HandlerCtx<'_>,
         hooks: H,
-        name: String,
+        name: &str,
         sem: SemId,
         timeout: SimDuration,
         tolerance: SimDuration,
@@ -180,7 +180,6 @@ impl<H: GrantHooks> Watcher<H> {
         let timeout_ms = timeout.as_millis() as i64;
         let watcher = Watcher {
             hooks,
-            name,
             sem,
             client_node: i64::from(ctx.caller.0),
             timeout_ms,
@@ -192,6 +191,7 @@ impl<H: GrantHooks> Watcher<H> {
             next_wait_ms: timeout_ms,
         };
         let opts = SpawnOpts {
+            name: Some(ctx.node.intern_name(name)),
             no_halt: true,
             ..Default::default()
         };
@@ -387,10 +387,6 @@ impl<H: GrantHooks> NativeProcess for Watcher<H> {
             }
         }
         StepOutcome::Blocked { cost }
-    }
-
-    fn name(&self) -> &str {
-        &self.name
     }
 }
 
