@@ -69,8 +69,8 @@ pub use value::{
 };
 pub use verify::{verify, VerifyError};
 pub use vm::{
-    run, step, Burst, CellWord, ExecEnv, Fault, FaultKind, Frame, FrameKind, RpcCallState,
-    RpcInfoBlock, RpcRequest, StepOutcome, SyncCell, SysReply, Syscalls, VmProcess, MAX_FRAMES,
+    run, step, Burst, ExecEnv, Fault, FaultKind, Frame, FrameKind, RpcCallState, RpcInfoBlock,
+    RpcRequest, StepOutcome, SysReply, Syscalls, VmProcess, MAX_FRAMES,
 };
 
 /// A compile-time error (lexical, syntactic, or type error) with the source

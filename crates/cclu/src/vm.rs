@@ -21,9 +21,9 @@
 //! * RPC stub frames carry an information block in a known position
 //!   (§4.3, Figure 1), placed there by the RPC runtime.
 
+use std::cell::Cell;
 use std::fmt;
-use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::ast::RpcProtocol;
@@ -102,83 +102,6 @@ impl fmt::Display for RpcCallState {
     }
 }
 
-/// A `Copy` value that packs into one `u64`, so a [`SyncCell`] can keep it
-/// in an atomic word.
-pub trait CellWord: Copy {
-    /// The value's word.
-    fn to_word(self) -> u64;
-    /// The value [`to_word`](Self::to_word) packed into `word`.
-    fn from_word(word: u64) -> Self;
-}
-
-impl CellWord for u32 {
-    fn to_word(self) -> u64 {
-        u64::from(self)
-    }
-
-    fn from_word(word: u64) -> u32 {
-        word as u32
-    }
-}
-
-/// The variant's tag in the high half, `Retransmitting`'s count in the low.
-impl CellWord for RpcCallState {
-    fn to_word(self) -> u64 {
-        let (tag, count) = match self {
-            RpcCallState::Marshalling => (0, 0),
-            RpcCallState::CallSent => (1, 0),
-            RpcCallState::Retransmitting(n) => (2, n),
-            RpcCallState::ServerExecuting => (3, 0),
-            RpcCallState::ReplyReceived => (4, 0),
-            RpcCallState::Succeeded => (5, 0),
-            RpcCallState::Failed => (6, 0),
-        };
-        (tag << 32) | u64::from(count)
-    }
-
-    fn from_word(word: u64) -> RpcCallState {
-        match word >> 32 {
-            0 => RpcCallState::Marshalling,
-            1 => RpcCallState::CallSent,
-            2 => RpcCallState::Retransmitting(word as u32),
-            3 => RpcCallState::ServerExecuting,
-            4 => RpcCallState::ReplyReceived,
-            5 => RpcCallState::Succeeded,
-            _ => RpcCallState::Failed,
-        }
-    }
-}
-
-/// A [`Cell`](std::cell::Cell)-shaped wrapper that is also [`Sync`], so
-/// structures shared through [`Arc`] (like [`RpcInfoBlock`]) stay sendable
-/// across the parallel-stepping worker threads. The value is one relaxed
-/// atomic word: updates happen only in the serial phase of the pump loop,
-/// and the pool's hand-off orders them before any worker reads.
-pub struct SyncCell<T>(AtomicU64, PhantomData<T>);
-
-impl<T: CellWord> SyncCell<T> {
-    /// Wraps `value`.
-    pub fn new(value: T) -> SyncCell<T> {
-        SyncCell(AtomicU64::new(value.to_word()), PhantomData)
-    }
-
-    /// Returns a copy of the contained value.
-    pub fn get(&self) -> T {
-        T::from_word(self.0.load(Ordering::Relaxed))
-    }
-
-    /// Replaces the contained value.
-    pub fn set(&self, value: T) {
-        self.0.store(value.to_word(), Ordering::Relaxed);
-    }
-}
-
-impl<T: CellWord + fmt::Debug> fmt::Debug for SyncCell<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_tuple("SyncCell").field(&self.get()).finish()
-    }
-}
-
 /// The "information block" the paper's modified RPC runtime stores at a
 /// known position in the client's top stack frame and the server's bottom
 /// stack frame (§4.3, Figure 1).
@@ -194,16 +117,10 @@ pub struct RpcInfoBlock {
     pub protocol: RpcProtocol,
     /// Current protocol state (shared with the RPC runtime, which updates
     /// it as the call progresses).
-    pub state: SyncCell<RpcCallState>,
+    pub state: Cell<RpcCallState>,
     /// Number of retransmissions so far.
-    pub retries: SyncCell<u32>,
+    pub retries: Cell<u32>,
 }
-
-// The worker pool moves nodes, and with them their stacks' blocks.
-const _: () = {
-    const fn send_and_sync<T: Send + Sync>() {}
-    send_and_sync::<RpcInfoBlock>()
-};
 
 /// What role a frame plays, for backtraces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -240,7 +157,7 @@ pub struct Frame {
     pub kind: FrameKind,
     /// The RPC information block, present on `RpcStub` and `ServerRoot`
     /// frames. Held in a "known position" exactly as the paper requires.
-    pub rpc_info: Option<Arc<RpcInfoBlock>>,
+    pub rpc_info: Option<Rc<RpcInfoBlock>>,
 }
 
 impl Frame {
@@ -463,7 +380,7 @@ impl VmProcess {
     /// running frame, with the information block in its known position.
     /// It has no locals and runs nothing; the runtime pops it with
     /// [`pop_stub`](VmProcess::pop_stub) before resuming the caller.
-    pub fn push_stub(&mut self, info: Arc<RpcInfoBlock>) {
+    pub fn push_stub(&mut self, info: Rc<RpcInfoBlock>) {
         let proc = self.top().map_or(ProcId(0), |f| f.proc);
         let mut stub = Frame::activation(proc, self.exit_values.len(), 0);
         stub.kind = FrameKind::RpcStub;
@@ -1468,40 +1385,11 @@ mod tests {
 
     /// A parked process keeps its frames, so a frame is priced: `proc`
     /// (2), `pc`, `base` and `nlocals` (4 each), `well_formed` and `kind`
-    /// (1 each) and `rpc_info` (8, through `Arc`'s null niche). It owns no
+    /// (1 each) and `rpc_info` (8, through `Rc`'s null niche). It owns no
     /// heap memory.
     #[test]
     fn a_frame_fits_in_24_bytes() {
         assert!(std::mem::size_of::<Frame>() <= 24);
-    }
-
-    /// Every call state, the retry count's extremes included, comes back
-    /// out of its word and out of a cell unchanged.
-    #[test]
-    fn a_call_state_round_trips_through_its_word() {
-        let states = [
-            RpcCallState::Marshalling,
-            RpcCallState::CallSent,
-            RpcCallState::Retransmitting(0),
-            RpcCallState::Retransmitting(1),
-            RpcCallState::Retransmitting(u32::MAX),
-            RpcCallState::ServerExecuting,
-            RpcCallState::ReplyReceived,
-            RpcCallState::Succeeded,
-            RpcCallState::Failed,
-        ];
-        let cell = SyncCell::new(RpcCallState::Marshalling);
-        for (i, &s) in states.iter().enumerate() {
-            assert_eq!(RpcCallState::from_word(s.to_word()), s);
-            let earlier = &states[..i];
-            assert!(earlier.iter().all(|o| o.to_word() != s.to_word()), "{s:?}");
-            cell.set(s);
-            assert_eq!(cell.get(), s);
-        }
-        let retries = SyncCell::new(u32::MAX);
-        assert_eq!(retries.get(), u32::MAX);
-        retries.set(0);
-        assert_eq!(retries.get(), 0);
     }
 
     #[test]

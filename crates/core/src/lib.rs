@@ -63,7 +63,6 @@ mod agent;
 pub mod blackbox;
 mod cli;
 mod debugger;
-mod pool;
 pub mod proto;
 pub mod replay;
 pub mod saved;
@@ -84,7 +83,7 @@ pub use replay::{
 };
 pub use saved::{open, Saved};
 pub use timebase::{BreakpointLog, HaltRecord};
-pub use twin::{capture, twin_run, twin_threads, TwinArtifacts, TWIN_THREADS};
+pub use twin::{capture, twin_run, TwinArtifacts};
 pub use world::{
     render_wire, BacktraceFrame, BuildError, DebugError, MaybeDiagnosis, Setup, WatchTrip, Wire,
     World, WorldBuilder,

@@ -103,16 +103,11 @@ pub struct ReplayReport {
 /// [`ReplayError::Stimulus`] when a journal entry cannot be applied
 /// (e.g. a spawn argument that was recorded as opaque).
 pub fn replay(artifact: &Artifact) -> Result<ReplayReport, ReplayError> {
-    replay_with(artifact, 1, None)
+    replay_with(artifact, None)
 }
 
-/// [`replay`] with the two things a caller may add: `threads` worker
-/// threads stepping the rebuilt world, and an `installer` re-performing
-/// the recipe's Rust-side [`Recipe::setup`] steps (see [`rerun`]).
-///
-/// Thread count is an execution knob, not part of the recorded recipe, so
-/// a run recorded serially must replay byte-identically in parallel and
-/// vice versa — this entry point is how the parallel gate proves it.
+/// [`replay`] with an `installer` re-performing the recipe's Rust-side
+/// [`Recipe::setup`] steps (see [`rerun`]).
 ///
 /// # Errors
 ///
@@ -120,10 +115,9 @@ pub fn replay(artifact: &Artifact) -> Result<ReplayReport, ReplayError> {
 /// installer rejects a setup entry.
 pub fn replay_with(
     artifact: &Artifact,
-    threads: usize,
     installer: Option<&mut SetupInstaller<'_>>,
 ) -> Result<ReplayReport, ReplayError> {
-    verify(artifact, rerun(artifact, threads, installer)?)
+    verify(artifact, rerun(artifact, installer)?)
 }
 
 /// The kind of callback [`rerun`] uses to re-perform a recipe's
@@ -135,8 +129,8 @@ pub type SetupInstaller<'a> = dyn FnMut(&mut World, &str, &Json) -> Result<(), S
 pub const UNRECORDED: &str = "unrecorded";
 
 /// Rebuilds the world `artifact` names and drives it through the recorded
-/// journal: build from the recipe, step on `threads` workers, re-perform
-/// the recipe's Rust-side [`Recipe::setup`] steps, apply every stimulus.
+/// journal: build from the recipe, re-perform the recipe's Rust-side
+/// [`Recipe::setup`] steps, apply every stimulus.
 /// The one way a recording is re-run — replay verifies the world this
 /// returns, `pilgrim prof` reads its profile.
 ///
@@ -161,7 +155,6 @@ pub const UNRECORDED: &str = "unrecorded";
 /// spawn argument).
 pub fn rerun(
     artifact: &Artifact,
-    threads: usize,
     installer: Option<&mut SetupInstaller<'_>>,
 ) -> Result<World, ReplayError> {
     let setup = &artifact.recipe.setup;
@@ -187,7 +180,6 @@ pub fn rerun(
     let mut world = WorldBuilder::from(bare)
         .build()
         .map_err(ReplayError::Build)?;
-    world.set_step_threads(threads);
     if let Some(install) = installer {
         for (kind, params) in setup {
             install(&mut world, kind, params)

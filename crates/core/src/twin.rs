@@ -1,57 +1,25 @@
 //! Twin-run determinism harness.
 //!
-//! Parallel stepping is only admissible because it is *invisible*: a world
-//! stepped on N worker threads must produce byte-identical observables to
-//! the same world stepped serially. This module turns that obligation into
-//! a reusable test instrument — [`twin_run`] executes one scenario at 1,
-//! 2, 4, and 8 stepping threads and demands equality of every artifact the
+//! A world is a pure function of its recipe and what drives it: the same
+//! scenario run twice must produce byte-identical observables. This module
+//! turns that obligation into a reusable test instrument — [`twin_run`]
+//! executes one scenario twice and demands equality of every artifact the
 //! debugger, profiler, and replay subsystems derive from a run: the JSONL
 //! trace, folded flame stacks, the metrics inventory, the rendered
 //! record/replay artifact, and metric watchpoint trips (including the sync
 //! index they are pinned to).
 //!
-//! On a mismatch the harness reports the thread count, the artifact that
-//! differed, and — for traces — the first diverging event, using the same
-//! structural diff the replay gate uses.
+//! On a mismatch the harness reports the artifact that differed and — for
+//! traces — the first diverging event, using the same structural diff the
+//! replay gate uses.
 
 use pilgrim_sim::{first_divergence, TraceEvent};
 
 use crate::world::{WatchTrip, World};
 
-/// The default parallel thread counts [`twin_run`] checks against the
-/// serial run.
-pub const TWIN_THREADS: &[usize] = &[2, 4, 8];
-
-/// The parallel thread counts actually under test: the
-/// `PILGRIM_TWIN_THREADS` environment variable (a comma-separated list,
-/// e.g. `4` or `2,8`) overrides the [`TWIN_THREADS`] ladder — CI's
-/// parallel-gate matrix uses it to pin each job to a single count. Counts
-/// below 2 are rejected: the serial run is always the reference, never a
-/// member of the ladder.
-pub fn twin_threads() -> Vec<usize> {
-    let Ok(raw) = std::env::var("PILGRIM_TWIN_THREADS") else {
-        return TWIN_THREADS.to_vec();
-    };
-    let parsed: Vec<usize> = raw
-        .split(',')
-        .map(|t| {
-            let n = t
-                .trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("PILGRIM_TWIN_THREADS: bad thread count {t:?}"));
-            assert!(n >= 2, "PILGRIM_TWIN_THREADS: counts must be >= 2, got {n}");
-            n
-        })
-        .collect();
-    assert!(!parsed.is_empty(), "PILGRIM_TWIN_THREADS is set but empty");
-    parsed
-}
-
 /// Every observable artifact of one finished run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TwinArtifacts {
-    /// Thread count the run used.
-    pub step_threads: usize,
     /// The full trace as JSON Lines ([`World::trace_jsonl`]).
     pub trace: String,
     /// Folded flame stacks ([`World::folded_stacks`]).
@@ -69,7 +37,6 @@ pub struct TwinArtifacts {
 /// Captures every comparable artifact from a finished world.
 pub fn capture(world: &World) -> TwinArtifacts {
     TwinArtifacts {
-        step_threads: world.step_threads(),
         trace: world.trace_jsonl(),
         folded_stacks: world.folded_stacks(),
         metrics: world.observability_report(),
@@ -78,78 +45,47 @@ pub fn capture(world: &World) -> TwinArtifacts {
     }
 }
 
-/// Runs `scenario` serially and at each of [`twin_threads`], asserting the
-/// artifacts are byte-identical, and returns the serial run's artifacts
-/// for further assertions.
-///
-/// The closure receives the thread count and must build its world with
-/// [`WorldBuilder::step_threads`] (or call [`World::set_step_threads`]
-/// before driving) — the harness verifies the count actually took, so a
-/// scenario that drops the parameter fails loudly instead of comparing
-/// four serial runs.
-///
-/// [`WorldBuilder::step_threads`]: crate::WorldBuilder::step_threads
+/// Runs `scenario` twice, asserting the two runs' artifacts are
+/// byte-identical, and returns the first run's artifacts for further
+/// assertions.
 ///
 /// # Panics
 ///
 /// Panics with a labelled report on the first artifact mismatch.
-pub fn twin_run(name: &str, scenario: impl Fn(usize) -> World) -> TwinArtifacts {
-    let serial_world = scenario(1);
-    assert_eq!(
-        serial_world.step_threads(),
-        1,
-        "twin_run({name}): the serial run must not build a pool"
-    );
-    let serial = capture(&serial_world);
-    drop(serial_world);
-    for threads in twin_threads() {
-        let world = scenario(threads);
-        assert_eq!(
-            world.step_threads(),
-            threads,
-            "twin_run({name}): scenario ignored the thread-count parameter"
-        );
-        let parallel = capture(&world);
-        compare(name, &serial, &parallel);
-    }
-    serial
+pub fn twin_run(name: &str, scenario: impl Fn() -> World) -> TwinArtifacts {
+    let first = capture(&scenario());
+    let second = capture(&scenario());
+    compare(name, &first, &second);
+    first
 }
 
-/// Asserts `parallel` matches `serial` artifact-by-artifact, diffing the
+/// Asserts `second` matches `first` artifact-by-artifact, diffing the
 /// trace structurally when it is the artifact that diverged.
-fn compare(name: &str, serial: &TwinArtifacts, parallel: &TwinArtifacts) {
-    let threads = parallel.step_threads;
-    if serial.trace != parallel.trace {
-        let expected = parse(&serial.trace);
-        let actual = parse(&parallel.trace);
+fn compare(name: &str, first: &TwinArtifacts, second: &TwinArtifacts) {
+    if first.trace != second.trace {
+        let expected = parse(&first.trace);
+        let actual = parse(&second.trace);
         match first_divergence(&expected, &actual) {
             Some(d) => panic!(
-                "twin_run({name}): trace diverged at {threads} threads\n{}",
+                "twin_run({name}): trace diverged between runs\n{}",
                 d.report()
             ),
             None => panic!(
-                "twin_run({name}): trace bytes differ at {threads} threads \
+                "twin_run({name}): trace bytes differ between runs \
                  but events are structurally equal (formatting drift)"
             ),
         }
     }
-    for (what, s, p) in [
-        (
-            "folded_stacks",
-            &serial.folded_stacks,
-            &parallel.folded_stacks,
-        ),
-        ("metrics report", &serial.metrics, &parallel.metrics),
-        ("record() artifact", &serial.artifact, &parallel.artifact),
+    for (what, a, b) in [
+        ("folded_stacks", &first.folded_stacks, &second.folded_stacks),
+        ("metrics report", &first.metrics, &second.metrics),
+        ("record() artifact", &first.artifact, &second.artifact),
     ] {
-        assert_eq!(
-            s, p,
-            "twin_run({name}): {what} differs between serial and {threads}-thread runs"
-        );
+        assert_eq!(a, b, "twin_run({name}): {what} differs between runs");
     }
     assert_eq!(
-        serial.watch_trips, parallel.watch_trips,
-        "twin_run({name}): watch trips differ between serial and {threads}-thread runs"
+        first.watch_trips, second.watch_trips,
+        "twin_run({name}): watch trips differ between runs"
     );
 }
 

@@ -33,7 +33,6 @@ use pilgrim_sim::{Chunked, Metrics, SeriesStore, SimDuration, SimTime, Tracer, B
 
 use crate::agent::{Agent, AgentConfig, DebugNet};
 use crate::debugger::Debugger;
-use crate::pool::StepPool;
 use crate::proto::DebugMsg;
 use crate::replay::{Recipe, Stimulus};
 
@@ -134,28 +133,16 @@ impl std::fmt::Display for BuildError {
 }
 impl std::error::Error for BuildError {}
 
-/// Configures and creates a [`World`]: a [`Recipe`] under construction
-/// plus the one execution knob that is not part of a world's identity.
-#[derive(Debug)]
+/// Configures and creates a [`World`]: a [`Recipe`] under construction.
+#[derive(Debug, Default)]
 pub struct WorldBuilder {
     recipe: Recipe,
-    step_threads: usize,
-}
-
-impl Default for WorldBuilder {
-    fn default() -> Self {
-        WorldBuilder::from(Recipe::default())
-    }
 }
 
 impl From<Recipe> for WorldBuilder {
-    /// A builder that rebuilds the world `recipe` describes (serially;
-    /// thread count is not recipe-carried).
+    /// A builder that rebuilds the world `recipe` describes.
     fn from(recipe: Recipe) -> Self {
-        WorldBuilder {
-            recipe,
-            step_threads: 1,
-        }
+        WorldBuilder { recipe }
     }
 }
 
@@ -243,8 +230,8 @@ impl WorldBuilder {
     /// complete). 0 or 1 disables sampling — the default, with zero cost
     /// on the tracing hot path. The keep decision is a pure function of
     /// the recipe-carried rate, the world seed, and the deterministic
-    /// span id, so sampled traces are byte-identical across serial,
-    /// parallel, and replay runs.
+    /// span id, so sampled traces are byte-identical across a run and
+    /// its replay.
     pub fn trace_sample(mut self, rate: u32) -> Self {
         self.recipe.trace_sample = rate;
         self
@@ -274,13 +261,11 @@ impl WorldBuilder {
         self
     }
 
-    /// Number of worker threads used to step nodes between sync points
-    /// (default 1 = serial, no pool). A runtime execution knob, not part
-    /// of the world's identity: it is deliberately excluded from the
-    /// reproduction [`Recipe`], because thread count must not change any
-    /// observable behaviour — the twin-run gate enforces exactly that.
-    pub fn step_threads(mut self, threads: usize) -> Self {
-        self.step_threads = threads;
+    /// Ignored: nodes step on one thread. Kept only because `benchmark/`
+    /// still calls it; ROADMAP item 1 deletes it together with the
+    /// `core.pool.*` probe.
+    #[doc(hidden)]
+    pub fn step_threads(self, _: usize) -> Self {
         self
     }
 
@@ -292,10 +277,7 @@ impl WorldBuilder {
     ///
     /// Fails when a program does not compile or no nodes were requested.
     pub fn build(self) -> Result<World, BuildError> {
-        let WorldBuilder {
-            recipe,
-            step_threads,
-        } = self;
+        let WorldBuilder { recipe } = self;
         if recipe.nodes == 0 {
             return Err(BuildError::NoNodes);
         }
@@ -399,10 +381,8 @@ impl WorldBuilder {
             window: recipe.window.max(recipe.net.base_latency),
             node_index: ActivityIndex::default(),
             ep_index: ActivityIndex::default(),
-            pool: (step_threads > 1).then(|| StepPool::new(step_threads)),
             outcall_buf: Vec::new(),
             delivery_buf: Vec::new(),
-            empty_program,
             reference_pump: false,
             series: SeriesStore::new(recipe.coarse_interval, recipe.coarse_budget),
             recipe,
@@ -450,17 +430,12 @@ pub struct World {
     /// Its twin over `RpcEndpoint::next_timer`; owns the per-window list
     /// of endpoints with due timers.
     ep_index: ActivityIndex,
-    /// Worker threads for parallel node stepping; `None` steps serially.
-    pool: Option<StepPool>,
-    /// The serial stepping loop's outcall buffer: lent to each node for
+    /// The stepping loop's outcall buffer: lent to each node for
     /// its `advance_into`, drained by the router, empty between windows.
     outcall_buf: Vec<Outcall>,
     /// Its twin for the network: the pump's `poll_into` target, drained
     /// by the delivery router, empty between windows.
     delivery_buf: Vec<Delivery<Wire>>,
-    /// Shared empty program; placeholder bodies for nodes lent to the
-    /// worker pool borrow it instead of allocating.
-    empty_program: Arc<Program>,
     /// Forces the full-scan reference pump (twin-testing knob).
     reference_pump: bool,
 
@@ -563,23 +538,11 @@ impl World {
             .collect()
     }
 
-    /// Number of threads stepping nodes between sync points (1 = serial).
-    pub fn step_threads(&self) -> usize {
-        self.pool.as_ref().map_or(1, StepPool::threads)
-    }
-
-    /// Reconfigures parallel stepping at run time: `threads <= 1` returns
-    /// to the serial loop, larger values (re)build the worker pool. Like
-    /// [`WorldBuilder::step_threads`] this is not recorded in the journal
-    /// — replaying a parallel run serially (or the reverse) must produce
-    /// identical artifacts.
-    pub fn set_step_threads(&mut self, threads: usize) {
-        if threads <= 1 {
-            self.pool = None;
-        } else if self.step_threads() != threads {
-            self.pool = Some(StepPool::new(threads));
-        }
-    }
+    /// Ignored: nodes step on one thread. Kept only because `benchmark/`
+    /// still calls it; ROADMAP item 1 deletes it together with the
+    /// `core.pool.*` probe.
+    #[doc(hidden)]
+    pub fn set_step_threads(&mut self, _: usize) {}
 }
 
 #[cfg(test)]
@@ -646,6 +609,5 @@ mod tests {
         w.install("marker", pilgrim_sim::Json::Null, |_| ());
         let rebuilt = w.recipe().build_world().expect("rebuilds");
         assert_eq!(recipe_text(&rebuilt), recipe_text(&w));
-        assert_eq!(rebuilt.step_threads(), 1);
     }
 }

@@ -1,11 +1,11 @@
 //! The production pump: one lockstep window at a time, O(active
-//! stations) each, with the delivery / outcall routing and the parallel
-//! stepping it drives.
+//! stations) each, with the stepping and the delivery / outcall routing
+//! it drives.
 
-use pilgrim_mayflower::{Node, NodeConfig, Outcall};
+use pilgrim_mayflower::{Node, Outcall};
 use pilgrim_ring::NodeId;
 use pilgrim_rpc::RpcEndpoint;
-use pilgrim_sim::{SimTime, Tracer};
+use pilgrim_sim::SimTime;
 
 use super::{AsRpcNet, Wire, World};
 
@@ -103,8 +103,8 @@ impl World {
 
     /// The tail both pumps share: advance the clock, count the sync
     /// point, sample the metrics into the time-series store, then check
-    /// watchpoints — so serial, parallel, and replayed runs sample at
-    /// identical sync points and render byte-identical `tsdb` output.
+    /// watchpoints — so a run and its replay sample at identical sync
+    /// points and render byte-identical `tsdb` output.
     pub(super) fn end_window(&mut self, next: SimTime) {
         self.now = next;
         self.sync_points += 1;
@@ -198,15 +198,10 @@ impl World {
     }
 
     /// Steps the stations in `to_step` (ascending) to the window end and
-    /// routes their outcalls — serially, or on the worker pool when there
-    /// is one and more than one station has work.
+    /// routes their outcalls, one node at a time.
     pub(super) fn step_nodes(&mut self, to_step: &[usize], next: SimTime) {
-        if self.pool.is_some() && to_step.len() > 1 {
-            self.step_nodes_parallel_subset(to_step, next);
-            return;
-        }
         // One buffer serves every node of every window, so once it has
-        // grown the serial path allocates nothing per call.
+        // grown stepping allocates nothing per call.
         let mut outcalls = std::mem::take(&mut self.outcall_buf);
         for &i in to_step {
             self.nodes[i].advance_into(next, &mut outcalls);
@@ -215,53 +210,6 @@ impl World {
             }
         }
         self.outcall_buf = outcalls;
-    }
-
-    /// The parallel twin of the serial loop in [`World::step_nodes`]:
-    /// the nodes in `to_step` step to the window end on the worker pool
-    /// with trace output diverted into per-node buffers, then the main
-    /// thread merges buffers and routes outcalls in canonical node order.
-    /// Nodes cannot observe each other while stepping — every cross-node
-    /// interaction is mediated by the world at the sync barrier (network
-    /// poll, timer dispatch, outcall routing) — so the serialized merge
-    /// reproduces the serial loop's event sequence exactly: [node i's
-    /// step events][node i's routing effects] for i in node order.
-    ///
-    /// Only the active subset travels to the pool. Extracted nodes leave
-    /// a hollow placeholder behind (sharing the world's interned empty
-    /// program, so the swap allocates no program) and return to their
-    /// slots before any routing, preserving the canonical ascending merge
-    /// order.
-    fn step_nodes_parallel_subset(&mut self, to_step: &[usize], next: SimTime) {
-        for &i in to_step {
-            self.nodes[i].begin_trace_buffer();
-        }
-        let batch: Vec<Node> = to_step
-            .iter()
-            .map(|&i| {
-                let hollow = Node::new(
-                    self.nodes[i].id(),
-                    self.empty_program.clone(),
-                    NodeConfig::default(),
-                    Tracer::new(),
-                );
-                std::mem::replace(&mut self.nodes[i], hollow)
-            })
-            .collect();
-        let pool = self.pool.as_ref().expect("parallel stepping needs a pool");
-        let (batch, mut outcalls) = pool.step(batch, next);
-        for (k, node) in batch.into_iter().enumerate() {
-            self.nodes[to_step[k]] = node;
-        }
-        for (k, ocs) in outcalls.iter_mut().enumerate() {
-            let i = to_step[k];
-            for ev in self.nodes[i].take_trace_buffer() {
-                self.tracer.push_event(ev);
-            }
-            for oc in ocs.drain(..) {
-                self.route_outcall(i, oc);
-            }
-        }
     }
 
     fn route_outcall(&mut self, i: usize, oc: Outcall) {

@@ -236,9 +236,9 @@ impl Node {
             span,
         });
         self.run_queue.push_back(pid);
-        if self.sink.wants(TraceCategory::Sched) {
+        if self.tracer.wants(TraceCategory::Sched) {
             let proc = self.name(name).clone();
-            self.sink.emit(
+            self.tracer.emit(
                 self.clock,
                 TraceCategory::Sched,
                 Some(self.id),

@@ -30,8 +30,7 @@ use std::sync::Arc;
 use pilgrim_cclu::{CodeAddr, Fault, Heap, ProcId, Program, RpcRequest, Value};
 use pilgrim_sim::json::Fields;
 use pilgrim_sim::{
-    CallTree, Chunked, DetRng, EventKind, Json, SimDuration, SimTime, SpanId, TraceCategory,
-    TraceEvent, Tracer,
+    CallTree, Chunked, DetRng, EventKind, Json, SimDuration, SimTime, SpanId, TraceCategory, Tracer,
 };
 
 use crate::process::{HaltInfo, Pid, Process};
@@ -168,59 +167,6 @@ pub enum Outcall {
     },
 }
 
-/// The node's trace outlet: a [`Tracer`] clone plus an optional buffer.
-///
-/// In serial stepping the buffer is absent and events go straight to the
-/// shared tracer ring, exactly as before. While a node executes a lockstep
-/// window on a worker thread, the world switches the sink into buffered
-/// mode ([`Node::begin_trace_buffer`]); events accumulate privately and are
-/// drained into the shared ring in canonical node order at the sync
-/// barrier ([`Node::take_trace_buffer`]), so the merged trace is
-/// byte-identical to a single-threaded run.
-struct NodeSink {
-    tracer: Tracer,
-    buf: Option<Vec<TraceEvent>>,
-}
-
-impl NodeSink {
-    fn new(tracer: Tracer) -> NodeSink {
-        NodeSink { tracer, buf: None }
-    }
-
-    /// Mirrors [`Tracer::wants`]: one relaxed atomic load.
-    #[inline]
-    fn wants(&self, category: TraceCategory) -> bool {
-        self.tracer.wants(category)
-    }
-
-    /// Mirrors [`Tracer::emit`], diverting to the window buffer when one
-    /// is active. The filter is consulted at emission time in both modes,
-    /// so a buffered run records exactly the events a direct run would.
-    fn emit(
-        &mut self,
-        time: SimTime,
-        category: TraceCategory,
-        node: Option<u32>,
-        span: Option<SpanId>,
-        kind: EventKind,
-    ) {
-        if !self.tracer.wants(category) {
-            return;
-        }
-        let ev = TraceEvent {
-            time,
-            category,
-            node,
-            span,
-            kind,
-        };
-        match &mut self.buf {
-            Some(buf) => buf.push(ev),
-            None => self.tracer.push_event(ev),
-        }
-    }
-}
-
 /// One machine of the distributed program.
 pub struct Node {
     id: u32,
@@ -249,7 +195,7 @@ pub struct Node {
     next_pid: u64,
     next_token: u64,
     rng: DetRng,
-    sink: NodeSink,
+    tracer: Tracer,
     console: Vec<(SimTime, String)>,
     /// Captured output of the processes spawned with
     /// [`SpawnOpts::redirect_output`], created at their first step.
@@ -353,7 +299,7 @@ impl Node {
             next_pid: 1,
             next_token: 1,
             rng,
-            sink: NodeSink::new(tracer),
+            tracer,
             console: Vec::new(),
             buffers: HashMap::new(),
             outcalls: Vec::new(),
@@ -391,8 +337,8 @@ impl Node {
     /// from a breakpoint with the halt duration.
     pub fn add_delta(&mut self, d: SimDuration) {
         self.delta += d;
-        if self.sink.wants(TraceCategory::Clock) {
-            self.sink.emit(
+        if self.tracer.wants(TraceCategory::Clock) {
+            self.tracer.emit(
                 self.clock,
                 TraceCategory::Clock,
                 Some(self.id),
@@ -409,22 +355,6 @@ impl Node {
     /// the paper notes the effects "may be unpredictable").
     pub fn reset_delta(&mut self) {
         self.delta = SimDuration::ZERO;
-    }
-
-    /// Switches trace output into a private per-window buffer. Called by
-    /// the world before handing this node to a worker thread, so events
-    /// emitted while stepping in parallel do not interleave with other
-    /// nodes' events in the shared ring.
-    pub fn begin_trace_buffer(&mut self) {
-        self.sink.buf = Some(Vec::new());
-    }
-
-    /// Ends buffered mode and returns the events recorded since
-    /// [`begin_trace_buffer`](Node::begin_trace_buffer), in emission
-    /// order. The world drains these into the shared tracer in canonical
-    /// node order at the sync barrier.
-    pub fn take_trace_buffer(&mut self) -> Vec<TraceEvent> {
-        self.sink.buf.take().unwrap_or_default()
     }
 
     /// The node's logical time (§5.2): real time minus the delta. While

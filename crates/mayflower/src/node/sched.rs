@@ -105,7 +105,7 @@ impl Node {
     }
 
     /// [`advance_into`](Node::advance_into) for callers that want an
-    /// owned list: the worker pool, the RPC crate's drivers, tests.
+    /// owned list: the RPC crate's drivers and tests.
     pub fn advance_to(&mut self, t: SimTime) -> Vec<Outcall> {
         let mut out = Vec::new();
         self.advance_into(t, &mut out);
@@ -218,7 +218,7 @@ impl Node {
             locks: &mut self.locks,
             rng: &mut self.rng,
             console: &mut self.console,
-            sink: &mut self.sink,
+            tracer: &self.tracer,
             capture: proc
                 .print_redirect()
                 .then(|| self.buffers.entry(pid).or_default()),
@@ -351,8 +351,8 @@ impl Node {
             }
             StepOutcome::Exited { .. } => {
                 Self::bury(proc, None);
-                if self.sink.wants(TraceCategory::Sched) {
-                    self.sink.emit(
+                if self.tracer.wants(TraceCategory::Sched) {
+                    self.tracer.emit(
                         self.clock,
                         TraceCategory::Sched,
                         Some(self.id),
@@ -366,8 +366,8 @@ impl Node {
                 });
             }
             StepOutcome::Faulted { fault, .. } => {
-                if self.sink.wants(TraceCategory::Vm) {
-                    self.sink.emit(
+                if self.tracer.wants(TraceCategory::Vm) {
+                    self.tracer.emit(
                         self.clock,
                         TraceCategory::Vm,
                         Some(self.id),

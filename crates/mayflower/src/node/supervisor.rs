@@ -38,8 +38,8 @@ impl Node {
         let n = (0..self.procs.len())
             .filter(|&slot| f(self, Self::pid_at(slot)))
             .count();
-        if self.sink.wants(TraceCategory::Debug) {
-            self.sink.emit(
+        if self.tracer.wants(TraceCategory::Debug) {
+            self.tracer.emit(
                 self.clock,
                 TraceCategory::Debug,
                 Some(self.id),

@@ -1,9 +1,9 @@
 //! The system-call layer: what a stepping process sees of its node.
 
 use pilgrim_cclu::{ProcId, RpcRequest, SysReply, Syscalls, Value};
-use pilgrim_sim::{DetRng, EventKind, SimDuration, SimTime, SpanId, TraceCategory};
+use pilgrim_sim::{DetRng, EventKind, SimDuration, SimTime, SpanId, TraceCategory, Tracer};
 
-use super::{NodeSink, Outcall};
+use super::Outcall;
 use crate::process::{Pid, RunState};
 use crate::sync::{MonitorLock, Semaphore};
 
@@ -19,7 +19,7 @@ pub(super) struct SysCtx<'a> {
     pub(super) locks: &'a mut Vec<MonitorLock>,
     pub(super) rng: &'a mut DetRng,
     pub(super) console: &'a mut Vec<(SimTime, String)>,
-    pub(super) sink: &'a mut NodeSink,
+    pub(super) tracer: &'a Tracer,
     /// The process's capture buffer when its output is redirected.
     pub(super) capture: Option<&'a mut String>,
     pub(super) span: Option<SpanId>,
@@ -61,8 +61,8 @@ impl Syscalls for SysCtx<'_> {
             buf.push_str(text);
         } else {
             self.console.push((self.now, text.to_string()));
-            if self.sink.wants(TraceCategory::Vm) {
-                self.sink.emit(
+            if self.tracer.wants(TraceCategory::Vm) {
+                self.tracer.emit(
                     self.now,
                     TraceCategory::Vm,
                     Some(self.node_id),

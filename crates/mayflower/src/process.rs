@@ -193,10 +193,7 @@ pub struct HaltInfo {
 /// halted and debugged through exactly the same supervisor paths as user
 /// code. Implementations receive the values produced by their last blocking
 /// system call in `resume` (e.g. the `bool` from a semaphore wait).
-///
-/// `Send` is required because nodes (and therefore the process bodies they
-/// own) migrate to worker threads under parallel stepping.
-pub trait NativeProcess: Send {
+pub trait NativeProcess {
     /// Runs one slice of the process. Use the [`ExecEnv::sys`] interface
     /// for anything blocking and return the corresponding outcome.
     fn step(&mut self, resume: Vec<pilgrim_cclu::Value>, env: &mut ExecEnv<'_>) -> StepOutcome;

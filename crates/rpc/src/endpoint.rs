@@ -23,11 +23,13 @@
 //! ([`RpcConfig::monitor`], E2).
 
 use std::borrow::Cow;
+use std::cell::Cell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use pilgrim_cclu::{
     Fault, FaultKind, FrameKind, ProcId, RpcCallState, RpcInfoBlock, RpcProtocol, RpcRequest,
-    Signature, SyncCell, Type, Value,
+    Signature, Type, Value,
 };
 use pilgrim_mayflower::{Node, Pid, SpawnOpts};
 use pilgrim_ring::NodeId;
@@ -164,7 +166,7 @@ struct ClientCall {
     token: u64,
     ret_types: Vec<Type>,
     attempts: u32,
-    info: Option<Arc<RpcInfoBlock>>,
+    info: Option<Rc<RpcInfoBlock>>,
     done: bool,
     dst: NodeId,
     /// The call packet, retransmitted as is but for its attempt ordinal.
@@ -192,7 +194,7 @@ impl ClientCall {
 struct ServerCall {
     call_id: CallId,
     caller: NodeId,
-    info: Option<Arc<RpcInfoBlock>>,
+    info: Option<Rc<RpcInfoBlock>>,
     /// Span propagated from the caller's packet header.
     span: Option<SpanId>,
 }
@@ -496,13 +498,13 @@ impl RpcEndpoint {
         // client's (stub) stack frame, plus the call-table insert.
         let info = if self.config.debug_support {
             delay += self.config.debug_client_call;
-            let info = Arc::new(RpcInfoBlock {
+            let info = Rc::new(RpcInfoBlock {
                 process: pid.0,
                 remote_proc: req.proc_name.clone(),
                 call_id,
                 protocol: req.protocol,
-                state: SyncCell::new(RpcCallState::Marshalling),
-                retries: SyncCell::new(0),
+                state: Cell::new(RpcCallState::Marshalling),
+                retries: Cell::new(0),
             });
             push_stub_frame(node, pid, info.clone());
             Some(info)
@@ -934,13 +936,13 @@ impl RpcEndpoint {
         // Figure 1, right-hand side: the information block sits at the
         // bottom of the server process's stack.
         let info = if self.config.debug_support {
-            let info = Arc::new(RpcInfoBlock {
+            let info = Rc::new(RpcInfoBlock {
                 process: pid.0,
                 remote_proc: proc,
                 call_id,
                 protocol,
-                state: SyncCell::new(RpcCallState::ServerExecuting),
-                retries: SyncCell::new(0),
+                state: Cell::new(RpcCallState::ServerExecuting),
+                retries: Cell::new(0),
             });
             if let Some(p) = node.process_mut(pid) {
                 if let Some(vm) = p.vm_mut() {
@@ -1256,7 +1258,7 @@ fn maybe_failure(node: &mut Node, ret_types: &[Type]) -> Vec<Value> {
 /// Pushes the client-side RPC stub frame (Figure 1, left): the top of the
 /// client process's stack while the call is outstanding, with the
 /// information block in a known position.
-fn push_stub_frame(node: &mut Node, pid: Pid, info: Arc<RpcInfoBlock>) {
+fn push_stub_frame(node: &mut Node, pid: Pid, info: Rc<RpcInfoBlock>) {
     if let Some(vm) = node.process_mut(pid).and_then(|p| p.vm_mut()) {
         vm.push_stub(info);
     }

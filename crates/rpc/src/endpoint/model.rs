@@ -22,7 +22,7 @@ use super::*;
 struct ModelServerCall {
     pid: Pid,
     caller: NodeId,
-    info: Option<Arc<RpcInfoBlock>>,
+    info: Option<Rc<RpcInfoBlock>>,
     span: Option<SpanId>,
 }
 
@@ -186,13 +186,13 @@ impl ModelEndpoint {
         let mut delay = self.config.client_send;
         let info = if self.config.debug_support {
             delay += self.config.debug_client_call;
-            let info = Arc::new(RpcInfoBlock {
+            let info = Rc::new(RpcInfoBlock {
                 process: pid.0,
                 remote_proc: req.proc_name.clone(),
                 call_id,
                 protocol: req.protocol,
-                state: SyncCell::new(RpcCallState::Marshalling),
-                retries: SyncCell::new(0),
+                state: Cell::new(RpcCallState::Marshalling),
+                retries: Cell::new(0),
             });
             push_stub_frame(node, pid, info.clone());
             Some(info)
@@ -500,13 +500,13 @@ impl ModelEndpoint {
             p.span = span;
         }
         let info = self.config.debug_support.then(|| {
-            Arc::new(RpcInfoBlock {
+            Rc::new(RpcInfoBlock {
                 process: pid.0,
                 remote_proc: proc.clone(),
                 call_id,
                 protocol,
-                state: SyncCell::new(RpcCallState::ServerExecuting),
-                retries: SyncCell::new(0),
+                state: Cell::new(RpcCallState::ServerExecuting),
+                retries: Cell::new(0),
             })
         });
         if let Some(info) = &info {

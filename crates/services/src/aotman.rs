@@ -16,8 +16,9 @@
 //! [`TimeoutStrategy`]; with a debug-aware strategy, a client halted at a
 //! breakpoint keeps its TUIDs (experiment E6).
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use pilgrim::World;
 use pilgrim_cclu::{Type, Value};
@@ -110,7 +111,7 @@ struct AotState {
 /// The authentication manager service.
 #[derive(Debug, Clone)]
 pub struct AotMan {
-    state: Arc<Mutex<AotState>>,
+    state: Rc<RefCell<AotState>>,
     config: AotConfig,
     node: u32,
 }
@@ -119,7 +120,7 @@ impl AotMan {
     /// Installs AOTMan on `node` of `world`, registering its RPC handlers
     /// and noting an `aotman` setup entry.
     pub fn install(world: &mut World, node: u32, config: AotConfig) -> AotMan {
-        let state = Arc::new(Mutex::new(AotState::default()));
+        let state = Rc::new(RefCell::new(AotState::default()));
         world.install("aotman", config.params(node), |setup| {
             AotMan::handlers(setup.endpoint(node), &state, &config);
         });
@@ -130,7 +131,7 @@ impl AotMan {
         }
     }
 
-    fn handlers(ep: &mut RpcEndpoint, state: &Arc<Mutex<AotState>>, config: &AotConfig) {
+    fn handlers(ep: &mut RpcEndpoint, state: &Rc<RefCell<AotState>>, config: &AotConfig) {
         let (s, cfg) = (state.clone(), config.clone());
         ep.register_handler(
             "aot_issue",
@@ -138,7 +139,7 @@ impl AotMan {
             Box::new(move |ctx: &mut HandlerCtx<'_>, _| {
                 let sem = ctx.node.make_sem(0);
                 let tuid = {
-                    let mut st = s.lock().unwrap();
+                    let mut st = s.borrow_mut();
                     st.next_tuid += 1;
                     let id = st.next_tuid;
                     let record = TuidRecord {
@@ -171,7 +172,7 @@ impl AotMan {
             sig(&[Type::Int], &[Type::Bool]),
             Box::new(move |ctx: &mut HandlerCtx<'_>, args: Vec<Value>| {
                 let id = args[0].as_int().ok_or("tuid must be int")? as u64;
-                let sem = match s.lock().unwrap().tuids.get_mut(&id) {
+                let sem = match s.borrow_mut().tuids.get_mut(&id) {
                     Some(t) if t.valid => {
                         t.refreshes += 1;
                         Some(t.sem)
@@ -187,7 +188,7 @@ impl AotMan {
             sig(&[Type::Int], &[Type::Bool]),
             Box::new(move |_: &mut HandlerCtx<'_>, args: Vec<Value>| {
                 let id = args[0].as_int().ok_or("tuid must be int")? as u64;
-                Ok(vec![Value::Bool(s.lock().unwrap().valid(id))])
+                Ok(vec![Value::Bool(s.borrow().valid(id))])
             }),
         );
     }
@@ -204,12 +205,12 @@ impl AotMan {
 
     /// Strategy counters (status calls, extensions, revocations...).
     pub fn stats(&self) -> StrategyStats {
-        self.state.lock().unwrap().stats
+        self.state.borrow().stats
     }
 
     /// Snapshot of one TUID.
     pub fn tuid(&self, id: u64) -> Option<TuidRecord> {
-        self.state.lock().unwrap().tuids.get(&id).cloned()
+        self.state.borrow().tuids.get(&id).cloned()
     }
 
     /// Is `id` still valid?
@@ -219,7 +220,7 @@ impl AotMan {
 
     /// Ids of all TUIDs ever issued.
     pub fn issued(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = self.state.lock().unwrap().tuids.keys().copied().collect();
+        let mut v: Vec<u64> = self.state.borrow().tuids.keys().copied().collect();
         v.sort_unstable();
         v
     }
@@ -233,21 +234,21 @@ impl AotState {
 
 /// Hook adapter: the watcher revokes one TUID.
 struct TuidHooks {
-    state: Arc<Mutex<AotState>>,
+    state: Rc<RefCell<AotState>>,
     tuid: u64,
 }
 
 impl GrantHooks for TuidHooks {
     fn revoke(&mut self, at: SimTime) {
-        if let Some(t) = self.state.lock().unwrap().tuids.get_mut(&self.tuid) {
+        if let Some(t) = self.state.borrow_mut().tuids.get_mut(&self.tuid) {
             t.valid = false;
             t.revoked_at = Some(at);
         }
     }
     fn active(&self) -> bool {
-        self.state.lock().unwrap().valid(self.tuid)
+        self.state.borrow().valid(self.tuid)
     }
     fn record(&mut self, ev: StrategyEvent) {
-        self.state.lock().unwrap().stats.apply(ev);
+        self.state.borrow_mut().stats.apply(ev);
     }
 }

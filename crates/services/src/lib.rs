@@ -35,9 +35,8 @@ pub mod tool;
 pub use aotman::{AotConfig, AotMan, TuidRecord};
 pub use fileserver::{CLIENT_EXTERNS, FILE_SERVER_SOURCE};
 pub use load::{
-    build_load_world, outcome_from_world, render_run_report, replay_load_artifact, run_scenario,
-    run_scenario_threads, setup_installer, LoadOutcome, AOT_NODE, FIRST_CLIENT_NODE, FS_NODE,
-    NS_NODE,
+    build_load_world, outcome_from_world, render_run_report, replay_load, replay_load_artifact,
+    run_scenario, setup_installer, LoadOutcome, AOT_NODE, FIRST_CLIENT_NODE, FS_NODE, NS_NODE,
 };
 pub use nameserver::{NameServer, NAME_SERVER_EXTERNS};
 pub use resource::{ResourceManager, RmConfig, RmEvent};

@@ -142,11 +142,23 @@ pub fn setup_installer() -> impl FnMut(&mut World, &str, &Json) -> Result<(), St
 /// # Errors
 ///
 /// Those of [`pilgrim::replay_with`].
+pub fn replay_load(artifact: &Artifact) -> Result<pilgrim::ReplayReport, ReplayError> {
+    replay_with(artifact, Some(&mut setup_installer()))
+}
+
+/// [`replay_load`] with an ignored second argument: nodes step on one
+/// thread. Kept only because `benchmark/` still calls it; ROADMAP item 1
+/// deletes it together with the `core.pool.*` probe.
+///
+/// # Errors
+///
+/// Those of [`replay_load`].
+#[doc(hidden)]
 pub fn replay_load_artifact(
     artifact: &Artifact,
-    threads: usize,
+    _threads: usize,
 ) -> Result<pilgrim::ReplayReport, ReplayError> {
-    replay_with(artifact, threads, Some(&mut setup_installer()))
+    replay_load(artifact)
 }
 
 /// The result of one load run.
@@ -213,27 +225,15 @@ pub fn build_load_world(sc: &Scenario) -> Result<World, String> {
     Ok(world)
 }
 
-/// Runs a scenario to completion on one thread. See
-/// [`run_scenario_threads`].
+/// Runs a scenario to completion: builds the world, streams the
+/// open-loop arrivals through the recorded driver API, drains, and
+/// computes the report.
 ///
 /// # Errors
 ///
 /// Those of [`build_load_world`].
 pub fn run_scenario(sc: &Scenario) -> Result<LoadOutcome, String> {
-    run_scenario_threads(sc, 1)
-}
-
-/// Runs a scenario to completion: builds the world, streams the
-/// open-loop arrivals through the recorded driver API, drains, and
-/// computes the report. `threads` sets the stepping worker count
-/// (execution knob only — results are byte-identical across values).
-///
-/// # Errors
-///
-/// Those of [`build_load_world`].
-pub fn run_scenario_threads(sc: &Scenario, threads: usize) -> Result<LoadOutcome, String> {
     let mut world = build_load_world(sc)?;
-    world.set_step_threads(threads);
 
     // The workload RNG is forked off the scenario seed, independent of
     // the world's internal streams.
@@ -430,7 +430,7 @@ fn push_busy_table(md: &mut String, what: &str, series: Vec<(u64, u64, u64)>, sh
 /// utilization tables from the bridge meters, and the `top_k` slowest
 /// sampled spans. Every figure comes from deterministic state (counters,
 /// retained tsdb windows, the trace), so two runs of the same scenario —
-/// serial, parallel, or replayed — render byte-identical reports.
+/// live or replayed — render byte-identical reports.
 pub fn render_run_report(sc: &Scenario, out: &LoadOutcome, top_k: usize) -> String {
     let world = &out.world;
     let window = sc.report_window;
@@ -700,10 +700,10 @@ report_window = 2
     }
 
     #[test]
-    fn run_report_is_byte_identical_across_threads_and_replay() {
+    fn run_report_is_byte_identical_twice_and_in_replay() {
         let sc = tiny_observed();
-        let serial = run_scenario_threads(&sc, 1).expect("runs");
-        let report = render_run_report(&sc, &serial, 5);
+        let first = run_scenario(&sc).expect("runs");
+        let report = render_run_report(&sc, &first, 5);
         assert!(report.contains("## summary"));
         assert!(report.contains("## machine summary"));
         assert!(report.contains("### link 0-1"), "{report}");
@@ -711,14 +711,14 @@ report_window = 2
         assert!(report.contains("### segment 0"), "{report}");
         assert!(report.contains("## slowest spans"));
 
-        let threaded = run_scenario_threads(&sc, 2).expect("runs");
-        assert_eq!(report, render_run_report(&sc, &threaded, 5));
+        let second = run_scenario(&sc).expect("runs");
+        assert_eq!(report, render_run_report(&sc, &second, 5));
 
-        let artifact = serial.world.record();
-        let replayed = replay_load_artifact(&artifact, 1).expect("replays");
+        let artifact = first.world.record();
+        let replayed = replay_load(&artifact).expect("replays");
         assert!(replayed.divergence.is_none());
         let re_outcome = outcome_from_world(&sc, replayed.world);
-        assert_eq!(re_outcome.report, serial.report);
+        assert_eq!(re_outcome.report, first.report);
         assert_eq!(report, render_run_report(&sc, &re_outcome, 5));
     }
 
@@ -756,7 +756,7 @@ report_window = 2
     fn recorded_artifact_replays_through_installer() {
         let out = run_scenario(&tiny()).expect("runs");
         let artifact = out.world.record();
-        let report = replay_load_artifact(&artifact, 1).expect("replays");
+        let report = replay_load(&artifact).expect("replays");
         assert!(report.divergence.is_none(), "{:?}", report.divergence);
         assert!(report.byte_identical);
         // Plain replay must refuse, pointing at the setup entries.

@@ -13,9 +13,10 @@
 //! * `rm_renew(resource) returns (ok)` — reset the lease;
 //! * `rm_release(resource) returns (ok)` — give it back.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use pilgrim::World;
 use pilgrim_cclu::{Type, Value};
@@ -168,7 +169,7 @@ struct RmState {
 /// The Resource Manager service.
 #[derive(Debug, Clone)]
 pub struct ResourceManager {
-    state: Arc<Mutex<RmState>>,
+    state: Rc<RefCell<RmState>>,
     config: RmConfig,
     node: u32,
 }
@@ -177,7 +178,7 @@ impl ResourceManager {
     /// Installs the manager on `node` of `world`, noting a
     /// `resource-manager` setup entry.
     pub fn install(world: &mut World, node: u32, config: RmConfig) -> ResourceManager {
-        let state = Arc::new(Mutex::new(RmState {
+        let state = Rc::new(RefCell::new(RmState {
             fresh: 0..config.resources,
             ..Default::default()
         }));
@@ -191,14 +192,14 @@ impl ResourceManager {
         }
     }
 
-    fn handlers(ep: &mut RpcEndpoint, state: &Arc<Mutex<RmState>>, config: &RmConfig) {
+    fn handlers(ep: &mut RpcEndpoint, state: &Rc<RefCell<RmState>>, config: &RmConfig) {
         let (s, cfg) = (state.clone(), config.clone());
         ep.register_handler(
             "rm_request",
             sig(&[], &[Type::Int]),
             Box::new(move |ctx: &mut HandlerCtx<'_>, _| {
                 let to = ctx.caller;
-                let mut st = s.lock().unwrap();
+                let mut st = s.borrow_mut();
                 // Epoch = a unique stamp per grant; use the event count.
                 let epoch = st.events.len() as u64 + 1;
                 let resource = match st.free.pop().or_else(|| st.fresh.next()) {
@@ -253,7 +254,7 @@ impl ResourceManager {
             sig(&[Type::Int], &[Type::Bool]),
             Box::new(move |ctx: &mut HandlerCtx<'_>, args: Vec<Value>| {
                 let r = args[0].as_int().ok_or("resource must be int")? as u32;
-                let sem = match s.lock().unwrap().allocations.get_mut(&r) {
+                let sem = match s.borrow_mut().allocations.get_mut(&r) {
                     Some(a) if a.holder == ctx.caller => {
                         a.extended = false;
                         Some(a.sem)
@@ -269,7 +270,7 @@ impl ResourceManager {
             sig(&[Type::Int], &[Type::Bool]),
             Box::new(move |ctx: &mut HandlerCtx<'_>, args: Vec<Value>| {
                 let r = args[0].as_int().ok_or("resource must be int")? as u32;
-                let mut st = s.lock().unwrap();
+                let mut st = s.borrow_mut();
                 let sem = match st.allocations.get(&r) {
                     Some(a) if a.holder == ctx.caller => a.sem,
                     _ => return signal(ctx, None),
@@ -298,29 +299,29 @@ impl ResourceManager {
 
     /// Strategy counters.
     pub fn stats(&self) -> StrategyStats {
-        self.state.lock().unwrap().stats
+        self.state.borrow().stats
     }
 
     /// The event log, in order.
     pub fn events(&self) -> Vec<(SimTime, RmEvent)> {
-        self.state.lock().unwrap().events.clone()
+        self.state.borrow().events.clone()
     }
 
     /// Current holder of `resource`.
     pub fn holder(&self, resource: u32) -> Option<NodeId> {
-        let s = self.state.lock().unwrap();
+        let s = self.state.borrow();
         s.allocations.get(&resource).map(|a| a.holder)
     }
 
     /// Number of unallocated resources.
     pub fn free_count(&self) -> usize {
-        let s = self.state.lock().unwrap();
+        let s = self.state.borrow();
         s.free.len() + s.fresh.len()
     }
 }
 
 struct AllocHooks {
-    state: Arc<Mutex<RmState>>,
+    state: Rc<RefCell<RmState>>,
     resource: u32,
     epoch: u64,
 }
@@ -336,7 +337,7 @@ impl AllocHooks {
 
 impl GrantHooks for AllocHooks {
     fn revoke(&mut self, at: SimTime) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = self.state.borrow_mut();
         let Some(from) = self.mine(&mut s).map(|a| a.holder) else {
             return;
         };
@@ -346,10 +347,10 @@ impl GrantHooks for AllocHooks {
         s.events.push((at, RmEvent::Expired { resource, from }));
     }
     fn active(&self) -> bool {
-        self.mine(&mut self.state.lock().unwrap()).is_some()
+        self.mine(&mut self.state.borrow_mut()).is_some()
     }
     fn record(&mut self, ev: StrategyEvent) {
-        let mut s = self.state.lock().unwrap();
+        let mut s = self.state.borrow_mut();
         s.stats.apply(ev);
         // The contention policy keys off "this allocation has been
         // extended for a debugged holder".

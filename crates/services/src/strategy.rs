@@ -113,7 +113,7 @@ impl StrategyStats {
 
 /// What the service does when the watcher decides the grant's fate. The
 /// watcher owns its hooks; they reach the service's state themselves.
-pub trait GrantHooks: Send + 'static {
+pub trait GrantHooks: 'static {
     /// Called when the grant is revoked (timeout genuinely expired) at
     /// `at`, the watcher's clock.
     fn revoke(&mut self, at: SimTime);

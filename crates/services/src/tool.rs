@@ -19,8 +19,7 @@ use std::time::Instant;
 use pilgrim::{open, rerun, Artifact};
 
 use crate::{
-    outcome_from_world, render_run_report, replay_load_artifact, run_scenario_threads,
-    setup_installer, Scenario,
+    outcome_from_world, render_run_report, replay_load, run_scenario, setup_installer, Scenario,
 };
 
 mod selftest;
@@ -40,7 +39,7 @@ usage: pilgrim <command>
                               the windowed time-series a blackbox dump
                               carries (every series, or one metric)
   load <scenario.toml> [--record <path>] [--report <path>] [--verify-replay]
-                       [--blackbox <path>] [--threads <n>]
+                       [--blackbox <path>]
                               run a load scenario against the services
                               stack and gate on its declared floors
   selftest                    prove replay, prof, trace and load end to end
@@ -112,8 +111,7 @@ fn replay(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Status {
         artifact.trace.len()
     )?;
     let start = Instant::now();
-    let report =
-        replay_load_artifact(&artifact, 1).map_err(|e| format!("{path}: replay failed: {e}"))?;
+    let report = replay_load(&artifact).map_err(|e| format!("{path}: replay failed: {e}"))?;
     let ms = start.elapsed().as_secs_f64() * 1e3;
     match report.divergence {
         None => {
@@ -148,7 +146,7 @@ fn prof(args: &[String], out: &mut dyn Write) -> Status {
     // semantics, so force it on and re-drive the same journal: the
     // deterministic re-run *is* the original run, now instrumented.
     artifact.recipe.node_cfg.profile_vm = true;
-    let world = rerun(&artifact, 1, Some(&mut setup_installer()))
+    let world = rerun(&artifact, Some(&mut setup_installer()))
         .map_err(|e| format!("{path}: cannot re-run: {e}"))?;
     write!(out, "{}", world.folded_stacks())?;
     Ok(0)
@@ -250,7 +248,6 @@ fn load(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Status {
     let mut report_path: Option<String> = None;
     let mut blackbox: Option<String> = None;
     let mut verify_replay = false;
-    let mut threads = 1usize;
 
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -263,13 +260,6 @@ fn load(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Status {
             "--record" => record = Some(path()?),
             "--report" => report_path = Some(path()?),
             "--blackbox" => blackbox = Some(path()?),
-            "--threads" => {
-                threads = it
-                    .next()
-                    .and_then(|n| n.parse().ok())
-                    .filter(|n| *n >= 1)
-                    .ok_or("--threads needs a positive integer")?
-            }
             "--verify-replay" => verify_replay = true,
             other if !other.starts_with('-') && scenario_path.is_none() => {
                 scenario_path = Some(other);
@@ -281,7 +271,7 @@ fn load(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Status {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let sc = Scenario::parse(&text).map_err(|e| format!("{path}: {e}"))?;
 
-    let outcome = run_scenario_threads(&sc, threads)?;
+    let outcome = run_scenario(&sc)?;
     write!(out, "{}", outcome.report)?;
 
     let run_report = report_path
@@ -311,7 +301,7 @@ fn load(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Status {
             writeln!(out, "recorded artifact: {p}")?;
         }
         if verify_replay {
-            match replay_load_artifact(&artifact, threads) {
+            match replay_load(&artifact) {
                 Ok(r) if r.divergence.is_none() && r.byte_identical => {
                     writeln!(out, "replay: byte-identical")?;
                     // With --report, the replayed world must render the

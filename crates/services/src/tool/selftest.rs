@@ -12,7 +12,7 @@ use pilgrim::replay::{replay, Artifact};
 use pilgrim::{open, DebugEvent, NetworkConfig, NodeConfig, SimDuration, SimTime, Value, World};
 
 use super::{Bad, Status, TOP_K};
-use crate::{render_run_report, replay_load_artifact, run_scenario_threads, Scenario};
+use crate::{render_run_report, replay_load, run_scenario, Scenario};
 
 /// Fails the section with a formatted reason unless the condition holds.
 macro_rules! require {
@@ -436,8 +436,8 @@ coarse_interval = 8
 coarse_budget = 256
 "#;
     let sc = Scenario::parse(SCENARIO).map_err(|e| format!("scenario: {e}"))?;
-    let a = run_scenario_threads(&sc, 1)?;
-    let b = run_scenario_threads(&sc, 1)?;
+    let a = run_scenario(&sc)?;
+    let b = run_scenario(&sc)?;
     require!(
         a.report == b.report,
         "reports differ between runs:\n--- a\n{}--- b\n{}",
@@ -448,8 +448,7 @@ coarse_budget = 256
         render_run_report(&sc, &a, TOP_K) == render_run_report(&sc, &b, TOP_K),
         "run reports differ between runs"
     );
-    let r =
-        replay_load_artifact(&a.world.record(), 1).map_err(|e| format!("replay failed: {e}"))?;
+    let r = replay_load(&a.world.record()).map_err(|e| format!("replay failed: {e}"))?;
     require!(
         r.divergence.is_none() && r.byte_identical,
         "replay diverged: {:?} (byte_identical={})",

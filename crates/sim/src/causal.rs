@@ -16,8 +16,8 @@
 //!   the server-node scheduling delay before dispatch.
 //!
 //! All arithmetic is integer microseconds over already-deterministic
-//! traces, so every rendering here is byte-identical across serial runs,
-//! parallel runs, and replays.
+//! traces, so every rendering here is byte-identical across same-seed
+//! runs and replays.
 
 use std::collections::{HashMap, VecDeque};
 

@@ -1,10 +1,10 @@
 //! The recorder: a shared [`Tracer`] with its two category masks, head
 //! sampling of spans, and the two bounded rings events are admitted to.
 
+use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::fmt;
-use std::sync::atomic::{AtomicU16, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 use super::codec::JSONL_LINE_BYTES;
 use super::{EventKind, SpanId, TraceCategory, TraceEvent};
@@ -47,18 +47,16 @@ pub const BLACKBOX_CAPACITY: usize = 512;
 struct Shared {
     /// Two enabled-category bitmasks packed into one word — low byte is
     /// the main trace filter, high byte the flight-recorder filter — so
-    /// the hot-path `wants` check stays a single atomic (relaxed) load
-    /// that worker threads stepping nodes can consult without locking;
-    /// on x86 a relaxed load is an ordinary load.
-    masks: AtomicU16,
-    next_span: AtomicU64,
+    /// the hot-path `wants` check stays a single load.
+    masks: Cell<u16>,
+    next_span: Cell<u64>,
     /// Head-based span sampling: keep 1-in-`sample_rate` root spans
     /// (0 or 1 = keep everything, the zero-cost default).
-    sample_rate: AtomicU32,
+    sample_rate: Cell<u32>,
     /// Seed mixed into the root-span keep decision so different worlds
     /// sample different spans, deterministically.
-    sample_seed: AtomicU64,
-    inner: Mutex<TracerInner>,
+    sample_seed: Cell<u64>,
+    inner: RefCell<TracerInner>,
 }
 
 /// Shift of the flight-recorder mask within [`Shared::masks`].
@@ -76,13 +74,13 @@ const BLACKBOX_SHIFT: u16 = 8;
 /// ```
 #[derive(Clone)]
 pub struct Tracer {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
 }
 
 impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.shared.inner.lock().unwrap();
-        let masks = self.shared.masks.load(Ordering::Relaxed);
+        let inner = self.shared.inner.borrow();
+        let masks = self.shared.masks.get();
         f.debug_struct("Tracer")
             .field("events", &inner.main.len())
             .field("mask", &((masks & 0xff) as u8))
@@ -109,14 +107,14 @@ impl Tracer {
     pub fn new() -> Tracer {
         let blackbox_mask = TraceCategory::ALL & !TraceCategory::Vm.bit();
         Tracer {
-            shared: Arc::new(Shared {
-                masks: AtomicU16::new(
+            shared: Rc::new(Shared {
+                masks: Cell::new(
                     TraceCategory::ALL as u16 | (blackbox_mask as u16) << BLACKBOX_SHIFT,
                 ),
-                next_span: AtomicU64::new(1),
-                sample_rate: AtomicU32::new(0),
-                sample_seed: AtomicU64::new(0),
-                inner: Mutex::new(TracerInner {
+                next_span: Cell::new(1),
+                sample_rate: Cell::new(0),
+                sample_seed: Cell::new(0),
+                inner: RefCell::new(TracerInner {
                     main: Ring::new(TRACE_CAPACITY),
                     blackbox: Ring::new(BLACKBOX_CAPACITY),
                     kept: HashSet::new(),
@@ -129,10 +127,10 @@ impl Tracer {
     /// `categories`, leaving the other byte as it is.
     fn store_mask(&self, shift: u16, categories: &[TraceCategory]) {
         let mask = categories.iter().fold(0, |m, c| m | c.bit() as u16);
-        let old = self.shared.masks.load(Ordering::Relaxed);
+        let old = self.shared.masks.get();
         self.shared
             .masks
-            .store((old & !(0xff << shift)) | mask << shift, Ordering::Relaxed);
+            .set((old & !(0xff << shift)) | mask << shift);
     }
 
     /// Restricts recording to the given categories.
@@ -148,12 +146,12 @@ impl Tracer {
     }
 
     /// Returns whether `category` is wanted by the main trace *or* the
-    /// flight recorder — one relaxed atomic load, an or, and a mask; no
-    /// allocation, no lock. Check this *before* constructing an
+    /// flight recorder — one load, an or, and a mask; no allocation, no
+    /// borrow. Check this *before* constructing an
     /// [`EventKind`] so fully disabled tracing costs nothing.
     #[inline]
     pub fn wants(&self, category: TraceCategory) -> bool {
-        let m = self.shared.masks.load(Ordering::Relaxed);
+        let m = self.shared.masks.get();
         ((m | (m >> BLACKBOX_SHIFT)) as u8) & category.bit() != 0
     }
 
@@ -175,23 +173,25 @@ impl Tracer {
     /// (its trace is a strict subset, never a renumbering). Roots are
     /// kept when `splitmix64(seed ^ id) % rate == 0` — a pure function of
     /// the recipe-carried seed and the deterministic id, identical across
-    /// serial, parallel, and replay runs; the mixing round decorrelates
+    /// a run and its replay; the mixing round decorrelates
     /// consecutive ids so "every Nth span" doesn't alias with periodic
     /// workloads. A child inherits its parent's verdict, so every kept
     /// trace is causally complete.
     pub fn next_span_with_parent(&self, parent: Option<SpanId>) -> SpanId {
-        let id = self.shared.next_span.fetch_add(1, Ordering::Relaxed);
-        let rate = self.shared.sample_rate.load(Ordering::Relaxed);
+        let id = self.shared.next_span.get();
+        self.shared.next_span.set(id + 1);
+        let rate = self.shared.sample_rate.get();
         if rate > 1 {
+            let mut inner = self.shared.inner.borrow_mut();
             let keep = match parent {
-                Some(p) => self.shared.inner.lock().unwrap().kept.contains(&p.get()),
+                Some(p) => inner.kept.contains(&p.get()),
                 None => {
-                    let mut state = self.shared.sample_seed.load(Ordering::Relaxed) ^ id;
+                    let mut state = self.shared.sample_seed.get() ^ id;
                     splitmix64(&mut state).is_multiple_of(rate as u64)
                 }
             };
             if keep {
-                self.shared.inner.lock().unwrap().kept.insert(id);
+                inner.kept.insert(id);
             }
         }
         SpanId::from_wire(id).expect("span ids count up from 1")
@@ -199,13 +199,13 @@ impl Tracer {
 
     /// Arms head-based span sampling: keep 1-in-`rate` root spans (and
     /// every child of a kept root). Rates 0 and 1 disable sampling; the
-    /// disabled path costs one relaxed load per span allocation and
+    /// disabled path costs one load per span allocation and
     /// nothing per event. Span-stamped events whose span was sampled out
     /// are dropped from the main trace and the flight recorder alike;
     /// unstamped events always record.
     pub fn set_trace_sample(&self, rate: u32, seed: u64) {
-        self.shared.sample_seed.store(seed, Ordering::Relaxed);
-        self.shared.sample_rate.store(rate, Ordering::Relaxed);
+        self.shared.sample_seed.set(seed);
+        self.shared.sample_rate.set(rate);
     }
 
     /// Records a typed event. [`push_event`](Tracer::push_event) filters
@@ -232,23 +232,20 @@ impl Tracer {
     /// The one admission check: routes an event to the main trace ring,
     /// the flight-recorder ring, or both according to the two masks, and
     /// drops it when neither wants its category or sampling discarded its
-    /// span. Also the drain path for per-node trace buffers at a parallel
-    /// sync barrier — filters only ever change between windows (the REPL
-    /// runs in the serial phase), so buffered events route exactly as
-    /// they would have serially and the twin runs stay byte-identical.
+    /// span.
     pub fn push_event(&self, ev: TraceEvent) {
-        let masks = self.shared.masks.load(Ordering::Relaxed);
+        let masks = self.shared.masks.get();
         let bit = ev.category.bit();
         let recorded = (masks as u8) & bit != 0;
         let boxed = ((masks >> BLACKBOX_SHIFT) as u8) & bit != 0;
         if !recorded && !boxed {
             return;
         }
-        let mut inner = self.shared.inner.lock().unwrap();
+        let mut inner = self.shared.inner.borrow_mut();
         if let Some(s) = ev.span {
             // Head-based sampling: a span that lost the keep draw leaves
             // no trace in either ring.
-            let rate = self.shared.sample_rate.load(Ordering::Relaxed);
+            let rate = self.shared.sample_rate.get();
             if rate > 1 && !inner.kept.contains(&s.get()) {
                 return;
             }
@@ -284,7 +281,7 @@ impl Tracer {
 
     /// Number of currently retained events.
     pub fn len(&self) -> usize {
-        self.shared.inner.lock().unwrap().main.len()
+        self.shared.inner.borrow().main.len()
     }
 
     /// True when no events are retained.
@@ -294,23 +291,23 @@ impl Tracer {
 
     /// Visits every retained event in order without cloning the ring.
     ///
-    /// The storage sits behind a mutex, so iteration is exposed as an
+    /// The storage sits behind a `RefCell`, so iteration is exposed as an
     /// internal visitor rather than an `Iterator` (which would have to
-    /// either clone, as [`events`](Tracer::events) does, or leak a lock
-    /// guard). `f` must not call back into this tracer.
+    /// either clone, as [`events`](Tracer::events) does, or leak a borrow
+    /// guard). `f` must not record into this tracer.
     pub fn for_each(&self, f: impl FnMut(&TraceEvent)) {
-        self.shared.inner.lock().unwrap().main.iter().for_each(f);
+        self.shared.inner.borrow().main.iter().for_each(f);
     }
 
     /// A snapshot of every recorded event, in order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let inner = self.shared.inner.lock().unwrap();
+        let inner = self.shared.inner.borrow();
         inner.main.iter().cloned().collect()
     }
 
     /// A snapshot of the events in one category.
     pub fn events_in(&self, category: TraceCategory) -> Vec<TraceEvent> {
-        let inner = self.shared.inner.lock().unwrap();
+        let inner = self.shared.inner.borrow();
         let wanted = inner.main.iter().filter(|e| e.category == category);
         wanted.cloned().collect()
     }
@@ -318,7 +315,7 @@ impl Tracer {
     /// Every retained event stamped with `span`, in recording (= time)
     /// order: the cross-node timeline of one causal activity.
     pub fn events_for_span(&self, span: SpanId) -> Vec<TraceEvent> {
-        let inner = self.shared.inner.lock().unwrap();
+        let inner = self.shared.inner.borrow();
         let wanted = inner.main.iter().filter(|e| e.span == Some(span));
         wanted.cloned().collect()
     }
@@ -326,28 +323,28 @@ impl Tracer {
     /// The whole retained trace as JSON Lines — one object per event,
     /// newline-terminated, suitable for external tooling.
     pub fn to_jsonl(&self) -> String {
-        jsonl(&self.shared.inner.lock().unwrap().main)
+        jsonl(&self.shared.inner.borrow().main)
     }
 
     /// Events the main trace has dropped to stay within its budget.
     pub fn evicted(&self) -> u64 {
-        self.shared.inner.lock().unwrap().main.evicted()
+        self.shared.inner.borrow().main.evicted()
     }
 
     /// Number of events currently held by the flight recorder.
     pub fn blackbox_len(&self) -> usize {
-        self.shared.inner.lock().unwrap().blackbox.len()
+        self.shared.inner.borrow().blackbox.len()
     }
 
     /// The flight-recorder ring budget, as enforced: at least 1.
     pub fn blackbox_capacity(&self) -> usize {
-        self.shared.inner.lock().unwrap().blackbox.capacity()
+        self.shared.inner.borrow().blackbox.capacity()
     }
 
     /// Events the flight recorder has dropped: overwritten by newer ones
     /// or cut by a smaller budget.
     pub fn blackbox_evicted(&self) -> u64 {
-        self.shared.inner.lock().unwrap().blackbox.evicted()
+        self.shared.inner.borrow().blackbox.evicted()
     }
 
     /// Resizes the flight-recorder ring (oldest events discarded first
@@ -355,8 +352,7 @@ impl Tracer {
     pub fn set_blackbox_capacity(&self, capacity: usize) {
         self.shared
             .inner
-            .lock()
-            .unwrap()
+            .borrow_mut()
             .blackbox
             .set_capacity(capacity);
     }
@@ -364,7 +360,7 @@ impl Tracer {
     /// The flight-recorder ring as JSON Lines, oldest first — same
     /// encoding as [`to_jsonl`](Tracer::to_jsonl).
     pub fn blackbox_jsonl(&self) -> String {
-        jsonl(&self.shared.inner.lock().unwrap().blackbox)
+        jsonl(&self.shared.inner.borrow().blackbox)
     }
 }
 

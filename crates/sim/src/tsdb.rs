@@ -1,14 +1,14 @@
 //! Windowed time-series over the metrics registry.
 //!
 //! A [`SeriesStore`] is sampled at lockstep sync points (the world calls
-//! [`SeriesStore::on_sync`] from the pump tail, the one place serial and
-//! parallel runs agree on by construction). Every `interval` sync points
+//! [`SeriesStore::on_sync`] from the pump tail, the one place a run and
+//! its replay agree on by construction). Every `interval` sync points
 //! it reads each registered instrument through a handle it keeps and
 //! writes one row per instrument kind into a bounded ring: counters as
 //! deltas against the previous sample, gauges as values, histograms as
 //! per-window `(count, sum, bucket…)` deltas. All math is integer-only
 //! and the rings hold only what was sampled, so rendering a query is
-//! byte-identical across serial runs, parallel runs, and replays — the
+//! byte-identical across same-seed runs and replays — the
 //! determinism gate in `tests/tsdb_gate.rs` holds the store to that.
 //!
 //! A sample costs what it stores: one load, one subtract and one store

@@ -10,7 +10,7 @@
 # Run from the repository root: sh scripts/panic_census.sh
 set -eu
 
-LIMIT=129
+LIMIT=86
 
 count=$(find crates/*/src -name '*.rs' ! -path crates/rpc/src/endpoint/model.rs | sort |
     while read -r file; do

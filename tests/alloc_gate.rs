@@ -42,8 +42,7 @@
 //!   live bytes' high-water mark).
 //!
 //! Counts and live bytes are per thread (tests run on parallel threads; a
-//! world stepped with `step_threads = 1` allocates only on the thread that
-//! drives it).
+//! world allocates only on the thread that drives it).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

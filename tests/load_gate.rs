@@ -1,14 +1,13 @@
 //! Gates for the traffic layer: scenario parsing is hostile-input safe,
-//! loaded multi-segment worlds are deterministic (twin-run serial vs
-//! parallel, twice-run byte-equality), partitions scheduled in the
+//! loaded multi-segment worlds are deterministic (twice-run
+//! byte-equality of every artifact), partitions scheduled in the
 //! recipe actually cut and heal, the recorded artifact replays
 //! divergence-free through the services setup installer, and the driver's
 //! `set_link_up` journals like any other stimulus.
 
-use pilgrim::{rerun, twin_run, Artifact, ReplayError, SimTime, Stimulus};
+use pilgrim::{capture, rerun, Artifact, ReplayError, SimTime, Stimulus};
 use pilgrim_services::{
-    render_run_report, replay_load_artifact, run_scenario, run_scenario_threads, setup_installer,
-    Scenario, FS_NODE, NS_NODE,
+    render_run_report, replay_load, run_scenario, setup_installer, Scenario, FS_NODE, NS_NODE,
 };
 
 /// A small partitioned star scenario, heavy enough to cross bridges and
@@ -51,12 +50,18 @@ fn loaded_run_is_twice_byte_identical() {
     let a = run_scenario(&scenario()).expect("runs");
     let b = run_scenario(&scenario()).expect("runs");
     assert_eq!(a.report, b.report, "reports must be byte-identical");
-    assert_eq!(a.world.trace_jsonl(), b.world.trace_jsonl());
+    let (a, b) = (capture(&a.world), capture(&b.world));
+    assert_eq!(a.trace, b.trace, "traces must be byte-identical");
+    assert_eq!(a.folded_stacks, b.folded_stacks);
     assert_eq!(
-        a.world.record().render(),
-        b.world.record().render(),
+        a.metrics, b.metrics,
+        "metrics reports must be byte-identical"
+    );
+    assert_eq!(
+        a.artifact, b.artifact,
         "whole artifacts must be byte-identical"
     );
+    assert_eq!(a.watch_trips, b.watch_trips);
 }
 
 #[test]
@@ -77,28 +82,14 @@ fn partition_cuts_then_heals() {
 }
 
 #[test]
-fn twin_run_serial_vs_parallel_under_load() {
-    twin_run("load_gate", |threads| {
-        let out = run_scenario_threads(&scenario(), threads).expect("runs");
-        out.world
-    });
-}
-
-#[test]
 fn recorded_load_artifact_replays_byte_identically() {
     let out = run_scenario(&scenario()).expect("runs");
     let rendered = out.world.record().render();
     // Round-trip through text, as CI does with a file on disk.
     let artifact = Artifact::parse(&rendered).expect("parses back");
-    for threads in [1usize, 4] {
-        let report = replay_load_artifact(&artifact, threads).expect("replays");
-        assert!(
-            report.divergence.is_none(),
-            "at {threads} threads: {:?}",
-            report.divergence
-        );
-        assert!(report.byte_identical, "at {threads} threads");
-    }
+    let report = replay_load(&artifact).expect("replays");
+    assert!(report.divergence.is_none(), "{:?}", report.divergence);
+    assert!(report.byte_identical);
 }
 
 /// `rerun` is the build → setup → apply step every tool that re-drives a
@@ -112,7 +103,7 @@ fn rerun_needs_the_installer_and_reproduces_the_run_with_it() {
     let rendered = out.world.record().render();
     let artifact = Artifact::parse(&rendered).expect("parses back");
 
-    let err = rerun(&artifact, 1, None).expect_err("no installer, no re-run");
+    let err = rerun(&artifact, None).expect_err("no installer, no re-run");
     assert!(matches!(err, ReplayError::Format(_)), "{err:?}");
     let text = err.to_string();
     assert!(
@@ -121,7 +112,7 @@ fn rerun_needs_the_installer_and_reproduces_the_run_with_it() {
     );
 
     let mut installer = setup_installer();
-    let world = rerun(&artifact, 1, Some(&mut installer)).expect("re-runs");
+    let world = rerun(&artifact, Some(&mut installer)).expect("re-runs");
     assert_eq!(world.trace_jsonl(), artifact.trace);
     assert_eq!(
         world.record().render(),
@@ -165,7 +156,7 @@ fn set_link_up_journals_and_replays() {
         )),
         "set_link_up must journal"
     );
-    let report = replay_load_artifact(&w.record(), 1).expect("replays");
+    let report = replay_load(&w.record()).expect("replays");
     assert!(report.divergence.is_none(), "{:?}", report.divergence);
     assert!(report.byte_identical);
 

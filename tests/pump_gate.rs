@@ -8,7 +8,7 @@
 //! full-scan reference pump (`World::set_reference_pump`), in both
 //! settings of `NodeConfig::freeze_timeouts_on_halt`. These tests
 //! pin exactly that, across fixed rich scenarios and random seed ×
-//! topology × thread-count property cases, and assert the index
+//! topology × loss × debugger property cases, and assert the index
 //! invariants (`World::debug_validate_index`) across the mutation paths
 //! that change a node's schedule: spawns, halts, resumes,
 //! `force_runnable`, and the `node_mut` escape hatch.
@@ -46,10 +46,10 @@ nap = proc ()
  print(\"napped\")
 end";
 
-/// The everything-on scenario from the parallel gate, parameterised over
-/// the pump implementation: RPC fan-out, profiling, a debugger session
-/// with a mid-run halt/resume, and a tripping watchpoint.
-fn rich_scenario(threads: usize, reference_pump: bool) -> World {
+/// The everything-on scenario, parameterised over the pump
+/// implementation: RPC fan-out, profiling, a debugger session with a
+/// mid-run halt/resume, and a tripping watchpoint.
+fn rich_scenario(reference_pump: bool) -> World {
     let node_cfg = NodeConfig {
         profile_vm: true,
         ..NodeConfig::default()
@@ -61,7 +61,6 @@ fn rich_scenario(threads: usize, reference_pump: bool) -> World {
         .program_for(2, SERVER)
         .node_config(node_cfg)
         .seed(0xda7a)
-        .step_threads(threads)
         .build()
         .expect("rich scenario builds");
     w.set_reference_pump(reference_pump);
@@ -77,25 +76,24 @@ fn rich_scenario(threads: usize, reference_pump: bool) -> World {
 }
 
 /// Skip-quiescent and full-scan pumps must produce byte-identical
-/// artifacts, serially and on the worker pool.
+/// artifacts.
 #[test]
 fn pump_twin_rich_scenario() {
-    for threads in [1, 4] {
-        let skip = capture(&rich_scenario(threads, false));
-        let reference = capture(&rich_scenario(threads, true));
-        assert_eq!(
-            skip.trace, reference.trace,
-            "trace diverged at {threads} threads"
-        );
-        assert_eq!(skip.folded_stacks, reference.folded_stacks);
-        assert_eq!(skip.metrics, reference.metrics);
-        assert_eq!(skip.artifact, reference.artifact);
-        assert_eq!(skip.watch_trips, reference.watch_trips);
-        assert!(
-            !skip.watch_trips.is_empty(),
-            "scenario must trip its watchpoint or the trip comparison is vacuous"
-        );
-    }
+    let skip = capture(&rich_scenario(false));
+    let reference = capture(&rich_scenario(true));
+    assert_eq!(skip.trace, reference.trace, "trace diverged");
+    assert_eq!(skip.folded_stacks, reference.folded_stacks);
+    assert_eq!(skip.metrics, reference.metrics);
+    assert_eq!(skip.artifact, reference.artifact);
+    assert_eq!(skip.watch_trips, reference.watch_trips);
+    assert!(
+        !skip.watch_trips.is_empty(),
+        "scenario must trip its watchpoint or the trip comparison is vacuous"
+    );
+    assert!(
+        skip.folded_stacks.contains("ping"),
+        "profiling must capture the remote procedure"
+    );
 }
 
 /// `sparse-250k`'s shape in small: every node forks a crowd of workers
@@ -116,14 +114,13 @@ end";
 /// between slices: first every station is runnable at once (the index's
 /// runnable list, re-keyed every window), then every station is parked
 /// on thirty timers (its heap), then they wake node by node.
-fn sparse_scenario(threads: usize, reference_pump: bool) -> World {
+fn sparse_scenario(reference_pump: bool) -> World {
     const NODES: u32 = 12;
     let mut w = World::builder()
         .nodes(NODES)
         .program(SPARSE)
         .debugger(false)
         .seed(0x5ba45e)
-        .step_threads(threads)
         .build()
         .expect("sparse scenario builds");
     w.set_reference_pump(reference_pump);
@@ -159,20 +156,14 @@ fn sparse_scenario(threads: usize, reference_pump: bool) -> World {
 }
 
 /// Many simultaneously runnable stations, then many parked ones: the two
-/// containers of the activity index, byte-identical to the full scan,
-/// serially and on the worker pool.
+/// containers of the activity index, byte-identical to the full scan.
 #[test]
 fn pump_twin_sparse_scenario() {
-    for threads in [1, 4] {
-        let skip = capture(&sparse_scenario(threads, false));
-        let reference = capture(&sparse_scenario(threads, true));
-        assert_eq!(
-            skip.trace, reference.trace,
-            "trace diverged at {threads} threads"
-        );
-        assert_eq!(skip.metrics, reference.metrics);
-        assert_eq!(skip.artifact, reference.artifact);
-    }
+    let skip = capture(&sparse_scenario(false));
+    let reference = capture(&sparse_scenario(true));
+    assert_eq!(skip.trace, reference.trace, "trace diverged");
+    assert_eq!(skip.metrics, reference.metrics);
+    assert_eq!(skip.artifact, reference.artifact);
 }
 
 /// A spawn onto a node with nothing else to do leaves a `ProcCreated`
@@ -304,15 +295,14 @@ fn unfrozen_timeout_mode_matches_reference() {
 // Property: the two pumps agree for random scenarios.
 // ---------------------------------------------------------------------
 
-/// One random scenario: topology size, master seed, work amount, worker
-/// thread count, packet loss, whether a debugger halts mid-run, and
-/// whether that halt freezes timeouts (false = the E4 ablation).
+/// One random scenario: topology size, master seed, work amount, packet
+/// loss, whether a debugger halts mid-run, and whether that halt freezes
+/// timeouts (false = the E4 ablation).
 #[derive(Debug, Clone)]
 struct Scenario {
     nodes: i64,
     seed: u64,
     iters: i64,
-    threads: i64,
     lossy: bool,
     with_debug: bool,
     freeze: bool,
@@ -322,7 +312,7 @@ struct ScenarioGen;
 
 /// The zipped tuple shape [`ScenarioGen`] assembles before mapping into a
 /// [`Scenario`].
-type RawScenario = ((i64, u64), (i64, (i64, (i64, (i64, i64)))));
+type RawScenario = ((i64, u64), (i64, (i64, (i64, i64))));
 
 impl Gen for ScenarioGen {
     type Value = Scenario;
@@ -330,23 +320,18 @@ impl Gen for ScenarioGen {
         let nodes = int_range(1, 4).generate(rng);
         let seed = u64_range(0, u64::MAX).generate(rng);
         let iters = int_range(1, 5).generate(rng);
-        let threads = int_range(1, 4).generate(rng);
         let lossy = int_range(0, 1).generate(rng);
         let debug = int_range(0, 1).generate(rng);
         let freeze = int_range(0, 1).generate(rng);
         let pair = zip_cases(
             zip_cases(nodes, seed),
-            zip_cases(
-                iters,
-                zip_cases(threads, zip_cases(lossy, zip_cases(debug, freeze))),
-            ),
+            zip_cases(iters, zip_cases(lossy, zip_cases(debug, freeze))),
         );
         pair.map(std::rc::Rc::new(
-            |((n, s), (i, (t, (l, (d, f))))): &RawScenario| Scenario {
+            |((n, s), (i, (l, (d, f)))): &RawScenario| Scenario {
                 nodes: *n,
                 seed: *s,
                 iters: *i,
-                threads: *t,
                 lossy: *l == 1,
                 with_debug: *d == 1,
                 freeze: *f == 1,
@@ -377,7 +362,6 @@ end";
     let mut b = World::builder()
         .nodes(sc.nodes as u32)
         .seed(sc.seed)
-        .step_threads(sc.threads as usize)
         .node_config(NodeConfig {
             freeze_timeouts_on_halt: sc.freeze,
             ..NodeConfig::default()

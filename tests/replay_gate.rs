@@ -11,12 +11,11 @@
 
 use pilgrim::replay::{replay, replay_with, Artifact, ReplayError, ReplayReport};
 use pilgrim::{
-    twin_threads, DebugEvent, Json, MaybeDiagnosis, NodeConfig, NodeId, SimDuration, SimTime,
-    TraceEvent, Value, World,
+    DebugEvent, Json, MaybeDiagnosis, NodeId, SimDuration, SimTime, TraceEvent, Value, World,
 };
 use pilgrim_services::{
-    replay_load_artifact, setup_installer, AotConfig, AotMan, NameServer, ResourceManager,
-    RmConfig, TimeoutStrategy,
+    replay_load, setup_installer, AotConfig, AotMan, NameServer, ResourceManager, RmConfig,
+    TimeoutStrategy,
 };
 use pilgrim_sim::check::{check_n, ensure, ensure_eq, int_range, u64_range, zip_cases, Case, Gen};
 use pilgrim_sim::DetRng;
@@ -42,23 +41,11 @@ end";
 
 /// The semantics-lock scenario, driven exclusively through recorded APIs.
 fn lock_scenario() -> World {
-    lock_scenario_with(1, false)
-}
-
-/// [`lock_scenario`] with a stepping thread count and optional VM
-/// profiling (profiling makes `record()` embed folded stacks, which the
-/// cross-mode replay tests then verify via `profile_identical`).
-fn lock_scenario_with(threads: usize, profile: bool) -> World {
     let mut w = World::builder()
         .nodes(2)
         .program(NODE0)
         .program_for(1, NODE1)
         .seed(42)
-        .step_threads(threads)
-        .node_config(NodeConfig {
-            profile_vm: profile,
-            ..NodeConfig::default()
-        })
         .build()
         .expect("scenario builds");
     w.debug_connect(&[0, 1], false).unwrap();
@@ -380,43 +367,6 @@ fn failed_spawn_does_not_poison_replay() {
 }
 
 // ---------------------------------------------------------------------
-// Cross-mode replay: thread count is not part of a world's identity, so
-// recordings must replay byte-identically across stepping modes.
-// ---------------------------------------------------------------------
-
-/// A world recorded under parallel stepping replays identically under
-/// serial stepping, embedded profile included.
-#[test]
-fn parallel_recording_replays_serially() {
-    let world = lock_scenario_with(4, true);
-    assert_eq!(world.step_threads(), 4);
-    let text = world.record().render();
-    drop(world);
-
-    let artifact = Artifact::parse(&text).expect("rendered artifact parses");
-    let report = replay(&artifact).expect("replay runs");
-    assert_clean(&report, &artifact);
-    assert_eq!(
-        report.profile_identical,
-        Some(true),
-        "embedded folded-stack profile must survive the mode switch"
-    );
-}
-
-/// A world recorded under serial stepping replays identically at every
-/// parallel thread count, embedded profile included.
-#[test]
-fn serial_recording_replays_in_parallel() {
-    let artifact = lock_scenario_with(1, true).record();
-    for threads in twin_threads() {
-        let report = replay_with(&artifact, threads, None).expect("replay runs");
-        assert_clean(&report, &artifact);
-        assert_eq!(report.profile_identical, Some(true));
-        assert_eq!(report.world.step_threads(), threads);
-    }
-}
-
-// ---------------------------------------------------------------------
 // Property: record -> replay is byte-identical for random worlds.
 // ---------------------------------------------------------------------
 
@@ -557,7 +507,7 @@ fn a_world_touched_through_the_node_hatch_is_refused_by_name() {
     let artifact = Artifact::parse(&w.record().render()).expect("rendered artifact parses");
     for err in [
         replay(&artifact).expect_err("a plain replay refuses the hatch"),
-        replay_load_artifact(&artifact, 1).expect_err("so does one with an installer"),
+        replay_load(&artifact).expect_err("so does one with an installer"),
     ] {
         assert!(matches!(err, ReplayError::Format(_)), "{err:?}");
         let text = err.to_string();
@@ -583,7 +533,7 @@ fn directly_installed_services_replay() {
     );
     assert_eq!(setup_kinds(&w), ["aotman"]);
     let artifact = Artifact::parse(&w.record().render()).expect("rendered artifact parses");
-    let report = replay_load_artifact(&artifact, 1).expect("replays with the installer");
+    let report = replay_load(&artifact).expect("replays with the installer");
     assert_clean(&report, &artifact);
     let err = replay(&artifact).expect_err("no installer, no replay");
     assert!(err.to_string().contains("(aotman)"), "{err}");
@@ -624,7 +574,7 @@ end";
         r#"resource-manager {"node": 1, "lease_us": 2000000, "strategy": "ignore-while-debugged", "reclaim_on_contention": false}"#
     );
     let artifact = Artifact::parse(&w.record().render()).expect("rendered artifact parses");
-    let report = replay_load_artifact(&artifact, 1).expect("replays with the installer");
+    let report = replay_load(&artifact).expect("replays with the installer");
     assert_clean(&report, &artifact);
     assert_eq!(report.world.recipe().setup, w.recipe().setup);
 }
@@ -653,7 +603,7 @@ fn an_installer_that_drifts_from_the_recording_is_refused() {
     assert_eq!(setup_kinds(&w), ["nameserver", "ns-register", "aotman"]);
     let artifact = Artifact::parse(&w.record().render()).expect("rendered artifact parses");
     assert_clean(
-        &replay_load_artifact(&artifact, 1).expect("the faithful installer replays"),
+        &replay_load(&artifact).expect("the faithful installer replays"),
         &artifact,
     );
 
@@ -662,7 +612,7 @@ fn an_installer_that_drifts_from_the_recording_is_refused() {
         "ns-register" => Ok(()),
         _ => faithful(w, kind, params),
     };
-    let err = replay_with(&artifact, 1, Some(&mut skips_registration))
+    let err = replay_with(&artifact, Some(&mut skips_registration))
         .expect_err("a skipped registration is refused");
     assert!(matches!(err, ReplayError::Stimulus(_)), "{err:?}");
     let text = err.to_string();
@@ -683,7 +633,7 @@ fn an_installer_that_drifts_from_the_recording_is_refused() {
         }
         _ => faithful(w, kind, params),
     };
-    let err = replay_with(&artifact, 1, Some(&mut shortens_lifetime))
+    let err = replay_with(&artifact, Some(&mut shortens_lifetime))
         .expect_err("another lifetime is refused");
     let text = err.to_string();
     assert!(

@@ -5,13 +5,13 @@
 //! test runs the 100-node × 1k-process sparse-sleep workload (shrunk in
 //! debug builds so plain `cargo test` stays quick; CI runs it again with
 //! `--release` at full size), the memory test measures resident bytes per
-//! live process against a hard ceiling, and the million-process spawn
-//! churn is `#[ignore]`d for the nightly job next to the parallel soak:
-//! `cargo test --release --test scale_smoke -- --ignored`.
+//! live process against a hard ceiling, and the two nightly tests — the
+//! million-process spawn churn and the 64-node lossy ring soak run twice —
+//! are `#[ignore]`d: `cargo test --release --test scale_smoke -- --ignored`.
 
 use std::sync::OnceLock;
 
-use pilgrim::{SimTime, Value, World};
+use pilgrim::{capture, NetworkConfig, SimDuration, SimTime, Value, World};
 
 /// Workers sleep a node-staggered duration, so at any instant almost all
 /// of the 100 nodes are quiescent — the skip pump's target regime.
@@ -168,4 +168,98 @@ fn million_process_spawn() {
         "a million empty workers must drain (go idle) well before the limit"
     );
     w.debug_validate_index();
+}
+
+const RING_NODES: u32 = 64;
+
+/// Every node runs the same program: `main` pings its ring successor
+/// `rounds` times while serving pings from its predecessor.
+const RING: &str = "\
+ping = proc (x: int) returns (int)
+ return (x + my_node())
+end
+
+main = proc (rounds: int)
+ nxt: int := my_node() + 1
+ if nxt >= 64 then
+  nxt := 0
+ end
+ total: int := 0
+ for i: int := 1 to rounds do
+  total := total + call ping(i) at nxt
+ end
+ print(\"ring \" || int$unparse(my_node()) || \" total \" || int$unparse(total))
+end";
+
+/// Builds the 64-node ring under packet loss, arms watchpoints, spawns a
+/// client on every node, and pumps exactly 200 lockstep windows
+/// (continuing through any watch-trip halt), then drains to idle.
+fn ring_soak(seed: u64) -> World {
+    let net = NetworkConfig {
+        p_silent_loss: 0.02,
+        p_interface_loss: 0.01,
+        ..NetworkConfig::default()
+    };
+    let mut w = World::builder()
+        .nodes(RING_NODES)
+        .program(RING)
+        .network(net)
+        .seed(seed)
+        .build()
+        .expect("ring builds");
+    // One watch that trips mid-soak (lost packets force retransmissions)
+    // and one that never does: trips must land on the same sync index in
+    // both runs, and armed-but-silent watches must stay silent.
+    w.arm_watch("rpc.retransmits > 3").unwrap();
+    w.arm_watch("rpc.failed > 1000000").unwrap();
+    for node in 0..RING_NODES {
+        w.spawn(node, "main", vec![Value::Int(25)]);
+    }
+    // The builder clamps the lockstep window to the network base latency;
+    // pump in exact window-sized slices so both runs see the same 200
+    // sync points. `run_for` returns early at a watch trip, so each slice
+    // re-issues the remainder.
+    let window = SimDuration::from_micros(3_308);
+    for _ in 0..200 {
+        let target = w.now() + window;
+        while w.now() < target {
+            w.run_for(target - w.now());
+        }
+    }
+    w.run_until_idle(SimTime::from_secs(120));
+    w
+}
+
+#[test]
+#[ignore = "nightly soak: cargo test --release --test scale_smoke -- --ignored"]
+fn soak_ring_is_deterministic_twice() {
+    resident_bytes_per_parked_process();
+    for seed in [1u64, 0xbeef, 0x5eed_5eed] {
+        let first = capture(&ring_soak(seed));
+        assert!(
+            !first.watch_trips.is_empty(),
+            "seed {seed:#x}: the retransmit watch must trip under loss"
+        );
+        let second = capture(&ring_soak(seed));
+        assert!(
+            first.trace == second.trace,
+            "seed {seed:#x}: trace diverged"
+        );
+        assert!(
+            first.folded_stacks == second.folded_stacks,
+            "seed {seed:#x}: folded stacks diverged"
+        );
+        assert!(
+            first.metrics == second.metrics,
+            "seed {seed:#x}: metrics diverged"
+        );
+        assert!(
+            first.artifact == second.artifact,
+            "seed {seed:#x}: record artifact diverged"
+        );
+        assert_eq!(
+            first.watch_trips, second.watch_trips,
+            "seed {seed:#x}: watch trips diverged"
+        );
+    }
 }

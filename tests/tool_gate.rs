@@ -81,7 +81,6 @@ fn bad_input_is_status_2_with_one_stderr_line_and_no_stdout() {
     let (art, text) = dir.recorded_load();
     let dump = rerun(
         &Artifact::parse(&text).expect("parses"),
-        1,
         Some(&mut setup_installer()),
     )
     .expect("re-runs")
@@ -200,7 +199,7 @@ fn recorded_load_artifact_replays_profiles_and_traces_from_disk() {
     // other run: the instrumented re-run reproduces the recorded trace.
     let mut artifact = Artifact::parse(&text).expect("parses");
     artifact.recipe.node_cfg.profile_vm = true;
-    let world = rerun(&artifact, 1, Some(&mut setup_installer())).expect("re-runs");
+    let world = rerun(&artifact, Some(&mut setup_installer())).expect("re-runs");
     assert_eq!(world.trace_jsonl(), artifact.trace);
     assert_eq!(world.folded_stacks(), folded);
 
@@ -305,13 +304,17 @@ fn usage_errors_are_status_2_and_help_is_status_0_on_stdout() {
         &["trace", &art, "--slow", "0"],
         &["trace", &art, "--slow"],
         &["trace", &art, "--span", "x"],
-        &["load", "--threads", "0"],
+        &["load", "scenarios/partition_1k.toml", "--threads", "2"],
     ];
     for args in usage_errors {
         let (status, out, err) = pilgrim(args);
         assert_eq!((status, out.as_str()), (2, ""), "{args:?}: {err}");
         assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
     }
+    // Nodes step on one thread: `load` has no thread count to take, and
+    // says which flag it refused.
+    let (_, _, err) = pilgrim(&["load", "scenarios/partition_1k.toml", "--threads", "2"]);
+    assert_eq!(err, "pilgrim: unknown argument `--threads`\n");
 
     // A span the trace does not hold is a failed lookup, not a success.
     let (status, out, err) = pilgrim(&["trace", &art, "--span", "4000000000"]);

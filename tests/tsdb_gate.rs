@@ -3,15 +3,14 @@
 //! The windowed time-series store samples the metrics registry at every
 //! lockstep sync point, and the flight recorder keeps a bounded ring of
 //! recent events even with full tracing off. Both are only admissible if
-//! they are *reproducible*: serial runs, parallel runs (2/4/8 stepping
-//! threads), and replays of a recording must all render byte-identical
-//! `tsdb` output, causal critical-path reports, and blackbox snapshots.
-//! This gate, in the style of `tests/parallel_gate.rs`, enforces exactly
-//! that.
+//! they are *reproducible*: two same-seed runs and a replay of a
+//! recording must all render byte-identical `tsdb` output, causal
+//! critical-path reports, and blackbox snapshots. This gate enforces
+//! exactly that.
 
 use pilgrim::blackbox::BlackboxSnapshot;
 use pilgrim::replay::replay;
-use pilgrim::{twin_threads, NetworkConfig, SimTime, TraceCategory, Value, World};
+use pilgrim::{twin_run, NetworkConfig, SimTime, TraceCategory, Value, World};
 
 const FANOUT_MAIN: &str = "\
 ping = proc (x: int) returns (int)
@@ -37,7 +36,7 @@ end";
 /// resolution (a sample per sync point): retransmissions move the counters
 /// and the latency histogram, so every series family gets sampled history
 /// to compare.
-fn tsdb_scenario(threads: usize) -> World {
+fn tsdb_scenario() -> World {
     let net = NetworkConfig {
         p_silent_loss: 0.08,
         ..NetworkConfig::default()
@@ -51,7 +50,6 @@ fn tsdb_scenario(threads: usize) -> World {
         .network(net)
         .seed(0x1055)
         .coarse_window(1, 4096)
-        .step_threads(threads)
         .build()
         .expect("tsdb scenario builds");
     w.spawn(0, "main", vec![Value::Int(4)]);
@@ -78,29 +76,34 @@ fn capture_observability(w: &World) -> Vec<(&'static str, String)> {
     ]
 }
 
+/// Two same-seed runs of the lossy fan-out agree on every observability
+/// rendering, and on the trace, metrics and record artifact `twin_run`
+/// compares: retransmissions draw from the network and RPC runtime RNGs,
+/// so a draw that depended on anything but the seed would show here.
 #[test]
 fn twin_gate_tsdb_and_causal_outputs() {
-    let serial = tsdb_scenario(1);
-    let reference = capture_observability(&serial);
+    let first = twin_run("tsdb_scenario", tsdb_scenario);
+    assert!(
+        first.metrics.contains("rpc.completed"),
+        "metrics report must carry RPC counters"
+    );
+    let reference = capture_observability(&tsdb_scenario());
     let (_, summary) = &reference[0];
     assert!(
         summary.contains("counter net.sent") && summary.contains("histogram rpc.latency_us"),
         "full-resolution store must have sampled every metric family:\n{summary}"
     );
-    for threads in twin_threads() {
-        let parallel = tsdb_scenario(threads);
-        for ((what, want), (_, got)) in reference.iter().zip(capture_observability(&parallel)) {
-            assert_eq!(
-                *want, got,
-                "{what} differs between serial and {threads}-thread runs"
-            );
-        }
+    for ((what, want), (_, got)) in reference
+        .iter()
+        .zip(capture_observability(&tsdb_scenario()))
+    {
+        assert_eq!(*want, got, "{what} differs between two same-seed runs");
     }
 }
 
 #[test]
 fn replayed_world_renders_identical_tsdb_output() {
-    let live = tsdb_scenario(1);
+    let live = tsdb_scenario();
     let artifact = live.record();
     assert_eq!(
         (
@@ -183,7 +186,7 @@ fn flight_recorder_captures_with_tracing_off() {
 /// queries answer from, at whatever shape the world was built with.
 #[test]
 fn blackbox_windows_are_the_tsdb_summary() {
-    let full = tsdb_scenario(1);
+    let full = tsdb_scenario();
     let snap = full.blackbox_snapshot("gate");
     assert_eq!(snap.windows, full.tsdb_summary());
     assert!(
@@ -256,7 +259,7 @@ fn coarse_store_answers_when_tsdb_is_off() {
 /// the strict off path empties it.
 #[test]
 fn blackbox_ring_excludes_vm_by_default() {
-    let w = tsdb_scenario(1);
+    let w = tsdb_scenario();
     let snap = w.blackbox_snapshot("gate");
     let events = snap.decode_events().expect("decodes");
     assert!(!events.is_empty());
