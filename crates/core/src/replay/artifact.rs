@@ -1,16 +1,27 @@
 //! The artifact: a recipe, its journal and the trace they produced, as one
 //! self-describing document.
+//!
+//! Version 2 lays a recording out as a one-line JSON header followed by
+//! the trace as it was emitted: `format`, `version`, `recipe`, `stimuli`,
+//! `profile` and `trace_bytes` on the first line, then exactly
+//! `trace_bytes` bytes of JSON Lines. The `Json` writer escapes every
+//! newline inside a string, so the header's own `\n` is the first one in
+//! the file. Version 1 held the trace as an escaped `trace` string inside
+//! one document; it still loads, through the same decoder.
+
+use std::borrow::Cow;
 
 use pilgrim_sim::json::Fields;
-use pilgrim_sim::{quote_into, Json};
+use pilgrim_sim::Json;
 
 use super::{Recipe, ReplayError, Stimulus};
 use crate::saved::Saved;
 
 /// Artifact format tag, checked on load.
 pub const FORMAT: &str = "pilgrim-replay";
-/// Artifact format version, checked on load.
-pub const VERSION: u32 = 1;
+/// Artifact format version written by [`Artifact::render`]; versions 1
+/// through this one load.
+pub const VERSION: u32 = 2;
 
 /// A self-describing recording: recipe + stimulus journal + the trace the
 /// original run emitted.
@@ -30,13 +41,8 @@ pub struct Artifact {
 }
 
 impl Artifact {
-    /// Renders the artifact as one self-describing JSON document
-    /// (trailing newline included).
+    /// Renders the artifact: the one-line header, then the trace raw.
     pub fn render(&self) -> String {
-        // The four small sections go through the `Json` writer; the trace
-        // and the profile are the bulk of the document and are escaped
-        // straight into the output instead of being cloned into a tree
-        // first. Byte for byte the six-key object `Json::write` renders.
         let head = Json::obj(vec![
             ("format", Json::Str(FORMAT.to_string())),
             ("version", Json::Int(VERSION as i128)),
@@ -45,25 +51,24 @@ impl Artifact {
                 "stimuli",
                 Json::Array(self.stimuli.iter().map(Stimulus::to_json).collect()),
             ),
+            (
+                "profile",
+                self.profile.clone().map_or(Json::Null, Json::Str),
+            ),
+            ("trace_bytes", Json::Int(self.trace.len() as i128)),
         ]);
-        // Escaping grows a trace by about an eighth (its quotes and
-        // newlines); reserve a quarter so the buffer is sized once.
-        let bulk = self.trace.len() + self.profile.as_ref().map_or(0, String::len);
-        let mut out = String::with_capacity(bulk + bulk / 4 + 4096);
+        let mut out = String::new();
         head.write(&mut out);
-        out.pop(); // reopen the object: drop the `}`
-        out.push_str(", \"trace\": ");
-        quote_into(&self.trace, &mut out);
-        out.push_str(", \"profile\": ");
-        match &self.profile {
-            Some(p) => quote_into(p, &mut out),
-            None => out.push_str("null"),
-        }
-        out.push_str("}\n");
+        out.push('\n');
+        // The trace is most of a recording's bytes: one append, into a
+        // buffer grown once to exactly its size.
+        out.reserve_exact(self.trace.len());
+        out.push_str(&self.trace);
         out
     }
 
-    /// Parses an artifact rendered by [`render`](Artifact::render).
+    /// Parses an artifact rendered by [`render`](Artifact::render), or a
+    /// version 1 document.
     ///
     /// # Errors
     ///
@@ -75,9 +80,11 @@ impl Artifact {
             .map_err(ReplayError::Format)
     }
 
-    /// The sections of a parsed document whose `format` tag and version
-    /// [`Saved::parse`] has already checked.
-    pub(crate) fn from_doc(mut doc: Json) -> Result<Artifact, String> {
+    /// The sections of a parsed header whose `format` tag and version
+    /// [`Saved::parse`] has already checked. `body` is a version 2
+    /// recording's trace, the text after the header; `None` reads a
+    /// version 1 document's escaped `trace` string instead.
+    pub(crate) fn from_doc(mut doc: Json, body: Option<Cow<'_, str>>) -> Result<Artifact, String> {
         let f = Fields::new(&doc, &"recording");
         let recipe = Recipe::from_json(f.object("recipe")?)?;
         let stimuli: Vec<Stimulus> = f.list("stimuli", Stimulus::from_json)?;
@@ -93,34 +100,51 @@ impl Artifact {
                 "stimuli: no node {n} in a world of {stations} stations"
             ));
         }
+        match &body {
+            Some(body) => {
+                let declared: usize = f.uint("trace_bytes")?;
+                if declared != body.len() {
+                    return Err(format!(
+                        "recording: `trace_bytes` is {declared} but {} bytes follow the header",
+                        body.len()
+                    ));
+                }
+            }
+            None => {
+                f.str("trace")?;
+            }
+        }
         // The profile is absent in artifacts recorded before profiling
         // existed, and `null` in one that did not profile.
-        f.str("trace")?;
         if !matches!(f.opt_get("profile"), None | Some(Json::Null)) {
             f.str("profile")?;
         }
-        // Last, because they gut the document: the trace and the profile
-        // are most of an artifact's bytes, so they are moved out rather
-        // than copied.
+        // Last, because they gut the document: a version 1 trace and the
+        // profile are moved out rather than copied.
         let profile = match doc.get_mut("profile") {
             Some(Json::Str(s)) => Some(std::mem::take(s)),
             _ => None,
         };
-        let Some(Json::Str(trace)) = doc.get_mut("trace") else {
-            unreachable!("`trace` was read as a string above");
+        let trace = match body {
+            Some(body) => body.into_owned(),
+            None => match doc.get_mut("trace") {
+                Some(Json::Str(trace)) => std::mem::take(trace),
+                _ => unreachable!("`trace` was read as a string above"),
+            },
         };
         Ok(Artifact {
             recipe,
             stimuli,
-            trace: std::mem::take(trace),
+            trace,
             profile,
         })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::replay::replay;
     use crate::World;
     use pilgrim_cclu::Value;
     use pilgrim_mayflower::NodeConfig;
@@ -137,9 +161,12 @@ mod tests {
         ));
     }
 
-    /// A small recorded run, profiled or not, whose trace and profile are
-    /// then overwritten with text that exercises every escape class.
-    fn hostile_artifact(profile: bool) -> Artifact {
+    /// Text that exercises every escape class a JSON string has.
+    const HOSTILE: &str = "\"quoted\" back\\slash\ttab \u{1}\u{1f} λ\"→\\😀\n";
+
+    /// A small recorded run, profiled or not, that printed [`HOSTILE`],
+    /// so its trace holds every escape class inside its event lines.
+    fn recorded(profile: bool) -> Artifact {
         let mut w = World::builder()
             .program("main = proc (s: string)\n print(s)\n end")
             .seed(7)
@@ -149,24 +176,31 @@ mod tests {
             })
             .build()
             .expect("builds");
-        w.spawn(0, "main", vec![Value::Str("arg \"q\"".into())]);
+        w.spawn(0, "main", vec![Value::Str(HOSTILE.into())]);
         w.run_until_idle(pilgrim_sim::SimTime::from_secs(1));
-        let mut artifact = w.record();
+        let artifact = w.record();
         assert_eq!(artifact.profile.is_some(), profile);
-        let hostile = "\"quoted\" back\\slash\ttab \u{1}\u{1f} λ\"→\\😀\n";
-        artifact.trace.push_str(hostile);
+        artifact
+    }
+
+    /// [`recorded`], whose trace and profile are then overwritten with
+    /// [`HOSTILE`] as raw text: a trace line that is not JSON, and a raw
+    /// newline in the profile.
+    fn hostile_artifact(profile: bool) -> Artifact {
+        let mut artifact = recorded(profile);
+        artifact.trace.push_str(HOSTILE);
         if let Some(p) = &mut artifact.profile {
-            p.push_str(hostile);
+            p.push_str(HOSTILE);
         }
         artifact
     }
 
-    /// The artifact as the six-key document `render` used to build as a
-    /// `Json` tree (cloning the trace into it) before it streamed.
+    /// The artifact as the six-key version 1 document: the trace an
+    /// escaped string inside it, the whole recording one line.
     fn document(a: &Artifact) -> Vec<(String, Json)> {
         let Json::Object(pairs) = Json::obj(vec![
             ("format", Json::Str(FORMAT.to_string())),
-            ("version", Json::Int(VERSION as i128)),
+            ("version", Json::Int(1)),
             ("recipe", a.recipe.to_json()),
             (
                 "stimuli",
@@ -193,12 +227,34 @@ mod tests {
         out
     }
 
+    /// `a` rendered as a version 1 recording.
+    pub(crate) fn version_1(a: &Artifact) -> String {
+        render_document(document(a))
+    }
+
+    /// The version 2 header built from the version 1 document: the same
+    /// sections, `trace` swapped for `trace_bytes` after the profile.
+    fn header(a: &Artifact) -> Vec<(String, Json)> {
+        let mut pairs = document(a);
+        pairs[1].1 = Json::Int(VERSION as i128);
+        pairs.retain(|(k, _)| k != "trace");
+        pairs.push(("trace_bytes".into(), Json::Int(a.trace.len() as i128)));
+        pairs
+    }
+
+    /// A rendering is the `Json` writer's header line, then the trace
+    /// byte for byte.
     #[test]
     fn streamed_render_matches_the_json_document() {
         for profile in [false, true] {
             let a = hostile_artifact(profile);
             let text = a.render();
-            assert_eq!(text, render_document(document(&a)));
+            assert_eq!(text, render_document(header(&a)) + &a.trace);
+            // The raw newline in the profile is escaped: the header is
+            // one line, and the first newline ends it.
+            let (head, body) = text.split_once('\n').expect("has a header line");
+            assert_eq!(body, a.trace);
+            assert!(Json::parse(head).is_ok());
             let back = Artifact::parse(&text).expect("parses");
             assert_eq!(back.trace, a.trace);
             assert_eq!(back.profile, a.profile);
@@ -206,31 +262,65 @@ mod tests {
         }
     }
 
-    /// `Artifact::parse` moves the trace out of the parsed document; what
-    /// it accepts and which `trace` key wins must not have moved with it.
+    /// A version 1 recording loads through the same decoder as the
+    /// version 2 rendering of the same artifact, to equal fields, and
+    /// both replay byte-identically.
+    #[test]
+    fn a_version_1_recording_loads_and_replays_like_version_2() {
+        let a = recorded(true);
+        assert!(a
+            .trace
+            .contains("\\\"quoted\\\" back\\\\slash\\ttab \\u0001"));
+        let v1 = version_1(&a);
+        let v2 = a.render();
+        assert_ne!(v1, v2);
+        assert_eq!(v1.lines().count(), 1);
+        let from_v1 = Artifact::parse(&v1).expect("version 1 parses");
+        let from_v2 = Artifact::parse(&v2).expect("version 2 parses");
+        for back in [&from_v1, &from_v2] {
+            assert_eq!(back.recipe.to_json(), a.recipe.to_json());
+            let journal =
+                |a: &Artifact| a.stimuli.iter().map(Stimulus::to_json).collect::<Vec<_>>();
+            assert_eq!(journal(back), journal(&a));
+            assert_eq!(back.trace, a.trace);
+            assert_eq!(back.profile, a.profile);
+            let report = replay(back).expect("replays");
+            assert!(report.byte_identical, "{:?}", report.divergence);
+            assert_eq!(report.profile_identical, Some(true));
+        }
+        // Loaded from either form, the recording renders as version 2.
+        assert_eq!(from_v1.render(), v2);
+        assert_eq!(from_v2.render(), v2);
+    }
+
+    /// `Artifact::parse` moves the trace out of a version 1 document;
+    /// what it accepts and which `trace` key wins must not have moved
+    /// with it. A version 2 header's trace is its body: a `trace` key in
+    /// it is not read, and the first `trace_bytes` wins.
     #[test]
     fn trace_key_handling_is_unchanged_by_moving_it_out() {
         let a = hostile_artifact(false);
-        let refused =
-            |pairs: Vec<(String, Json)>, want: &str| match Artifact::parse(&render_document(pairs))
-            {
-                Err(ReplayError::Format(e)) => assert_eq!(e, want),
-                other => panic!("expected a format error, got {other:?}"),
-            };
-        let at = |pairs: &[(String, Json)]| pairs.iter().position(|(k, _)| k == "trace").unwrap();
+        let refused = |pairs: Vec<(String, Json)>, body: &str, want: &str| match Artifact::parse(
+            &(render_document(pairs) + body),
+        ) {
+            Err(ReplayError::Format(e)) => assert_eq!(e, want),
+            other => panic!("expected a format error, got {other:?}"),
+        };
+        let at =
+            |pairs: &[(String, Json)], key: &str| pairs.iter().position(|(k, _)| k == key).unwrap();
 
         let mut pairs = document(&a);
-        pairs.remove(at(&pairs));
-        refused(pairs, "recording: missing `trace`");
+        pairs.remove(at(&pairs, "trace"));
+        refused(pairs, "", "recording: missing `trace`");
 
         for not_a_string in [Json::Int(5), Json::Null, Json::Array(vec![])] {
             let mut pairs = document(&a);
-            let i = at(&pairs);
+            let i = at(&pairs, "trace");
             pairs[i].1 = not_a_string;
             // A later, well-formed duplicate does not rescue it: lookup
             // is first-key-wins.
             pairs.push(("trace".to_string(), Json::Str("later".into())));
-            refused(pairs, "recording: `trace` out of range");
+            refused(pairs, "", "recording: `trace` out of range");
         }
 
         let mut pairs = document(&a);
@@ -238,6 +328,29 @@ mod tests {
         let first_wins = Artifact::parse(&render_document(pairs)).expect("parses");
         assert_eq!(first_wins.trace, a.trace);
         assert_eq!(first_wins.render(), a.render());
+
+        let mut pairs = header(&a);
+        pairs.insert(2, ("trace".to_string(), Json::Str("ignored".into())));
+        let len = a.trace.len() as i128;
+        pairs.push(("trace_bytes".to_string(), Json::Int(len + 1)));
+        let body_wins = Artifact::parse(&(render_document(pairs) + &a.trace)).expect("parses");
+        assert_eq!(body_wins.trace, a.trace);
+        assert_eq!(body_wins.render(), a.render());
+
+        let mut pairs = header(&a);
+        pairs.remove(at(&pairs, "trace_bytes"));
+        refused(pairs, &a.trace, "recording: missing `trace_bytes`");
+        let mut pairs = header(&a);
+        let i = at(&pairs, "trace_bytes");
+        pairs[i].1 = Json::Int(len - 1);
+        refused(
+            pairs,
+            &a.trace,
+            &format!(
+                "recording: `trace_bytes` is {} but {len} bytes follow the header",
+                len - 1
+            ),
+        );
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! The one loader for the documents a world writes to disk.
 //!
 //! Two kinds of file leave a session: a replay recording ([`Artifact`])
-//! and a flight-recorder dump ([`BlackboxSnapshot`]). Both are one JSON
-//! object that opens with a `format` tag and a `version`. [`open`] reads
-//! a user-supplied path, parses the text once, and dispatches on the tag;
-//! every front-end that takes a file goes through it, so "cannot read",
-//! "not JSON", "unknown format tag" and "bad section" are worded here and
-//! nowhere else.
+//! and a flight-recorder dump ([`BlackboxSnapshot`]). Both open with a
+//! one-line JSON document that carries a `format` tag and a `version`. A
+//! dump, and a version 1 recording, is that line alone; a version 2
+//! recording follows it with its raw trace. [`open`] reads a
+//! user-supplied path, parses the first line once, and dispatches on the
+//! tag; every front-end that takes a file goes through it, so "cannot
+//! read", "not JSON", "unknown format tag" and "bad section" are worded
+//! here and nowhere else.
+
+use std::borrow::Cow;
 
 use pilgrim_sim::{CausalGraph, Json, TraceEvent};
 
@@ -22,7 +26,9 @@ pub enum Saved {
     Dump(BlackboxSnapshot),
 }
 
-/// Reads the file at `path` as whichever saved document it is.
+/// Reads the file at `path` as whichever saved document it is. A version
+/// 2 recording's trace is the buffer the file was read into, with the
+/// header drained from its front: loading costs one copy of the file.
 ///
 /// # Errors
 ///
@@ -30,7 +36,7 @@ pub enum Saved {
 /// [`Saved::parse`] rejects.
 pub fn open(path: &str) -> Result<Saved, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Saved::parse(&text).map_err(|e| format!("{path}: {e}"))
+    Saved::load(Cow::Owned(text)).map_err(|e| format!("{path}: {e}"))
 }
 
 impl Saved {
@@ -41,13 +47,22 @@ impl Saved {
     /// # Errors
     ///
     /// Malformed JSON, a `format` tag that is neither of the two this
-    /// workspace writes, an unsupported version, or a bad section.
+    /// workspace writes, an unsupported version, a bad section, a version
+    /// 2 body whose length is not its header's `trace_bytes`, or a
+    /// non-blank line after a one-line document.
     pub fn parse(text: &str) -> Result<Saved, String> {
-        let doc = Json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
+        Saved::load(Cow::Borrowed(text))
+    }
+
+    fn load(text: Cow<'_, str>) -> Result<Saved, String> {
+        // The `Json` writer escapes every newline inside a string, so the
+        // first one ends the document; only that line is parsed as JSON.
+        let at = text.find('\n').map_or(text.len(), |nl| nl + 1);
+        let doc = Json::parse(&text[..at]).map_err(|e| format!("not JSON: {e}"))?;
         let tag = doc.get("format").and_then(Json::as_str).unwrap_or("");
-        let (expected, recording) = match tag {
-            replay::FORMAT => (replay::VERSION, true),
-            blackbox::FORMAT => (blackbox::VERSION, false),
+        let (oldest, newest, recording) = match tag {
+            replay::FORMAT => (1, replay::VERSION, true),
+            blackbox::FORMAT => (blackbox::VERSION, blackbox::VERSION, false),
             _ => {
                 return Err(format!(
                     "unknown format tag `{tag}` (expected `{}` or `{}`)",
@@ -57,13 +72,36 @@ impl Saved {
             }
         };
         let version = doc.get("version").and_then(Json::as_u64).unwrap_or(0);
-        if version != expected as u64 {
+        if !(oldest as u64..=newest as u64).contains(&version) {
+            let expected = if oldest == newest {
+                newest.to_string()
+            } else {
+                format!("{oldest} to {newest}")
+            };
             return Err(format!(
                 "unsupported {tag} version {version} (expected {expected})"
             ));
         }
+        let body = match text {
+            Cow::Borrowed(text) => Cow::Borrowed(&text[at..]),
+            Cow::Owned(mut text) => {
+                text.drain(..at);
+                Cow::Owned(text)
+            }
+        };
+        // A version 2 recording's trace is the rest of the text; any other
+        // document is its one line, with nothing but blank lines after it.
+        let trace = if recording && version == 2 {
+            Some(body)
+        } else if body.trim_start_matches([' ', '\t', '\r', '\n']).is_empty() {
+            None
+        } else {
+            return Err(format!(
+                "a non-blank line after the one-line {tag} version {version} document"
+            ));
+        };
         if recording {
-            Artifact::from_doc(doc).map(|a| Saved::Recording(Box::new(a)))
+            Artifact::from_doc(doc, trace).map(|a| Saved::Recording(Box::new(a)))
         } else {
             BlackboxSnapshot::from_doc(&doc).map(Saved::Dump)
         }
@@ -137,6 +175,26 @@ mod tests {
                     "unknown format tag `{tag}` (expected `pilgrim-replay` or `pilgrim-blackbox`)"
                 )
             );
+        }
+    }
+
+    #[test]
+    fn unsupported_versions_name_the_versions_that_load() {
+        for (text, want) in [
+            (
+                "{\"format\": \"pilgrim-replay\", \"version\": 3}",
+                "unsupported pilgrim-replay version 3 (expected 1 to 2)",
+            ),
+            (
+                "{\"format\": \"pilgrim-replay\"}",
+                "unsupported pilgrim-replay version 0 (expected 1 to 2)",
+            ),
+            (
+                "{\"format\": \"pilgrim-blackbox\", \"version\": 2}\n",
+                "unsupported pilgrim-blackbox version 2 (expected 1)",
+            ),
+        ] {
+            assert_eq!(Saved::parse(text).unwrap_err(), want);
         }
     }
 
@@ -263,6 +321,40 @@ mod tests {
         let text = every.render();
         assert!(Saved::parse(&text).is_ok(), "the longer journal loads");
         loads_or_errs_when_cut_or_mutated(&text, "hostile recordings, every op");
+
+        // `trace_bytes` made huge, negative, fractional, absent or one off.
+        let len = every.trace.len() as i128;
+        let (head, body) = text.split_once('\n').expect("has a header line");
+        let declared = format!("\"trace_bytes\": {len}}}");
+        assert!(head.ends_with(&declared));
+        let stem = &head[..head.len() - declared.len()];
+        refused(
+            [
+                format!("{u}", u = u64::MAX as i128 + 1),
+                "4000000000".into(),
+                "-1".into(),
+                "0.5".into(),
+                format!("{}", len - 1),
+                format!("{}", len + 1),
+                "\"12\"".into(),
+            ]
+            .map(|n| format!("{stem}\"trace_bytes\": {n}}}\n{body}")),
+        );
+        refused([format!("{}}}\n{body}", stem.trim_end_matches(", "))]);
+        // The body one byte short, one byte long, or missing its header
+        // line's newline.
+        refused([
+            text[..text.len() - 1].to_string(),
+            format!("{text}\n"),
+            format!("{head}{body}"),
+        ]);
+
+        // A version 1 recording is one line; blank lines may follow it,
+        // anything else may not.
+        let v1 = crate::replay::version_1(&every);
+        assert!(Saved::parse(&format!("{v1}\n \r\n\t")).is_ok());
+        refused([format!("{v1}x"), format!("{v1}{body}")]);
+        loads_or_errs_when_cut_or_mutated(&v1, "hostile recordings, version 1");
     }
 
     /// The keys older recordings lack load as their defaults when absent
@@ -270,7 +362,9 @@ mod tests {
     /// mistyped key never stands for its default.
     #[test]
     fn a_mistyped_optional_key_is_refused_by_name() {
-        let doc = Json::parse(&small_recording()).expect("parses");
+        let text = small_recording();
+        let (head, body) = text.split_once('\n').expect("has a header line");
+        let doc = Json::parse(head).expect("parses");
         let keys = [
             ("setup", false),
             ("trace_sample", false),
@@ -296,9 +390,7 @@ mod tests {
                 if mistyped {
                     pairs.push((key.to_string(), Json::Str("oops".into())));
                 }
-                let mut text = String::new();
-                doc.write(&mut text);
-                match Saved::parse(&text) {
+                match Saved::parse(&rejoin(&doc, body)) {
                     Err(e) if mistyped => {
                         assert!(e.ends_with(&format!("`{key}` out of range")), "{e}")
                     }
@@ -349,20 +441,32 @@ mod tests {
             );
         }
         loads_or_errs_when_cut_or_mutated(&text, "hostile dumps");
+        // A dump is one line; blank lines may follow it, anything else
+        // may not.
+        assert!(Saved::parse(&format!("{text}\n\n")).is_ok());
+        refused([format!("{text}{{}}\n"), format!("{text}\n{}", snap.events)]);
     }
 
     /// Every strict prefix of `text`, and 2 000 seeded mutations of its
-    /// document — an integer made huge, negative or fractional, a string
-    /// emptied or swapped for a number, an array swapped with an object,
-    /// a key dropped — load as `Ok` or `Err` and never panic.
+    /// header document, re-joined with its body — an integer made huge,
+    /// negative or fractional, a string emptied or swapped for a number,
+    /// an array swapped with an object, a key dropped — load as `Ok` or
+    /// `Err` and never panic. A prefix that cuts into the document, or
+    /// into a recording's trace, is an `Err`.
     fn loads_or_errs_when_cut_or_mutated(text: &str, name: &str) {
         use pilgrim_sim::check::{check_n, int_range, zip};
 
+        let whole = text.trim_end().len();
         for cut in (0..text.len()).filter(|&cut| text.is_char_boundary(cut)) {
-            let _ = Saved::parse(&text[..cut]);
+            let loaded = Saved::parse(&text[..cut]);
+            assert!(
+                cut >= whole || loaded.is_err(),
+                "{name}: cut at {cut} loads"
+            );
         }
 
-        let doc = Json::parse(text).expect("parses");
+        let (head, body) = text.split_once('\n').expect("has a header line");
+        let doc = Json::parse(head).expect("parses");
         let mut paths = Vec::new();
         collect_paths(&doc, &mut Vec::new(), &mut paths);
         let gen = zip(
@@ -379,11 +483,28 @@ mod tests {
                     _ => unreachable!("paths descend through containers"),
                 });
             mutate(node, op as usize, pick as usize);
-            let mut text = String::new();
-            doc.write(&mut text);
-            let _ = Saved::parse(&text);
+            let _ = Saved::parse(&rejoin(&doc, body));
             Ok(())
         });
+    }
+
+    /// `doc` written as a header line, with `body` after it.
+    fn rejoin(doc: &Json, body: &str) -> String {
+        let mut text = String::new();
+        doc.write(&mut text);
+        text.push('\n');
+        text.push_str(body);
+        text
+    }
+
+    /// Each of `texts` is a one-line format error.
+    fn refused(texts: impl IntoIterator<Item = String>) {
+        for text in texts {
+            match Saved::parse(&text) {
+                Err(e) => assert_eq!(e.lines().count(), 1, "{e}"),
+                Ok(_) => panic!("loads: {}", text.lines().next().unwrap_or("")),
+            }
+        }
     }
 
     /// Every value's path below `doc`, as child indices.
