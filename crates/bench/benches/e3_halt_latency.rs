@@ -43,10 +43,7 @@ fn run(nodes: u32, medium: Medium, broadcast_halt: bool) -> Vec<(u32, u64)> {
             medium,
             ..Default::default()
         })
-        .agent(AgentConfig {
-            broadcast_halt,
-            ..Default::default()
-        })
+        .agent(AgentConfig { broadcast_halt })
         .build()
         .expect("world builds");
     w.debug_connect(&(0..nodes).collect::<Vec<_>>(), false)

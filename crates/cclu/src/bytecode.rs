@@ -453,13 +453,6 @@ impl Program {
         best
     }
 
-    /// The source line for an address.
-    pub fn line_for_addr(&self, addr: CodeAddr) -> Option<u32> {
-        self.procs
-            .get(addr.proc.0 as usize)
-            .and_then(|p| p.debug.line_for_pc(addr.pc))
-    }
-
     /// Reads the instruction at `addr`.
     pub fn op_at(&self, addr: CodeAddr) -> Option<&Op> {
         self.procs

@@ -38,21 +38,28 @@ use crate::proto::{
     RpcCallView, RpcFrameView, SessionId, StateView,
 };
 
+/// Transmissions one debugger or agent message may take: an interface
+/// that refuses it (a ring NACK, §5.2) is sent it again, up to this many
+/// times in all, before the sender gives up (a crashed node still yields
+/// a final NACK). The halt broadcast's reliability scheme.
+pub(crate) const DEBUG_ATTEMPTS: u32 = 8;
+
+/// Processing cost of one handled request before its reply is sent.
+const REQUEST_COST: SimDuration = SimDuration::from_micros(200);
+
 /// Network access for agents (and the debugger). Implemented by the world
 /// over the simulated ring.
 pub trait DebugNet {
-    /// Sends one message; returns the ring's transmission status (a NACK
-    /// means the destination interface did not receive it, §5.2).
-    fn send_debug(&mut self, at: SimTime, src: NodeId, dst: NodeId, msg: DebugMsg) -> TxStatus;
-    /// Sends with NACK-retransmission (the halt protocol's reliability
-    /// scheme). Returns the final status and the number of attempts.
-    fn send_debug_reliable(
+    /// Sends one message with NACK-retransmission, up to eight
+    /// transmissions (`DEBUG_ATTEMPTS`). Returns the final status (a NACK
+    /// means the destination interface never received it) and the number
+    /// of transmissions.
+    fn send_debug(
         &mut self,
         at: SimTime,
         src: NodeId,
         dst: NodeId,
         msg: DebugMsg,
-        max_attempts: u32,
     ) -> (TxStatus, u32);
     /// Data-link broadcast, available only on Ethernet-style media.
     fn broadcast_debug(&mut self, at: SimTime, src: NodeId, msg: DebugMsg) -> Option<SimTime>;
@@ -61,50 +68,39 @@ pub trait DebugNet {
 }
 
 /// Agent tuning.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AgentConfig {
-    /// Processing cost per handled request before the reply is sent.
-    pub request_cost: SimDuration,
-    /// Maximum transmissions per halt-broadcast destination.
-    pub halt_retransmit: u32,
     /// Use the medium's data-link broadcast for halting when available
     /// (the Ethernet comparison in §5.2 / experiment E3).
     pub broadcast_halt: bool,
 }
 
-impl Default for AgentConfig {
-    fn default() -> Self {
-        AgentConfig {
-            request_cost: SimDuration::from_micros(200),
-            halt_retransmit: 8,
-            broadcast_halt: false,
-        }
-    }
-}
+/// Keys recipes carried while these values were settable, with the value
+/// each is now fixed at.
+const RETIRED: [(&str, u64); 2] = [
+    ("request_cost_us", REQUEST_COST.as_micros()),
+    ("halt_retransmit", DEBUG_ATTEMPTS as u64),
+];
 
 impl AgentConfig {
     /// The config as a JSON object for the replay recipe.
     pub fn to_json(&self) -> Json {
-        Json::obj(vec![
-            (
-                "request_cost_us",
-                Json::Int(self.request_cost.as_micros() as i128),
-            ),
-            ("halt_retransmit", Json::Int(self.halt_retransmit as i128)),
-            ("broadcast_halt", Json::Bool(self.broadcast_halt)),
-        ])
+        Json::obj(vec![("broadcast_halt", Json::Bool(self.broadcast_halt))])
     }
 
     /// Rebuilds a config from [`to_json`](AgentConfig::to_json) output.
+    /// A recording made while the request cost and the halt budget were
+    /// settable carries them too; each must hold this build's constant.
     ///
     /// # Errors
     ///
-    /// Missing or mistyped fields.
+    /// Missing or mistyped fields, and a retired key at another value.
     pub fn from_json(v: &Json) -> Result<AgentConfig, String> {
         let f = Fields::new(v, &"agent config");
+        for (key, fixed) in RETIRED {
+            f.retired(key, fixed)?;
+        }
         Ok(AgentConfig {
-            request_cost: SimDuration::from_micros(f.uint("request_cost_us")?),
-            halt_retransmit: f.uint("halt_retransmit")?,
             broadcast_halt: f.bool("broadcast_halt")?,
         })
     }
@@ -406,13 +402,7 @@ impl Agent {
             .filter(|n| *n != self.node_id)
             .collect();
         for dst in cohort {
-            let (_, attempts) = net.send_debug_reliable(
-                at,
-                self.node_id,
-                dst,
-                msg.clone(),
-                self.config.halt_retransmit,
-            );
+            let (_, attempts) = net.send_debug(at, self.node_id, dst, msg.clone());
             self.stats.halt_messages += u64::from(attempts);
         }
     }
@@ -451,7 +441,7 @@ impl Agent {
                     self.cohort = cohort;
                 }
                 net.send_debug(
-                    now + self.config.request_cost,
+                    now + REQUEST_COST,
                     self.node_id,
                     src,
                     DebugMsg::ConnectReply {
@@ -560,7 +550,7 @@ impl Agent {
     ) {
         let session = self.shared.borrow().session.unwrap_or(SessionId(0));
         net.send_debug(
-            now + self.config.request_cost,
+            now + REQUEST_COST,
             self.node_id,
             dst,
             DebugMsg::Reply {

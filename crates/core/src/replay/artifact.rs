@@ -353,6 +353,99 @@ pub(crate) mod tests {
         );
     }
 
+    /// Every recipe key that named a value this build fixes, at the value
+    /// every recording made while it was settable holds: `(section, key,
+    /// value)`, section `None` for the recipe's own keys.
+    const RETIRED: [(Option<&str>, &str, i128); 14] = [
+        (None, "window_us", 1_000),
+        (Some("rpc"), "client_send_us", 2_500),
+        (Some("rpc"), "server_recv_us", 2_500),
+        (Some("rpc"), "server_send_us", 2_000),
+        (Some("rpc"), "client_recv_us", 2_000),
+        (Some("rpc"), "debug_client_call_us", 180),
+        (Some("rpc"), "debug_client_done_us", 60),
+        (Some("rpc"), "debug_server_us", 160),
+        (Some("rpc"), "monitor_per_packet_us", 4_000),
+        (Some("rpc"), "retry_interval_us", 200_000),
+        (Some("rpc"), "maybe_timeout_us", 40_000),
+        (Some("rpc"), "header_bytes", 32),
+        (Some("agent"), "request_cost_us", 200),
+        (Some("agent"), "halt_retransmit", 8),
+    ];
+
+    /// Appends `key: value` to the recipe in `pairs`, or to its `section`.
+    fn add_recipe_key(pairs: &mut [(String, Json)], section: Option<&str>, key: &str, v: Json) {
+        let mut object = &mut pairs[2].1;
+        assert_eq!(pairs[2].0, "recipe");
+        if let Some(section) = section {
+            object = object.get_mut(section).expect("recipe has the section");
+        }
+        let Json::Object(members) = object else {
+            unreachable!("recipe sections are objects")
+        };
+        members.push((key.to_string(), v));
+    }
+
+    /// A recording made while the retired keys were written, each at its
+    /// constant's value, loads as version 1 and as version 2, replays
+    /// byte-identically and renders without them.
+    #[test]
+    fn hostile_retired_keys_at_their_fixed_values_load_and_replay() {
+        let a = recorded(true);
+        let mut v1 = document(&a);
+        let mut v2 = header(&a);
+        for (section, key, value) in RETIRED {
+            add_recipe_key(&mut v1, section, key, Json::Int(value));
+            add_recipe_key(&mut v2, section, key, Json::Int(value));
+        }
+        let v1 = render_document(v1);
+        let v2 = render_document(v2) + &a.trace;
+        for text in [v1, v2] {
+            assert!(text.contains("\"retry_interval_us\": 200000"));
+            let back = Artifact::parse(&text).expect("an old recording loads");
+            assert_eq!(back.recipe.to_json(), a.recipe.to_json());
+            let report = replay(&back).expect("replays");
+            assert!(report.byte_identical, "{:?}", report.divergence);
+            assert_eq!(back.render(), a.render());
+        }
+    }
+
+    /// A retired key at any other value — another number, another type,
+    /// a number no `u64` holds — is one error naming the key and both
+    /// values, in either version, never a panic and never a replay under
+    /// another cost model.
+    #[test]
+    fn hostile_retired_keys_off_their_fixed_values_are_refused_by_name() {
+        let a = recorded(false);
+        for (section, key, value) in RETIRED {
+            let wrong = [
+                (Json::Int(value + 1), (value + 1).to_string()),
+                (Json::Str("x".into()), "\"x\"".to_string()),
+                (Json::Int(1 << 100), (1_i128 << 100).to_string()),
+                (Json::Float(1e300), Json::Float(1e300).to_string()),
+                (Json::Int(-value), (-value).to_string()),
+            ];
+            for (v, shown) in wrong {
+                let mut v1 = document(&a);
+                add_recipe_key(&mut v1, section, key, v.clone());
+                let mut v2 = header(&a);
+                add_recipe_key(&mut v2, section, key, v);
+                let v2 = render_document(v2) + &a.trace;
+                for text in [render_document(v1), v2] {
+                    match Artifact::parse(&text) {
+                        Err(ReplayError::Format(e)) => {
+                            let want =
+                                format!("`{key}` is {shown}, but this build fixes it at {value}");
+                            assert!(e.ends_with(&want), "{e}");
+                            assert_eq!(e.lines().count(), 1);
+                        }
+                        other => panic!("{key} = {shown}: expected a format error, got {other:?}"),
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn runaway_nesting_in_an_artifact_is_an_error() {
         for unit in ["[", "{\"a\":"] {

@@ -4,24 +4,21 @@ use pilgrim_mayflower::NodeConfig;
 use pilgrim_ring::NetworkConfig;
 use pilgrim_rpc::RpcConfig;
 use pilgrim_sim::json::Fields;
-use pilgrim_sim::{Json, SimDuration, BLACKBOX_CAPACITY};
+use pilgrim_sim::{Json, BLACKBOX_CAPACITY};
 
 use crate::agent::AgentConfig;
-use crate::world::{BuildError, World, WorldBuilder};
+use crate::world::{BuildError, World, WorldBuilder, MIN_WINDOW};
 
 /// Everything [`crate::WorldBuilder`] needs to rebuild a world
-/// bit-for-bit: topology, seeds, configs, programs, and the lockstep
-/// window. The builder's setters write it directly, so this struct (with
-/// its `Default` and JSON) is where a recipe-carried input is declared.
+/// bit-for-bit: topology, seeds, configs and programs. The builder's
+/// setters write it directly, so this struct (with its `Default` and
+/// JSON) is where a recipe-carried input is declared.
 #[derive(Debug, Clone)]
 pub struct Recipe {
     /// Number of user nodes.
     pub nodes: u32,
     /// Master seed.
     pub seed: u64,
-    /// Requested lockstep window (the builder still applies its
-    /// base-latency floor when rebuilding).
-    pub window: SimDuration,
     /// The shared program source, if one was set.
     pub default_source: Option<String>,
     /// Per-node program overrides, sorted by node, one entry per node.
@@ -81,7 +78,6 @@ impl Default for Recipe {
         Recipe {
             nodes: 1,
             seed: 0,
-            window: SimDuration::from_millis(1),
             default_source: None,
             per_node_source: Vec::new(),
             net: NetworkConfig::default(),
@@ -123,7 +119,6 @@ impl Recipe {
         Json::obj(vec![
             ("nodes", Json::Int(self.nodes as i128)),
             ("seed", Json::Int(self.seed as i128)),
-            ("window_us", Json::Int(self.window.as_micros() as i128)),
             (
                 "default_program",
                 match &self.default_source {
@@ -194,10 +189,10 @@ impl Recipe {
         // artifacts recorded before they existed; those worlds ran at the
         // then-hard-coded values, which are still the defaults.
         let legacy = Recipe::default();
+        f.retired("window_us", MIN_WINDOW.as_micros())?;
         let mut recipe = Recipe {
             nodes,
             seed: f.uint("seed")?,
-            window: SimDuration::from_micros(f.uint("window_us")?),
             default_source: match f.opt_get("default_program") {
                 None | Some(Json::Null) => None,
                 Some(_) => Some(f.str("default_program")?.to_string()),

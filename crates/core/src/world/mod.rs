@@ -31,7 +31,7 @@ use pilgrim_ring::{Delivery, Medium, Network, NetworkConfig, NodeId, TxClass, Tx
 use pilgrim_rpc::{RpcConfig, RpcEndpoint, RpcNet, RpcPacket};
 use pilgrim_sim::{Chunked, Metrics, SeriesStore, SimDuration, SimTime, Tracer, BLACKBOX_CAPACITY};
 
-use crate::agent::{Agent, AgentConfig, DebugNet};
+use crate::agent::{Agent, AgentConfig, DebugNet, DEBUG_ATTEMPTS};
 use crate::debugger::Debugger;
 use crate::proto::DebugMsg;
 use crate::replay::{Recipe, Stimulus};
@@ -55,6 +55,10 @@ pub enum Wire {
 /// Byte overhead of the network header on debug messages.
 const DEBUG_HEADER: usize = 16;
 
+/// The shortest lockstep window: how far a node may run ahead between
+/// sync points when the network's base latency is shorter still.
+pub(crate) const MIN_WINDOW: SimDuration = SimDuration::from_millis(1);
+
 /// Adapter presenting the world's network to the RPC layer (the orphan
 /// rule forbids implementing the foreign `RpcNet` trait directly on the
 /// foreign `Network` type).
@@ -75,25 +79,15 @@ impl RpcNet for AsRpcNet<'_> {
 }
 
 impl DebugNet for Network<Wire> {
-    fn send_debug(&mut self, at: SimTime, src: NodeId, dst: NodeId, msg: DebugMsg) -> TxStatus {
-        let bytes = msg.wire_bytes() + DEBUG_HEADER;
-        // Debugger–agent traffic rides the ring's hardware NACK like the
-        // halt protocol: an interface-level refusal is retransmitted a few
-        // times before the sender gives up (a genuinely crashed node still
-        // yields a final NACK).
-        self.send_with_retransmit(at, src, dst, Wire::Debug(msg), bytes, 8)
-            .0
-    }
-    fn send_debug_reliable(
+    fn send_debug(
         &mut self,
         at: SimTime,
         src: NodeId,
         dst: NodeId,
         msg: DebugMsg,
-        max_attempts: u32,
     ) -> (TxStatus, u32) {
         let bytes = msg.wire_bytes() + DEBUG_HEADER;
-        self.send_with_retransmit(at, src, dst, Wire::Debug(msg), bytes, max_attempts)
+        self.send_with_retransmit(at, src, dst, Wire::Debug(msg), bytes, DEBUG_ATTEMPTS)
     }
     fn broadcast_debug(&mut self, at: SimTime, src: NodeId, msg: DebugMsg) -> Option<SimTime> {
         let bytes = msg.wire_bytes() + DEBUG_HEADER;
@@ -201,14 +195,6 @@ impl WorldBuilder {
     /// Master seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.recipe.seed = seed;
-        self
-    }
-
-    /// Lockstep window: how far a node may run ahead between sync points.
-    /// The builder still enforces its conservative floor (the network's
-    /// base latency) at build time.
-    pub fn lockstep_window(mut self, window: SimDuration) -> Self {
-        self.recipe.window = window;
         self
     }
 
@@ -377,8 +363,8 @@ impl WorldBuilder {
             // refusals are synchronous sender-side statuses, not
             // deliveries), so lockstep windows up to that latency cannot
             // let a node advance past an incoming packet. Degenerate
-            // low-latency configurations keep the builder's floor.
-            window: recipe.window.max(recipe.net.base_latency),
+            // low-latency configurations keep the 1 ms floor.
+            window: recipe.net.base_latency.max(MIN_WINDOW),
             node_index: ActivityIndex::default(),
             ep_index: ActivityIndex::default(),
             outcall_buf: Vec::new(),

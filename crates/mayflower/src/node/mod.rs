@@ -58,10 +58,11 @@ pub struct NodeConfig {
     /// models a naive debugger without the paper's supervisor support —
     /// the experiment-E4 ablation in which halted waiters still time out.
     pub freeze_timeouts_on_halt: bool,
-    /// Accumulate per-procedure instruction and cost counters while
-    /// stepping ([`Node::vm_profile`]). Off by default: the books are
-    /// kept per instruction, so a profiled node consults its scheduler
-    /// per instruction too and takes no bursts ([`Node::advance_into`]).
+    /// Charge every instruction to its call stack while stepping
+    /// ([`Node::vm_profile`], [`Node::folded_stacks`]). Off by default:
+    /// the books are kept per instruction, so a profiled node consults its
+    /// scheduler per instruction too and takes no bursts
+    /// ([`Node::advance_into`]).
     pub profile_vm: bool,
 }
 
@@ -230,10 +231,8 @@ pub struct Node {
     /// Total instructions stepped — one add per instruction, read at
     /// sync points by the world's metrics instead of a hot-path counter.
     steps_total: u64,
-    /// Per-procedure `(instructions, cost_us)` accumulation, indexed by
-    /// `ProcId`; populated only when [`NodeConfig::profile_vm`] is set.
-    vm_profile: Vec<(u64, u64)>,
-    /// Caller→callee profile over VM call stacks; populated only when
+    /// The profile over VM call stacks, the one ledger every profiled
+    /// instruction is charged to; populated only when
     /// [`NodeConfig::profile_vm`] is set.
     call_tree: CallTree,
     /// Per-process profiling side records, index-aligned with `procs`;
@@ -311,7 +310,6 @@ impl Node {
             spawn_scratch: Vec::new(),
             wake_scratch: Vec::new(),
             steps_total: 0,
-            vm_profile: Vec::new(),
             call_tree: CallTree::new(),
             tracks: Vec::new(),
             span_rpc: Vec::new(),

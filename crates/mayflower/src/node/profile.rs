@@ -135,19 +135,26 @@ impl Node {
     /// The per-procedure profile accumulated while
     /// [`NodeConfig::profile_vm`](super::NodeConfig::profile_vm) was set:
     /// `(procedure name, instructions, simulated cost µs)`, hottest first.
-    /// Empty when profiling is off.
+    /// A fold of the call tree by frame: every profiled instruction is
+    /// charged to exactly one stack, whose top frame is the procedure it
+    /// ran in. Empty when profiling is off.
     pub fn vm_profile(&self) -> Vec<(String, u64, u64)> {
-        let mut out: Vec<(String, u64, u64)> = self
-            .vm_profile
-            .iter()
+        let mut by_proc: Vec<(u64, u64)> = Vec::new();
+        for e in self.call_tree.edges() {
+            let slot = e.callee as usize;
+            if by_proc.len() <= slot {
+                by_proc.resize(slot + 1, (0, 0));
+            }
+            by_proc[slot].0 += e.instr;
+            by_proc[slot].1 += e.cost;
+        }
+        let mut out: Vec<(String, u64, u64)> = by_proc
+            .into_iter()
             .enumerate()
             .filter(|(_, (instr, _))| *instr > 0)
             .map(|(i, (instr, cost))| {
-                (
-                    self.program.proc(ProcId(i as u16)).debug.name.to_string(),
-                    *instr,
-                    *cost,
-                )
+                let name = &self.program.proc(ProcId(i as u16)).debug.name;
+                (name.to_string(), instr, cost)
             })
             .collect();
         out.sort_by(|a, b| b.2.cmp(&a.2).then(a.0.cmp(&b.0)));

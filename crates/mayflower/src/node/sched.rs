@@ -195,13 +195,12 @@ impl Node {
             match proc.vm() {
                 // `addr()` is `Some` exactly when the stack is non-empty,
                 // so the cursor sync below can index the top frame.
-                Some(vm) => vm.addr().map(|a| {
-                    let cursor = Self::sync_cursor(
+                Some(vm) => vm.addr().map(|_| {
+                    Self::sync_cursor(
                         &mut self.call_tree,
                         &mut self.tracks[Self::slot(pid)],
                         &vm.frames,
-                    );
-                    (a.proc, cursor)
+                    )
                 }),
                 None => None,
             }
@@ -300,14 +299,7 @@ impl Node {
         self.clock += d;
         self.slice_used += d;
 
-        if let Some((proc_id, cursor)) = profiled {
-            let slot = proc_id.0 as usize;
-            if self.vm_profile.len() <= slot {
-                self.vm_profile.resize(slot + 1, (0, 0));
-            }
-            let entry = &mut self.vm_profile[slot];
-            entry.0 += 1;
-            entry.1 += cost;
+        if let Some(cursor) = profiled {
             // Self cost lands on the stack observed at fetch time.
             self.call_tree.record(cursor, 1, cost);
         }

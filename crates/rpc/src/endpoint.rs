@@ -45,6 +45,38 @@ use crate::packet::{
 };
 use crate::seen::{Outcome, SeenCalls};
 
+// The endpoint's calibration (DESIGN.md § "Calibration constants"): a
+// null exactly-once round trip takes the paper's ~16 ms (two 3.5 ms basic
+// blocks plus 9 ms of protocol processing), and the debug support adds
+// the paper's 400 µs (§4.3): 240 µs on the client (information block,
+// call table, completion bookkeeping and cyclic buffer) and 160 µs on
+// the server.
+
+/// Client-side processing before the call packet is transmitted
+/// (marshalling, protocol setup).
+pub(crate) const CLIENT_SEND: SimDuration = SimDuration::from_micros(2_500);
+/// Server-side processing between packet arrival and the server process
+/// starting (unmarshal, dispatch, process allocation).
+pub(crate) const SERVER_RECV: SimDuration = SimDuration::from_micros(2_500);
+/// Server-side processing between procedure return and reply
+/// transmission.
+pub(crate) const SERVER_SEND: SimDuration = SimDuration::from_micros(2_000);
+/// Client-side processing between reply arrival and the calling process
+/// resuming.
+pub(crate) const CLIENT_RECV: SimDuration = SimDuration::from_micros(2_000);
+/// Debug support at call time: information block and call-table insert.
+pub(crate) const DEBUG_CLIENT_CALL: SimDuration = SimDuration::from_micros(180);
+/// Debug support at completion: table removal and cyclic-buffer write.
+pub(crate) const DEBUG_CLIENT_DONE: SimDuration = SimDuration::from_micros(60);
+/// Debug support on the server: information block and server table.
+pub(crate) const DEBUG_SERVER: SimDuration = SimDuration::from_micros(160);
+/// Per-packet cost of the packet monitor's state machine (§4.2, E2).
+pub(crate) const MONITOR_PER_PACKET: SimDuration = SimDuration::from_micros(4_000);
+/// Retransmission interval of the exactly-once protocol.
+pub(crate) const RETRY_INTERVAL: SimDuration = SimDuration::from_millis(200);
+/// Reply deadline of the maybe protocol.
+pub(crate) const MAYBE_TIMEOUT: SimDuration = SimDuration::from_millis(40);
+
 #[cfg(test)]
 mod model;
 
@@ -492,12 +524,12 @@ impl RpcEndpoint {
         // The parent decides the sampling fate too: a child call of a
         // kept root is kept, so sampled traces stay causally complete.
         let span = self.tracer.next_span_with_parent(parent_span);
-        let mut delay = self.config.client_send;
+        let mut delay = CLIENT_SEND;
 
         // §4.3 debug support: information block in a known position of the
         // client's (stub) stack frame, plus the call-table insert.
         let info = if self.config.debug_support {
-            delay += self.config.debug_client_call;
+            delay += DEBUG_CLIENT_CALL;
             let info = Rc::new(RpcInfoBlock {
                 process: pid.0,
                 remote_proc: req.proc_name.clone(),
@@ -520,7 +552,7 @@ impl RpcEndpoint {
             attempt: 0,
             span: span.get(),
         };
-        let bytes = pkt.wire_bytes(self.config.header_bytes);
+        let bytes = pkt.wire_bytes();
 
         if self.tracer.wants(TraceCategory::Rpc) {
             self.tracer.emit(
@@ -542,7 +574,7 @@ impl RpcEndpoint {
         // §4.2 ablation: the device-driver hook sees the outgoing packet.
         if self.config.monitor {
             self.monitor.observe(&pkt);
-            delay += self.config.monitor_per_packet;
+            delay += MONITOR_PER_PACKET;
         }
 
         let send_at = now + delay;
@@ -553,13 +585,11 @@ impl RpcEndpoint {
         match req.protocol {
             RpcProtocol::ExactlyOnce => {
                 self.timers
-                    .schedule(send_at + self.config.retry_interval, Timer::Retry(call_id));
+                    .schedule(send_at + RETRY_INTERVAL, Timer::Retry(call_id));
             }
             RpcProtocol::Maybe => {
-                self.timers.schedule(
-                    send_at + self.config.maybe_timeout,
-                    Timer::MaybeDeadline(call_id),
-                );
+                self.timers
+                    .schedule(send_at + MAYBE_TIMEOUT, Timer::MaybeDeadline(call_id));
             }
         }
         self.client.push(ClientCall {
@@ -625,7 +655,7 @@ impl RpcEndpoint {
         let mut now = now;
         if self.config.monitor {
             self.monitor.observe(&pkt);
-            now += self.config.monitor_per_packet;
+            now += MONITOR_PER_PACKET;
         }
         match pkt {
             RpcPacket::Call {
@@ -642,7 +672,7 @@ impl RpcEndpoint {
                 if known && protocol == RpcProtocol::ExactlyOnce {
                     if let Some(cached) = cached {
                         let reply = cached.packet(call_id);
-                        let bytes = reply.wire_bytes(self.config.header_bytes);
+                        let bytes = reply.wire_bytes();
                         if self.tracer.wants(TraceCategory::Rpc) {
                             self.tracer.emit(
                                 now,
@@ -655,13 +685,7 @@ impl RpcEndpoint {
                                 },
                             );
                         }
-                        net.send_rpc(
-                            now + self.config.server_send,
-                            self.node_id,
-                            src,
-                            reply,
-                            bytes,
-                        );
+                        net.send_rpc(now + SERVER_SEND, self.node_id, src, reply, bytes);
                     }
                     return; // executing or re-replied; drop duplicate
                 }
@@ -703,9 +727,9 @@ impl RpcEndpoint {
                         return;
                     }
                 };
-                let mut delay = self.config.server_recv;
+                let mut delay = SERVER_RECV;
                 if self.config.debug_support {
-                    delay += self.config.debug_server;
+                    delay += DEBUG_SERVER;
                 }
                 self.timers.schedule(
                     now + delay,
@@ -755,9 +779,9 @@ impl RpcEndpoint {
         if let Some(i) = &call.info {
             i.state.set(RpcCallState::ReplyReceived);
         }
-        let mut delay = self.config.client_recv;
+        let mut delay = CLIENT_RECV;
         if self.config.debug_support {
-            delay += self.config.debug_client_done;
+            delay += DEBUG_CLIENT_DONE;
         }
         self.timers
             .schedule(now + delay, Timer::Complete { call_id, kind });
@@ -780,11 +804,11 @@ impl RpcEndpoint {
             reason,
             span: wire_span,
         };
-        let bytes = pkt.wire_bytes(self.config.header_bytes);
+        let bytes = pkt.wire_bytes();
         let mut now = now;
         if self.config.monitor {
             self.monitor.observe(&pkt);
-            now += self.config.monitor_per_packet;
+            now += MONITOR_PER_PACKET;
         }
         if self.config.debug_support {
             self.server_recent.push((call_id, false));
@@ -801,7 +825,7 @@ impl RpcEndpoint {
                 },
             );
         }
-        net.send_rpc(now + self.config.server_send, self.node_id, dst, pkt, bytes);
+        net.send_rpc(now + SERVER_SEND, self.node_id, dst, pkt, bytes);
     }
 
     /// Fires every protocol timer due at or before `now`.
@@ -828,17 +852,15 @@ impl RpcEndpoint {
                     // is very likely halted under the same session).
                     if self.client_halted(node, call_id) {
                         self.timers
-                            .schedule(at + self.config.retry_interval, Timer::Retry(call_id));
+                            .schedule(at + RETRY_INTERVAL, Timer::Retry(call_id));
                         continue;
                     }
                     self.retry(at, node, call_id, net);
                 }
                 Timer::MaybeDeadline(call_id) => {
                     if self.client_halted(node, call_id) {
-                        self.timers.schedule(
-                            at + self.config.maybe_timeout,
-                            Timer::MaybeDeadline(call_id),
-                        );
+                        self.timers
+                            .schedule(at + MAYBE_TIMEOUT, Timer::MaybeDeadline(call_id));
                         continue;
                     }
                     let done = self.client_call(call_id).is_none_or(|c| c.done);
@@ -1037,7 +1059,7 @@ impl RpcEndpoint {
         }
         net.send_rpc(now, self.node_id, dst, pkt, bytes);
         self.timers
-            .schedule(now + self.config.retry_interval, Timer::Retry(call_id));
+            .schedule(now + RETRY_INTERVAL, Timer::Retry(call_id));
     }
 
     fn send_reply(
@@ -1058,11 +1080,11 @@ impl RpcEndpoint {
             results,
             span: wire_span,
         };
-        let bytes = pkt.wire_bytes(self.config.header_bytes);
+        let bytes = pkt.wire_bytes();
         let mut now = now;
         if self.config.monitor {
             self.monitor.observe(&pkt);
-            now += self.config.monitor_per_packet;
+            now += MONITOR_PER_PACKET;
         }
         if self.config.debug_support {
             self.server_recent.push((call_id, true));
@@ -1079,7 +1101,7 @@ impl RpcEndpoint {
                 },
             );
         }
-        net.send_rpc(now + self.config.server_send, self.node_id, dst, pkt, bytes);
+        net.send_rpc(now + SERVER_SEND, self.node_id, dst, pkt, bytes);
     }
 
     /// Tells the endpoint a process on this node exited; if it was a

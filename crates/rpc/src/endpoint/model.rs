@@ -183,9 +183,9 @@ impl ModelEndpoint {
         let call_id = make_call_id(self.node_id, self.counter);
         let parent_span = node.process(pid).and_then(|p| p.span);
         let span = self.tracer.next_span_with_parent(parent_span);
-        let mut delay = self.config.client_send;
+        let mut delay = CLIENT_SEND;
         let info = if self.config.debug_support {
-            delay += self.config.debug_client_call;
+            delay += DEBUG_CLIENT_CALL;
             let info = Rc::new(RpcInfoBlock {
                 process: pid.0,
                 remote_proc: req.proc_name.clone(),
@@ -207,18 +207,15 @@ impl ModelEndpoint {
             attempt: 0,
             span: span.get(),
         };
-        let bytes = pkt.wire_bytes(self.config.header_bytes);
+        let bytes = pkt.wire_bytes();
         let send_at = now + delay;
         net.send_rpc(send_at, self.node_id, dst, pkt.clone(), bytes);
         if let Some(i) = &info {
             i.state.set(RpcCallState::CallSent);
         }
         let timer = match req.protocol {
-            RpcProtocol::ExactlyOnce => (self.config.retry_interval, ModelTimer::Retry(call_id)),
-            RpcProtocol::Maybe => (
-                self.config.maybe_timeout,
-                ModelTimer::MaybeDeadline(call_id),
-            ),
+            RpcProtocol::ExactlyOnce => (RETRY_INTERVAL, ModelTimer::Retry(call_id)),
+            RpcProtocol::Maybe => (MAYBE_TIMEOUT, ModelTimer::MaybeDeadline(call_id)),
         };
         self.timers.schedule(send_at + timer.0, timer.1);
         self.client.insert(
@@ -290,7 +287,7 @@ impl ModelEndpoint {
                 if protocol == RpcProtocol::ExactlyOnce {
                     if let Some(seen) = self.seen.get(&call_id) {
                         if let Some((reply, bytes)) = seen {
-                            let at = now + self.config.server_send;
+                            let at = now + SERVER_SEND;
                             net.send_rpc(at, self.node_id, src, reply.clone(), *bytes);
                         }
                         return;
@@ -320,9 +317,9 @@ impl ModelEndpoint {
                     return;
                 }
                 self.seen.insert(call_id, None);
-                let mut delay = self.config.server_recv;
+                let mut delay = SERVER_RECV;
                 if self.config.debug_support {
-                    delay += self.config.debug_server;
+                    delay += DEBUG_SERVER;
                 }
                 self.timers.schedule(
                     now + delay,
@@ -362,9 +359,9 @@ impl ModelEndpoint {
         if let Some(i) = &call.info {
             i.state.set(RpcCallState::ReplyReceived);
         }
-        let mut delay = self.config.client_recv;
+        let mut delay = CLIENT_RECV;
         if self.config.debug_support {
-            delay += self.config.debug_client_done;
+            delay += DEBUG_CLIENT_DONE;
         }
         self.timers
             .schedule(now + delay, ModelTimer::Complete { call_id, kind });
@@ -384,12 +381,12 @@ impl ModelEndpoint {
             reason,
             span: SpanId::to_wire(span),
         };
-        let bytes = pkt.wire_bytes(self.config.header_bytes);
+        let bytes = pkt.wire_bytes();
         if self.config.debug_support {
             self.server_recent.push((call_id, false));
         }
         self.seen.insert(call_id, Some((pkt.clone(), bytes)));
-        net.send_rpc(now + self.config.server_send, self.node_id, dst, pkt, bytes);
+        net.send_rpc(now + SERVER_SEND, self.node_id, dst, pkt, bytes);
     }
 
     fn send_reply(
@@ -406,12 +403,12 @@ impl ModelEndpoint {
             results,
             span: SpanId::to_wire(span),
         };
-        let bytes = pkt.wire_bytes(self.config.header_bytes);
+        let bytes = pkt.wire_bytes();
         if self.config.debug_support {
             self.server_recent.push((call_id, true));
         }
         self.seen.insert(call_id, Some((pkt.clone(), bytes)));
-        net.send_rpc(now + self.config.server_send, self.node_id, dst, pkt, bytes);
+        net.send_rpc(now + SERVER_SEND, self.node_id, dst, pkt, bytes);
     }
 
     fn on_timers(&mut self, now: SimTime, node: &mut Node, net: &mut dyn RpcNet) {
@@ -427,7 +424,7 @@ impl ModelEndpoint {
                 } => self.dispatch(at, node, src, call_id, &proc, args, protocol, span, net),
                 ModelTimer::Retry(call_id) => {
                     if self.client_halted(node, call_id) {
-                        let again = at + self.config.retry_interval;
+                        let again = at + RETRY_INTERVAL;
                         self.timers.schedule(again, ModelTimer::Retry(call_id));
                         continue;
                     }
@@ -435,7 +432,7 @@ impl ModelEndpoint {
                 }
                 ModelTimer::MaybeDeadline(call_id) => {
                     if self.client_halted(node, call_id) {
-                        let again = at + self.config.maybe_timeout;
+                        let again = at + MAYBE_TIMEOUT;
                         self.timers
                             .schedule(again, ModelTimer::MaybeDeadline(call_id));
                         continue;
@@ -567,7 +564,7 @@ impl ModelEndpoint {
         }
         net.send_rpc(now, self.node_id, call.dst, pkt, call.bytes);
         self.timers
-            .schedule(now + self.config.retry_interval, ModelTimer::Retry(call_id));
+            .schedule(now + RETRY_INTERVAL, ModelTimer::Retry(call_id));
     }
 
     fn on_proc_exited(

@@ -9,8 +9,8 @@
 //!
 //! The monitor really works — it reconstructs call state purely from
 //! observed packets — and really costs what the paper says it costs: the
-//! endpoint charges [`crate::RpcConfig::monitor_per_packet`] for every
-//! packet observed. Experiment E2 measures the resulting ~2× slowdown.
+//! endpoint charges its fixed 4 ms `MONITOR_PER_PACKET` for every packet
+//! observed. Experiment E2 measures the resulting ~2× slowdown.
 
 use std::collections::HashMap;
 
@@ -73,7 +73,7 @@ impl PacketMonitor {
     }
 
     /// How many packets have been observed (each one cost
-    /// `monitor_per_packet` of latency).
+    /// `MONITOR_PER_PACKET` of latency).
     pub fn observations(&self) -> u64 {
         self.observations
     }

@@ -6,8 +6,12 @@ use std::sync::Arc;
 use pilgrim_cclu::RpcProtocol;
 use pilgrim_ring::NodeId;
 use pilgrim_sim::json::Fields;
-use pilgrim_sim::{Json, SimDuration, SpanId};
+use pilgrim_sim::{Json, SpanId};
 
+use crate::endpoint::{
+    CLIENT_RECV, CLIENT_SEND, DEBUG_CLIENT_CALL, DEBUG_CLIENT_DONE, DEBUG_SERVER, MAYBE_TIMEOUT,
+    MONITOR_PER_PACKET, RETRY_INTERVAL, SERVER_RECV, SERVER_SEND,
+};
 use crate::marshal::WireValue;
 
 /// A call identifier: "call identifiers ... uniquely name a particular
@@ -90,8 +94,8 @@ impl RpcPacket {
     }
 
     /// Payload size in bytes, for latency modelling (header included).
-    pub fn wire_bytes(&self, header: usize) -> usize {
-        header
+    pub fn wire_bytes(&self) -> usize {
+        HEADER_BYTES
             + match self {
                 RpcPacket::Call { proc, args, .. } => {
                     proc.len() + args.iter().map(WireValue::wire_bytes).sum::<usize>()
@@ -104,117 +108,77 @@ impl RpcPacket {
     }
 }
 
-/// Timing and behaviour of the RPC runtime.
-///
-/// The endpoint processing costs are calibrated so a null exactly-once RPC
-/// round trip takes the paper's ~16 ms (two 3.5 ms basic blocks plus 9 ms
-/// of protocol processing), and the debugging support adds the paper's
-/// 400 µs (§4.3): 240 µs on the client (information block, call table,
-/// completion bookkeeping and cyclic buffer) and 160 µs on the server.
+/// Bytes of header every RPC packet carries before its payload; the
+/// span and the call id ride in it, so they are free on the wire.
+pub(crate) const HEADER_BYTES: usize = 32;
+
+/// The RPC runtime's switches: the §4.3 debug support, the §4.2 packet
+/// monitor ablation and the exactly-once retry budget. The costs and
+/// timers the paper fixes are constants of the endpoint (DESIGN.md §
+/// "Calibration constants").
 #[derive(Debug, Clone)]
 pub struct RpcConfig {
-    /// Client-side processing before the call packet is transmitted
-    /// (marshalling, protocol setup).
-    pub client_send: SimDuration,
-    /// Server-side processing between packet arrival and the server
-    /// process starting (unmarshal, dispatch, process allocation).
-    pub server_recv: SimDuration,
-    /// Server-side processing between procedure return and reply
-    /// transmission.
-    pub server_send: SimDuration,
-    /// Client-side processing between reply arrival and the calling
-    /// process resuming.
-    pub client_recv: SimDuration,
-    /// Extra client cost of debug support at call time (info block +
-    /// call-table insert).
-    pub debug_client_call: SimDuration,
-    /// Extra client cost of debug support at completion (table removal +
-    /// cyclic-buffer write).
-    pub debug_client_done: SimDuration,
-    /// Extra server cost of debug support (info block + server table).
-    pub debug_server: SimDuration,
     /// Whether the §4.3 debug support is compiled in.
     pub debug_support: bool,
     /// Whether the rejected §4.2 packet-monitor design is active
     /// (the E2 ablation).
     pub monitor: bool,
-    /// Per-packet cost of the packet monitor's state machine.
-    pub monitor_per_packet: SimDuration,
-    /// Retransmission interval for the exactly-once protocol.
-    pub retry_interval: SimDuration,
     /// Maximum transmissions (first + retries) for exactly-once.
     pub max_attempts: u32,
-    /// Reply deadline for the maybe protocol.
-    pub maybe_timeout: SimDuration,
-    /// Packet header size in bytes.
-    pub header_bytes: usize,
 }
 
 impl Default for RpcConfig {
     fn default() -> Self {
         RpcConfig {
-            client_send: SimDuration::from_micros(2_500),
-            server_recv: SimDuration::from_micros(2_500),
-            server_send: SimDuration::from_micros(2_000),
-            client_recv: SimDuration::from_micros(2_000),
-            debug_client_call: SimDuration::from_micros(180),
-            debug_client_done: SimDuration::from_micros(60),
-            debug_server: SimDuration::from_micros(160),
             debug_support: true,
             monitor: false,
-            monitor_per_packet: SimDuration::from_micros(4_000),
-            retry_interval: SimDuration::from_millis(200),
             max_attempts: 4,
-            maybe_timeout: SimDuration::from_millis(40),
-            header_bytes: 32,
         }
     }
 }
 
+/// Keys recipes carried while these values were settable, in µs unless
+/// named otherwise, with the value each is now fixed at.
+const RETIRED: [(&str, u64); 11] = [
+    ("client_send_us", CLIENT_SEND.as_micros()),
+    ("server_recv_us", SERVER_RECV.as_micros()),
+    ("server_send_us", SERVER_SEND.as_micros()),
+    ("client_recv_us", CLIENT_RECV.as_micros()),
+    ("debug_client_call_us", DEBUG_CLIENT_CALL.as_micros()),
+    ("debug_client_done_us", DEBUG_CLIENT_DONE.as_micros()),
+    ("debug_server_us", DEBUG_SERVER.as_micros()),
+    ("monitor_per_packet_us", MONITOR_PER_PACKET.as_micros()),
+    ("retry_interval_us", RETRY_INTERVAL.as_micros()),
+    ("maybe_timeout_us", MAYBE_TIMEOUT.as_micros()),
+    ("header_bytes", HEADER_BYTES as u64),
+];
+
 impl RpcConfig {
     /// The config as a JSON object for the replay recipe.
     pub fn to_json(&self) -> Json {
-        let us = |d: SimDuration| Json::Int(d.as_micros() as i128);
         Json::obj(vec![
-            ("client_send_us", us(self.client_send)),
-            ("server_recv_us", us(self.server_recv)),
-            ("server_send_us", us(self.server_send)),
-            ("client_recv_us", us(self.client_recv)),
-            ("debug_client_call_us", us(self.debug_client_call)),
-            ("debug_client_done_us", us(self.debug_client_done)),
-            ("debug_server_us", us(self.debug_server)),
             ("debug_support", Json::Bool(self.debug_support)),
             ("monitor", Json::Bool(self.monitor)),
-            ("monitor_per_packet_us", us(self.monitor_per_packet)),
-            ("retry_interval_us", us(self.retry_interval)),
             ("max_attempts", Json::Int(self.max_attempts as i128)),
-            ("maybe_timeout_us", us(self.maybe_timeout)),
-            ("header_bytes", Json::Int(self.header_bytes as i128)),
         ])
     }
 
     /// Rebuilds a config from [`to_json`](RpcConfig::to_json) output.
+    /// A recording made while the fixed costs were settable carries them
+    /// too; each must hold the value this build charges.
     ///
     /// # Errors
     ///
-    /// Missing or mistyped fields.
+    /// Missing or mistyped fields, and a retired key at another value.
     pub fn from_json(v: &Json) -> Result<RpcConfig, String> {
         let f = Fields::new(v, &"rpc config");
+        for (key, fixed) in RETIRED {
+            f.retired(key, fixed)?;
+        }
         Ok(RpcConfig {
-            client_send: SimDuration::from_micros(f.uint("client_send_us")?),
-            server_recv: SimDuration::from_micros(f.uint("server_recv_us")?),
-            server_send: SimDuration::from_micros(f.uint("server_send_us")?),
-            client_recv: SimDuration::from_micros(f.uint("client_recv_us")?),
-            debug_client_call: SimDuration::from_micros(f.uint("debug_client_call_us")?),
-            debug_client_done: SimDuration::from_micros(f.uint("debug_client_done_us")?),
-            debug_server: SimDuration::from_micros(f.uint("debug_server_us")?),
             debug_support: f.bool("debug_support")?,
             monitor: f.bool("monitor")?,
-            monitor_per_packet: SimDuration::from_micros(f.uint("monitor_per_packet_us")?),
-            retry_interval: SimDuration::from_micros(f.uint("retry_interval_us")?),
             max_attempts: f.uint("max_attempts")?,
-            maybe_timeout: SimDuration::from_micros(f.uint("maybe_timeout_us")?),
-            header_bytes: f.uint("header_bytes")?,
         })
     }
 }
@@ -244,9 +208,6 @@ mod tests {
             max_attempts: 9,
             debug_support: false,
             monitor: true,
-            header_bytes: 48,
-            retry_interval: SimDuration::from_micros(123_456),
-            ..RpcConfig::default()
         };
         let mut rendered = String::new();
         cfg.to_json().write(&mut rendered);
@@ -255,10 +216,6 @@ mod tests {
         assert_eq!(back.max_attempts, cfg.max_attempts);
         assert_eq!(back.debug_support, cfg.debug_support);
         assert_eq!(back.monitor, cfg.monitor);
-        assert_eq!(back.header_bytes, cfg.header_bytes);
-        assert_eq!(back.retry_interval, cfg.retry_interval);
-        assert_eq!(back.client_send, cfg.client_send);
-        assert_eq!(back.maybe_timeout, cfg.maybe_timeout);
     }
 
     #[test]
@@ -273,13 +230,13 @@ mod tests {
         };
         // tagged int payload: 1 tag + 8 bytes of i64. The span rides in
         // the fixed 32-byte header allowance, so it is free on the wire.
-        assert_eq!(call.wire_bytes(32), 32 + 6 + 9);
+        assert_eq!(call.wire_bytes(), 32 + 6 + 9);
         let reply = RpcPacket::Reply {
             call_id: 1,
             span: 0,
             results: vec![WireValue::Int(16)],
         };
-        assert_eq!(reply.wire_bytes(32), 32 + 9);
+        assert_eq!(reply.wire_bytes(), 32 + 9);
         assert_eq!(call.call_id(), reply.call_id());
     }
 

@@ -300,6 +300,20 @@ impl<'a> Fields<'a> {
         self.opt(key, |v| v.as_object().map(|_| v))
     }
 
+    /// A key older recordings carry for a value this build fixes at
+    /// `fixed`: absent, or present at `fixed`, is accepted; any other
+    /// value is refused with both values named, so no recording replays
+    /// under a model it was not made with.
+    pub fn retired(&self, key: &str, fixed: u64) -> Result<(), String> {
+        match self.opt_get(key) {
+            Some(v) if v.as_u64() != Some(fixed) => Err(format!(
+                "{}: `{key}` is {v}, but this build fixes it at {fixed}",
+                self.what
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// An array, each element decoded by `f`, collected into `C`.
     pub fn list<T, C: FromIterator<T>>(
         &self,
@@ -793,6 +807,17 @@ mod tests {
             Fields::new(&Json::Int(3), &"t").get("k"),
             Err("t: missing `k`".into())
         );
+
+        // `retired`: absent or at the fixed value passes; anything else
+        // names the key and both values.
+        assert_eq!(f.retired("absent", 7), Ok(()));
+        assert_eq!(f.retired("u16", u16::MAX.into()), Ok(()));
+        let refused =
+            |key: &str, v: &str| format!("thing 7: `{key}` is {v}, but this build fixes it at 3");
+        assert_eq!(f.retired("u16", 3), Err(refused("u16", "65535")));
+        assert_eq!(f.retired("neg", 3), Err(refused("neg", "-1")));
+        assert_eq!(f.retired("s", 3), Err(refused("s", "\"x\"")));
+        assert_eq!(f.retired("n", 3), Err(refused("n", "null")));
 
         // `opt_*`: absent is `None`, present but wrong is refused by name.
         assert_eq!(f.opt_uint::<u32>("absent"), Ok(None));

@@ -164,11 +164,6 @@ impl OpenLoop {
         }
     }
 
-    /// The mean inter-arrival gap.
-    pub fn mean_gap(&self) -> SimDuration {
-        SimDuration::from_micros(self.mean_us)
-    }
-
     /// All arrivals strictly before `deadline` (consuming them from the
     /// timeline; the first arrival at or past the deadline is buffered
     /// for the next call).

@@ -316,6 +316,8 @@ struct NodeRun {
     steps: u64,
     exits: Vec<(Pid, Option<Vec<Value>>)>,
     outcalls: Vec<String>,
+    /// [`Node::vm_profile`]: empty unless the run was profiled.
+    profile: Vec<(String, u64, u64)>,
 }
 
 /// Runs `source` on a bare node to `limit`, one `advance_to` per `window`,
@@ -363,6 +365,7 @@ fn node_run(
             .map(|pid| (pid, node.exit_values(pid).map(<[Value]>::to_vec)))
             .collect(),
         outcalls,
+        profile: node.vm_profile(),
     }
 }
 
@@ -418,6 +421,24 @@ fn burst_stepping_equals_single_stepping() {
         SimDuration::from_micros(333),
         SimDuration::from_micros(37),
     ];
+    // The per-procedure profile is the call tree folded by frame. On this
+    // fixed world (`fib` under `fibber` and under itself) it reads what
+    // per-instruction counters kept beside the tree read.
+    let fixed = node_world_source(&[(0, 4), (6, 2), (7, 1), (9, 1), (11, 1)]);
+    let fixed = node_run(&fixed, slices[0], true, windows[0]).profile;
+    let counted = [
+        ("tallier", 5461, 10934),
+        ("fib", 1898, 7584),
+        ("trapper", 330, 662),
+        ("main", 32, 494),
+        ("builder", 75, 323),
+        ("forker", 39, 206),
+        ("fibber", 16, 120),
+        ("relay", 10, 102),
+        ("waiter", 11, 78),
+    ];
+    let counted: Vec<_> = counted.map(|(p, n, c)| (p.to_string(), n, c)).into();
+    assert_eq!(fixed, counted);
     let worlds = zip(
         vecs(zip(int_range(0, 12), int_range(1, 13)), 6),
         zip(choice(slices), choice(windows)),
@@ -431,6 +452,10 @@ fn burst_stepping_equals_single_stepping() {
             let burst = node_run(&source, *slice, false, *window);
             let oracle = node_run(&source, *slice, true, *window);
             ensure_same_run(&burst, &oracle, "profiled")?;
+            // Every instruction the oracle stepped is in its profile.
+            let profiled: u64 = oracle.profile.iter().map(|(_, n, _)| n).sum();
+            ensure_eq(profiled, oracle.steps)
+                .map_err(|e| format!("profiled instructions, steps: {e}"))?;
             // No window is overshot by more than the one instruction the
             // oracle overshoots it by.
             let overshot = (burst.window_clocks.iter())
