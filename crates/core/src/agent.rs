@@ -640,10 +640,6 @@ impl Agent {
                 );
                 AgentReply::Processes(rows)
             }
-            AgentRequest::ProcessState { pid } => match node.process(Pid(pid)) {
-                Some(p) => AgentReply::Process(Self::proc_view(node, Pid(pid), p, node.clock())),
-                None => AgentReply::Error(format!("no process p{pid}")),
-            },
             AgentRequest::ReadStack { pid } => match self.read_stack(node, endpoint, Pid(pid)) {
                 Some(frames) => AgentReply::Stack(frames),
                 None => AgentReply::Error(format!("no process p{pid}")),

@@ -198,11 +198,6 @@ pub enum AgentRequest {
     /// Enumerate processes (answered from the supervisor's process
     /// table, which the §5.4 creation and deletion hooks maintain).
     ListProcesses,
-    /// One process's supervisor state.
-    ProcessState {
-        /// Target process.
-        pid: u64,
-    },
     /// The process's call stack in machine terms.
     ReadStack {
         /// Target process.
@@ -347,9 +342,6 @@ impl AgentRequest {
             AgentRequest::HaltAll => Json::obj(vec![t("HaltAll")]),
             AgentRequest::ResumeAll => Json::obj(vec![t("ResumeAll")]),
             AgentRequest::ListProcesses => Json::obj(vec![t("ListProcesses")]),
-            AgentRequest::ProcessState { pid } => {
-                Json::obj(vec![t("ProcessState"), ("pid", u(*pid))])
-            }
             AgentRequest::ReadStack { pid } => Json::obj(vec![t("ReadStack"), ("pid", u(*pid))]),
             AgentRequest::ReadVar { pid, frame, slot } => Json::obj(vec![
                 t("ReadVar"),
@@ -442,9 +434,6 @@ impl AgentRequest {
             "HaltAll" => AgentRequest::HaltAll,
             "ResumeAll" => AgentRequest::ResumeAll,
             "ListProcesses" => AgentRequest::ListProcesses,
-            "ProcessState" => AgentRequest::ProcessState {
-                pid: f.uint("pid")?,
-            },
             "ReadStack" => AgentRequest::ReadStack {
                 pid: f.uint("pid")?,
             },
@@ -661,8 +650,6 @@ pub enum AgentReply {
     Breakpoints(Vec<(u16, u16, u32)>),
     /// Process list.
     Processes(Vec<ProcView>),
-    /// Single process.
-    Process(ProcView),
     /// Stack frames, oldest first.
     Stack(Vec<FrameSummary>),
     /// A marshalled value.
@@ -770,7 +757,6 @@ pub(crate) mod tests {
             AgentRequest::HaltAll,
             AgentRequest::ResumeAll,
             AgentRequest::ListProcesses,
-            AgentRequest::ProcessState { pid: u64::MAX },
             AgentRequest::ReadStack { pid: 5 },
             AgentRequest::ReadVar {
                 pid: 6,

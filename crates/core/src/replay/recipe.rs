@@ -239,6 +239,14 @@ impl Recipe {
             }
             recipe.set_program_for(node, source);
         }
+        // The network lays out a path table per pair of segments, so a
+        // segment count is bounded by the stations it carves up.
+        let (segments, stations) = (recipe.net.topology.segments(), recipe.stations());
+        if segments > stations {
+            return Err(format!(
+                "recipe: the topology has {segments} segments, more than the world's {stations} stations"
+            ));
+        }
         Ok(recipe)
     }
 

@@ -341,6 +341,22 @@ mod tests {
             .map(|n| format!("{stem}\"trace_bytes\": {n}}}\n{body}")),
         );
         refused([format!("{}}}\n{body}", stem.trim_end_matches(", "))]);
+        // More segments than the world's three stations, refused before
+        // the network lays out a path per pair of them: at the bound a
+        // topology loads, one past it or at `u32::MAX` it does not.
+        let flat = "\"topology\": {\"kind\": \"flat\"}";
+        assert!(head.contains(flat));
+        let topology = |t: &str| text.replacen(flat, &format!("\"topology\": {t}"), 1);
+        assert!(Saved::parse(&topology("{\"kind\": \"star\", \"arms\": 2}")).is_ok());
+        refused(
+            [
+                "{\"kind\": \"star\", \"arms\": 3}",
+                "{\"kind\": \"star\", \"arms\": 4000000000}",
+                "{\"kind\": \"ring-of-rings\", \"segments\": 4}",
+                "{\"kind\": \"ring-of-rings\", \"segments\": 4294967295}",
+            ]
+            .map(topology),
+        );
         // The body one byte short, one byte long, or missing its header
         // line's newline.
         refused([

@@ -50,7 +50,7 @@ impl Topology {
         match self {
             Topology::Flat => 1,
             Topology::RingOfRings { segments } => segments.max(1),
-            Topology::Star { arms } => arms.max(1) + 1,
+            Topology::Star { arms } => arms.max(1).saturating_add(1),
         }
     }
 
@@ -305,6 +305,7 @@ mod tests {
     fn star_routes_through_hub() {
         let t = Topology::Star { arms: 3 };
         assert_eq!(t.segments(), 4);
+        assert_eq!(Topology::Star { arms: u32::MAX }.segments(), u32::MAX);
         assert_eq!(t.path_links(1, 2), vec![(0, 1), (0, 2)]);
         assert_eq!(t.path_links(0, 3), vec![(0, 3)]);
         assert_eq!(t.path_links(3, 0), vec![(0, 3)]);

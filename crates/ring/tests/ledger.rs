@@ -6,9 +6,10 @@
 //! retransmission, both transmitter classes and (on Ethernet) broadcast —
 //! and hashes everything observable: each send's status, each delivery,
 //! each station's counters, every registry meter in registration order,
-//! and the tracer's JSONL. The golden constants were computed before the
-//! ledger, the sender path and the bridge-link table were each cut to one
-//! copy, so they prove the cut moved no draw, count, metric or trace byte.
+//! and the tracer's JSONL. The pinned digests (`ledger.snapshot.txt`) were
+//! computed before the ledger, the sender path and the bridge-link table
+//! were each cut to one copy, so they prove the cut moved no draw, count,
+//! metric or trace byte.
 
 use pilgrim_ring::{
     Delivery, LinkModel, Medium, NetStats, Network, NetworkConfig, NodeId, PartitionWindow,
@@ -201,18 +202,16 @@ const TOPOLOGIES: [Topology; 3] = [
 ];
 const MEDIA: [Medium; 2] = [Medium::CambridgeRing, Medium::Ethernet];
 
-/// `[topology][medium]`, computed at the parent of the network's
-/// one-ledger refactor.
-const GOLDEN: [[u64; 2]; 3] = [
-    [0x45d6_c510_87de_983e, 0xe35f_6d54_a740_588a],
-    [0x5571_7ad2_fcd0_f6d8, 0x1abb_58f2_c173_e4ac],
-    [0x67e7_9e02_93e2_1067, 0x1dc8_b210_c2c1_bee8],
-];
+/// One `topology medium digest` line per pair, computed at the parent of
+/// the network's one-ledger refactor. `sh scripts/pins.sh` rewrites it
+/// from the lines this test prints between the markers below.
+const SNAPSHOT: &str = include_str!("ledger.snapshot.txt");
 
 #[test]
 fn traffic_script_digests_are_pinned() {
-    let got = TOPOLOGIES.map(|t| {
-        MEDIA.map(|m| {
+    let mut got = String::new();
+    for t in TOPOLOGIES {
+        for m in MEDIA {
             let run = run_script(t, m, 0x5eed, 1_500);
             // The script reaches every outcome its world can produce.
             let s = run.net.stats();
@@ -223,10 +222,11 @@ fn traffic_script_digests_are_pinned() {
                 "{t:?} {m:?}: {s:?}"
             );
             assert_eq!(s.bridge_lost > 0, t != Topology::Flat, "{t:?} {m:?}: {s:?}");
-            digest(run)
-        })
-    });
-    assert_eq!(got, GOLDEN, "{got:#x?}");
+            got.push_str(&format!("{t:?} {} {:#018x}\n", m.name(), digest(run)));
+        }
+    }
+    println!("----- digest -----\n{got}----- end digest -----");
+    assert_eq!(got, SNAPSHOT, "the traffic script's digests moved");
 }
 
 #[test]

@@ -36,6 +36,8 @@
 use pilgrim::{PartitionWindow, SimDuration, SimTime, Topology, TraceCategory, World};
 use pilgrim_sim::{Json, OpMix};
 
+use crate::load::FIRST_CLIENT_NODE;
+
 /// How much tracing a load run records. Full traces of 100k-op runs are
 /// large; the RPC-only and off levels keep soak artifacts manageable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -351,6 +353,17 @@ impl Scenario {
             }
         };
         let segs = sc.topology.segments();
+        // The load world's stations: the servers, the clients and the
+        // debugger's own. The network lays out a path per pair of
+        // segments, so more segments than stations is refused here,
+        // before anything is built.
+        let stations = FIRST_CLIENT_NODE + sc.client_nodes + 1;
+        if segs > stations {
+            return Err(format!(
+                "line {}: `segments` makes {segs} segments, more than the world's {stations} stations",
+                line_of("segments")
+            ));
+        }
         for (w, line) in sc.partitions.iter().zip(partition_lines) {
             if w.a >= segs || w.b >= segs {
                 return Err(format!(
@@ -591,6 +604,10 @@ blackbox_events = 1024
             ),
             ("topology = \"mesh\"", "unknown topology"),
             ("topology = \"star\"", "needs `segments`"),
+            (
+                "topology = \"star\"\nsegments = 4000000000",
+                "line 2: `segments` makes 4000000001 segments, more than the world's 8 stations",
+            ),
             ("windowed_slo = yes", "not `true` or `false`"),
             ("windowed_slo = True", "not `true` or `false`"),
             ("report_window = 0", "`report_window` must be positive"),

@@ -10,9 +10,10 @@
 //! slot arena, event-queue bookkeeping) must reproduce this run
 //! bit-for-bit.
 //!
-//! If a PR changes semantics *on purpose* (e.g. a new wire-size model),
-//! the snapshot below must be re-captured and the change called out in the
-//! PR description.
+//! A change that moves semantics *on purpose* (e.g. a new wire-size
+//! model) re-derives the snapshot with `sh scripts/pins.sh`, which
+//! rewrites it from the digest this test prints, and says so in the same
+//! commit.
 
 use pilgrim::{DebugEvent, SimDuration, SimTime, TraceCategory, World};
 
@@ -94,17 +95,14 @@ fn digest(w: &World) -> String {
 }
 
 // Captured from the seed-42 run before the hot-path refactor (and after
-// the wire-size remodel in this same PR). Regenerate by running this test
-// with `SEMANTICS_LOCK_DUMP=1` and pasting the printed digest.
+// the wire-size remodel). `sh scripts/pins.sh` rewrites it from the digest
+// this test prints between the markers below.
 const SNAPSHOT: &str = include_str!("semantics_lock.snapshot.txt");
 
 #[test]
 fn pinned_seed_scenario_matches_committed_snapshot() {
-    let w = run_scenario();
-    let d = digest(&w);
-    if std::env::var_os("SEMANTICS_LOCK_DUMP").is_some() {
-        println!("----- digest -----\n{d}----- end digest -----");
-    }
+    let d = digest(&run_scenario());
+    println!("----- digest -----\n{d}----- end digest -----");
     assert_eq!(
         d, SNAPSHOT,
         "simulation semantics drifted from the committed snapshot"

@@ -88,6 +88,11 @@ fn bad_input_is_status_2_with_one_stderr_line_and_no_stdout() {
     .render();
     let huge = text.replacen("\"nodes\": 7", "\"nodes\": 4000000000", 1);
     assert_ne!(huge, text, "the artifact's node count was not rewritten");
+    let segments = text.replacen("\"segments\": 2", "\"segments\": 4000000000", 1);
+    assert_ne!(
+        segments, text,
+        "the artifact's segment count was not rewritten"
+    );
     // A mistyped `setup` once read as "no setup": a re-run without the
     // servers, reported as a divergence at event 0.
     let mistyped_setup = text.replacen("\"setup\": [", "\"setup\": \"oops\", \"was\": [", 1);
@@ -108,6 +113,10 @@ fn bad_input_is_status_2_with_one_stderr_line_and_no_stdout() {
             "nesting deeper than",
         ),
         (dir.write("huge.json", &huge), "`nodes` is 4000000000"),
+        (
+            dir.write("segments.json", &segments),
+            "4000000000 segments, more than the world's 8 stations",
+        ),
         (
             dir.write("setup.json", &mistyped_setup),
             "recipe: `setup` out of range",
@@ -141,6 +150,11 @@ fn bad_input_is_status_2_with_one_stderr_line_and_no_stdout() {
             rows.push((vec![cmd, path], needle));
         }
     }
+    let far_segments = dir.write(
+        "segments.toml",
+        &SCENARIO.replacen("segments = 2", "segments = 4000000000", 1),
+    );
+    rows.push((vec!["load", &far_segments], "line 5: `segments` makes"));
     rows.push((vec!["replay", &dump], "recording is required"));
     rows.push((vec!["prof", &dump], "recording is required"));
     rows.push((vec!["trace", &art, "--tsdb"], "dump is required"));
