@@ -35,7 +35,7 @@ use pilgrim_sim::{EventKind, Json, SimDuration, SimTime, TraceCategory, Tracer};
 
 use crate::proto::{
     AgentEvent, AgentReply, AgentRequest, DebugMsg, FrameSummary, Invocation, ProcView,
-    RpcCallView, RpcFrameView, SessionId, StateView,
+    RpcFrameView, SessionId, StateView,
 };
 
 /// Transmissions one debugger or agent message may take: an interface
@@ -156,7 +156,6 @@ pub struct Agent {
     shared: Rc<RefCell<AgentShared>>,
     cohort: Vec<NodeId>,
     breakpoints: Vec<Option<Breakpoint>>,
-    halt_since: Option<SimTime>,
     pending_invokes: HashMap<Pid, PendingInvoke>,
     stats: AgentStats,
     tracer: Tracer,
@@ -181,7 +180,6 @@ impl Agent {
             shared: Rc::new(RefCell::new(AgentShared::default())),
             cohort: Vec::new(),
             breakpoints: Vec::new(),
-            halt_since: None,
             pending_invokes: HashMap::new(),
             stats: AgentStats::default(),
             tracer,
@@ -371,20 +369,8 @@ impl Agent {
         net: &mut dyn DebugNet,
         session: SessionId,
     ) {
-        if self.halt_since.is_none() {
-            node.halt_all();
-            node.mark_halted(at);
-            self.halt_since = Some(at);
+        if self.enter_halt(node, at, EventKind::BreakpointHalt) {
             self.stats.halts_initiated += 1;
-            if self.tracer.wants(TraceCategory::Debug) {
-                self.tracer.emit(
-                    at,
-                    TraceCategory::Debug,
-                    Some(self.node_id.0),
-                    None,
-                    EventKind::BreakpointHalt,
-                );
-            }
         }
         let msg = DebugMsg::HaltBroadcast {
             session,
@@ -432,7 +418,7 @@ impl Agent {
                     if force {
                         // Forcible connection: the original session is
                         // abandoned and all breakpoints etc. cleared (§3).
-                        self.clear_session_state(node, now);
+                        self.clear_session_state(node);
                     }
                     let mut s = self.shared.borrow_mut();
                     s.session = Some(session);
@@ -453,7 +439,7 @@ impl Agent {
             }
             DebugMsg::Disconnect { session } => {
                 if self.shared.borrow().session == Some(session) {
-                    self.clear_session_state(node, now);
+                    self.clear_session_state(node);
                     // §5.2: at the end of a debugging session the logical
                     // clock is reset to real time (with unpredictable
                     // effect, the paper warns).
@@ -482,34 +468,23 @@ impl Agent {
                 if self.shared.borrow().session != Some(session) {
                     return;
                 }
-                if self.halt_since.is_none() {
-                    node.halt_all();
-                    node.mark_halted(now);
-                    self.halt_since = Some(now);
+                let halt = EventKind::HaltBroadcast { origin: origin.0 };
+                if self.enter_halt(node, now, halt) {
                     self.stats.halts_received += 1;
-                    if self.tracer.wants(TraceCategory::Debug) {
-                        self.tracer.emit(
-                            now,
-                            TraceCategory::Debug,
-                            Some(self.node_id.0),
-                            None,
-                            EventKind::HaltBroadcast { origin: origin.0 },
-                        );
-                    }
                 }
             }
             DebugMsg::ResumeBroadcast { session, .. } => {
                 if self.shared.borrow().session != Some(session) {
                     return;
                 }
-                self.resume_node(node, now);
+                Self::resume_node(node);
             }
             // Replies/events/connect-replies are debugger-side messages.
             DebugMsg::ConnectReply { .. } | DebugMsg::Reply { .. } | DebugMsg::Event { .. } => {}
         }
     }
 
-    fn clear_session_state(&mut self, node: &mut Node, now: SimTime) {
+    fn clear_session_state(&mut self, node: &mut Node) {
         // Remove every planted trap.
         for slot in 0..self.breakpoints.len() {
             if let Some(bp) = self.breakpoints[slot].take() {
@@ -520,20 +495,35 @@ impl Agent {
         for pid in node.pids() {
             node.release_stopped(pid);
         }
-        self.resume_node(node, now);
+        Self::resume_node(node);
         self.pending_invokes.clear();
         let mut s = self.shared.borrow_mut();
         s.session = None;
         s.debugger = None;
     }
 
-    fn resume_node(&mut self, node: &mut Node, now: SimTime) -> SimDuration {
-        let Some(since) = self.halt_since.take() else {
+    /// Halts every local process and freezes the node's logical clock at
+    /// `at`, tracing `event` — unless the node is halted already. Returns
+    /// whether it entered the halt. The node's halt marker is the one
+    /// record of the halt.
+    fn enter_halt(&self, node: &mut Node, at: SimTime, event: EventKind) -> bool {
+        if node.halt_marker().is_some() {
+            return false;
+        }
+        node.halt_all();
+        node.mark_halted(at);
+        if self.tracer.wants(TraceCategory::Debug) {
+            let station = Some(self.node_id.0);
+            self.tracer
+                .emit(at, TraceCategory::Debug, station, None, event);
+        }
+        true
+    }
+
+    fn resume_node(node: &mut Node) -> SimDuration {
+        let Some(halted_for) = node.clear_halt_marker() else {
             return SimDuration::ZERO;
         };
-        let halted_for = node
-            .clear_halt_marker()
-            .unwrap_or_else(|| now.saturating_since(since));
         // §5.2: delta := current time − time of breakpoint + previous delta.
         node.add_delta(halted_for);
         node.resume_all();
@@ -623,7 +613,7 @@ impl Agent {
                 AgentReply::Halted(node.process_count())
             }
             AgentRequest::ResumeAll => {
-                let halted_for = self.resume_node(node, now);
+                let halted_for = Self::resume_node(node);
                 AgentReply::Resumed {
                     halted_for_us: halted_for.as_micros(),
                 }
@@ -785,16 +775,7 @@ impl Agent {
                     AgentReply::Error("process is not halted".into())
                 }
             }
-            AgentRequest::RpcStatus { pid } => {
-                AgentReply::Rpc(endpoint.call_for_process(Pid(pid)).map(|c| RpcCallView {
-                    call_id: c.call_id,
-                    proc: c.proc,
-                    protocol: c.protocol.name(),
-                    state: c.state,
-                    retries: c.retries,
-                    dst: c.dst,
-                }))
-            }
+            AgentRequest::RpcStatus { pid } => AgentReply::Rpc(endpoint.call_for_process(Pid(pid))),
             AgentRequest::RecentCalls => AgentReply::Recent(endpoint.recent_client_calls()),
             AgentRequest::RecentServed => AgentReply::Recent(endpoint.recent_served_calls()),
             AgentRequest::ServingProcess { call_id } => {
@@ -804,17 +785,7 @@ impl Agent {
                 AgentReply::ClientOf(endpoint.client_process(call_id).map(|p| p.0))
             }
             AgentRequest::ServerKnowledge { call_id } => {
-                AgentReply::Knowledge(match endpoint.server_knowledge(call_id) {
-                    pilgrim_rpc::ServerKnowledge::NeverSeen => {
-                        crate::proto::KnowledgeView::NeverSeen
-                    }
-                    pilgrim_rpc::ServerKnowledge::Executing => {
-                        crate::proto::KnowledgeView::Executing
-                    }
-                    pilgrim_rpc::ServerKnowledge::Replied(ok) => {
-                        crate::proto::KnowledgeView::Replied(ok)
-                    }
-                })
+                AgentReply::Knowledge(endpoint.server_knowledge(call_id))
             }
             AgentRequest::ReadConsole { from } => AgentReply::Console(
                 node.console()

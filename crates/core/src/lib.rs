@@ -76,7 +76,7 @@ pub use cli::DebugCli;
 pub use debugger::{BreakpointInfo, DebugEvent, Debugger};
 pub use proto::{
     AgentEvent, AgentReply, AgentRequest, ConvertedTime, DebugMsg, FrameSummary, Invocation,
-    KnowledgeView, ProcView, RpcCallView, RpcFrameView, SessionId, StateView,
+    ProcView, RpcFrameView, SessionId, StateView,
 };
 pub use replay::{
     replay_with, rerun, Artifact, Recipe, ReplayError, ReplayReport, SetupInstaller, Stimulus,
@@ -94,7 +94,7 @@ pub use world::{
 pub use pilgrim_cclu::{compile, CompileError, Program, RpcCallState, Value};
 pub use pilgrim_mayflower::{NodeConfig, Pid, RunState, SpawnOpts};
 pub use pilgrim_ring::{LinkModel, Medium, NetworkConfig, NodeId, PartitionWindow, Topology};
-pub use pilgrim_rpc::{RpcConfig, WireValue};
+pub use pilgrim_rpc::{CallDebug, RpcConfig, ServerKnowledge, WireValue};
 pub use pilgrim_sim::{
     CausalGraph, Chunked, Counter, EventKind, Gauge, Histogram, Json, Metrics, SeriesStore,
     SimDuration, SimTime, SpanId, SpanProfile, TraceCategory, TraceEvent, Tracer,

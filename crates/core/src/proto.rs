@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use pilgrim_cclu::RpcCallState;
 use pilgrim_ring::NodeId;
-use pilgrim_rpc::WireValue;
+use pilgrim_rpc::{CallDebug, ServerKnowledge, WireValue};
 use pilgrim_sim::json::Fields;
 use pilgrim_sim::{Json, SimDuration, SimTime};
 
@@ -606,34 +606,6 @@ pub struct FrameSummary {
     pub rpc: Option<RpcFrameView>,
 }
 
-/// What a server node knows about a call id, in wire form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KnowledgeView {
-    /// Call packet never arrived.
-    NeverSeen,
-    /// Currently executing.
-    Executing,
-    /// Executed and replied (success flag).
-    Replied(bool),
-}
-
-/// The in-progress call of a client process.
-#[derive(Debug, Clone)]
-pub struct RpcCallView {
-    /// Call identifier.
-    pub call_id: u64,
-    /// Remote procedure, shared with the client call table.
-    pub proc: Arc<str>,
-    /// Protocol name.
-    pub protocol: &'static str,
-    /// Protocol state; its `Display` is the text shown to the user.
-    pub state: RpcCallState,
-    /// Retransmissions.
-    pub retries: u32,
-    /// Destination node.
-    pub dst: NodeId,
-}
-
 /// Reply to an [`AgentRequest`].
 #[derive(Debug, Clone)]
 pub enum AgentReply {
@@ -664,13 +636,13 @@ pub enum AgentReply {
         output: String,
     },
     /// In-progress RPC of a process (None when it is not in a call).
-    Rpc(Option<RpcCallView>),
+    Rpc(Option<CallDebug>),
     /// Cyclic-buffer contents: `(call_id, succeeded)`, oldest first.
     Recent(Vec<(u64, bool)>),
     /// The serving process for a call id, if any.
     Serving(Option<u64>),
     /// Server-side knowledge about a call.
-    Knowledge(KnowledgeView),
+    Knowledge(ServerKnowledge),
     /// Console lines.
     Console(Vec<String>),
     /// Number of processes halted.

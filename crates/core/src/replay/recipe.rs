@@ -239,8 +239,9 @@ impl Recipe {
             }
             recipe.set_program_for(node, source);
         }
-        // The network lays out a path table per pair of segments, so a
-        // segment count is bounded by the stations it carves up.
+        // A segment count is read from outside input and the network keeps
+        // an entry per segment and per bridge, so it is bounded by the
+        // stations it carves up before anything is built for it.
         let (segments, stations) = (recipe.net.topology.segments(), recipe.stations());
         if segments > stations {
             return Err(format!(

@@ -4,15 +4,14 @@
 //! real network cost.
 
 use pilgrim_ring::NodeId;
-use pilgrim_rpc::WireValue;
-use pilgrim_sim::{EventKind, SimDuration, TraceCategory};
+use pilgrim_rpc::{CallDebug, ServerKnowledge, WireValue};
+use pilgrim_sim::{EventKind, SimDuration, SimTime, TraceCategory};
 
 use super::World;
 use crate::agent::DebugNet;
 use crate::debugger::{BreakpointInfo, DebugEvent, Debugger};
 use crate::proto::{
-    AgentReply, AgentRequest, DebugMsg, FrameSummary, KnowledgeView, ProcView, RpcFrameView,
-    SessionId,
+    AgentReply, AgentRequest, DebugMsg, FrameSummary, ProcView, RpcFrameView, SessionId,
 };
 use crate::replay::Stimulus;
 
@@ -136,19 +135,18 @@ impl World {
                 };
                 w.net.send_debug(w.now, station, *dst, msg);
             }
+            // The first window passes before the first check, so even a
+            // connect to no node pumps once.
             let deadline = w.now + SimDuration::from_secs(5);
-            while w.now < deadline {
-                w.pump_step(deadline);
-                let d = w.debugger.as_ref().expect("debugger exists");
+            w.pump_step(deadline);
+            w.pump_until(deadline, |w| {
+                let d = w.debugger.as_mut().ok_or(DebugError::NoDebugger)?;
                 if d.connect_refusals() > 0 {
-                    w.debugger.as_mut().expect("debugger exists").abandon();
+                    d.abandon();
                     return Err(DebugError::Refused);
                 }
-                if d.connect_acks() == nodes.len() {
-                    return Ok(session);
-                }
-            }
-            Err(DebugError::Timeout)
+                Ok((d.connect_acks() == nodes.len()).then_some(session))
+            })
         })
     }
 
@@ -233,12 +231,8 @@ impl World {
     ) -> Result<(), DebugError> {
         let deadline = self.now + SimDuration::from_secs(30);
         let mut outstanding = seqs.len();
-        while outstanding > 0 {
-            if self.now >= deadline {
-                return Err(DebugError::Timeout);
-            }
-            self.pump_step(deadline);
-            let dbg = self.debugger.as_mut().expect("a debugger sent these");
+        self.pump_until(deadline, |w| {
+            let dbg = w.debugger.as_mut().ok_or(DebugError::NoDebugger)?;
             // A reply is taken at most once, so re-probing an answered
             // `seq` finds nothing and the count stays exact.
             for seq in seqs {
@@ -247,8 +241,27 @@ impl World {
                     outstanding -= 1;
                 }
             }
+            Ok((outstanding == 0).then_some(()))
+        })
+    }
+
+    /// The debugger's one wait: asks `check` first, then pumps one step
+    /// toward `deadline` and asks again, until `check` answers (`Some`)
+    /// or fails, or `deadline` has passed ([`DebugError::Timeout`]).
+    fn pump_until<T>(
+        &mut self,
+        deadline: SimTime,
+        mut check: impl FnMut(&mut World) -> Result<Option<T>, DebugError>,
+    ) -> Result<T, DebugError> {
+        loop {
+            if let Some(done) = check(self)? {
+                return Ok(done);
+            }
+            if self.now >= deadline {
+                return Err(DebugError::Timeout);
+            }
+            self.pump_step(deadline);
         }
-        Ok(())
     }
 
     /// Drains pending debugger events (breakpoint hits, faults).
@@ -267,19 +280,12 @@ impl World {
             timeout_us: timeout.as_micros(),
         };
         self.drive(stimulus, |w| {
-            let deadline = w.now + timeout;
-            loop {
-                // One event per call: a second node that trapped in the
-                // same window stays queued for the next wait.
+            // One event per call: a second node that trapped in the same
+            // window stays queued for the next wait.
+            w.pump_until(w.now + timeout, |w| {
                 let dbg = w.debugger.as_mut().ok_or(DebugError::NoDebugger)?;
-                if let Some(ev) = dbg.take_event() {
-                    return Ok(ev);
-                }
-                if w.now >= deadline {
-                    return Err(DebugError::Timeout);
-                }
-                w.pump_step(deadline);
-            }
+                Ok(dbg.take_event())
+            })
         })
     }
 
@@ -620,11 +626,7 @@ impl World {
     }
 
     /// The in-progress RPC of a process, if any (§4.3).
-    pub fn rpc_status(
-        &mut self,
-        node: u32,
-        pid: u64,
-    ) -> Result<Option<crate::proto::RpcCallView>, DebugError> {
+    pub fn rpc_status(&mut self, node: u32, pid: u64) -> Result<Option<CallDebug>, DebugError> {
         match self.debug_request(node, AgentRequest::RpcStatus { pid })? {
             AgentReply::Rpc(v) => Ok(v),
             other => Err(DebugError::Protocol(format!("unexpected reply {other:?}"))),
@@ -656,10 +658,10 @@ impl World {
                 return Err(DebugError::Protocol(format!("unexpected reply {reply:?}")));
             };
             let diagnosis = match k {
-                KnowledgeView::NeverSeen => MaybeDiagnosis::LostCall,
-                KnowledgeView::Executing => MaybeDiagnosis::StillExecuting,
-                KnowledgeView::Replied(true) => MaybeDiagnosis::LostReply,
-                KnowledgeView::Replied(false) => MaybeDiagnosis::RemoteFailed,
+                ServerKnowledge::NeverSeen => MaybeDiagnosis::LostCall,
+                ServerKnowledge::Executing => MaybeDiagnosis::StillExecuting,
+                ServerKnowledge::Replied(true) => MaybeDiagnosis::LostReply,
+                ServerKnowledge::Replied(false) => MaybeDiagnosis::RemoteFailed,
             };
             // The two §4.1 verdicts get their own event kinds, linked to
             // the failed call's span so a post-mortem timeline ends with

@@ -367,6 +367,12 @@ impl Node {
         halt_marker.unwrap_or(clock) - delta
     }
 
+    /// When the debugger halted the whole node, if it is halted: the
+    /// instant its logical clock froze.
+    pub fn halt_marker(&self) -> Option<SimTime> {
+        self.halt_marker
+    }
+
     /// Marks the whole node halted by the debugger at `at` — the start of
     /// a frozen logical-clock interval. Idempotent while already marked.
     pub fn mark_halted(&mut self, at: SimTime) {

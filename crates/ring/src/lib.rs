@@ -397,11 +397,7 @@ pub struct Network<P> {
     per_station: Vec<NetStats>,
     /// Segment of each station, from the topology's contiguous blocks.
     seg_of: Vec<u32>,
-    /// Bridge-hop paths between every segment pair, as indices into
-    /// `links`, precomputed so the cross-segment send path never
-    /// allocates: `paths[a * segs + b]`.
-    paths: Vec<Vec<usize>>,
-    /// Segment count (1 = flat: every path is empty, no link is touched).
+    /// Segment count (1 = flat: no packet crosses a bridge).
     segs: u32,
     /// Every bridge link, in [`Topology::all_links`] order.
     links: Vec<Link>,
@@ -426,15 +422,6 @@ impl<P> Network<P> {
                 ..Link::default()
             })
             .collect();
-        let paths: Vec<Vec<usize>> = (0..segs)
-            .flat_map(|a| (0..segs).map(move |b| (a, b)))
-            .map(|(a, b)| {
-                let hops = config.topology.path_links(a, b).into_iter();
-                hops.map(|key| links.iter().position(|l| l.key == key))
-                    .collect::<Option<_>>()
-                    .expect("every path link is a bridge of the topology")
-            })
-            .collect();
         Network {
             config,
             stations: vec![
@@ -450,7 +437,6 @@ impl<P> Network<P> {
             stats: NetStats::default(),
             per_station: vec![NetStats::default(); nodes as usize],
             seg_of,
-            paths,
             segs,
             links,
             tracer: None,
@@ -463,20 +449,20 @@ impl<P> Network<P> {
     /// is no bridge of the topology is accepted and changes nothing, so a
     /// recording that journals one still replays.
     pub fn set_link_up(&mut self, a: u32, b: u32, up: bool) {
-        let key = link_key(a, b);
-        if let Some(link) = self.links.iter_mut().find(|l| l.key == key) {
-            link.forced_down = !up;
+        if let Some(slot) = self.config.topology.link_slot(a, b) {
+            self.links[slot].forced_down = !up;
         }
     }
 
     /// Walks the bridge hops from `src`'s segment to `dst`'s (none when
-    /// they share one), starting the first hop at `depart`. Returns the
-    /// far-side arrival time, or `None` when a partition cut (scheduled,
-    /// or forced by the driver) or a per-hop loss draw ate the packet — a
-    /// loss counted against the link and, as a bridge loss, against
-    /// `src`. Draw order per hop is fixed (loss, then jitter) and later
-    /// hops are skipped after a loss, so the RNG stream is a pure function
-    /// of the config and the send sequence.
+    /// they share one), asking the topology for each next hop, starting
+    /// the first hop at `depart`. Returns the far-side arrival time, or
+    /// `None` when a partition cut (scheduled, or forced by the driver)
+    /// or a per-hop loss draw ate the packet — a loss counted against the
+    /// link and, as a bridge loss, against `src`. Draw order per hop is
+    /// fixed (loss, then jitter) and later hops are skipped after a loss,
+    /// so the RNG stream is a pure function of the config and the send
+    /// sequence.
     fn bridge_leg(
         &mut self,
         src: NodeId,
@@ -485,10 +471,9 @@ impl<P> Network<P> {
         bytes: usize,
     ) -> Option<SimTime> {
         let mut t = depart;
-        let (sseg, dseg) = (self.seg_of[src.0 as usize], self.seg_of[dst.0 as usize]);
-        let path = (sseg * self.segs + dseg) as usize;
-        for i in 0..self.paths[path].len() {
-            let hop = self.paths[path][i];
+        let (mut at, dseg) = (self.seg_of[src.0 as usize], self.seg_of[dst.0 as usize]);
+        while let Some((next, hop)) = self.config.topology.next_hop(at, dseg) {
+            at = next;
             let link = &self.links[hop];
             let cut =
                 link.forced_down || self.config.partitions.iter().any(|w| w.cuts(link.key, t));
@@ -571,18 +556,18 @@ impl<P> Network<P> {
     }
 
     /// One segment's counters, same attribution rules as
-    /// [`station_stats`](Network::station_stats): the sum of its
-    /// stations' entries.
+    /// [`station_stats`](Network::station_stats): the sum of the entries
+    /// in its block of stations.
     ///
     /// # Panics
     ///
     /// Panics if `seg` is not a segment of this topology.
     pub fn segment_stats(&self, seg: u32) -> NetStats {
         assert!(seg < self.segs, "no segment {seg} of {}", self.segs);
-        let stations = self.per_station.iter().zip(&self.seg_of);
-        stations
-            .filter(|(_, s)| **s == seg)
-            .fold(NetStats::default(), |t, (s, _)| NetStats {
+        let block = self.config.topology.stations_of(seg, self.nodes());
+        self.per_station[block.start as usize..block.end as usize]
+            .iter()
+            .fold(NetStats::default(), |t, s| NetStats {
                 sent: t.sent + s.sent,
                 delivered: t.delivered + s.delivered,
                 nacked: t.nacked + s.nacked,
@@ -602,7 +587,7 @@ impl<P> Network<P> {
     /// turns a segment's `tx_busy_us` window delta into per-station
     /// utilization.
     pub fn stations_in(&self, seg: u32) -> u32 {
-        self.seg_of.iter().filter(|s| **s == seg).count() as u32
+        self.config.topology.stations_of(seg, self.nodes()).len() as u32
     }
 
     /// Marks a node's interface up or down (a crashed node refuses
@@ -1717,6 +1702,88 @@ mod tests {
             } else {
                 assert!(d.at > local_at, "remote receivers hear it later");
             }
+        }
+    }
+
+    #[test]
+    fn a_station_per_segment_builds_and_routes_at_its_size() {
+        // 200 000 one-station segments: a table of a route per pair of
+        // segments would hold 4·10^10 of them; walking the ring needs none.
+        let segments = 200_000;
+        let config = NetworkConfig {
+            topology: Topology::RingOfRings { segments },
+            ..Default::default()
+        };
+        let link = config.link;
+        let mut n = Network::<u32>::new(config.clone(), segments);
+        assert_eq!(n.segments(), segments);
+        assert_eq!(n.stations_in(segments - 1), 1);
+        let hops = |k: u64| config.latency(32) + (link.per_byte * 32 + link.latency) * k;
+        // Forward, backward and across the wrap-around bridge (0, s - 1),
+        // one hop each, then the whole half-ring: a tie, taken forward.
+        let sends = [
+            (0, 1, 1),
+            (2, 1, 1),
+            (segments - 1, 0, 1),
+            (5, 5 + segments / 2, 100_000),
+        ];
+        for (src, dst, k) in sends {
+            let status = n.send(SimTime::ZERO, NodeId(src), NodeId(dst), src, 32);
+            let due = SimTime::ZERO + hops(k);
+            assert_eq!(
+                status,
+                TxStatus::Queued { deliver_at: due },
+                "{src} -> {dst}"
+            );
+        }
+        let (due, stats) = n.poll(SimTime::ZERO + hops(100_000));
+        assert_eq!(due.len(), 4);
+        assert_eq!(stats.bridge_lost, 0);
+        assert_eq!(n.segment_stats(0).sent, 1);
+        assert_eq!(n.segment_stats(1).delivered, 2);
+    }
+
+    #[test]
+    fn segment_counters_fold_their_block_of_stations() {
+        // 10 stations over 4 segments (3/3/3/1) and over 6 (2/2/2/2/2/0).
+        for segments in [4, 6] {
+            let topology = Topology::RingOfRings { segments };
+            let mut n = Network::<u32>::new(
+                NetworkConfig {
+                    topology,
+                    p_interface_loss: 0.2,
+                    p_silent_loss: 0.1,
+                    link: LinkModel {
+                        p_loss: 0.1,
+                        ..LinkModel::default()
+                    },
+                    ..Default::default()
+                },
+                10,
+            );
+            for i in 0..60u32 {
+                let at = SimTime::from_millis(u64::from(i));
+                n.send(at, NodeId(i * 7 % 10), NodeId(i * 3 % 10), i, 32);
+            }
+            n.poll(SimTime::from_secs(10));
+            for seg in 0..segments {
+                let members = (0..10).filter(|i| topology.segment_of(*i, 10) == seg);
+                let (count, fold) = members.fold((0, NetStats::default()), |(c, t), i| {
+                    let s = n.station_stats(NodeId(i));
+                    let sum = NetStats {
+                        sent: t.sent + s.sent,
+                        delivered: t.delivered + s.delivered,
+                        nacked: t.nacked + s.nacked,
+                        silently_lost: t.silently_lost + s.silently_lost,
+                        bridge_lost: t.bridge_lost + s.bridge_lost,
+                        bytes_sent: t.bytes_sent + s.bytes_sent,
+                    };
+                    (c + 1, sum)
+                });
+                assert_eq!(n.stations_in(seg), count, "{segments} segments: {seg}");
+                assert_eq!(n.segment_stats(seg), fold, "{segments} segments: {seg}");
+            }
+            assert_eq!(n.stations_in(segments), 0);
         }
     }
 }

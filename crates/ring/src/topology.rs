@@ -22,6 +22,8 @@
 //! packet whose path crosses the cut is lost silently (a sender's ring
 //! hardware can only see its own segment, so no NACK crosses a bridge).
 
+use std::ops::Range;
+
 use pilgrim_sim::json::Fields;
 use pilgrim_sim::{Json, SimDuration, SimTime};
 
@@ -66,46 +68,61 @@ impl Topology {
         (station / block).min(segs - 1)
     }
 
-    /// The ordered bridge links a packet crosses from segment `a` to
-    /// segment `b`, as normalized `(lo, hi)` segment pairs. Empty when
-    /// `a == b`.
-    pub fn path_links(self, a: u32, b: u32) -> Vec<(u32, u32)> {
-        if a == b {
-            return Vec::new();
+    /// The stations of segment `seg`, out of `stations` total: the
+    /// contiguous block [`segment_of`](Topology::segment_of) maps to
+    /// `seg`, cut short (or empty) where the station space ends.
+    pub(crate) fn stations_of(self, seg: u32, stations: u32) -> Range<u32> {
+        let block = u64::from(stations.div_ceil(self.segments()));
+        let start = u64::from(seg) * block;
+        let clamp = |i: u64| i.min(u64::from(stations)) as u32;
+        clamp(start)..clamp(start + block)
+    }
+
+    /// The first bridge hop from segment `at` toward segment `dst`: the
+    /// neighbouring segment it reaches and the link's slot in
+    /// [`all_links`](Topology::all_links). `None` once `at == dst`, and
+    /// for a segment outside the topology. A star goes through the hub;
+    /// a ring of rings takes the shorter arc, forward on a tie. Walking
+    /// hop by hop stays on the arc the source chose: each step shortens
+    /// that side by one and lengthens the other by one.
+    pub(crate) fn next_hop(self, at: u32, dst: u32) -> Option<(u32, usize)> {
+        let s = self.segments();
+        if at == dst || at >= s || dst >= s {
+            return None;
+        }
+        let next = match self {
+            Topology::Flat => return None,
+            Topology::Star { .. } if at == 0 => dst,
+            Topology::Star { .. } => 0,
+            Topology::RingOfRings { .. } => {
+                let fwd = if dst > at { dst - at } else { s - (at - dst) };
+                if fwd <= s - fwd {
+                    (at + 1) % s
+                } else {
+                    at.checked_sub(1).unwrap_or(s - 1)
+                }
+            }
+        };
+        Some((next, self.link_slot(at, next)?))
+    }
+
+    /// Where the bridge between segments `a` and `b` sits in
+    /// [`all_links`](Topology::all_links), or `None` when no bridge
+    /// joins them.
+    pub(crate) fn link_slot(self, a: u32, b: u32) -> Option<usize> {
+        let (lo, hi) = link_key(a, b);
+        if lo == hi || hi >= self.segments() {
+            return None;
         }
         match self {
-            Topology::Flat => Vec::new(),
-            Topology::Star { .. } => {
-                let mut links = Vec::new();
-                if a != 0 {
-                    links.push(link_key(a, 0));
-                }
-                if b != 0 {
-                    links.push(link_key(0, b));
-                }
-                links
+            Topology::Flat => None,
+            // (0, 1), (0, 2), …: one bridge per arm.
+            Topology::Star { .. } => (lo == 0).then(|| hi as usize - 1),
+            // (0, 1), then (0, s - 1) when s > 2, then (1, 2), (2, 3), …
+            Topology::RingOfRings { .. } if hi == lo + 1 => {
+                Some(if lo == 0 { 0 } else { lo as usize + 1 })
             }
-            Topology::RingOfRings { .. } => {
-                let s = self.segments();
-                let fwd = (b + s - a) % s; // hops going a, a+1, …
-                let back = (a + s - b) % s; // hops going a, a-1, …
-                let mut links = Vec::new();
-                let mut cur = a;
-                if fwd <= back {
-                    for _ in 0..fwd {
-                        let next = (cur + 1) % s;
-                        links.push(link_key(cur, next));
-                        cur = next;
-                    }
-                } else {
-                    for _ in 0..back {
-                        let next = (cur + s - 1) % s;
-                        links.push(link_key(cur, next));
-                        cur = next;
-                    }
-                }
-                links
-            }
+            Topology::RingOfRings { .. } => (lo == 0 && hi == self.segments() - 1).then_some(1),
         }
     }
 
@@ -280,13 +297,146 @@ impl PartitionWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Network, NetworkConfig, NodeId};
+
+    /// The route table's old builder, kept as the oracle for
+    /// [`Topology::next_hop`]: the ordered bridge links a packet crosses
+    /// from segment `a` to segment `b`.
+    fn path_links(t: Topology, a: u32, b: u32) -> Vec<(u32, u32)> {
+        if a == b {
+            return Vec::new();
+        }
+        match t {
+            Topology::Flat => Vec::new(),
+            Topology::Star { .. } => {
+                let mut links = Vec::new();
+                if a != 0 {
+                    links.push(link_key(a, 0));
+                }
+                if b != 0 {
+                    links.push(link_key(0, b));
+                }
+                links
+            }
+            Topology::RingOfRings { .. } => {
+                let s = t.segments();
+                let fwd = (b + s - a) % s; // hops going a, a+1, …
+                let back = (a + s - b) % s; // hops going a, a-1, …
+                let mut links = Vec::new();
+                let mut cur = a;
+                if fwd <= back {
+                    for _ in 0..fwd {
+                        let next = (cur + 1) % s;
+                        links.push(link_key(cur, next));
+                        cur = next;
+                    }
+                } else {
+                    for _ in 0..back {
+                        let next = (cur + s - 1) % s;
+                        links.push(link_key(cur, next));
+                        cur = next;
+                    }
+                }
+                links
+            }
+        }
+    }
+
+    /// The links a packet crosses walking [`Topology::next_hop`] from
+    /// `a` to `b`, each read from its slot in `all_links`. Checks that
+    /// every hop lands on the far end of the link it took.
+    fn walk(t: Topology, a: u32, b: u32) -> Vec<(u32, u32)> {
+        let all = t.all_links();
+        let mut hops = Vec::new();
+        let mut at = a;
+        while let Some((next, slot)) = t.next_hop(at, b) {
+            assert_eq!(all[slot], link_key(at, next), "{t:?}: {at} -> {next}");
+            hops.push(all[slot]);
+            at = next;
+            assert!(
+                hops.len() <= t.segments() as usize,
+                "{t:?}: {a} -> {b} loops"
+            );
+        }
+        hops
+    }
+
+    fn routed() -> impl Iterator<Item = Topology> {
+        let rings = (1..=12).map(|segments| Topology::RingOfRings { segments });
+        rings.chain((1..=10).map(|arms| Topology::Star { arms }))
+    }
+
+    #[test]
+    fn walked_hops_match_the_path_oracle() {
+        for t in routed() {
+            for a in 0..t.segments() {
+                for b in 0..t.segments() {
+                    assert_eq!(walk(t, a, b), path_links(t, a, b), "{t:?}: {a} -> {b}");
+                }
+            }
+            let s = t.segments();
+            assert_eq!(t.next_hop(s, 0), None);
+            assert_eq!(t.next_hop(0, s), None);
+        }
+    }
+
+    #[test]
+    fn link_slots_are_all_links_positions() {
+        for t in routed().chain([Topology::Flat]) {
+            let all = t.all_links();
+            for a in 0..=t.segments() {
+                for b in 0..=t.segments() {
+                    let key = link_key(a, b);
+                    let expect = all.iter().position(|l| *l == key);
+                    assert_eq!(t.link_slot(a, b), expect, "{t:?}: {key:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn set_link_up_reaches_exactly_its_bridge() {
+        for t in routed() {
+            let config = NetworkConfig {
+                topology: t,
+                ..NetworkConfig::default()
+            };
+            let s = t.segments();
+            let mut net: Network<()> = Network::new(config, s);
+            let all = t.all_links();
+            for a in 0..=s {
+                for b in 0..=s {
+                    net.set_link_up(a, b, false);
+                    let down: Vec<(u32, u32)> = net
+                        .links
+                        .iter()
+                        .filter(|l| l.forced_down)
+                        .map(|l| l.key)
+                        .collect();
+                    let bridge = all.contains(&link_key(a, b));
+                    let want = if bridge { vec![link_key(a, b)] } else { vec![] };
+                    assert_eq!(down, want, "{t:?}: {a}:{b}");
+                    net.set_link_up(a, b, true);
+                }
+            }
+            // A forced cut on a non-bridge pair still lets every packet through.
+            net.set_link_up(0, 0, false);
+            net.set_link_up(s, 0, false);
+            for dst in 0..s {
+                let status = net.send(SimTime::ZERO, NodeId(0), NodeId(dst), (), 32);
+                assert!(matches!(status, crate::TxStatus::Queued { .. }));
+            }
+            assert_eq!(net.stats().bridge_lost, 0, "{t:?}");
+        }
+    }
 
     #[test]
     fn flat_is_one_segment() {
         let t = Topology::Flat;
         assert_eq!(t.segments(), 1);
         assert_eq!(t.segment_of(7, 100), 0);
-        assert!(t.path_links(0, 0).is_empty());
+        assert_eq!(t.next_hop(0, 0), None);
+        assert_eq!(t.stations_of(0, 100), 0..100);
     }
 
     #[test]
@@ -295,6 +445,8 @@ mod tests {
         // 10 stations over 4 segments: blocks of 3 — 3/3/3/1.
         let segs: Vec<u32> = (0..10).map(|i| t.segment_of(i, 10)).collect();
         assert_eq!(segs, vec![0, 0, 0, 1, 1, 1, 2, 2, 2, 3]);
+        let blocks: Vec<Range<u32>> = (0..5).map(|s| t.stations_of(s, 10)).collect();
+        assert_eq!(blocks, vec![0..3, 3..6, 6..9, 9..10, 10..10]);
         // Exactly-divisible case.
         let t8 = Topology::RingOfRings { segments: 2 };
         let segs: Vec<u32> = (0..8).map(|i| t8.segment_of(i, 8)).collect();
@@ -306,22 +458,22 @@ mod tests {
         let t = Topology::Star { arms: 3 };
         assert_eq!(t.segments(), 4);
         assert_eq!(Topology::Star { arms: u32::MAX }.segments(), u32::MAX);
-        assert_eq!(t.path_links(1, 2), vec![(0, 1), (0, 2)]);
-        assert_eq!(t.path_links(0, 3), vec![(0, 3)]);
-        assert_eq!(t.path_links(3, 0), vec![(0, 3)]);
+        assert_eq!(walk(t, 1, 2), vec![(0, 1), (0, 2)]);
+        assert_eq!(walk(t, 0, 3), vec![(0, 3)]);
+        assert_eq!(walk(t, 3, 0), vec![(0, 3)]);
     }
 
     #[test]
     fn ring_of_rings_takes_shorter_arc() {
         let t = Topology::RingOfRings { segments: 5 };
         // 0 → 2: forward (2 hops) beats backward (3 hops).
-        assert_eq!(t.path_links(0, 2), vec![(0, 1), (1, 2)]);
+        assert_eq!(walk(t, 0, 2), vec![(0, 1), (1, 2)]);
         // 0 → 4: backward, one hop.
-        assert_eq!(t.path_links(0, 4), vec![(0, 4)]);
+        assert_eq!(walk(t, 0, 4), vec![(0, 4)]);
         // Even cycle tie break goes forward.
         let t4 = Topology::RingOfRings { segments: 4 };
-        assert_eq!(t4.path_links(0, 2), vec![(0, 1), (1, 2)]);
-        assert_eq!(t4.path_links(2, 0), vec![(2, 3), (0, 3)]);
+        assert_eq!(walk(t4, 0, 2), vec![(0, 1), (1, 2)]);
+        assert_eq!(walk(t4, 2, 0), vec![(2, 3), (0, 3)]);
     }
 
     #[test]
@@ -364,7 +516,7 @@ mod tests {
             let all = t.all_links();
             for a in 0..t.segments() {
                 for b in 0..t.segments() {
-                    for link in t.path_links(a, b) {
+                    for link in path_links(t, a, b) {
                         assert!(all.contains(&link), "{t:?}: {link:?} missing");
                     }
                 }

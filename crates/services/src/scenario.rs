@@ -354,9 +354,9 @@ impl Scenario {
         };
         let segs = sc.topology.segments();
         // The load world's stations: the servers, the clients and the
-        // debugger's own. The network lays out a path per pair of
-        // segments, so more segments than stations is refused here,
-        // before anything is built.
+        // debugger's own. The network keeps an entry per segment and per
+        // bridge, so more segments than stations is refused here, before
+        // anything is built for them.
         let stations = FIRST_CLIENT_NODE + sc.client_nodes + 1;
         if segs > stations {
             return Err(format!(
