@@ -1,12 +1,13 @@
-//! An append-only sequence in fixed chunks: the store for records that are
-//! kept for the life of a world and addressed by position — a node's
-//! process table, the stimulus journal.
+//! A sequence in fixed chunks: the store for records addressed by
+//! position that grow by appending — a node's process table and the
+//! stimulus journal, kept for the life of a world, and every
+//! [`Ring`](crate::Ring), which overwrites its slots in place once full.
 
 /// Records per chunk.
-const CHUNK: usize = 256;
+pub(crate) const CHUNK: usize = 256;
 
-/// An append-only sequence in chunks of 256 records: record `i` lives in
-/// chunk `i / 256` at `i % 256`.
+/// A sequence in chunks of 256 records that grows only at its end: record
+/// `i` lives in chunk `i / 256` at `i % 256`.
 ///
 /// The first chunk is `head`, a `Vec` that grows by doubling up to exactly
 /// 256 records, so a sequence that never passes it is the one `Vec` it
@@ -104,12 +105,60 @@ impl<T> Chunked<T> {
 
     /// The chunks in order.
     pub fn chunks(&self) -> impl Iterator<Item = &[T]> {
-        std::iter::once(self.head.as_slice()).chain(self.tail.iter().map(Vec::as_slice))
+        self.slices(0..self.len())
+    }
+
+    /// The records at positions `range`, in order, as one slice per chunk
+    /// the range touches. Panics if the range ends past
+    /// [`len`](Chunked::len).
+    pub fn slices(
+        &self,
+        range: std::ops::Range<usize>,
+    ) -> impl DoubleEndedIterator<Item = &[T]> + Clone {
+        let std::ops::Range { start, end } = range;
+        (start / CHUNK..end.div_ceil(CHUNK)).map(move |c| {
+            let chunk = match c.checked_sub(1) {
+                None => &self.head,
+                Some(t) => &self.tail[t],
+            };
+            let base = c * CHUNK;
+            &chunk[start.max(base) - base..end.min(base + CHUNK) - base]
+        })
     }
 
     /// Every record in order.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.chunks().flatten()
+    }
+}
+
+/// `log[i]` is the record at position `i`; past the last it panics.
+impl<T> std::ops::Index<usize> for Chunked<T> {
+    type Output = T;
+    #[inline]
+    fn index(&self, i: usize) -> &T {
+        match i.checked_sub(CHUNK) {
+            None => &self.head[i],
+            Some(s) => &self.tail[s / CHUNK][s % CHUNK],
+        }
+    }
+}
+
+/// Every record by value, in order; each chunk is freed once emptied.
+impl<T> IntoIterator for Chunked<T> {
+    type Item = T;
+    type IntoIter =
+        std::iter::Flatten<std::iter::Chain<std::iter::Once<Vec<T>>, std::vec::IntoIter<Vec<T>>>>;
+    fn into_iter(self) -> Self::IntoIter {
+        std::iter::once(self.head).chain(self.tail).flatten()
+    }
+}
+
+#[cfg(test)]
+impl<T> Chunked<T> {
+    /// Records the chunks have room for.
+    pub(crate) fn allocated(&self) -> usize {
+        self.head.capacity() + self.tail.iter().map(Vec::capacity).sum::<usize>()
     }
 }
 
@@ -137,5 +186,38 @@ mod tests {
         assert!(log.tail.iter().all(|c| c.capacity() == CHUNK));
         assert_eq!(log.iter().count(), log.len());
         assert_eq!(format!("{:?}", Chunked::<u8>::default()), "[]");
+        // Record `CHUNK` was overwritten with 0 above.
+        let held = |i: usize| if i == CHUNK { 0 } else { i };
+        let len = log.len();
+        let ranges = [
+            (0, 0),
+            (5, 9),
+            (CHUNK - 1, CHUNK + 1),
+            (CHUNK, 2 * CHUNK),
+            (2 * CHUNK + 3, len),
+            (len, len),
+        ];
+        for (start, end) in ranges {
+            let slices = log.slices(start..end);
+            assert!(slices.clone().all(|s| s.len() <= CHUNK));
+            assert!(slices.clone().flatten().copied().eq((start..end).map(held)));
+            let back = slices.rev().flat_map(|s| s.iter().rev()).copied();
+            assert!(back.eq((start..end).rev().map(held)), "{start}..{end}");
+        }
+        assert_eq!(
+            log.slices(CHUNK..2 * CHUNK).count(),
+            1,
+            "a whole chunk is one slice"
+        );
+        assert!((0..len).all(|i| log[i] == held(i)));
+        assert!(log.into_iter().eq((0..len).map(held)));
+    }
+
+    #[test]
+    #[should_panic]
+    fn indexing_past_the_last_record_panics() {
+        let mut log = Chunked::default();
+        (0..=CHUNK).for_each(|i| log.push(i));
+        let _ = log[CHUNK + 1];
     }
 }

@@ -13,10 +13,11 @@
 //!   identical seeds give identical runs;
 //! * [`IdWindow`] — the hash-free table both it and the RPC call tables
 //!   keep densely issued ids in;
-//! * [`Chunked`] — the append-only store of records kept for a world's
-//!   life (process tables, the stimulus journal), with no doubling slack;
+//! * [`Chunked`] — the store of records that grow at their end (process
+//!   tables, the stimulus journal, every ring), with no doubling slack;
 //! * [`Ring`] — the one bounded FIFO (trace rings, time-series rows, recent
-//!   RPC outcomes), which counts what it evicts;
+//!   RPC outcomes): a [`Chunked`] store and a head index, which counts
+//!   what it evicts;
 //! * [`DetRng`] — seeded, forkable randomness for loss models and jitter;
 //! * [`Tracer`] — structured, span-linked event recording that tests
 //!   assert against (typed [`EventKind`] payloads, lazy rendering);

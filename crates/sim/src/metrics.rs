@@ -23,6 +23,7 @@
 //! ```
 
 use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -213,11 +214,53 @@ impl Histogram {
     }
 }
 
+/// The instruments of one kind: in registration order, with an index
+/// from name to position. Each name is stored once, shared by both.
+struct Family<I> {
+    ordered: Vec<(Rc<str>, I)>,
+    index: HashMap<Rc<str>, usize>,
+}
+
+impl<I> Default for Family<I> {
+    fn default() -> Self {
+        Family {
+            ordered: Vec::new(),
+            index: HashMap::new(),
+        }
+    }
+}
+
+impl<I: Clone> Family<I> {
+    /// The instrument named `name`, if registered.
+    fn get(&self, name: &str) -> Option<&I> {
+        self.index.get(name).map(|&at| &self.ordered[at].1)
+    }
+
+    /// The instrument named `name`, registering `make()` last on first use.
+    fn get_or_register(&mut self, name: &str, make: impl FnOnce() -> I) -> I {
+        if let Some(instrument) = self.get(name) {
+            return instrument.clone();
+        }
+        let name: Rc<str> = Rc::from(name);
+        let instrument = make();
+        self.index.insert(Rc::clone(&name), self.ordered.len());
+        self.ordered.push((name, instrument.clone()));
+        instrument
+    }
+
+    /// The instruments sorted by name.
+    fn sorted(&self) -> Vec<&(Rc<str>, I)> {
+        let mut sorted: Vec<_> = self.ordered.iter().collect();
+        sorted.sort_by(|a, b| a.0.cmp(&b.0));
+        sorted
+    }
+}
+
 #[derive(Default)]
 struct Registry {
-    counters: Vec<(String, Counter)>,
-    gauges: Vec<(String, Gauge)>,
-    histograms: Vec<(String, Histogram)>,
+    counters: Family<Counter>,
+    gauges: Family<Gauge>,
+    histograms: Family<Histogram>,
 }
 
 /// A shared, clonable registry of named instruments.
@@ -230,9 +273,9 @@ impl fmt::Debug for Metrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let r = self.registry.borrow();
         f.debug_struct("Metrics")
-            .field("counters", &r.counters.len())
-            .field("gauges", &r.gauges.len())
-            .field("histograms", &r.histograms.len())
+            .field("counters", &r.counters.ordered.len())
+            .field("gauges", &r.gauges.ordered.len())
+            .field("histograms", &r.histograms.ordered.len())
             .finish()
     }
 }
@@ -247,23 +290,13 @@ impl Metrics {
     /// Repeated calls (from any clone) return handles to the same value.
     pub fn counter(&self, name: &str) -> Counter {
         let mut r = self.registry.borrow_mut();
-        if let Some((_, c)) = r.counters.iter().find(|(n, _)| n == name) {
-            return c.clone();
-        }
-        let c = Counter::default();
-        r.counters.push((name.to_string(), c.clone()));
-        c
+        r.counters.get_or_register(name, Counter::default)
     }
 
     /// The gauge named `name`, registering it at zero on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
         let mut r = self.registry.borrow_mut();
-        if let Some((_, g)) = r.gauges.iter().find(|(n, _)| n == name) {
-            return g.clone();
-        }
-        let g = Gauge::default();
-        r.gauges.push((name.to_string(), g.clone()));
-        g
+        r.gauges.get_or_register(name, Gauge::default)
     }
 
     /// The histogram named `name`, creating it with `bounds` on first
@@ -271,42 +304,23 @@ impl Metrics {
     /// `bounds` (the buckets are fixed for its lifetime).
     pub fn histogram(&self, name: &str, bounds: &[u64]) -> Histogram {
         let mut r = self.registry.borrow_mut();
-        if let Some((_, h)) = r.histograms.iter().find(|(n, _)| n == name) {
-            return h.clone();
-        }
-        let h = Histogram::new(bounds);
-        r.histograms.push((name.to_string(), h.clone()));
-        h
+        r.histograms
+            .get_or_register(name, || Histogram::new(bounds))
     }
 
     /// The value of a counter, or `None` if it was never registered.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        self.registry
-            .borrow()
-            .counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, c)| c.get())
+        self.registry.borrow().counters.get(name).map(Counter::get)
     }
 
     /// The value of a gauge, or `None` if it was never registered.
     pub fn gauge_value(&self, name: &str) -> Option<i64> {
-        self.registry
-            .borrow()
-            .gauges
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, g)| g.get())
+        self.registry.borrow().gauges.get(name).map(Gauge::get)
     }
 
     /// The histogram named `name`, if registered.
     pub fn histogram_named(&self, name: &str) -> Option<Histogram> {
-        self.registry
-            .borrow()
-            .histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, h)| h.clone())
+        self.registry.borrow().histograms.get(name).cloned()
     }
 
     /// Every registered instrument rendered as sorted `name value` lines:
@@ -315,19 +329,13 @@ impl Metrics {
     pub fn report(&self) -> String {
         let r = self.registry.borrow();
         let mut out = String::new();
-        let mut counters: Vec<&(String, Counter)> = r.counters.iter().collect();
-        counters.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, c) in counters {
+        for (name, c) in r.counters.sorted() {
             out.push_str(&format!("counter {name} = {}\n", c.get()));
         }
-        let mut gauges: Vec<&(String, Gauge)> = r.gauges.iter().collect();
-        gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, g) in gauges {
+        for (name, g) in r.gauges.sorted() {
             out.push_str(&format!("gauge {name} = {}\n", g.get()));
         }
-        let mut hists: Vec<&(String, Histogram)> = r.histograms.iter().collect();
-        hists.sort_by(|a, b| a.0.cmp(&b.0));
-        for (name, h) in hists {
+        for (name, h) in r.histograms.sorted() {
             let p50 = render_bucket_bound(h.quantile(0.5));
             let p90 = render_bucket_bound(h.quantile(0.9));
             let p95 = render_bucket_bound(h.quantile(0.95));
@@ -351,7 +359,11 @@ impl Metrics {
     /// not met: those at positions from its remembered count onwards.
     pub fn instrument_counts(&self) -> [usize; 3] {
         let r = self.registry.borrow();
-        [r.counters.len(), r.gauges.len(), r.histograms.len()]
+        [
+            r.counters.ordered.len(),
+            r.gauges.ordered.len(),
+            r.histograms.ordered.len(),
+        ]
     }
 
     /// Whether `other` is a clone of this registry (the same instruments,
@@ -364,7 +376,7 @@ impl Metrics {
     /// same build path registers instruments in the same order). `f` must
     /// not register new instruments — the registry borrow is held.
     pub fn for_each_counter(&self, mut f: impl FnMut(&str, &Counter)) {
-        for (name, c) in &self.registry.borrow().counters {
+        for (name, c) in &self.registry.borrow().counters.ordered {
             f(name, c);
         }
     }
@@ -372,7 +384,7 @@ impl Metrics {
     /// Visits every gauge in registration order. Same borrow caveat as
     /// [`for_each_counter`](Metrics::for_each_counter).
     pub fn for_each_gauge(&self, mut f: impl FnMut(&str, &Gauge)) {
-        for (name, g) in &self.registry.borrow().gauges {
+        for (name, g) in &self.registry.borrow().gauges.ordered {
             f(name, g);
         }
     }
@@ -380,7 +392,7 @@ impl Metrics {
     /// Visits every histogram in registration order. Same borrow caveat
     /// as [`for_each_counter`](Metrics::for_each_counter).
     pub fn for_each_histogram(&self, mut f: impl FnMut(&str, &Histogram)) {
-        for (name, h) in &self.registry.borrow().histograms {
+        for (name, h) in &self.registry.borrow().histograms.ordered {
             f(name, h);
         }
     }
@@ -411,6 +423,41 @@ mod tests {
         assert_eq!(g.get(), 7);
         g.set(-1);
         assert_eq!(m.gauge_value("depth"), Some(-1));
+    }
+
+    /// Thousands of names, as a bridged world of many segments registers:
+    /// each lookup finds the handle its registration returned, and the
+    /// registry keeps registration order, not name order.
+    #[test]
+    fn thousands_of_names_keep_their_handles_and_their_order() {
+        let m = Metrics::new();
+        let names: Vec<String> = (0..3_000)
+            .rev()
+            .map(|i| format!("net.seg{i}.sent"))
+            .collect();
+        let counters: Vec<Counter> = names.iter().map(|n| m.counter(n)).collect();
+        let gauges: Vec<Gauge> = names.iter().map(|n| m.gauge(n)).collect();
+        let hists: Vec<Histogram> = names.iter().map(|n| m.histogram(n, &[1])).collect();
+        for (i, name) in names.iter().enumerate() {
+            counters[i].add(i as u64);
+            gauges[i].set(-(i as i64));
+            m.histogram(name, &[]).observe(i as u64);
+            assert_eq!(m.counter_value(name), Some(i as u64));
+            assert_eq!(m.counter(name).get(), i as u64);
+            assert_eq!(m.gauge_value(name), Some(-(i as i64)));
+            let h = m.histogram_named(name).expect("registered above");
+            assert!(Rc::ptr_eq(&h.inner, &hists[i].inner));
+            assert_eq!((h.count(), h.bounds()), (1, &[1][..]));
+        }
+        assert_eq!(m.instrument_counts(), [3_000; 3]);
+        let mut order = Vec::new();
+        m.for_each_counter(|name, _| order.push(name.to_string()));
+        assert_eq!(order, names, "registration order");
+        order.clear();
+        m.for_each_gauge(|name, _| order.push(name.to_string()));
+        m.for_each_histogram(|name, _| order.push(name.to_string()));
+        assert!(order.iter().eq(names.iter().chain(&names)));
+        assert_eq!(m.counter_value("net.seg3000.sent"), None);
     }
 
     #[test]

@@ -1,12 +1,17 @@
 //! The one bounded FIFO: keeps the newest items, counts what it drops.
 
+use crate::chunked::Chunked;
+
 /// A bounded FIFO: pushing onto a full ring evicts the oldest item. The
 /// tracer's two rings, the time-series sample times and the RPC
 /// endpoint's ten-slot buffers of recent outcomes (§4.3) are each one.
 ///
-/// The items live in one `Vec` that grows by use, never to `capacity`
-/// ahead of it; the `g`-th oldest sits in [`slot(g)`](Ring::slot), so a
-/// caller can keep storage of its own in the same physical order.
+/// A ring is its [`Chunked`] store plus a head index. The store grows by
+/// use, never to `capacity` ahead of it, and holds at most one partial
+/// chunk beyond what the ring holds; once full, a push overwrites the
+/// oldest slot in place, so nothing held is ever copied. The `g`-th
+/// oldest item sits in [`slot(g)`](Ring::slot), so a caller can keep
+/// storage of its own in the same physical order.
 ///
 /// # Examples
 ///
@@ -20,7 +25,7 @@
 /// ```
 #[derive(Debug)]
 pub struct Ring<T> {
-    items: Vec<T>,
+    items: Chunked<T>,
     /// Slot of the oldest item: 0 until the ring fills.
     head: usize,
     /// At least 1: the ring keeps the item it was last given.
@@ -32,7 +37,7 @@ impl<T> Ring<T> {
     /// An empty ring of `capacity` items (held as 1 when 0).
     pub fn new(capacity: usize) -> Ring<T> {
         Ring {
-            items: Vec::new(),
+            items: Chunked::default(),
             head: 0,
             capacity: capacity.max(1),
             evicted: 0,
@@ -61,35 +66,48 @@ impl<T> Ring<T> {
 
     /// Appends `item` as the newest; a full ring hands back its oldest.
     pub fn push(&mut self, item: T) -> Option<T> {
-        if self.items.len() < self.capacity {
-            self.items.push(item);
-            return None;
+        let full = self.items.len() >= self.capacity;
+        match self.items.get_mut(self.head) {
+            Some(oldest) if full => {
+                let oldest = std::mem::replace(oldest, item);
+                self.head = self.slot(1);
+                self.evicted += 1;
+                Some(oldest)
+            }
+            _ => {
+                self.items.push(item);
+                None
+            }
         }
-        let oldest = std::mem::replace(&mut self.items[self.head], item);
-        self.head = self.slot(1);
-        self.evicted += 1;
-        Some(oldest)
     }
 
     /// Resizes the ring, dropping oldest items first if it shrinks. A
     /// budget of 0 is held as 1.
     pub fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity.max(1);
-        // Back to slot order, so a ring with room grows at its end again.
-        self.items.rotate_left(self.head);
+        let excess = self.len().saturating_sub(self.capacity);
+        // Rebuilt in slot order, so a ring with room grows at its end
+        // again: the newer slots `[0, head)` move behind the older ones.
+        let mut held = std::mem::take(&mut self.items).into_iter();
+        let mut newer = Chunked::default();
+        held.by_ref()
+            .take(self.head)
+            .for_each(|item| newer.push(item));
+        held.chain(newer)
+            .skip(excess)
+            .for_each(|item| self.items.push(item));
         self.head = 0;
-        let excess = self.items.len().saturating_sub(self.capacity);
-        self.items.drain(..excess);
         self.evicted += excess as u64;
     }
 
     /// The physical slot of the `g`-th oldest item, for `g < len`.
     pub fn slot(&self, g: usize) -> usize {
         let p = self.head + g;
-        if p < self.items.len() {
+        let len = self.items.len();
+        if p < len {
             p
         } else {
-            p - self.items.len()
+            p - len
         }
     }
 
@@ -98,10 +116,10 @@ impl<T> Ring<T> {
         (g < self.items.len()).then(|| &self.items[self.slot(g)])
     }
 
-    /// Every item, oldest first.
+    /// Every item, oldest first: the slots `[head, len)`, then `[0, head)`.
     pub fn iter(&self) -> impl DoubleEndedIterator<Item = &T> + Clone {
-        let (newer, older) = self.items.split_at(self.head);
-        older.iter().chain(newer)
+        let older = self.items.slices(self.head..self.items.len());
+        older.chain(self.items.slices(0..self.head)).flatten()
     }
 }
 
@@ -119,7 +137,8 @@ mod tests {
     use std::collections::VecDeque;
 
     use super::*;
-    use crate::check::{check, ensure_eq, int_range, vecs, zip};
+    use crate::check::{check, choice, ensure, ensure_eq, int_range, vecs, zip};
+    use crate::chunked::CHUNK;
 
     #[test]
     fn eviction_drops_oldest_first_and_shrinking_drops_from_the_front() {
@@ -179,15 +198,30 @@ mod tests {
         let _ = ring[2];
     }
 
-    /// `capacity` bounds the ring; it is not its size.
+    /// `capacity` bounds the ring; it is not its size. The store holds
+    /// the ring's length rounded up to one chunk, wrapped or not.
     #[test]
     fn a_ring_allocates_by_use() {
+        let bound = |ring: &Ring<u64>| ring.len().next_multiple_of(CHUNK);
         let mut ring = Ring::new(usize::MAX);
         for i in 0..5u64 {
             ring.push(i);
         }
         assert_eq!(ring.len(), 5);
-        assert!(ring.items.capacity() < 64);
+        assert!(ring.items.allocated() < 64);
+        for i in 5..70_000u64 {
+            ring.push(i);
+            assert!(ring.items.allocated() <= bound(&ring), "at {i}");
+        }
+        let mut ring = Ring::new(600);
+        for i in 0..3_000u64 {
+            ring.push(i);
+            assert!(ring.items.allocated() <= bound(&ring), "at {i}");
+        }
+        assert_eq!((ring.len(), ring.items.allocated()), (600, 768));
+        ring.set_capacity(257);
+        assert!(ring.iter().copied().eq(2_743..3_000));
+        assert!(ring.items.allocated() <= bound(&ring));
     }
 
     /// The old tracer ring, kept as the model: a `VecDeque` and a
@@ -219,37 +253,55 @@ mod tests {
         }
     }
 
+    /// Capacities on and around the 256-item chunk boundary.
+    const CAPACITIES: [usize; 7] = [0, 1, 9, 255, 256, 257, 600];
+
     #[test]
     fn ring_matches_a_vecdeque_model() {
-        // (capacity, [(op, value)]): ops 0–2 push a fresh item, 3 sets
-        // the capacity to `value`.
+        // (capacity, [(op, value)]): ops 0–2 push `value` fresh items, 3
+        // sets the capacity to `CAPACITIES[value % 7]`. Up to 60 batches of
+        // up to 120 pushes wrap even the 600-slot ring several times.
         let script = zip(
-            int_range(0, 9),
-            vecs(zip(int_range(0, 4), int_range(0, 9)), 60),
+            choice(CAPACITIES.to_vec()),
+            vecs(zip(int_range(0, 4), int_range(0, 120)), 60),
         );
         check("ring == vecdeque", &script, |(capacity, ops)| {
-            let capacity = *capacity as usize;
-            let mut ring = Ring::new(capacity);
+            let mut next = 0u64;
+            let mut ring = Ring::new(*capacity);
             let mut model = Model {
                 items: VecDeque::new(),
                 capacity: 0,
                 evicted: 0,
             };
-            model.set_capacity(capacity);
-            for (next, &(op, value)) in (0u64..).zip(ops) {
+            model.set_capacity(*capacity);
+            for &(op, value) in ops {
                 if op < 3 {
-                    ensure_eq(ring.push(next), model.push(next))?;
+                    for _ in 0..value {
+                        next += 1;
+                        ensure_eq(ring.push(next), model.push(next))?;
+                    }
                 } else {
-                    ring.set_capacity(value as usize);
-                    model.set_capacity(value as usize);
+                    let capacity = CAPACITIES[value as usize % CAPACITIES.len()];
+                    ring.set_capacity(capacity);
+                    model.set_capacity(capacity);
                 }
-                ensure_eq(
-                    ring.iter().collect::<Vec<_>>(),
-                    model.items.iter().collect::<Vec<_>>(),
+                ensure(ring.iter().eq(model.items.iter()), "iter")?;
+                ensure(
+                    ring.iter().rev().eq(model.items.iter().rev()),
+                    "iter().rev()",
                 )?;
                 ensure_eq(
-                    (ring.len(), ring.capacity(), ring.evicted()),
-                    (model.items.len(), model.capacity, model.evicted),
+                    (ring.len(), ring.is_empty(), ring.capacity(), ring.evicted()),
+                    (
+                        model.items.len(),
+                        model.items.is_empty(),
+                        model.capacity,
+                        model.evicted,
+                    ),
+                )?;
+                ensure(
+                    ring.items.allocated() <= ring.len().next_multiple_of(CHUNK),
+                    "the store holds at most one partial chunk beyond the ring",
                 )?;
                 for g in 0..ring.len() + 2 {
                     ensure_eq(ring.get(g), model.items.get(g))?;

@@ -576,6 +576,42 @@ mod tests {
         );
     }
 
+    /// Past 65 536 events the main ring's store spans 256 chunks, where a
+    /// doubling `Vec` would reallocate: both readers still see every event,
+    /// oldest first, and the flight recorder the newest 512.
+    #[test]
+    fn a_trace_past_the_doubling_step_reads_back_in_order() {
+        let t = Tracer::new();
+        let mut model = Vec::new();
+        for i in 0..70_000u32 {
+            let ev = TraceEvent {
+                time: SimTime::from_micros(u64::from(i)),
+                category: TraceCategory::Rpc,
+                node: Some(i % 7),
+                span: None,
+                kind: EventKind::CallTimedOut {
+                    call_id: u64::from(i),
+                },
+            };
+            t.push_event(ev.clone());
+            model.push(ev);
+        }
+        let mut seen = Vec::new();
+        t.for_each(|e| seen.push(e.clone()));
+        assert!(seen == model, "for_each visits every event in order");
+        let lines = |events: &[TraceEvent]| {
+            let mut out = String::new();
+            for ev in events {
+                ev.write_json(&mut out);
+                out.push('\n');
+            }
+            out
+        };
+        assert!(t.to_jsonl() == lines(&model));
+        assert!(t.blackbox_jsonl() == lines(&model[70_000 - BLACKBOX_CAPACITY..]));
+        assert_eq!((t.len(), t.evicted()), (70_000, 0));
+    }
+
     #[test]
     fn typed_events_stamp_spans() {
         let t = Tracer::new();
