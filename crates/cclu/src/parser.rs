@@ -52,7 +52,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, want: &Tok) -> Result<(), CompileError> {
+    fn need(&mut self, want: &Tok) -> Result<(), CompileError> {
         if self.eat(want) {
             Ok(())
         } else {
@@ -61,7 +61,7 @@ impl Parser {
     }
 
     fn expect_kw(&mut self, kw: Kw) -> Result<(), CompileError> {
-        self.expect(&Tok::Kw(kw))
+        self.need(&Tok::Kw(kw))
     }
 
     fn err(&self, msg: impl Into<String>) -> CompileError {
@@ -108,9 +108,9 @@ impl Parser {
                     self.bump();
                     let line = self.line();
                     let name = self.ident()?;
-                    self.expect(&Tok::Colon)?;
+                    self.need(&Tok::Colon)?;
                     let ty = self.type_expr()?;
-                    self.expect(&Tok::Assign)?;
+                    self.need(&Tok::Assign)?;
                     let init = self.expr()?;
                     m.globals.push(GlobalDef {
                         name,
@@ -123,7 +123,7 @@ impl Parser {
                     self.bump();
                     let line = self.line();
                     let name = self.ident()?;
-                    self.expect(&Tok::Eq)?;
+                    self.need(&Tok::Eq)?;
                     self.expect_kw(Kw::Proc)?;
                     let params = self.type_list_parens()?;
                     let returns = if self.eat(&Tok::Kw(Kw::Returns)) {
@@ -141,7 +141,7 @@ impl Parser {
                 Tok::Ident(_) => {
                     let line = self.line();
                     let name = self.ident()?;
-                    self.expect(&Tok::Eq)?;
+                    self.need(&Tok::Eq)?;
                     if self.peek() == &Tok::Kw(Kw::Proc) {
                         m.procs.push(self.proc_def(name, line)?);
                     } else {
@@ -160,7 +160,7 @@ impl Parser {
     }
 
     fn type_list_parens(&mut self) -> Result<Vec<TypeExpr>, CompileError> {
-        self.expect(&Tok::LParen)?;
+        self.need(&Tok::LParen)?;
         let mut tys = Vec::new();
         if self.peek() != &Tok::RParen {
             loop {
@@ -176,18 +176,18 @@ impl Parser {
                 }
             }
         }
-        self.expect(&Tok::RParen)?;
+        self.need(&Tok::RParen)?;
         Ok(tys)
     }
 
     fn proc_def(&mut self, name: Arc<str>, line: u32) -> Result<ProcDef, CompileError> {
         self.expect_kw(Kw::Proc)?;
-        self.expect(&Tok::LParen)?;
+        self.need(&Tok::LParen)?;
         let mut params = Vec::new();
         if self.peek() != &Tok::RParen {
             loop {
                 let pname = self.ident()?;
-                self.expect(&Tok::Colon)?;
+                self.need(&Tok::Colon)?;
                 let ty = self.type_expr()?;
                 params.push((pname, ty));
                 if !self.eat(&Tok::Comma) {
@@ -195,7 +195,7 @@ impl Parser {
                 }
             }
         }
-        self.expect(&Tok::RParen)?;
+        self.need(&Tok::RParen)?;
         let returns = if self.eat(&Tok::Kw(Kw::Returns)) {
             self.type_list_parens()?
         } else {
@@ -204,14 +204,14 @@ impl Parser {
         // Optional CLU signals clause: `signals (a, b)`.
         let mut signals = Vec::new();
         if self.eat(&Tok::Kw(Kw::Signals)) {
-            self.expect(&Tok::LParen)?;
+            self.need(&Tok::LParen)?;
             loop {
                 signals.push(self.ident()?);
                 if !self.eat(&Tok::Comma) {
                     break;
                 }
             }
-            self.expect(&Tok::RParen)?;
+            self.need(&Tok::RParen)?;
         }
         let body = self.block(&[Kw::End])?;
         self.expect_kw(Kw::End)?;
@@ -253,25 +253,25 @@ impl Parser {
             }
             Tok::Kw(Kw::Array) => {
                 self.bump();
-                self.expect(&Tok::LBracket)?;
+                self.need(&Tok::LBracket)?;
                 let inner = self.type_expr()?;
-                self.expect(&Tok::RBracket)?;
+                self.need(&Tok::RBracket)?;
                 Ok(TypeExpr::Array(Box::new(inner)))
             }
             Tok::Kw(Kw::Record) => {
                 self.bump();
-                self.expect(&Tok::LBracket)?;
+                self.need(&Tok::LBracket)?;
                 let mut fields = Vec::new();
                 loop {
                     let fname = self.ident()?;
-                    self.expect(&Tok::Colon)?;
+                    self.need(&Tok::Colon)?;
                     let fty = self.type_expr()?;
                     fields.push((fname, fty));
                     if !self.eat(&Tok::Comma) {
                         break;
                     }
                 }
-                self.expect(&Tok::RBracket)?;
+                self.need(&Tok::RBracket)?;
                 Ok(TypeExpr::Record(fields))
             }
             Tok::Ident(name) => {
@@ -322,7 +322,7 @@ impl Parser {
             while self.eat(&Tok::Comma) {
                 names.push(self.ident()?);
             }
-            self.expect(&Tok::Colon)?;
+            self.need(&Tok::Colon)?;
             let arm = self.block(&[Kw::When, Kw::End])?;
             arms.push((names, arm));
         }
@@ -352,9 +352,9 @@ impl Parser {
             Tok::Kw(Kw::For) => {
                 self.bump();
                 let var = self.ident()?;
-                self.expect(&Tok::Colon)?;
+                self.need(&Tok::Colon)?;
                 self.expect_kw(Kw::Int)?;
-                self.expect(&Tok::Assign)?;
+                self.need(&Tok::Assign)?;
                 let from = self.expr()?;
                 self.expect_kw(Kw::To)?;
                 let to = self.expr()?;
@@ -381,7 +381,7 @@ impl Parser {
                             }
                         }
                     }
-                    self.expect(&Tok::RParen)?;
+                    self.need(&Tok::RParen)?;
                 }
                 Ok(Stmt::Return { values, line })
             }
@@ -393,9 +393,9 @@ impl Parser {
             Tok::Kw(Kw::Fork) => {
                 self.bump();
                 let proc = self.ident()?;
-                self.expect(&Tok::LParen)?;
+                self.need(&Tok::LParen)?;
                 let args = self.expr_list(&Tok::RParen)?;
-                self.expect(&Tok::RParen)?;
+                self.need(&Tok::RParen)?;
                 Ok(Stmt::Fork { proc, args, line })
             }
             Tok::Ident(name) => {
@@ -404,7 +404,7 @@ impl Parser {
                     self.bump();
                     self.bump();
                     let ty = self.type_expr()?;
-                    self.expect(&Tok::Assign)?;
+                    self.need(&Tok::Assign)?;
                     let init = self.expr()?;
                     return Ok(Stmt::Decl {
                         name,
@@ -431,7 +431,7 @@ impl Parser {
                             let e = self.expr()?;
                             targets.push(self.expr_to_lvalue(e)?);
                         }
-                        self.expect(&Tok::Assign)?;
+                        self.need(&Tok::Assign)?;
                         let value = self.expr()?;
                         Ok(Stmt::Assign {
                             targets,
@@ -638,7 +638,7 @@ impl Parser {
                     let line = self.line();
                     self.bump();
                     let idx = self.expr()?;
-                    self.expect(&Tok::RBracket)?;
+                    self.need(&Tok::RBracket)?;
                     e = Expr::Index(Box::new(e), Box::new(idx), line);
                 }
                 _ => break,
@@ -651,9 +651,9 @@ impl Parser {
         let line = self.line();
         self.bump(); // call / maybecall
         let proc = self.ident()?;
-        self.expect(&Tok::LParen)?;
+        self.need(&Tok::LParen)?;
         let args = self.expr_list(&Tok::RParen)?;
-        self.expect(&Tok::RParen)?;
+        self.need(&Tok::RParen)?;
         self.expect_kw(Kw::At)?;
         let node = self.expr()?;
         Ok(Expr::Rpc {
@@ -693,7 +693,7 @@ impl Parser {
             Tok::LParen => {
                 self.bump();
                 let e = self.expr()?;
-                self.expect(&Tok::RParen)?;
+                self.need(&Tok::RParen)?;
                 Ok(e)
             }
             // `int$unparse(...)`, `sem$create(...)` — keyword-named clusters.
@@ -710,11 +710,11 @@ impl Parser {
                     Tok::Kw(Kw::Array) => "array".into(),
                     _ => unreachable!(),
                 };
-                self.expect(&Tok::Dollar)?;
+                self.need(&Tok::Dollar)?;
                 let op = self.op_ident()?;
-                self.expect(&Tok::LParen)?;
+                self.need(&Tok::LParen)?;
                 let args = self.expr_list(&Tok::RParen)?;
-                self.expect(&Tok::RParen)?;
+                self.need(&Tok::RParen)?;
                 Ok(Expr::ClusterOp(cluster, op, args, line))
             }
             Tok::Ident(name) => {
@@ -723,7 +723,7 @@ impl Parser {
                     Tok::LParen => {
                         self.bump();
                         let args = self.expr_list(&Tok::RParen)?;
-                        self.expect(&Tok::RParen)?;
+                        self.need(&Tok::RParen)?;
                         Ok(Expr::Call(name, args, line))
                     }
                     Tok::Dollar => {
@@ -734,7 +734,7 @@ impl Parser {
                             if self.peek() != &Tok::RBrace {
                                 loop {
                                     let fname = self.ident()?;
-                                    self.expect(&Tok::Colon)?;
+                                    self.need(&Tok::Colon)?;
                                     let fexpr = self.expr()?;
                                     fields.push((fname, fexpr));
                                     if !self.eat(&Tok::Comma) {
@@ -742,13 +742,13 @@ impl Parser {
                                     }
                                 }
                             }
-                            self.expect(&Tok::RBrace)?;
+                            self.need(&Tok::RBrace)?;
                             Ok(Expr::RecordCtor(name, fields, line))
                         } else {
                             let op = self.op_ident()?;
-                            self.expect(&Tok::LParen)?;
+                            self.need(&Tok::LParen)?;
                             let args = self.expr_list(&Tok::RParen)?;
-                            self.expect(&Tok::RParen)?;
+                            self.need(&Tok::RParen)?;
                             Ok(Expr::ClusterOp(name, op, args, line))
                         }
                     }

@@ -75,13 +75,6 @@ pub struct AgentConfig {
     pub broadcast_halt: bool,
 }
 
-/// Keys recipes carried while these values were settable, with the value
-/// each is now fixed at.
-const RETIRED: [(&str, u64); 2] = [
-    ("request_cost_us", REQUEST_COST.as_micros()),
-    ("halt_retransmit", DEBUG_ATTEMPTS as u64),
-];
-
 impl AgentConfig {
     /// The config as a JSON object for the replay recipe.
     pub fn to_json(&self) -> Json {
@@ -89,17 +82,12 @@ impl AgentConfig {
     }
 
     /// Rebuilds a config from [`to_json`](AgentConfig::to_json) output.
-    /// A recording made while the request cost and the halt budget were
-    /// settable carries them too; each must hold this build's constant.
     ///
     /// # Errors
     ///
-    /// Missing or mistyped fields, and a retired key at another value.
+    /// Missing or mistyped fields.
     pub fn from_json(v: &Json) -> Result<AgentConfig, String> {
         let f = Fields::new(v, &"agent config");
-        for (key, fixed) in RETIRED {
-            f.retired(key, fixed)?;
-        }
         Ok(AgentConfig {
             broadcast_halt: f.bool("broadcast_halt")?,
         })

@@ -93,9 +93,7 @@ impl BlackboxSnapshot {
             sync_index: f.uint("sync_index")?,
             metrics: f.str("metrics")?.to_string(),
             windows: f.str("windows")?.to_string(),
-            // Absent in dumps written before per-window series rode
-            // along; still version 1, tolerantly defaulted.
-            series: f.opt_str("series")?.unwrap_or_default().to_string(),
+            series: f.str("series")?.to_string(),
             events: f.str("events")?.to_string(),
         })
     }
@@ -136,18 +134,6 @@ mod tests {
         assert_eq!(back.at, snap.at);
         assert_eq!(back.sync_index, snap.sync_index);
         assert_eq!(back.series, snap.series);
-    }
-
-    #[test]
-    fn dumps_without_series_still_parse() {
-        // A pre-series dump: same version, no `series` field.
-        let mut old = sample();
-        old.series = String::new();
-        let text = old.render().replace("\"series\": \"\", ", "");
-        assert!(!text.contains("series"));
-        let back = BlackboxSnapshot::parse(&text).expect("parses");
-        assert_eq!(back.series, "");
-        assert_eq!(back.reason, old.reason);
     }
 
     #[test]

@@ -256,6 +256,4 @@ fn verify(artifact: &Artifact, world: World) -> Result<ReplayReport, ReplayError
 }
 
 #[cfg(test)]
-pub(crate) use artifact::tests::version_1;
-#[cfg(test)]
 pub(crate) use stimulus::tests::every_stimulus;

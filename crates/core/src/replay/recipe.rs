@@ -7,7 +7,7 @@ use pilgrim_sim::json::Fields;
 use pilgrim_sim::{Json, BLACKBOX_CAPACITY};
 
 use crate::agent::AgentConfig;
-use crate::world::{BuildError, World, WorldBuilder, MIN_WINDOW};
+use crate::world::{BuildError, World, WorldBuilder};
 
 /// Everything [`crate::WorldBuilder`] needs to rebuild a world
 /// bit-for-bit: topology, seeds, configs and programs. The builder's
@@ -64,9 +64,6 @@ const TSDB_COARSE_INTERVAL: u64 = 64;
 /// that a world nobody queries pays next to nothing for it
 /// (`sim.tsdb.ns_per_sample` in `benchmark/` prices one sample).
 const TSDB_COARSE_BUDGET: usize = 64;
-/// Store shape of a recording whose `"tsdb": true` armed the former
-/// full-resolution store: every sync point, 4096 samples per series.
-const LEGACY_TSDB_SHAPE: (u64, usize) = (1, 4096);
 /// Most user nodes a recipe read from a file may ask for: a world costs
 /// kilobytes per station before anything runs.
 const MAX_NODES: u32 = 1 << 20;
@@ -185,48 +182,30 @@ impl Recipe {
                 "recipe: `nodes` is {nodes}, outside 1..={MAX_NODES}"
             ));
         }
-        // The observability knobs and the setup markers are absent in
-        // artifacts recorded before they existed; those worlds ran at the
-        // then-hard-coded values, which are still the defaults.
-        let legacy = Recipe::default();
-        f.retired("window_us", MIN_WINDOW.as_micros())?;
         let mut recipe = Recipe {
             nodes,
             seed: f.uint("seed")?,
-            default_source: match f.opt_get("default_program") {
-                None | Some(Json::Null) => None,
-                Some(_) => Some(f.str("default_program")?.to_string()),
+            // `null` is how the writer says "no shared program".
+            default_source: match f.get("default_program")? {
+                Json::Null => None,
+                _ => Some(f.str("default_program")?.to_string()),
             },
+            per_node_source: Vec::new(),
             net: NetworkConfig::from_json(f.object("net")?)?,
             rpc: RpcConfig::from_json(f.object("rpc")?)?,
             node_cfg: NodeConfig::from_json(f.object("node_cfg")?)?,
             agent_cfg: AgentConfig::from_json(f.object("agent")?)?,
             with_debugger: f.bool("debugger")?,
             with_agents: f.bool("agents")?,
-            trace_sample: f.opt_uint("trace_sample")?.unwrap_or(legacy.trace_sample),
-            blackbox_capacity: f
-                .opt_uint("blackbox_capacity")?
-                .unwrap_or(legacy.blackbox_capacity),
-            coarse_interval: f
-                .opt_uint("coarse_interval")?
-                .unwrap_or(legacy.coarse_interval),
-            coarse_budget: f.opt_uint("coarse_budget")?.unwrap_or(legacy.coarse_budget),
-            setup: f
-                .opt_list("setup", |e| {
-                    let entry = Fields::new(e, &"recipe: setup entry");
-                    let params = entry.opt_get("params").cloned().unwrap_or(Json::Null);
-                    Ok((entry.str("kind")?.to_string(), params))
-                })?
-                .unwrap_or_default(),
-            ..legacy
+            trace_sample: f.uint("trace_sample")?,
+            blackbox_capacity: f.uint("blackbox_capacity")?,
+            coarse_interval: f.uint("coarse_interval")?,
+            coarse_budget: f.uint("coarse_budget")?,
+            setup: f.list("setup", |e| {
+                let entry = Fields::new(e, &"recipe: setup entry");
+                Ok((entry.str("kind")?.to_string(), entry.get("params")?.clone()))
+            })?,
         };
-        // Recordings made while `"tsdb": true` armed a second store have
-        // no other way to say "full resolution": the key wins over the
-        // coarse shape written beside it, because the armed store was the
-        // one that answered every `tsdb` query of that run.
-        if f.opt_bool("tsdb")? == Some(true) {
-            (recipe.coarse_interval, recipe.coarse_budget) = LEGACY_TSDB_SHAPE;
-        }
         let programs: Vec<(u32, &str)> = f.list("programs", |p| {
             let entry = Fields::new(p, &"recipe: program entry");
             Ok((entry.uint("node")?, entry.str("source")?))

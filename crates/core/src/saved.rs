@@ -3,8 +3,8 @@
 //! Two kinds of file leave a session: a replay recording ([`Artifact`])
 //! and a flight-recorder dump ([`BlackboxSnapshot`]). Both open with a
 //! one-line JSON document that carries a `format` tag and a `version`. A
-//! dump, and a version 1 recording, is that line alone; a version 2
-//! recording follows it with its raw trace. [`open`] reads a
+//! dump is that line alone; a recording follows it with its raw trace.
+//! Each kind loads at the one version this build writes. [`open`] reads a
 //! user-supplied path, parses the first line once, and dispatches on the
 //! tag; every front-end that takes a file goes through it, so "cannot
 //! read", "not JSON", "unknown format tag" and "bad section" are worded
@@ -26,8 +26,8 @@ pub enum Saved {
     Dump(BlackboxSnapshot),
 }
 
-/// Reads the file at `path` as whichever saved document it is. A version
-/// 2 recording's trace is the buffer the file was read into, with the
+/// Reads the file at `path` as whichever saved document it is. A
+/// recording's trace is the buffer the file was read into, with the
 /// header drained from its front: loading costs one copy of the file.
 ///
 /// # Errors
@@ -47,9 +47,9 @@ impl Saved {
     /// # Errors
     ///
     /// Malformed JSON, a `format` tag that is neither of the two this
-    /// workspace writes, an unsupported version, a bad section, a version
-    /// 2 body whose length is not its header's `trace_bytes`, or a
-    /// non-blank line after a one-line document.
+    /// workspace writes, a version other than the one this build writes,
+    /// a bad section, a recording body whose length is not its header's
+    /// `trace_bytes`, or a non-blank line after a dump.
     pub fn parse(text: &str) -> Result<Saved, String> {
         Saved::load(Cow::Borrowed(text))
     }
@@ -60,9 +60,9 @@ impl Saved {
         let at = text.find('\n').map_or(text.len(), |nl| nl + 1);
         let doc = Json::parse(&text[..at]).map_err(|e| format!("not JSON: {e}"))?;
         let tag = doc.get("format").and_then(Json::as_str).unwrap_or("");
-        let (oldest, newest, recording) = match tag {
-            replay::FORMAT => (1, replay::VERSION, true),
-            blackbox::FORMAT => (blackbox::VERSION, blackbox::VERSION, false),
+        let (expected, recording) = match tag {
+            replay::FORMAT => (replay::VERSION, true),
+            blackbox::FORMAT => (blackbox::VERSION, false),
             _ => {
                 return Err(format!(
                     "unknown format tag `{tag}` (expected `{}` or `{}`)",
@@ -72,12 +72,7 @@ impl Saved {
             }
         };
         let version = doc.get("version").and_then(Json::as_u64).unwrap_or(0);
-        if !(oldest as u64..=newest as u64).contains(&version) {
-            let expected = if oldest == newest {
-                newest.to_string()
-            } else {
-                format!("{oldest} to {newest}")
-            };
+        if version != u64::from(expected) {
             return Err(format!(
                 "unsupported {tag} version {version} (expected {expected})"
             ));
@@ -89,21 +84,16 @@ impl Saved {
                 Cow::Owned(text)
             }
         };
-        // A version 2 recording's trace is the rest of the text; any other
-        // document is its one line, with nothing but blank lines after it.
-        let trace = if recording && version == 2 {
-            Some(body)
-        } else if body.trim_start_matches([' ', '\t', '\r', '\n']).is_empty() {
-            None
-        } else {
-            return Err(format!(
-                "a non-blank line after the one-line {tag} version {version} document"
-            ));
-        };
+        // A recording's trace is the rest of the text; a dump is its one
+        // line, with nothing but blank lines after it.
         if recording {
-            Artifact::from_doc(doc, trace).map(|a| Saved::Recording(Box::new(a)))
-        } else {
+            Artifact::from_doc(doc, body).map(|a| Saved::Recording(Box::new(a)))
+        } else if body.trim_start_matches([' ', '\t', '\r', '\n']).is_empty() {
             BlackboxSnapshot::from_doc(&doc).map(Saved::Dump)
+        } else {
+            Err(format!(
+                "a non-blank line after the one-line {tag} version {version} document"
+            ))
         }
     }
 
@@ -182,12 +172,20 @@ mod tests {
     fn unsupported_versions_name_the_versions_that_load() {
         for (text, want) in [
             (
-                "{\"format\": \"pilgrim-replay\", \"version\": 3}",
-                "unsupported pilgrim-replay version 3 (expected 1 to 2)",
+                "{\"format\": \"pilgrim-replay\", \"version\": 4}",
+                "unsupported pilgrim-replay version 4 (expected 3)",
+            ),
+            (
+                "{\"format\": \"pilgrim-replay\", \"version\": 2}\n",
+                "unsupported pilgrim-replay version 2 (expected 3)",
+            ),
+            (
+                "{\"format\": \"pilgrim-replay\", \"version\": 1}",
+                "unsupported pilgrim-replay version 1 (expected 3)",
             ),
             (
                 "{\"format\": \"pilgrim-replay\"}",
-                "unsupported pilgrim-replay version 0 (expected 1 to 2)",
+                "unsupported pilgrim-replay version 0 (expected 3)",
             ),
             (
                 "{\"format\": \"pilgrim-blackbox\", \"version\": 2}\n",
@@ -365,56 +363,102 @@ mod tests {
             format!("{head}{body}"),
         ]);
 
-        // A version 1 recording is one line; blank lines may follow it,
-        // anything else may not.
-        let v1 = crate::replay::version_1(&every);
-        assert!(Saved::parse(&format!("{v1}\n \r\n\t")).is_ok());
-        refused([format!("{v1}x"), format!("{v1}{body}")]);
-        loads_or_errs_when_cut_or_mutated(&v1, "hostile recordings, version 1");
+        // A recording with an empty trace is its header line alone;
+        // anything after it, blank lines too, is a body `trace_bytes`
+        // does not declare.
+        let empty = Artifact {
+            trace: String::new(),
+            ..every
+        }
+        .render();
+        assert_eq!(empty.lines().count(), 1);
+        assert!(Saved::parse(&empty).is_ok());
+        refused([
+            format!("{empty}\n \r\n\t"),
+            format!("{empty}x"),
+            format!("{empty}{body}"),
+        ]);
+        loads_or_errs_when_cut_or_mutated(&empty, "hostile recordings, empty trace");
     }
 
-    /// The keys older recordings lack load as their defaults when absent
-    /// and are refused by name when present with the wrong type: a
-    /// mistyped key never stands for its default.
+    /// Every key the writer emits is required: with any one of them
+    /// dropped the recording is refused as ``missing `k` ``, and with it
+    /// at a value of the wrong type as ``out of range``, never read as a
+    /// default. The recording carries a program override, a star
+    /// topology, a partition window and a setup entry, so every section
+    /// of the recipe has members to drop.
     #[test]
-    fn a_mistyped_optional_key_is_refused_by_name() {
-        let text = small_recording();
+    fn every_written_key_is_required() {
+        use pilgrim_ring::{PartitionWindow, Topology};
+        use pilgrim_sim::SimTime;
+
+        let Ok(Saved::Recording(artifact)) = Saved::parse(&small_recording()) else {
+            panic!("the recording loads");
+        };
+        let mut artifact = *artifact;
+        let recipe = &mut artifact.recipe;
+        recipe.set_program_for(1, "main = proc ()\n end");
+        recipe.net.topology = Topology::Star { arms: 2 };
+        recipe.net.partitions.push(PartitionWindow {
+            from: SimTime::from_secs(1),
+            to: SimTime::from_secs(2),
+            a: 0,
+            b: 1,
+        });
+        recipe.setup.push(("marker".into(), Json::obj(vec![])));
+        let text = artifact.render();
         let (head, body) = text.split_once('\n').expect("has a header line");
         let doc = Json::parse(head).expect("parses");
-        let keys = [
-            ("setup", false),
-            ("trace_sample", false),
-            ("blackbox_capacity", false),
-            ("coarse_interval", false),
-            ("coarse_budget", false),
-            ("tsdb", false),
-            ("partitions", true),
-            ("link", true),
-            ("topology", true),
-        ];
-        for (key, in_net) in keys {
-            for mistyped in [true, false] {
+        assert!(Saved::parse(&text).is_ok());
+
+        // Every member of every object in the header but the stimuli
+        // (whose decoders the mutation property covers), the setup
+        // params (any value) and the `format` and `version` checked
+        // before any section is read.
+        let stimuli = doc
+            .as_object()
+            .and_then(|pairs| pairs.iter().position(|(k, _)| k == "stimuli"));
+        let mut paths = Vec::new();
+        collect_paths(&doc, &mut Vec::new(), &mut paths);
+        let mut checked = 0;
+        for path in paths {
+            let Some((&last, parent)) = path.split_last() else {
+                continue;
+            };
+            let mut probe = doc.clone();
+            let Json::Object(pairs) = at_path(&mut probe, parent) else {
+                continue;
+            };
+            let (key, value) = &pairs[last];
+            if ["format", "version", "params"].contains(&key.as_str())
+                || path.first() == stimuli.as_ref()
+            {
+                continue;
+            }
+            let wrong = match value {
+                Json::Str(_) | Json::Null => Json::Int(7),
+                _ => Json::Str("oops".into()),
+            };
+            for (edit, want) in [
+                (Some(wrong), format!("`{key}` out of range")),
+                (None, format!("missing `{key}`")),
+            ] {
                 let mut doc = doc.clone();
-                let mut section = doc.get_mut("recipe").expect("has a recipe");
-                if in_net {
-                    section = section.get_mut("net").expect("has a network config");
-                }
-                let Json::Object(pairs) = section else {
-                    panic!("`{key}`'s section is an object")
+                let Json::Object(pairs) = at_path(&mut doc, parent) else {
+                    unreachable!("the parent is an object")
                 };
-                pairs.retain(|(k, _)| k != key);
-                if mistyped {
-                    pairs.push((key.to_string(), Json::Str("oops".into())));
+                match edit {
+                    Some(v) => pairs[last].1 = v,
+                    None => drop(pairs.remove(last)),
                 }
                 match Saved::parse(&rejoin(&doc, body)) {
-                    Err(e) if mistyped => {
-                        assert!(e.ends_with(&format!("`{key}` out of range")), "{e}")
-                    }
-                    Ok(_) if !mistyped => {}
-                    other => panic!("`{key}` mistyped: {mistyped}: {other:?}"),
+                    Err(e) => assert!(e.ends_with(&want), "{e}"),
+                    Ok(_) => panic!("loads without a well-typed `{key}`"),
                 }
             }
+            checked += 1;
         }
+        assert!(checked > 40, "only {checked} keys checked");
     }
 
     /// A small dump whose event ring holds RPC, debug and service events
@@ -461,6 +505,17 @@ mod tests {
         // may not.
         assert!(Saved::parse(&format!("{text}\n\n")).is_ok());
         refused([format!("{text}{{}}\n"), format!("{text}\n{}", snap.events)]);
+        // The writer always emits `series`, so a dump without it is
+        // refused by name, never read as an empty history.
+        let (head, _) = text.split_once('\n').expect("has a header line");
+        let Ok(Json::Object(mut pairs)) = Json::parse(head) else {
+            panic!("the dump is an object")
+        };
+        pairs.retain(|(k, _)| k != "series");
+        assert_eq!(
+            Saved::parse(&rejoin(&Json::Object(pairs), "")).unwrap_err(),
+            "blackbox: missing `series`"
+        );
     }
 
     /// Every strict prefix of `text`, and 2 000 seeded mutations of its
@@ -491,14 +546,11 @@ mod tests {
         );
         check_n(name, 2_000, &gen, |&(at, (op, pick))| {
             let mut doc = doc.clone();
-            let node = paths[at as usize]
-                .iter()
-                .fold(&mut doc, |node, &i| match node {
-                    Json::Array(items) => &mut items[i],
-                    Json::Object(pairs) => &mut pairs[i].1,
-                    _ => unreachable!("paths descend through containers"),
-                });
-            mutate(node, op as usize, pick as usize);
+            mutate(
+                at_path(&mut doc, &paths[at as usize]),
+                op as usize,
+                pick as usize,
+            );
             let _ = Saved::parse(&rejoin(&doc, body));
             Ok(())
         });
@@ -536,6 +588,15 @@ mod tests {
             collect_paths(child, path, out);
             path.pop();
         }
+    }
+
+    /// The value at `path` below `doc`, as child indices.
+    fn at_path<'a>(doc: &'a mut Json, path: &[usize]) -> &'a mut Json {
+        path.iter().fold(doc, |node, &i| match node {
+            Json::Array(items) => &mut items[i],
+            Json::Object(pairs) => &mut pairs[i].1,
+            _ => unreachable!("paths descend through containers"),
+        })
     }
 
     fn mutate(node: &mut Json, op: usize, pick: usize) {

@@ -181,20 +181,9 @@ impl NetworkConfig {
             p_silent_loss: f.float("p_silent_loss")?,
             medium: Medium::parse(f.str("medium")?).ok_or_else(|| f.out_of_range("medium"))?,
             seed: f.uint("seed")?,
-            // The three topology fields are absent in artifacts recorded
-            // before multi-segment networks existed; those worlds ran on
-            // one flat segment with no bridges.
-            topology: match f.opt_object("topology")? {
-                Some(t) => Topology::from_json(t)?,
-                None => Topology::Flat,
-            },
-            link: match f.opt_object("link")? {
-                Some(l) => LinkModel::from_json(l)?,
-                None => LinkModel::default(),
-            },
-            partitions: f
-                .opt_list("partitions", PartitionWindow::from_json)?
-                .unwrap_or_default(),
+            topology: Topology::from_json(f.object("topology")?)?,
+            link: LinkModel::from_json(f.object("link")?)?,
+            partitions: f.list("partitions", PartitionWindow::from_json)?,
         })
     }
 }
@@ -1469,30 +1458,21 @@ mod tests {
     }
 
     #[test]
-    fn config_json_without_topology_fields_decodes_flat() {
-        // Artifacts recorded before multi-segment networks existed carry no
-        // topology/link/partitions keys; they must still decode.
-        let old = NetworkConfig::default();
-        let mut rendered = String::new();
-        let Json::Object(pairs) = old.to_json() else {
-            panic!("config renders an object")
-        };
-        let trimmed: Vec<(String, Json)> = pairs
-            .into_iter()
-            .filter(|(k, _)| k != "topology" && k != "link" && k != "partitions")
-            .collect();
-        Json::Object(trimmed).write(&mut rendered);
-        let back = NetworkConfig::from_json(&Json::parse(&rendered).unwrap()).expect("decodes");
-        assert_eq!(back.topology, Topology::Flat);
-        assert_eq!(back.link, LinkModel::default());
-        assert!(back.partitions.is_empty());
-
-        // Absent is the legacy default; present but mistyped is refused
-        // by name, never read as "no partitions".
-        // A nested section that is not an object is refused by its own
-        // key, not by the first field its decoder looks for.
+    fn config_json_without_topology_fields_is_refused() {
+        // The writer always emits the three topology keys, so each is
+        // required: absent is refused by name, never read as a flat
+        // network. A nested section that is not an object is refused by
+        // its own key, not by the first field its decoder looks for.
         for key in ["partitions", "link", "topology"] {
-            let mut mistyped = old.to_json();
+            let Json::Object(mut pairs) = NetworkConfig::default().to_json() else {
+                panic!("config renders an object")
+            };
+            pairs.retain(|(k, _)| k != key);
+            assert_eq!(
+                NetworkConfig::from_json(&Json::Object(pairs)).unwrap_err(),
+                format!("network config: missing `{key}`")
+            );
+            let mut mistyped = NetworkConfig::default().to_json();
             *mistyped.get_mut(key).expect("the config renders every key") =
                 Json::Str("oops".into());
             assert_eq!(

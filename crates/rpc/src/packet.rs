@@ -8,10 +8,6 @@ use pilgrim_ring::NodeId;
 use pilgrim_sim::json::Fields;
 use pilgrim_sim::{Json, SpanId};
 
-use crate::endpoint::{
-    CLIENT_RECV, CLIENT_SEND, DEBUG_CLIENT_CALL, DEBUG_CLIENT_DONE, DEBUG_SERVER, MAYBE_TIMEOUT,
-    MONITOR_PER_PACKET, RETRY_INTERVAL, SERVER_RECV, SERVER_SEND,
-};
 use crate::marshal::WireValue;
 
 /// A call identifier: "call identifiers ... uniquely name a particular
@@ -137,22 +133,6 @@ impl Default for RpcConfig {
     }
 }
 
-/// Keys recipes carried while these values were settable, in µs unless
-/// named otherwise, with the value each is now fixed at.
-const RETIRED: [(&str, u64); 11] = [
-    ("client_send_us", CLIENT_SEND.as_micros()),
-    ("server_recv_us", SERVER_RECV.as_micros()),
-    ("server_send_us", SERVER_SEND.as_micros()),
-    ("client_recv_us", CLIENT_RECV.as_micros()),
-    ("debug_client_call_us", DEBUG_CLIENT_CALL.as_micros()),
-    ("debug_client_done_us", DEBUG_CLIENT_DONE.as_micros()),
-    ("debug_server_us", DEBUG_SERVER.as_micros()),
-    ("monitor_per_packet_us", MONITOR_PER_PACKET.as_micros()),
-    ("retry_interval_us", RETRY_INTERVAL.as_micros()),
-    ("maybe_timeout_us", MAYBE_TIMEOUT.as_micros()),
-    ("header_bytes", HEADER_BYTES as u64),
-];
-
 impl RpcConfig {
     /// The config as a JSON object for the replay recipe.
     pub fn to_json(&self) -> Json {
@@ -164,17 +144,12 @@ impl RpcConfig {
     }
 
     /// Rebuilds a config from [`to_json`](RpcConfig::to_json) output.
-    /// A recording made while the fixed costs were settable carries them
-    /// too; each must hold the value this build charges.
     ///
     /// # Errors
     ///
-    /// Missing or mistyped fields, and a retired key at another value.
+    /// Missing or mistyped fields.
     pub fn from_json(v: &Json) -> Result<RpcConfig, String> {
         let f = Fields::new(v, &"rpc config");
-        for (key, fixed) in RETIRED {
-            f.retired(key, fixed)?;
-        }
         Ok(RpcConfig {
             debug_support: f.bool("debug_support")?,
             monitor: f.bool("monitor")?,

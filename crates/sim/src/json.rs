@@ -192,10 +192,12 @@ impl fmt::Display for Json {
 /// names the key it refuses, in one wording: ``"{what}: missing `key`"``
 /// when the key is absent, ``"{what}: `key` out of range"`` when it is
 /// present with the wrong type or a number the target type cannot hold.
-/// The `opt_*` getters read keys that older artifacts lack: absent is
-/// `None`, and present but wrong is still an error, so a mistyped key can
-/// never stand for its default. `what` is formatted only on the error
-/// path; a read that succeeds allocates nothing.
+/// Every key a writer in this workspace always writes is read with a
+/// required getter. The `opt_*` getters read only what a writer may
+/// omit: a user-authored scenario parameter, or an optional trace-event
+/// field. Absent is `None`, and present but wrong is still an error, so
+/// a mistyped key can never stand for its default. `what` is formatted
+/// only on the error path; a read that succeeds allocates nothing.
 ///
 /// A value that is not an object has no fields, so every required key of
 /// it is missing.
@@ -254,7 +256,7 @@ impl<'a> Fields<'a> {
         self.req(key, uint_of)
     }
 
-    /// [`uint`](Fields::uint) for a key older artifacts lack.
+    /// [`uint`](Fields::uint) for a key its writer may omit.
     pub fn opt_uint<T: TryFrom<u64>>(&self, key: &str) -> Result<Option<T>, String> {
         self.opt(key, uint_of)
     }
@@ -274,7 +276,7 @@ impl<'a> Fields<'a> {
         self.req(key, Json::as_bool)
     }
 
-    /// [`bool`](Fields::bool) for a key older artifacts lack.
+    /// [`bool`](Fields::bool) for a key its writer may omit.
     pub fn opt_bool(&self, key: &str) -> Result<Option<bool>, String> {
         self.opt(key, Json::as_bool)
     }
@@ -284,7 +286,7 @@ impl<'a> Fields<'a> {
         self.req(key, Json::as_str)
     }
 
-    /// [`str`](Fields::str) for a key older artifacts lack.
+    /// [`str`](Fields::str) for a key its writer may omit.
     pub fn opt_str(&self, key: &str) -> Result<Option<&'a str>, String> {
         self.opt(key, Json::as_str)
     }
@@ -295,25 +297,6 @@ impl<'a> Fields<'a> {
         self.req(key, |v| v.as_object().map(|_| v))
     }
 
-    /// [`object`](Fields::object) for a key older artifacts lack.
-    pub fn opt_object(&self, key: &str) -> Result<Option<&'a Json>, String> {
-        self.opt(key, |v| v.as_object().map(|_| v))
-    }
-
-    /// A key older recordings carry for a value this build fixes at
-    /// `fixed`: absent, or present at `fixed`, is accepted; any other
-    /// value is refused with both values named, so no recording replays
-    /// under a model it was not made with.
-    pub fn retired(&self, key: &str, fixed: u64) -> Result<(), String> {
-        match self.opt_get(key) {
-            Some(v) if v.as_u64() != Some(fixed) => Err(format!(
-                "{}: `{key}` is {v}, but this build fixes it at {fixed}",
-                self.what
-            )),
-            _ => Ok(()),
-        }
-    }
-
     /// An array, each element decoded by `f`, collected into `C`.
     pub fn list<T, C: FromIterator<T>>(
         &self,
@@ -321,17 +304,6 @@ impl<'a> Fields<'a> {
         f: impl FnMut(&'a Json) -> Result<T, String>,
     ) -> Result<C, String> {
         self.req(key, Json::as_array)?.iter().map(f).collect()
-    }
-
-    /// [`list`](Fields::list) for a key older artifacts lack.
-    pub fn opt_list<T, C: FromIterator<T>>(
-        &self,
-        key: &str,
-        f: impl FnMut(&'a Json) -> Result<T, String>,
-    ) -> Result<Option<C>, String> {
-        self.opt(key, Json::as_array)?
-            .map(|items| items.iter().map(f).collect())
-            .transpose()
     }
 }
 
@@ -447,7 +419,7 @@ impl Parser<'_> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), JsonError> {
+    fn need(&mut self, b: u8) -> Result<(), JsonError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
@@ -493,7 +465,7 @@ impl Parser<'_> {
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'[')?;
+        self.need(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b']') {
@@ -516,7 +488,7 @@ impl Parser<'_> {
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
-        self.expect(b'{')?;
+        self.need(b'{')?;
         let mut pairs = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
@@ -527,7 +499,7 @@ impl Parser<'_> {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
-            self.expect(b':')?;
+            self.need(b':')?;
             self.skip_ws();
             let value = self.value()?;
             pairs.push((key, value));
@@ -544,7 +516,7 @@ impl Parser<'_> {
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
-        self.expect(b'"')?;
+        self.need(b'"')?;
         let mut out = String::new();
         loop {
             let start = self.pos;
@@ -808,17 +780,6 @@ mod tests {
             Err("t: missing `k`".into())
         );
 
-        // `retired`: absent or at the fixed value passes; anything else
-        // names the key and both values.
-        assert_eq!(f.retired("absent", 7), Ok(()));
-        assert_eq!(f.retired("u16", u16::MAX.into()), Ok(()));
-        let refused =
-            |key: &str, v: &str| format!("thing 7: `{key}` is {v}, but this build fixes it at 3");
-        assert_eq!(f.retired("u16", 3), Err(refused("u16", "65535")));
-        assert_eq!(f.retired("neg", 3), Err(refused("neg", "-1")));
-        assert_eq!(f.retired("s", 3), Err(refused("s", "\"x\"")));
-        assert_eq!(f.retired("n", 3), Err(refused("n", "null")));
-
         // `opt_*`: absent is `None`, present but wrong is refused by name.
         assert_eq!(f.opt_uint::<u32>("absent"), Ok(None));
         assert_eq!(f.opt_uint::<u32>("u32"), Ok(Some(u32::MAX)));
@@ -830,19 +791,12 @@ mod tests {
         assert_eq!(f.opt_str("absent"), Ok(None));
         assert_eq!(f.opt_str("s"), Ok(Some("x")));
         assert_eq!(f.opt_str("b"), Err(out("b")));
-        let ints = |v: &Json| v.as_u64().ok_or_else(|| f.out_of_range("l"));
-        assert_eq!(f.opt_list::<_, Vec<_>>("absent", ints), Ok(None));
-        assert_eq!(f.opt_list("l", ints), Ok(Some(vec![1, 2])));
-        assert_eq!(f.opt_list::<_, Vec<_>>("s", ints), Err(out("s")));
         assert_eq!(f.opt_get("absent"), None);
         assert_eq!(f.opt_get("n"), Some(&Json::Null));
         let nested = Json::obj(vec![("o", doc.clone()), ("s", Json::Str("x".into()))]);
         let g = Fields::new(&nested, &what);
         assert_eq!(g.object("o"), Ok(&doc));
         assert_eq!(g.object("s"), Err(out("s")));
-        assert_eq!(g.opt_object("o"), Ok(Some(&doc)));
-        assert_eq!(g.opt_object("absent"), Ok(None));
-        assert_eq!(g.opt_object("s"), Err(out("s")));
     }
 
     #[test]

@@ -1,7 +1,10 @@
 #!/bin/sh
 # Panic census: counts the lines of production code under crates/*/src
 # that call `.unwrap()`, `.expect(` or `panic!(`, and fails when the count
-# rises above LIMIT. A file's production code is every line before a
+# rises above LIMIT. A line whose first non-blank characters are `//` (a
+# comment, or a `//!` / `///` doc example) is not counted, and no
+# production helper that returns a `Result` is named `expect`, so every
+# counted line can panic. A file's production code is every line before a
 # `#[cfg(test)]` that opens a `mod … {`, with or without a `pub` or
 # `pub(…)` prefix; the endpoint's test-only model
 # (crates/rpc/src/endpoint/model.rs) is skipped. A `#[cfg(test)]` module
@@ -13,7 +16,7 @@
 # Run from the repository root: sh scripts/panic_census.sh
 set -eu
 
-LIMIT=77
+LIMIT=30
 
 # One line per file: its count, or `unstopped FILE:LINE` for a test
 # module the stop rule did not match (so its lines would count as
@@ -23,7 +26,7 @@ census=$(find crates/*/src -name '*.rs' ! -path crates/rpc/src/endpoint/model.rs
         awk -v file="$file" '
             prev ~ /^#\[cfg\(test\)\]/ && /^(pub(\([a-z]+\))? )?mod .*\{/ { exit }
             prev ~ /^[ \t]*#\[cfg\(test\)\]/ && /mod .*\{/ { print "unstopped " file ":" FNR }
-            /\.unwrap\(\)|\.expect\(|panic!\(/ { n++ }
+            !/^[ \t]*\/\// && /\.unwrap\(\)|\.expect\(|panic!\(/ { n++ }
             { prev = $0 }
             END { print n + 0 }' "$file"
     done)

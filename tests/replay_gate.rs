@@ -9,7 +9,7 @@
 //! fail. A property test repeats the round trip over random seeds,
 //! topologies, and stimulus mixes.
 
-use pilgrim::replay::{replay, replay_with, Artifact, ReplayError, ReplayReport};
+use pilgrim::replay::{replay, replay_with, Artifact, ReplayError, ReplayReport, VERSION};
 use pilgrim::{
     DebugEvent, Json, MaybeDiagnosis, NodeId, SimDuration, SimTime, TraceEvent, Value, World,
 };
@@ -110,39 +110,35 @@ fn rewrite(text: &str, from: &str, to: &str) -> String {
     text.replacen(from, to, 1)
 }
 
-/// Recordings made while the world had two series stores say `"tsdb":
-/// true` for "full resolution", and the oldest carry no `coarse_*` keys
-/// at all. Both must keep parsing and replaying, and the one store must
-/// take the shape the recorded run answered `tsdb` queries at.
+/// The series store's shape is recipe-carried, so it is required: a
+/// recording without `coarse_interval` or `coarse_budget` is refused by
+/// the first key it lacks, never replayed at a default shape. Recordings
+/// made while the world had two series stores said `"tsdb": true` for
+/// "full resolution"; they predate version 3, and are refused by version.
 #[test]
-fn legacy_tsdb_recipes_replay_at_the_shape_they_ran_at() {
+fn a_recipe_without_its_tsdb_shape_is_refused() {
     const SHAPE: &str = "\"coarse_interval\": 64, \"coarse_budget\": 64, ";
     const SAMPLE: &str = "\"trace_sample\": 0, ";
     let fresh = lock_scenario().record().render();
+    let version = format!("\"version\": {VERSION}");
+    let refused = |text: &str, want: &str| match Artifact::parse(text) {
+        Err(ReplayError::Format(e)) => assert_eq!(e, want),
+        other => panic!("expected `{want}`, got {other:?}"),
+    };
+    refused(
+        &rewrite(&fresh, SHAPE, ""),
+        "recipe: missing `coarse_interval`",
+    );
+    refused(
+        &rewrite(&fresh, "\"coarse_budget\": 64, ", ""),
+        "recipe: missing `coarse_budget`",
+    );
     let armed = rewrite(&fresh, SAMPLE, "\"tsdb\": true, \"trace_sample\": 0, ");
-    let armed_shapeless = rewrite(&armed, SHAPE, "");
-    let shapeless = rewrite(&fresh, SHAPE, "");
-    let unarmed = rewrite(&fresh, SAMPLE, "\"tsdb\": false, \"trace_sample\": 0, ");
-
-    for (text, shape, summary) in [
-        (
-            &armed_shapeless,
-            (1, 4096),
-            "interval 1 sync points, budget 4096",
-        ),
-        (&armed, (1, 4096), "interval 1 sync points, budget 4096"),
-        (&shapeless, (64, 64), "interval 64 sync points, budget 64"),
-        (&unarmed, (64, 64), "interval 64 sync points, budget 64"),
-    ] {
-        let artifact = Artifact::parse(text).expect("legacy recipe parses");
-        let recipe = &artifact.recipe;
-        assert_eq!((recipe.coarse_interval, recipe.coarse_budget), shape);
-        let report = replay(&artifact).expect("legacy recipe replays");
-        assert_clean(&report, &artifact);
-        let got = report.world.tsdb_summary();
-        assert!(got.contains(summary), "want `{summary}` in:\n{got}");
-        // What is written back is the current form: shape, no `tsdb` key.
-        assert!(!report.world.record().render().contains("\"tsdb\""));
+    for old in [&armed, &rewrite(&armed, SHAPE, "")] {
+        refused(
+            &rewrite(old, &version, "\"version\": 2"),
+            &format!("unsupported pilgrim-replay version 2 (expected {VERSION})"),
+        );
     }
 }
 

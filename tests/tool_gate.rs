@@ -101,6 +101,14 @@ fn bad_input_is_status_2_with_one_stderr_line_and_no_stdout() {
         "the artifact's setup was not rewritten"
     );
 
+    // A recording made at an older version is refused by its version.
+    let older = |version: u32| {
+        let doc = text.replacen("\"version\": 3", &format!("\"version\": {version}"), 1);
+        assert_ne!(doc, text, "the artifact's version was not rewritten");
+        doc
+    };
+    let (v2, v1) = (older(2), older(1));
+
     let mut inputs = vec![
         (dir.path("missing.json"), "cannot read"),
         (dir.write("garbage.json", "not json"), "not JSON"),
@@ -120,6 +128,14 @@ fn bad_input_is_status_2_with_one_stderr_line_and_no_stdout() {
         (
             dir.write("setup.json", &mistyped_setup),
             "recipe: `setup` out of range",
+        ),
+        (
+            dir.write("v2.json", &v2),
+            "unsupported pilgrim-replay version 2 (expected 3)",
+        ),
+        (
+            dir.write("v1.json", &v1),
+            "unsupported pilgrim-replay version 1 (expected 3)",
         ),
     ];
     // A journal naming a station its recipe does not have: 7 nodes and
