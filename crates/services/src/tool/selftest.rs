@@ -86,8 +86,7 @@ end";
         .program(NODE0)
         .program_for(1, NODE1)
         .seed(42)
-        .build()
-        .expect("scenario builds");
+        .build()?;
     w.debug_connect(&[0, 1], false).map_err(debug)?;
     w.break_at_proc(1, "ping").map_err(debug)?;
     w.spawn(0, "main", vec![]);
@@ -95,7 +94,8 @@ end";
     let DebugEvent::BreakpointHit { pid, .. } = ev else {
         return Err(format!("lock scenario: expected a breakpoint hit, got {ev:?}").into());
     };
-    let bp = w.debugger().expect("connected above").breakpoints()[0].bp;
+    let debugger = w.debugger().ok_or("lock scenario: no debugger")?;
+    let bp = debugger.breakpoints()[0].bp;
     w.clear_breakpoint(1, bp).map_err(debug)?;
     w.continue_process(1, pid).map_err(debug)?;
     w.debug_resume_all().map_err(debug)?;
@@ -153,7 +153,7 @@ fn replay_section(out: &mut dyn Write) -> Result<(), Bad> {
 
 /// The profiled scenario's world, built but not yet driven: fib(8) on
 /// node 0, then one remote `double` call to node 1.
-fn prof_scenario_unrun() -> World {
+fn prof_scenario_unrun() -> Result<World, Bad> {
     const NODE0: &str = "\
 double = proc (x: int) returns (int)
  fail(\"only node 1 implements double\")
@@ -175,7 +175,7 @@ end";
 double = proc (x: int) returns (int)
  return (x * 2)
 end";
-    World::builder()
+    Ok(World::builder()
         .nodes(2)
         .program(NODE0)
         .program_for(1, NODE1)
@@ -184,15 +184,14 @@ end";
             profile_vm: true,
             ..Default::default()
         })
-        .build()
-        .expect("scenario builds")
+        .build()?)
 }
 
-fn prof_scenario() -> World {
-    let mut w = prof_scenario_unrun();
+fn prof_scenario() -> Result<World, Bad> {
+    let mut w = prof_scenario_unrun()?;
     w.spawn(0, "main", vec![]);
     w.run_until_idle(SimTime::from_secs(30));
-    w
+    Ok(w)
 }
 
 /// Validates one folded-stack document: non-empty, every line is
@@ -226,7 +225,7 @@ pub fn check_format(folded: &str) -> Result<(), String> {
 /// recursive path present, byte-identical across runs and under replay,
 /// and a metric watchpoint that halts the world.
 fn prof_section(out: &mut dyn Write) -> Result<(), Bad> {
-    let world = prof_scenario();
+    let world = prof_scenario()?;
     let folded = world.folded_stacks();
     check_format(&folded).map_err(|e| format!("bad folded output: {e}"))?;
     require!(
@@ -244,7 +243,7 @@ fn prof_section(out: &mut dyn Write) -> Result<(), Bad> {
     )?;
 
     require!(
-        prof_scenario().folded_stacks() == folded,
+        prof_scenario()?.folded_stacks() == folded,
         "two identical runs profiled differently"
     );
     writeln!(out, "determinism: second run byte-identical")?;
@@ -266,7 +265,7 @@ fn prof_section(out: &mut dyn Write) -> Result<(), Bad> {
 
     // Watchpoint: net.sent increments as soon as the RPC's first packet
     // leaves node 0, so an armed watch must halt the run early.
-    let mut w = prof_scenario_unrun();
+    let mut w = prof_scenario_unrun()?;
     let id = w
         .arm_watch("net.sent > 0")
         .map_err(|e| format!("arm_watch: {e}"))?;
@@ -291,7 +290,7 @@ fn prof_section(out: &mut dyn Write) -> Result<(), Bad> {
 /// Four nodes, RPC fan-out from node 0 to three servers over a lossy
 /// network, so the trace carries retransmissions and losses the
 /// attribution must survive.
-fn trace_scenario() -> World {
+fn trace_scenario() -> Result<World, Bad> {
     const MAIN: &str = "\
 ping = proc (x: int) returns (int)
  fail(\"servers implement ping\")
@@ -323,11 +322,10 @@ end";
         .network(net)
         .seed(0x1055)
         .coarse_window(1, 4096)
-        .build()
-        .expect("scenario builds");
+        .build()?;
     w.spawn(0, "main", vec![Value::Int(4)]);
     w.run_until_idle(SimTime::from_secs(60));
-    w
+    Ok(w)
 }
 
 /// End-to-end proof of the analyzer: a lossy RPC run yields a non-empty
@@ -335,7 +333,7 @@ end";
 /// slowest-span reports render deterministically across runs, and both
 /// saved formats round-trip through the loader.
 fn trace_section(out: &mut dyn Write) -> Result<(), Bad> {
-    let world = trace_scenario();
+    let world = trace_scenario()?;
     let events = world.tracer().len();
     let graph = world.causal_graph();
     require!(
@@ -359,7 +357,7 @@ fn trace_section(out: &mut dyn Write) -> Result<(), Bad> {
         graph.spans().len()
     )?;
 
-    let again = trace_scenario();
+    let again = trace_scenario()?;
     let graph2 = again.causal_graph();
     require!(
         graph2.render_critical() == critical && graph2.render_slowest(TOP_K) == slowest,

@@ -355,8 +355,8 @@ impl Metrics {
 
     /// How many counters, gauges and histograms are registered. The
     /// registry is append-only, so a holder of handles (the time-series
-    /// store) that remembers these knows exactly which instruments it has
-    /// not met: those at positions from its remembered count onwards.
+    /// store) that has a kind's first `n` instruments has exactly those at
+    /// positions below `n`, and meets the rest as the tail.
     pub fn instrument_counts(&self) -> [usize; 3] {
         let r = self.registry.borrow();
         [
@@ -366,8 +366,19 @@ impl Metrics {
         ]
     }
 
+    /// The position of the instrument named `name` among those of kind
+    /// `kind` (0 counters, 1 gauges, 2 histograms, as
+    /// [`instrument_counts`](Metrics::instrument_counts) counts them), if
+    /// one is registered.
+    pub fn position(&self, kind: usize, name: &str) -> Option<usize> {
+        let r = self.registry.borrow();
+        let index = [&r.counters.index, &r.gauges.index, &r.histograms.index][kind];
+        index.get(name).copied()
+    }
+
     /// Whether `other` is a clone of this registry (the same instruments,
-    /// not merely the same names).
+    /// not merely the same names). The time-series store asserts with it
+    /// that it is fed one registry.
     pub fn same_registry(&self, other: &Metrics) -> bool {
         Rc::ptr_eq(&self.registry, &other.registry)
     }

@@ -11,10 +11,13 @@
 //! byte-identical across same-seed runs and replays — the
 //! determinism gate in `tests/tsdb_gate.rs` holds the store to that.
 //!
+//! A store samples one registry, and column *k* of a kind is that
+//! registry's *k*-th instrument of the kind: names live once, in the
+//! registry, and a query finds its column through the registry's index.
 //! A sample costs what it stores: one load, one subtract and one store
-//! per column. Once the rings are full it allocates nothing and compares
-//! no names (`tests/alloc_gate.rs` pins the first, the benchmark's
-//! `sim.tsdb.ns_per_sample` prices both).
+//! per column. Once the rings are full it allocates nothing
+//! (`tests/alloc_gate.rs` pins that, the benchmark's
+//! `sim.tsdb.ns_per_sample` prices it).
 //!
 //! # Examples
 //!
@@ -37,6 +40,13 @@ use std::ops::Range;
 use crate::metrics::{bucket_quantile, render_bucket_bound, Counter, Gauge, Histogram, Metrics};
 use crate::ring::Ring;
 use crate::time::SimTime;
+
+/// The kinds of series, as [`Metrics::instrument_counts`] and
+/// [`Metrics::position`] index them, and their names.
+const COUNTER: usize = 0;
+const GAUGE: usize = 1;
+const HISTOGRAM: usize = 2;
+const KINDS: [&str; 3] = ["counter", "gauge", "histogram"];
 
 /// One instrument kind's samples, row-major: row `p` holds one cell per
 /// column of the kind. Every grid of a store has a row per sample time in
@@ -80,7 +90,6 @@ impl Grid {
 /// A counter column: cell = increase since the previous sample.
 #[derive(Debug)]
 struct CounterCol {
-    name: String,
     handle: Counter,
     /// Cumulative value at the previous sample (delta base).
     last: u64,
@@ -91,7 +100,6 @@ struct CounterCol {
 /// A gauge column: cell = the sampled value, as its bits.
 #[derive(Debug)]
 struct GaugeCol {
-    name: String,
     handle: Gauge,
     born: u64,
 }
@@ -100,10 +108,9 @@ struct GaugeCol {
 /// increases since the previous sample.
 #[derive(Debug)]
 struct HistCol {
-    name: String,
     handle: Histogram,
     /// Inclusive upper bounds of the buckets, the overflow bucket's
-    /// `u64::MAX` last (fixed for life, also across a re-bind).
+    /// `u64::MAX` last (fixed for the histogram's life).
     bounds: Vec<u64>,
     /// Position of the `count` cell in a histogram row.
     at: usize,
@@ -121,18 +128,18 @@ fn delta(cell: &mut u64, prev: &mut u64, cur: u64) {
 
 /// A bounded, delta-encoded store of metric samples over simulated time.
 ///
-/// A series' identity is its metric name; its address is a handle. The
-/// store keeps a clone of every instrument's handle, in the order it met
-/// them, and a sample is one pass over those handles. The registry is
-/// append-only, so instruments the store has not met are found by count:
-/// only when [`Metrics::instrument_counts`] has moved does the store walk
-/// the new tail by name. A series registered after sampling began is
-/// shorter than the rest and tail-aligned to the shared sample times.
-///
-/// A store fed a registry other than the one its handles came from
-/// re-binds every series by name to that registry's instruments (a
-/// series the new registry lacks keeps its old handle; a histogram
-/// re-bound to one with fewer buckets reads zero in the missing ones).
+/// A store samples the one registry it is first fed; feeding it another
+/// is a caller error (a debug assertion). Column *k* of a kind is the
+/// registry's *k*-th instrument of that kind: the store keeps a clone of
+/// each one's handle, and a sample is one pass over those handles. The
+/// registry is append-only, so only when [`Metrics::instrument_counts`]
+/// has moved past the store's column counts does it append the tail, with
+/// no name compared. A series' identity is its metric name, and the names
+/// stay in the registry: a query resolves one through
+/// [`Metrics::position`], and a position at or past the store's column
+/// count (an instrument registered since the last sample) is no series. A
+/// series registered after sampling began is shorter than the rest and
+/// tail-aligned to the shared sample times.
 #[derive(Debug)]
 pub struct SeriesStore {
     /// Sync points per sample; 1 = sample every sync point.
@@ -145,10 +152,8 @@ pub struct SeriesStore {
     /// Time (µs) of the most recently evicted sample — the left edge of
     /// the oldest retained window.
     evicted_before: u64,
-    /// The registry the handles were cloned from.
+    /// The registry sampled, from the first sample on.
     bound: Option<Metrics>,
-    /// Its [`Metrics::instrument_counts`] when they were.
-    seen: [usize; 3],
     counters: Vec<CounterCol>,
     counter_grid: Grid,
     gauges: Vec<GaugeCol>,
@@ -167,7 +172,6 @@ impl SeriesStore {
             times: Ring::new(budget),
             evicted_before: 0,
             bound: None,
-            seen: [0; 3],
             counters: Vec::new(),
             counter_grid: Grid::default(),
             gauges: Vec::new(),
@@ -217,12 +221,13 @@ impl SeriesStore {
     // less than one source does between two build directories.)
     #[inline(never)]
     pub fn sample(&mut self, now: SimTime, metrics: &Metrics) {
-        let known = self
-            .bound
-            .as_ref()
-            .is_some_and(|bound| bound.same_registry(metrics));
-        if !known || metrics.instrument_counts() != self.seen {
-            self.adopt(metrics, known);
+        let bound = self.bound.get_or_insert_with(|| metrics.clone());
+        debug_assert!(
+            bound.same_registry(metrics),
+            "a SeriesStore samples one registry, the first it is fed"
+        );
+        if metrics.instrument_counts() != self.columns() {
+            self.adopt(metrics);
         }
 
         match self.times.push(now.as_micros()) {
@@ -260,92 +265,92 @@ impl SeriesStore {
         }
     }
 
-    /// Binds the instruments of `metrics` this store holds no handle to:
-    /// the registry's tail past `seen` when the store `known`s it, every
-    /// instrument when it does not. Each is looked up by name — found, its
-    /// column takes the new handle and keeps its history and delta base;
-    /// not found, it becomes a new column born at the coming sample — and
-    /// each grid is re-strided once for the columns it gained. A handful
-    /// of calls per run, all early.
+    /// Columns per kind, indexed as [`Metrics::instrument_counts`] is.
+    fn columns(&self) -> [usize; 3] {
+        [self.counters.len(), self.gauges.len(), self.hists.len()]
+    }
+
+    /// Appends a column, born at the coming sample, for each instrument
+    /// of `metrics` past the store's columns of its kind, and re-strides
+    /// each grid once for the columns it gained. A handful of calls per
+    /// run, all early.
     #[cold]
-    fn adopt(&mut self, metrics: &Metrics, known: bool) {
-        let from = if known { self.seen } else { [0; 3] };
+    fn adopt(&mut self, metrics: &Metrics) {
         let rows = self.times.len();
         let born = self.samples_taken();
+        let [c, g, h] = self.columns();
 
-        let (mut k, mut extra) = (0, 0);
-        metrics.for_each_counter(|name, handle| {
+        let mut k = 0;
+        metrics.for_each_counter(|_, handle| {
+            if k >= c {
+                let (handle, last) = (handle.clone(), 0);
+                self.counters.push(CounterCol { handle, last, born });
+            }
             k += 1;
-            if k <= from[0] {
-                return;
-            }
-            let handle = handle.clone();
-            match self.counters.iter_mut().find(|c| c.name == name) {
-                Some(c) => c.handle = handle,
-                None => {
-                    self.counters.push(CounterCol {
-                        name: name.to_string(),
-                        handle,
-                        last: 0,
-                        born,
-                    });
-                    extra += 1;
-                }
-            }
         });
-        self.counter_grid.widen(rows, extra);
+        self.counter_grid.widen(rows, self.counters.len() - c);
 
-        let (mut k, mut extra) = (0, 0);
-        metrics.for_each_gauge(|name, handle| {
+        let mut k = 0;
+        metrics.for_each_gauge(|_, handle| {
+            if k >= g {
+                let handle = handle.clone();
+                self.gauges.push(GaugeCol { handle, born });
+            }
             k += 1;
-            if k <= from[1] {
-                return;
-            }
-            let handle = handle.clone();
-            match self.gauges.iter_mut().find(|g| g.name == name) {
-                Some(g) => g.handle = handle,
-                None => {
-                    self.gauges.push(GaugeCol {
-                        name: name.to_string(),
-                        handle,
-                        born,
-                    });
-                    extra += 1;
-                }
-            }
         });
-        self.gauge_grid.widen(rows, extra);
+        self.gauge_grid.widen(rows, self.gauges.len() - g);
 
         let (mut k, mut extra) = (0, 0);
-        metrics.for_each_histogram(|name, handle| {
+        metrics.for_each_histogram(|_, handle| {
+            if k >= h {
+                let bounds: Vec<u64> = handle.bounds().iter().copied().chain([u64::MAX]).collect();
+                let cells = 2 + bounds.len();
+                self.hists.push(HistCol {
+                    handle: handle.clone(),
+                    bounds,
+                    at: self.hist_grid.width + extra,
+                    last: vec![0; cells],
+                    born,
+                });
+                extra += cells;
+            }
             k += 1;
-            if k <= from[2] {
-                return;
-            }
-            let handle = handle.clone();
-            match self.hists.iter_mut().find(|h| h.name == name) {
-                Some(h) => h.handle = handle,
-                None => {
-                    let bounds: Vec<u64> =
-                        handle.bounds().iter().copied().chain([u64::MAX]).collect();
-                    let cells = 2 + bounds.len();
-                    self.hists.push(HistCol {
-                        name: name.to_string(),
-                        handle,
-                        bounds,
-                        at: self.hist_grid.width + extra,
-                        last: vec![0; cells],
-                        born,
-                    });
-                    extra += cells;
-                }
-            }
         });
         self.hist_grid.widen(rows, extra);
+    }
 
-        self.seen = metrics.instrument_counts();
-        if !known {
-            self.bound = Some(metrics.clone());
+    /// The column of the `kind` series named `metric`: its position in
+    /// the registry, if the store has sampled that far.
+    fn column(&self, kind: usize, metric: &str) -> Option<usize> {
+        let col = self.bound.as_ref()?.position(kind, metric)?;
+        (col < self.columns()[kind]).then_some(col)
+    }
+
+    /// Calls `f(kind, column, name)` for every series: counters first,
+    /// then gauges, then histograms, each in column order.
+    fn for_each_series(&self, mut f: impl FnMut(usize, usize, &str)) {
+        let Some(metrics) = &self.bound else {
+            return;
+        };
+        let columns = self.columns();
+        let mut next = [0; 3];
+        let mut visit = |kind: usize, name: &str| {
+            if next[kind] < columns[kind] {
+                f(kind, next[kind], name);
+            }
+            next[kind] += 1;
+        };
+        metrics.for_each_counter(|name, _| visit(COUNTER, name));
+        metrics.for_each_gauge(|name, _| visit(GAUGE, name));
+        metrics.for_each_histogram(|name, _| visit(HISTOGRAM, name));
+    }
+
+    /// The sample column `col` of `kind` was born at.
+    fn born(&self, kind: usize, col: usize) -> u64 {
+        match kind {
+            COUNTER => self.counters[col].born,
+            GAUGE => self.gauges[col].born,
+            _ => self.hists[col].born,
         }
     }
 
@@ -430,73 +435,61 @@ impl SeriesStore {
     /// rather than erroring, so REPL typos stay cheap.
     pub fn render(&self, metric: &str, window: usize) -> String {
         let mut out = String::new();
-        if let Some(col) = self.counters.iter().position(|s| s.name == metric) {
-            self.render_counter(&mut out, col, window);
-        } else if let Some(col) = self.gauges.iter().position(|s| s.name == metric) {
-            self.render_gauge(&mut out, col, window);
-        } else if let Some(i) = self.hists.iter().position(|s| s.name == metric) {
-            self.render_hist(&mut out, i, window);
-        } else {
-            let _ = writeln!(out, "tsdb: no series named {metric}");
+        match (0..3).find_map(|kind| Some((kind, self.column(kind, metric)?))) {
+            Some((kind, col)) => self.render_series(&mut out, kind, col, metric, window),
+            None => {
+                let _ = writeln!(out, "tsdb: no series named {metric}");
+            }
         }
         out
     }
 
-    /// The first line of a rendered series.
-    fn header(&self, out: &mut String, kind: &str, name: &str, len: usize) {
+    /// Renders column `col` of `kind`, the series named `name`.
+    fn render_series(&self, out: &mut String, kind: usize, col: usize, name: &str, window: usize) {
+        let len = self.len_of(self.born(kind, col));
         let _ = writeln!(
             out,
-            "tsdb {kind} {name}: {len} samples (interval {} sync points)",
-            self.interval
+            "tsdb {} {name}: {len} samples (interval {} sync points)",
+            KINDS[kind], self.interval
         );
-    }
-
-    fn render_counter(&self, out: &mut String, col: usize, window: usize) {
-        let s = &self.counters[col];
-        self.header(out, "counter", &s.name, self.len_of(s.born));
-        for (start, end, delta) in self.counter_rows(col, window) {
-            let dur = end.saturating_sub(start);
-            let rate = delta
-                .saturating_mul(1_000_000)
-                .checked_div(dur)
-                .unwrap_or(0);
-            let _ = writeln!(out, "[{start}..{end}us] delta {delta} rate {rate}/s");
-        }
-    }
-
-    fn render_gauge(&self, out: &mut String, col: usize, window: usize) {
-        let s = &self.gauges[col];
-        let len = self.len_of(s.born);
-        self.header(out, "gauge", &s.name, len);
-        for (start, end, span) in self.windows(len, window) {
-            let mut min = i64::MAX;
-            let mut max = i64::MIN;
-            let mut sum = 0i128;
-            let n = span.len() as i128;
-            for v in self.cells(&self.gauge_grid, col, span) {
-                let v = v as i64;
-                min = min.min(v);
-                max = max.max(v);
-                sum += v as i128;
+        match kind {
+            COUNTER => {
+                for (start, end, delta) in self.counter_rows(col, window) {
+                    let dur = end.saturating_sub(start);
+                    let rate = delta
+                        .saturating_mul(1_000_000)
+                        .checked_div(dur)
+                        .unwrap_or(0);
+                    let _ = writeln!(out, "[{start}..{end}us] delta {delta} rate {rate}/s");
+                }
             }
-            let mean = (sum / n) as i64;
-            let _ = writeln!(out, "[{start}..{end}us] min {min} mean {mean} max {max}");
+            GAUGE => {
+                for (start, end, span) in self.windows(len, window) {
+                    let mut min = i64::MAX;
+                    let mut max = i64::MIN;
+                    let mut sum = 0i128;
+                    let n = span.len() as i128;
+                    for v in self.cells(&self.gauge_grid, col, span) {
+                        let v = v as i64;
+                        min = min.min(v);
+                        max = max.max(v);
+                        sum += v as i128;
+                    }
+                    let mean = (sum / n) as i64;
+                    let _ = writeln!(out, "[{start}..{end}us] min {min} mean {mean} max {max}");
+                }
+            }
+            _ => self.hist_rows(col, window, |start, end, count, sum, buckets| {
+                let mean = sum.checked_div(count).unwrap_or(0);
+                let p50 = render_bucket_bound(bucket_quantile(buckets, 0.5));
+                let p90 = render_bucket_bound(bucket_quantile(buckets, 0.9));
+                let p99 = render_bucket_bound(bucket_quantile(buckets, 0.99));
+                let _ = writeln!(
+                    out,
+                    "[{start}..{end}us] count {count} mean {mean} p50 {p50} p90 {p90} p99 {p99}"
+                );
+            }),
         }
-    }
-
-    fn render_hist(&self, out: &mut String, i: usize, window: usize) {
-        let s = &self.hists[i];
-        self.header(out, "histogram", &s.name, self.len_of(s.born));
-        self.hist_rows(i, window, |start, end, count, sum, buckets| {
-            let mean = sum.checked_div(count).unwrap_or(0);
-            let p50 = render_bucket_bound(bucket_quantile(buckets, 0.5));
-            let p90 = render_bucket_bound(bucket_quantile(buckets, 0.9));
-            let p99 = render_bucket_bound(bucket_quantile(buckets, 0.99));
-            let _ = writeln!(
-                out,
-                "[{start}..{end}us] count {count} mean {mean} p50 {p50} p90 {p90} p99 {p99}"
-            );
-        });
     }
 
     /// One line per series: totals over the retained window. The world's
@@ -510,34 +503,25 @@ impl SeriesStore {
             self.interval,
             self.budget()
         );
-        for (col, s) in self.counters.iter().enumerate() {
-            let len = self.len_of(s.born);
-            let total: u64 = self.cells(&self.counter_grid, col, rows - len..rows).sum();
-            let _ = writeln!(
-                out,
-                "tsdb counter {}: {len} samples, windowed total {total}",
-                s.name
-            );
-        }
-        for (col, s) in self.gauges.iter().enumerate() {
-            let len = self.len_of(s.born);
-            let first = self.gauge_grid.row(self.times.slot(rows - len))[col] as i64;
-            let last = self.gauge_grid.row(self.times.slot(rows - 1))[col] as i64;
-            let _ = writeln!(
-                out,
-                "tsdb gauge {}: {len} samples, first {first} last {last}",
-                s.name
-            );
-        }
-        for s in &self.hists {
-            let len = self.len_of(s.born);
-            let total: u64 = self.cells(&self.hist_grid, s.at, rows - len..rows).sum();
-            let _ = writeln!(
-                out,
-                "tsdb histogram {}: {len} samples, windowed count {total}",
-                s.name
-            );
-        }
+        self.for_each_series(|kind, col, name| {
+            let len = self.len_of(self.born(kind, col));
+            let kept = rows - len..rows;
+            let totals = match kind {
+                COUNTER => {
+                    let total: u64 = self.cells(&self.counter_grid, col, kept).sum();
+                    format!("windowed total {total}")
+                }
+                GAUGE => {
+                    let at = |g: usize| self.gauge_grid.row(self.times.slot(g))[col] as i64;
+                    format!("first {} last {}", at(rows - len), at(rows - 1))
+                }
+                _ => {
+                    let total: u64 = self.cells(&self.hist_grid, self.hists[col].at, kept).sum();
+                    format!("windowed count {total}")
+                }
+            };
+            let _ = writeln!(out, "tsdb {} {name}: {len} samples, {totals}", KINDS[kind]);
+        });
         out
     }
 
@@ -548,15 +532,9 @@ impl SeriesStore {
     /// [`series_names`]: SeriesStore::series_names
     pub fn render_all(&self, window: usize) -> String {
         let mut out = String::new();
-        for col in 0..self.counters.len() {
-            self.render_counter(&mut out, col, window);
-        }
-        for col in 0..self.gauges.len() {
-            self.render_gauge(&mut out, col, window);
-        }
-        for i in 0..self.hists.len() {
-            self.render_hist(&mut out, i, window);
-        }
+        self.for_each_series(|kind, col, name| {
+            self.render_series(&mut out, kind, col, name, window);
+        });
         out
     }
 
@@ -565,7 +543,7 @@ impl SeriesStore {
     /// exactly as [`render`](SeriesStore::render) does. Empty when the
     /// metric is unknown or not a counter.
     pub fn counter_windows(&self, metric: &str, window: usize) -> Vec<(u64, u64, u64)> {
-        match self.counters.iter().position(|s| s.name == metric) {
+        match self.column(COUNTER, metric) {
             Some(col) => self.counter_rows(col, window).collect(),
             None => Vec::new(),
         }
@@ -578,7 +556,7 @@ impl SeriesStore {
     /// not a histogram.
     pub fn hist_windows(&self, metric: &str, window: usize) -> Vec<(u64, u64, u64, Option<u64>)> {
         let mut rows = Vec::new();
-        if let Some(i) = self.hists.iter().position(|s| s.name == metric) {
+        if let Some(i) = self.column(HISTOGRAM, metric) {
             self.hist_rows(i, window, |start, end, count, _, buckets| {
                 rows.push((start, end, count, bucket_quantile(buckets, 0.99)));
             });
@@ -589,12 +567,9 @@ impl SeriesStore {
     /// Names of every series currently tracked, counters first, then
     /// gauges, then histograms, each group in registration order.
     pub fn series_names(&self) -> Vec<String> {
-        self.counters
-            .iter()
-            .map(|s| s.name.clone())
-            .chain(self.gauges.iter().map(|s| s.name.clone()))
-            .chain(self.hists.iter().map(|s| s.name.clone()))
-            .collect()
+        let mut names = Vec::new();
+        self.for_each_series(|_, _, name| names.push(name.to_string()));
+        names
     }
 }
 
@@ -862,8 +837,6 @@ mod tests {
                     h.count().wrapping_sub(s.last[0]),
                     h.sum().wrapping_sub(s.last[1]),
                 ];
-                // A series that met a histogram with fewer buckets than
-                // its own has no reading for the rest: no delta.
                 sample.extend(
                     buckets
                         .iter()
@@ -1073,67 +1046,47 @@ mod tests {
             let ((interval, budget), ops) = case;
             let (interval, budget) = (*interval as u64, *budget as usize);
             let live = Metrics::new();
-            // A second registry holding the same names in the opposite
-            // order (and histograms with fewer buckets): a store that
-            // moves over to it must notice and re-bind by name. Its
-            // values never trail the live ones, so the deltas across the
-            // move stay positive.
-            let other = Metrics::new();
-            for i in (0..POOL).rev() {
-                other.histogram(&format!("h{i}"), &[10]);
-                other.gauge(&format!("g{i}"));
-                other.counter(&format!("c{i}"));
-            }
-            // Two stores of different shape over the live registry, one
-            // that changes registry half way through.
+            // Two stores of different shape over the one registry.
             let mut first = Pair::new(interval, budget);
             let mut second = Pair::new(interval % 4 + 1, budget + 3);
-            let mut mixed = Pair::new(1, budget);
-            let half = ops.iter().filter(|(kind, _)| *kind > 2).count() / 2;
             let mut now = 0;
-            let mut syncs = 0;
             for &(kind, (i, v)) in ops {
                 match kind {
-                    0 => {
-                        live.counter(&format!("c{i}")).add(v as u64);
-                        other.counter(&format!("c{i}")).add(3 * v as u64 + 1);
-                    }
-                    1 => {
-                        live.gauge(&format!("g{i}")).set(v - 20);
-                        other.gauge(&format!("g{i}")).set(20 - v);
-                    }
-                    2 => {
-                        live.histogram(&format!("h{i}"), &[10, 100])
-                            .observe(7 * v as u64);
-                        other
-                            .histogram(&format!("h{i}"), &[10])
-                            .observe(7 * v as u64);
-                    }
+                    0 => live.counter(&format!("c{i}")).add(v as u64),
+                    1 => live.gauge(&format!("g{i}")).set(v - 20),
+                    2 => live
+                        .histogram(&format!("h{i}"), &[10, 100])
+                        .observe(7 * v as u64),
                     _ => {
                         now += 100 + v as u64;
-                        syncs += 1;
                         let at = SimTime::from_micros(now);
                         first.on_sync(at, &live);
                         second.on_sync(at, &live);
-                        mixed.on_sync(at, if syncs > half { &other } else { &live });
                     }
                 }
             }
             first.agree(&names)?;
-            second.agree(&names)?;
-            mixed.agree(&names)
+            second.agree(&names)
         });
     }
 
     /// The cases the row layout can get wrong, pinned rather than left to
     /// the generator: instruments of every kind registered while the ring
     /// is wrapped (`head != 0`) and so re-strided mid-history, a
-    /// histogram born after eviction began, and a ring one row long —
-    /// checked against the model after every sample.
+    /// histogram born after eviction began, a ring one row long, and a
+    /// registry as wide as a bridged world's (2 000 instruments of each
+    /// kind, registered in batches between samples) — checked against the
+    /// model after every sample.
     #[test]
     fn registrations_into_a_wrapped_ring_match_the_model() {
-        let names: Vec<String> = ["c0", "c1", "g0", "h0", "h1"].map(String::from).to_vec();
-        for budget in [1, 2, 3, 5] {
+        for (budget, wide) in [(1, 0), (2, 0), (3, 0), (5, 0), (3, 2_000usize)] {
+            let batch = wide / (budget + 2);
+            // Every fixed series, and a spread of the wide ones for the
+            // by-name queries (the summary and render_all cover them all).
+            let mut names: Vec<String> = ["c0", "c1", "g0", "h0", "h1"].map(String::from).to_vec();
+            for j in (0..wide).step_by(97).chain(wide.checked_sub(1)) {
+                names.extend(["wc", "wg", "wh"].map(|kind| format!("{kind}{j}")));
+            }
             let m = Metrics::new();
             let mut pair = Pair::new(1, budget);
             let c0 = m.counter("c0");
@@ -1142,7 +1095,7 @@ mod tests {
                 now += 150;
                 pair.on_sync(at(now), m);
                 pair.agree(&names)
-                    .unwrap_or_else(|e| panic!("budget {budget}, t={now}: {e}"));
+                    .unwrap_or_else(|e| panic!("budget {budget}, wide {wide}, t={now}: {e}"));
             };
             for i in 0..budget as u64 + 2 {
                 c0.add(i + 1);
@@ -1155,11 +1108,21 @@ mod tests {
             );
             let (c1, g0) = (m.counter("c1"), m.gauge("g0"));
             let h0 = m.histogram("h0", &[10, 100]);
-            for i in 0..budget as u64 + 2 {
+            for i in 0..budget + 2 {
+                let n = i as u64;
                 c0.inc();
-                c1.add(3 * i);
-                g0.set(4 - i as i64);
-                h0.observe(9 * i);
+                c1.add(3 * n);
+                g0.set(4 - n as i64);
+                h0.observe(9 * n);
+                // The wide registry's next batch, registered on first
+                // touch; the batches before it move too.
+                for j in 0..(i + 1) * batch {
+                    let j64 = j as u64;
+                    m.counter(&format!("wc{j}")).add(j64 % 5 + n);
+                    m.gauge(&format!("wg{j}")).set(n as i64 - j as i64);
+                    m.histogram(&format!("wh{j}"), &[j64 % 7 + 1, 64])
+                        .observe(j64 + 3 * n);
+                }
                 sync(&mut pair, &m);
                 if i == 1 {
                     // A second re-stride of the histogram ring, again
@@ -1168,7 +1131,18 @@ mod tests {
                 }
             }
             assert_eq!(pair.0.samples(), budget);
+            assert_eq!(pair.0.columns(), [2 + wide, 1 + wide, 2 + wide]);
         }
+    }
+
+    /// A store is fed one registry; a second is a caller error.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "samples one registry")]
+    fn a_second_registry_is_a_caller_error() {
+        let mut s = SeriesStore::new(1, 4);
+        s.on_sync(at(100), &Metrics::new());
+        s.on_sync(at(200), &Metrics::new());
     }
 
     /// `budget` bounds the ring; it is not its size. A store told to keep
