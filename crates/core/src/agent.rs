@@ -88,9 +88,11 @@ impl AgentConfig {
     /// Missing or mistyped fields.
     pub fn from_json(v: &Json) -> Result<AgentConfig, String> {
         let f = Fields::new(v, &"agent config");
-        Ok(AgentConfig {
+        let config = AgentConfig {
             broadcast_halt: f.bool("broadcast_halt")?,
-        })
+        };
+        f.finish()?;
+        Ok(config)
     }
 }
 

@@ -87,7 +87,7 @@ impl BlackboxSnapshot {
     /// [`Saved::parse`] has already checked.
     pub(crate) fn from_doc(doc: &Json) -> Result<BlackboxSnapshot, String> {
         let f = Fields::new(doc, &"blackbox");
-        Ok(BlackboxSnapshot {
+        let snapshot = BlackboxSnapshot {
             reason: f.str("reason")?.to_string(),
             at: SimTime::from_micros(f.uint("at_us")?),
             sync_index: f.uint("sync_index")?,
@@ -95,7 +95,12 @@ impl BlackboxSnapshot {
             windows: f.str("windows")?.to_string(),
             series: f.str("series")?.to_string(),
             events: f.str("events")?.to_string(),
-        })
+        };
+        // `format` and `version` were checked before any section was read.
+        f.get("format")?;
+        f.get("version")?;
+        f.finish()?;
+        Ok(snapshot)
     }
 
     /// Decodes the event ring back into typed trace events.

@@ -423,7 +423,9 @@ impl AgentRequest {
         let ty = Fields::new(v, &"request").str("type")?;
         let what = format_args!("request {ty}");
         let f = Fields::new(v, &what);
-        Ok(match ty {
+        // Read above under the name it gives `what`; noted here for `finish`.
+        f.get("type")?;
+        let request = match ty {
             "Ping" => AgentRequest::Ping,
             "SetBreakpoint" => AgentRequest::SetBreakpoint {
                 proc_id: f.uint("proc_id")?,
@@ -497,7 +499,9 @@ impl AgentRequest {
                 from: f.uint("from")?,
             },
             other => return Err(format!("request: unknown type `{other}`")),
-        })
+        };
+        f.finish()?;
+        Ok(request)
     }
 }
 

@@ -108,6 +108,10 @@ impl Artifact {
         if f.get("profile")? != &Json::Null {
             f.str("profile")?;
         }
+        // `format` and `version` were checked before any section was read.
+        f.get("format")?;
+        f.get("version")?;
+        f.finish()?;
         // Last, because it guts the document: the profile is moved out
         // rather than copied.
         let profile = match doc.get_mut("profile") {
@@ -274,11 +278,11 @@ mod tests {
         }
     }
 
-    /// A header's trace is its body: a `trace` key in it is not read,
-    /// and the first `trace_bytes` wins. An absent or misdeclared
-    /// `trace_bytes` is refused by name.
+    /// A header's trace is its body: a `trace` key in it is refused as a
+    /// key no decoder reads, and a second `trace_bytes` as a duplicate.
+    /// An absent or misdeclared `trace_bytes` is refused by name.
     #[test]
-    fn trace_key_handling_is_unchanged_by_moving_it_out() {
+    fn a_trace_key_or_a_second_trace_bytes_is_refused() {
         let a = hostile_artifact(false);
         let refused_with = |pairs: Vec<(String, Json)>, body: &str, want: &str| {
             refused(&(render_document(pairs) + body), want)
@@ -288,11 +292,11 @@ mod tests {
 
         let mut pairs = header(&a);
         pairs.insert(2, ("trace".to_string(), Json::Str("ignored".into())));
+        refused_with(pairs, &a.trace, "recording: unknown key `trace`");
+        let mut pairs = header(&a);
         let len = a.trace.len() as i128;
         pairs.push(("trace_bytes".to_string(), Json::Int(len + 1)));
-        let body_wins = Artifact::parse(&(render_document(pairs) + &a.trace)).expect("parses");
-        assert_eq!(body_wins.trace, a.trace);
-        assert_eq!(body_wins.render(), a.render());
+        refused_with(pairs, &a.trace, "recording: duplicate key `trace_bytes`");
 
         let mut pairs = header(&a);
         pairs.remove(at(&pairs, "trace_bytes"));

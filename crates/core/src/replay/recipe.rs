@@ -203,13 +203,18 @@ impl Recipe {
             coarse_budget: f.uint("coarse_budget")?,
             setup: f.list("setup", |e| {
                 let entry = Fields::new(e, &"recipe: setup entry");
-                Ok((entry.str("kind")?.to_string(), entry.get("params")?.clone()))
+                let setup = (entry.str("kind")?.to_string(), entry.get("params")?.clone());
+                entry.finish()?;
+                Ok(setup)
             })?,
         };
         let programs: Vec<(u32, &str)> = f.list("programs", |p| {
             let entry = Fields::new(p, &"recipe: program entry");
-            Ok((entry.uint("node")?, entry.str("source")?))
+            let program = (entry.uint("node")?, entry.str("source")?);
+            entry.finish()?;
+            Ok(program)
         })?;
+        f.finish()?;
         for (node, source) in programs {
             if node >= nodes {
                 return Err(format!(

@@ -294,7 +294,9 @@ impl Stimulus {
         let op = Fields::new(v, &"stimulus").str("op")?;
         let what = format_args!("stimulus {op}");
         let f = Fields::new(v, &what);
-        Ok(match op {
+        // Read above under the name it gives `what`; noted here for `finish`.
+        f.get("op")?;
+        let stimulus = match op {
             "spawn" => Stimulus::Spawn {
                 node: f.uint("node")?,
                 entry: f.str("entry")?.into(),
@@ -366,7 +368,9 @@ impl Stimulus {
             },
             "clear_watch" => Stimulus::ClearWatch { id: f.uint("id")? },
             other => return Err(format!("stimulus: unknown op `{other}`")),
-        })
+        };
+        f.finish()?;
+        Ok(stimulus)
     }
 }
 

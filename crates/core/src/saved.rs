@@ -421,7 +421,7 @@ mod tests {
         let mut paths = Vec::new();
         collect_paths(&doc, &mut Vec::new(), &mut paths);
         let mut checked = 0;
-        for path in paths {
+        for path in paths.clone() {
             let Some((&last, parent)) = path.split_last() else {
                 continue;
             };
@@ -459,6 +459,31 @@ mod tests {
             checked += 1;
         }
         assert!(checked > 40, "only {checked} keys checked");
+
+        // And only those keys: every object in the header but the setup
+        // params, stimuli and their values included, refuses one more
+        // member by its name.
+        let mut objects = 0;
+        for path in paths {
+            let mut probe = doc.clone();
+            if let Some((&last, parent)) = path.split_last() {
+                if let Json::Object(pairs) = at_path(&mut probe, parent) {
+                    if pairs[last].0 == "params" {
+                        continue;
+                    }
+                }
+            }
+            let Json::Object(pairs) = at_path(&mut probe, &path) else {
+                continue;
+            };
+            pairs.push(("retry_interval_us".into(), Json::Int(5)));
+            match Saved::parse(&rejoin(&probe, body)) {
+                Err(e) => assert!(e.ends_with("unknown key `retry_interval_us`"), "{e}"),
+                Ok(_) => panic!("loads with an unknown key at {path:?}"),
+            }
+            objects += 1;
+        }
+        assert!(objects > 12, "only {objects} objects checked");
     }
 
     /// A small dump whose event ring holds RPC, debug and service events
@@ -511,10 +536,17 @@ mod tests {
         let Ok(Json::Object(mut pairs)) = Json::parse(head) else {
             panic!("the dump is an object")
         };
+        let mut extra = pairs.clone();
         pairs.retain(|(k, _)| k != "series");
         assert_eq!(
             Saved::parse(&rejoin(&Json::Object(pairs), "")).unwrap_err(),
             "blackbox: missing `series`"
+        );
+        // Nor does it hold a key the reader does not know.
+        extra.push(("series_v2".into(), Json::Str(String::new())));
+        assert_eq!(
+            Saved::parse(&rejoin(&Json::Object(extra), "")).unwrap_err(),
+            "blackbox: unknown key `series_v2`"
         );
     }
 

@@ -101,12 +101,14 @@ impl NodeConfig {
     /// Missing or mistyped fields.
     pub fn from_json(v: &Json) -> Result<NodeConfig, String> {
         let f = Fields::new(v, &"node config");
-        Ok(NodeConfig {
+        let config = NodeConfig {
             time_slice: SimDuration::from_micros(f.uint("time_slice_us")?),
             seed: f.uint("seed")?,
             freeze_timeouts_on_halt: f.bool("freeze_timeouts_on_halt")?,
             profile_vm: f.bool("profile_vm")?,
-        })
+        };
+        f.finish()?;
+        Ok(config)
     }
 }
 

@@ -174,7 +174,7 @@ impl NetworkConfig {
     /// Missing or mistyped fields.
     pub fn from_json(v: &Json) -> Result<NetworkConfig, String> {
         let f = Fields::new(v, &"network config");
-        Ok(NetworkConfig {
+        let config = NetworkConfig {
             base_latency: SimDuration::from_micros(f.uint("base_latency_us")?),
             per_byte: SimDuration::from_micros(f.uint("per_byte_us")?),
             p_interface_loss: f.float("p_interface_loss")?,
@@ -184,7 +184,9 @@ impl NetworkConfig {
             topology: Topology::from_json(f.object("topology")?)?,
             link: LinkModel::from_json(f.object("link")?)?,
             partitions: f.list("partitions", PartitionWindow::from_json)?,
-        })
+        };
+        f.finish()?;
+        Ok(config)
     }
 }
 

@@ -172,7 +172,7 @@ impl Topology {
     /// Unknown kinds and missing fields.
     pub fn from_json(v: &Json) -> Result<Topology, String> {
         let f = Fields::new(v, &"topology");
-        Ok(match f.str("kind")? {
+        let topology = match f.str("kind")? {
             "flat" => Topology::Flat,
             "ring-of-rings" => Topology::RingOfRings {
                 segments: f.uint("segments")?,
@@ -181,7 +181,9 @@ impl Topology {
                 arms: f.uint("arms")?,
             },
             other => return Err(format!("topology: unknown kind `{other}`")),
-        })
+        };
+        f.finish()?;
+        Ok(topology)
     }
 }
 
@@ -237,12 +239,14 @@ impl LinkModel {
     /// Missing or mistyped fields.
     pub fn from_json(v: &Json) -> Result<LinkModel, String> {
         let f = Fields::new(v, &"link model");
-        Ok(LinkModel {
+        let link = LinkModel {
             latency: SimDuration::from_micros(f.uint("latency_us")?),
             jitter: SimDuration::from_micros(f.uint("jitter_us")?),
             per_byte: SimDuration::from_micros(f.uint("per_byte_us")?),
             p_loss: f.float("p_loss")?,
-        })
+        };
+        f.finish()?;
+        Ok(link)
     }
 }
 
@@ -285,12 +289,14 @@ impl PartitionWindow {
     /// Missing or mistyped fields.
     pub fn from_json(v: &Json) -> Result<PartitionWindow, String> {
         let f = Fields::new(v, &"partition window");
-        Ok(PartitionWindow {
+        let window = PartitionWindow {
             from: SimTime::from_micros(f.uint("from_us")?),
             to: SimTime::from_micros(f.uint("to_us")?),
             a: f.uint("a")?,
             b: f.uint("b")?,
-        })
+        };
+        f.finish()?;
+        Ok(window)
     }
 }
 

@@ -196,7 +196,7 @@ impl WireValue {
     /// Unknown kinds and missing or mistyped fields.
     pub fn from_json(v: &Json) -> Result<WireValue, String> {
         let f = Fields::new(v, &"wire value");
-        Ok(match f.str("kind")? {
+        let value = match f.str("kind")? {
             "null" => WireValue::Null,
             "int" => WireValue::Int(f.int("value")?),
             "bool" => WireValue::Bool(f.bool("value")?),
@@ -207,7 +207,9 @@ impl WireValue {
             },
             "array" => WireValue::Array(f.list("items", WireValue::from_json)?),
             other => return Err(format!("wire value: unknown kind `{other}`")),
-        })
+        };
+        f.finish()?;
+        Ok(value)
     }
 }
 

@@ -150,11 +150,13 @@ impl RpcConfig {
     /// Missing or mistyped fields.
     pub fn from_json(v: &Json) -> Result<RpcConfig, String> {
         let f = Fields::new(v, &"rpc config");
-        Ok(RpcConfig {
+        let config = RpcConfig {
             debug_support: f.bool("debug_support")?,
             monitor: f.bool("monitor")?,
             max_attempts: f.uint("max_attempts")?,
-        })
+        };
+        f.finish()?;
+        Ok(config)
     }
 }
 

@@ -405,6 +405,19 @@ fn render_report(
     (out, gate_failures)
 }
 
+/// One bridge link's counters at the end of a run, as the run report
+/// prints them.
+struct LinkTotals {
+    /// `a-b`, the name its meters carry.
+    name: String,
+    bytes: u64,
+    busy_us: u64,
+    queue_us: u64,
+    lost: u64,
+    /// `busy_us` as a share of the run.
+    util_pct: u64,
+}
+
 /// One `| window | <what> | util% |` table over a busy-time counter's
 /// retained windows; `sharers` is how many transmitters the busy time is
 /// spread over (the stations of a segment, 1 for a bridge link).
@@ -445,22 +458,34 @@ pub fn render_run_report(sc: &Scenario, out: &LoadOutcome, top_k: usize) -> Stri
     // gate on them without re-parsing the flat text.
     let (completed, throughput_mrps, [p50, p90, p99]) = headline(world, out.offered_window_us);
     let run_us = world.now().as_micros().max(1);
-    let links = world.bridge_links();
+    // Each bridge link's counters, read once for the JSON summary and the
+    // link table both.
+    let links: Vec<LinkTotals> = world
+        .bridge_links()
+        .into_iter()
+        .map(|(a, b)| {
+            let c = |f: &str| counter(world, &format!("net.link{a}-{b}.{f}"));
+            let busy_us = c("busy_us");
+            LinkTotals {
+                name: format!("{a}-{b}"),
+                bytes: c("bytes"),
+                busy_us,
+                queue_us: c("queue_us"),
+                lost: c("lost"),
+                util_pct: busy_us.saturating_mul(100) / run_us,
+            }
+        })
+        .collect();
     let link_summaries: Vec<Json> = links
         .iter()
-        .map(|&(a, b)| {
-            let c = |f: &str| counter(world, &format!("net.link{a}-{b}.{f}"));
-            let busy = c("busy_us");
+        .map(|l| {
             Json::obj(vec![
-                ("link", Json::Str(format!("{a}-{b}"))),
-                ("bytes", Json::Int(c("bytes") as i128)),
-                ("busy_us", Json::Int(busy as i128)),
-                ("queue_us", Json::Int(c("queue_us") as i128)),
-                ("lost", Json::Int(c("lost") as i128)),
-                (
-                    "util_pct",
-                    Json::Int((busy.saturating_mul(100) / run_us) as i128),
-                ),
+                ("link", Json::Str(l.name.clone())),
+                ("bytes", Json::Int(l.bytes as i128)),
+                ("busy_us", Json::Int(l.busy_us as i128)),
+                ("queue_us", Json::Int(l.queue_us as i128)),
+                ("lost", Json::Int(l.lost as i128)),
+                ("util_pct", Json::Int(l.util_pct as i128)),
             ])
         })
         .collect();
@@ -526,18 +551,12 @@ pub fn render_run_report(sc: &Scenario, out: &LoadOutcome, top_k: usize) -> Stri
     if links.is_empty() {
         md.push_str("flat topology: no bridge links\n\n");
     } else {
-        for &(a, b) in &links {
-            let c = |f: &str| counter(world, &format!("net.link{a}-{b}.{f}"));
-            let busy = c("busy_us");
+        for l in &links {
             md.push_str(&format!(
-                "### link {a}-{b}\n\ntotals: bytes {} busy_us {busy} queue_us {} lost {} \
-                 util {}%\n\n",
-                c("bytes"),
-                c("queue_us"),
-                c("lost"),
-                busy.saturating_mul(100) / run_us,
+                "### link {}\n\ntotals: bytes {} busy_us {} queue_us {} lost {} util {}%\n\n",
+                l.name, l.bytes, l.busy_us, l.queue_us, l.lost, l.util_pct,
             ));
-            let series = world.tsdb_counter_windows(&format!("net.link{a}-{b}.busy_us"), window);
+            let series = world.tsdb_counter_windows(&format!("net.link{}.busy_us", l.name), window);
             push_busy_table(&mut md, "busy_us", series, 1);
         }
     }

@@ -11,6 +11,7 @@
 //! * the writer emits the same `{"k": v, "k2": v2}` spacing the JSONL
 //!   trace export has always used, keeping existing snapshots valid.
 
+use std::cell::Cell;
 use std::fmt;
 
 /// A parsed or to-be-rendered JSON value.
@@ -201,11 +202,23 @@ impl fmt::Display for Json {
 ///
 /// A value that is not an object has no fields, so every required key of
 /// it is missing.
-#[derive(Clone, Copy)]
+///
+/// A reader notes which members its getters found, and
+/// [`finish`](Fields::finish) refuses the first that none did: a decoder
+/// of a format this workspace writes ends with it, so that a key no
+/// writer emits is an error rather than ignored.
+#[derive(Clone)]
 pub struct Fields<'a> {
     pairs: &'a [(String, Json)],
     what: &'a dyn fmt::Display,
+    /// The members a getter has found, one bit each for the first
+    /// [`READ_BITS`].
+    read: Cell<u64>,
 }
+
+/// Members a [`Fields`] can note as read. No decoder reads as many, so
+/// [`Fields::finish`] refuses every member past them.
+const READ_BITS: usize = 64;
 
 impl<'a> Fields<'a> {
     /// Reads `v`'s members; errors begin with `what`.
@@ -213,6 +226,27 @@ impl<'a> Fields<'a> {
         Fields {
             pairs: v.as_object().unwrap_or(&[]),
             what,
+            read: Cell::new(0),
+        }
+    }
+
+    /// Refuses the first member no getter has found: a key the decoder
+    /// does not know, or the second of a duplicated one.
+    ///
+    /// # Errors
+    ///
+    /// ``"{what}: unknown key `k`"``, or ``"{what}: duplicate key `k`"``.
+    pub fn finish(&self) -> Result<(), String> {
+        let read = self.read.get();
+        let unread = (0..self.pairs.len()).find(|&i| i >= READ_BITS || read & 1 << i == 0);
+        match unread {
+            None => Ok(()),
+            Some(i) => {
+                let key = &self.pairs[i].0;
+                let seen = self.pairs[..i].iter().any(|(k, _)| k == key);
+                let which = if seen { "duplicate" } else { "unknown" };
+                Err(format!("{}: {which} key `{key}`", self.what))
+            }
         }
     }
 
@@ -228,7 +262,11 @@ impl<'a> Fields<'a> {
 
     /// `key`'s value, if present; the first of duplicate keys wins.
     pub fn opt_get(&self, key: &str) -> Option<&'a Json> {
-        self.pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        let i = self.pairs.iter().position(|(k, _)| k == key)?;
+        if i < READ_BITS {
+            self.read.set(self.read.get() | 1 << i);
+        }
+        Some(&self.pairs[i].1)
     }
 
     /// `key`'s value, of any type.
@@ -797,6 +835,36 @@ mod tests {
         let g = Fields::new(&nested, &what);
         assert_eq!(g.object("o"), Ok(&doc));
         assert_eq!(g.object("s"), Err(out("s")));
+    }
+
+    /// `finish` names the first member no getter found — asked for and
+    /// absent does not count, a failed read of a present one does — and
+    /// the second of a duplicated key; past 64 members it refuses them all.
+    #[test]
+    fn finish_names_the_first_member_nothing_read() {
+        let doc = Json::obj(vec![
+            ("a", Json::Int(1)),
+            ("b", Json::Str("x".into())),
+            ("a", Json::Int(3)),
+        ]);
+        let f = Fields::new(&doc, &"t");
+        assert_eq!(f.finish(), Err("t: unknown key `a`".into()));
+        assert_eq!(f.uint::<u32>("a"), Ok(1));
+        assert_eq!(f.opt_bool("absent"), Ok(None));
+        assert_eq!(f.finish(), Err("t: unknown key `b`".into()));
+        assert_eq!(f.bool("b"), Err("t: `b` out of range".into()));
+        assert_eq!(f.finish(), Err("t: duplicate key `a`".into()));
+        let once = Json::obj(vec![("a", Json::Int(1))]);
+        let f = Fields::new(&once, &"t");
+        assert_eq!(f.get("a"), Ok(&Json::Int(1)));
+        assert_eq!(f.finish(), Ok(()));
+        assert_eq!(Fields::new(&Json::Null, &"t").finish(), Ok(()));
+
+        let keys: Vec<String> = (0..=READ_BITS).map(|i| format!("k{i}")).collect();
+        let wide = Json::obj(keys.iter().map(|k| (k.as_str(), Json::Null)).collect());
+        let f = Fields::new(&wide, &"t");
+        keys.iter().for_each(|k| drop(f.get(k)));
+        assert_eq!(f.finish(), Err(format!("t: unknown key `k{READ_BITS}`")));
     }
 
     #[test]

@@ -11,9 +11,13 @@ use crate::time::SimDuration;
 /// *rendering* ([`EventKind::render`]), produced lazily on demand; nothing
 /// is formatted at emission time.
 ///
-/// Process ids and procedure names are carried as plain `u64`/`String` so
-/// this crate stays dependency-free; a pid `n` renders as `p{n}`, matching
-/// the scheduler's `Pid` display.
+/// Process ids are plain `u64`s, so this crate stays dependency-free; a
+/// pid `n` renders as `p{n}`, matching the scheduler's `Pid` display.
+/// Procedure names are `Arc<str>`s shared with the process record, the
+/// request and the packet, so emitting one clones a handle, not the text.
+/// The [`Tracer`](super::Tracer) does not keep the handle: it stores a
+/// name it has met before as a `u32` id into its own table of names, and
+/// hands the `Arc` back when an event is read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
     /// Free-form text — the legacy

@@ -19,11 +19,14 @@
 //! [`TraceEvent`] and the `[time category node] message` framing the
 //! semantics lock pins); `kind` owns the payload variants and their
 //! rendering, `codec` the JSONL round trip, `diff` the divergence
-//! differ, and `tracer` the recorder with its masks, sampling and rings.
+//! differ, `tracer` the recorder with its masks, sampling and rings, and
+//! `record` the fixed-size slot those rings hold, with the table of names
+//! its events refer to.
 
 mod codec;
 mod diff;
 mod kind;
+mod record;
 mod tracer;
 
 use std::fmt;

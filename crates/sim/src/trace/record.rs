@@ -1,0 +1,646 @@
+//! How the tracer stores an event: a fixed-size [`Record`] per ring slot,
+//! its repeating text held once in the tracer's [`Names`] table.
+//!
+//! A [`TraceEvent`] is 96 bytes because of its widest variant,
+//! `CallStarted`: a 16-byte `Arc<str>` procedure name and a 24-byte
+//! `Cow` protocol. Yet almost every name an event carries repeats — a
+//! procedure, a protocol, the `"ok"` outcome — so a record keeps each as
+//! a `u32` id into a table keyed by content, which grows with the
+//! distinct names that repeat and not with the events. An event that
+//! owns text (a `Message`, a `Print`, a fault, a watch expression, a
+//! failure outcome) or names something for the first time is kept whole
+//! in a box instead, evicted with its slot, so the table never grows
+//! with free text. Ids never leave the tracer: every reader gets the
+//! [`TraceEvent`] back, field for field.
+
+use std::borrow::Cow;
+use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+use std::sync::Arc;
+
+use super::{EventKind, SpanId, TraceCategory, TraceEvent};
+use crate::time::{SimDuration, SimTime};
+
+/// One ring slot: an event whose text is all interned, packed, or an
+/// event that owns text, kept whole.
+#[derive(Debug, Clone)]
+pub(super) enum Record {
+    /// Every field inline, names as table ids.
+    Packed(Packed),
+    /// The event as it was pushed; readers borrow it.
+    Owned(Box<TraceEvent>),
+}
+
+/// The envelope of a packed event, its payload in [`Body`]. The node is
+/// split into a value and a flag so that it packs beside the category.
+#[derive(Debug, Clone, Copy)]
+pub(super) struct Packed {
+    time: SimTime,
+    span: Option<SpanId>,
+    body: Body,
+    node: u32,
+    has_node: bool,
+    category: TraceCategory,
+}
+
+/// An [`EventKind`] without text: every `u32` named `proc`, `outcome` or
+/// `protocol` is an id in the tracer's [`Names`]. `CallStarted` is the
+/// widest variant; its protocol id is held in 16 bits so that the body
+/// stays 32 bytes (a protocol past the table's first 65 536 names keeps
+/// its event whole).
+#[derive(Debug, Clone, Copy)]
+enum Body {
+    PacketSent {
+        src: u32,
+        dst: u32,
+        bytes: u32,
+    },
+    PacketDelivered {
+        src: u32,
+        dst: u32,
+        bytes: u32,
+    },
+    PacketLost {
+        src: u32,
+        dst: u32,
+        bytes: u32,
+    },
+    PacketNacked {
+        src: u32,
+        dst: u32,
+        bytes: u32,
+    },
+    CallStarted {
+        call_id: u64,
+        proc: u32,
+        args: u32,
+        dst: u32,
+        protocol: u16,
+        parent_span: u64,
+    },
+    CallRetransmitted {
+        call_id: u64,
+        attempt: u32,
+    },
+    CallCompleted {
+        call_id: u64,
+        ok: bool,
+        outcome: u32,
+    },
+    CallTimedOut {
+        call_id: u64,
+    },
+    ServerDispatched {
+        call_id: u64,
+        proc: u32,
+    },
+    ReplySent {
+        call_id: u64,
+        cached: bool,
+    },
+    MaybeLostCall {
+        call_id: u64,
+    },
+    MaybeLostReply {
+        call_id: u64,
+    },
+    ProcessSpawned {
+        pid: u64,
+        proc: u32,
+    },
+    ProcessExited {
+        pid: u64,
+    },
+    ProcessesHalted {
+        count: u64,
+    },
+    ProcessesResumed {
+        count: u64,
+    },
+    ClockAdjusted {
+        delta: SimDuration,
+        now: SimDuration,
+    },
+    BreakpointHalt,
+    HaltBroadcast {
+        origin: u32,
+    },
+}
+
+impl Record {
+    /// The event's category, read without unpacking it.
+    pub(super) fn category(&self) -> TraceCategory {
+        match self {
+            Record::Packed(p) => p.category,
+            Record::Owned(ev) => ev.category,
+        }
+    }
+
+    /// The event's span, read without unpacking it.
+    pub(super) fn span(&self) -> Option<SpanId> {
+        match self {
+            Record::Packed(p) => p.span,
+            Record::Owned(ev) => ev.span,
+        }
+    }
+}
+
+/// One interned name, as the event carried it: a shared procedure name,
+/// or a static borrowed by a `Cow`. Hashed and compared by form and
+/// content, so that each comes back in the form it went in.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+enum Name {
+    Shared(Arc<str>),
+    Static(&'static str),
+}
+
+impl Name {
+    fn as_str(&self) -> &str {
+        match self {
+            Name::Shared(s) => s,
+            Name::Static(s) => s,
+        }
+    }
+}
+
+/// Names the fast path remembers before it forgets the oldest.
+const RECENT: usize = 8;
+
+/// Slots of the filter of names met once.
+const MET: usize = 32;
+
+/// One name the fast path remembers: the address and length its text was
+/// met at, and its id. The entry holds the name, so that the address
+/// cannot be reused for other text while the entry stands.
+#[derive(Debug)]
+struct Recent {
+    at: (usize, usize),
+    id: u32,
+    name: Name,
+}
+
+/// The tracer's append-only name table: id `i` is the `i`-th name
+/// interned. A name is interned the second time the tracer meets it; the
+/// first time, its event is kept whole. So a name that never repeats (a
+/// process named by a counter, say) never enters the table, and the
+/// table is bounded by the names that repeat, never by the events.
+#[derive(Debug, Default)]
+pub(super) struct Names {
+    names: Vec<Name>,
+    /// Each name's id. A fixed hasher, so that which names a run interns
+    /// does not vary from one process to the next.
+    ids: HashMap<Name, u32, BuildHasherDefault<DefaultHasher>>,
+    /// The hash of the last name met once and not interned, by slot.
+    met: [u64; MET],
+    /// The last few names interned. A name met again at the same address
+    /// costs two compares, and at another one a string compare; neither
+    /// hashes it.
+    recent: Vec<Recent>,
+    /// The entry of `recent` the next miss replaces, once it is full.
+    next: usize,
+}
+
+impl Names {
+    /// The id of `text`, interning `name()` (the same text, static or
+    /// not) if it is met for the second time; `None` the first time.
+    #[inline]
+    fn intern(&mut self, text: &str, is_static: bool, name: impl FnOnce() -> Name) -> Option<u32> {
+        let at = (text.as_ptr() as usize, text.len());
+        let known = |r: &&Recent| {
+            r.at == at
+                || r.at.1 == at.1
+                    && matches!(r.name, Name::Static(_)) == is_static
+                    && r.name.as_str() == text
+        };
+        match self.recent.iter().find(known) {
+            Some(r) => Some(r.id),
+            None => self.look_up(at, name()),
+        }
+    }
+
+    /// [`intern`](Names::intern) past the names it remembers: the table,
+    /// then the filter of names met once.
+    #[inline(never)]
+    fn look_up(&mut self, at: (usize, usize), name: Name) -> Option<u32> {
+        let id = match self.ids.get(&name) {
+            Some(&id) => id,
+            None => {
+                let hash = self.ids.hasher().hash_one(&name);
+                let slot = &mut self.met[hash as usize % MET];
+                if *slot != hash {
+                    *slot = hash;
+                    return None;
+                }
+                let id = self.names.len() as u32;
+                self.names.push(name.clone());
+                self.ids.insert(name.clone(), id);
+                id
+            }
+        };
+        let entry = Recent { at, id, name };
+        if self.recent.len() < RECENT {
+            self.recent.push(entry);
+        } else {
+            self.recent[self.next] = entry;
+            self.next = (self.next + 1) % RECENT;
+        }
+        Some(id)
+    }
+
+    /// A procedure name's id.
+    #[inline]
+    fn shared(&mut self, name: &Arc<str>) -> Option<u32> {
+        self.intern(name, false, || Name::Shared(name.clone()))
+    }
+
+    /// The id of a static a `Cow` borrows.
+    #[inline]
+    fn borrowed(&mut self, text: &'static str) -> Option<u32> {
+        self.intern(text, true, || Name::Static(text))
+    }
+
+    /// Packs `ev` into a ring slot. Always inlined, like
+    /// [`Ring::push`](crate::Ring::push), so that the record is built in
+    /// the slot it is pushed to.
+    #[inline(always)]
+    pub(super) fn pack(&mut self, ev: TraceEvent) -> Record {
+        match self.body(&ev.kind) {
+            Some(body) => Record::Packed(Packed {
+                time: ev.time,
+                span: ev.span,
+                body,
+                node: ev.node.unwrap_or(0),
+                has_node: ev.node.is_some(),
+                category: ev.category,
+            }),
+            None => Record::Owned(Box::new(ev)),
+        }
+    }
+
+    /// `kind` without its text, or `None` when it owns some or names
+    /// something the table has not interned yet.
+    #[inline(always)]
+    fn body(&mut self, kind: &EventKind) -> Option<Body> {
+        Some(match *kind {
+            EventKind::PacketSent { src, dst, bytes } => Body::PacketSent { src, dst, bytes },
+            EventKind::PacketDelivered { src, dst, bytes } => {
+                Body::PacketDelivered { src, dst, bytes }
+            }
+            EventKind::PacketLost { src, dst, bytes } => Body::PacketLost { src, dst, bytes },
+            EventKind::PacketNacked { src, dst, bytes } => Body::PacketNacked { src, dst, bytes },
+            EventKind::CallStarted {
+                call_id,
+                ref proc,
+                args,
+                dst,
+                protocol: Cow::Borrowed(protocol),
+                parent_span,
+            } => Body::CallStarted {
+                call_id,
+                proc: self.shared(proc)?,
+                args,
+                dst,
+                protocol: u16::try_from(self.borrowed(protocol)?).ok()?,
+                parent_span,
+            },
+            EventKind::CallRetransmitted { call_id, attempt } => {
+                Body::CallRetransmitted { call_id, attempt }
+            }
+            EventKind::CallCompleted {
+                call_id,
+                ok,
+                outcome: Cow::Borrowed(outcome),
+            } => Body::CallCompleted {
+                call_id,
+                ok,
+                outcome: self.borrowed(outcome)?,
+            },
+            EventKind::CallTimedOut { call_id } => Body::CallTimedOut { call_id },
+            EventKind::ServerDispatched { call_id, ref proc } => Body::ServerDispatched {
+                call_id,
+                proc: self.shared(proc)?,
+            },
+            EventKind::ReplySent { call_id, cached } => Body::ReplySent { call_id, cached },
+            EventKind::MaybeLostCall { call_id } => Body::MaybeLostCall { call_id },
+            EventKind::MaybeLostReply { call_id } => Body::MaybeLostReply { call_id },
+            EventKind::ProcessSpawned { pid, ref proc } => Body::ProcessSpawned {
+                pid,
+                proc: self.shared(proc)?,
+            },
+            EventKind::ProcessExited { pid } => Body::ProcessExited { pid },
+            EventKind::ProcessesHalted { count } => Body::ProcessesHalted { count },
+            EventKind::ProcessesResumed { count } => Body::ProcessesResumed { count },
+            EventKind::ClockAdjusted { delta, now } => Body::ClockAdjusted { delta, now },
+            EventKind::BreakpointHalt => Body::BreakpointHalt,
+            EventKind::HaltBroadcast { origin } => Body::HaltBroadcast { origin },
+            EventKind::Message(_)
+            | EventKind::Print { .. }
+            | EventKind::Faulted { .. }
+            | EventKind::WatchTripped { .. }
+            | EventKind::CallStarted { .. }
+            | EventKind::CallCompleted { .. } => return None,
+        })
+    }
+
+    /// The event `record` holds: rebuilt from a packed one, lent from a
+    /// kept one. Always inlined, with the helpers it calls, so that the
+    /// event is built where the reader uses it rather than copied out.
+    #[inline(always)]
+    pub(super) fn event<'r>(&self, record: &'r Record) -> Cow<'r, TraceEvent> {
+        match record {
+            Record::Owned(ev) => Cow::Borrowed(ev),
+            Record::Packed(p) => Cow::Owned(TraceEvent {
+                time: p.time,
+                category: p.category,
+                node: p.has_node.then_some(p.node),
+                span: p.span,
+                kind: self.kind(p.body),
+            }),
+        }
+    }
+
+    /// A procedure name as the `Arc` it was interned from.
+    #[inline(always)]
+    fn arc(&self, id: u32) -> Arc<str> {
+        match &self.names[id as usize] {
+            Name::Shared(s) => s.clone(),
+            Name::Static(s) => Arc::from(*s),
+        }
+    }
+
+    /// A `Cow` borrowed from the static it was interned from.
+    #[inline(always)]
+    fn cow(&self, id: u32) -> Cow<'static, str> {
+        match &self.names[id as usize] {
+            Name::Static(s) => Cow::Borrowed(s),
+            Name::Shared(s) => Cow::Owned(s.to_string()),
+        }
+    }
+
+    #[inline(always)]
+    fn kind(&self, body: Body) -> EventKind {
+        match body {
+            Body::PacketSent { src, dst, bytes } => EventKind::PacketSent { src, dst, bytes },
+            Body::PacketDelivered { src, dst, bytes } => {
+                EventKind::PacketDelivered { src, dst, bytes }
+            }
+            Body::PacketLost { src, dst, bytes } => EventKind::PacketLost { src, dst, bytes },
+            Body::PacketNacked { src, dst, bytes } => EventKind::PacketNacked { src, dst, bytes },
+            Body::CallStarted {
+                call_id,
+                proc,
+                args,
+                dst,
+                protocol,
+                parent_span,
+            } => EventKind::CallStarted {
+                call_id,
+                proc: self.arc(proc),
+                args,
+                dst,
+                protocol: self.cow(u32::from(protocol)),
+                parent_span,
+            },
+            Body::CallRetransmitted { call_id, attempt } => {
+                EventKind::CallRetransmitted { call_id, attempt }
+            }
+            Body::CallCompleted {
+                call_id,
+                ok,
+                outcome,
+            } => EventKind::CallCompleted {
+                call_id,
+                ok,
+                outcome: self.cow(outcome),
+            },
+            Body::CallTimedOut { call_id } => EventKind::CallTimedOut { call_id },
+            Body::ServerDispatched { call_id, proc } => EventKind::ServerDispatched {
+                call_id,
+                proc: self.arc(proc),
+            },
+            Body::ReplySent { call_id, cached } => EventKind::ReplySent { call_id, cached },
+            Body::MaybeLostCall { call_id } => EventKind::MaybeLostCall { call_id },
+            Body::MaybeLostReply { call_id } => EventKind::MaybeLostReply { call_id },
+            Body::ProcessSpawned { pid, proc } => EventKind::ProcessSpawned {
+                pid,
+                proc: self.arc(proc),
+            },
+            Body::ProcessExited { pid } => EventKind::ProcessExited { pid },
+            Body::ProcessesHalted { count } => EventKind::ProcessesHalted { count },
+            Body::ProcessesResumed { count } => EventKind::ProcessesResumed { count },
+            Body::ClockAdjusted { delta, now } => EventKind::ClockAdjusted { delta, now },
+            Body::BreakpointHalt => EventKind::BreakpointHalt,
+            Body::HaltBroadcast { origin } => EventKind::HaltBroadcast { origin },
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::kind::tests::event_kinds_with;
+    use super::*;
+    use crate::check::{check, ensure, ensure_eq, int_range, vecs, zip};
+
+    /// A 56-byte slot, where a `TraceEvent` is 96: the flag and the
+    /// category pack beside the node, the body is 32 bytes, and the box
+    /// of a kept event sits in the packed one's niche.
+    #[test]
+    fn a_record_is_56_bytes() {
+        assert_eq!(std::mem::size_of::<Body>(), 32);
+        assert_eq!(std::mem::size_of::<Packed>(), 56);
+        assert_eq!(std::mem::size_of::<Record>(), 56);
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 96);
+    }
+
+    /// Text the generated events carry, the hostile exemplar among it.
+    const TEXT: [&str; 5] = ["", "ping", "say \"hi\"\n\t\\ \u{1} λ", "exactly-once", "ok"];
+
+    /// Every integer field of `kind` at its type's maximum.
+    fn maxed(kind: EventKind) -> EventKind {
+        const M: u32 = u32::MAX;
+        const L: u64 = u64::MAX;
+        match kind {
+            EventKind::PacketSent { .. } => EventKind::PacketSent {
+                src: M,
+                dst: M,
+                bytes: M,
+            },
+            EventKind::PacketDelivered { .. } => EventKind::PacketDelivered {
+                src: M,
+                dst: M,
+                bytes: M,
+            },
+            EventKind::PacketLost { .. } => EventKind::PacketLost {
+                src: M,
+                dst: M,
+                bytes: M,
+            },
+            EventKind::PacketNacked { .. } => EventKind::PacketNacked {
+                src: M,
+                dst: M,
+                bytes: M,
+            },
+            EventKind::CallStarted { proc, protocol, .. } => EventKind::CallStarted {
+                call_id: L,
+                proc,
+                args: M,
+                dst: M,
+                protocol,
+                parent_span: L,
+            },
+            EventKind::CallRetransmitted { .. } => EventKind::CallRetransmitted {
+                call_id: L,
+                attempt: M,
+            },
+            EventKind::CallCompleted { ok, outcome, .. } => EventKind::CallCompleted {
+                call_id: L,
+                ok: !ok,
+                outcome,
+            },
+            EventKind::CallTimedOut { .. } => EventKind::CallTimedOut { call_id: L },
+            EventKind::ServerDispatched { proc, .. } => {
+                EventKind::ServerDispatched { call_id: L, proc }
+            }
+            EventKind::ReplySent { cached, .. } => EventKind::ReplySent {
+                call_id: L,
+                cached: !cached,
+            },
+            EventKind::MaybeLostCall { .. } => EventKind::MaybeLostCall { call_id: L },
+            EventKind::MaybeLostReply { .. } => EventKind::MaybeLostReply { call_id: L },
+            EventKind::ProcessSpawned { proc, .. } => EventKind::ProcessSpawned { pid: L, proc },
+            EventKind::ProcessExited { .. } => EventKind::ProcessExited { pid: L },
+            EventKind::ProcessesHalted { .. } => EventKind::ProcessesHalted { count: L },
+            EventKind::ProcessesResumed { .. } => EventKind::ProcessesResumed { count: L },
+            EventKind::ClockAdjusted { .. } => EventKind::ClockAdjusted {
+                delta: SimDuration::from_micros(L),
+                now: SimDuration::from_micros(L),
+            },
+            EventKind::HaltBroadcast { .. } => EventKind::HaltBroadcast { origin: M },
+            EventKind::Print { text, .. } => EventKind::Print { pid: L, text },
+            EventKind::Faulted { fault, .. } => EventKind::Faulted { pid: L, fault },
+            EventKind::WatchTripped { expr, .. } => EventKind::WatchTripped {
+                expr,
+                value: i64::MIN,
+            },
+            kind @ (EventKind::Message(_) | EventKind::BreakpointHalt) => kind,
+        }
+    }
+
+    /// One generated event: exemplar `variant` with its text `TEXT[text]`
+    /// (a fresh `Arc` per name, so one name meets the table under many),
+    /// its `Cow`s borrowed from a static or owned by `bits & 1`, its
+    /// integers at their maxima by `bits & 2`, and node and span absent,
+    /// small or at their maxima by `envelope`.
+    fn event((variant, text): (i64, i64), (envelope, bits): (i64, i64)) -> TraceEvent {
+        let text = TEXT[text as usize];
+        let mut kind = event_kinds_with(text).swap_remove(variant as usize);
+        if bits & 1 == 0 {
+            match &mut kind {
+                EventKind::CallStarted { protocol, .. } => *protocol = Cow::Borrowed(text),
+                EventKind::CallCompleted { outcome, .. } => *outcome = Cow::Borrowed(text),
+                _ => {}
+            }
+        }
+        if bits & 2 != 0 {
+            kind = maxed(kind);
+        }
+        let categories = [
+            TraceCategory::Sched,
+            TraceCategory::Net,
+            TraceCategory::Rpc,
+            TraceCategory::Debug,
+            TraceCategory::Clock,
+            TraceCategory::Vm,
+            TraceCategory::Service,
+        ];
+        TraceEvent {
+            time: SimTime::from_micros([0, 7, u64::MAX][envelope as usize % 3]),
+            category: categories[(variant + envelope) as usize % categories.len()],
+            node: [None, Some(3), Some(u32::MAX)][envelope as usize % 3],
+            span: [None, SpanId::from_wire(1), SpanId::from_wire(u64::MAX)][envelope as usize / 3],
+            kind,
+        }
+    }
+
+    /// `unpack(pack(e)) == e` for sequences of every variant through one
+    /// table, checked after the whole sequence is packed so that an id
+    /// resolved against the wrong entry shows; a borrowed `Cow` comes back
+    /// borrowed, so a read allocates nothing for it.
+    #[test]
+    fn a_packed_event_unpacks_to_itself() {
+        let one = zip(
+            zip(int_range(0, 23), int_range(0, 5)),
+            zip(int_range(0, 9), int_range(0, 4)),
+        );
+        check("unpack(pack(e)) == e", &vecs(one, 60), |script| {
+            let mut names = Names::default();
+            let events: Vec<TraceEvent> = script.iter().map(|&(a, b)| event(a, b)).collect();
+            let records: Vec<Record> = events.iter().map(|e| names.pack(e.clone())).collect();
+            for (ev, record) in events.iter().zip(&records) {
+                let back = names.event(record);
+                ensure_eq(&*back, ev)?;
+                let borrowed = |c: &Cow<'static, str>| matches!(c, Cow::Borrowed(_));
+                match (&back.kind, &ev.kind) {
+                    (
+                        EventKind::CallStarted { protocol: a, .. },
+                        EventKind::CallStarted { protocol: b, .. },
+                    )
+                    | (
+                        EventKind::CallCompleted { outcome: a, .. },
+                        EventKind::CallCompleted { outcome: b, .. },
+                    ) => ensure(borrowed(a) == borrowed(b), "a Cow changed hands")?,
+                    _ => {}
+                }
+                ensure_eq(record.category(), ev.category)?;
+                ensure_eq(record.span(), ev.span)?;
+            }
+            ensure(
+                names.names.len() <= 2 * TEXT.len(),
+                "the table grew past the names",
+            )
+        });
+    }
+
+    /// A name enters the table the second time it is met, under any
+    /// `Arc`; the same text as a static is a second entry; a message's
+    /// text is never one. An event whose name is not in the table is kept
+    /// whole.
+    #[test]
+    fn a_name_is_interned_when_it_repeats() {
+        let mut names = Names::default();
+        let mut pack = |kind| {
+            let packed = matches!(
+                names.pack(TraceEvent {
+                    time: SimTime::ZERO,
+                    category: TraceCategory::Rpc,
+                    node: None,
+                    span: None,
+                    kind,
+                }),
+                Record::Packed(_)
+            );
+            (packed, names.names.len())
+        };
+        let spawned = |proc: &str| EventKind::ProcessSpawned {
+            pid: 1,
+            proc: proc.into(),
+        };
+        let ok = || EventKind::CallCompleted {
+            call_id: 1,
+            ok: true,
+            outcome: Cow::Borrowed("ping"),
+        };
+        assert_eq!(pack(spawned("ping")), (false, 0));
+        assert_eq!(pack(spawned("ping")), (true, 1));
+        assert_eq!(pack(spawned("ping")), (true, 1));
+        assert_eq!(pack(ok()), (false, 1));
+        assert_eq!(pack(ok()), (true, 2));
+        for _ in 0..2 {
+            assert_eq!(pack(EventKind::Message("ping".into())), (false, 2));
+        }
+        for i in 0..100 {
+            assert_eq!(pack(spawned(&format!("watch#{i}"))), (false, 2));
+        }
+        assert_eq!(names.ids.len(), 2);
+    }
+}

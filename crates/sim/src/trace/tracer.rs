@@ -4,9 +4,11 @@
 use std::cell::{Cell, RefCell};
 use std::collections::HashSet;
 use std::fmt;
+use std::num::NonZeroU64;
 use std::rc::Rc;
 
 use super::codec::JSONL_LINE_BYTES;
+use super::record::{Names, Record};
 use super::{EventKind, SpanId, TraceCategory, TraceEvent};
 use crate::ring::Ring;
 use crate::rng::splitmix64;
@@ -16,21 +18,24 @@ use crate::time::SimTime;
 /// newline-terminated, oldest first. Written into a buffer sized for the
 /// longest lines, then returned at its exact length: a recording keeps
 /// this string for as long as it lives.
-fn jsonl(ring: &Ring<TraceEvent>) -> String {
+fn jsonl(ring: &Ring<Record>, names: &Names) -> String {
     let mut out = String::with_capacity(ring.len() * JSONL_LINE_BYTES);
-    for ev in ring.iter() {
-        ev.write_json(&mut out);
+    for record in ring.iter() {
+        names.event(record).write_json(&mut out);
         out.push('\n');
     }
     out.shrink_to_fit();
     out
 }
 
+/// Both rings hold [`Record`]s: an event packed to a fixed size, its
+/// repeating names as ids into `names`, which both rings share.
 struct TracerInner {
-    main: Ring<TraceEvent>,
+    main: Ring<Record>,
     /// The flight recorder: a small, always-on tail of recent events,
     /// retained even when the main trace is filtered off.
-    blackbox: Ring<TraceEvent>,
+    blackbox: Ring<Record>,
+    names: Names,
     /// Span ids admitted by head-based sampling. Only consulted while a
     /// sample rate is set; holds kept spans only, so its size is the
     /// kept fraction of all spans, not the span count.
@@ -49,7 +54,7 @@ struct Shared {
     /// the main trace filter, high byte the flight-recorder filter — so
     /// the hot-path `wants` check stays a single load.
     masks: Cell<u16>,
-    next_span: Cell<u64>,
+    next_span: Cell<NonZeroU64>,
     /// Head-based span sampling: keep 1-in-`sample_rate` root spans
     /// (0 or 1 = keep everything, the zero-cost default).
     sample_rate: Cell<u32>,
@@ -98,6 +103,10 @@ impl Default for Tracer {
 }
 
 impl Tracer {
+    /// Bytes a ring slot takes: what one retained event costs, beyond the
+    /// text it owns and the names the tracer keeps once.
+    pub const EVENT_BYTES: usize = std::mem::size_of::<Record>();
+
     /// Creates a tracer that records every category into a ring of a
     /// million events, oldest discarded first.
     ///
@@ -111,12 +120,13 @@ impl Tracer {
                 masks: Cell::new(
                     TraceCategory::ALL as u16 | (blackbox_mask as u16) << BLACKBOX_SHIFT,
                 ),
-                next_span: Cell::new(1),
+                next_span: Cell::new(NonZeroU64::MIN),
                 sample_rate: Cell::new(0),
                 sample_seed: Cell::new(0),
                 inner: RefCell::new(TracerInner {
                     main: Ring::new(TRACE_CAPACITY),
                     blackbox: Ring::new(BLACKBOX_CAPACITY),
+                    names: Names::default(),
                     kept: HashSet::new(),
                 }),
             }),
@@ -178,8 +188,9 @@ impl Tracer {
     /// workloads. A child inherits its parent's verdict, so every kept
     /// trace is causally complete.
     pub fn next_span_with_parent(&self, parent: Option<SpanId>) -> SpanId {
-        let id = self.shared.next_span.get();
-        self.shared.next_span.set(id + 1);
+        let span = self.shared.next_span.get();
+        self.shared.next_span.set(span.saturating_add(1));
+        let id = span.get();
         let rate = self.shared.sample_rate.get();
         if rate > 1 {
             let mut inner = self.shared.inner.borrow_mut();
@@ -194,7 +205,7 @@ impl Tracer {
                 inner.kept.insert(id);
             }
         }
-        SpanId::from_wire(id).expect("span ids count up from 1")
+        SpanId(span)
     }
 
     /// Arms head-based span sampling: keep 1-in-`rate` root spans (and
@@ -250,14 +261,16 @@ impl Tracer {
                 return;
             }
         }
+        let inner = &mut *inner;
+        let record = inner.names.pack(ev);
         // Cloned only when both rings take the event.
         if boxed && recorded {
-            inner.blackbox.push(ev.clone());
-            inner.main.push(ev);
+            inner.blackbox.push(record.clone());
+            inner.main.push(record);
         } else if boxed {
-            inner.blackbox.push(ev);
+            inner.blackbox.push(record);
         } else {
-            inner.main.push(ev);
+            inner.main.push(record);
         }
     }
 
@@ -295,35 +308,41 @@ impl Tracer {
     /// internal visitor rather than an `Iterator` (which would have to
     /// either clone, as [`events`](Tracer::events) does, or leak a borrow
     /// guard). `f` must not record into this tracer.
-    pub fn for_each(&self, f: impl FnMut(&TraceEvent)) {
-        self.shared.inner.borrow().main.iter().for_each(f);
+    pub fn for_each(&self, mut f: impl FnMut(&TraceEvent)) {
+        let inner = self.shared.inner.borrow();
+        for record in inner.main.iter() {
+            f(&inner.names.event(record));
+        }
+    }
+
+    /// The retained events `keep` admits, unpacked, in order.
+    fn collect(&self, keep: impl Fn(&Record) -> bool) -> Vec<TraceEvent> {
+        let inner = self.shared.inner.borrow();
+        let wanted = inner.main.iter().filter(|r| keep(r));
+        wanted.map(|r| inner.names.event(r).into_owned()).collect()
     }
 
     /// A snapshot of every recorded event, in order.
     pub fn events(&self) -> Vec<TraceEvent> {
-        let inner = self.shared.inner.borrow();
-        inner.main.iter().cloned().collect()
+        self.collect(|_| true)
     }
 
     /// A snapshot of the events in one category.
     pub fn events_in(&self, category: TraceCategory) -> Vec<TraceEvent> {
-        let inner = self.shared.inner.borrow();
-        let wanted = inner.main.iter().filter(|e| e.category == category);
-        wanted.cloned().collect()
+        self.collect(|r| r.category() == category)
     }
 
     /// Every retained event stamped with `span`, in recording (= time)
     /// order: the cross-node timeline of one causal activity.
     pub fn events_for_span(&self, span: SpanId) -> Vec<TraceEvent> {
-        let inner = self.shared.inner.borrow();
-        let wanted = inner.main.iter().filter(|e| e.span == Some(span));
-        wanted.cloned().collect()
+        self.collect(|r| r.span() == Some(span))
     }
 
     /// The whole retained trace as JSON Lines — one object per event,
     /// newline-terminated, suitable for external tooling.
     pub fn to_jsonl(&self) -> String {
-        jsonl(&self.shared.inner.borrow().main)
+        let inner = self.shared.inner.borrow();
+        jsonl(&inner.main, &inner.names)
     }
 
     /// Events the main trace has dropped to stay within its budget.
@@ -360,7 +379,8 @@ impl Tracer {
     /// The flight-recorder ring as JSON Lines, oldest first — same
     /// encoding as [`to_jsonl`](Tracer::to_jsonl).
     pub fn blackbox_jsonl(&self) -> String {
-        jsonl(&self.shared.inner.borrow().blackbox)
+        let inner = self.shared.inner.borrow();
+        jsonl(&inner.blackbox, &inner.names)
     }
 }
 

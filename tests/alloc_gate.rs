@@ -622,3 +622,78 @@ fn replay_holds_no_second_copy_of_the_trace() {
         artifact.trace.len()
     );
 }
+
+/// One client call's worth of RPC events, named as a world names them:
+/// the procedure under one `Arc` per node, the protocol and the `ok`
+/// outcome borrowed statics.
+fn rpc_events(tracer: &pilgrim::Tracer, names: &[std::sync::Arc<str>], call: u64) {
+    use pilgrim::{EventKind, TraceCategory};
+    use std::borrow::Cow;
+    let at = SimTime::from_micros(call);
+    let node = (call % names.len() as u64) as u32;
+    let proc = &names[node as usize];
+    let span = pilgrim::SpanId::from_wire(call + 1);
+    let rpc = |kind| tracer.emit(at, TraceCategory::Rpc, Some(node), span, kind);
+    rpc(EventKind::CallStarted {
+        call_id: call,
+        proc: proc.clone(),
+        args: 0,
+        dst: node + 1,
+        protocol: Cow::Borrowed("exactly-once"),
+        parent_span: 0,
+    });
+    rpc(EventKind::ServerDispatched {
+        call_id: call,
+        proc: proc.clone(),
+    });
+    rpc(EventKind::ReplySent {
+        call_id: call,
+        cached: false,
+    });
+    rpc(EventKind::CallCompleted {
+        call_id: call,
+        ok: true,
+        outcome: Cow::Borrowed("ok"),
+    });
+}
+
+/// A retained trace event costs its fixed-size record: N RPC events keep
+/// at most N records, one partial chunk of records and the name table —
+/// not a 96-byte `TraceEvent` each. And a wrapping flight recorder stores
+/// an event that owns no text without touching the allocator.
+#[test]
+fn a_retained_event_costs_one_fixed_size_record() {
+    const CALLS: u64 = 5_000;
+    const CHUNK: usize = 256;
+    /// The name table: a few names, their hash map and the last-met list.
+    const TABLE: i64 = 2_048;
+    let names: Vec<std::sync::Arc<str>> = (0..16).map(|_| "ping".into()).collect();
+    let tracer = pilgrim::Tracer::new();
+    tracer.set_blackbox_filter(&[]);
+    let kept = retained(|| (0..CALLS).for_each(|c| rpc_events(&tracer, &names, c)));
+    let events = tracer.len();
+    assert_eq!(events as u64, 4 * CALLS);
+    let per_event = kept as f64 / events as f64;
+    println!(
+        "{per_event:.1} bytes per retained RPC event ({} per record)",
+        pilgrim::Tracer::EVENT_BYTES
+    );
+    let bound = ((events + CHUNK) * pilgrim::Tracer::EVENT_BYTES) as i64 + TABLE;
+    assert!(
+        kept <= bound,
+        "{kept} bytes for {events} events, bound {bound}"
+    );
+
+    let boxed = pilgrim::Tracer::new();
+    boxed.set_filter(&[]);
+    let warm = boxed.blackbox_capacity() as u64;
+    (0..warm).for_each(|c| rpc_events(&boxed, &names, c));
+    let calls = allocations(|| (warm..warm + CALLS).for_each(|c| rpc_events(&boxed, &names, c)));
+    assert_eq!(boxed.blackbox_len(), boxed.blackbox_capacity());
+    assert_eq!(
+        calls,
+        0,
+        "{calls} allocations for {} boxed events",
+        4 * CALLS
+    );
+}

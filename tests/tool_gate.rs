@@ -101,6 +101,14 @@ fn bad_input_is_status_2_with_one_stderr_line_and_no_stdout() {
         "the artifact's setup was not rewritten"
     );
 
+    // A key no decoder reads once loaded and was ignored: a replay that
+    // said OK about a recipe it did not read whole.
+    let unknown_key = text.replacen("\"rpc\": {", "\"rpc\": {\"retry_interval_us\": 5, ", 1);
+    assert_ne!(
+        unknown_key, text,
+        "the artifact's rpc section was not rewritten"
+    );
+
     // A recording made at an older version is refused by its version.
     let older = |version: u32| {
         let doc = text.replacen("\"version\": 3", &format!("\"version\": {version}"), 1);
@@ -128,6 +136,10 @@ fn bad_input_is_status_2_with_one_stderr_line_and_no_stdout() {
         (
             dir.write("setup.json", &mistyped_setup),
             "recipe: `setup` out of range",
+        ),
+        (
+            dir.write("unknown_key.json", &unknown_key),
+            "rpc config: unknown key `retry_interval_us`",
         ),
         (
             dir.write("v2.json", &v2),
