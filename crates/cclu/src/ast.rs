@@ -245,30 +245,7 @@ pub enum UnOp {
     Not,
 }
 
-/// Which RPC protocol a remote call uses (paper §2, §4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RpcProtocol {
-    /// Reliable in the absence of node failures; retransmits and dedups.
-    ExactlyOnce,
-    /// Fast but unreliable: a lost call or reply packet surfaces as failure.
-    Maybe,
-}
-
-impl RpcProtocol {
-    /// The protocol's name as source and debugger output spell it.
-    pub fn name(self) -> &'static str {
-        match self {
-            RpcProtocol::ExactlyOnce => "exactly-once",
-            RpcProtocol::Maybe => "maybe",
-        }
-    }
-}
-
-impl std::fmt::Display for RpcProtocol {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
+pub use pilgrim_sim::RpcProtocol;
 
 /// An expression.
 #[derive(Debug, Clone)]

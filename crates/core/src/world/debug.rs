@@ -15,6 +15,9 @@ use crate::proto::{
 };
 use crate::replay::Stimulus;
 
+/// How long the debugger waits for an agent's reply, in simulated time.
+const REPLY_WAIT: SimDuration = SimDuration::from_secs(30);
+
 /// Errors from debugger operations.
 #[derive(Debug)]
 pub enum DebugError {
@@ -200,9 +203,11 @@ impl World {
         };
         self.drive(stimulus, |w| {
             let seq = w.send_request(node, req)?;
-            let mut reply = None;
-            w.await_replies(&[seq], |r| reply = Some(r))?;
-            match reply.expect("the awaited reply arrived") {
+            let reply = w.pump_until(w.now + REPLY_WAIT, |w| {
+                let dbg = w.debugger.as_mut().ok_or(DebugError::NoDebugger)?;
+                Ok(dbg.take_reply(seq))
+            })?;
+            match reply {
                 AgentReply::Error(e) => Err(DebugError::Agent(e)),
                 ok => Ok(ok),
             }
@@ -229,7 +234,7 @@ impl World {
         seqs: &[u64],
         mut on_reply: impl FnMut(AgentReply),
     ) -> Result<(), DebugError> {
-        let deadline = self.now + SimDuration::from_secs(30);
+        let deadline = self.now + REPLY_WAIT;
         let mut outstanding = seqs.len();
         self.pump_until(deadline, |w| {
             let dbg = w.debugger.as_mut().ok_or(DebugError::NoDebugger)?;

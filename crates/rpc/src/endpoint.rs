@@ -22,7 +22,6 @@
 //! rejected packet-monitor design (§4.2) can be switched on as an ablation
 //! ([`RpcConfig::monitor`], E2).
 
-use std::borrow::Cow;
 use std::cell::Cell;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -565,7 +564,7 @@ impl RpcEndpoint {
                     proc: req.proc_name.clone(),
                     args: req.args.len() as u32,
                     dst: dst.0,
-                    protocol: Cow::Borrowed(req.protocol.name()),
+                    protocol: req.protocol,
                     parent_span: SpanId::to_wire(parent_span),
                 },
             );
@@ -1183,8 +1182,7 @@ impl RpcEndpoint {
                         Some(call.span),
                         EventKind::CallCompleted {
                             call_id,
-                            ok: true,
-                            outcome: Cow::Borrowed("ok"),
+                            failure: None,
                         },
                     );
                 }
@@ -1222,8 +1220,7 @@ impl RpcEndpoint {
                         Some(call.span),
                         EventKind::CallCompleted {
                             call_id,
-                            ok: false,
-                            outcome: format!("maybe: {reason}").into(),
+                            failure: Some(format!("maybe: {reason}")),
                         },
                     );
                 }
@@ -1249,8 +1246,7 @@ impl RpcEndpoint {
                         Some(call.span),
                         EventKind::CallCompleted {
                             call_id,
-                            ok: false,
-                            outcome: reason.clone().into(),
+                            failure: Some(reason.clone()),
                         },
                     );
                 }

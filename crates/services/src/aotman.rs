@@ -91,7 +91,8 @@ pub struct TuidRecord {
     pub client: NodeId,
     /// Still valid?
     pub valid: bool,
-    /// Refresh semaphore (signalled by `aot_refresh`).
+    /// Refresh semaphore (signalled by `aot_refresh`): the `sem#N` its
+    /// `aot:watch` process waits on.
     pub sem: SemId,
     /// Number of refreshes seen.
     pub refreshes: u64,
@@ -157,9 +158,8 @@ impl AotMan {
                     state: s.clone(),
                     tuid,
                 };
-                let name = format!("aot:watch#{tuid}");
                 let (life, tol) = (cfg.lifetime, cfg.clock_tolerance);
-                Watcher::spawn(ctx, hooks, &name, sem, life, tol, cfg.strategy);
+                Watcher::spawn(ctx, hooks, sem, life, tol, cfg.strategy);
                 Ok(vec![
                     Value::Int(tuid as i64),
                     Value::Int(life.as_millis() as i64),
@@ -239,6 +239,7 @@ struct TuidHooks {
 }
 
 impl GrantHooks for TuidHooks {
+    const KIND: &'static str = "aot:watch";
     fn revoke(&mut self, at: SimTime) {
         if let Some(t) = self.state.borrow_mut().tuids.get_mut(&self.tuid) {
             t.valid = false;

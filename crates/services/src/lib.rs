@@ -265,6 +265,39 @@ end";
         assert_eq!(aot.stats().revocations, 1);
     }
 
+    /// A grant's watcher runs under its kind's name, so the AOT node's
+    /// table of override names is the same after 200 grants as after one:
+    /// it holds what the node runs, not what it has guarded.
+    #[test]
+    fn watchers_share_one_name_however_many_grants() {
+        let src = "\
+extern aot_issue = proc () returns (int, int)
+main = proc (svc: int, n: int)
+ for i: int := 1 to n do
+  t: int := 0
+  life: int := 0
+  t, life := call aot_issue() at svc
+ end
+end";
+        let names_after = |grants: u64| {
+            let mut w = World::builder().nodes(2).program(src).build().unwrap();
+            let config = AotConfig {
+                lifetime: SimDuration::from_secs(2),
+                strategy: TimeoutStrategy::Naive,
+                ..Default::default()
+            };
+            let aot = AotMan::install(&mut w, 1, config);
+            w.spawn(0, "main", vec![Value::Int(1), Value::Int(grants as i64)]);
+            w.run_until_idle(SimTime::from_secs(60));
+            assert_eq!(aot.stats().revocations, grants, "every grant was watched");
+            let names = w.node(1).override_names();
+            names.iter().map(|n| n.to_string()).collect::<Vec<_>>()
+        };
+        let one = names_after(1);
+        assert_eq!(names_after(200), one);
+        assert!(one.iter().any(|n| n == "aot:watch"), "{one:?}");
+    }
+
     // -----------------------------------------------------------------
     // Resource Manager
     // -----------------------------------------------------------------

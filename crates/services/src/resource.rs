@@ -242,9 +242,8 @@ impl ResourceManager {
                     resource,
                     epoch,
                 };
-                let name = format!("rm:watch#{resource}");
                 let (lease, tol) = (cfg.lease, cfg.clock_tolerance);
-                Watcher::spawn(ctx, hooks, &name, sem, lease, tol, cfg.strategy);
+                Watcher::spawn(ctx, hooks, sem, lease, tol, cfg.strategy);
                 Ok(vec![Value::Int(i64::from(resource))])
             }),
         );
@@ -336,6 +335,7 @@ impl AllocHooks {
 }
 
 impl GrantHooks for AllocHooks {
+    const KIND: &'static str = "rm:watch";
     fn revoke(&mut self, at: SimTime) {
         let mut s = self.state.borrow_mut();
         let Some(from) = self.mine(&mut s).map(|a| a.holder) else {

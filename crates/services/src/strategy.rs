@@ -114,6 +114,11 @@ impl StrategyStats {
 /// What the service does when the watcher decides the grant's fate. The
 /// watcher owns its hooks; they reach the service's state themselves.
 pub trait GrantHooks: 'static {
+    /// The kind of grant, and the name every watcher of it runs under
+    /// (`aot:watch`): one entry in the node's name table however many
+    /// grants it guards. Which grant a watcher guards is the semaphore it
+    /// waits on, the one the service's record of the grant holds.
+    const KIND: &'static str;
     /// Called when the grant is revoked (timeout genuinely expired) at
     /// `at`, the watcher's clock.
     fn revoke(&mut self, at: SimTime);
@@ -164,14 +169,13 @@ impl<H: GrantHooks> Watcher<H> {
     /// Spawns a watcher guarding one grant to `ctx.caller`, as a process
     /// on the serving node that debug halts pass over.
     ///
-    /// `name` is what the debugger lists it as, kept once in the node's
-    /// name table; `sem` must be signalled by the service's refresh
+    /// The debugger lists it under its hooks' [`KIND`](GrantHooks::KIND),
+    /// waiting on `sem`; `sem` must be signalled by the service's refresh
     /// handler; `timeout` is the grant lifetime; `tolerance` is the
     /// paper's `clock_tolerance`.
     pub fn spawn(
         ctx: &mut HandlerCtx<'_>,
         hooks: H,
-        name: &str,
         sem: SemId,
         timeout: SimDuration,
         tolerance: SimDuration,
@@ -191,7 +195,6 @@ impl<H: GrantHooks> Watcher<H> {
             next_wait_ms: timeout_ms,
         };
         let opts = SpawnOpts {
-            name: Some(ctx.node.intern_name(name)),
             no_halt: true,
             ..Default::default()
         };
@@ -388,6 +391,10 @@ impl<H: GrantHooks> NativeProcess for Watcher<H> {
         }
         StepOutcome::Blocked { cost }
     }
+
+    fn name(&self) -> &str {
+        H::KIND
+    }
 }
 
 #[cfg(test)]
@@ -411,6 +418,7 @@ mod tests {
     fn parse_status_handles_short_replies() {
         struct H(StrategyStats);
         impl GrantHooks for H {
+            const KIND: &'static str = "test:watch";
             fn revoke(&mut self, _: SimTime) {}
             fn active(&self) -> bool {
                 true

@@ -241,14 +241,10 @@ impl Fold {
                     p.server_us += now.saturating_sub(d);
                 }
             }
-            EventKind::CallCompleted { ok, outcome, .. } => {
+            EventKind::CallCompleted { failure, .. } => {
                 p.end = ev.time;
                 p.completed = true;
-                p.outcome = if *ok {
-                    "ok".to_string()
-                } else {
-                    outcome.to_string()
-                };
+                p.outcome = failure.as_deref().unwrap_or("ok").to_string();
             }
             EventKind::CallTimedOut { .. } => {
                 p.end = ev.time;
@@ -419,7 +415,7 @@ mod tests {
 
     use super::*;
     use crate::check::{boolean, check_n, ensure_eq, int_range, map, vecs, zip, Gen};
-    use crate::trace::{SpanId, TraceCategory};
+    use crate::trace::{RpcProtocol, SpanId, TraceCategory};
 
     fn ev(us: u64, span: u64, node: Option<u32>, kind: EventKind) -> TraceEvent {
         TraceEvent {
@@ -441,7 +437,7 @@ mod tests {
                 proc: "ping".into(),
                 args: 1,
                 dst,
-                protocol: "exactly-once".into(),
+                protocol: RpcProtocol::ExactlyOnce,
                 parent_span: parent,
             },
         )
@@ -480,8 +476,7 @@ mod tests {
             Some(0),
             EventKind::CallCompleted {
                 call_id: span * 100,
-                ok: true,
-                outcome: "ok".into(),
+                failure: None,
             },
         )
     }
@@ -742,15 +737,11 @@ mod tests {
                         }
                     }
                 }
-                EventKind::CallCompleted { ok, outcome, .. } => {
+                EventKind::CallCompleted { failure, .. } => {
                     if let Some(p) = &mut a.profile {
                         p.end = ev.time;
                         p.completed = true;
-                        p.outcome = if *ok {
-                            "ok".to_string()
-                        } else {
-                            outcome.to_string()
-                        };
+                        p.outcome = failure.as_deref().unwrap_or("ok").to_string();
                     }
                 }
                 EventKind::CallTimedOut { .. } => {
@@ -808,7 +799,7 @@ mod tests {
                 proc: format!("p{src}").into(),
                 args: 0,
                 dst,
-                protocol: "exactly-once".into(),
+                protocol: RpcProtocol::ExactlyOnce,
                 parent_span: u64::from(src + dst) % 5,
             },
             1 => EventKind::PacketSent {
@@ -845,8 +836,7 @@ mod tests {
             },
             9 => EventKind::CallCompleted {
                 call_id,
-                ok: flag,
-                outcome: if flag { "ok" } else { "failed: gone" }.into(),
+                failure: (!flag).then(|| "failed: gone".to_string()),
             },
             10 => EventKind::CallTimedOut { call_id },
             _ => EventKind::ProcessExited { pid: span },

@@ -4,7 +4,7 @@
 
 use std::fmt::{self, Write as _};
 
-use super::{EventKind, SpanId, TraceCategory, TraceEvent};
+use super::{EventKind, RpcProtocol, SpanId, TraceCategory, TraceEvent};
 use crate::json::{escape_into, quote_into, Fields, Json};
 use crate::time::{SimDuration, SimTime};
 
@@ -70,21 +70,17 @@ impl EventKind {
                 f("proc", Str(proc));
                 f("args", Uint(*args as u64));
                 f("dst", Uint(*dst as u64));
-                f("protocol", Str(protocol));
+                f("protocol", Str(protocol.name()));
                 f("parent_span", Uint(*parent_span));
             }
             EventKind::CallRetransmitted { call_id, attempt } => {
                 f("call_id", Uint(*call_id));
                 f("attempt", Uint(*attempt as u64));
             }
-            EventKind::CallCompleted {
-                call_id,
-                ok,
-                outcome,
-            } => {
+            EventKind::CallCompleted { call_id, failure } => {
                 f("call_id", Uint(*call_id));
-                f("ok", Bool(*ok));
-                f("outcome", Str(outcome));
+                f("ok", Bool(failure.is_none()));
+                f("outcome", Str(failure.as_deref().unwrap_or("ok")));
             }
             EventKind::CallTimedOut { call_id }
             | EventKind::MaybeLostCall { call_id }
@@ -190,18 +186,25 @@ impl EventKind {
                 proc: f.str("proc")?.into(),
                 args: f.uint("args")?,
                 dst: f.uint("dst")?,
-                protocol: f.str("protocol")?.to_string().into(),
+                protocol: RpcProtocol::parse(f.str("protocol")?)
+                    .ok_or_else(|| f.out_of_range("protocol"))?,
                 parent_span: f.uint("parent_span")?,
             },
             "CallRetransmitted" => EventKind::CallRetransmitted {
                 call_id: f.uint("call_id")?,
                 attempt: f.uint("attempt")?,
             },
-            "CallCompleted" => EventKind::CallCompleted {
-                call_id: f.uint("call_id")?,
-                ok: f.bool("ok")?,
-                outcome: f.str("outcome")?.to_string().into(),
-            },
+            "CallCompleted" => {
+                let (call_id, ok, outcome) = (f.uint("call_id")?, f.bool("ok")?, f.str("outcome")?);
+                // A success is spelled one way; anything else is a failure.
+                if ok && outcome != "ok" {
+                    return Err(f.out_of_range("outcome"));
+                }
+                EventKind::CallCompleted {
+                    call_id,
+                    failure: (!ok).then(|| outcome.to_string()),
+                }
+            }
             "CallTimedOut" => EventKind::CallTimedOut {
                 call_id: f.uint("call_id")?,
             },
@@ -361,7 +364,6 @@ impl TraceEvent {
 
 #[cfg(test)]
 mod tests {
-    use std::borrow::Cow;
     use std::collections::HashSet;
     use std::sync::Arc;
 
@@ -480,12 +482,12 @@ mod tests {
         }
     }
 
-    /// The RPC events as the endpoint builds them — a borrowed protocol
-    /// name and outcome, one `Arc<str>` shared by both ends of the call —
-    /// write the bytes an owned `String` always wrote, and parse back
-    /// `==` although the parsed side owns its text.
+    /// The RPC events as the endpoint builds them — a typed protocol and
+    /// success, one `Arc<str>` shared by both ends of the call — write the
+    /// bytes the protocol's and the outcome's text always wrote, and parse
+    /// back `==` although the parsed side owns its procedure name.
     #[test]
-    fn rpc_events_render_the_same_borrowed_shared_or_owned() {
+    fn rpc_events_render_the_same_shared_or_owned() {
         for (name, escaped) in [("ping", "ping"), ("a\"b", "a\\\"b"), ("λ→é😀", "λ→é😀")]
         {
             let shared: Arc<str> = name.into();
@@ -495,7 +497,7 @@ mod tests {
                     proc: shared.clone(),
                     args: 1,
                     dst: 2,
-                    protocol: Cow::Borrowed("exactly-once"),
+                    protocol: RpcProtocol::ExactlyOnce,
                     parent_span: 0,
                 },
                 EventKind::ServerDispatched {
@@ -504,13 +506,11 @@ mod tests {
                 },
                 EventKind::CallCompleted {
                     call_id: (3 << 40) | 9,
-                    ok: true,
-                    outcome: Cow::Borrowed("ok"),
+                    failure: None,
                 },
                 EventKind::CallCompleted {
                     call_id: (3 << 40) | 9,
-                    ok: false,
-                    outcome: format!("maybe: {name}").into(),
+                    failure: Some(format!("maybe: {name}")),
                 },
             ];
             let want = [
@@ -584,6 +584,27 @@ mod tests {
         }
     }
 
+    /// The `CallStarted` exemplar's line, its protocol spelled `protocol`.
+    fn call_line(protocol: &str) -> String {
+        let line = exemplar(5).to_json();
+        let member = "\"protocol\": \"maybe\"";
+        assert!(line.contains(member), "{line}");
+        line.replace(member, &format!("\"protocol\": \"{protocol}\""))
+    }
+
+    /// A `CallCompleted` line with `ok` and `outcome` as given.
+    fn completed_line(ok: bool, outcome: &str) -> String {
+        let ev = TraceEvent {
+            kind: EventKind::CallCompleted {
+                call_id: 9,
+                failure: Some(outcome.to_string()),
+            },
+            ..exemplar(7)
+        };
+        ev.to_json()
+            .replace("\"ok\": false", &format!("\"ok\": {ok}"))
+    }
+
     /// A line a user hands the tool is outside input: whatever is done to
     /// a valid one, the parser answers `Err` or an event that survives its
     /// own round trip, and never panics.
@@ -611,11 +632,23 @@ mod tests {
             ),
             (deep("["), "line 2: nesting deeper than"),
             (deep("{\"a\":"), "line 2: nesting deeper than"),
+            (
+                format!("{good}\n{}\n", call_line("Maybe")),
+                "line 2: CallStarted: `protocol` out of range",
+            ),
+            (
+                format!("{good}\n{good}\n{}\n", completed_line(true, "lost")),
+                "line 3: CallCompleted: `outcome` out of range",
+            ),
         ] {
             let err = TraceEvent::parse_jsonl(&text).unwrap_err();
             assert!(err.starts_with(want), "{err}");
         }
         assert_eq!(TraceEvent::parse_jsonl(&good), Ok(vec![exemplar(20)]));
+        // The rows' unmutated lines parse: each refusal is the mutation's.
+        for line in [call_line("maybe"), completed_line(false, "lost")] {
+            assert!(TraceEvent::parse_json(&line).is_ok(), "{line}");
+        }
 
         // A strict prefix of a line is never a line, wherever it is cut.
         for i in 0..all_event_kinds().len() {

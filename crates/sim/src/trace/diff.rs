@@ -189,19 +189,21 @@ mod tests {
             .collect();
         assert!(first_divergence(&base, &base).is_none());
 
-        // Mutate one payload field deep in the middle.
+        // Mutate one payload field deep in the middle: a failure made a
+        // success moves both the `ok` and the `outcome` members.
         let mut mutated = base.clone();
-        if let EventKind::CallCompleted { ok, .. } = &mut mutated[7].kind {
-            *ok = true;
+        if let EventKind::CallCompleted { failure, .. } = &mut mutated[7].kind {
+            *failure = None;
         } else {
             panic!("expected CallCompleted at index 7");
         }
         let d = first_divergence(&base, &mutated).expect("must diverge");
         assert_eq!(d.index, 7);
-        assert_eq!(d.fields.len(), 1);
+        assert_eq!(d.fields.len(), 2);
         assert_eq!(d.fields[0].field, "data.ok");
         assert_eq!(d.fields[0].expected, "false");
         assert_eq!(d.fields[0].actual, "true");
+        assert_eq!(d.fields[1].field, "data.outcome");
         let report = d.report();
         assert!(report.contains("event 7"), "{report}");
         assert!(report.contains("CallCompleted"), "{report}");

@@ -1,7 +1,12 @@
 //! The event schema's payload: one [`EventKind`] variant per thing a
 //! component can report, and the human-readable rendering of each.
+//!
+//! A payload's text is of two kinds. Procedure names repeat and are
+//! shared `Arc<str>` handles; everything else a variant could spell out
+//! from a fixed set — the RPC protocol, a call's success — is typed, so
+//! the only owned text is what a component says once: a message, a
+//! print, a fault, a watch expression, a call's failure reason.
 
-use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -15,9 +20,9 @@ use crate::time::SimDuration;
 /// pid `n` renders as `p{n}`, matching the scheduler's `Pid` display.
 /// Procedure names are `Arc<str>`s shared with the process record, the
 /// request and the packet, so emitting one clones a handle, not the text.
-/// The [`Tracer`](super::Tracer) does not keep the handle: it stores a
-/// name it has met before as a `u32` id into its own table of names, and
-/// hands the `Arc` back when an event is read.
+/// The [`Tracer`](super::Tracer) does not keep the handle: it stores each
+/// procedure name as a `u32` id into its own table of names, and hands
+/// the `Arc` back when an event is read.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
     /// Free-form text — the legacy
@@ -76,9 +81,8 @@ pub enum EventKind {
         args: u32,
         /// Destination node.
         dst: u32,
-        /// Protocol rendering (`exactly-once` / `maybe`): borrowed from
-        /// the protocol's name when emitted, owned when parsed back.
-        protocol: Cow<'static, str>,
+        /// The call's protocol.
+        protocol: RpcProtocol,
         /// Span of the enclosing call when this one was issued from a
         /// server process (`0` = root call) — the child-span link that
         /// chains nested cross-node calls into one tree.
@@ -95,11 +99,9 @@ pub enum EventKind {
     CallCompleted {
         /// Call identifier.
         call_id: u64,
-        /// `true` when results were delivered to the caller.
-        ok: bool,
-        /// Short outcome description: `ok` (borrowed), or the failure
-        /// reason.
-        outcome: Cow<'static, str>,
+        /// `None` when results were delivered to the caller, else why
+        /// they were not.
+        failure: Option<String>,
     },
     /// The call exhausted its retry/deadline budget.
     CallTimedOut {
@@ -201,6 +203,38 @@ pub enum EventKind {
     },
 }
 
+/// Which RPC protocol a remote call uses (paper §2, §4).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum RpcProtocol {
+    /// Reliable in the absence of node failures; retransmits and dedups.
+    ExactlyOnce,
+    /// Fast but unreliable: a lost call or reply packet surfaces as failure.
+    Maybe,
+}
+
+impl RpcProtocol {
+    /// The protocol's name as source, traces and debugger output spell it.
+    pub fn name(self) -> &'static str {
+        match self {
+            RpcProtocol::ExactlyOnce => "exactly-once",
+            RpcProtocol::Maybe => "maybe",
+        }
+    }
+
+    /// The inverse of [`name`](RpcProtocol::name).
+    pub fn parse(name: &str) -> Option<RpcProtocol> {
+        [RpcProtocol::ExactlyOnce, RpcProtocol::Maybe]
+            .into_iter()
+            .find(|p| p.name() == name)
+    }
+}
+
+impl fmt::Display for RpcProtocol {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
 impl EventKind {
     /// Stable variant name, used by the JSONL export.
     pub fn name(&self) -> &'static str {
@@ -281,17 +315,10 @@ impl EventKind {
             EventKind::CallRetransmitted { call_id, attempt } => {
                 write!(out, "retransmit call {call_id} attempt {attempt}")
             }
-            EventKind::CallCompleted {
-                call_id,
-                ok,
-                outcome,
-            } => {
-                if *ok {
-                    write!(out, "call {call_id} completed: {outcome}")
-                } else {
-                    write!(out, "call {call_id} failed: {outcome}")
-                }
-            }
+            EventKind::CallCompleted { call_id, failure } => match failure {
+                None => write!(out, "call {call_id} completed: ok"),
+                Some(reason) => write!(out, "call {call_id} failed: {reason}"),
+            },
             EventKind::CallTimedOut { call_id } => {
                 write!(out, "call {call_id} timed out")
             }
@@ -421,7 +448,7 @@ pub(super) mod tests {
                 proc: s().into(),
                 args: 2,
                 dst: 1,
-                protocol: s().into(),
+                protocol: RpcProtocol::Maybe,
                 parent_span: 0,
             },
             EventKind::CallRetransmitted {
@@ -430,8 +457,7 @@ pub(super) mod tests {
             },
             EventKind::CallCompleted {
                 call_id: u64::MAX,
-                ok: false,
-                outcome: s().into(),
+                failure: Some(s()),
             },
             EventKind::CallTimedOut { call_id: 11 },
             EventKind::ServerDispatched {

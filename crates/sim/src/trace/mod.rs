@@ -35,7 +35,7 @@ use std::num::NonZeroU64;
 use crate::time::SimTime;
 
 pub use diff::{first_divergence, Divergence, FieldDiff};
-pub use kind::EventKind;
+pub use kind::{EventKind, RpcProtocol};
 pub use tracer::{Tracer, BLACKBOX_CAPACITY};
 
 /// Category of a trace event, used for filtering.

@@ -1,31 +1,29 @@
 //! How the tracer stores an event: a fixed-size [`Record`] per ring slot,
-//! its repeating text held once in the tracer's [`Names`] table.
+//! its procedure names held once in the tracer's [`Names`] table.
 //!
-//! A [`TraceEvent`] is 96 bytes because of its widest variant,
-//! `CallStarted`: a 16-byte `Arc<str>` procedure name and a 24-byte
-//! `Cow` protocol. Yet almost every name an event carries repeats — a
-//! procedure, a protocol, the `"ok"` outcome — so a record keeps each as
-//! a `u32` id into a table keyed by content, which grows with the
-//! distinct names that repeat and not with the events. An event that
-//! owns text (a `Message`, a `Print`, a fault, a watch expression, a
-//! failure outcome) or names something for the first time is kept whole
-//! in a box instead, evicted with its slot, so the table never grows
-//! with free text. Ids never leave the tracer: every reader gets the
-//! [`TraceEvent`] back, field for field.
+//! A [`TraceEvent`] is 80 bytes because of its widest variant,
+//! `CallStarted`, with its 16-byte `Arc<str>` procedure name. A record
+//! keeps that name as a `u32` id into a table keyed by content, which
+//! grows with the distinct procedure names a run's programs hold and not
+//! with the events. An event that owns text (a `Message`, a `Print`, a
+//! fault, a watch expression, a call's failure reason) is kept whole in a
+//! box instead, evicted with its slot, so the table never grows with free
+//! text. Ids never leave the tracer: every reader gets the [`TraceEvent`]
+//! back, field for field.
 
 use std::borrow::Cow;
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::sync::Arc;
 
-use super::{EventKind, SpanId, TraceCategory, TraceEvent};
+use super::{EventKind, RpcProtocol, SpanId, TraceCategory, TraceEvent};
 use crate::time::{SimDuration, SimTime};
 
-/// One ring slot: an event whose text is all interned, packed, or an
-/// event that owns text, kept whole.
+/// One ring slot: an event that owns no text, packed, or one that does,
+/// kept whole.
 #[derive(Debug, Clone)]
 pub(super) enum Record {
-    /// Every field inline, names as table ids.
+    /// Every field inline, procedure names as table ids.
     Packed(Packed),
     /// The event as it was pushed; readers borrow it.
     Owned(Box<TraceEvent>),
@@ -43,11 +41,10 @@ pub(super) struct Packed {
     category: TraceCategory,
 }
 
-/// An [`EventKind`] without text: every `u32` named `proc`, `outcome` or
-/// `protocol` is an id in the tracer's [`Names`]. `CallStarted` is the
-/// widest variant; its protocol id is held in 16 bits so that the body
-/// stays 32 bytes (a protocol past the table's first 65 536 names keeps
-/// its event whole).
+/// An [`EventKind`] without text: every `u32` named `proc` is an id in the
+/// tracer's [`Names`]. A `CallCompleted` here is a success; a failure owns
+/// its reason and is kept whole. `CallStarted` is the widest variant, at
+/// 32 bytes with its tag.
 #[derive(Debug, Clone, Copy)]
 enum Body {
     PacketSent {
@@ -75,7 +72,7 @@ enum Body {
         proc: u32,
         args: u32,
         dst: u32,
-        protocol: u16,
+        protocol: RpcProtocol,
         parent_span: u64,
     },
     CallRetransmitted {
@@ -84,8 +81,6 @@ enum Body {
     },
     CallCompleted {
         call_id: u64,
-        ok: bool,
-        outcome: u32,
     },
     CallTimedOut {
         call_id: u64,
@@ -145,118 +140,72 @@ impl Record {
     }
 }
 
-/// One interned name, as the event carried it: a shared procedure name,
-/// or a static borrowed by a `Cow`. Hashed and compared by form and
-/// content, so that each comes back in the form it went in.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum Name {
-    Shared(Arc<str>),
-    Static(&'static str),
-}
-
-impl Name {
-    fn as_str(&self) -> &str {
-        match self {
-            Name::Shared(s) => s,
-            Name::Static(s) => s,
-        }
-    }
-}
-
 /// Names the fast path remembers before it forgets the oldest.
 const RECENT: usize = 8;
 
-/// Slots of the filter of names met once.
-const MET: usize = 32;
-
-/// One name the fast path remembers: the address and length its text was
-/// met at, and its id. The entry holds the name, so that the address
-/// cannot be reused for other text while the entry stands.
+/// One name the fast path remembers: the address and length of the
+/// table's copy, which the table keeps alive, so no other text can come to
+/// sit at that address; and its id.
 #[derive(Debug)]
 struct Recent {
     at: (usize, usize),
     id: u32,
-    name: Name,
 }
 
-/// The tracer's append-only name table: id `i` is the `i`-th name
-/// interned. A name is interned the second time the tracer meets it; the
-/// first time, its event is kept whole. So a name that never repeats (a
-/// process named by a counter, say) never enters the table, and the
-/// table is bounded by the names that repeat, never by the events.
+/// The tracer's append-only table of procedure names: id `i` is the
+/// `i`-th distinct name met. Bounded by the procedure and process names
+/// the world's programs and nodes hold, never by the events.
 #[derive(Debug, Default)]
 pub(super) struct Names {
-    names: Vec<Name>,
-    /// Each name's id. A fixed hasher, so that which names a run interns
-    /// does not vary from one process to the next.
-    ids: HashMap<Name, u32, BuildHasherDefault<DefaultHasher>>,
-    /// The hash of the last name met once and not interned, by slot.
-    met: [u64; MET],
-    /// The last few names interned. A name met again at the same address
-    /// costs two compares, and at another one a string compare; neither
-    /// hashes it.
+    names: Vec<Arc<str>>,
+    /// Each name's id. A fixed hasher, so that the table does not vary
+    /// from one process to the next.
+    ids: HashMap<Arc<str>, u32, BuildHasherDefault<DefaultHasher>>,
+    /// The last few names looked up. A name met again under the table's
+    /// own `Arc` costs two compares, and under another one a string
+    /// compare; neither hashes it.
     recent: Vec<Recent>,
     /// The entry of `recent` the next miss replaces, once it is full.
     next: usize,
 }
 
 impl Names {
-    /// The id of `text`, interning `name()` (the same text, static or
-    /// not) if it is met for the second time; `None` the first time.
+    /// The id of procedure name `name`, interning it on first sight.
     #[inline]
-    fn intern(&mut self, text: &str, is_static: bool, name: impl FnOnce() -> Name) -> Option<u32> {
-        let at = (text.as_ptr() as usize, text.len());
-        let known = |r: &&Recent| {
-            r.at == at
-                || r.at.1 == at.1
-                    && matches!(r.name, Name::Static(_)) == is_static
-                    && r.name.as_str() == text
-        };
+    fn intern(&mut self, name: &Arc<str>) -> u32 {
+        let at = (name.as_ptr() as usize, name.len());
+        let known =
+            |r: &&Recent| r.at == at || r.at.1 == at.1 && *self.names[r.id as usize] == **name;
         match self.recent.iter().find(known) {
-            Some(r) => Some(r.id),
-            None => self.look_up(at, name()),
+            Some(r) => r.id,
+            None => self.look_up(name),
         }
     }
 
-    /// [`intern`](Names::intern) past the names it remembers: the table,
-    /// then the filter of names met once.
+    /// [`intern`](Names::intern) past the names it remembers.
     #[inline(never)]
-    fn look_up(&mut self, at: (usize, usize), name: Name) -> Option<u32> {
-        let id = match self.ids.get(&name) {
+    fn look_up(&mut self, name: &Arc<str>) -> u32 {
+        let id = match self.ids.get(name) {
             Some(&id) => id,
             None => {
-                let hash = self.ids.hasher().hash_one(&name);
-                let slot = &mut self.met[hash as usize % MET];
-                if *slot != hash {
-                    *slot = hash;
-                    return None;
-                }
                 let id = self.names.len() as u32;
                 self.names.push(name.clone());
                 self.ids.insert(name.clone(), id);
                 id
             }
         };
-        let entry = Recent { at, id, name };
+        let kept = &self.names[id as usize];
+        let entry = Recent {
+            at: (kept.as_ptr() as usize, kept.len()),
+            id,
+        };
         if self.recent.len() < RECENT {
             self.recent.push(entry);
         } else {
             self.recent[self.next] = entry;
             self.next = (self.next + 1) % RECENT;
         }
-        Some(id)
-    }
-
-    /// A procedure name's id.
-    #[inline]
-    fn shared(&mut self, name: &Arc<str>) -> Option<u32> {
-        self.intern(name, false, || Name::Shared(name.clone()))
-    }
-
-    /// The id of a static a `Cow` borrows.
-    #[inline]
-    fn borrowed(&mut self, text: &'static str) -> Option<u32> {
-        self.intern(text, true, || Name::Static(text))
+        id
     }
 
     /// Packs `ev` into a ring slot. Always inlined, like
@@ -277,8 +226,7 @@ impl Names {
         }
     }
 
-    /// `kind` without its text, or `None` when it owns some or names
-    /// something the table has not interned yet.
+    /// `kind` without its text, or `None` when it owns some.
     #[inline(always)]
     fn body(&mut self, kind: &EventKind) -> Option<Body> {
         Some(match *kind {
@@ -293,14 +241,14 @@ impl Names {
                 ref proc,
                 args,
                 dst,
-                protocol: Cow::Borrowed(protocol),
+                protocol,
                 parent_span,
             } => Body::CallStarted {
                 call_id,
-                proc: self.shared(proc)?,
+                proc: self.intern(proc),
                 args,
                 dst,
-                protocol: u16::try_from(self.borrowed(protocol)?).ok()?,
+                protocol,
                 parent_span,
             },
             EventKind::CallRetransmitted { call_id, attempt } => {
@@ -308,24 +256,19 @@ impl Names {
             }
             EventKind::CallCompleted {
                 call_id,
-                ok,
-                outcome: Cow::Borrowed(outcome),
-            } => Body::CallCompleted {
-                call_id,
-                ok,
-                outcome: self.borrowed(outcome)?,
-            },
+                failure: None,
+            } => Body::CallCompleted { call_id },
             EventKind::CallTimedOut { call_id } => Body::CallTimedOut { call_id },
             EventKind::ServerDispatched { call_id, ref proc } => Body::ServerDispatched {
                 call_id,
-                proc: self.shared(proc)?,
+                proc: self.intern(proc),
             },
             EventKind::ReplySent { call_id, cached } => Body::ReplySent { call_id, cached },
             EventKind::MaybeLostCall { call_id } => Body::MaybeLostCall { call_id },
             EventKind::MaybeLostReply { call_id } => Body::MaybeLostReply { call_id },
             EventKind::ProcessSpawned { pid, ref proc } => Body::ProcessSpawned {
                 pid,
-                proc: self.shared(proc)?,
+                proc: self.intern(proc),
             },
             EventKind::ProcessExited { pid } => Body::ProcessExited { pid },
             EventKind::ProcessesHalted { count } => Body::ProcessesHalted { count },
@@ -337,7 +280,6 @@ impl Names {
             | EventKind::Print { .. }
             | EventKind::Faulted { .. }
             | EventKind::WatchTripped { .. }
-            | EventKind::CallStarted { .. }
             | EventKind::CallCompleted { .. } => return None,
         })
     }
@@ -362,19 +304,7 @@ impl Names {
     /// A procedure name as the `Arc` it was interned from.
     #[inline(always)]
     fn arc(&self, id: u32) -> Arc<str> {
-        match &self.names[id as usize] {
-            Name::Shared(s) => s.clone(),
-            Name::Static(s) => Arc::from(*s),
-        }
-    }
-
-    /// A `Cow` borrowed from the static it was interned from.
-    #[inline(always)]
-    fn cow(&self, id: u32) -> Cow<'static, str> {
-        match &self.names[id as usize] {
-            Name::Static(s) => Cow::Borrowed(s),
-            Name::Shared(s) => Cow::Owned(s.to_string()),
-        }
+        self.names[id as usize].clone()
     }
 
     #[inline(always)]
@@ -398,20 +328,15 @@ impl Names {
                 proc: self.arc(proc),
                 args,
                 dst,
-                protocol: self.cow(u32::from(protocol)),
+                protocol,
                 parent_span,
             },
             Body::CallRetransmitted { call_id, attempt } => {
                 EventKind::CallRetransmitted { call_id, attempt }
             }
-            Body::CallCompleted {
+            Body::CallCompleted { call_id } => EventKind::CallCompleted {
                 call_id,
-                ok,
-                outcome,
-            } => EventKind::CallCompleted {
-                call_id,
-                ok,
-                outcome: self.cow(outcome),
+                failure: None,
             },
             Body::CallTimedOut { call_id } => EventKind::CallTimedOut { call_id },
             Body::ServerDispatched { call_id, proc } => EventKind::ServerDispatched {
@@ -441,7 +366,7 @@ mod tests {
     use super::*;
     use crate::check::{check, ensure, ensure_eq, int_range, vecs, zip};
 
-    /// A 56-byte slot, where a `TraceEvent` is 96: the flag and the
+    /// A 56-byte slot, where a `TraceEvent` is 80: the flag and the
     /// category pack beside the node, the body is 32 bytes, and the box
     /// of a kept event sits in the packed one's niche.
     #[test]
@@ -449,7 +374,7 @@ mod tests {
         assert_eq!(std::mem::size_of::<Body>(), 32);
         assert_eq!(std::mem::size_of::<Packed>(), 56);
         assert_eq!(std::mem::size_of::<Record>(), 56);
-        assert_eq!(std::mem::size_of::<TraceEvent>(), 96);
+        assert_eq!(std::mem::size_of::<TraceEvent>(), 80);
     }
 
     /// Text the generated events carry, the hostile exemplar among it.
@@ -492,10 +417,9 @@ mod tests {
                 call_id: L,
                 attempt: M,
             },
-            EventKind::CallCompleted { ok, outcome, .. } => EventKind::CallCompleted {
+            EventKind::CallCompleted { failure, .. } => EventKind::CallCompleted {
                 call_id: L,
-                ok: !ok,
-                outcome,
+                failure,
             },
             EventKind::CallTimedOut { .. } => EventKind::CallTimedOut { call_id: L },
             EventKind::ServerDispatched { proc, .. } => {
@@ -528,16 +452,16 @@ mod tests {
 
     /// One generated event: exemplar `variant` with its text `TEXT[text]`
     /// (a fresh `Arc` per name, so one name meets the table under many),
-    /// its `Cow`s borrowed from a static or owned by `bits & 1`, its
-    /// integers at their maxima by `bits & 2`, and node and span absent,
-    /// small or at their maxima by `envelope`.
+    /// a call exactly-once or a success by `bits & 1`, its integers at
+    /// their maxima by `bits & 2`, and node and span absent, small or at
+    /// their maxima by `envelope`.
     fn event((variant, text): (i64, i64), (envelope, bits): (i64, i64)) -> TraceEvent {
         let text = TEXT[text as usize];
         let mut kind = event_kinds_with(text).swap_remove(variant as usize);
         if bits & 1 == 0 {
             match &mut kind {
-                EventKind::CallStarted { protocol, .. } => *protocol = Cow::Borrowed(text),
-                EventKind::CallCompleted { outcome, .. } => *outcome = Cow::Borrowed(text),
+                EventKind::CallStarted { protocol, .. } => *protocol = RpcProtocol::ExactlyOnce,
+                EventKind::CallCompleted { failure, .. } => *failure = None,
                 _ => {}
             }
         }
@@ -564,8 +488,9 @@ mod tests {
 
     /// `unpack(pack(e)) == e` for sequences of every variant through one
     /// table, checked after the whole sequence is packed so that an id
-    /// resolved against the wrong entry shows; a borrowed `Cow` comes back
-    /// borrowed, so a read allocates nothing for it.
+    /// resolved against the wrong entry shows; an event is boxed if and
+    /// only if it owns text, and the table holds no more than the
+    /// distinct names.
     #[test]
     fn a_packed_event_unpacks_to_itself() {
         let one = zip(
@@ -577,36 +502,36 @@ mod tests {
             let events: Vec<TraceEvent> = script.iter().map(|&(a, b)| event(a, b)).collect();
             let records: Vec<Record> = events.iter().map(|e| names.pack(e.clone())).collect();
             for (ev, record) in events.iter().zip(&records) {
-                let back = names.event(record);
-                ensure_eq(&*back, ev)?;
-                let borrowed = |c: &Cow<'static, str>| matches!(c, Cow::Borrowed(_));
-                match (&back.kind, &ev.kind) {
-                    (
-                        EventKind::CallStarted { protocol: a, .. },
-                        EventKind::CallStarted { protocol: b, .. },
-                    )
-                    | (
-                        EventKind::CallCompleted { outcome: a, .. },
-                        EventKind::CallCompleted { outcome: b, .. },
-                    ) => ensure(borrowed(a) == borrowed(b), "a Cow changed hands")?,
-                    _ => {}
-                }
+                ensure_eq(&*names.event(record), ev)?;
+                let owns_text = matches!(
+                    ev.kind,
+                    EventKind::Message(_)
+                        | EventKind::Print { .. }
+                        | EventKind::Faulted { .. }
+                        | EventKind::WatchTripped { .. }
+                        | EventKind::CallCompleted {
+                            failure: Some(_),
+                            ..
+                        }
+                );
+                ensure_eq(matches!(record, Record::Owned(_)), owns_text)?;
                 ensure_eq(record.category(), ev.category)?;
                 ensure_eq(record.span(), ev.span)?;
             }
             ensure(
-                names.names.len() <= 2 * TEXT.len(),
+                names.names.len() <= TEXT.len(),
                 "the table grew past the names",
             )
         });
     }
 
-    /// A name enters the table the second time it is met, under any
-    /// `Arc`; the same text as a static is a second entry; a message's
-    /// text is never one. An event whose name is not in the table is kept
-    /// whole.
+    /// An event that names a procedure for the first time is packed, and
+    /// the table holds one entry per distinct procedure name, under any
+    /// `Arc`. An event that owns text is boxed and never enters the table:
+    /// a failure reason spelling a procedure's name does not, nor do a
+    /// hundred one-off messages.
     #[test]
-    fn a_name_is_interned_when_it_repeats() {
+    fn a_procedure_name_is_interned_on_first_sight() {
         let mut names = Names::default();
         let mut pack = |kind| {
             let packed = matches!(
@@ -625,22 +550,25 @@ mod tests {
             pid: 1,
             proc: proc.into(),
         };
-        let ok = || EventKind::CallCompleted {
+        let completed = |failure: Option<&str>| EventKind::CallCompleted {
             call_id: 1,
-            ok: true,
-            outcome: Cow::Borrowed("ping"),
+            failure: failure.map(str::to_string),
         };
-        assert_eq!(pack(spawned("ping")), (false, 0));
         assert_eq!(pack(spawned("ping")), (true, 1));
         assert_eq!(pack(spawned("ping")), (true, 1));
-        assert_eq!(pack(ok()), (false, 1));
-        assert_eq!(pack(ok()), (true, 2));
-        for _ in 0..2 {
-            assert_eq!(pack(EventKind::Message("ping".into())), (false, 2));
-        }
+        assert_eq!(
+            pack(EventKind::ServerDispatched {
+                call_id: 1,
+                proc: "pong".into(),
+            }),
+            (true, 2)
+        );
+        assert_eq!(pack(completed(None)), (true, 2));
+        assert_eq!(pack(completed(Some("ping"))), (false, 2));
         for i in 0..100 {
-            assert_eq!(pack(spawned(&format!("watch#{i}"))), (false, 2));
+            assert_eq!(pack(EventKind::Message(format!("ping #{i}"))), (false, 2));
         }
+        assert_eq!(pack(spawned("pong")), (true, 2));
         assert_eq!(names.ids.len(), 2);
     }
 }

@@ -29,7 +29,7 @@ fn jsonl(ring: &Ring<Record>, names: &Names) -> String {
 }
 
 /// Both rings hold [`Record`]s: an event packed to a fixed size, its
-/// repeating names as ids into `names`, which both rings share.
+/// procedure names as ids into `names`, which both rings share.
 struct TracerInner {
     main: Ring<Record>,
     /// The flight recorder: a small, always-on tail of recent events,
@@ -646,7 +646,7 @@ mod tests {
                 proc: "ping".into(),
                 args: 0,
                 dst: 1,
-                protocol: "exactly-once".into(),
+                protocol: crate::RpcProtocol::ExactlyOnce,
                 parent_span: 0,
             },
         );

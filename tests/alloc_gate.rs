@@ -624,11 +624,11 @@ fn replay_holds_no_second_copy_of_the_trace() {
 }
 
 /// One client call's worth of RPC events, named as a world names them:
-/// the procedure under one `Arc` per node, the protocol and the `ok`
-/// outcome borrowed statics.
+/// the procedure under one `Arc` per node, the protocol and the success
+/// typed.
 fn rpc_events(tracer: &pilgrim::Tracer, names: &[std::sync::Arc<str>], call: u64) {
     use pilgrim::{EventKind, TraceCategory};
-    use std::borrow::Cow;
+    use pilgrim_sim::RpcProtocol;
     let at = SimTime::from_micros(call);
     let node = (call % names.len() as u64) as u32;
     let proc = &names[node as usize];
@@ -639,7 +639,7 @@ fn rpc_events(tracer: &pilgrim::Tracer, names: &[std::sync::Arc<str>], call: u64
         proc: proc.clone(),
         args: 0,
         dst: node + 1,
-        protocol: Cow::Borrowed("exactly-once"),
+        protocol: RpcProtocol::ExactlyOnce,
         parent_span: 0,
     });
     rpc(EventKind::ServerDispatched {
@@ -652,14 +652,13 @@ fn rpc_events(tracer: &pilgrim::Tracer, names: &[std::sync::Arc<str>], call: u64
     });
     rpc(EventKind::CallCompleted {
         call_id: call,
-        ok: true,
-        outcome: Cow::Borrowed("ok"),
+        failure: None,
     });
 }
 
 /// A retained trace event costs its fixed-size record: N RPC events keep
 /// at most N records, one partial chunk of records and the name table —
-/// not a 96-byte `TraceEvent` each. And a wrapping flight recorder stores
+/// not an 80-byte `TraceEvent` each. And a wrapping flight recorder stores
 /// an event that owns no text without touching the allocator.
 #[test]
 fn a_retained_event_costs_one_fixed_size_record() {
