@@ -11,7 +11,7 @@
 use std::borrow::Cow;
 
 use pilgrim_sim::json::Fields;
-use pilgrim_sim::Json;
+use pilgrim_sim::{Json, Trace};
 
 use super::{Recipe, ReplayError, Stimulus};
 use crate::saved::Saved;
@@ -30,8 +30,11 @@ pub struct Artifact {
     pub recipe: Recipe,
     /// Ordered public-API calls that drove the world.
     pub stimuli: Vec<Stimulus>,
-    /// The recorded run's `trace_jsonl()` output, byte-exact.
-    pub trace: String,
+    /// The recorded run's trace: its `trace_jsonl()` lines, byte-exact.
+    /// [`World::record`](crate::World::record) keeps the tracer's
+    /// records; a parsed recording keeps the text that followed its
+    /// header.
+    pub trace: Trace,
     /// Folded-stack profile snapshot (`World::folded_stacks`), captured
     /// when the recorded world profiled its VMs. Replay diffs a fresh
     /// profile against this, so a recording also pins *where simulated
@@ -41,8 +44,31 @@ pub struct Artifact {
 
 impl Artifact {
     /// Renders the artifact: the one-line header, then the trace raw.
+    ///
+    /// The trace is most of a recording's bytes, so it is written once,
+    /// straight into a buffer reserved for it and the header; the header,
+    /// which ends with the trace's true length, then goes in front, and
+    /// the buffer is trimmed to its length.
     pub fn render(&self) -> String {
-        let head = Json::obj(vec![
+        let mut head = String::new();
+        self.header(0).write(&mut head);
+        debug_assert!(head.ends_with("\"trace_bytes\": 0}"));
+        let stem = head.len() - "0}".len();
+        let hint = self.trace.jsonl_len_hint();
+        let mut out = String::with_capacity(stem + hint.to_string().len() + "}\n".len() + hint);
+        self.trace.write_jsonl(&mut out);
+        head.truncate(stem);
+        head.push_str(&out.len().to_string());
+        head.push_str("}\n");
+        out.insert_str(0, &head);
+        out.shrink_to_fit();
+        out
+    }
+
+    /// The header [`render`](Artifact::render) writes, its `trace_bytes`
+    /// (the last member) given.
+    fn header(&self, trace_bytes: usize) -> Json {
+        Json::obj(vec![
             ("format", Json::Str(FORMAT.to_string())),
             ("version", Json::Int(VERSION as i128)),
             ("recipe", self.recipe.to_json()),
@@ -54,16 +80,8 @@ impl Artifact {
                 "profile",
                 self.profile.clone().map_or(Json::Null, Json::Str),
             ),
-            ("trace_bytes", Json::Int(self.trace.len() as i128)),
-        ]);
-        let mut out = String::new();
-        head.write(&mut out);
-        out.push('\n');
-        // The trace is most of a recording's bytes: one append, into a
-        // buffer grown once to exactly its size.
-        out.reserve_exact(self.trace.len());
-        out.push_str(&self.trace);
-        out
+            ("trace_bytes", Json::Int(trace_bytes as i128)),
+        ])
     }
 
     /// Parses an artifact rendered by [`render`](Artifact::render).
@@ -121,7 +139,7 @@ impl Artifact {
         Ok(Artifact {
             recipe,
             stimuli,
-            trace: body.into_owned(),
+            trace: Trace::from(body.into_owned()),
             profile,
         })
     }
@@ -150,9 +168,9 @@ mod tests {
     /// Text that exercises every escape class a JSON string has.
     const HOSTILE: &str = "\"quoted\" back\\slash\ttab \u{1}\u{1f} λ\"→\\😀\n";
 
-    /// A small recorded run, profiled or not, that printed [`HOSTILE`],
-    /// so its trace holds every escape class inside its event lines.
-    fn recorded(profile: bool) -> Artifact {
+    /// A small run, profiled or not, that printed [`HOSTILE`], so its
+    /// trace holds every escape class inside its event lines.
+    fn hostile_world(profile: bool) -> World {
         let mut w = World::builder()
             .program("main = proc (s: string)\n print(s)\n end")
             .seed(7)
@@ -164,7 +182,12 @@ mod tests {
             .expect("builds");
         w.spawn(0, "main", vec![Value::Str(HOSTILE.into())]);
         w.run_until_idle(pilgrim_sim::SimTime::from_secs(1));
-        let artifact = w.record();
+        w
+    }
+
+    /// [`hostile_world`]'s recording.
+    fn recorded(profile: bool) -> Artifact {
+        let artifact = hostile_world(profile).record();
         assert_eq!(artifact.profile.is_some(), profile);
         artifact
     }
@@ -174,7 +197,7 @@ mod tests {
     /// newline in the profile.
     fn hostile_artifact(profile: bool) -> Artifact {
         let mut artifact = recorded(profile);
-        artifact.trace.push_str(HOSTILE);
+        artifact.trace = (artifact.trace.text().into_owned() + HOSTILE).into();
         if let Some(p) = &mut artifact.profile {
             p.push_str(HOSTILE);
         }
@@ -198,7 +221,7 @@ mod tests {
                     None => Json::Null,
                 },
             ),
-            ("trace_bytes", Json::Int(a.trace.len() as i128)),
+            ("trace_bytes", Json::Int(a.trace.text().len() as i128)),
         ]) else {
             unreachable!("obj builds an object")
         };
@@ -234,15 +257,16 @@ mod tests {
     fn streamed_render_matches_the_json_document() {
         for profile in [false, true] {
             let a = hostile_artifact(profile);
+            let trace = a.trace.text();
             let text = a.render();
-            assert_eq!(text, render_document(header(&a)) + &a.trace);
+            assert_eq!(text, render_document(header(&a)) + &trace);
             // The raw newline in the profile is escaped: the header is
             // one line, and the first newline ends it.
             let (head, body) = text.split_once('\n').expect("has a header line");
-            assert_eq!(body, a.trace);
+            assert_eq!(body, trace);
             assert!(Json::parse(head).is_ok());
             let back = Artifact::parse(&text).expect("parses");
-            assert_eq!(back.trace, a.trace);
+            assert_eq!(back.trace.text(), trace);
             assert_eq!(back.profile, a.profile);
             assert_eq!(back.render(), text);
         }
@@ -254,6 +278,32 @@ mod tests {
         assert_eq!(report.world.record().render(), a.render());
     }
 
+    /// A recording keeps the tracer's records, and renders exactly what
+    /// the tracer renders: the header, then `trace_jsonl()` byte for byte,
+    /// in a buffer with no slack. Its parsed text form renders the same
+    /// bytes, and the two forms of one run replay alike.
+    #[test]
+    fn a_recording_renders_what_the_tracer_renders() {
+        for profile in [false, true] {
+            let w = hostile_world(profile);
+            let a = w.record();
+            let text = a.render();
+            assert_eq!(text, render_document(header(&a)) + &w.trace_jsonl());
+            assert_eq!(text.capacity(), text.len(), "the rendering carries slack");
+            let back = Artifact::parse(&text).expect("parses");
+            assert_eq!(back.render(), text);
+            let live = replay(&a).expect("the records form replays");
+            let loaded = replay(&back).expect("the text form replays");
+            assert!(live.byte_identical, "{:?}", live.divergence);
+            assert!(live.divergence.is_none() && loaded.divergence.is_none());
+            assert_eq!(live.recorded_events, loaded.recorded_events);
+            assert_eq!(live.byte_identical, loaded.byte_identical);
+            assert_eq!(live.profile_identical, loaded.profile_identical);
+            assert_eq!(live.profile_identical, profile.then_some(true));
+            assert_eq!(live.world.record().render(), loaded.world.record().render());
+        }
+    }
+
     /// Only this build's version loads. A version 1 rendering (the trace
     /// an escaped `trace` string in a one-line document) and a version 2
     /// one (this layout) are both refused by their version, whatever
@@ -261,15 +311,14 @@ mod tests {
     #[test]
     fn hostile_version_1_and_2_renderings_are_refused_by_version() {
         let a = recorded(true);
-        assert!(a
-            .trace
-            .contains("\\\"quoted\\\" back\\\\slash\\ttab \\u0001"));
+        let trace = a.trace.text();
+        assert!(trace.contains("\\\"quoted\\\" back\\\\slash\\ttab \\u0001"));
         let mut v1 = at_version(header(&a), 1);
         v1.pop();
-        v1.insert(4, ("trace".to_string(), Json::Str(a.trace.clone())));
+        v1.insert(4, ("trace".to_string(), Json::Str(trace.to_string())));
         let v1 = render_document(v1);
         assert_eq!(v1.lines().count(), 1);
-        let v2 = render_document(at_version(header(&a), 2)) + &a.trace;
+        let v2 = render_document(at_version(header(&a), 2)) + &trace;
         for (version, text) in [(1, &v1), (2, &v2)] {
             refused(
                 text,
@@ -284,6 +333,7 @@ mod tests {
     #[test]
     fn a_trace_key_or_a_second_trace_bytes_is_refused() {
         let a = hostile_artifact(false);
+        let trace = a.trace.text();
         let refused_with = |pairs: Vec<(String, Json)>, body: &str, want: &str| {
             refused(&(render_document(pairs) + body), want)
         };
@@ -292,21 +342,21 @@ mod tests {
 
         let mut pairs = header(&a);
         pairs.insert(2, ("trace".to_string(), Json::Str("ignored".into())));
-        refused_with(pairs, &a.trace, "recording: unknown key `trace`");
+        refused_with(pairs, &trace, "recording: unknown key `trace`");
         let mut pairs = header(&a);
-        let len = a.trace.len() as i128;
+        let len = trace.len() as i128;
         pairs.push(("trace_bytes".to_string(), Json::Int(len + 1)));
-        refused_with(pairs, &a.trace, "recording: duplicate key `trace_bytes`");
+        refused_with(pairs, &trace, "recording: duplicate key `trace_bytes`");
 
         let mut pairs = header(&a);
         pairs.remove(at(&pairs, "trace_bytes"));
-        refused_with(pairs, &a.trace, "recording: missing `trace_bytes`");
+        refused_with(pairs, &trace, "recording: missing `trace_bytes`");
         let mut pairs = header(&a);
         let i = at(&pairs, "trace_bytes");
         pairs[i].1 = Json::Int(len - 1);
         refused_with(
             pairs,
-            &a.trace,
+            &trace,
             &format!(
                 "recording: `trace_bytes` is {} but {len} bytes follow the header",
                 len - 1
@@ -352,7 +402,7 @@ mod tests {
                 };
                 members.push((key.to_string(), Json::Int(value + shift)));
             }
-            let text = render_document(v2) + &a.trace;
+            let text = render_document(v2) + &a.trace.text();
             assert!(text.contains(&format!("\"retry_interval_us\": {}", 200_000 + shift)));
             refused(
                 &text,

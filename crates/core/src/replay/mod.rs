@@ -213,13 +213,14 @@ fn check_setup(recorded: &[(String, Json)], renoted: &[(String, Json)]) -> Resul
 /// Diffs a re-run world's trace (and profile) against the recording.
 fn verify(artifact: &Artifact, world: World) -> Result<ReplayReport, ReplayError> {
     // Verification is bytes first, and streamed: each replayed event is
-    // rendered into one reused line and matched against the recording
-    // where the last match ended, so no second copy of the trace is
-    // made. Equal bytes parse to equal events, so there is nothing for
-    // the structural differ to explain and neither trace is parsed; the
+    // rendered into one reused line and matched against the recording's
+    // next line, so no second copy of the trace is made, and a recording
+    // that holds the tracer's records renders one line at a time too.
+    // Equal bytes parse to equal events, so there is nothing for the
+    // structural differ to explain and neither trace is parsed; the
     // recorded trace then holds exactly one line per event the replayed
     // tracer retains.
-    let mut rest = artifact.trace.as_str();
+    let mut recorded = artifact.trace.lines();
     let mut matched = true;
     let mut line = String::new();
     world.tracer().for_each(|ev| {
@@ -227,17 +228,14 @@ fn verify(artifact: &Artifact, world: World) -> Result<ReplayReport, ReplayError
             line.clear();
             ev.write_json(&mut line);
             line.push('\n');
-            match rest.strip_prefix(line.as_str()) {
-                Some(after) => rest = after,
-                None => matched = false,
-            }
+            matched = recorded.next_line() == Some(line.as_str());
         }
     });
-    let byte_identical = matched && rest.is_empty();
+    let byte_identical = matched && recorded.next_line().is_none();
     let (divergence, recorded_events) = if byte_identical {
         (None, world.tracer().len())
     } else {
-        let recorded = TraceEvent::parse_jsonl(&artifact.trace)
+        let recorded = TraceEvent::parse_jsonl(&artifact.trace.text())
             .map_err(|e| ReplayError::Format(format!("recorded trace: {e}")))?;
         let fresh_events = TraceEvent::parse_jsonl(&world.trace_jsonl())
             .map_err(|e| ReplayError::Format(format!("fresh trace: {e}")))?;

@@ -139,12 +139,12 @@ impl Saved {
     /// A malformed event line.
     pub fn causal_graph(&self) -> Result<(usize, CausalGraph), String> {
         let (jsonl, section) = match self {
-            Saved::Recording(artifact) => (&artifact.trace, "recorded trace"),
-            Saved::Dump(snap) => (&snap.events, "blackbox events"),
+            Saved::Recording(artifact) => (artifact.trace.text(), "recorded trace"),
+            Saved::Dump(snap) => (Cow::Borrowed(snap.events.as_str()), "blackbox events"),
         };
         let mut events = Ok(0);
         let graph = CausalGraph::from_events_with(|sink| {
-            events = TraceEvent::visit_jsonl(jsonl, |ev| sink(&ev));
+            events = TraceEvent::visit_jsonl(&jsonl, |ev| sink(&ev));
         });
         let events = events.map_err(|e| format!("{section}: {e}"))?;
         Ok((events, graph))
@@ -272,12 +272,10 @@ mod tests {
         let _ = w.debug_request(0, write);
         w.run_until(SimTime::from_millis(80));
         let mut artifact = w.record();
-        let cut = artifact
-            .trace
-            .match_indices('\n')
-            .nth(2)
-            .map_or(0, |(at, _)| at + 1);
-        artifact.trace.truncate(cut);
+        let mut trace = artifact.trace.text().into_owned();
+        let cut = trace.match_indices('\n').nth(2).map_or(0, |(at, _)| at + 1);
+        trace.truncate(cut);
+        artifact.trace = trace.into();
         artifact.render()
     }
 
@@ -321,7 +319,7 @@ mod tests {
         loads_or_errs_when_cut_or_mutated(&text, "hostile recordings, every op");
 
         // `trace_bytes` made huge, negative, fractional, absent or one off.
-        let len = every.trace.len() as i128;
+        let len = every.trace.text().len() as i128;
         let (head, body) = text.split_once('\n').expect("has a header line");
         let declared = format!("\"trace_bytes\": {len}}}");
         assert!(head.ends_with(&declared));
@@ -367,7 +365,7 @@ mod tests {
         // anything after it, blank lines too, is a body `trace_bytes`
         // does not declare.
         let empty = Artifact {
-            trace: String::new(),
+            trace: String::new().into(),
             ..every
         }
         .render();

@@ -203,6 +203,22 @@ impl ActivityIndex {
     /// Takes every station due at or before `upto` out of its container
     /// and appends it to `out`, unsorted, each station once.
     pub(super) fn drain_due(&mut self, upto: SimTime, out: &mut Vec<usize>) {
+        self.drain(upto, true, out);
+    }
+
+    /// [`drain_due`](Self::drain_due) for a window that ends at `end`:
+    /// parked stations due at or before `end`, runnable ones strictly
+    /// before it. A runnable station whose clock is already `end` has
+    /// nothing to do in the window (stepping a node to its own clock runs
+    /// nothing), so it stays listed for the next one. A parked station
+    /// due at `end` is taken: its visit pops what became runnable there.
+    pub(super) fn drain_window(&mut self, end: SimTime, out: &mut Vec<usize>) {
+        self.drain(end, false, out);
+    }
+
+    /// Takes the parked stations due at or before `upto`, and the
+    /// runnable ones due before it or, if `runnable_at_upto`, at it.
+    fn drain(&mut self, upto: SimTime, runnable_at_upto: bool, out: &mut Vec<usize>) {
         while let Some(&(t, i)) = self.heap.first() {
             if t > upto {
                 break;
@@ -212,7 +228,7 @@ impl ActivityIndex {
         }
         let mut at = 0;
         while let Some(&i) = self.runnable.get(at) {
-            if self.next[i].is_some_and(|t| t <= upto) {
+            if self.next[i].is_some_and(|t| t < upto || (runnable_at_upto && t == upto)) {
                 self.unlist(i); // swaps the last station into `at`
                 out.push(i);
             } else {
@@ -432,6 +448,31 @@ mod tests {
             "station",
             [at(30), at(10), None, at(40), at(60)].into_iter(),
         );
+    }
+
+    /// A window drains a runnable station only before its end, a parked
+    /// one at its end too; what a window leaves stays listed, and the next
+    /// window, or an inclusive drain, takes it.
+    #[test]
+    fn a_window_drains_runnable_stations_strictly_before_its_end() {
+        let mut ix = ActivityIndex::default();
+        ix.reset(4);
+        ix.set_runnable(0, us(10));
+        ix.set_runnable(1, us(20));
+        ix.set(2, at(20));
+        ix.set_runnable(3, us(30));
+        let mut out = Vec::new();
+        ix.drain_window(us(20), &mut out);
+        out.sort_unstable();
+        assert_eq!(out, vec![0, 2], "the runnable station at the end stays");
+        assert_eq!(ix.runnable.len(), 2);
+        assert_eq!(ix.live_min(), at(20));
+        assert_eq!(ix.active(), 4, "draining does not touch the cache");
+        out.clear();
+        ix.drain_window(us(21), &mut out);
+        assert_eq!(out, vec![1]);
+        assert_eq!(drained(&mut ix, 30), vec![3], "an inclusive drain takes it");
+        assert_eq!(ix.live_min(), None);
     }
 
     /// A re-key of a listed station is a store: one list slot, the new

@@ -51,15 +51,17 @@ impl World {
     }
 
     /// Packages the recipe, the stimulus journal, and the trace emitted
-    /// so far into a self-describing replay artifact. Render it with
-    /// [`Artifact::render`]; reproduce it with [`crate::replay::replay`].
+    /// so far into a self-describing replay artifact. The trace is the
+    /// tracer's [`snapshot`](Tracer::snapshot), its records and not their
+    /// text. Render it with [`Artifact::render`]; reproduce it with
+    /// [`crate::replay::replay`].
     pub fn record(&self) -> Artifact {
         let mut stimuli = Vec::with_capacity(self.journal.len());
         stimuli.extend(self.journal.iter().cloned());
         Artifact {
             recipe: self.recipe.clone(),
             stimuli,
-            trace: self.trace_jsonl(),
+            trace: self.tracer.snapshot(),
             profile: self
                 .recipe
                 .node_cfg

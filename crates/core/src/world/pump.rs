@@ -24,8 +24,8 @@ impl World {
     ///
     /// The activity index answers both questions the reference pump
     /// scanned for — "when is the next event?" (`live_min`) and "who has
-    /// work ≤ `next`?" (`drain_due`). Only those stations are stepped,
-    /// in ascending index order, so the event sequence — and therefore
+    /// work in the window?" (`drain_window`). Only those stations are
+    /// stepped, in ascending index order, so the event sequence — and therefore
     /// every trace byte — matches the reference pump, which also visits
     /// stations in ascending order and emits nothing for quiescent ones
     /// (an idle `advance_into` produces no events, a timer-less
@@ -56,8 +56,10 @@ impl World {
         }
         let next = next.min(limit);
 
-        // Everything due inside the window joins the step / fire sets.
-        self.node_index.drain_due(next, &mut to_step);
+        // Everything due inside the window joins the step / fire sets. A
+        // runnable node whose clock is already `next` is left for the next
+        // window: stepping it to its own clock would run nothing.
+        self.node_index.drain_window(next, &mut to_step);
         self.ep_index.drain_due(next, &mut due_eps);
         for i in self.outcall_pending.drain(..) {
             self.outcall_flag[i] = false;

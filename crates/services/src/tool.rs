@@ -108,7 +108,7 @@ fn replay(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Status {
         artifact.recipe.nodes,
         artifact.recipe.seed,
         artifact.stimuli.len(),
-        artifact.trace.len()
+        artifact.trace.text().len()
     )?;
     let start = Instant::now();
     let report = replay_load(&artifact).map_err(|e| format!("{path}: replay failed: {e}"))?;

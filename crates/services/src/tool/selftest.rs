@@ -121,7 +121,8 @@ fn replay_section(out: &mut dyn Write) -> Result<(), Bad> {
     )?;
 
     // Now corrupt one recorded event and demand a precise report.
-    let mut lines: Vec<&str> = reparsed.trace.lines().collect();
+    let recorded = reparsed.trace.text();
+    let mut lines: Vec<&str> = recorded.lines().collect();
     let victim = lines.len() / 2;
     let mutated_line = lines[victim].replace("\"time_us\": ", "\"time_us\": 9");
     require!(
@@ -130,7 +131,7 @@ fn replay_section(out: &mut dyn Write) -> Result<(), Bad> {
     );
     lines[victim] = &mutated_line;
     let mut corrupted = reparsed.clone();
-    corrupted.trace = lines.join("\n") + "\n";
+    corrupted.trace = (lines.join("\n") + "\n").into();
     let mutated =
         replay(&corrupted).map_err(|e| format!("replay of mutated artifact errored: {e}"))?;
     let Some(d) = mutated.divergence else {

@@ -74,8 +74,8 @@ pub use ring::Ring;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    first_divergence, Divergence, EventKind, FieldDiff, RpcProtocol, SpanId, TraceCategory,
-    TraceEvent, Tracer, BLACKBOX_CAPACITY,
+    first_divergence, Divergence, EventKind, FieldDiff, Lines, RpcProtocol, SpanId, Trace,
+    TraceCategory, TraceEvent, Tracer, BLACKBOX_CAPACITY,
 };
 pub use tsdb::SeriesStore;
 pub use window::IdWindow;

@@ -8,7 +8,8 @@
 //! with the events. An event that owns text (a `Message`, a `Print`, a
 //! fault, a watch expression, a call's failure reason) is kept whole in a
 //! box instead, evicted with its slot, so the table never grows with free
-//! text. Ids never leave the tracer: every reader gets the [`TraceEvent`]
+//! text. Ids leave the tracer only with its table, in a
+//! [`Trace`](super::Trace) snapshot: every reader gets the [`TraceEvent`]
 //! back, field for field.
 
 use std::borrow::Cow;
@@ -136,6 +137,24 @@ impl Record {
         match self {
             Record::Packed(p) => p.span,
             Record::Owned(ev) => ev.span,
+        }
+    }
+
+    /// The event this record holds: rebuilt from a packed one against
+    /// `names`, the table it was packed with; lent from a kept one.
+    /// Always inlined, with the helpers it calls, so that the event is
+    /// built where the reader uses it rather than copied out.
+    #[inline(always)]
+    pub(super) fn event<'r>(&'r self, names: &[Arc<str>]) -> Cow<'r, TraceEvent> {
+        match self {
+            Record::Owned(ev) => Cow::Borrowed(ev),
+            Record::Packed(p) => Cow::Owned(TraceEvent {
+                time: p.time,
+                category: p.category,
+                node: p.has_node.then_some(p.node),
+                span: p.span,
+                kind: p.body.kind(names),
+            }),
         }
     }
 }
@@ -284,32 +303,19 @@ impl Names {
         })
     }
 
-    /// The event `record` holds: rebuilt from a packed one, lent from a
-    /// kept one. Always inlined, with the helpers it calls, so that the
-    /// event is built where the reader uses it rather than copied out.
-    #[inline(always)]
-    pub(super) fn event<'r>(&self, record: &'r Record) -> Cow<'r, TraceEvent> {
-        match record {
-            Record::Owned(ev) => Cow::Borrowed(ev),
-            Record::Packed(p) => Cow::Owned(TraceEvent {
-                time: p.time,
-                category: p.category,
-                node: p.has_node.then_some(p.node),
-                span: p.span,
-                kind: self.kind(p.body),
-            }),
-        }
+    /// The table the packed records index, id `i` at position `i`.
+    pub(super) fn table(&self) -> &[Arc<str>] {
+        &self.names
     }
+}
 
-    /// A procedure name as the `Arc` it was interned from.
+impl Body {
+    /// The event kind, each procedure name the `Arc` it was interned
+    /// from.
     #[inline(always)]
-    fn arc(&self, id: u32) -> Arc<str> {
-        self.names[id as usize].clone()
-    }
-
-    #[inline(always)]
-    fn kind(&self, body: Body) -> EventKind {
-        match body {
+    fn kind(self, names: &[Arc<str>]) -> EventKind {
+        let arc = |id: u32| names[id as usize].clone();
+        match self {
             Body::PacketSent { src, dst, bytes } => EventKind::PacketSent { src, dst, bytes },
             Body::PacketDelivered { src, dst, bytes } => {
                 EventKind::PacketDelivered { src, dst, bytes }
@@ -325,7 +331,7 @@ impl Names {
                 parent_span,
             } => EventKind::CallStarted {
                 call_id,
-                proc: self.arc(proc),
+                proc: arc(proc),
                 args,
                 dst,
                 protocol,
@@ -341,14 +347,14 @@ impl Names {
             Body::CallTimedOut { call_id } => EventKind::CallTimedOut { call_id },
             Body::ServerDispatched { call_id, proc } => EventKind::ServerDispatched {
                 call_id,
-                proc: self.arc(proc),
+                proc: arc(proc),
             },
             Body::ReplySent { call_id, cached } => EventKind::ReplySent { call_id, cached },
             Body::MaybeLostCall { call_id } => EventKind::MaybeLostCall { call_id },
             Body::MaybeLostReply { call_id } => EventKind::MaybeLostReply { call_id },
             Body::ProcessSpawned { pid, proc } => EventKind::ProcessSpawned {
                 pid,
-                proc: self.arc(proc),
+                proc: arc(proc),
             },
             Body::ProcessExited { pid } => EventKind::ProcessExited { pid },
             Body::ProcessesHalted { count } => EventKind::ProcessesHalted { count },
@@ -502,7 +508,7 @@ mod tests {
             let events: Vec<TraceEvent> = script.iter().map(|&(a, b)| event(a, b)).collect();
             let records: Vec<Record> = events.iter().map(|e| names.pack(e.clone())).collect();
             for (ev, record) in events.iter().zip(&records) {
-                ensure_eq(&*names.event(record), ev)?;
+                ensure_eq(&*record.event(names.table()), ev)?;
                 let owns_text = matches!(
                     ev.kind,
                     EventKind::Message(_)

@@ -7,26 +7,12 @@ use std::fmt;
 use std::num::NonZeroU64;
 use std::rc::Rc;
 
-use super::codec::JSONL_LINE_BYTES;
 use super::record::{Names, Record};
+use super::snapshot::{jsonl, Trace};
 use super::{EventKind, SpanId, TraceCategory, TraceEvent};
 use crate::ring::Ring;
 use crate::rng::splitmix64;
 use crate::time::SimTime;
-
-/// A ring as JSON Lines: one [`TraceEvent::write_json`] object per line,
-/// newline-terminated, oldest first. Written into a buffer sized for the
-/// longest lines, then returned at its exact length: a recording keeps
-/// this string for as long as it lives.
-fn jsonl(ring: &Ring<Record>, names: &Names) -> String {
-    let mut out = String::with_capacity(ring.len() * JSONL_LINE_BYTES);
-    for record in ring.iter() {
-        names.event(record).write_json(&mut out);
-        out.push('\n');
-    }
-    out.shrink_to_fit();
-    out
-}
 
 /// Both rings hold [`Record`]s: an event packed to a fixed size, its
 /// procedure names as ids into `names`, which both rings share.
@@ -311,7 +297,7 @@ impl Tracer {
     pub fn for_each(&self, mut f: impl FnMut(&TraceEvent)) {
         let inner = self.shared.inner.borrow();
         for record in inner.main.iter() {
-            f(&inner.names.event(record));
+            f(&record.event(inner.names.table()));
         }
     }
 
@@ -319,7 +305,9 @@ impl Tracer {
     fn collect(&self, keep: impl Fn(&Record) -> bool) -> Vec<TraceEvent> {
         let inner = self.shared.inner.borrow();
         let wanted = inner.main.iter().filter(|r| keep(r));
-        wanted.map(|r| inner.names.event(r).into_owned()).collect()
+        wanted
+            .map(|r| r.event(inner.names.table()).into_owned())
+            .collect()
     }
 
     /// A snapshot of every recorded event, in order.
@@ -342,7 +330,18 @@ impl Tracer {
     /// newline-terminated, suitable for external tooling.
     pub fn to_jsonl(&self) -> String {
         let inner = self.shared.inner.borrow();
-        jsonl(&inner.main, &inner.names)
+        jsonl(inner.main.iter(), inner.main.len(), inner.names.table())
+    }
+
+    /// The main trace as a recording keeps it: the retained records,
+    /// copied at their length, and the name table they index. Its lines
+    /// are [`to_jsonl`](Tracer::to_jsonl)'s, byte for byte, for as long as
+    /// it lives, whatever this tracer records next.
+    pub fn snapshot(&self) -> Trace {
+        let inner = self.shared.inner.borrow();
+        let mut records = Vec::with_capacity(inner.main.len());
+        records.extend(inner.main.iter().cloned());
+        Trace::records(records, inner.names.table().to_vec())
     }
 
     /// Events the main trace has dropped to stay within its budget.
@@ -380,7 +379,11 @@ impl Tracer {
     /// encoding as [`to_jsonl`](Tracer::to_jsonl).
     pub fn blackbox_jsonl(&self) -> String {
         let inner = self.shared.inner.borrow();
-        jsonl(&inner.blackbox, &inner.names)
+        jsonl(
+            inner.blackbox.iter(),
+            inner.blackbox.len(),
+            inner.names.table(),
+        )
     }
 }
 
@@ -597,8 +600,9 @@ mod tests {
     }
 
     /// Past 65 536 events the main ring's store spans 256 chunks, where a
-    /// doubling `Vec` would reallocate: both readers still see every event,
-    /// oldest first, and the flight recorder the newest 512.
+    /// doubling `Vec` would reallocate: both readers and a snapshot still
+    /// see every event, oldest first, and the flight recorder the newest
+    /// 512.
     #[test]
     fn a_trace_past_the_doubling_step_reads_back_in_order() {
         let t = Tracer::new();
@@ -630,6 +634,16 @@ mod tests {
         assert!(t.to_jsonl() == lines(&model));
         assert!(t.blackbox_jsonl() == lines(&model[70_000 - BLACKBOX_CAPACITY..]));
         assert_eq!((t.len(), t.evicted()), (70_000, 0));
+        // A snapshot reads the same lines whole and one at a time, and
+        // keeps them whatever the tracer records after it.
+        let snapshot = t.snapshot();
+        t.record(SimTime::ZERO, TraceCategory::Net, None, "after");
+        assert!(snapshot.text() == lines(&model));
+        let (mut cursor, mut walked) = (snapshot.lines(), String::new());
+        while let Some(line) = cursor.next_line() {
+            walked.push_str(line);
+        }
+        assert!(walked == lines(&model));
     }
 
     #[test]

@@ -113,7 +113,7 @@ fn rerun_needs_the_installer_and_reproduces_the_run_with_it() {
 
     let mut installer = setup_installer();
     let world = rerun(&artifact, Some(&mut installer)).expect("re-runs");
-    assert_eq!(world.trace_jsonl(), artifact.trace);
+    assert_eq!(world.trace_jsonl(), artifact.trace.text());
     assert_eq!(
         world.record().render(),
         rendered,

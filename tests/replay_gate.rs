@@ -79,7 +79,9 @@ fn assert_clean(report: &ReplayReport, artifact: &Artifact) {
     );
     assert_eq!(
         report.recorded_events,
-        TraceEvent::parse_jsonl(&artifact.trace).unwrap().len()
+        TraceEvent::parse_jsonl(&artifact.trace.text())
+            .unwrap()
+            .len()
     );
 }
 
@@ -179,14 +181,15 @@ fn out_of_range_recipes_are_format_errors() {
 #[test]
 fn mutated_trace_is_reported_with_index_kind_and_field() {
     let artifact = lock_scenario().record();
-    let lines: Vec<&str> = artifact.trace.lines().collect();
+    let trace = artifact.trace.text();
+    let lines: Vec<&str> = trace.lines().collect();
     let victim = lines
         .iter()
         .position(|l| l.contains("\"ok\": true"))
         .expect("scenario completes at least one call");
 
     let mut corrupted = artifact.clone();
-    corrupted.trace = lines
+    corrupted.trace = (lines
         .iter()
         .enumerate()
         .map(|(i, l)| {
@@ -198,7 +201,8 @@ fn mutated_trace_is_reported_with_index_kind_and_field() {
         })
         .collect::<Vec<_>>()
         .join("\n")
-        + "\n";
+        + "\n")
+        .into();
 
     let report = replay(&corrupted).expect("replay runs");
     assert!(!report.byte_identical);
@@ -223,11 +227,12 @@ fn mutated_trace_is_reported_with_index_kind_and_field() {
 #[test]
 fn truncated_trace_is_reported_as_early_end() {
     let artifact = lock_scenario().record();
-    let mut lines: Vec<&str> = artifact.trace.lines().collect();
+    let trace = artifact.trace.text();
+    let mut lines: Vec<&str> = trace.lines().collect();
     let kept = lines.len() - 3;
     lines.truncate(kept);
     let mut corrupted = artifact.clone();
-    corrupted.trace = lines.join("\n") + "\n";
+    corrupted.trace = (lines.join("\n") + "\n").into();
 
     let report = replay(&corrupted).expect("replay runs");
     let d = report.divergence.expect("truncation must be detected");
@@ -240,16 +245,17 @@ fn truncated_trace_is_reported_as_early_end() {
 #[test]
 fn whitespace_only_difference_is_not_a_divergence() {
     let artifact = lock_scenario().record();
+    let trace = artifact.trace.text();
     let mut respaced = artifact.clone();
-    respaced.trace = artifact.trace.replace("\"time_us\": ", "\"time_us\":   ");
-    assert_ne!(respaced.trace, artifact.trace);
+    respaced.trace = trace.replace("\"time_us\": ", "\"time_us\":   ").into();
+    assert_ne!(respaced.trace.text(), trace);
 
     let report = replay(&respaced).expect("replay runs");
     assert!(report.divergence.is_none());
     assert!(!report.byte_identical);
     assert_eq!(
         report.recorded_events,
-        TraceEvent::parse_jsonl(&artifact.trace).unwrap().len()
+        TraceEvent::parse_jsonl(&trace).unwrap().len()
     );
 }
 
@@ -259,16 +265,17 @@ fn whitespace_only_difference_is_not_a_divergence() {
 #[test]
 fn the_streamed_byte_check_holds_at_the_trace_end() {
     let artifact = lock_scenario().record();
-    let fresh_events = TraceEvent::parse_jsonl(&artifact.trace).unwrap().len();
-    let replayed = |trace: String| {
+    let trace = artifact.trace.text();
+    let fresh_events = TraceEvent::parse_jsonl(&trace).unwrap().len();
+    let replayed = |edit: String| {
         let mut edited = artifact.clone();
-        edited.trace = trace;
+        edited.trace = edit.into();
         replay(&edited).expect("replay runs")
     };
 
     // One line more than the replay produces.
-    let last = artifact.trace.lines().last().expect("a non-empty trace");
-    let report = replayed(format!("{}{last}\n", artifact.trace));
+    let last = trace.lines().last().expect("a non-empty trace");
+    let report = replayed(format!("{trace}{last}\n"));
     assert!(!report.byte_identical, "an extra trailing line matched");
     let d = report.divergence.expect("the extra line is a divergence");
     assert_eq!(d.index, fresh_events);
@@ -276,18 +283,15 @@ fn the_streamed_byte_check_holds_at_the_trace_end() {
 
     // Every line, but the final newline missing: the same events in
     // other bytes.
-    let unterminated = artifact
-        .trace
-        .strip_suffix('\n')
-        .expect("newline-terminated");
+    let unterminated = trace.strip_suffix('\n').expect("newline-terminated");
     let report = replayed(unterminated.to_string());
     assert!(!report.byte_identical, "a missing final newline matched");
     assert!(report.divergence.is_none());
     assert_eq!(report.recorded_events, fresh_events);
 
     // One byte of the last line: a digit of its time.
-    let at = artifact.trace.len() - last.len() - 1 + "{\"time_us\": ".len();
-    let mut bytes = artifact.trace.clone().into_bytes();
+    let at = trace.len() - last.len() - 1 + "{\"time_us\": ".len();
+    let mut bytes = trace.clone().into_owned().into_bytes();
     bytes[at] = if bytes[at] == b'9' {
         b'8'
     } else {
@@ -316,7 +320,7 @@ fn an_empty_trace_replays_byte_identically() {
         .build()
         .expect("scenario builds");
     let artifact = w.record();
-    assert_eq!(artifact.trace, "");
+    assert_eq!(artifact.trace.text(), "");
     let report = replay(&artifact).expect("replay runs");
     assert_clean(&report, &artifact);
     assert_eq!(report.recorded_events, 0);
@@ -327,10 +331,11 @@ fn an_empty_trace_replays_byte_identically() {
 #[test]
 fn unparsable_recorded_line_is_a_format_error() {
     let artifact = lock_scenario().record();
-    let mut lines: Vec<&str> = artifact.trace.lines().collect();
+    let trace = artifact.trace.text();
+    let mut lines: Vec<&str> = trace.lines().collect();
     lines[4] = "{\"time_us\": oops}";
     let mut corrupted = artifact.clone();
-    corrupted.trace = lines.join("\n") + "\n";
+    corrupted.trace = (lines.join("\n") + "\n").into();
 
     match replay(&corrupted) {
         Err(ReplayError::Format(e)) => {
@@ -452,7 +457,7 @@ fn prop_record_replay_is_byte_identical() {
                 return Err(format!("diverged:\n{}", d.report()));
             }
             ensure(report.byte_identical, "trace not byte-identical")?;
-            let recorded = TraceEvent::parse_jsonl(&artifact.trace)?;
+            let recorded = TraceEvent::parse_jsonl(&artifact.trace.text())?;
             ensure_eq(report.recorded_events, recorded.len())
         },
     );

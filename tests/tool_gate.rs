@@ -242,7 +242,7 @@ fn recorded_load_artifact_replays_profiles_and_traces_from_disk() {
     let mut artifact = Artifact::parse(&text).expect("parses");
     artifact.recipe.node_cfg.profile_vm = true;
     let world = rerun(&artifact, Some(&mut setup_installer())).expect("re-runs");
-    assert_eq!(world.trace_jsonl(), artifact.trace);
+    assert_eq!(world.trace_jsonl(), artifact.trace.text());
     assert_eq!(world.folded_stacks(), folded);
 
     let (status, out, err) = pilgrim(&["trace", &art]);
@@ -258,10 +258,12 @@ fn mutated_trace_line_is_status_1_pinned_to_that_event() {
     let dir = Scratch::new("mutated");
     let (_, text) = dir.recorded_load();
     let mut artifact = Artifact::parse(&text).expect("parses");
-    let mut lines: Vec<String> = artifact.trace.lines().map(str::to_string).collect();
+    let recorded = artifact.trace.text().into_owned();
+    let mut lines: Vec<&str> = recorded.lines().collect();
     let victim = lines.len() / 2;
-    lines[victim] = lines[victim].replacen("\"time_us\": ", "\"time_us\": 9", 1);
-    artifact.trace = lines.join("\n") + "\n";
+    let mutated_line = lines[victim].replacen("\"time_us\": ", "\"time_us\": 9", 1);
+    lines[victim] = &mutated_line;
+    artifact.trace = (lines.join("\n") + "\n").into();
     let mutated = dir.write("mutated.json", &artifact.render());
 
     let (status, out, err) = pilgrim(&["replay", &mutated]);
