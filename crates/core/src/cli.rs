@@ -460,13 +460,8 @@ impl DebugCli {
                     .map_err(|e| DebugError::Source(e.to_string()))?;
                 Ok(match report.divergence {
                     None => format!(
-                        "replayed {} events from {path}: traces identical{}",
-                        report.recorded_events,
-                        if report.byte_identical {
-                            " (byte-for-byte)"
-                        } else {
-                            ""
-                        }
+                        "replayed {} events from {path}: traces identical (byte-for-byte)",
+                        report.recorded_events
                     ),
                     Some(d) => format!("DIVERGENCE replaying {path}:\n{}", d.report()),
                 })

@@ -97,5 +97,5 @@ pub use pilgrim_ring::{LinkModel, Medium, NetworkConfig, NodeId, PartitionWindow
 pub use pilgrim_rpc::{CallDebug, RpcConfig, ServerKnowledge, WireValue};
 pub use pilgrim_sim::{
     CausalGraph, Chunked, Counter, EventKind, Gauge, Histogram, Json, Metrics, SeriesStore,
-    SimDuration, SimTime, SpanId, SpanProfile, Trace, TraceCategory, TraceEvent, Tracer,
+    SimDuration, SimTime, SpanId, SpanProfile, TraceCategory, TraceEvent, Tracer,
 };

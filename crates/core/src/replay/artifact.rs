@@ -1,17 +1,21 @@
-//! The artifact: a recipe, its journal and the trace they produced, as one
-//! self-describing document.
+//! The artifact: a recipe, its journal and a digest of each event of the
+//! trace they produced, as one self-describing document.
 //!
-//! A recording is a one-line JSON header followed by the trace as it was
-//! emitted: `format`, `version`, `recipe`, `stimuli`, `profile` and
-//! `trace_bytes` on the first line, then exactly `trace_bytes` bytes of
-//! JSON Lines. The `Json` writer escapes every newline inside a string,
-//! so the header's own `\n` is the first one in the file. Only
-//! [`VERSION`] loads, and every key the writer emits is required.
+//! A recording is a one-line JSON header followed by one line per trace
+//! event: `format`, `version`, `recipe`, `stimuli`, `profile` and
+//! `trace_events` on the first line, then `trace_events` lines of 16
+//! lowercase hex digits and a newline, each the
+//! [`line_digest`](pilgrim_sim::line_digest) of one event's JSON line.
+//! The trace itself is not kept: a replay re-creates it from the recipe
+//! and the journal, and checks it against the digests. The `Json` writer
+//! escapes every newline inside a string, so the header's own `\n` is the
+//! first one in the file. Only [`VERSION`] loads, and every key the
+//! writer emits is required.
 
-use std::borrow::Cow;
+use std::fmt::Write as _;
 
 use pilgrim_sim::json::Fields;
-use pilgrim_sim::{Json, Trace};
+use pilgrim_sim::Json;
 
 use super::{Recipe, ReplayError, Stimulus};
 use crate::saved::Saved;
@@ -20,21 +24,22 @@ use crate::saved::Saved;
 pub const FORMAT: &str = "pilgrim-replay";
 /// Artifact format version written by [`Artifact::render`], and the only
 /// one that loads.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
-/// A self-describing recording: recipe + stimulus journal + the trace the
-/// original run emitted.
+/// Bytes of one digest line: 16 hex digits and a newline.
+const DIGEST_LINE: usize = 17;
+
+/// A self-describing recording: recipe + stimulus journal + a digest of
+/// each event the original run traced.
 #[derive(Debug, Clone)]
 pub struct Artifact {
     /// World reconstruction inputs.
     pub recipe: Recipe,
     /// Ordered public-API calls that drove the world.
     pub stimuli: Vec<Stimulus>,
-    /// The recorded run's trace: its `trace_jsonl()` lines, byte-exact.
-    /// [`World::record`](crate::World::record) keeps the tracer's
-    /// records; a parsed recording keeps the text that followed its
-    /// header.
-    pub trace: Trace,
+    /// The recorded run's trace, one [`line_digest`](pilgrim_sim::line_digest)
+    /// per retained event, oldest first ([`Tracer::digests`](pilgrim_sim::Tracer::digests)).
+    pub digests: Vec<u64>,
     /// Folded-stack profile snapshot (`World::folded_stacks`), captured
     /// when the recorded world profiled its VMs. Replay diffs a fresh
     /// profile against this, so a recording also pins *where simulated
@@ -43,32 +48,10 @@ pub struct Artifact {
 }
 
 impl Artifact {
-    /// Renders the artifact: the one-line header, then the trace raw.
-    ///
-    /// The trace is most of a recording's bytes, so it is written once,
-    /// straight into a buffer reserved for it and the header; the header,
-    /// which ends with the trace's true length, then goes in front, and
-    /// the buffer is trimmed to its length.
+    /// Renders the artifact: the one-line header, then one digest line
+    /// per event.
     pub fn render(&self) -> String {
-        let mut head = String::new();
-        self.header(0).write(&mut head);
-        debug_assert!(head.ends_with("\"trace_bytes\": 0}"));
-        let stem = head.len() - "0}".len();
-        let hint = self.trace.jsonl_len_hint();
-        let mut out = String::with_capacity(stem + hint.to_string().len() + "}\n".len() + hint);
-        self.trace.write_jsonl(&mut out);
-        head.truncate(stem);
-        head.push_str(&out.len().to_string());
-        head.push_str("}\n");
-        out.insert_str(0, &head);
-        out.shrink_to_fit();
-        out
-    }
-
-    /// The header [`render`](Artifact::render) writes, its `trace_bytes`
-    /// (the last member) given.
-    fn header(&self, trace_bytes: usize) -> Json {
-        Json::obj(vec![
+        let header = Json::obj(vec![
             ("format", Json::Str(FORMAT.to_string())),
             ("version", Json::Int(VERSION as i128)),
             ("recipe", self.recipe.to_json()),
@@ -80,8 +63,17 @@ impl Artifact {
                 "profile",
                 self.profile.clone().map_or(Json::Null, Json::Str),
             ),
-            ("trace_bytes", Json::Int(trace_bytes as i128)),
-        ])
+            ("trace_events", Json::Int(self.digests.len() as i128)),
+        ]);
+        let mut out = String::new();
+        header.write(&mut out);
+        out.push('\n');
+        out.reserve_exact(DIGEST_LINE * self.digests.len());
+        for digest in &self.digests {
+            // Writing into a `String` cannot fail.
+            let _ = writeln!(out, "{digest:016x}");
+        }
+        out
     }
 
     /// Parses an artifact rendered by [`render`](Artifact::render).
@@ -98,8 +90,8 @@ impl Artifact {
 
     /// The sections of a parsed header whose `format` tag and version
     /// [`Saved::parse`] has already checked; `body` is the text after the
-    /// header, the recorded trace.
-    pub(crate) fn from_doc(mut doc: Json, body: Cow<'_, str>) -> Result<Artifact, String> {
+    /// header, the digest lines.
+    pub(crate) fn from_doc(mut doc: Json, body: &str) -> Result<Artifact, String> {
         let f = Fields::new(&doc, &"recording");
         let recipe = Recipe::from_json(f.object("recipe")?)?;
         let stimuli: Vec<Stimulus> = f.list("stimuli", Stimulus::from_json)?;
@@ -115,12 +107,26 @@ impl Artifact {
                 "stimuli: no node {n} in a world of {stations} stations"
             ));
         }
-        let declared: usize = f.uint("trace_bytes")?;
-        if declared != body.len() {
+        // The body's length is checked against the declared count before
+        // anything is reserved for it.
+        let events: usize = f.uint("trace_events")?;
+        if events.checked_mul(DIGEST_LINE) != Some(body.len()) {
             return Err(format!(
-                "recording: `trace_bytes` is {declared} but {} bytes follow the header",
+                "recording: `trace_events` is {events} but {} bytes follow the header \
+                 ({DIGEST_LINE} per event)",
                 body.len()
             ));
+        }
+        let mut digests = Vec::with_capacity(events);
+        for (i, line) in body.as_bytes().chunks_exact(DIGEST_LINE).enumerate() {
+            let digest = parse_digest(line).ok_or_else(|| {
+                format!(
+                    "recording: line {}: not 16 lowercase hex digits and a newline \
+                     (the digest of event {i})",
+                    i + 2
+                )
+            })?;
+            digests.push(digest);
         }
         // `null` is how the writer says "not profiled".
         if f.get("profile")? != &Json::Null {
@@ -139,10 +145,34 @@ impl Artifact {
         Ok(Artifact {
             recipe,
             stimuli,
-            trace: Trace::from(body.into_owned()),
+            digests,
             profile,
         })
     }
+}
+
+/// One digest line: exactly 16 lowercase hex digits, then a newline.
+/// Every digit is read, and whether all were hex is asked once at the
+/// end: returning at the first bad byte made the loop branch on each one,
+/// and parsing a 40 000-line body took five times as long.
+fn parse_digest(line: &[u8]) -> Option<u64> {
+    let [hex @ .., b'\n'] = line else {
+        return None;
+    };
+    let mut digest = 0u64;
+    let mut all_hex = true;
+    for &b in hex {
+        let digit = b.wrapping_sub(b'0');
+        let letter = b.wrapping_sub(b'a');
+        all_hex &= digit < 10 || letter < 6;
+        let nibble = if digit < 10 {
+            digit
+        } else {
+            letter.wrapping_add(10)
+        };
+        digest = digest << 4 | u64::from(nibble & 0xf);
+    }
+    all_hex.then_some(digest)
 }
 
 #[cfg(test)]
@@ -152,6 +182,7 @@ mod tests {
     use crate::World;
     use pilgrim_cclu::Value;
     use pilgrim_mayflower::NodeConfig;
+    use pilgrim_sim::line_digest;
 
     #[test]
     fn artifact_rejects_foreign_documents() {
@@ -192,18 +223,6 @@ mod tests {
         artifact
     }
 
-    /// [`recorded`], whose trace and profile are then overwritten with
-    /// [`HOSTILE`] as raw text: a trace line that is not JSON, and a raw
-    /// newline in the profile.
-    fn hostile_artifact(profile: bool) -> Artifact {
-        let mut artifact = recorded(profile);
-        artifact.trace = (artifact.trace.text().into_owned() + HOSTILE).into();
-        if let Some(p) = &mut artifact.profile {
-            p.push_str(HOSTILE);
-        }
-        artifact
-    }
-
     /// The header [`Artifact::render`] writes for `a`, as members.
     fn header(a: &Artifact) -> Vec<(String, Json)> {
         let Json::Object(pairs) = Json::obj(vec![
@@ -221,7 +240,7 @@ mod tests {
                     None => Json::Null,
                 },
             ),
-            ("trace_bytes", Json::Int(a.trace.text().len() as i128)),
+            ("trace_events", Json::Int(a.digests.len() as i128)),
         ]) else {
             unreachable!("obj builds an object")
         };
@@ -233,6 +252,11 @@ mod tests {
         Json::Object(pairs).write(&mut out);
         out.push('\n');
         out
+    }
+
+    /// `a`'s digest lines.
+    fn body(a: &Artifact) -> String {
+        a.digests.iter().map(|d| format!("{d:016x}\n")).collect()
     }
 
     /// `pairs` with its `version` set to `version`.
@@ -250,116 +274,223 @@ mod tests {
         }
     }
 
-    /// A rendering is the `Json` writer's header line, then the trace
-    /// byte for byte, and it round-trips through `parse` to a replay
-    /// that matches it byte for byte.
+    /// [`line_digest`] as its documentation states it, one byte at a
+    /// time: the oracle the word-wise fold is checked against.
+    fn digest_by_the_book(line: &[u8]) -> u64 {
+        const K: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut h = K ^ line.len() as u64;
+        let mut word = 0u64;
+        for (i, &b) in line.iter().enumerate() {
+            word |= u64::from(b) << (8 * (i % 8));
+            if i % 8 == 7 || i + 1 == line.len() {
+                h = (h ^ word).wrapping_mul(K).rotate_left(31);
+                word = 0;
+            }
+        }
+        h ^= h >> 32;
+        h = h.wrapping_mul(K);
+        h ^ (h >> 29)
+    }
+
+    /// The digest is part of the format: these values are pinned, at
+    /// lengths 0, 1, 7, 8, 9 and 16 and on one whole event line, and
+    /// every prefix of that line agrees with the byte-wise oracle.
     #[test]
-    fn streamed_render_matches_the_json_document() {
+    fn hostile_digest_test_vectors_are_pinned() {
+        let line = "{\"time_us\": 5000, \"category\": \"vm\", \"node\": 0, \"span\": null, \
+                    \"kind\": \"Print\", \"message\": \"p1: got 42\", \"data\": {\"text\": \"got 42\"}}";
+        let vectors: [(&str, u64); 7] = [
+            ("", 0xab16_9ebd_5d0c_32dc),
+            ("a", 0xa18b_1b61_1749_1e19),
+            ("abcdefg", 0x0274_b5c5_f90d_0bff),
+            ("abcdefgh", 0xd64c_bef5_7621_9532),
+            ("abcdefghi", 0x5f16_8a23_acd5_b644),
+            ("0123456789abcdef", 0xec96_881a_33d6_dd16),
+            (line, 0x53f7_08f3_58b8_5bc4),
+        ];
+        for (text, want) in vectors {
+            assert_eq!(line_digest(text.as_bytes()), want, "digest of {text:?}");
+        }
+        for cut in 0..=line.len() {
+            let prefix = &line.as_bytes()[..cut];
+            assert_eq!(line_digest(prefix), digest_by_the_book(prefix), "at {cut}");
+        }
+        // A zero byte appended is another length, so another digest.
+        assert_ne!(line_digest(b"a"), line_digest(b"a\0"));
+    }
+
+    /// A rendering is the `Json` writer's header line, then one digest
+    /// line per event, each the digest of that event's JSON line; it
+    /// round-trips through `parse` exactly, and replays. A profile that
+    /// holds every escape class and a raw newline round-trips too.
+    #[test]
+    fn hostile_render_parse_render_round_trips_exactly() {
         for profile in [false, true] {
-            let a = hostile_artifact(profile);
-            let trace = a.trace.text();
+            let w = hostile_world(profile);
+            let mut a = w.record();
+            let lines: Vec<u64> = w
+                .trace_jsonl()
+                .lines()
+                .map(|l| line_digest(l.as_bytes()))
+                .collect();
+            assert!(a.digests == lines && !lines.is_empty());
             let text = a.render();
-            assert_eq!(text, render_document(header(&a)) + &trace);
-            // The raw newline in the profile is escaped: the header is
-            // one line, and the first newline ends it.
-            let (head, body) = text.split_once('\n').expect("has a header line");
-            assert_eq!(body, trace);
+            assert_eq!(text, render_document(header(&a)) + &body(&a));
+            let report = replay(&Artifact::parse(&text).expect("parses")).expect("replays");
+            assert!(report.byte_identical, "{:?}", report.divergence);
+            assert_eq!(report.profile_identical, profile.then_some(true));
+            assert_eq!(report.world.record().render(), text);
+
+            if let Some(p) = &mut a.profile {
+                p.push_str(HOSTILE);
+            }
+            let text = a.render();
+            // The raw newline in the profile is escaped: the header is one
+            // line, and the first newline ends it.
+            let (head, rest) = text.split_once('\n').expect("has a header line");
+            assert_eq!(rest.len(), 17 * a.digests.len());
             assert!(Json::parse(head).is_ok());
             let back = Artifact::parse(&text).expect("parses");
-            assert_eq!(back.trace.text(), trace);
+            assert!(back.digests == a.digests);
             assert_eq!(back.profile, a.profile);
             assert_eq!(back.render(), text);
         }
-        let a = recorded(true);
-        let back = Artifact::parse(&a.render()).expect("parses");
-        let report = replay(&back).expect("replays");
-        assert!(report.byte_identical, "{:?}", report.divergence);
-        assert_eq!(report.profile_identical, Some(true));
-        assert_eq!(report.world.record().render(), a.render());
     }
 
-    /// A recording keeps the tracer's records, and renders exactly what
-    /// the tracer renders: the header, then `trace_jsonl()` byte for byte,
-    /// in a buffer with no slack. Its parsed text form renders the same
-    /// bytes, and the two forms of one run replay alike.
+    /// Only this build's version loads. A version 3 rendering (the trace
+    /// as raw JSON Lines after a `trace_bytes` header), and versions 2 and
+    /// 1, are refused by their version, whatever else they hold.
     #[test]
-    fn a_recording_renders_what_the_tracer_renders() {
-        for profile in [false, true] {
-            let w = hostile_world(profile);
-            let a = w.record();
-            let text = a.render();
-            assert_eq!(text, render_document(header(&a)) + &w.trace_jsonl());
-            assert_eq!(text.capacity(), text.len(), "the rendering carries slack");
-            let back = Artifact::parse(&text).expect("parses");
-            assert_eq!(back.render(), text);
-            let live = replay(&a).expect("the records form replays");
-            let loaded = replay(&back).expect("the text form replays");
-            assert!(live.byte_identical, "{:?}", live.divergence);
-            assert!(live.divergence.is_none() && loaded.divergence.is_none());
-            assert_eq!(live.recorded_events, loaded.recorded_events);
-            assert_eq!(live.byte_identical, loaded.byte_identical);
-            assert_eq!(live.profile_identical, loaded.profile_identical);
-            assert_eq!(live.profile_identical, profile.then_some(true));
-            assert_eq!(live.world.record().render(), loaded.world.record().render());
-        }
-    }
-
-    /// Only this build's version loads. A version 1 rendering (the trace
-    /// an escaped `trace` string in a one-line document) and a version 2
-    /// one (this layout) are both refused by their version, whatever
-    /// else they hold.
-    #[test]
-    fn hostile_version_1_and_2_renderings_are_refused_by_version() {
+    fn hostile_version_3_and_older_renderings_are_refused_by_version() {
         let a = recorded(true);
-        let trace = a.trace.text();
-        assert!(trace.contains("\\\"quoted\\\" back\\\\slash\\ttab \\u0001"));
-        let mut v1 = at_version(header(&a), 1);
-        v1.pop();
-        v1.insert(4, ("trace".to_string(), Json::Str(trace.to_string())));
-        let v1 = render_document(v1);
-        assert_eq!(v1.lines().count(), 1);
-        let v2 = render_document(at_version(header(&a), 2)) + &trace;
-        for (version, text) in [(1, &v1), (2, &v2)] {
+        let w = hostile_world(true);
+        let jsonl = w.trace_jsonl();
+        let mut v3 = at_version(header(&a), 3);
+        v3.pop();
+        v3.push(("trace_bytes".to_string(), Json::Int(jsonl.len() as i128)));
+        let v3 = render_document(v3) + &jsonl;
+        let v2 = render_document(at_version(header(&a), 2)) + &body(&a);
+        let v1 = render_document(at_version(header(&a), 1));
+        for (version, text) in [(3, &v3), (2, &v2), (1, &v1)] {
             refused(
                 text,
                 &format!("unsupported {FORMAT} version {version} (expected {VERSION})"),
             );
         }
+        assert_eq!(
+            Artifact::parse(&v3).unwrap_err().to_string(),
+            "artifact format: unsupported pilgrim-replay version 3 (expected 4)"
+        );
     }
 
-    /// A header's trace is its body: a `trace` key in it is refused as a
-    /// key no decoder reads, and a second `trace_bytes` as a duplicate.
-    /// An absent or misdeclared `trace_bytes` is refused by name.
+    /// A header's trace is its body: a `trace` or `trace_bytes` key in it
+    /// is refused as a key no decoder reads, and a second `trace_events`
+    /// as a duplicate. An absent or misdeclared `trace_events` is refused
+    /// by name.
     #[test]
-    fn a_trace_key_or_a_second_trace_bytes_is_refused() {
-        let a = hostile_artifact(false);
-        let trace = a.trace.text();
-        let refused_with = |pairs: Vec<(String, Json)>, body: &str, want: &str| {
-            refused(&(render_document(pairs) + body), want)
+    fn hostile_trace_keys_and_a_misdeclared_count_are_refused() {
+        let a = recorded(false);
+        let body = body(&a);
+        let refused_with = |pairs: Vec<(String, Json)>, want: &str| {
+            refused(&(render_document(pairs) + &body), want)
         };
         let at =
             |pairs: &[(String, Json)], key: &str| pairs.iter().position(|(k, _)| k == key).unwrap();
+        let n = a.digests.len() as i128;
+
+        for key in ["trace", "trace_bytes"] {
+            let mut pairs = header(&a);
+            pairs.insert(2, (key.to_string(), Json::Int(body.len() as i128)));
+            refused_with(pairs, &format!("recording: unknown key `{key}`"));
+        }
+        let mut pairs = header(&a);
+        pairs.push(("trace_events".to_string(), Json::Int(n + 1)));
+        refused_with(pairs, "recording: duplicate key `trace_events`");
 
         let mut pairs = header(&a);
-        pairs.insert(2, ("trace".to_string(), Json::Str("ignored".into())));
-        refused_with(pairs, &trace, "recording: unknown key `trace`");
-        let mut pairs = header(&a);
-        let len = trace.len() as i128;
-        pairs.push(("trace_bytes".to_string(), Json::Int(len + 1)));
-        refused_with(pairs, &trace, "recording: duplicate key `trace_bytes`");
+        pairs.remove(at(&pairs, "trace_events"));
+        refused_with(pairs, "recording: missing `trace_events`");
+        for declared in [n - 1, n + 1] {
+            let mut pairs = header(&a);
+            let i = at(&pairs, "trace_events");
+            pairs[i].1 = Json::Int(declared);
+            refused_with(
+                pairs,
+                &format!(
+                    "recording: `trace_events` is {declared} but {} bytes follow the header \
+                     (17 per event)",
+                    body.len()
+                ),
+            );
+        }
+    }
 
-        let mut pairs = header(&a);
-        pairs.remove(at(&pairs, "trace_bytes"));
-        refused_with(pairs, &trace, "recording: missing `trace_bytes`");
-        let mut pairs = header(&a);
-        let i = at(&pairs, "trace_bytes");
-        pairs[i].1 = Json::Int(len - 1);
-        refused_with(
-            pairs,
-            &trace,
+    /// A `trace_events` of four billion is refused by the length check,
+    /// before anything is reserved for it: a reservation that size would
+    /// abort the process rather than return.
+    #[test]
+    fn hostile_four_billion_trace_events_are_refused_without_allocating() {
+        let a = recorded(false);
+        let body = body(&a);
+        for declared in [4_000_000_000_i128, u64::MAX as i128] {
+            let mut pairs = header(&a);
+            let last = pairs.len() - 1;
+            pairs[last].1 = Json::Int(declared);
+            refused(
+                &(render_document(pairs) + &body),
+                &format!(
+                    "recording: `trace_events` is {declared} but {} bytes follow the header \
+                     (17 per event)",
+                    body.len()
+                ),
+            );
+        }
+    }
+
+    /// A digest line is exactly 16 lowercase hex digits and a newline. An
+    /// uppercase, short, long or non-hex line is refused by its line
+    /// number, the header being line 1; a short line next to a long one
+    /// keeps the body's length, so it is the line that is refused, not
+    /// the count.
+    #[test]
+    fn hostile_digest_lines_are_refused_by_their_line_number() {
+        let a = recorded(false);
+        assert!(a.digests.len() >= 3, "{} events", a.digests.len());
+        let head = render_document(header(&a));
+        let mut lines: Vec<String> = a.digests.iter().map(|d| format!("{d:016x}")).collect();
+        lines[1] = "0123456789abcdef".to_string();
+        let good = head.clone() + &lines.join("\n") + "\n";
+        assert!(Artifact::parse(&good).is_ok());
+        let edits: [(&str, &str, &str); 5] = [
+            ("uppercase", "0123456789ABCDEF", "0123456789abcdef"),
+            ("non-hex", "0123456789abcdeg", "0123456789abcdef"),
+            ("signed", "+123456789abcdef", "0123456789abcdef"),
+            ("short", "0123456789abcde", "00123456789abcdef"),
+            ("long", "00123456789abcdef", "0123456789abcde"),
+        ];
+        for (what, second, third) in edits {
+            let mut edited = lines.clone();
+            edited[1] = second.to_string();
+            edited[2] = third.to_string();
+            let text = head.clone() + &edited.join("\n") + "\n";
+            assert_eq!(text.len(), good.len(), "{what}");
+            match Artifact::parse(&text) {
+                Err(ReplayError::Format(e)) => assert_eq!(
+                    e,
+                    "recording: line 3: not 16 lowercase hex digits and a newline \
+                     (the digest of event 1)",
+                    "{what}"
+                ),
+                other => panic!("{what}: expected a format error, got {other:?}"),
+            }
+        }
+        // The last line without its newline is one byte short.
+        refused(
+            &good[..good.len() - 1],
             &format!(
-                "recording: `trace_bytes` is {} but {len} bytes follow the header",
-                len - 1
+                "recording: `trace_events` is {} but {} bytes follow the header (17 per event)",
+                a.digests.len(),
+                good.len() - head.len() - 1
             ),
         );
     }
@@ -402,7 +533,7 @@ mod tests {
                 };
                 members.push((key.to_string(), Json::Int(value + shift)));
             }
-            let text = render_document(v2) + &a.trace.text();
+            let text = render_document(v2) + &body(&a);
             assert!(text.contains(&format!("\"retry_interval_us\": {}", 200_000 + shift)));
             refused(
                 &text,

@@ -6,17 +6,18 @@
 //! discrete-event simulation, so the *complete* reproduction recipe is
 //! small: the builder inputs (seed, topology, configs, programs, lockstep
 //! window) plus the ordered journal of public driver calls ([`Stimulus`])
-//! that pumped it. [`World::record`] packages those alongside the emitted
-//! trace into a single self-describing [`Artifact`]; [`replay`] rebuilds
-//! the world from the artifact alone, re-applies the journal, and diffs
-//! the fresh trace against the recorded one event-by-event with
-//! [`first_divergence`] — the same idea as URDB's record/replay and
-//! out-of-place debugging's "replay away from the live system".
+//! that pumped it. [`World::record`] packages those, with one digest per
+//! emitted trace event, into a single self-describing [`Artifact`];
+//! [`replay`] rebuilds the world from the artifact alone, re-applies the
+//! journal, and checks the fresh trace's digests against the recorded
+//! ones event by event — the same idea as URDB's record/replay, which
+//! re-executes forward and stores no outputs, and out-of-place
+//! debugging's "replay away from the live system".
 //!
 //! The module is cut along its seams: [`Recipe`] (what a world is built
 //! from), [`Stimulus`] (the journal of driving calls), [`Artifact`] (the
-//! document that carries both with the trace), and here the re-run and
-//! the verification that diff a fresh run against it.
+//! document that carries both with the digests), and here the re-run and
+//! the verification that checks a fresh run against it.
 //!
 //! # Examples
 //!
@@ -40,7 +41,7 @@
 
 use std::fmt;
 
-use pilgrim_sim::{first_divergence, Divergence, Json, TraceEvent};
+use pilgrim_sim::{Json, TraceEvent};
 
 use crate::world::{BuildError, World, WorldBuilder};
 
@@ -74,19 +75,84 @@ impl fmt::Display for ReplayError {
 }
 impl std::error::Error for ReplayError {}
 
+/// Where a replay first left its recording: the first event whose digest
+/// differs, or where one side ran out of events.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Divergence {
+    /// 0-based index of the first divergent event.
+    pub index: usize,
+    /// The recorded digest at that index; `None` when the recording ended
+    /// before the replay did.
+    pub recorded: Option<u64>,
+    /// The replayed event at that index; `None` when the replay ended
+    /// before the recording did.
+    pub replayed: Option<TraceEvent>,
+    /// The events of the replayed event's span that came before it in
+    /// the fresh trace, oldest first.
+    pub earlier_in_span: Vec<TraceEvent>,
+}
+
+impl Divergence {
+    /// The divergence at `index` between `recorded` and `world`'s trace.
+    fn at(index: usize, recorded: Option<u64>, world: &World) -> Divergence {
+        // Only a failed replay gets here, so the fresh trace is unpacked
+        // whole.
+        let mut events = world.tracer().events();
+        events.truncate(index + 1);
+        let replayed = (events.len() > index).then(|| events.swap_remove(index));
+        let span = replayed.as_ref().and_then(|ev| ev.span);
+        let earlier_in_span = match span {
+            Some(s) => events.into_iter().filter(|ev| ev.span == Some(s)).collect(),
+            None => Vec::new(),
+        };
+        Divergence {
+            index,
+            recorded,
+            replayed,
+            earlier_in_span,
+        }
+    }
+
+    /// A human-readable multi-line report: the index, the recorded
+    /// digest, the replayed event, and what its span did before it.
+    pub fn report(&self) -> String {
+        let mut out = format!("trace divergence at event {}: ", self.index);
+        match self.recorded {
+            Some(digest) => out.push_str(&format!("recorded digest {digest:016x}")),
+            None => out.push_str("the recording ended early"),
+        }
+        let Some(ev) = &self.replayed else {
+            out.push_str("; the replay ended early\n");
+            return out;
+        };
+        let span = ev.span.map_or("-".to_string(), |s| s.get().to_string());
+        out.push_str(&format!(
+            ", replayed kind {} (span {span})\n  replayed event: {ev}\n",
+            ev.kind.name()
+        ));
+        if !self.earlier_in_span.is_empty() {
+            out.push_str(&format!("  earlier in span {span}:\n"));
+            for earlier in &self.earlier_in_span {
+                out.push_str(&format!("    {earlier}\n"));
+            }
+        }
+        out
+    }
+}
+
 /// Outcome of a replay run.
 #[derive(Debug)]
 pub struct ReplayReport {
     /// The replayed world, positioned after the last stimulus — ready for
     /// further interactive debugging past the recorded horizon.
     pub world: World,
-    /// First difference between the recorded and fresh traces, if any.
+    /// The first event where the fresh trace's digests leave the
+    /// recorded ones, if any.
     pub divergence: Option<Divergence>,
     /// Number of events in the recorded trace.
     pub recorded_events: usize,
-    /// Whether the fresh trace is byte-identical to the recorded one
-    /// (stronger than `divergence.is_none()`: it also pins the JSONL
-    /// rendering itself).
+    /// Whether every fresh event's JSON line has its recorded digest:
+    /// exactly `divergence.is_none()`.
     pub byte_identical: bool,
     /// When the artifact embedded a folded-stack profile: whether the
     /// replayed world's profile is byte-identical to it. `None` when the
@@ -95,7 +161,7 @@ pub struct ReplayReport {
 }
 
 /// Rebuilds the world named by `artifact` and re-runs its journal, then
-/// diffs the fresh trace against the recorded one.
+/// checks the fresh trace against the recorded digests.
 ///
 /// # Errors
 ///
@@ -117,7 +183,7 @@ pub fn replay_with(
     artifact: &Artifact,
     installer: Option<&mut SetupInstaller<'_>>,
 ) -> Result<ReplayReport, ReplayError> {
-    verify(artifact, rerun(artifact, installer)?)
+    Ok(verify(artifact, rerun(artifact, installer)?))
 }
 
 /// The kind of callback [`rerun`] uses to re-perform a recipe's
@@ -210,47 +276,25 @@ fn check_setup(recorded: &[(String, Json)], renoted: &[(String, Json)]) -> Resul
     }
 }
 
-/// Diffs a re-run world's trace (and profile) against the recording.
-fn verify(artifact: &Artifact, world: World) -> Result<ReplayReport, ReplayError> {
-    // Verification is bytes first, and streamed: each replayed event is
-    // rendered into one reused line and matched against the recording's
-    // next line, so no second copy of the trace is made, and a recording
-    // that holds the tracer's records renders one line at a time too.
-    // Equal bytes parse to equal events, so there is nothing for the
-    // structural differ to explain and neither trace is parsed; the
-    // recorded trace then holds exactly one line per event the replayed
-    // tracer retains.
-    let mut recorded = artifact.trace.lines();
-    let mut matched = true;
-    let mut line = String::new();
-    world.tracer().for_each(|ev| {
-        if matched {
-            line.clear();
-            ev.write_json(&mut line);
-            line.push('\n');
-            matched = recorded.next_line() == Some(line.as_str());
-        }
-    });
-    let byte_identical = matched && recorded.next_line().is_none();
-    let (divergence, recorded_events) = if byte_identical {
-        (None, world.tracer().len())
-    } else {
-        let recorded = TraceEvent::parse_jsonl(&artifact.trace.text())
-            .map_err(|e| ReplayError::Format(format!("recorded trace: {e}")))?;
-        let fresh_events = TraceEvent::parse_jsonl(&world.trace_jsonl())
-            .map_err(|e| ReplayError::Format(format!("fresh trace: {e}")))?;
-        (first_divergence(&recorded, &fresh_events), recorded.len())
-    };
-    Ok(ReplayReport {
+/// Checks a re-run world's trace (and profile) against the recording:
+/// the first index where the digests differ, or where one list ends
+/// before the other, is the divergence.
+fn verify(artifact: &Artifact, world: World) -> ReplayReport {
+    let recorded = &artifact.digests;
+    let fresh = world.tracer().digests();
+    let divergence = (0..recorded.len().max(fresh.len()))
+        .find(|&i| recorded.get(i) != fresh.get(i))
+        .map(|i| Divergence::at(i, recorded.get(i).copied(), &world));
+    ReplayReport {
+        byte_identical: divergence.is_none(),
         divergence,
-        recorded_events,
-        byte_identical,
+        recorded_events: recorded.len(),
         profile_identical: artifact
             .profile
             .as_ref()
             .map(|p| *p == world.folded_stacks()),
         world,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -3,14 +3,13 @@
 //! Two kinds of file leave a session: a replay recording ([`Artifact`])
 //! and a flight-recorder dump ([`BlackboxSnapshot`]). Both open with a
 //! one-line JSON document that carries a `format` tag and a `version`. A
-//! dump is that line alone; a recording follows it with its raw trace.
+//! dump is that line alone, its events inside it; a recording follows it
+//! with one digest line per trace event, and keeps no events.
 //! Each kind loads at the one version this build writes. [`open`] reads a
 //! user-supplied path, parses the first line once, and dispatches on the
 //! tag; every front-end that takes a file goes through it, so "cannot
 //! read", "not JSON", "unknown format tag" and "bad section" are worded
 //! here and nowhere else.
-
-use std::borrow::Cow;
 
 use pilgrim_sim::{CausalGraph, Json, TraceEvent};
 
@@ -26,9 +25,7 @@ pub enum Saved {
     Dump(BlackboxSnapshot),
 }
 
-/// Reads the file at `path` as whichever saved document it is. A
-/// recording's trace is the buffer the file was read into, with the
-/// header drained from its front: loading costs one copy of the file.
+/// Reads the file at `path` as whichever saved document it is.
 ///
 /// # Errors
 ///
@@ -36,7 +33,7 @@ pub enum Saved {
 /// [`Saved::parse`] rejects.
 pub fn open(path: &str) -> Result<Saved, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    Saved::load(Cow::Owned(text)).map_err(|e| format!("{path}: {e}"))
+    Saved::parse(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 impl Saved {
@@ -48,13 +45,9 @@ impl Saved {
     ///
     /// Malformed JSON, a `format` tag that is neither of the two this
     /// workspace writes, a version other than the one this build writes,
-    /// a bad section, a recording body whose length is not its header's
-    /// `trace_bytes`, or a non-blank line after a dump.
+    /// a bad section, a recording body that is not its header's
+    /// `trace_events` digest lines, or a non-blank line after a dump.
     pub fn parse(text: &str) -> Result<Saved, String> {
-        Saved::load(Cow::Borrowed(text))
-    }
-
-    fn load(text: Cow<'_, str>) -> Result<Saved, String> {
         // The `Json` writer escapes every newline inside a string, so the
         // first one ends the document; only that line is parsed as JSON.
         let at = text.find('\n').map_or(text.len(), |nl| nl + 1);
@@ -77,15 +70,9 @@ impl Saved {
                 "unsupported {tag} version {version} (expected {expected})"
             ));
         }
-        let body = match text {
-            Cow::Borrowed(text) => Cow::Borrowed(&text[at..]),
-            Cow::Owned(mut text) => {
-                text.drain(..at);
-                Cow::Owned(text)
-            }
-        };
-        // A recording's trace is the rest of the text; a dump is its one
-        // line, with nothing but blank lines after it.
+        let body = &text[at..];
+        // A recording's digests are the rest of the text; a dump is its
+        // one line, with nothing but blank lines after it.
         if recording {
             Artifact::from_doc(doc, body).map(|a| Saved::Recording(Box::new(a)))
         } else if body.trim_start_matches([' ', '\t', '\r', '\n']).is_empty() {
@@ -129,24 +116,30 @@ impl Saved {
         }
     }
 
-    /// The causal graph of the trace either document carries — a
-    /// recording's full trace, or a dump's retained event ring — and how
-    /// many events that trace holds. The trace is parsed one line at a
-    /// time into the fold, so no event list is built beside the text.
+    /// The causal graph of a dump's retained event ring, and how many
+    /// events the ring holds. The events are parsed one line at a time
+    /// into the fold, so no event list is built beside the text. A
+    /// recording keeps digests, not events: fold the world
+    /// [`rerun`](crate::replay::rerun) rebuilds from it instead.
     ///
     /// # Errors
     ///
-    /// A malformed event line.
+    /// The document is a recording, or a malformed event line.
     pub fn causal_graph(&self) -> Result<(usize, CausalGraph), String> {
-        let (jsonl, section) = match self {
-            Saved::Recording(artifact) => (artifact.trace.text(), "recorded trace"),
-            Saved::Dump(snap) => (Cow::Borrowed(snap.events.as_str()), "blackbox events"),
+        let snap = match self {
+            Saved::Dump(snap) => snap,
+            Saved::Recording(_) => {
+                return Err(format!(
+                    "a {} recording keeps no events: re-run it to fold its trace",
+                    replay::FORMAT
+                ))
+            }
         };
         let mut events = Ok(0);
         let graph = CausalGraph::from_events_with(|sink| {
-            events = TraceEvent::visit_jsonl(&jsonl, |ev| sink(&ev));
+            events = TraceEvent::visit_jsonl(&snap.events, |ev| sink(&ev));
         });
-        let events = events.map_err(|e| format!("{section}: {e}"))?;
+        let events = events.map_err(|e| format!("blackbox events: {e}"))?;
         Ok((events, graph))
     }
 }
@@ -172,20 +165,20 @@ mod tests {
     fn unsupported_versions_name_the_versions_that_load() {
         for (text, want) in [
             (
-                "{\"format\": \"pilgrim-replay\", \"version\": 4}",
-                "unsupported pilgrim-replay version 4 (expected 3)",
+                "{\"format\": \"pilgrim-replay\", \"version\": 5}",
+                "unsupported pilgrim-replay version 5 (expected 4)",
             ),
             (
-                "{\"format\": \"pilgrim-replay\", \"version\": 2}\n",
-                "unsupported pilgrim-replay version 2 (expected 3)",
+                "{\"format\": \"pilgrim-replay\", \"version\": 3}\n",
+                "unsupported pilgrim-replay version 3 (expected 4)",
             ),
             (
                 "{\"format\": \"pilgrim-replay\", \"version\": 1}",
-                "unsupported pilgrim-replay version 1 (expected 3)",
+                "unsupported pilgrim-replay version 1 (expected 4)",
             ),
             (
                 "{\"format\": \"pilgrim-replay\"}",
-                "unsupported pilgrim-replay version 0 (expected 3)",
+                "unsupported pilgrim-replay version 0 (expected 4)",
             ),
             (
                 "{\"format\": \"pilgrim-blackbox\", \"version\": 2}\n",
@@ -218,8 +211,8 @@ mod tests {
     /// A small recording whose journal holds every stimulus shape with a
     /// payload: spawns carrying each value kind a journal can hold,
     /// `RunUntil`, `Connect`, `BreakAtProc` and a `WriteVar` request with
-    /// a nested value. Its trace is cut to three lines, which the loader
-    /// takes as a string: the property is about the sections around it.
+    /// a nested value. Its trace is cut to three digests: the property is
+    /// about the sections around them.
     fn small_recording() -> String {
         use crate::proto::AgentRequest;
         use crate::world::World;
@@ -272,10 +265,7 @@ mod tests {
         let _ = w.debug_request(0, write);
         w.run_until(SimTime::from_millis(80));
         let mut artifact = w.record();
-        let mut trace = artifact.trace.text().into_owned();
-        let cut = trace.match_indices('\n').nth(2).map_or(0, |(at, _)| at + 1);
-        trace.truncate(cut);
-        artifact.trace = trace.into();
+        artifact.digests.truncate(3);
         artifact.render()
     }
 
@@ -318,10 +308,10 @@ mod tests {
         assert!(Saved::parse(&text).is_ok(), "the longer journal loads");
         loads_or_errs_when_cut_or_mutated(&text, "hostile recordings, every op");
 
-        // `trace_bytes` made huge, negative, fractional, absent or one off.
-        let len = every.trace.text().len() as i128;
+        // `trace_events` made huge, negative, fractional, absent or one off.
+        let len = every.digests.len() as i128;
         let (head, body) = text.split_once('\n').expect("has a header line");
-        let declared = format!("\"trace_bytes\": {len}}}");
+        let declared = format!("\"trace_events\": {len}}}");
         assert!(head.ends_with(&declared));
         let stem = &head[..head.len() - declared.len()];
         refused(
@@ -334,7 +324,7 @@ mod tests {
                 format!("{}", len + 1),
                 "\"12\"".into(),
             ]
-            .map(|n| format!("{stem}\"trace_bytes\": {n}}}\n{body}")),
+            .map(|n| format!("{stem}\"trace_events\": {n}}}\n{body}")),
         );
         refused([format!("{}}}\n{body}", stem.trim_end_matches(", "))]);
         // More segments than the world's three stations, refused before
@@ -362,10 +352,10 @@ mod tests {
         ]);
 
         // A recording with an empty trace is its header line alone;
-        // anything after it, blank lines too, is a body `trace_bytes`
+        // anything after it, blank lines too, is a body `trace_events`
         // does not declare.
         let empty = Artifact {
-            trace: String::new().into(),
+            digests: Vec::new(),
             ..every
         }
         .render();

@@ -1,13 +1,13 @@
 //! The `pilgrim` command: one thin front-end over the debugging core.
 //!
 //! Everything a shell user does with a saved session goes through
-//! [`run`]: re-run a recording and diff its trace (`replay`), read where
+//! [`run`]: re-run a recording and check its trace (`replay`), read where
 //! its simulated time went (`prof`), reconstruct its causal critical path
 //! (`trace`), or produce one by driving a load scenario (`load`). The
 //! command lives in this crate because it is the only one that links
 //! [`setup_installer`]: every re-run is handed the services installer, so
-//! a `pilgrim load --record` artifact replays and profiles from disk like
-//! any other recording.
+//! a `pilgrim load --record` artifact replays, profiles and traces from
+//! disk like any other recording.
 //!
 //! One exit-code contract for every command: **0** ok · **1** divergence,
 //! gate failure or selftest failure · **2** usage error, unreadable or
@@ -16,7 +16,7 @@
 use std::io::Write;
 use std::time::Instant;
 
-use pilgrim::{open, rerun, Artifact};
+use pilgrim::{open, rerun, Artifact, CausalGraph, Saved};
 
 use crate::{
     outcome_from_world, render_run_report, replay_load, run_scenario, setup_installer, Scenario,
@@ -28,8 +28,8 @@ pub use selftest::check_format;
 
 const USAGE: &str = "\
 usage: pilgrim <command>
-  replay <recording>          re-run a recording and diff its trace against
-                              the recorded one, event by event
+  replay <recording>          re-run a recording and check its trace against
+                              the recorded digests, event by event
   prof <recording>            print the recording's folded-stack profile
                               (re-runs it with profiling on when it has none)
   trace <recording|dump> [--slow <k>] [--span <id>]
@@ -98,31 +98,26 @@ fn recording(args: &[String]) -> Result<(&str, Artifact), Bad> {
 }
 
 /// `pilgrim replay`: rebuilds the world from the recording alone,
-/// re-applies its journal and diffs the fresh trace against the recorded
-/// one.
+/// re-applies its journal and checks the fresh trace against the recorded
+/// digests.
 fn replay(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Status {
     let (path, artifact) = recording(args)?;
     writeln!(
         out,
-        "replaying {path}: {} nodes, seed {}, {} stimuli, {} recorded trace bytes",
+        "replaying {path}: {} nodes, seed {}, {} stimuli, {} recorded events",
         artifact.recipe.nodes,
         artifact.recipe.seed,
         artifact.stimuli.len(),
-        artifact.trace.text().len()
+        artifact.digests.len()
     )?;
     let start = Instant::now();
     let report = replay_load(&artifact).map_err(|e| format!("{path}: replay failed: {e}"))?;
     let ms = start.elapsed().as_secs_f64() * 1e3;
     match report.divergence {
         None => {
-            let bytes = if report.byte_identical {
-                " (byte-for-byte)"
-            } else {
-                ""
-            };
             writeln!(
                 out,
-                "OK: {} events replayed identically{bytes} in {ms:.1}ms",
+                "OK: {} events replayed identically (byte-for-byte) in {ms:.1}ms",
                 report.recorded_events
             )?;
             Ok(0)
@@ -152,8 +147,8 @@ fn prof(args: &[String], out: &mut dyn Write) -> Status {
     Ok(0)
 }
 
-/// `pilgrim trace`: causal analytics over the trace either saved
-/// document carries.
+/// `pilgrim trace`: causal analytics over a dump's events, or over the
+/// trace a recording's re-run emits.
 fn trace(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Status {
     let Some((path, opts)) = args.split_first().filter(|(p, _)| !p.starts_with('-')) else {
         return Err("trace needs a recording or a blackbox dump".into());
@@ -187,7 +182,7 @@ fn trace(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Status {
         write!(out, "{}", render_tsdb(&snap.series, metric))?;
         return Ok(0);
     }
-    let (events, graph) = saved.causal_graph().map_err(|e| format!("{path}: {e}"))?;
+    let (events, graph) = causal_graph(path, saved)?;
     writeln!(out, "{events} events, {} spans", graph.spans().len())?;
     match span {
         Some(id) if graph.profile(id).is_none() => {
@@ -204,6 +199,19 @@ fn trace(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Status {
             Ok(0)
         }
     }
+}
+
+/// The causal graph of a saved document, and how many events it folds: a
+/// dump's retained events, or the trace a recording re-creates when it
+/// is re-run (a recording keeps only their digests).
+fn causal_graph(path: &str, saved: Saved) -> Result<(usize, CausalGraph), Bad> {
+    let artifact = match saved {
+        Saved::Recording(artifact) => artifact,
+        dump => return Ok(dump.causal_graph().map_err(|e| format!("{path}: {e}"))?),
+    };
+    let world = rerun(&artifact, Some(&mut setup_installer()))
+        .map_err(|e| format!("{path}: cannot re-run: {e}"))?;
+    Ok((world.tracer().len(), world.causal_graph()))
 }
 
 /// The windowed time-series a blackbox dump carries — the offline mirror
@@ -302,7 +310,7 @@ fn load(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Status {
         }
         if verify_replay {
             match replay_load(&artifact) {
-                Ok(r) if r.divergence.is_none() && r.byte_identical => {
+                Ok(r) if r.divergence.is_none() => {
                     writeln!(out, "replay: byte-identical")?;
                     // With --report, the replayed world must render the
                     // same run report byte for byte: the report is part
@@ -318,11 +326,7 @@ fn load(args: &[String], out: &mut dyn Write, err: &mut dyn Write) -> Status {
                     }
                 }
                 Ok(r) => {
-                    writeln!(
-                        err,
-                        "pilgrim load: replay diverged: {:?} (byte_identical={})",
-                        r.divergence, r.byte_identical
-                    )?;
+                    writeln!(err, "pilgrim load: replay diverged: {:?}", r.divergence)?;
                     failed = true;
                 }
                 Err(e) => {

@@ -74,7 +74,7 @@ pub use ring::Ring;
 pub use rng::DetRng;
 pub use time::{SimDuration, SimTime};
 pub use trace::{
-    first_divergence, Divergence, EventKind, FieldDiff, Lines, RpcProtocol, SpanId, Trace,
+    first_divergence, line_digest, Divergence, EventKind, FieldDiff, RpcProtocol, SpanId,
     TraceCategory, TraceEvent, Tracer, BLACKBOX_CAPACITY,
 };
 pub use tsdb::SeriesStore;

@@ -362,6 +362,37 @@ impl TraceEvent {
     }
 }
 
+/// The fold's multiplier: 2^64 divided by the golden ratio, odd.
+const DIGEST_K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The 64-bit digest a recording keeps of one trace line: the bytes
+/// [`TraceEvent::write_json`] writes, without a newline.
+///
+/// The state starts at `K ^ len`, with `K` = `0x9e3779b97f4a7c15`. Each
+/// 8-byte little-endian word `w` of the line, the last one zero-padded,
+/// is folded in as `h = rotl((h ^ w) × K, 31)`, the product taken mod
+/// 2^64. The digest is then `h ^= h >> 32; h ×= K; h ^ (h >> 29)`.
+/// Every step is a bijection of the state, so two lines of one length
+/// that differ in a single word never share a digest.
+pub fn line_digest(line: &[u8]) -> u64 {
+    let fold = |h: u64, word: &[u8]| {
+        let mut bytes = [0u8; 8];
+        bytes[..word.len()].copy_from_slice(word);
+        (h ^ u64::from_le_bytes(bytes))
+            .wrapping_mul(DIGEST_K)
+            .rotate_left(31)
+    };
+    let words = line.chunks_exact(8);
+    let tail = words.remainder();
+    let mut h = words.fold(DIGEST_K ^ line.len() as u64, fold);
+    if !tail.is_empty() {
+        h = fold(h, tail);
+    }
+    h ^= h >> 32;
+    h = h.wrapping_mul(DIGEST_K);
+    h ^ (h >> 29)
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::HashSet;

@@ -21,14 +21,13 @@
 //! rendering, `codec` the JSONL round trip, `diff` the divergence
 //! differ, `tracer` the recorder with its masks, sampling and rings, and
 //! `record` the fixed-size slot those rings hold, with the table of names
-//! its events refer to, and `snapshot` the trace a recording keeps, as
-//! text or as a copy of those slots.
+//! its events refer to. A recording keeps a trace as one
+//! [`line_digest`] per event.
 
 mod codec;
 mod diff;
 mod kind;
 mod record;
-mod snapshot;
 mod tracer;
 
 use std::fmt;
@@ -36,9 +35,9 @@ use std::num::NonZeroU64;
 
 use crate::time::SimTime;
 
+pub use codec::line_digest;
 pub use diff::{first_divergence, Divergence, FieldDiff};
 pub use kind::{EventKind, RpcProtocol};
-pub use snapshot::{Lines, Trace};
 pub use tracer::{Tracer, BLACKBOX_CAPACITY};
 
 /// Category of a trace event, used for filtering.

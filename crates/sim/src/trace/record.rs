@@ -8,9 +8,8 @@
 //! with the events. An event that owns text (a `Message`, a `Print`, a
 //! fault, a watch expression, a call's failure reason) is kept whole in a
 //! box instead, evicted with its slot, so the table never grows with free
-//! text. Ids leave the tracer only with its table, in a
-//! [`Trace`](super::Trace) snapshot: every reader gets the [`TraceEvent`]
-//! back, field for field.
+//! text. Ids never leave the tracer: every reader gets the
+//! [`TraceEvent`] back, field for field.
 
 use std::borrow::Cow;
 use std::collections::HashMap;

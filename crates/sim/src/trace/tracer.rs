@@ -6,9 +6,10 @@ use std::collections::HashSet;
 use std::fmt;
 use std::num::NonZeroU64;
 use std::rc::Rc;
+use std::sync::Arc;
 
+use super::codec::{line_digest, JSONL_LINE_BYTES};
 use super::record::{Names, Record};
-use super::snapshot::{jsonl, Trace};
 use super::{EventKind, SpanId, TraceCategory, TraceEvent};
 use crate::ring::Ring;
 use crate::rng::splitmix64;
@@ -52,6 +53,22 @@ struct Shared {
 
 /// Shift of the flight-recorder mask within [`Shared::masks`].
 const BLACKBOX_SHIFT: u16 = 8;
+
+/// `len` records as JSON Lines, oldest first, written into a buffer
+/// sized for the longest lines, then returned at its exact length.
+fn jsonl<'r>(
+    records: impl IntoIterator<Item = &'r Record>,
+    len: usize,
+    names: &[Arc<str>],
+) -> String {
+    let mut out = String::with_capacity(len * JSONL_LINE_BYTES);
+    for record in records {
+        record.event(names).write_json(&mut out);
+        out.push('\n');
+    }
+    out.shrink_to_fit();
+    out
+}
 
 /// A shared, clonable event recorder.
 ///
@@ -333,15 +350,19 @@ impl Tracer {
         jsonl(inner.main.iter(), inner.main.len(), inner.names.table())
     }
 
-    /// The main trace as a recording keeps it: the retained records,
-    /// copied at their length, and the name table they index. Its lines
-    /// are [`to_jsonl`](Tracer::to_jsonl)'s, byte for byte, for as long as
-    /// it lives, whatever this tracer records next.
-    pub fn snapshot(&self) -> Trace {
+    /// The digest of each retained event's JSON line, oldest first: what
+    /// a recording keeps of the trace. Each event is written into one
+    /// reused line and hashed by [`line_digest`](super::line_digest).
+    pub fn digests(&self) -> Vec<u64> {
         let inner = self.shared.inner.borrow();
-        let mut records = Vec::with_capacity(inner.main.len());
-        records.extend(inner.main.iter().cloned());
-        Trace::records(records, inner.names.table().to_vec())
+        let mut line = String::with_capacity(JSONL_LINE_BYTES);
+        let mut out = Vec::with_capacity(inner.main.len());
+        for record in inner.main.iter() {
+            line.clear();
+            record.event(inner.names.table()).write_json(&mut line);
+            out.push(line_digest(line.as_bytes()));
+        }
+        out
     }
 
     /// Events the main trace has dropped to stay within its budget.
@@ -600,9 +621,8 @@ mod tests {
     }
 
     /// Past 65 536 events the main ring's store spans 256 chunks, where a
-    /// doubling `Vec` would reallocate: both readers and a snapshot still
-    /// see every event, oldest first, and the flight recorder the newest
-    /// 512.
+    /// doubling `Vec` would reallocate: every reader still sees every
+    /// event, oldest first, and the flight recorder the newest 512.
     #[test]
     fn a_trace_past_the_doubling_step_reads_back_in_order() {
         let t = Tracer::new();
@@ -634,16 +654,12 @@ mod tests {
         assert!(t.to_jsonl() == lines(&model));
         assert!(t.blackbox_jsonl() == lines(&model[70_000 - BLACKBOX_CAPACITY..]));
         assert_eq!((t.len(), t.evicted()), (70_000, 0));
-        // A snapshot reads the same lines whole and one at a time, and
-        // keeps them whatever the tracer records after it.
-        let snapshot = t.snapshot();
-        t.record(SimTime::ZERO, TraceCategory::Net, None, "after");
-        assert!(snapshot.text() == lines(&model));
-        let (mut cursor, mut walked) = (snapshot.lines(), String::new());
-        while let Some(line) = cursor.next_line() {
-            walked.push_str(line);
-        }
-        assert!(walked == lines(&model));
+        // The digests are those of the same lines, one per event.
+        let digests: Vec<u64> = lines(&model)
+            .lines()
+            .map(|l| crate::line_digest(l.as_bytes()))
+            .collect();
+        assert!(t.digests() == digests);
     }
 
     #[test]

@@ -580,19 +580,15 @@ end";
     );
 }
 
-/// Analytics against the artifact costs about one artifact: a recording
-/// keeps the tracer's records, not their text, and replaying it compares
-/// the replayed trace line by line, rendering one recorded line at a time,
-/// instead of rendering a second copy to compare whole. What a recording
-/// retains is its records at their length, with one ring chunk of slack
-/// for the recipe and journal it also copies, and its name table's `Arc`s.
-/// What replay holds only on the way — above what it keeps, the replayed
-/// world — must stay under a quarter of the rendered trace.
+/// A recording keeps a digest per event, not the events: what `record()`
+/// retains is eight bytes an event, with one kilobyte's slack for the
+/// recipe and journal it also copies (363 bytes here). What replay holds
+/// only on the way — above what it keeps, the replayed world — must stay
+/// under a quarter of the rendered trace.
 #[test]
 fn replay_holds_no_second_copy_of_the_trace() {
-    const CHUNK: usize = 256;
-    /// The name table: one shared `Arc` per procedure name, 16 bytes each.
-    const TABLE: i64 = 64 * 16;
+    /// The recipe (program text, configs) and the two-entry journal.
+    const SLACK: i64 = 1024;
     let mut w = World::builder()
         .nodes(3)
         .program(CHAIN)
@@ -602,13 +598,13 @@ fn replay_holds_no_second_copy_of_the_trace() {
     w.spawn(0, "client", vec![Value::Int(300)]);
     w.run_until_idle(SimTime::from_secs(600));
     let events = w.tracer().len();
+    let trace_bytes = w.trace_jsonl().len();
+    assert!(trace_bytes > 100_000, "{trace_bytes} trace bytes");
     let mut artifact = None;
     let kept = retained(|| artifact = Some(w.record()));
     let artifact = artifact.expect("recorded");
     drop(w);
-    let trace_bytes = artifact.trace.text().len();
-    assert!(trace_bytes > 100_000, "{trace_bytes} trace bytes");
-    let bound = ((events + CHUNK) * pilgrim::Tracer::EVENT_BYTES) as i64 + TABLE;
+    let bound = (events * 8) as i64 + SLACK;
     println!("a recording of {events} events ({trace_bytes} trace bytes) retains {kept} bytes");
     assert!(
         kept <= bound,

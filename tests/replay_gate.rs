@@ -2,12 +2,11 @@
 //!
 //! Records the semantics-lock scenario (sleep + cross-node RPC +
 //! breakpoint hit/resume, pinned seed), rebuilds a world from the
-//! rendered artifact *alone*, and demands the fresh trace be
-//! byte-identical to the recorded one. Then corrupts a single recorded
-//! event and demands the divergence checker name that event's index,
-//! kind, and the exact field that changed — proving the gate can actually
-//! fail. A property test repeats the round trip over random seeds,
-//! topologies, and stimulus mixes.
+//! rendered artifact *alone*, and demands every fresh event's JSON line
+//! have its recorded digest. Then corrupts a single recorded digest and
+//! demands the divergence checker name that event's index and replayed
+//! kind — proving the gate can actually fail. A property test repeats
+//! the round trip over random seeds, topologies, and stimulus mixes.
 
 use pilgrim::replay::{replay, replay_with, Artifact, ReplayError, ReplayReport, VERSION};
 use pilgrim::{
@@ -63,26 +62,17 @@ fn lock_scenario() -> World {
     w
 }
 
-/// Replay verifies bytes first and parses nothing when they agree, so
-/// `recorded_events` comes from the replayed tracer. Parsing the recorded
-/// trace — what the structure-first verifier did — must give the same
-/// count, and no divergence.
+/// No divergence, one recorded digest per replayed event, and the
+/// replayed world's own digests are the recorded ones.
 fn assert_clean(report: &ReplayReport, artifact: &Artifact) {
     assert!(
         report.divergence.is_none(),
         "clean replay diverged:\n{}",
         report.divergence.as_ref().unwrap().report()
     );
-    assert!(
-        report.byte_identical,
-        "traces equal event-wise but not byte-for-byte"
-    );
-    assert_eq!(
-        report.recorded_events,
-        TraceEvent::parse_jsonl(&artifact.trace.text())
-            .unwrap()
-            .len()
-    );
+    assert!(report.byte_identical);
+    assert_eq!(report.recorded_events, artifact.digests.len());
+    assert!(report.world.tracer().digests() == artifact.digests);
 }
 
 #[test]
@@ -178,138 +168,107 @@ fn out_of_range_recipes_are_format_errors() {
     assert_eq!(Artifact::parse(&big).expect("parses").recipe.nodes, 1 << 20);
 }
 
+/// A recording with its digest at `victim` changed.
+fn with_digest_changed(artifact: &Artifact, victim: usize) -> Artifact {
+    let mut corrupted = artifact.clone();
+    corrupted.digests[victim] ^= 1;
+    corrupted
+}
+
 #[test]
-fn mutated_trace_is_reported_with_index_kind_and_field() {
+fn mutated_digest_is_reported_with_index_and_kind() {
     let artifact = lock_scenario().record();
-    let trace = artifact.trace.text();
-    let lines: Vec<&str> = trace.lines().collect();
-    let victim = lines
+    let events = lock_scenario().tracer().events();
+    let victim = events
         .iter()
-        .position(|l| l.contains("\"ok\": true"))
+        .position(|ev| ev.kind.name() == "CallCompleted")
         .expect("scenario completes at least one call");
 
-    let mut corrupted = artifact.clone();
-    corrupted.trace = (lines
-        .iter()
-        .enumerate()
-        .map(|(i, l)| {
-            if i == victim {
-                l.replace("\"ok\": true", "\"ok\": false")
-            } else {
-                (*l).to_string()
-            }
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-        + "\n")
-        .into();
-
-    let report = replay(&corrupted).expect("replay runs");
+    let report = replay(&with_digest_changed(&artifact, victim)).expect("replay runs");
     assert!(!report.byte_identical);
     let d = report.divergence.expect("mutation must be detected");
     assert_eq!(d.index, victim, "divergence pinned to the mutated event");
-    assert!(
-        d.fields.iter().any(|f| f.field == "data.ok"),
-        "expected a data.ok field diff, got {:?}",
-        d.fields
-    );
+    assert_eq!(d.recorded, Some(artifact.digests[victim] ^ 1));
+    assert_eq!(d.replayed.as_ref(), Some(&events[victim]));
+    // The call's span, up to the completion: what led to it.
+    let span = events[victim].span.expect("a call carries its span");
+    let earlier: Vec<&TraceEvent> = events[..victim]
+        .iter()
+        .filter(|ev| ev.span == Some(span))
+        .collect();
+    assert!(!earlier.is_empty() && d.earlier_in_span.iter().eq(earlier));
     let rendered = d.report();
     assert!(
-        rendered.contains(&format!("event {victim}")),
+        rendered.starts_with(&format!("trace divergence at event {victim}: ")),
         "report names the event index: {rendered}"
     );
     assert!(
-        rendered.contains("CallCompleted"),
+        rendered.contains(&format!(
+            "recorded digest {:016x}",
+            artifact.digests[victim] ^ 1
+        )),
+        "report shows the recorded digest: {rendered}"
+    );
+    assert!(
+        rendered.contains("replayed kind CallCompleted"),
         "report names the event kind: {rendered}"
+    );
+    assert!(
+        rendered.contains(&format!("  earlier in span {}:\n", span.get())),
+        "report shows the span's history: {rendered}"
     );
 }
 
 #[test]
 fn truncated_trace_is_reported_as_early_end() {
     let artifact = lock_scenario().record();
-    let trace = artifact.trace.text();
-    let mut lines: Vec<&str> = trace.lines().collect();
-    let kept = lines.len() - 3;
-    lines.truncate(kept);
+    let kept = artifact.digests.len() - 3;
     let mut corrupted = artifact.clone();
-    corrupted.trace = (lines.join("\n") + "\n").into();
+    corrupted.digests.truncate(kept);
 
     let report = replay(&corrupted).expect("replay runs");
     let d = report.divergence.expect("truncation must be detected");
     assert_eq!(d.index, kept);
-    assert!(d.expected.is_none() && d.actual.is_some());
-}
-
-/// A recorded trace that says the same thing in different bytes: only
-/// the structural differ can tell that nothing diverged.
-#[test]
-fn whitespace_only_difference_is_not_a_divergence() {
-    let artifact = lock_scenario().record();
-    let trace = artifact.trace.text();
-    let mut respaced = artifact.clone();
-    respaced.trace = trace.replace("\"time_us\": ", "\"time_us\":   ").into();
-    assert_ne!(respaced.trace.text(), trace);
-
-    let report = replay(&respaced).expect("replay runs");
-    assert!(report.divergence.is_none());
-    assert!(!report.byte_identical);
-    assert_eq!(
-        report.recorded_events,
-        TraceEvent::parse_jsonl(&trace).unwrap().len()
-    );
-}
-
-/// The byte check walks the recording one replayed line at a time, so
-/// its edges are where a streamed compare can go wrong: past the last
-/// replayed line, inside the last newline, and in the last line's bytes.
-#[test]
-fn the_streamed_byte_check_holds_at_the_trace_end() {
-    let artifact = lock_scenario().record();
-    let trace = artifact.trace.text();
-    let fresh_events = TraceEvent::parse_jsonl(&trace).unwrap().len();
-    let replayed = |edit: String| {
-        let mut edited = artifact.clone();
-        edited.trace = edit.into();
-        replay(&edited).expect("replay runs")
-    };
-
-    // One line more than the replay produces.
-    let last = trace.lines().last().expect("a non-empty trace");
-    let report = replayed(format!("{trace}{last}\n"));
-    assert!(!report.byte_identical, "an extra trailing line matched");
-    let d = report.divergence.expect("the extra line is a divergence");
-    assert_eq!(d.index, fresh_events);
-    assert!(d.expected.is_some() && d.actual.is_none());
-
-    // Every line, but the final newline missing: the same events in
-    // other bytes.
-    let unterminated = trace.strip_suffix('\n').expect("newline-terminated");
-    let report = replayed(unterminated.to_string());
-    assert!(!report.byte_identical, "a missing final newline matched");
-    assert!(report.divergence.is_none());
-    assert_eq!(report.recorded_events, fresh_events);
-
-    // One byte of the last line: a digit of its time.
-    let at = trace.len() - last.len() - 1 + "{\"time_us\": ".len();
-    let mut bytes = trace.clone().into_owned().into_bytes();
-    bytes[at] = if bytes[at] == b'9' {
-        b'8'
-    } else {
-        bytes[at] + 1
-    };
-    let report = replayed(String::from_utf8(bytes).expect("still UTF-8"));
-    assert!(!report.byte_identical, "a changed last line matched");
-    let d = report.divergence.expect("the changed byte is a divergence");
-    assert_eq!(d.index, fresh_events - 1);
+    assert!(d.recorded.is_none() && d.replayed.is_some());
     assert!(
-        d.fields.iter().any(|f| f.field == "time_us"),
-        "{:?}",
-        d.fields
+        d.report().contains("the recording ended early"),
+        "{}",
+        d.report()
     );
 }
 
-/// A world that never ran records an empty trace, and its replay is an
-/// empty trace too: byte-identical, with nothing to compare.
+/// The edges of the digest compare: one digest past the replay's last
+/// event is a late end, and a changed last digest is pinned to the last
+/// event.
+#[test]
+fn the_digest_check_holds_at_the_trace_end() {
+    let artifact = lock_scenario().record();
+    let len = artifact.digests.len();
+
+    let mut longer = artifact.clone();
+    longer.digests.push(artifact.digests[len - 1]);
+    let report = replay(&longer).expect("replay runs");
+    assert!(!report.byte_identical, "an extra digest matched");
+    let d = report.divergence.expect("the extra digest is a divergence");
+    assert_eq!(d.index, len);
+    assert!(d.recorded.is_some() && d.replayed.is_none());
+    assert!(
+        d.report().contains("the replay ended early"),
+        "{}",
+        d.report()
+    );
+
+    let report = replay(&with_digest_changed(&artifact, len - 1)).expect("replay runs");
+    assert!(!report.byte_identical, "a changed last digest matched");
+    let d = report
+        .divergence
+        .expect("the changed digest is a divergence");
+    assert_eq!(d.index, len - 1);
+}
+
+/// A world that never ran records an empty trace, a recording with no
+/// digest lines, and its replay is an empty trace too: clean, with
+/// nothing to compare.
 #[test]
 fn an_empty_trace_replays_byte_identically() {
     let w = World::builder()
@@ -319,28 +278,27 @@ fn an_empty_trace_replays_byte_identically() {
         .seed(42)
         .build()
         .expect("scenario builds");
-    let artifact = w.record();
-    assert_eq!(artifact.trace.text(), "");
+    let text = w.record().render();
+    assert_eq!(text.lines().count(), 1, "a header and no digest lines");
+    let artifact = Artifact::parse(&text).expect("parses");
+    assert!(artifact.digests.is_empty());
     let report = replay(&artifact).expect("replay runs");
     assert_clean(&report, &artifact);
     assert_eq!(report.recorded_events, 0);
 }
 
-/// A recorded trace with a line that is not an event is a format error
+/// A recording with a line that is not a digest is a format error
 /// naming the line, not a divergence.
 #[test]
 fn unparsable_recorded_line_is_a_format_error() {
-    let artifact = lock_scenario().record();
-    let trace = artifact.trace.text();
-    let mut lines: Vec<&str> = trace.lines().collect();
-    lines[4] = "{\"time_us\": oops}";
-    let mut corrupted = artifact.clone();
-    corrupted.trace = (lines.join("\n") + "\n").into();
-
-    match replay(&corrupted) {
-        Err(ReplayError::Format(e)) => {
-            assert!(e.starts_with("recorded trace: line 5: "), "{e}")
-        }
+    let text = lock_scenario().record().render();
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines[5] = "0123456789abcdeX";
+    match Artifact::parse(&(lines.join("\n") + "\n")) {
+        Err(ReplayError::Format(e)) => assert_eq!(
+            e,
+            "recording: line 6: not 16 lowercase hex digits and a newline (the digest of event 4)"
+        ),
         other => panic!("expected a format error, got {other:?}"),
     }
 }
@@ -457,8 +415,11 @@ fn prop_record_replay_is_byte_identical() {
                 return Err(format!("diverged:\n{}", d.report()));
             }
             ensure(report.byte_identical, "trace not byte-identical")?;
-            let recorded = TraceEvent::parse_jsonl(&artifact.trace.text())?;
-            ensure_eq(report.recorded_events, recorded.len())
+            ensure_eq(report.recorded_events, artifact.digests.len())?;
+            ensure(
+                report.world.tracer().digests() == artifact.digests,
+                "the replayed world's digests are not the recorded ones",
+            )
         },
     );
 }

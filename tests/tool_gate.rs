@@ -111,11 +111,20 @@ fn bad_input_is_status_2_with_one_stderr_line_and_no_stdout() {
 
     // A recording made at an older version is refused by its version.
     let older = |version: u32| {
-        let doc = text.replacen("\"version\": 3", &format!("\"version\": {version}"), 1);
+        let doc = text.replacen("\"version\": 4", &format!("\"version\": {version}"), 1);
         assert_ne!(doc, text, "the artifact's version was not rewritten");
         doc
     };
-    let (v2, v1) = (older(2), older(1));
+    let (v3, v2) = (older(3), older(2));
+
+    // A digest line that is not 16 lowercase hex digits, and a count the
+    // body does not hold.
+    let (head, body) = text.split_once('\n').expect("has a header line");
+    let bad_digest = format!("{head}\n{}", body.replacen(|c: char| c != '\n', "g", 1));
+    let (stem, _) = head
+        .rsplit_once("\"trace_events\": ")
+        .expect("declares its events");
+    let far_count = format!("{stem}\"trace_events\": 4000000000}}\n{body}");
 
     let mut inputs = vec![
         (dir.path("missing.json"), "cannot read"),
@@ -142,12 +151,20 @@ fn bad_input_is_status_2_with_one_stderr_line_and_no_stdout() {
             "rpc config: unknown key `retry_interval_us`",
         ),
         (
-            dir.write("v2.json", &v2),
-            "unsupported pilgrim-replay version 2 (expected 3)",
+            dir.write("v3.json", &v3),
+            "unsupported pilgrim-replay version 3 (expected 4)",
         ),
         (
-            dir.write("v1.json", &v1),
-            "unsupported pilgrim-replay version 1 (expected 3)",
+            dir.write("v2.json", &v2),
+            "unsupported pilgrim-replay version 2 (expected 4)",
+        ),
+        (
+            dir.write("digest.json", &bad_digest),
+            "recording: line 2: not 16 lowercase hex digits",
+        ),
+        (
+            dir.write("trace_events.json", &far_count),
+            "recording: `trace_events` is 4000000000 but",
         ),
     ];
     // A journal naming a station its recipe does not have: 7 nodes and
@@ -242,7 +259,7 @@ fn recorded_load_artifact_replays_profiles_and_traces_from_disk() {
     let mut artifact = Artifact::parse(&text).expect("parses");
     artifact.recipe.node_cfg.profile_vm = true;
     let world = rerun(&artifact, Some(&mut setup_installer())).expect("re-runs");
-    assert_eq!(world.trace_jsonl(), artifact.trace.text());
+    assert!(world.tracer().digests() == artifact.digests);
     assert_eq!(world.folded_stacks(), folded);
 
     let (status, out, err) = pilgrim(&["trace", &art]);
@@ -258,12 +275,8 @@ fn mutated_trace_line_is_status_1_pinned_to_that_event() {
     let dir = Scratch::new("mutated");
     let (_, text) = dir.recorded_load();
     let mut artifact = Artifact::parse(&text).expect("parses");
-    let recorded = artifact.trace.text().into_owned();
-    let mut lines: Vec<&str> = recorded.lines().collect();
-    let victim = lines.len() / 2;
-    let mutated_line = lines[victim].replacen("\"time_us\": ", "\"time_us\": 9", 1);
-    lines[victim] = &mutated_line;
-    artifact.trace = (lines.join("\n") + "\n").into();
+    let victim = artifact.digests.len() / 2;
+    artifact.digests[victim] ^= 1 << 63;
     let mutated = dir.write("mutated.json", &artifact.render());
 
     let (status, out, err) = pilgrim(&["replay", &mutated]);
